@@ -602,9 +602,12 @@ def _cmd_stats(args) -> int:
         for s in net.controller.switches.values()
     )
     balance = load_imbalance_summary(loads) if sum(loads) else None
-    from .dataplane import batch_fastpath_blockers
+    from .dataplane import batch_fastpath_blockers, scalar_standdown
 
     blockers = batch_fastpath_blockers(net)
+    # The engine one scalar place/retrieve would take right now.
+    standdown = scalar_standdown(net)
+    engine = "compiled" if standdown is None else "reference"
     if args.json:
         payload = {
             "switches": topology.num_nodes(),
@@ -615,6 +618,8 @@ def _cmd_stats(args) -> int:
             "active_extensions": extensions,
             "load_balance": balance,
             "fastpath_blockers": blockers,
+            "scalar_engine": engine,
+            "scalar_standdown": standdown,
         }
         if overload_events is not None:
             payload["overload_events"] = [
@@ -635,6 +640,8 @@ def _cmd_stats(args) -> int:
     print(f"active extensions : {extensions}")
     print(f"fastpath blockers : "
           f"{', '.join(blockers) if blockers else 'none'}")
+    print(f"scalar engine     : {engine}"
+          + (f" ({standdown})" if standdown else ""))
     if overload_events is not None:
         print(f"overload sweep    : {len(overload_events)} action(s)")
         for event in overload_events:

@@ -449,11 +449,30 @@ class FederatedNetwork:
         for a, b in zip(path, path[1:]):
             egress, ingress = self.region_map.gateway(a, b)
             if cur != egress:
-                leg = bfs_path(self.shards[a].net.topology, cur, egress)
-                trace.extend(leg[1:])
+                trace.extend(self._leg(a, cur, egress)[1:])
             trace.append(ingress)
             cur = ingress
         return trace, cur, len(path) - 1
+
+    def _leg(self, region: int, source: int, egress: int) -> List[int]:
+        """Shortest path from ``source`` to a gateway inside one shard,
+        cached per ``(region, source, egress)`` for as long as that
+        shard's ``controller.version`` stands (any topology change
+        bumps it and drops the shard's legs)."""
+        net = self.shards[region].net
+        version = net.controller.version
+        # getattr: snapshots restore via __new__ and predate the field.
+        legs = getattr(self, "_legs", None)
+        if legs is None:
+            legs = self._legs = {}
+        slot = legs.get(region)
+        if slot is None or slot[0] != version:
+            slot = legs[region] = (version, {})
+        leg = slot[1].get((source, egress))
+        if leg is None:
+            leg = slot[1][(source, egress)] = bfs_path(
+                net.topology, source, egress)
+        return leg
 
     # ------------------------------------------------------------------
     # placement

@@ -32,16 +32,24 @@ from .. import utils
 from ..controlplane import Controller, ControllerConfig
 from ..dataplane import (
     CompiledRouter,
+    DeliverAction,
     ForwardingError,
     Packet,
     PacketKind,
     RouteResult,
+    Tracer,
+    batch_fastpath_blockers,
+    fastpath_usable,
     route_packet,
+    scalar_standdown,
 )
 from ..edge import (
+    NO_STAMP,
     EdgeServer,
+    Hint,
     ServerMap,
     StorageFull,
+    all_servers,
     attach_uniform,
     load_vector,
 )
@@ -49,6 +57,7 @@ from ..geometry import euclidean
 from ..graph import Graph, bfs_distances, hop_count
 from ..hashing import (
     data_position,
+    position_and_key,
     positions_from_digests,
     replica_id,
     replica_ids_flat,
@@ -56,8 +65,15 @@ from ..hashing import (
     server_index,
     sha256_digests,
 )
-from ..obs import BYTE_BUCKETS, HOP_BUCKETS, default_registry, demand_region
+from ..obs import (
+    BYTE_BUCKETS,
+    DEMAND_GRID,
+    HOP_BUCKETS,
+    default_registry,
+    demand_region,
+)
 from ..obs.bridge import spans_from_tracer
+from ..obs.spans import NULL_SPAN
 from ..obs.spans import default_recorder as default_span_recorder
 from .results import PlacementRecord, PlacementResult, RetrievalResult
 
@@ -75,7 +91,7 @@ class _FastPathState:
     patch the router and evict only the affected cache entries."""
 
     __slots__ = ("epoch", "version", "router", "routes", "stats",
-                 "hops")
+                 "hops", "stale")
 
     def __init__(self, epoch: int, version: int,
                  router: CompiledRouter) -> None:
@@ -93,6 +109,11 @@ class _FastPathState:
         self.stats: Dict[Any, Tuple[int, int, int]] = {}
         #: BFS hop distances keyed by source switch.
         self.hops: Dict[int, Dict[int, int]] = {}
+        #: Switches touched since ``routes`` was last swept: the router
+        #: is patched on every sync, the (large) route cache only when
+        #: a batch is about to use it.  Non-empty = ``routes`` may hold
+        #: stale entries and must not be read.
+        self.stale: set = set()
 
 
 class GredError(Exception):
@@ -223,8 +244,6 @@ class GredNetwork:
         return self.topology.nodes()
 
     def servers(self) -> List[EdgeServer]:
-        from ..edge import all_servers
-
         return all_servers(self.server_map)
 
     def server(self, switch: int, serial: int) -> EdgeServer:
@@ -281,110 +300,179 @@ class GredNetwork:
         # (including the grouped batch store) stay byte-identical.
         stamp = (self._next_stamp(entry)
                  if self.fault_state is not None else None)
-        records = []
-        for i in range(copies):
-            records.append(self._place_one(replica_id(data_id, i),
-                                           payload, entry, stamp=stamp))
-        return PlacementResult(data_id=data_id, records=records)
+        return PlacementResult(data_id=data_id, records=[
+            self._place_one(replica_id(data_id, i), payload, entry,
+                            stamp=stamp)
+            for i in range(copies)])
+
+    def _route(self, copy_id: str, entry: int, kind: PacketKind,
+               max_hops: Optional[int] = None, tracer=None):
+        """The one scalar route stage: walk ``copy_id`` from ``entry``
+        to its delivery switch.  Returns ``(trace, overlay_hops,
+        delivery switch, primary serial, extension, state)`` or raises
+        the engine's :class:`ForwardingError`; ``state`` is the
+        fast-path state walked on, ``None`` when the reference engine
+        routed (post-route hop counts follow suit, see
+        :meth:`_fast_hop`).
+
+        The request rides the compiled plane the batch calls keep in
+        step with the controller (:meth:`CompiledRouter.route`, a
+        batch of one) unless :func:`scalar_standdown` names a reason
+        not to — a ``FASTPATH_GATES`` predicate fires, or a per-hop
+        ``tracer`` is recording — and then goes through
+        ``route_packet`` exactly as it always did.  Nothing else
+        selects the engine, telemetry included: a compiled walk
+        reports the engine's ``dataplane.*`` aggregates through
+        :meth:`_emit_route_telemetry`, byte-equal.  The walk may read
+        the epoch route cache (not while it awaits a sweep, not under
+        a custom hop budget) but never grows it.
+        """
+        registry = default_registry()
+        reason = scalar_standdown(self, tracer is not None)
+        if reason is not None:
+            if registry.enabled:
+                registry.counter(
+                    "dataplane.scalar_standdowns",
+                    help="Scalar requests routed by the reference "
+                         "engine",
+                    reason=reason.replace(" ", "_"),
+                ).inc()
+            route = route_packet(
+                self.controller.switches, entry,
+                Packet(kind=kind, data_id=copy_id,
+                       position=self._position_fn(copy_id)),
+                max_hops=max_hops, tracer=tracer,
+                fault_state=self.fault_state)
+            delivery = route.delivery
+            return (route.trace, route.overlay_hops, delivery.switch,
+                    delivery.primary_serial, delivery.extension, None)
+        state = self._fast_plane()
+        key = (entry, copy_id)
+        cached = (state.routes.get(key)
+                  if max_hops is None and not state.stale else None)
+        if cached is not None:
+            trace, overlay, dest, serial = cached
+            trace = list(trace)  # cached traces are shared
+            stats = state.stats.get(key, (0, 0, 0))
+        else:
+            router = state.router
+            try:
+                trace, overlay, dest, serial = router.route(
+                    entry, copy_id, *position_and_key(copy_id),
+                    max_hops)
+            except ForwardingError:
+                if registry.enabled:
+                    # The engine counts decisions as it makes them, so
+                    # a failed walk still reports its partial mix.
+                    self._emit_route_telemetry(
+                        registry, kind.value,
+                        [router.last_route_stats], (), (), 0)
+                raise
+            stats = router.last_route_stats
+        # Extensions are resolved live, like the batch paths do.
+        extension = self.controller.switches[dest].table.extension_for(
+            serial)
+        if registry.enabled:
+            self._emit_route_telemetry(
+                registry, kind.value, [stats], [len(trace) - 1],
+                [overlay], int(extension is not None))
+        return trace, overlay, dest, serial, extension, state
+
+    def _engine_attrs(self, tracing: bool = False) -> Dict[str, str]:
+        """Span / stats attributes naming the engine a scalar request
+        takes right now (``tracing``: with a per-hop tracer recording)
+        and, for the reference engine, why."""
+        reason = scalar_standdown(self, tracing)
+        if reason is None:
+            return {"engine": "compiled"}
+        return {"engine": "reference", "standdown": reason}
+
+    def _emit_probe_telemetry(self, registry, copy_id: str,
+                              trace: Sequence[int]) -> None:
+        """Per-switch transit counters and the demand signal of one
+        routed probe."""
+        for sid in trace:
+            registry.counter("dataplane.switch_transits",
+                             switch=sid).inc()
+        registry.demand.record(copy_id)
+        registry.counter(
+            "demand.region_accesses",
+            region=demand_region(*self._position_fn(copy_id)),
+        ).inc()
 
     def _place_one(self, copy_id: str, payload: Any,
                    entry: int, stamp=None) -> PlacementRecord:
         recorder = default_span_recorder()
-        if recorder is None:
-            return self._place_one_traced(copy_id, payload, entry,
-                                          None, None, stamp=stamp)
-        with recorder.trace("request.place", key=copy_id,
-                            entry=entry) as handle:
-            return self._place_one_traced(copy_id, payload, entry,
-                                          recorder, handle, stamp=stamp)
-
-    def _place_one_traced(self, copy_id: str, payload: Any, entry: int,
-                          recorder, handle, stamp=None
-                          ) -> PlacementRecord:
-        tracer = None
-        if handle is not None and handle.recording:
-            from ..dataplane import Tracer
-
-            tracer = Tracer()
-        packet = Packet(
-            kind=PacketKind.PLACEMENT,
-            data_id=copy_id,
-            position=self._position_fn(copy_id),
-            payload=payload,
-        )
-        try:
-            route = route_packet(self.controller.switches, entry, packet,
-                                 tracer=tracer,
-                                 fault_state=self.fault_state)
-        except ForwardingError:
-            if not self.hinted_handoff or self.fault_state is None:
-                raise
-            # The home is unroutable (partition / outage): park the
-            # write as a hint near the entry instead of failing.
-            return self._hinted_record(copy_id, payload, entry, stamp,
-                                       handle)
-        delivery = route.delivery
-        extended = delivery.extension is not None
-        if extended:
-            target = self.server(delivery.extension.target_switch,
-                                 delivery.extension.target_serial)
-            physical_hops = route.physical_hops + hop_count(
-                self.topology, delivery.switch,
-                delivery.extension.target_switch,
-            )
-        else:
-            target = self.server(delivery.switch, delivery.primary_serial)
-            physical_hops = route.physical_hops
-        if self.fault_state is not None and \
-                not self.fault_state.server_alive(target.server_id):
-            if self.hinted_handoff:
+        with (recorder.trace("request.place", key=copy_id, entry=entry)
+              if recorder is not None else NULL_SPAN) as handle:
+            tracer = None
+            if handle.recording:
+                tracer = Tracer()
+                handle.set(**self._engine_attrs(tracing=True))
+            try:
+                trace, overlay, dest, serial, extension, state = \
+                    self._route(copy_id, entry, PacketKind.PLACEMENT,
+                                tracer=tracer)
+            except ForwardingError:
+                if not self.hinted_handoff or self.fault_state is None:
+                    raise
+                # The home is unroutable (partition / outage): park the
+                # write as a hint near the entry instead of failing.
                 return self._hinted_record(copy_id, payload, entry,
-                                           stamp, handle,
-                                           target=target.server_id)
-            raise GredError(
-                f"cannot place {copy_id!r}: target server "
-                f"{target.server_id} has crashed and has not been "
-                f"repaired yet"
-            )
-        target.store(copy_id, payload, stamp=stamp)
-        registry = default_registry()
-        if registry.enabled:
-            registry.counter("core.places").inc()
+                                           stamp, handle)
+            extended = extension is not None
+            physical_hops = len(trace) - 1
             if extended:
-                registry.counter("core.places_extended").inc()
-            registry.histogram("core.place_hops",
-                               buckets=HOP_BUCKETS).observe(
-                physical_hops)
-            size = _payload_size(payload)
-            if size is not None:
-                registry.histogram("core.payload_bytes",
-                                   buckets=BYTE_BUCKETS).observe(size)
-            registry.gauge("edge.server_load", switch=target.switch,
-                           serial=target.serial).set(target.load)
-            for sid in route.trace:
-                registry.counter("dataplane.switch_transits",
-                                 switch=sid).inc()
-            registry.demand.record(copy_id)
-            registry.counter(
-                "demand.region_accesses",
-                region=demand_region(*packet.position),
-            ).inc()
-        if tracer is not None:
-            spans_from_tracer(recorder, tracer, parent=handle.span)
-            handle.set(destination=delivery.switch,
-                       server=target.server_id,
-                       physical_hops=physical_hops,
-                       extended=extended)
-        return PlacementRecord(
-            data_id=copy_id,
-            entry_switch=entry,
-            destination_switch=delivery.switch,
-            server_id=target.server_id,
-            physical_hops=physical_hops,
-            overlay_hops=route.overlay_hops,
-            trace=route.trace,
-            extended=extended,
-        )
+                target = self.server(extension.target_switch,
+                                     extension.target_serial)
+                physical_hops += self._fast_hop(
+                    state, dest, extension.target_switch)
+            else:
+                target = self.server(dest, serial)
+            if self.fault_state is not None and \
+                    not self.fault_state.server_alive(target.server_id):
+                if self.hinted_handoff:
+                    return self._hinted_record(copy_id, payload, entry,
+                                               stamp, handle,
+                                               target=target.server_id)
+                raise GredError(
+                    f"cannot place {copy_id!r}: target server "
+                    f"{target.server_id} has crashed and has not been "
+                    f"repaired yet"
+                )
+            target.store(copy_id, payload, stamp=stamp)
+            registry = default_registry()
+            if registry.enabled:
+                registry.counter("core.places").inc()
+                if extended:
+                    registry.counter("core.places_extended").inc()
+                registry.histogram("core.place_hops",
+                                   buckets=HOP_BUCKETS).observe(
+                    physical_hops)
+                size = _payload_size(payload)
+                if size is not None:
+                    registry.histogram(
+                        "core.payload_bytes",
+                        buckets=BYTE_BUCKETS).observe(size)
+                registry.gauge("edge.server_load", switch=target.switch,
+                               serial=target.serial).set(target.load)
+                self._emit_probe_telemetry(registry, copy_id, trace)
+            if tracer is not None:
+                spans_from_tracer(recorder, tracer, parent=handle.span)
+                handle.set(destination=dest,
+                           server=target.server_id,
+                           physical_hops=physical_hops,
+                           extended=extended)
+            return PlacementRecord(
+                data_id=copy_id,
+                entry_switch=entry,
+                destination_switch=dest,
+                server_id=target.server_id,
+                physical_hops=physical_hops,
+                overlay_hops=overlay,
+                trace=trace,
+                extended=extended,
+            )
 
     # ------------------------------------------------------------------
     # retrieval
@@ -420,22 +508,20 @@ class GredNetwork:
             raise GredError(f"copies must be >= 1, got {copies}")
         entry = self._resolve_entry(entry_switch, rng)
         recorder = default_span_recorder()
-        if recorder is None:
+        with (recorder.trace("request.retrieve", key=data_id,
+                             entry=entry)
+              if recorder is not None else NULL_SPAN) as handle:
             result = self._retrieve_ordered(data_id, entry, copies,
                                             max_hops)
-        else:
-            with recorder.trace("request.retrieve", key=data_id,
-                                entry=entry) as handle:
-                result = self._retrieve_ordered(data_id, entry, copies,
-                                                max_hops)
-                if handle.recording:
-                    handle.set(found=result.found,
-                               attempts=result.attempts,
-                               copy_used=result.copy_used,
-                               request_hops=result.request_hops,
-                               response_hops=result.response_hops)
-                    if not result.found:
-                        handle.fail("miss")
+            if handle.recording:
+                handle.set(found=result.found,
+                           attempts=result.attempts,
+                           copy_used=result.copy_used,
+                           request_hops=result.request_hops,
+                           response_hops=result.response_hops,
+                           **self._engine_attrs(tracing=True))
+                if not result.found:
+                    handle.fail("miss")
         if read_repair and copies > 1:
             self.read_repair(data_id, copies)
         return result
@@ -462,137 +548,90 @@ class GredNetwork:
             registry.counter("core.retrieve_misses").inc()
         if last_miss is not None:
             return last_miss
-        # Every probe died in routing (heavy degradation).
+        return self._unroutable(data_id, entry, order[-1], attempts)
+
+    @staticmethod
+    def _unroutable(data_id: str, entry: int, copy_used: int,
+                    attempts: int) -> RetrievalResult:
+        """Every probe died in routing (heavy degradation)."""
         return RetrievalResult(
-            data_id=data_id,
-            found=False,
-            payload=None,
-            entry_switch=entry,
-            destination_switch=None,
-            server_id=None,
-            request_hops=0,
-            response_hops=0,
-            trace=[],
-            copy_used=order[-1],
-            forked=False,
-            attempts=attempts,
-        )
+            data_id=data_id, found=False, payload=None,
+            entry_switch=entry, destination_switch=None, server_id=None,
+            request_hops=0, response_hops=0, trace=[],
+            copy_used=copy_used, forked=False, attempts=attempts)
 
     def _retrieve_copy(self, data_id: str, copy_index: int, entry: int,
                        attempts: int, max_hops: Optional[int]
                        ) -> Optional[RetrievalResult]:
         """Probe one replica; ``None`` means the route itself failed."""
         recorder = default_span_recorder()
-        if recorder is None or not recorder.active:
-            return self._retrieve_copy_traced(
-                data_id, copy_index, entry, attempts, max_hops,
-                None, None)
-        with recorder.span("retrieve.probe", copy=copy_index,
-                           attempt=attempts) as handle:
-            result = self._retrieve_copy_traced(
-                data_id, copy_index, entry, attempts, max_hops,
-                recorder, handle)
-            if handle.recording:
-                if result is None:
-                    handle.fail("route_error")
-                else:
-                    handle.set(found=result.found,
-                               destination=result.destination_switch)
-            return result
-
-    def _retrieve_copy_traced(self, data_id: str, copy_index: int,
-                              entry: int, attempts: int,
-                              max_hops: Optional[int], recorder, handle
-                              ) -> Optional[RetrievalResult]:
-        tracer = None
-        if handle is not None and handle.recording:
-            from ..dataplane import Tracer
-
-            tracer = Tracer()
-        copy_id = replica_id(data_id, copy_index)
-        packet = Packet(
-            kind=PacketKind.RETRIEVAL,
-            data_id=copy_id,
-            position=self._position_fn(copy_id),
-        )
-        registry = default_registry()
-        try:
-            route = route_packet(self.controller.switches, entry, packet,
-                                 max_hops=max_hops, tracer=tracer,
-                                 fault_state=self.fault_state)
-        except ForwardingError:
-            if registry.enabled:
-                registry.counter("faults.route_failures").inc()
-            return None
-        if tracer is not None:
-            spans_from_tracer(recorder, tracer, parent=handle.span)
-        if registry.enabled:
-            for sid in route.trace:
-                registry.counter("dataplane.switch_transits",
-                                 switch=sid).inc()
-            registry.demand.record(copy_id)
-            registry.counter(
-                "demand.region_accesses",
-                region=demand_region(*packet.position),
-            ).inc()
-        delivery = route.delivery
-        candidates = [
-            (self.server(delivery.switch, delivery.primary_serial), 0)
-        ]
-        forked = False
-        if delivery.extension is not None and self._extension_usable(
-                delivery.switch, delivery.extension):
-            # Fork: the request goes to both possible locations (paper
-            # Section V-C); the remote one costs the extra hops to the
-            # neighbor switch.
-            forked = True
-            remote = self.server(delivery.extension.target_switch,
-                                 delivery.extension.target_serial)
-            extra = hop_count(self.topology, delivery.switch,
-                              delivery.extension.target_switch)
-            candidates.append((remote, extra))
-        fault = self.fault_state
-        for server, extra_hops in candidates:
-            if fault is not None and \
-                    not fault.server_alive(server.server_id):
-                continue
-            if server.has(copy_id):
-                response_hops = hop_count(self.topology, server.switch,
-                                          entry)
+        with (recorder.span("retrieve.probe", copy=copy_index,
+                            attempt=attempts)
+              if recorder is not None and recorder.active
+              else NULL_SPAN) as handle:
+            tracer = Tracer() if handle.recording else None
+            copy_id = replica_id(data_id, copy_index)
+            registry = default_registry()
+            try:
+                trace, _, dest, serial, extension, state = self._route(
+                    copy_id, entry, PacketKind.RETRIEVAL, max_hops,
+                    tracer)
+            except ForwardingError:
                 if registry.enabled:
-                    registry.counter("core.retrieves").inc()
-                    registry.histogram(
-                        "core.retrieve_hops", buckets=HOP_BUCKETS,
-                    ).observe(route.physical_hops + extra_hops +
-                              response_hops)
-                return RetrievalResult(
-                    data_id=data_id,
-                    found=True,
-                    payload=server.retrieve(copy_id),
-                    entry_switch=entry,
-                    destination_switch=delivery.switch,
-                    server_id=server.server_id,
-                    request_hops=route.physical_hops + extra_hops,
-                    response_hops=response_hops,
-                    trace=route.trace,
-                    copy_used=copy_index,
-                    forked=forked,
-                    attempts=attempts,
-                )
-        return RetrievalResult(
-            data_id=data_id,
-            found=False,
-            payload=None,
-            entry_switch=entry,
-            destination_switch=delivery.switch,
-            server_id=None,
-            request_hops=route.physical_hops,
-            response_hops=0,
-            trace=route.trace,
-            copy_used=copy_index,
-            forked=forked,
-            attempts=attempts,
-        )
+                    registry.counter("faults.route_failures").inc()
+                handle.fail("route_error")
+                return None
+            if tracer is not None:
+                spans_from_tracer(recorder, tracer, parent=handle.span)
+            if registry.enabled:
+                self._emit_probe_telemetry(registry, copy_id, trace)
+            candidates = [(self.server(dest, serial), 0)]
+            forked = False
+            if extension is not None and self._extension_usable(
+                    dest, extension):
+                # Fork: the request goes to both possible locations
+                # (paper Section V-C); the remote one costs the extra
+                # hops to the neighbor switch.
+                forked = True
+                remote = self.server(extension.target_switch,
+                                     extension.target_serial)
+                candidates.append((remote, self._fast_hop(
+                    state, dest, extension.target_switch)))
+            fault = self.fault_state
+            holder = None
+            request_hops = len(trace) - 1
+            response_hops = 0
+            for server, extra_hops in candidates:
+                if fault is not None and \
+                        not fault.server_alive(server.server_id):
+                    continue
+                if server.has(copy_id):
+                    holder = server
+                    request_hops += extra_hops
+                    response_hops = self._fast_hop(state, server.switch,
+                                                   entry)
+                    if registry.enabled:
+                        registry.counter("core.retrieves").inc()
+                        registry.histogram(
+                            "core.retrieve_hops", buckets=HOP_BUCKETS,
+                        ).observe(request_hops + response_hops)
+                    break
+            found = holder is not None
+            handle.set(found=found, destination=dest)
+            return RetrievalResult(
+                data_id=data_id,
+                found=found,
+                payload=holder.retrieve(copy_id) if found else None,
+                entry_switch=entry,
+                destination_switch=dest,
+                server_id=holder.server_id if found else None,
+                request_hops=request_hops,
+                response_hops=response_hops,
+                trace=trace,
+                copy_used=copy_index,
+                forked=forked,
+                attempts=attempts,
+            )
 
     def _extension_usable(self, switch: int, extension) -> bool:
         """Whether an extension's takeover server can be forked to
@@ -604,10 +643,12 @@ class GredNetwork:
             return False
         return True
 
-    def _replica_order(self, data_id: str, copies: int,
-                       entry: int) -> List[int]:
+    def replica_order(self, data_id: str, copies: int,
+                      entry: int) -> List[int]:
         """Copy indices sorted by virtual distance from the entry
-        switch (nearest first; ties by index)."""
+        switch (nearest first; ties by index) — the order retrieval
+        failover walks (and the resilience pipeline's breaker-aware
+        candidate selection starts from)."""
         if copies == 1:
             return [0]
         entry_pos = self.controller.switch_position(entry)
@@ -618,15 +659,7 @@ class GredNetwork:
         keyed.sort()
         return [i for _, i in keyed]
 
-    def _nearest_copy(self, data_id: str, copies: int, entry: int) -> int:
-        return self._replica_order(data_id, copies, entry)[0]
-
-    def replica_order(self, data_id: str, copies: int,
-                      entry: int) -> List[int]:
-        """Public form of the nearest-first replica order used by
-        retrieval failover (and by the resilience pipeline's
-        breaker-aware candidate selection)."""
-        return self._replica_order(data_id, copies, entry)
+    _replica_order = replica_order
 
     def probe_replica(self, data_id: str, copy_index: int, entry: int,
                       max_hops: Optional[int] = None,
@@ -653,28 +686,22 @@ class GredNetwork:
 
         return ResilientNetwork(self, config)
 
-    def _resilience_blocks_fastpath(self) -> bool:
-        # getattr: snapshots restore via __new__ and predate the field.
-        pipeline = getattr(self, "_resilience", None)
-        return pipeline is not None and pipeline.blocks_fastpath()
-
     # ------------------------------------------------------------------
     # batch fast path
     # ------------------------------------------------------------------
-    def _fast_state(self) -> _FastPathState:
-        """The fast-path state, kept in sync with the control plane.
+    def _fast_plane(self) -> _FastPathState:
+        """The fast-path state with its compiled router and hop cache
+        in step with the control plane — what a scalar request needs.
 
         A global-epoch advance (``recompute``: every position moved)
-        rebuilds the compiled router and both caches from scratch.
+        rebuilds the compiled router and the caches from scratch.
         A version advance from scoped events (joins, leaves, link
         changes, failure absorption) instead asks the controller which
-        switches were touched, patches only their compiled rows, and
-        evicts only the cached routes whose traces traverse a touched
-        switch — a route's every per-hop decision depends solely on
-        the visited switches' installed state, so untouched traces
-        stay byte-identical.  Hop distances are cheap to recompute and
-        topology edits shift them non-locally, so that cache clears
-        wholesale on any change."""
+        switches were touched and patches only their compiled rows.
+        Hop distances are cheap to recompute and topology edits shift
+        them non-locally, so that cache clears wholesale on any change.
+        The route cache is only marked (``state.stale``): sweeping it
+        is linear in its size, so it waits for :meth:`_fast_state`."""
         controller = self.controller
         state = getattr(self, "_fastpath", None)
         if (state is not None and state.epoch == controller.epoch
@@ -692,57 +719,55 @@ class GredNetwork:
         if touched:
             switches = controller.switches
             present = frozenset(s for s in touched if s in switches)
-            removed = frozenset(touched) - present
-            state.router.patch(switches, present, removed)
-            hop_bound = state.router._default_max_hops
-            stale = [
-                key for key, outcome in state.routes.items()
-                if touched.intersection(outcome[0])
-                or len(outcome[0]) - 1 > hop_bound
-            ]
-            for key in stale:
-                del state.routes[key]
-                state.stats.pop(key, None)
+            state.router.patch(switches, present,
+                               frozenset(touched) - present)
+            state.stale |= touched
             state.hops.clear()
         state.version = controller.version
         return state
 
+    def _fast_state(self) -> _FastPathState:
+        """:meth:`_fast_plane` plus a coherent route cache — what a
+        batch needs.  Evicts only the cached routes whose traces
+        traverse a switch touched since the last sweep: a route's
+        every per-hop decision depends solely on the visited switches'
+        installed state, so untouched traces stay byte-identical."""
+        state = self._fast_plane()
+        touched = state.stale
+        if touched:
+            hop_bound = state.router._default_max_hops
+            for key in [
+                    key for key, outcome in state.routes.items()
+                    if touched.intersection(outcome[0])
+                    or len(outcome[0]) - 1 > hop_bound]:
+                del state.routes[key]
+                state.stats.pop(key, None)
+            touched.clear()
+        return state
+
     def _fastpath_usable(self) -> bool:
-        """Whether batch requests may skip the reference pipeline.
-
-        The compiled router assumes fault-free forwarding, and the
-        vectorized hashing assumes the paper's SHA-256 position
-        mapping — with faults injected, a custom ``position_fn``, or a
-        tripped circuit breaker on an attached resilience pipeline,
-        batches fall back to the scalar path item by item (identical
-        results, just not vectorized).  Telemetry does *not* force the
-        fallback: the batch paths emit the same aggregates with numpy
-        reductions (see ``_emit_place_telemetry`` /
-        ``_emit_retrieve_telemetry``), byte-equal to a scalar run.
-
-        Evaluates the same ``FASTPATH_GATES`` list as
-        :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`, so
-        the boolean gate and the operator-facing reason list cannot
-        drift apart.
-        """
-        from ..dataplane.fastpath import fastpath_usable
-
+        """Whether batch requests may skip the reference pipeline: no
+        ``FASTPATH_GATES`` predicate fires (the same list
+        :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`
+        reports and the scalar route stage consults).  The compiled
+        router assumes fault-free forwarding over switches it can keep
+        in step with, and the vectorized hashing the paper's SHA-256
+        positions; otherwise batches run the scalar loop item by item
+        (identical results, just not vectorized).  Telemetry does *not*
+        force the fallback: every path emits the same aggregates."""
         return fastpath_usable(self)
 
     def _count_standdown(self) -> None:
         """Structured why-not-fast-path telemetry: one counter per
         stand-down reason whenever a batch falls back to scalar."""
         registry = default_registry()
-        if not registry.enabled:
-            return
-        from ..dataplane.fastpath import batch_fastpath_blockers
-
-        for reason in batch_fastpath_blockers(self):
-            registry.counter(
-                "dataplane.fastpath_standdowns",
-                help="Batch requests degraded to the scalar path",
-                reason=reason.replace(" ", "_"),
-            ).inc()
+        if registry.enabled:
+            for reason in batch_fastpath_blockers(self):
+                registry.counter(
+                    "dataplane.fastpath_standdowns",
+                    help="Batch requests degraded to the scalar path",
+                    reason=reason.replace(" ", "_"),
+                ).inc()
 
     def _shard_pool(self, workers: int):
         """The sticky worker pool for ``workers`` shards (created on
@@ -884,10 +909,14 @@ class GredNetwork:
             stats_out.extend(stats)
         return routes
 
-    def _fast_hop(self, state: _FastPathState, source: int,
+    def _fast_hop(self, state: Optional[_FastPathState], source: int,
                   target: int) -> int:
         """Hop distance with a per-epoch BFS cache (one BFS per
-        distinct source switch instead of one per request)."""
+        distinct source switch instead of one per request); a fresh
+        search when the reference engine routed (``state`` None — a
+        fault-attached network never builds fast-path state)."""
+        if state is None:
+            return hop_count(self.topology, source, target)
         dists = state.hops.get(source)
         if dists is None:
             dists = bfs_distances(self.topology, source)
@@ -901,8 +930,6 @@ class GredNetwork:
     def _region_counts(positions: np.ndarray, flats) -> np.ndarray:
         """Per-region access counts for the probed flat indices —
         the vectorized form of ``demand_region`` per probe."""
-        from ..obs import DEMAND_GRID
-
         g = DEMAND_GRID
         idx = np.asarray(flats, dtype=np.intp)
         cols = np.clip((positions[idx, 0] * g).astype(np.int64),
@@ -969,11 +996,11 @@ class GredNetwork:
                     "dataplane.extension_rewrites").inc(rewrites)
             registry.histogram(
                 "dataplane.hops_per_request", buckets=HOP_BUCKETS,
-            ).observe_many(np.asarray(route_hops, dtype=np.float64))
+            ).observe_many(route_hops)
             registry.histogram(
                 "dataplane.overlay_hops_per_request",
                 buckets=HOP_BUCKETS,
-            ).observe_many(np.asarray(overlay_hops, dtype=np.float64))
+            ).observe_many(overlay_hops)
 
     def _emit_place_telemetry(self, registry, hops, sizes, extended_n,
                               transit_switches, servers, flats,
@@ -1008,7 +1035,8 @@ class GredNetwork:
         ``hop.transit`` child per visited switch.  Simulated batch
         hops have no individual wall time, so hops are laid out at
         1 µs apiece — the order/topology is the signal."""
-        with recorder.trace(name, key=key, **attrs) as handle:
+        with recorder.trace(name, key=key, engine="compiled",
+                            **attrs) as handle:
             if handle.recording:
                 if status is not None:
                     handle.fail(status)
@@ -1095,10 +1123,11 @@ class GredNetwork:
         replica, reused for position and server selection) and routed
         through the compiled router with an epoch-scoped route cache.
         Per-request results are byte-identical to the scalar loop
-        under the same ``rng``; when telemetry is enabled, a fault
-        state is attached, or a custom ``position_fn`` is in use, the
-        batch transparently degrades to the scalar path so metrics
-        and fault handling stay exact.
+        under the same ``rng``.  While a ``FASTPATH_GATES`` predicate
+        fires (see :meth:`_fastpath_usable`) the batch transparently
+        degrades to that loop, on the reference engine, so fault
+        handling stays exact; telemetry does not degrade it — the
+        batch emits the scalar loop's aggregates itself.
 
         Parameters
         ----------
@@ -1502,20 +1531,10 @@ class GredNetwork:
                 # missed, even if later probes failed to route.
                 final.append(last_miss[i])
             else:
-                final.append(RetrievalResult(
-                    data_id=data_ids[i],
-                    found=False,
-                    payload=None,
-                    entry_switch=entries[i],
-                    destination_switch=None,
-                    server_id=None,
-                    request_hops=0,
-                    response_hops=0,
-                    trace=[],
-                    copy_used=(0 if orders is None else orders[i][-1]),
-                    forked=False,
-                    attempts=attempts[i],
-                ))
+                final.append(self._unroutable(
+                    data_ids[i], entries[i],
+                    0 if orders is None else orders[i][-1],
+                    attempts[i]))
         if telemetry:
             found_hops = [r.request_hops + r.response_hops
                           for r in final if r.found]
@@ -1595,15 +1614,9 @@ class GredNetwork:
         stamp = self._next_stamp(entry) if fault is not None else None
         for i in range(copies):
             copy_id = replica_id(data_id, i)
-            packet = Packet(
-                kind=PacketKind.RETRIEVAL,
-                data_id=copy_id,
-                position=self._position_fn(copy_id),
-            )
             try:
-                route = route_packet(self.controller.switches, entry,
-                                     packet,
-                                     fault_state=self.fault_state)
+                _, _, dest, serial, extension, _ = self._route(
+                    copy_id, entry, PacketKind.RETRIEVAL)
             except ForwardingError:
                 if stamp is None:
                     raise
@@ -1616,14 +1629,10 @@ class GredNetwork:
                     registry.counter(
                         "durability.deletes_unreachable").inc()
                 continue
-            delivery = route.delivery
-            servers = [self.server(delivery.switch,
-                                   delivery.primary_serial)]
-            if delivery.extension is not None:
-                servers.append(
-                    self.server(delivery.extension.target_switch,
-                                delivery.extension.target_serial)
-                )
+            servers = [self.server(dest, serial)]
+            if extension is not None:
+                servers.append(self.server(extension.target_switch,
+                                           extension.target_serial))
             hit = False
             for server in servers:
                 if server.has(copy_id):
@@ -1699,8 +1708,6 @@ class GredNetwork:
     def _park_hint(self, copy_id: str, op: str, target, stamp,
                    payload: Any, entry: int) -> EdgeServer:
         """Park a hinted write/delete on the nearest live server."""
-        from ..edge import Hint
-
         holder = self._nearest_live_server(entry)
         if holder is None:
             raise GredError(
@@ -1730,9 +1737,8 @@ class GredNetwork:
         holder = self._park_hint(copy_id, "store", target, stamp,
                                  payload, entry)
         physical = hop_count(self.topology, entry, holder.switch)
-        if handle is not None and handle.recording:
-            handle.set(destination=holder.switch,
-                       server=holder.server_id, hinted=True)
+        handle.set(destination=holder.switch, server=holder.server_id,
+                   hinted=True)
         return PlacementRecord(
             data_id=copy_id,
             entry_switch=entry,
@@ -1790,8 +1796,6 @@ class GredNetwork:
         stamp observed among them (their tombstones included); returns
         the number of replica homes corrected.  Replicas on crashed or
         unreachable servers are left for :meth:`scrub`."""
-        from ..edge import NO_STAMP
-
         fault = self.fault_state
         holders = []
         win_stamp = None
@@ -1912,8 +1916,6 @@ class GredNetwork:
     def _belongs_to(self, data_id: str, switch: int, serial: int) -> bool:
         """Would ``data_id`` be delivered to server (switch, serial) with
         no extensions active?"""
-        from ..hashing import server_index
-
         position = self._position_fn(data_id)
         dest = self.controller.closest_switch(position)
         if dest != switch:
@@ -2029,13 +2031,7 @@ class GredNetwork:
     def route_for(self, data_id: str, entry_switch: int) -> RouteResult:
         """Route a retrieval request without touching any storage (used
         by the routing-stretch experiments)."""
-        packet = Packet(
-            kind=PacketKind.RETRIEVAL,
-            data_id=data_id,
-            position=self._position_fn(data_id),
-        )
-        return route_packet(self.controller.switches, entry_switch,
-                            packet, fault_state=self.fault_state)
+        return self._route_result(data_id, entry_switch)
 
     def trace_route(self, data_id: str, entry_switch: int):
         """Route a retrieval request with full decision tracing.
@@ -2044,18 +2040,17 @@ class GredNetwork:
         ``tracer.render()`` for a per-hop explanation of the greedy
         decisions, virtual-link relays and the final delivery.
         """
-        from ..dataplane import Tracer
-
         tracer = Tracer()
-        packet = Packet(
-            kind=PacketKind.RETRIEVAL,
-            data_id=data_id,
-            position=self._position_fn(data_id),
-        )
-        route = route_packet(self.controller.switches, entry_switch,
-                             packet, tracer=tracer,
-                             fault_state=self.fault_state)
-        return route, tracer
+        return self._route_result(data_id, entry_switch, tracer), tracer
+
+    def _route_result(self, data_id: str, entry: int,
+                      tracer=None) -> RouteResult:
+        trace, overlay, dest, serial, extension, _ = self._route(
+            data_id, entry, PacketKind.RETRIEVAL, tracer=tracer)
+        return RouteResult(
+            delivery=DeliverAction(dest, serial, extension),
+            trace=trace, physical_hops=len(trace) - 1,
+            overlay_hops=overlay)
 
     def destination_switch(self, data_id: str) -> int:
         """The switch that owns ``data_id`` (no routing simulated)."""

@@ -15,6 +15,7 @@ from .fastpath import (
     batch_fastpath_blockers,
     fastpath_usable,
     federated_blockers,
+    scalar_standdown,
 )
 from .forwarding import RouteResult, route_packet
 from .shard import PlaneSnapshot, ShardPool
@@ -38,6 +39,7 @@ __all__ = [
     "batch_fastpath_blockers",
     "fastpath_usable",
     "federated_blockers",
+    "scalar_standdown",
     "PlaneSnapshot",
     "ShardPool",
     "Tracer",

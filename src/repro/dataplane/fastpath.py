@@ -1,9 +1,10 @@
-"""A compiled greedy router for the batch request fast path.
+"""The compiled greedy router behind every healthy request, batch or
+scalar.
 
 ``route_packet`` is faithful to the paper's per-switch pipeline — one
 ``Packet`` object, one ``process`` call and one candidate sort per hop —
 which is the right shape for tracing and fault injection but dominates
-the request latency of large workloads.  ``CompiledRouter`` flattens the
+the request latency of every workload.  ``CompiledRouter`` flattens the
 per-switch state (positions, greedy candidate lists, relay chains) into
 plain tuples once per control-plane epoch and replays the *identical*
 decision procedure with no per-packet object construction:
@@ -18,16 +19,22 @@ decision procedure with no per-packet object construction:
   digest prefix; extension entries are looked up live (range
   extensions come and go without an epoch bump).
 
-:meth:`CompiledRouter.route` walks one request; :meth:`route_batch`
-advances a whole batch in switch-grouped *waves* — every request parked
-at the same switch shares one vectorized candidate evaluation — which
-amortizes the per-hop decision to a few numpy operations per group.
+:meth:`CompiledRouter.route` walks one request — it is what the
+facade's scalar route stage (``place`` / ``retrieve`` / ``route_for``)
+runs; :meth:`route_batch` advances a whole batch in switch-grouped
+*waves* — every request parked at the same switch shares one vectorized
+candidate evaluation — which amortizes the per-hop decision to a few
+numpy operations per group.
 
-The router must be rebuilt when the control plane recomputes — callers
-key it on :attr:`Controller.epoch`.  It assumes fault-free forwarding
-(the facade falls back to ``route_packet`` when a fault state is
-attached) and raises the same :class:`ForwardingError` messages as the
-reference engine on inconsistent state.
+The router is rebuilt when the control plane recomputes (callers key it
+on :attr:`Controller.epoch`) and patched row by row on scoped events
+(:meth:`CompiledRouter.patch`, keyed on :attr:`Controller.version`).
+It assumes fault-free forwarding and the paper's SHA-256 positions:
+:data:`FASTPATH_GATES` lists the conditions under which batches *and*
+scalar requests stand down to ``route_packet`` instead
+(:func:`batch_fastpath_blockers`, :func:`scalar_standdown`).  It raises
+the same :class:`ForwardingError` messages as the reference engine on
+inconsistent state.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..hashing import data_position
 from .switch import ForwardingError, GredSwitch
 
 
@@ -44,8 +52,6 @@ def _gate_fault_state(net) -> bool:
 
 
 def _gate_position_fn(net) -> bool:
-    from ..hashing import data_position
-
     return getattr(net, "_position_fn", None) is not data_position
 
 
@@ -54,17 +60,28 @@ def _gate_resilience(net) -> bool:
     return pipeline is not None and pipeline.blocks_fastpath()
 
 
+def _gate_transport(net) -> bool:
+    # Over a (possibly lossy) southbound transport the live switches
+    # can change with no version advance — retried, reordered or
+    # held-over messages, ``reconcile`` resyncs — so a compiled
+    # snapshot of them cannot be kept in step.
+    controller = getattr(net, "controller", None)
+    return getattr(controller, "transport", None) is not None
+
+
 #: The single source of truth for fast-path eligibility: ``(predicate,
-#: reason)`` gates evaluated against the facade.  A request batch may
-#: take the vectorized path iff no predicate fires.  Both the facade's
-#: ``_fastpath_usable`` and :func:`batch_fastpath_blockers` consume
-#: this list, so the two can never drift apart again (they did once:
-#: telemetry stopped blocking the fast path in PR 6 and only one copy
-#: was updated at first).
+#: reason)`` gates evaluated against the facade.  A request — a batch
+#: or one scalar call — may ride the compiled plane iff no predicate
+#: fires.  The facade's ``_fastpath_usable``,
+#: :func:`batch_fastpath_blockers` and :func:`scalar_standdown` all
+#: consume this list (looked up at call time), so they can never drift
+#: apart again (they did once: telemetry stopped blocking the fast path
+#: in PR 6 and only one copy was updated at first).
 FASTPATH_GATES: Tuple[Tuple[Callable[[object], bool], str], ...] = (
     (_gate_fault_state, "fault state attached"),
     (_gate_position_fn, "custom position_fn"),
     (_gate_resilience, "resilience breakers tripped"),
+    (_gate_transport, "southbound transport attached"),
 )
 
 
@@ -85,6 +102,27 @@ def fastpath_usable(net) -> bool:
     """``True`` iff no :data:`FASTPATH_GATES` predicate fires for
     ``net`` — the boolean twin of :func:`batch_fastpath_blockers`."""
     return not any(gate(net) for gate, _ in FASTPATH_GATES)
+
+
+#: Stand-down reason of a scalar request whose hops are being recorded
+#: by a per-hop ``Tracer`` (only the reference engine narrates hops).
+TRACING = "tracing"
+
+
+def scalar_standdown(net, tracing: bool = False) -> Optional[str]:
+    """Why one scalar ``place`` / ``retrieve`` / ``route_for`` on
+    ``net`` takes the reference engine (``route_packet``) instead of
+    the compiled walker; ``None`` = compiled.
+
+    The reason is the first firing :data:`FASTPATH_GATES` reason, else
+    :data:`TRACING` when ``tracing`` (a per-hop ``Tracer`` is recording
+    this request).  This is the selection rule itself — the facade's
+    route stage calls it — not a description of it.
+    """
+    for gate, reason in FASTPATH_GATES:
+        if gate(net):
+            return reason
+    return TRACING if tracing else None
 
 
 def federated_blockers(fed) -> Dict[int, List[str]]:
@@ -387,7 +425,9 @@ class _PackedRoutes:
             results[j] = ForwardingError(
                 _error_text(code, args, data_ids[j]))
         for j in self.hop_failures:
-            trace = flat_list[off[j]:off[j + 1]]
+            # The engine's message lists the switches processed, which
+            # excludes the one whose arrival breached the bound.
+            trace = flat_list[off[j]:off[j + 1] - 1]
             results[j] = ForwardingError(
                 f"hop bound {max_hops} exceeded routing "
                 f"{data_ids[j]!r} (trace {trace})")
@@ -806,8 +846,9 @@ class CompiledRouter:
         #: forwarding engine counts one event at a time, recovered here
         #: so batch telemetry can report the identical counters.
         #: Updated even when the route fails (partial counts up to the
-        #: failure, exactly like the engine's event-time increments).
-        self.last_route_stats: Tuple[int, int, int] = (0, 0, 0)
+        #: failure, exactly like the engine's event-time increments);
+        #: ``None`` after an unknown-entry rejection.
+        self.last_route_stats: Optional[Tuple[int, int, int]] = (0, 0, 0)
         #: Per-request ``(greedy, vl_starts, vl_relays)`` of the most
         #: recent :meth:`route_batch`, aligned with its results.
         self.last_batch_stats: List[Optional[Tuple[int, int, int]]] = []
@@ -948,6 +989,9 @@ class CompiledRouter:
         """
         states = self._states
         if entry not in states:
+            # Rejected before routing: no decision mix at all (the
+            # engine raises before it fetches its counters).
+            self.last_route_stats = None
             raise ForwardingError(f"unknown entry switch {entry}")
         if max_hops is None:
             max_hops = self._default_max_hops
@@ -1024,9 +1068,11 @@ class CompiledRouter:
                     current = bnid
                     hops += 1
                     if hops > max_hops:
+                        # Like the engine, the message lists the
+                        # switches *processed* — not the breaching one.
                         raise ForwardingError(
                             f"hop bound {max_hops} exceeded routing "
-                            f"{data_id!r} (trace {trace})"
+                            f"{data_id!r} (trace {trace[:-1]})"
                         )
                 else:
                     stats[1] += 1
@@ -1039,7 +1085,8 @@ class CompiledRouter:
                         if hops > max_hops:
                             raise ForwardingError(
                                 f"hop bound {max_hops} exceeded "
-                                f"routing {data_id!r} (trace {trace})"
+                                f"routing {data_id!r} "
+                                f"(trace {trace[:-1]})"
                             )
                     current = bnid
         finally:

@@ -16,6 +16,7 @@ from .batch import (
 from .position import (
     chord_id,
     data_position,
+    position_and_key,
     position_and_server,
     parse_replica_id,
     replica_id,
@@ -31,6 +32,7 @@ __all__ = [
     "replica_id",
     "chord_id",
     "position_and_server",
+    "position_and_key",
     "sha256_digests",
     "data_positions",
     "server_indices",

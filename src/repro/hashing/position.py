@@ -56,6 +56,18 @@ def server_index(data_id: str, num_servers: int) -> int:
     return int.from_bytes(digest[:8], "big") % num_servers
 
 
+def position_and_key(data_id: str) -> Tuple[float, float, int]:
+    """``(x, y, key)`` from one digest: the position ``H(d)`` plus the
+    leading 64-bit word that ``H(d) mod s`` reduces at the destination
+    — the scalar twin of ``positions_from_digests`` /
+    ``serials_from_digests``, for walking one request on the compiled
+    plane without hashing twice."""
+    digest = sha256_digest(data_id)
+    return (int.from_bytes(digest[-8:-4], "big") / _MAX_U32,
+            int.from_bytes(digest[-4:], "big") / _MAX_U32,
+            int.from_bytes(digest[:8], "big"))
+
+
 def replica_id(data_id: str, copy_index: int) -> str:
     """Identifier of the ``copy_index``-th replica (paper Section VI).
 

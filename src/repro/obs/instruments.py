@@ -176,6 +176,12 @@ class Histogram(_Instrument):
         """
         import numpy as np
 
+        if isinstance(values, (list, tuple)) and len(values) <= 4:
+            # A batch of one (the scalar route stage) or a handful:
+            # numpy dispatch costs more than the plain scan.
+            for value in values:
+                self.observe(value)
+            return
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return

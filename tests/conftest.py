@@ -1,11 +1,42 @@
 """Shared fixtures for the test suite."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.edge import attach_uniform
 from repro.graph import Graph
 from repro.topology import brite_waxman_graph, grid_graph, testbed_topology
+
+
+@pytest.fixture(scope="session")
+def reference_engine():
+    """Pin chosen networks to the reference engine (``route_packet``).
+
+    Returns ``pin(net) -> net``.  From then on every request on that
+    network — scalar and batch alike — stands down, through a
+    tests-only gate appended to ``FASTPATH_GATES``.  Differential
+    tests call it wherever "scalar" means "the oracle": healthy scalar
+    requests ride the compiled plane, so without the pin a
+    batch-vs-scalar comparison would be compiled against compiled.
+    Production has no such switch.  Session-scoped (the gate fires
+    only for pinned networks) so hypothesis tests may request it.
+    """
+    from repro.dataplane import fastpath
+
+    pinned = weakref.WeakSet()
+    patch = pytest.MonkeyPatch()
+    patch.setattr(fastpath, "FASTPATH_GATES", fastpath.FASTPATH_GATES + (
+        (pinned.__contains__, "pinned to the reference engine by a test"),
+    ))
+
+    def pin(net):
+        pinned.add(net)
+        return net
+
+    yield pin
+    patch.undo()
 
 
 @pytest.fixture

@@ -307,6 +307,8 @@ class TestStatsExtensions:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["fastpath_blockers"] == []
+        assert payload["scalar_engine"] == "compiled"
+        assert payload["scalar_standdown"] is None
 
     def test_sweep_reports_overload_events(self, net_file, capsys):
         code = main(["stats", "-n", net_file, "--json", "--sweep"])

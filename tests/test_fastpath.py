@@ -90,8 +90,9 @@ class TestBatchHashing:
 
 
 class TestBatchScalarEquivalence:
-    def test_place_many_matches_scalar_loop(self):
+    def test_place_many_matches_scalar_loop(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"eq/{i}" for i in range(300)]
         r1 = np.random.default_rng(3)
         r2 = np.random.default_rng(3)
@@ -102,16 +103,18 @@ class TestBatchScalarEquivalence:
         assert got == expected
         assert scalar.load_vector() == batch.load_vector()
 
-    def test_place_many_with_replicas(self):
+    def test_place_many_with_replicas(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"rep/{i}" for i in range(120)]
         r1, r2 = (np.random.default_rng(4) for _ in range(2))
         expected = [scalar.place(d, copies=3, rng=r1) for d in ids]
         assert batch.place_many(ids, copies=3, rng=r2) == expected
         assert scalar.load_vector() == batch.load_vector()
 
-    def test_retrieve_many_matches_scalar_loop(self):
+    def test_retrieve_many_matches_scalar_loop(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"get/{i}" for i in range(200)]
         scalar.place_many(ids, rng=np.random.default_rng(5))
         batch.place_many(ids, rng=np.random.default_rng(5))
@@ -126,8 +129,9 @@ class TestBatchScalarEquivalence:
         assert got == expected
         assert sum(1 for r in got if r.found) == len(ids)
 
-    def test_retrieve_many_respects_hop_budget(self):
+    def test_retrieve_many_respects_hop_budget(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"hop/{i}" for i in range(150)]
         scalar.place_many(ids, rng=np.random.default_rng(7))
         batch.place_many(ids, rng=np.random.default_rng(7))
@@ -139,8 +143,9 @@ class TestBatchScalarEquivalence:
         # to mean anything.
         assert any(not r.found for r in got)
 
-    def test_explicit_entry_switches(self):
+    def test_explicit_entry_switches(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"ent/{i}" for i in range(60)]
         entries = [scalar.switch_ids()[i % 40] for i in range(60)]
         expected = [scalar.place(d, entry_switch=e)
@@ -153,11 +158,12 @@ class TestBatchScalarEquivalence:
         assert net.destinations_for(ids) == \
             [net.destination_switch(d) for d in ids]
 
-    def test_cached_routes_are_stable(self):
+    def test_cached_routes_are_stable(self, reference_engine):
         """A second identical batch is served from the route cache and
         must still equal the scalar outcome (shared traces are copied,
         never mutated)."""
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"cache/{i}" for i in range(80)]
         scalar.place_many(ids, rng=np.random.default_rng(9))
         batch.place_many(ids, rng=np.random.default_rng(9))
@@ -185,8 +191,9 @@ class TestBatchScalarEquivalence:
 
 
 class TestEpochInvalidation:
-    def test_join_invalidates_cached_routes(self):
+    def test_join_invalidates_cached_routes(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"join/{i}" for i in range(150)]
         scalar.place_many(ids, rng=np.random.default_rng(1))
         batch.place_many(ids, rng=np.random.default_rng(1))
@@ -198,8 +205,9 @@ class TestEpochInvalidation:
         assert batch.retrieve_many(ids, rng=r2) == expected
         assert scalar.load_vector() == batch.load_vector()
 
-    def test_leave_invalidates_cached_routes(self):
+    def test_leave_invalidates_cached_routes(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"leave/{i}" for i in range(150)]
         scalar.place_many(ids, rng=np.random.default_rng(1))
         batch.place_many(ids, rng=np.random.default_rng(1))
@@ -216,8 +224,9 @@ class TestEpochInvalidation:
                 assert result.server_id[0] != victim
         assert [r.found for r in got] == [True] * len(ids)
 
-    def test_absorb_failures_invalidates_cached_routes(self):
+    def test_absorb_failures_invalidates_cached_routes(self, reference_engine):
         scalar, batch = build_pair()
+        reference_engine(scalar)
         ids = [f"fail/{i}" for i in range(150)]
         scalar.place_many(ids, rng=np.random.default_rng(1))
         batch.place_many(ids, rng=np.random.default_rng(1))
@@ -567,7 +576,8 @@ class TestWorkerSharding:
 
 
 class TestGroupedStore:
-    def test_bounded_servers_fall_back_and_match_scalar(self):
+    def test_bounded_servers_fall_back_and_match_scalar(
+            self, reference_engine):
         topology, _ = brite_waxman_graph(
             16, min_degree=3, rng=np.random.default_rng(2))
 
@@ -579,6 +589,7 @@ class TestGroupedStore:
                                cvt_iterations=8, seed=2)
 
         scalar, batch = build(), build()
+        reference_engine(scalar)
         ids = [f"cap/{i}" for i in range(80)]
         r1, r2 = (np.random.default_rng(3) for _ in range(2))
         expected = [scalar.place(d, payload=d, rng=r1) for d in ids]
@@ -586,8 +597,9 @@ class TestGroupedStore:
                                 rng=r2) == expected
         assert scalar.load_vector() == batch.load_vector()
 
-    def test_extensions_fall_back_and_match_scalar(self):
+    def test_extensions_fall_back_and_match_scalar(self, reference_engine):
         scalar, batch = build_pair(switches=20)
+        reference_engine(scalar)
         for net in (scalar, batch):
             net.extend_range(net.switch_ids()[0], 0)
         assert any(
@@ -627,7 +639,7 @@ class TestDifferentialProperties:
     )
     @settings(max_examples=8, deadline=None)
     def test_batch_pipeline_matches_scalar_reference(
-            self, seed, switches, batch, copies, workers):
+            self, reference_engine, seed, switches, batch, copies, workers):
         topology, _ = brite_waxman_graph(
             switches, min_degree=3, rng=np.random.default_rng(seed))
 
@@ -638,6 +650,7 @@ class TestDifferentialProperties:
                                cvt_iterations=4, seed=seed)
 
         scalar, vector = build(), build()
+        reference_engine(scalar)
         ids = [f"d{seed}/{i}" for i in range(batch)]
         r1, r2 = (np.random.default_rng(seed + 1) for _ in range(2))
         expected = [scalar.place(d, payload=(d, seed), copies=copies,

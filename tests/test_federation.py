@@ -156,14 +156,19 @@ class TestPartitioning:
 # 1-region differential: the federation IS the monolith
 # ---------------------------------------------------------------------
 class TestSingleRegionIdentity:
+    @pytest.fixture(autouse=True)
+    def _oracle(self, reference_engine):
+        # The monolith is the oracle: keep it on the reference engine.
+        self.pin = reference_engine
+
     def build_pair(self, seed=0):
         def topo():
             graph, _ = brite_waxman_graph(
                 18, min_degree=2, rng=np.random.default_rng(seed))
             return graph
 
-        mono = GredNetwork(topo(), servers_per_switch=2,
-                           cvt_iterations=5, seed=seed)
+        mono = self.pin(GredNetwork(topo(), servers_per_switch=2,
+                                    cvt_iterations=5, seed=seed))
         fed = FederatedNetwork(topo(), num_regions=1,
                                servers_per_switch=2,
                                cvt_iterations=5, seed=seed)
@@ -240,7 +245,7 @@ class TestMultiRegion:
                              rng=np.random.default_rng(7))
         assert not miss.found
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, reference_engine):
         fed_a = make_fed(seed=3)
         fed_b = make_fed(seed=3)
         ids = [f"par/{i}" for i in range(40)]
@@ -253,6 +258,8 @@ class TestMultiRegion:
         # different entries, so compare against the batch semantics:
         # same rng stream, one draw per replica.
         fed_c = make_fed(seed=3)
+        for shard in fed_c.shards.values():
+            reference_engine(shard.net)  # the scalar side is the oracle
         rng = np.random.default_rng(8)
         scalar = [fed_c.place(d, copies=2, rng=rng) for d in ids]
         assert batch == scalar

@@ -35,11 +35,14 @@ GOLDEN_POSITION_DIGEST = "b9df0bc6d9161a71"
 
 
 @pytest.fixture(scope="module")
-def golden_net():
+def golden_net(reference_engine):
+    # Goldens pin the reference engine; the restored twin in
+    # ``test_snapshot_preserves_goldens`` walks the compiled plane.
     topology, _ = brite_waxman_graph(
         24, min_degree=3, rng=np.random.default_rng(2024))
-    return GredNetwork(topology, attach_uniform(topology.nodes(), 3),
-                       cvt_iterations=25, seed=11)
+    return reference_engine(
+        GredNetwork(topology, attach_uniform(topology.nodes(), 3),
+                    cvt_iterations=25, seed=11))
 
 
 class TestGolden:

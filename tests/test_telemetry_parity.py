@@ -1,5 +1,6 @@
-"""Differential check: the vectorized batch telemetry plane must
-produce aggregates *identical* to a scalar-oracle run — same
+"""Differential check: the vectorized batch telemetry plane — and the
+scalar requests that ride the compiled plane — must produce aggregates
+*identical* to a scalar-oracle run on the reference engine: same
 instruments created, same counter/gauge values, same histogram state
 (including reservoir order), same demand map."""
 
@@ -64,14 +65,16 @@ def _workload(net, batch: bool):
 
 
 def _normalize(dump):
-    """Key instruments by (name, labels); drop the batch-only extras
-    (``dataplane.batch.*`` counts waves/requests the scalar path has
-    no notion of)."""
+    """Key instruments by (name, labels); drop the engine-specific
+    extras (``dataplane.batch.*`` counts waves/requests the scalar
+    path has no notion of; ``dataplane.scalar_standdowns`` counts the
+    oracle's own pin to the reference engine)."""
     out = {}
     for kind in ("counters", "gauges", "histograms"):
         items = {}
         for entry in dump[kind]:
-            if entry["name"].startswith("dataplane.batch."):
+            if entry["name"].startswith(("dataplane.batch.",
+                                         "dataplane.scalar_standdowns")):
                 continue
             key = (entry["name"],
                    tuple(sorted(entry["labels"].items())))
@@ -84,10 +87,17 @@ def _normalize(dump):
 
 class TestBatchScalarTelemetryParity:
     @pytest.fixture(scope="class")
-    def dumps(self):
-        scalar = _normalize(_workload(_build(), batch=False))
+    def dumps(self, reference_engine):
+        scalar = _normalize(_workload(reference_engine(_build()),
+                                      batch=False))
         batch = _normalize(_workload(_build(), batch=True))
         return scalar, batch
+
+    def test_compiled_scalar_matches_reference(self, dumps):
+        """Scalar requests on the compiled plane (a batch of one per
+        request) leave the registry byte-equal to the oracle's."""
+        scalar, _ = dumps
+        assert _normalize(_workload(_build(), batch=False)) == scalar
 
     def test_same_instruments_created(self, dumps):
         scalar, batch = dumps
