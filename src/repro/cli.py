@@ -21,8 +21,6 @@ File-backed workflows over a saved deployment snapshot::
                   [--trace-out traces.jsonl [--trace-sample 0.05]]
     gred trace -n net.json [data_id] [--summary]
                [--spans-out t.jsonl] [--chrome-out t.json]
-    gred bench [--quick] [-o BENCH_micro.json]
-               [--max-telemetry-overhead 0.15]
     gred churn [--sizes 50 100 200 400] [--max-touched 25]
                [--regions 4 --max-foreign-touched 0]
     gred federate [--quick] [-o FEDERATION_report.json]
@@ -271,62 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="head-based trace sampling rate "
                                "(default 0.05 when --trace-out is "
                                "given)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the request fast path (scalar vs batch) and "
-             "write BENCH_micro.json")
-    bench.add_argument("--switches", type=int, default=200)
-    bench.add_argument("--requests", type=int, default=10_000)
-    bench.add_argument("--copies", type=int, default=1)
-    bench.add_argument("--servers", type=int, default=4,
-                       help="servers per switch")
-    bench.add_argument("--min-degree", type=int, default=3)
-    bench.add_argument("--cvt-iterations", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing rounds; throughput is the best round")
-    bench.add_argument("--chunks", type=int, default=1,
-                       help="batch calls per round (batch p50/p99 are "
-                            "per-call amortized)")
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny CI smoke preset (overrides the "
-                            "workload-shape flags)")
-    bench.add_argument("-o", "--output", default="BENCH_micro.json",
-                       metavar="FILE",
-                       help="report path (default: BENCH_micro.json)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full report instead of the "
-                            "summary")
-    bench.add_argument("--max-telemetry-overhead", type=float,
-                       default=None, metavar="FRACTION",
-                       help="exit nonzero when enabling telemetry "
-                            "slows the batch path by more than this "
-                            "fraction, or forces the scalar fallback "
-                            "(CI gate)")
-    bench.add_argument("--scaling", action="store_true",
-                       help="additionally run the switches x batch x "
-                            "workers scaling sweep (replica fan-out, "
-                            "worker-sharded routing) and attach it to "
-                            "the report; exits nonzero when the sweep "
-                            "hits the scalar fallback or an "
-                            "equivalence mismatch")
-    bench.add_argument("--scaling-switches", type=int, nargs="+",
-                       default=None, metavar="N",
-                       help="topology sizes for the scaling sweep "
-                            "(default: 100 200)")
-    bench.add_argument("--scaling-batches", type=int, nargs="+",
-                       default=None, metavar="K",
-                       help="batch sizes for the scaling sweep "
-                            "(default: 2000 10000)")
-    bench.add_argument("--scaling-workers", type=int, nargs="+",
-                       default=None, metavar="W",
-                       help="worker counts for the scaling sweep; 1 = "
-                            "in-process (default: 1 2 4)")
-    bench.add_argument("--scaling-copies", type=int, default=None,
-                       metavar="C",
-                       help="replica fan-out for the scaling sweep "
-                            "(default: 2)")
 
     churn = sub.add_parser(
         "churn",
@@ -1050,76 +992,6 @@ def _cmd_loadtest(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (BenchConfig, ScalingConfig, render_summary,
-                        run_bench, write_report)
-
-    if args.quick:
-        config = BenchConfig.quick()
-        config.seed = args.seed
-    else:
-        config = BenchConfig(
-            switches=args.switches,
-            requests=args.requests,
-            copies=args.copies,
-            servers_per_switch=args.servers,
-            min_degree=args.min_degree,
-            cvt_iterations=args.cvt_iterations,
-            seed=args.seed,
-            repeats=args.repeats,
-            chunks=args.chunks,
-        )
-    scaling = None
-    if args.scaling:
-        scaling = (ScalingConfig.quick() if args.quick
-                   else ScalingConfig())
-        scaling.seed = args.seed
-        if args.scaling_switches is not None:
-            scaling.switches = tuple(args.scaling_switches)
-        if args.scaling_batches is not None:
-            scaling.batches = tuple(args.scaling_batches)
-        if args.scaling_workers is not None:
-            scaling.workers = tuple(args.scaling_workers)
-        if args.scaling_copies is not None:
-            scaling.copies = args.scaling_copies
-    report = run_bench(config, scaling=scaling)
-    write_report(report, args.output)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_summary(report))
-    print(f"wrote {args.output}")
-    failed = not all(report["equivalence"].values())
-    if args.scaling:
-        summary = report["scaling"]["summary"]
-        if not summary["replica_fanout_vectorized"]:
-            print("error: the scaling sweep degraded to the scalar "
-                  "fallback (no wave-router waves recorded)",
-                  file=sys.stderr)
-            failed = True
-        if not summary["equivalence_verified"]:
-            print("error: a scaling-sweep batch diverged from the "
-                  "scalar reference loop", file=sys.stderr)
-            failed = True
-    if args.max_telemetry_overhead is not None:
-        telemetry = report["telemetry"]
-        if not telemetry["vectorized"]:
-            print("error: telemetry forced the batch path into the "
-                  "scalar fallback (no wave-router waves recorded)",
-                  file=sys.stderr)
-            failed = True
-        for op in ("placement", "retrieval"):
-            overhead = telemetry[op]["overhead_fraction"]
-            if overhead > args.max_telemetry_overhead:
-                print(f"error: telemetry overhead on {op} "
-                      f"({overhead:+.1%}) exceeds "
-                      f"--max-telemetry-overhead "
-                      f"{args.max_telemetry_overhead:g}",
-                      file=sys.stderr)
-                failed = True
-    return 1 if failed else 0
-
-
 def _cmd_churn(args) -> int:
     from .experiments.control_churn import run_churn_scaling
 
@@ -1464,7 +1336,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "chaos": _cmd_chaos,
     "loadtest": _cmd_loadtest,
-    "bench": _cmd_bench,
     "churn": _cmd_churn,
     "federate": _cmd_federate,
     "reconcile": _cmd_reconcile,

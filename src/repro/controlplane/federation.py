@@ -480,7 +480,7 @@ class FederatedNetwork:
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
               rng: Optional[np.random.Generator] = None):
-        from ..core import GredError
+        from ..core import GredError, GredNetwork
         from ..core.results import PlacementResult
 
         if self._mono is not None:
@@ -529,19 +529,18 @@ class FederatedNetwork:
                    entry_switches: Optional[Sequence[int]] = None,
                    copies: int = 1,
                    rng: Optional[np.random.Generator] = None,
-                   workers: Optional[int] = None,
                    digests: Optional[np.ndarray] = None):
         """Batch placement, grouped by home region: intra-region
         requests ride each shard's vectorized fast path; cross-region
         requests are stitched through the gateway overlay."""
-        from ..core import GredError
+        from ..core import GredError, GredNetwork
         from ..core.results import PlacementResult
 
         if self._mono is not None:
             return self._mono.place_many(
                 data_ids, payloads=payloads,
                 entry_switches=entry_switches, copies=copies, rng=rng,
-                workers=workers, digests=digests)
+                digests=digests)
         data_ids = list(data_ids)
         if copies < 1:
             raise GredError(f"copies must be >= 1, got {copies}")
@@ -550,6 +549,8 @@ class FederatedNetwork:
                 f"payloads has {len(payloads)} entries for "
                 f"{len(data_ids)} data ids"
             )
+        digests = GredNetwork._check_digests(digests,
+                                             len(data_ids) * copies)
         entries = self._resolve_entries(len(data_ids), entry_switches,
                                         rng)
         flat_ids = replica_ids_flat(data_ids, copies)
@@ -582,7 +583,6 @@ class FederatedNetwork:
                           if payloads is not None else None),
                 entry_switches=[entries[f // copies] for f in flats],
                 copies=1,
-                workers=workers,
                 digests=sub_digests,
             )
             for f, result in zip(flats, results):
@@ -695,22 +695,22 @@ class FederatedNetwork:
                       copies: int = 1,
                       rng: Optional[np.random.Generator] = None,
                       max_hops: Optional[int] = None,
-                      workers: Optional[int] = None,
                       digests: Optional[np.ndarray] = None):
         """Batch retrieval, grouped by home region: items whose every
         replica lives in the entry's own region ride that shard's
         vectorized fast path; the rest take the stitched cross-region
         walk."""
-        from ..core import GredError
+        from ..core import GredError, GredNetwork
 
         if self._mono is not None:
             return self._mono.retrieve_many(
                 data_ids, entry_switches=entry_switches, copies=copies,
-                rng=rng, max_hops=max_hops, workers=workers,
-                digests=digests)
+                rng=rng, max_hops=max_hops, digests=digests)
         data_ids = list(data_ids)
         if copies < 1:
             raise GredError(f"copies must be >= 1, got {copies}")
+        digests = GredNetwork._check_digests(digests,
+                                             len(data_ids) * copies)
         entries = self._resolve_entries(len(data_ids), entry_switches,
                                         rng)
         flat_ids = replica_ids_flat(data_ids, copies)
@@ -742,7 +742,6 @@ class FederatedNetwork:
                 entry_switches=[entries[i] for i in items],
                 copies=copies,
                 max_hops=max_hops,
-                workers=workers,
                 digests=sub_digests,
             )
             for i, result in zip(items, shard_results):

@@ -90,23 +90,22 @@ class _FastPathState:
     change counter so scoped events (joins, leaves, link changes) can
     patch the router and evict only the affected cache entries."""
 
-    __slots__ = ("epoch", "version", "router", "routes", "stats",
-                 "hops", "stale")
+    __slots__ = ("epoch", "version", "router", "routes", "hops",
+                 "stale")
 
     def __init__(self, epoch: int, version: int,
                  router: CompiledRouter) -> None:
         self.epoch = epoch
         self.version = version
         self.router = router
-        #: LRU of (entry, copy_id) -> (trace, overlay, dest, serial).
-        #: Traces are shared lists — consumers copy, never mutate.
-        #: Extensions are intentionally NOT cached — they are
-        #: resolved live so extend/retract need no epoch bump.
+        #: LRU of (entry, copy_id) -> (trace, overlay, dest, serial,
+        #: (greedy, vl_starts, vl_relays)): the router's outcome, whose
+        #: decision mix lets telemetry replayed from a cache hit match
+        #: what the engine would have counted.  Traces are shared
+        #: lists — consumers copy, never mutate.  Extensions are
+        #: intentionally NOT cached — they are resolved live so
+        #: extend/retract need no epoch bump.
         self.routes: OrderedDict = OrderedDict()
-        #: Per-route (greedy, vl_starts, vl_relays) decision mix,
-        #: cached alongside ``routes`` so telemetry replayed from a
-        #: cache hit matches what the engine would have counted.
-        self.stats: Dict[Any, Tuple[int, int, int]] = {}
         #: BFS hop distances keyed by source switch.
         self.hops: Dict[int, Dict[int, int]] = {}
         #: Switches touched since ``routes`` was last swept: the router
@@ -347,17 +346,15 @@ class GredNetwork:
             return (route.trace, route.overlay_hops, delivery.switch,
                     delivery.primary_serial, delivery.extension, None)
         state = self._fast_plane()
-        key = (entry, copy_id)
-        cached = (state.routes.get(key)
+        cached = (state.routes.get((entry, copy_id))
                   if max_hops is None and not state.stale else None)
         if cached is not None:
-            trace, overlay, dest, serial = cached
+            trace, overlay, dest, serial, stats = cached
             trace = list(trace)  # cached traces are shared
-            stats = state.stats.get(key, (0, 0, 0))
         else:
             router = state.router
             try:
-                trace, overlay, dest, serial = router.route(
+                trace, overlay, dest, serial, stats = router.route(
                     entry, copy_id, *position_and_key(copy_id),
                     max_hops)
             except ForwardingError:
@@ -368,7 +365,6 @@ class GredNetwork:
                         registry, kind.value,
                         [router.last_route_stats], (), (), 0)
                 raise
-            stats = router.last_route_stats
         # Extensions are resolved live, like the batch paths do.
         extension = self.controller.switches[dest].table.extension_for(
             serial)
@@ -741,7 +737,6 @@ class GredNetwork:
                     if touched.intersection(outcome[0])
                     or len(outcome[0]) - 1 > hop_bound]:
                 del state.routes[key]
-                state.stats.pop(key, None)
             touched.clear()
         return state
 
@@ -769,42 +764,19 @@ class GredNetwork:
                     reason=reason.replace(" ", "_"),
                 ).inc()
 
-    def _shard_pool(self, workers: int):
-        """The sticky worker pool for ``workers`` shards (created on
-        first use, reused across batches and epochs)."""
-        pools = getattr(self, "_shard_pools", None)
-        if pools is None:
-            pools = self._shard_pools = {}
-        pool = pools.get(workers)
-        if pool is None:
-            from ..dataplane.shard import ShardPool
-
-            pool = pools[workers] = ShardPool(workers)
-        return pool
-
-    def close_worker_pools(self) -> None:
-        """Stop any routing worker pools started by ``workers=`` batch
-        calls and release their shared-memory plane snapshots."""
-        pools = getattr(self, "_shard_pools", None)
-        if not pools:
-            return
-        for pool in pools.values():
-            pool.close()
-        pools.clear()
-
     def _fast_routes(self, state: _FastPathState,
                      flat_entries: Sequence[int],
                      flat_ids: Sequence[str],
                      positions: np.ndarray, serial_u64s: np.ndarray,
                      flats: Sequence[int],
                      max_hops: Optional[int] = None,
-                     stats_out: Optional[List[Any]] = None,
-                     workers: Optional[int] = None) -> List[Any]:
+                     stats_out: Optional[List[Any]] = None
+                     ) -> List[Any]:
         """Routes for the flat request indices ``flats``, combining the
         per-epoch LRU cache with one wave-routed batch for the misses.
 
-        Returns one ``(trace, overlay, dest, serial)`` per flat index,
-        aligned with ``flats``; a request the reference engine would
+        Returns one ``(trace, overlay, dest, serial, mix)`` per flat
+        index, aligned with ``flats``; a request the reference engine would
         fail maps to its :class:`ForwardingError` instead (callers
         raise or skip it).  Cached traces are shared — callers must
         copy, never mutate.  A custom hop budget changes failure
@@ -817,7 +789,6 @@ class GredNetwork:
         engine's forwarding counters without re-walking.
         """
         cache = state.routes
-        stat_cache = state.stats
         if max_hops is not None:
             routes: List[Any] = [None] * len(flats)
             stats: List[Any] = [None] * len(flats)
@@ -843,36 +814,17 @@ class GredNetwork:
                 else:
                     cache.move_to_end(key)
                     append(cached)
-                    stats.append(stat_cache.get(key, (0, 0, 0)))
+                    stats.append(cached[4])
         if misses:
             idx = np.asarray(misses, dtype=np.intp)
-            hop_bound = (max_hops if max_hops is not None
-                         else state.router._default_max_hops)
-            worker_waves: Optional[List[int]] = None
-            if workers is not None and workers > 1:
-                pool = self._shard_pool(workers)
-                pool.sync(state.router, (state.epoch, state.version))
-                packed = pool.route_batch_packed(
-                    np.asarray([flat_entries[f] for f in misses],
-                               dtype=np.int64),
-                    positions[idx, 0], positions[idx, 1],
-                    serial_u64s[idx], hop_bound)
-                outcomes = packed.materialize(
-                    [flat_ids[f] for f in misses], hop_bound)
-                batch_stats = packed.stats_list()
-                state.router.last_batch_waves = packed.waves
-                state.router.last_batch_stats = batch_stats
-                waves = packed.waves
-                worker_waves = packed.worker_waves
-            else:
-                outcomes = state.router.route_batch(
-                    [flat_entries[f] for f in misses],
-                    [flat_ids[f] for f in misses],
-                    positions[idx, 0], positions[idx, 1],
-                    serial_u64s[idx], max_hops=max_hops,
-                )
-                batch_stats = state.router.last_batch_stats
-                waves = state.router.last_batch_waves
+            router = state.router
+            outcomes = router.route_batch(
+                [flat_entries[f] for f in misses],
+                [flat_ids[f] for f in misses],
+                positions[idx, 0], positions[idx, 1],
+                serial_u64s[idx], max_hops=max_hops,
+            )
+            batch_stats = router.last_batch_stats
             registry = default_registry()
             if registry.enabled:
                 # Batch-only extras (the scalar loop has no waves):
@@ -881,15 +833,8 @@ class GredNetwork:
                 # checks can separate them from the shared aggregates.
                 registry.counter("dataplane.batch.requests").inc(
                     len(misses))
-                registry.counter("dataplane.batch.waves").inc(waves)
-                if worker_waves is not None:
-                    # Per-shard wave counts aggregate into the same
-                    # total above; the per-worker counters expose the
-                    # shard balance.
-                    for w, wv in enumerate(worker_waves):
-                        registry.counter(
-                            "dataplane.batch.worker_waves",
-                            worker=w).inc(wv)
+                registry.counter("dataplane.batch.waves").inc(
+                    router.last_batch_waves)
             if miss_keys is None:
                 for slot, out, st in zip(slots, outcomes, batch_stats):
                     routes[slot] = out
@@ -901,10 +846,8 @@ class GredNetwork:
                     stats[slot] = st
                     if type(out) is tuple:
                         cache[key] = out
-                        stat_cache[key] = st
                 while len(cache) > _ROUTE_CACHE_CAP:
-                    evicted, _ = cache.popitem(last=False)
-                    stat_cache.pop(evicted, None)
+                    cache.popitem(last=False)
         if stats_out is not None:
             stats_out.extend(stats)
         return routes
@@ -1113,7 +1056,6 @@ class GredNetwork:
         entry_switches: Optional[Sequence[int]] = None,
         copies: int = 1,
         rng: Optional[np.random.Generator] = None,
-        workers: Optional[int] = None,
         digests: Optional[np.ndarray] = None,
     ) -> List[PlacementResult]:
         """Place a batch of items; equivalent to calling :meth:`place`
@@ -1139,12 +1081,6 @@ class GredNetwork:
             Optional per-item access switches; random when omitted.
         copies, rng:
             As in :meth:`place`.
-        workers:
-            Route uncached requests across this many processes
-            sharing the compiled plane via ``multiprocessing.shared_
-            memory`` (results stay byte-identical to the
-            single-process path).  ``None``/``1`` routes in-process;
-            the scalar fallback ignores it.
         digests:
             Optional pre-hashed replica digests from :meth:`prehash`
             (``(len(data_ids) * copies, 32) uint8``).  Hashing is the
@@ -1191,8 +1127,7 @@ class GredNetwork:
         routes = self._fast_routes(state, flat_entries, flat_ids,
                                    positions, serial_u64s,
                                    range(len(flat_ids)),
-                                   stats_out=route_stats,
-                                   workers=workers)
+                                   stats_out=route_stats)
         switches = self.controller.switches
         server_map = self.server_map
         registry = default_registry()
@@ -1239,7 +1174,7 @@ class GredNetwork:
                             t_transits, t_servers, t_flats, flat_ids,
                             positions)
                     raise outcome
-                trace, overlay, dest, serial = outcome
+                trace, overlay, dest, serial, _ = outcome
                 if stored is not None:
                     # Already bulk-stored; no extension anywhere, so
                     # the target is the ``H(d) mod s`` server.
@@ -1364,15 +1299,14 @@ class GredNetwork:
         copies: int = 1,
         rng: Optional[np.random.Generator] = None,
         max_hops: Optional[int] = None,
-        workers: Optional[int] = None,
         digests: Optional[np.ndarray] = None,
     ) -> List[RetrievalResult]:
         """Retrieve a batch of items; equivalent to calling
         :meth:`retrieve` per item in order, but vectorized.
 
         Shares the fast-path machinery (and its fallback conditions)
-        with :meth:`place_many`, including worker-sharded routing via
-        ``workers`` and pre-hashed ``digests`` from :meth:`prehash`;
+        with :meth:`place_many`, including pre-hashed ``digests`` from
+        :meth:`prehash`;
         response hop counts come from a per-epoch BFS distance cache
         instead of a fresh traversal per request.
         """
@@ -1450,8 +1384,7 @@ class GredNetwork:
             routes = self._fast_routes(state, flat_entries, flat_ids,
                                        positions, serial_u64s, probes,
                                        max_hops=max_hops,
-                                       stats_out=t_stats,
-                                       workers=workers)
+                                       stats_out=t_stats)
             server_map = self.server_map
             still: List[int] = []
             for i, flat, outcome in zip(pending, probes, routes):
@@ -1463,7 +1396,7 @@ class GredNetwork:
                 c = rnd if orders is None else orders[i][rnd]
                 copy_id = flat_ids[flat]
                 entry = entries[i]
-                trace, overlay, dest, serial = outcome
+                trace, overlay, dest, serial, _ = outcome
                 if telemetry:
                     t_transits.extend(trace)
                     t_probe_flats.append(flat)

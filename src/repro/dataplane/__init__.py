@@ -18,7 +18,6 @@ from .fastpath import (
     scalar_standdown,
 )
 from .forwarding import RouteResult, route_packet
-from .shard import PlaneSnapshot, ShardPool
 from .tracing import TraceEvent, TraceEventKind, Tracer
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "fastpath_usable",
     "federated_blockers",
     "scalar_standdown",
-    "PlaneSnapshot",
-    "ShardPool",
     "Tracer",
     "TraceEvent",
     "TraceEventKind",

@@ -24,7 +24,10 @@ facade's scalar route stage (``place`` / ``retrieve`` / ``route_for``)
 runs; :meth:`route_batch` advances a whole batch in switch-grouped
 *waves* — every request parked at the same switch shares one vectorized
 candidate evaluation — which amortizes the per-hop decision to a few
-numpy operations per group.
+numpy operations per group.  There is one scalar loop,
+:meth:`CompiledRouter._walk`: ``route`` starts it at the entry switch,
+and the wave router hands it the last few in-flight requests of a
+batch mid-route.
 
 The router is rebuilt when the control plane recomputes (callers key it
 on :attr:`Controller.epoch`) and patched row by row on scoped events
@@ -147,7 +150,12 @@ def federated_blockers(fed) -> Dict[int, List[str]]:
 #: amortizes over a handful of in-flight requests.
 _WAVE_MIN_ACTIVE = 96
 
-RouteOutcome = Union[Tuple[List[int], int, int, int], ForwardingError]
+#: ``(trace, overlay_hops, destination_switch, primary_serial,
+#: (greedy_forwards, vl_starts, vl_relays))`` — a delivered route with
+#: its decision mix — or the error the reference engine would raise.
+RouteOutcome = Union[
+    Tuple[List[int], int, int, int, Tuple[int, int, int]],
+    ForwardingError]
 
 
 class _FlatPlane:
@@ -241,16 +249,16 @@ class _FlatPlane:
         length = np.zeros((n, width), dtype=np.int64)
         err = np.full((n, width), -1, dtype=np.int64)
         sids: List[int] = []
-        messages: List[str] = []
+        failures: List[Tuple[str, tuple]] = []
         vl_rows, vl_cols = np.nonzero(self.kind == 1)
         for r, c in zip(vl_rows.tolist(), vl_cols.tolist()):
             src = int(self.sid[r])
             dst = int(self.nid[r, c])
             try:
                 chain = resolver(src, dst)
-            except ForwardingError as exc:
-                err[r, c] = len(messages)
-                messages.append(str(exc))
+            except _RouteFailure as failure:
+                err[r, c] = len(failures)
+                failures.append(failure.args)
                 continue
             off[r, c] = len(sids)
             length[r, c] = len(chain)
@@ -259,7 +267,7 @@ class _FlatPlane:
         self.chain_len = length
         self.chain_err = err
         self.chain_sids = np.asarray(sids, dtype=np.int64)
-        self.chain_errors = messages
+        self.chain_errors = failures
         self.chains_built = True
 
 
@@ -296,21 +304,38 @@ class _CompiledSwitch:
         self.cand_nid = np.array([c[3] for c in cands], dtype=np.int64)
 
 
+class _RouteFailure(Exception):
+    """A compiled walk's failure as ``(code, args)`` — see
+    :func:`_error_text`."""
+
+
+#: Every ``ForwardingError`` message of the compiled engine, keyed by
+#: failure code; each is byte-identical to what ``route_packet`` raises
+#: in the same state.
+_ERROR_FORMATS = {
+    "entry": "unknown entry switch {0}",
+    "relay_only": "greedy stage reached relay-only switch {0}",
+    "no_servers": ("switch {0} must deliver {data_id!r} "
+                   "but has no attached servers"),
+    "unknown_fwd": "switch {0} forwarded to unknown switch {1}",
+    # The trace lists the switches processed, which excludes the one
+    # whose arrival breached the bound.
+    "hop_bound": ("hop bound {0} exceeded routing {data_id!r} "
+                  "(trace {1})"),
+    "no_vl_entry": ("switch {0} has no virtual-link entry "
+                    "toward DT neighbor {1}"),
+    "no_relay_entry": ("switch {0} has no relay entry toward "
+                       "virtual-link destination {1}"),
+    "vl_unterminated": ("virtual link {0}->{1} does not "
+                        "terminate within {2} relays"),
+}
+
+
 def _error_text(code: str, args: tuple, data_id: str) -> str:
-    """Materialize a deferred routing-error message.  The packed walk
-    records ``(code, args)`` instead of strings so worker shards never
-    need the request ids — the parent formats the byte-identical
-    message the scalar engine would have raised."""
-    if code == "entry":
-        return f"unknown entry switch {args[0]}"
-    if code == "relay_only":
-        return f"greedy stage reached relay-only switch {args[0]}"
-    if code == "no_servers":
-        return (f"switch {args[0]} must deliver {data_id!r} "
-                f"but has no attached servers")
-    if code == "unknown_fwd":
-        return f"switch {args[0]} forwarded to unknown switch {args[1]}"
-    return args[0]
+    """Format a routing failure.  Walks record ``(code, args)`` and
+    the request id joins them here — the wave router never sees ids,
+    and the scalar walker formats nothing on its hot path."""
+    return _ERROR_FORMATS[code].format(*args, data_id=data_id)
 
 
 def _ragged_arange(lens: np.ndarray) -> np.ndarray:
@@ -328,14 +353,12 @@ class _PackedRoutes:
     ``trace_flat[off[j]:off[j+1]]`` switch trace; failed requests
     carry a coded entry in ``errors`` (or an index in
     ``hop_failures``) that :meth:`materialize` formats into the
-    byte-identical :class:`ForwardingError` lazily.  The struct is
-    picklable and id-free, so worker shards ship it back over a pipe
-    without materializing any Python outcome objects.
+    byte-identical :class:`ForwardingError` lazily.
     """
 
     __slots__ = ("k", "dest", "serial", "overlay", "greedy", "vl",
                  "relays", "known", "tlen", "off", "trace_flat",
-                 "errors", "hop_failures", "waves", "worker_waves")
+                 "errors", "hop_failures", "waves", "stats")
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -356,15 +379,12 @@ class _PackedRoutes:
         #: needs the assembled trace, hence a separate channel).
         self.hop_failures: List[int] = []
         self.waves = 0
-        #: Per-shard wave counts when produced by a worker merge.
-        self.worker_waves: Optional[List[int]] = None
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        #: Per-request ``(greedy, vl_starts, vl_relays)`` decision mix
+        #: with the reference engine's event timing, set by
+        #: :meth:`finish`; ``None`` for unknown-entry requests (the
+        #: scalar walker raises before fetching counters, so they carry
+        #: no mix at all).  Delivered outcomes share these tuples.
+        self.stats: List[Optional[Tuple[int, int, int]]] = []
 
     def finish(self, entries_arr: np.ndarray, segs: List[tuple]) -> None:
         """Assemble the flat trace array from the walk's per-wave
@@ -399,25 +419,18 @@ class _PackedRoutes:
                 cursor[j] += len(lst)
         self.off = off
         self.trace_flat = trace_flat
-
-    def stats_list(self) -> List[Optional[Tuple[int, int, int]]]:
-        """Per-request ``(greedy, vl_starts, vl_relays)`` decision mix
-        with the reference engine's event timing; ``None`` for
-        unknown-entry requests (the scalar walker raises before
-        fetching counters, so they carry no mix at all)."""
-        stats: List[Optional[Tuple[int, int, int]]] = list(zip(
-            self.greedy.tolist(), self.vl.tolist(),
-            self.relays.tolist()))
+        self.stats = list(zip(self.greedy.tolist(), self.vl.tolist(),
+                              self.relays.tolist()))
         if not self.known.all():
             for j in np.flatnonzero(~self.known).tolist():
-                stats[j] = None
-        return stats
+                self.stats[j] = None
 
     def materialize(self, data_ids: Sequence[str],
                     max_hops: int) -> List[RouteOutcome]:
-        """Format the packed arrays into the scalar walker's outcome
-        list: ``(trace, overlay_hops, destination, serial)`` tuples or
-        the exact :class:`ForwardingError` it would have raised."""
+        """Format the packed arrays into :meth:`CompiledRouter.route`'s
+        outcomes: ``(trace, overlay_hops, destination, serial, decision
+        mix)`` tuples or the exact :class:`ForwardingError` it would
+        have raised."""
         results: List[Optional[RouteOutcome]] = [None] * self.k
         flat_list = self.trace_flat.tolist()
         off = self.off.tolist()
@@ -425,151 +438,36 @@ class _PackedRoutes:
             results[j] = ForwardingError(
                 _error_text(code, args, data_ids[j]))
         for j in self.hop_failures:
-            # The engine's message lists the switches processed, which
-            # excludes the one whose arrival breached the bound.
-            trace = flat_list[off[j]:off[j + 1] - 1]
-            results[j] = ForwardingError(
-                f"hop bound {max_hops} exceeded routing "
-                f"{data_ids[j]!r} (trace {trace})")
+            results[j] = ForwardingError(_error_text(
+                "hop_bound",
+                (max_hops, flat_list[off[j]:off[j + 1] - 1]),
+                data_ids[j]))
         dest = self.dest.tolist()
         serial = self.serial.tolist()
         overlay = self.overlay.tolist()
+        stats = self.stats
         for j, d in enumerate(dest):
             if d >= 0:
                 results[j] = (flat_list[off[j]:off[j + 1]],
-                              overlay[j], d, serial[j])
+                              overlay[j], d, serial[j], stats[j])
         return results
 
 
-def _continue_plane_scalar(flat: _FlatPlane, packed: _PackedRoutes,
-                           segs: List[tuple], hops: np.ndarray,
-                           j: int, row: int, px: float, py: float,
-                           su64: int, max_hops: int) -> None:
-    """Walk one straggler to completion directly on the dense plane.
-
-    Replaces the old fallback that re-ran stragglers through
-    :meth:`CompiledRouter.route` *from their entry switch*: this
-    continues from the request's current position, reusing the wave
-    prefix already accumulated in ``packed`` (trace, hop count,
-    decision mix), and replays the scalar walker's float arithmetic
-    and tie-breaks exactly — the combined prefix + continuation is
-    byte-identical to the full scalar walk."""
-    seg: List[int] = []
-    hop = int(hops[j])
-    try:
-        while True:
-            if not flat.in_dt[row]:
-                packed.errors.append(
-                    (j, "relay_only", (int(flat.sid[row]),)))
-                return
-            ox = float(flat.ox[row])
-            oy = float(flat.oy[row])
-            dx = ox - px
-            dy = oy - py
-            bd2 = dx * dx + dy * dy
-            bx = ox
-            by = oy
-            bkind = 2
-            bnid = -1
-            bcol = -1
-            kinds = flat.kind[row].tolist()
-            cxs = flat.cx[row].tolist()
-            cys = flat.cy[row].tolist()
-            nids = flat.nid[row].tolist()
-            for c, kind in enumerate(kinds):
-                if kind == 2:
-                    break  # pad cells are trailing
-                cx = cxs[c]
-                cy = cys[c]
-                ddx = cx - px
-                ddy = cy - py
-                d2 = ddx * ddx + ddy * ddy
-                if d2 > bd2:
-                    continue
-                if d2 == bd2:
-                    if cx > bx:
-                        continue
-                    if cx == bx:
-                        if cy > by:
-                            continue
-                        if cy == by and (kind > bkind or (
-                                kind == bkind and nids[c] >= bnid)):
-                            continue
-                bd2 = d2
-                bx = cx
-                by = cy
-                bkind = kind
-                bnid = nids[c]
-                bcol = c
-            if bkind == 2:
-                ns = int(flat.ns[row])
-                if ns <= 0:
-                    packed.errors.append(
-                        (j, "no_servers", (int(flat.sid[row]),)))
-                    return
-                packed.dest[j] = int(flat.sid[row])
-                packed.serial[j] = su64 % ns
-                return
-            packed.overlay[j] += 1
-            nrow = int(flat.nrow[row, bcol])
-            if bkind == 0:
-                packed.greedy[j] += 1
-                if nrow < 0:
-                    packed.errors.append(
-                        (j, "unknown_fwd", (int(flat.sid[row]), bnid)))
-                    return
-                seg.append(bnid)
-                hop += 1
-                row = nrow
-                if hop > max_hops:
-                    packed.hop_failures.append(j)
-                    return
-            else:
-                packed.vl[j] += 1
-                cerr = int(flat.chain_err[row, bcol])
-                if cerr >= 0:
-                    packed.errors.append(
-                        (j, "msg", (flat.chain_errors[cerr],)))
-                    return
-                if nrow < 0:
-                    # The scalar walker would key its states dict with
-                    # the unknown destination next iteration; surface
-                    # the same KeyError.
-                    raise KeyError(bnid)
-                coff = int(flat.chain_off[row, bcol])
-                clen = int(flat.chain_len[row, bcol])
-                chain = flat.chain_sids[coff:coff + clen].tolist()
-                for ci, relay in enumerate(chain):
-                    if ci:
-                        packed.relays[j] += 1
-                    seg.append(relay)
-                    hop += 1
-                    if hop > max_hops:
-                        packed.hop_failures.append(j)
-                        return
-                row = nrow
-    finally:
-        if seg:
-            segs.append((2, j, seg))
-            packed.tlen[j] += len(seg)
-        hops[j] = hop
-
-
-def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
+def _route_batch_packed(flat: _FlatPlane, walk,
+                        entries_arr: np.ndarray,
                         pxs: np.ndarray, pys: np.ndarray,
-                        serial_u64s: np.ndarray, max_hops: int,
-                        min_active: int = _WAVE_MIN_ACTIVE
+                        serial_u64s: np.ndarray, max_hops: int
                         ) -> _PackedRoutes:
     """Advance a whole batch over the dense plane in switch-grouped
     waves, keeping every per-request output in numpy arrays.
 
-    This is the pure-array core shared by the in-process fast path and
-    the shared-memory worker shards: it needs only the plane and the
-    request arrays (entries, positions, 64-bit digest serials) — no
-    request ids, no live router — and returns a :class:`_PackedRoutes`.
-    Stragglers below ``min_active`` continue scalar *on the plane* from
-    their current switch instead of re-walking from the entry, so
-    replica fan-out batches stay on the vectorized path end to end.
+    Needs only the plane and the request arrays (entries, positions,
+    64-bit digest serials) — no request ids — and returns a
+    :class:`_PackedRoutes`.  Once fewer than :data:`_WAVE_MIN_ACTIVE`
+    requests are in flight the stragglers finish on ``walk`` (the
+    router's :meth:`CompiledRouter._walk`, the loop every scalar
+    request runs) from the switch where they stand, with the hop count
+    the waves accumulated.
     """
     k = int(entries_arr.size)
     packed = _PackedRoutes(k)
@@ -603,15 +501,34 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
             errors.append((j, "entry", (entry,)))
     while active.size:
         packed.waves += 1
-        if active.size < min_active:
+        if active.size < _WAVE_MIN_ACTIVE:
             # Stragglers: whole-plane numpy dispatch no longer
-            # amortizes — continue them scalar on the plane from
-            # where they stand (same outcome, no re-walk).
-            for j in active.tolist():
-                _continue_plane_scalar(
-                    flat, packed, segs, hops, j, int(current[j]),
-                    float(pxs[j]), float(pys[j]),
-                    int(serial_u64s[j]), max_hops)
+            # amortizes — the scalar walker finishes them from where
+            # they stand (same outcome, no re-walk).
+            for j, sid, hop, px, py, su64 in zip(
+                    active.tolist(), flat.sid[current[active]].tolist(),
+                    hops[active].tolist(), pxs[active].tolist(),
+                    pys[active].tolist(), serial_u64s[active].tolist()):
+                trace = [sid]
+                stats = [0, 0, 0]
+                try:
+                    hops_over, dest[j], serial[j] = walk(
+                        trace, hop, px, py, su64, max_hops, stats)
+                    overlay[j] += hops_over
+                except _RouteFailure as failure:
+                    code, args = failure.args
+                    if code == "hop_bound":
+                        # Formatted at materialize time: the message
+                        # needs the wave prefix of the trace too.
+                        hop_failures.append(j)
+                    else:
+                        errors.append((j, code, args))
+                g_arr[j] += stats[0]
+                v_arr[j] += stats[1]
+                r_arr[j] += stats[2]
+                if len(trace) > 1:
+                    segs.append((2, j, trace[1:]))
+                    tlen[j] += len(trace) - 1
             break
         rows = current[active]
         tx = pxs[active]
@@ -757,8 +674,7 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
                 if not good.all():
                     for j, ei in zip(vj[~good].tolist(),
                                      cerr[~good].tolist()):
-                        errors.append(
-                            (j, "msg", (flat.chain_errors[ei],)))
+                        errors.append((j,) + flat.chain_errors[ei])
                 unknown_dest = good & (nrow_v < 0)
                 if unknown_dest.any():
                     # The scalar walker would key its states dict with
@@ -946,151 +862,143 @@ class CompiledRouter:
             return cached
         entry = self._states[source].table.virtual_entry(dest)
         if entry is None or entry.succ is None:
-            raise ForwardingError(
-                f"switch {source} has no virtual-link entry "
-                f"toward DT neighbor {dest}"
-            )
+            raise _RouteFailure("no_vl_entry", (source, dest))
         chain = [entry.succ]
         current = entry.succ
         bound = self._default_max_hops
         while current != dest:
             if current not in self._states:
-                raise ForwardingError(
-                    f"switch {chain[-2] if len(chain) > 1 else source} "
-                    f"forwarded to unknown switch {current}"
-                )
+                raise _RouteFailure("unknown_fwd", (
+                    chain[-2] if len(chain) > 1 else source, current))
             relay = self._states[current].table.virtual_entry(dest)
             if relay is None or relay.succ is None:
-                raise ForwardingError(
-                    f"switch {current} has no relay entry toward "
-                    f"virtual-link destination {dest}"
-                )
+                raise _RouteFailure("no_relay_entry", (current, dest))
             current = relay.succ
             chain.append(current)
             if len(chain) > bound:
-                raise ForwardingError(
-                    f"virtual link {source}->{dest} does not "
-                    f"terminate within {bound} relays"
-                )
+                raise _RouteFailure("vl_unterminated",
+                                    (source, dest, bound))
         result = tuple(chain)
         self._chains[(source, dest)] = result
         return result
 
     def route(self, entry: int, data_id: str, px: float, py: float,
               serial_u64: int, max_hops: Optional[int] = None
-              ) -> Tuple[List[int], int, int, int]:
+              ) -> Tuple[List[int], int, int, int, Tuple[int, int, int]]:
         """Route one request; returns ``(trace, overlay_hops,
-        destination_switch, primary_serial)``.
+        destination_switch, primary_serial, decision mix)``.
 
         Byte-identical to ``route_packet`` with no faults/tracing: the
         trace lists every switch visited (entry first), the hop bound
         raises the same error, and the primary serial is the
         ``H(d) mod s`` choice at the delivery switch.
         """
-        states = self._states
-        if entry not in states:
+        if entry not in self._states:
             # Rejected before routing: no decision mix at all (the
             # engine raises before it fetches its counters).
             self.last_route_stats = None
-            raise ForwardingError(f"unknown entry switch {entry}")
+            raise ForwardingError(_error_text("entry", (entry,), data_id))
         if max_hops is None:
             max_hops = self._default_max_hops
         trace = [entry]
-        current = entry
-        overlay = 0
-        hops = 0
-        # Decision-mix counts, kept event-time-faithful to the
-        # reference engine (a greedy/vl-start counts at decision time,
-        # a relay before its step's hop-bound check) so partial counts
-        # on a failed route match the engine's too.
-        stats = [0, 0, 0]  # greedy, vl_starts, vl_relays
+        stats = [0, 0, 0]
         try:
-            while True:
-                state = states[current]
-                if not state.in_dt:
-                    raise ForwardingError(
-                        f"greedy stage reached relay-only switch "
-                        f"{current}"
-                    )
-                ox = state.x
-                oy = state.y
-                dx = ox - px
-                dy = oy - py
-                # Best strictly-improving candidate under the scalar
-                # sort key ((d^2, x, y), kind, nid).  Seeding "best"
-                # with the switch's own key and a sentinel kind is
-                # exact because participant positions are deduplicated
-                # — no candidate can tie the full (d^2, x, y) key of a
-                # distinct switch.
-                bd2 = dx * dx + dy * dy
-                bx = ox
-                by = oy
-                bkind = 2
-                bnid = -1
-                for (cx, cy, kind, nid) in state.cands:
-                    dx = cx - px
-                    dy = cy - py
-                    d2 = dx * dx + dy * dy
-                    if d2 > bd2:
-                        continue
-                    if d2 == bd2:
-                        if cx > bx:
-                            continue
-                        if cx == bx:
-                            if cy > by:
-                                continue
-                            if cy == by and (kind > bkind or (
-                                    kind == bkind and nid >= bnid)):
-                                continue
-                    bd2 = d2
-                    bx = cx
-                    by = cy
-                    bkind = kind
-                    bnid = nid
-                if bkind == 2:
-                    # No neighbor improves: deliver locally.
-                    if state.num_servers <= 0:
-                        raise ForwardingError(
-                            f"switch {current} must deliver "
-                            f"{data_id!r} but has no attached servers"
-                        )
-                    return (trace, overlay, current,
-                            int(serial_u64 % state.num_servers))
-                overlay += 1
-                if bkind == 0:
-                    stats[0] += 1
-                    if bnid not in states:
-                        raise ForwardingError(
-                            f"switch {current} forwarded to unknown "
-                            f"switch {bnid}"
-                        )
-                    trace.append(bnid)
-                    current = bnid
-                    hops += 1
-                    if hops > max_hops:
-                        # Like the engine, the message lists the
-                        # switches *processed* — not the breaching one.
-                        raise ForwardingError(
-                            f"hop bound {max_hops} exceeded routing "
-                            f"{data_id!r} (trace {trace[:-1]})"
-                        )
-                else:
-                    stats[1] += 1
-                    for step, relay in enumerate(
-                            self._chain(current, bnid)):
-                        if step:
-                            stats[2] += 1
-                        trace.append(relay)
-                        hops += 1
-                        if hops > max_hops:
-                            raise ForwardingError(
-                                f"hop bound {max_hops} exceeded "
-                                f"routing {data_id!r} "
-                                f"(trace {trace[:-1]})"
-                            )
-                    current = bnid
+            overlay, dest, serial = self._walk(
+                trace, 0, px, py, serial_u64, max_hops, stats)
+        except _RouteFailure as failure:
+            raise ForwardingError(
+                _error_text(*failure.args, data_id)) from None
         finally:
             self.last_route_stats = (stats[0], stats[1], stats[2])
+        return trace, overlay, dest, serial, self.last_route_stats
+
+    def _walk(self, trace: List[int], hops: int, px: float, py: float,
+              serial_u64: int, max_hops: int, stats: List[int]
+              ) -> Tuple[int, int, int]:
+        """The compiled engine's one scalar walker: from ``trace[-1]``,
+        with ``hops`` hops already taken, to local delivery.
+
+        :meth:`route` starts it at the entry switch; the wave router
+        starts it mid-route for its straggler tail.  Appends every
+        switch visited to ``trace`` and counts ``[greedy, vl_starts,
+        vl_relays]`` into ``stats`` in place — event-time-faithful to
+        the reference engine (a greedy/vl-start counts at decision
+        time, a relay before its step's hop-bound check), so both hold
+        the partial route when it raises.  Returns ``(overlay_hops
+        walked here, destination_switch, primary_serial)``; raises
+        :class:`_RouteFailure`.
+        """
+        states = self._states
+        current = trace[-1]
+        overlay = 0
+        while True:
+            state = states[current]
+            if not state.in_dt:
+                raise _RouteFailure("relay_only", (current,))
+            ox = state.x
+            oy = state.y
+            dx = ox - px
+            dy = oy - py
+            # Best strictly-improving candidate under the scalar
+            # sort key ((d^2, x, y), kind, nid).  Seeding "best"
+            # with the switch's own key and a sentinel kind is
+            # exact because participant positions are deduplicated
+            # — no candidate can tie the full (d^2, x, y) key of a
+            # distinct switch.
+            bd2 = dx * dx + dy * dy
+            bx = ox
+            by = oy
+            bkind = 2
+            bnid = -1
+            for (cx, cy, kind, nid) in state.cands:
+                dx = cx - px
+                dy = cy - py
+                d2 = dx * dx + dy * dy
+                if d2 > bd2:
+                    continue
+                if d2 == bd2:
+                    if cx > bx:
+                        continue
+                    if cx == bx:
+                        if cy > by:
+                            continue
+                        if cy == by and (kind > bkind or (
+                                kind == bkind and nid >= bnid)):
+                            continue
+                bd2 = d2
+                bx = cx
+                by = cy
+                bkind = kind
+                bnid = nid
+            if bkind == 2:
+                # No neighbor improves: deliver locally.
+                if state.num_servers <= 0:
+                    raise _RouteFailure("no_servers", (current,))
+                return (overlay, current,
+                        int(serial_u64 % state.num_servers))
+            overlay += 1
+            if bkind == 0:
+                stats[0] += 1
+                if bnid not in states:
+                    raise _RouteFailure("unknown_fwd", (current, bnid))
+                trace.append(bnid)
+                current = bnid
+                hops += 1
+                if hops > max_hops:
+                    raise _RouteFailure("hop_bound",
+                                        (max_hops, trace[:-1]))
+            else:
+                stats[1] += 1
+                for step, relay in enumerate(
+                        self._chain(current, bnid)):
+                    if step:
+                        stats[2] += 1
+                    trace.append(relay)
+                    hops += 1
+                    if hops > max_hops:
+                        raise _RouteFailure("hop_bound",
+                                            (max_hops, trace[:-1]))
+                current = bnid
 
     # ------------------------------------------------------------------
     def route_batch(self, entries: Sequence[int],
@@ -1107,13 +1015,12 @@ class CompiledRouter:
         strict-improvement test replicate :meth:`route`'s float
         arithmetic and lexicographic tie-breaks exactly, so every
         outcome is byte-identical to the scalar walk.  The walk itself
-        is the pure-array :func:`_route_batch_packed` program — trace
-        assembly, relay chains and straggler continuation all stay in
-        numpy — and this wrapper materializes its packed result.
+        is the array program :func:`_route_batch_packed` (its
+        straggler tail runs :meth:`_walk`) and this wrapper
+        materializes its packed result.
 
-        Returns one outcome per request, in order: the same
-        ``(trace, overlay_hops, destination_switch, primary_serial)``
-        tuple :meth:`route` produces, or the :class:`ForwardingError`
+        Returns one outcome per request, in order: the same tuple
+        :meth:`route` produces, or the :class:`ForwardingError`
         it would have raised (the caller decides whether to raise).
         """
         if max_hops is None:
@@ -1122,20 +1029,18 @@ class CompiledRouter:
             np.asarray(entries, dtype=np.int64),
             pxs, pys, serial_u64s, max_hops)
         self.last_batch_waves = packed.waves
-        self.last_batch_stats = packed.stats_list()
+        self.last_batch_stats = packed.stats
         return packed.materialize(data_ids, max_hops)
 
     def route_batch_packed(self, entries_arr: np.ndarray,
                            pxs: np.ndarray, pys: np.ndarray,
                            serial_u64s: np.ndarray,
                            max_hops: int) -> _PackedRoutes:
-        """Array-form batch walk over the dense plane — the unit the
-        shared-memory worker shards execute.  Returns the raw
-        :class:`_PackedRoutes` without touching the router's
+        """Array-form batch walk over the dense plane.  Returns the
+        raw :class:`_PackedRoutes` without touching the router's
         last-batch telemetry (the caller owns aggregation)."""
-        flat = self._ensure_flat()
         return _route_batch_packed(
-            flat, entries_arr,
+            self._ensure_flat(), self._walk, entries_arr,
             np.asarray(pxs, dtype=np.float64),
             np.asarray(pys, dtype=np.float64),
             np.asarray(serial_u64s, dtype=np.uint64),

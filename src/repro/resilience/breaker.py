@@ -21,7 +21,7 @@ routes around them before the heartbeat detector has even noticed.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..obs import default_registry
 
@@ -113,6 +113,10 @@ class BreakerBoard:
         self.recovery_time = recovery_time
         self.half_open_probes = half_open_probes
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
+        #: Keys of the non-closed breakers, kept by
+        #: :meth:`_note_transition` so :meth:`any_tripped` — a fast-path
+        #: gate evaluated per request — does not scan the board.
+        self._tripped: Set[BreakerKey] = set()
 
     def get(self, key: BreakerKey) -> CircuitBreaker:
         breaker = self._breakers.get(key)
@@ -180,16 +184,11 @@ class BreakerBoard:
     # ------------------------------------------------------------------
     def any_tripped(self) -> bool:
         """True when any breaker is not closed."""
-        return any(b.state is not BreakerState.CLOSED
-                   for b in self._breakers.values())
+        return bool(self._tripped)
 
     def tripped(self) -> List[BreakerKey]:
         """Keys of every non-closed breaker (deterministic order)."""
-        return sorted(
-            (key for key, b in self._breakers.items()
-             if b.state is not BreakerState.CLOSED),
-            key=repr,
-        )
+        return sorted(self._tripped, key=repr)
 
     def states(self) -> Dict[str, str]:
         """``"kind:id" -> state`` map for stats/JSON reporting."""
@@ -201,12 +200,17 @@ class BreakerBoard:
 
     def reset(self) -> None:
         self._breakers.clear()
+        self._tripped.clear()
 
     # ------------------------------------------------------------------
     def _note_transition(self, key: BreakerKey, before: BreakerState,
                          after: BreakerState, now: float) -> None:
         if before is after:
             return
+        if after is BreakerState.CLOSED:
+            self._tripped.discard(key)
+        else:
+            self._tripped.add(key)
         registry = default_registry()
         if not registry.enabled:
             return

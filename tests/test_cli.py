@@ -222,36 +222,6 @@ class TestExperimentCommand:
         assert "# TYPE gred_controlplane_recomputes counter" in text
 
 
-class TestBench:
-    def test_bench_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_micro.json")
-        code = main(["bench", "--switches", "10", "--requests", "60",
-                     "--cvt-iterations", "2", "--repeats", "1",
-                     "-o", out])
-        assert code == 0
-        with open(out) as handle:
-            report = json.load(handle)
-        assert report["format"] == "gred-bench-v1"
-        assert report["config"]["switches"] == 10
-        for section in ("placement", "retrieval"):
-            assert report[section]["scalar"]["requests_per_sec"] > 0
-            assert report[section]["batch"]["p99_us"] > 0
-        assert all(report["equivalence"].values())
-        text = capsys.readouterr().out
-        assert "speedup" in text
-        assert "identical outcomes" in text
-
-    def test_bench_json_output(self, tmp_path, capsys):
-        out = str(tmp_path / "b.json")
-        code = main(["bench", "--switches", "10", "--requests", "40",
-                     "--cvt-iterations", "2", "--repeats", "1",
-                     "--json", "-o", out])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        payload = json.loads(stdout[:stdout.rindex("}") + 1])
-        assert payload["format"] == "gred-bench-v1"
-
-
 class TestLoadtest:
     def test_quick_run_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "slo.json")
@@ -268,7 +238,7 @@ class TestLoadtest:
         code = main(["loadtest", "--quick", "--json", "-o", out])
         assert code == 0
         stdout = capsys.readouterr().out
-        # Same convention as `gred bench`: JSON, then a "wrote" line.
+        # JSON, then a "wrote" line.
         body, wrote = stdout.rsplit("\n", 2)[0], stdout.strip().split(
             "\n")[-1]
         payload = json.loads(body)
@@ -467,24 +437,3 @@ class TestLoadtestTraceOut:
             report = json.load(handle)
         assert report["trace_summary"]["spans"] == len(spans)
         assert report["config"]["trace_sample_rate"] == 0.1
-
-
-class TestBenchTelemetryGate:
-    def test_lenient_gate_passes(self, tmp_path, capsys):
-        out = str(tmp_path / "b.json")
-        code = main(["bench", "--switches", "10", "--requests", "60",
-                     "--cvt-iterations", "2", "--repeats", "1",
-                     "--max-telemetry-overhead", "100", "-o", out])
-        assert code == 0
-        assert "telemetry" in capsys.readouterr().out
-        with open(out) as handle:
-            report = json.load(handle)
-        assert report["telemetry"]["vectorized"] is True
-
-    def test_impossible_gate_fails(self, tmp_path, capsys):
-        out = str(tmp_path / "b.json")
-        code = main(["bench", "--switches", "10", "--requests", "60",
-                     "--cvt-iterations", "2", "--repeats", "1",
-                     "--max-telemetry-overhead", "-10", "-o", out])
-        assert code == 1
-        assert "max-telemetry-overhead" in capsys.readouterr().err

@@ -431,8 +431,8 @@ class TestPlaneDtypeInvariants:
 
 class TestRouteCacheEviction:
     def test_stats_cache_follows_route_lru(self, monkeypatch):
-        """Evicting a route must evict its decision-mix stats entry:
-        the stats dict can never outgrow the route LRU."""
+        """The route LRU honours its cap, and every surviving entry
+        still carries the decision mix recorded when it was walked."""
         import repro.core.network as core_network
 
         monkeypatch.setattr(core_network, "_ROUTE_CACHE_CAP", 32)
@@ -440,139 +440,9 @@ class TestRouteCacheEviction:
         net.place_many([f"cap/{i}" for i in range(300)],
                        rng=np.random.default_rng(0), copies=2)
         state = net._fastpath
-        assert len(state.routes) <= 32
-        assert len(state.stats) <= len(state.routes)
-        assert set(state.stats) <= set(state.routes)
-        # Warm hits on the survivors keep both caches aligned.
-        survivors = [key[1] for key in list(state.routes)
-                     if "#copy" not in key[1]]
-        if survivors:
-            net.retrieve_many(survivors,
-                              rng=np.random.default_rng(1))
-            assert set(state.stats) <= set(state.routes)
-
-
-class TestWorkerSharding:
-    def _clean(self, net):
-        net.close_worker_pools()
-
-    def test_sharded_place_and_retrieve_match_in_process(self):
-        single, sharded = build_pair(switches=30)
-        ids = [f"shard/{i}" for i in range(400)]
-        r1, r2 = (np.random.default_rng(3) for _ in range(2))
-        expected = single.place_many(
-            ids, payloads=[{"k": d} for d in ids], copies=2, rng=r1)
-        got = sharded.place_many(
-            ids, payloads=[{"k": d} for d in ids], copies=2, rng=r2,
-            workers=3)
-        try:
-            assert got == expected
-            assert single.load_vector() == sharded.load_vector()
-            probe = ids + [f"miss/{i}" for i in range(50)]
-            r1, r2 = (np.random.default_rng(4) for _ in range(2))
-            assert sharded.retrieve_many(probe, copies=2, rng=r2,
-                                         workers=3) == \
-                single.retrieve_many(probe, copies=2, rng=r1)
-        finally:
-            self._clean(sharded)
-
-    def test_pool_resyncs_after_control_plane_change(self):
-        single, sharded = build_pair(switches=24)
-        warm = [f"warm/{i}" for i in range(60)]
-        single.place_many(warm, rng=np.random.default_rng(1))
-        sharded.place_many(warm, rng=np.random.default_rng(1),
-                           workers=2)
-        try:
-            single.controller.recompute()
-            sharded.controller.recompute()
-            ids = [f"post/{i}" for i in range(120)]
-            r1, r2 = (np.random.default_rng(2) for _ in range(2))
-            assert sharded.place_many(ids, rng=r2, workers=2) == \
-                single.place_many(ids, rng=r1)
-            assert single.load_vector() == sharded.load_vector()
-        finally:
-            self._clean(sharded)
-
-    def test_unsynced_pool_rejects_batches(self):
-        from repro.dataplane import ShardPool
-
-        pool = ShardPool(1)
-        try:
-            with pytest.raises(RuntimeError, match="sync"):
-                pool.route_batch_packed(
-                    np.zeros(1, dtype=np.int64),
-                    np.zeros(1), np.zeros(1),
-                    np.zeros(1, dtype=np.uint64), 10)
-        finally:
-            pool.close()
-
-    def test_worker_exception_propagates(self, monkeypatch):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("needs fork to inherit the patched walker")
-        from repro.dataplane import ShardPool, shard
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("shard walker exploded")
-
-        # The worker loop calls the name bound in the shard module;
-        # fork-started workers inherit the patched binding.
-        monkeypatch.setattr(shard, "_route_batch_packed", boom)
-        net, _ = build_pair(switches=12)
-        net.destinations_for(["w/x"])
-        state = net._fast_state()
-        pool = ShardPool(2, start_method="fork")
-        try:
-            pool.sync(state.router, (state.epoch, state.version))
-            with pytest.raises(RuntimeError,
-                               match="shard walker exploded"):
-                pool.route_batch_packed(
-                    np.asarray([net.switch_ids()[0]] * 4,
-                               dtype=np.int64),
-                    np.full(4, 0.5), np.full(4, 0.5),
-                    np.arange(4, dtype=np.uint64), 64)
-        finally:
-            pool.close()
-
-    def test_telemetry_parity_under_workers(self):
-        """A sharded run emits the same shared aggregates as the
-        in-process batch path; only the ``dataplane.batch.*`` extras
-        (wave counts are per-shard) may differ."""
-        from repro.obs import MetricsRegistry, set_default_registry
-
-        def run(workers):
-            net, _ = build_pair(switches=24)
-            registry = MetricsRegistry(enabled=True)
-            previous = set_default_registry(registry)
-            try:
-                ids = [f"tp/{i}" for i in range(150)]
-                net.place_many(ids, copies=2,
-                               rng=np.random.default_rng(5),
-                               workers=workers)
-                net.retrieve_many(ids + [f"tmiss/{i}"
-                                         for i in range(30)],
-                                  copies=2,
-                                  rng=np.random.default_rng(6),
-                                  workers=workers)
-                dump = registry.to_dict(include_events=False)
-            finally:
-                net.close_worker_pools()
-                set_default_registry(previous)
-            out = {}
-            for kind in ("counters", "gauges", "histograms"):
-                out[kind] = {
-                    (e["name"], tuple(sorted(e["labels"].items()))):
-                    {k: v for k, v in e.items()
-                     if k not in ("name", "labels")}
-                    for e in dump[kind]
-                    if not e["name"].startswith("dataplane.batch.")
-                }
-            return out
-
-        single, sharded = run(None), run(2)
-        for kind in ("counters", "gauges", "histograms"):
-            assert single[kind] == sharded[kind], kind
+        assert 0 < len(state.routes) <= 32
+        for _, overlay, _, _, (greedy, vl, _) in state.routes.values():
+            assert greedy + vl == overlay
 
 
 class TestGroupedStore:
@@ -626,20 +496,18 @@ class TestGroupedStore:
 
 class TestDifferentialProperties:
     """S4: randomized differential sweep — for random topologies,
-    batch sizes, replica counts, and worker counts, the vectorized
-    (and worker-sharded) batch pipeline is byte-identical to the
-    scalar reference loop."""
+    batch sizes and replica counts, the vectorized batch pipeline is
+    byte-identical to the scalar reference loop."""
 
     @given(
         seed=st.integers(min_value=0, max_value=50),
         switches=st.integers(min_value=8, max_value=26),
         batch=st.integers(min_value=1, max_value=48),
         copies=st.integers(min_value=2, max_value=3),
-        workers=st.sampled_from([None, 2, 3]),
     )
     @settings(max_examples=8, deadline=None)
     def test_batch_pipeline_matches_scalar_reference(
-            self, reference_engine, seed, switches, batch, copies, workers):
+            self, reference_engine, seed, switches, batch, copies):
         topology, _ = brite_waxman_graph(
             switches, min_degree=3, rng=np.random.default_rng(seed))
 
@@ -655,22 +523,15 @@ class TestDifferentialProperties:
         r1, r2 = (np.random.default_rng(seed + 1) for _ in range(2))
         expected = [scalar.place(d, payload=(d, seed), copies=copies,
                                  rng=r1) for d in ids]
-        try:
-            got = vector.place_many(ids,
-                                    payloads=[(d, seed) for d in ids],
-                                    copies=copies, rng=r2,
-                                    workers=workers)
-            assert got == expected
-            assert scalar.load_vector() == vector.load_vector()
-            probe = [d for pair in zip(
-                ids, (f"m{seed}/{i}" for i in range(batch)))
-                for d in pair]
-            r1, r2 = (np.random.default_rng(seed + 2)
-                      for _ in range(2))
-            want = [scalar.retrieve(d, copies=copies, max_hops=6,
-                                    rng=r1) for d in probe]
-            assert vector.retrieve_many(probe, copies=copies,
-                                        max_hops=6, rng=r2,
-                                        workers=workers) == want
-        finally:
-            vector.close_worker_pools()
+        got = vector.place_many(ids, payloads=[(d, seed) for d in ids],
+                                copies=copies, rng=r2)
+        assert got == expected
+        assert scalar.load_vector() == vector.load_vector()
+        probe = [d for pair in zip(
+            ids, (f"m{seed}/{i}" for i in range(batch)))
+            for d in pair]
+        r1, r2 = (np.random.default_rng(seed + 2) for _ in range(2))
+        want = [scalar.retrieve(d, copies=copies, max_hops=6, rng=r1)
+                for d in probe]
+        assert vector.retrieve_many(probe, copies=copies, max_hops=6,
+                                    rng=r2) == want

@@ -33,6 +33,7 @@ from repro.core import GredError, GredNetwork
 from repro.dataplane import GredSwitch
 from repro.edge import EdgeServer
 from repro.faults import FaultInjector
+from repro.hashing import replica_ids_flat, sha256_digests
 from repro.io import (
     SnapshotError,
     from_federation_snapshot,
@@ -265,6 +266,28 @@ class TestMultiRegion:
         assert batch == scalar
         assert fed_a.load_vector() == fed_c.load_vector()
         del fed_b, scalar
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_batch_rejects_misshapen_digests(self, rows):
+        """Caller-supplied digests are checked before any shard stores
+        (a short array used to die mid-batch with an ``IndexError``,
+        a long one was accepted)."""
+        fed = make_fed(regions=2, per_region=6)
+        ids = [f"dg/{i}" for i in range(12)]
+        good = sha256_digests(replica_ids_flat(ids, 2))
+        bad = np.resize(good, (len(good) + rows, 32))
+        before = fed.load_vector()
+        with pytest.raises(GredError, match="digests must be"):
+            fed.place_many(ids, copies=2, digests=bad,
+                           rng=np.random.default_rng(1))
+        assert fed.load_vector() == before
+        with pytest.raises(GredError, match="digests must be"):
+            fed.retrieve_many(ids, copies=2, digests=bad,
+                              rng=np.random.default_rng(1))
+        assert fed.place_many(ids, copies=2, digests=good,
+                              rng=np.random.default_rng(1)) == \
+            make_fed(regions=2, per_region=6).place_many(
+                ids, copies=2, rng=np.random.default_rng(1))
 
     def test_home_region_is_hash_deterministic(self, fed3):
         for data_id in ("a", "b", "c/d"):

@@ -87,16 +87,18 @@ class TestDelaunayProperties:
     @given(distinct_points(3, 15))
     @settings(max_examples=30, deadline=None)
     def test_hull_vertices_have_edges(self, pts):
+        def det(a, b, c):
+            return abs((b[0] - a[0]) * (c[1] - a[1])
+                       - (b[1] - a[1]) * (c[0] - a[0]))
+
         # Exclude triples that are collinear up to float noise: the
         # triangulation's documented resolution limit treats slivers
         # flatter than ~1e-6 of the span as collinear chains.
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 for k in range(j + 1, len(pts)):
-                    a, b, c = pts[i], pts[j], pts[k]
-                    det = abs((b[0] - a[0]) * (c[1] - a[1])
-                              - (b[1] - a[1]) * (c[0] - a[0]))
-                    assume(det == 0.0 or det > 1e-9)
+                    flatness = det(pts[i], pts[j], pts[k])
+                    assume(flatness == 0.0 or flatness > 1e-9)
         dt = DelaunayTriangulation(pts, rng=np.random.default_rng(1))
         hull = convex_hull(pts)
         assume(len(hull) >= 3)
@@ -109,7 +111,11 @@ class TestDelaunayProperties:
             for q in pts:
                 if q in (a, b):
                     continue
-                if orient2d(a, b, q) == 0 and \
+                # Float-flat like the filter above, not the exact
+                # predicate: a triple whose determinant rounds to 0.0
+                # is a chain to the triangulation even when
+                # ``orient2d`` can still tell its sign.
+                if det(a, b, q) <= 1e-9 and \
                         min(a[0], b[0]) <= q[0] <= max(a[0], b[0]) and \
                         min(a[1], b[1]) <= q[1] <= max(a[1], b[1]):
                     return True

@@ -23,9 +23,21 @@ from repro.core import network as network_module
 from repro.dataplane import (
     CompiledRouter,
     ForwardingError,
+    Packet,
+    PacketKind,
+    TraceEventKind,
+    fastpath,
+    route_packet,
     scalar_standdown,
 )
 from repro.faults import FaultState
+from repro.hashing import (
+    data_position,
+    position_and_key,
+    positions_from_digests,
+    serials_from_digests,
+    sha256_digests,
+)
 from repro.obs import MetricsRegistry, set_default_registry
 from repro.obs import spans as span_api
 
@@ -111,18 +123,28 @@ def apply(net, step, op, a, b, c):
 
 
 def run(net, ops):
-    """Drive ``ops`` under a private enabled registry; returns every
-    outcome (or error type + text), the storage state and the registry
-    contents minus :data:`ENGINE_SPECIFIC`."""
+    return observe(net, [
+        lambda net, step=step, op=op: apply(net, step, *op)
+        for step, op in enumerate(ops)])
+
+
+def observe(net, calls):
+    """Drive ``calls`` (each takes the network) under a private enabled
+    registry; returns every outcome (or error type + text), the storage
+    state, the registry contents minus :data:`ENGINE_SPECIFIC`, the
+    demand map, and ``dataplane.batch.waves`` as it stood after each
+    call."""
     registry = MetricsRegistry(enabled=True)
     previous = set_default_registry(registry)
     outcomes = []
+    waves = []
     try:
-        for step, (op, a, b, c) in enumerate(ops):
+        for call in calls:
             try:
-                outcomes.append(apply(net, step, op, a, b, c))
+                outcomes.append(call(net))
             except (GredError, ForwardingError, ControlPlaneError) as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
+            waves.append(registry.counter("dataplane.batch.waves").value)
     finally:
         set_default_registry(previous)
     storage = [
@@ -136,7 +158,7 @@ def run(net, ops):
         for kind in ("counters", "gauges", "histograms")
         for entry in dump[kind]
         if not entry["name"].startswith(ENGINE_SPECIFIC)}
-    return outcomes, storage, instruments, dump.get("demand")
+    return outcomes, storage, instruments, dump.get("demand"), waves
 
 
 def cached_then(*events):
@@ -177,9 +199,6 @@ class TestCompiledStageMatchesReference:
         whose arrival breached the bound)."""
         net = build(3, 16)
         router = CompiledRouter(net.controller.switches)
-        from repro.dataplane import Packet, PacketKind, route_packet
-        from repro.hashing import data_position, position_and_key
-
         breaches = 0
         for i in range(60):
             data_id, entry = f"hb/{i}", net.switch_ids()[i % 16]
@@ -202,6 +221,148 @@ class TestCompiledStageMatchesReference:
                     got = str(exc)
                 assert got == want
         assert breaches
+
+
+GREEDY, VL_START, VL_RELAY = (TraceEventKind.GREEDY_FORWARD,
+                                TraceEventKind.VL_START,
+                                TraceEventKind.VL_RELAY)
+
+
+def _relay_only(net, events, route):
+    # A server-less switch is a relay, not a greedy candidate: the
+    # walk's third switch loses its servers behind the plane's back ...
+    net.controller.switches[events[1].details["next"]].num_servers = 0
+
+
+def _no_servers(net, events, route):
+    # ... or the delivery switch does.
+    net.controller.switches[route.delivery.switch].num_servers = 0
+
+
+def _unknown_switch(net, events, route):
+    del net.controller.switches[events[1].details["next"]]
+
+
+def _unknown_vl_destination(net, events, route):
+    # The first relay forgets the virtual link it is asked to carry.
+    start = events[1].details
+    net.controller.switches[start["succ"]].table.remove_virtual(
+        start["dest"])
+
+
+#: fault -> (decision shape the failing request's healthy walk must
+#: start with, what breaks the plane, hop budget of the retrieve pass).
+#: Every shape opens with a greedy forward, which a large batch takes
+#: in its first wave — so the failure itself happens mid-route, in the
+#: straggler tail.  With budget 2 the third hop of greedy / vl-start /
+#: relay breaches the bound on the chain's second relay step.
+TAIL_FAULTS = {
+    "hop-bound-in-chain": ((GREEDY, VL_START, VL_RELAY), None, 2),
+    "relay-only": ((GREEDY, GREEDY), _relay_only, None),
+    "no-servers": ((GREEDY, GREEDY), _no_servers, None),
+    "unknown-switch": ((GREEDY, GREEDY), _unknown_switch, None),
+    "unknown-vl-destination": ((GREEDY, VL_START, VL_RELAY),
+                               _unknown_vl_destination, None),
+}
+
+
+class TestStragglerTailErrors:
+    """Routes that *finish in the wave router's straggler tail* fail
+    exactly like the reference engine: same ``ForwardingError`` text,
+    same partial decision mix, same stored prefix."""
+
+    SEED, SWITCHES = 2, 24
+
+    def _far_requests(self, probe, shape):
+        """``(data_id, entry, events, route)`` of every healthy walk
+        that starts with the decisions in ``shape``."""
+        found = []
+        for i in range(40):
+            for entry in probe.switch_ids():
+                route, tracer = probe.trace_route(f"far/{i}", entry)
+                events = tracer.events()[1:]  # minus ingress
+                if tuple(e.kind for e in events[:len(shape)]) == shape:
+                    found.append((f"far/{i}", entry, events, route))
+        return found
+
+    @pytest.mark.parametrize("bulk", [20, 150],
+                             ids=["whole-batch", "last-few"])
+    @pytest.mark.parametrize("fault", sorted(TAIL_FAULTS))
+    def test_tail_failures_match_reference(self, reference_engine,
+                                           fault, bulk):
+        shape, sabotage, budget = TAIL_FAULTS[fault]
+        probe = build(self.SEED, self.SWITCHES)
+        (bad_id, bad_entry, events, route), *others = \
+            self._far_requests(probe, shape)
+        broken = build(self.SEED, self.SWITCHES)
+        if sabotage is not None:
+            sabotage(broken, events, route)
+        # Requests that enter at their own delivery switch finish in
+        # the first wave; a healthy far walk, the failing one and one
+        # more request then straggle (or, with under _WAVE_MIN_ACTIVE
+        # requests, the whole batch does, from its entry switches).
+        ids = [f"bulk/{i}" for i in range(400)]
+        homes = probe.destinations_for(ids)
+        near = [(d, home) for d, home in zip(ids, homes)
+                if home in broken.controller.switches
+                and broken.controller.switches[home].in_dt][:bulk]
+        healthy = next(
+            (d, e) for d, e, _, r in others
+            if d != bad_id and not {bad_entry, *route.trace[1:]}
+            & set(r.trace))
+        requests = near + [healthy, (bad_id, bad_entry), near[0]]
+        ids = [d for d, _ in requests]
+        entries = [e for _, e in requests]
+
+        def sabotaged():
+            net = build(self.SEED, self.SWITCHES)
+            if sabotage is not None:
+                sabotage(net, events, route)
+            return net
+
+        want = observe(reference_engine(sabotaged()), [
+            lambda net: [net.place(d, payload=d, entry_switch=e)
+                         for d, e in requests],
+            lambda net: [net.retrieve(d, entry_switch=e, max_hops=budget)
+                         for d, e in requests]])
+        got = observe(sabotaged(), [
+            lambda net: net.place_many(ids, payloads=ids,
+                                       entry_switches=entries),
+            lambda net: net.retrieve_many(ids, entry_switches=entries,
+                                          max_hops=budget)])
+        assert got[:4] == want[:4]
+        placed, retrieved = got[0]
+        if sabotage is not None:
+            assert placed[0] == "ForwardingError"
+        assert not retrieved[-2].found
+        # One wave when the whole batch straggles from its entries;
+        # one vectorized wave plus the tail when only the far walks do.
+        assert got[4][0] == (1 if bulk < fastpath._WAVE_MIN_ACTIVE else 2)
+
+    def test_hop_bound_text_from_the_tail(self):
+        """``retrieve_many`` swallows a failed probe's message, so the
+        text of a bound breached inside a relay chain, mid-route, is
+        read off the router."""
+        net = build(self.SEED, self.SWITCHES)
+        data_id, entry, _, _ = self._far_requests(
+            net, TAIL_FAULTS["hop-bound-in-chain"][0])[0]
+        ids = [f"bulk/{i}" for i in range(150)]
+        homes = net.destinations_for(ids)
+        digests = sha256_digests(ids + [data_id])
+        positions = positions_from_digests(digests)
+        router = CompiledRouter(net.controller.switches)
+        got = router.route_batch(
+            homes + [entry], ids + [data_id], positions[:, 0],
+            positions[:, 1], serials_from_digests(digests), max_hops=2)
+        assert router.last_batch_waves == 2
+        with pytest.raises(ForwardingError) as want:
+            route_packet(net.controller.switches, entry,
+                         Packet(kind=PacketKind.RETRIEVAL,
+                                data_id=data_id,
+                                position=data_position(data_id)),
+                         max_hops=2)
+        assert str(got[-1]) == str(want.value)
+        assert all(type(outcome) is tuple for outcome in got[:-1])
 
 
 @pytest.fixture

@@ -167,21 +167,3 @@ class TestFastPathStaysFast:
         finally:
             net.fault_state = None
             set_default_registry(previous)
-
-
-class TestBenchTelemetrySection:
-    def test_report_measures_overhead_and_proves_vectorized(self):
-        from repro.bench import BenchConfig, run_bench
-
-        config = BenchConfig(switches=12, requests=80,
-                             cvt_iterations=3, repeats=1)
-        report = run_bench(config)
-        telemetry = report["telemetry"]
-        assert telemetry["vectorized"] is True
-        assert telemetry["batch_waves"] > 0
-        for op in ("placement", "retrieval"):
-            section = telemetry[op]
-            assert section["off_seconds"] > 0
-            assert section["on_seconds"] > 0
-            assert isinstance(section["overhead_fraction"], float)
-        assert all(report["equivalence"].values())
