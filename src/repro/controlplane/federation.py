@@ -28,7 +28,6 @@ built from the same topology, server map and seed as a monolithic
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +38,7 @@ from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
 from ..hashing import data_position, replica_id, replica_ids_flat
 from ..hashing.batch import positions_from_digests, sha256_digests
+from ..obs import HOP_BUCKETS, default_registry
 from .region import RegionError, RegionMap
 from .routing_index import RoutingIndex
 from .southbound import Probe, RecordingChannel
@@ -78,6 +78,12 @@ class RegionShard:
                 f"switches={len(self.members)})")
 
 
+#: Two site distances closer than this count as a tie for
+#: :meth:`FederatedController.home_regions` (float rounding in a
+#: distance is ~1e-16; the band only decides who takes the exact path).
+_TIE_BAND = 1e-9
+
+
 def _region_sites(region_graph: Graph) -> Dict[int, Tuple[float, float]]:
     """Coarse top-level embedding: region sites in the unit square.
 
@@ -115,6 +121,12 @@ class FederatedController:
         self._sites = _region_sites(region_map.region_graph)
         self._region_index = RoutingIndex(sorted(self._sites),
                                           self._sites)
+        #: Region ids and their site coordinates as parallel arrays
+        #: (the overlay is static, so these never change).
+        self._site_ids = sorted(self._sites)
+        self._site_xy = np.asarray(
+            [self._sites[rid] for rid in self._site_ids],
+            dtype=np.float64)
 
     # ------------------------------------------------------------------
     # region resolution
@@ -140,6 +152,29 @@ class FederatedController:
         if len(self.shards) == 1:
             return next(iter(self.shards))
         return self._region_index.closest(position)
+
+    def home_regions(self, positions: np.ndarray) -> List[int]:
+        """Batch :meth:`home_region` over ``(n, 2)`` positions: one
+        ``(n, regions)`` distance matrix and an ``argmin``.
+
+        ``np.hypot`` may differ from the index's ``math.hypot`` in the
+        last bit, so only a clear winner is trusted: a row whose two
+        best distances lie within ``_TIE_BAND`` of each other goes to
+        the exact :meth:`RoutingIndex.closest`, which keeps the
+        paper's ``(distance, x, y)`` tie-break bit-exact."""
+        if len(self.shards) == 1:
+            return [next(iter(self.shards))] * len(positions)
+        sites = self._site_xy
+        dist = np.hypot(positions[:, 0:1] - sites[:, 0],
+                        positions[:, 1:2] - sites[:, 1])
+        ids = self._site_ids
+        homes = [ids[k] for k in dist.argmin(axis=1).tolist()]
+        dist.partition(1, axis=1)
+        for f in np.flatnonzero(
+                dist[:, 1] - dist[:, 0] <= _TIE_BAND).tolist():
+            homes[f] = self._region_index.closest(
+                (positions[f, 0], positions[f, 1]))
+        return homes
 
     def controller(self, region: int):
         return self.shards[region].controller
@@ -379,15 +414,14 @@ class FederatedNetwork:
     # ------------------------------------------------------------------
     # entry resolution (mirrors GredNetwork)
     # ------------------------------------------------------------------
+    def _alive(self, region: int, switch: int) -> bool:
+        fault = self.shards[region].net.fault_state
+        return fault is None or fault.switch_alive(switch)
+
     def _entry_pool(self) -> List[int]:
-        ids = []
-        for rid in sorted(self.shards):
-            shard = self.shards[rid]
-            fault = shard.net.fault_state
-            for s in shard.net.switch_ids():
-                if fault is None or fault.switch_alive(s):
-                    ids.append(s)
-        return ids
+        return [s for rid in sorted(self.shards)
+                for s in self.shards[rid].net.switch_ids()
+                if self._alive(rid, s)]
 
     def _resolve_entry(self, entry_switch: Optional[int],
                        rng: Optional[np.random.Generator]) -> int:
@@ -397,8 +431,7 @@ class FederatedNetwork:
             rid = self.controller._assignment.get(entry_switch)
             if rid is None:
                 raise GredError(f"unknown entry switch {entry_switch}")
-            fault = self.shards[rid].net.fault_state
-            if fault is not None and not fault.switch_alive(entry_switch):
+            if not self._alive(rid, entry_switch):
                 raise GredError(
                     f"entry switch {entry_switch} has crashed; requests "
                     f"must enter at a live access point"
@@ -448,6 +481,10 @@ class FederatedNetwork:
         cur = entry
         for a, b in zip(path, path[1:]):
             egress, ingress = self.region_map.gateway(a, b)
+            if not (self._alive(a, egress) and self._alive(b, ingress)):
+                # A crashed gateway takes its overlay link down (and
+                # a shard refuses requests entering at a dead switch).
+                return None
             if cur != egress:
                 trace.extend(self._leg(a, cur, egress)[1:])
             trace.append(ingress)
@@ -475,12 +512,76 @@ class FederatedNetwork:
         return leg
 
     # ------------------------------------------------------------------
+    # per-shard requests (shared by the scalar and the batch calls)
+    # ------------------------------------------------------------------
+    def _unreachable(self, home: int, copy_id: str):
+        from ..core import GredError
+
+        return GredError(
+            f"region {home} is unreachable over the gateway "
+            f"overlay; cannot place {copy_id}"
+        )
+
+    @staticmethod
+    def _count_requests(registry, region: int, intra: int,
+                        crossings: Sequence[int]) -> None:
+        """Federation telemetry for the requests one home shard was
+        just handed: ``intra`` from its own switches, one cross-region
+        request per entry of ``crossings`` (its gateway crossings)."""
+        if intra:
+            registry.counter(
+                "federation.requests",
+                help="Requests handed to a home shard",
+                region=region, scope="intra").inc(intra)
+        if crossings:
+            registry.counter(
+                "federation.requests",
+                help="Requests handed to a home shard",
+                region=region, scope="cross").inc(len(crossings))
+            registry.histogram(
+                "federation.overlay_hops",
+                help="Gateway crossings per cross-region request",
+                buckets=HOP_BUCKETS).observe_many(crossings)
+
+    @staticmethod
+    def _carry_record(record, entry: int, stitched):
+        """Prepend the gateway prefix to a home shard's placement
+        record (in place: the shard built it for this request)."""
+        prefix, _, crossings = stitched
+        record.entry_switch = entry
+        record.physical_hops += len(prefix) - 1
+        record.overlay_hops += crossings
+        record.trace = prefix[:-1] + record.trace
+        return record
+
+    @staticmethod
+    def _carry_probe(result, data_id: str, copy_index: int,
+                     attempts: int, entry: int, stitched):
+        """Turn a home shard's answer for one replica id (copy 0 of
+        itself, first attempt) back into the outcome of probing copy
+        ``copy_index`` of ``data_id``, gateway prefix included.
+        ``None`` when the shard could not route the probe."""
+        if result.destination_switch is None:
+            return None
+        result.data_id = data_id
+        result.copy_used = copy_index
+        result.attempts = attempts
+        if stitched is not None:
+            prefix = stitched[0]
+            result.entry_switch = entry
+            result.request_hops += len(prefix) - 1
+            if result.found:
+                result.response_hops += len(prefix) - 1
+            result.trace = prefix[:-1] + result.trace
+        return result
+
+    # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
               rng: Optional[np.random.Generator] = None):
-        from ..core import GredError, GredNetwork
+        from ..core import GredError
         from ..core.results import PlacementResult
 
         if self._mono is not None:
@@ -497,32 +598,26 @@ class FederatedNetwork:
         return PlacementResult(data_id=data_id, records=records)
 
     def _place_copy(self, copy_id: str, payload: Any, entry: int):
-        from ..core import GredError
-        from ..core.results import PlacementRecord
-
+        """One replica, placed by its home shard as the single-copy
+        item it is there (a replica id is copy 0 of itself)."""
         home = self.controller.home_region(data_position(copy_id))
-        if home == self.region_of(entry):
-            return self.shards[home].net._place_one(copy_id, payload,
-                                                    entry)
-        stitched = self._stitch(entry, home)
+        stitched = None
+        if home != self.region_of(entry):
+            stitched = self._stitch(entry, home)
+            if stitched is None:
+                raise self._unreachable(home, copy_id)
+        registry = default_registry()
+        if registry.enabled:
+            self._count_requests(
+                registry, home, stitched is None,
+                () if stitched is None else (stitched[2],))
+        record = self.shards[home].net.place(
+            copy_id, payload=payload,
+            entry_switch=entry if stitched is None else stitched[1],
+        ).records[0]
         if stitched is None:
-            raise GredError(
-                f"region {home} is unreachable over the gateway "
-                f"overlay; cannot place {copy_id}"
-            )
-        prefix, ingress, crossings = stitched
-        rec = self.shards[home].net._place_one(copy_id, payload, ingress)
-        return PlacementRecord(
-            data_id=copy_id,
-            entry_switch=entry,
-            destination_switch=rec.destination_switch,
-            server_id=rec.server_id,
-            physical_hops=len(prefix) - 1 + rec.physical_hops,
-            overlay_hops=rec.overlay_hops + crossings,
-            trace=prefix[:-1] + rec.trace,
-            extended=rec.extended,
-            hinted=rec.hinted,
-        )
+            return record
+        return self._carry_record(record, entry, stitched)
 
     def place_many(self, data_ids: Sequence[str],
                    payloads: Optional[Sequence[Any]] = None,
@@ -530,9 +625,19 @@ class FederatedNetwork:
                    copies: int = 1,
                    rng: Optional[np.random.Generator] = None,
                    digests: Optional[np.ndarray] = None):
-        """Batch placement, grouped by home region: intra-region
-        requests ride each shard's vectorized fast path; cross-region
-        requests are stitched through the gateway overlay."""
+        """Batch placement: one grouped pass per home region.
+
+        Every replica is resolved to its home region in one vectorized
+        pass, cross-region replicas are stitched to the home's ingress
+        gateway (once per distinct ``(entry, home)`` pair), and each
+        home shard then places all of its replicas, cross-region and
+        intra-region alike, in request order in a single vectorized
+        ``place_many``.  Results and stored state equal a loop of
+        :meth:`place` over the items.
+
+        Fails closed: an unreachable home region raises before any
+        shard stores anything.
+        """
         from ..core import GredError, GredNetwork
         from ..core.results import PlacementResult
 
@@ -556,37 +661,53 @@ class FederatedNetwork:
         flat_ids = replica_ids_flat(data_ids, copies)
         if digests is None:
             digests = sha256_digests(flat_ids)
-        positions = positions_from_digests(digests)
-        homes = [
-            self.controller.home_region(
-                (positions[f, 0], positions[f, 1]))
-            for f in range(len(flat_ids))
-        ]
-        records: List[Any] = [None] * len(flat_ids)
-        buckets: Dict[int, List[int]] = {}
-        for f, flat_id in enumerate(flat_ids):
+        homes = self.controller.home_regions(
+            positions_from_digests(digests))
+        assignment = self.controller._assignment
+        # Stitches are memoized for this call only: the leg cache and
+        # ``serving()`` keep their own invalidation rules.
+        stitches: Dict[Tuple[int, int], Any] = {}
+        # home region -> (flat rows, their stitches; None = intra),
+        # in request order: each shard stores exactly the sequence a
+        # loop of ``place`` calls would hand it.
+        plan: Dict[int, Tuple[List[int], List[Any]]] = {}
+        for f, home in enumerate(homes):
             entry = entries[f // copies]
-            if homes[f] == self.region_of(entry):
-                buckets.setdefault(homes[f], []).append(f)
-            else:
-                records[f] = self._place_copy(
-                    flat_id,
-                    payloads[f // copies] if payloads is not None
-                    else None,
-                    entry)
-        for rid in sorted(buckets):
-            flats = buckets[rid]
-            sub_digests = digests[np.asarray(flats, dtype=np.intp)]
+            stitched = None
+            if assignment[entry] != home:
+                stitched = stitches.get((entry, home))
+                if stitched is None:
+                    stitched = self._stitch(entry, home)
+                    if stitched is None:
+                        raise self._unreachable(home, flat_ids[f])
+                    stitches[entry, home] = stitched
+            flats, hows = plan.setdefault(home, ([], []))
+            flats.append(f)
+            hows.append(stitched)
+        registry = default_registry()
+        records: List[Any] = [None] * len(flat_ids)
+        for rid in sorted(plan):
+            flats, hows = plan[rid]
+            if registry.enabled:
+                crossings = [s[2] for s in hows if s is not None]
+                self._count_requests(
+                    registry, rid, len(flats) - len(crossings),
+                    crossings)
             results = self.shards[rid].net.place_many(
                 [flat_ids[f] for f in flats],
                 payloads=([payloads[f // copies] for f in flats]
                           if payloads is not None else None),
-                entry_switches=[entries[f // copies] for f in flats],
+                entry_switches=[
+                    entries[f // copies] if s is None else s[1]
+                    for f, s in zip(flats, hows)],
                 copies=1,
-                digests=sub_digests,
+                digests=digests[np.asarray(flats, dtype=np.intp)],
             )
-            for f, result in zip(flats, results):
-                records[f] = result.records[0]
+            for f, stitched, result in zip(flats, hows, results):
+                record = records[f] = result.records[0]
+                if stitched is not None:
+                    self._carry_record(record, entries[f // copies],
+                                       stitched)
         return [
             PlacementResult(
                 data_id=data_id,
@@ -615,26 +736,33 @@ class FederatedNetwork:
         homes = [self.home_region_of(data_id, i) for i in range(copies)]
         entry_region = self.region_of(entry)
         if all(h == entry_region for h in homes):
+            registry = default_registry()
+            if registry.enabled:
+                self._count_requests(registry, entry_region, 1, ())
             return self.shards[entry_region].net.retrieve(
                 data_id, entry_switch=entry, copies=copies,
                 max_hops=max_hops, read_repair=read_repair)
         return self._retrieve_federated(data_id, entry, copies, homes,
                                         max_hops)
 
+    def _probe_order(self, entry_region: int,
+                     homes: Sequence[int]) -> List[int]:
+        """Copy indices region-nearest-first (ties by index)."""
+        if len(homes) == 1:
+            return [0]
+        hops = self.controller.overlay_hops
+        return sorted(range(len(homes)),
+                      key=lambda i: (hops(entry_region, homes[i]), i))
+
     def _retrieve_federated(self, data_id: str, entry: int, copies: int,
                             homes: List[int],
                             max_hops: Optional[int]):
         """Region-nearest-first failover walk across shards."""
-        from ..core.results import RetrievalResult
+        from ..core import GredNetwork
 
-        entry_region = self.region_of(entry)
-        order = sorted(
-            range(copies),
-            key=lambda i: (
-                self.controller.overlay_hops(entry_region, homes[i]), i)
-        )
+        order = self._probe_order(self.region_of(entry), homes)
         attempts = 0
-        last_miss: Optional[RetrievalResult] = None
+        last_miss = None
         for i in order:
             attempts += 1
             result = self._probe_copy(data_id, i, homes[i], entry,
@@ -646,49 +774,32 @@ class FederatedNetwork:
             last_miss = result
         if last_miss is not None:
             return last_miss
-        return RetrievalResult(
-            data_id=data_id, found=False, payload=None,
-            entry_switch=entry, destination_switch=None, server_id=None,
-            request_hops=0, response_hops=0, trace=[],
-            copy_used=order[-1], forked=False, attempts=attempts,
-        )
+        return GredNetwork._unroutable(data_id, entry, order[-1],
+                                       attempts)
 
     def _probe_copy(self, data_id: str, copy_index: int, home: int,
                     entry: int, attempts: int,
                     max_hops: Optional[int]):
-        from ..core.results import RetrievalResult
-
-        if home == self.region_of(entry):
-            return self.shards[home].net.probe_replica(
-                data_id, copy_index, entry, max_hops=max_hops,
-                attempts=attempts)
-        if not self.shards[home].serving():
-            return None
-        stitched = self._stitch(entry, home)
-        if stitched is None:
-            return None
-        prefix, ingress, crossings = stitched
-        result = self.shards[home].net.probe_replica(
-            data_id, copy_index, ingress, max_hops=max_hops,
-            attempts=attempts)
-        if result is None:
-            return None
-        prefix_hops = len(prefix) - 1
-        return RetrievalResult(
-            data_id=data_id,
-            found=result.found,
-            payload=result.payload,
-            entry_switch=entry,
-            destination_switch=result.destination_switch,
-            server_id=result.server_id,
-            request_hops=result.request_hops + prefix_hops,
-            response_hops=(result.response_hops + prefix_hops
-                           if result.found else 0),
-            trace=prefix[:-1] + result.trace,
-            copy_used=copy_index,
-            forked=result.forked,
-            attempts=attempts,
-        )
+        """Probe one replica at its home shard; ``None`` when the
+        home is not serving, unreachable, or could not route it."""
+        stitched = None
+        if home != self.region_of(entry):
+            if not self.shards[home].serving():
+                return None
+            stitched = self._stitch(entry, home)
+            if stitched is None:
+                return None
+        registry = default_registry()
+        if registry.enabled:
+            self._count_requests(
+                registry, home, stitched is None,
+                () if stitched is None else (stitched[2],))
+        result = self.shards[home].net.retrieve(
+            replica_id(data_id, copy_index),
+            entry_switch=entry if stitched is None else stitched[1],
+            max_hops=max_hops)
+        return self._carry_probe(result, data_id, copy_index, attempts,
+                                 entry, stitched)
 
     def retrieve_many(self, data_ids: Sequence[str],
                       entry_switches: Optional[Sequence[int]] = None,
@@ -696,10 +807,19 @@ class FederatedNetwork:
                       rng: Optional[np.random.Generator] = None,
                       max_hops: Optional[int] = None,
                       digests: Optional[np.ndarray] = None):
-        """Batch retrieval, grouped by home region: items whose every
-        replica lives in the entry's own region ride that shard's
-        vectorized fast path; the rest take the stitched cross-region
-        walk."""
+        """Batch retrieval in probe waves, one grouped pass per home
+        region and wave.
+
+        An item whose every replica lives in its entry's own region is
+        answered whole by that shard.  Any other item is probed one
+        replica per wave, region-nearest-first: wave *k* hands each
+        still-unresolved item's *k*-th replica to its home shard (at
+        the ingress gateway when it lives in another region), skipping
+        homes that are not serving or unreachable.  Each shard answers
+        its share of a wave in a single vectorized ``retrieve_many``;
+        ``copies=1`` is a single wave.  Results equal a loop of
+        :meth:`retrieve` over the items.
+        """
         from ..core import GredError, GredNetwork
 
         if self._mono is not None:
@@ -716,36 +836,93 @@ class FederatedNetwork:
         flat_ids = replica_ids_flat(data_ids, copies)
         if digests is None:
             digests = sha256_digests(flat_ids)
-        positions = positions_from_digests(digests)
-        results: List[Any] = [None] * len(data_ids)
-        buckets: Dict[int, List[int]] = {}
-        for i, data_id in enumerate(data_ids):
-            entry_region = self.region_of(entries[i])
-            homes = [
-                self.controller.home_region(
-                    (positions[i * copies + c, 0],
-                     positions[i * copies + c, 1]))
-                for c in range(copies)
-            ]
-            if all(h == entry_region for h in homes):
-                buckets.setdefault(entry_region, []).append(i)
-            else:
-                results[i] = self._retrieve_federated(
-                    data_id, entries[i], copies, homes, max_hops)
-        for rid in sorted(buckets):
-            items = buckets[rid]
-            flats = [i * copies + c for i in items
-                     for c in range(copies)]
-            sub_digests = digests[np.asarray(flats, dtype=np.intp)]
-            shard_results = self.shards[rid].net.retrieve_many(
-                [data_ids[i] for i in items],
-                entry_switches=[entries[i] for i in items],
-                copies=copies,
-                max_hops=max_hops,
-                digests=sub_digests,
-            )
-            for i, result in zip(items, shard_results):
-                results[i] = result
+        homes = self.controller.home_regions(
+            positions_from_digests(digests))
+        assignment = self.controller._assignment
+        count = len(data_ids)
+        # Per item, the copy indices to probe in order; ``None`` marks
+        # an item its entry shard answers whole (all replicas local).
+        orders: List[Optional[List[int]]] = []
+        for i, entry in enumerate(entries):
+            region = assignment[entry]
+            item_homes = homes[i * copies:(i + 1) * copies]
+            orders.append(
+                None if all(h == region for h in item_homes)
+                else self._probe_order(region, item_homes))
+        registry = default_registry()
+        # Memoized for this call only, like ``place_many``'s.
+        stitches: Dict[Tuple[int, int], Any] = {}
+        serving: Dict[int, bool] = {}
+        results: List[Any] = [None] * count
+        attempts = [0] * count
+        pending = list(range(count))
+        for wave in range(copies):
+            # (home region, copies per row) -> [(item, copy, stitch)]
+            groups: Dict[Tuple[int, int], List[Any]] = {}
+            for i in pending:
+                order = orders[i]
+                entry = entries[i]
+                if order is None:
+                    groups.setdefault((assignment[entry], copies),
+                                      []).append((i, 0, None))
+                    continue
+                attempts[i] += 1
+                c = order[wave]
+                home = homes[i * copies + c]
+                stitched = None
+                if home != assignment[entry]:
+                    if home not in serving:
+                        serving[home] = self.shards[home].serving()
+                    if not serving[home]:
+                        continue
+                    if (entry, home) not in stitches:
+                        stitches[entry, home] = self._stitch(entry,
+                                                             home)
+                    stitched = stitches[entry, home]
+                    if stitched is None:
+                        continue
+                groups.setdefault((home, 1), []).append(
+                    (i, c, stitched))
+            done = set()
+            for rid, width in sorted(groups):
+                rows = groups[rid, width]
+                if registry.enabled:
+                    crossings = [s[2] for _, _, s in rows
+                                 if s is not None]
+                    self._count_requests(
+                        registry, rid, len(rows) - len(crossings),
+                        crossings)
+                flats = [i * copies + c + k for i, c, _ in rows
+                         for k in range(width)]
+                answers = self.shards[rid].net.retrieve_many(
+                    [flat_ids[i * copies + c] for i, c, _ in rows],
+                    entry_switches=[
+                        entries[i] if s is None else s[1]
+                        for i, _, s in rows],
+                    copies=width,
+                    max_hops=max_hops,
+                    digests=digests[np.asarray(flats, dtype=np.intp)],
+                )
+                for (i, c, stitched), answer in zip(rows, answers):
+                    if orders[i] is None:
+                        results[i] = answer
+                        done.add(i)
+                        continue
+                    answer = self._carry_probe(
+                        answer, data_ids[i], c, attempts[i],
+                        entries[i], stitched)
+                    if answer is not None:
+                        results[i] = answer  # found, or the latest miss
+                        if answer.found:
+                            done.add(i)
+            pending = [i for i in pending if i not in done]
+            if not pending:
+                break
+        for i in pending:
+            if results[i] is None:
+                results[i] = GredNetwork._unroutable(
+                    data_ids[i], entries[i], orders[i][-1],
+                    attempts[i])
         return results
 
     # ------------------------------------------------------------------

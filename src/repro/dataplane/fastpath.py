@@ -274,9 +274,7 @@ class _FlatPlane:
 class _CompiledSwitch:
     """Per-switch state flattened for the hot loop."""
 
-    __slots__ = ("x", "y", "in_dt", "num_servers", "cands", "table",
-                 "cand_x", "cand_y", "cand_kind", "cand_nid",
-                 "neighbors_known")
+    __slots__ = ("x", "y", "in_dt", "num_servers", "cands", "table")
 
     def __init__(self, switch: GredSwitch) -> None:
         self.x = switch.position[0]
@@ -298,10 +296,6 @@ class _CompiledSwitch:
                 cands.append((pos[0], pos[1], 1, nid))
         cands.sort()
         self.cands = cands
-        self.cand_x = np.array([c[0] for c in cands], dtype=np.float64)
-        self.cand_y = np.array([c[1] for c in cands], dtype=np.float64)
-        self.cand_kind = np.array([c[2] for c in cands], dtype=np.int64)
-        self.cand_nid = np.array([c[3] for c in cands], dtype=np.int64)
 
 
 class _RouteFailure(Exception):
@@ -736,12 +730,6 @@ class CompiledRouter:
         self._states: Dict[int, _CompiledSwitch] = {
             sid: _CompiledSwitch(sw) for sid, sw in switches.items()
         }
-        for state in self._states.values():
-            # Lets the wave router skip the unknown-neighbor check in
-            # its hot loop (it stays exact: a False flag falls back to
-            # the per-candidate check the scalar walker performs).
-            state.neighbors_known = all(
-                nid in self._states for nid in state.cand_nid.tolist())
         self._default_max_hops = 4 * len(switches) + 16
         # (switch, dest) -> relay chain (first relay ... dest).
         self._chains: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -805,22 +793,14 @@ class CompiledRouter:
                 and not affected.intersection(chain)
             }
         if membership_changed:
-            for state in states.values():
-                state.neighbors_known = all(
-                    nid in states for nid in state.cand_nid.tolist())
             self._flat = None
-        else:
-            for sid in touched:
-                state = states[sid]
-                state.neighbors_known = all(
-                    nid in states for nid in state.cand_nid.tolist())
+        elif self._flat is not None:
+            self._flat = self._patched_flat(touched)
             if self._flat is not None:
-                self._flat = self._patched_flat(touched)
-                if self._flat is not None:
-                    # Patched rows may carry different virtual-link
-                    # candidates and the chain cache was pruned above;
-                    # rebuild the CSR arrays on next use.
-                    self._flat.invalidate_chains()
+                # Patched rows may carry different virtual-link
+                # candidates and the chain cache was pruned above;
+                # rebuild the CSR arrays on next use.
+                self._flat.invalidate_chains()
         self.patch_events += 1
 
     def _patched_flat(self, touched) -> Optional[_FlatPlane]:

@@ -1,7 +1,12 @@
 """Federated control plane: region shards + gateway overlay.
 
-Four claims, each with a differential or adversarial test:
+Five claims, each with a differential or adversarial test:
 
+0. **Batch ≡ scalar loop** — `place_many` / `retrieve_many` (one
+   grouped pass per home region) leave results, per-server storage,
+   replica stamps and the metrics registry equal to a loop of scalar
+   `place` / `retrieve` on a twin, healthy, with a crashed switch and
+   with a dead region; `home_regions` ≡ `home_region` per position.
 1. **1-region identity** — a `FederatedNetwork` with one region is the
    monolithic `GredNetwork` byte for byte: placement records,
    retrieval results, load vectors and southbound message streams.
@@ -18,7 +23,7 @@ Four claims, each with a differential or adversarial test:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import (
@@ -34,6 +39,7 @@ from repro.dataplane import GredSwitch
 from repro.edge import EdgeServer
 from repro.faults import FaultInjector
 from repro.hashing import replica_ids_flat, sha256_digests
+from repro.obs import MetricsRegistry, set_default_registry
 from repro.io import (
     SnapshotError,
     from_federation_snapshot,
@@ -46,6 +52,7 @@ from repro.topology import (
     partition_regions,
     region_members,
 )
+from test_telemetry_parity import _normalize
 
 
 def canonical_state(switch):
@@ -298,6 +305,274 @@ class TestMultiRegion:
 
     def test_verify_clean(self, fed3):
         assert fed3.controller.verify() == []
+
+
+# ---------------------------------------------------------------------
+# batch region resolve == scalar region resolve
+# ---------------------------------------------------------------------
+class TestHomeRegions:
+    def test_matches_scalar_on_random_positions(self, monkeypatch):
+        controller = make_fed(regions=4, per_region=6).controller
+        positions = np.random.default_rng(0).random((50_000, 2))
+        closest = controller._region_index.closest
+        calls = []
+        monkeypatch.setattr(
+            controller._region_index, "closest",
+            lambda point: calls.append(point) or closest(point))
+        got = controller.home_regions(positions)
+        monkeypatch.undo()
+        assert got == [controller.home_region((x, y))
+                       for x, y in positions.tolist()]
+        # The exact index is the tie-band fallback, not the resolver.
+        assert len(calls) <= len(positions) // 100
+
+    @pytest.mark.parametrize("regions", [2, 3, 4])
+    def test_ties_and_near_ties_take_the_exact_rule(self, regions):
+        """Points on a bisector of two sites: exact float ties (found
+        by search — a bare argmin gets a share of them wrong) and
+        points pushed 1e-12 off the bisector."""
+        import itertools
+        import math
+
+        controller = make_fed(regions=regions, per_region=6).controller
+        sites = controller.sites
+        ties, near = [], []
+        for a, b in itertools.combinations(sorted(sites), 2):
+            (ax, ay), (bx, by) = sites[a], sites[b]
+            mx, my = (ax + bx) / 2, (ay + by) / 2
+            for t in np.linspace(-1.0, 1.0, 801).tolist():
+                x, y = mx - t * (by - ay), my + t * (bx - ax)
+                if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+                    continue
+                da = math.hypot(x - ax, y - ay)
+                if da == math.hypot(x - bx, y - by) == min(
+                        math.hypot(x - sx, y - sy)
+                        for sx, sy in sites.values()):
+                    ties.append((x, y))
+                near.append((x + 1e-12 * (bx - ax),
+                             y + 1e-12 * (by - ay)))
+        assert ties, "no exact float tie on any bisector"
+        for points in (ties, near):
+            assert controller.home_regions(np.asarray(points)) == \
+                [controller.home_region(p) for p in points]
+
+
+# ---------------------------------------------------------------------
+# differential: federated batch == federated scalar loop
+# ---------------------------------------------------------------------
+def storage_state(fed):
+    """Per server: items in insertion order, their stamps, hints."""
+    return {
+        server.server_id: (
+            [(d, server.retrieve(d), server.stamp_of(d))
+             for d in server.stored_ids()],
+            server.hints(),
+        )
+        for rid in sorted(fed.shards)
+        for server in fed.shard(rid).net.servers()
+    }
+
+
+def registry_state(registry):
+    """Registry aggregates minus the batch-only extras."""
+    dump = _normalize(registry.to_dict(include_events=False))
+    dump["counters"] = {
+        key: value for key, value in dump["counters"].items()
+        if key[0] != "dataplane.fastpath_standdowns"}
+    return dump
+
+
+def crash_member(fed, region_index):
+    """Crash one non-gateway switch of a region (hinted handoff on, so
+    placements homed on it park instead of raising)."""
+    rid = fed.controller.region_map.region_ids[region_index]
+    shard = fed.shard(rid)
+    shard.net.hinted_handoff = True
+    victim = next(s for s in shard.net.switch_ids()
+                  if s not in shard.gateways)
+    FaultInjector.for_region(fed, rid).crash_switch(victim)
+    return victim
+
+
+def kill_region(fed, region_index):
+    rid = fed.controller.region_map.region_ids[region_index]
+    injector = FaultInjector.for_region(fed, rid)
+    for switch in fed.shard(rid).net.switch_ids():
+        injector.crash_switch(switch)
+    return rid
+
+
+WORKLOAD = st.fixed_dictionaries({
+    "regions": st.integers(min_value=3, max_value=4),
+    "copies": st.integers(min_value=1, max_value=3),
+    "keys": st.lists(st.integers(min_value=0, max_value=60),
+                     min_size=1, max_size=120),
+    "payloads": st.booleans(),
+    "prehashed": st.booleans(),
+    "variant": st.sampled_from(["healthy", "crashed-switch",
+                                "dead-region"]),
+    "seed": st.integers(min_value=0, max_value=2 ** 16),
+})
+
+
+class TestBatchEqualsScalarLoop:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(w=WORKLOAD)
+    # Shards see > 96 rows each: past the straggler tail, on the waves.
+    @example(w={"regions": 3, "copies": 3, "payloads": True,
+                "keys": list(range(61)) + list(range(59)),
+                "prehashed": True, "variant": "healthy", "seed": 1})
+    @example(w={"regions": 4, "copies": 2, "payloads": True,
+                "keys": list(range(61)) * 2, "prehashed": False,
+                "variant": "crashed-switch", "seed": 2})
+    def test_place_many_and_retrieve_many(self, w, reference_engine):
+        copies = w["copies"]
+        batch = make_fed(regions=w["regions"], per_region=8, cvt=3)
+        scalar = make_fed(regions=w["regions"], per_region=8, cvt=3)
+        for shard in scalar.shards.values():
+            reference_engine(shard.net)  # the scalar side is the oracle
+        dead = set()
+        if w["variant"] == "crashed-switch":
+            dead = {crash_member(batch, 1), crash_member(scalar, 1)}
+        ids = [f"diff/{k}" for k in w["keys"]]  # duplicates included
+        payloads = ([{"i": i, "id": d} for i, d in enumerate(ids)]
+                    if w["payloads"] else None)
+        live = [s for s in batch.switch_ids() if s not in dead]
+        rng = np.random.default_rng(w["seed"])
+        entries = [live[int(v)]
+                   for v in rng.integers(0, len(live), size=len(ids))]
+        digests = (sha256_digests(replica_ids_flat(ids, copies))
+                   if w["prehashed"] else None)
+
+        def observe(fed, call):
+            registry = MetricsRegistry(enabled=True)
+            previous = set_default_registry(registry)
+            try:
+                return call(fed), registry_state(registry)
+            finally:
+                set_default_registry(previous)
+
+        placed = observe(batch, lambda fed: fed.place_many(
+            ids, payloads=payloads, entry_switches=entries,
+            copies=copies, digests=digests))
+        assert placed == observe(scalar, lambda fed: [
+            fed.place(d, payload=payloads[i] if payloads else None,
+                      entry_switch=entries[i], copies=copies)
+            for i, d in enumerate(ids)])
+        assert storage_state(batch) == storage_state(scalar)
+
+        if w["variant"] == "dead-region":
+            gone = {kill_region(batch, 1), kill_region(scalar, 1)}
+            live = [s for s in live if batch.region_of(s) not in gone]
+        probe = ids + [f"never-placed/{k}" for k in w["keys"][:20]]
+        entries = [live[int(v)]
+                   for v in rng.integers(0, len(live), size=len(probe))]
+        digests = (sha256_digests(replica_ids_flat(probe, copies))
+                   if w["prehashed"] else None)
+        got = observe(batch, lambda fed: fed.retrieve_many(
+            probe, entry_switches=entries, copies=copies,
+            digests=digests))
+        assert got == observe(scalar, lambda fed: [
+            fed.retrieve(d, entry_switch=entries[i], copies=copies)
+            for i, d in enumerate(probe)])
+        assert storage_state(batch) == storage_state(scalar)
+        if w["variant"] != "dead-region":
+            found = {r.data_id for r in got[0] if r.found}
+            assert found == set(ids)
+
+    def test_federation_series_are_emitted(self):
+        fed = make_fed()
+        ids = [f"tel/{i}" for i in range(90)]
+        registry = MetricsRegistry(enabled=True)
+        previous = set_default_registry(registry)
+        try:
+            placed = fed.place_many(ids, copies=2,
+                                    rng=np.random.default_rng(1))
+        finally:
+            set_default_registry(previous)
+        records = [r for p in placed for r in p.records]
+        crossings = [fed.controller.overlay_hops(
+            fed.region_of(r.entry_switch),
+            fed.region_of(r.destination_switch)) for r in records]
+        counts = registry.counter_values("federation.requests")
+        assert sum(counts.values()) == len(records)
+        cross = sum(v for k, v in counts.items() if "cross" in k)
+        assert cross == sum(1 for c in crossings if c) > 0
+        hops = registry.lookup("histogram", "federation.overlay_hops")
+        assert hops.count == cross and hops.sum == sum(crossings)
+
+
+class TestUnreachableHome:
+    def _cut_off(self):
+        """A 6-region ring with regions 2 and 5 dead: from region 0,
+        region 1 is one gateway away and regions 3 and 4 are cut off.
+        Returns ids homed in 0/1 (reachable) followed by ids homed in
+        3/4, all entering at one region-0 switch."""
+        fed = make_fed(regions=6, per_region=6, seed=9)
+        rids = fed.controller.region_map.region_ids
+        for index in (2, 5):
+            kill_region(fed, index)
+        assert fed.controller.overlay_path(rids[0], rids[1]) is not None
+        assert fed.controller.overlay_path(rids[0], rids[3]) is None
+        homes = {f"cut/{i}": fed.home_region_of(f"cut/{i}")
+                 for i in range(120)}
+        near = [d for d, h in homes.items() if h in (rids[0], rids[1])]
+        far = [d for d, h in homes.items() if h in (rids[3], rids[4])]
+        assert {homes[d] for d in near} == {rids[0], rids[1]} and far
+        entry = fed.shard(rids[0]).net.switch_ids()[0]
+        return fed, near, far, entry, homes
+
+    def test_place_many_fails_closed(self):
+        fed, near, far, entry, homes = self._cut_off()
+        ids = near + far
+        before = fed.load_vector()
+        with pytest.raises(GredError) as batch_error:
+            fed.place_many(ids, entry_switches=[entry] * len(ids))
+        assert str(batch_error.value) == (
+            f"region {homes[far[0]]} is unreachable over the gateway "
+            f"overlay; cannot place {far[0]}")
+        # Nothing was stored on any shard, not even the reachable
+        # intra- and cross-region items ahead of the offending one.
+        assert fed.load_vector() == before
+        with pytest.raises(GredError) as scalar_error:
+            fed.place(far[0], entry_switch=entry)
+        assert str(scalar_error.value) == str(batch_error.value)
+        fed.place_many(near, entry_switches=[entry] * len(near))
+        assert sum(fed.load_vector()) == len(near)
+
+    def test_retrieve_many_skips_unreachable_replicas(self):
+        fed, near, far, entry, _ = self._cut_off()
+        fed.place_many(near, entry_switches=[entry] * len(near))
+        ids = near + far
+        got = fed.retrieve_many(ids, entry_switches=[entry] * len(ids),
+                                copies=2)
+        assert got == [fed.retrieve(d, entry_switch=entry, copies=2)
+                       for d in ids]
+        assert [r.found for r in got] == \
+            [True] * len(near) + [False] * len(far)
+
+    def test_crashed_ingress_gateway_is_unreachable(self):
+        """A request never enters a shard at a dead gateway: placement
+        fails closed, retrieval fails over to the next replica."""
+        fed = make_fed(regions=3, per_region=8, seed=4)
+        rids = fed.controller.region_map.region_ids
+        entry = fed.shard(rids[0]).net.switch_ids()[0]
+        ids = [f"gw/{i}" for i in range(80)]
+        fed.place_many(ids, copies=2, rng=np.random.default_rng(2))
+        _, ingress = fed.region_map.gateway(rids[0], rids[1])
+        FaultInjector.for_region(fed, rids[1]).crash_switch(ingress)
+        got = fed.retrieve_many(ids, entry_switches=[entry] * len(ids),
+                                copies=2)
+        assert got == [fed.retrieve(d, entry_switch=entry, copies=2)
+                       for d in ids]
+        for data_id, result in zip(ids, got):
+            homes = [fed.home_region_of(data_id, c) for c in range(2)]
+            assert result.found == any(h != rids[1] for h in homes)
+        before = fed.load_vector()
+        with pytest.raises(GredError, match="unreachable"):
+            fed.place_many(ids, entry_switches=[entry] * len(ids))
+        assert fed.load_vector() == before
 
 
 # ---------------------------------------------------------------------
