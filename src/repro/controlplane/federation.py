@@ -20,24 +20,23 @@ total switch count.  The federation splits the network into *regions*:
 
 Churn stays regional by construction: a join/leave mutates exactly one
 shard controller, so zero southbound messages reach any other region.
-A federation with a single region *is* the monolith — every data-path
-and control-plane call delegates verbatim to the one shard, which is
-built from the same topology, server map and seed as a monolithic
-``GredNetwork``.
+A federation with a single region takes the same code path as any
+other — one home region, no gateway crossings — and is byte-identical
+to the monolith: its one shard is built from the same topology, server
+map and seed as a monolithic ``GredNetwork``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .. import utils
 from ..embedding import m_position
 from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
-from ..hashing import data_position, replica_id, replica_ids_flat
-from ..hashing.batch import positions_from_digests, sha256_digests
+from ..hashing import data_position, replica_id
 from ..obs import HOP_BUCKETS, default_registry
 from .region import RegionError, RegionMap
 from .routing_index import RoutingIndex
@@ -149,8 +148,6 @@ class FederatedController:
     def home_region(self, position: Tuple[float, float]) -> int:
         """The region whose top-level site is nearest to ``position``
         — where a data item with that hash position lives."""
-        if len(self.shards) == 1:
-            return next(iter(self.shards))
         return self._region_index.closest(position)
 
     def home_regions(self, positions: np.ndarray) -> List[int]:
@@ -158,20 +155,17 @@ class FederatedController:
         ``(n, regions)`` distance matrix and an ``argmin``.
 
         ``np.hypot`` may differ from the index's ``math.hypot`` in the
-        last bit, so only a clear winner is trusted: a row whose two
-        best distances lie within ``_TIE_BAND`` of each other goes to
+        last bit, so only a clear winner is trusted: a row with a
+        second distance within ``_TIE_BAND`` of its best goes to
         the exact :meth:`RoutingIndex.closest`, which keeps the
         paper's ``(distance, x, y)`` tie-break bit-exact."""
-        if len(self.shards) == 1:
-            return [next(iter(self.shards))] * len(positions)
         sites = self._site_xy
         dist = np.hypot(positions[:, 0:1] - sites[:, 0],
                         positions[:, 1:2] - sites[:, 1])
         ids = self._site_ids
         homes = [ids[k] for k in dist.argmin(axis=1).tolist()]
-        dist.partition(1, axis=1)
-        for f in np.flatnonzero(
-                dist[:, 1] - dist[:, 0] <= _TIE_BAND).tolist():
+        near = dist - dist.min(axis=1, keepdims=True) <= _TIE_BAND
+        for f in np.flatnonzero(near.sum(axis=1) > 1).tolist():
             homes[f] = self._region_index.closest(
                 (positions[f, 0], positions[f, 1]))
         return homes
@@ -334,17 +328,12 @@ class FederatedNetwork:
 
         for rid in self.region_map.region_ids:
             members = self.region_map.members(rid)
-            # A single-region federation shares the caller's topology
-            # object, exactly like the monolith; multi-region shards
-            # own their induced sub-topology (intra-region links only).
-            sub = (topology if self.region_map.num_regions == 1
-                   else self.region_map.subtopology(rid))
             shard_servers = None
             if server_map is not None:
                 shard_servers = {sid: server_map[sid] for sid in members}
             start = time.perf_counter()
             net = GredNetwork(
-                sub,
+                self.region_map.subtopology(rid),
                 server_map=shard_servers,
                 servers_per_switch=servers_per_switch,
                 cvt_iterations=cvt_iterations,
@@ -356,8 +345,7 @@ class FederatedNetwork:
                                       self.region_map.gateways(rid))
         self.shards = shards
         self.controller = FederatedController(self.region_map, shards)
-        self._mono = (shards[self.region_map.region_ids[0]].net
-                      if len(shards) == 1 else None)
+        self._legs: Dict[int, Tuple[int, Dict]] = {}  # see _leg
 
     # ------------------------------------------------------------------
     # views
@@ -373,8 +361,6 @@ class FederatedNetwork:
     def topology(self) -> Graph:
         """Union view: every shard's live topology plus the
         cross-region gateway links."""
-        if self._mono is not None:
-            return self._mono.topology
         union = Graph()
         for shard in self.shards.values():
             sub = shard.net.topology
@@ -388,16 +374,12 @@ class FederatedNetwork:
         return union
 
     def switch_ids(self) -> List[int]:
-        if self._mono is not None:
-            return self._mono.switch_ids()
         ids: List[int] = []
         for rid in sorted(self.shards):
             ids.extend(self.shards[rid].net.switch_ids())
         return ids
 
     def load_vector(self) -> List[int]:
-        if self._mono is not None:
-            return self._mono.load_vector()
         loads: List[int] = []
         for rid in sorted(self.shards):
             loads.extend(self.shards[rid].net.load_vector())
@@ -412,7 +394,7 @@ class FederatedNetwork:
         return self.controller.home_region(pos)
 
     # ------------------------------------------------------------------
-    # entry resolution (mirrors GredNetwork)
+    # entry resolution (the owning shard's rule)
     # ------------------------------------------------------------------
     def _alive(self, region: int, switch: int) -> bool:
         fault = self.shards[region].net.fault_state
@@ -420,50 +402,18 @@ class FederatedNetwork:
 
     def _entry_pool(self) -> List[int]:
         return [s for rid in sorted(self.shards)
-                for s in self.shards[rid].net.switch_ids()
-                if self._alive(rid, s)]
+                for s in self.shards[rid].net._entry_pool()]
 
     def _resolve_entry(self, entry_switch: Optional[int],
                        rng: Optional[np.random.Generator]) -> int:
-        from ..core import GredError
+        from ..core.network import GredError, draw_entries
 
-        if entry_switch is not None:
-            rid = self.controller._assignment.get(entry_switch)
-            if rid is None:
-                raise GredError(f"unknown entry switch {entry_switch}")
-            if not self._alive(rid, entry_switch):
-                raise GredError(
-                    f"entry switch {entry_switch} has crashed; requests "
-                    f"must enter at a live access point"
-                )
-            return entry_switch
-        ids = self._entry_pool()
-        if not ids:
-            raise GredError("no live switch can serve as entry point")
-        stream = utils.rng(rng)
-        return ids[int(stream.integers(0, len(ids)))]
-
-    def _resolve_entries(self, count: int,
-                         entry_switches: Optional[Sequence[int]],
-                         rng: Optional[np.random.Generator]
-                         ) -> List[int]:
-        from ..core import GredError
-
-        if entry_switches is not None:
-            if len(entry_switches) != count:
-                raise GredError(
-                    f"entry_switches has {len(entry_switches)} entries "
-                    f"for {count} data ids"
-                )
-            return [self._resolve_entry(e, rng) for e in entry_switches]
-        faulted = any(s.net.fault_state is not None
-                      for s in self.shards.values())
-        if not faulted:
-            ids = self.switch_ids()
-            stream = utils.rng(rng)
-            draws = stream.integers(0, len(ids), size=count)
-            return [ids[v] for v in draws.tolist()]
-        return [self._resolve_entry(None, rng) for _ in range(count)]
+        if entry_switch is None:
+            return draw_entries(self._entry_pool(), 1, rng)[0]
+        rid = self.controller._assignment.get(entry_switch)
+        if rid is None:
+            raise GredError(f"unknown entry switch {entry_switch}")
+        return self.shards[rid].net._resolve_entry(entry_switch, rng)
 
     # ------------------------------------------------------------------
     # gateway stitching
@@ -498,13 +448,9 @@ class FederatedNetwork:
         bumps it and drops the shard's legs)."""
         net = self.shards[region].net
         version = net.controller.version
-        # getattr: snapshots restore via __new__ and predate the field.
-        legs = getattr(self, "_legs", None)
-        if legs is None:
-            legs = self._legs = {}
-        slot = legs.get(region)
+        slot = self._legs.get(region)
         if slot is None or slot[0] != version:
-            slot = legs[region] = (version, {})
+            slot = self._legs[region] = (version, {})
         leg = slot[1].get((source, egress))
         if leg is None:
             leg = slot[1][(source, egress)] = bfs_path(
@@ -523,11 +469,16 @@ class FederatedNetwork:
         )
 
     @staticmethod
-    def _count_requests(registry, region: int, intra: int,
-                        crossings: Sequence[int]) -> None:
+    def _count_requests(region: int, hows: Iterable[Any]) -> None:
         """Federation telemetry for the requests one home shard was
-        just handed: ``intra`` from its own switches, one cross-region
-        request per entry of ``crossings`` (its gateway crossings)."""
+        just handed, one entry of ``hows`` each: ``None`` for a request
+        from its own switches, else the request's stitch."""
+        registry = default_registry()
+        if not registry.enabled:
+            return
+        hows = list(hows)
+        crossings = [s[2] for s in hows if s is not None]
+        intra = len(hows) - len(crossings)
         if intra:
             registry.counter(
                 "federation.requests",
@@ -581,15 +532,10 @@ class FederatedNetwork:
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
               rng: Optional[np.random.Generator] = None):
-        from ..core import GredError
+        from ..core.network import check_copies
         from ..core.results import PlacementResult
 
-        if self._mono is not None:
-            return self._mono.place(data_id, payload=payload,
-                                    entry_switch=entry_switch,
-                                    copies=copies, rng=rng)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
+        check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
         records = [
             self._place_copy(replica_id(data_id, i), payload, entry)
@@ -606,11 +552,7 @@ class FederatedNetwork:
             stitched = self._stitch(entry, home)
             if stitched is None:
                 raise self._unreachable(home, copy_id)
-        registry = default_registry()
-        if registry.enabled:
-            self._count_requests(
-                registry, home, stitched is None,
-                () if stitched is None else (stitched[2],))
+        self._count_requests(home, (stitched,))
         record = self.shards[home].net.place(
             copy_id, payload=payload,
             entry_switch=entry if stitched is None else stitched[1],
@@ -638,31 +580,13 @@ class FederatedNetwork:
         Fails closed: an unreachable home region raises before any
         shard stores anything.
         """
-        from ..core import GredError, GredNetwork
+        from ..core.network import batch_front_door
         from ..core.results import PlacementResult
 
-        if self._mono is not None:
-            return self._mono.place_many(
-                data_ids, payloads=payloads,
-                entry_switches=entry_switches, copies=copies, rng=rng,
-                digests=digests)
-        data_ids = list(data_ids)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
-        if payloads is not None and len(payloads) != len(data_ids):
-            raise GredError(
-                f"payloads has {len(payloads)} entries for "
-                f"{len(data_ids)} data ids"
-            )
-        digests = GredNetwork._check_digests(digests,
-                                             len(data_ids) * copies)
-        entries = self._resolve_entries(len(data_ids), entry_switches,
-                                        rng)
-        flat_ids = replica_ids_flat(data_ids, copies)
-        if digests is None:
-            digests = sha256_digests(flat_ids)
-        homes = self.controller.home_regions(
-            positions_from_digests(digests))
+        data_ids, entries, flat_ids, digests, positions = \
+            batch_front_door(self, data_ids, entry_switches, copies,
+                             rng, digests, payloads)
+        homes = self.controller.home_regions(positions)
         assignment = self.controller._assignment
         # Stitches are memoized for this call only: the leg cache and
         # ``serving()`` keep their own invalidation rules.
@@ -684,15 +608,10 @@ class FederatedNetwork:
             flats, hows = plan.setdefault(home, ([], []))
             flats.append(f)
             hows.append(stitched)
-        registry = default_registry()
         records: List[Any] = [None] * len(flat_ids)
         for rid in sorted(plan):
             flats, hows = plan[rid]
-            if registry.enabled:
-                crossings = [s[2] for s in hows if s is not None]
-                self._count_requests(
-                    registry, rid, len(flats) - len(crossings),
-                    crossings)
+            self._count_requests(rid, hows)
             results = self.shards[rid].net.place_many(
                 [flat_ids[f] for f in flats],
                 payloads=([payloads[f // copies] for f in flats]
@@ -724,49 +643,49 @@ class FederatedNetwork:
                  rng: Optional[np.random.Generator] = None,
                  max_hops: Optional[int] = None,
                  read_repair: bool = False):
-        from ..core import GredError
+        from ..core.network import GredError, GredNetwork, check_copies
 
-        if self._mono is not None:
-            return self._mono.retrieve(
-                data_id, entry_switch=entry_switch, copies=copies,
-                rng=rng, max_hops=max_hops, read_repair=read_repair)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
+        check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
         homes = [self.home_region_of(data_id, i) for i in range(copies)]
         entry_region = self.region_of(entry)
         if all(h == entry_region for h in homes):
-            registry = default_registry()
-            if registry.enabled:
-                self._count_requests(registry, entry_region, 1, ())
+            self._count_requests(entry_region, (None,))
             return self.shards[entry_region].net.retrieve(
                 data_id, entry_switch=entry, copies=copies,
                 max_hops=max_hops, read_repair=read_repair)
-        return self._retrieve_federated(data_id, entry, copies, homes,
-                                        max_hops)
-
-    def _probe_order(self, entry_region: int,
-                     homes: Sequence[int]) -> List[int]:
-        """Copy indices region-nearest-first (ties by index)."""
-        if len(homes) == 1:
-            return [0]
-        hops = self.controller.overlay_hops
-        return sorted(range(len(homes)),
-                      key=lambda i: (hops(entry_region, homes[i]), i))
-
-    def _retrieve_federated(self, data_id: str, entry: int, copies: int,
-                            homes: List[int],
-                            max_hops: Optional[int]):
-        """Region-nearest-first failover walk across shards."""
-        from ..core import GredNetwork
-
-        order = self._probe_order(self.region_of(entry), homes)
+        if read_repair and copies > 1:
+            raise GredError(
+                f"cannot read-repair {data_id!r} from region "
+                f"{entry_region}: its replicas live in regions "
+                f"{sorted(set(homes))}, and replica stamps come from "
+                f"per-shard write clocks, comparable only inside the "
+                f"entry's own shard"
+            )
+        # Region-nearest-first failover walk across shards; a home
+        # that is not serving, is unreachable or cannot route the
+        # probe is skipped (the attempt still counts).
+        order = self._probe_order(entry_region, homes)
         attempts = 0
         last_miss = None
         for i in order:
             attempts += 1
-            result = self._probe_copy(data_id, i, homes[i], entry,
-                                      attempts, max_hops)
+            home = homes[i]
+            stitched = None
+            if home != entry_region:
+                if not self.shards[home].serving():
+                    continue
+                stitched = self._stitch(entry, home)
+                if stitched is None:
+                    continue
+            self._count_requests(home, (stitched,))
+            result = self._carry_probe(
+                self.shards[home].net.retrieve(
+                    replica_id(data_id, i),
+                    entry_switch=(entry if stitched is None
+                                  else stitched[1]),
+                    max_hops=max_hops),
+                data_id, i, attempts, entry, stitched)
             if result is None:
                 continue
             if result.found:
@@ -777,29 +696,14 @@ class FederatedNetwork:
         return GredNetwork._unroutable(data_id, entry, order[-1],
                                        attempts)
 
-    def _probe_copy(self, data_id: str, copy_index: int, home: int,
-                    entry: int, attempts: int,
-                    max_hops: Optional[int]):
-        """Probe one replica at its home shard; ``None`` when the
-        home is not serving, unreachable, or could not route it."""
-        stitched = None
-        if home != self.region_of(entry):
-            if not self.shards[home].serving():
-                return None
-            stitched = self._stitch(entry, home)
-            if stitched is None:
-                return None
-        registry = default_registry()
-        if registry.enabled:
-            self._count_requests(
-                registry, home, stitched is None,
-                () if stitched is None else (stitched[2],))
-        result = self.shards[home].net.retrieve(
-            replica_id(data_id, copy_index),
-            entry_switch=entry if stitched is None else stitched[1],
-            max_hops=max_hops)
-        return self._carry_probe(result, data_id, copy_index, attempts,
-                                 entry, stitched)
+    def _probe_order(self, entry_region: int,
+                     homes: Sequence[int]) -> List[int]:
+        """Copy indices region-nearest-first (ties by index)."""
+        if len(homes) == 1:
+            return [0]
+        hops = self.controller.overlay_hops
+        return sorted(range(len(homes)),
+                      key=lambda i: (hops(entry_region, homes[i]), i))
 
     def retrieve_many(self, data_ids: Sequence[str],
                       entry_switches: Optional[Sequence[int]] = None,
@@ -820,24 +724,12 @@ class FederatedNetwork:
         ``copies=1`` is a single wave.  Results equal a loop of
         :meth:`retrieve` over the items.
         """
-        from ..core import GredError, GredNetwork
+        from ..core.network import GredNetwork, batch_front_door
 
-        if self._mono is not None:
-            return self._mono.retrieve_many(
-                data_ids, entry_switches=entry_switches, copies=copies,
-                rng=rng, max_hops=max_hops, digests=digests)
-        data_ids = list(data_ids)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
-        digests = GredNetwork._check_digests(digests,
-                                             len(data_ids) * copies)
-        entries = self._resolve_entries(len(data_ids), entry_switches,
-                                        rng)
-        flat_ids = replica_ids_flat(data_ids, copies)
-        if digests is None:
-            digests = sha256_digests(flat_ids)
-        homes = self.controller.home_regions(
-            positions_from_digests(digests))
+        data_ids, entries, flat_ids, digests, positions = \
+            batch_front_door(self, data_ids, entry_switches, copies,
+                             rng, digests)
+        homes = self.controller.home_regions(positions)
         assignment = self.controller._assignment
         count = len(data_ids)
         # Per item, the copy indices to probe in order; ``None`` marks
@@ -849,7 +741,6 @@ class FederatedNetwork:
             orders.append(
                 None if all(h == region for h in item_homes)
                 else self._probe_order(region, item_homes))
-        registry = default_registry()
         # Memoized for this call only, like ``place_many``'s.
         stitches: Dict[Tuple[int, int], Any] = {}
         serving: Dict[int, bool] = {}
@@ -886,12 +777,7 @@ class FederatedNetwork:
             done = set()
             for rid, width in sorted(groups):
                 rows = groups[rid, width]
-                if registry.enabled:
-                    crossings = [s[2] for _, _, s in rows
-                                 if s is not None]
-                    self._count_requests(
-                        registry, rid, len(rows) - len(crossings),
-                        crossings)
+                self._count_requests(rid, (s for _, _, s in rows))
                 flats = [i * copies + c + k for i, c, _ in rows
                          for k in range(width)]
                 answers = self.shards[rid].net.retrieve_many(
@@ -930,9 +816,6 @@ class FederatedNetwork:
     # ------------------------------------------------------------------
     def delete(self, data_id: str, copies: int = 1,
                entry_switch: Optional[int] = None) -> int:
-        if self._mono is not None:
-            return self._mono.delete(data_id, copies=copies,
-                                     entry_switch=entry_switch)
         entry = self._resolve_entry(entry_switch, None)
         removed = 0
         for i in range(copies):

@@ -39,7 +39,6 @@ from ..dataplane import (
     RouteResult,
     Tracer,
     batch_fastpath_blockers,
-    fastpath_usable,
     route_packet,
     scalar_standdown,
 )
@@ -117,6 +116,89 @@ class _FastPathState:
 
 class GredError(Exception):
     """Raised for invalid requests against a :class:`GredNetwork`."""
+
+
+def check_copies(copies: int) -> None:
+    if copies < 1:
+        raise GredError(f"copies must be >= 1, got {copies}")
+
+
+def check_batch_args(data_ids: Sequence[str], copies: int,
+                     entry_switches: Optional[Sequence[int]] = None,
+                     payloads: Optional[Sequence[Any]] = None
+                     ) -> List[str]:
+    """Argument validation of a batch call, shared by every stack
+    (raw, federated, resilient) and run before anything is stored or
+    admitted: returns ``list(data_ids)`` or raises."""
+    data_ids = list(data_ids)
+    check_copies(copies)
+    count = len(data_ids)
+    if entry_switches is not None and len(entry_switches) != count:
+        raise GredError(
+            f"entry_switches has {len(entry_switches)} entries for "
+            f"{count} data ids"
+        )
+    if payloads is not None and len(payloads) != count:
+        raise GredError(
+            f"payloads has {len(payloads)} entries for "
+            f"{count} data ids"
+        )
+    return data_ids
+
+
+def draw_entries(pool: Sequence[int], count: int,
+                 rng: Optional[np.random.Generator]) -> List[int]:
+    """``count`` uniform draws from the live entry ``pool``, consuming
+    ``rng`` exactly like ``count`` sequential scalar requests."""
+    if count and not pool:
+        raise GredError("no live switch can serve as entry point")
+    if count > 1 and (rng is None
+                      or isinstance(rng, np.random.Generator)):
+        # One vectorized draw consumes the PCG64 stream exactly like
+        # ``count`` sequential ``integers`` calls.  (An int seed means
+        # a fresh generator per request, so it takes the loop.)
+        draws = utils.rng(rng).integers(0, len(pool), size=count)
+        return [pool[v] for v in draws.tolist()]
+    return [pool[int(utils.rng(rng).integers(0, len(pool)))]
+            for _ in range(count)]
+
+
+def batch_front_door(net, data_ids: Sequence[str],
+                     entry_switches: Optional[Sequence[int]],
+                     copies: int,
+                     rng: Optional[np.random.Generator],
+                     digests: Optional[np.ndarray],
+                     payloads: Optional[Sequence[Any]] = None):
+    """The one front door of a batch request on ``net`` (a
+    :class:`GredNetwork` or a federation of them): validate the
+    arguments, resolve every item's entry switch, flatten the replica
+    ids and hash them.  Runs before the stand-down decision, so a bad
+    argument raises the same error on every path with nothing stored.
+
+    Returns ``(data_ids, entries, flat_ids, digests, positions)``:
+    ``digests`` is the ``(len(flat_ids), 32) uint8`` SHA-256 array
+    (the caller's :meth:`GredNetwork.prehash` output when supplied,
+    shape-checked) and ``positions`` its virtual-space coordinates.
+    """
+    data_ids = check_batch_args(data_ids, copies, entry_switches,
+                                payloads)
+    flat_ids = replica_ids_flat(data_ids, copies)
+    if digests is None:
+        digests = sha256_digests(flat_ids)
+    else:
+        digests = np.asarray(digests)
+        if digests.shape != (len(flat_ids), 32) or \
+                digests.dtype != np.uint8:
+            raise GredError(
+                f"digests must be a ({len(flat_ids)}, 32) uint8 array, "
+                f"got {digests.dtype} {digests.shape}"
+            )
+    if entry_switches is None:
+        entries = draw_entries(net._entry_pool(), len(data_ids), rng)
+    else:
+        entries = [net._resolve_entry(e, rng) for e in entry_switches]
+    return (data_ids, entries, flat_ids, digests,
+            positions_from_digests(digests))
 
 
 def _payload_size(payload: Any) -> Optional[int]:
@@ -290,8 +372,7 @@ class GredNetwork:
         Each copy ``i`` is routed independently toward ``H(d || i)``
         (paper Section VI) from ``entry_switch`` (random when omitted).
         """
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
+        check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
         # One stamp per logical operation, shared by all copies, so a
         # scrub can compare copies of the same write.  Stamps exist
@@ -500,8 +581,7 @@ class GredNetwork:
         (:meth:`read_repair`) — opt-in anti-entropy piggybacked on the
         read path.
         """
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
+        check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
         recorder = default_span_recorder()
         with (recorder.trace("request.retrieve", key=data_id,
@@ -676,8 +756,8 @@ class GredNetwork:
         """Wrap this network in a
         :class:`~repro.resilience.ResilientNetwork` (admission
         control, deadline-bounded retries, circuit breakers, hedged
-        reads).  The wrapper registers itself so the batch fast path
-        stands down while any breaker is tripped."""
+        reads).  A tripped breaker changes which replicas the wrapper
+        probes, never how this network routes them."""
         from ..resilience import ResilientNetwork
 
         return ResilientNetwork(self, config)
@@ -740,29 +820,27 @@ class GredNetwork:
             touched.clear()
         return state
 
-    def _fastpath_usable(self) -> bool:
-        """Whether batch requests may skip the reference pipeline: no
-        ``FASTPATH_GATES`` predicate fires (the same list
+    def _batch_standdown(self) -> bool:
+        """The batch stand-down decision: whether a ``FASTPATH_GATES``
+        predicate fires (the same list
         :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`
-        reports and the scalar route stage consults).  The compiled
-        router assumes fault-free forwarding over switches it can keep
-        in step with, and the vectorized hashing the paper's SHA-256
-        positions; otherwise batches run the scalar loop item by item
-        (identical results, just not vectorized).  Telemetry does *not*
-        force the fallback: every path emits the same aggregates."""
-        return fastpath_usable(self)
-
-    def _count_standdown(self) -> None:
-        """Structured why-not-fast-path telemetry: one counter per
-        stand-down reason whenever a batch falls back to scalar."""
+        reports and the scalar route stage consults), counted once per
+        reason.  The compiled router assumes fault-free forwarding
+        over switches it can keep in step with, and the vectorized
+        hashing the paper's SHA-256 positions; otherwise batches run
+        the scalar loop item by item (identical results, just not
+        vectorized).  Telemetry does *not* force the fallback: every
+        path emits the same aggregates."""
+        reasons = batch_fastpath_blockers(self)
         registry = default_registry()
         if registry.enabled:
-            for reason in batch_fastpath_blockers(self):
+            for reason in reasons:
                 registry.counter(
                     "dataplane.fastpath_standdowns",
                     help="Batch requests degraded to the scalar path",
                     reason=reason.replace(" ", "_"),
                 ).inc()
+        return bool(reasons)
 
     def _fast_routes(self, state: _FastPathState,
                      flat_entries: Sequence[int],
@@ -1001,53 +1079,8 @@ class GredNetwork:
         digest feeds both the position and the server serial, so this
         is the entire per-identifier hashing cost).
         """
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
+        check_copies(copies)
         return sha256_digests(replica_ids_flat(list(data_ids), copies))
-
-    @staticmethod
-    def _check_digests(digests: Optional[np.ndarray],
-                       expected: int) -> Optional[np.ndarray]:
-        """Validate a caller-supplied digest array (shape ``(k, 32)``
-        uint8, one row per flat replica id)."""
-        if digests is None:
-            return None
-        digests = np.asarray(digests)
-        if digests.shape != (expected, 32) or \
-                digests.dtype != np.uint8:
-            raise GredError(
-                f"digests must be a ({expected}, 32) uint8 array, got "
-                f"{digests.dtype} {digests.shape}"
-            )
-        return digests
-
-    def _resolve_entries(self, count: int,
-                         entry_switches: Optional[Sequence[int]],
-                         rng: Optional[np.random.Generator]
-                         ) -> List[int]:
-        """Per-item entry switches, drawing from ``rng`` in the same
-        order as the equivalent scalar loop."""
-        if entry_switches is not None and len(entry_switches) != count:
-            raise GredError(
-                f"entry_switches has {len(entry_switches)} entries for "
-                f"{count} data ids"
-            )
-        if (entry_switches is None and self.fault_state is None
-                and (rng is None
-                     or isinstance(rng, np.random.Generator))):
-            # One vectorized draw consumes the PCG64 stream exactly
-            # like ``count`` sequential ``integers`` calls, so the
-            # scalar loop and the batch pick identical entries.
-            ids = self.switch_ids()
-            stream = utils.rng(rng)
-            draws = stream.integers(0, len(ids), size=count)
-            return [ids[v] for v in draws.tolist()]
-        return [
-            self._resolve_entry(
-                entry_switches[i] if entry_switches is not None
-                else None, rng)
-            for i in range(count)
-        ]
 
     def place_many(
         self,
@@ -1066,7 +1099,7 @@ class GredNetwork:
         through the compiled router with an epoch-scoped route cache.
         Per-request results are byte-identical to the scalar loop
         under the same ``rng``.  While a ``FASTPATH_GATES`` predicate
-        fires (see :meth:`_fastpath_usable`) the batch transparently
+        fires (see :meth:`_batch_standdown`) the batch transparently
         degrades to that loop, on the reference engine, so fault
         handling stays exact; telemetry does not degrade it — the
         batch emits the scalar loop's aggregates itself.
@@ -1086,41 +1119,21 @@ class GredNetwork:
             (``(len(data_ids) * copies, 32) uint8``).  Hashing is the
             one per-request cost that cannot be cached, so a workload
             that places and then retrieves the same identifiers hashes
-            once and passes the array to both calls.  Ignored by the
-            scalar fallback (which re-hashes exactly).
+            once and passes the array to both calls.  Shape-checked
+            on every path; the scalar fallback re-hashes exactly.
         """
-        data_ids = list(data_ids)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
-        if payloads is not None and len(payloads) != len(data_ids):
-            raise GredError(
-                f"payloads has {len(payloads)} entries for "
-                f"{len(data_ids)} data ids"
-            )
-        if not self._fastpath_usable():
-            self._count_standdown()
+        data_ids, entries, flat_ids, digests, positions = \
+            batch_front_door(self, data_ids, entry_switches, copies,
+                             rng, digests, payloads)
+        if self._batch_standdown():
             return [
-                self.place(
-                    data_id,
-                    payload=(payloads[i] if payloads is not None
-                             else None),
-                    entry_switch=(entry_switches[i]
-                                  if entry_switches is not None
-                                  else None),
-                    copies=copies,
-                    rng=rng,
-                )
+                self.place(data_id,
+                           None if payloads is None else payloads[i],
+                           entries[i], copies)
                 for i, data_id in enumerate(data_ids)
             ]
-        entries = self._resolve_entries(len(data_ids), entry_switches,
-                                        rng)
-        flat_ids = replica_ids_flat(data_ids, copies)
         flat_entries = (entries if copies == 1 else
                         [e for e in entries for _ in range(copies)])
-        digests = self._check_digests(digests, len(flat_ids))
-        if digests is None:
-            digests = sha256_digests(flat_ids)
-        positions = positions_from_digests(digests)
         serial_u64s = serials_from_digests(digests)
         state = self._fast_state()
         route_stats: List[Any] = []
@@ -1310,32 +1323,16 @@ class GredNetwork:
         response hop counts come from a per-epoch BFS distance cache
         instead of a fresh traversal per request.
         """
-        data_ids = list(data_ids)
-        if copies < 1:
-            raise GredError(f"copies must be >= 1, got {copies}")
-        if not self._fastpath_usable():
-            self._count_standdown()
+        data_ids, entries, flat_ids, digests, positions = \
+            batch_front_door(self, data_ids, entry_switches, copies,
+                             rng, digests)
+        if self._batch_standdown():
             return [
-                self.retrieve(
-                    data_id,
-                    entry_switch=(entry_switches[i]
-                                  if entry_switches is not None
-                                  else None),
-                    copies=copies,
-                    rng=rng,
-                    max_hops=max_hops,
-                )
-                for i, data_id in enumerate(data_ids)
+                self.retrieve(data_id, entry, copies, max_hops=max_hops)
+                for data_id, entry in zip(data_ids, entries)
             ]
-        entries = self._resolve_entries(len(data_ids), entry_switches,
-                                        rng)
-        flat_ids = replica_ids_flat(data_ids, copies)
         flat_entries = (entries if copies == 1 else
                         [e for e in entries for _ in range(copies)])
-        digests = self._check_digests(digests, len(flat_ids))
-        if digests is None:
-            digests = sha256_digests(flat_ids)
-        positions = positions_from_digests(digests)
         serial_u64s = serials_from_digests(digests)
         state = self._fast_state()
         switches = self.controller.switches
@@ -1990,22 +1987,24 @@ class GredNetwork:
         return self.controller.closest_switch(
             self._position_fn(data_id))
 
-    def _resolve_entry(self, entry_switch: Optional[int],
-                       rng: Optional[np.random.Generator]) -> int:
-        fault = self.fault_state
-        if entry_switch is not None:
-            if not self.topology.has_node(entry_switch):
-                raise GredError(f"unknown entry switch {entry_switch}")
-            if fault is not None and not fault.switch_alive(entry_switch):
-                raise GredError(
-                    f"entry switch {entry_switch} has crashed; requests "
-                    f"must enter at a live access point"
-                )
-            return entry_switch
+    def _entry_pool(self) -> List[int]:
+        """The switches a request may enter at: every live one."""
         ids = self.switch_ids()
+        fault = self.fault_state
         if fault is not None:
             ids = [s for s in ids if fault.switch_alive(s)]
-            if not ids:
-                raise GredError("no live switch can serve as entry point")
-        rng = utils.rng(rng)
-        return ids[int(rng.integers(0, len(ids)))]
+        return ids
+
+    def _resolve_entry(self, entry_switch: Optional[int],
+                       rng: Optional[np.random.Generator]) -> int:
+        if entry_switch is None:
+            return draw_entries(self._entry_pool(), 1, rng)[0]
+        if not self.topology.has_node(entry_switch):
+            raise GredError(f"unknown entry switch {entry_switch}")
+        fault = self.fault_state
+        if fault is not None and not fault.switch_alive(entry_switch):
+            raise GredError(
+                f"entry switch {entry_switch} has crashed; requests "
+                f"must enter at a live access point"
+            )
+        return entry_switch

@@ -13,7 +13,6 @@ from .fastpath import (
     CompiledRouter,
     FASTPATH_GATES,
     batch_fastpath_blockers,
-    fastpath_usable,
     federated_blockers,
     scalar_standdown,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "CompiledRouter",
     "FASTPATH_GATES",
     "batch_fastpath_blockers",
-    "fastpath_usable",
     "federated_blockers",
     "scalar_standdown",
     "Tracer",

@@ -58,11 +58,6 @@ def _gate_position_fn(net) -> bool:
     return getattr(net, "_position_fn", None) is not data_position
 
 
-def _gate_resilience(net) -> bool:
-    pipeline = getattr(net, "_resilience", None)
-    return pipeline is not None and pipeline.blocks_fastpath()
-
-
 def _gate_transport(net) -> bool:
     # Over a (possibly lossy) southbound transport the live switches
     # can change with no version advance — retried, reordered or
@@ -75,7 +70,7 @@ def _gate_transport(net) -> bool:
 #: The single source of truth for fast-path eligibility: ``(predicate,
 #: reason)`` gates evaluated against the facade.  A request — a batch
 #: or one scalar call — may ride the compiled plane iff no predicate
-#: fires.  The facade's ``_fastpath_usable``,
+#: fires.  The facade's ``_batch_standdown``,
 #: :func:`batch_fastpath_blockers` and :func:`scalar_standdown` all
 #: consume this list (looked up at call time), so they can never drift
 #: apart again (they did once: telemetry stopped blocking the fast path
@@ -83,7 +78,6 @@ def _gate_transport(net) -> bool:
 FASTPATH_GATES: Tuple[Tuple[Callable[[object], bool], str], ...] = (
     (_gate_fault_state, "fault state attached"),
     (_gate_position_fn, "custom position_fn"),
-    (_gate_resilience, "resilience breakers tripped"),
     (_gate_transport, "southbound transport attached"),
 )
 
@@ -94,17 +88,11 @@ def batch_fastpath_blockers(net) -> List[str]:
     eligible).
 
     Evaluates :data:`FASTPATH_GATES` — the same gates the facade's
-    ``_fastpath_usable`` consults — so operators can see *which*
+    ``_batch_standdown`` consults — so operators can see *which*
     condition is costing them the vectorized path (``gred stats
     --json`` surfaces this list).
     """
     return [reason for gate, reason in FASTPATH_GATES if gate(net)]
-
-
-def fastpath_usable(net) -> bool:
-    """``True`` iff no :data:`FASTPATH_GATES` predicate fires for
-    ``net`` — the boolean twin of :func:`batch_fastpath_blockers`."""
-    return not any(gate(net) for gate, _ in FASTPATH_GATES)
 
 
 #: Stand-down reason of a scalar request whose hops are being recorded

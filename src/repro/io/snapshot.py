@@ -442,8 +442,7 @@ def from_federation_snapshot(document: Dict[str, Any]):
         for rid in region_map.region_ids
     }
     fed.controller = FederatedController(region_map, fed.shards)
-    fed._mono = (fed.shards[region_map.region_ids[0]].net
-                 if len(fed.shards) == 1 else None)
+    fed._legs = {}
     return fed
 
 
@@ -469,9 +468,6 @@ def restore_shard(fed, region: int, document: Dict[str, Any]) -> None:
         )
     fed.shards[region] = type(old)(region, net, old.members,
                                    old.gateways)
-    fed.controller.shards = fed.shards
-    if fed._mono is not None:
-        fed._mono = net
 
 
 def save_federation(fed, destination: Union[str, IO[str]]) -> None:

@@ -114,8 +114,8 @@ class BreakerBoard:
         self.half_open_probes = half_open_probes
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
         #: Keys of the non-closed breakers, kept by
-        #: :meth:`_note_transition` so :meth:`any_tripped` — a fast-path
-        #: gate evaluated per request — does not scan the board.
+        #: :meth:`_note_transition` so :meth:`any_tripped` — asked on
+        #: every batch — does not scan the board.
         self._tripped: Set[BreakerKey] = set()
 
     def get(self, key: BreakerKey) -> CircuitBreaker:

@@ -38,16 +38,17 @@ created.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.network import GredError
+from ..core.network import GredError, check_batch_args
 from ..dataplane import ForwardingError
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
 from ..obs.spans import Span, default_recorder as span_recorder
-from .admission import AdmissionController, AdmissionVerdict
+from .admission import AdmissionController
 from .breaker import BreakerBoard, BreakerKey
 from .config import ResilienceConfig
 from .deadline import DeadlineBudget, RetryPolicy
@@ -85,6 +86,19 @@ class ResilientOutcome:
     records: List[Any] = field(default_factory=list)
 
 
+def _placed(data_id: str, result, **timing) -> ResilientOutcome:
+    """Envelope of a placement the wrapped network acknowledged."""
+    return ResilientOutcome(kind="place", data_id=data_id, ok=True,
+                            result=result, attempts=1, **timing)
+
+
+def _retrieved(data_id: str, result, **timing) -> ResilientOutcome:
+    """Envelope of a retrieval the wrapped network answered."""
+    return ResilientOutcome(kind="retrieve", data_id=data_id,
+                            ok=result.found, result=result,
+                            attempts=result.attempts, **timing)
+
+
 class ResilientNetwork:
     """Resilience pipeline over a :class:`~repro.core.GredNetwork`.
 
@@ -92,7 +106,7 @@ class ResilientNetwork:
     ----------
     net:
         The wrapped network.  The pipeline registers itself as
-        ``net._resilience`` so the batch fast path can disengage while
+        ``net._resilience`` so a snapshot can refuse to save while
         breakers are tripped.
     config:
         Pipeline policy; a default (disabled) config makes the wrapper
@@ -131,15 +145,6 @@ class ResilientNetwork:
         self._clock = 0.0
         net._resilience = self
 
-    # ------------------------------------------------------------------
-    # fast-path interop
-    # ------------------------------------------------------------------
-    def blocks_fastpath(self) -> bool:
-        """Whether the wrapped network's batch fast path must stand
-        down: only while the pipeline is enabled *and* a breaker is
-        tripped (traffic must be re-evaluated per request)."""
-        return self.config.enabled and self.breakers.any_tripped()
-
     def absorb_faults(self, now: Optional[float] = None) -> int:
         """Force-open breakers for the wrapped network's current fault
         ground truth (``net.fault_state``); returns breakers tripped."""
@@ -155,39 +160,14 @@ class ResilientNetwork:
                  now: Optional[float] = None,
                  rng: Optional[np.random.Generator] = None,
                  max_hops: Optional[int] = None) -> ResilientOutcome:
-        if not self.config.enabled:
-            result = self.net.retrieve(
+        return self._request(
+            "retrieve", data_id, entry_switch, priority, now, rng,
+            lambda: _retrieved(data_id, self.net.retrieve(
                 data_id, entry_switch=entry_switch, copies=copies,
                 rng=rng, max_hops=max_hops,
-                read_repair=self.config.read_repair)
-            return ResilientOutcome(kind="retrieve", data_id=data_id,
-                                    ok=result.found, result=result,
-                                    attempts=result.attempts)
-        arrival = self._time(now)
-        recorder, root = self._open_root("retrieve", data_id, arrival)
-        entry, verdict = self._admit(data_id, "retrieve", entry_switch,
-                                     arrival, priority, rng)
-        if verdict is not None and not verdict.admitted:
-            outcome = self._shed_outcome("retrieve", data_id,
-                                         verdict.shed_reason, arrival)
-            self._close_root(root, arrival, outcome)
-            return outcome
-        if entry is None:  # entry switch down
-            outcome = self._shed_outcome("retrieve", data_id,
-                                         SHED_ENTRY_DOWN, arrival)
-            self._close_root(root, arrival, outcome)
-            return outcome
-        if root is not None:
-            recorder.add_span(
-                "admission.queue", start=arrival,
-                end=arrival + verdict.queued_delay, parent=root,
-                entry=entry, wait=verdict.queued_delay)
-        outcome = self._retrieve_admitted(
-            data_id, entry, copies, arrival, verdict.queued_delay,
-            deadline, max_hops, recorder=recorder, root=root)
-        self._finish(outcome, arrival)
-        self._close_root(root, arrival, outcome)
-        return outcome
+                read_repair=self.config.read_repair)),
+            lambda *admitted: self._retrieve_admitted(
+                data_id, copies, deadline, max_hops, *admitted))
 
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
@@ -195,37 +175,39 @@ class ResilientNetwork:
               now: Optional[float] = None,
               rng: Optional[np.random.Generator] = None
               ) -> ResilientOutcome:
+        return self._request(
+            "place", data_id, entry_switch, priority, now, rng,
+            lambda: _placed(data_id, self.net.place(
+                data_id, payload=payload, entry_switch=entry_switch,
+                copies=copies, rng=rng)),
+            lambda *admitted: self._place_admitted(
+                data_id, payload, copies, deadline, *admitted))
+
+    def _request(self, kind: str, data_id: str,
+                 entry_switch: Optional[int], priority: int,
+                 now: Optional[float],
+                 rng: Optional[np.random.Generator],
+                 passthrough, serve) -> ResilientOutcome:
+        """The one scalar request body.  Disabled: ``passthrough()``,
+        the wrapped network's own call.  Enabled: admit (or shed) at
+        the entry switch, then ``serve(entry, arrival, queue wait,
+        recorder, root span)`` runs the kind's retry loop."""
         if not self.config.enabled:
-            result = self.net.place(data_id, payload=payload,
-                                    entry_switch=entry_switch,
-                                    copies=copies, rng=rng)
-            return ResilientOutcome(kind="place", data_id=data_id,
-                                    ok=True, result=result,
-                                    attempts=1)
+            return passthrough()
         arrival = self._time(now)
-        recorder, root = self._open_root("place", data_id, arrival)
-        entry, verdict = self._admit(data_id, "place", entry_switch,
-                                     arrival, priority, rng)
-        if verdict is not None and not verdict.admitted:
-            outcome = self._shed_outcome("place", data_id,
-                                         verdict.shed_reason, arrival)
-            self._close_root(root, arrival, outcome)
-            return outcome
-        if entry is None:
-            outcome = self._shed_outcome("place", data_id,
-                                         SHED_ENTRY_DOWN, arrival)
-            self._close_root(root, arrival, outcome)
-            return outcome
-        if root is not None:
-            recorder.add_span(
-                "admission.queue", start=arrival,
-                end=arrival + verdict.queued_delay, parent=root,
-                entry=entry, wait=verdict.queued_delay)
-        outcome = self._place_admitted(
-            data_id, payload, entry, copies, arrival,
-            verdict.queued_delay, deadline, recorder=recorder,
-            root=root)
-        self._finish(outcome, arrival)
+        recorder, root = self._open_root(kind, data_id, arrival)
+        entry, wait, shed = self._admit(entry_switch, arrival, priority,
+                                        rng)
+        if shed is not None:
+            outcome = self._shed_outcome(kind, data_id, shed)
+        else:
+            if root is not None:
+                recorder.add_span(
+                    "admission.queue", start=arrival,
+                    end=arrival + wait, parent=root, entry=entry,
+                    wait=wait)
+            outcome = serve(entry, arrival, wait, recorder, root)
+            self._finish(outcome, arrival)
         self._close_root(root, arrival, outcome)
         return outcome
 
@@ -246,54 +228,26 @@ class ResilientNetwork:
         breaker): admission per item, then one delegated batch call
         for the admitted subset — single attempt, no hedging (the
         throughput path).  Enabled with tripped breakers: every item
-        takes the full scalar resilient path."""
-        data_ids = list(data_ids)
-        if not self.config.enabled:
-            results = self.net.retrieve_many(
-                data_ids, entry_switches=entry_switches, copies=copies,
-                rng=rng, max_hops=max_hops)
-            return [ResilientOutcome(kind="retrieve", data_id=d,
-                                     ok=r.found, result=r,
-                                     attempts=r.attempts)
-                    for d, r in zip(data_ids, results)]
-        if self.breakers.any_tripped():
-            return [
-                self.retrieve(
-                    d,
-                    entry_switch=(entry_switches[i]
-                                  if entry_switches is not None
-                                  else None),
-                    copies=copies,
-                    priority=(priorities[i] if priorities is not None
-                              else 1),
-                    deadline=deadline, now=now, rng=rng,
-                    max_hops=max_hops)
-                for i, d in enumerate(data_ids)
-            ]
-        arrival = self._time(now)
-        plan = self._admit_batch(data_ids, "retrieve", entry_switches,
-                                 arrival, priorities, rng)
-        outcomes, admitted_idx, entries, waits = plan
-        if admitted_idx:
-            results = self.net.retrieve_many(
-                [data_ids[i] for i in admitted_idx],
-                entry_switches=[entries[i] for i in admitted_idx],
-                copies=copies, max_hops=max_hops)
-            timeout = deadline or self.config.default_deadline
-            for j, i in enumerate(admitted_idx):
-                r = results[j]
-                wait = waits[i]
-                service = self._retrieval_service_time(r)
-                self._feed_breakers_retrieval(data_ids[i], r, copies,
-                                              arrival + wait + service)
-                outcomes[i] = ResilientOutcome(
-                    kind="retrieve", data_id=data_ids[i],
-                    ok=r.found, result=r, latency=wait + service,
-                    queue_wait=wait, attempts=r.attempts,
-                    deadline_missed=wait + service > timeout,
-                )
-                self._finish(outcomes[i], arrival)
-        return outcomes
+        takes the full scalar resilient path.  The arguments are
+        validated before any token is spent."""
+        data_ids = check_batch_args(data_ids, copies, entry_switches)
+
+        def many(picked, entries, rng=None):
+            return self.net.retrieve_many(
+                [data_ids[i] for i in picked], entry_switches=entries,
+                copies=copies, rng=rng, max_hops=max_hops)
+
+        def settle(i, result, start):
+            service = self._retrieval_service_time(result)
+            self._feed_breakers_retrieval(data_ids[i], result,
+                                          start + service)
+            return service
+
+        return self._batch(
+            "retrieve", data_ids, entry_switches, priorities, deadline,
+            now, rng, many, _retrieved, settle,
+            lambda i, *admitted: self._retrieve_admitted(
+                data_ids[i], copies, deadline, max_hops, *admitted))
 
     def place_many(self, data_ids: Sequence[str],
                    payloads: Optional[Sequence[Any]] = None,
@@ -305,73 +259,103 @@ class ResilientNetwork:
                    rng: Optional[np.random.Generator] = None
                    ) -> List[ResilientOutcome]:
         """Batch placement; same structure as :meth:`retrieve_many`."""
-        data_ids = list(data_ids)
+        data_ids = check_batch_args(data_ids, copies, entry_switches,
+                                    payloads)
+        cfg = self.config
+
+        def many(picked, entries, rng=None):
+            return self.net.place_many(
+                [data_ids[i] for i in picked],
+                payloads=(None if payloads is None
+                          else [payloads[i] for i in picked]),
+                entry_switches=entries, copies=copies, rng=rng)
+
+        def settle(i, result, start):
+            service = sum(
+                cfg.per_hop_latency * 2 * rec.physical_hops
+                + cfg.service_time for rec in result.records)
+            when = start + service
+            for rec in result.records:
+                self.breakers.success(
+                    ("switch", rec.destination_switch), when)
+                self.breakers.success(("server", rec.server_id), when)
+            return service
+
+        return self._batch(
+            "place", data_ids, entry_switches, priorities, deadline,
+            now, rng, many, _placed, settle,
+            lambda i, *admitted: self._place_admitted(
+                data_ids[i], None if payloads is None else payloads[i],
+                copies, deadline, *admitted))
+
+    def _batch(self, kind: str, data_ids: List[str],
+               entry_switches: Optional[Sequence[int]],
+               priorities: Optional[Sequence[int]],
+               deadline: Optional[float], now: Optional[float],
+               rng: Optional[np.random.Generator],
+               many, wrap, settle, admitted) -> List[ResilientOutcome]:
+        """The one batch request body, over validated arguments.
+        ``many(indices, entries, rng)`` is the wrapped network's batch
+        call over a subset, ``wrap`` the kind's outcome envelope,
+        ``settle(index, result, start)`` feeds the breakers and
+        returns the modeled service time, and ``admitted(index, entry,
+        arrival, queue wait[, recorder, root])`` is the kind's scalar
+        retry loop — what every item takes while a breaker is
+        tripped."""
+        count = len(data_ids)
         if not self.config.enabled:
-            results = self.net.place_many(
-                data_ids, payloads=payloads,
-                entry_switches=entry_switches, copies=copies, rng=rng)
-            return [ResilientOutcome(kind="place", data_id=d, ok=True,
-                                     result=r, attempts=1)
-                    for d, r in zip(data_ids, results)]
+            return [wrap(d, r) for d, r in zip(
+                data_ids, many(range(count), entry_switches, rng))]
+        if priorities is not None and len(priorities) != count:
+            raise GredError(
+                f"priorities has {len(priorities)} entries for "
+                f"{count} data ids"
+            )
+        requests = zip(
+            [None] * count if entry_switches is None else entry_switches,
+            [1] * count if priorities is None else priorities)
         if self.breakers.any_tripped():
             return [
-                self.place(
-                    d,
-                    payload=(payloads[i] if payloads is not None
-                             else None),
-                    entry_switch=(entry_switches[i]
-                                  if entry_switches is not None
-                                  else None),
-                    copies=copies,
-                    priority=(priorities[i] if priorities is not None
-                              else 1),
-                    deadline=deadline, now=now, rng=rng)
-                for i, d in enumerate(data_ids)
-            ]
+                self._request(kind, data_ids[i], entry, priority, now,
+                              rng, None, partial(admitted, i))
+                for i, (entry, priority) in enumerate(requests)]
         arrival = self._time(now)
-        plan = self._admit_batch(data_ids, "place", entry_switches,
-                                 arrival, priorities, rng)
-        outcomes, admitted_idx, entries, waits = plan
-        if admitted_idx:
+        outcomes: List[Optional[ResilientOutcome]] = [None] * count
+        picked: List[int] = []
+        entries: List[int] = []
+        waits: List[float] = []
+        for i, (entry, priority) in enumerate(requests):
+            entry, wait, shed = self._admit(entry, arrival, priority,
+                                            rng)
+            if shed is not None:
+                outcomes[i] = self._shed_outcome(kind, data_ids[i],
+                                                 shed)
+            else:
+                picked.append(i)
+                entries.append(entry)
+                waits.append(wait)
+        if not picked:
+            return outcomes
+        try:
+            results = many(picked, entries)
+        except (GredError, ForwardingError):
+            # A mid-batch failure means some node is sick: fall back
+            # to the scalar resilient path per item so breakers and
+            # retries engage.
+            served = [admitted(i, entry, arrival, wait)
+                      for i, entry, wait in zip(picked, entries, waits)]
+        else:
             timeout = deadline or self.config.default_deadline
-            try:
-                results = self.net.place_many(
-                    [data_ids[i] for i in admitted_idx],
-                    payloads=([payloads[i] for i in admitted_idx]
-                              if payloads is not None else None),
-                    entry_switches=[entries[i] for i in admitted_idx],
-                    copies=copies)
-            except (GredError, ForwardingError):
-                # A mid-batch failure means some node is sick: fall
-                # back to the scalar resilient path per item so
-                # breakers and retries engage.
-                for i in admitted_idx:
-                    outcomes[i] = self._place_admitted(
-                        data_ids[i],
-                        payloads[i] if payloads is not None else None,
-                        entries[i], copies, arrival, waits[i],
-                        deadline)
-                    self._finish(outcomes[i], arrival)
-                return outcomes
-            for j, i in enumerate(admitted_idx):
-                r = results[j]
-                wait = waits[i]
-                service = sum(
-                    self.config.per_hop_latency * 2 * rec.physical_hops
-                    + self.config.service_time for rec in r.records)
-                for rec in r.records:
-                    when = arrival + wait + service
-                    self.breakers.success(
-                        ("switch", rec.destination_switch), when)
-                    self.breakers.success(
-                        ("server", rec.server_id), when)
-                outcomes[i] = ResilientOutcome(
-                    kind="place", data_id=data_ids[i], ok=True,
-                    result=r, latency=wait + service, queue_wait=wait,
-                    attempts=1,
-                    deadline_missed=wait + service > timeout,
-                )
-                self._finish(outcomes[i], arrival)
+            served = []
+            for i, result, wait in zip(picked, results, waits):
+                service = settle(i, result, arrival + wait)
+                served.append(wrap(
+                    data_ids[i], result, latency=wait + service,
+                    queue_wait=wait,
+                    deadline_missed=wait + service > timeout))
+        for i, outcome in zip(picked, served):
+            outcomes[i] = outcome
+            self._finish(outcome, arrival)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -385,7 +369,6 @@ class ResilientNetwork:
             "breakers": self.breakers.states(),
             "tripped": [f"{kind}:{ident}" for kind, ident
                         in self.breakers.tripped()],
-            "blocks_fastpath": self.blocks_fastpath(),
         }
 
     # ------------------------------------------------------------------
@@ -442,57 +425,25 @@ class ResilientNetwork:
         self._clock = max(self._clock, now)
         return now
 
-    def _admit(self, data_id: str, kind: str,
-               entry_switch: Optional[int], arrival: float,
+    def _admit(self, entry_switch: Optional[int], arrival: float,
                priority: int, rng: Optional[np.random.Generator]
-               ) -> Tuple[Optional[int], Optional[AdmissionVerdict]]:
+               ) -> Tuple[Optional[int], float, Optional[str]]:
         """Resolve the entry switch and offer the request to admission
-        control.  ``(None, None)`` means the entry is down."""
-        registry = default_registry()
+        control: ``(entry, queue wait, shed reason)``, the reason
+        ``None`` for an admitted request."""
         try:
             entry = self.net._resolve_entry(entry_switch, rng)
         except GredError:
+            registry = default_registry()
             if registry.enabled:
                 registry.counter("resilience.shed",
                                  reason=SHED_ENTRY_DOWN).inc()
-            return None, None
-        return entry, self.admission.offer(entry, arrival, priority)
+            return None, 0.0, SHED_ENTRY_DOWN
+        verdict = self.admission.offer(entry, arrival, priority)
+        return entry, verdict.queued_delay, verdict.shed_reason
 
-    def _admit_batch(self, data_ids: Sequence[str], kind: str,
-                     entry_switches: Optional[Sequence[int]],
-                     arrival: float,
-                     priorities: Optional[Sequence[int]],
-                     rng: Optional[np.random.Generator]):
-        """Per-item admission for a batch call; returns the outcome
-        list (shed slots filled in), admitted indices, resolved
-        entries and queue waits."""
-        outcomes: List[Optional[ResilientOutcome]] = [None] * len(
-            data_ids)
-        admitted_idx: List[int] = []
-        entries: Dict[int, int] = {}
-        waits: Dict[int, float] = {}
-        for i, data_id in enumerate(data_ids):
-            entry_arg = (entry_switches[i]
-                         if entry_switches is not None else None)
-            priority = priorities[i] if priorities is not None else 1
-            entry, verdict = self._admit(data_id, kind, entry_arg,
-                                         arrival, priority, rng)
-            if entry is None:
-                outcomes[i] = self._shed_outcome(kind, data_id,
-                                                 SHED_ENTRY_DOWN,
-                                                 arrival)
-            elif not verdict.admitted:
-                outcomes[i] = self._shed_outcome(kind, data_id,
-                                                 verdict.shed_reason,
-                                                 arrival)
-            else:
-                admitted_idx.append(i)
-                entries[i] = entry
-                waits[i] = verdict.queued_delay
-        return outcomes, admitted_idx, entries, waits
-
-    def _shed_outcome(self, kind: str, data_id: str, reason: str,
-                      arrival: float) -> ResilientOutcome:
+    def _shed_outcome(self, kind: str, data_id: str,
+                      reason: str) -> ResilientOutcome:
         registry = default_registry()
         if registry.enabled:
             registry.counter("resilience.requests", kind=kind).inc()
@@ -503,33 +454,22 @@ class ResilientNetwork:
     # ------------------------------------------------------------------
     # internals — retrieval
     # ------------------------------------------------------------------
-    def _retrieve_admitted(self, data_id: str, entry: int, copies: int,
-                           arrival: float, queue_wait: float,
-                           deadline: Optional[float],
-                           max_hops: Optional[int],
-                           recorder=None,
-                           root: Optional[Span] = None
-                           ) -> ResilientOutcome:
-        cfg = self.config
+    def _retry(self, outcome: ResilientOutcome, arrival: float,
+               deadline: Optional[float], attempt, recorder,
+               root: Optional[Span]) -> ResilientOutcome:
+        """The retry loop of one admitted request: run ``attempt(clock,
+        budget, tries) -> (clock, done)`` until it is done, the
+        deadline budget is spent or the retry policy gives up, backing
+        off in between; then stamp ``outcome`` with the result."""
         budget = DeadlineBudget(arrival,
-                                deadline or cfg.default_deadline)
+                                deadline or self.config.default_deadline)
         registry = default_registry()
-        clock = arrival + queue_wait
-        outcome = ResilientOutcome(kind="retrieve", data_id=data_id,
-                                   queue_wait=queue_wait)
+        clock = arrival + outcome.queue_wait
         tries = 0
-        last_result = None
         while True:
             tries += 1
-            clock, result = self._attempt_retrieve(
-                data_id, entry, copies, clock, budget, max_hops,
-                retrying=tries > 1, outcome=outcome,
-                recorder=recorder, root=root)
-            if result is not None:
-                last_result = result
-            if result is not None and result.found:
-                outcome.ok = True
-                outcome.result = result
+            clock, outcome.ok = attempt(clock, budget, tries)
+            if outcome.ok:
                 break
             delay = self.retry_policy.next_delay(
                 tries, budget.remaining(clock), self._rng)
@@ -543,11 +483,30 @@ class ResilientNetwork:
             outcome.retries += 1
             if registry.enabled:
                 registry.counter("resilience.retries").inc()
-        if not outcome.ok:
-            outcome.result = last_result
         outcome.latency = clock - arrival
         outcome.deadline_missed = outcome.latency > budget.timeout
         return outcome
+
+    def _retrieve_admitted(self, data_id: str, copies: int,
+                           deadline: Optional[float],
+                           max_hops: Optional[int], entry: int,
+                           arrival: float, queue_wait: float,
+                           recorder=None, root: Optional[Span] = None
+                           ) -> ResilientOutcome:
+        outcome = ResilientOutcome(kind="retrieve", data_id=data_id,
+                                   queue_wait=queue_wait)
+
+        def attempt(clock, budget, tries):
+            clock, result = self._attempt_retrieve(
+                data_id, entry, copies, clock, budget, max_hops,
+                retrying=tries > 1, outcome=outcome,
+                recorder=recorder, root=root)
+            if result is not None:
+                outcome.result = result  # the hit, or the latest miss
+            return clock, result is not None and result.found
+
+        return self._retry(outcome, arrival, deadline, attempt,
+                           recorder, root)
 
     def _attempt_retrieve(self, data_id: str, entry: int, copies: int,
                           clock: float, budget: DeadlineBudget,
@@ -647,14 +606,9 @@ class ResilientNetwork:
         synchronize the item's replicas to the newest stamp observed
         among them.  A background write-back — it charges no latency
         and records no request spans."""
-        cfg = self.config
-        if not cfg.read_repair or copies < 2:
-            return
-        repair = getattr(self.net, "read_repair", None)
-        if repair is None:
-            return
-        with self._quiet(recorder):
-            repair(data_id, copies)
+        if self.config.read_repair and copies > 1:
+            with self._quiet(recorder):
+                self.net.read_repair(data_id, copies)
 
     def _probe_retrieve(self, data_id: str, copy_index: int,
                         entry: int, attempt_no: int,
@@ -680,20 +634,16 @@ class ResilientNetwork:
                              copy_index, attempt_no, dest, hedged,
                              "route_error", None)
             return None, cfg.failure_penalty
+        latency = self._retrieval_service_time(result)
         if result.found:
-            latency = (cfg.per_hop_latency * result.round_trip_hops
-                       + cfg.service_time)
             self.breakers.success(switch_key, now + latency)
             self.breakers.success(server_key, now + latency)
-            self._probe_span(recorder, root, now, latency, copy_index,
-                             attempt_no, dest, hedged, "ok", result)
-            return result, latency
-        # Routed but the copy is gone (crashed/lost server data).
-        latency = (cfg.per_hop_latency * 2 * result.request_hops
-                   + cfg.service_time)
-        self.breakers.failure(server_key, now + latency)
+        else:
+            # Routed but the copy is gone (crashed/lost server data).
+            self.breakers.failure(server_key, now + latency)
         self._probe_span(recorder, root, now, latency, copy_index,
-                         attempt_no, dest, hedged, "miss", result)
+                         attempt_no, dest, hedged,
+                         "ok" if result.found else "miss", result)
         return result, latency
 
     @staticmethod
@@ -746,7 +696,7 @@ class ResilientNetwork:
                 + cfg.service_time)
 
     def _feed_breakers_retrieval(self, data_id: str, result,
-                                 copies: int, now: float) -> None:
+                                 now: float) -> None:
         copy_id = replica_id(data_id, result.copy_used)
         dest = (result.destination_switch
                 if result.destination_switch is not None
@@ -764,22 +714,18 @@ class ResilientNetwork:
     # ------------------------------------------------------------------
     # internals — placement
     # ------------------------------------------------------------------
-    def _place_admitted(self, data_id: str, payload: Any, entry: int,
-                        copies: int, arrival: float, queue_wait: float,
-                        deadline: Optional[float], recorder=None,
-                        root: Optional[Span] = None
+    def _place_admitted(self, data_id: str, payload: Any, copies: int,
+                        deadline: Optional[float], entry: int,
+                        arrival: float, queue_wait: float,
+                        recorder=None, root: Optional[Span] = None
                         ) -> ResilientOutcome:
         cfg = self.config
-        budget = DeadlineBudget(arrival,
-                                deadline or cfg.default_deadline)
         registry = default_registry()
-        clock = arrival + queue_wait
         outcome = ResilientOutcome(kind="place", data_id=data_id,
                                    queue_wait=queue_wait)
         placed: Dict[int, Any] = {}
-        tries = 0
-        while True:
-            tries += 1
+
+        def attempt(clock, budget, tries):
             for copy_index in range(copies):
                 if copy_index in placed:
                     continue
@@ -836,21 +782,9 @@ class ResilientNetwork:
                 self.breakers.success(("server", record.server_id),
                                       clock)
                 placed[copy_index] = record
-            if len(placed) == copies:
-                outcome.ok = True
-                break
-            delay = self.retry_policy.next_delay(
-                tries, budget.remaining(clock), self._rng)
-            if delay is None or budget.expired(clock):
-                break
-            if root is not None:
-                recorder.add_span("retry.backoff", start=clock,
-                                  end=clock + delay, parent=root,
-                                  attempt=tries, delay=delay)
-            clock += delay
-            outcome.retries += 1
-            if registry.enabled:
-                registry.counter("resilience.retries").inc()
+            return clock, len(placed) == copies
+
+        self._retry(outcome, arrival, deadline, attempt, recorder, root)
         outcome.records = [placed[i] for i in sorted(placed)]
         if outcome.ok:
             from ..core.results import PlacementResult
@@ -858,8 +792,6 @@ class ResilientNetwork:
             outcome.result = PlacementResult(
                 data_id=data_id,
                 records=[placed[i] for i in range(copies)])
-        outcome.latency = clock - arrival
-        outcome.deadline_missed = outcome.latency > budget.timeout
         return outcome
 
     # ------------------------------------------------------------------

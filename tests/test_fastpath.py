@@ -343,12 +343,10 @@ class TestFastpathGates:
     must agree in every configuration."""
 
     def _agree(self, net):
-        from repro.dataplane import batch_fastpath_blockers, \
-            fastpath_usable
+        from repro.dataplane import batch_fastpath_blockers
 
         blockers = batch_fastpath_blockers(net)
-        assert fastpath_usable(net) == (blockers == [])
-        assert net._fastpath_usable() == (blockers == [])
+        assert net._batch_standdown() == (blockers != [])
         return blockers
 
     def test_clean_network_is_eligible(self):
@@ -373,21 +371,6 @@ class TestFastpathGates:
                           seed=0, position_fn=lambda d: (0.5, 0.5))
         assert self._agree(net) == ["custom position_fn"]
 
-    def test_resilience_gate_fires_only_when_blocking(self):
-        class _Pipeline:
-            blocking = False
-
-            def blocks_fastpath(self):
-                return self.blocking
-
-        net, _ = build_pair(switches=12)
-        pipeline = _Pipeline()
-        net._resilience = pipeline
-        assert self._agree(net) == []
-        pipeline.blocking = True
-        assert self._agree(net) == ["resilience breakers tripped"]
-        del net._resilience
-
     def test_new_gate_reaches_both_views(self, monkeypatch):
         """A gate appended to ``FASTPATH_GATES`` must flip the boolean
         and the reason list together — neither view hardcodes the
@@ -399,6 +382,88 @@ class TestFastpathGates:
         monkeypatch.setattr(fastpath, "FASTPATH_GATES", extended)
         net, _ = build_pair(switches=12)
         assert self._agree(net) == ["always blocked"]
+
+
+class TestBatchFrontDoor:
+    """Batch arguments are validated before anything is stored or
+    admitted, with the same error on every path — compiled, stood
+    down under an attached fault state, and through the resilient
+    wrapper (healthy, and stood down by a tripped breaker)."""
+
+    IDS = ["fd/0", "fd/1", "fd/2"]
+    BAD = [
+        (dict(entry_switches=[0, 1]),
+         "entry_switches has 2 entries for 3 data ids"),
+        (dict(entry_switches=[0, 1, 2, 3]),
+         "entry_switches has 4 entries for 3 data ids"),
+        (dict(copies=0), "copies must be >= 1, got 0"),
+    ]
+
+    @staticmethod
+    def _stack(kind):
+        from repro.faults import FaultState
+        from repro.resilience import ResilienceConfig
+
+        net, _ = build_pair(switches=12)
+        target = net
+        if kind == "faulted":
+            net.fault_state = FaultState()
+        elif kind != "compiled":
+            target = net.resilient(ResilienceConfig(enabled=True))
+            if kind == "tripped":
+                target.breakers.force_open(("switch", 999), 0.0)
+        return net, target
+
+    @staticmethod
+    def _untouched(net, target):
+        assert not any(net.load_vector())
+        assert net.write_version == 0
+        if target is not net:
+            assert target.admission._tat == {}
+
+    @pytest.mark.parametrize("kind", ["compiled", "faulted",
+                                      "resilient", "tripped"])
+    def test_bad_arguments_raise_before_any_side_effect(self, kind):
+        from repro import GredError
+
+        net, target = self._stack(kind)
+        for kwargs, text in self.BAD + [
+                (dict(payloads=[b"x"]),
+                 "payloads has 1 entries for 3 data ids")]:
+            with pytest.raises(GredError) as err:
+                target.place_many(self.IDS, **kwargs)
+            assert str(err.value) == text
+            self._untouched(net, target)
+        for kwargs, text in self.BAD:
+            with pytest.raises(GredError) as err:
+                target.retrieve_many(self.IDS, **kwargs)
+            assert str(err.value) == text
+            self._untouched(net, target)
+
+    @pytest.mark.parametrize("kind", ["compiled", "faulted"])
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_misshapen_digests_rejected(self, kind, rows):
+        from repro import GredError
+
+        net, _ = self._stack(kind)
+        good = net.prehash(self.IDS, copies=2)
+        bad = np.resize(good, (len(good) + rows, 32))
+        for call in (net.place_many, net.retrieve_many):
+            with pytest.raises(GredError, match="digests must be"):
+                call(self.IDS, copies=2, digests=bad)
+        self._untouched(net, net)
+
+    @pytest.mark.parametrize("kind", ["resilient", "tripped"])
+    def test_resilient_priorities_length_checked(self, kind):
+        from repro import GredError
+
+        net, pipeline = self._stack(kind)
+        for call in (pipeline.place_many, pipeline.retrieve_many):
+            with pytest.raises(GredError) as err:
+                call(self.IDS, priorities=[1, 2])
+            assert str(err.value) == \
+                "priorities has 2 entries for 3 data ids"
+        self._untouched(net, pipeline)
 
 
 class TestPlaneDtypeInvariants:

@@ -200,6 +200,58 @@ class TestSingleRegionIdentity:
             fed.delete("one/3", copies=2)
         assert mono.load_vector() == fed.load_vector()
 
+    def test_scalar_prehashed_and_restored_requests_identical(self):
+        """The 1-region federation has no private path: scalar
+        multi-copy requests, a prehashed batch and a snapshot-restored
+        federation all go through the general per-home-region code
+        (and count as federation requests) yet equal the monolith."""
+        mono, fed = self.build_pair(seed=1)
+        registry = MetricsRegistry(enabled=True)
+        previous = set_default_registry(registry)
+        try:
+            for i in range(6):
+                assert mono.place(f"sc/{i}", payload=i, copies=3,
+                                  rng=np.random.default_rng(i)) == \
+                    fed.place(f"sc/{i}", payload=i, copies=3,
+                              rng=np.random.default_rng(i))
+            fed_intra = registry.counter_values("federation.")
+        finally:
+            set_default_registry(previous)
+        (rid,) = fed.shards
+        assert fed_intra == {
+            f"federation.requests{{region={rid},scope=intra}}": 18}
+        for i in range(6):
+            assert mono.retrieve(f"sc/{i}", copies=2,
+                                 rng=np.random.default_rng(9 + i)) == \
+                fed.retrieve(f"sc/{i}", copies=2,
+                             rng=np.random.default_rng(9 + i))
+        assert mono.delete("sc/0", copies=3) == \
+            fed.delete("sc/0", copies=3) == 3
+        assert mono.load_vector() == fed.load_vector()
+        ids = [f"pre/{i}" for i in range(30)]
+        digests = mono.prehash(ids, copies=2)
+        assert mono.place_many(ids, copies=2, digests=digests,
+                               rng=np.random.default_rng(4)) == \
+            fed.place_many(ids, copies=2, digests=digests,
+                           rng=np.random.default_rng(4))
+        restored = from_federation_snapshot(to_federation_snapshot(fed))
+        assert restored.load_vector() == mono.load_vector()
+        probe = ids + [f"sc/{i}" for i in range(6)]
+        assert mono.retrieve_many(probe, copies=2,
+                                  rng=np.random.default_rng(5)) == \
+            restored.retrieve_many(probe, copies=2,
+                                   rng=np.random.default_rng(5))
+        assert restored.place("sc/new", copies=3,
+                              rng=np.random.default_rng(6)) == \
+            mono.place("sc/new", copies=3, rng=np.random.default_rng(6))
+        # Restarting the one shard swaps the network every call uses.
+        restore_shard(restored, rid,
+                      to_federation_snapshot(restored)["shards"][str(rid)])
+        assert restored.retrieve("sc/new", copies=3,
+                                 rng=np.random.default_rng(7)) == \
+            mono.retrieve("sc/new", copies=3,
+                          rng=np.random.default_rng(7))
+
     def test_southbound_streams_identical(self):
         from repro.controlplane import RecordingChannel
 
@@ -252,6 +304,30 @@ class TestMultiRegion:
         miss = fed3.retrieve(ids[0], copies=2,
                              rng=np.random.default_rng(7))
         assert not miss.found
+
+    def test_cross_region_read_repair_fails_closed(self):
+        """Replica stamps come from per-shard write clocks, so a read
+        repair across regions cannot be honoured — it must say so
+        instead of silently dropping the flag."""
+        fed = make_fed(seed=2)
+        entry = fed.switch_ids()[0]
+        region = fed.region_of(entry)
+
+        def homes(d):
+            return {fed.home_region_of(d, c) for c in range(2)}
+
+        ids = [f"rr/{i}" for i in range(40)]
+        spread = next(d for d in ids if homes(d) != {region})
+        local = next(d for d in ids if homes(d) == {region})
+        fed.place_many([spread, local], copies=2,
+                       entry_switches=[entry, entry])
+        with pytest.raises(GredError, match="cannot read-repair") as err:
+            fed.retrieve(spread, entry_switch=entry, copies=2,
+                         read_repair=True)
+        assert f"regions {sorted(homes(spread))}" in str(err.value)
+        assert fed.retrieve(local, entry_switch=entry, copies=2,
+                            read_repair=True).found
+        assert fed.retrieve(spread, entry_switch=entry, copies=2).found
 
     def test_batch_matches_scalar(self, reference_engine):
         fed_a = make_fed(seed=3)

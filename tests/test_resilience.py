@@ -360,7 +360,6 @@ class TestDisabledPassthrough:
         pipeline.place("x", payload=b"v")
         pipeline.retrieve("x")
         assert not pipeline.breakers.states()
-        assert not pipeline.blocks_fastpath()
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +410,6 @@ class TestResilientPipeline:
         victim = placed.records[0].server_id
         injector.crash_server(*victim)
         assert pipeline.absorb_faults(now=1.0) >= 1
-        assert pipeline.blocks_fastpath()
         outcome = pipeline.retrieve("doc", copies=3, now=1.0)
         assert outcome.ok
         assert outcome.result.payload == b"v"
@@ -433,7 +431,6 @@ class TestResilientPipeline:
             ids, payloads=[b"v"] * 10, copies=2, now=0.0)
         assert all(o.ok for o in outcomes)
         pipeline.breakers.force_open(("switch", 999), now=0.0)
-        assert pipeline.blocks_fastpath()
         results = pipeline.retrieve_many(ids, copies=2, now=1.0)
         admitted = [o for o in results if o.admitted]
         assert admitted
@@ -444,7 +441,6 @@ class TestResilientPipeline:
         pipeline.breakers.force_open(("switch", 1), now=0.0)
         stats = pipeline.stats()
         assert stats["enabled"]
-        assert stats["blocks_fastpath"]
         assert stats["tripped"] == ["switch:1"]
         assert stats["breakers"] == {"switch:1": "open"}
 

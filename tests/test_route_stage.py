@@ -418,17 +418,49 @@ class TestEngineSelection:
         assert engines == {"reference": 3, "compiled": 0}
         assert scalar_standdown(net) == "custom position_fn"
 
-    def test_tripped_breaker_takes_route_packet(self, engines):
+    def test_tripped_breaker_stays_compiled(self, engines,
+                                            reference_engine):
+        """A tripped breaker changes which replicas the resilient
+        wrapper probes, never how the network routes them: raw and
+        wrapped requests (the wrapper's batches stood down to its
+        scalar path) keep riding the compiled plane, and equal the
+        pinned reference run — results, storage, registry."""
+        from repro.dataplane import FASTPATH_GATES, batch_fastpath_blockers
         from repro.resilience import ResilienceConfig
 
-        net = build(1, 12)
-        pipeline = net.resilient(ResilienceConfig(enabled=True))
-        exercise(net)
-        assert engines == {"reference": 0, "compiled": 3}
-        pipeline.breakers.force_open(("switch", net.switch_ids()[3]), 0.0)
-        exercise(net)
-        assert engines == {"reference": 3, "compiled": 3}
-        assert scalar_standdown(net) == "resilience breakers tripped"
+        assert len(FASTPATH_GATES) == 3
+        ids = [f"br/{i}" for i in range(24)]
+
+        def drive(net):
+            switches = net.switch_ids()
+            entries = [switches[i % len(switches)] for i in range(24)]
+            pipeline = net.resilient(ResilienceConfig(enabled=True))
+            pipeline.breakers.force_open(("switch", switches[3]), 0.0)
+            assert pipeline.breakers.any_tripped()
+            return observe(net, [
+                lambda net: net.place_many(
+                    ids, payloads=ids, entry_switches=entries, copies=2),
+                lambda net: pipeline.place_many(
+                    ids[:8], payloads=ids[:8], entry_switches=entries[:8],
+                    copies=2, now=0.0),
+                lambda net: pipeline.retrieve_many(
+                    ids, entry_switches=entries, copies=2, now=1.0),
+                lambda net: net.retrieve_many(
+                    ids, entry_switches=entries, copies=2),
+                lambda net: pipeline.retrieve(
+                    ids[0], entry_switch=entries[5], copies=2, now=2.0),
+                lambda net: net.delete(ids[1], copies=2,
+                                       entry_switch=entries[2]),
+            ])
+
+        compiled = build(1, 12)
+        got = drive(compiled)
+        assert engines["reference"] == 0 and engines["compiled"] > 0
+        assert scalar_standdown(compiled) is None
+        assert batch_fastpath_blockers(compiled) == []
+        want = drive(reference_engine(build(1, 12)))
+        assert engines["reference"] > 0
+        assert got[:4] == want[:4]
 
     def test_lossy_southbound_takes_route_packet(self, engines):
         """Over a lossy transport the live switches change without a
