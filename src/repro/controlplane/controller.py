@@ -800,11 +800,15 @@ class Controller:
         control-plane scale that a rebuild is the simplest correct
         response) and the rules are recompiled.
 
+        Range extensions whose takeover server sits on the leaver are
+        withdrawn before the rules are reinstalled, so what they
+        redirected re-delivers to its home server and none dangles.
+
         Raises
         ------
         ControlPlaneError
             If removing the switch would disconnect the topology or
-            remove the last DT participant.
+            remove the last DT participant.  Nothing has changed then.
         """
         if not self.topology.has_node(switch_id):
             raise ControlPlaneError(f"unknown switch {switch_id}")
@@ -814,16 +818,17 @@ class Controller:
             raise ControlPlaneError(
                 f"removing switch {switch_id} would disconnect the network"
             )
+        if not any(self.server_map.get(node)
+                   for node in candidate.nodes()):
+            raise ControlPlaneError(
+                "cannot remove the last server-hosting switch"
+            )
         self.topology = candidate
         self.server_map.pop(switch_id, None)
         self.positions.pop(switch_id, None)
         self.switches.pop(switch_id, None)
-        participants = self.dt_participants()
-        if not participants:
-            raise ControlPlaneError(
-                "cannot remove the last server-hosting switch"
-            )
-        self._build_dt(participants)
+        self._drop_dead_extensions()
+        self._build_dt(self.dt_participants())
         self._install_rules(global_event=False)
         registry = default_registry()
         registry.counter("controlplane.switch_leaves").inc()

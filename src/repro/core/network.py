@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -212,6 +211,222 @@ def _payload_size(payload: Any) -> Optional[int]:
         return None
 
 
+class _Batch:
+    """One ``place_many`` / ``retrieve_many`` call, from the prologue
+    both kinds share to the one telemetry flush.
+
+    The constructor is the prologue: front door, stand-down decision,
+    flat entries, serials and a coherent fast-path ``state`` — left
+    ``None`` when a gate stood the batch down (the caller then runs
+    the scalar loop).  As a context manager around the compiled body
+    it flushes the tally exactly once, on whichever exit the body
+    takes (return, or a mid-batch ``ForwardingError`` / ``StorageFull``
+    / ``GredError``), so a batch that dies mid-way has reported what
+    the scalar loop would have by then — byte-equal, and each series
+    only if the scalar loop would have created it.
+    """
+
+    def __init__(self, net: "GredNetwork", kind: PacketKind,
+                 data_ids, entry_switches, copies, rng, digests,
+                 payloads=None) -> None:
+        (self.data_ids, self.entries, self.flat_ids, digests,
+         self.positions) = batch_front_door(
+            net, data_ids, entry_switches, copies, rng, digests,
+            payloads)
+        self.net = net
+        self.kind = kind.value
+        self.state: Optional[_FastPathState] = None
+        if net._batch_standdown():
+            return
+        self.flat_entries = (
+            self.entries if copies == 1 else
+            [e for e in self.entries for _ in range(copies)])
+        self.serial_u64s = serials_from_digests(digests)
+        self.state = net._fast_state()
+        self.registry = default_registry()
+        #: Decision mix of every probe the engine walked (a probe that
+        #: then failed to route or to store included).
+        self.stats: List[Any] = []
+        #: ``(item, route hops, overlay hops)`` per delivered probe.
+        self.deliveries: List[Any] = []
+        self.rewrites = 0
+        self.route_failures = 0
+        #: Visited switches / flat indices of the probes that reached
+        #: storage (the transit and demand signals).
+        self.transits: List[int] = []
+        self.flats: List[int] = []
+        self.place_hops: List[int] = []
+        self.sizes: List[int] = []
+        self.extended = 0
+        self.stored_to: set = set()
+        #: A retrieval batch's final results, in item order — the
+        #: order the scalar loop observes in.
+        self.answers: Sequence[RetrievalResult] = ()
+
+    def route(self, flats: Sequence[int],
+              max_hops: Optional[int] = None):
+        """The batch route stage for the flat request indices
+        ``flats``: the per-epoch LRU cache plus one wave-routed batch
+        for the misses.
+
+        Returns ``(routes, stats)``, both aligned with ``flats``.  A
+        route is ``(trace, overlay, dest, serial, mix)``, or the
+        :class:`ForwardingError` the reference engine would raise
+        (callers raise or skip it).  Cached traces are shared —
+        callers must copy, never mutate.  A custom hop budget changes
+        failure behavior, so it bypasses the cache rather than keying
+        on it.  ``stats`` holds each probe's ``(greedy, vl_starts,
+        vl_relays)`` decision mix (cache hits replay the mix recorded
+        when the route was first walked), so the flush can emit the
+        engine's forwarding counters without re-walking.
+        """
+        flat_entries, flat_ids = self.flat_entries, self.flat_ids
+        cache = self.state.routes
+        if max_hops is not None:
+            routes: List[Any] = [None] * len(flats)
+            stats: List[Any] = [None] * len(flats)
+            misses = list(flats)
+            slots = range(len(flats))
+            miss_keys: Optional[List[Any]] = None
+        else:
+            routes = []
+            stats = []
+            misses = []
+            slots = []
+            miss_keys = []
+            append = routes.append
+            for f in flats:
+                key = (flat_entries[f], flat_ids[f])
+                cached = cache.get(key)
+                if cached is None:
+                    slots.append(len(routes))
+                    misses.append(f)
+                    miss_keys.append(key)
+                    append(None)
+                    stats.append(None)
+                else:
+                    cache.move_to_end(key)
+                    append(cached)
+                    stats.append(cached[4])
+        if misses:
+            idx = np.asarray(misses, dtype=np.intp)
+            router = self.state.router
+            outcomes = router.route_batch(
+                [flat_entries[f] for f in misses],
+                [flat_ids[f] for f in misses],
+                self.positions[idx, 0], self.positions[idx, 1],
+                self.serial_u64s[idx], max_hops=max_hops,
+            )
+            batch_stats = router.last_batch_stats
+            if self.registry.enabled:
+                # Batch-only extras (the scalar loop has no waves):
+                # proof the vectorized router ran, and its amortization
+                # denominator.  Prefixed ``dataplane.batch.`` so parity
+                # checks can separate them from the shared aggregates.
+                self.registry.counter("dataplane.batch.requests").inc(
+                    len(misses))
+                self.registry.counter("dataplane.batch.waves").inc(
+                    router.last_batch_waves)
+            if miss_keys is None:
+                for slot, out, st in zip(slots, outcomes, batch_stats):
+                    routes[slot] = out
+                    stats[slot] = st
+            else:
+                for slot, key, out, st in zip(
+                        slots, miss_keys, outcomes, batch_stats):
+                    routes[slot] = out
+                    stats[slot] = st
+                    if type(out) is tuple:
+                        cache[key] = out
+                while len(cache) > _ROUTE_CACHE_CAP:
+                    cache.popitem(last=False)
+        return routes, stats
+
+    def routed(self, item: int, trace, overlay: int,
+               extension) -> None:
+        """Item ``item``'s probe was delivered.  The engine counts the
+        rewrite at delivery, whether or not the extension is then
+        usable."""
+        self.deliveries.append((item, len(trace) - 1, overlay))
+        if extension is not None:
+            self.rewrites += 1
+
+    def placed(self, flat: int, record: PlacementRecord,
+               payload: Any) -> None:
+        self.transits.extend(record.trace)
+        self.flats.append(flat)
+        self.place_hops.append(record.physical_hops)
+        if record.extended:
+            self.extended += 1
+        size = _payload_size(payload)
+        if size is not None:
+            self.sizes.append(size)
+        self.stored_to.add(record.server_id)
+
+    def __enter__(self) -> "_Batch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        registry = self.registry
+        if not registry.enabled:
+            return
+        # The scalar loop probes item-major (all of one item's replicas
+        # before the next), a retrieval batch round-major: the stable
+        # sort replays the scalar observation order, so the histogram
+        # reservoirs match byte for byte.
+        self.deliveries.sort(key=lambda delivery: delivery[0])
+        GredNetwork._emit_route_telemetry(
+            registry, self.kind, self.stats,
+            [d[1] for d in self.deliveries],
+            [d[2] for d in self.deliveries], self.rewrites)
+        found = [r for r in self.answers if r.found]
+        for name, hops_name, hops in (
+                ("core.places", "core.place_hops", self.place_hops),
+                ("core.retrieves", "core.retrieve_hops",
+                 [r.request_hops + r.response_hops for r in found])):
+            if hops:
+                registry.counter(name).inc(len(hops))
+                registry.histogram(
+                    hops_name, buckets=HOP_BUCKETS,
+                ).observe_many(np.asarray(hops, dtype=np.float64))
+        for name, tally in (
+                ("core.places_extended", self.extended),
+                ("faults.failovers",
+                 sum(r.attempts > 1 for r in found)),
+                ("core.retrieve_misses", len(self.answers) - len(found)),
+                ("faults.route_failures", self.route_failures)):
+            if tally:
+                registry.counter(name).inc(tally)
+        if self.sizes:
+            registry.histogram(
+                "core.payload_bytes", buckets=BYTE_BUCKETS,
+            ).observe_many(np.asarray(self.sizes, dtype=np.float64))
+        server_map = self.net.server_map
+        for switch, serial in sorted(self.stored_to):
+            registry.gauge(
+                "edge.server_load", switch=switch, serial=serial,
+            ).set(server_map[switch][serial].load)
+        if self.transits:
+            counts = np.bincount(np.asarray(self.transits,
+                                            dtype=np.int64))
+            for sid in np.flatnonzero(counts).tolist():
+                registry.counter("dataplane.switch_transits",
+                                 switch=sid).inc(int(counts[sid]))
+        if self.flats:
+            # The demand-adaptive embedding signal: per-item and
+            # per-region access counts (``demand_region`` vectorized).
+            registry.demand.record_many(
+                self.flat_ids[f] for f in self.flats)
+            g = DEMAND_GRID
+            at = self.positions[np.asarray(self.flats, dtype=np.intp)]
+            cells = np.clip((at * g).astype(np.int64), 0, g - 1)
+            counts = np.bincount(cells[:, 1] * g + cells[:, 0],
+                                 minlength=g * g)
+            for region in np.flatnonzero(counts).tolist():
+                registry.counter("demand.region_accesses",
+                                 region=region).inc(int(counts[region]))
+
+
 class GredNetwork:
     """A complete software-defined edge network running GRED.
 
@@ -264,55 +479,45 @@ class GredNetwork:
         )
         self._position_fn = position_fn or data_position
         self.controller = Controller(topology, server_map, config=config)
-        self._fault_state = None
+        self._init_request_state()
+
+    def _init_request_state(self) -> None:
+        """The request-side state of a fresh network; ``io/snapshot``
+        calls it after ``__new__`` and then overwrites what it
+        restores."""
+        #: Ground-truth failure state, or ``None`` when no
+        #: :class:`~repro.faults.FaultInjector` is attached.  When
+        #: set, routing degrades around crashed switches/links and
+        #: retrieval skips crashed servers.
+        self.fault_state = None
+        #: Whether writes/deletes aimed at an unreachable home server
+        #: are parked as hints on the nearest live server (drained by
+        #: :meth:`drain_hints` / :meth:`scrub`) instead of raising.
+        #: Off by default: without it a placement toward a crashed,
+        #: unrepaired server fails loudly, which is the right default
+        #: for chaos experiments that count errors.
+        self.hinted_handoff = False
+        #: The network-global write clock: how many stamped write /
+        #: delete operations have been issued (see :meth:`_op_stamp`).
+        self.write_version = 0
+        self._fastpath: Optional[_FastPathState] = None
+        self._resilience = None
+
+    def _op_stamp(self, origin: int):
+        """The ``(version, origin)`` stamp of one logical write or
+        delete, shared by all its copies and retries so a scrub can
+        compare copies of the same operation — allocated iff a fault
+        state is attached: stamps exist for repair, and the fault-free
+        paths (the grouped batch store included) stay byte-identical
+        without them."""
+        if self.fault_state is None:
+            return None
+        self.write_version += 1
+        return (self.write_version, origin)
 
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
-    @property
-    def fault_state(self):
-        """Ground-truth failure state, or ``None`` when no
-        :class:`~repro.faults.FaultInjector` is attached.  When set,
-        routing degrades around crashed switches/links and retrieval
-        skips crashed servers."""
-        # getattr: snapshots restore via __new__ and predate the field.
-        return getattr(self, "_fault_state", None)
-
-    @fault_state.setter
-    def fault_state(self, state) -> None:
-        self._fault_state = state
-
-    @property
-    def hinted_handoff(self) -> bool:
-        """Whether writes/deletes aimed at an unreachable home server
-        are parked as hints on the nearest live server (drained by
-        :meth:`drain_hints` / :meth:`scrub`) instead of raising.
-        Off by default: without it a placement toward a crashed,
-        unrepaired server fails loudly, which is the right default for
-        chaos experiments that count errors."""
-        # getattr: snapshots restore via __new__ and predate the field.
-        return getattr(self, "_hinted_handoff", False)
-
-    @hinted_handoff.setter
-    def hinted_handoff(self, enabled: bool) -> None:
-        self._hinted_handoff = bool(enabled)
-
-    @property
-    def write_version(self) -> int:
-        """The network-global write clock: how many stamped write /
-        delete operations have been issued.  Only advances while a
-        fault state is attached (stamps exist for repair; the
-        fault-free paths stay byte-identical without them)."""
-        return getattr(self, "_write_version", 0)
-
-    def _next_stamp(self, origin: int):
-        """Allocate the next ``(version, origin)`` write stamp.  One
-        stamp is shared by every copy of one logical operation so
-        cross-copy staleness is comparable."""
-        version = getattr(self, "_write_version", 0) + 1
-        self._write_version = version
-        return (version, origin)
-
     @property
     def topology(self) -> Graph:
         return self.controller.topology
@@ -374,12 +579,7 @@ class GredNetwork:
         """
         check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
-        # One stamp per logical operation, shared by all copies, so a
-        # scrub can compare copies of the same write.  Stamps exist
-        # only under an attached fault state: the fault-free paths
-        # (including the grouped batch store) stay byte-identical.
-        stamp = (self._next_stamp(entry)
-                 if self.fault_state is not None else None)
+        stamp = self._op_stamp(entry)
         return PlacementResult(data_id=data_id, records=[
             self._place_one(replica_id(data_id, i), payload, entry,
                             stamp=stamp)
@@ -487,9 +687,8 @@ class GredNetwork:
                 tracer = Tracer()
                 handle.set(**self._engine_attrs(tracing=True))
             try:
-                trace, overlay, dest, serial, extension, state = \
-                    self._route(copy_id, entry, PacketKind.PLACEMENT,
-                                tracer=tracer)
+                trace, overlay, dest, serial, _, state = self._route(
+                    copy_id, entry, PacketKind.PLACEMENT, tracer=tracer)
             except ForwardingError:
                 if not self.hinted_handoff or self.fault_state is None:
                     raise
@@ -497,59 +696,136 @@ class GredNetwork:
                 # write as a hint near the entry instead of failing.
                 return self._hinted_record(copy_id, payload, entry,
                                            stamp, handle)
-            extended = extension is not None
-            physical_hops = len(trace) - 1
-            if extended:
-                target = self.server(extension.target_switch,
-                                     extension.target_serial)
-                physical_hops += self._fast_hop(
-                    state, dest, extension.target_switch)
-            else:
-                target = self.server(dest, serial)
-            if self.fault_state is not None and \
-                    not self.fault_state.server_alive(target.server_id):
-                if self.hinted_handoff:
-                    return self._hinted_record(copy_id, payload, entry,
-                                               stamp, handle,
-                                               target=target.server_id)
-                raise GredError(
-                    f"cannot place {copy_id!r}: target server "
-                    f"{target.server_id} has crashed and has not been "
-                    f"repaired yet"
-                )
-            target.store(copy_id, payload, stamp=stamp)
+            record = self._store(
+                self._serving(state, dest, serial), copy_id, payload,
+                entry, stamp, trace, overlay, dest, handle)
+            if record.hinted:
+                return record
             registry = default_registry()
             if registry.enabled:
                 registry.counter("core.places").inc()
-                if extended:
+                if record.extended:
                     registry.counter("core.places_extended").inc()
                 registry.histogram("core.place_hops",
                                    buckets=HOP_BUCKETS).observe(
-                    physical_hops)
+                    record.physical_hops)
                 size = _payload_size(payload)
                 if size is not None:
                     registry.histogram(
                         "core.payload_bytes",
                         buckets=BYTE_BUCKETS).observe(size)
+                target = self.server(*record.server_id)
                 registry.gauge("edge.server_load", switch=target.switch,
                                serial=target.serial).set(target.load)
                 self._emit_probe_telemetry(registry, copy_id, trace)
             if tracer is not None:
                 spans_from_tracer(recorder, tracer, parent=handle.span)
                 handle.set(destination=dest,
-                           server=target.server_id,
-                           physical_hops=physical_hops,
-                           extended=extended)
-            return PlacementRecord(
-                data_id=copy_id,
-                entry_switch=entry,
-                destination_switch=dest,
-                server_id=target.server_id,
-                physical_hops=physical_hops,
-                overlay_hops=overlay,
-                trace=trace,
-                extended=extended,
+                           server=record.server_id,
+                           physical_hops=record.physical_hops,
+                           extended=record.extended)
+            return record
+
+    # ------------------------------------------------------------------
+    # the delivery stage: what happens once a route has delivered
+    # ------------------------------------------------------------------
+    def _serving(self, state: Optional[_FastPathState], dest: int,
+                 serial: int):
+        """The one resolution of a delivery ``(dest, serial)`` to the
+        servers behind it: ``(home server, extension, takeover server,
+        extra hops)``.  ``home`` is the ``H(d) mod s`` server (delivery
+        guarantees it exists); ``extension`` its range extension, read
+        live so extend/retract need no epoch bump.
+
+        One policy for every reader, writer and deleter: an extension
+        whose takeover switch has left or crashed counts as not
+        installed — ``takeover`` is ``None`` and the home server
+        serves.  Otherwise writes go to ``takeover``, reads fork to
+        both (paper Sections V-B, V-C), ``extra hops`` away.
+        """
+        controller = self.controller
+        home = controller.server_map[dest][serial]
+        extension = controller.switches[dest].table.extension_for(serial)
+        if extension is None:
+            return home, None, None, 0
+        fault = self.fault_state
+        if not controller.topology.has_node(extension.target_switch) \
+                or (fault is not None and not fault.switch_alive(
+                    extension.target_switch)):
+            return home, extension, None, 0
+        return (home, extension,
+                self.server(extension.target_switch,
+                            extension.target_serial),
+                self._fast_hop(state, dest, extension.target_switch))
+
+    def _store(self, serving, copy_id: str, payload: Any, entry: int,
+               stamp, trace: List[int], overlay: int, dest: int,
+               handle) -> PlacementRecord:
+        """The one store step: write a delivered copy to its serving
+        server — or, when that server has crashed and
+        :attr:`hinted_handoff` is on, park it as a hint (the record
+        says ``hinted``)."""
+        home, _, takeover, extra_hops = serving
+        target = home if takeover is None else takeover
+        fault = self.fault_state
+        if fault is not None and \
+                not fault.server_alive(target.server_id):
+            if self.hinted_handoff:
+                return self._hinted_record(
+                    copy_id, payload, entry, stamp, handle,
+                    target=target.server_id)
+            raise GredError(
+                f"cannot place {copy_id!r}: target server "
+                f"{target.server_id} has crashed and has not been "
+                f"repaired yet"
             )
+        target.store(copy_id, payload, stamp=stamp)
+        return PlacementRecord(
+            data_id=copy_id,
+            entry_switch=entry,
+            destination_switch=dest,
+            server_id=target.server_id,
+            physical_hops=len(trace) - 1 + extra_hops,
+            overlay_hops=overlay,
+            trace=trace,
+            extended=takeover is not None,
+        )
+
+    def _probe(self, state: Optional[_FastPathState], serving,
+               data_id: str, copy_id: str, copy_index: int, entry: int,
+               attempts: int, trace: List[int],
+               dest: int) -> RetrievalResult:
+        """The one probe step: look a delivered copy up on its serving
+        servers — the home server, then (the fork of paper Section
+        V-C) the takeover server, which costs the extra hops to the
+        neighbor switch — skipping crashed ones.  Hit or miss."""
+        home, _, takeover, extra_hops = serving
+        fault = self.fault_state
+        request_hops = len(trace) - 1
+        holder = None
+        if (fault is None or fault.server_alive(home.server_id)) \
+                and home.has(copy_id):
+            holder = home
+        elif takeover is not None and takeover.has(copy_id) and (
+                fault is None or fault.server_alive(takeover.server_id)):
+            holder = takeover
+            request_hops += extra_hops
+        found = holder is not None
+        return RetrievalResult(
+            data_id=data_id,
+            found=found,
+            payload=holder.retrieve(copy_id) if found else None,
+            entry_switch=entry,
+            destination_switch=dest,
+            server_id=holder.server_id if found else None,
+            request_hops=request_hops,
+            response_hops=(self._fast_hop(state, holder.switch, entry)
+                           if found else 0),
+            trace=trace,
+            copy_used=copy_index,
+            forked=takeover is not None,
+            attempts=attempts,
+        )
 
     # ------------------------------------------------------------------
     # retrieval
@@ -606,13 +882,13 @@ class GredNetwork:
                           max_hops: Optional[int]) -> RetrievalResult:
         """The nearest-first failover walk of :meth:`retrieve`."""
         registry = default_registry()
-        order = self._replica_order(data_id, copies, entry)
+        order = self.replica_order(data_id, copies, entry)
         attempts = 0
         last_miss: Optional[RetrievalResult] = None
         for copy_index in order:
             attempts += 1
-            result = self._retrieve_copy(data_id, copy_index, entry,
-                                         attempts, max_hops)
+            result = self.probe_replica(data_id, copy_index, entry,
+                                        max_hops, attempts)
             if result is None:
                 continue  # route failed loudly; try the next replica
             if result.found:
@@ -636,10 +912,15 @@ class GredNetwork:
             request_hops=0, response_hops=0, trace=[],
             copy_used=copy_used, forked=False, attempts=attempts)
 
-    def _retrieve_copy(self, data_id: str, copy_index: int, entry: int,
-                       attempts: int, max_hops: Optional[int]
-                       ) -> Optional[RetrievalResult]:
-        """Probe one replica; ``None`` means the route itself failed."""
+    def probe_replica(self, data_id: str, copy_index: int, entry: int,
+                      max_hops: Optional[int] = None,
+                      attempts: int = 1) -> Optional[RetrievalResult]:
+        """Probe a single replica without failover: route toward copy
+        ``copy_index`` from ``entry`` and return the outcome, or
+        ``None`` when the route itself failed.  This is the unit step
+        of :meth:`retrieve`'s failover walk, exposed so external
+        request pipelines (hedging, breaker-aware candidate ordering)
+        can drive the walk themselves."""
         recorder = default_span_recorder()
         with (recorder.span("retrieve.probe", copy=copy_index,
                             attempt=attempts)
@@ -649,7 +930,7 @@ class GredNetwork:
             copy_id = replica_id(data_id, copy_index)
             registry = default_registry()
             try:
-                trace, _, dest, serial, extension, state = self._route(
+                trace, _, dest, serial, _, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL, max_hops,
                     tracer)
             except ForwardingError:
@@ -661,63 +942,16 @@ class GredNetwork:
                 spans_from_tracer(recorder, tracer, parent=handle.span)
             if registry.enabled:
                 self._emit_probe_telemetry(registry, copy_id, trace)
-            candidates = [(self.server(dest, serial), 0)]
-            forked = False
-            if extension is not None and self._extension_usable(
-                    dest, extension):
-                # Fork: the request goes to both possible locations
-                # (paper Section V-C); the remote one costs the extra
-                # hops to the neighbor switch.
-                forked = True
-                remote = self.server(extension.target_switch,
-                                     extension.target_serial)
-                candidates.append((remote, self._fast_hop(
-                    state, dest, extension.target_switch)))
-            fault = self.fault_state
-            holder = None
-            request_hops = len(trace) - 1
-            response_hops = 0
-            for server, extra_hops in candidates:
-                if fault is not None and \
-                        not fault.server_alive(server.server_id):
-                    continue
-                if server.has(copy_id):
-                    holder = server
-                    request_hops += extra_hops
-                    response_hops = self._fast_hop(state, server.switch,
-                                                   entry)
-                    if registry.enabled:
-                        registry.counter("core.retrieves").inc()
-                        registry.histogram(
-                            "core.retrieve_hops", buckets=HOP_BUCKETS,
-                        ).observe(request_hops + response_hops)
-                    break
-            found = holder is not None
-            handle.set(found=found, destination=dest)
-            return RetrievalResult(
-                data_id=data_id,
-                found=found,
-                payload=holder.retrieve(copy_id) if found else None,
-                entry_switch=entry,
-                destination_switch=dest,
-                server_id=holder.server_id if found else None,
-                request_hops=request_hops,
-                response_hops=response_hops,
-                trace=trace,
-                copy_used=copy_index,
-                forked=forked,
-                attempts=attempts,
-            )
-
-    def _extension_usable(self, switch: int, extension) -> bool:
-        """Whether an extension's takeover server can be forked to
-        (its switch must still exist and not have crashed)."""
-        if not self.topology.has_node(extension.target_switch):
-            return False
-        if self.fault_state is not None and \
-                not self.fault_state.switch_alive(extension.target_switch):
-            return False
-        return True
+            result = self._probe(
+                state, self._serving(state, dest, serial), data_id,
+                copy_id, copy_index, entry, attempts, trace, dest)
+            if result.found and registry.enabled:
+                registry.counter("core.retrieves").inc()
+                registry.histogram(
+                    "core.retrieve_hops", buckets=HOP_BUCKETS,
+                ).observe(result.request_hops + result.response_hops)
+            handle.set(found=result.found, destination=dest)
+            return result
 
     def replica_order(self, data_id: str, copies: int,
                       entry: int) -> List[int]:
@@ -727,27 +961,14 @@ class GredNetwork:
         candidate selection starts from)."""
         if copies == 1:
             return [0]
+        return self._nearest_first(entry, [
+            self._position_fn(replica_id(data_id, i))
+            for i in range(copies)])
+
+    def _nearest_first(self, entry: int, positions) -> List[int]:
         entry_pos = self.controller.switch_position(entry)
-        keyed = []
-        for i in range(copies):
-            pos = self._position_fn(replica_id(data_id, i))
-            keyed.append((euclidean(pos, entry_pos), i))
-        keyed.sort()
-        return [i for _, i in keyed]
-
-    _replica_order = replica_order
-
-    def probe_replica(self, data_id: str, copy_index: int, entry: int,
-                      max_hops: Optional[int] = None,
-                      attempts: int = 1) -> Optional[RetrievalResult]:
-        """Probe a single replica without failover: route toward copy
-        ``copy_index`` from ``entry`` and return the outcome, or
-        ``None`` when the route itself failed.  This is the unit step
-        of :meth:`retrieve`'s failover walk, exposed so external
-        request pipelines (hedging, breaker-aware candidate ordering)
-        can drive the walk themselves."""
-        return self._retrieve_copy(data_id, copy_index, entry,
-                                   attempts, max_hops)
+        return sorted(range(len(positions)), key=lambda i: (
+            euclidean(positions[i], entry_pos), i))
 
     # ------------------------------------------------------------------
     # resilience interop
@@ -779,7 +1000,7 @@ class GredNetwork:
         The route cache is only marked (``state.stale``): sweeping it
         is linear in its size, so it waits for :meth:`_fast_state`."""
         controller = self.controller
-        state = getattr(self, "_fastpath", None)
+        state = self._fastpath
         if (state is not None and state.epoch == controller.epoch
                 and state.version == controller.version):
             return state
@@ -842,94 +1063,6 @@ class GredNetwork:
                 ).inc()
         return bool(reasons)
 
-    def _fast_routes(self, state: _FastPathState,
-                     flat_entries: Sequence[int],
-                     flat_ids: Sequence[str],
-                     positions: np.ndarray, serial_u64s: np.ndarray,
-                     flats: Sequence[int],
-                     max_hops: Optional[int] = None,
-                     stats_out: Optional[List[Any]] = None
-                     ) -> List[Any]:
-        """Routes for the flat request indices ``flats``, combining the
-        per-epoch LRU cache with one wave-routed batch for the misses.
-
-        Returns one ``(trace, overlay, dest, serial, mix)`` per flat
-        index, aligned with ``flats``; a request the reference engine would
-        fail maps to its :class:`ForwardingError` instead (callers
-        raise or skip it).  Cached traces are shared — callers must
-        copy, never mutate.  A custom hop budget changes failure
-        behavior, so it bypasses the cache rather than keying on it.
-
-        When ``stats_out`` is given it receives one per-route
-        ``(greedy, vl_starts, vl_relays)`` decision-mix tuple aligned
-        with the returned routes (cache hits replay the mix recorded
-        when the route was first walked), so callers can emit the
-        engine's forwarding counters without re-walking.
-        """
-        cache = state.routes
-        if max_hops is not None:
-            routes: List[Any] = [None] * len(flats)
-            stats: List[Any] = [None] * len(flats)
-            misses = list(flats)
-            slots = range(len(flats))
-            miss_keys: Optional[List[Any]] = None
-        else:
-            routes = []
-            stats = []
-            misses = []
-            slots = []
-            miss_keys = []
-            append = routes.append
-            for f in flats:
-                key = (flat_entries[f], flat_ids[f])
-                cached = cache.get(key)
-                if cached is None:
-                    slots.append(len(routes))
-                    misses.append(f)
-                    miss_keys.append(key)
-                    append(None)
-                    stats.append(None)
-                else:
-                    cache.move_to_end(key)
-                    append(cached)
-                    stats.append(cached[4])
-        if misses:
-            idx = np.asarray(misses, dtype=np.intp)
-            router = state.router
-            outcomes = router.route_batch(
-                [flat_entries[f] for f in misses],
-                [flat_ids[f] for f in misses],
-                positions[idx, 0], positions[idx, 1],
-                serial_u64s[idx], max_hops=max_hops,
-            )
-            batch_stats = router.last_batch_stats
-            registry = default_registry()
-            if registry.enabled:
-                # Batch-only extras (the scalar loop has no waves):
-                # proof the vectorized router ran, and its amortization
-                # denominator.  Prefixed ``dataplane.batch.`` so parity
-                # checks can separate them from the shared aggregates.
-                registry.counter("dataplane.batch.requests").inc(
-                    len(misses))
-                registry.counter("dataplane.batch.waves").inc(
-                    router.last_batch_waves)
-            if miss_keys is None:
-                for slot, out, st in zip(slots, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-            else:
-                for slot, key, out, st in zip(
-                        slots, miss_keys, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-                    if type(out) is tuple:
-                        cache[key] = out
-                while len(cache) > _ROUTE_CACHE_CAP:
-                    cache.popitem(last=False)
-        if stats_out is not None:
-            stats_out.extend(stats)
-        return routes
-
     def _fast_hop(self, state: Optional[_FastPathState], source: int,
                   target: int) -> int:
         """Hop distance with a per-epoch BFS cache (one BFS per
@@ -943,45 +1076,6 @@ class GredNetwork:
             dists = bfs_distances(self.topology, source)
             state.hops[source] = dists
         return dists[target]
-
-    # ------------------------------------------------------------------
-    # batch telemetry (numpy reductions, byte-equal to the scalar path)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _region_counts(positions: np.ndarray, flats) -> np.ndarray:
-        """Per-region access counts for the probed flat indices —
-        the vectorized form of ``demand_region`` per probe."""
-        g = DEMAND_GRID
-        idx = np.asarray(flats, dtype=np.intp)
-        cols = np.clip((positions[idx, 0] * g).astype(np.int64),
-                       0, g - 1)
-        rows = np.clip((positions[idx, 1] * g).astype(np.int64),
-                       0, g - 1)
-        return np.bincount(rows * g + cols, minlength=g * g)
-
-    def _emit_demand(self, registry, flat_ids, flats,
-                     positions: np.ndarray) -> None:
-        """Per-item and per-region access counters for the probed flat
-        indices (the demand-adaptive embedding signal)."""
-        if not flats:
-            return
-        registry.demand.record_many(flat_ids[f] for f in flats)
-        counts = self._region_counts(positions, flats)
-        for region in np.flatnonzero(counts).tolist():
-            registry.counter("demand.region_accesses",
-                             region=region).inc(int(counts[region]))
-
-    @staticmethod
-    def _emit_transits(registry, transit_switches) -> None:
-        """Per-switch transit counters from the concatenated traces of
-        a batch, reduced with one ``bincount``."""
-        if not transit_switches:
-            return
-        counts = np.bincount(np.asarray(transit_switches,
-                                        dtype=np.int64))
-        for sid in np.flatnonzero(counts).tolist():
-            registry.counter("dataplane.switch_transits",
-                             switch=sid).inc(int(counts[sid]))
 
     @staticmethod
     def _emit_route_telemetry(registry, kind: str, stats,
@@ -1022,31 +1116,6 @@ class GredNetwork:
                 "dataplane.overlay_hops_per_request",
                 buckets=HOP_BUCKETS,
             ).observe_many(overlay_hops)
-
-    def _emit_place_telemetry(self, registry, hops, sizes, extended_n,
-                              transit_switches, servers, flats,
-                              flat_ids, positions: np.ndarray) -> None:
-        """Aggregate telemetry for the records a ``place_many`` batch
-        completed, matching the scalar loop instrument for instrument
-        (instruments the scalar loop would not create are not created
-        here either)."""
-        if hops:
-            registry.counter("core.places").inc(len(hops))
-            registry.histogram(
-                "core.place_hops", buckets=HOP_BUCKETS,
-            ).observe_many(np.asarray(hops, dtype=np.float64))
-        if extended_n:
-            registry.counter("core.places_extended").inc(extended_n)
-        if sizes:
-            registry.histogram(
-                "core.payload_bytes", buckets=BYTE_BUCKETS,
-            ).observe_many(np.asarray(sizes, dtype=np.float64))
-        for key in sorted(servers):
-            server = servers[key]
-            registry.gauge("edge.server_load", switch=server.switch,
-                           serial=server.serial).set(server.load)
-        self._emit_transits(registry, transit_switches)
-        self._emit_demand(registry, flat_ids, flats, positions)
 
     @staticmethod
     def _record_exemplar(recorder, name: str, key: str,
@@ -1122,134 +1191,82 @@ class GredNetwork:
             once and passes the array to both calls.  Shape-checked
             on every path; the scalar fallback re-hashes exactly.
         """
-        data_ids, entries, flat_ids, digests, positions = \
-            batch_front_door(self, data_ids, entry_switches, copies,
-                             rng, digests, payloads)
-        if self._batch_standdown():
+        batch = _Batch(self, PacketKind.PLACEMENT, data_ids,
+                       entry_switches, copies, rng, digests, payloads)
+        data_ids, entries, flat_ids = \
+            batch.data_ids, batch.entries, batch.flat_ids
+        state = batch.state
+        if state is None:
             return [
                 self.place(data_id,
                            None if payloads is None else payloads[i],
                            entries[i], copies)
                 for i, data_id in enumerate(data_ids)
             ]
-        flat_entries = (entries if copies == 1 else
-                        [e for e in entries for _ in range(copies)])
-        serial_u64s = serials_from_digests(digests)
-        state = self._fast_state()
-        route_stats: List[Any] = []
-        routes = self._fast_routes(state, flat_entries, flat_ids,
-                                   positions, serial_u64s,
-                                   range(len(flat_ids)),
-                                   stats_out=route_stats)
-        switches = self.controller.switches
-        server_map = self.server_map
-        registry = default_registry()
-        telemetry = registry.enabled
+        telemetry = batch.registry.enabled
         recorder = default_span_recorder()
-        # Grouped storage: when every route delivered, no extension is
-        # installed anywhere and every target server is unbounded, the
-        # per-item store/extension/target work collapses to one bulk
-        # dict update per server (identical storage state — the stable
-        # grouping preserves each server's insertion order).
-        stored = self._grouped_store(routes, flat_ids, payloads,
-                                     copies, switches, server_map)
-        t_hops: List[int] = []
-        t_sizes: List[int] = []
-        t_extended = 0
-        t_transits: List[int] = []
-        t_flats: List[int] = []
-        t_servers: Dict[Any, Any] = {}
-        t_route_hops: List[int] = []
-        t_overlay: List[int] = []
         results: List[PlacementResult] = []
-        flat = 0
-        for i, data_id in enumerate(data_ids):
-            payload = payloads[i] if payloads is not None else None
-            entry = entries[i]
-            records: List[PlacementRecord] = []
-            for _ in range(copies):
-                copy_id = flat_ids[flat]
-                outcome = routes[flat]
-                flat += 1
-                if isinstance(outcome, ForwardingError):
-                    # The scalar loop raises mid-batch: items before
-                    # this one stay stored (and, like the scalar loop,
-                    # already counted), the rest are not placed.  The
-                    # failing probe's partial decision mix counts too,
-                    # exactly as the engine counts before it raises.
+        with batch:
+            routes, stats = batch.route(range(len(flat_ids)))
+            # Grouped storage: when every route delivered, no extension
+            # is installed anywhere and every target server is
+            # unbounded, the per-item store step collapses to one bulk
+            # dict update per server (identical storage state — the
+            # stable grouping preserves each server's insertion order).
+            stored = self._grouped_store(
+                routes, flat_ids, payloads, copies,
+                self.controller.switches, self.server_map)
+            flat = 0
+            for i, data_id in enumerate(data_ids):
+                payload = payloads[i] if payloads is not None else None
+                entry = entries[i]
+                records: List[PlacementRecord] = []
+                for _ in range(copies):
+                    copy_id = flat_ids[flat]
+                    outcome = routes[flat]
                     if telemetry:
-                        self._emit_route_telemetry(
-                            registry, PacketKind.PLACEMENT.value,
-                            route_stats[:flat], t_route_hops,
-                            t_overlay, t_extended)
-                        self._emit_place_telemetry(
-                            registry, t_hops, t_sizes, t_extended,
-                            t_transits, t_servers, t_flats, flat_ids,
-                            positions)
-                    raise outcome
-                trace, overlay, dest, serial, _ = outcome
-                if stored is not None:
-                    # Already bulk-stored; no extension anywhere, so
-                    # the target is the ``H(d) mod s`` server.
-                    extended = False
-                    physical = len(trace) - 1
-                    server_id = (dest, serial)
-                else:
-                    extension = switches[dest].table.extension_for(
-                        serial)
-                    extended = extension is not None
-                    if extended:
-                        target = self.server(extension.target_switch,
-                                             extension.target_serial)
-                        physical = len(trace) - 1 + self._fast_hop(
-                            state, dest, extension.target_switch)
+                        # The engine counts decisions as it makes them:
+                        # a probe that then fails to route, or to
+                        # store, has still reported its mix.
+                        batch.stats.append(stats[flat])
+                    flat += 1
+                    if type(outcome) is not tuple:
+                        # Like the scalar loop, raise mid-batch: items
+                        # before this one stay stored and counted, the
+                        # rest are not placed.
+                        raise outcome
+                    trace, overlay, dest, serial, _ = outcome
+                    if stored is not None:
+                        # Already bulk-stored on the ``H(d) mod s``
+                        # server; no extension anywhere.
+                        if telemetry:
+                            batch.routed(i, trace, overlay, None)
+                        record = PlacementRecord(
+                            data_id=copy_id, entry_switch=entry,
+                            destination_switch=dest,
+                            server_id=(dest, serial),
+                            physical_hops=len(trace) - 1,
+                            overlay_hops=overlay, trace=list(trace),
+                            extended=False)
                     else:
-                        # Delivery guarantees the switch has servers
-                        # and the serial is in range (H(d) mod s).
-                        target = server_map[dest][serial]
-                        physical = len(trace) - 1
-                    target.store(copy_id, payload)
-                    server_id = target.server_id
-                if telemetry:
-                    t_hops.append(physical)
-                    if extended:
-                        t_extended += 1
-                    size = _payload_size(payload)
-                    if size is not None:
-                        t_sizes.append(size)
-                    t_transits.extend(trace)
-                    t_flats.append(flat - 1)
-                    if stored is None:
-                        t_servers[server_id] = target
-                    t_route_hops.append(len(trace) - 1)
-                    t_overlay.append(overlay)
-                if recorder is not None:
-                    self._record_exemplar(
-                        recorder, "request.place", copy_id, trace,
-                        entry=entry, destination=dest,
-                        server=server_id,
-                        physical_hops=physical,
-                        extended=extended)
-                records.append(PlacementRecord(
-                    data_id=copy_id,
-                    entry_switch=entry,
-                    destination_switch=dest,
-                    server_id=server_id,
-                    physical_hops=physical,
-                    overlay_hops=overlay,
-                    trace=list(trace),
-                    extended=extended,
-                ))
-            results.append(PlacementResult(data_id=data_id,
-                                           records=records))
-        if telemetry:
-            self._emit_route_telemetry(
-                registry, PacketKind.PLACEMENT.value, route_stats,
-                t_route_hops, t_overlay, t_extended)
-            self._emit_place_telemetry(
-                registry, t_hops, t_sizes, t_extended, t_transits,
-                stored if stored is not None else t_servers,
-                t_flats, flat_ids, positions)
+                        serving = self._serving(state, dest, serial)
+                        if telemetry:
+                            batch.routed(i, trace, overlay, serving[1])
+                        record = self._store(
+                            serving, copy_id, payload, entry, None,
+                            list(trace), overlay, dest, NULL_SPAN)
+                    if telemetry and not record.hinted:
+                        batch.placed(flat - 1, record, payload)
+                    if recorder is not None:
+                        self._record_exemplar(
+                            recorder, "request.place", copy_id, trace,
+                            entry=entry, destination=dest,
+                            server=record.server_id,
+                            physical_hops=record.physical_hops,
+                            extended=record.extended)
+                    records.append(record)
+                results.append(PlacementResult(data_id=data_id,
+                                               records=records))
         return results
 
     def _grouped_store(self, routes: List[Any],
@@ -1323,177 +1340,64 @@ class GredNetwork:
         response hop counts come from a per-epoch BFS distance cache
         instead of a fresh traversal per request.
         """
-        data_ids, entries, flat_ids, digests, positions = \
-            batch_front_door(self, data_ids, entry_switches, copies,
-                             rng, digests)
-        if self._batch_standdown():
+        batch = _Batch(self, PacketKind.RETRIEVAL, data_ids,
+                       entry_switches, copies, rng, digests)
+        data_ids, entries, flat_ids = \
+            batch.data_ids, batch.entries, batch.flat_ids
+        state = batch.state
+        if state is None:
             return [
                 self.retrieve(data_id, entry, copies, max_hops=max_hops)
                 for data_id, entry in zip(data_ids, entries)
             ]
-        flat_entries = (entries if copies == 1 else
-                        [e for e in entries for _ in range(copies)])
-        serial_u64s = serials_from_digests(digests)
-        state = self._fast_state()
-        switches = self.controller.switches
         count = len(data_ids)
-        if copies == 1:
-            orders: Optional[List[List[int]]] = None
-        else:
-            orders = []
-            for i in range(count):
-                base = i * copies
-                ex, ey = self.controller.switch_position(entries[i])
-                keyed = [
-                    (math.hypot(float(positions[base + c, 0]) - ex,
-                                float(positions[base + c, 1]) - ey), c)
-                    for c in range(copies)
-                ]
-                keyed.sort()
-                orders.append([c for _, c in keyed])
-        registry = default_registry()
-        telemetry = registry.enabled
-        t_transits: List[int] = []
-        t_probe_flats: List[int] = []
-        t_route_failures = 0
-        t_stats: List[Any] = []
-        t_rewrites = 0
-        # Per-item delivery hop observations: the scalar loop probes
-        # item-major (all of one item's replicas before the next), the
-        # batch round-major — collecting per item and flattening at the
-        # end replays the scalar observation order.
-        t_phys_by_item: List[List[int]] = [[] for _ in range(count)]
-        t_over_by_item: List[List[int]] = [[] for _ in range(count)]
+        orders = [[0]] * count if copies == 1 else [
+            self._nearest_first(entries[i], batch.positions[
+                i * copies:(i + 1) * copies].tolist())
+            for i in range(count)]
+        telemetry = batch.registry.enabled
+        serving_of = self._serving
+        probe = self._probe
+        # An item's answer: its hit, else its last *routable* probe's
+        # miss (with the attempt count captured then, even if later
+        # probes failed to route, like the scalar loop), else ``None``.
         results: List[Optional[RetrievalResult]] = [None] * count
-        last_miss: List[Optional[RetrievalResult]] = [None] * count
-        attempts = [0] * count
         pending = list(range(count))
-        # Probe round ``r`` routes every unresolved item's r-th nearest
-        # replica in one wave-routed batch — the same nearest-first
-        # probe sequence as the scalar loop, just advanced in lockstep.
-        for rnd in range(copies):
-            if not pending:
-                break
-            probes = [
-                i * copies + (rnd if orders is None else orders[i][rnd])
-                for i in pending
+        with batch:
+            # Probe round ``r`` routes every unresolved item's r-th
+            # nearest replica in one wave-routed batch — the same
+            # nearest-first probe sequence as the scalar loop, just
+            # advanced in lockstep (so round r is attempt r + 1).
+            for rnd in range(copies):
+                if not pending:
+                    break
+                probes = [i * copies + orders[i][rnd] for i in pending]
+                routes, stats = batch.route(probes, max_hops)
+                batch.stats += stats
+                still: List[int] = []
+                for i, flat, outcome in zip(pending, probes, routes):
+                    if type(outcome) is not tuple:
+                        batch.route_failures += 1
+                        still.append(i)
+                        continue
+                    trace, overlay, dest, serial, _ = outcome
+                    serving = serving_of(state, dest, serial)
+                    if telemetry:
+                        batch.routed(i, trace, overlay, serving[1])
+                        batch.transits.extend(trace)
+                        batch.flats.append(flat)
+                    result = results[i] = probe(
+                        state, serving, data_ids[i], flat_ids[flat],
+                        flat % copies, entries[i], rnd + 1,
+                        list(trace), dest)
+                    if not result.found:
+                        still.append(i)
+                pending = still
+            final = batch.answers = [
+                result if result is not None else self._unroutable(
+                    data_ids[i], entries[i], orders[i][-1], copies)
+                for i, result in enumerate(results)
             ]
-            routes = self._fast_routes(state, flat_entries, flat_ids,
-                                       positions, serial_u64s, probes,
-                                       max_hops=max_hops,
-                                       stats_out=t_stats)
-            server_map = self.server_map
-            still: List[int] = []
-            for i, flat, outcome in zip(pending, probes, routes):
-                attempts[i] += 1
-                if isinstance(outcome, ForwardingError):
-                    t_route_failures += 1
-                    still.append(i)
-                    continue
-                c = rnd if orders is None else orders[i][rnd]
-                copy_id = flat_ids[flat]
-                entry = entries[i]
-                trace, overlay, dest, serial, _ = outcome
-                if telemetry:
-                    t_transits.extend(trace)
-                    t_probe_flats.append(flat)
-                    t_phys_by_item[i].append(len(trace) - 1)
-                    t_over_by_item[i].append(overlay)
-                request_hops = len(trace) - 1
-                # Delivery guarantees the switch has servers and the
-                # serial is in range (H(d) mod s).
-                candidates = [(server_map[dest][serial], 0)]
-                forked = False
-                extension = switches[dest].table.extension_for(serial)
-                if telemetry and extension is not None:
-                    # The engine counts the rewrite at delivery,
-                    # whether or not the extension is then usable.
-                    t_rewrites += 1
-                if extension is not None and self._extension_usable(
-                        dest, extension):
-                    forked = True
-                    remote = self.server(extension.target_switch,
-                                         extension.target_serial)
-                    candidates.append((remote, self._fast_hop(
-                        state, dest, extension.target_switch)))
-                for server, extra_hops in candidates:
-                    if server.has(copy_id):
-                        results[i] = RetrievalResult(
-                            data_id=data_ids[i],
-                            found=True,
-                            payload=server.retrieve(copy_id),
-                            entry_switch=entry,
-                            destination_switch=dest,
-                            server_id=server.server_id,
-                            request_hops=request_hops + extra_hops,
-                            response_hops=self._fast_hop(
-                                state, server.switch, entry),
-                            trace=list(trace),
-                            copy_used=c,
-                            forked=forked,
-                            attempts=attempts[i],
-                        )
-                        break
-                if results[i] is None:
-                    last_miss[i] = RetrievalResult(
-                        data_id=data_ids[i],
-                        found=False,
-                        payload=None,
-                        entry_switch=entry,
-                        destination_switch=dest,
-                        server_id=None,
-                        request_hops=request_hops,
-                        response_hops=0,
-                        trace=list(trace),
-                        copy_used=c,
-                        forked=forked,
-                        attempts=attempts[i],
-                    )
-                    still.append(i)
-            pending = still
-        final: List[RetrievalResult] = []
-        for i in range(count):
-            if results[i] is not None:
-                final.append(results[i])
-            elif last_miss[i] is not None:
-                # Like the scalar loop, the reported attempt count is
-                # the one captured when the last *routable* probe
-                # missed, even if later probes failed to route.
-                final.append(last_miss[i])
-            else:
-                final.append(self._unroutable(
-                    data_ids[i], entries[i],
-                    0 if orders is None else orders[i][-1],
-                    attempts[i]))
-        if telemetry:
-            found_hops = [r.request_hops + r.response_hops
-                          for r in final if r.found]
-            failovers = sum(1 for r in final
-                            if r.found and r.attempts > 1)
-            misses = count - len(found_hops)
-            if found_hops:
-                registry.counter("core.retrieves").inc(len(found_hops))
-                # Replayed in item order — the order the scalar loop
-                # observes in — so the histogram reservoir matches.
-                registry.histogram(
-                    "core.retrieve_hops", buckets=HOP_BUCKETS,
-                ).observe_many(np.asarray(found_hops,
-                                          dtype=np.float64))
-            if failovers:
-                registry.counter("faults.failovers").inc(failovers)
-            if misses:
-                registry.counter("core.retrieve_misses").inc(misses)
-            if t_route_failures:
-                registry.counter("faults.route_failures").inc(
-                    t_route_failures)
-            self._emit_route_telemetry(
-                registry, PacketKind.RETRIEVAL.value, t_stats,
-                [h for per in t_phys_by_item for h in per],
-                [o for per in t_over_by_item for o in per],
-                t_rewrites)
-            self._emit_transits(registry, t_transits)
-            self._emit_demand(registry, flat_ids, t_probe_flats,
-                              positions)
         recorder = default_span_recorder()
         if recorder is not None:
             for r in final:
@@ -1513,7 +1417,7 @@ class GredNetwork:
         One vectorized hashing pass plus one grid-index query per id.
         """
         data_ids = list(data_ids)
-        if getattr(self, "_position_fn", None) is not data_position:
+        if self._position_fn is not data_position:
             return [self.destination_switch(d) for d in data_ids]
         positions = positions_from_digests(sha256_digests(data_ids))
         index = self.controller.routing_index()
@@ -1541,11 +1445,11 @@ class GredNetwork:
         removed = 0
         entry = self._resolve_entry(entry_switch, None)
         fault = self.fault_state
-        stamp = self._next_stamp(entry) if fault is not None else None
+        stamp = self._op_stamp(entry)
         for i in range(copies):
             copy_id = replica_id(data_id, i)
             try:
-                _, _, dest, serial, extension, _ = self._route(
+                _, _, dest, serial, _, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL)
             except ForwardingError:
                 if stamp is None:
@@ -1559,13 +1463,10 @@ class GredNetwork:
                     registry.counter(
                         "durability.deletes_unreachable").inc()
                 continue
-            servers = [self.server(dest, serial)]
-            if extension is not None:
-                servers.append(self.server(extension.target_switch,
-                                           extension.target_serial))
+            home, _, takeover, _ = self._serving(state, dest, serial)
             hit = False
-            for server in servers:
-                if server.has(copy_id):
+            for server in (home, takeover):
+                if server is not None and server.has(copy_id):
                     if stamp is None:
                         server.delete(copy_id)
                     else:
@@ -1584,7 +1485,6 @@ class GredNetwork:
                 # No live copy at the home (it may sit on a crashed,
                 # not-yet-repaired server): still record the tombstone
                 # so repair cannot rebuild the copy later.
-                home = servers[0]
                 if fault.server_alive(home.server_id):
                     self._entomb(home, copy_id, stamp)
                 elif self.hinted_handoff:
@@ -1602,14 +1502,9 @@ class GredNetwork:
         extension."""
         switch = self.controller.closest_switch(
             self._position_fn(copy_id))
-        servers = self.server_map[switch]
-        serial = server_index(copy_id, len(servers))
-        extension = self.controller.switches[switch].table.extension_for(
-            serial)
-        if extension is not None:
-            return self.server(extension.target_switch,
-                               extension.target_serial)
-        return servers[serial]
+        home, _, takeover, _ = self._serving(None, switch, server_index(
+            copy_id, len(self.server_map[switch])))
+        return home if takeover is None else takeover
 
     def _nearest_live_server(self, entry: int) -> Optional[EdgeServer]:
         """The closest live server reachable from ``entry`` (BFS over
@@ -1899,61 +1794,55 @@ class GredNetwork:
                 f"cannot remove switch {switch_id}: it is the last "
                 f"switch and removing it would leave an empty network"
             )
+        # Validate, then mutate: read what must move (the leaver's
+        # items, and those its own extensions redirected to a neighbor),
+        # let the controller accept or refuse, and only then clear and
+        # re-deliver.  A refused leave changes no server.
         servers = self.server_map.get(switch_id, [])
         orphans = []
-        for server in servers:
-            for item_id in server.stored_ids():
-                orphans.append((item_id, server.retrieve(item_id),
-                                server.stamp_of(item_id)))
-            server.clear()
-        # Re-place from a surviving physical neighbor of the leaver.
-        neighbors = [n for n in self.topology.neighbors(switch_id)]
-        leaver_position = self.controller.positions.get(switch_id)
+        for serial in range(len(servers)):
+            home, _, takeover, _ = self._serving(None, switch_id, serial)
+            orphans.extend((home, item_id)
+                           for item_id in home.stored_ids())
+            if takeover is not None:
+                orphans.extend(
+                    (takeover, item_id)
+                    for item_id in takeover.stored_ids()
+                    if self._belongs_to(item_id, switch_id, serial))
+        # Re-place from a surviving physical neighbor of the leaver
+        # (a connected topology of two or more switches has one).
+        entry = next(self.topology.neighbors(switch_id))
         self.controller.remove_switch(switch_id)
-        entry = None
-        for n in neighbors:
-            if self.topology.has_node(n):
-                entry = n
-                break
-        if entry is None:
-            # Defensive: a connected topology always leaves a neighbor,
-            # but if not, re-enter at the nearest surviving switch in
-            # the virtual space rather than an arbitrary one.
-            entry = min(
-                self.switch_ids(),
-                key=lambda s: (
-                    euclidean(self.controller.positions[s],
-                              leaver_position)
-                    if leaver_position is not None else 0.0,
-                    s,
-                ),
-            )
-        for item_id, payload, stamp in orphans:
-            self._place_one(item_id, payload, entry, stamp=stamp)
-        if orphans:
-            default_registry().counter("core.migrations").inc(
-                len(orphans))
-        return len(orphans)
+        moved = self._redeliver(orphans, entry)
+        for server in servers:
+            server.clear()
+        return moved
 
     def _migrate_from(self, switches: Sequence[int]) -> int:
         """Re-evaluate items stored under the given switches and move the
         ones whose closest switch changed."""
         moved = 0
         for switch in switches:
-            for server in self.server_map.get(switch, []):
-                for item_id in server.stored_ids():
-                    if self._belongs_to(item_id, server.switch,
-                                        server.serial):
-                        continue
-                    payload = server.retrieve(item_id)
-                    stamp = server.stamp_of(item_id)
-                    server.delete(item_id)
-                    self._place_one(item_id, payload, switch,
-                                    stamp=stamp)
-                    moved += 1
-        if moved:
-            default_registry().counter("core.migrations").inc(moved)
+            moved += self._redeliver([
+                (server, item_id)
+                for server in self.server_map.get(switch, [])
+                for item_id in server.stored_ids()
+                if not self._belongs_to(item_id, server.switch,
+                                        server.serial)], switch)
         return moved
+
+    def _redeliver(self, items, entry: int) -> int:
+        """Take each ``(server, item id)`` off its server and deliver
+        it again from ``entry`` through the one store path, stamp
+        kept; returns the count."""
+        for server, item_id in items:
+            stamp = server.stamp_of(item_id)
+            self._place_one(item_id, server.delete(item_id), entry,
+                            stamp=stamp)
+        if items:
+            default_registry().counter("core.migrations").inc(
+                len(items))
+        return len(items)
 
     # ------------------------------------------------------------------
     # evaluation helpers

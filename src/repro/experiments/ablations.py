@@ -140,6 +140,7 @@ def run_embedding_methods(
             from ..hashing import data_position
             from ..controlplane import Controller
 
+            net._init_request_state()
             net._position_fn = data_position
             net.controller = Controller(
                 topology, servers,

@@ -43,7 +43,7 @@ def to_snapshot(net: GredNetwork) -> Dict[str, Any]:
     :class:`SnapshotError` is raised rather than silently writing a
     snapshot that would come back healthy.
     """
-    pipeline = getattr(net, "_resilience", None)
+    pipeline = net._resilience
     if pipeline is not None and pipeline.breakers.any_tripped():
         tripped = ", ".join(f"{kind}:{ident}" for kind, ident
                             in pipeline.breakers.tripped())
@@ -265,9 +265,10 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
         servers.sort(key=lambda s: s.serial)
     config = snapshot["config"]
     net = GredNetwork.__new__(GredNetwork)
-    # __init__ is bypassed; re-attach the persisted fault state (if
-    # any) so a degraded deployment restores degraded — crashed nodes
-    # must never come back to life through a snapshot round trip.
+    net._init_request_state()
+    # Re-attach the persisted fault state (if any) so a degraded
+    # deployment restores degraded — crashed nodes must never come
+    # back to life through a snapshot round trip.
     net.fault_state = _restore_fault_state(snapshot.get("faults"))
     from ..controlplane import Controller
 
@@ -341,7 +342,7 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
     net._position_fn = data_position
     durability = snapshot.get("durability")
     if durability is not None:
-        net._write_version = int(durability.get("write_version", 0))
+        net.write_version = int(durability.get("write_version", 0))
         net.hinted_handoff = bool(durability.get("hinted_handoff",
                                                  False))
     return net

@@ -724,6 +724,9 @@ class ResilientNetwork:
         outcome = ResilientOutcome(kind="place", data_id=data_id,
                                    queue_wait=queue_wait)
         placed: Dict[int, Any] = {}
+        # One stamp per logical operation, shared by every copy and
+        # every retry (``GredNetwork.place`` semantics).
+        stamp = self.net._op_stamp(entry)
 
         def attempt(clock, budget, tries):
             for copy_index in range(copies):
@@ -754,8 +757,8 @@ class ResilientNetwork:
                 outcome.attempts += 1
                 try:
                     with self._quiet(recorder):
-                        record = self.net._place_one(copy_id, payload,
-                                                     entry)
+                        record = self.net._place_one(
+                            copy_id, payload, entry, stamp)
                 except (GredError, ForwardingError):
                     if root is not None:
                         recorder.add_span(

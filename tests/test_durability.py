@@ -545,6 +545,50 @@ class TestReadRepair:
         assert not holder.has(copy1)
 
 
+class TestResilientWritesAreStamped:
+    """An enabled pipeline's write carries its operation's stamp: one
+    per logical write, so a later repair cannot roll it back to an
+    older stamped value on a sibling copy (a lost update)."""
+
+    @staticmethod
+    def _overwrite_one_copy(net):
+        FaultInjector(net, seed=7)
+        net.place("x", payload="old", entry_switch=0, copies=2)
+        resilient = ResilientNetwork(net, ResilienceConfig(enabled=True))
+        for payload in ("newer", "new"):
+            before = net.write_version
+            assert resilient.place("x", payload=payload,
+                                   entry_switch=0, copies=1).ok
+            assert net.write_version == before + 1
+
+    @staticmethod
+    def _copies(net):
+        return [(server.retrieve(copy_id), server.stamp_of(copy_id))
+                for copy_id in (replica_id("x", 0), replica_id("x", 1))
+                for server in [net._home_server(copy_id)]]
+
+    def test_stamp_shared_by_copies_and_retries(self, net):
+        FaultInjector(net, seed=7)
+        resilient = ResilientNetwork(net, ResilienceConfig(enabled=True))
+        assert resilient.place("y", payload="p", entry_switch=0,
+                               copies=3).ok
+        stamps = {server.stamp_of(copy_id)
+                  for server in net.servers()
+                  for copy_id in server.stored_ids()}
+        assert stamps == {(1, 0)}
+        assert net.write_version == 1
+
+    def test_overwrite_survives_read_repair(self, net):
+        self._overwrite_one_copy(net)
+        assert net.read_repair("x", copies=2) == 1
+        assert self._copies(net) == [("new", (3, 0))] * 2
+
+    def test_overwrite_survives_scrub(self, net):
+        self._overwrite_one_copy(net)
+        net.scrub({"x": 2})
+        assert self._copies(net) == [("new", (3, 0))] * 2
+
+
 # ----------------------------------------------------------------------
 # snapshot round-trip of durability state
 # ----------------------------------------------------------------------

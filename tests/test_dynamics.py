@@ -170,3 +170,190 @@ class TestJoinLeaveCycle:
             expected = net.controller.closest_switch(
                 data_position(data_id))
             assert route.destination_switch == expected
+
+
+# ---------------------------------------------------------------------
+# a graceful leave never loses data: monolith and 4-region federation
+# ---------------------------------------------------------------------
+def _waxman_monolith():
+    from repro import brite_waxman_graph
+
+    topology, _ = brite_waxman_graph(
+        30, min_degree=3, rng=np.random.default_rng(0))
+    return GredNetwork(topology, attach_uniform(topology.nodes(), 2),
+                       cvt_iterations=8, seed=0)
+
+
+def _federation():
+    from repro.controlplane import FederatedNetwork
+    from repro.topology import federated_topology
+
+    topology, assignment = federated_topology(4, 10, min_degree=2,
+                                              seed=0)
+    return FederatedNetwork(topology, assignment=assignment,
+                            servers_per_switch=2, cvt_iterations=5,
+                            seed=0)
+
+
+def _line_monolith():
+    from repro.topology import line_graph
+
+    topology = line_graph(5)
+    return GredNetwork(topology, attach_uniform(topology.nodes(), 2),
+                       cvt_iterations=0)
+
+
+def _line_federation():
+    """Four regions, each a 5-switch line joined end to end in a ring:
+    the middle switch of a region is an articulation point of its
+    shard and not a gateway."""
+    from repro.controlplane import FederatedNetwork
+    from repro.graph import Graph
+
+    topology = Graph()
+    for switch in range(20):
+        topology.add_node(switch)
+    for switch in range(20):
+        if switch % 5 != 4:
+            topology.add_edge(switch, switch + 1)
+    for region in range(4):
+        topology.add_edge(5 * region + 4, (5 * region + 5) % 20)
+    return FederatedNetwork(
+        topology, assignment={s: s // 5 for s in range(20)},
+        servers_per_switch=2, cvt_iterations=0)
+
+
+def _shard_nets(system):
+    shards = getattr(system, "shards", None)
+    if shards is None:
+        return [system]
+    return [shards[rid].net for rid in sorted(shards)]
+
+
+def _gateways(system):
+    return {g for shard in getattr(system, "shards", {}).values()
+            for g in shard.gateways}
+
+
+def _can_leave(net, switch):
+    from repro.graph import is_connected
+
+    rest = net.topology.copy()
+    rest.remove_node(switch)
+    return is_connected(rest)
+
+
+def _extend_toward_removable(system, takeover_leaves):
+    """Install one range extension ``(home, 0) -> takeover`` on some
+    shard, for a home server that attracts items, such that the switch
+    that is going to leave (the takeover when ``takeover_leaves``,
+    else the home) is free to."""
+    barred = _gateways(system)
+    for net in _shard_nets(system):
+        for home in net.switch_ids():
+            if not net.server(home, 0).load:
+                continue
+            net.extend_range(home, 0)
+            entry = net.controller.switches[home].table.extension_for(0)
+            leaver = entry.target_switch if takeover_leaves else home
+            if leaver not in barred and _can_leave(net, leaver):
+                return net, home, entry
+            net.retract_range(home, 0)
+    raise AssertionError("no removable extension pair in the fixture")
+
+
+def _storage(system):
+    return {server.server_id: {
+        item: (server.retrieve(item), server.stamp_of(item))
+        for item in server.stored_ids()}
+        for net in _shard_nets(system) for server in net.servers()}
+
+
+def _assert_healthy(system, ids, entries):
+    """Every item retrievable with its payload, no extension pointing
+    at a departed switch, the verifier clean, batch ≡ scalar."""
+    from repro.controlplane.verification import verify_installed_state
+
+    batch = system.retrieve_many(ids, entry_switches=entries)
+    assert [r.found for r in batch] == [True] * len(ids)
+    assert [r.payload for r in batch] == ids
+    assert batch == [system.retrieve(d, entry_switch=e)
+                     for d, e in zip(ids, entries)]
+    for net in _shard_nets(system):
+        assert verify_installed_state(net.controller) == []
+        for switch in net.controller.switches.values():
+            for entry in switch.table.extensions():
+                assert net.topology.has_node(entry.target_switch)
+
+
+@pytest.mark.parametrize("build", [_waxman_monolith, _federation])
+class TestLeaveWithExtensions:
+    def test_takeover_switch_leaves(self, build):
+        system = build()
+        ids = [f"leave/{i}" for i in range(800)]
+        system.place_many(ids[:400], payloads=ids[:400],
+                          rng=np.random.default_rng(1))
+        net, home, entry = _extend_toward_removable(system, True)
+        system.place_many(ids[400:], payloads=ids[400:],
+                          rng=np.random.default_rng(2))
+        takeover = entry.target_switch
+        on_takeover = sum(s.load for s in net.server_map[takeover])
+        assert on_takeover > 0
+        assert system.remove_switch(takeover) == on_takeover
+        assert net.controller.switches[home].table.extension_for(0) \
+            is None
+        survivors = system.switch_ids()
+        entries = [survivors[i % len(survivors)]
+                   for i in range(len(ids))]
+        _assert_healthy(system, ids, entries)
+        # Writes and deletes toward the formerly extended range work
+        # again on the shard, scalar and batch alike.
+        from test_range_extension import find_item_for_server
+
+        fresh = [find_item_for_server(net, home, 0, prefix=f"after{k}")
+                 for k in range(2)]
+        entry_switch = net.switch_ids()[0]
+        net.place(fresh[0], payload="a", entry_switch=entry_switch)
+        net.place_many(fresh[1:], payloads=["b"],
+                       entry_switches=[entry_switch])
+        assert net.server(home, 0).has(fresh[0])
+        assert net.server(home, 0).has(fresh[1])
+        assert net.delete(fresh[0], entry_switch=entry_switch) == 1
+
+    def test_extended_switch_leaves(self, build):
+        # The leaver's own extension had redirected part of its range
+        # to a neighbor: those items re-deliver too.
+        system = build()
+        ids = [f"own/{i}" for i in range(800)]
+        system.place_many(ids[:400], payloads=ids[:400],
+                          rng=np.random.default_rng(1))
+        net, home, entry = _extend_toward_removable(system, False)
+        system.place_many(ids[400:], payloads=ids[400:],
+                          rng=np.random.default_rng(2))
+        redirected = [
+            item for item in net.server(
+                entry.target_switch, entry.target_serial).stored_ids()
+            if net._belongs_to(item, home, 0)]
+        assert redirected
+        on_home = sum(s.load for s in net.server_map[home])
+        assert system.remove_switch(home) == on_home + len(redirected)
+        survivors = system.switch_ids()
+        _assert_healthy(system, ids, [survivors[i % len(survivors)]
+                                      for i in range(len(ids))])
+
+
+@pytest.mark.parametrize("build, victim", [(_line_monolith, 2),
+                                           (_line_federation, 7)])
+def test_refused_leave_changes_no_server(build, victim):
+    system = build()
+    ids = [f"stay/{i}" for i in range(200)]
+    system.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+    loads = system.load_vector()
+    before = _storage(system)
+    assert sum(len(items) for sid, items in before.items()
+               if sid[0] == victim) > 0
+    with pytest.raises(ControlPlaneError, match="disconnect"):
+        system.remove_switch(victim)
+    assert victim in system.switch_ids()
+    assert system.load_vector() == loads
+    assert _storage(system) == before

@@ -252,7 +252,7 @@ class TestReplicaFailover:
     def test_failover_to_surviving_replica(self, net):
         net.place("precious", payload=b"gold", entry_switch=0, copies=3)
         entry = 0
-        order = net._replica_order("precious", 3, entry)
+        order = net.replica_order("precious", 3, entry)
         nearest_switch = net.destination_switch(
             replica_id("precious", order[0]))
         others = holder_switches(net, "precious", 3) - {nearest_switch}
@@ -269,7 +269,7 @@ class TestReplicaFailover:
         """S1 regression: a missing (not crashed) nearest copy must not
         end the retrieval."""
         net.place("flaky", payload=b"v", entry_switch=0, copies=2)
-        order = net._replica_order("flaky", 2, 0)
+        order = net.replica_order("flaky", 2, 0)
         nearest_id = replica_id("flaky", order[0])
         deleted = net.delete(nearest_id, copies=1)
         assert deleted == 1

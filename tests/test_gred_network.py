@@ -139,7 +139,7 @@ class TestReplication:
         gred_small.place("fall-1", payload=b"p", entry_switch=0,
                          copies=2)
         entry = 7
-        order = gred_small._replica_order("fall-1", 2, entry)
+        order = gred_small.replica_order("fall-1", 2, entry)
         nearest_id = replica_id("fall-1", order[0])
         # Delete the nearest copy straight off its server (no
         # control-plane involvement, as a fault would).

@@ -121,3 +121,27 @@ class TestMigration:
     def test_retract_without_extension_raises(self, net):
         with pytest.raises(GredError, match="no active extension"):
             net.retract_range(4, 0)
+
+
+class TestUnusableTakeover:
+    def test_crashed_takeover_counts_as_not_installed(self, net):
+        # One policy for writes, reads and deletes: while the takeover
+        # switch is down the home server serves, as if no extension
+        # were installed.
+        from repro.faults import FaultInjector
+
+        switch = 4
+        net.extend_range(switch, 0)
+        entry = net.controller.switches[switch].table.extension_for(0)
+        FaultInjector(net, seed=0).crash_switch(entry.target_switch)
+        first, second = (find_item_for_server(net, switch, 0, prefix=p)
+                         for p in ("one", "two"))
+        record = net.place(first, payload=b"x",
+                           entry_switch=switch).primary
+        assert record.server_id == (switch, 0) and not record.extended
+        [batch] = net.place_many([second], entry_switches=[switch])
+        assert batch.primary.server_id == (switch, 0)
+        result = net.retrieve(first, entry_switch=switch)
+        assert result.found and not result.forked
+        assert net.delete(first, entry_switch=switch) == 1
+        assert net._home_server(second).server_id == (switch, 0)

@@ -102,6 +102,14 @@ class TestErrors:
         with pytest.raises(SnapshotError, match="JSON-serializable"):
             to_snapshot(net)
 
+    def test_restore_initialises_every_field(self, net):
+        # A restored network carries the same attributes as a built
+        # one, so no reader needs a "snapshots predate the field" guard.
+        restored = from_snapshot(to_snapshot(net))
+        assert vars(restored).keys() == vars(net).keys()
+        assert restored.fault_state is None
+        assert restored.write_version == 0
+
     def test_missing_positions_rejected(self, net):
         snapshot = to_snapshot(net)
         del snapshot["positions"]["0"]

@@ -167,3 +167,61 @@ class TestFastPathStaysFast:
         finally:
             net.fault_state = None
             set_default_registry(previous)
+
+
+class TestMidBatchFailureParity:
+    """A batch that dies mid-way (a bounded server fills up) raises
+    what the scalar loop raises, has stored the same prefix in the
+    same order, and has reported the same registry — the one flush
+    runs on every exit."""
+
+    @staticmethod
+    def _run(net, batch: bool):
+        from repro.edge import StorageFull
+
+        ids = [f"full/{i}" for i in range(300)]
+        entry = net.switch_ids()[0]
+        registry = MetricsRegistry(enabled=True)
+        previous = set_default_registry(registry)
+        try:
+            with pytest.raises(StorageFull) as failure:
+                if batch:
+                    net.place_many(ids, payloads=ids,
+                                   entry_switches=[entry] * len(ids))
+                else:
+                    for data_id in ids:
+                        net.place(data_id, payload=data_id,
+                                  entry_switch=entry)
+        finally:
+            set_default_registry(previous)
+        stored = {server.server_id: server.stored_ids()
+                  for server in net.servers()}
+        return (str(failure.value), stored,
+                _normalize(registry.to_dict(include_events=False)))
+
+    @staticmethod
+    def _bounded(extensions):
+        topology, _ = brite_waxman_graph(
+            20, min_degree=3, rng=np.random.default_rng(0))
+        servers = attach_uniform(topology.nodes(),
+                                 servers_per_switch=2, capacity=3)
+        net = GredNetwork(topology, servers, cvt_iterations=8, seed=0)
+        for switch in net.switch_ids()[:extensions]:
+            net.extend_range(switch, 0)
+        return net
+
+    @pytest.mark.parametrize("extensions", [0, 6])
+    def test_storage_full_three_way(self, reference_engine, extensions):
+        def build():
+            return self._bounded(extensions)
+
+        reference = self._run(reference_engine(build()), False)
+        text, stored, dump = reference
+        placed = sum(len(ids) for ids in stored.values())
+        assert 0 < placed < 300
+        assert dump["counters"][("core.places", ())]["value"] == placed
+        assert dump["counters"][
+            ("dataplane.requests_routed", (("kind", "placement"),))
+        ]["value"] == placed + 1
+        assert self._run(build(), False) == reference
+        assert self._run(build(), True) == reference
