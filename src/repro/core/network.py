@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ from ..dataplane import (
     ForwardingError,
     Packet,
     PacketKind,
+    RouteMemo,
     RouteResult,
     Tracer,
     batch_fastpath_blockers,
@@ -55,7 +55,9 @@ from ..geometry import euclidean
 from ..graph import Graph, bfs_distances, hop_count
 from ..hashing import (
     data_position,
-    position_and_key,
+    digest_keys,
+    position_from_bits,
+    position_keys_from_digests,
     positions_from_digests,
     replica_id,
     replica_ids_flat,
@@ -75,7 +77,7 @@ from ..obs.spans import NULL_SPAN
 from ..obs.spans import default_recorder as default_span_recorder
 from .results import PlacementRecord, PlacementResult, RetrievalResult
 
-#: Bound on the per-epoch ``(entry, copy_id)`` route cache.
+#: Bound on the per-epoch route memo (routes, not bytes).
 _ROUTE_CACHE_CAP = 65536
 
 
@@ -96,20 +98,20 @@ class _FastPathState:
         self.epoch = epoch
         self.version = version
         self.router = router
-        #: LRU of (entry, copy_id) -> (trace, overlay, dest, serial,
-        #: (greedy, vl_starts, vl_relays)): the router's outcome, whose
-        #: decision mix lets telemetry replayed from a cache hit match
-        #: what the engine would have counted.  Traces are shared
-        #: lists — consumers copy, never mutate.  Extensions are
-        #: intentionally NOT cached — they are resolved live so
+        #: The epoch's delivered routes, keyed on the route function's
+        #: own arguments ``(entry, position bits)`` and kept in arrays
+        #: (:class:`~repro.dataplane.memo.RouteMemo`); each carries
+        #: its decision mix, so telemetry replayed from a hit matches
+        #: what the engine would have counted.  Extensions are
+        #: intentionally NOT memoized — they are resolved live so
         #: extend/retract need no epoch bump.
-        self.routes: OrderedDict = OrderedDict()
+        self.routes = RouteMemo(_ROUTE_CACHE_CAP)
         #: BFS hop distances keyed by source switch.
         self.hops: Dict[int, Dict[int, int]] = {}
         #: Switches touched since ``routes`` was last swept: the router
-        #: is patched on every sync, the (large) route cache only when
-        #: a batch is about to use it.  Non-empty = ``routes`` may hold
-        #: stale entries and must not be read.
+        #: is patched on every sync, the route memo only when a batch
+        #: is about to use it.  Non-empty = ``routes`` may hold stale
+        #: entries and must not be read.
         self.stale: set = set()
 
 
@@ -211,12 +213,58 @@ def _payload_size(payload: Any) -> Optional[int]:
         return None
 
 
+class _Routes:
+    """What the batch route stage hands the batch bodies: one row per
+    probe in columns, and one flat run of switch ids every trace is a
+    slice of — no per-probe object.  ``dest[j] < 0`` marks a probe
+    that did not deliver; ``errors[j]`` is then the
+    :class:`ForwardingError` the reference engine would raise."""
+
+    __slots__ = ("dest", "serial", "overlay", "greedy", "vl", "relays",
+                 "tlen", "start", "known", "errors", "_traces")
+
+    def __init__(self, count: int) -> None:
+        self.dest = np.full(count, -1, dtype=np.int64)
+        (self.serial, self.overlay, self.greedy, self.vl, self.relays,
+         self.tlen, self.start) = np.zeros((7, count), dtype=np.int64)
+        #: False where the engine rejected the probe before fetching
+        #: its counters (unknown entry): no decision mix at all.
+        self.known = np.ones(count, dtype=bool)
+        self.errors: Dict[int, ForwardingError] = {}
+        self._traces = [np.empty(0, dtype=np.int64)]
+
+    def put(self, at: np.ndarray, dest, serial, overlay, greedy, vl,
+            relays, tlen, traces) -> None:
+        """Fill rows ``at`` from one source — the columns of
+        :meth:`RouteMemo.take` (hits) or :meth:`_PackedRoutes.columns`
+        (walked misses)."""
+        self.dest[at] = dest
+        self.serial[at] = serial
+        self.overlay[at] = overlay
+        self.greedy[at] = greedy
+        self.vl[at] = vl
+        self.relays[at] = relays
+        self.tlen[at] = tlen
+        self.start[at] = (sum(part.size for part in self._traces)
+                          + np.cumsum(tlen) - tlen)
+        self._traces.append(traces)
+
+    def lists(self):
+        """``(dest, serial, overlay, start, end, traces)`` as Python
+        lists for the per-item loops: probe ``j``'s trace is
+        ``traces[start[j]:end[j]]``."""
+        return (self.dest.tolist(), self.serial.tolist(),
+                self.overlay.tolist(), self.start.tolist(),
+                (self.start + self.tlen).tolist(),
+                np.concatenate(self._traces).tolist())
+
+
 class _Batch:
     """One ``place_many`` / ``retrieve_many`` call, from the prologue
     both kinds share to the one telemetry flush.
 
     The constructor is the prologue: front door, stand-down decision,
-    flat entries, serials and a coherent fast-path ``state`` — left
+    flat entries, digest keys and a coherent fast-path ``state`` — left
     ``None`` when a gate stood the batch down (the caller then runs
     the scalar loop).  As a context manager around the compiled body
     it flushes the tally exactly once, on whichever exit the body
@@ -238,15 +286,16 @@ class _Batch:
         self.state: Optional[_FastPathState] = None
         if net._batch_standdown():
             return
-        self.flat_entries = (
-            self.entries if copies == 1 else
-            [e for e in self.entries for _ in range(copies)])
+        self.flat_entries = np.repeat(
+            np.asarray(self.entries, dtype=np.int64), copies)
         self.serial_u64s = serials_from_digests(digests)
+        self.position_keys = position_keys_from_digests(digests)
         self.state = net._fast_state()
         self.registry = default_registry()
-        #: Decision mix of every probe the engine walked (a probe that
-        #: then failed to route or to store included).
-        self.stats: List[Any] = []
+        #: ``[greedy, vl_starts, vl_relays]`` over every probe the
+        #: engine walked (a probe that then failed to route or to
+        #: store included); ``None`` until one enters it.
+        self.mix: Optional[List[int]] = None
         #: ``(item, route hops, overlay hops)`` per delivered probe.
         self.deliveries: List[Any] = []
         self.rewrites = 0
@@ -263,84 +312,73 @@ class _Batch:
         #: order the scalar loop observes in.
         self.answers: Sequence[RetrievalResult] = ()
 
-    def route(self, flats: Sequence[int],
-              max_hops: Optional[int] = None):
+    def route(self, flats, max_hops: Optional[int] = None) -> _Routes:
         """The batch route stage for the flat request indices
-        ``flats``: the per-epoch LRU cache plus one wave-routed batch
-        for the misses.
+        ``flats``, columnar end to end: one vectorized probe of the
+        epoch's route memo, one wave-routed batch for the misses, and
+        the delivered misses appended to the memo straight from the
+        walk's arrays.
 
-        Returns ``(routes, stats)``, both aligned with ``flats``.  A
-        route is ``(trace, overlay, dest, serial, mix)``, or the
-        :class:`ForwardingError` the reference engine would raise
-        (callers raise or skip it).  Cached traces are shared —
-        callers must copy, never mutate.  A custom hop budget changes
-        failure behavior, so it bypasses the cache rather than keying
-        on it.  ``stats`` holds each probe's ``(greedy, vl_starts,
-        vl_relays)`` decision mix (cache hits replay the mix recorded
-        when the route was first walked), so the flush can emit the
-        engine's forwarding counters without re-walking.
+        Returns the :class:`_Routes` aligned with ``flats``.  A custom
+        hop budget changes failure behavior, so it bypasses the memo
+        rather than keying on it.  A memo hit replays the decision mix
+        recorded when the route was first walked, so the flush can
+        emit the engine's forwarding counters without re-walking.
         """
-        flat_entries, flat_ids = self.flat_entries, self.flat_ids
-        cache = self.state.routes
-        if max_hops is not None:
-            routes: List[Any] = [None] * len(flats)
-            stats: List[Any] = [None] * len(flats)
-            misses = list(flats)
-            slots = range(len(flats))
-            miss_keys: Optional[List[Any]] = None
+        at = np.asarray(flats, dtype=np.intp)
+        router, memo = self.state.router, self.state.routes
+        entries = self.flat_entries[at]
+        serial_u64s = self.serial_u64s[at]
+        routes = _Routes(at.size)
+        if max_hops is None:
+            keys = self.position_keys[at]
+            rows = memo.lookup(entries, keys)
+            missed = np.flatnonzero(rows < 0)
+            hit = np.flatnonzero(rows >= 0)
+            if hit.size:
+                routes.put(hit, *memo.take(rows[hit], serial_u64s[hit]))
         else:
-            routes = []
-            stats = []
-            misses = []
-            slots = []
-            miss_keys = []
-            append = routes.append
-            for f in flats:
-                key = (flat_entries[f], flat_ids[f])
-                cached = cache.get(key)
-                if cached is None:
-                    slots.append(len(routes))
-                    misses.append(f)
-                    miss_keys.append(key)
-                    append(None)
-                    stats.append(None)
-                else:
-                    cache.move_to_end(key)
-                    append(cached)
-                    stats.append(cached[4])
-        if misses:
-            idx = np.asarray(misses, dtype=np.intp)
-            router = self.state.router
-            outcomes = router.route_batch(
-                [flat_entries[f] for f in misses],
-                [flat_ids[f] for f in misses],
-                self.positions[idx, 0], self.positions[idx, 1],
-                self.serial_u64s[idx], max_hops=max_hops,
-            )
-            batch_stats = router.last_batch_stats
+            missed = np.arange(at.size)
+        if missed.size:
+            bound = (router._default_max_hops if max_hops is None
+                     else max_hops)
+            missed_at = at[missed]
+            packed = router.route_batch_packed(
+                entries[missed], self.positions[missed_at, 0],
+                self.positions[missed_at, 1], serial_u64s[missed],
+                bound)
             if self.registry.enabled:
                 # Batch-only extras (the scalar loop has no waves):
                 # proof the vectorized router ran, and its amortization
                 # denominator.  Prefixed ``dataplane.batch.`` so parity
                 # checks can separate them from the shared aggregates.
                 self.registry.counter("dataplane.batch.requests").inc(
-                    len(misses))
+                    int(missed.size))
                 self.registry.counter("dataplane.batch.waves").inc(
-                    router.last_batch_waves)
-            if miss_keys is None:
-                for slot, out, st in zip(slots, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-            else:
-                for slot, key, out, st in zip(
-                        slots, miss_keys, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-                    if type(out) is tuple:
-                        cache[key] = out
-                while len(cache) > _ROUTE_CACHE_CAP:
-                    cache.popitem(last=False)
-        return routes, stats
+                    packed.waves)
+            routes.put(missed, *packed.columns())
+            routes.known[missed] = packed.known
+            if packed.errors or packed.hop_failures:
+                ids = [self.flat_ids[f] for f in missed_at.tolist()]
+                for j, error in packed.failures(ids, bound).items():
+                    routes.errors[int(missed[j])] = error
+            if max_hops is None:
+                memo.insert(entries[missed], keys[missed], packed)
+        return routes
+
+    def count_mix(self, routes: _Routes,
+                  walked: Optional[int] = None) -> None:
+        """Tally the decision mix of ``routes``' first ``walked``
+        probes (default: all).  The engine counts decisions as it
+        makes them, so a probe that then fails to route, or to store,
+        has still reported its mix."""
+        known = routes.known[:walked]
+        if known.any():
+            self.mix = [
+                total + int(column[:walked][known].sum())
+                for total, column in zip(
+                    self.mix or (0, 0, 0),
+                    (routes.greedy, routes.vl, routes.relays))]
 
     def routed(self, item: int, trace, overlay: int,
                extension) -> None:
@@ -376,7 +414,7 @@ class _Batch:
         # reservoirs match byte for byte.
         self.deliveries.sort(key=lambda delivery: delivery[0])
         GredNetwork._emit_route_telemetry(
-            registry, self.kind, self.stats,
+            registry, self.kind, self.mix,
             [d[1] for d in self.deliveries],
             [d[2] for d in self.deliveries], self.rewrites)
         found = [r for r in self.answers if r.found]
@@ -589,11 +627,12 @@ class GredNetwork:
                max_hops: Optional[int] = None, tracer=None):
         """The one scalar route stage: walk ``copy_id`` from ``entry``
         to its delivery switch.  Returns ``(trace, overlay_hops,
-        delivery switch, primary serial, extension, state)`` or raises
-        the engine's :class:`ForwardingError`; ``state`` is the
-        fast-path state walked on, ``None`` when the reference engine
-        routed (post-route hop counts follow suit, see
-        :meth:`_fast_hop`).
+        delivery switch, primary serial, state)`` or raises the
+        engine's :class:`ForwardingError`; ``state`` is the fast-path
+        state walked on, ``None`` when the reference engine routed
+        (post-route hop counts follow suit, see :meth:`_fast_hop`).
+        What serves the delivery — range extension included — is
+        :meth:`_serving`'s to resolve.
 
         The request rides the compiled plane the batch calls keep in
         step with the controller (:meth:`CompiledRouter.route`, a
@@ -604,7 +643,7 @@ class GredNetwork:
         selects the engine, telemetry included: a compiled walk
         reports the engine's ``dataplane.*`` aggregates through
         :meth:`_emit_route_telemetry`, byte-equal.  The walk may read
-        the epoch route cache (not while it awaits a sweep, not under
+        the epoch route memo (not while it awaits a sweep, not under
         a custom hop budget) but never grows it.
         """
         registry = default_registry()
@@ -625,35 +664,37 @@ class GredNetwork:
                 fault_state=self.fault_state)
             delivery = route.delivery
             return (route.trace, route.overlay_hops, delivery.switch,
-                    delivery.primary_serial, delivery.extension, None)
+                    delivery.primary_serial, None)
         state = self._fast_plane()
-        cached = (state.routes.get((entry, copy_id))
+        # The memo keys on the digest's position bits, so even a hit
+        # hashes the id once.
+        serial_u64, position_key = digest_keys(copy_id)
+        cached = (state.routes.get(entry, position_key, serial_u64)
                   if max_hops is None and not state.stale else None)
         if cached is not None:
-            trace, overlay, dest, serial, stats = cached
-            trace = list(trace)  # cached traces are shared
+            trace, overlay, dest, serial, mix = cached
         else:
             router = state.router
             try:
-                trace, overlay, dest, serial, stats = router.route(
-                    entry, copy_id, *position_and_key(copy_id),
-                    max_hops)
+                trace, overlay, dest, serial, mix = router.route(
+                    entry, copy_id, *position_from_bits(position_key),
+                    serial_u64, max_hops)
             except ForwardingError:
                 if registry.enabled:
                     # The engine counts decisions as it makes them, so
                     # a failed walk still reports its partial mix.
                     self._emit_route_telemetry(
-                        registry, kind.value,
-                        [router.last_route_stats], (), (), 0)
+                        registry, kind.value, router.last_route_stats,
+                        (), (), 0)
                 raise
-        # Extensions are resolved live, like the batch paths do.
-        extension = self.controller.switches[dest].table.extension_for(
-            serial)
         if registry.enabled:
+            # The engine counts the rewrite at delivery; extensions
+            # are read live, like the batch paths do.
+            table = self.controller.switches[dest].table
             self._emit_route_telemetry(
-                registry, kind.value, [stats], [len(trace) - 1],
-                [overlay], int(extension is not None))
-        return trace, overlay, dest, serial, extension, state
+                registry, kind.value, mix, [len(trace) - 1], [overlay],
+                int(table.extension_for(serial) is not None))
+        return trace, overlay, dest, serial, state
 
     def _engine_attrs(self, tracing: bool = False) -> Dict[str, str]:
         """Span / stats attributes naming the engine a scalar request
@@ -687,7 +728,7 @@ class GredNetwork:
                 tracer = Tracer()
                 handle.set(**self._engine_attrs(tracing=True))
             try:
-                trace, overlay, dest, serial, _, state = self._route(
+                trace, overlay, dest, serial, state = self._route(
                     copy_id, entry, PacketKind.PLACEMENT, tracer=tracer)
             except ForwardingError:
                 if not self.hinted_handoff or self.fault_state is None:
@@ -930,7 +971,7 @@ class GredNetwork:
             copy_id = replica_id(data_id, copy_index)
             registry = default_registry()
             try:
-                trace, _, dest, serial, _, state = self._route(
+                trace, _, dest, serial, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL, max_hops,
                     tracer)
             except ForwardingError:
@@ -997,12 +1038,12 @@ class GredNetwork:
         switches were touched and patches only their compiled rows.
         Hop distances are cheap to recompute and topology edits shift
         them non-locally, so that cache clears wholesale on any change.
-        The route cache is only marked (``state.stale``): sweeping it
+        The route memo is only marked (``state.stale``): sweeping it
         is linear in its size, so it waits for :meth:`_fast_state`."""
         controller = self.controller
         state = self._fastpath
-        if (state is not None and state.epoch == controller.epoch
-                and state.version == controller.version):
+        # (Every change advances the version, a recompute included.)
+        if state is not None and state.version == controller.version:
             return state
         touched = None
         if state is not None and state.epoch == controller.epoch:
@@ -1024,21 +1065,17 @@ class GredNetwork:
         return state
 
     def _fast_state(self) -> _FastPathState:
-        """:meth:`_fast_plane` plus a coherent route cache — what a
-        batch needs.  Evicts only the cached routes whose traces
-        traverse a switch touched since the last sweep: a route's
-        every per-hop decision depends solely on the visited switches'
-        installed state, so untouched traces stay byte-identical."""
+        """:meth:`_fast_plane` plus a coherent route memo — what a
+        batch needs.  Evicts only the memoized routes whose traces
+        traverse a switch touched since the last sweep (or outgrew the
+        hop bound): a route's every per-hop decision depends solely on
+        the visited switches' installed state, so untouched traces
+        stay byte-identical."""
         state = self._fast_plane()
-        touched = state.stale
-        if touched:
-            hop_bound = state.router._default_max_hops
-            for key in [
-                    key for key, outcome in state.routes.items()
-                    if touched.intersection(outcome[0])
-                    or len(outcome[0]) - 1 > hop_bound]:
-                del state.routes[key]
-            touched.clear()
+        if state.stale:
+            state.routes.sweep(state.stale,
+                               state.router._default_max_hops)
+            state.stale.clear()
         return state
 
     def _batch_standdown(self) -> bool:
@@ -1078,29 +1115,27 @@ class GredNetwork:
         return dists[target]
 
     @staticmethod
-    def _emit_route_telemetry(registry, kind: str, stats,
+    def _emit_route_telemetry(registry, kind: str, mix,
                               route_hops, overlay_hops,
                               rewrites: int) -> None:
         """Forwarding-engine aggregates for routes the compiled router
         walked instead of :func:`route_packet`.
 
-        ``stats`` holds one ``(greedy, vl_starts, vl_relays)`` tuple
-        per probe the engine would have routed (``None`` marks probes
-        it would have rejected before fetching any counter, e.g. an
-        unknown entry switch); ``route_hops``/``overlay_hops`` list the
-        per-delivery hop observations in the scalar loop's observation
-        order so the histogram reservoirs match byte for byte.
+        ``mix`` totals ``(greedy, vl_starts, vl_relays)`` over the
+        probes the engine would have routed, ``None`` when it would
+        have routed none (it rejects e.g. an unknown entry switch
+        before fetching any counter); ``route_hops``/``overlay_hops``
+        list the per-delivery hop observations in the scalar loop's
+        observation order so the histogram reservoirs match byte for
+        byte.
         """
-        routed = [s for s in stats if s is not None]
-        if routed:
+        if mix is not None:
             # The engine fetches these once per routed packet, so they
             # exist (possibly at zero) as soon as one probe enters it.
-            registry.counter("dataplane.greedy_forwards").inc(
-                sum(s[0] for s in routed))
-            registry.counter("dataplane.vl_starts").inc(
-                sum(s[1] for s in routed))
-            registry.counter("dataplane.vl_relays").inc(
-                sum(s[2] for s in routed))
+            for name, total in zip(("dataplane.greedy_forwards",
+                                    "dataplane.vl_starts",
+                                    "dataplane.vl_relays"), mix):
+                registry.counter(name).inc(total)
         if route_hops:
             registry.counter("dataplane.requests_routed",
                              kind=kind).inc(len(route_hops))
@@ -1207,7 +1242,7 @@ class GredNetwork:
         recorder = default_span_recorder()
         results: List[PlacementResult] = []
         with batch:
-            routes, stats = batch.route(range(len(flat_ids)))
+            routes = batch.route(np.arange(len(flat_ids)))
             # Grouped storage: when every route delivered, no extension
             # is installed anywhere and every target server is
             # unbounded, the per-item store step collapses to one bulk
@@ -1216,60 +1251,67 @@ class GredNetwork:
             stored = self._grouped_store(
                 routes, flat_ids, payloads, copies,
                 self.controller.switches, self.server_map)
-            flat = 0
-            for i, data_id in enumerate(data_ids):
-                payload = payloads[i] if payloads is not None else None
-                entry = entries[i]
-                records: List[PlacementRecord] = []
-                for _ in range(copies):
-                    copy_id = flat_ids[flat]
-                    outcome = routes[flat]
-                    if telemetry:
-                        # The engine counts decisions as it makes them:
-                        # a probe that then fails to route, or to
-                        # store, has still reported its mix.
-                        batch.stats.append(stats[flat])
-                    flat += 1
-                    if type(outcome) is not tuple:
-                        # Like the scalar loop, raise mid-batch: items
-                        # before this one stay stored and counted, the
-                        # rest are not placed.
-                        raise outcome
-                    trace, overlay, dest, serial, _ = outcome
-                    if stored is not None:
-                        # Already bulk-stored on the ``H(d) mod s``
-                        # server; no extension anywhere.
-                        if telemetry:
-                            batch.routed(i, trace, overlay, None)
-                        record = PlacementRecord(
-                            data_id=copy_id, entry_switch=entry,
-                            destination_switch=dest,
-                            server_id=(dest, serial),
-                            physical_hops=len(trace) - 1,
-                            overlay_hops=overlay, trace=list(trace),
-                            extended=False)
-                    else:
-                        serving = self._serving(state, dest, serial)
-                        if telemetry:
-                            batch.routed(i, trace, overlay, serving[1])
-                        record = self._store(
-                            serving, copy_id, payload, entry, None,
-                            list(trace), overlay, dest, NULL_SPAN)
-                    if telemetry and not record.hinted:
-                        batch.placed(flat - 1, record, payload)
-                    if recorder is not None:
-                        self._record_exemplar(
-                            recorder, "request.place", copy_id, trace,
-                            entry=entry, destination=dest,
-                            server=record.server_id,
-                            physical_hops=record.physical_hops,
-                            extended=record.extended)
-                    records.append(record)
-                results.append(PlacementResult(data_id=data_id,
-                                               records=records))
+            dests, serials, overlays, starts, ends, traces = \
+                routes.lists()
+            walked = 0
+            try:
+                for i, data_id in enumerate(data_ids):
+                    payload = (payloads[i] if payloads is not None
+                               else None)
+                    entry = entries[i]
+                    records: List[PlacementRecord] = []
+                    for flat in range(i * copies, (i + 1) * copies):
+                        walked = flat + 1
+                        copy_id = flat_ids[flat]
+                        dest = dests[flat]
+                        if dest < 0:
+                            # Like the scalar loop, raise mid-batch:
+                            # items before this one stay stored and
+                            # counted, the rest are not placed.
+                            raise routes.errors[flat]
+                        trace = traces[starts[flat]:ends[flat]]
+                        overlay = overlays[flat]
+                        if stored is not None:
+                            # Already bulk-stored on the ``H(d) mod s``
+                            # server; no extension anywhere.
+                            if telemetry:
+                                batch.routed(i, trace, overlay, None)
+                            record = PlacementRecord(
+                                data_id=copy_id, entry_switch=entry,
+                                destination_switch=dest,
+                                server_id=(dest, serials[flat]),
+                                physical_hops=len(trace) - 1,
+                                overlay_hops=overlay, trace=trace,
+                                extended=False)
+                        else:
+                            serving = self._serving(state, dest,
+                                                    serials[flat])
+                            if telemetry:
+                                batch.routed(i, trace, overlay,
+                                             serving[1])
+                            record = self._store(
+                                serving, copy_id, payload, entry, None,
+                                trace, overlay, dest, NULL_SPAN)
+                        if telemetry and not record.hinted:
+                            batch.placed(flat, record, payload)
+                        if recorder is not None:
+                            self._record_exemplar(
+                                recorder, "request.place", copy_id,
+                                trace, entry=entry, destination=dest,
+                                server=record.server_id,
+                                physical_hops=record.physical_hops,
+                                extended=record.extended)
+                        records.append(record)
+                    results.append(PlacementResult(data_id=data_id,
+                                                   records=records))
+            finally:
+                if telemetry:
+                    # Every probe reached so far — the one that raised
+                    # included — has reported its mix.
+                    batch.count_mix(routes, walked)
         return results
 
-    def _grouped_store(self, routes: List[Any],
+    def _grouped_store(self, routes: _Routes,
                        flat_ids: Sequence[str],
                        payloads: Optional[Sequence[Any]],
                        copies: int, switches, server_map
@@ -1285,19 +1327,14 @@ class GredNetwork:
         preserves each server's item insertion order, so the resulting
         storage state is byte-identical to sequential ``store`` calls.
         """
-        k = len(routes)
-        if k == 0:
+        dest, serial = routes.dest, routes.serial
+        if not dest.size:
             return {}
+        if routes.errors:
+            return None
         for switch in switches.values():
             if switch.table.has_extensions():
                 return None
-        for outcome in routes:
-            if type(outcome) is not tuple:
-                return None
-        dest = np.fromiter((o[2] for o in routes), dtype=np.int64,
-                           count=k)
-        serial = np.fromiter((o[3] for o in routes), dtype=np.int64,
-                             count=k)
         combined = dest * (int(serial.max()) + 1) + serial
         order = np.argsort(combined, kind="stable")
         ordered = combined[order]
@@ -1372,24 +1409,27 @@ class GredNetwork:
                 if not pending:
                     break
                 probes = [i * copies + orders[i][rnd] for i in pending]
-                routes, stats = batch.route(probes, max_hops)
-                batch.stats += stats
+                routes = batch.route(probes, max_hops)
+                if telemetry:
+                    batch.count_mix(routes)
+                dests, serials, overlays, starts, ends, traces = \
+                    routes.lists()
                 still: List[int] = []
-                for i, flat, outcome in zip(pending, probes, routes):
-                    if type(outcome) is not tuple:
+                for j, (i, flat) in enumerate(zip(pending, probes)):
+                    dest = dests[j]
+                    if dest < 0:
                         batch.route_failures += 1
                         still.append(i)
                         continue
-                    trace, overlay, dest, serial, _ = outcome
-                    serving = serving_of(state, dest, serial)
+                    trace = traces[starts[j]:ends[j]]
+                    serving = serving_of(state, dest, serials[j])
                     if telemetry:
-                        batch.routed(i, trace, overlay, serving[1])
+                        batch.routed(i, trace, overlays[j], serving[1])
                         batch.transits.extend(trace)
                         batch.flats.append(flat)
                     result = results[i] = probe(
                         state, serving, data_ids[i], flat_ids[flat],
-                        flat % copies, entries[i], rnd + 1,
-                        list(trace), dest)
+                        flat % copies, entries[i], rnd + 1, trace, dest)
                     if not result.found:
                         still.append(i)
                 pending = still
@@ -1449,7 +1489,7 @@ class GredNetwork:
         for i in range(copies):
             copy_id = replica_id(data_id, i)
             try:
-                _, _, dest, serial, _, state = self._route(
+                _, _, dest, serial, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL)
             except ForwardingError:
                 if stamp is None:
@@ -1815,6 +1855,11 @@ class GredNetwork:
         self.controller.remove_switch(switch_id)
         moved = self._redeliver(orphans, entry)
         for server in servers:
+            # Hints parked here are other servers' pending writes and
+            # deletes: they move on with the items, not into the void.
+            for hint in server.take_hints():
+                self._park_hint(hint.copy_id, hint.op, hint.target,
+                                hint.stamp, hint.payload, entry)
             server.clear()
         return moved
 
@@ -1864,10 +1909,12 @@ class GredNetwork:
 
     def _route_result(self, data_id: str, entry: int,
                       tracer=None) -> RouteResult:
-        trace, overlay, dest, serial, extension, _ = self._route(
+        trace, overlay, dest, serial, _ = self._route(
             data_id, entry, PacketKind.RETRIEVAL, tracer=tracer)
+        table = self.controller.switches[dest].table
         return RouteResult(
-            delivery=DeliverAction(dest, serial, extension),
+            delivery=DeliverAction(dest, serial,
+                                   table.extension_for(serial)),
             trace=trace, physical_hops=len(trace) - 1,
             overlay_hops=overlay)
 

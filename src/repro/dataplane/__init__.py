@@ -17,6 +17,7 @@ from .fastpath import (
     scalar_standdown,
 )
 from .forwarding import RouteResult, route_packet
+from .memo import RouteMemo
 from .tracing import TraceEvent, TraceEventKind, Tracer
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "RouteResult",
     "route_packet",
     "CompiledRouter",
+    "RouteMemo",
     "FASTPATH_GATES",
     "batch_fastpath_blockers",
     "federated_blockers",

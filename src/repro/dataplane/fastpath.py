@@ -51,11 +51,11 @@ from .switch import ForwardingError, GredSwitch
 
 
 def _gate_fault_state(net) -> bool:
-    return getattr(net, "fault_state", None) is not None
+    return net.fault_state is not None
 
 
 def _gate_position_fn(net) -> bool:
-    return getattr(net, "_position_fn", None) is not data_position
+    return net._position_fn is not data_position
 
 
 def _gate_transport(net) -> bool:
@@ -63,8 +63,7 @@ def _gate_transport(net) -> bool:
     # can change with no version advance — retried, reordered or
     # held-over messages, ``reconcile`` resyncs — so a compiled
     # snapshot of them cannot be kept in step.
-    controller = getattr(net, "controller", None)
-    return getattr(controller, "transport", None) is not None
+    return net.controller.transport is not None
 
 
 #: The single source of truth for fast-path eligibility: ``(predicate,
@@ -137,6 +136,13 @@ def federated_blockers(fed) -> Dict[int, List[str]]:
 #: active set is this small — whole-batch numpy dispatch no longer
 #: amortizes over a handful of in-flight requests.
 _WAVE_MIN_ACTIVE = 96
+
+#: Rows of a wave whose candidates are evaluated at once.  The
+#: ``(rows, widest switch)`` distance matrices are scratch buffers
+#: reused block by block, so a wave's working set is this many rows
+#: however large the batch (whole batches are *not* chunked: every
+#: chunk would pay its own straggler tail).
+_WAVE_BLOCK_ROWS = 1024
 
 #: ``(trace, overlay_hops, destination_switch, primary_serial,
 #: (greedy_forwards, vl_starts, vl_relays))`` — a delivered route with
@@ -338,18 +344,26 @@ class _PackedRoutes:
     byte-identical :class:`ForwardingError` lazily.
     """
 
-    __slots__ = ("k", "dest", "serial", "overlay", "greedy", "vl",
-                 "relays", "known", "tlen", "off", "trace_flat",
-                 "errors", "hop_failures", "waves", "stats")
+    __slots__ = ("k", "dest", "serial", "servers", "overlay", "greedy",
+                 "vl", "relays", "known", "tlen", "off", "trace_flat",
+                 "errors", "hop_failures", "waves")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.dest = np.full(k, -1, dtype=np.int64)
         self.serial = np.zeros(k, dtype=np.int64)
+        #: Server count of the delivery switch — the ``s`` the serial
+        #: was reduced by (what the route memo keeps instead of it).
+        self.servers = np.zeros(k, dtype=np.int64)
         self.overlay = np.zeros(k, dtype=np.int64)
+        #: Per-request ``greedy / vl_starts / vl_relays`` decision mix
+        #: with the reference engine's event timing (a failed request
+        #: holds its partial counts).
         self.greedy = np.zeros(k, dtype=np.int64)
         self.vl = np.zeros(k, dtype=np.int64)
         self.relays = np.zeros(k, dtype=np.int64)
+        #: False for unknown-entry requests: the scalar walker raises
+        #: before fetching counters, so they carry no mix at all.
         self.known = np.ones(k, dtype=bool)
         # Trace lengths start at 1: the entry switch leads every trace.
         self.tlen = np.ones(k, dtype=np.int64)
@@ -361,12 +375,6 @@ class _PackedRoutes:
         #: needs the assembled trace, hence a separate channel).
         self.hop_failures: List[int] = []
         self.waves = 0
-        #: Per-request ``(greedy, vl_starts, vl_relays)`` decision mix
-        #: with the reference engine's event timing, set by
-        #: :meth:`finish`; ``None`` for unknown-entry requests (the
-        #: scalar walker raises before fetching counters, so they carry
-        #: no mix at all).  Delivered outcomes share these tuples.
-        self.stats: List[Optional[Tuple[int, int, int]]] = []
 
     def finish(self, entries_arr: np.ndarray, segs: List[tuple]) -> None:
         """Assemble the flat trace array from the walk's per-wave
@@ -401,38 +409,79 @@ class _PackedRoutes:
                 cursor[j] += len(lst)
         self.off = off
         self.trace_flat = trace_flat
-        self.stats = list(zip(self.greedy.tolist(), self.vl.tolist(),
-                              self.relays.tolist()))
-        if not self.known.all():
-            for j in np.flatnonzero(~self.known).tolist():
-                self.stats[j] = None
+
+    def columns(self) -> tuple:
+        """``(dest, serial, overlay, greedy, vl, relays, trace lengths,
+        traces)``: the per-request columns and the flat array the
+        traces lie in back to back — the shape the batch route stage
+        merges with :meth:`RouteMemo.take`."""
+        return (self.dest, self.serial, self.overlay, self.greedy,
+                self.vl, self.relays, self.tlen, self.trace_flat)
+
+    def failures(self, data_ids: Sequence[str],
+                 max_hops: int) -> Dict[int, ForwardingError]:
+        """``request index -> ForwardingError`` of every request that
+        did not deliver: the exact error :meth:`CompiledRouter.route`
+        would have raised."""
+        failed = {j: ForwardingError(_error_text(code, args, data_ids[j]))
+                  for j, code, args in self.errors}
+        off = self.off
+        for j in self.hop_failures:
+            failed[j] = ForwardingError(_error_text(
+                "hop_bound",
+                (max_hops,
+                 self.trace_flat[off[j]:off[j + 1] - 1].tolist()),
+                data_ids[j]))
+        return failed
 
     def materialize(self, data_ids: Sequence[str],
                     max_hops: int) -> List[RouteOutcome]:
-        """Format the packed arrays into :meth:`CompiledRouter.route`'s
-        outcomes: ``(trace, overlay_hops, destination, serial, decision
-        mix)`` tuples or the exact :class:`ForwardingError` it would
-        have raised."""
+        """The list view of the packed arrays (tests and the traced
+        benchmark read it; the batch bodies consume the columns):
+        :meth:`CompiledRouter.route`'s outcomes, ``(trace,
+        overlay_hops, destination, serial, decision mix)`` tuples or
+        the exact :class:`ForwardingError` it would have raised."""
         results: List[Optional[RouteOutcome]] = [None] * self.k
+        for j, error in self.failures(data_ids, max_hops).items():
+            results[j] = error
         flat_list = self.trace_flat.tolist()
         off = self.off.tolist()
-        for j, code, args in self.errors:
-            results[j] = ForwardingError(
-                _error_text(code, args, data_ids[j]))
-        for j in self.hop_failures:
-            results[j] = ForwardingError(_error_text(
-                "hop_bound",
-                (max_hops, flat_list[off[j]:off[j + 1] - 1]),
-                data_ids[j]))
-        dest = self.dest.tolist()
-        serial = self.serial.tolist()
-        overlay = self.overlay.tolist()
-        stats = self.stats
-        for j, d in enumerate(dest):
+        for j, (d, serial, overlay, *mix) in enumerate(zip(
+                self.dest.tolist(), self.serial.tolist(),
+                self.overlay.tolist(), self.greedy.tolist(),
+                self.vl.tolist(), self.relays.tolist())):
             if d >= 0:
-                results[j] = (flat_list[off[j]:off[j + 1]],
-                              overlay[j], d, serial[j], stats[j])
+                results[j] = (flat_list[off[j]:off[j + 1]], overlay, d,
+                              serial, tuple(mix))
         return results
+
+
+def _nearest_candidates(flat: _FlatPlane, rows: np.ndarray,
+                        tx: np.ndarray, ty: np.ndarray, scratch
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """For every in-flight request (parked at plane row ``rows[i]``,
+    bound for ``(tx[i], ty[i])``): the column of its switch's
+    candidate nearest the target (first occurrence, i.e. the scalar
+    sort order) and that squared distance.  Evaluated
+    :data:`_WAVE_BLOCK_ROWS` requests at a time in the two ``scratch``
+    matrices — the same float operations as one whole-wave expression,
+    without its whole-wave temporaries."""
+    n = rows.size
+    best = np.empty(n, dtype=np.intp)
+    bd2 = np.empty(n, dtype=np.float64)
+    for a in range(0, n, _WAVE_BLOCK_ROWS):
+        b = min(a + _WAVE_BLOCK_ROWS, n)
+        dx, dy = (buf[:b - a] for buf in scratch)
+        np.take(flat.cx, rows[a:b], axis=0, out=dx, mode="clip")
+        np.take(flat.cy, rows[a:b], axis=0, out=dy, mode="clip")
+        dx -= tx[a:b, None]
+        dy -= ty[a:b, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dx.argmin(axis=1, out=best[a:b])
+        dx.min(axis=1, out=bd2[a:b])
+    return best, bd2
 
 
 def _route_batch_packed(flat: _FlatPlane, walk,
@@ -455,6 +504,7 @@ def _route_batch_packed(flat: _FlatPlane, walk,
     packed = _PackedRoutes(k)
     dest = packed.dest
     serial = packed.serial
+    servers = packed.servers
     overlay = packed.overlay
     g_arr = packed.greedy
     v_arr = packed.vl
@@ -464,6 +514,8 @@ def _route_batch_packed(flat: _FlatPlane, walk,
     hop_failures = packed.hop_failures
     hops = np.zeros(k, dtype=np.int64)
     segs: List[tuple] = []
+    scratch = [np.empty((min(k, _WAVE_BLOCK_ROWS), flat.cx.shape[1]))
+               for _ in range(2)]
     if flat.sid_sorted.size:
         lookup = np.minimum(
             np.searchsorted(flat.sid_sorted, entries_arr),
@@ -511,6 +563,9 @@ def _route_batch_packed(flat: _FlatPlane, walk,
                 if len(trace) > 1:
                     segs.append((2, j, trace[1:]))
                     tlen[j] += len(trace) - 1
+            done = active[dest[active] >= 0]
+            servers[done] = flat.ns[
+                np.searchsorted(flat.sid_sorted, dest[done])]
             break
         rows = current[active]
         tx = pxs[active]
@@ -532,13 +587,7 @@ def _route_batch_packed(flat: _FlatPlane, walk,
         dx = ox - tx
         dy = oy - ty
         od2 = dx * dx + dy * dy
-        cxb = flat.cx[rows]
-        cyb = flat.cy[rows]
-        cdx = cxb - tx[:, None]
-        cdy = cyb - ty[:, None]
-        d2 = cdx * cdx + cdy * cdy
-        best = d2.argmin(axis=1)
-        bd2 = d2.min(axis=1)
+        best, bd2 = _nearest_candidates(flat, rows, tx, ty, scratch)
         improved = bd2 < od2
         ties = bd2 == od2
         if ties.any():
@@ -547,8 +596,8 @@ def _route_batch_packed(flat: _FlatPlane, walk,
             # tie win for the candidate, hence ``<=`` on ``y``.  (Pad
             # cells are at +inf and cannot tie.)
             t = np.flatnonzero(ties)
-            bx = cxb[t, best[t]]
-            by = cyb[t, best[t]]
+            bx = flat.cx[rows[t], best[t]]
+            by = flat.cy[rows[t], best[t]]
             improved[t] |= (bx < ox[t]) | (
                 (bx == ox[t]) & (by <= oy[t]))
         if not improved.all():
@@ -568,12 +617,14 @@ def _route_batch_packed(flat: _FlatPlane, walk,
                 ok_stay = stay[good]
                 dest[ok_stay] = sids_stay[good]
                 serial[ok_stay] = serials_stay[good]
+                servers[ok_stay] = ns[good]
                 for j, sid in zip(stay[empty].tolist(),
                                   sids_stay[empty].tolist()):
                     errors.append((j, "no_servers", (sid,)))
             else:
                 dest[stay] = sids_stay
                 serial[stay] = serials_stay
+                servers[stay] = ns
             if not improved.any():
                 break
             moved = active[improved]
@@ -657,13 +708,6 @@ def _route_batch_packed(flat: _FlatPlane, walk,
                     for j, ei in zip(vj[~good].tolist(),
                                      cerr[~good].tolist()):
                         errors.append((j,) + flat.chain_errors[ei])
-                unknown_dest = good & (nrow_v < 0)
-                if unknown_dest.any():
-                    # The scalar walker would key its states dict with
-                    # the unknown destination next iteration; surface
-                    # the same KeyError for the first such request.
-                    first = int(np.flatnonzero(unknown_dest)[0])
-                    raise KeyError(int(flat.nid[rows_v, best_v][first]))
                 budget = hops[vj] + clen
                 ok_m = good & (budget <= max_hops)
                 exc_m = good & ~ok_m
@@ -741,9 +785,6 @@ class CompiledRouter:
         #: failure, exactly like the engine's event-time increments);
         #: ``None`` after an unknown-entry rejection.
         self.last_route_stats: Optional[Tuple[int, int, int]] = (0, 0, 0)
-        #: Per-request ``(greedy, vl_starts, vl_relays)`` of the most
-        #: recent :meth:`route_batch`, aligned with its results.
-        self.last_batch_stats: List[Optional[Tuple[int, int, int]]] = []
 
     def patch(self, switches: Dict[int, GredSwitch],
               touched, removed=()) -> None:
@@ -846,6 +887,11 @@ class CompiledRouter:
             if len(chain) > bound:
                 raise _RouteFailure("vl_unterminated",
                                     (source, dest, bound))
+        if dest not in self._states:
+            # The last relay hands the packet to a switch the plane no
+            # longer holds.
+            raise _RouteFailure("unknown_fwd", (
+                chain[-2] if len(chain) > 1 else source, dest))
         result = tuple(chain)
         self._chains[(source, dest)] = result
         return result
@@ -997,7 +1043,6 @@ class CompiledRouter:
             np.asarray(entries, dtype=np.int64),
             pxs, pys, serial_u64s, max_hops)
         self.last_batch_waves = packed.waves
-        self.last_batch_stats = packed.stats
         return packed.materialize(data_ids, max_hops)
 
     def route_batch_packed(self, entries_arr: np.ndarray,

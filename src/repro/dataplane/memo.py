@@ -1,0 +1,305 @@
+"""The route memo: delivered routes of one control-plane epoch, kept
+in arrays.
+
+A route is a pure function of the entry switch and the virtual-space
+position it is bound for, and the paper's position is one-to-one with
+64 digest bits (the last 8 bytes of ``H(d)``).  :class:`RouteMemo`
+keys on exactly those arguments — ``(entry, position bits)`` — so a
+hit is the route the engine would walk by construction, never by the
+odds of a fingerprint; a deployment with a custom ``position_fn`` has
+no such bits and never builds the plane this memo belongs to.
+
+One outcome field is *not* a function of the key: the ``H(d) mod s``
+server serial reduces the digest's leading word.  The memo therefore
+stores ``s`` — the destination's server count when the route was
+walked — and a hit reduces the request's own leading word by it.
+
+Layout: one fixed-width record per route (``pos / off / tick / entry /
+dest / servers / overlay / greedy / vl / relays / tlen``, 48 bytes —
+every field is a strided numpy column, and a scalar hit reads one
+cache line), one pool of trace switch ids (``pool[off:off + tlen]``),
+and an open-addressing slot index (linear probing; rows are only ever
+appended, and removed in bulk with a rebuild, so a key's probe chain
+never holds a gap).  No per-route Python object exists; DESIGN.md
+section 5d has the byte budget.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Iterable, Iterator, Optional, Tuple
+
+import numpy as np
+
+from .fastpath import _PackedRoutes, _ragged_arange
+
+#: Odd 64-bit multiplier that spreads the entry id over the slot bits
+#: (the position bits are SHA-256 output and need no mixing).
+_MIX = 0x9E3779B97F4A7C15
+
+#: Rows a new memo holds before its first growth (an idle shard or a
+#: benchmark twin pays kilobytes, not the cap).
+_MIN_ROWS = 256
+
+_ROW = np.dtype([
+    ("pos", "u8"), ("off", "i8"), ("tick", "i8"), ("entry", "i4"),
+    ("dest", "i4"), ("servers", "i4"), ("overlay", "u2"),
+    ("greedy", "u2"), ("vl", "u2"), ("relays", "u2"), ("tlen", "u2"),
+], align=True)
+#: The same record for the scalar read (which skips the tick): one
+#: ``unpack_from`` per row.
+_ROW_FIELDS = struct.Struct("=Qq8xiiiHHHHH2x")
+if _ROW_FIELDS.size != _ROW.itemsize:
+    raise ImportError("route memo record layouts disagree")
+_ID_MIN, _ID_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+_HOPS_MAX = np.iinfo(np.uint16).max
+
+
+class RouteMemo:
+    """Exact packed memo of at most ``cap`` delivered routes, least
+    recently used out first.
+
+    Batches :meth:`lookup` every key in one vectorized probe (which is
+    what touches the LRU clock), :meth:`take` the hits' columns and
+    :meth:`insert` what they had to walk.  A scalar request reads one
+    route with ``get(entry, position bits, leading digest word)`` —
+    :meth:`CompiledRouter.route`'s ``(trace, overlay_hops,
+    destination, serial, (greedy, vl_starts, vl_relays))`` with a
+    fresh trace list, or ``None`` — and never writes, LRU clock
+    included (``get`` is :func:`_reader` over the current arrays).
+    :meth:`sweep` drops the routes a topology change may have
+    invalidated.  ``len``, iteration over ``(entry, position bits)``
+    keys and ``in`` complete the read API.
+    """
+
+    __slots__ = ("cap", "get", "_n", "_clock", "_rows", "_pool",
+                 "_index")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._n = 0
+        self._clock = 0
+        self._rows = np.empty(0, dtype=_ROW)
+        self._pool = np.empty(0, dtype=np.int32)
+        self._index = np.empty(0, dtype=np.int32)
+        self._reserve(min(cap, _MIN_ROWS), 0)
+
+    # -- read API -------------------------------------------------------
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        rows = self._rows[:self._n]
+        return zip(rows["entry"].tolist(), rows["pos"].tolist())
+
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        return self.get(*key, 0) is not None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated: the records, the pool and the index."""
+        return self._rows.nbytes + self._pool.nbytes + self._index.nbytes
+
+    # -- the batch route stage's side -----------------------------------
+    def lookup(self, entries: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Row of every key (``-1`` = miss) in one vectorized probe;
+        the hits become the most recently used rows.  Rows are valid
+        until the next :meth:`insert` or :meth:`sweep`."""
+        rows = self._probe(entries, pos)
+        self._clock += 1
+        self._rows["tick"][rows[rows >= 0]] = self._clock
+        return rows
+
+    def take(self, rows: np.ndarray, serial_u64s: np.ndarray) -> tuple:
+        """The routes at ``rows`` for requests with leading digest
+        words ``serial_u64s``, as :meth:`_PackedRoutes.columns` lays
+        them out: ``(dest, serial, overlay, greedy, vl, relays, trace
+        lengths, traces)``."""
+        taken = self._rows[rows]
+        tlen = taken["tlen"].astype(np.int64)
+        return (taken["dest"],
+                (serial_u64s % taken["servers"].astype(np.uint64)
+                 ).astype(np.int64),
+                taken["overlay"], taken["greedy"], taken["vl"],
+                taken["relays"], tlen,
+                self._pool[_runs(taken["off"], tlen)])
+
+    def insert(self, entries: np.ndarray, pos: np.ndarray,
+               packed: _PackedRoutes) -> None:
+        """Memoize the delivered routes of one packed walk straight
+        from its arrays; ``entries`` / ``pos`` are the walk's keys,
+        aligned with it.  A key already present — repeated inside the
+        batch — is kept once.  When the memo would exceed ``cap`` the
+        least recently used eighth goes first (in bulk, so the index
+        rebuild amortizes); of more than ``cap`` new routes the last
+        ``cap`` stay."""
+        flat = packed.trace_flat
+        if flat.size and not (_ID_MIN <= flat.min()
+                              and flat.max() <= _ID_MAX):
+            return  # a switch id the id fields cannot hold exactly
+        sel = np.flatnonzero((packed.dest >= 0)
+                             & (packed.tlen <= _HOPS_MAX))[-self.cap:]
+        if not sel.size:
+            return
+        if self._n + sel.size > self.cap:
+            drop = min(self._n, max(self._n + sel.size - self.cap,
+                                    self.cap // 8))
+            keep = np.ones(self._n, dtype=bool)
+            keep[np.argsort(self._rows["tick"][:self._n],
+                            kind="stable")[:drop]] = False
+            self._keep(keep)
+        n, used = self._n, self._used()
+        self._reserve(n + sel.size, used + int(packed.tlen[sel].sum()))
+        # Claim a slot per key.  A claimant's key must be readable at
+        # its row while the probe runs, so the keys go in first; when a
+        # key loses (to its own twin in this batch) the claims are
+        # withdrawn and redone without the losers.
+        while True:
+            new = self._rows[n:n + sel.size]
+            new["entry"] = entries[sel]
+            new["pos"] = pos[sel]
+            claim = np.arange(n, n + sel.size)
+            won = self._probe(entries[sel], pos[sel], claim) == claim
+            if won.all():
+                break
+            self._index[self._index >= n] = -1
+            sel = sel[won]
+        for name in ("dest", "servers", "overlay", "greedy", "vl",
+                     "relays", "tlen"):
+            new[name] = getattr(packed, name)[sel]
+        new["tick"] = self._clock
+        tlen = packed.tlen[sel]
+        new["off"] = used + np.cumsum(tlen) - tlen
+        self._n = n + sel.size
+        self._pool[used:self._used()] = flat[_runs(packed.off[sel], tlen)]
+
+    def sweep(self, touched: Iterable[int], hop_bound: int) -> None:
+        """Drop every route whose trace visits a ``touched`` switch (a
+        route's every decision depends only on the installed state of
+        the switches it visits, so the rest stay exact) or is longer
+        than ``hop_bound`` hops: one ``isin`` over the pool, one
+        ``reduceat`` per route."""
+        if not self._n:
+            return
+        rows = self._rows[:self._n]
+        visits = np.isin(self._pool[:self._used()],
+                         np.fromiter(touched, dtype=np.int64))
+        stale = np.logical_or.reduceat(visits, rows["off"])
+        stale |= rows["tlen"] > hop_bound + 1
+        if stale.any():
+            self._keep(~stale)
+
+    # -- storage --------------------------------------------------------
+    def _used(self) -> int:
+        """Trace ids in the pool (traces lie back to back, in row
+        order)."""
+        if not self._n:
+            return 0
+        last = self._rows[self._n - 1]
+        return int(last["off"]) + int(last["tlen"])
+
+    def _probe(self, entries: np.ndarray, pos: np.ndarray,
+               claim: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row holding each key, ``-1`` where the key's probe chain
+        ends first.  With ``claim`` (one row number per key, the key
+        already written at that row) a chain's end is taken for the
+        claimant instead — of several claimants of one slot one write
+        survives and the others probe on, so equal keys all resolve to
+        the one row that won."""
+        index = self._index
+        key_entry, key_pos = self._rows["entry"], self._rows["pos"]
+        mask = index.size - 1
+        rows = np.full(entries.size, -1, dtype=np.intp)
+        pending = np.arange(entries.size)
+        slot = ((pos + entries.astype(np.uint64) * np.uint64(_MIX))
+                & np.uint64(mask)).astype(np.intp)
+        while pending.size:
+            if claim is not None:
+                free = index[slot] < 0
+                index[slot[free]] = claim[pending[free]]
+            row = index[slot]
+            held = row >= 0
+            same = (held & (key_entry[row] == entries[pending])
+                    & (key_pos[row] == pos[pending]))
+            rows[pending[same]] = row[same]
+            onward = held & ~same
+            pending = pending[onward]
+            slot = (slot[onward] + 1) & mask
+        return rows
+
+    def _keep(self, mask: np.ndarray) -> None:
+        """Compact to the rows ``mask`` selects, order kept, and
+        rebuild the index."""
+        rows = self._rows[:self._n]
+        traces = self._pool[:self._used()][np.repeat(mask, rows["tlen"])]
+        kept = rows[mask]
+        kept["off"] = np.cumsum(kept["tlen"], dtype=np.int64) - kept["tlen"]
+        self._n = kept.size
+        self._rows[:kept.size] = kept
+        self._pool[:traces.size] = traces
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._index.fill(-1)
+        rows = self._rows[:self._n]
+        self._probe(rows["entry"], rows["pos"], np.arange(self._n))
+
+    def _reserve(self, rows: int, pool: int) -> None:
+        """Room for ``rows`` routes and ``pool`` trace ids: arrays grow
+        geometrically (by an eighth — a copy is cheap beside walking
+        the routes that fill it), rows up to the cap; the index stays
+        at most half full."""
+        have = self._rows.size
+        if rows <= have and pool <= self._pool.size:
+            return
+        if rows > have:
+            size = min(self.cap, max(rows, have + have // 8))
+            self._rows = _grown(self._rows, size)
+            if self._index.size < 2 * size:
+                self._index = np.empty(
+                    1 << (2 * size - 1).bit_length(), dtype=np.int32)
+                self._reindex()
+        if pool > self._pool.size:
+            self._pool = _grown(
+                self._pool,
+                max(pool, self._pool.size + self._pool.size // 8))
+        self.get = _reader(memoryview(self._index),
+                           memoryview(self._rows).cast("B"),
+                           memoryview(self._pool))
+
+
+def _reader(index, records, pool):
+    """The memo's scalar read, closed over memoryviews of its arrays
+    (so rebuilt whenever one is reallocated): plain ints in and out,
+    no array temporaries, one record unpacked per probe step."""
+    mask = len(index) - 1
+    mix = _MIX
+    fields = _ROW_FIELDS.unpack_from
+    size = _ROW_FIELDS.size
+
+    def get(entry: int, pos: int, serial_u64: int):
+        slot = (pos + entry * mix) & mask
+        while True:
+            row = index[slot]
+            if row < 0:
+                return None
+            (key, off, at, dest, servers, overlay, greedy, vl, relays,
+             tlen) = fields(records, row * size)
+            if key == pos and at == entry:
+                return (pool[off:off + tlen].tolist(), overlay, dest,
+                        serial_u64 % servers, (greedy, vl, relays))
+            slot = (slot + 1) & mask
+
+    return get
+
+
+def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Indices of the runs ``[start[i], start[i] + length[i])``, back
+    to back."""
+    return np.repeat(start, length) + _ragged_arange(length)
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    grown = np.empty(size, dtype=array.dtype)
+    grown[:array.size] = array
+    return grown

@@ -254,12 +254,9 @@ def run_churn_scaling(
         controller.closest_switch((0.5, 0.5))
         ids = [f"churn/{num_switches}/{i}" for i in range(256)]
         net.place_many(ids, rng=np.random.default_rng(seed + 2))
-        fast = getattr(net, "_fastpath", None)
-        router_before = fast.router if fast is not None else None
-        compiles_before = (router_before.switch_compiles
-                           if router_before is not None else 0)
-        cached_before = (set(fast.routes) if fast is not None
-                         else set())
+        router_before = net._fastpath.router
+        compiles_before = router_before.switch_compiles
+        cached_before = set(net._fastpath.routes)
         index_builds_before = controller.index_builds
         rng = np.random.default_rng(seed + 1)
         delta_messages: List[int] = []
@@ -307,8 +304,7 @@ def run_churn_scaling(
             controller.closest_switch((0.25, 0.75))
         # Force the scoped fast-path update and measure what survived.
         state = net._fast_state()
-        router_reused = (router_before is not None
-                         and state.router is router_before)
+        router_reused = state.router is router_before
         recompiles = (state.router.switch_compiles - compiles_before
                       if router_reused else None)
         surviving = len(cached_before & set(state.routes))

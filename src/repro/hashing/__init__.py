@@ -5,6 +5,7 @@ identifiers."""
 from .batch import (
     batch_hash,
     data_positions,
+    position_keys_from_digests,
     positions_from_digests,
     replica_ids,
     replica_ids_flat,
@@ -16,7 +17,8 @@ from .batch import (
 from .position import (
     chord_id,
     data_position,
-    position_and_key,
+    digest_keys,
+    position_from_bits,
     position_and_server,
     parse_replica_id,
     replica_id,
@@ -32,13 +34,15 @@ __all__ = [
     "replica_id",
     "chord_id",
     "position_and_server",
-    "position_and_key",
+    "digest_keys",
+    "position_from_bits",
     "sha256_digests",
     "data_positions",
     "server_indices",
     "replica_ids",
     "replica_ids_flat",
     "positions_from_digests",
+    "position_keys_from_digests",
     "server_indices_from_digests",
     "serials_from_digests",
     "batch_hash",

@@ -72,6 +72,16 @@ def serials_from_digests(digests: np.ndarray) -> np.ndarray:
     return head.view(">u8").reshape(-1).astype(np.uint64)
 
 
+def position_keys_from_digests(digests: np.ndarray) -> np.ndarray:
+    """``(k,) uint64`` position bits: the last 8 digest bytes,
+    big-endian — what :func:`positions_from_digests` divides into
+    coordinates, one-to-one with the position and so the exact key of
+    everything that depends on the position alone (a route, given its
+    entry switch)."""
+    tail = np.ascontiguousarray(digests[:, 24:32])
+    return tail.view(">u8").reshape(-1).astype(np.uint64)
+
+
 def data_positions(data_ids: Sequence[str]) -> np.ndarray:
     """Batch :func:`repro.hashing.data_position`: ``(k, 2)`` positions.
 

@@ -16,11 +16,14 @@ The same SHA-256 digest also drives two further decisions:
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Tuple
 
 from ..geometry import Point
 
 _MAX_U32 = 2 ** 32 - 1
+#: Leading 64-bit word and trailing 64 position bits of a digest.
+_KEY_AND_POSITION = struct.Struct(">Q16xQ").unpack
 
 
 def sha256_digest(data_id: str) -> bytes:
@@ -31,6 +34,27 @@ def sha256_digest(data_id: str) -> bytes:
     return hashlib.sha256(data_id.encode("utf-8")).digest()
 
 
+def digest_keys(data_id: str) -> Tuple[int, int]:
+    """``(key, position bits)`` of one digest: the leading 64-bit word
+    that ``H(d) mod s`` reduces at the destination, and the last 64
+    bits — the two 32-bit words the position divides out of, so
+    one-to-one with it and the exact key a route is memoized under.
+    The scalar twin of ``serials_from_digests`` /
+    ``position_keys_from_digests``: one hash per request on the
+    compiled plane (hence no call through :func:`sha256_digest`)."""
+    if not isinstance(data_id, str):
+        raise TypeError(f"data identifier must be str, got "
+                        f"{type(data_id).__name__}")
+    return _KEY_AND_POSITION(
+        hashlib.sha256(data_id.encode("utf-8")).digest())
+
+
+def position_from_bits(bits: int) -> Point:
+    """The unit-square point of 64 position bits (see
+    :func:`digest_keys`)."""
+    return ((bits >> 32) / _MAX_U32, (bits & _MAX_U32) / _MAX_U32)
+
+
 def data_position(data_id: str) -> Point:
     """Virtual-space position ``H(d)`` of a data identifier.
 
@@ -38,10 +62,7 @@ def data_position(data_id: str) -> Point:
     >>> 0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0
     True
     """
-    digest = sha256_digest(data_id)
-    x = int.from_bytes(digest[-8:-4], "big")
-    y = int.from_bytes(digest[-4:], "big")
-    return (x / _MAX_U32, y / _MAX_U32)
+    return position_from_bits(digest_keys(data_id)[1])
 
 
 def server_index(data_id: str, num_servers: int) -> int:
@@ -54,18 +75,6 @@ def server_index(data_id: str, num_servers: int) -> int:
         raise ValueError(f"num_servers must be positive, got {num_servers}")
     digest = sha256_digest(data_id)
     return int.from_bytes(digest[:8], "big") % num_servers
-
-
-def position_and_key(data_id: str) -> Tuple[float, float, int]:
-    """``(x, y, key)`` from one digest: the position ``H(d)`` plus the
-    leading 64-bit word that ``H(d) mod s`` reduces at the destination
-    — the scalar twin of ``positions_from_digests`` /
-    ``serials_from_digests``, for walking one request on the compiled
-    plane without hashing twice."""
-    digest = sha256_digest(data_id)
-    return (int.from_bytes(digest[-8:-4], "big") / _MAX_U32,
-            int.from_bytes(digest[-4:], "big") / _MAX_U32,
-            int.from_bytes(digest[:8], "big"))
 
 
 def replica_id(data_id: str, copy_index: int) -> str:

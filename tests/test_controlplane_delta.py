@@ -282,8 +282,8 @@ class TestScopedInvalidation:
                        rng=np.random.default_rng(0))
         state = net._fast_state()
         router = state.router
-        cached = {key: outcome for key, outcome
-                  in state.routes.items()}
+        cached = {key: state.routes.get(*key, 0)
+                  for key in state.routes}
         assert cached, "fast path did not populate the route cache"
         compiles = router.switch_compiles
         version = net.controller.version

@@ -357,3 +357,38 @@ def test_refused_leave_changes_no_server(build, victim):
     assert victim in system.switch_ids()
     assert system.load_vector() == loads
     assert _storage(system) == before
+
+
+@pytest.mark.parametrize("build", [_waxman_monolith, _federation])
+def test_leave_carries_parked_hints(build):
+    """Hints parked on a leaver's servers are other servers' pending
+    writes and deletes: they move to the next holder with the leave
+    and still drain once their home is back."""
+    from repro.faults import FaultInjector
+    from test_range_extension import find_item_for_server
+
+    system = build()
+    net = _shard_nets(system)[0]
+    barred = _gateways(system)
+    leaver = next(s for s in net.switch_ids()
+                  if s not in barred and _can_leave(net, s))
+    victim = next(s for s in net.switch_ids() if s != leaver)
+    kept, doomed = (find_item_for_server(net, victim, 0, prefix=prefix)
+                    for prefix in ("kept", "doomed"))
+    injector = FaultInjector(net, seed=0)
+    net.hinted_handoff = True
+    net.place(doomed, payload="old", entry_switch=leaver)
+    injector.crash_server(victim, 0)
+    # Both operations enter at the leaver, so the nearest live server
+    # — the hint holder — is the leaver's own.
+    record = net.place(kept, payload="new", entry_switch=leaver).primary
+    assert record.hinted and record.server_id[0] == leaver
+    assert net.delete(doomed, entry_switch=leaver) == 0
+    assert sum(s.hint_count for s in net.server_map[leaver]) == 2
+    system.remove_switch(leaver)
+    injector.state.crashed_servers.discard((victim, 0))
+    assert net.drain_hints() == 2
+    home = net.server(victim, 0)
+    assert home.retrieve(kept) == "new"
+    assert not home.has(doomed)
+    assert home.tombstone_of(doomed) is not None

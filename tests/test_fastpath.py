@@ -504,10 +504,12 @@ class TestRouteCacheEviction:
         net, _ = build_pair(switches=20)
         net.place_many([f"cap/{i}" for i in range(300)],
                        rng=np.random.default_rng(0), copies=2)
-        state = net._fastpath
-        assert 0 < len(state.routes) <= 32
-        for _, overlay, _, _, (greedy, vl, _) in state.routes.values():
+        memo = net._fastpath.routes
+        assert 0 < len(memo) <= 32
+        for key in memo:
+            trace, overlay, _, _, (greedy, vl, relays) = memo.get(*key, 0)
             assert greedy + vl == overlay
+            assert len(trace) - 1 == overlay + relays
 
 
 class TestGroupedStore:

@@ -1,0 +1,308 @@
+"""The route memo (``repro.dataplane.memo.RouteMemo``).
+
+* unit tests on the class with synthetic keys and traces: insert / hit,
+  keys repeated in one insert, bulk LRU eviction, probe chains that
+  wrap around the index, the stale sweep, growth;
+* the footprint guard: at 10k+ real routes the memo stays within
+  100 bytes a route and allocates no per-route Python object;
+* a hypothesis differential — *warm ≡ cold*: the same interleaving of
+  batch and scalar requests, joins, leaves and link changes on a
+  network with a (tiny) memo and on a twin whose memo is emptied
+  before every call yields equal results, storage and registry.
+"""
+
+import gc
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import network as network_module
+from repro.dataplane import RouteMemo
+from repro.dataplane.fastpath import _PackedRoutes
+from repro.dataplane.memo import _MIN_ROWS, _MIX
+from repro.hashing import digest_keys
+
+from test_route_stage import build, observe
+
+
+def walked(traces, servers=4, delivered=None):
+    """A packed walk whose request ``j`` visited ``traces[j]``."""
+    packed = _PackedRoutes(len(traces))
+    packed.tlen[:] = [len(t) for t in traces]
+    packed.off = np.concatenate(([0], np.cumsum(packed.tlen)))
+    packed.trace_flat = np.array([s for t in traces for s in t],
+                                 dtype=np.int64)
+    packed.dest[:] = [t[-1] for t in traces]
+    if delivered is not None:
+        packed.dest[~np.asarray(delivered)] = -1
+    packed.servers[:] = servers
+    packed.greedy[:] = packed.overlay[:] = packed.tlen - 1
+    return packed
+
+
+def keys_of(entries, positions):
+    return (np.asarray(entries, dtype=np.int64),
+            np.asarray(positions, dtype=np.uint64))
+
+
+def fill(memo, entries, positions, traces, **kwargs):
+    memo.insert(*keys_of(entries, positions), walked(traces, **kwargs))
+
+
+class TestRouteMemo:
+    def test_insert_then_hit(self):
+        memo = RouteMemo(64)
+        traces = [[3, 7, 9], [4], [5, 1]]
+        fill(memo, [3, 4, 5], [10, 11, 2 ** 64 - 1], traces, servers=4)
+        assert len(memo) == 3
+        assert list(memo) == [(3, 10), (4, 11), (5, 2 ** 64 - 1)]
+        assert (4, 11) in memo and (4, 10) not in memo
+        # The serial is the request's own leading word reduced by the
+        # destination's server count, not a stored value.
+        assert memo.get(3, 10, 4 * 5 + 3) == ([3, 7, 9], 2, 9, 3,
+                                              (2, 0, 0))
+        assert memo.get(5, 2 ** 64 - 1, 6) == ([5, 1], 1, 1, 2,
+                                               (1, 0, 0))
+        assert memo.get(5, 10, 0) is None  # no partial-key match
+        entries, pos = keys_of([4, 9, 3], [11, 11, 10])
+        rows = memo.lookup(entries, pos)
+        assert rows.tolist() == [1, -1, 0]
+        hit = rows >= 0
+        dest, serial, overlay, greedy, vl, relays, tlen, flat = \
+            memo.take(rows[hit], np.array([7, 9], dtype=np.uint64))
+        assert dest.tolist() == [4, 9] and serial.tolist() == [3, 1]
+        assert tlen.tolist() == [1, 3] and flat.tolist() == [4, 3, 7, 9]
+        assert overlay.tolist() == greedy.tolist() == [0, 2]
+        assert vl.tolist() == relays.tolist() == [0, 0]
+
+    def test_get_returns_a_fresh_trace(self):
+        memo = RouteMemo(64)
+        fill(memo, [3], [10], [[3, 7]])
+        memo.get(3, 10, 0)[0].clear()
+        assert memo.get(3, 10, 0)[0] == [3, 7]
+
+    def test_repeated_key_in_one_insert_is_kept_once(self):
+        memo = RouteMemo(64)
+        fill(memo, [1, 2, 1, 1, 2], [5, 5, 5, 5, 6],
+             [[1, 8], [2, 8], [1, 8], [1, 8], [2]])
+        assert sorted(memo) == [(1, 5), (2, 5), (2, 6)]
+        assert memo.get(1, 5, 0)[0] == [1, 8]
+        assert memo.get(2, 6, 0)[0] == [2]
+        # ... and a key already present is not inserted again.
+        fill(memo, [2, 3], [6, 6], [[2], [3, 2]])
+        assert len(memo) == 4 and memo.get(3, 6, 0)[0] == [3, 2]
+
+    def test_undelivered_routes_are_not_memoized(self):
+        memo = RouteMemo(64)
+        fill(memo, [1, 2, 3], [5, 6, 7], [[1, 4], [2], [3, 4]],
+             delivered=[True, False, True])
+        assert sorted(memo) == [(1, 5), (3, 7)]
+
+    def test_switch_ids_beyond_the_id_fields_are_not_memoized(self):
+        memo = RouteMemo(64)
+        fill(memo, [1], [5], [[1, 2 ** 31]])
+        assert len(memo) == 0
+
+    def test_bulk_eviction_drops_the_least_recently_used(self):
+        memo = RouteMemo(32)
+        for base in range(0, 32, 8):  # four inserts of eight
+            fill(memo, [0] * 8, range(base, base + 8),
+                 [[0, k] for k in range(base, base + 8)])
+        assert len(memo) == 32
+        # Touch the oldest eight; the next eight are now the oldest.
+        memo.lookup(*keys_of([0] * 8, range(8)))
+        fill(memo, [0], [100], [[0, 100]])
+        # One route over the cap evicts an eighth, not one.
+        assert len(memo) == 32 - 4 + 1
+        survivors = {pos for _, pos in memo}
+        assert survivors == set(range(8)) | set(range(12, 32)) | {100}
+        for pos in survivors:
+            assert memo.get(0, pos, 0)[0] == [0, pos]
+        assert memo.get(0, 9, 0) is None
+
+    def test_more_than_cap_in_one_insert_keeps_the_last(self):
+        memo = RouteMemo(32)
+        fill(memo, [0] * 100, range(100), [[0, k] for k in range(100)])
+        assert sorted(pos for _, pos in memo) == list(range(68, 100))
+        assert memo.get(0, 99, 0)[0] == [0, 99]
+
+    def test_probe_chains_wrap_around_the_index(self):
+        memo = RouteMemo(32)
+        slots = memo._index.size
+        assert slots == 64
+        # Every key hashes to the last slot: the chain runs off the
+        # end of the index and continues at slot 0.
+        last = [slots - 1 + slots * k for k in range(6)]
+        assert {(pos + 0 * _MIX) & (slots - 1) for pos in last} == \
+            {slots - 1}
+        fill(memo, [0] * 6, last, [[0, k] for k in range(6)])
+        assert memo._index[slots - 1] >= 0 and memo._index[4] >= 0
+        for k, pos in enumerate(last):
+            assert memo.get(0, pos, 0)[0] == [0, k]
+        assert memo.get(0, slots - 1 + slots * 6, 0) is None
+        rows = memo.lookup(*keys_of([0] * 7, last + [slots * 7 - 1]))
+        assert rows.tolist() == [0, 1, 2, 3, 4, 5, -1]
+        # ... and still resolves after a compaction rebuilt the index.
+        memo.sweep({2}, hop_bound=10)
+        assert [memo.get(0, pos, 0) is not None for pos in last] == \
+            [True, True, False, True, True, True]
+
+    def test_sweep_by_touched_switch_and_hop_bound(self):
+        memo = RouteMemo(64)
+        traces = [[1, 2, 3], [4, 5], [6], [7, 2], [8, 9, 10, 11, 12]]
+        fill(memo, [1, 4, 6, 7, 8], range(5), traces)
+        memo.sweep({2, 99}, hop_bound=10)
+        assert [key[0] for key in memo] == [4, 6, 8]
+        assert memo.get(8, 4, 0)[0] == [8, 9, 10, 11, 12]
+        assert memo.get(1, 0, 0) is None
+        # A route longer than the (shrunken) hop bound goes too.
+        memo.sweep(set(), hop_bound=3)
+        assert [key[0] for key in memo] == [4, 6]
+        assert memo.get(4, 1, 0)[0] == [4, 5]
+        memo.sweep({4, 6}, hop_bound=3)
+        assert len(memo) == 0 and list(memo) == []
+        fill(memo, [1], [0], [[1, 2, 3]])
+        assert memo.get(1, 0, 0)[0] == [1, 2, 3]
+
+    def test_grows_from_kilobytes_to_the_cap(self):
+        memo = RouteMemo(65536)
+        assert memo.nbytes < 32 * 1024  # an idle memo is not the cap
+        rng = np.random.default_rng(0)
+        positions = rng.integers(0, 2 ** 63, size=3000).astype(np.uint64)
+        for start in range(0, 3000, 250):
+            chunk = range(start, start + 250)
+            fill(memo, [k % 50 for k in chunk], positions[start:start + 250],
+                 [[k % 50, k % 7, k % 11] for k in chunk])
+        assert len(memo) == 3000 > _MIN_ROWS
+        for k in (0, 255, 256, 1499, 2999):
+            assert memo.get(k % 50, int(positions[k]), 0)[0] == \
+                [k % 50, k % 7, k % 11]
+        assert memo._index.size >= 2 * len(memo)
+
+
+class TestFootprint:
+    def test_bytes_per_route_and_no_per_route_object(self):
+        """The tier-1 footprint guard: ≤ 100 bytes a route by
+        ``nbytes`` at 10k+ routes of a 100-switch network, and filling
+        the memo allocates no Python object per route."""
+        net = build(3, 100, servers=4)
+        ids = [f"foot/{i}" for i in range(12000)]
+        entries = [net.switch_ids()[i % 100] for i in range(12000)]
+        digests = net.prehash(ids)
+        net.retrieve_many(ids[:10], entry_switches=entries[:10])
+        memo = net._fastpath.routes
+        gc.collect()
+        blocks = sys.getallocatedblocks()
+        tracked = len(gc.get_objects())
+        for start in range(0, 12000, 3000):  # results are dropped
+            net.retrieve_many(ids[start:start + 3000],
+                              entry_switches=entries[start:start + 3000],
+                              digests=digests[start:start + 3000])
+        gc.collect()
+        assert len(memo) == 12000
+        assert memo.nbytes / len(memo) <= 100
+        assert sys.getallocatedblocks() - blocks < 500
+        assert len(gc.get_objects()) - tracked < 100
+
+
+KEYS = 12
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["place_many", "retrieve_many", "retrieve_many",
+                         "place", "retrieve", "retrieve", "join",
+                         "leave", "link", "unlink"]),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.integers(min_value=0, max_value=10 ** 6)),
+    min_size=6, max_size=24)
+
+
+def apply(net, step, op, a, b, c):
+    """One operation against the network's current state.  Keys come
+    from a small pool and mostly enter at one switch each, so requests
+    meet memoized routes — and whatever a topology change left of
+    them."""
+    switches = net.switch_ids()
+    copies = b % 3 + 1
+
+    def entry(key):
+        return switches[(key if c % 4 else key + c) % len(switches)]
+
+    if op in ("place_many", "retrieve_many"):
+        # A stride walk over the pool: ids repeat inside one batch.
+        keys = [(a + j * (c % 5)) % KEYS for j in range(b % 9 + 2)]
+        ids = [f"k{k}" for k in keys]
+        entries = [entry(k) for k in keys]
+        if op == "place_many":
+            return net.place_many(ids, payloads=[(k, step) for k in keys],
+                                  entry_switches=entries, copies=copies)
+        return net.retrieve_many(ids, entry_switches=entries,
+                                 copies=copies)
+    key = a % KEYS
+    if op == "place":
+        return net.place(f"k{key}", payload=(key, step), copies=copies,
+                         entry_switch=entry(key))
+    if op == "retrieve":
+        return net.retrieve(f"k{key}", copies=copies,
+                            entry_switch=entry(key))
+    if op == "join":
+        links = sorted({switches[a % len(switches)],
+                        switches[b % len(switches)]})
+        return net.add_switch(1000 + step, links,
+                              servers_per_switch=c % 3)
+    if op == "leave":
+        return net.remove_switch(switches[a % len(switches)])
+    u, v = switches[a % len(switches)], switches[b % len(switches)]
+    if u == v:
+        return None
+    if op == "link":
+        return net.controller.add_link(u, v)
+    return net.controller.remove_link(u, v)
+
+
+def emptied(call):
+    """``call`` on a network whose route memo is emptied first."""
+    def run(net):
+        state = net._fastpath
+        if state is not None:
+            state.routes = RouteMemo(state.routes.cap)
+        return call(net)
+    return run
+
+
+class TestWarmEqualsCold:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 3), ops=OPS)
+    def test_memo_never_changes_an_answer(self, seed, ops):
+        calls = [lambda net, step=step, op=op: apply(net, step, *op)
+                 for step, op in enumerate(ops)]
+        cap = network_module._ROUTE_CACHE_CAP
+        network_module._ROUTE_CACHE_CAP = 8  # evict and wrap, often
+        try:
+            warm = observe(build(seed, 10), calls)
+            cold = observe(build(seed, 10),
+                           [emptied(call) for call in calls])
+        finally:
+            network_module._ROUTE_CACHE_CAP = cap
+        assert warm[:4] == cold[:4]
+
+    def test_memo_is_used_and_bounded(self, monkeypatch):
+        """The differential above is not vacuous: under its tiny cap a
+        warm network does answer from the memo, and honours the cap."""
+        monkeypatch.setattr(network_module, "_ROUTE_CACHE_CAP", 8)
+        net = build(0, 10)
+        switches = net.switch_ids()
+        ids = [f"k{k}" for k in range(KEYS)]
+        entries = [switches[k % 10] for k in range(KEYS)]
+        net.place_many(ids, entry_switches=entries)
+        memo = net._fastpath.routes
+        assert 0 < len(memo) <= 8
+        entry, bits = next(iter(memo))
+        hit = next(d for d, e in zip(ids, entries)
+                   if (e, digest_keys(d)[1]) == (entry, bits))
+        _, _, waves = observe(net, [
+            lambda net: net.retrieve_many([hit], entry_switches=[entry])
+        ])[2:]
+        assert waves == [0]  # answered without a walk

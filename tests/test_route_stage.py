@@ -33,7 +33,8 @@ from repro.dataplane import (
 from repro.faults import FaultState
 from repro.hashing import (
     data_position,
-    position_and_key,
+    digest_keys,
+    position_from_bits,
     positions_from_digests,
     serials_from_digests,
     sha256_digests,
@@ -213,9 +214,10 @@ class TestCompiledStageMatchesReference:
                 except ForwardingError as exc:
                     want = str(exc)
                     breaches += 1
+                key, bits = digest_keys(data_id)
                 try:
                     got = router.route(entry, data_id,
-                                       *position_and_key(data_id),
+                                       *position_from_bits(bits), key,
                                        budget)[0]
                 except ForwardingError as exc:
                     got = str(exc)
@@ -285,12 +287,12 @@ class TestStragglerTailErrors:
                     found.append((f"far/{i}", entry, events, route))
         return found
 
-    @pytest.mark.parametrize("bulk", [20, 150],
-                             ids=["whole-batch", "last-few"])
-    @pytest.mark.parametrize("fault", sorted(TAIL_FAULTS))
-    def test_tail_failures_match_reference(self, reference_engine,
-                                           fault, bulk):
-        shape, sabotage, budget = TAIL_FAULTS[fault]
+    def _batch_vs_reference(self, reference_engine, shape, sabotage,
+                            budget, bulk):
+        """``(got, want)``: :func:`observe` of a ``place_many`` +
+        ``retrieve_many`` pair on the sabotaged compiled plane, and of
+        the same requests as scalar loops on the pinned reference
+        engine."""
         probe = build(self.SEED, self.SWITCHES)
         (bad_id, bad_entry, events, route), *others = \
             self._far_requests(probe, shape)
@@ -330,6 +332,16 @@ class TestStragglerTailErrors:
                                        entry_switches=entries),
             lambda net: net.retrieve_many(ids, entry_switches=entries,
                                           max_hops=budget)])
+        return got, want
+
+    @pytest.mark.parametrize("bulk", [20, 150],
+                             ids=["whole-batch", "last-few"])
+    @pytest.mark.parametrize("fault", sorted(TAIL_FAULTS))
+    def test_tail_failures_match_reference(self, reference_engine,
+                                           fault, bulk):
+        shape, sabotage, budget = TAIL_FAULTS[fault]
+        got, want = self._batch_vs_reference(
+            reference_engine, shape, sabotage, budget, bulk)
         assert got[:4] == want[:4]
         placed, retrieved = got[0]
         if sabotage is not None:
@@ -338,6 +350,26 @@ class TestStragglerTailErrors:
         # One wave when the whole batch straggles from its entries;
         # one vectorized wave plus the tail when only the far walks do.
         assert got[4][0] == (1 if bulk < fastpath._WAVE_MIN_ACTIVE else 2)
+
+    @pytest.mark.parametrize("bulk", [20, 150],
+                             ids=["whole-batch", "last-few"])
+    def test_deleted_vl_destination(self, reference_engine, bulk):
+        """A virtual link whose *destination* left the plane fails at
+        the last relay's hand-off, with the reference engine's text
+        (it used to surface as a ``KeyError``).  Outcomes and stored
+        prefix only: the reference counts the relays it walked before
+        failing, the compiled chain resolution none — the partial mix
+        of a failed chain is still open."""
+        def sabotage(net, events, route):
+            del net.controller.switches[events[1].details["dest"]]
+
+        got, want = self._batch_vs_reference(
+            reference_engine, (GREEDY, VL_START), sabotage, None, bulk)
+        assert got[:2] == want[:2]
+        kind, text = got[0][0]
+        assert kind == "ForwardingError"
+        assert "forwarded to unknown switch" in text
+        assert not got[0][1][-2].found
 
     def test_hop_bound_text_from_the_tail(self):
         """``retrieve_many`` swallows a failed probe's message, so the
