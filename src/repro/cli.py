@@ -544,12 +544,15 @@ def _cmd_stats(args) -> int:
         for s in net.controller.switches.values()
     )
     balance = load_imbalance_summary(loads) if sum(loads) else None
-    from .dataplane import batch_fastpath_blockers, scalar_standdown
+    from .dataplane import (batch_fastpath_blockers, scalar_standdown,
+                            unabsorbed_faults)
 
     blockers = batch_fastpath_blockers(net)
     # The engine one scalar place/retrieve would take right now.
     standdown = scalar_standdown(net)
     engine = "compiled" if standdown is None else "reference"
+    # What the fault gate fires on, i.e. what to absorb or heal.
+    unabsorbed = unabsorbed_faults(net)
     if args.json:
         payload = {
             "switches": topology.num_nodes(),
@@ -562,6 +565,7 @@ def _cmd_stats(args) -> int:
             "fastpath_blockers": blockers,
             "scalar_engine": engine,
             "scalar_standdown": standdown,
+            "unabsorbed_faults": unabsorbed,
         }
         if overload_events is not None:
             payload["overload_events"] = [
@@ -584,6 +588,15 @@ def _cmd_stats(args) -> int:
           f"{', '.join(blockers) if blockers else 'none'}")
     print(f"scalar engine     : {engine}"
           + (f" ({standdown})" if standdown else ""))
+    for label, found, remedy in (
+            ("crashed switches still installed",
+             unabsorbed["crashed_switches"], "absorb (detector repair)"),
+            ("down links still in the topology",
+             unabsorbed["down_links"], "absorb, or restore the link"),
+            ("partitioned switches",
+             unabsorbed["partitioned_switches"], "heal the partition")):
+        if found:
+            print(f"  {label}: {found} -> {remedy}")
     if overload_events is not None:
         print(f"overload sweep    : {len(overload_events)} action(s)")
         for event in overload_events:

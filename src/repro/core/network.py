@@ -22,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,6 +80,9 @@ from .results import PlacementRecord, PlacementResult, RetrievalResult
 
 #: Bound on the per-epoch route memo (routes, not bytes).
 _ROUTE_CACHE_CAP = 65536
+#: Probes the batch route stage looks up, walks and memoizes at a time
+#: (its transient arrays are bounded by this, not by the call).
+_ROUTE_SLICE = 16384
 
 
 class _FastPathState:
@@ -91,7 +95,7 @@ class _FastPathState:
     patch the router and evict only the affected cache entries."""
 
     __slots__ = ("epoch", "version", "router", "routes", "hops",
-                 "stale")
+                 "hop_column", "stale")
 
     def __init__(self, epoch: int, version: int,
                  router: CompiledRouter) -> None:
@@ -106,8 +110,10 @@ class _FastPathState:
         #: intentionally NOT memoized — they are resolved live so
         #: extend/retract need no epoch bump.
         self.routes = RouteMemo(_ROUTE_CACHE_CAP)
-        #: BFS hop distances keyed by source switch.
-        self.hops: Dict[int, Dict[int, int]] = {}
+        #: BFS hop distances, one flat row per source switch;
+        #: ``hop_column`` is every row's ``target switch -> index``.
+        self.hops: Dict[int, array] = {}
+        self.hop_column: Dict[int, int] = {}
         #: Switches touched since ``routes`` was last swept: the router
         #: is patched on every sync, the route memo only when a batch
         #: is about to use it.  Non-empty = ``routes`` may hold stale
@@ -325,21 +331,25 @@ class _Batch:
         recorded when the route was first walked, so the flush can
         emit the engine's forwarding counters without re-walking.
         """
-        at = np.asarray(flats, dtype=np.intp)
+        flats = np.asarray(flats, dtype=np.intp)
         router, memo = self.state.router, self.state.routes
-        entries = self.flat_entries[at]
-        serial_u64s = self.serial_u64s[at]
-        routes = _Routes(at.size)
-        if max_hops is None:
-            keys = self.position_keys[at]
-            rows = memo.lookup(entries, keys)
-            missed = np.flatnonzero(rows < 0)
-            hit = np.flatnonzero(rows >= 0)
-            if hit.size:
-                routes.put(hit, *memo.take(rows[hit], serial_u64s[hit]))
-        else:
-            missed = np.arange(at.size)
-        if missed.size:
+        routes = _Routes(flats.size)
+        for base in range(0, flats.size, _ROUTE_SLICE):
+            at = flats[base:base + _ROUTE_SLICE]
+            entries = self.flat_entries[at]
+            serial_u64s = self.serial_u64s[at]
+            if max_hops is None:
+                keys = self.position_keys[at]
+                rows = memo.lookup(entries, keys)
+                missed = np.flatnonzero(rows < 0)
+                hit = np.flatnonzero(rows >= 0)
+                if hit.size:
+                    routes.put(base + hit, *memo.take(
+                        rows[hit], serial_u64s[hit]))
+            else:
+                missed = np.arange(at.size)
+            if not missed.size:
+                continue
             bound = (router._default_max_hops if max_hops is None
                      else max_hops)
             missed_at = at[missed]
@@ -356,12 +366,12 @@ class _Batch:
                     int(missed.size))
                 self.registry.counter("dataplane.batch.waves").inc(
                     packed.waves)
-            routes.put(missed, *packed.columns())
-            routes.known[missed] = packed.known
+            routes.put(base + missed, *packed.columns())
+            routes.known[base + missed] = packed.known
             if packed.errors or packed.hop_failures:
                 ids = [self.flat_ids[f] for f in missed_at.tolist()]
                 for j, error in packed.failures(ids, bound).items():
-                    routes.errors[int(missed[j])] = error
+                    routes.errors[base + int(missed[j])] = error
             if max_hops is None:
                 memo.insert(entries[missed], keys[missed], packed)
         return routes
@@ -1083,12 +1093,12 @@ class GredNetwork:
         predicate fires (the same list
         :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`
         reports and the scalar route stage consults), counted once per
-        reason.  The compiled router assumes fault-free forwarding
-        over switches it can keep in step with, and the vectorized
-        hashing the paper's SHA-256 positions; otherwise batches run
-        the scalar loop item by item (identical results, just not
-        vectorized).  Telemetry does *not* force the fallback: every
-        path emits the same aggregates."""
+        reason.  The compiled router assumes a plane no routing fault
+        touches, over switches it can keep in step with, and the
+        vectorized hashing the paper's SHA-256 positions; otherwise
+        batches run the scalar loop item by item (identical results,
+        not vectorized).  Telemetry does *not* force the fallback:
+        every path emits the same aggregates."""
         reasons = batch_fastpath_blockers(self)
         registry = default_registry()
         if registry.enabled:
@@ -1104,15 +1114,19 @@ class GredNetwork:
                   target: int) -> int:
         """Hop distance with a per-epoch BFS cache (one BFS per
         distinct source switch instead of one per request); a fresh
-        search when the reference engine routed (``state`` None — a
-        fault-attached network never builds fast-path state)."""
+        search when the reference engine routed (``state`` None)."""
         if state is None:
             return hop_count(self.topology, source, target)
-        dists = state.hops.get(source)
-        if dists is None:
+        row = state.hops.get(source)
+        if row is None:
+            if not state.hops:  # first row since the cache cleared
+                state.hop_column = {
+                    node: i for i, node in enumerate(self.topology)}
+            # (A managed topology is connected: no node lacks a key.)
             dists = bfs_distances(self.topology, source)
-            state.hops[source] = dists
-        return dists[target]
+            row = state.hops[source] = array(
+                "i", map(dists.__getitem__, state.hop_column))
+        return row[state.hop_column[target]]
 
     @staticmethod
     def _emit_route_telemetry(registry, kind: str, mix,
@@ -1244,31 +1258,40 @@ class GredNetwork:
         with batch:
             routes = batch.route(np.arange(len(flat_ids)))
             # Grouped storage: when every route delivered, no extension
-            # is installed anywhere and every target server is
-            # unbounded, the per-item store step collapses to one bulk
-            # dict update per server (identical storage state — the
-            # stable grouping preserves each server's insertion order).
+            # is installed anywhere, every target server is unbounded
+            # and no fault state wants stamps, the per-item store step
+            # collapses to one bulk dict update per server (identical
+            # storage state — the stable grouping preserves each
+            # server's insertion order).
             stored = self._grouped_store(
                 routes, flat_ids, payloads, copies,
                 self.controller.switches, self.server_map)
             dests, serials, overlays, starts, ends, traces = \
                 routes.lists()
+            faulted = self.fault_state is not None
             walked = 0
             try:
                 for i, data_id in enumerate(data_ids):
                     payload = (payloads[i] if payloads is not None
                                else None)
                     entry = entries[i]
+                    # Stamped where the scalar loop stamps: in request
+                    # order, before the item's first copy can raise.
+                    stamp = self._op_stamp(entry) if faulted else None
                     records: List[PlacementRecord] = []
                     for flat in range(i * copies, (i + 1) * copies):
                         walked = flat + 1
                         copy_id = flat_ids[flat]
                         dest = dests[flat]
                         if dest < 0:
-                            # Like the scalar loop, raise mid-batch:
-                            # items before this one stay stored and
-                            # counted, the rest are not placed.
-                            raise routes.errors[flat]
+                            if not (faulted and self.hinted_handoff):
+                                # Like the scalar loop, raise mid-batch:
+                                # items before this one stay stored and
+                                # counted, the rest are not placed.
+                                raise routes.errors[flat]
+                            records.append(self._hinted_record(
+                                copy_id, payload, entry, stamp, NULL_SPAN))
+                            continue
                         trace = traces[starts[flat]:ends[flat]]
                         overlay = overlays[flat]
                         if stored is not None:
@@ -1290,7 +1313,7 @@ class GredNetwork:
                                 batch.routed(i, trace, overlay,
                                              serving[1])
                             record = self._store(
-                                serving, copy_id, payload, entry, None,
+                                serving, copy_id, payload, entry, stamp,
                                 trace, overlay, dest, NULL_SPAN)
                         if telemetry and not record.hinted:
                             batch.placed(flat, record, payload)
@@ -1321,16 +1344,17 @@ class GredNetwork:
         Returns the ``(switch, serial) -> server`` map of stored-to
         servers, or ``None`` when the batch must take the per-item
         path: any routing error (the scalar loop raises mid-batch,
-        storing only the prefix), any installed range extension
-        (per-delivery rewrite decisions), or any bounded target server
-        (per-id ``StorageFull`` ordering).  The stable grouping sort
-        preserves each server's item insertion order, so the resulting
-        storage state is byte-identical to sequential ``store`` calls.
+        storing only the prefix), an attached fault state (per-item
+        stamps, liveness, hinted handoff), any installed range
+        extension (per-delivery rewrite decisions), or any bounded
+        target server (per-id ``StorageFull`` ordering).  The stable
+        grouping sort preserves each server's item insertion order, so
+        the storage state is byte-identical to sequential ``store``s.
         """
         dest, serial = routes.dest, routes.serial
         if not dest.size:
             return {}
-        if routes.errors:
+        if routes.errors or self.fault_state is not None:
             return None
         for switch in switches.values():
             if switch.table.has_extensions():

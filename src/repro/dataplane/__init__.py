@@ -12,9 +12,11 @@ from .switch import (
 from .fastpath import (
     CompiledRouter,
     FASTPATH_GATES,
+    UNABSORBED_FAULT,
     batch_fastpath_blockers,
     federated_blockers,
     scalar_standdown,
+    unabsorbed_faults,
 )
 from .forwarding import RouteResult, route_packet
 from .memo import RouteMemo
@@ -36,9 +38,11 @@ __all__ = [
     "CompiledRouter",
     "RouteMemo",
     "FASTPATH_GATES",
+    "UNABSORBED_FAULT",
     "batch_fastpath_blockers",
     "federated_blockers",
     "scalar_standdown",
+    "unabsorbed_faults",
     "Tracer",
     "TraceEvent",
     "TraceEventKind",

@@ -32,7 +32,8 @@ batch mid-route.
 The router is rebuilt when the control plane recomputes (callers key it
 on :attr:`Controller.epoch`) and patched row by row on scoped events
 (:meth:`CompiledRouter.patch`, keyed on :attr:`Controller.version`).
-It assumes fault-free forwarding and the paper's SHA-256 positions:
+It assumes a plane no routing fault touches (an attached fault state
+whose faults are all absorbed is one) and the paper's SHA-256 positions:
 :data:`FASTPATH_GATES` lists the conditions under which batches *and*
 scalar requests stand down to ``route_packet`` instead
 (:func:`batch_fastpath_blockers`, :func:`scalar_standdown`).  It raises
@@ -50,8 +51,50 @@ from ..hashing import data_position
 from .switch import ForwardingError, GredSwitch
 
 
+#: Stand-down reason of the fault gate (with ``_`` for spaces, the
+#: ``reason`` label of both stand-down counters).
+UNABSORBED_FAULT = "unabsorbed routing fault"
+
+
 def _gate_fault_state(net) -> bool:
-    return net.fault_state is not None
+    """Whether a routing fault touches the installed plane: a crashed
+    switch the controller still holds, a down link still in its
+    topology, or an active partition — exactly when ``route_packet(
+    fault_state=...)`` can decide differently from the fault-free
+    engines (it re-decides only a hop whose next switch is crashed,
+    behind a down link or across a partition, and installed rules
+    forward only to installed switches over topology links).  Read
+    from the live sets on every request — tests and snapshots mutate
+    them directly, so there is no verdict to cache — in a few probes
+    per standing fault."""
+    fault = net.fault_state
+    if fault is None:
+        return False
+    controller = net.controller
+    if fault.partitions or not controller.switches.keys().isdisjoint(
+            fault.crashed_switches):
+        return True
+    for link in fault.down_links:
+        if controller.topology.has_edge(*link):
+            return True
+    return False
+
+
+def unabsorbed_faults(net) -> Dict[str, list]:
+    """What :func:`_gate_fault_state` fires on, for operators: crashed
+    switches still installed and down links still in the topology
+    (``absorb_failures`` / ``FailureDetector.repair`` clears both),
+    partitioned switches (``heal_partition``).  All empty = quiet."""
+    fault, controller = net.fault_state, net.controller
+    crashed, down, split = ((), (), ()) if fault is None else (
+        fault.crashed_switches, fault.down_links, fault.partitions)
+    return {
+        "crashed_switches": sorted(
+            s for s in crashed if s in controller.switches),
+        "down_links": sorted(
+            list(k) for k in down if controller.topology.has_edge(*k)),
+        "partitioned_switches": sorted(split),
+    }
 
 
 def _gate_position_fn(net) -> bool:
@@ -75,7 +118,7 @@ def _gate_transport(net) -> bool:
 #: apart again (they did once: telemetry stopped blocking the fast path
 #: in PR 6 and only one copy was updated at first).
 FASTPATH_GATES: Tuple[Tuple[Callable[[object], bool], str], ...] = (
-    (_gate_fault_state, "fault state attached"),
+    (_gate_fault_state, UNABSORBED_FAULT),
     (_gate_position_fn, "custom position_fn"),
     (_gate_transport, "southbound transport attached"),
 )
@@ -120,7 +163,7 @@ def federated_blockers(fed) -> Dict[int, List[str]]:
 
     The federation has no global compiled plane — each region shard
     carries its own ``_FastPathState`` — so batch eligibility is a
-    per-shard question: a fault injected into one region stands that
+    per-shard question: an unabsorbed fault in one region stands that
     shard down to the scalar reference path while every other region
     keeps its vectorized plane.  Returns ``region id -> blocker
     reasons`` (all empty = every shard batch-eligible), the federated

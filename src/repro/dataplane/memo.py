@@ -15,13 +15,14 @@ stores ``s`` — the destination's server count when the route was
 walked — and a hit reduces the request's own leading word by it.
 
 Layout: one fixed-width record per route (``pos / off / tick / entry /
-dest / servers / overlay / greedy / vl / relays / tlen``, 48 bytes —
+dest / servers / overlay / greedy / vl / relays / tlen``, 40 bytes —
 every field is a strided numpy column, and a scalar hit reads one
-cache line), one pool of trace switch ids (``pool[off:off + tlen]``),
-and an open-addressing slot index (linear probing; rows are only ever
-appended, and removed in bulk with a rebuild, so a key's probe chain
-never holds a gap).  No per-route Python object exists; DESIGN.md
-section 5d has the byte budget.
+cache line), one pool of trace switch ids (``pool[off:off + tlen]``,
+``uint16`` until a switch id needs ``int32``), and an open-addressing
+slot index (linear probing; rows are only ever appended, and removed
+in bulk with a rebuild, so a key's probe chain never holds a gap).  No
+per-route Python object exists; DESIGN.md section 5d has the byte
+budget.
 """
 
 from __future__ import annotations
@@ -42,17 +43,18 @@ _MIX = 0x9E3779B97F4A7C15
 _MIN_ROWS = 256
 
 _ROW = np.dtype([
-    ("pos", "u8"), ("off", "i8"), ("tick", "i8"), ("entry", "i4"),
+    ("pos", "u8"), ("off", "u4"), ("tick", "u4"), ("entry", "i4"),
     ("dest", "i4"), ("servers", "i4"), ("overlay", "u2"),
     ("greedy", "u2"), ("vl", "u2"), ("relays", "u2"), ("tlen", "u2"),
 ], align=True)
 #: The same record for the scalar read (which skips the tick): one
 #: ``unpack_from`` per row.
-_ROW_FIELDS = struct.Struct("=Qq8xiiiHHHHH2x")
+_ROW_FIELDS = struct.Struct("=QI4xiiiHHHHH2x")
 if _ROW_FIELDS.size != _ROW.itemsize:
     raise ImportError("route memo record layouts disagree")
 _ID_MIN, _ID_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-_HOPS_MAX = np.iinfo(np.uint16).max
+_HOPS_MAX = _NARROW_ID_MAX = np.iinfo(np.uint16).max
+_U4_MAX = np.iinfo(np.uint32).max
 
 
 class RouteMemo:
@@ -76,11 +78,15 @@ class RouteMemo:
                  "_index")
 
     def __init__(self, cap: int) -> None:
+        if cap * _HOPS_MAX > _U4_MAX:
+            raise ValueError(
+                f"a memo of {cap} routes can outgrow its 32-bit trace "
+                f"offsets")
         self.cap = cap
         self._n = 0
         self._clock = 0
         self._rows = np.empty(0, dtype=_ROW)
-        self._pool = np.empty(0, dtype=np.int32)
+        self._pool = np.empty(0, dtype=np.uint16)
         self._index = np.empty(0, dtype=np.int32)
         self._reserve(min(cap, _MIN_ROWS), 0)
 
@@ -106,6 +112,11 @@ class RouteMemo:
         the hits become the most recently used rows.  Rows are valid
         until the next :meth:`insert` or :meth:`sweep`."""
         rows = self._probe(entries, pos)
+        if self._clock == _U4_MAX:
+            # Ticks only order the rows: rebase them to their ranks.
+            ticks = self._rows["tick"][:self._n]
+            ticks[:] = np.unique(ticks, return_inverse=True)[1]
+            self._clock = int(ticks.max(initial=0))
         self._clock += 1
         self._rows["tick"][rows[rows >= 0]] = self._clock
         return rows
@@ -134,9 +145,14 @@ class RouteMemo:
         rebuild amortizes); of more than ``cap`` new routes the last
         ``cap`` stay."""
         flat = packed.trace_flat
-        if flat.size and not (_ID_MIN <= flat.min()
-                              and flat.max() <= _ID_MAX):
-            return  # a switch id the id fields cannot hold exactly
+        if flat.size:
+            low, high = flat.min(), flat.max()
+            if not (_ID_MIN <= low and high <= _ID_MAX):
+                return  # a switch id the id fields cannot hold exactly
+            if self._pool.dtype != np.int32 and not (
+                    0 <= low and high <= _NARROW_ID_MAX):
+                self._pool = self._pool.astype(np.int32)
+                self._bind_reader()
         sel = np.flatnonzero((packed.dest >= 0)
                              & (packed.tlen <= _HOPS_MAX))[-self.cap:]
         if not sel.size:
@@ -263,6 +279,9 @@ class RouteMemo:
             self._pool = _grown(
                 self._pool,
                 max(pool, self._pool.size + self._pool.size // 8))
+        self._bind_reader()
+
+    def _bind_reader(self) -> None:
         self.get = _reader(memoryview(self._index),
                            memoryview(self._rows).cast("B"),
                            memoryview(self._pool))

@@ -56,7 +56,8 @@ def _best_stamp_elsewhere(net, fault,
                           exclude: Tuple[int, int]) -> Dict[str, tuple]:
     """Per base item, the newest stamp visible anywhere *except* on the
     ``exclude`` server: live replicas (even misplaced ones left behind
-    by degraded-mode rerouting) and parked hints both count."""
+    by degraded-mode rerouting), tombstones and parked hints all
+    count."""
     best: Dict[str, tuple] = {}
     for switch in sorted(net.server_map):
         for server in net.server_map[switch]:
@@ -65,15 +66,15 @@ def _best_stamp_elsewhere(net, fault,
             if fault is not None and \
                     not fault.server_alive(server.server_id):
                 continue
-            for copy_id in server.stored_ids():
+            carried = [(copy_id, server.stamp_of(copy_id) or NO_STAMP)
+                       for copy_id in server.stored_ids()]
+            carried += server.tombstones().items()
+            carried += [(hint.copy_id, hint.stamp)
+                        for hint in server.hints()]
+            for copy_id, stamp in carried:
                 base, _ = parse_replica_id(copy_id)
-                stamp = server.stamp_of(copy_id) or NO_STAMP
                 if stamp > best.get(base, NO_STAMP):
                     best[base] = stamp
-            for hint in server.hints():
-                base, _ = parse_replica_id(hint.copy_id)
-                if hint.stamp > best.get(base, NO_STAMP):
-                    best[base] = hint.stamp
     return best
 
 
@@ -103,6 +104,11 @@ def _crash_safe(net, injector, candidate: EdgeServer,
         # a divergence the scrub could ever repair.
         stamp = candidate.stamp_of(copy_id) or NO_STAMP
         if stamp > best.get(base, NO_STAMP):
+            return False
+    # Likewise a delete: when the candidate's tombstone is the newest
+    # trace of an item, crashing it lets a stale copy elsewhere win.
+    for copy_id, stamp in candidate.tombstones().items():
+        if stamp > best.get(parse_replica_id(copy_id)[0], NO_STAMP):
             return False
     return True
 

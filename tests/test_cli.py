@@ -280,6 +280,41 @@ class TestStatsExtensions:
         assert payload["scalar_engine"] == "compiled"
         assert payload["scalar_standdown"] is None
 
+    def test_unabsorbed_faults_reported(self, net_file, capsys):
+        """``gred stats`` names what holds the plane down — and stops
+        naming it once the controller has absorbed it, although the
+        fault state still lists the switch as crashed."""
+        from repro.faults import FaultInjector
+        from repro.io import load_network, save_network
+
+        net = load_network(net_file)
+        injector = FaultInjector(net)
+        u, v, _ = net.topology.edges()[0]
+        injector.crash_switch(7)
+        injector.link_down(u, v)
+        save_network(net, net_file)
+        assert main(["stats", "-n", net_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fastpath_blockers"] == ["unabsorbed routing fault"]
+        assert payload["scalar_standdown"] == "unabsorbed routing fault"
+        assert payload["unabsorbed_faults"] == {
+            "crashed_switches": [7], "down_links": [sorted((u, v))],
+            "partitioned_switches": []}
+        assert main(["stats", "-n", net_file]) == 0
+        text = capsys.readouterr().out
+        assert "scalar engine     : reference (unabsorbed routing" in text
+        assert "crashed switches still installed: [7] -> absorb" in text
+        assert "down links still in the topology" in text
+        assert "partitioned" not in text
+
+        net.controller.absorb_failures([7], [(u, v)])
+        save_network(net, net_file)
+        assert main(["stats", "-n", net_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fastpath_blockers"] == []
+        assert payload["scalar_engine"] == "compiled"
+        assert not any(payload["unabsorbed_faults"].values())
+
     def test_sweep_reports_overload_events(self, net_file, capsys):
         code = main(["stats", "-n", net_file, "--json", "--sweep"])
         assert code == 0

@@ -11,7 +11,7 @@ against a fault-free dict oracle.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import GredNetwork, attach_uniform, brite_waxman_graph
@@ -674,6 +674,11 @@ class TestDifferentialDurability:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=OPS, seed=st.integers(0, 3))
+    # A delete issued across the partition is entombed on (9, 0) and
+    # (9, 1) only: crashing both would let the stale copy on (0, 1)
+    # win, so ``_crash_safe`` must count tombstones as stamp carriers.
+    @example(ops=[("place", 0), ("partition", 2), ("delete", 224),
+                  ("crash", 306), ("crash", 8896)], seed=2)
     def test_random_interleavings_converge(self, ops, seed):
         topology, _ = brite_waxman_graph(
             12, min_degree=3, rng=np.random.default_rng(seed))

@@ -354,13 +354,49 @@ class TestFastpathGates:
         assert self._agree(net) == []
 
     def test_fault_state_gate(self):
-        from repro.faults import FaultState
+        """The fault gate fires only while a routing fault touches the
+        installed plane: an attached state alone, a crashed server, or
+        a fault the controller has absorbed leave the plane compiled."""
+        from repro.dataplane import UNABSORBED_FAULT, unabsorbed_faults
+        from repro.faults import FailureDetector, FaultInjector
 
         net, _ = build_pair(switches=12)
-        net.fault_state = FaultState()
-        assert self._agree(net) == ["fault state attached"]
+        injector = FaultInjector(net)
+        quiet = unabsorbed_faults(net)
+        assert not any(quiet.values())
+        assert self._agree(net) == []
+        injector.crash_server(3, 1)  # liveness, not routing
+        assert self._agree(net) == []
+
+        injector.crash_switch(7)
+        assert self._agree(net) == [UNABSORBED_FAULT]
+        assert unabsorbed_faults(net) == dict(quiet, crashed_switches=[7])
+        assert net.controller.absorb_failures([7]) == []
+        assert not net.fault_state.switch_alive(7)  # absorbed, not revived
+        assert self._agree(net) == []
+
+        u, v, _ = net.topology.edges()[0]
+        injector.link_down(u, v)
+        assert self._agree(net) == [UNABSORBED_FAULT]
+        assert unabsorbed_faults(net) == dict(
+            quiet, down_links=[sorted((u, v))])
+        injector.link_up(u, v)
+        assert self._agree(net) == []
+        injector.link_down(u, v)
+        assert FailureDetector(net).repair().stranded_switches == []
+        assert not net.topology.has_edge(u, v)
+        net.fault_state.down_links.add((u, v))  # names no installed link
+        assert self._agree(net) == []
+
+        injector.partition([5, 6])
+        assert self._agree(net) == [UNABSORBED_FAULT]
+        assert unabsorbed_faults(net) == dict(
+            quiet, partitioned_switches=[5, 6])
+        injector.heal_partition()
+        assert self._agree(net) == []
         net.fault_state = None
         assert self._agree(net) == []
+        assert unabsorbed_faults(net) == quiet
 
     def test_custom_position_fn_gate(self):
         topology, _ = brite_waxman_graph(

@@ -875,3 +875,38 @@ class TestRegionChaos:
         rerouted = fed.controller.overlay_path(rids[0], rids[2])
         assert rerouted is not None
         assert transit[0] not in rerouted
+
+    def test_absorbed_region_keeps_its_plane(self):
+        """Per shard, the fault gate follows the fault, not the
+        attachment: a region that crashed a switch and absorbed it
+        reports no blocker, one with the crash still installed stands
+        down alone, and every region keeps answering."""
+        from repro.dataplane import UNABSORBED_FAULT, federated_blockers
+
+        fed = make_fed(regions=4, per_region=8, seed=9)
+        ids = [f"gate/{i}" for i in range(120)]
+        fed.place_many(ids, copies=2, rng=np.random.default_rng(3))
+        rids = fed.controller.region_map.region_ids
+        absorbed = crash_member(fed, 1)
+        fed.shard(rids[1]).net.controller.absorb_failures([absorbed])
+        crash_member(fed, 2)
+        assert fed.shard(rids[0]).net.fault_state is None
+        assert fed.shard(rids[1]).net.fault_state is not None
+        assert federated_blockers(fed) == {
+            rid: [UNABSORBED_FAULT] if rid == rids[2] else []
+            for rid in rids}
+        registry = MetricsRegistry(enabled=True)
+        previous = set_default_registry(registry)
+        try:
+            got = fed.retrieve_many(ids, copies=2,
+                                    rng=np.random.default_rng(4))
+        finally:
+            set_default_registry(previous)
+        assert all(r.found for r in got)
+        # One shard stood down (once per probe round that reached it);
+        # the others, the absorbed one included, rode the waves.
+        assert list(registry.counter_values(
+            "dataplane.fastpath_standdowns")) == [
+                "dataplane.fastpath_standdowns"
+                "{reason=unabsorbed_routing_fault}"]
+        assert registry.counter("dataplane.batch.waves").value > 0

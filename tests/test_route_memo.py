@@ -4,7 +4,8 @@
   keys repeated in one insert, bulk LRU eviction, probe chains that
   wrap around the index, the stale sweep, growth;
 * the footprint guard: at 10k+ real routes the memo stays within
-  100 bytes a route and allocates no per-route Python object;
+  80 bytes a route and allocates no per-route Python object;
+* the hop cache beside it: flat rows that equal ``bfs_distances``;
 * a hypothesis differential — *warm ≡ cold*: the same interleaving of
   batch and scalar requests, joins, leaves and link changes on a
   network with a (tiny) memo and on a twin whose memo is emptied
@@ -105,6 +106,44 @@ class TestRouteMemo:
         fill(memo, [1], [5], [[1, 2 ** 31]])
         assert len(memo) == 0
 
+    def test_wide_switch_id_widens_the_pool(self):
+        """The trace pool holds 16-bit ids until a switch id needs
+        more; then it is widened in place — what it held stays exact,
+        and the wide route is memoized like any other."""
+        memo = RouteMemo(64)
+        fill(memo, [3, 4], [10, 11], [[3, 65535, 9], [4]])
+        assert memo._pool.dtype == np.uint16
+        fill(memo, [70000, 5], [12, 13], [[70000, 7, 70001], [5, -2, 6]])
+        assert memo._pool.dtype == np.int32
+        assert memo.get(3, 10, 0)[0] == [3, 65535, 9]
+        assert memo.get(70000, 12, 5) == ([70000, 7, 70001], 2, 70001,
+                                          1, (2, 0, 0))
+        assert memo.get(5, 13, 0)[0] == [5, -2, 6]
+        rows = memo.lookup(*keys_of([70000, 4], [12, 11]))
+        assert rows.tolist() == [2, 1]
+        flat = memo.take(rows, np.zeros(2, dtype=np.uint64))[-1]
+        assert flat.tolist() == [70000, 7, 70001, 4]
+        memo.sweep({70001}, hop_bound=10)
+        assert sorted(memo) == [(3, 10), (4, 11), (5, 13)]
+
+    def test_ticks_survive_a_rebase(self):
+        """The LRU clock is 32 bits wide: at its ceiling the ticks are
+        rebased to their ranks, and eviction order carries over."""
+        memo = RouteMemo(32)
+        for base in range(0, 32, 8):
+            fill(memo, [0] * 8, range(base, base + 8),
+                 [[0, k] for k in range(base, base + 8)])
+            memo.lookup(*keys_of([0] * 8, range(base, base + 8)))
+        memo._clock = 2 ** 32 - 2
+        memo.lookup(*keys_of([0] * 8, range(8, 16)))   # the ceiling
+        memo.lookup(*keys_of([0] * 8, range(0, 8)))    # rebases first
+        assert memo._clock < 8
+        assert memo._rows["tick"][:32].max() == memo._clock
+        fill(memo, [0], [100], [[0, 100]])
+        # Least recently used after the rebase: 16..19, as before it.
+        assert {pos for _, pos in memo} == \
+            set(range(16)) | set(range(20, 32)) | {100}
+
     def test_bulk_eviction_drops_the_least_recently_used(self):
         memo = RouteMemo(32)
         for base in range(0, 32, 8):  # four inserts of eight
@@ -184,7 +223,7 @@ class TestRouteMemo:
 
 class TestFootprint:
     def test_bytes_per_route_and_no_per_route_object(self):
-        """The tier-1 footprint guard: ≤ 100 bytes a route by
+        """The tier-1 footprint guard: ≤ 80 bytes a route by
         ``nbytes`` at 10k+ routes of a 100-switch network, and filling
         the memo allocates no Python object per route."""
         net = build(3, 100, servers=4)
@@ -202,9 +241,44 @@ class TestFootprint:
                               digests=digests[start:start + 3000])
         gc.collect()
         assert len(memo) == 12000
-        assert memo.nbytes / len(memo) <= 100
+        assert memo.nbytes / len(memo) <= 80
         assert sys.getallocatedblocks() - blocks < 500
         assert len(gc.get_objects()) - tracked < 100
+
+
+class TestHopRows:
+    def test_rows_equal_bfs_after_every_kind_of_change(self):
+        """``_fast_hop`` answers from one flat row per source; after a
+        join, a leave and a link change every pair still reads the
+        BFS distance (as a Python int)."""
+        from repro.graph import bfs_distances
+
+        net = build(4, 14)
+
+        def check():
+            state = net._fast_plane()
+            for source in net.switch_ids():
+                want = bfs_distances(net.topology, source)
+                for target in net.switch_ids():
+                    got = net._fast_hop(state, source, target)
+                    assert type(got) is int and got == want[target]
+            assert set(state.hops) == set(net.switch_ids())
+            assert all(len(row) == len(state.hops)
+                       for row in state.hops.values())
+
+        check()
+        a, b, c = net.switch_ids()[:3]
+        net.add_switch(500, [a, b], servers_per_switch=1)
+        check()
+        net.remove_switch(c)
+        check()
+        u, v = next((u, v) for u in net.switch_ids()
+                    for v in net.switch_ids()
+                    if u < v and not net.topology.has_edge(u, v))
+        net.controller.add_link(u, v)
+        check()
+        net.controller.remove_link(u, v)
+        check()
 
 
 KEYS = 12

@@ -26,11 +26,12 @@ from repro.dataplane import (
     Packet,
     PacketKind,
     TraceEventKind,
+    UNABSORBED_FAULT,
     fastpath,
     route_packet,
     scalar_standdown,
 )
-from repro.faults import FaultState
+from repro.faults import FailureDetector, FaultInjector, FaultPlanError
 from repro.hashing import (
     data_position,
     digest_keys,
@@ -152,14 +153,20 @@ def observe(net, calls):
         (server.server_id,
          [(item, server.retrieve(item)) for item in server.stored_ids()])
         for server in net.servers()]
+    demand, instruments = shared_instruments(registry)
+    return outcomes, storage, instruments, demand, waves
+
+
+def shared_instruments(registry):
+    """``(demand map, instruments)`` of a registry, minus
+    :data:`ENGINE_SPECIFIC`."""
     dump = registry.to_dict(include_events=False)
-    instruments = {
+    return dump.get("demand"), {
         (kind, entry["name"], tuple(sorted(entry["labels"].items()))):
         {k: v for k, v in entry.items() if k not in ("name", "labels")}
         for kind in ("counters", "gauges", "histograms")
         for entry in dump[kind]
         if not entry["name"].startswith(ENGINE_SPECIFIC)}
-    return outcomes, storage, instruments, dump.get("demand"), waves
 
 
 def cached_then(*events):
@@ -223,6 +230,200 @@ class TestCompiledStageMatchesReference:
                     got = str(exc)
                 assert got == want
         assert breaches
+
+
+FAULT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "place", "place_many", "place_many", "retrieve",
+            "retrieve_many", "retrieve_many", "delete", "crash_switch",
+            "crash_server", "fail_link", "restore_link", "partition",
+            "heal", "repair", "absorb", "absorb", "hinting", "orphan"]),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.integers(min_value=0, max_value=10 ** 6)),
+    min_size=6, max_size=24)
+
+
+def fault_apply(net, injector, catalog, step, op, a, b, c):
+    """One operation of the fault differential, interpreted against
+    the network's current state.  ``catalog`` (``data id -> copies``)
+    feeds ``FailureDetector.repair``; it follows the operations, not
+    their outcomes, so both sides keep the same one."""
+    ids = net.switch_ids()
+    fault = injector.state
+    pick = ids[a % len(ids)]
+    # Mostly live entries: a crashed one is refused at the front door.
+    pool = ids if c % 5 == 0 else [
+        s for s in ids if fault.switch_alive(s)] or ids
+    copies = b % 3 + 1
+    key = f"k{a % KEYS}"
+    # Under 96 probes a batch is all straggler tail; 120 items ride
+    # the waves.
+    count = (2, 5, 40, 120)[b % 4]
+    keys = [f"k{(a + i) % (8 * KEYS)}" for i in range(count)]
+    entries = [pool[(c + i) % len(pool)] for i in range(count)]
+    if op == "place":
+        catalog[key] = copies
+        return net.place(key, payload=(key, step), copies=copies,
+                         entry_switch=pool[c % len(pool)])
+    if op == "place_many":
+        catalog.update(dict.fromkeys(keys, copies))
+        return net.place_many(
+            keys, payloads=[(k, step) for k in keys] if c % 2 else None,
+            entry_switches=entries, copies=copies)
+    if op == "retrieve":
+        return net.retrieve(key, copies=copies,
+                            entry_switch=pool[c % len(pool)],
+                            max_hops=(None, None, 3)[c % 3])
+    if op == "retrieve_many":
+        return net.retrieve_many(keys, entry_switches=entries,
+                                 copies=copies)
+    if op == "delete":
+        return net.delete(key, copies=copies,
+                          entry_switch=pool[c % len(pool)])
+    if op == "crash_switch":
+        return injector.crash_switch(pick)
+    if op == "crash_server":
+        return injector.crash_server(pick, b % 2)
+    if op == "fail_link":
+        edges = sorted((u, v) for u, v, _ in net.topology.edges())
+        return injector.link_down(*edges[a % len(edges)])
+    if op == "restore_link":
+        down = sorted(fault.down_links)
+        return injector.link_up(*down[a % len(down)]) if down else None
+    if op == "partition":
+        return injector.partition(
+            {ids[(a + i * (b + 1)) % len(ids)] for i in range(c % 3 + 1)})
+    if op == "heal":
+        return injector.heal_partition()
+    if op == "repair":
+        return FailureDetector(net, catalog=dict(catalog)).repair()
+    if op == "absorb":
+        # What gredbench's crash wave does: prune, repair the DT and
+        # reinstall — the fault state keeps naming what crashed.
+        return net.controller.absorb_failures(
+            sorted(s for s in fault.crashed_switches if s in ids),
+            sorted(link for link in fault.down_links
+                   if net.topology.has_edge(*link)))
+    if op == "hinting":
+        net.hinted_handoff = not net.hinted_handoff
+        return net.hinted_handoff
+    # "orphan": a delivery switch loses its servers behind the plane's
+    # back (until the next rule install restores the count), so routes
+    # bound for it fail — mid-batch, for a ``place_many``.  The plane is
+    # dropped so that both engines see the sabotage.
+    net.controller.switches[pick].num_servers = 0
+    net._fastpath = None
+    return None
+
+
+def durable_state(net):
+    """Everything a request leaves behind: the write clock and, per
+    server, items with payloads and stamps, tombstones and hints."""
+    return net.write_version, [
+        (server.server_id,
+         [(item, server.retrieve(item), server.stamp_of(item))
+          for item in server.stored_ids()],
+         sorted(server.tombstones().items()), server.hints())
+        for server in net.servers()]
+
+
+class TestCompiledUnderFaults:
+    """The exactness contract of the fault gate: with a fault state
+    attached, a network that stands down only while an unabsorbed
+    routing fault touches its plane is indistinguishable — after every
+    step — from one that stands down for as long as the state is
+    attached (the gate before it was narrowed, pinned here with the
+    ``reference_engine`` fixture: the injector attaches at step 0, so
+    "pinned" and "fault state attached" are the same predicate)."""
+
+    @example(seed=3, switches=14, ops=[
+        ("place_many", 0, 6, 1), ("crash_switch", 5, 0, 0),
+        ("retrieve_many", 0, 7, 1), ("absorb", 0, 0, 0),
+        ("place_many", 3, 7, 1), ("crash_server", 2, 1, 0),
+        ("hinting", 0, 0, 0), ("place_many", 7, 3, 2),
+        ("orphan", 4, 0, 0), ("place_many", 0, 7, 1),
+        ("hinting", 0, 0, 0), ("place_many", 1, 6, 1),
+        ("delete", 3, 2, 1), ("retrieve_many", 0, 7, 3),
+        ("repair", 0, 0, 0), ("retrieve_many", 0, 3, 2)])
+    @given(seed=st.integers(min_value=0, max_value=40),
+           switches=st.integers(min_value=12, max_value=24),
+           ops=FAULT_OPS)
+    @settings(max_examples=40, deadline=None)
+    def test_random_fault_plans(self, reference_engine, seed, switches,
+                                ops):
+        from repro.dataplane import batch_fastpath_blockers
+        from repro.dataplane import unabsorbed_faults
+
+        sides = []
+        for pin in (reference_engine, lambda net: net):
+            net = pin(build(seed, switches))
+            sides.append((net, FaultInjector(net, seed=seed), {},
+                          MetricsRegistry(enabled=True)))
+        compiled = sides[1][0]
+        previous = set_default_registry(sides[0][3])
+        try:
+            for step, op in enumerate(ops):
+                seen = []
+                for net, injector, catalog, registry in sides:
+                    set_default_registry(registry)
+                    try:
+                        outcome = fault_apply(net, injector, catalog,
+                                              step, *op)
+                    except (GredError, ForwardingError, FaultPlanError,
+                            ControlPlaneError) as exc:
+                        outcome = (type(exc).__name__, str(exc))
+                    seen.append((outcome, durable_state(net),
+                                 shared_instruments(registry)))
+                want, got = seen
+                assert got[0] == want[0], (step, op)
+                assert got[1] == want[1], (step, op)
+                assert got[2] == want[2], (step, op)
+                # The operator's view is the gate's view.
+                assert any(unabsorbed_faults(compiled).values()) == (
+                    UNABSORBED_FAULT in batch_fastpath_blockers(compiled))
+        finally:
+            set_default_registry(previous)
+
+    def test_the_one_known_difference(self, reference_engine):
+        """On a hand-corrupted plane only — a rule naming a switch the
+        plane no longer holds, which the verifier reports — the
+        reference engine under a fault state treats the unknown
+        neighbour as failed and reroutes around it, where both
+        fault-free engines raise.  The compiled plane under an attached
+        fault state is the fault-free engine; it carries no second
+        walk for this."""
+        from repro.controlplane import verify_installed_state
+
+        probe = build(2, 24)
+        entry = probe.switch_ids()[0]
+        data_id, route, events = next(
+            (d, r, t.events()[1:])
+            for d, (r, t) in ((f"far/{i}", probe.trace_route(
+                f"far/{i}", entry)) for i in range(40))
+            if [e.kind for e in t.events()[1:3]] == [GREEDY, GREEDY])
+        outcomes = []
+        for pin in (reference_engine, lambda net: net):
+            net = pin(build(2, 24))
+            FaultInjector(net)
+            _unknown_switch(net, events, route)
+            assert verify_installed_state(net.controller)
+            try:
+                outcomes.append(net.route_for(data_id, entry).trace)
+            except ForwardingError as exc:
+                outcomes.append(str(exc))
+        rerouted, raised = outcomes
+        gone = events[1].details["next"]
+        assert isinstance(rerouted, list) and gone not in rerouted
+        assert raised == (f"switch {route.trace[1]} forwarded to "
+                          f"unknown switch {gone}")
+        # Without a fault state the reference engine raises it too.
+        healthy = reference_engine(build(2, 24))
+        _unknown_switch(healthy, events, route)
+        with pytest.raises(ForwardingError) as error:
+            healthy.route_for(data_id, entry)
+        assert str(error.value) == raised
 
 
 GREEDY, VL_START, VL_RELAY = (TraceEventKind.GREEDY_FORWARD,
@@ -425,6 +626,25 @@ def exercise(net):
     net.route_for("sel/a", entry)
 
 
+#: Elements :func:`standing_faults` breaks on ``build(1, 12)``: none is
+#: the entry, the destination or on the route of :func:`exercise`.
+VICTIM, DOWN_LINK, SPLIT = 7, (2, 3), [10]
+
+
+def standing_faults(net, injector):
+    """``(inject, clear)`` of each kind of routing fault the gate
+    watches: an unabsorbed switch crash (cleared by absorbing it — the
+    switch stays crashed in the fault state), a down link on an
+    installed edge (restored) and a partition (healed)."""
+    return [
+        (lambda: injector.crash_switch(VICTIM),
+         lambda: net.controller.absorb_failures([VICTIM])),
+        (lambda: injector.link_down(*DOWN_LINK),
+         lambda: injector.link_up(*DOWN_LINK)),
+        (lambda: injector.partition(SPLIT), injector.heal_partition),
+    ]
+
+
 class TestEngineSelection:
     def test_healthy_requests_ride_the_compiled_plane(self, engines):
         net = build(1, 12)
@@ -434,12 +654,41 @@ class TestEngineSelection:
         assert scalar_standdown(net) is None
 
     def test_fault_state_takes_route_packet(self, engines):
+        """Only between a routing fault and its absorption: an attached
+        (empty, or fully absorbed) fault state rides the compiled
+        plane, and the routes memoized before a fault that did not
+        cross it are still served afterwards."""
         net = build(1, 12)
-        net.fault_state = FaultState()
+        injector = FaultInjector(net)
+        ids = [f"sel/{i}" for i in range(60)]
+        entries = [net.switch_ids()[i % 12] for i in range(60)]
+        net.place_many(ids, entry_switches=entries)
         exercise(net)
-        assert engines == {"reference": 3, "compiled": 0}
-        assert getattr(net, "_fastpath", None) is None  # never compiled
-        assert scalar_standdown(net) == "fault state attached"
+        assert engines == {"reference": 0, "compiled": 3}
+        for inject, clear in standing_faults(net, injector):
+            inject()
+            assert scalar_standdown(net) == UNABSORBED_FAULT
+            engines.update(reference=0, compiled=0)
+            exercise(net)
+            assert engines == {"reference": 3, "compiled": 0}
+            clear()
+            assert scalar_standdown(net) is None
+            engines.update(reference=0, compiled=0)
+            exercise(net)
+            assert engines["reference"] == 0
+        # The memo outlived all three faults; only the routes through
+        # the absorbed switch (and its repaired neighbourhood) went.
+        memo = net._fast_state().routes
+        assert 0 < len(memo) < 60
+        kept = [(d, e) for d, e in zip(ids, entries)
+                if (e, digest_keys(d)[1]) in memo]
+        engines.update(reference=0, compiled=0)
+        got = net.retrieve_many([d for d, _ in kept],
+                                entry_switches=[e for _, e in kept])
+        assert all(r.found and VICTIM not in r.trace for r in got)
+        for data_id, entry in kept:
+            assert net.retrieve(data_id, entry_switch=entry).found
+        assert engines == {"reference": 0, "compiled": 0}
 
     def test_custom_position_fn_takes_route_packet(self, engines):
         topology, _ = brite_waxman_graph(
@@ -554,15 +803,25 @@ class TestEngineSelection:
 
     def test_gate_reason_wins_over_tracing(self):
         net = build(1, 12)
-        net.fault_state = FaultState()
+        injector = FaultInjector(net)
+        entry = net.switch_ids()[0]
         recorder = span_api.enable_tracing(sample_rate=1.0)
         try:
-            net.place("sel/g", entry_switch=net.switch_ids()[0])
+            net.place("sel/g", entry_switch=entry)
+            for inject, clear in standing_faults(net, injector):
+                inject()
+                net.place("sel/g", entry_switch=entry)
+                clear()
+                net.place("sel/g", entry_switch=entry)
         finally:
             span_api.disable_tracing()
-        (root,) = [s for s in recorder.spans() if s.parent_id is None]
-        assert root.attrs["engine"] == "reference"
-        assert root.attrs["standdown"] == "fault state attached"
+        roots = [s for s in recorder.spans() if s.parent_id is None
+                 and s.name == "request.place"]
+        assert all(s.attrs["engine"] == "reference" for s in roots)
+        # Recording a sampled request is itself a reason; a firing
+        # gate's reason is reported ahead of it.
+        assert [s.attrs["standdown"] for s in roots] == \
+            ["tracing"] + [UNABSORBED_FAULT, "tracing"] * 3
 
     def test_batch_exemplars_say_compiled(self):
         net = build(1, 12)
@@ -581,16 +840,25 @@ class TestEngineSelection:
         registry = MetricsRegistry(enabled=True)
         previous = set_default_registry(registry)
         try:
+            injector = FaultInjector(net)
             exercise(net)
-            assert not registry.counter_values(
-                "dataplane.scalar_standdowns")
-            net.fault_state = FaultState()
-            exercise(net)
+            for inject, clear in standing_faults(net, injector):
+                assert not registry.counter_values(
+                    "dataplane.scalar_standdowns")
+                inject()
+                exercise(net)
+                assert registry.counter_values(
+                    "dataplane.scalar_standdowns") == {
+                        "dataplane.scalar_standdowns"
+                        "{reason=unabsorbed_routing_fault}": 3}
+                registry.reset()
+                clear()
+                exercise(net)
         finally:
             set_default_registry(previous)
-        assert registry.counter_values("dataplane.scalar_standdowns") \
-            == {"dataplane.scalar_standdowns"
-                "{reason=fault_state_attached}": 3}
+        assert UNABSORBED_FAULT.replace(" ", "_") == \
+            "unabsorbed_routing_fault"
+        assert not registry.counter_values("dataplane.scalar_standdowns")
 
 
 class TestRouteCacheUse:

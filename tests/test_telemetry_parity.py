@@ -150,22 +150,48 @@ class TestFastPathStaysFast:
             set_default_registry(previous)
 
     def test_standdown_reasons_are_counted(self):
-        from repro.faults import FaultState
+        """One count per stood-down batch, under the gate's reason:
+        none for an attached-but-empty or an absorbed fault state
+        (those batches ride the waves), one per batch while a crashed
+        switch, a down link or a partition touches the plane."""
+        from repro.faults import FaultInjector
 
         net = _build()
-        # an empty-but-present fault state still blocks the fast path
-        net.fault_state = FaultState()
+        injector = FaultInjector(net)
+        u, v, _ = net.topology.edges()[0]
+        label = ("dataplane.fastpath_standdowns"
+                 "{reason=unabsorbed_routing_fault}")
         registry = MetricsRegistry(enabled=True)
         previous = set_default_registry(registry)
         try:
-            ids = [f"sd/{i}" for i in range(8)]
-            net.place_many(ids, rng=np.random.default_rng(1))
-            counts = registry.counter_values(
-                "dataplane.fastpath_standdowns")
-            assert counts  # at least one structured reason counter
-            assert all(value >= 1 for value in counts.values())
+            ids = [f"sd/{i}" for i in range(128)]
+            rng = np.random.default_rng(1)
+
+            def standdowns():
+                # (Reads: a degraded route that fails is a miss, not a
+                # mid-batch raise.)
+                net.retrieve_many(ids, rng=rng)
+                return registry.counter_values(
+                    "dataplane.fastpath_standdowns")
+
+            assert standdowns() == {}
+            waves = registry.counter("dataplane.batch.waves").value
+            assert waves > 0
+            for count, (inject, clear) in enumerate((
+                    (lambda: injector.crash_switch(9),
+                     lambda: net.controller.absorb_failures([9])),
+                    (lambda: injector.link_down(u, v),
+                     lambda: injector.link_up(u, v)),
+                    (lambda: injector.partition([4, 5]),
+                     injector.heal_partition)), start=1):
+                inject()
+                assert standdowns() == {label: count}
+                clear()
+                assert standdowns() == {label: count}
+            # Every cleared batch was vectorized again (the absorbed
+            # crash patched the plane, so fresh routes were walked).
+            assert registry.counter("dataplane.batch.waves").value > waves
         finally:
-            net.fault_state = None
             set_default_registry(previous)
 
 
