@@ -1,4 +1,5 @@
-"""Ablation benchmarks A1-A3 (DESIGN.md Section 5).
+"""Ablation benchmarks A1-A5 (DESIGN.md Section 5), the tables of
+``gred experiment ablations``.
 
 A1 — C-regulation sample count: more Monte-Carlo samples per iteration
 converge in fewer iterations (the paper's remark in Section IV-B).
@@ -11,10 +12,10 @@ contrasts against ("it also increases the routing table space usage").
 """
 
 from repro.experiments import (
-    print_table,
     run_chord_virtual_nodes,
     run_cvt_samples,
     run_embedding_quality,
+    show,
 )
 
 
@@ -24,10 +25,7 @@ def test_ablation_cvt_sample_count(benchmark):
         kwargs={"sample_counts": (100, 1000, 5000), "iterations": 40},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["samples", "energy_at_10", "energy_at_30",
-                 "energy_final"],
-                "A1: CVT convergence vs sample count")
+    show("A1", rows)
     # More samples -> better (or equal) energy by iteration 10, within
     # Monte-Carlo noise.
     low = next(r for r in rows if r["samples"] == 100)
@@ -42,8 +40,7 @@ def test_ablation_embedding_quality(benchmark):
         run_embedding_quality, kwargs={"sizes": (20, 50)},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["switches", "protocol", "stress", "stretch_mean"],
-                "A2: embedding stress vs routing stretch")
+    show("A2", rows)
     for size in (20, 50):
         sized = [r for r in rows if r["switches"] == size]
         nocvt = next(r for r in sized if r["protocol"] == "GRED-NoCVT")
@@ -62,9 +59,7 @@ def test_ablation_chord_virtual_nodes(benchmark):
                 "num_items": 30_000},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["virtual_nodes", "max_avg", "avg_finger_entries"],
-                "A3: Chord virtual nodes vs load balance")
+    show("A3", rows)
     base = rows[0]
     most = rows[-1]
     # Virtual nodes improve balance but multiply routing state — the
@@ -80,9 +75,7 @@ def test_ablation_embedding_methods(benchmark):
         run_embedding_methods, kwargs={"sizes": (20, 50)},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["switches", "embedding", "stress", "stretch_mean"],
-                "A4: classical MDS vs SMACOF")
+    show("A4", rows)
     for size in (20, 50):
         sized = [r for r in rows if r["switches"] == size]
         classical = next(r for r in sized
@@ -99,10 +92,7 @@ def test_ablation_topology_families(benchmark):
 
     rows = benchmark.pedantic(run_topology_families,
                               rounds=1, iterations=1)
-    print_table(rows,
-                ["family", "gred_stretch", "chord_stretch",
-                 "gred_max_avg", "chord_max_avg"],
-                "A5: robustness across topology families")
+    show("A5", rows)
     for row in rows:
         assert row["gred_stretch"] < 0.5 * row["chord_stretch"], \
             row["family"]

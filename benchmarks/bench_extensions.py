@@ -1,5 +1,6 @@
-"""Benchmarks X1-X3: the extension experiments (mobility, failure
-availability, state/stretch design space).
+"""Benchmarks X1-X9: the extension experiments (mobility, failure
+availability, state/stretch design space, ...), the tables of
+``gred experiment extensions``.
 
 These complete the evaluation beyond the paper's figures: Section VI
 sketches replication and nearest-copy retrieval without measuring them;
@@ -8,10 +9,10 @@ quantifying it.
 """
 
 from repro.experiments import (
-    print_table,
     run_failure_availability,
     run_mobility,
     run_state_stretch_tradeoff,
+    show,
 )
 
 
@@ -20,8 +21,7 @@ def test_x1_mobility(benchmark):
         run_mobility, kwargs={"copies_list": (1, 2, 3, 5)},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["copies", "mean_request_hops", "p_max"],
-                "X1: mobility — retrieval hops vs replica count")
+    show("X1", rows)
     one = next(r for r in rows if r["copies"] == 1)
     five = next(r for r in rows if r["copies"] == 5)
     assert five["mean_request_hops"] < one["mean_request_hops"], (
@@ -36,8 +36,7 @@ def test_x2_failure_availability(benchmark):
                 "failure_fractions": (0.05, 0.1, 0.2, 0.3)},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["failed_fraction", "copies", "availability"],
-                "X2: availability under switch failures")
+    show("X2", rows)
     for fraction in (0.05, 0.1, 0.2, 0.3):
         at = [r for r in rows if r["failed_fraction"] == fraction]
         by_copies = {r["copies"]: r["availability"] for r in at}
@@ -54,10 +53,7 @@ def test_x3_state_stretch_tradeoff(benchmark):
         run_state_stretch_tradeoff, kwargs={"sizes": (20, 60, 100)},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["switches", "protocol", "state_per_node",
-                 "stretch_mean"],
-                "X3: routing state vs stretch")
+    show("X3", rows)
     at_100 = [r for r in rows if r["switches"] == 100]
     gred = next(r for r in at_100 if r["protocol"] == "GRED")
     onehop = next(r for r in at_100 if r["protocol"] == "OneHop-CH")
@@ -77,10 +73,7 @@ def test_x4_link_utilization(benchmark):
         kwargs={"num_switches": 60, "num_requests": 500},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["protocol", "total_link_traversals", "max_link_load",
-                 "mean_link_load", "links_used"],
-                "X4: bandwidth cost and link congestion")
+    show("X4", rows)
     gred = next(r for r in rows if r["protocol"] == "GRED")
     chord = next(r for r in rows if r["protocol"] == "Chord")
     # The paper's <30% routing-cost claim, measured as bandwidth.
@@ -97,10 +90,7 @@ def test_x5_saturation(benchmark):
         kwargs={"rates_per_s": (500, 1000, 2000, 4000, 8000)},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["rate_per_s", "protocol", "avg_delay_ms",
-                 "p99_delay_ms"],
-                "X5: response delay vs offered load (packet level)")
+    show("X5", rows)
     # At the highest load, GRED must be faster on average and at the
     # tail — its shorter paths consume less aggregate bandwidth.
     top = [r for r in rows if r["rate_per_s"] == 8000]
@@ -117,10 +107,7 @@ def test_x6_control_churn(benchmark):
         run_control_churn, kwargs={"num_switches": 50, "num_joins": 5},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["protocol", "avg_nodes_touched",
-                 "avg_entries_changed", "population"],
-                "X6: installed-state churn per node join")
+    show("X6", rows)
     for row in rows:
         assert row["avg_nodes_touched"] < row["population"] / 2
 
@@ -133,10 +120,7 @@ def test_x7_adaptive_replication(benchmark):
         kwargs={"zipf_exponents": (0.0, 0.8, 1.2)},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["zipf", "static_mean_hops", "adaptive_mean_hops",
-                 "storage_overhead", "promotions"],
-                "X7: adaptive replication under Zipf workloads")
+    show("X7", rows)
     flat = next(r for r in rows if r["zipf"] == 0.0)
     skewed = next(r for r in rows if r["zipf"] == 1.2)
     flat_gain = flat["static_mean_hops"] - flat["adaptive_mean_hops"]
@@ -155,10 +139,7 @@ def test_x8_ght_comparison(benchmark):
                                     "num_items": 300},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["topology", "protocol", "delivery_rate",
-                 "stretch_mean", "max_avg"],
-                "X8: GHT/GPSR vs GRED across topology families")
+    show("X8", rows)
     for topology in ("unit-disk", "waxman"):
         at = [r for r in rows if r["topology"] == topology]
         ght = next(r for r in at if r["protocol"] == "GHT")
@@ -174,10 +155,7 @@ def test_x9_overflow_protection(benchmark):
 
     rows = benchmark.pedantic(run_overflow_protection,
                               rounds=1, iterations=1)
-    print_table(rows,
-                ["small_fraction", "rejected_unmanaged",
-                 "rejected_managed", "extensions_used"],
-                "X9: data loss prevented by range extension")
+    show("X9", rows)
     for row in rows:
         assert row["rejected_unmanaged"] > 0
         # Range extension absorbs (nearly) all of the overflow.

@@ -5,7 +5,7 @@ Paper result: Chord's ``max/avg`` rises with the network size; GRED
 balances at least as well as T=10.
 """
 
-from repro.experiments import print_table, run_fig10a
+from repro.experiments import run_fig10a, show
 
 
 def test_fig10a_load_balance_vs_size(benchmark, scale):
@@ -15,8 +15,7 @@ def test_fig10a_load_balance_vs_size(benchmark, scale):
                 "num_items": scale["fig10a_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["servers", "protocol", "max_avg"],
-                "Fig 10(a): load balance vs network size")
+    show("fig10a", rows)
     servers = scale["fig10a_servers"]
     largest = [r for r in rows if r["servers"] == servers[-1]]
     chord = next(r for r in largest if r["protocol"] == "Chord")

@@ -5,7 +5,7 @@ stays above 6 (worst), GRED (T=10) stays below ~2.5-3, and GRED (T=50)
 below 2.
 """
 
-from repro.experiments import print_table, run_fig10b
+from repro.experiments import run_fig10b, show
 
 
 def test_fig10b_load_balance_vs_data(benchmark, scale):
@@ -15,8 +15,7 @@ def test_fig10b_load_balance_vs_data(benchmark, scale):
                 "num_servers": scale["fig10b_servers"]},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["items", "protocol", "max_avg"],
-                "Fig 10(b): load balance vs amount of data")
+    show("fig10b", rows)
     for count in scale["fig10b_counts"]:
         at_count = [r for r in rows if r["items"] == count]
         chord = next(r for r in at_count if r["protocol"] == "Chord")

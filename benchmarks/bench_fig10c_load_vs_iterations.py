@@ -5,7 +5,7 @@ GRED's ``max/avg`` decreases as T grows, drops below 2 past T ~ 20, and
 stops improving around T ~ 70.
 """
 
-from repro.experiments import print_table, run_fig10c
+from repro.experiments import run_fig10c, show
 
 
 def test_fig10c_load_balance_vs_iterations(benchmark, scale):
@@ -16,8 +16,7 @@ def test_fig10c_load_balance_vs_iterations(benchmark, scale):
                 "num_items": scale["fig10c_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["T", "protocol", "max_avg"],
-                "Fig 10(c): load balance vs iterations T")
+    show("fig10c", rows)
     iterations = list(scale["fig10c_iterations"])
     chord = {r["T"]: r["max_avg"] for r in rows
              if r["protocol"] == "Chord"}

@@ -5,7 +5,7 @@ Paper result: both GRED variants have average stretch close to 1 on the
 ``max/avg`` than GRED-NoCVT.
 """
 
-from repro.experiments import print_table, run_fig7a, run_fig7b
+from repro.experiments import run_fig7a, run_fig7b, show
 
 
 def test_fig7a_testbed_stretch(benchmark, scale):
@@ -13,10 +13,7 @@ def test_fig7a_testbed_stretch(benchmark, scale):
         run_fig7a, kwargs={"num_items": scale["fig7_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["protocol", "stretch_mean", "stretch_ci_low",
-                 "stretch_ci_high"],
-                "Fig 7(a): testbed routing stretch")
+    show("fig7a", rows)
     for row in rows:
         assert row["stretch_mean"] < 1.5, (
             f"{row['protocol']} stretch should be near-optimal on the "
@@ -29,8 +26,7 @@ def test_fig7b_testbed_load_balance(benchmark, scale):
         run_fig7b, kwargs={"num_items": scale["fig7b_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["protocol", "max_avg", "items", "servers"],
-                "Fig 7(b): testbed load balance (max/avg)")
+    show("fig7b", rows)
     nocvt = next(r for r in rows if r["protocol"] == "GRED-NoCVT")
     gred = next(r for r in rows if r["protocol"] == "GRED")
     assert gred["max_avg"] <= nocvt["max_avg"], (

@@ -5,7 +5,7 @@ and changes only modestly as the number of requests grows, for both GRED
 variants (the two curves are similar).
 """
 
-from repro.experiments import print_table, run_fig8
+from repro.experiments import run_fig8, show
 
 
 def test_fig8_response_delay(benchmark, scale):
@@ -13,10 +13,7 @@ def test_fig8_response_delay(benchmark, scale):
         run_fig8, kwargs={"request_counts": scale["fig8_requests"]},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["protocol", "requests", "avg_delay_ms",
-                 "avg_request_hops"],
-                "Fig 8: average response delay")
+    show("fig8", rows)
     for protocol in ("GRED", "GRED-NoCVT"):
         delays = [r["avg_delay_ms"] for r in rows
                   if r["protocol"] == protocol]

@@ -5,7 +5,7 @@ size; GRED and GRED-NoCVT stay below ~1.5 and roughly flat, i.e. GRED
 uses <30% of Chord's routing path length.
 """
 
-from repro.experiments import print_table, run_fig9a
+from repro.experiments import run_fig9a, show
 
 
 def test_fig9a_stretch_vs_network_size(benchmark, scale):
@@ -15,10 +15,7 @@ def test_fig9a_stretch_vs_network_size(benchmark, scale):
                 "num_items": scale["fig9_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["switches", "protocol", "stretch_mean", "ci_low",
-                 "ci_high"],
-                "Fig 9(a): routing stretch vs network size")
+    show("fig9a", rows)
     for size in scale["fig9_sizes"]:
         sized = [r for r in rows if r["switches"] == size]
         chord = next(r for r in sized if r["protocol"] == "Chord")

@@ -6,7 +6,7 @@ GRED-NoCVT stay far below Chord, with a slight decrease as the degree
 grows (more ports let greedy find shorter paths).
 """
 
-from repro.experiments import print_table, run_fig9b
+from repro.experiments import run_fig9b, show
 
 
 def test_fig9b_stretch_vs_min_degree(benchmark, scale):
@@ -17,10 +17,7 @@ def test_fig9b_stretch_vs_min_degree(benchmark, scale):
                 "num_switches": 100},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["min_degree", "protocol", "stretch_mean", "ci_low",
-                 "ci_high"],
-                "Fig 9(b): routing stretch vs minimum degree")
+    show("fig9b", rows)
     gred_values = []
     for degree in scale["fig9_degrees"]:
         at_degree = [r for r in rows if r["min_degree"] == degree]

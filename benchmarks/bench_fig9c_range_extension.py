@@ -5,7 +5,7 @@ neighbor of the destination switch (the worst case of range extension),
 the stretch increases slightly but remains significantly below Chord.
 """
 
-from repro.experiments import print_table, run_fig9a, run_fig9c
+from repro.experiments import run_fig9a, run_fig9c, show
 
 
 def test_fig9c_range_extension_stretch(benchmark, scale):
@@ -15,8 +15,7 @@ def test_fig9c_range_extension_stretch(benchmark, scale):
                 "num_items": scale["fig9_items"]},
         rounds=1, iterations=1,
     )
-    print_table(rows, ["switches", "protocol", "stretch_mean"],
-                "Fig 9(c): GRED vs extended-GRED stretch")
+    show("fig9c", rows)
     chord_rows = run_fig9a(sizes=(scale["fig9_sizes"][0],),
                            num_items=scale["fig9_items"])
     chord = next(r for r in chord_rows if r["protocol"] == "Chord")

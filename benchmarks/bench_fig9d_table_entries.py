@@ -6,7 +6,7 @@ and the near-constant average DT degree (< 6), not by the number of
 flows, giving GRED its scalability advantage.
 """
 
-from repro.experiments import print_table, run_fig9d
+from repro.experiments import run_fig9d, show
 
 
 def test_fig9d_forwarding_table_entries(benchmark, scale):
@@ -14,10 +14,7 @@ def test_fig9d_forwarding_table_entries(benchmark, scale):
         run_fig9d, kwargs={"sizes": scale["fig9_sizes"]},
         rounds=1, iterations=1,
     )
-    print_table(rows,
-                ["switches", "avg_entries", "ci_low", "ci_high",
-                 "max_entries"],
-                "Fig 9(d): forwarding-table entries per switch")
+    show("fig9d", rows)
     sizes = scale["fig9_sizes"]
     first = next(r for r in rows if r["switches"] == sizes[0])
     last = next(r for r in rows if r["switches"] == sizes[-1])

@@ -40,7 +40,27 @@ from typing import List, Optional
 import numpy as np
 
 
+def _shared_flags(cmd, *, servers, output=None, quick=False,
+                  what="report", summary="summary") -> None:
+    """The flags several commands declare with one type and help text;
+    defaults stay per command."""
+    cmd.add_argument("--servers", type=int, default=servers,
+                     help="servers per switch")
+    if quick:
+        cmd.add_argument("--quick", action="store_true",
+                         help="tiny CI smoke preset (overrides the "
+                              "workload-shape flags)")
+    if output is not None:
+        cmd.add_argument("-o", "--output", default=output, metavar="FILE",
+                         help=f"{what} path (default: {output})")
+        cmd.add_argument("--json", action="store_true",
+                         help=f"print the full report instead of the "
+                              f"{summary}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    from .experiments.catalog import GROUPS, TABLES
+
     parser = argparse.ArgumentParser(
         prog="gred",
         description="GRED: data placement/retrieval for edge computing "
@@ -52,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="generate a network and save a snapshot")
     gen.add_argument("--switches", type=int, default=20)
     gen.add_argument("--min-degree", type=int, default=3)
-    gen.add_argument("--servers", type=int, default=4,
-                     help="servers per switch")
+    _shared_flags(gen, servers=4)
     gen.add_argument("--cvt-iterations", type=int, default=50)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
@@ -165,12 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser(
         "experiment", help="run a paper-figure experiment")
-    experiment.add_argument(
-        "figure",
-        choices=["fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig9c",
-                 "fig9d", "fig10a", "fig10b", "fig10c", "ablations",
-                 "extensions"],
-    )
+    experiment.add_argument("figure", choices=[*TABLES, *GROUPS],
+                            help="one table, or a group of them")
     experiment.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="run with telemetry enabled and write the JSON metrics "
@@ -182,8 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "availability / recovery")
     chaos.add_argument("--switches", type=int, default=30)
     chaos.add_argument("--min-degree", type=int, default=3)
-    chaos.add_argument("--servers", type=int, default=2,
-                       help="servers per switch")
+    _shared_flags(chaos, servers=2)
     chaos.add_argument("--cvt-iterations", type=int, default=20)
     chaos.add_argument("--items", type=int, default=60)
     chaos.add_argument("--copies", type=int, default=3)
@@ -217,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--entry-switches", type=int, default=20,
                           help="access gateways policed by admission "
                                "control")
-    loadtest.add_argument("--servers", type=int, default=4,
-                          help="servers per switch")
+    _shared_flags(loadtest, servers=4, quick=True,
+                  output="SLO_report.json")
     loadtest.add_argument("--min-degree", type=int, default=3)
     loadtest.add_argument("--cvt-iterations", type=int, default=20)
     loadtest.add_argument("--items", type=int, default=1000)
@@ -242,15 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--plan", default=None, metavar="FILE",
                           help="JSON fault plan replayed on the "
                                "arrival clock")
-    loadtest.add_argument("--quick", action="store_true",
-                          help="tiny CI smoke preset (overrides the "
-                               "workload-shape flags)")
-    loadtest.add_argument("-o", "--output", default="SLO_report.json",
-                          metavar="FILE",
-                          help="report path (default: SLO_report.json)")
-    loadtest.add_argument("--json", action="store_true",
-                          help="print the full report instead of the "
-                               "summary")
     loadtest.add_argument("--min-goodput", type=float, default=None,
                           metavar="FRACTION",
                           help="exit nonzero when goodput at any "
@@ -280,16 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="network sizes (switch counts) to sweep")
     churn.add_argument("--joins", type=int, default=5,
                        help="node joins per size")
-    churn.add_argument("--servers", type=int, default=2,
-                       help="servers per switch")
+    _shared_flags(churn, servers=2, output="CHURN_report.json",
+                  summary="summary table")
     churn.add_argument("--cvt-iterations", type=int, default=30)
     churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("-o", "--output", default="CHURN_report.json",
-                       metavar="FILE",
-                       help="report path (default: CHURN_report.json)")
-    churn.add_argument("--json", action="store_true",
-                       help="print the full report instead of the "
-                            "summary table")
     churn.add_argument("--max-touched", type=float, default=None,
                        metavar="N",
                        help="exit nonzero when the average switches "
@@ -315,14 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
              "switch count grows at constant region size; writes "
              "FEDERATION_report.json")
     federate.add_argument("--sizes", type=int, nargs="+",
-                          default=None, metavar="N",
+                          default=[1000, 5000], metavar="N",
                           help="total switch counts to sweep "
                                "(default: 1000 5000)")
-    federate.add_argument("--per-region", type=int, default=None,
+    federate.add_argument("--per-region", type=int, default=250,
                           metavar="N",
                           help="switches per region (default: 250)")
-    federate.add_argument("--servers", type=int, default=2,
-                          help="servers per switch")
+    _shared_flags(federate, servers=2, quick=True,
+                  output="FEDERATION_report.json",
+                  summary="summary table")
     federate.add_argument("--cvt-iterations", type=int, default=8)
     federate.add_argument("--joins", type=int, default=8,
                           help="switch joins, round-robin across "
@@ -332,17 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "through the overlay")
     federate.add_argument("--copies", type=int, default=2)
     federate.add_argument("--seed", type=int, default=0)
-    federate.add_argument("--quick", action="store_true",
-                          help="tiny CI smoke preset (overrides the "
-                               "workload-shape flags)")
-    federate.add_argument("-o", "--output",
-                          default="FEDERATION_report.json",
-                          metavar="FILE",
-                          help="report path (default: "
-                               "FEDERATION_report.json)")
-    federate.add_argument("--json", action="store_true",
-                          help="print the full report instead of the "
-                               "summary table")
     federate.add_argument("--max-foreign-touched", type=float,
                           default=0, metavar="N",
                           help="exit nonzero when churn ships more "
@@ -373,23 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
     reconcile.add_argument("--reorder-window", type=int, default=4,
                            help="southbound reorder window (1 = "
                                 "in order)")
-    reconcile.add_argument("--servers", type=int, default=2,
-                           help="servers per switch")
+    _shared_flags(reconcile, servers=2, quick=True,
+                  output="CONVERGENCE_report.json",
+                  what="experiment report")
     reconcile.add_argument("--cvt-iterations", type=int, default=15)
     reconcile.add_argument("--seed", type=int, default=0)
     reconcile.add_argument("--max-sweeps", type=int, default=12,
                            help="anti-entropy sweep budget")
-    reconcile.add_argument("--quick", action="store_true",
-                           help="tiny CI smoke preset (overrides the "
-                                "workload-shape flags)")
-    reconcile.add_argument("-o", "--output",
-                           default="CONVERGENCE_report.json",
-                           metavar="FILE",
-                           help="experiment report path (default: "
-                                "CONVERGENCE_report.json)")
-    reconcile.add_argument("--json", action="store_true",
-                           help="print the full report instead of the "
-                                "summary")
     reconcile.add_argument("--max-divergence", type=int, default=None,
                            metavar="N",
                            help="exit nonzero when more than N "
@@ -407,8 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="snapshot to scrub in place (omit to run "
                             "the durability experiment instead)")
     scrub.add_argument("--switches", type=int, default=40)
-    scrub.add_argument("--servers", type=int, default=2,
-                       help="servers per switch")
+    _shared_flags(scrub, servers=2, quick=True,
+                  output="DURABILITY_report.json",
+                  what="experiment report")
     scrub.add_argument("--items", type=int, default=120,
                        help="items seeded before the fault schedule")
     scrub.add_argument("--copies", type=int, default=2,
@@ -430,17 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scrub.add_argument("--seed", type=int, default=0)
     scrub.add_argument("--max-sweeps", type=int, default=6,
                        help="scrub sweep budget")
-    scrub.add_argument("--quick", action="store_true",
-                       help="tiny CI smoke preset (overrides the "
-                            "workload-shape flags)")
-    scrub.add_argument("-o", "--output",
-                       default="DURABILITY_report.json",
-                       metavar="FILE",
-                       help="experiment report path (default: "
-                            "DURABILITY_report.json)")
-    scrub.add_argument("--json", action="store_true",
-                       help="print the full report instead of the "
-                            "summary")
     scrub.add_argument("--max-divergence", type=int, default=None,
                        metavar="N",
                        help="exit nonzero when more than N "
@@ -614,13 +583,10 @@ def _cmd_metrics(args) -> int:
         # Restore the snapshot under a fresh enabled registry so the
         # probe reports this deployment only (recompute-phase timings,
         # rule counts, per-server load gauges).
-        previous = obs.set_default_registry(obs.MetricsRegistry())
-        try:
+        with obs.scoped_registry() as registry:
             net = _load(args.network)
             net.record_load_gauges()
-            dump = obs.default_registry().to_dict()
-        finally:
-            obs.set_default_registry(previous)
+        dump = registry.to_dict()
     else:
         print("error: metrics needs --network or --from",
               file=sys.stderr)
@@ -709,7 +675,6 @@ def _cmd_trace(args) -> int:
 
     recorder = ospans.SpanRecorder(sample_rate=args.sample_rate)
     previous_recorder = ospans.set_default_recorder(recorder)
-    previous_registry = obs.set_default_registry(obs.MetricsRegistry())
     try:
         rng = np.random.default_rng(args.seed)
         if args.data_id is not None:
@@ -725,13 +690,14 @@ def _cmd_trace(args) -> int:
             picks = rng.choice(len(stored), size=count, replace=False)
             targets = [stored[i] for i in sorted(picks.tolist())]
         found = 0
-        for data_id in targets:
-            result = net.retrieve(data_id, entry_switch=entry,
-                                  rng=np.random.default_rng(args.seed))
-            found += int(result.found)
-        dump = obs.default_registry().to_dict(include_events=False)
+        with obs.scoped_registry() as registry:
+            for data_id in targets:
+                result = net.retrieve(
+                    data_id, entry_switch=entry,
+                    rng=np.random.default_rng(args.seed))
+                found += int(result.found)
+        dump = registry.to_dict(include_events=False)
     finally:
-        obs.set_default_registry(previous_registry)
         ospans.set_default_recorder(previous_recorder)
     spans = recorder.spans()
     print(f"traced {len(targets)} request(s) from switch {entry}: "
@@ -779,95 +745,34 @@ def _render_trace_summary(dump, spans) -> str:
 
 
 def _cmd_experiment(args) -> int:
-    from . import experiments as exp
-
-    runners = {
-        "fig7a": lambda: exp.print_table(
-            exp.run_fig7a(), ["protocol", "stretch_mean",
-                              "stretch_ci_low", "stretch_ci_high"],
-            "Fig 7(a): testbed routing stretch"),
-        "fig7b": lambda: exp.print_table(
-            exp.run_fig7b(), ["protocol", "max_avg", "items", "servers"],
-            "Fig 7(b): testbed load balance"),
-        "fig8": lambda: exp.print_table(
-            exp.run_fig8(), ["protocol", "requests", "avg_delay_ms",
-                             "avg_request_hops"],
-            "Fig 8: response delay"),
-        "fig9a": lambda: exp.print_table(
-            exp.run_fig9a(), ["switches", "protocol", "stretch_mean",
-                              "ci_low", "ci_high"],
-            "Fig 9(a): stretch vs size"),
-        "fig9b": lambda: exp.print_table(
-            exp.run_fig9b(), ["min_degree", "protocol", "stretch_mean",
-                              "ci_low", "ci_high"],
-            "Fig 9(b): stretch vs degree"),
-        "fig9c": lambda: exp.print_table(
-            exp.run_fig9c(), ["switches", "protocol", "stretch_mean"],
-            "Fig 9(c): extension stretch"),
-        "fig9d": lambda: exp.print_table(
-            exp.run_fig9d(), ["switches", "avg_entries", "ci_low",
-                              "ci_high", "max_entries"],
-            "Fig 9(d): table entries"),
-        "fig10a": lambda: exp.print_table(
-            exp.run_fig10a(), ["servers", "protocol", "max_avg"],
-            "Fig 10(a): load vs size"),
-        "fig10b": lambda: exp.print_table(
-            exp.run_fig10b(), ["items", "protocol", "max_avg"],
-            "Fig 10(b): load vs data"),
-        "fig10c": lambda: exp.print_table(
-            exp.run_fig10c(), ["T", "protocol", "max_avg"],
-            "Fig 10(c): load vs iterations"),
-        "extensions": lambda: (
-            exp.print_table(exp.run_mobility(),
-                            ["copies", "mean_request_hops", "p_max"],
-                            "X1: mobility"),
-            exp.print_table(exp.run_failure_availability(),
-                            ["failed_fraction", "copies",
-                             "availability"],
-                            "X2: failure availability"),
-            exp.print_table(exp.run_state_stretch_tradeoff(),
-                            ["switches", "protocol", "state_per_node",
-                             "stretch_mean"],
-                            "X3: state vs stretch"),
-            exp.print_table(exp.run_link_utilization(),
-                            ["protocol", "total_link_traversals",
-                             "max_link_load", "mean_link_load",
-                             "links_used"],
-                            "X4: link utilization"),
-            exp.print_table(exp.run_overflow_protection(),
-                            ["small_fraction", "rejected_unmanaged",
-                             "rejected_managed", "extensions_used"],
-                            "X9: overflow protection"),
-        ),
-        "ablations": lambda: (
-            exp.print_table(exp.run_cvt_samples(),
-                            ["samples", "energy_at_10", "energy_at_30",
-                             "energy_final"],
-                            "A1: CVT samples"),
-            exp.print_table(exp.run_embedding_quality(),
-                            ["switches", "protocol", "stress",
-                             "stretch_mean"],
-                            "A2: embedding quality"),
-            exp.print_table(exp.run_chord_virtual_nodes(),
-                            ["virtual_nodes", "max_avg",
-                             "avg_finger_entries"],
-                            "A3: Chord virtual nodes"),
-        ),
-    }
-    if args.metrics_out is None:
-        runners[args.figure]()
-        return 0
     from . import obs
+    from .experiments.catalog import show
 
-    previous = obs.set_default_registry(obs.MetricsRegistry())
-    try:
-        runners[args.figure]()
-        registry = obs.default_registry()
-    finally:
-        obs.set_default_registry(previous)
+    if args.metrics_out is None:
+        show(args.figure)
+        return 0
+    with obs.scoped_registry() as registry:
+        show(args.figure)
     obs.write_json(registry, args.metrics_out)
     print(f"\nwrote metrics to {args.metrics_out}")
     return 0
+
+
+def _finish(args, report, render, failures, wrote=True) -> int:
+    """The tail every report command ends in: write the report, print
+    it (``--json``) or its rendered summary, name each failed gate on
+    stderr, and exit 1 if any failed."""
+    if wrote:
+        from .slo import write_report
+
+        write_report(report, args.output)
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json
+          else render(report))
+    if wrote:
+        print(f"wrote {args.output}")
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_chaos(args) -> int:
@@ -891,121 +796,106 @@ def _cmd_chaos(args) -> int:
         detection_interval=args.detection_interval,
     )
     report = run_chaos(config)
-    gate_failed = (args.min_availability is not None
-                   and report["availability"] < args.min_availability)
-    if gate_failed:
-        print(f"error: recovered availability "
-              f"{report['availability']:.4f} is below the "
-              f"--min-availability gate {args.min_availability}",
-              file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 1 if gate_failed else 0
+    failures = []
+    if args.min_availability is not None \
+            and report["availability"] < args.min_availability:
+        failures.append(
+            f"recovered availability {report['availability']:.4f} is "
+            f"below the --min-availability gate {args.min_availability}")
+    return _finish(args, report, _render_chaos, failures, wrote=False)
+
+
+def _render_chaos(report) -> str:
     repair = report["repair"]
-    print(f"baseline availability  : "
-          f"{report['baseline']['availability']:.3f} "
-          f"({report['baseline']['mean_round_trip_hops']:.2f} hops)")
     events = report["plan"]["events"]
-    if events:
-        print(f"fault plan             : {len(events)} event(s), "
-              f"first at t={events[0]['time']:.3f}")
-    else:
-        print("fault plan             : empty")
-    print(f"under faults           : {report['under_faults']['completed']}"
-          f"/{report['under_faults']['requests']} requests completed, "
-          f"{report['under_faults']['failed']} failed")
-    print(f"dead switches detected : {repair['dead_switches']}")
-    print(f"stranded switches      : {repair['stranded_switches']}")
-    print(f"servers replaced       : {repair['servers_replaced']}")
-    print(f"re-replicated copies   : {report['re_replicated']}")
-    print(f"items lost             : {report['items_lost']}")
-    print(f"recovery time          : {report['recovery_time']:.3f}s")
-    print(f"recovered availability : {report['availability']:.3f} "
-          f"({report['recovered']['mean_round_trip_hops']:.2f} hops, "
-          f"inflation x{report['hop_inflation']:.2f})")
-    print(f"verifier violations    : {report['verifier_violations']}")
+    lines = [
+        f"baseline availability  : "
+        f"{report['baseline']['availability']:.3f} "
+        f"({report['baseline']['mean_round_trip_hops']:.2f} hops)",
+        (f"fault plan             : {len(events)} event(s), "
+         f"first at t={events[0]['time']:.3f}" if events
+         else "fault plan             : empty"),
+        f"under faults           : {report['under_faults']['completed']}"
+        f"/{report['under_faults']['requests']} requests completed, "
+        f"{report['under_faults']['failed']} failed",
+        f"dead switches detected : {repair['dead_switches']}",
+        f"stranded switches      : {repair['stranded_switches']}",
+        f"servers replaced       : {repair['servers_replaced']}",
+        f"re-replicated copies   : {report['re_replicated']}",
+        f"items lost             : {report['items_lost']}",
+        f"recovery time          : {report['recovery_time']:.3f}s",
+        f"recovered availability : {report['availability']:.3f} "
+        f"({report['recovered']['mean_round_trip_hops']:.2f} hops, "
+        f"inflation x{report['hop_inflation']:.2f})",
+        f"verifier violations    : {report['verifier_violations']}",
+    ]
     southbound = report.get("southbound")
     if southbound is not None:
         stats = southbound["channel"]
         reconcile = southbound["reconcile"]
-        print(f"southbound channel     : {stats['sent']} sent, "
-              f"{stats['dropped']} dropped, "
-              f"{stats['duplicated']} duplicated, "
-              f"{stats['reordered']} reordered, "
-              f"{stats['delayed']} delayed")
-        print(f"reconcile              : "
-              f"{reconcile['divergent_initial']} divergent, "
-              f"{reconcile['sweeps']} sweep(s), "
-              f"{reconcile['resynced']} resync(s), "
-              f"{reconcile['drained']} drained, "
-              f"converged={reconcile['converged']}")
-    return 1 if gate_failed else 0
+        lines += [
+            f"southbound channel     : {stats['sent']} sent, "
+            f"{stats['dropped']} dropped, "
+            f"{stats['duplicated']} duplicated, "
+            f"{stats['reordered']} reordered, "
+            f"{stats['delayed']} delayed",
+            f"reconcile              : "
+            f"{reconcile['divergent_initial']} divergent, "
+            f"{reconcile['sweeps']} sweep(s), "
+            f"{reconcile['resynced']} resync(s), "
+            f"{reconcile['drained']} drained, "
+            f"converged={reconcile['converged']}",
+        ]
+    return "\n".join(lines)
 
 
 def _cmd_loadtest(args) -> int:
     from .faults import FaultPlan
+    from .obs import spans as ospans
     from .slo import (DEFAULT_LOAD_FACTORS, SloConfig, evaluate_gates,
-                      render_summary, run_loadtest, write_report)
+                      render_summary, run_loadtest)
 
-    plan = FaultPlan.from_json(args.plan) if args.plan else None
-    if args.quick:
-        config = SloConfig.quick()
-        config.seed = args.seed
-        config.plan = plan
-        if args.load_factors is not None:
-            config.load_factors = tuple(args.load_factors)
-    else:
-        config = SloConfig(
-            switches=args.switches,
-            entry_switches=args.entry_switches,
-            servers_per_switch=args.servers,
-            min_degree=args.min_degree,
-            cvt_iterations=args.cvt_iterations,
-            items=args.items,
-            copies=args.copies,
-            requests=args.requests,
-            seed=args.seed,
-            load_factors=(tuple(args.load_factors)
-                          if args.load_factors is not None
-                          else DEFAULT_LOAD_FACTORS),
-            deadline=args.deadline,
-            rate_per_switch=args.rate,
-            burst=args.burst,
-            queue_limit=args.queue_limit,
-            plan=plan,
-        )
+    config = SloConfig(
+        switches=args.switches,
+        entry_switches=args.entry_switches,
+        servers_per_switch=args.servers,
+        min_degree=args.min_degree,
+        cvt_iterations=args.cvt_iterations,
+        items=args.items,
+        copies=args.copies,
+        requests=args.requests,
+        seed=args.seed,
+        load_factors=(tuple(args.load_factors)
+                      if args.load_factors is not None
+                      else DEFAULT_LOAD_FACTORS),
+        deadline=args.deadline,
+        rate_per_switch=args.rate,
+        burst=args.burst,
+        queue_limit=args.queue_limit,
+        plan=FaultPlan.from_json(args.plan) if args.plan else None,
+    )
     recorder = None
     if args.trace_out is not None or args.trace_sample is not None:
-        from .obs import spans as ospans
-
         config.trace_sample_rate = (args.trace_sample
                                     if args.trace_sample is not None
                                     else 0.05)
         recorder = ospans.SpanRecorder(
             sample_rate=config.trace_sample_rate)
     report = run_loadtest(config, recorder=recorder)
-    write_report(report, args.output)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_summary(report))
-    print(f"wrote {args.output}")
+    code = _finish(args, report, render_summary, evaluate_gates(
+        report, min_goodput=args.min_goodput,
+        min_attainment=args.min_attainment))
     if recorder is not None and args.trace_out is not None:
-        from .obs import spans as ospans
-
         ospans.write_jsonl(recorder.spans(), args.trace_out)
         summary = report["trace_summary"]
         print(f"wrote {summary['traces']} trace(s) "
               f"({summary['spans']} spans, sample rate "
               f"{summary['sample_rate']:g}) to {args.trace_out}")
-    failures = evaluate_gates(report, min_goodput=args.min_goodput,
-                              min_attainment=args.min_attainment)
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return code
 
 
 def _cmd_churn(args) -> int:
+    from .experiments.common import format_table
     from .experiments.control_churn import run_churn_scaling
 
     report = run_churn_scaling(
@@ -1016,25 +906,15 @@ def _cmd_churn(args) -> int:
         seed=args.seed,
         regions=args.regions,
     )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        from .experiments.common import print_table
-
-        columns = ["switches", "avg_delta_messages",
-                   "avg_switches_touched",
-                   "avg_full_reinstall_messages",
-                   "route_cache_survival"]
-        if args.regions > 1:
-            columns = ["switches", "regions", "avg_delta_messages",
-                       "avg_switches_touched", "avg_foreign_touched",
-                       "avg_foreign_messages",
-                       "avg_full_reinstall_messages"]
-        print_table(report["rows"], columns,
-                    "churn: delta vs full-reinstall control traffic")
-    print(f"wrote {args.output}")
+    columns = ["switches", "avg_delta_messages",
+               "avg_switches_touched",
+               "avg_full_reinstall_messages",
+               "route_cache_survival"]
+    if args.regions > 1:
+        columns = ["switches", "regions", "avg_delta_messages",
+                   "avg_switches_touched", "avg_foreign_touched",
+                   "avg_foreign_messages",
+                   "avg_full_reinstall_messages"]
     failures = []
     for row in report["rows"]:
         if args.max_touched is not None and \
@@ -1056,51 +936,24 @@ def _cmd_churn(args) -> int:
             failures.append(
                 f"untouched switch generations were bumped at "
                 f"n={row['switches']} (scoped invalidation leak)")
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish(
+        args, report,
+        lambda report: format_table(
+            report["rows"], columns,
+            "churn: delta vs full-reinstall control traffic"),
+        failures)
 
 
 def _cmd_federate(args) -> int:
     from .experiments.federation import run_federation_scaling
 
-    if args.quick:
-        report = run_federation_scaling(
-            total_switches=(48, 96), switches_per_region=12,
-            servers_per_switch=args.servers, cvt_iterations=4,
-            num_joins=4, num_requests=96, copies=args.copies,
-            seed=args.seed)
-    else:
-        report = run_federation_scaling(
-            total_switches=(tuple(args.sizes)
-                            if args.sizes is not None else (1000, 5000)),
-            switches_per_region=(args.per_region
-                                 if args.per_region is not None
-                                 else 250),
-            servers_per_switch=args.servers,
-            cvt_iterations=args.cvt_iterations,
-            num_joins=args.joins, num_requests=args.requests,
-            copies=args.copies, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        from .experiments.common import print_table
-
-        print_table(report["rows"],
-                    ["total_switches", "regions",
-                     "mean_shard_recompute_s", "avg_join_messages",
-                     "foreign_messages", "cross_region_fraction",
-                     "retrieved_found"],
-                    "federation: flat per-shard cost, zero foreign "
-                    "churn traffic")
-        differential = report["single_region_differential"]
-        print("single-region differential vs monolith: "
-              + ", ".join(f"{key}={value}"
-                          for key, value in differential.items()
-                          if key != "switches"))
-    print(f"wrote {args.output}")
+    report = run_federation_scaling(
+        total_switches=tuple(args.sizes),
+        switches_per_region=args.per_region,
+        servers_per_switch=args.servers,
+        cvt_iterations=args.cvt_iterations,
+        num_joins=args.joins, num_requests=args.requests,
+        copies=args.copies, seed=args.seed)
     failures = []
     for row in report["rows"]:
         if args.max_foreign_touched is not None and \
@@ -1115,60 +968,46 @@ def _cmd_federate(args) -> int:
                 f"{row['requests'] - row['retrieved_found']} of "
                 f"{row['requests']} retrievals missed at "
                 f"n={row['total_switches']}")
-    differential = report["single_region_differential"]
-    for key, value in differential.items():
+    for key, value in report["single_region_differential"].items():
         if key != "switches" and value is not True:
             failures.append(
                 f"single-region differential mismatch: {key}={value} "
                 f"(1-region federation must be identical to the "
                 f"monolithic controller)")
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish(args, report, _render_federate, failures)
+
+
+def _render_federate(report) -> str:
+    from .experiments.common import format_table
+
+    table = format_table(
+        report["rows"],
+        ["total_switches", "regions", "mean_shard_recompute_s",
+         "avg_join_messages", "foreign_messages",
+         "cross_region_fraction", "retrieved_found"],
+        "federation: flat per-shard cost, zero foreign churn traffic")
+    differential = report["single_region_differential"]
+    return (f"{table}\nsingle-region differential vs monolith: "
+            + ", ".join(f"{key}={value}"
+                        for key, value in differential.items()
+                        if key != "switches"))
 
 
 def _cmd_reconcile(args) -> int:
-    if args.network is not None:
-        return _reconcile_snapshot(args)
-    return _reconcile_experiment(args)
-
-
-def _reconcile_snapshot(args) -> int:
-    """Anti-entropy sweep over a saved deployment: repair any drift
-    between the snapshot's installed state and the compiled plan."""
-    net = _load(args.network)
-    report = net.controller.reconcile(max_sweeps=args.max_sweeps)
-    _save(net, args.network)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    """Anti-entropy sweep over a saved deployment (``-n``: repair any
+    drift between the snapshot's installed state and the compiled plan,
+    save it back), or the churn-under-loss convergence experiment that
+    writes the committed CONVERGENCE_report.json CI artifact."""
+    snapshot = args.network is not None
+    if snapshot:
+        net = _load(args.network)
+        report = net.controller.reconcile(
+            max_sweeps=args.max_sweeps).to_dict()
+        _save(net, args.network)
+        after = len(report["divergent_final"])
     else:
-        print(f"divergent switches : {report.divergent_initial}")
-        print(f"sweeps             : {report.sweeps}")
-        print(f"resyncs shipped    : {report.resynced}")
-        print(f"pending drained    : {report.drained}")
-        print(f"still divergent    : "
-              f"{sorted(report.divergent_final) or 'none'}")
-    if args.max_divergence is not None and \
-            len(report.divergent_final) > args.max_divergence:
-        print(f"error: {len(report.divergent_final)} switch(es) stay "
-              f"divergent after reconcile, above the --max-divergence "
-              f"gate {args.max_divergence}", file=sys.stderr)
-        return 1
-    return 0
+        from .experiments.convergence import run_convergence
 
-
-def _reconcile_experiment(args) -> int:
-    """Churn-under-loss convergence experiment; writes the committed
-    CONVERGENCE_report.json CI artifact."""
-    from .experiments.convergence import run_convergence
-
-    if args.quick:
-        report = run_convergence(
-            switches=24, events=8, drop=args.drop, dup=args.dup,
-            delay=args.delay, reorder_window=args.reorder_window,
-            servers_per_switch=args.servers, cvt_iterations=5,
-            seed=args.seed, max_sweeps=args.max_sweeps)
-    else:
         report = run_convergence(
             switches=args.switches, events=args.events, drop=args.drop,
             dup=args.dup, delay=args.delay,
@@ -1176,103 +1015,80 @@ def _reconcile_experiment(args) -> int:
             servers_per_switch=args.servers,
             cvt_iterations=args.cvt_iterations, seed=args.seed,
             max_sweeps=args.max_sweeps)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        config = report["config"]
-        stats = report["channel"]
-        divergence = report["divergence"]
-        print(f"churn              : {report['events_applied']} "
-              f"event(s) applied ({report['events_skipped']} skipped) "
-              f"over {config['switches']} switches")
-        print(f"channel faults     : drop={config['drop']:g} "
-              f"dup={config['dup']:g} delay={config['delay']:g} "
-              f"reorder_window={config['reorder_window']}")
-        print(f"southbound         : {stats['sent']} sent, "
-              f"{stats['dropped']} dropped, "
-              f"{stats['duplicated']} duplicated, "
-              f"{stats['reordered']} reordered, "
-              f"{stats['delayed']} delayed")
-        print(f"retries            : {report['totals']['retries']}")
-        print(f"divergence         : {divergence['before_reconcile']} "
-              f"before reconcile, {divergence['after_reconcile']} "
-              f"after ({report['reconcile']['sweeps']} sweep(s))")
-        print(f"oracle match       : {report['oracle_match']}")
-        print(f"verifier violations: {report['verifier_violations']}")
-    print(f"wrote {args.output}")
+        after = report["divergence"]["after_reconcile"]
     failures = []
     if args.max_divergence is not None:
-        after = report["divergence"]["after_reconcile"]
         if after > args.max_divergence:
             failures.append(
                 f"{after} switch(es) stay divergent after reconcile, "
                 f"above the --max-divergence gate "
                 f"{args.max_divergence}")
-        if not report["oracle_match"]:
+        if not snapshot and not report["oracle_match"]:
             failures.append(
                 f"switches {report['mismatched_switches']} diverge "
                 f"from the install_all_rules oracle")
-        if report["verifier_violations"]:
+        if not snapshot and report["verifier_violations"]:
             failures.append(
                 f"{report['verifier_violations']} verifier "
                 f"violation(s) after reconcile")
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish(
+        args, report,
+        _render_reconcile if snapshot else _render_convergence,
+        failures, wrote=not snapshot)
+
+
+def _render_reconcile(report) -> str:
+    return "\n".join([
+        f"divergent switches : {report['divergent_initial']}",
+        f"sweeps             : {report['sweeps']}",
+        f"resyncs shipped    : {report['resynced']}",
+        f"pending drained    : {report['drained']}",
+        f"still divergent    : {report['divergent_final'] or 'none'}",
+    ])
+
+
+def _render_convergence(report) -> str:
+    config = report["config"]
+    stats = report["channel"]
+    divergence = report["divergence"]
+    return "\n".join([
+        f"churn              : {report['events_applied']} "
+        f"event(s) applied ({report['events_skipped']} skipped) "
+        f"over {config['switches']} switches",
+        f"channel faults     : drop={config['drop']:g} "
+        f"dup={config['dup']:g} delay={config['delay']:g} "
+        f"reorder_window={config['reorder_window']}",
+        f"southbound         : {stats['sent']} sent, "
+        f"{stats['dropped']} dropped, "
+        f"{stats['duplicated']} duplicated, "
+        f"{stats['reordered']} reordered, "
+        f"{stats['delayed']} delayed",
+        f"retries            : {report['totals']['retries']}",
+        f"divergence         : {divergence['before_reconcile']} "
+        f"before reconcile, {divergence['after_reconcile']} "
+        f"after ({report['reconcile']['sweeps']} sweep(s))",
+        f"oracle match       : {report['oracle_match']}",
+        f"verifier violations: {report['verifier_violations']}",
+    ])
 
 
 def _cmd_scrub(args) -> int:
-    if args.network is not None:
-        return _scrub_snapshot(args)
-    return _scrub_experiment(args)
-
-
-def _scrub_snapshot(args) -> int:
-    """Anti-entropy sweep over a saved deployment's storage plane:
-    drain parked hints, repair stale/missing/orphaned replicas and
-    collect eligible tombstones, then save the snapshot back."""
-    from .core import storage_divergence
-
-    net = _load(args.network)
-    report = net.scrub(max_sweeps=args.max_sweeps)
-    divergent = storage_divergence(net)
-    _save(net, args.network)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"sweeps             : {report.sweeps}")
-        print(f"hints drained      : {report.hints_drained}")
-        print(f"repairs            : {report.repairs}")
-        print(f"resurrections cut  : {report.resurrections_removed}")
-        print(f"orphans removed    : {report.orphans_removed}")
-        print(f"tombstones gc'd    : {report.tombstones_gced}")
-        print(f"unreachable skips  : {report.skipped_unreachable}")
-        print(f"still divergent    : {divergent}")
-    if args.max_divergence is not None and \
-            divergent > args.max_divergence:
-        print(f"error: {divergent} (server, range) pair(s) stay "
-              f"divergent after scrub, above the --max-divergence "
-              f"gate {args.max_divergence}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _scrub_experiment(args) -> int:
-    """Crash+partition+delete durability experiment; writes the
+    """Anti-entropy sweep over a saved deployment's storage plane
+    (``-n``: drain parked hints, repair stale/missing/orphaned replicas
+    and collect eligible tombstones, then save the snapshot back), or
+    the crash+partition+delete durability experiment that writes the
     committed DURABILITY_report.json CI artifact."""
-    from .experiments.durability import run_durability
+    snapshot = args.network is not None
+    if snapshot:
+        from .core import storage_divergence
 
-    if args.quick:
-        report = run_durability(
-            switches=24, servers_per_switch=args.servers, items=60,
-            copies=args.copies, ops=40,
-            crash_fraction=args.crash_fraction,
-            partition_fraction=args.partition_fraction,
-            late_crashes=args.late_crashes, cvt_iterations=5,
-            seed=args.seed, max_sweeps=args.max_sweeps)
+        net = _load(args.network)
+        report = net.scrub(max_sweeps=args.max_sweeps).to_dict()
+        after = storage_divergence(net)
+        _save(net, args.network)
     else:
+        from .experiments.durability import run_durability
+
         report = run_durability(
             switches=args.switches,
             servers_per_switch=args.servers, items=args.items,
@@ -1282,56 +1098,71 @@ def _scrub_experiment(args) -> int:
             late_crashes=args.late_crashes,
             cvt_iterations=args.cvt_iterations, seed=args.seed,
             max_sweeps=args.max_sweeps)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        config = report["config"]
-        workload = report["workload"]
-        divergence = report["divergence"]
-        scrub_stats = report["scrub"]
-        print(f"workload           : {workload['items_placed']} "
-              f"item(s), {workload['items_deleted']} deleted, "
-              f"{config['ops']} op(s) under partition")
-        print(f"faults             : {workload['crashes']} crash(es) "
-              f"({workload['crash_fraction_actual']:.0%} of servers), "
-              f"partition_fraction={config['partition_fraction']:g}")
-        print(f"hints              : "
-              f"{workload['hints_parked_pre_scrub']} parked, "
-              f"{scrub_stats['hints_drained']} drained by scrub")
-        print(f"divergence         : {divergence['before_scrub']} "
-              f"before scrub, {divergence['after_scrub']} after "
-              f"({scrub_stats['sweeps']} sweep(s), "
-              f"{scrub_stats['repairs']} repair(s))")
-        print(f"tombstones         : "
-              f"{scrub_stats['resurrections_removed']} "
-              f"resurrection(s) cut, {scrub_stats['tombstones_gced']} "
-              f"gc'd")
-        print(f"oracle verdicts    : {len(report['resurrected'])} "
-              f"resurrected, {len(report['lost'])} lost, "
-              f"{len(report['stale'])} stale, "
-              f"{len(report['unavailable'])} unavailable")
-        print(f"oracle match       : {report['oracle_match']}")
-    print(f"wrote {args.output}")
+        after = report["divergence"]["after_scrub"]
     failures = []
     if args.max_divergence is not None:
-        after = report["divergence"]["after_scrub"]
         if after > args.max_divergence:
             failures.append(
                 f"{after} (server, range) pair(s) stay divergent "
                 f"after scrub, above the --max-divergence gate "
                 f"{args.max_divergence}")
-        if not report["oracle_match"]:
+        if not snapshot and not report["oracle_match"]:
             failures.append(
                 "storage plane diverges from the fault-free oracle: "
-                f"{len(report['resurrected'])} resurrected, "
-                f"{len(report['lost'])} lost, "
-                f"{len(report['stale'])} stale, "
-                f"{len(report['unavailable'])} unavailable")
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+                + _oracle_verdicts(report))
+    return _finish(
+        args, report,
+        (lambda report: _render_scrub(report, after)) if snapshot
+        else _render_durability,
+        failures, wrote=not snapshot)
+
+
+def _render_scrub(report, divergent) -> str:
+    return "\n".join([
+        f"sweeps             : {report['sweeps']}",
+        f"hints drained      : {report['hints_drained']}",
+        f"repairs            : {report['repairs']}",
+        f"resurrections cut  : {report['resurrections_removed']}",
+        f"orphans removed    : {report['orphans_removed']}",
+        f"tombstones gc'd    : {report['tombstones_gced']}",
+        f"unreachable skips  : {report['skipped_unreachable']}",
+        f"still divergent    : {divergent}",
+    ])
+
+
+def _oracle_verdicts(report) -> str:
+    return (f"{len(report['resurrected'])} resurrected, "
+            f"{len(report['lost'])} lost, "
+            f"{len(report['stale'])} stale, "
+            f"{len(report['unavailable'])} unavailable")
+
+
+def _render_durability(report) -> str:
+    config = report["config"]
+    workload = report["workload"]
+    divergence = report["divergence"]
+    scrub_stats = report["scrub"]
+    return "\n".join([
+        f"workload           : {workload['items_placed']} "
+        f"item(s), {workload['items_deleted']} deleted, "
+        f"{config['ops']} op(s) under partition",
+        f"faults             : {workload['crashes']} crash(es) "
+        f"({workload['crash_fraction_actual']:.0%} of servers), "
+        f"partition_fraction={config['partition_fraction']:g}",
+        f"hints              : "
+        f"{workload['hints_parked_pre_scrub']} parked, "
+        f"{scrub_stats['hints_drained']} drained by scrub",
+        f"divergence         : {divergence['before_scrub']} "
+        f"before scrub, {divergence['after_scrub']} after "
+        f"({scrub_stats['sweeps']} sweep(s), "
+        f"{scrub_stats['repairs']} repair(s))",
+        f"tombstones         : "
+        f"{scrub_stats['resurrections_removed']} "
+        f"resurrection(s) cut, {scrub_stats['tombstones_gced']} "
+        f"gc'd",
+        f"oracle verdicts    : {_oracle_verdicts(report)}",
+        f"oracle match       : {report['oracle_match']}",
+    ])
 
 
 _COMMANDS = {
@@ -1356,9 +1187,26 @@ _COMMANDS = {
 }
 
 
+#: ``--quick``: the flags each command's tiny CI smoke preset
+#: overrides before its one ``run_*`` call; every other flag stays
+#: honoured.  (loadtest's row is ``SloConfig.quick()`` as flags.)
+_QUICK = {
+    "loadtest": dict(switches=16, entry_switches=6, servers=2,
+                     min_degree=3, cvt_iterations=5, items=60, copies=2,
+                     requests=400, deadline=0.25, rate=50.0, burst=20,
+                     queue_limit=16),
+    "federate": dict(sizes=[48, 96], per_region=12, cvt_iterations=4,
+                     joins=4, requests=96),
+    "reconcile": dict(switches=24, events=8, cvt_iterations=5),
+    "scrub": dict(switches=24, items=60, ops=40, cvt_iterations=5),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "quick", False):
+        vars(args).update(_QUICK[args.command])
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # surface library errors as CLI errors

@@ -361,7 +361,7 @@ class Controller:
             self._global_epoch += 1
             self._routing_index = None
         self._build_switches()
-        desired = self._desired_plan()
+        desired = self.desired_plan()
         removed = (frozenset(self._plan.plans) - frozenset(desired.plans)
                    if self._plan is not None else frozenset())
         delta = diff_plans(snapshot_plan(self.switches), desired)
@@ -397,7 +397,7 @@ class Controller:
                 len(self.switches))
         return delta
 
-    def _desired_plan(self) -> RulePlan:
+    def desired_plan(self) -> RulePlan:
         """Compile the desired plan from the current control view."""
         return compile_plan(
             self.topology, self.positions, self.dt_adjacency(),
@@ -458,10 +458,14 @@ class Controller:
     # ------------------------------------------------------------------
     # anti-entropy reconciliation
     # ------------------------------------------------------------------
-    def _divergent_switches(self, want: Dict[int, str]) -> Set[int]:
+    def divergent_switches(
+            self, want: Optional[Dict[int, str]] = None) -> Set[int]:
         """Switches whose installed digest differs from the desired
         one (either direction: wrong state, or state with no desired
-        counterpart)."""
+        counterpart).  ``want`` is the desired plan's digests, compiled
+        afresh when not given."""
+        if want is None:
+            want = plan_digests(self.desired_plan())
         have = plan_digests(snapshot_plan(self.switches))
         return {sid for sid in set(want) | set(have)
                 if have.get(sid) != want.get(sid)}
@@ -497,11 +501,11 @@ class Controller:
             # Reconcile against the freshly compiled desired plan, not
             # the remembered one — the remembered plan is only what the
             # controller *believes* it installed.
-            desired = self._desired_plan()
+            desired = self.desired_plan()
             want = plan_digests(desired)
             unreachable = (set(self.transport.unreachable_switches)
                            if self.transport is not None else set())
-            divergent = self._divergent_switches(want)
+            divergent = self.divergent_switches(want)
             report.divergent_initial = len(divergent)
             sweeps = 0
             while divergent - unreachable and sweeps < max_sweeps:
@@ -524,7 +528,7 @@ class Controller:
                     registry.counter(
                         "controlplane.southbound.resyncs").inc(
                             len(reachable))
-                divergent = self._divergent_switches(want)
+                divergent = self.divergent_switches(want)
             report.sweeps = sweeps
             report.unreachable = frozenset(unreachable)
             report.divergent_final = frozenset(divergent)

@@ -1,12 +1,14 @@
-"""Experiment harness: one runner per paper figure plus ablations.
+"""Experiment harness: one runner per paper figure plus ablations and
+extensions, and the catalog that labels them.
 
-Run everything from the command line::
+Run any table, or a group of them, from the command line::
 
-    python -m repro.experiments.fig7_testbed
-    python -m repro.experiments.fig8_response
-    python -m repro.experiments.fig9_stretch
-    python -m repro.experiments.fig10_load
-    python -m repro.experiments.ablations
+    gred experiment fig9a          # one table of catalog.TABLES
+    gred experiment ablations      # a catalog.GROUPS name: A1 ... A5
+    gred experiment --help         # every name
+
+:func:`~repro.experiments.catalog.show` is the same entry point as a
+library call; the ``benchmarks/bench_*.py`` files print through it.
 """
 
 from .common import (
@@ -14,6 +16,7 @@ from .common import (
     build_gred,
     build_topology,
     chord_load_vector,
+    format_table,
     gred_load_vector,
     print_table,
 )
@@ -42,6 +45,7 @@ from .extensions import (
     run_saturation,
     run_state_stretch_tradeoff,
 )
+from .catalog import GROUPS, TABLES, show
 
 __all__ = [
     "build_topology",
@@ -49,7 +53,11 @@ __all__ = [
     "build_chord",
     "gred_load_vector",
     "chord_load_vector",
+    "format_table",
     "print_table",
+    "TABLES",
+    "GROUPS",
+    "show",
     "run_fig7a",
     "run_fig7b",
     "run_fig8",

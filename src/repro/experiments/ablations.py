@@ -27,7 +27,6 @@ from .common import (
     build_gred,
     build_topology,
     chord_load_vector,
-    print_table,
 )
 
 
@@ -219,27 +218,3 @@ def run_topology_families(
                 chord_load_vector(chord, load_items)),
         })
     return rows
-
-
-def main() -> None:
-    print_table(run_cvt_samples(),
-                ["samples", "energy_at_10", "energy_at_30",
-                 "energy_final"],
-                "A1: CVT convergence vs sample count")
-    print_table(run_embedding_quality(),
-                ["switches", "protocol", "stress", "stretch_mean"],
-                "A2: embedding stress vs routing stretch")
-    print_table(run_chord_virtual_nodes(),
-                ["virtual_nodes", "max_avg", "avg_finger_entries"],
-                "A3: Chord virtual nodes vs load balance")
-    print_table(run_embedding_methods(),
-                ["switches", "embedding", "stress", "stretch_mean"],
-                "A4: classical MDS vs SMACOF")
-    print_table(run_topology_families(),
-                ["family", "gred_stretch", "chord_stretch",
-                 "gred_max_avg", "chord_max_avg"],
-                "A5: robustness across topology families")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,9 +1,10 @@
 """Shared plumbing for the figure-reproduction experiments.
 
 Every experiment module exposes a ``run_*`` function that returns a list
-of row dictionaries (one per x-axis point and protocol) plus a
-``print_table`` helper, so the same code serves the benchmarks, the
-examples and EXPERIMENTS.md.
+of row dictionaries (one per x-axis point and protocol);
+:mod:`~repro.experiments.catalog` names its columns and title once, so
+the same table serves ``gred experiment``, the benchmarks and
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -98,20 +99,33 @@ def chord_load_vector(net: ChordNetwork, num_items: int,
     return loads
 
 
-def print_table(rows: Sequence[Dict], columns: Iterable[str],
-                title: str) -> None:
-    """Print rows as a fixed-width table (the bench harness output)."""
+def mean_or_zero(values: Sequence[float]) -> float:
+    """Arithmetic mean; 0.0 for an empty sample (a report row for a
+    run with no joins, no cross-region hops, ...)."""
+    return sum(values) / len(values) if values else 0.0
+
+
+def format_table(rows: Sequence[Dict], columns: Iterable[str],
+                 title: str) -> str:
+    """Rows as a titled fixed-width table.  A column is as wide as its
+    name (at least 14), so every cell ends under its own header."""
     columns = list(columns)
-    print(f"\n== {title} ==")
-    header = "  ".join(f"{c:>14}" for c in columns)
-    print(header)
-    print("-" * len(header))
+    widths = [max(14, len(c)) for c in columns]
+    header = "  ".join(f"{c:>{w}}" for c, w in zip(columns, widths))
+    lines = [f"\n== {title} ==", header, "-" * len(header)]
     for row in rows:
         cells = []
-        for c in columns:
+        for c, w in zip(columns, widths):
             value = row.get(c, "")
             if isinstance(value, float):
-                cells.append(f"{value:>14.3f}")
+                cells.append(f"{value:>{w}.3f}")
             else:
-                cells.append(f"{str(value):>14}")
-        print("  ".join(cells))
+                cells.append(f"{str(value):>{w}}")
+        lines.append("  ".join(cells))
+    return "\n".join(lines)
+
+
+def print_table(rows: Sequence[Dict], columns: Iterable[str],
+                title: str) -> None:
+    """Print :func:`format_table` (the bench harness output)."""
+    print(format_table(rows, columns, title))

@@ -34,30 +34,11 @@ import numpy as np
 
 from ..chord import ChordRing
 from ..edge import EdgeServer, attach_uniform
-from .common import build_topology, print_table
+from .common import build_topology, mean_or_zero
+from .convergence import canonical_state
 
 #: Format marker of the ``gred churn`` JSON report.
 CHURN_FORMAT = "gred-churn-v1"
-
-
-def _gred_switch_state(switch) -> FrozenSet:
-    """Canonical, comparable snapshot of one switch's installed state."""
-    table = switch.table
-    entries = set()
-    entries.add(("pos", switch.position))
-    for neighbor in table.physical_neighbors():
-        entries.add(("port", neighbor, table.physical_port(neighbor)))
-    for neighbor, pos in switch.physical_neighbor_positions.items():
-        entries.add(("phys-cand", neighbor, pos))
-    for neighbor, pos in switch.dt_neighbor_positions.items():
-        entries.add(("dt-cand", neighbor, pos))
-    for entry in table.virtual_entries():
-        entries.add(("vl", entry.sour, entry.pred, entry.succ,
-                     entry.dest))
-    for ext in table.extensions():
-        entries.add(("ext", ext.local_serial, ext.target_switch,
-                     ext.target_serial))
-    return frozenset(entries)
 
 
 def _diff_states(before: Dict[int, FrozenSet],
@@ -117,7 +98,7 @@ def run_control_churn(
     switches_messaged_total = 0
     for j in range(num_joins):
         before = {
-            sid: _gred_switch_state(sw)
+            sid: canonical_state(sw)
             for sid, sw in controller.switches.items()
         }
         new_id = 1000 + j
@@ -136,7 +117,7 @@ def run_control_churn(
         switches_messaged_total += len(
             channel.per_switch(exclude=(Probe,)))
         after = {
-            sid: _gred_switch_state(sw)
+            sid: canonical_state(sw)
             for sid, sw in controller.switches.items()
         }
         touched, entries = _diff_states(before, after)
@@ -267,7 +248,7 @@ def run_churn_scaling(
         generations_preserved = True
         for j in range(num_joins):
             before = {
-                sid: _gred_switch_state(sw)
+                sid: canonical_state(sw)
                 for sid, sw in controller.switches.items()
             }
             generations_before = controller.generations
@@ -290,7 +271,7 @@ def run_churn_scaling(
                 controller.topology, controller.positions,
                 controller.dt_adjacency())))
             after = {
-                sid: _gred_switch_state(sw)
+                sid: canonical_state(sw)
                 for sid, sw in controller.switches.items()
             }
             touched_sem, entries_sem = _diff_states(before, after)
@@ -313,13 +294,13 @@ def run_churn_scaling(
         rows.append({
             "switches": num_switches,
             "regions": 1,
-            "avg_delta_messages": _mean(delta_messages),
-            "avg_switches_touched": _mean(touched_counts),
+            "avg_delta_messages": mean_or_zero(delta_messages),
+            "avg_switches_touched": mean_or_zero(touched_counts),
             "avg_foreign_touched": 0.0,
             "avg_foreign_messages": 0.0,
-            "avg_full_reinstall_messages": _mean(full_messages),
-            "avg_semantic_switches_touched": _mean(semantic_touched),
-            "avg_semantic_entries_changed": _mean(semantic_entries),
+            "avg_full_reinstall_messages": mean_or_zero(full_messages),
+            "avg_semantic_switches_touched": mean_or_zero(semantic_touched),
+            "avg_semantic_entries_changed": mean_or_zero(semantic_entries),
             "index_builds_during_joins": (controller.index_builds
                                           - index_builds_before),
             "router_reused": router_reused,
@@ -393,7 +374,7 @@ def _federated_churn_scaling(
             rid = region_ids[j % regions]
             home = fed.shard(rid).net.controller
             before = {
-                sid: _gred_switch_state(sw)
+                sid: canonical_state(sw)
                 for sid, sw in home.switches.items()
             }
             generations_before = home.generations
@@ -436,7 +417,7 @@ def _federated_churn_scaling(
             full_messages.append(len(compile_messages(
                 home.topology, home.positions, home.dt_adjacency())))
             after = {
-                sid: _gred_switch_state(sw)
+                sid: canonical_state(sw)
                 for sid, sw in home.switches.items()
             }
             touched_sem, entries_sem = _diff_states(before, after)
@@ -453,13 +434,13 @@ def _federated_churn_scaling(
         rows.append({
             "switches": num_switches,
             "regions": regions,
-            "avg_delta_messages": _mean(delta_messages),
-            "avg_switches_touched": _mean(touched_counts),
-            "avg_foreign_touched": _mean(foreign_touched),
-            "avg_foreign_messages": _mean(foreign_messages),
-            "avg_full_reinstall_messages": _mean(full_messages),
-            "avg_semantic_switches_touched": _mean(semantic_touched),
-            "avg_semantic_entries_changed": _mean(semantic_entries),
+            "avg_delta_messages": mean_or_zero(delta_messages),
+            "avg_switches_touched": mean_or_zero(touched_counts),
+            "avg_foreign_touched": mean_or_zero(foreign_touched),
+            "avg_foreign_messages": mean_or_zero(foreign_messages),
+            "avg_full_reinstall_messages": mean_or_zero(full_messages),
+            "avg_semantic_switches_touched": mean_or_zero(semantic_touched),
+            "avg_semantic_entries_changed": mean_or_zero(semantic_entries),
             "index_builds_during_joins": index_builds,
             "router_reused": None,
             "avg_router_recompiles": None,
@@ -477,25 +458,3 @@ def _federated_churn_scaling(
         "regions": regions,
         "rows": rows,
     }
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def main() -> None:
-    print_table(run_control_churn(),
-                ["protocol", "avg_nodes_touched",
-                 "avg_entries_changed", "avg_messages_sent",
-                 "avg_switches_messaged", "population"],
-                "X6: installed-state churn per node join")
-    print_table(run_churn_scaling()["rows"],
-                ["switches", "avg_delta_messages",
-                 "avg_switches_touched",
-                 "avg_full_reinstall_messages",
-                 "route_cache_survival"],
-                "X6b: delta vs full-reinstall control traffic")
-
-
-if __name__ == "__main__":
-    main()

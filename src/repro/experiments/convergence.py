@@ -1,4 +1,4 @@
-"""X7 — churn-under-loss convergence of the reliable southbound path.
+"""Churn-under-loss convergence of the reliable southbound path.
 
 The paper's controller assumes every rule install lands.  This
 experiment drops that assumption: a randomized churn sequence (joins,
@@ -30,15 +30,12 @@ from ..controlplane import (
     ControllerConfig,
     FaultyChannel,
     RetryPolicy,
-    compile_plan,
     install_all_rules,
-    plan_digests,
-    snapshot_plan,
     verify_installed_state,
 )
 from ..dataplane import GredSwitch
 from ..edge import EdgeServer, attach_uniform
-from ..obs import MetricsRegistry, default_registry, set_default_registry
+from ..obs import default_registry, scoped_registry
 from .common import build_topology
 
 #: Format marker of the ``gred reconcile`` JSON report.
@@ -95,23 +92,7 @@ def mismatched_switches(controller: Controller) -> List[int]:
     return sorted(bad)
 
 
-def _desired_plan(controller: Controller):
-    return compile_plan(
-        controller.topology, controller.positions,
-        controller.dt_adjacency(),
-        server_counts={node: len(controller.server_map.get(node, []))
-                       for node in controller.topology.nodes()},
-    )
-
-
-def _divergence(controller: Controller) -> int:
-    """Switches whose installed digest differs from the desired plan."""
-    want = plan_digests(_desired_plan(controller))
-    have = plan_digests(snapshot_plan(controller.switches))
-    return sum(1 for sid in set(want) | set(have)
-               if want.get(sid) != have.get(sid))
-
-
+@scoped_registry()
 def run_convergence(
     switches: int = 200,
     events: int = 30,
@@ -132,23 +113,6 @@ def run_convergence(
     ``controlplane.southbound.*`` counters in the report belong to this
     experiment alone.
     """
-    previous = default_registry()
-    registry = MetricsRegistry(enabled=True)
-    set_default_registry(registry)
-    try:
-        return _run_convergence(
-            switches=switches, events=events, drop=drop, dup=dup,
-            delay=delay, reorder_window=reorder_window,
-            servers_per_switch=servers_per_switch,
-            cvt_iterations=cvt_iterations, seed=seed,
-            max_sweeps=max_sweeps, policy=policy, registry=registry)
-    finally:
-        set_default_registry(previous)
-
-
-def _run_convergence(*, switches, events, drop, dup, delay,
-                     reorder_window, servers_per_switch, cvt_iterations,
-                     seed, max_sweeps, policy, registry) -> Dict:
     topology = build_topology(switches, 3, seed)
     controller = Controller(
         topology, attach_uniform(topology.nodes(), servers_per_switch),
@@ -218,12 +182,12 @@ def _run_convergence(*, switches, events, drop, dup, delay,
             })
         event_rows.append(detail)
 
-    divergence_before = _divergence(controller)
+    divergence_before = len(controller.divergent_switches())
     reconcile = controller.reconcile(max_sweeps=max_sweeps)
-    divergence_after = _divergence(controller)
+    divergence_after = len(controller.divergent_switches())
     mismatched = mismatched_switches(controller)
     violations = verify_installed_state(
-        controller, desired_plan=_desired_plan(controller))
+        controller, desired_plan=controller.desired_plan())
     return {
         "format": CONVERGENCE_FORMAT,
         "config": {
@@ -257,21 +221,6 @@ def _run_convergence(*, switches, events, drop, dup, delay,
         "mismatched_switches": mismatched,
         "verifier_violations": len(violations),
         "final_switches": len(controller.switches),
-        "southbound_metrics": registry.counter_values(
+        "southbound_metrics": default_registry().counter_values(
             "controlplane.southbound."),
     }
-
-
-def main() -> None:
-    report = run_convergence(switches=40, events=10, cvt_iterations=5)
-    print(f"events applied: {report['events_applied']} "
-          f"(skipped {report['events_skipped']})")
-    print(f"retries: {report['totals']['retries']}, "
-          f"divergence before/after reconcile: "
-          f"{report['divergence']['before_reconcile']}/"
-          f"{report['divergence']['after_reconcile']}")
-    print(f"oracle match: {report['oracle_match']}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,4 +1,4 @@
-"""X8 — self-healing storage under crash, partition and delete churn.
+"""Self-healing storage under crash, partition and delete churn.
 
 The paper's placement/retrieval services assume replicas, once placed,
 stay where ``H(d || i)`` put them.  This experiment drops that
@@ -29,7 +29,7 @@ from ..core.scrub import storage_divergence
 from ..edge import NO_STAMP, EdgeServer
 from ..faults import FailureDetector, FaultInjector
 from ..hashing import parse_replica_id, replica_id
-from ..obs import MetricsRegistry, default_registry, set_default_registry
+from ..obs import default_registry, scoped_registry
 from .common import build_gred, build_topology
 
 #: Format marker of the ``gred scrub`` JSON report.
@@ -147,6 +147,7 @@ def _alive_entry(net, injector, rng) -> int:
     return int(ids[int(rng.integers(0, len(ids)))])
 
 
+@scoped_registry()
 def run_durability(
     switches: int = 40,
     servers_per_switch: int = 2,
@@ -167,25 +168,6 @@ def run_durability(
     the ``durability.*`` counters in the report belong to this
     experiment alone.
     """
-    previous = default_registry()
-    registry = MetricsRegistry(enabled=True)
-    set_default_registry(registry)
-    try:
-        return _run_durability(
-            switches=switches, servers_per_switch=servers_per_switch,
-            items=items, copies=copies, ops=ops,
-            crash_fraction=crash_fraction,
-            partition_fraction=partition_fraction,
-            late_crashes=late_crashes, cvt_iterations=cvt_iterations,
-            seed=seed, max_sweeps=max_sweeps, registry=registry)
-    finally:
-        set_default_registry(previous)
-
-
-def _run_durability(*, switches, servers_per_switch, items, copies,
-                    ops, crash_fraction, partition_fraction,
-                    late_crashes, cvt_iterations, seed, max_sweeps,
-                    registry) -> Dict:
     topology = build_topology(switches, 3, seed)
     net = build_gred(topology, servers_per_switch, cvt_iterations, seed)
     injector = FaultInjector(net, seed=seed + 1)
@@ -362,20 +344,6 @@ def _run_durability(*, switches, servers_per_switch, items, copies,
         "unavailable": unavailable,
         "oracle_match": not (resurrected or lost or stale
                              or unavailable),
-        "durability_metrics": registry.counter_values("durability."),
+        "durability_metrics": default_registry().counter_values(
+            "durability."),
     }
-
-
-def main() -> None:
-    report = run_durability(switches=24, items=60, ops=40,
-                            cvt_iterations=5)
-    print(f"divergence before/after scrub: "
-          f"{report['divergence']['before_scrub']}/"
-          f"{report['divergence']['after_scrub']}")
-    print(f"resurrected/lost/stale: {len(report['resurrected'])}/"
-          f"{len(report['lost'])}/{len(report['stale'])}")
-    print(f"oracle match: {report['oracle_match']}")
-
-
-if __name__ == "__main__":
-    main()

@@ -30,7 +30,7 @@ from ..metrics import (
     measure_gred_stretch,
     summarize,
 )
-from .common import build_chord, build_gred, build_topology, print_table
+from .common import build_chord, build_gred, build_topology
 
 
 def run_mobility(
@@ -503,24 +503,3 @@ def run_overflow_protection(
             "extensions_used": extensions_used,
         })
     return rows
-
-
-def main() -> None:
-    print_table(run_mobility(),
-                ["copies", "mean_request_hops", "p_max"],
-                "X1: mobility — retrieval hops vs replica count")
-    print_table(run_failure_availability(),
-                ["failed_fraction", "copies", "availability"],
-                "X2: availability under simultaneous switch failures")
-    print_table(run_state_stretch_tradeoff(),
-                ["switches", "protocol", "state_per_node",
-                 "stretch_mean"],
-                "X3: routing state vs stretch across designs")
-    print_table(run_link_utilization(),
-                ["protocol", "total_link_traversals", "max_link_load",
-                 "mean_link_load", "links_used"],
-                "X4: bandwidth cost and link congestion")
-
-
-if __name__ == "__main__":
-    main()

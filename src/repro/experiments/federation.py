@@ -36,14 +36,10 @@ from ..controlplane.southbound import Probe
 from ..core import GredNetwork
 from ..edge import EdgeServer
 from ..topology import federated_topology
-from .common import build_topology, print_table
+from .common import build_topology, mean_or_zero
 
 #: Format marker of the ``gred federate`` JSON report.
 FEDERATE_FORMAT = "gred-federate-v1"
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 def single_region_differential(num_switches: int = 40,
@@ -186,16 +182,16 @@ def run_federation_scaling(
             "total_switches": total + num_joins,
             "regions": regions,
             "switches_per_region": per_region,
-            "mean_shard_recompute_s": round(_mean(recompute_seconds),
+            "mean_shard_recompute_s": round(mean_or_zero(recompute_seconds),
                                             4),
             "max_shard_recompute_s": round(max(recompute_seconds), 4),
-            "avg_join_messages": _mean(home_messages),
-            "avg_join_switches_touched": _mean(home_touched),
-            "avg_join_seconds": round(_mean(join_seconds), 4),
+            "avg_join_messages": mean_or_zero(home_messages),
+            "avg_join_switches_touched": mean_or_zero(home_touched),
+            "avg_join_seconds": round(mean_or_zero(join_seconds), 4),
             "foreign_messages": foreign_messages_total,
             "cross_region_fraction": round(cross / total_records, 4),
-            "avg_intra_place_hops": round(_mean(intra_hops), 3),
-            "avg_cross_place_hops": round(_mean(cross_hops), 3),
+            "avg_intra_place_hops": round(mean_or_zero(intra_hops), 3),
+            "avg_cross_place_hops": round(mean_or_zero(cross_hops), 3),
             "retrieved_found": found,
             "requests": len(ids),
         })
@@ -214,21 +210,3 @@ def run_federation_scaling(
             seed=seed),
         "rows": rows,
     }
-
-
-def main() -> None:
-    report = run_federation_scaling(total_switches=(120, 240),
-                                    switches_per_region=30,
-                                    cvt_iterations=5, num_joins=4,
-                                    num_requests=96)
-    print_table(report["rows"],
-                ["total_switches", "regions",
-                 "mean_shard_recompute_s", "avg_join_messages",
-                 "foreign_messages", "cross_region_fraction"],
-                "Federation scaling: flat per-shard cost")
-    print("single-region differential:",
-          report["single_region_differential"])
-
-
-if __name__ == "__main__":
-    main()

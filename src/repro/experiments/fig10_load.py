@@ -23,7 +23,6 @@ from .common import (
     build_topology,
     chord_load_vector,
     gred_load_vector,
-    print_table,
 )
 
 SERVERS_PER_SWITCH = 10
@@ -130,19 +129,3 @@ def run_fig10c(
             "max_avg": max_avg_ratio(gred_load_vector(gred, num_items)),
         })
     return rows
-
-
-def main() -> None:
-    print_table(run_fig10a(),
-                ["servers", "protocol", "max_avg"],
-                "Fig 10(a): load balance vs network size")
-    print_table(run_fig10b(),
-                ["items", "protocol", "max_avg"],
-                "Fig 10(b): load balance vs amount of data")
-    print_table(run_fig10c(),
-                ["T", "protocol", "max_avg"],
-                "Fig 10(c): load balance vs iterations T")
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,7 @@ from ..topology import (
     TESTBED_SERVERS_PER_SWITCH,
     testbed_topology,
 )
-from .common import gred_load_vector, print_table
+from .common import gred_load_vector
 
 
 def _testbed_network(cvt_iterations: int, seed: int = 0) -> GredNetwork:
@@ -65,20 +65,3 @@ def run_fig7b(num_items: int = 1000, seed: int = 0) -> List[Dict]:
             "servers": len(loads),
         })
     return rows
-
-
-def main() -> None:
-    print_table(
-        run_fig7a(),
-        ["protocol", "stretch_mean", "stretch_ci_low", "stretch_ci_high"],
-        "Fig 7(a): testbed routing stretch",
-    )
-    print_table(
-        run_fig7b(),
-        ["protocol", "max_avg", "items", "servers"],
-        "Fig 7(b): testbed load balance (max/avg)",
-    )
-
-
-if __name__ == "__main__":
-    main()

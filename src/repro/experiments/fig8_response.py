@@ -18,7 +18,6 @@ from ..edge import attach_uniform
 from ..simulation import LatencyModel, ResponseDelaySimulator
 from ..topology import TESTBED_SERVERS_PER_SWITCH, testbed_topology
 from ..workloads import sequential_ids, uniform_retrieval_trace
-from .common import print_table
 
 #: The request counts on the paper's x-axis.
 DEFAULT_REQUEST_COUNTS = (100, 200, 400, 600, 800, 1000)
@@ -64,15 +63,3 @@ def run_fig8(
                 ) / len(simulator.completed),
             })
     return rows
-
-
-def main() -> None:
-    print_table(
-        run_fig8(),
-        ["protocol", "requests", "avg_delay_ms", "avg_request_hops"],
-        "Fig 8: average response delay vs number of retrieval requests",
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -28,7 +28,7 @@ from ..metrics import (
     measure_gred_stretch,
     summarize,
 )
-from .common import build_chord, build_gred, build_topology, print_table
+from .common import build_chord, build_gred, build_topology
 
 DEFAULT_SIZES = (20, 40, 60, 80, 100)
 DEFAULT_DEGREES = (3, 4, 5, 6, 7, 8, 9, 10)
@@ -176,25 +176,3 @@ def run_fig9d(
             "max_entries": summary.maximum,
         })
     return rows
-
-
-def main() -> None:
-    print_table(run_fig9a(),
-                ["switches", "protocol", "stretch_mean", "ci_low",
-                 "ci_high"],
-                "Fig 9(a): routing stretch vs network size")
-    print_table(run_fig9b(),
-                ["min_degree", "protocol", "stretch_mean", "ci_low",
-                 "ci_high"],
-                "Fig 9(b): routing stretch vs minimum degree")
-    print_table(run_fig9c(),
-                ["switches", "protocol", "stretch_mean"],
-                "Fig 9(c): GRED vs extended-GRED stretch")
-    print_table(run_fig9d(),
-                ["switches", "avg_entries", "ci_low", "ci_high",
-                 "max_entries"],
-                "Fig 9(d): forwarding-table entries per switch")
-
-
-if __name__ == "__main__":
-    main()

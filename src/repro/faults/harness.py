@@ -35,7 +35,7 @@ from ..core import GredNetwork
 from ..controlplane.southbound import RecordingChannel
 from ..controlplane.verification import verify_installed_state
 from ..edge import attach_uniform
-from ..obs import MetricsRegistry, default_registry, set_default_registry
+from ..obs import MetricsRegistry, default_registry, scoped_registry
 from ..simulation import LinkModel, PacketLevelSimulator
 from ..topology import brite_waxman_graph
 from ..workloads import uniform_retrieval_trace
@@ -131,6 +131,7 @@ def _faults_counters(registry: MetricsRegistry) -> Dict[str, float]:
     return registry.counter_values("faults.")
 
 
+@scoped_registry()
 def run_chaos(config: ChaosConfig) -> Dict:
     """Run one chaos experiment; returns the deterministic report.
 
@@ -138,17 +139,7 @@ def run_chaos(config: ChaosConfig) -> Dict:
     ``faults.*`` telemetry in the report is exactly this experiment's,
     and restores the previous registry on exit.
     """
-    previous = default_registry()
-    registry = MetricsRegistry(enabled=True)
-    set_default_registry(registry)
-    try:
-        return _run_chaos(config, registry)
-    finally:
-        set_default_registry(previous)
-
-
-def _run_chaos(config: ChaosConfig,
-               registry: MetricsRegistry) -> Dict:
+    registry = default_registry()
     # -- deployment -----------------------------------------------------
     topology, _ = brite_waxman_graph(
         config.switches, min_degree=config.min_degree,
@@ -249,7 +240,7 @@ def _run_chaos(config: ChaosConfig,
     registry.gauge("faults.hop_inflation").set(hop_inflation)
     violations = verify_installed_state(
         net.controller, fault_state=injector.state,
-        desired_plan=(net.controller._desired_plan()
+        desired_plan=(net.controller.desired_plan()
                       if transport is not None else None))
 
     return {

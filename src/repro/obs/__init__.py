@@ -26,7 +26,8 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from .clock import monotonic, now
 from .eventlog import Event, EventLevel, EventLog
@@ -81,6 +82,20 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _default_registry
     _default_registry = registry
     return previous
+
+
+@contextmanager
+def scoped_registry() -> Iterator[MetricsRegistry]:
+    """A fresh enabled registry as the default for the ``with`` body
+    (or, as ``@scoped_registry()``, for one call of the decorated
+    function); the previous default is restored on exit, so what the
+    body records is its own and nothing leaks."""
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_default_registry(previous)
 
 
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -147,6 +162,7 @@ __all__ = [
     "monotonic",
     "now",
     "render_prometheus",
+    "scoped_registry",
     "set_default_recorder",
     "set_default_registry",
     "spans",

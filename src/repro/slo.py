@@ -183,8 +183,7 @@ def _run_point(config: SloConfig, load_factor: float) -> Dict[str, Any]:
 
     from .obs import spans
 
-    previous = obs.set_default_registry(obs.MetricsRegistry())
-    try:
+    with obs.scoped_registry() as registry:
         # Setup (topology build + catalog placement) is not request
         # traffic: keep it out of the trace so sampled traces are all
         # virtual-time pipeline requests.
@@ -238,7 +237,6 @@ def _run_point(config: SloConfig, load_factor: float) -> Dict[str, Any]:
                 tally.ok += 1
                 if not outcome.deadline_missed:
                     tally.in_deadline_ok += 1
-        registry = obs.default_registry()
         # Burn rates: failure fraction over the error budget
         # (1 - objective).  >1 burns the budget faster than allowed.
         burn = {
@@ -289,8 +287,6 @@ def _run_point(config: SloConfig, load_factor: float) -> Dict[str, Any]:
             "breakers": pipeline.breakers.states(),
             "resilience_metrics": registry.counter_values("resilience."),
         }
-    finally:
-        obs.set_default_registry(previous)
 
 
 def run_loadtest(config: Optional[SloConfig] = None,

@@ -39,6 +39,20 @@ def reference_engine():
     patch.undo()
 
 
+@pytest.fixture(scope="session")
+def catalogued():
+    """``catalogued(name, rows)``: assert that every column the
+    experiment catalog prints for table ``name`` is a key of the rows
+    its runner returned — the guard that keeps ``gred experiment`` and
+    the benches from printing a blank column."""
+    from repro.experiments import TABLES
+
+    def check(name, rows):
+        assert set(TABLES[name].columns) <= rows[0].keys(), name
+
+    return check
+
+
 @pytest.fixture
 def rng():
     """A deterministic random generator per test."""

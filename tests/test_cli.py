@@ -222,6 +222,21 @@ class TestExperimentCommand:
         assert "# TYPE gred_controlplane_recomputes counter" in text
 
 
+    def test_experiment_runs_any_catalog_table(self, capsys):
+        # A4 had no `gred` spelling before the catalog.
+        code = main(["experiment", "A4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "== A4: classical MDS vs SMACOF ==" in out
+        assert "smacof" in out
+
+    def test_experiment_runs_a_group(self, capsys):
+        code = main(["experiment", "fig7"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("Fig 7(a)") < out.index("Fig 7(b)")
+
+
 class TestLoadtest:
     def test_quick_run_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "slo.json")
@@ -232,6 +247,16 @@ class TestLoadtest:
             report = json.load(handle)
         assert report["format"] == "gred-loadtest-v1"
         assert len(report["points"]) == 2
+        # The CLI's --quick flag overrides are SloConfig.quick().
+        import dataclasses
+
+        from repro.slo import SloConfig
+
+        quick = dataclasses.asdict(SloConfig.quick())
+        del quick["plan"]
+        assert {key: report["config"][key] for key in quick} == {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in quick.items()}
 
     def test_json_output(self, tmp_path, capsys):
         out = str(tmp_path / "slo.json")
@@ -472,3 +497,138 @@ class TestLoadtestTraceOut:
             report = json.load(handle)
         assert report["trace_summary"]["spans"] == len(spans)
         assert report["config"]["trace_sample_rate"] == 0.1
+
+
+@pytest.fixture
+def used_net_file(net_file, capsys):
+    """A snapshot that has seen placements and deletions, rewritten
+    compactly: the same deployment in different bytes, so a test can
+    tell that a command wrote it back (and wrote the same snapshot)."""
+    for i in range(6):
+        main(["place", "-n", net_file, f"item/{i}", "--entry", str(i),
+              "--payload", f'"p{i}"', "--copies", "2"])
+    for i in (2, 4):
+        main(["delete", "-n", net_file, f"item/{i}", "--copies", "2"])
+    capsys.readouterr()
+    with open(net_file) as handle:
+        canonical = handle.read()
+    with open(net_file, "w") as handle:
+        json.dump(json.loads(canonical), handle)
+    return net_file, canonical
+
+
+class TestReconcile:
+    def test_quick_writes_report_and_passes_gate(self, tmp_path, capsys):
+        out = str(tmp_path / "conv.json")
+        code = main(["reconcile", "--quick", "--max-divergence", "0",
+                     "-o", out])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "oracle match       : True" in stdout
+        assert stdout.endswith(f"wrote {out}\n")
+        with open(out) as handle:
+            report = json.load(handle)
+        assert report["format"] == "gred-convergence-v1"
+        assert (report["config"]["switches"],
+                report["config"]["events"]) == (24, 8)
+
+    def test_failed_gates_are_named_in_order(self, tmp_path, capsys,
+                                             monkeypatch):
+        out = str(tmp_path / "conv.json")
+        args = ["reconcile", "--quick", "--max-divergence", "-1",
+                "-o", out]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 0 switch(es) stay divergent")
+        assert err[0].endswith("--max-divergence gate -1")
+
+        with open(out) as handle:
+            doctored = json.load(handle)
+        doctored.update(oracle_match=False, mismatched_switches=[3],
+                        verifier_violations=2)
+        monkeypatch.setattr("repro.experiments.convergence."
+                            "run_convergence", lambda **_: doctored)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert "stay divergent after reconcile" in err[0]
+        assert err[1] == ("error: switches [3] diverge from the "
+                          "install_all_rules oracle")
+        assert err[2] == "error: 2 verifier violation(s) after reconcile"
+
+    def test_snapshot_mode(self, used_net_file, capsys):
+        net_file, canonical = used_net_file
+        code = main(["reconcile", "-n", net_file,
+                     "--max-divergence", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "divergent switches : 0" in out
+        assert "still divergent    : none" in out
+        assert "wrote" not in out
+        with open(net_file) as handle:
+            assert handle.read() == canonical  # written back, unchanged
+        code = main(["reconcile", "-n", net_file, "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
+        assert main(["reconcile", "-n", net_file,
+                     "--max-divergence", "-1"]) == 1
+        assert "--max-divergence gate -1" in capsys.readouterr().err
+
+
+class TestScrub:
+    def test_quick_writes_report_and_passes_gate(self, tmp_path, capsys):
+        out = str(tmp_path / "dur.json")
+        code = main(["scrub", "--quick", "--max-divergence", "0",
+                     "-o", out])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "oracle match       : True" in stdout
+        assert stdout.endswith(f"wrote {out}\n")
+        with open(out) as handle:
+            report = json.load(handle)
+        assert report["format"] == "gred-durability-v1"
+        assert (report["config"]["switches"], report["config"]["items"],
+                report["config"]["ops"]) == (24, 60, 40)
+
+    def test_failed_gates_are_named_in_order(self, tmp_path, capsys,
+                                             monkeypatch):
+        out = str(tmp_path / "dur.json")
+        args = ["scrub", "--quick", "--max-divergence", "-1", "-o", out]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 0 (server, range) pair(s) stay")
+        assert err[0].endswith("--max-divergence gate -1")
+
+        with open(out) as handle:
+            doctored = json.load(handle)
+        doctored.update(oracle_match=False, lost=["item-0001"])
+        monkeypatch.setattr("repro.experiments.durability."
+                            "run_durability", lambda **_: doctored)
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert "stay divergent after scrub" in err[0]
+        assert err[1] == (
+            "error: storage plane diverges from the fault-free oracle: "
+            "0 resurrected, 1 lost, 0 stale, 0 unavailable")
+
+    def test_snapshot_mode(self, used_net_file, capsys):
+        net_file, canonical = used_net_file
+        code = main(["scrub", "-n", net_file, "--max-divergence", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "repairs            : 0" in out
+        assert "still divergent    : 0" in out
+        assert "wrote" not in out
+        with open(net_file) as handle:
+            assert handle.read() == canonical  # written back, unchanged
+        code = main(["scrub", "-n", net_file, "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
+        assert main(["scrub", "-n", net_file,
+                     "--max-divergence", "-1"]) == 1
+        assert "--max-divergence gate -1" in capsys.readouterr().err

@@ -16,9 +16,10 @@ class TestMobility:
         assert four["mean_request_hops"] <= \
             one["mean_request_hops"] + 0.2
 
-    def test_row_shape(self):
+    def test_row_shape(self, catalogued):
         rows = run_mobility(copies_list=(2,), num_switches=20,
                             walk_length=5, working_set=5)
+        catalogued("X1", rows)
         assert len(rows) == 1
         assert rows[0]["mean_request_hops"] >= 0
 
@@ -42,17 +43,19 @@ class TestFailureAvailability:
         heavy = next(r for r in rows if r["failed_fraction"] == 0.4)
         assert heavy["availability"] <= light["availability"]
 
-    def test_availability_in_unit_interval(self):
+    def test_availability_in_unit_interval(self, catalogued):
         rows = run_failure_availability(
             copies_list=(2,), failure_fractions=(0.1,),
             num_switches=30, num_items=300,
         )
+        catalogued("X2", rows)
         assert 0.0 <= rows[0]["availability"] <= 1.0
 
 
 class TestStateStretchTradeoff:
-    def test_design_space_shape(self):
+    def test_design_space_shape(self, catalogued):
         rows = run_state_stretch_tradeoff(sizes=(30,), num_items=50)
+        catalogued("X3", rows)
         gred = next(r for r in rows if r["protocol"] == "GRED")
         chord = next(r for r in rows if r["protocol"] == "Chord")
         onehop = next(r for r in rows if r["protocol"] == "OneHop-CH")
@@ -84,10 +87,11 @@ class TestLinkUtilization:
             chord["total_link_traversals"] / 2
         assert gred["max_link_load"] <= chord["max_link_load"]
 
-    def test_mean_consistent_with_total(self):
+    def test_mean_consistent_with_total(self, catalogued):
         from repro.experiments import run_link_utilization
 
         rows = run_link_utilization(num_switches=20, num_requests=100)
+        catalogued("X4", rows)
         for row in rows:
             assert row["mean_link_load"] <= row["max_link_load"]
             assert row["links_used"] > 0
@@ -103,10 +107,11 @@ class TestControlChurn:
             assert row["avg_nodes_touched"] < row["population"] / 2
             assert row["avg_entries_changed"] > 0
 
-    def test_row_shape(self):
+    def test_row_shape(self, catalogued):
         from repro.experiments import run_control_churn
 
         rows = run_control_churn(num_switches=20, num_joins=2)
+        catalogued("X6", rows)
         assert {r["protocol"] for r in rows} == {"GRED", "Chord"}
 
 
@@ -122,23 +127,25 @@ class TestAdaptiveReplicationExperiment:
         assert row["adaptive_mean_hops"] <= row["static_mean_hops"]
         assert 0.0 <= row["storage_overhead"] < 3.0
 
-    def test_uniform_workload_no_regression(self):
+    def test_uniform_workload_no_regression(self, catalogued):
         from repro.experiments import run_adaptive_replication
 
         rows = run_adaptive_replication(
             zipf_exponents=(0.0,), num_switches=20, num_items=60,
             num_requests=600, promote_threshold=10,
         )
+        catalogued("X7", rows)
         row = rows[0]
         assert row["adaptive_mean_hops"] <= \
             row["static_mean_hops"] + 0.2
 
 
 class TestGhtComparison:
-    def test_gred_dominates_ght_on_stretch(self):
+    def test_gred_dominates_ght_on_stretch(self, catalogued):
         from repro.experiments import run_ght_comparison
 
         rows = run_ght_comparison(num_switches=30, num_items=120)
+        catalogued("X8", rows)
         for topology in ("unit-disk", "waxman"):
             at = [r for r in rows if r["topology"] == topology]
             ght = next(r for r in at if r["protocol"] == "GHT")
@@ -152,10 +159,11 @@ class TestGhtComparison:
 
 
 class TestTopologyFamilies:
-    def test_headline_results_hold_everywhere(self):
+    def test_headline_results_hold_everywhere(self, catalogued):
         from repro.experiments import run_topology_families
 
         rows = run_topology_families(num_items=50, load_items=8000)
+        catalogued("A5", rows)
         assert len(rows) == 5
         for row in rows:
             assert row["gred_stretch"] < 0.5 * row["chord_stretch"], \
@@ -166,11 +174,12 @@ class TestTopologyFamilies:
 
 
 class TestOverflowProtection:
-    def test_management_eliminates_rejections(self):
+    def test_management_eliminates_rejections(self, catalogued):
         from repro.experiments import run_overflow_protection
 
         rows = run_overflow_protection(small_fractions=(0.2,),
                                        num_switches=20, num_items=350)
+        catalogued("X9", rows)
         row = rows[0]
         assert row["rejected_unmanaged"] > 0
         assert row["rejected_managed"] < row["rejected_unmanaged"]

@@ -123,11 +123,12 @@ class TestPacketLevelSimulator:
 
 
 class TestSaturationExperiment:
-    def test_gred_degrades_slower_than_chord(self):
+    def test_gred_degrades_slower_than_chord(self, catalogued):
         from repro.experiments import run_saturation
 
         rows = run_saturation(rates_per_s=(500, 8000),
                               num_switches=25, window=0.05)
+        catalogued("X5", rows)
         def growth(protocol):
             low = next(r for r in rows
                        if r["protocol"] == protocol

@@ -115,10 +115,11 @@ class TestControllerBackend:
             Controller(g, attach_uniform(g.nodes(), 1),
                        config=ControllerConfig(embedding="bogus"))
 
-    def test_ablation_runner_shape(self):
+    def test_ablation_runner_shape(self, catalogued):
         from repro.experiments import run_embedding_methods
 
         rows = run_embedding_methods(sizes=(20,), num_items=30)
+        catalogued("A4", rows)
         methods = {r["embedding"] for r in rows}
         assert methods == {"classical", "smacof"}
         smacof_row = next(r for r in rows
