@@ -816,6 +816,9 @@ class FederatedNetwork:
     # ------------------------------------------------------------------
     def delete(self, data_id: str, copies: int = 1,
                entry_switch: Optional[int] = None) -> int:
+        from ..core.network import check_copies
+
+        check_copies(copies)
         entry = self._resolve_entry(entry_switch, None)
         removed = 0
         for i in range(copies):

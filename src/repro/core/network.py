@@ -208,6 +208,21 @@ def batch_front_door(net, data_ids: Sequence[str],
             positions_from_digests(digests))
 
 
+def _standdown(reason: str) -> None:
+    """One batch runs the scalar loop: count it where operators look
+    to answer "why did this batch run at scalar speed" — under a firing
+    gate's reason (the deployment) or a declined placement's (that
+    batch).  Returns ``None``, which is what a compiled body that
+    declines hands back."""
+    registry = default_registry()
+    if registry.enabled:
+        registry.counter(
+            "dataplane.fastpath_standdowns",
+            help="Batch requests degraded to the scalar path",
+            reason=reason.replace(" ", "_"),
+        ).inc()
+
+
 def _payload_size(payload: Any) -> Optional[int]:
     """Byte/element size of a payload for the size histogram, or
     ``None`` for unsized payloads."""
@@ -223,11 +238,10 @@ class _Routes:
     """What the batch route stage hands the batch bodies: one row per
     probe in columns, and one flat run of switch ids every trace is a
     slice of — no per-probe object.  ``dest[j] < 0`` marks a probe
-    that did not deliver; ``errors[j]`` is then the
-    :class:`ForwardingError` the reference engine would raise."""
+    that did not deliver (why is the scalar route stage's to say)."""
 
     __slots__ = ("dest", "serial", "overlay", "greedy", "vl", "relays",
-                 "tlen", "start", "known", "errors", "_traces")
+                 "tlen", "start", "known", "_traces")
 
     def __init__(self, count: int) -> None:
         self.dest = np.full(count, -1, dtype=np.int64)
@@ -236,7 +250,6 @@ class _Routes:
         #: False where the engine rejected the probe before fetching
         #: its counters (unknown entry): no decision mix at all.
         self.known = np.ones(count, dtype=bool)
-        self.errors: Dict[int, ForwardingError] = {}
         self._traces = [np.empty(0, dtype=np.int64)]
 
     def put(self, at: np.ndarray, dest, serial, overlay, greedy, vl,
@@ -273,11 +286,11 @@ class _Batch:
     flat entries, digest keys and a coherent fast-path ``state`` — left
     ``None`` when a gate stood the batch down (the caller then runs
     the scalar loop).  As a context manager around the compiled body
-    it flushes the tally exactly once, on whichever exit the body
-    takes (return, or a mid-batch ``ForwardingError`` / ``StorageFull``
-    / ``GredError``), so a batch that dies mid-way has reported what
-    the scalar loop would have by then — byte-equal, and each series
-    only if the scalar loop would have created it.
+    it flushes the tally exactly once when the body exits — byte-equal
+    to what the scalar loop reports, each series only if the loop
+    would have created it.  A placement batch that declines has
+    tallied nothing by then, so its flush is empty and the scalar loop
+    that follows reports alone.
     """
 
     def __init__(self, net: "GredNetwork", kind: PacketKind,
@@ -299,8 +312,8 @@ class _Batch:
         self.state = net._fast_state()
         self.registry = default_registry()
         #: ``[greedy, vl_starts, vl_relays]`` over every probe the
-        #: engine walked (a probe that then failed to route or to
-        #: store included); ``None`` until one enters it.
+        #: engine walked (a probe that then failed to route
+        #: included); ``None`` until one enters it.
         self.mix: Optional[List[int]] = None
         #: ``(item, route hops, overlay hops)`` per delivered probe.
         self.deliveries: List[Any] = []
@@ -368,24 +381,18 @@ class _Batch:
                     packed.waves)
             routes.put(base + missed, *packed.columns())
             routes.known[base + missed] = packed.known
-            if packed.errors or packed.hop_failures:
-                ids = [self.flat_ids[f] for f in missed_at.tolist()]
-                for j, error in packed.failures(ids, bound).items():
-                    routes.errors[base + int(missed[j])] = error
             if max_hops is None:
                 memo.insert(entries[missed], keys[missed], packed)
         return routes
 
-    def count_mix(self, routes: _Routes,
-                  walked: Optional[int] = None) -> None:
-        """Tally the decision mix of ``routes``' first ``walked``
-        probes (default: all).  The engine counts decisions as it
-        makes them, so a probe that then fails to route, or to store,
-        has still reported its mix."""
-        known = routes.known[:walked]
+    def count_mix(self, routes: _Routes) -> None:
+        """Tally the decision mix of ``routes``.  The engine counts
+        decisions as it makes them, so a probe that then fails to
+        route has still reported its mix."""
+        known = routes.known
         if known.any():
             self.mix = [
-                total + int(column[:walked][known].sum())
+                total + int(column[known].sum())
                 for total, column in zip(
                     self.mix or (0, 0, 0),
                     (routes.greedy, routes.vl, routes.relays))]
@@ -1100,14 +1107,8 @@ class GredNetwork:
         not vectorized).  Telemetry does *not* force the fallback:
         every path emits the same aggregates."""
         reasons = batch_fastpath_blockers(self)
-        registry = default_registry()
-        if registry.enabled:
-            for reason in reasons:
-                registry.counter(
-                    "dataplane.fastpath_standdowns",
-                    help="Batch requests degraded to the scalar path",
-                    reason=reason.replace(" ", "_"),
-                ).inc()
+        for reason in reasons:
+            _standdown(reason)
         return bool(reasons)
 
     def _fast_hop(self, state: Optional[_FastPathState], source: int,
@@ -1216,11 +1217,21 @@ class GredNetwork:
         replica, reused for position and server selection) and routed
         through the compiled router with an epoch-scoped route cache.
         Per-request results are byte-identical to the scalar loop
-        under the same ``rng``.  While a ``FASTPATH_GATES`` predicate
-        fires (see :meth:`_batch_standdown`) the batch transparently
-        degrades to that loop, on the reference engine, so fault
-        handling stays exact; telemetry does not degrade it — the
-        batch emits the scalar loop's aggregates itself.
+        under the same ``rng``.
+
+        There are two bodies and nothing in between: the grouped store
+        (:meth:`_grouped_store`: every copy routed in waves, one bulk
+        write per target server) or that scalar loop.  The loop runs
+        while a ``FASTPATH_GATES`` predicate fires (see
+        :meth:`_batch_standdown`; on the reference engine, so fault
+        handling stays exact) and whenever the grouped store declines
+        this batch because it could fail mid-way — an unroutable copy,
+        a crashed target server, a bounded target that may lack room.
+        A stored prefix, hinted handoff and the mid-batch raise are
+        therefore written once, in the loop;
+        ``dataplane.fastpath_standdowns{reason=...}`` says which batch
+        took it and why.  Telemetry never selects the body: the grouped
+        store emits the scalar loop's aggregates itself.
 
         Parameters
         ----------
@@ -1242,146 +1253,121 @@ class GredNetwork:
         """
         batch = _Batch(self, PacketKind.PLACEMENT, data_ids,
                        entry_switches, copies, rng, digests, payloads)
+        if batch.state is not None:
+            with batch:
+                results = self._grouped_store(batch, payloads, copies)
+            if results is not None:
+                return results
+        return [
+            self.place(data_id,
+                       None if payloads is None else payloads[i],
+                       batch.entries[i], copies)
+            for i, data_id in enumerate(batch.data_ids)
+        ]
+
+    def _grouped_store(self, batch: _Batch,
+                       payloads: Optional[Sequence[Any]], copies: int
+                       ) -> Optional[List[PlacementResult]]:
+        """The compiled body of :meth:`place_many`: route every copy,
+        resolve each *distinct* delivery ``(switch, serial)`` through
+        :meth:`_serving` once, store server by server in bulk and build
+        the records straight from the route columns.
+
+        It carries only what cannot fail.  Returns ``None`` — declined,
+        before any side effect (nothing stored, no stamp taken, nothing
+        tallied) — when this batch could: a route did not deliver, a
+        target server is down under the attached fault state, or a
+        bounded target may lack room for its whole group.  Stored
+        prefixes, hinted handoff, ``StorageFull`` ordering and the
+        mid-batch raise are the scalar loop's alone.
+        """
         data_ids, entries, flat_ids = \
             batch.data_ids, batch.entries, batch.flat_ids
-        state = batch.state
-        if state is None:
-            return [
-                self.place(data_id,
-                           None if payloads is None else payloads[i],
-                           entries[i], copies)
-                for i, data_id in enumerate(data_ids)
-            ]
-        telemetry = batch.registry.enabled
+        if not flat_ids:
+            return []
+        routes = batch.route(np.arange(len(flat_ids)))
+        if (routes.dest < 0).any():
+            return _standdown("route_failed")
+        # A delivery is decided by a forwarding entry, not by an item:
+        # at most ``switches x s`` of them however large the batch.
+        width = int(routes.serial.max()) + 1
+        keys, which = np.unique(routes.dest * width + routes.serial,
+                                return_inverse=True)
+        servings = [self._serving(batch.state, *divmod(key, width))
+                    for key in keys.tolist()]
+        targets = [home if takeover is None else takeover
+                   for home, _, takeover, _ in servings]
+        server_ids = [target.server_id for target in targets]
+        fault = self.fault_state
+        if fault is not None and not all(map(fault.server_alive,
+                                             server_ids)):
+            return _standdown("target_down")
+        # Grouped by *target server*, not by delivery: an extension can
+        # redirect one delivery into the home of another, and only the
+        # stable grouping on the target keeps each server's insertion
+        # order the loop's.
+        slots = {server_id: u for u, server_id in enumerate(server_ids)}
+        slot = np.asarray([slots[server_id] for server_id in server_ids],
+                          dtype=np.intp)[which]
+        order = np.argsort(slot, kind="stable")
+        groups = [(targets[slot[group[0]]], group.tolist())
+                  for group in np.split(
+                      order, np.flatnonzero(np.diff(slot[order])) + 1)]
+        for target, flats in groups:
+            if target.capacity is not None and \
+                    target.load + len(flats) > target.capacity:
+                return _standdown("target_full")
+        stamps = None
+        if fault is not None:
+            # The stamps the loop would take: one per item in request
+            # order, shared by the item's copies.
+            stamps = [(self.write_version + i + 1, entry)
+                      for i, entry in enumerate(entries)]
+            self.write_version += len(entries)
+        for target, flats in groups:
+            target.store_many(
+                [flat_ids[f] for f in flats],
+                None if payloads is None else
+                [payloads[f // copies] for f in flats],
+                None if stamps is None else
+                [stamps[f // copies] for f in flats])
+        served = [(server_id, extra, takeover is not None)
+                  for server_id, (_, _, takeover, extra)
+                  in zip(server_ids, servings)]
+        dests, _, overlays, starts, ends, traces = routes.lists()
+        which = which.tolist()
+        records: List[PlacementRecord] = []
+        # The one per-copy loop of a cached batch.  Positional, in
+        # field order (id, entry, destination, server, physical hops,
+        # overlay hops, trace, extended): keywords cost 0.4 us a
+        # record, a tenth of a hot placement.
+        for copy_id, entry, dest, overlay, start, end, u in zip(
+                flat_ids, batch.flat_entries.tolist(), dests, overlays,
+                starts, ends, which):
+            server_id, extra, extended = served[u]
+            records.append(PlacementRecord(
+                copy_id, entry, dest, server_id, end - start - 1 + extra,
+                overlay, traces[start:end], extended))
+        if batch.registry.enabled:
+            batch.count_mix(routes)
+            for flat, (record, u) in enumerate(zip(records, which)):
+                batch.routed(flat // copies, record.trace,
+                             record.overlay_hops, servings[u][1])
+                batch.placed(flat, record, None if payloads is None
+                             else payloads[flat // copies])
         recorder = default_span_recorder()
-        results: List[PlacementResult] = []
-        with batch:
-            routes = batch.route(np.arange(len(flat_ids)))
-            # Grouped storage: when every route delivered, no extension
-            # is installed anywhere, every target server is unbounded
-            # and no fault state wants stamps, the per-item store step
-            # collapses to one bulk dict update per server (identical
-            # storage state — the stable grouping preserves each
-            # server's insertion order).
-            stored = self._grouped_store(
-                routes, flat_ids, payloads, copies,
-                self.controller.switches, self.server_map)
-            dests, serials, overlays, starts, ends, traces = \
-                routes.lists()
-            faulted = self.fault_state is not None
-            walked = 0
-            try:
-                for i, data_id in enumerate(data_ids):
-                    payload = (payloads[i] if payloads is not None
-                               else None)
-                    entry = entries[i]
-                    # Stamped where the scalar loop stamps: in request
-                    # order, before the item's first copy can raise.
-                    stamp = self._op_stamp(entry) if faulted else None
-                    records: List[PlacementRecord] = []
-                    for flat in range(i * copies, (i + 1) * copies):
-                        walked = flat + 1
-                        copy_id = flat_ids[flat]
-                        dest = dests[flat]
-                        if dest < 0:
-                            if not (faulted and self.hinted_handoff):
-                                # Like the scalar loop, raise mid-batch:
-                                # items before this one stay stored and
-                                # counted, the rest are not placed.
-                                raise routes.errors[flat]
-                            records.append(self._hinted_record(
-                                copy_id, payload, entry, stamp, NULL_SPAN))
-                            continue
-                        trace = traces[starts[flat]:ends[flat]]
-                        overlay = overlays[flat]
-                        if stored is not None:
-                            # Already bulk-stored on the ``H(d) mod s``
-                            # server; no extension anywhere.
-                            if telemetry:
-                                batch.routed(i, trace, overlay, None)
-                            record = PlacementRecord(
-                                data_id=copy_id, entry_switch=entry,
-                                destination_switch=dest,
-                                server_id=(dest, serials[flat]),
-                                physical_hops=len(trace) - 1,
-                                overlay_hops=overlay, trace=trace,
-                                extended=False)
-                        else:
-                            serving = self._serving(state, dest,
-                                                    serials[flat])
-                            if telemetry:
-                                batch.routed(i, trace, overlay,
-                                             serving[1])
-                            record = self._store(
-                                serving, copy_id, payload, entry, stamp,
-                                trace, overlay, dest, NULL_SPAN)
-                        if telemetry and not record.hinted:
-                            batch.placed(flat, record, payload)
-                        if recorder is not None:
-                            self._record_exemplar(
-                                recorder, "request.place", copy_id,
-                                trace, entry=entry, destination=dest,
-                                server=record.server_id,
-                                physical_hops=record.physical_hops,
-                                extended=record.extended)
-                        records.append(record)
-                    results.append(PlacementResult(data_id=data_id,
-                                                   records=records))
-            finally:
-                if telemetry:
-                    # Every probe reached so far — the one that raised
-                    # included — has reported its mix.
-                    batch.count_mix(routes, walked)
-        return results
-
-    def _grouped_store(self, routes: _Routes,
-                       flat_ids: Sequence[str],
-                       payloads: Optional[Sequence[Any]],
-                       copies: int, switches, server_map
-                       ) -> Optional[Dict[Any, EdgeServer]]:
-        """Bulk-store a fully-delivered batch server by server.
-
-        Returns the ``(switch, serial) -> server`` map of stored-to
-        servers, or ``None`` when the batch must take the per-item
-        path: any routing error (the scalar loop raises mid-batch,
-        storing only the prefix), an attached fault state (per-item
-        stamps, liveness, hinted handoff), any installed range
-        extension (per-delivery rewrite decisions), or any bounded
-        target server (per-id ``StorageFull`` ordering).  The stable
-        grouping sort preserves each server's item insertion order, so
-        the storage state is byte-identical to sequential ``store``s.
-        """
-        dest, serial = routes.dest, routes.serial
-        if not dest.size:
-            return {}
-        if routes.errors or self.fault_state is not None:
-            return None
-        for switch in switches.values():
-            if switch.table.has_extensions():
-                return None
-        combined = dest * (int(serial.max()) + 1) + serial
-        order = np.argsort(combined, kind="stable")
-        ordered = combined[order]
-        groups = np.split(order,
-                          (np.flatnonzero(np.diff(ordered)) + 1))
-        plan = []
-        servers: Dict[Any, EdgeServer] = {}
-        for group in groups:
-            first = int(group[0])
-            d = int(dest[first])
-            s = int(serial[first])
-            server = server_map[d][s]
-            if server.capacity is not None:
-                return None
-            servers[(d, s)] = server
-            plan.append((server, group))
-        for server, group in plan:
-            flats = group.tolist()
-            ids = [flat_ids[f] for f in flats]
-            group_payloads = (None if payloads is None else
-                              [payloads[f // copies] for f in flats])
-            server.store_many(ids, group_payloads)
-        return servers
+        if recorder is not None:
+            for record in records:
+                self._record_exemplar(
+                    recorder, "request.place", record.data_id,
+                    record.trace, entry=record.entry_switch,
+                    destination=record.destination_switch,
+                    server=record.server_id,
+                    physical_hops=record.physical_hops,
+                    extended=record.extended)
+        return [PlacementResult(data_id, records[at:at + copies])
+                for data_id, at in zip(
+                    data_ids, range(0, len(records), copies))]
 
     def retrieve_many(
         self,
@@ -1506,6 +1492,7 @@ class GredNetwork:
         :attr:`hinted_handoff`, parked as a delete hint) rather than
         aborting the remaining copies mid-loop.
         """
+        check_copies(copies)
         removed = 0
         entry = self._resolve_entry(entry_switch, None)
         fault = self.fault_state

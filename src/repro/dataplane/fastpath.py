@@ -24,10 +24,13 @@ facade's scalar route stage (``place`` / ``retrieve`` / ``route_for``)
 runs; :meth:`route_batch` advances a whole batch in switch-grouped
 *waves* — every request parked at the same switch shares one vectorized
 candidate evaluation — which amortizes the per-hop decision to a few
-numpy operations per group.  There is one scalar loop,
-:meth:`CompiledRouter._walk`: ``route`` starts it at the entry switch,
-and the wave router hands it the last few in-flight requests of a
-batch mid-route.
+numpy operations per group.  A wave carries only what cannot fail.
+There is one scalar loop, :meth:`CompiledRouter._walk`: ``route``
+starts it at the entry switch, and the wave router hands it, mid-route,
+the last few in-flight requests of a batch and every request it cannot
+advance exactly (a switch without servers, a neighbor or relay chain
+the plane lacks, the hop bound) — so each routing failure is decided,
+and worded, in the walker and nowhere else.
 
 The router is rebuilt when the control plane recomputes (callers key it
 on :attr:`Controller.epoch`) and patched row by row on scoped events
@@ -203,13 +206,14 @@ class _FlatPlane:
     gather yields the candidate block of all in-flight requests at
     once.  Pad cells carry ``+inf`` positions (their squared distance
     can never win the argmin against a finite target) and kind 2 /
-    nid -1 sentinels.
+    nid -1 sentinels.  ``ns`` is the server count a request parked on
+    the row can be delivered to: zero on a relay-only switch.
     """
 
-    __slots__ = ("sid_sorted", "sid", "ox", "oy", "in_dt", "ns",
+    __slots__ = ("sid_sorted", "sid", "ox", "oy", "ns",
                  "cx", "cy", "kind", "nid", "nrow",
                  "chain_off", "chain_len", "chain_err",
-                 "chain_sids", "chain_errors", "chains_built")
+                 "chain_sids", "chains_built")
 
     def __init__(self, states: Dict[int, _CompiledSwitch]) -> None:
         sids = sorted(states)
@@ -221,7 +225,6 @@ class _FlatPlane:
         self.sid = self.sid_sorted
         self.ox = np.empty(n, dtype=np.float64)
         self.oy = np.empty(n, dtype=np.float64)
-        self.in_dt = np.empty(n, dtype=bool)
         self.ns = np.empty(n, dtype=np.int64)
         self.cx = np.full((n, width), np.inf, dtype=np.float64)
         self.cy = np.full((n, width), np.inf, dtype=np.float64)
@@ -233,8 +236,7 @@ class _FlatPlane:
             state = states[sid]
             self.ox[r] = state.x
             self.oy[r] = state.y
-            self.in_dt[r] = state.in_dt
-            self.ns[r] = max(state.num_servers, 0)
+            self.ns[r] = state.num_servers if state.in_dt else 0
             for c, (x, y, kind, nid) in enumerate(state.cands):
                 self.cx[r, c] = x
                 self.cy[r, c] = y
@@ -270,32 +272,27 @@ class _FlatPlane:
         self.chain_len = None
         self.chain_err = None
         self.chain_sids = None
-        self.chain_errors = None
         self.chains_built = False
 
     def attach_chains(self, resolver) -> None:
         """Resolve every virtual-link cell's relay chain into CSR
         arrays (``chain_off``/``chain_len`` index a flat ``chain_sids``
         run) so wave dispatch crosses virtual links without leaving
-        numpy.  Resolution failures are recorded per cell in
-        ``chain_err`` (an index into ``chain_errors``) and surfaced
-        only when a request actually crosses that cell — exactly the
-        behavior of the lazy per-request resolution this replaces."""
+        numpy.  A cell whose resolution fails is only flagged in
+        ``chain_err``: the wave router hands a request that crosses it
+        to the scalar walker, which resolves it again and raises —
+        exactly the behavior of lazy per-request resolution."""
         n, width = self.kind.shape
         off = np.full((n, width), -1, dtype=np.int64)
         length = np.zeros((n, width), dtype=np.int64)
-        err = np.full((n, width), -1, dtype=np.int64)
+        err = np.zeros((n, width), dtype=np.int64)
         sids: List[int] = []
-        failures: List[Tuple[str, tuple]] = []
         vl_rows, vl_cols = np.nonzero(self.kind == 1)
         for r, c in zip(vl_rows.tolist(), vl_cols.tolist()):
-            src = int(self.sid[r])
-            dst = int(self.nid[r, c])
             try:
-                chain = resolver(src, dst)
-            except _RouteFailure as failure:
-                err[r, c] = len(failures)
-                failures.append(failure.args)
+                chain = resolver(int(self.sid[r]), int(self.nid[r, c]))
+            except _RouteFailure:
+                err[r, c] = 1
                 continue
             off[r, c] = len(sids)
             length[r, c] = len(chain)
@@ -304,7 +301,6 @@ class _FlatPlane:
         self.chain_len = length
         self.chain_err = err
         self.chain_sids = np.asarray(sids, dtype=np.int64)
-        self.chain_errors = failures
         self.chains_built = True
 
 
@@ -461,22 +457,6 @@ class _PackedRoutes:
         return (self.dest, self.serial, self.overlay, self.greedy,
                 self.vl, self.relays, self.tlen, self.trace_flat)
 
-    def failures(self, data_ids: Sequence[str],
-                 max_hops: int) -> Dict[int, ForwardingError]:
-        """``request index -> ForwardingError`` of every request that
-        did not deliver: the exact error :meth:`CompiledRouter.route`
-        would have raised."""
-        failed = {j: ForwardingError(_error_text(code, args, data_ids[j]))
-                  for j, code, args in self.errors}
-        off = self.off
-        for j in self.hop_failures:
-            failed[j] = ForwardingError(_error_text(
-                "hop_bound",
-                (max_hops,
-                 self.trace_flat[off[j]:off[j + 1] - 1].tolist()),
-                data_ids[j]))
-        return failed
-
     def materialize(self, data_ids: Sequence[str],
                     max_hops: int) -> List[RouteOutcome]:
         """The list view of the packed arrays (tests and the traced
@@ -485,10 +465,16 @@ class _PackedRoutes:
         overlay_hops, destination, serial, decision mix)`` tuples or
         the exact :class:`ForwardingError` it would have raised."""
         results: List[Optional[RouteOutcome]] = [None] * self.k
-        for j, error in self.failures(data_ids, max_hops).items():
-            results[j] = error
+        for j, code, args in self.errors:
+            results[j] = ForwardingError(
+                _error_text(code, args, data_ids[j]))
         flat_list = self.trace_flat.tolist()
         off = self.off.tolist()
+        for j in self.hop_failures:
+            results[j] = ForwardingError(_error_text(
+                "hop_bound",
+                (max_hops, flat_list[off[j]:off[j + 1] - 1]),
+                data_ids[j]))
         for j, (d, serial, overlay, *mix) in enumerate(zip(
                 self.dest.tolist(), self.serial.tolist(),
                 self.overlay.tolist(), self.greedy.tolist(),
@@ -537,24 +523,21 @@ def _route_batch_packed(flat: _FlatPlane, walk,
 
     Needs only the plane and the request arrays (entries, positions,
     64-bit digest serials) — no request ids — and returns a
-    :class:`_PackedRoutes`.  Once fewer than :data:`_WAVE_MIN_ACTIVE`
-    requests are in flight the stragglers finish on ``walk`` (the
+    :class:`_PackedRoutes`.  A wave takes the healthy step only:
+    candidate argmin, tie rule, then deliver, step to a physical
+    neighbor or cross a whole relay chain.  Every request it cannot
+    advance exactly — and, once fewer than :data:`_WAVE_MIN_ACTIVE`
+    are in flight, every straggler — finishes on ``walk`` (the
     router's :meth:`CompiledRouter._walk`, the loop every scalar
-    request runs) from the switch where they stand, with the hop count
-    the waves accumulated.
+    request runs) from the switch where it stands, with the hop count
+    the waves accumulated: the walker decides, and words, every
+    routing failure but an unknown entry switch.
     """
     k = int(entries_arr.size)
     packed = _PackedRoutes(k)
-    dest = packed.dest
-    serial = packed.serial
-    servers = packed.servers
-    overlay = packed.overlay
-    g_arr = packed.greedy
-    v_arr = packed.vl
-    r_arr = packed.relays
-    tlen = packed.tlen
-    errors = packed.errors
-    hop_failures = packed.hop_failures
+    dest, serial, servers = packed.dest, packed.serial, packed.servers
+    overlay, tlen = packed.overlay, packed.tlen
+    g_arr, v_arr, r_arr = packed.greedy, packed.vl, packed.relays
     hops = np.zeros(k, dtype=np.int64)
     segs: List[tuple] = []
     scratch = [np.empty((min(k, _WAVE_BLOCK_ROWS), flat.cx.shape[1]))
@@ -575,56 +558,55 @@ def _route_batch_packed(flat: _FlatPlane, walk,
         active = np.flatnonzero(known)
         for j, entry in zip(np.flatnonzero(~known).tolist(),
                             entries_arr[~known].tolist()):
-            errors.append((j, "entry", (entry,)))
+            packed.errors.append((j, "entry", (entry,)))
+
+    def finish_on_walker(idx: np.ndarray) -> None:
+        """Requests ``idx`` leave the waves: the scalar walker takes
+        each from where it stands (same outcome, no re-walk) and its
+        verdict — delivery, or the failure with the partial mix and
+        trace up to it — lands in the packed arrays."""
+        for j, sid, hop, px, py, su64 in zip(
+                idx.tolist(), flat.sid[current[idx]].tolist(),
+                hops[idx].tolist(), pxs[idx].tolist(),
+                pys[idx].tolist(), serial_u64s[idx].tolist()):
+            trace = [sid]
+            stats = [0, 0, 0]
+            try:
+                hops_over, dest[j], serial[j] = walk(
+                    trace, hop, px, py, su64, max_hops, stats)
+                overlay[j] += hops_over
+            except _RouteFailure as failure:
+                code, args = failure.args
+                if code == "hop_bound":
+                    # Formatted at materialize time: the message
+                    # needs the wave prefix of the trace too.
+                    packed.hop_failures.append(j)
+                else:
+                    packed.errors.append((j, code, args))
+            g_arr[j] += stats[0]
+            v_arr[j] += stats[1]
+            r_arr[j] += stats[2]
+            if len(trace) > 1:
+                segs.append((2, j, trace[1:]))
+                tlen[j] += len(trace) - 1
+        done = idx[dest[idx] >= 0]
+        servers[done] = flat.ns[
+            np.searchsorted(flat.sid_sorted, dest[done])]
+
+    width = flat.kind.shape[1]
+    kind_of, nrow_of, chain_len_of, chain_err_of, chain_off_of = (
+        plane.ravel() for plane in (flat.kind, flat.nrow, flat.chain_len,
+                                    flat.chain_err, flat.chain_off))
     while active.size:
-        packed.waves += 1
         if active.size < _WAVE_MIN_ACTIVE:
             # Stragglers: whole-plane numpy dispatch no longer
-            # amortizes — the scalar walker finishes them from where
-            # they stand (same outcome, no re-walk).
-            for j, sid, hop, px, py, su64 in zip(
-                    active.tolist(), flat.sid[current[active]].tolist(),
-                    hops[active].tolist(), pxs[active].tolist(),
-                    pys[active].tolist(), serial_u64s[active].tolist()):
-                trace = [sid]
-                stats = [0, 0, 0]
-                try:
-                    hops_over, dest[j], serial[j] = walk(
-                        trace, hop, px, py, su64, max_hops, stats)
-                    overlay[j] += hops_over
-                except _RouteFailure as failure:
-                    code, args = failure.args
-                    if code == "hop_bound":
-                        # Formatted at materialize time: the message
-                        # needs the wave prefix of the trace too.
-                        hop_failures.append(j)
-                    else:
-                        errors.append((j, code, args))
-                g_arr[j] += stats[0]
-                v_arr[j] += stats[1]
-                r_arr[j] += stats[2]
-                if len(trace) > 1:
-                    segs.append((2, j, trace[1:]))
-                    tlen[j] += len(trace) - 1
-            done = active[dest[active] >= 0]
-            servers[done] = flat.ns[
-                np.searchsorted(flat.sid_sorted, dest[done])]
+            # amortizes over a handful of requests.
+            packed.waves += 1
+            finish_on_walker(active)
             break
         rows = current[active]
         tx = pxs[active]
         ty = pys[active]
-        in_dt = flat.in_dt[rows]
-        if not in_dt.all():
-            stuck = active[~in_dt]
-            for j, sid in zip(stuck.tolist(),
-                              flat.sid[rows[~in_dt]].tolist()):
-                errors.append((j, "relay_only", (sid,)))
-            active = active[in_dt]
-            if not active.size:
-                break
-            rows = rows[in_dt]
-            tx = tx[in_dt]
-            ty = ty[in_dt]
         ox = flat.ox[rows]
         oy = flat.oy[rows]
         dx = ox - tx
@@ -643,149 +625,66 @@ def _route_batch_packed(flat: _FlatPlane, walk,
             by = flat.cy[rows[t], best[t]]
             improved[t] |= (bx < ox[t]) | (
                 (bx == ox[t]) & (by <= oy[t]))
-        if not improved.all():
-            keep = ~improved
-            stay = active[keep]
-            ns = flat.ns[rows[keep]]
-            sids_stay = flat.sid[rows[keep]]
+        # Three healthy moves: deliver here (no candidate improves),
+        # step to a physical neighbor, or cross a virtual link's whole
+        # relay chain — 0, 1 or chain-length hops.
+        cell = rows * width + best
+        kinds = kind_of[cell]
+        nrows = nrow_of[cell]
+        ns = flat.ns[rows]
+        vl = np.flatnonzero(improved & (kinds == 1))
+        vl_cell = cell[vl]
+        clen = chain_len_of[vl_cell]
+        steps = improved.astype(np.int64)
+        steps[vl] = clen
+        # A wave advances only what cannot fail.  Parked on a switch
+        # without servers (relay-only, or about to deliver to nobody),
+        # forwarding to a switch the plane lacks, crossing a chain that
+        # does not resolve, or stepping past the hop bound: the walker
+        # re-decides those from where they stand, so each failure
+        # (message, partial mix, trace) is written once — and the
+        # wave, rarely cut short like this, starts over without them.
+        odd = ns == 0
+        odd |= improved & (nrows < 0)
+        odd[vl] |= chain_err_of[vl_cell] != 0
+        odd |= hops[active] + steps > max_hops
+        if odd.any():
+            finish_on_walker(active[odd])
+            active = active[~odd]
+            continue
+        packed.waves += 1
+        stay = np.flatnonzero(~improved)
+        if stay.size:
+            sj = active[stay]
+            dest[sj] = flat.sid[rows[stay]]
             # ns is int64 (dtype invariant) but the modulo must stay
             # exact uint64 arithmetic: int64 % uint64 would promote
             # to float64 and corrupt serials above 2**53.
-            serials_stay = (serial_u64s[stay] %
-                            np.maximum(ns, 1).astype(np.uint64)
-                            ).astype(np.int64)
-            empty = ns == 0
-            if empty.any():
-                good = ~empty
-                ok_stay = stay[good]
-                dest[ok_stay] = sids_stay[good]
-                serial[ok_stay] = serials_stay[good]
-                servers[ok_stay] = ns[good]
-                for j, sid in zip(stay[empty].tolist(),
-                                  sids_stay[empty].tolist()):
-                    errors.append((j, "no_servers", (sid,)))
-            else:
-                dest[stay] = sids_stay
-                serial[stay] = serials_stay
-                servers[stay] = ns
-            if not improved.any():
-                break
-            moved = active[improved]
-            rows_m = rows[improved]
-            best_m = best[improved]
-        else:
-            moved = active
-            rows_m = rows
-            best_m = best
-        overlay[moved] += 1
-        kinds = flat.kind[rows_m, best_m]
-        nrows = flat.nrow[rows_m, best_m]
-        phys = kinds == 0
-        if phys.all():
-            pj, prow = moved, nrows
-            vl = None
-        elif not phys.any():
-            pj = prow = None
-            vl = ~phys
-        else:
-            pj = moved[phys]
-            prow = nrows[phys]
-            vl = ~phys
-        phys_ok: Optional[np.ndarray] = None
-        if pj is not None and pj.size:
-            # Engine counts a greedy forward at decision time, before
-            # the unknown-neighbor/hop-bound checks.
+            count = servers[sj] = ns[stay]
+            serial[sj] = (serial_u64s[sj] % count.astype(np.uint64)
+                          ).astype(np.int64)
+        # The engine counts a greedy forward / a vl start at decision
+        # time and a relay per chain step after the first.
+        phys = np.flatnonzero(improved & (kinds == 0))
+        pj = active[phys]
+        if pj.size:
+            current[pj] = nrows[phys]
+            overlay[pj] += 1
             g_arr[pj] += 1
-            walked = hops[pj] + 1
-            if prow.min() >= 0 and not walked.max() > max_hops:
-                current[pj] = prow
-                hops[pj] = walked
-                segs.append((0, pj, flat.sid[prow]))
-                tlen[pj] += 1
-                phys_ok = pj
-            else:
-                # Unknown neighbor or hop-bound breach somewhere in
-                # this wave: take the exact per-request path.
-                current[pj] = np.maximum(prow, 0)
-                hops[pj] = walked
-                src_rows = rows_m[phys] if vl is not None else rows_m
-                nids_all = flat.nid[rows_m, best_m]
-                pn = nids_all[phys] if vl is not None else nids_all
-                ok: List[int] = []
-                step_idx: List[int] = []
-                step_sid: List[int] = []
-                exceeded = (walked > max_hops).tolist()
-                for j, src, nxt, nrow, exc in zip(
-                        pj.tolist(), flat.sid[src_rows].tolist(),
-                        pn.tolist(), prow.tolist(), exceeded):
-                    if nrow < 0:
-                        errors.append((j, "unknown_fwd", (src, nxt)))
-                        continue
-                    step_idx.append(j)
-                    step_sid.append(nxt)
-                    if exc:
-                        hop_failures.append(j)
-                    else:
-                        ok.append(j)
-                if step_idx:
-                    idx_arr = np.asarray(step_idx, dtype=np.int64)
-                    segs.append((0, idx_arr,
-                                 np.asarray(step_sid, dtype=np.int64)))
-                    tlen[idx_arr] += 1
-                phys_ok = np.asarray(ok, dtype=np.int64)
-        vl_ok: Optional[np.ndarray] = None
-        if vl is not None:
-            vj = moved[vl]
-            if vj.size:
-                # Engine counts the vl start at decision time, before
-                # chain resolution can fail.
-                v_arr[vj] += 1
-                rows_v = rows_m[vl]
-                best_v = best_m[vl]
-                coff = flat.chain_off[rows_v, best_v]
-                clen = flat.chain_len[rows_v, best_v]
-                cerr = flat.chain_err[rows_v, best_v]
-                nrow_v = nrows[vl]
-                good = cerr < 0
-                if not good.all():
-                    for j, ei in zip(vj[~good].tolist(),
-                                     cerr[~good].tolist()):
-                        errors.append((j,) + flat.chain_errors[ei])
-                budget = hops[vj] + clen
-                ok_m = good & (budget <= max_hops)
-                exc_m = good & ~ok_m
-                if ok_m.any():
-                    oj = vj[ok_m]
-                    segs.append((1, oj, coff[ok_m], clen[ok_m],
-                                 flat.chain_sids))
-                    tlen[oj] += clen[ok_m]
-                    hops[oj] = budget[ok_m]
-                    current[oj] = nrow_v[ok_m]
-                    r_arr[oj] += clen[ok_m] - 1
-                    vl_ok = oj
-                if exc_m.any():
-                    # The scalar walker appends relays one by one and
-                    # raises at the breaching step — keep exactly the
-                    # relays up to and including the breach.
-                    ej = vj[exc_m]
-                    part = max_hops - hops[ej] + 1
-                    segs.append((1, ej, coff[exc_m], part,
-                                 flat.chain_sids))
-                    tlen[ej] += part
-                    hops[ej] += part
-                    r_arr[ej] += part - 1
-                    hop_failures.extend(ej.tolist())
-        parts = []
-        if phys_ok is not None and phys_ok.size:
-            parts.append(phys_ok)
-        if vl_ok is not None and vl_ok.size:
-            parts.append(vl_ok)
-        if len(parts) == 2:
-            active = np.concatenate(parts)
-        elif parts:
-            active = parts[0]
-        else:
-            active = np.empty(0, dtype=np.int64)
+            hops[pj] += 1
+            tlen[pj] += 1
+            segs.append((0, pj, flat.sid[current[pj]]))
+        vj = active[vl]
+        if vj.size:
+            current[vj] = nrows[vl]
+            overlay[vj] += 1
+            v_arr[vj] += 1
+            r_arr[vj] += clen - 1
+            hops[vj] += clen
+            tlen[vj] += clen
+            segs.append((1, vj, chain_off_of[vl_cell], clen,
+                         flat.chain_sids))
+        active = np.concatenate((pj, vj))
     packed.finish(entries_arr, segs)
     return packed
 
@@ -890,8 +789,7 @@ class CompiledRouter:
                 return None
             flat.ox[r] = state.x
             flat.oy[r] = state.y
-            flat.in_dt[r] = state.in_dt
-            flat.ns[r] = max(state.num_servers, 0)
+            flat.ns[r] = state.num_servers if state.in_dt else 0
             flat.cx[r, :] = np.inf
             flat.cy[r, :] = np.inf
             flat.kind[r, :] = 2

@@ -97,12 +97,6 @@ class ForwardingTable:
     def extension_for(self, local_serial: int) -> Optional[ExtensionEntry]:
         return self._extensions.get(local_serial)
 
-    def has_extensions(self) -> bool:
-        """Whether any range extension is installed (the batch path
-        skips per-delivery extension lookups when no switch has
-        any)."""
-        return bool(self._extensions)
-
     def extensions(self) -> List[ExtensionEntry]:
         return list(self._extensions.values())
 

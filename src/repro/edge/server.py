@@ -172,18 +172,27 @@ class EdgeServer:
         self._items[data_id] = payload
         return True
 
-    def store_many(self, data_ids, payloads=None) -> None:
-        """Bulk :meth:`store`: same per-id semantics in order.
+    def store_many(self, data_ids, payloads=None, stamps=None) -> None:
+        """Bulk :meth:`store`: same per-id semantics in order, with
+        optional ``payloads`` and ``stamps`` sequences beside the ids
+        (one of another length raises ``ValueError`` before anything is
+        stored).
 
-        The unbounded case collapses to one dict update, which is what
-        lets the batch placement path store a whole per-server group
-        without a Python call per item; bounded servers keep the exact
-        per-id capacity check (and partial-store-then-raise behavior)
-        of sequential ``store`` calls — the raised :class:`StorageFull`
+        The unbounded, unstamped case collapses to one dict update,
+        which is what lets the batch placement path store a whole
+        per-server group without a Python call per item; a bounded
+        server or a stamped group keeps the exact per-id checks
+        (capacity, last-writer-wins, partial-store-then-raise) of
+        sequential ``store`` calls — the raised :class:`StorageFull`
         carries the ids that landed before the wall in ``stored``.
         """
-        if self.capacity is None:
-            data_ids = list(data_ids)
+        data_ids = list(data_ids)
+        for name, column in (("payloads", payloads), ("stamps", stamps)):
+            if column is not None and len(column) != len(data_ids):
+                raise ValueError(
+                    f"{name} has {len(column)} entries for "
+                    f"{len(data_ids)} data ids")
+        if self.capacity is None and stamps is None:
             if self._tombstones:
                 for data_id in data_ids:
                     self._tombstones.pop(data_id, None)
@@ -196,13 +205,11 @@ class EdgeServer:
                 self._items.update(zip(data_ids, payloads))
             return
         landed: List[str] = []
-        if payloads is None:
-            pairs = ((data_id, None) for data_id in data_ids)
-        else:
-            pairs = zip(data_ids, payloads)
-        for data_id, payload in pairs:
+        for i, data_id in enumerate(data_ids):
             try:
-                self.store(data_id, payload)
+                self.store(data_id,
+                           None if payloads is None else payloads[i],
+                           None if stamps is None else stamps[i])
             except StorageFull as exc:
                 raise StorageFull(exc.server_id, exc.capacity,
                                   stored=tuple(landed)) from None

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.edge import attach_uniform
+from repro.edge import EdgeServer, attach_uniform
 from repro.graph import Graph
 from repro.topology import brite_waxman_graph, grid_graph, testbed_topology
 
@@ -37,6 +37,21 @@ def reference_engine():
 
     yield pin
     patch.undo()
+
+
+@pytest.fixture
+def store_many_calls(monkeypatch):
+    """``(server id, stamps)`` of every ``EdgeServer.store_many`` call
+    (only the compiled placement body makes any)."""
+    calls = []
+    real = EdgeServer.store_many
+
+    def counting(self, data_ids, payloads=None, stamps=None):
+        calls.append((self.server_id, stamps))
+        return real(self, data_ids, payloads, stamps)
+
+    monkeypatch.setattr(EdgeServer, "store_many", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

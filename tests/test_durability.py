@@ -196,6 +196,45 @@ class TestStorageFullStored:
         assert [batch.retrieve(i) for i in batch.stored_ids()] == \
                [scalar.retrieve(i) for i in scalar.stored_ids()]
 
+    @pytest.mark.parametrize("column", ["payloads", "stamps"])
+    def test_store_many_rejects_a_short_column(self, column):
+        """A column shorter than the ids used to truncate the ids
+        silently (``zip``); nothing is stored now."""
+        s = EdgeServer(switch=0, serial=0)
+        with pytest.raises(ValueError) as error:
+            s.store_many(["a", "b", "c"], **{column: [(1, 0)]})
+        assert str(error.value) == f"{column} has 1 entries for 3 data ids"
+        assert s.stored_ids() == ()
+
+    @pytest.mark.parametrize("capacity", [None, 10],
+                             ids=["unbounded", "roomy"])
+    def test_stamped_store_many_is_a_loop_of_store(self, capacity):
+        """``store_many(ids, payloads, stamps)`` ≡ sequential stamped
+        ``store`` calls: items in order, stamps, tombstones cleared by
+        the writes that apply, and last-writer-wins on an older
+        stamp (also within the group)."""
+        ids = ["a", "b", "c", "a", "d", "e"]
+        payloads = [f"p{n}" for n in range(len(ids))]
+        stamps = [(5, 0), (6, 1), (7, 0), (4, 2), (2, 0), (8, 1)]
+        bulk, loop = (EdgeServer(switch=0, serial=n, capacity=capacity)
+                      for n in range(2))
+        for server in (bulk, loop):
+            server.store("c", "old", stamp=(1, 0))
+            server.store("d", "newer", stamp=(3, 0))  # beats (2, 0)
+            server.store("e", "gone", stamp=(1, 0))
+            server.entomb("e", (2, 0))                # cleared by (8, 1)
+            server.entomb("b", (9, 0))                # beats (6, 1)
+        bulk.store_many(ids, payloads, stamps)
+        for data_id, payload, stamp in zip(ids, payloads, stamps):
+            loop.store(data_id, payload, stamp=stamp)
+        assert loop.retrieve("a") == "p0" and loop.retrieve("d") == "newer"
+        assert not loop.has("b") and loop.retrieve("e") == "p5"
+        for view in (
+                lambda s: [(i, s.retrieve(i), s.stamp_of(i))
+                           for i in s.stored_ids()],
+                EdgeServer.tombstones):
+            assert view(bulk) == view(loop)
+
 
 # ----------------------------------------------------------------------
 # partition fault plans

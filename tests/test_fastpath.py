@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro import GredNetwork, utils
 from repro.controlplane import RoutingIndex
+from repro.dataplane import ExtensionEntry
 from repro.edge import attach_uniform
+from repro.faults import FaultInjector
 from repro.hashing import (
     batch_hash,
     data_position,
@@ -34,6 +36,7 @@ from repro.hashing import (
     sha256_digests,
 )
 from repro.topology import brite_waxman_graph
+from test_route_stage import durable_state, observe
 
 IDS = ["videos/a.mp4", "sensor-42/frame-7", "x", "", "data#copy1",
        "ünïcode/πath", "a" * 300] + [f"bulk-{i}" for i in range(64)]
@@ -548,9 +551,28 @@ class TestRouteCacheEviction:
             assert len(trace) - 1 == overlay + relays
 
 
+def loop_twin(reference_engine, build, calls):
+    """``calls`` on a network whose batches may ride the compiled
+    bodies and on its twin served by the scalar loop (pinned):
+    ``(got, want, net)`` where each side is results or exception
+    texts, per-server items in insertion order, registry minus the
+    engine-specific series, demand map, and the durable state (write
+    clock, stamps, tombstones, hints)."""
+    sides = []
+    for net in (build(), reference_engine(build())):
+        sides.append((observe(net, calls)[:4], durable_state(net)))
+    return sides[0], sides[1], net
+
+
 class TestGroupedStore:
-    def test_bounded_servers_fall_back_and_match_scalar(
-            self, reference_engine):
+    """The postures the grouped store serves — bounded-but-roomy
+    servers, installed extensions, an attached fault state — each
+    against the scalar loop."""
+
+    def test_roomy_bounded_servers_ride_the_grouped_store(
+            self, reference_engine, store_many_calls):
+        """Bounded servers no longer decline the batch while the room
+        check passes for every target's whole group."""
         topology, _ = brite_waxman_graph(
             16, min_degree=3, rng=np.random.default_rng(2))
 
@@ -561,28 +583,134 @@ class TestGroupedStore:
             return GredNetwork(topology, servers_map,
                                cvt_iterations=8, seed=2)
 
-        scalar, batch = build(), build()
-        reference_engine(scalar)
         ids = [f"cap/{i}" for i in range(80)]
-        r1, r2 = (np.random.default_rng(3) for _ in range(2))
-        expected = [scalar.place(d, payload=d, rng=r1) for d in ids]
-        assert batch.place_many(ids, payloads=list(ids),
-                                rng=r2) == expected
-        assert scalar.load_vector() == batch.load_vector()
+        got, want, _ = loop_twin(reference_engine, build, [
+            lambda net: net.place_many(ids, payloads=list(ids),
+                                       rng=np.random.default_rng(3))])
+        assert got == want
+        assert store_many_calls
+        assert len(got[0][0][0]) == len(ids)  # results, not an error
 
-    def test_extensions_fall_back_and_match_scalar(self, reference_engine):
-        scalar, batch = build_pair(switches=20)
-        reference_engine(scalar)
-        for net in (scalar, batch):
-            net.extend_range(net.switch_ids()[0], 0)
-        assert any(
-            sw.table.has_extensions()
-            for sw in batch.controller.switches.values())
+    @staticmethod
+    def _extended(extensions, switches=20):
+        """Serial 0 of ``extensions`` switches offloads to a neighbor
+        — the first switch excepted, so that a takeover server can
+        still be the home of its own deliveries."""
+        def build():
+            net = build_pair(switches=switches)[0]
+            for switch in net.switch_ids()[1:extensions + 1]:
+                net.extend_range(switch, 0)
+            return net
+        return build
+
+    def test_extensions_ride_the_grouped_store_and_match_scalar(
+            self, reference_engine, store_many_calls):
+        """Installed extensions no longer decline the batch: the
+        records say ``extended`` with the extra hops to the takeover
+        switch, and the rewrite counter matches the loop's."""
         ids = [f"ext/{i}" for i in range(120)]
-        r1, r2 = (np.random.default_rng(4) for _ in range(2))
-        expected = [scalar.place(d, copies=2, rng=r1) for d in ids]
-        assert batch.place_many(ids, copies=2, rng=r2) == expected
-        assert scalar.load_vector() == batch.load_vector()
+        got, want, _ = loop_twin(
+            reference_engine, self._extended(1), [
+                lambda net: net.place_many(
+                    ids, copies=2, rng=np.random.default_rng(4))])
+        assert got == want
+        assert store_many_calls
+        (outcomes, _, instruments, _), _ = got
+        redirected = [record for result in outcomes[0]
+                      for record in result.records if record.extended]
+        assert redirected
+        for record in redirected:
+            assert record.server_id[0] != record.destination_switch
+            assert record.physical_hops > len(record.trace) - 1
+        assert instruments[
+            ("counters", "dataplane.extension_rewrites", ())
+        ]["value"] == len(redirected)
+
+    def test_shared_target_keeps_the_loops_insertion_order(
+            self, reference_engine, store_many_calls):
+        """An extension redirects one delivery into a server that is
+        also the home of another delivery of the same batch: stores
+        are grouped by *target server* (not by delivery), so that
+        server's items keep the order the loop inserts them in."""
+        ids = [f"trap/{i}" for i in range(200)]
+        got, want, net = loop_twin(reference_engine, self._extended(7), [
+            lambda net: net.place_many(
+                ids, payloads=[{"item": d} for d in ids], copies=2,
+                rng=np.random.default_rng(4))])
+        assert got == want
+        assert store_many_calls
+        origin = {record.data_id: record.extended
+                  for result in got[0][0][0] for record in result.records}
+        shared = [
+            [origin[item] for item, _ in items]
+            for _, items in got[0][1]
+            if len({origin[item] for item, _ in items}) == 2]
+        # The trap is live: some server took redirected and native
+        # copies interleaved, which grouping by delivery would reorder.
+        assert any(flags != sorted(flags) and
+                   flags != sorted(flags, reverse=True)
+                   for flags in shared)
+
+    def test_unusable_takeover_still_counts_the_rewrite(
+            self, reference_engine, store_many_calls):
+        """The engine counts the rewrite at delivery whether or not
+        the extension is then usable.  Entries toward a switch that
+        crashed and was absorbed (hand-installed: the controller
+        withdraws its own) are found unusable by ``_serving`` — the
+        home server serves, ``extended`` is false — and
+        ``dataplane.extension_rewrites`` still matches the loop's."""
+        def build():
+            net = build_pair(switches=20)[0]
+            gone = net.switch_ids()[0]
+            FaultInjector(net).crash_switch(gone)
+            net.controller.absorb_failures([gone])
+            for switch in net.switch_ids()[:6]:
+                net.controller.switches[switch].table.install_extension(
+                    ExtensionEntry(local_serial=0, target_switch=gone,
+                                   target_serial=0))
+            return net
+
+        ids = [f"dead/{i}" for i in range(200)]
+        entries = [build().switch_ids()[i % 5] for i in range(200)]
+        got, want, _ = loop_twin(reference_engine, build, [
+            lambda net: net.place_many(ids, entry_switches=entries,
+                                       copies=2)])
+        assert got == want
+        assert store_many_calls
+        (outcomes, _, instruments, _), _ = got
+        assert not any(record.extended for result in outcomes[0]
+                       for record in result.records)
+        assert instruments[
+            ("counters", "dataplane.extension_rewrites", ())]["value"] > 0
+
+    def test_absorbed_faults_ride_the_grouped_store_stamped(
+            self, reference_engine, store_many_calls):
+        """A fault state with every crash absorbed no longer declines:
+        the grouped store takes the stamps the loop would take — one
+        per item in request order, shared by the item's copies."""
+        def build():
+            net = build_pair(switches=20)[0]
+            injector = FaultInjector(net)
+            for victim in net.switch_ids()[3:5]:
+                injector.crash_switch(victim)
+            net.controller.absorb_failures(net.switch_ids()[3:5])
+            net.place("warm/0", entry_switch=net.switch_ids()[0])
+            return net
+
+        ids = [f"st/{i}" for i in range(150)]
+        entries = [build().switch_ids()[i % 7] for i in range(150)]
+        got, want, net = loop_twin(reference_engine, build, [
+            lambda net: net.place_many(ids, payloads=list(ids),
+                                       entry_switches=entries,
+                                       copies=2)])
+        assert got == want
+        assert store_many_calls
+        assert all(stamps is not None for _, stamps in store_many_calls)
+        assert net.write_version == 1 + len(ids)
+        for i, result in enumerate(got[0][0][0]):
+            for record in result.records:
+                assert net.server(*record.server_id).stamp_of(
+                    record.data_id) == (2 + i, entries[i])
 
     def test_grouped_payloads_land_on_the_right_replica(self):
         net, _ = build_pair(switches=20)

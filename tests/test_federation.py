@@ -281,6 +281,13 @@ class TestSingleRegionIdentity:
 # multi-region behavior
 # ---------------------------------------------------------------------
 class TestMultiRegion:
+    @pytest.mark.parametrize("copies", [0, -3])
+    def test_delete_rejects_copies_below_one(self, fed3, copies):
+        """Like ``place`` / ``retrieve`` (it used to return 0)."""
+        with pytest.raises(GredError) as error:
+            fed3.delete("multi/0", copies=copies)
+        assert str(error.value) == f"copies must be >= 1, got {copies}"
+
     def test_place_retrieve_delete_round_trip(self, fed3):
         ids = [f"multi/{i}" for i in range(60)]
         placed = fed3.place_many(ids, copies=2,

@@ -102,6 +102,15 @@ class TestDeletion:
         gred_small.place("multi", entry_switch=0, copies=3)
         assert gred_small.delete("multi", copies=3, entry_switch=0) == 3
 
+    @pytest.mark.parametrize("copies", [0, -3])
+    def test_delete_rejects_copies_below_one(self, gred_small, copies):
+        """Like ``place`` / ``retrieve`` (it used to return 0)."""
+        gred_small.place("kept", entry_switch=0)
+        with pytest.raises(GredError) as error:
+            gred_small.delete("kept", copies=copies, entry_switch=0)
+        assert str(error.value) == f"copies must be >= 1, got {copies}"
+        assert gred_small.retrieve("kept", entry_switch=0).found
+
 
 class TestReplication:
     def test_copies_stored_separately(self, gred_small):

@@ -456,9 +456,10 @@ def _unknown_vl_destination(net, events, route):
 #: fault -> (decision shape the failing request's healthy walk must
 #: start with, what breaks the plane, hop budget of the retrieve pass).
 #: Every shape opens with a greedy forward, which a large batch takes
-#: in its first wave — so the failure itself happens mid-route, in the
-#: straggler tail.  With budget 2 the third hop of greedy / vl-start /
-#: relay breaches the bound on the chain's second relay step.
+#: in its first wave — so the failure itself happens mid-route: in the
+#: straggler tail, or (``mid-wave``) in a wave's anomaly mask.  With
+#: budget 2 the third hop of greedy / vl-start / relay breaches the
+#: bound on the chain's second relay step.
 TAIL_FAULTS = {
     "hop-bound-in-chain": ((GREEDY, VL_START, VL_RELAY), None, 2),
     "relay-only": ((GREEDY, GREEDY), _relay_only, None),
@@ -468,17 +469,27 @@ TAIL_FAULTS = {
                                _unknown_vl_destination, None),
 }
 
+#: batch shape -> (requests that finish in the first wave, far healthy
+#: walks kept in flight beside the failing one).  Under
+#: ``_WAVE_MIN_ACTIVE`` requests the whole batch straggles from its
+#: entries; with a large bulk only the last few far walks do; with
+#: enough far walks the failure is decided while a full wave is still
+#: in flight.
+BATCH_SHAPES = {"whole-batch": (20, 1), "last-few": (150, 1),
+                "mid-wave": (20, 130)}
+
 
 class TestStragglerTailErrors:
-    """Routes that *finish in the wave router's straggler tail* fail
-    exactly like the reference engine: same ``ForwardingError`` text,
-    same partial decision mix, same stored prefix."""
+    """Routes that leave the waves for the scalar walker — *in the
+    straggler tail* or *out of a wave's anomaly mask* — fail exactly
+    like the reference engine: same ``ForwardingError`` text, same
+    partial decision mix, same stored prefix."""
 
     SEED, SWITCHES = 2, 24
 
     def _far_requests(self, probe, shape):
         """``(data_id, entry, events, route)`` of every healthy walk
-        that starts with the decisions in ``shape``."""
+        that starts with the decisions in ``shape``, shortest first."""
         found = []
         for i in range(40):
             for entry in probe.switch_ids():
@@ -486,14 +497,15 @@ class TestStragglerTailErrors:
                 events = tracer.events()[1:]  # minus ingress
                 if tuple(e.kind for e in events[:len(shape)]) == shape:
                     found.append((f"far/{i}", entry, events, route))
-        return found
+        return sorted(found, key=lambda far: far[3].overlay_hops)
 
     def _batch_vs_reference(self, reference_engine, shape, sabotage,
-                            budget, bulk):
+                            budget, batch_shape):
         """``(got, want)``: :func:`observe` of a ``place_many`` +
         ``retrieve_many`` pair on the sabotaged compiled plane, and of
         the same requests as scalar loops on the pinned reference
         engine."""
+        bulk, far = BATCH_SHAPES[batch_shape]
         probe = build(self.SEED, self.SWITCHES)
         (bad_id, bad_entry, events, route), *others = \
             self._far_requests(probe, shape)
@@ -501,19 +513,27 @@ class TestStragglerTailErrors:
         if sabotage is not None:
             sabotage(broken, events, route)
         # Requests that enter at their own delivery switch finish in
-        # the first wave; a healthy far walk, the failing one and one
-        # more request then straggle (or, with under _WAVE_MIN_ACTIVE
-        # requests, the whole batch does, from its entry switches).
+        # the first wave; the healthy far walks (none shorter than the
+        # failing one, none across what the sabotage touches), the
+        # failing one and one more request stay in flight.
         ids = [f"bulk/{i}" for i in range(400)]
         homes = probe.destinations_for(ids)
         near = [(d, home) for d, home in zip(ids, homes)
                 if home in broken.controller.switches
                 and broken.controller.switches[home].in_dt][:bulk]
-        healthy = next(
-            (d, e) for d, e, _, r in others
+        healthy = [
+            (d, e) for d, e, _, r in
+            others + self._far_requests(probe, (GREEDY, GREEDY))
             if d != bad_id and not {bad_entry, *route.trace[1:]}
-            & set(r.trace))
-        requests = near + [healthy, (bad_id, bad_entry), near[0]]
+            & set(r.trace)][:far]
+        assert len(healthy) == far
+        if far > 1:
+            # The failing decision meets a full wave, not the tail —
+            # on the retrieve pass too: a spelled-out hop budget
+            # bypasses the routes the place pass memoized.
+            assert far >= fastpath._WAVE_MIN_ACTIVE
+            budget = budget or 100
+        requests = near + healthy + [(bad_id, bad_entry), near[0]]
         ids = [d for d, _ in requests]
         entries = [e for _, e in requests]
 
@@ -535,26 +555,27 @@ class TestStragglerTailErrors:
                                           max_hops=budget)])
         return got, want
 
-    @pytest.mark.parametrize("bulk", [20, 150],
-                             ids=["whole-batch", "last-few"])
+    @pytest.mark.parametrize("batch_shape", sorted(BATCH_SHAPES))
     @pytest.mark.parametrize("fault", sorted(TAIL_FAULTS))
     def test_tail_failures_match_reference(self, reference_engine,
-                                           fault, bulk):
+                                           fault, batch_shape):
         shape, sabotage, budget = TAIL_FAULTS[fault]
         got, want = self._batch_vs_reference(
-            reference_engine, shape, sabotage, budget, bulk)
+            reference_engine, shape, sabotage, budget, batch_shape)
         assert got[:4] == want[:4]
         placed, retrieved = got[0]
         if sabotage is not None:
             assert placed[0] == "ForwardingError"
         assert not retrieved[-2].found
         # One wave when the whole batch straggles from its entries;
-        # one vectorized wave plus the tail when only the far walks do.
-        assert got[4][0] == (1 if bulk < fastpath._WAVE_MIN_ACTIVE else 2)
+        # one vectorized wave plus the tail when only the far walks
+        # do; and a wave per decision of the far walks otherwise.
+        waves = got[4][0]
+        assert {"whole-batch": waves == 1, "last-few": waves == 2,
+                "mid-wave": waves > 2}[batch_shape]
 
-    @pytest.mark.parametrize("bulk", [20, 150],
-                             ids=["whole-batch", "last-few"])
-    def test_deleted_vl_destination(self, reference_engine, bulk):
+    @pytest.mark.parametrize("batch_shape", ["last-few", "whole-batch"])
+    def test_deleted_vl_destination(self, reference_engine, batch_shape):
         """A virtual link whose *destination* left the plane fails at
         the last relay's hand-off, with the reference engine's text
         (it used to surface as a ``KeyError``).  Outcomes and stored
@@ -565,7 +586,8 @@ class TestStragglerTailErrors:
             del net.controller.switches[events[1].details["dest"]]
 
         got, want = self._batch_vs_reference(
-            reference_engine, (GREEDY, VL_START), sabotage, None, bulk)
+            reference_engine, (GREEDY, VL_START), sabotage, None,
+            batch_shape)
         assert got[:2] == want[:2]
         kind, text = got[0][0]
         assert kind == "ForwardingError"
@@ -596,6 +618,56 @@ class TestStragglerTailErrors:
                          max_hops=2)
         assert str(got[-1]) == str(want.value)
         assert all(type(outcome) is tuple for outcome in got[:-1])
+
+
+    @given(seed=st.integers(min_value=0, max_value=30),
+           switches=st.integers(min_value=10, max_value=28),
+           budget=st.sampled_from([None, 1, 3]),
+           dropped=st.lists(st.integers(0, 10 ** 6), max_size=3),
+           stripped=st.lists(st.integers(0, 10 ** 6), max_size=3),
+           strangers=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_route_batch_is_route_on_a_broken_plane(
+            self, seed, switches, budget, dropped, stripped, strangers):
+        """``route_batch`` ≡ per-request ``route`` when walks fail all
+        over the batch — tight hop budgets, switches dropped from the
+        plane, switches stripped of their servers, unknown entries —
+        with enough requests in flight that waves decide most of them:
+        same outcome tuple or error text, and the same decision mix,
+        the partial mix of a failed walk included."""
+        net = build(seed, switches)
+        sids = net.switch_ids()
+        plane = dict(net.controller.switches)
+        for pick in stripped:
+            plane[sids[pick % len(sids)]].num_servers = 0
+        for pick in dropped:
+            plane.pop(sids[pick % len(sids)], None)
+        router = CompiledRouter(plane)
+        data_ids = [f"w/{i}" for i in range(260)]
+        # Entries cycle over the original switches (so some are
+        # dropped ones) plus ids no plane ever held.
+        pool = sids + [9000 + i for i in range(strangers)]
+        entries = [pool[i % len(pool)] for i in range(len(data_ids))]
+        digests = sha256_digests(data_ids)
+        positions = positions_from_digests(digests)
+        serials = serials_from_digests(digests)
+        bound = router._default_max_hops if budget is None else budget
+        packed = router.route_batch_packed(
+            np.asarray(entries, dtype=np.int64), positions[:, 0],
+            positions[:, 1], serials, bound)
+        assert packed.waves >= 1
+        outcomes = packed.materialize(data_ids, bound)
+        for j, (data_id, entry) in enumerate(zip(data_ids, entries)):
+            try:
+                want = router.route(entry, data_id, *positions[j].tolist(),
+                                    int(serials[j]), budget)
+            except ForwardingError as exc:
+                want = str(exc)
+            got = outcomes[j]
+            assert (got if type(got) is tuple else str(got)) == want
+            assert router.last_route_stats == (
+                (int(packed.greedy[j]), int(packed.vl[j]),
+                 int(packed.relays[j])) if packed.known[j] else None)
 
 
 @pytest.fixture

@@ -7,8 +7,12 @@ instruments created, same counter/gauge values, same histogram state
 import numpy as np
 import pytest
 
-from repro import GredNetwork, attach_uniform, brite_waxman_graph
-from repro.obs import MetricsRegistry, set_default_registry
+from repro import GredError, GredNetwork, attach_uniform, brite_waxman_graph
+from repro.dataplane import ForwardingError
+from repro.edge import StorageFull
+from repro.faults import FaultInjector
+from repro.obs import MetricsRegistry, default_registry, set_default_registry
+from test_route_stage import durable_state
 
 
 def _build(seed=0, switches=24, servers=2):
@@ -68,13 +72,15 @@ def _normalize(dump):
     """Key instruments by (name, labels); drop the engine-specific
     extras (``dataplane.batch.*`` counts waves/requests the scalar
     path has no notion of; ``dataplane.scalar_standdowns`` counts the
-    oracle's own pin to the reference engine)."""
+    oracle's own pin to the reference engine and ``dataplane.
+    fastpath_standdowns`` the batches that ran its loop)."""
     out = {}
     for kind in ("counters", "gauges", "histograms"):
         items = {}
         for entry in dump[kind]:
             if entry["name"].startswith(("dataplane.batch.",
-                                         "dataplane.scalar_standdowns")):
+                                         "dataplane.scalar_standdowns",
+                                         "dataplane.fastpath_standdowns")):
                 continue
             key = (entry["name"],
                    tuple(sorted(entry["labels"].items())))
@@ -195,35 +201,58 @@ class TestFastPathStaysFast:
             set_default_registry(previous)
 
 
+def _unroutable(net, victim, room):
+    # The victim's delivery switch loses its servers behind the
+    # plane's back: its route fails.
+    net.controller.switches[victim.destination_switch].num_servers = 0
+    net._fastpath = None
+
+
+def _crashed_target(net, victim, room):
+    FaultInjector(net).crash_server(*victim.server_id)
+
+
+def _one_slot_short(net, victim, room):
+    net.server(*victim.server_id).capacity = room - 1
+
+
+#: decline reason -> what makes one copy of the batch fail.
+DECLINES = {"route_failed": _unroutable, "target_down": _crashed_target,
+            "target_full": _one_slot_short}
+
+
 class TestMidBatchFailureParity:
-    """A batch that dies mid-way (a bounded server fills up) raises
-    what the scalar loop raises, has stored the same prefix in the
-    same order, and has reported the same registry — the one flush
-    runs on every exit."""
+    """A batch that could die mid-way (a bounded server fills up, a
+    copy cannot route, a target server is down) is declined by the
+    compiled body before any side effect and served by the scalar
+    loop: it raises what the loop raises, has stored and stamped the
+    same prefix in the same order, and has reported the same
+    registry."""
 
     @staticmethod
-    def _run(net, batch: bool):
-        from repro.edge import StorageFull
-
-        ids = [f"full/{i}" for i in range(300)]
+    def _run(net, batch: bool, ids=None, copies=1):
+        """``(outcome, registry)``: results or exception text, the
+        durable state and the normalized registry of the run — and the
+        raw registry it reported to."""
+        ids = ids or [f"full/{i}" for i in range(300)]
         entry = net.switch_ids()[0]
         registry = MetricsRegistry(enabled=True)
         previous = set_default_registry(registry)
         try:
-            with pytest.raises(StorageFull) as failure:
-                if batch:
-                    net.place_many(ids, payloads=ids,
-                                   entry_switches=[entry] * len(ids))
-                else:
-                    for data_id in ids:
-                        net.place(data_id, payload=data_id,
-                                  entry_switch=entry)
+            if batch:
+                results = net.place_many(
+                    ids, payloads=ids, copies=copies,
+                    entry_switches=[entry] * len(ids))
+            else:
+                results = [net.place(data_id, payload=data_id,
+                                     entry_switch=entry, copies=copies)
+                           for data_id in ids]
+        except (GredError, ForwardingError, StorageFull) as failure:
+            results = (type(failure).__name__, str(failure))
         finally:
             set_default_registry(previous)
-        stored = {server.server_id: server.stored_ids()
-                  for server in net.servers()}
-        return (str(failure.value), stored,
-                _normalize(registry.to_dict(include_events=False)))
+        return (results, durable_state(net), _normalize(
+            registry.to_dict(include_events=False))), registry
 
     @staticmethod
     def _bounded(extensions):
@@ -241,13 +270,72 @@ class TestMidBatchFailureParity:
         def build():
             return self._bounded(extensions)
 
-        reference = self._run(reference_engine(build()), False)
-        text, stored, dump = reference
-        placed = sum(len(ids) for ids in stored.values())
+        reference, _ = self._run(reference_engine(build()), False)
+        (kind, _), (_, stored), dump = reference
+        assert kind == "StorageFull"
+        placed = sum(len(items) for _, items, _, _ in stored)
         assert 0 < placed < 300
         assert dump["counters"][("core.places", ())]["value"] == placed
         assert dump["counters"][
             ("dataplane.requests_routed", (("kind", "placement"),))
         ]["value"] == placed + 1
-        assert self._run(build(), False) == reference
-        assert self._run(build(), True) == reference
+        assert self._run(build(), False)[0] == reference
+        assert self._run(build(), True)[0] == reference
+
+    @pytest.mark.parametrize("hinted", [False, True],
+                             ids=["raise", "hint"])
+    @pytest.mark.parametrize("reason", sorted(DECLINES))
+    def test_declined_batch_is_the_loop(self, reference_engine,
+                                        monkeypatch, store_many_calls,
+                                        reason, hinted):
+        """The decline matrix: the compiled body stores, stamps and
+        tallies nothing (``store_many`` is never called; at the first
+        scalar ``place`` the write clock, the servers and the shared
+        registry series are untouched), says why once, and the loop's
+        outcome follows exactly — mid-batch raise or hinted records."""
+        ids = [f"dec/{i}" for i in range(160)]
+        probe = _build(switches=20)
+        victim = self._run(probe, True, ids, 2)[0][0][80].records[1]
+        room = probe.server(*victim.server_id).load
+
+        def build():
+            net = _build(switches=20)
+            if reason != "target_down":
+                FaultInjector(net)  # stamps and hints need a state
+            net.hinted_handoff = hinted
+            DECLINES[reason](net, victim, room)
+            return net
+
+        reference, _ = self._run(reference_engine(build()), False, ids, 2)
+        prefix = sum(len(items) for _, items, _, _ in reference[1][1])
+        if reason == "target_full" or not hinted:
+            assert reference[0][0] in ("StorageFull", "GredError",
+                                       "ForwardingError")
+            assert 0 < prefix < 2 * len(ids)
+        else:
+            assert any(record.hinted for result in reference[0]
+                       for record in result.records)
+        assert self._run(build(), False, ids, 2)[0] == reference
+
+        at_decline = []
+        scalar_place = GredNetwork.place
+
+        def place(net, *args, **kwargs):
+            if not at_decline:
+                at_decline.append((durable_state(net), _normalize(
+                    default_registry().to_dict(include_events=False))))
+            return scalar_place(net, *args, **kwargs)
+
+        monkeypatch.setattr(GredNetwork, "place", place)
+        store_many_calls.clear()  # the probe's healthy batch made some
+        got, registry = self._run(build(), True, ids, 2)
+        assert got == reference
+        assert not store_many_calls
+        durable, shared = at_decline[0]
+        assert durable == durable_state(build())
+        assert not any(shared[kind] for kind in
+                       ("counters", "gauges", "histograms"))
+        assert shared["demand"]["total"] == 0
+        assert registry.counter_values(
+            "dataplane.fastpath_standdowns") == {
+                f"dataplane.fastpath_standdowns{{reason={reason}}}": 1}
