@@ -34,6 +34,7 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
 import numpy as np
 
 from ..embedding import m_position
+from ..geometry import TIE_BAND
 from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
 from ..hashing import data_position, replica_id
@@ -75,12 +76,6 @@ class RegionShard:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RegionShard(region={self.region}, "
                 f"switches={len(self.members)})")
-
-
-#: Two site distances closer than this count as a tie for
-#: :meth:`FederatedController.home_regions` (float rounding in a
-#: distance is ~1e-16; the band only decides who takes the exact path).
-_TIE_BAND = 1e-9
 
 
 def _region_sites(region_graph: Graph) -> Dict[int, Tuple[float, float]]:
@@ -156,7 +151,7 @@ class FederatedController:
 
         ``np.hypot`` may differ from the index's ``math.hypot`` in the
         last bit, so only a clear winner is trusted: a row with a
-        second distance within ``_TIE_BAND`` of its best goes to
+        second distance within ``TIE_BAND`` of its best goes to
         the exact :meth:`RoutingIndex.closest`, which keeps the
         paper's ``(distance, x, y)`` tie-break bit-exact."""
         sites = self._site_xy
@@ -164,7 +159,7 @@ class FederatedController:
                         positions[:, 1:2] - sites[:, 1])
         ids = self._site_ids
         homes = [ids[k] for k in dist.argmin(axis=1).tolist()]
-        near = dist - dist.min(axis=1, keepdims=True) <= _TIE_BAND
+        near = dist - dist.min(axis=1, keepdims=True) <= TIE_BAND
         for f in np.flatnonzero(near.sum(axis=1) > 1).tolist():
             homes[f] = self._region_index.closest(
                 (positions[f, 0], positions[f, 1]))

@@ -22,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+import operator
 from array import array
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -52,7 +53,7 @@ from ..edge import (
     attach_uniform,
     load_vector,
 )
-from ..geometry import euclidean
+from ..geometry import TIE_BAND, euclidean
 from ..graph import Graph, bfs_distances, hop_count
 from ..hashing import (
     data_position,
@@ -130,27 +131,50 @@ def check_copies(copies: int) -> None:
         raise GredError(f"copies must be >= 1, got {copies}")
 
 
+def _entry_index(entry):
+    """One entry switch as an exact ``int`` (``None`` stays: drawn
+    later), so results serialise and compare like a scalar call's."""
+    if entry is None:
+        return None
+    try:
+        return int(operator.index(entry))
+    except TypeError:
+        raise GredError(f"entry switch must be an integer, got "
+                        f"{entry!r}") from None
+
+
 def check_batch_args(data_ids: Sequence[str], copies: int,
                      entry_switches: Optional[Sequence[int]] = None,
                      payloads: Optional[Sequence[Any]] = None
-                     ) -> List[str]:
+                     ) -> tuple:
     """Argument validation of a batch call, shared by every stack
-    (raw, federated, resilient) and run before anything is stored or
-    admitted: returns ``list(data_ids)`` or raises."""
+    (raw, federated, resilient) and run before anything is hashed,
+    stored or admitted: returns ``(list(data_ids), entry_switches)`` —
+    the entries a list of exact ``int`` / ``None``, whatever integer
+    types (an ndarray, numpy scalars) they arrived as — or raises."""
+    if isinstance(data_ids, (str, bytes)):
+        raise GredError(
+            f"data_ids must be a sequence of identifiers, got the "
+            f"bare {type(data_ids).__name__} {data_ids!r}")
     data_ids = list(data_ids)
     check_copies(copies)
     count = len(data_ids)
-    if entry_switches is not None and len(entry_switches) != count:
-        raise GredError(
-            f"entry_switches has {len(entry_switches)} entries for "
-            f"{count} data ids"
-        )
+    if entry_switches is not None:
+        if len(entry_switches) != count:
+            raise GredError(
+                f"entry_switches has {len(entry_switches)} entries for "
+                f"{count} data ids"
+            )
+        if isinstance(entry_switches, np.ndarray):
+            entry_switches = entry_switches.tolist()
+        if not set(map(type, entry_switches)) <= {int, type(None)}:
+            entry_switches = [_entry_index(e) for e in entry_switches]
     if payloads is not None and len(payloads) != count:
         raise GredError(
             f"payloads has {len(payloads)} entries for "
             f"{count} data ids"
         )
-    return data_ids
+    return data_ids, entry_switches
 
 
 def draw_entries(pool: Sequence[int], count: int,
@@ -187,8 +211,8 @@ def batch_front_door(net, data_ids: Sequence[str],
     (the caller's :meth:`GredNetwork.prehash` output when supplied,
     shape-checked) and ``positions`` its virtual-space coordinates.
     """
-    data_ids = check_batch_args(data_ids, copies, entry_switches,
-                                payloads)
+    data_ids, entry_switches = check_batch_args(
+        data_ids, copies, entry_switches, payloads)
     flat_ids = replica_ids_flat(data_ids, copies)
     if digests is None:
         digests = sha256_digests(flat_ids)
@@ -203,7 +227,21 @@ def batch_front_door(net, data_ids: Sequence[str],
     if entry_switches is None:
         entries = draw_entries(net._entry_pool(), len(data_ids), rng)
     else:
-        entries = [net._resolve_entry(e, rng) for e in entry_switches]
+        entries = list(entry_switches)
+        distinct = set(entries)
+        if None in distinct:
+            # A ``None`` draws from ``rng`` where it stands in the
+            # request order, like the scalar loop.
+            entries = [net._resolve_entry(e, rng) for e in entries]
+        else:
+            try:
+                for entry in distinct:
+                    net._resolve_entry(entry, rng)
+            except GredError:
+                # Name the first bad entry of the request order.
+                for entry in entries:
+                    net._resolve_entry(entry, rng)
+                raise
     return (data_ids, entries, flat_ids, digests,
             positions_from_digests(digests))
 
@@ -268,13 +306,13 @@ class _Routes:
                           + np.cumsum(tlen) - tlen)
         self._traces.append(traces)
 
-    def lists(self):
-        """``(dest, serial, overlay, start, end, traces)`` as Python
-        lists for the per-item loops: probe ``j``'s trace is
-        ``traces[start[j]:end[j]]``."""
-        return (self.dest.tolist(), self.serial.tolist(),
-                self.overlay.tolist(), self.start.tolist(),
-                (self.start + self.tlen).tolist(),
+    def lists(self, at=slice(None)):
+        """``(dest, overlay, start, end, traces)`` of rows ``at`` (all
+        when omitted) as Python lists for the one per-probe loop of a
+        batch body: probe ``j``'s trace is ``traces[start[j]:end[j]]``."""
+        start = self.start[at]
+        return (self.dest[at].tolist(), self.overlay[at].tolist(),
+                start.tolist(), (start + self.tlen[at]).tolist(),
                 np.concatenate(self._traces).tolist())
 
 
@@ -302,6 +340,7 @@ class _Batch:
             payloads)
         self.net = net
         self.kind = kind.value
+        self.copies = copies
         self.state: Optional[_FastPathState] = None
         if net._batch_standdown():
             return
@@ -396,15 +435,6 @@ class _Batch:
                 for total, column in zip(
                     self.mix or (0, 0, 0),
                     (routes.greedy, routes.vl, routes.relays))]
-
-    def routed(self, item: int, trace, overlay: int,
-               extension) -> None:
-        """Item ``item``'s probe was delivered.  The engine counts the
-        rewrite at delivery, whether or not the extension is then
-        usable."""
-        self.deliveries.append((item, len(trace) - 1, overlay))
-        if extension is not None:
-            self.rewrites += 1
 
     def placed(self, flat: int, record: PlacementRecord,
                payload: Any) -> None:
@@ -1028,6 +1058,31 @@ class GredNetwork:
         return sorted(range(len(positions)), key=lambda i: (
             euclidean(positions[i], entry_pos), i))
 
+    def _replica_orders(self, entries: Sequence[int],
+                        positions: np.ndarray, copies: int) -> np.ndarray:
+        """:meth:`replica_order` of a whole batch in one pass: the
+        ``(items, copies)`` array of copy indices for per-item
+        ``entries`` and the flat replica ``positions``.  Only a clear
+        ranking is trusted — an item with two replicas within
+        ``TIE_BAND`` of each other goes to the exact
+        :meth:`_nearest_first`, which keeps the tie-break by index."""
+        count = len(entries)
+        if copies == 1 or not count:
+            return np.zeros((count, copies), dtype=np.intp)
+        distinct, which = np.unique(np.asarray(entries, dtype=np.int64),
+                                    return_inverse=True)
+        at = np.asarray([self.controller.switch_position(entry)
+                         for entry in distinct.tolist()])[which]
+        positions = positions.reshape(count, copies, 2)
+        dist = np.hypot(positions[:, :, 0] - at[:, 0:1],
+                        positions[:, :, 1] - at[:, 1:2])
+        orders = np.argsort(dist, axis=1, kind="stable")
+        gaps = np.diff(np.take_along_axis(dist, orders, axis=1), axis=1)
+        for i in np.flatnonzero(gaps.min(axis=1) <= TIE_BAND).tolist():
+            orders[i] = self._nearest_first(entries[i],
+                                            positions[i].tolist())
+        return orders
+
     # ------------------------------------------------------------------
     # resilience interop
     # ------------------------------------------------------------------
@@ -1265,6 +1320,19 @@ class GredNetwork:
             for i, data_id in enumerate(batch.data_ids)
         ]
 
+    def _deliveries(self, batch: _Batch, routes: _Routes, at=slice(None)):
+        """Rows ``at`` of delivered ``routes`` by distinct delivery:
+        ``(servings, which)``, one :meth:`_serving` resolution per
+        ``(switch, serial)`` and each row's index into them.  A
+        delivery is decided by a forwarding entry, not by an item: at
+        most ``switches x s`` of them however large the batch."""
+        dest, serial = routes.dest[at], routes.serial[at]
+        width = int(serial.max()) + 1
+        keys, which = np.unique(dest * width + serial,
+                                return_inverse=True)
+        return [self._serving(batch.state, *divmod(key, width))
+                for key in keys.tolist()], which
+
     def _grouped_store(self, batch: _Batch,
                        payloads: Optional[Sequence[Any]], copies: int
                        ) -> Optional[List[PlacementResult]]:
@@ -1288,13 +1356,7 @@ class GredNetwork:
         routes = batch.route(np.arange(len(flat_ids)))
         if (routes.dest < 0).any():
             return _standdown("route_failed")
-        # A delivery is decided by a forwarding entry, not by an item:
-        # at most ``switches x s`` of them however large the batch.
-        width = int(routes.serial.max()) + 1
-        keys, which = np.unique(routes.dest * width + routes.serial,
-                                return_inverse=True)
-        servings = [self._serving(batch.state, *divmod(key, width))
-                    for key in keys.tolist()]
+        servings, which = self._deliveries(batch, routes)
         targets = [home if takeover is None else takeover
                    for home, _, takeover, _ in servings]
         server_ids = [target.server_id for target in targets]
@@ -1334,7 +1396,7 @@ class GredNetwork:
         served = [(server_id, extra, takeover is not None)
                   for server_id, (_, _, takeover, extra)
                   in zip(server_ids, servings)]
-        dests, _, overlays, starts, ends, traces = routes.lists()
+        dests, overlays, starts, ends, traces = routes.lists()
         which = which.tolist()
         records: List[PlacementRecord] = []
         # The one per-copy loop of a cached batch.  Positional, in
@@ -1351,8 +1413,12 @@ class GredNetwork:
         if batch.registry.enabled:
             batch.count_mix(routes)
             for flat, (record, u) in enumerate(zip(records, which)):
-                batch.routed(flat // copies, record.trace,
-                             record.overlay_hops, servings[u][1])
+                batch.deliveries.append((
+                    flat // copies, len(record.trace) - 1,
+                    record.overlay_hops))
+                # (The engine counts the rewrite at delivery, whether
+                # or not the extension is then usable.)
+                batch.rewrites += servings[u][1] is not None
                 batch.placed(flat, record, None if payloads is None
                              else payloads[flat // copies])
         recorder = default_span_recorder()
@@ -1383,69 +1449,40 @@ class GredNetwork:
 
         Shares the fast-path machinery (and its fallback conditions)
         with :meth:`place_many`, including pre-hashed ``digests`` from
-        :meth:`prehash`;
-        response hop counts come from a per-epoch BFS distance cache
-        instead of a fresh traversal per request.
+        :meth:`prehash`.  Each round of the nearest-first failover walk
+        is one :meth:`_grouped_probe`: the round's replicas routed in
+        waves, one bulk lookup per distinct delivery, response hops
+        from the per-epoch BFS distance cache.
         """
         batch = _Batch(self, PacketKind.RETRIEVAL, data_ids,
                        entry_switches, copies, rng, digests)
-        data_ids, entries, flat_ids = \
-            batch.data_ids, batch.entries, batch.flat_ids
-        state = batch.state
-        if state is None:
+        data_ids, entries = batch.data_ids, batch.entries
+        if batch.state is None:
             return [
                 self.retrieve(data_id, entry, copies, max_hops=max_hops)
                 for data_id, entry in zip(data_ids, entries)
             ]
-        count = len(data_ids)
-        orders = [[0]] * count if copies == 1 else [
-            self._nearest_first(entries[i], batch.positions[
-                i * copies:(i + 1) * copies].tolist())
-            for i in range(count)]
-        telemetry = batch.registry.enabled
-        serving_of = self._serving
-        probe = self._probe
+        orders = self._replica_orders(entries, batch.positions, copies)
         # An item's answer: its hit, else its last *routable* probe's
         # miss (with the attempt count captured then, even if later
         # probes failed to route, like the scalar loop), else ``None``.
-        results: List[Optional[RetrievalResult]] = [None] * count
-        pending = list(range(count))
+        results: List[Optional[RetrievalResult]] = [None] * len(data_ids)
+        pending = np.arange(len(data_ids))
         with batch:
             # Probe round ``r`` routes every unresolved item's r-th
             # nearest replica in one wave-routed batch — the same
             # nearest-first probe sequence as the scalar loop, just
             # advanced in lockstep (so round r is attempt r + 1).
             for rnd in range(copies):
-                if not pending:
+                if not pending.size:
                     break
-                probes = [i * copies + orders[i][rnd] for i in pending]
-                routes = batch.route(probes, max_hops)
-                if telemetry:
-                    batch.count_mix(routes)
-                dests, serials, overlays, starts, ends, traces = \
-                    routes.lists()
-                still: List[int] = []
-                for j, (i, flat) in enumerate(zip(pending, probes)):
-                    dest = dests[j]
-                    if dest < 0:
-                        batch.route_failures += 1
-                        still.append(i)
-                        continue
-                    trace = traces[starts[j]:ends[j]]
-                    serving = serving_of(state, dest, serials[j])
-                    if telemetry:
-                        batch.routed(i, trace, overlays[j], serving[1])
-                        batch.transits.extend(trace)
-                        batch.flats.append(flat)
-                    result = results[i] = probe(
-                        state, serving, data_ids[i], flat_ids[flat],
-                        flat % copies, entries[i], rnd + 1, trace, dest)
-                    if not result.found:
-                        still.append(i)
-                pending = still
+                found = self._grouped_probe(
+                    batch, pending, orders[pending, rnd], rnd + 1,
+                    max_hops, results)
+                pending = pending[~found]
             final = batch.answers = [
                 result if result is not None else self._unroutable(
-                    data_ids[i], entries[i], orders[i][-1], copies)
+                    data_ids[i], entries[i], int(orders[i, -1]), copies)
                 for i, result in enumerate(results)
             ]
         recorder = default_span_recorder()
@@ -1459,6 +1496,126 @@ class GredNetwork:
                     request_hops=r.request_hops,
                     response_hops=r.response_hops)
         return final
+
+    def _grouped_probe(self, batch: _Batch, items: np.ndarray,
+                       copy: np.ndarray, attempt: int,
+                       max_hops: Optional[int],
+                       results: List[Optional[RetrievalResult]]
+                       ) -> np.ndarray:
+        """One probe round of :meth:`retrieve_many`, the read mirror of
+        :meth:`_grouped_store`: route replica ``copy[j]`` of every
+        ``items[j]``, resolve each *distinct* delivery ``(switch,
+        serial)`` through :meth:`_serving` once — liveness of its
+        servers included — and look its probes up in bulk, on the home
+        server and then (the fork of paper Section V-C) on the takeover
+        server for the misses.  Response hops are one ``(holder switch,
+        entry)`` gather over the epoch's hop rows.
+
+        Writes every delivered probe's outcome, hit or miss, into
+        ``results[item]`` and returns the per-probe ``found`` mask; a
+        probe that did not deliver counts a route failure and leaves
+        its item's answer as it was.
+        """
+        state, fault = batch.state, self.fault_state
+        probes = items * batch.copies + copy
+        routes = batch.route(probes, max_hops)
+        telemetry = batch.registry.enabled
+        if telemetry:
+            batch.count_mix(routes)
+        found = np.zeros(items.size, dtype=bool)
+        ok = np.flatnonzero(routes.dest >= 0)
+        batch.route_failures += items.size - ok.size
+        if not ok.size:
+            return found
+        items, probes, copy = items[ok], probes[ok], copy[ok]
+        servings, which = self._deliveries(batch, routes, ok)
+        order = np.argsort(which, kind="stable")
+        copy_ids = [batch.flat_ids[f] for f in probes[order].tolist()]
+        # Who can answer: slot ``u`` is delivery ``u``'s home server,
+        # ``slots + u`` its takeover, the closing slot -1 nobody (a
+        # miss).  Per slot: the server, its switch's hop row, the hops
+        # a fork adds.
+        slots = len(servings)
+        server_ids: List[Any] = [None] * (2 * slots + 1)
+        rows = np.zeros(2 * slots + 1, dtype=np.intp)
+        extras = np.zeros(2 * slots + 1, dtype=np.int64)
+        forked = np.asarray([s[2] is not None for s in servings])
+        sources: Dict[int, int] = {}
+        hits: List[bool] = []
+        payloads: List[Any] = []
+        forks: List[int] = []  # hits the takeover answered
+        low = 0
+        for u, ((home, _, takeover, extra), high) in enumerate(
+                zip(servings, np.cumsum(np.bincount(which)).tolist())):
+            ids = copy_ids[low:high]
+            if fault is None or fault.server_alive(home.server_id):
+                hit, payload = home.lookup_many(ids)
+            else:
+                hit, payload = [False] * len(ids), [None] * len(ids)
+            if any(hit):
+                server_ids[u] = home.server_id
+                rows[u] = sources.setdefault(home.switch, len(sources))
+            if takeover is not None:
+                missed = [k for k, h in enumerate(hit) if not h]
+                if missed and (fault is None or fault.server_alive(
+                        takeover.server_id)):
+                    also, theirs = takeover.lookup_many(
+                        [ids[k] for k in missed])
+                    if any(also):
+                        server_ids[slots + u] = takeover.server_id
+                        extras[slots + u] = extra
+                        rows[slots + u] = sources.setdefault(
+                            takeover.switch, len(sources))
+                    for k, h, p in zip(missed, also, theirs):
+                        if h:
+                            hit[k], payload[k] = True, p
+                            forks.append(low + k)
+            hits += hit
+            payloads += payload
+            low = high
+        # Back from delivery order to probe order.
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        hit = found[ok] = np.asarray(hits)[at]
+        slot = np.where(hit, which, -1)
+        slot[order[forks]] += slots
+        response = np.zeros(ok.size, dtype=np.int64)
+        if sources:
+            for switch in sources:
+                self._fast_hop(state, switch, switch)  # fills its row
+            matrix = np.asarray([state.hops[switch] for switch in sources])
+            # Its columns are in topology order: find each entry's.
+            nodes = np.fromiter(state.hop_column, dtype=np.int64)
+            by_id = np.argsort(nodes)
+            column = by_id[np.searchsorted(
+                nodes[by_id], batch.flat_entries[probes[hit]])]
+            response[hit] = matrix[rows[slot[hit]], column]
+        hops = routes.tlen[ok] - 1
+        dests, overlays, starts, ends, traces = routes.lists(ok)
+        data_ids, entries = batch.data_ids, batch.entries
+        items = items.tolist()
+        # The one per-probe loop of a cached batch.  Positional, in
+        # field order (id, found, payload, entry, destination, server,
+        # request hops, response hops, trace, copy, forked, attempts).
+        for i, h, payload, dest, holder, out, back, start, end, c, fork \
+                in zip(items, hit.tolist(),
+                       [payloads[k] for k in at.tolist()], dests,
+                       slot.tolist(), (hops + extras[slot]).tolist(),
+                       response.tolist(), starts, ends, copy.tolist(),
+                       forked[which].tolist()):
+            results[i] = RetrievalResult(
+                data_ids[i], h, payload, entries[i], dest,
+                server_ids[holder], out, back, traces[start:end], c,
+                fork, attempt)
+        if telemetry:
+            batch.deliveries.extend(zip(items, hops.tolist(), overlays))
+            batch.rewrites += int(np.asarray(
+                [extension is not None for _, extension, _, _
+                 in servings])[which].sum())
+            batch.flats.extend(probes.tolist())
+            for i in items:
+                batch.transits.extend(results[i].trace)
+        return found
 
     def destinations_for(self, data_ids: Sequence[str]) -> List[int]:
         """Destination switch of every identifier, resolved without

@@ -228,6 +228,14 @@ class EdgeServer:
         """
         return self._items[data_id]
 
+    def lookup_many(self, data_ids) -> Tuple[List[bool], List[Any]]:
+        """Bulk :meth:`has` + :meth:`retrieve`: ``(found, payloads)``
+        lists beside ``data_ids``, the payload ``None`` where the item
+        is not stored (``found`` tells that from a stored ``None``)."""
+        items = self._items
+        return (list(map(items.__contains__, data_ids)),
+                list(map(items.get, data_ids)))
+
     def delete(self, data_id: str) -> Any:
         """Remove and return an item (KeyError when absent).
 

@@ -7,6 +7,7 @@
 """
 
 from .primitives import (
+    TIE_BAND,
     Point,
     bounding_box,
     centroid,
@@ -43,6 +44,7 @@ from .hull import convex_hull, point_in_hull
 
 __all__ = [
     "Point",
+    "TIE_BAND",
     "euclidean",
     "squared_distance",
     "centroid",

@@ -13,6 +13,12 @@ from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[float, float]
 
+#: Two distances closer than this count as a tie for the vectorized
+#: nearest-first rankings (``np.hypot`` may differ from
+#: :func:`euclidean`'s ``math.hypot`` in the last bit, ~1e-16): the
+#: band only decides which rows take the exact scalar path.
+TIE_BAND = 1e-9
+
 
 def euclidean(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""

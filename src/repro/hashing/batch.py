@@ -27,17 +27,17 @@ _MAX_U32 = np.float64(2 ** 32 - 1)
 
 def sha256_digests(data_ids: Sequence[str]) -> np.ndarray:
     """Per-identifier SHA-256 digests as a ``(k, 32) uint8`` array."""
-    k = len(data_ids)
-    if k == 0:
-        return np.empty((0, 32), dtype=np.uint8)
-    buf = bytearray(32 * k)
-    for i, data_id in enumerate(data_ids):
-        if not isinstance(data_id, str):
-            raise TypeError(f"data identifier must be str, got "
-                            f"{type(data_id).__name__}")
-        h = hashlib.sha256(data_id.encode("utf-8"))
-        buf[32 * i:32 * (i + 1)] = h.digest()
-    return np.frombuffer(bytes(buf), dtype=np.uint8).reshape(k, 32)
+    sha256 = hashlib.sha256
+    try:
+        # ``str.encode`` unbound: a non-``str`` id is a ``TypeError``.
+        joined = b"".join([sha256(encoded).digest()
+                           for encoded in map(str.encode, data_ids)])
+    except TypeError:
+        stranger = next(d for d in data_ids if not isinstance(d, str))
+        raise TypeError(f"data identifier must be str, got "
+                        f"{type(stranger).__name__}") from None
+    return np.frombuffer(joined, dtype=np.uint8).reshape(
+        len(data_ids), 32)
 
 
 def positions_from_digests(digests: np.ndarray) -> np.ndarray:

@@ -230,7 +230,8 @@ class ResilientNetwork:
         throughput path).  Enabled with tripped breakers: every item
         takes the full scalar resilient path.  The arguments are
         validated before any token is spent."""
-        data_ids = check_batch_args(data_ids, copies, entry_switches)
+        data_ids, entry_switches = check_batch_args(
+            data_ids, copies, entry_switches)
 
         def many(picked, entries, rng=None):
             return self.net.retrieve_many(
@@ -259,8 +260,8 @@ class ResilientNetwork:
                    rng: Optional[np.random.Generator] = None
                    ) -> List[ResilientOutcome]:
         """Batch placement; same structure as :meth:`retrieve_many`."""
-        data_ids = check_batch_args(data_ids, copies, entry_switches,
-                                    payloads)
+        data_ids, entry_switches = check_batch_args(
+            data_ids, copies, entry_switches, payloads)
         cfg = self.config
 
         def many(picked, entries, rng=None):

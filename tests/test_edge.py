@@ -27,6 +27,21 @@ class TestEdgeServer:
         with pytest.raises(KeyError):
             s.retrieve("nope")
 
+    def test_lookup_many_is_has_plus_retrieve(self):
+        s = EdgeServer(switch=0, serial=0)
+        s.store("a", [1, 2])
+        s.store("none")  # a stored ``None`` is found, not a miss
+        s.store("gone", 3)
+        s.entomb("gone", (1, 0))  # tombstones are invisible to reads
+        ids = ["a", "nope", "none", "a", "gone"]
+        found, payloads = s.lookup_many(ids)
+        assert found == [s.has(d) for d in ids] == \
+            [True, False, True, True, False]
+        assert payloads == [s.retrieve(d) if s.has(d) else None
+                            for d in ids]
+        assert payloads[0] is payloads[3] is s.retrieve("a")
+        assert s.lookup_many([]) == ([], [])
+
     def test_overwrite_does_not_grow_load(self):
         s = EdgeServer(switch=0, serial=0)
         s.store("a", 1)

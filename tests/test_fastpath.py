@@ -84,9 +84,22 @@ class TestBatchHashing:
         np.testing.assert_array_equal(positions, data_positions(IDS))
         np.testing.assert_array_equal(serials, server_indices(IDS, 5))
 
+    def test_digests_are_hashlib_byte_for_byte(self):
+        digests = sha256_digests(IDS)
+        assert digests.dtype == np.uint8
+        assert digests.shape == (len(IDS), 32)
+        for row, data_id in zip(digests, IDS):
+            assert row.tobytes() == hashlib.sha256(
+                data_id.encode("utf-8")).digest()
+
     def test_non_string_identifier_rejected(self):
-        with pytest.raises(TypeError, match="must be str"):
-            sha256_digests(["ok", 7])
+        # The first stranger in request order is the one named.
+        for bad, name in ((7, "int"), (b"x", "bytes"),
+                          (None, "NoneType")):
+            with pytest.raises(TypeError) as err:
+                sha256_digests(["ok", bad, 3.0])
+            assert str(err.value) == \
+                f"data identifier must be str, got {name}"
 
     def test_empty_batch(self):
         assert data_positions([]).shape == (0, 2)
@@ -443,6 +456,16 @@ class TestBatchFrontDoor:
         from repro.faults import FaultState
         from repro.resilience import ResilienceConfig
 
+        if kind == "federated":
+            from repro.controlplane import FederatedNetwork
+            from repro.topology import federated_topology
+
+            topology, assignment = federated_topology(
+                2, 6, min_degree=2, seed=0)
+            net = FederatedNetwork(
+                topology, assignment=assignment, servers_per_switch=2,
+                cvt_iterations=4, seed=0)
+            return net, net
         net, _ = build_pair(switches=12)
         target = net
         if kind == "faulted":
@@ -456,7 +479,8 @@ class TestBatchFrontDoor:
     @staticmethod
     def _untouched(net, target):
         assert not any(net.load_vector())
-        assert net.write_version == 0
+        # (A federation has no write clock of its own.)
+        assert getattr(net, "write_version", 0) == 0
         if target is not net:
             assert target.admission._tat == {}
 
@@ -478,6 +502,113 @@ class TestBatchFrontDoor:
                 target.retrieve_many(self.IDS, **kwargs)
             assert str(err.value) == text
             self._untouched(net, target)
+
+    KINDS = ["compiled", "faulted", "resilient", "tripped", "federated"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bare_string_ids_rejected(self, kind):
+        """A bare string is not a batch of its characters."""
+        from repro import GredError
+
+        net, target = self._stack(kind)
+        for call in (target.place_many, target.retrieve_many):
+            for bare in ("ab", b"ab"):
+                with pytest.raises(GredError) as err:
+                    call(bare)
+                assert str(err.value) == (
+                    f"data_ids must be a sequence of identifiers, got "
+                    f"the bare {type(bare).__name__} {bare!r}")
+            self._untouched(net, target)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_integral_entries_raise_everywhere(self, kind):
+        from repro import GredError
+
+        net, target = self._stack(kind)
+        first = net.switch_ids()[0]
+        for bad in (1.0, "1", np.float64(2.0), [1]):
+            for entries in ([first, bad, 2.5], (first, bad, first)):
+                for call in (target.place_many, target.retrieve_many):
+                    with pytest.raises(GredError) as err:
+                        call(self.IDS, entry_switches=entries)
+                    assert str(err.value) == \
+                        f"entry switch must be an integer, got {bad!r}"
+            self._untouched(net, target)
+        with pytest.raises(GredError, match="integer, got 0.0"):
+            target.retrieve_many(self.IDS,
+                                 entry_switches=np.zeros(3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integer_entries_of_any_type_come_back_as_int(self, kind):
+        """An ndarray (or numpy scalars) of entries gives the scalar
+        call's results: plain ``int`` entry switches, JSON-ready."""
+        import json
+
+        net, target = self._stack(kind)
+        switches = net.switch_ids()[:3]
+
+        def unwrap(results):
+            return [getattr(r, "result", r) for r in results]
+
+        want = unwrap(target.place_many(self.IDS,
+                                        entry_switches=switches))
+        reads = unwrap(target.retrieve_many(self.IDS,
+                                            entry_switches=switches))
+        for entries in (np.asarray(switches), tuple(switches),
+                        [np.int64(s) for s in switches]):
+            placed = unwrap(target.place_many(
+                self.IDS, entry_switches=entries))
+            assert placed == want
+            got = unwrap(target.retrieve_many(
+                self.IDS, entry_switches=entries))
+            assert got == reads
+            for entry in [r.entry_switch for r in got] + [
+                    record.entry_switch for result in placed
+                    for record in result.records]:
+                assert type(entry) is int
+                json.dumps(entry)
+
+    @pytest.mark.parametrize("kind", ["compiled", "faulted",
+                                      "federated"])
+    def test_first_bad_entry_in_request_order_is_named(self, kind):
+        """Entries are validated once per distinct value; which one a
+        failure names is still decided by the request order."""
+        from repro import GredError
+
+        net, target = self._stack(kind)
+        good = net.switch_ids()[0]
+        bad = [(777, "unknown entry switch 777"),
+               (555, "unknown entry switch 555")]
+        if kind == "faulted":
+            down = net.switch_ids()[1]
+            net.fault_state.crashed_switches.add(down)
+            bad[1] = (down, f"entry switch {down} has crashed; requests "
+                            f"must enter at a live access point")
+        for (first, text), (second, _) in (bad, bad[::-1]):
+            for call in (target.place_many, target.retrieve_many):
+                with pytest.raises(GredError) as err:
+                    call(["fd/0", "fd/1", "fd/2", "fd/3", "fd/4"],
+                         entry_switches=[good, first, good, second,
+                                         first])
+                assert str(err.value) == text
+        self._untouched(net, target)
+
+    @pytest.mark.parametrize("kind", ["compiled", "federated"])
+    def test_mixed_none_entries_draw_like_the_loop(self, kind):
+        """A ``None`` entry draws from ``rng`` where it stands in the
+        request order, so a mixed column takes the per-item path."""
+        _, target = self._stack(kind)
+        _, twin = self._stack(kind)
+        fixed = target.switch_ids()[2:4]
+        ids = [f"fd/{i}" for i in range(6)]
+        entries = [None, fixed[0], None, None, fixed[1], None]
+        ours, theirs = (np.random.default_rng(9) for _ in range(2))
+        got = target.retrieve_many(ids, entry_switches=entries, rng=ours)
+        want = [twin.retrieve(data_id, entry_switch=entry, rng=theirs)
+                for data_id, entry in zip(ids, entries)]
+        assert got == want
+        assert [r.entry_switch for r in got][1::3] == fixed
+        assert ours.integers(1 << 30) == theirs.integers(1 << 30)
 
     @pytest.mark.parametrize("kind", ["compiled", "faulted"])
     @pytest.mark.parametrize("rows", [-1, 1])
@@ -723,6 +854,218 @@ class TestGroupedStore:
         for data_id, result in zip(ids, results):
             assert result.found
             assert result.payload == {"item": data_id}
+
+
+class TestGroupedProbe:
+    """Every round of ``retrieve_many`` is one grouped probe — one
+    resolution and one bulk lookup per distinct delivery — and stays
+    the scalar ``retrieve`` loop on the reference engine: records,
+    registry and demand map byte-equal."""
+
+    @staticmethod
+    def _read(reference_engine, build, ids, copies, **kwargs):
+        """``(results, instruments)`` of one read batch over a spread
+        of entries, asserted equal to its scalar twin's."""
+        switches = build().switch_ids()
+        entries = [switches[i % 9] for i in range(len(ids))]
+        got, want, _ = loop_twin(reference_engine, build, [
+            lambda net: net.retrieve_many(
+                ids, entry_switches=entries, copies=copies, **kwargs)])
+        assert got == want
+        (outcomes, _, instruments, _), _ = got
+        return outcomes[0], instruments
+
+    @staticmethod
+    def _extended(before, after, copies=2, fault_state=False):
+        """``before`` placed, serial 0 of six switches extended, then
+        ``after`` placed (onto the takeover servers where redirected):
+        both servers of a forked delivery hold items."""
+        def build():
+            net = build_pair(switches=20)[0]
+            if fault_state:
+                FaultInjector(net)
+            net.place_many(before, payloads=list(before), copies=copies,
+                           rng=np.random.default_rng(1))
+            for switch in net.switch_ids()[1:7]:
+                net.extend_range(switch, 0)
+            net.place_many(after, payloads=[{"item": d} for d in after],
+                           copies=copies, rng=np.random.default_rng(2))
+            return net
+        return build
+
+    def test_home_takeover_miss_and_never_placed_in_one_batch(
+            self, reference_engine):
+        old = [f"old/{i}" for i in range(150)]
+        new = [f"new/{i}" for i in range(150)]
+        extended = self._extended(old, new)
+
+        def build():
+            net = extended()
+            for data_id in old[::5]:
+                net.delete(data_id, copies=2)
+            for data_id in new[::5]:
+                net.delete(data_id)  # copy 0 only: copy 1 answers
+            return net
+
+        ids = [d for trio in zip(old, new, (f"never/{i}"
+                                            for i in range(150)))
+               for d in trio]
+        results, _ = self._read(reference_engine, build, ids, 2)
+        hits = [r for r in results if r.found]
+        at_home = [r for r in hits
+                   if r.server_id[0] == r.destination_switch]
+        at_takeover = [r for r in hits
+                       if r.server_id[0] != r.destination_switch]
+        assert [r for r in at_home if r.forked]
+        assert [r for r in at_home if not r.forked]
+        assert at_takeover and all(r.forked for r in at_takeover)
+        for r in at_takeover:
+            assert r.request_hops > len(r.trace) - 1
+        assert [r for r in hits if r.attempts == 2]
+        assert sum(not r.found for r in results) == 150 + 30
+        assert {type(r.copy_used) for r in results} == {int}
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    @pytest.mark.parametrize("down", ["home", "takeover"])
+    def test_dead_server_is_skipped_like_the_loop(
+            self, reference_engine, down, copies):
+        """Under an attached fault state one server of each forked
+        delivery is unreachable with its disk intact: only the
+        liveness rule keeps a read from finding what it holds."""
+        ids = [f"live/{i}" for i in range(240)]
+        extended = self._extended(ids[:120], ids[120:], copies, True)
+        dead = set()
+
+        def build():
+            net = extended()
+            for switch in net.switch_ids()[1:7]:
+                entry = net.controller.switches[switch] \
+                    .table.extension_for(0)
+                dead.add((switch, 0) if down == "home" else (
+                    entry.target_switch, entry.target_serial))
+            net.fault_state.crashed_servers.update(dead)
+            return net
+
+        results, _ = self._read(reference_engine, build, ids, copies)
+        assert sum(build().server(*sid).load for sid in dead) > 0
+        assert not any(r.server_id in dead for r in results)
+        assert [r for r in results if r.found and r.attempts > 1]
+        assert [r for r in results if r.found and r.forked]
+
+    def test_route_failures_interleave_with_deliveries(
+            self, reference_engine):
+        ids = [f"hop/{i}" for i in range(200)]
+
+        def build():
+            net = build_pair(switches=20)[0]
+            net.place_many(ids, payloads=list(ids), copies=2,
+                           rng=np.random.default_rng(1))
+            return net
+
+        results, instruments = self._read(
+            reference_engine, build, ids, 2, max_hops=1)
+        failures = instruments[
+            ("counters", "faults.route_failures", ())]["value"]
+        assert 0 < failures < 2 * len(ids)
+        assert [r for r in results if r.found and r.attempts == 2]
+        # Every probe of these died in routing; others missed nothing.
+        assert [r for r in results if r.destination_switch is None]
+        assert [r for r in results if r.found and r.attempts == 1]
+
+    def test_departed_takeover_counts_as_not_installed(
+            self, reference_engine):
+        """Entries toward a switch that has left (hand-installed: the
+        controller withdraws its own) are unusable: the home server
+        answers, nothing forks, the rewrite is still counted."""
+        ids = [f"left/{i}" for i in range(200)]
+
+        def build():
+            net = build_pair(switches=20)[0]
+            net.place_many(ids, payloads=list(ids), copies=2,
+                           rng=np.random.default_rng(1))
+            gone = net.switch_ids()[0]
+            net.remove_switch(gone)
+            for switch in net.switch_ids()[:6]:
+                net.controller.switches[switch].table.install_extension(
+                    ExtensionEntry(local_serial=0, target_switch=gone,
+                                   target_serial=0))
+            return net
+
+        results, instruments = self._read(reference_engine, build, ids, 2)
+        assert all(r.found and not r.forked for r in results)
+        assert instruments[
+            ("counters", "dataplane.extension_rewrites", ())]["value"] > 0
+
+    def test_resolved_once_per_delivery_and_once_per_entry(
+            self, monkeypatch):
+        """A 10,000-item read batch resolves each distinct delivery
+        and validates each distinct entry once, and never takes the
+        scalar probe step."""
+        from collections import Counter
+
+        net, _ = build_pair(switches=20)
+        switches = net.switch_ids()
+        ids = [f"many/{i}" for i in range(10_000)]
+        entries = [switches[i % 7] for i in range(len(ids))]
+        net.place_many(ids[::2], entry_switches=entries[::2])
+        calls = Counter()
+        for name in ("_serving", "_resolve_entry", "_probe"):
+            def counting(self, *args, _name=name,
+                         _real=getattr(GredNetwork, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(GredNetwork, name, counting)
+        results = net.retrieve_many(ids, entry_switches=entries)
+        assert sum(r.found for r in results) == len(ids) // 2
+        deliveries = {(r.destination_switch, server_index(r.data_id, 3))
+                      for r in results}
+        assert len(deliveries) < 61
+        assert calls == {"_serving": len(deliveries),
+                         "_resolve_entry": 7}
+
+
+class TestReplicaOrders:
+    def test_ties_and_near_ties_take_the_exact_path(self, monkeypatch):
+        """The one-pass replica ranking trusts only a clear order: a
+        row with an exact tie, or two replicas 1e-12 apart, is ranked
+        by the scalar rule (ties by copy index)."""
+        net, _ = build_pair(switches=12)
+        entries = net.switch_ids()[:4] * 3
+        positions = np.random.default_rng(0).random(
+            (len(entries), 3, 2))
+        positions[1, 2] = positions[1, 0]
+        positions[4, 1] = positions[4, 2]
+        positions[7, 1] = positions[7, 0] + (1e-12, 0.0)
+        positions[9, 2] = positions[9, 1] - (0.0, 1e-12)
+        exact = [net._nearest_first(entry, positions[i].tolist())
+                 for i, entry in enumerate(entries)]
+        assert exact[1].index(0) + 1 == exact[1].index(2)
+        assert exact[4].index(1) + 1 == exact[4].index(2)
+        sent = []
+        real = net._nearest_first
+        monkeypatch.setattr(
+            net, "_nearest_first", lambda entry, row:
+            sent.append((entry, row)) or real(entry, row))
+        orders = net._replica_orders(
+            entries, positions.reshape(-1, 2), 3)
+        assert orders.tolist() == exact
+        assert sent == [(entries[i], positions[i].tolist())
+                        for i in (1, 4, 7, 9)]
+
+    def test_batch_order_is_the_scalar_order(self):
+        net, _ = build_pair(switches=16)
+        ids = [f"order/{i}" for i in range(300)]
+        switches = net.switch_ids()
+        entries = [switches[i % 11] for i in range(len(ids))]
+        for copies in (1, 2, 4):
+            positions = data_positions(
+                [replica_id(d, c) for d in ids for c in range(copies)])
+            assert net._replica_orders(
+                entries, positions, copies).tolist() == [
+                net.replica_order(d, copies, e)
+                for d, e in zip(ids, entries)]
+        assert net._replica_orders([], np.empty((0, 2)), 3).shape == \
+            (0, 3)
 
 
 class TestDifferentialProperties:
