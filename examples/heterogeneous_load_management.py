@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import GredNetwork, EdgeServer, brite_waxman_graph
 from repro.edge import StorageFull
+from repro.hashing import server_index
 
 NUM_SWITCHES = 12
 
@@ -105,7 +106,9 @@ def main() -> None:
     # it) — wherever they are currently stored.
     target = net.server(entry_rule.target_switch, entry_rule.target_serial)
     redirected_home = [
-        d for d in target.stored_ids() if net._belongs_to(d, 0, 0)
+        d for d in target.stored_ids()
+        if net.destination_switch(d) == 0
+        and server_index(d, len(net.server_map[0])) == 0
     ]
     drained = 0
     # All but 5 of the tiny server's own records expire...

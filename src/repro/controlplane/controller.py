@@ -20,6 +20,7 @@ traffic, so switches never consult the controller per packet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set
 
@@ -704,6 +705,7 @@ class Controller:
         if not anchors:
             return (0.5, 0.5)
         scale = self._embedding_scale()
+        targets = [(x, y, scale * d) for (x, y), d in anchors]
         neighbor_positions = [
             self.positions[n] for n in self.topology.neighbors(switch_id)
             if n in self.positions
@@ -720,11 +722,13 @@ class Controller:
         try:
             from scipy.optimize import least_squares
 
+            # math.hypot, not np.hypot: the two differ in the last bit
+            # (see TIE_BAND) and the committed CHURN / FEDERATION
+            # reports pin the solved position.
             def residuals(q):
-                return [
-                    euclidean((q[0], q[1]), pos) - scale * d
-                    for pos, d in anchors
-                ]
+                q0, q1 = q[0], q[1]
+                return [math.hypot(q0 - x, q1 - y) - target
+                        for x, y, target in targets]
 
             solution = least_squares(residuals, x0=list(x0))
             return (float(solution.x[0]), float(solution.x[1]))
@@ -800,9 +804,9 @@ class Controller:
         """A switch leaves (or fails).
 
         The remaining positions are kept; the DT is rebuilt over the
-        remaining participants (vertex deletion in a DT is rare enough at
-        control-plane scale that a rebuild is the simplest correct
-        response) and the rules are recompiled.
+        remaining participants (about a third of a leave; why vertex
+        deletion is parked is in :class:`DelaunayTriangulation`'s
+        docstring) and the rules are recompiled.
 
         Range extensions whose takeover server sits on the leaver are
         withdrawn before the rules are reinstalled, so what they

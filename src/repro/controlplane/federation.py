@@ -34,7 +34,6 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
 import numpy as np
 
 from ..embedding import m_position
-from ..geometry import TIE_BAND
 from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
 from ..hashing import data_position, replica_id
@@ -115,12 +114,6 @@ class FederatedController:
         self._sites = _region_sites(region_map.region_graph)
         self._region_index = RoutingIndex(sorted(self._sites),
                                           self._sites)
-        #: Region ids and their site coordinates as parallel arrays
-        #: (the overlay is static, so these never change).
-        self._site_ids = sorted(self._sites)
-        self._site_xy = np.asarray(
-            [self._sites[rid] for rid in self._site_ids],
-            dtype=np.float64)
 
     # ------------------------------------------------------------------
     # region resolution
@@ -146,24 +139,9 @@ class FederatedController:
         return self._region_index.closest(position)
 
     def home_regions(self, positions: np.ndarray) -> List[int]:
-        """Batch :meth:`home_region` over ``(n, 2)`` positions: one
-        ``(n, regions)`` distance matrix and an ``argmin``.
-
-        ``np.hypot`` may differ from the index's ``math.hypot`` in the
-        last bit, so only a clear winner is trusted: a row with a
-        second distance within ``TIE_BAND`` of its best goes to
-        the exact :meth:`RoutingIndex.closest`, which keeps the
-        paper's ``(distance, x, y)`` tie-break bit-exact."""
-        sites = self._site_xy
-        dist = np.hypot(positions[:, 0:1] - sites[:, 0],
-                        positions[:, 1:2] - sites[:, 1])
-        ids = self._site_ids
-        homes = [ids[k] for k in dist.argmin(axis=1).tolist()]
-        near = dist - dist.min(axis=1, keepdims=True) <= TIE_BAND
-        for f in np.flatnonzero(near.sum(axis=1) > 1).tolist():
-            homes[f] = self._region_index.closest(
-                (positions[f, 0], positions[f, 1]))
-        return homes
+        """Batch :meth:`home_region` over ``(n, 2)`` positions
+        (:meth:`RoutingIndex.closest_many` on the region sites)."""
+        return self._region_index.closest_many(positions).tolist()
 
     def controller(self, region: int):
         return self.shards[region].controller

@@ -33,9 +33,9 @@ from ..geometry import Point
 from ..graph import Graph
 from .rules import (
     _multi_hop_destinations,
-    bfs_parent_tree,
     compile_port_map,
     path_toward,
+    relay_parent_tree,
 )
 
 
@@ -106,16 +106,23 @@ def compile_plan(
             if neighbor in dt_members
         }
         virtuals[node] = {}
-    # One BFS tree per multi-hop destination, sources in sorted order:
-    # identical relay tuples (and identical same-dest overwrites) to
-    # the legacy installer.
+    # One BFS tree per multi-hop destination, walked over the port
+    # map's sorted rows and only until its last source is reached.
+    # The legacy installer takes the sources in ascending order and
+    # lets a later one overwrite an earlier one's tuples wherever
+    # their tree paths meet — which is from the meeting switch all the
+    # way to ``dest``.  Descending order, each path cut at the first
+    # switch that already holds a tuple for ``dest``, writes the same
+    # tuples and builds none to be discarded.
     for dest in sorted(_multi_hop_destinations(topology, dt_adjacency)):
-        parent = bfs_parent_tree(topology, dest)
-        for sour in sorted(dt_adjacency[dest]):
-            if topology.has_edge(sour, dest):
-                continue
+        sources = sorted(dt_adjacency[dest] - ports[dest].keys(),
+                         reverse=True)
+        parent = relay_parent_tree(ports, dest, sources)
+        for sour in sources:
             path = path_toward(parent, sour, dest)
             for i, node in enumerate(path):
+                if dest in virtuals[node]:
+                    break
                 virtuals[node][dest] = VirtualLinkEntry(
                     sour=sour,
                     pred=path[i - 1] if i > 0 else None,

@@ -29,9 +29,16 @@ the ring lower bound still under-estimates its distance.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geometry import Point
+import numpy as np
+
+from ..geometry import TIE_BAND, Point
+
+#: Bound on one ``closest_many`` distance-matrix chunk, in elements
+#: (256 KB of float64 a temporary): larger chunks are no faster and
+#: showed up in peak RSS.
+_CHUNK_ELEMENTS = 32_768
 
 #: Safety margin subtracted from the ring lower bound: the bound is
 #: computed with a handful of float additions whose rounding error is
@@ -66,6 +73,11 @@ class RoutingIndex:
         self._slot: Dict[int, int] = {
             node: i for i, node in enumerate(self._nodes)
         }
+        #: Live ``(ids, xs, ys)`` arrays for :meth:`closest_many`,
+        #: built on first use and dropped by :meth:`insert` /
+        #: :meth:`remove`.
+        self._live: Optional[Tuple[np.ndarray, np.ndarray,
+                                   np.ndarray]] = None
         #: In-place update counters (observability + locality tests).
         self.inserts = 0
         self.removes = 0
@@ -118,6 +130,7 @@ class RoutingIndex:
         self._ys.append(y)
         self._slot[node] = slot
         self._grid.setdefault(self._cell_of(x, y), []).append(slot)
+        self._live = None
         self.inserts += 1
 
     def remove(self, node: int) -> None:
@@ -130,6 +143,7 @@ class RoutingIndex:
         cell.remove(slot)
         if not cell:
             self._grid.pop(key, None)
+        self._live = None
         self.removes += 1
 
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
@@ -195,6 +209,49 @@ class RoutingIndex:
                         best_x = x
                         best_y = y
         return self._nodes[best_i]
+
+    def closest_many(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`closest` of every row of ``(n, 2)`` ``points``, as an
+        int64 array: one squared-distance matrix against the live
+        participants and an ``argmin`` per row chunk.
+
+        The matrix's ``dx² + dy²`` and :meth:`closest`'s ``math.hypot``
+        round differently in the last bits, so only a clear winner is
+        trusted: a row whose two best distances sit within ``TIE_BAND``
+        goes to the exact :meth:`closest`, which keeps the
+        ``(distance, x, y)`` tie-break bit-exact.
+        """
+        if not self._slot:
+            raise ValueError("routing index has no participants")
+        if self._live is None:
+            slots = np.fromiter(self._slot.values(), dtype=np.int64,
+                                count=len(self._slot))
+            self._live = (
+                np.fromiter(self._slot, dtype=np.int64, count=len(slots)),
+                np.asarray(self._xs)[slots], np.asarray(self._ys)[slots])
+        ids, xs, ys = self._live
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        winners = np.empty(len(points), dtype=np.int64)
+        rows = max(1, _CHUNK_ELEMENTS // len(ids))
+        for start in range(0, len(points), rows):
+            chunk = points[start:start + rows]
+            square = chunk[:, 0:1] - xs
+            dy = chunk[:, 1:2] - ys
+            square *= square
+            dy *= dy
+            square += dy
+            best = square.argmin(axis=1)
+            winners[start:start + rows] = ids[best]
+            # The runner-up, by masking the winner out (``inf`` when
+            # there is no other participant: never within the band).
+            at = np.arange(len(chunk))
+            nearest = square[at, best]
+            square[at, best] = np.inf
+            close = np.sqrt(square.min(axis=1)) - np.sqrt(nearest)
+            for f in np.flatnonzero(close <= TIE_BAND).tolist():
+                winners[start + f] = self.closest(
+                    (chunk[f, 0], chunk[f, 1]))
+        return winners
 
     def _ring_cells(self, cx: int, cy: int, ring: int):
         """In-bounds cells at Chebyshev distance ``ring`` from the

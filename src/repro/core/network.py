@@ -65,6 +65,7 @@ from ..hashing import (
     replica_ids_flat,
     serials_from_digests,
     server_index,
+    server_indices_from_digests,
     sha256_digests,
 )
 from ..obs import (
@@ -1621,17 +1622,17 @@ class GredNetwork:
         """Destination switch of every identifier, resolved without
         simulating any routing (batch :meth:`destination_switch`).
 
-        One vectorized hashing pass plus one grid-index query per id.
+        One vectorized hashing pass plus one
+        :meth:`RoutingIndex.closest_many` over all ids.
         """
         data_ids = list(data_ids)
         if self._position_fn is not data_position:
             return [self.destination_switch(d) for d in data_ids]
+        if not data_ids:
+            return []
         positions = positions_from_digests(sha256_digests(data_ids))
-        index = self.controller.routing_index()
-        return [
-            index.closest((positions[i, 0], positions[i, 1]))
-            for i in range(len(data_ids))
-        ]
+        return self.controller.routing_index().closest_many(
+            positions).tolist()
 
     # ------------------------------------------------------------------
     # deletion
@@ -1927,9 +1928,10 @@ class GredNetwork:
             )
         source = self.server(entry.target_switch, entry.target_serial)
         home = self.server(switch, serial)
+        redirected = source.stored_ids()
         belonging = [
-            item_id for item_id in source.stored_ids()
-            if self._belongs_to(item_id, switch, serial)
+            item_id for item_id, owned in zip(
+                redirected, self._belong(home, redirected)) if owned
         ]
         if home.capacity is not None:
             free = home.capacity - home.load
@@ -1946,14 +1948,25 @@ class GredNetwork:
         self.controller.retract_range(switch, serial)
         return len(belonging)
 
-    def _belongs_to(self, data_id: str, switch: int, serial: int) -> bool:
-        """Would ``data_id`` be delivered to server (switch, serial) with
-        no extensions active?"""
-        position = self._position_fn(data_id)
-        dest = self.controller.closest_switch(position)
-        if dest != switch:
-            return False
-        return server_index(data_id, len(self.server_map[switch])) == serial
+    def _belong(self, server: EdgeServer,
+                item_ids: Sequence[str]) -> List[bool]:
+        """Per item id: would it be delivered to ``server`` with no
+        extensions active?  One hashing pass, one nearest-switch pass,
+        the serial from the digest head."""
+        if not item_ids:
+            return []
+        digests = sha256_digests(item_ids)
+        if self._position_fn is data_position:
+            positions = positions_from_digests(digests)
+        else:
+            positions = np.asarray(
+                [self._position_fn(d) for d in item_ids],
+                dtype=np.float64)
+        dests = self.controller.routing_index().closest_many(positions)
+        serials = server_indices_from_digests(
+            digests, len(self.server_map[server.switch]))
+        return ((dests == server.switch)
+                & (serials == server.serial)).tolist()
 
     # ------------------------------------------------------------------
     # network dynamics (paper Section VI)
@@ -2013,10 +2026,11 @@ class GredNetwork:
             orphans.extend((home, item_id)
                            for item_id in home.stored_ids())
             if takeover is not None:
+                redirected = takeover.stored_ids()
                 orphans.extend(
-                    (takeover, item_id)
-                    for item_id in takeover.stored_ids()
-                    if self._belongs_to(item_id, switch_id, serial))
+                    (takeover, item_id) for item_id, owned in zip(
+                        redirected, self._belong(home, redirected))
+                    if owned)
         # Re-place from a surviving physical neighbor of the leaver
         # (a connected topology of two or more switches has one).
         entry = next(self.topology.neighbors(switch_id))
@@ -2036,22 +2050,33 @@ class GredNetwork:
         ones whose closest switch changed."""
         moved = 0
         for switch in switches:
-            moved += self._redeliver([
-                (server, item_id)
-                for server in self.server_map.get(switch, [])
-                for item_id in server.stored_ids()
-                if not self._belongs_to(item_id, server.switch,
-                                        server.serial)], switch)
+            for server in self.server_map.get(switch, []):
+                held = server.stored_ids()
+                moved += self._redeliver(
+                    [(server, item_id) for item_id, owned in zip(
+                        held, self._belong(server, held)) if not owned],
+                    switch)
         return moved
 
     def _redeliver(self, items, entry: int) -> int:
-        """Take each ``(server, item id)`` off its server and deliver
-        it again from ``entry`` through the one store path, stamp
-        kept; returns the count."""
+        """Deliver each ``(server, item id)`` again from ``entry``
+        through the one store path, stamp kept, and take it off its
+        old server once the store is acknowledged — unless it landed
+        on that very server (a re-delivery through an extension can);
+        returns the count.
+
+        A store that raises (``StorageFull``) therefore loses nothing:
+        the item that failed and the not-yet-moved remainder stay
+        readable on their old servers.  For a leaver those servers'
+        switch is already gone from the controller — ROADMAP item 4's
+        hole, not closed here.
+        """
         for server, item_id in items:
-            stamp = server.stamp_of(item_id)
-            self._place_one(item_id, server.delete(item_id), entry,
-                            stamp=stamp)
+            record = self._place_one(
+                item_id, server.retrieve(item_id), entry,
+                stamp=server.stamp_of(item_id))
+            if record.hinted or record.server_id != server.server_id:
+                server.delete(item_id)
         if items:
             default_registry().counter("core.migrations").inc(
                 len(items))

@@ -68,8 +68,15 @@ class DelaunayTriangulation:
 
     The triangulation is *live*: :meth:`insert_point` supports the
     network-dynamics case of a switch joining (paper Section VI).  Switch
-    departure is handled by the controller rebuilding the triangulation,
-    as vertex deletion is both rare and cheap at control-plane scale.
+    departure is handled by the controller rebuilding the triangulation.
+    That is not free — at 200 switches the rebuild is about a third of
+    a graceful leave, second only to rule compilation — but vertex
+    deletion is parked because it is not rebuild-equal: for
+    a cocircular quadruple "whichever valid diagonal was constructed
+    first" wins, so deleting and re-triangulating the hole can keep a
+    diagonal a fresh build would not, and the super triangle is derived
+    from the bounding box, which a leaver on the hull changes.  The
+    committed reports pin the rebuild's adjacency.
     """
 
     def __init__(self, points: Sequence[Point] = (),

@@ -4,16 +4,20 @@ Floating-point orientation and in-circle tests can misclassify nearly
 degenerate configurations, which breaks the incremental flip algorithm
 (it can loop forever or build an invalid triangulation).  Both predicates
 here evaluate a fast float expression first and fall back to exact
-rational arithmetic (:class:`fractions.Fraction` converts binary floats
-exactly) whenever the float result is within a conservative error bound.
+arithmetic whenever the float result is within a conservative error
+bound.  Binary floats are dyadic rationals, so the exact form brings
+the coordinates to integers over their common power-of-two denominator
+(:meth:`float.as_integer_ratio`) and takes the sign of the integer
+determinant — the same rational a :class:`fractions.Fraction`
+evaluation yields (the oracle in ``tests/test_predicates.py``), without
+a gcd per operation.
 
 This is the "design decision 1" called out in DESIGN.md.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 Point = Tuple[float, float]
 
@@ -39,16 +43,21 @@ def orient2d(a: Point, b: Point, c: Point) -> int:
     return _orient2d_exact(a, b, c)
 
 
+def _integers(*coords: float) -> List[int]:
+    """``coords`` scaled to integers by their common denominator (the
+    largest one: every denominator is a power of two)."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    common = max(den for _, den in ratios)
+    return [num * (common // den) for num, den in ratios]
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
 def _orient2d_exact(a: Point, b: Point, c: Point) -> int:
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    ax, ay, bx, by, cx, cy = _integers(*a, *b, *c)
+    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
 def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
@@ -84,20 +93,15 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
 
 
 def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
-    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
-    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
-    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
+    ax, ay, bx, by, cx, cy, dx, dy = _integers(*a, *b, *c, *d)
+    ax, ay, bx, by, cx, cy = (ax - dx, ay - dy, bx - dx, by - dy,
+                              cx - dx, cy - dy)
     a_sq = ax * ax + ay * ay
     b_sq = bx * bx + by * by
     c_sq = cx * cx + cy * cy
-    det = (ax * (by * c_sq - cy * b_sq)
-           - ay * (bx * c_sq - cx * b_sq)
-           + a_sq * (bx * cy - cx * by))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return _sign(ax * (by * c_sq - cy * b_sq)
+                 - ay * (bx * c_sq - cx * b_sq)
+                 + a_sq * (bx * cy - cx * by))
 
 
 def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:

@@ -6,7 +6,8 @@ import pytest
 from repro import GredNetwork
 from repro.controlplane import ControlPlaneError
 from repro.core import GredError
-from repro.edge import EdgeServer, attach_uniform
+from repro.edge import EdgeServer, StorageFull, attach_uniform
+from repro.hashing import server_index
 from repro.topology import grid_graph
 
 
@@ -15,6 +16,15 @@ def net():
     topology = grid_graph(3, 3)
     servers = attach_uniform(topology.nodes(), servers_per_switch=2)
     return GredNetwork(topology, servers, cvt_iterations=5, seed=0)
+
+
+def belongs_to(net, data_id, switch, serial):
+    """The per-item ownership rule ``GredNetwork._belong`` decides in
+    one pass (its oracle): the switch closest to the item's position,
+    the ``H(d) mod s`` server there, extensions ignored."""
+    dest = net.controller.closest_switch(net._position_fn(data_id))
+    return dest == switch and server_index(
+        data_id, len(net.server_map[switch])) == serial
 
 
 def place_many(net, count, prefix="dyn"):
@@ -333,13 +343,120 @@ class TestLeaveWithExtensions:
         redirected = [
             item for item in net.server(
                 entry.target_switch, entry.target_serial).stored_ids()
-            if net._belongs_to(item, home, 0)]
+            if belongs_to(net, item, home, 0)]
         assert redirected
         on_home = sum(s.load for s in net.server_map[home])
         assert system.remove_switch(home) == on_home + len(redirected)
         survivors = system.switch_ids()
         _assert_healthy(system, ids, [survivors[i % len(survivors)]
                                       for i in range(len(ids))])
+
+
+class TestBelong:
+    """``_belong`` ≡ the per-item rule, id by id."""
+
+    @staticmethod
+    def _agree(net, server, ids):
+        got = net._belong(server, ids)
+        assert got == [belongs_to(net, d, server.switch, server.serial)
+                       for d in ids]
+        return got
+
+    def test_heterogeneous_server_counts(self):
+        topology = grid_graph(3, 3)
+        servers = {node: [EdgeServer(switch=node, serial=i)
+                          for i in range(1 + node % 4)]
+                   for node in topology.nodes()}
+        net = GredNetwork(topology, servers, cvt_iterations=5, seed=0)
+        ids = place_many(net, 300, prefix="mixed")
+        owned = 0
+        for server in net.servers():
+            # What the server holds is its own; of all ids, only that.
+            assert all(self._agree(net, server, server.stored_ids()))
+            owned += sum(self._agree(net, server, ids))
+        assert owned == len(ids)
+
+    def test_items_on_a_takeover_server(self):
+        net = _waxman_monolith()
+        ids = [f"ext/{i}" for i in range(600)]
+        net.place_many(ids[:300], rng=np.random.default_rng(1))
+        _, home, entry = _extend_toward_removable(net, False)
+        net.place_many(ids[300:], rng=np.random.default_rng(2))
+        takeover = net.server(entry.target_switch, entry.target_serial)
+        owned = self._agree(net, net.server(home, 0),
+                            takeover.stored_ids())
+        # Redirected items belong to the home server, the takeover
+        # server's own do not.
+        assert True in owned and False in owned
+
+    def test_custom_position_fn(self):
+        from test_density_extension import clustered_position
+
+        topology = grid_graph(3, 3)
+        net = GredNetwork(topology, attach_uniform(topology.nodes(), 2),
+                          cvt_iterations=5, seed=0,
+                          position_fn=clustered_position)
+        ids = place_many(net, 120, prefix="geo")
+        for server in net.servers():
+            assert all(self._agree(net, server, server.stored_ids()))
+        assert sum(sum(self._agree(net, server, ids))
+                   for server in net.servers()) == len(ids)
+
+    def test_empty(self, net):
+        assert net._belong(net.server(0, 0), []) == []
+        assert net._belong(net.server(0, 0), ()) == []
+
+
+class TestMovedCounts:
+    """``add_switch`` / ``remove_switch`` return what they returned
+    before ownership was decided in one pass (counts read off the
+    per-item implementation on the same fixtures)."""
+
+    def test_grid(self, net):
+        place_many(net, 80, prefix="count")
+        assert [net.add_switch(100, links=[4, 0], servers_per_switch=2),
+                net.add_switch(101, links=[100, 8],
+                               servers_per_switch=3),
+                net.remove_switch(4),
+                net.remove_switch(100)] == [6, 7, 10, 7]
+        assert sum(net.load_vector()) == 80
+
+    def test_waxman(self):
+        net = _waxman_monolith()
+        ids = [f"moved/{i}" for i in range(800)]
+        net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+        assert [net.add_switch(100, links=[0, 1, 2],
+                               servers_per_switch=2),
+                net.add_switch(101, links=[100, 7],
+                               servers_per_switch=3),
+                net.remove_switch(5), net.remove_switch(100),
+                net.remove_switch(12)] == [7, 8, 14, 11, 37]
+        _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
+
+
+def test_failed_redelivery_loses_nothing():
+    """A migration store that raises ``StorageFull`` leaves the item
+    it failed on, and every one after it, on its old server."""
+    net = _waxman_monolith()
+    ids = [f"full/{i}" for i in range(3000)]
+    net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+    before = _storage(net)
+    with pytest.raises(StorageFull):
+        net.add_switch(100, links=[0, 1, 2], servers=[
+            EdgeServer(switch=100, serial=i, capacity=2)
+            for i in range(2)])
+    assert sum(net.load_vector()) == len(ids)
+    after = _storage(net)
+    landed = {d for server in net.server_map[100]
+              for d in after.pop(server.server_id)}
+    assert 0 < len(landed) <= 4
+    for server_id, items in before.items():
+        assert after[server_id] == {
+            d: record for d, record in items.items()
+            if d not in landed}
+    # More than the new servers could take was due to move, so some
+    # item did fail — and is still where it was.
+    assert sum(net.destination_switch(d) == 100 for d in ids) > 4
 
 
 @pytest.mark.parametrize("build, victim", [(_line_monolith, 2),

@@ -311,6 +311,69 @@ class TestRoutingIndex:
         with pytest.raises(ValueError, match="no participants"):
             index.closest((0.5, 0.5))
 
+    @staticmethod
+    def _many_agrees(index, points):
+        points = np.asarray(points, dtype=np.float64)
+        got = index.closest_many(points)
+        assert got.dtype == np.int64
+        assert got.tolist() == [index.closest((x, y))
+                                for x, y in points.tolist()]
+
+    def test_closest_many_on_random_points(self):
+        net, _ = build_pair(switches=60)
+        index = net.controller.routing_index()
+        self._many_agrees(
+            index, np.random.default_rng(5).random((50_000, 2)))
+        assert index.closest_many(np.empty((0, 2))).tolist() == []
+
+    def test_closest_many_on_bisector_ties(self):
+        """Exact float ties found by search on switch bisectors (a
+        bare argmin gets a share of them wrong), and points pushed
+        1e-12 off them."""
+        import itertools
+        import math
+
+        positions = {i * 10 + j: (i / 4.0 + 0.01 * j, j / 4.0)
+                     for i in range(4) for j in range(4)}
+        index = RoutingIndex(sorted(positions), positions)
+        ties, near = [], []
+        for a, b in itertools.combinations(sorted(positions), 2):
+            (ax, ay), (bx, by) = positions[a], positions[b]
+            mx, my = (ax + bx) / 2, (ay + by) / 2
+            for t in np.linspace(-1.0, 1.0, 201).tolist():
+                x, y = mx - t * (by - ay), my + t * (bx - ax)
+                da = math.hypot(x - ax, y - ay)
+                if da == math.hypot(x - bx, y - by) == min(
+                        math.hypot(x - sx, y - sy)
+                        for sx, sy in positions.values()):
+                    ties.append((x, y))
+                near.append((x + 1e-12 * (bx - ax),
+                             y + 1e-12 * (by - ay)))
+        assert ties, "no exact float tie on any bisector"
+        self._many_agrees(index, ties)
+        self._many_agrees(index, near)
+
+    def test_closest_many_follows_insert_and_remove(self):
+        net, _ = build_pair(switches=30)
+        index = net.controller.routing_index()
+        points = np.random.default_rng(6).random((2_000, 2))
+        self._many_agrees(index, points)
+        index.insert(1000, (0.5, 0.5))
+        self._many_agrees(index, points)
+        assert 1000 in index.closest_many(points).tolist()
+        index.remove(1000)
+        index.remove(index.nodes()[0])
+        self._many_agrees(index, points)
+
+    def test_closest_many_with_one_participant(self):
+        index = RoutingIndex([7], {7: (0.2, 0.9)})
+        assert index.closest_many(
+            np.random.default_rng(7).random((10, 2))).tolist() == [7] * 10
+
+    def test_closest_many_on_empty_index(self):
+        with pytest.raises(ValueError, match="no participants"):
+            RoutingIndex([], {}).closest_many(np.zeros((3, 2)))
+
     def test_index_cached_per_epoch(self):
         net, _ = build_pair(switches=12)
         controller = net.controller

@@ -2,7 +2,11 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.geometry import incircle, orient2d, point_in_triangle
+from repro.geometry.predicates import _incircle_exact, _orient2d_exact
 
 
 class TestOrient2d:
@@ -66,22 +70,90 @@ class TestIncircle:
     def test_fraction_verification(self):
         # Independent exact computation of a random instance.
         a, b, c, d = (0.12, 0.3), (0.9, 0.21), (0.55, 0.88), (0.5, 0.4)
+        assert incircle(a, b, c, d) == incircle_fraction(a, b, c, d)
 
-        def exact_sign():
-            ax, ay = Fraction(a[0]) - Fraction(d[0]), \
-                Fraction(a[1]) - Fraction(d[1])
-            bx, by = Fraction(b[0]) - Fraction(d[0]), \
-                Fraction(b[1]) - Fraction(d[1])
-            cx, cy = Fraction(c[0]) - Fraction(d[0]), \
-                Fraction(c[1]) - Fraction(d[1])
-            det = (ax * (by * (cx * cx + cy * cy)
-                         - cy * (bx * bx + by * by))
-                   - ay * (bx * (cx * cx + cy * cy)
-                           - cx * (bx * bx + by * by))
-                   + (ax * ax + ay * ay) * (bx * cy - cx * by))
-            return (det > 0) - (det < 0)
 
-        assert incircle(a, b, c, d) == exact_sign()
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def orient2d_fraction(a, b, c):
+    """The rational form the integer ``_orient2d_exact`` replaced."""
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    bx, by = Fraction(b[0]), Fraction(b[1])
+    cx, cy = Fraction(c[0]), Fraction(c[1])
+    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
+def incircle_fraction(a, b, c, d):
+    """The rational form the integer ``_incircle_exact`` replaced."""
+    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
+    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
+    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
+    a_sq = ax * ax + ay * ay
+    b_sq = bx * bx + by * by
+    c_sq = cx * cx + cy * cy
+    return _sign(ax * (by * c_sq - cy * b_sq)
+                 - ay * (bx * c_sq - cx * b_sq)
+                 + a_sq * (bx * cy - cx * by))
+
+
+#: Unit-square coordinates, and ones at the super triangle's 1e6 and a
+#: 1e-3 scale so one determinant mixes magnitudes.
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_MIXED = st.one_of(
+    _UNIT,
+    st.floats(min_value=-3e6, max_value=3e6),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+)
+#: Small integers over a power of two: differences, products and
+#: sums are all exact, so constructed degeneracies are exact too.
+_DYADIC = st.integers(min_value=-64, max_value=64).map(
+    lambda k: k / 64.0)
+
+
+def _points(coordinate, count):
+    return st.lists(st.tuples(coordinate, coordinate),
+                    min_size=count, max_size=count)
+
+
+class TestExactFormsAgainstFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.one_of(_points(_UNIT, 4), _points(_MIXED, 4)))
+    def test_random_and_mixed_magnitudes(self, points):
+        a, b, c, d = points
+        assert _orient2d_exact(a, b, c) == orient2d_fraction(a, b, c)
+        assert _incircle_exact(a, b, c, d) == \
+            incircle_fraction(a, b, c, d)
+        assert orient2d(a, b, c) == orient2d_fraction(a, b, c)
+        assert incircle(a, b, c, d) == incircle_fraction(a, b, c, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(origin=st.tuples(_DYADIC, _DYADIC),
+           step=st.tuples(_DYADIC, _DYADIC),
+           multiples=st.lists(st.integers(-8, 8), min_size=2,
+                              max_size=2))
+    def test_exactly_collinear(self, origin, step, multiples):
+        a = origin
+        b, c = [(origin[0] + m * step[0], origin[1] + m * step[1])
+                for m in multiples]
+        assert orient2d_fraction(a, b, c) == 0
+        assert _orient2d_exact(a, b, c) == 0
+        assert orient2d(a, b, c) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=st.tuples(_DYADIC, _DYADIC),
+           p=st.integers(1, 8), q=st.integers(1, 8),
+           corners=st.permutations(
+               [(1, 1), (-1, 1), (-1, -1), (1, -1)]))
+    def test_exactly_cocircular(self, center, p, q, corners):
+        # Reflections of (p, q) / 64 about a center: one circle.
+        a, b, c, d = [(center[0] + sx * p / 64.0,
+                       center[1] + sy * q / 64.0)
+                      for sx, sy in corners]
+        assert incircle_fraction(a, b, c, d) == 0
+        assert _incircle_exact(a, b, c, d) == 0
+        assert incircle(a, b, c, d) == 0
 
 
 class TestPointInTriangle:

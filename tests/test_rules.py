@@ -1,5 +1,9 @@
 """Tests for the control-plane rule compiler."""
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.controlplane import (
     average_table_entries,
     bfs_parent_tree,
@@ -8,9 +12,10 @@ from repro.controlplane import (
     path_toward,
     table_entry_counts,
 )
+from repro.controlplane.rules import relay_parent_tree
 from repro.dataplane import GredSwitch
 from repro.graph import Graph
-from repro.topology import grid_graph, line_graph
+from repro.topology import brite_waxman_graph, grid_graph, line_graph
 
 
 class TestPortMap:
@@ -45,6 +50,38 @@ class TestBfsTree:
 
         with pytest.raises(ValueError):
             path_toward(parent, 2, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=10 ** 6),
+       picks=st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                      min_size=0, max_size=6))
+def test_early_exit_tree_is_the_full_tree_on_its_paths(size, seed,
+                                                       picks):
+    """Stopped once its last source is reached, the relay tree reads
+    every source's path as the full tree does — and every parent it
+    holds is the full tree's."""
+    topology, _ = brite_waxman_graph(
+        size, min_degree=min(2, size - 1),
+        rng=np.random.default_rng(seed))
+    nodes = topology.nodes()
+    root = nodes[seed % len(nodes)]
+    sources = sorted({nodes[p % len(nodes)] for p in picks} - {root})
+    full = bfs_parent_tree(topology, root)
+    early = relay_parent_tree(compile_port_map(topology), root, sources)
+    assert early.items() <= full.items()
+    for source in sources:
+        assert path_toward(early, source, root) == \
+            path_toward(full, source, root)
+    assert relay_parent_tree(compile_port_map(topology), root) == full
+    if sources:
+        # Nothing deeper than the farthest source was walked.
+        depth = max(len(path_toward(full, s, root)) for s in sources)
+        assert all(len(path_toward(early, n, root)) <= depth
+                   for n in early)
+    else:
+        assert early == {root: root}
 
 
 class TestInstallAllRules:
