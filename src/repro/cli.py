@@ -513,13 +513,13 @@ def _cmd_stats(args) -> int:
         for s in net.controller.switches.values()
     )
     balance = load_imbalance_summary(loads) if sum(loads) else None
-    from .dataplane import (batch_fastpath_blockers, scalar_standdown,
-                            unabsorbed_faults)
+    from .dataplane import batch_fastpath_blockers, unabsorbed_faults
 
     blockers = batch_fastpath_blockers(net)
-    # The engine one scalar place/retrieve would take right now.
-    standdown = scalar_standdown(net)
-    engine = "compiled" if standdown is None else "reference"
+    # The engine one scalar place/retrieve would take right now, and
+    # the reason it counts a stand-down under: the first blocker's.
+    standdown = blockers[0] if blockers else None
+    engine = "reference" if blockers else "compiled"
     # What the fault gate fires on, i.e. what to absorb or heal.
     unabsorbed = unabsorbed_faults(net)
     if args.json:

@@ -38,10 +38,10 @@ from ..dataplane import (
     PacketKind,
     RouteMemo,
     RouteResult,
+    TraceEventKind,
     Tracer,
     batch_fastpath_blockers,
     route_packet,
-    scalar_standdown,
 )
 from ..edge import (
     NO_STAMP,
@@ -247,19 +247,28 @@ def batch_front_door(net, data_ids: Sequence[str],
             positions_from_digests(digests))
 
 
-def _standdown(reason: str) -> None:
-    """One batch runs the scalar loop: count it where operators look
-    to answer "why did this batch run at scalar speed" — under a firing
-    gate's reason (the deployment) or a declined placement's (that
-    batch).  Returns ``None``, which is what a compiled body that
-    declines hands back."""
+#: The two stand-down series and their help texts.
+_STANDDOWNS = {
+    "fastpath_standdowns": "Batch requests degraded to the scalar path",
+    "scalar_standdowns": "Scalar requests routed by the reference engine",
+}
+
+
+def _standdown(series: str, *reasons: str) -> None:
+    """One request leaves the compiled plane: count it where operators
+    look to answer "why did this run at scalar speed" — a batch that
+    runs the scalar loop under each firing gate's reason (the
+    deployment) or a declined placement's (that batch), a scalar
+    request on the reference engine under the first firing gate's.
+    Returns ``None``, which is what a compiled body that declines
+    hands back."""
     registry = default_registry()
     if registry.enabled:
-        registry.counter(
-            "dataplane.fastpath_standdowns",
-            help="Batch requests degraded to the scalar path",
-            reason=reason.replace(" ", "_"),
-        ).inc()
+        for reason in reasons:
+            registry.counter(
+                "dataplane." + series, help=_STANDDOWNS[series],
+                reason=reason.replace(" ", "_"),
+            ).inc()
 
 
 def _payload_size(payload: Any) -> Optional[int]:
@@ -343,7 +352,9 @@ class _Batch:
         self.kind = kind.value
         self.copies = copies
         self.state: Optional[_FastPathState] = None
-        if net._batch_standdown():
+        blockers = batch_fastpath_blockers(net)
+        if blockers:
+            _standdown("fastpath_standdowns", *blockers)
             return
         self.flat_entries = np.repeat(
             np.asarray(self.entries, dtype=np.int64), copies)
@@ -684,26 +695,20 @@ class GredNetwork:
 
         The request rides the compiled plane the batch calls keep in
         step with the controller (:meth:`CompiledRouter.route`, a
-        batch of one) unless :func:`scalar_standdown` names a reason
-        not to — a ``FASTPATH_GATES`` predicate fires, or a per-hop
-        ``tracer`` is recording — and then goes through
-        ``route_packet`` exactly as it always did.  Nothing else
-        selects the engine, telemetry included: a compiled walk
-        reports the engine's ``dataplane.*`` aggregates through
-        :meth:`_emit_route_telemetry`, byte-equal.  The walk may read
-        the epoch route memo (not while it awaits a sweep, not under
-        a custom hop budget) but never grows it.
+        batch of one) unless a ``FASTPATH_GATES`` predicate fires, and
+        then goes through ``route_packet`` exactly as it always did.
+        Telemetry never selects the engine: through
+        :meth:`_emit_route_telemetry` a compiled walk reports the
+        engine's ``dataplane.*`` aggregates, and it tells a per-hop
+        ``tracer`` the engine's events, up to a failure.  The walk may
+        read the epoch route memo (not while it awaits a sweep, under
+        a custom hop budget or for a tracer — a hit has no decisions
+        to narrate) but never grows it.
         """
         registry = default_registry()
-        reason = scalar_standdown(self, tracer is not None)
-        if reason is not None:
-            if registry.enabled:
-                registry.counter(
-                    "dataplane.scalar_standdowns",
-                    help="Scalar requests routed by the reference "
-                         "engine",
-                    reason=reason.replace(" ", "_"),
-                ).inc()
+        blockers = batch_fastpath_blockers(self)
+        if blockers:
+            _standdown("scalar_standdowns", blockers[0])
             route = route_packet(
                 self.controller.switches, entry,
                 Packet(kind=kind, data_id=copy_id,
@@ -714,11 +719,20 @@ class GredNetwork:
             return (route.trace, route.overlay_hops, delivery.switch,
                     delivery.primary_serial, None)
         state = self._fast_plane()
+        switches = self.controller.switches
+        narrate = None
+        if tracer is not None:
+            def narrate(event, switch, **details):
+                tracer.record(event, switch, copy_id, **details)
+            if entry in switches:
+                narrate(TraceEventKind.INGRESS, entry,
+                        packet_kind=kind.value)
         # The memo keys on the digest's position bits, so even a hit
         # hashes the id once.
         serial_u64, position_key = digest_keys(copy_id)
         cached = (state.routes.get(entry, position_key, serial_u64)
-                  if max_hops is None and not state.stale else None)
+                  if max_hops is None and tracer is None
+                  and not state.stale else None)
         if cached is not None:
             trace, overlay, dest, serial, mix = cached
         else:
@@ -726,7 +740,7 @@ class GredNetwork:
             try:
                 trace, overlay, dest, serial, mix = router.route(
                     entry, copy_id, *position_from_bits(position_key),
-                    serial_u64, max_hops)
+                    serial_u64, max_hops, narrate)
             except ForwardingError:
                 if registry.enabled:
                     # The engine counts decisions as it makes them, so
@@ -735,23 +749,28 @@ class GredNetwork:
                         registry, kind.value, router.last_route_stats,
                         (), (), 0)
                 raise
+        # The engine tells and counts the rewrite at delivery;
+        # extensions are read live, like the batch paths do.
+        extension = switches[dest].table.extension_for(serial)
+        if narrate is not None:
+            narrate(TraceEventKind.DELIVER, dest, serial=serial)
+            if extension is not None:
+                narrate(TraceEventKind.EXTENSION_REWRITE, dest,
+                        target_switch=extension.target_switch,
+                        target_serial=extension.target_serial)
         if registry.enabled:
-            # The engine counts the rewrite at delivery; extensions
-            # are read live, like the batch paths do.
-            table = self.controller.switches[dest].table
             self._emit_route_telemetry(
                 registry, kind.value, mix, [len(trace) - 1], [overlay],
-                int(table.extension_for(serial) is not None))
+                int(extension is not None))
         return trace, overlay, dest, serial, state
 
-    def _engine_attrs(self, tracing: bool = False) -> Dict[str, str]:
+    def _engine_attrs(self) -> Dict[str, str]:
         """Span / stats attributes naming the engine a scalar request
-        takes right now (``tracing``: with a per-hop tracer recording)
-        and, for the reference engine, why."""
-        reason = scalar_standdown(self, tracing)
-        if reason is None:
+        takes right now and, for the reference engine, why."""
+        blockers = batch_fastpath_blockers(self)
+        if not blockers:
             return {"engine": "compiled"}
-        return {"engine": "reference", "standdown": reason}
+        return {"engine": "reference", "standdown": blockers[0]}
 
     def _emit_probe_telemetry(self, registry, copy_id: str,
                               trace: Sequence[int]) -> None:
@@ -774,7 +793,7 @@ class GredNetwork:
             tracer = None
             if handle.recording:
                 tracer = Tracer()
-                handle.set(**self._engine_attrs(tracing=True))
+                handle.set(**self._engine_attrs())
             try:
                 trace, overlay, dest, serial, state = self._route(
                     copy_id, entry, PacketKind.PLACEMENT, tracer=tracer)
@@ -960,7 +979,7 @@ class GredNetwork:
                            copy_used=result.copy_used,
                            request_hops=result.request_hops,
                            response_hops=result.response_hops,
-                           **self._engine_attrs(tracing=True))
+                           **self._engine_attrs())
                 if not result.found:
                     handle.fail("miss")
         if read_repair and copies > 1:
@@ -1151,22 +1170,6 @@ class GredNetwork:
             state.stale.clear()
         return state
 
-    def _batch_standdown(self) -> bool:
-        """The batch stand-down decision: whether a ``FASTPATH_GATES``
-        predicate fires (the same list
-        :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`
-        reports and the scalar route stage consults), counted once per
-        reason.  The compiled router assumes a plane no routing fault
-        touches, over switches it can keep in step with, and the
-        vectorized hashing the paper's SHA-256 positions; otherwise
-        batches run the scalar loop item by item (identical results,
-        not vectorized).  Telemetry does *not* force the fallback:
-        every path emits the same aggregates."""
-        reasons = batch_fastpath_blockers(self)
-        for reason in reasons:
-            _standdown(reason)
-        return bool(reasons)
-
     def _fast_hop(self, state: Optional[_FastPathState], source: int,
                   target: int) -> int:
         """Hop distance with a per-epoch BFS cache (one BFS per
@@ -1278,11 +1281,10 @@ class GredNetwork:
         There are two bodies and nothing in between: the grouped store
         (:meth:`_grouped_store`: every copy routed in waves, one bulk
         write per target server) or that scalar loop.  The loop runs
-        while a ``FASTPATH_GATES`` predicate fires (see
-        :meth:`_batch_standdown`; on the reference engine, so fault
-        handling stays exact) and whenever the grouped store declines
-        this batch because it could fail mid-way — an unroutable copy,
-        a crashed target server, a bounded target that may lack room.
+        while a ``FASTPATH_GATES`` predicate fires (on the reference
+        engine, so fault handling stays exact) and whenever the grouped
+        store declines this batch because it could fail mid-way — an
+        unroutable copy, a crashed target, a bounded one that may lack room.
         A stored prefix, hinted handoff and the mid-batch raise are
         therefore written once, in the loop;
         ``dataplane.fastpath_standdowns{reason=...}`` says which batch
@@ -1356,7 +1358,7 @@ class GredNetwork:
             return []
         routes = batch.route(np.arange(len(flat_ids)))
         if (routes.dest < 0).any():
-            return _standdown("route_failed")
+            return _standdown("fastpath_standdowns", "route_failed")
         servings, which = self._deliveries(batch, routes)
         targets = [home if takeover is None else takeover
                    for home, _, takeover, _ in servings]
@@ -1364,7 +1366,7 @@ class GredNetwork:
         fault = self.fault_state
         if fault is not None and not all(map(fault.server_alive,
                                              server_ids)):
-            return _standdown("target_down")
+            return _standdown("fastpath_standdowns", "target_down")
         # Grouped by *target server*, not by delivery: an extension can
         # redirect one delivery into the home of another, and only the
         # stable grouping on the target keeps each server's insertion
@@ -1379,7 +1381,7 @@ class GredNetwork:
         for target, flats in groups:
             if target.capacity is not None and \
                     target.load + len(flats) > target.capacity:
-                return _standdown("target_full")
+                return _standdown("fastpath_standdowns", "target_full")
         stamps = None
         if fault is not None:
             # The stamps the loop would take: one per item in request

@@ -3,8 +3,8 @@ scalar.
 
 ``route_packet`` is faithful to the paper's per-switch pipeline — one
 ``Packet`` object, one ``process`` call and one candidate sort per hop —
-which is the right shape for tracing and fault injection but dominates
-the request latency of every workload.  ``CompiledRouter`` flattens the
+which is the right shape for fault injection but dominates the request
+latency of every workload.  ``CompiledRouter`` flattens the
 per-switch state (positions, greedy candidate lists, relay chains) into
 plain tuples once per control-plane epoch and replays the *identical*
 decision procedure with no per-packet object construction:
@@ -39,9 +39,10 @@ It assumes a plane no routing fault touches (an attached fault state
 whose faults are all absorbed is one) and the paper's SHA-256 positions:
 :data:`FASTPATH_GATES` lists the conditions under which batches *and*
 scalar requests stand down to ``route_packet`` instead
-(:func:`batch_fastpath_blockers`, :func:`scalar_standdown`).  It raises
-the same :class:`ForwardingError` messages as the reference engine on
-inconsistent state.
+(:func:`batch_fastpath_blockers`, :func:`scalar_standdown`), and
+nothing else does: a per-hop ``Tracer`` hears the walker's own
+decisions (``narrate``).  It raises the same :class:`ForwardingError`
+messages as the reference engine on inconsistent state.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 
 from ..hashing import data_position
 from .switch import ForwardingError, GredSwitch
+from .tracing import TraceEventKind
 
 
 #: Stand-down reason of the fault gate (with ``_`` for spaces, the
@@ -115,11 +117,11 @@ def _gate_transport(net) -> bool:
 #: The single source of truth for fast-path eligibility: ``(predicate,
 #: reason)`` gates evaluated against the facade.  A request — a batch
 #: or one scalar call — may ride the compiled plane iff no predicate
-#: fires.  The facade's ``_batch_standdown``,
-#: :func:`batch_fastpath_blockers` and :func:`scalar_standdown` all
-#: consume this list (looked up at call time), so they can never drift
-#: apart again (they did once: telemetry stopped blocking the fast path
-#: in PR 6 and only one copy was updated at first).
+#: fires, and nothing else selects the engine.  The facade's two route
+#: stages, :func:`batch_fastpath_blockers` and :func:`scalar_standdown`
+#: all consume this list (looked up at call time), so they can never
+#: drift apart again (they did once: telemetry stopped blocking the
+#: fast path in PR 6 and only one copy was updated at first).
 FASTPATH_GATES: Tuple[Tuple[Callable[[object], bool], str], ...] = (
     (_gate_fault_state, UNABSORBED_FAULT),
     (_gate_position_fn, "custom position_fn"),
@@ -132,33 +134,21 @@ def batch_fastpath_blockers(net) -> List[str]:
     to the scalar reference pipeline for ``net`` (empty = fast path
     eligible).
 
-    Evaluates :data:`FASTPATH_GATES` — the same gates the facade's
-    ``_batch_standdown`` consults — so operators can see *which*
-    condition is costing them the vectorized path (``gred stats
-    --json`` surfaces this list).
+    Evaluates :data:`FASTPATH_GATES` — the list the facade's batch
+    prologue and scalar route stage select the engine by — so
+    operators can see *which* condition is costing them the compiled
+    plane (``gred stats --json`` surfaces this list).
     """
     return [reason for gate, reason in FASTPATH_GATES if gate(net)]
 
 
-#: Stand-down reason of a scalar request whose hops are being recorded
-#: by a per-hop ``Tracer`` (only the reference engine narrates hops).
-TRACING = "tracing"
-
-
-def scalar_standdown(net, tracing: bool = False) -> Optional[str]:
+def scalar_standdown(net) -> Optional[str]:
     """Why one scalar ``place`` / ``retrieve`` / ``route_for`` on
     ``net`` takes the reference engine (``route_packet``) instead of
-    the compiled walker; ``None`` = compiled.
-
-    The reason is the first firing :data:`FASTPATH_GATES` reason, else
-    :data:`TRACING` when ``tracing`` (a per-hop ``Tracer`` is recording
-    this request).  This is the selection rule itself — the facade's
-    route stage calls it — not a description of it.
-    """
-    for gate, reason in FASTPATH_GATES:
-        if gate(net):
-            return reason
-    return TRACING if tracing else None
+    the compiled walker — the first of
+    :func:`batch_fastpath_blockers` — or ``None`` = compiled."""
+    blockers = batch_fastpath_blockers(net)
+    return blockers[0] if blockers else None
 
 
 def federated_blockers(fed) -> Dict[int, List[str]]:
@@ -217,7 +207,6 @@ class _FlatPlane:
 
     def __init__(self, states: Dict[int, _CompiledSwitch]) -> None:
         sids = sorted(states)
-        rows = {sid: r for r, sid in enumerate(sids)}
         n = len(sids)
         width = max((len(states[sid].cands) for sid in sids), default=0)
         width = max(width, 1)
@@ -226,25 +215,41 @@ class _FlatPlane:
         self.ox = np.empty(n, dtype=np.float64)
         self.oy = np.empty(n, dtype=np.float64)
         self.ns = np.empty(n, dtype=np.int64)
-        self.cx = np.full((n, width), np.inf, dtype=np.float64)
-        self.cy = np.full((n, width), np.inf, dtype=np.float64)
-        self.kind = np.full((n, width), 2, dtype=np.int64)
-        self.nid = np.full((n, width), -1, dtype=np.int64)
-        self.nrow = np.full((n, width), -1, dtype=np.int64)
-        for sid in sids:
+        self.cx = np.empty((n, width), dtype=np.float64)
+        self.cy = np.empty((n, width), dtype=np.float64)
+        self.kind = np.empty((n, width), dtype=np.int64)
+        self.nid = np.empty((n, width), dtype=np.int64)
+        self.nrow = np.empty((n, width), dtype=np.int64)
+        self.fill(states, sids)
+        self.invalidate_chains()
+        self._assert_invariants()
+
+    def fill(self, states: Dict[int, _CompiledSwitch], touched) -> bool:
+        """(Re)write the rows of the ``touched`` switches from their
+        compiled state, or return ``False`` (build a new plane) when a
+        candidate list no longer fits the padded width."""
+        rows = {sid: r for r, sid in enumerate(self.sid_sorted.tolist())}
+        width = self.cx.shape[1]
+        for sid in touched:
             r = rows[sid]
             state = states[sid]
+            if len(state.cands) > width:
+                return False
             self.ox[r] = state.x
             self.oy[r] = state.y
             self.ns[r] = state.num_servers if state.in_dt else 0
+            self.cx[r, :] = np.inf
+            self.cy[r, :] = np.inf
+            self.kind[r, :] = 2
+            self.nid[r, :] = -1
+            self.nrow[r, :] = -1
             for c, (x, y, kind, nid) in enumerate(state.cands):
                 self.cx[r, c] = x
                 self.cy[r, c] = y
                 self.kind[r, c] = kind
                 self.nid[r, c] = nid
                 self.nrow[r, c] = rows.get(nid, -1)
-        self.invalidate_chains()
-        self._assert_invariants()
+        return True
 
     def _assert_invariants(self) -> None:
         """Dtype invariant of the compile step: every id/count plane
@@ -289,9 +294,8 @@ class _FlatPlane:
         sids: List[int] = []
         vl_rows, vl_cols = np.nonzero(self.kind == 1)
         for r, c in zip(vl_rows.tolist(), vl_cols.tolist()):
-            try:
-                chain = resolver(int(self.sid[r]), int(self.nid[r, c]))
-            except _RouteFailure:
+            chain, broken = resolver(int(self.sid[r]), int(self.nid[r, c]))
+            if broken is not None:
                 err[r, c] = 1
                 continue
             off[r, c] = len(sids)
@@ -766,87 +770,63 @@ class CompiledRouter:
         if membership_changed:
             self._flat = None
         elif self._flat is not None:
-            self._flat = self._patched_flat(touched)
-            if self._flat is not None:
+            if self._flat.fill(states, touched):
                 # Patched rows may carry different virtual-link
                 # candidates and the chain cache was pruned above;
                 # rebuild the CSR arrays on next use.
                 self._flat.invalidate_chains()
+            else:
+                self._flat = None
         self.patch_events += 1
 
-    def _patched_flat(self, touched) -> Optional[_FlatPlane]:
-        """Update the dense plane's rows for ``touched`` in place, or
-        return ``None`` (rebuild on next use) when a new candidate list
-        no longer fits the padded width."""
-        flat = self._flat
-        width = flat.cx.shape[1]
-        rows = {sid: r for r, sid in
-                enumerate(flat.sid_sorted.tolist())}
-        for sid in touched:
-            r = rows[sid]
-            state = self._states[sid]
-            if len(state.cands) > width:
-                return None
-            flat.ox[r] = state.x
-            flat.oy[r] = state.y
-            flat.ns[r] = state.num_servers if state.in_dt else 0
-            flat.cx[r, :] = np.inf
-            flat.cy[r, :] = np.inf
-            flat.kind[r, :] = 2
-            flat.nid[r, :] = -1
-            flat.nrow[r, :] = -1
-            for c, (x, y, kind, nid) in enumerate(state.cands):
-                flat.cx[r, c] = x
-                flat.cy[r, c] = y
-                flat.kind[r, c] = kind
-                flat.nid[r, c] = nid
-                flat.nrow[r, c] = rows.get(nid, -1)
-        return flat
-
     # ------------------------------------------------------------------
-    def _chain(self, source: int, dest: int) -> Tuple[int, ...]:
-        """Relay switches from ``source``'s successor through ``dest``
-        for the virtual link toward DT neighbor ``dest``."""
+    def _chain(self, source: int, dest: int
+               ) -> Tuple[Tuple[int, ...], Optional[_RouteFailure]]:
+        """``(relay switches from source's successor through dest,
+        None)`` for the virtual link toward DT neighbor ``dest`` — or,
+        for a link that breaks, the chain up to the break and the
+        failure: empty when ``source`` itself has no entry, ending on
+        the unknown switch when a relay forwards off the plane."""
         cached = self._chains.get((source, dest))
         if cached is not None:
-            return cached
+            return cached, None
         entry = self._states[source].table.virtual_entry(dest)
         if entry is None or entry.succ is None:
-            raise _RouteFailure("no_vl_entry", (source, dest))
+            return (), _RouteFailure("no_vl_entry", (source, dest))
         chain = [entry.succ]
-        current = entry.succ
         bound = self._default_max_hops
-        while current != dest:
+        while True:
+            current = chain[-1]
             if current not in self._states:
-                raise _RouteFailure("unknown_fwd", (
+                # A relay (the last one, when this is ``dest``) hands
+                # the packet to a switch the plane no longer holds.
+                return tuple(chain), _RouteFailure("unknown_fwd", (
                     chain[-2] if len(chain) > 1 else source, current))
+            if current == dest:
+                result = self._chains[(source, dest)] = tuple(chain)
+                return result, None
+            if len(chain) > bound:
+                return tuple(chain), _RouteFailure(
+                    "vl_unterminated", (source, dest, bound))
             relay = self._states[current].table.virtual_entry(dest)
             if relay is None or relay.succ is None:
-                raise _RouteFailure("no_relay_entry", (current, dest))
-            current = relay.succ
-            chain.append(current)
-            if len(chain) > bound:
-                raise _RouteFailure("vl_unterminated",
-                                    (source, dest, bound))
-        if dest not in self._states:
-            # The last relay hands the packet to a switch the plane no
-            # longer holds.
-            raise _RouteFailure("unknown_fwd", (
-                chain[-2] if len(chain) > 1 else source, dest))
-        result = tuple(chain)
-        self._chains[(source, dest)] = result
-        return result
+                return tuple(chain), _RouteFailure(
+                    "no_relay_entry", (current, dest))
+            chain.append(relay.succ)
 
     def route(self, entry: int, data_id: str, px: float, py: float,
-              serial_u64: int, max_hops: Optional[int] = None
+              serial_u64: int, max_hops: Optional[int] = None,
+              narrate=None
               ) -> Tuple[List[int], int, int, int, Tuple[int, int, int]]:
         """Route one request; returns ``(trace, overlay_hops,
         destination_switch, primary_serial, decision mix)``.
 
-        Byte-identical to ``route_packet`` with no faults/tracing: the
-        trace lists every switch visited (entry first), the hop bound
-        raises the same error, and the primary serial is the
-        ``H(d) mod s`` choice at the delivery switch.
+        Byte-identical to ``route_packet`` with no faults: the trace
+        lists every switch visited (entry first), the hop bound raises
+        the same error, and the primary serial is the ``H(d) mod s``
+        choice at the delivery switch.  ``narrate(kind, switch,
+        **details)`` hears each decision as it is made — the engine's
+        ``GREEDY_FORWARD`` / ``VL_START`` / ``VL_RELAY`` tracer events.
         """
         if entry not in self._states:
             # Rejected before routing: no decision mix at all (the
@@ -859,7 +839,7 @@ class CompiledRouter:
         stats = [0, 0, 0]
         try:
             overlay, dest, serial = self._walk(
-                trace, 0, px, py, serial_u64, max_hops, stats)
+                trace, 0, px, py, serial_u64, max_hops, stats, narrate)
         except _RouteFailure as failure:
             raise ForwardingError(
                 _error_text(*failure.args, data_id)) from None
@@ -868,8 +848,8 @@ class CompiledRouter:
         return trace, overlay, dest, serial, self.last_route_stats
 
     def _walk(self, trace: List[int], hops: int, px: float, py: float,
-              serial_u64: int, max_hops: int, stats: List[int]
-              ) -> Tuple[int, int, int]:
+              serial_u64: int, max_hops: int, stats: List[int],
+              narrate=None) -> Tuple[int, int, int]:
         """The compiled engine's one scalar walker: from ``trace[-1]``,
         with ``hops`` hops already taken, to local delivery.
 
@@ -879,9 +859,10 @@ class CompiledRouter:
         vl_relays]`` into ``stats`` in place — event-time-faithful to
         the reference engine (a greedy/vl-start counts at decision
         time, a relay before its step's hop-bound check), so both hold
-        the partial route when it raises.  Returns ``(overlay_hops
-        walked here, destination_switch, primary_serial)``; raises
-        :class:`_RouteFailure`.
+        the partial route when it raises; ``narrate`` (see
+        :meth:`route`) hears each decision where it is counted.
+        Returns ``(overlay_hops walked here, destination_switch,
+        primary_serial)``; raises :class:`_RouteFailure`.
         """
         states = self._states
         current = trace[-1]
@@ -934,6 +915,9 @@ class CompiledRouter:
             overlay += 1
             if bkind == 0:
                 stats[0] += 1
+                if narrate is not None:
+                    narrate(TraceEventKind.GREEDY_FORWARD, current,
+                            next=bnid)
                 if bnid not in states:
                     raise _RouteFailure("unknown_fwd", (current, bnid))
                 trace.append(bnid)
@@ -943,16 +927,30 @@ class CompiledRouter:
                     raise _RouteFailure("hop_bound",
                                         (max_hops, trace[:-1]))
             else:
+                # A link broken past its first hop is taken up to the
+                # break, relay by relay like any other, and fails there.
+                chain, broken = self._chain(current, bnid)
+                if not chain:
+                    raise broken
                 stats[1] += 1
-                for step, relay in enumerate(
-                        self._chain(current, bnid)):
+                if narrate is not None:
+                    narrate(TraceEventKind.VL_START, current, dest=bnid,
+                            succ=chain[0])
+                for step, relay in enumerate(chain):
                     if step:
                         stats[2] += 1
+                        if narrate is not None:
+                            narrate(TraceEventKind.VL_RELAY,
+                                    chain[step - 1], next=relay)
+                    if relay not in states:  # (a broken chain's end)
+                        raise broken
                     trace.append(relay)
                     hops += 1
                     if hops > max_hops:
                         raise _RouteFailure("hop_bound",
                                             (max_hops, trace[:-1]))
+                if broken is not None:
+                    raise broken
                 current = bnid
 
     # ------------------------------------------------------------------

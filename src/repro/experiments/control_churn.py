@@ -167,6 +167,86 @@ def run_control_churn(
     return rows
 
 
+class _JoinMeter:
+    """What both arms of :func:`run_churn_scaling` measure per join,
+    and the row the joins of one network size average into.  The arms
+    differ only in how they build the deployment, pick the joiner's
+    peers and account foreign regions."""
+
+    def __init__(self) -> None:
+        self.delta_messages: List[int] = []
+        self.touched_counts: List[int] = []
+        self.full_messages: List[int] = []
+        self.semantic_touched: List[int] = []
+        self.semantic_entries: List[int] = []
+        self.generations_preserved = True
+
+    def measure(self, home, channel, add_switch, peers: List[int],
+                servers_per_switch: int) -> None:
+        """One join event: ``add_switch`` (the deployment's) links a
+        new switch to ``peers`` under the ``home`` controller, whose
+        recording ``channel`` then holds what the join shipped."""
+        from ..controlplane import compile_messages
+        from ..controlplane.southbound import Probe
+
+        before = {
+            sid: canonical_state(sw) for sid, sw in home.switches.items()
+        }
+        generations_before = home.generations
+        new_id = 100_000 + len(self.delta_messages)
+        channel.clear()
+        add_switch(new_id, peers,
+                   servers=[EdgeServer(new_id, s)
+                            for s in range(servers_per_switch)])
+        self.delta_messages.append(channel.count(exclude=(Probe,)))
+        touched = set(channel.per_switch(exclude=(Probe,)))
+        self.touched_counts.append(len(touched))
+        # The pre-refactor path cleared and reinstalled every switch
+        # of the home controller (a region was the unit of blast
+        # radius even before the delta pipeline): its cost is the full
+        # compiled message sequence over the post-join network.
+        self.full_messages.append(len(compile_messages(
+            home.topology, home.positions, home.dt_adjacency())))
+        after = {
+            sid: canonical_state(sw) for sid, sw in home.switches.items()
+        }
+        touched_sem, entries_sem = _diff_states(before, after)
+        self.semantic_touched.append(touched_sem)
+        self.semantic_entries.append(entries_sem)
+        generations_after = home.generations
+        for sid, generation in generations_before.items():
+            if sid not in touched and \
+                    generations_after.get(sid) != generation:
+                self.generations_preserved = False
+
+    def row(self, switches: int, regions: int, index_builds: int,
+            foreign_touched: Sequence[int] = (),
+            foreign_messages: Sequence[int] = (),
+            router_reused=None, avg_router_recompiles=None,
+            route_cache_survival=None, **extra) -> Dict:
+        return {
+            "switches": switches,
+            "regions": regions,
+            "avg_delta_messages": mean_or_zero(self.delta_messages),
+            "avg_switches_touched": mean_or_zero(self.touched_counts),
+            "avg_foreign_touched": mean_or_zero(foreign_touched),
+            "avg_foreign_messages": mean_or_zero(foreign_messages),
+            "avg_full_reinstall_messages":
+                mean_or_zero(self.full_messages),
+            "avg_semantic_switches_touched":
+                mean_or_zero(self.semantic_touched),
+            "avg_semantic_entries_changed":
+                mean_or_zero(self.semantic_entries),
+            "index_builds_during_joins": index_builds,
+            "router_reused": router_reused,
+            "avg_router_recompiles": avg_router_recompiles,
+            "route_cache_survival": route_cache_survival,
+            "untouched_generations_preserved":
+                self.generations_preserved,
+            **extra,
+        }
+
+
 def run_churn_scaling(
     sizes: Sequence[int] = (50, 100, 200, 400),
     servers_per_switch: int = 2,
@@ -209,107 +289,9 @@ def run_churn_scaling(
     (both must be exactly zero).  The fast-path cache fields are the
     monolith's and are ``None`` in federated rows.
     """
-    from ..controlplane import RecordingChannel, compile_messages
-    from ..controlplane.southbound import Probe
-    from ..core import GredNetwork
-
     if regions < 1:
         raise ValueError(f"regions must be >= 1, got {regions}")
-    if regions > 1:
-        return _federated_churn_scaling(
-            sizes, servers_per_switch, num_joins, cvt_iterations,
-            seed, regions)
-    rows: List[Dict] = []
-    for num_switches in sizes:
-        topology = build_topology(num_switches, 3, seed)
-        net = GredNetwork(
-            topology, servers_per_switch=servers_per_switch,
-            cvt_iterations=cvt_iterations, seed=seed,
-        )
-        controller = net.controller
-        channel = RecordingChannel()
-        controller.southbound_channel = channel
-        # Warm the scoped caches so the joins have something to
-        # preserve: the routing index, the compiled router, and a
-        # populated route cache.
-        controller.closest_switch((0.5, 0.5))
-        ids = [f"churn/{num_switches}/{i}" for i in range(256)]
-        net.place_many(ids, rng=np.random.default_rng(seed + 2))
-        router_before = net._fastpath.router
-        compiles_before = router_before.switch_compiles
-        cached_before = set(net._fastpath.routes)
-        index_builds_before = controller.index_builds
-        rng = np.random.default_rng(seed + 1)
-        delta_messages: List[int] = []
-        touched_counts: List[int] = []
-        full_messages: List[int] = []
-        semantic_touched: List[int] = []
-        semantic_entries: List[int] = []
-        generations_preserved = True
-        for j in range(num_joins):
-            before = {
-                sid: canonical_state(sw)
-                for sid, sw in controller.switches.items()
-            }
-            generations_before = controller.generations
-            new_id = 100_000 + j
-            peers = [int(p) for p in rng.choice(num_switches, size=2,
-                                                replace=False)]
-            channel.clear()
-            controller.add_switch(
-                new_id, links=peers,
-                servers=[EdgeServer(new_id, s)
-                         for s in range(servers_per_switch)],
-            )
-            delta_messages.append(channel.count(exclude=(Probe,)))
-            touched = set(channel.per_switch(exclude=(Probe,)))
-            touched_counts.append(len(touched))
-            # The pre-refactor path cleared and reinstalled every
-            # switch: its cost is the full compiled message sequence
-            # over the post-join network.
-            full_messages.append(len(compile_messages(
-                controller.topology, controller.positions,
-                controller.dt_adjacency())))
-            after = {
-                sid: canonical_state(sw)
-                for sid, sw in controller.switches.items()
-            }
-            touched_sem, entries_sem = _diff_states(before, after)
-            semantic_touched.append(touched_sem)
-            semantic_entries.append(entries_sem)
-            generations_after = controller.generations
-            for sid, generation in generations_before.items():
-                if sid not in touched and \
-                        generations_after.get(sid) != generation:
-                    generations_preserved = False
-            controller.closest_switch((0.25, 0.75))
-        # Force the scoped fast-path update and measure what survived.
-        state = net._fast_state()
-        router_reused = state.router is router_before
-        recompiles = (state.router.switch_compiles - compiles_before
-                      if router_reused else None)
-        surviving = len(cached_before & set(state.routes))
-        survival = (surviving / len(cached_before)
-                    if cached_before else None)
-        rows.append({
-            "switches": num_switches,
-            "regions": 1,
-            "avg_delta_messages": mean_or_zero(delta_messages),
-            "avg_switches_touched": mean_or_zero(touched_counts),
-            "avg_foreign_touched": 0.0,
-            "avg_foreign_messages": 0.0,
-            "avg_full_reinstall_messages": mean_or_zero(full_messages),
-            "avg_semantic_switches_touched": mean_or_zero(semantic_touched),
-            "avg_semantic_entries_changed": mean_or_zero(semantic_entries),
-            "index_builds_during_joins": (controller.index_builds
-                                          - index_builds_before),
-            "router_reused": router_reused,
-            "avg_router_recompiles": (
-                recompiles / num_joins if recompiles is not None
-                else None),
-            "route_cache_survival": survival,
-            "untouched_generations_preserved": generations_preserved,
-        })
+    arm = _monolith_churn_row if regions == 1 else _federated_churn_row
     return {
         "format": CHURN_FORMAT,
         "sizes": list(sizes),
@@ -318,143 +300,126 @@ def run_churn_scaling(
         "cvt_iterations": cvt_iterations,
         "seed": seed,
         "regions": regions,
-        "rows": rows,
+        "rows": [arm(num_switches, servers_per_switch, num_joins,
+                     cvt_iterations, seed, regions)
+                 for num_switches in sizes],
     }
 
 
-def _federated_churn_scaling(
-    sizes: Sequence[int],
-    servers_per_switch: int,
-    num_joins: int,
-    cvt_iterations: int,
-    seed: int,
-    regions: int,
-) -> Dict:
+def _monolith_churn_row(num_switches: int, servers_per_switch: int,
+                        num_joins: int, cvt_iterations: int, seed: int,
+                        regions: int) -> Dict:
+    """The ``regions == 1`` arm of :func:`run_churn_scaling`: one
+    controller, whose compiled router and route cache the joins must
+    preserve."""
+    from ..controlplane import RecordingChannel
+    from ..core import GredNetwork
+
+    topology = build_topology(num_switches, 3, seed)
+    net = GredNetwork(
+        topology, servers_per_switch=servers_per_switch,
+        cvt_iterations=cvt_iterations, seed=seed,
+    )
+    controller = net.controller
+    channel = RecordingChannel()
+    controller.southbound_channel = channel
+    # Warm the scoped caches so the joins have something to
+    # preserve: the routing index, the compiled router, and a
+    # populated route cache.
+    controller.closest_switch((0.5, 0.5))
+    ids = [f"churn/{num_switches}/{i}" for i in range(256)]
+    net.place_many(ids, rng=np.random.default_rng(seed + 2))
+    router_before = net._fastpath.router
+    compiles_before = router_before.switch_compiles
+    cached_before = set(net._fastpath.routes)
+    index_builds_before = controller.index_builds
+    rng = np.random.default_rng(seed + 1)
+    meter = _JoinMeter()
+    for _ in range(num_joins):
+        peers = [int(p) for p in rng.choice(num_switches, size=2,
+                                            replace=False)]
+        meter.measure(controller, channel, controller.add_switch, peers,
+                      servers_per_switch)
+        controller.closest_switch((0.25, 0.75))
+    # Force the scoped fast-path update and measure what survived.
+    state = net._fast_state()
+    router_reused = state.router is router_before
+    surviving = len(cached_before & set(state.routes))
+    return meter.row(
+        num_switches, regions,
+        controller.index_builds - index_builds_before,
+        router_reused=router_reused,
+        avg_router_recompiles=(
+            (state.router.switch_compiles - compiles_before) / num_joins
+            if router_reused else None),
+        route_cache_survival=(surviving / len(cached_before)
+                              if cached_before else None))
+
+
+def _federated_churn_row(num_switches: int, servers_per_switch: int,
+                         num_joins: int, cvt_iterations: int, seed: int,
+                         regions: int) -> Dict:
     """The ``regions > 1`` arm of :func:`run_churn_scaling`.
 
-    Each size becomes a metro federation (``size // regions`` switches
+    The size becomes a metro federation (``size // regions`` switches
     per region); every join homes into one region and the per-region
     recording channels prove the cross-shard locality claim: all
     southbound traffic lands in the home region, zero elsewhere.
     """
-    from ..controlplane import (FederatedNetwork, compile_messages)
+    from ..controlplane import FederatedNetwork
     from ..controlplane.southbound import Probe
     from ..topology import federated_topology
 
-    rows: List[Dict] = []
-    for num_switches in sizes:
-        per_region = max(4, num_switches // regions)
-        topology, assignment = federated_topology(
-            regions, per_region, min_degree=3, seed=seed)
-        fed = FederatedNetwork(
-            topology, assignment=assignment,
-            servers_per_switch=servers_per_switch,
-            cvt_iterations=cvt_iterations, seed=seed)
-        channels = fed.controller.attach_channels()
-        index_builds_before = {
-            rid: shard.controller.index_builds
-            for rid, shard in fed.shards.items()
-        }
-        # Warm every shard's planes so the joins exercise the scoped
-        # invalidation paths, exactly like the monolithic arm.
-        ids = [f"churn/{num_switches}/{i}" for i in range(256)]
-        fed.place_many(ids, rng=np.random.default_rng(seed + 2))
-        rng = np.random.default_rng(seed + 1)
-        region_ids = sorted(fed.shards)
-        delta_messages: List[int] = []
-        touched_counts: List[int] = []
-        foreign_touched: List[int] = []
-        foreign_messages: List[int] = []
-        full_messages: List[int] = []
-        semantic_touched: List[int] = []
-        semantic_entries: List[int] = []
-        join_events: List[Dict] = []
-        generations_preserved = True
-        for j in range(num_joins):
-            rid = region_ids[j % regions]
-            home = fed.shard(rid).net.controller
-            before = {
-                sid: canonical_state(sw)
-                for sid, sw in home.switches.items()
-            }
-            generations_before = home.generations
-            members = fed.shard(rid).net.switch_ids()
-            peers = [int(members[int(v)]) for v in
-                     rng.choice(len(members), size=2, replace=False)]
-            for channel in channels.values():
-                channel.clear()
-            new_id = 100_000 + j
-            fed.add_switch(
-                new_id, peers,
-                servers=[EdgeServer(new_id, s)
-                         for s in range(servers_per_switch)],
-            )
-            per_region_touched = {
-                str(other): len(channels[other].per_switch(
-                    exclude=(Probe,)))
-                for other in region_ids
-                if channels[other].count(exclude=(Probe,))
-            }
-            delta_messages.append(
-                channels[rid].count(exclude=(Probe,)))
-            touched = set(channels[rid].per_switch(exclude=(Probe,)))
-            touched_counts.append(len(touched))
-            foreign_touched.append(sum(
-                count for other, count in per_region_touched.items()
-                if other != str(rid)))
-            foreign_messages.append(sum(
-                channels[other].count(exclude=(Probe,))
-                for other in region_ids if other != rid))
-            join_events.append({
-                "join": j,
-                "home_region": rid,
-                "touched_per_region": per_region_touched,
-            })
-            # The full-reinstall oracle is per home shard: the
-            # pre-refactor path would clear and reinstall that whole
-            # region (never the federation — regions were the unit of
-            # blast radius even before the delta pipeline).
-            full_messages.append(len(compile_messages(
-                home.topology, home.positions, home.dt_adjacency())))
-            after = {
-                sid: canonical_state(sw)
-                for sid, sw in home.switches.items()
-            }
-            touched_sem, entries_sem = _diff_states(before, after)
-            semantic_touched.append(touched_sem)
-            semantic_entries.append(entries_sem)
-            generations_after = home.generations
-            for sid, generation in generations_before.items():
-                if sid not in touched and \
-                        generations_after.get(sid) != generation:
-                    generations_preserved = False
-        index_builds = sum(
-            shard.controller.index_builds - index_builds_before[rid]
-            for rid, shard in fed.shards.items())
-        rows.append({
-            "switches": num_switches,
-            "regions": regions,
-            "avg_delta_messages": mean_or_zero(delta_messages),
-            "avg_switches_touched": mean_or_zero(touched_counts),
-            "avg_foreign_touched": mean_or_zero(foreign_touched),
-            "avg_foreign_messages": mean_or_zero(foreign_messages),
-            "avg_full_reinstall_messages": mean_or_zero(full_messages),
-            "avg_semantic_switches_touched": mean_or_zero(semantic_touched),
-            "avg_semantic_entries_changed": mean_or_zero(semantic_entries),
-            "index_builds_during_joins": index_builds,
-            "router_reused": None,
-            "avg_router_recompiles": None,
-            "route_cache_survival": None,
-            "untouched_generations_preserved": generations_preserved,
-            "join_events": join_events,
-        })
-    return {
-        "format": CHURN_FORMAT,
-        "sizes": list(sizes),
-        "servers_per_switch": servers_per_switch,
-        "num_joins": num_joins,
-        "cvt_iterations": cvt_iterations,
-        "seed": seed,
-        "regions": regions,
-        "rows": rows,
+    per_region = max(4, num_switches // regions)
+    topology, assignment = federated_topology(
+        regions, per_region, min_degree=3, seed=seed)
+    fed = FederatedNetwork(
+        topology, assignment=assignment,
+        servers_per_switch=servers_per_switch,
+        cvt_iterations=cvt_iterations, seed=seed)
+    channels = fed.controller.attach_channels()
+    index_builds_before = {
+        rid: shard.controller.index_builds
+        for rid, shard in fed.shards.items()
     }
+    # Warm every shard's planes so the joins exercise the scoped
+    # invalidation paths, exactly like the monolithic arm.
+    ids = [f"churn/{num_switches}/{i}" for i in range(256)]
+    fed.place_many(ids, rng=np.random.default_rng(seed + 2))
+    rng = np.random.default_rng(seed + 1)
+    region_ids = sorted(fed.shards)
+    meter = _JoinMeter()
+    foreign_touched: List[int] = []
+    foreign_messages: List[int] = []
+    join_events: List[Dict] = []
+    for j in range(num_joins):
+        rid = region_ids[j % regions]
+        members = fed.shard(rid).net.switch_ids()
+        peers = [int(members[int(v)]) for v in
+                 rng.choice(len(members), size=2, replace=False)]
+        for channel in channels.values():
+            channel.clear()
+        meter.measure(fed.shard(rid).net.controller, channels[rid],
+                      fed.add_switch, peers, servers_per_switch)
+        per_region_touched = {
+            str(other): len(channels[other].per_switch(
+                exclude=(Probe,)))
+            for other in region_ids
+            if channels[other].count(exclude=(Probe,))
+        }
+        foreign_touched.append(sum(
+            count for other, count in per_region_touched.items()
+            if other != str(rid)))
+        foreign_messages.append(sum(
+            channels[other].count(exclude=(Probe,))
+            for other in region_ids if other != rid))
+        join_events.append({
+            "join": j,
+            "home_region": rid,
+            "touched_per_region": per_region_touched,
+        })
+    return meter.row(
+        num_switches, regions,
+        sum(shard.controller.index_builds - index_builds_before[rid]
+            for rid, shard in fed.shards.items()),
+        foreign_touched, foreign_messages, join_events=join_events)

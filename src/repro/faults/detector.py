@@ -295,7 +295,11 @@ class FailureDetector:
         tombstone is *deleted*, not damaged — repair must not rebuild
         it from a stale survivor (counted as a suppressed
         resurrection, see :attr:`RepairReport.suppressed_resurrections`
-        via :attr:`_last_suppressed`).
+        via :attr:`_last_suppressed`).  Where survivors disagree — a
+        stale copy beside one written during a partition — the copy
+        with the greatest ``(version, origin)`` stamp is the source
+        (ties: first server in switch order, lowest copy index), so
+        repair never multiplies the stale version.
         """
         if not self.catalog:
             return [], 0
@@ -303,11 +307,14 @@ class FailureDetector:
         from ..dataplane import ForwardingError
         from ..edge import NO_STAMP
 
-        index: Dict[str, object] = {}
+        # copy id -> (stamp, server) of its newest holder.
+        index: Dict[str, tuple] = {}
         for switch_id in sorted(self.net.server_map):
             for server in self.net.server_map[switch_id]:
                 for item_id in server.stored_ids():
-                    index.setdefault(item_id, server)
+                    stamp = server.stamp_of(item_id) or NO_STAMP
+                    if item_id not in index or stamp > index[item_id][0]:
+                        index[item_id] = (stamp, server)
         tombstones = self._tombstone_index()
         lost: List[str] = []
         restored = 0
@@ -319,11 +326,11 @@ class FailureDetector:
                 (i, index.get(replica_id(data_id, i)))
                 for i in range(copies)
             ]
-            present = [(i, s) for i, s in holders if s is not None]
+            present = [(i, *held) for i, held in holders
+                       if held is not None]
             if data_id in tombstones:
-                live_max = max(
-                    (s.stamp_of(replica_id(data_id, i)) or NO_STAMP
-                     for i, s in present), default=NO_STAMP)
+                live_max = max((stamp for _, stamp, _ in present),
+                               default=NO_STAMP)
                 if tombstones[data_id] > live_max:
                     if present:
                         self._last_suppressed += 1
@@ -331,10 +338,11 @@ class FailureDetector:
             if not present:
                 lost.append(data_id)
                 continue
-            source_index, source = present[0]
-            missing = [i for i, s in holders if s is None]
+            missing = [i for i, held in holders if held is None]
             if not missing:
                 continue
+            source_index, _, source = max(
+                present, key=lambda held: (held[1], -held[0]))
             source_copy = replica_id(data_id, source_index)
             payload = source.retrieve(source_copy)
             stamp = source.stamp_of(source_copy)

@@ -418,14 +418,17 @@ class TestSeededFallbackRng:
 
 class TestFastpathGates:
     """The ``(predicate, reason)`` gate list is the single source of
-    truth: the facade's boolean and the operator-facing reason list
-    must agree in every configuration."""
+    truth: the engine the facade names and the operator-facing reason
+    list must agree in every configuration."""
 
     def _agree(self, net):
-        from repro.dataplane import batch_fastpath_blockers
+        from repro.dataplane import batch_fastpath_blockers, scalar_standdown
 
         blockers = batch_fastpath_blockers(net)
-        assert net._batch_standdown() == (blockers != [])
+        assert scalar_standdown(net) == (blockers or [None])[0]
+        assert net._engine_attrs() == (
+            {"engine": "reference", "standdown": blockers[0]}
+            if blockers else {"engine": "compiled"})
         return blockers
 
     def test_clean_network_is_eligible(self):

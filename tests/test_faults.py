@@ -349,6 +349,38 @@ class TestFailureDetector:
             )
             assert found, f"replica {i} not restored"
 
+    @pytest.mark.parametrize("disagree", ["copies", "holders"])
+    def test_repair_copies_from_the_newest_survivor(self, net, disagree):
+        """Two live survivors at different stamps and one crashed
+        replica: the missing copy is rebuilt from the fresher one —
+        whether it is another copy (a write that reached copy 1 only,
+        during a partition) or a second holder of the same copy (the
+        stale one first in switch order) — never from the stale one."""
+        injector = FaultInjector(net)
+        net.place("split", payload=b"old", entry_switch=0, copies=3)
+        ordered = [server for switch in sorted(net.server_map)
+                   for server in net.server_map[switch]]
+        homes = [next(server for server in ordered
+                      if server.has(replica_id("split", i)))
+                 for i in range(3)]
+        if len({server.server_id for server in homes}) < 3:
+            pytest.skip("replicas collided on one server")
+        newer = (net.write_version + 5, 0)
+        if disagree == "copies":
+            homes[1].store(replica_id("split", 1), b"new", stamp=newer)
+        else:
+            later = next(server for server in reversed(ordered)
+                         if server not in homes)
+            assert ordered.index(later) > ordered.index(homes[0])
+            later.store(replica_id("split", 0), b"new", stamp=newer)
+        injector.crash_server(*homes[2].server_id)
+        report = FailureDetector(net, catalog={"split": 3}).repair()
+        assert report.re_replicated == 1 and report.lost_items == []
+        rebuilt = net.server(*homes[2].server_id)
+        copy_id = replica_id("split", 2)
+        assert rebuilt.retrieve(copy_id) == b"new"
+        assert rebuilt.stamp_of(copy_id) == newer
+
     def test_item_with_no_surviving_copy_reported_lost(self, net):
         net.place("fragile", payload=b"x", entry_switch=0, copies=1)
         victim = holder_switches(net, "fragile", 1).pop()

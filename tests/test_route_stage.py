@@ -7,9 +7,10 @@
   fixture) under interleaved requests, range extensions and topology
   changes: equal results, equal errors, equal storage, equal registry;
 * the selection rule itself — which observable states keep a request on
-  ``route_packet``, what the spans / counters / ``gred stats`` say
-  about it, and that the scalar path reads the route cache without
-  growing it.
+  ``route_packet`` (a recording tracer is not one: the compiled walker
+  narrates, event for event), what the spans / counters / ``gred
+  stats`` say about it, and that the scalar path reads the route cache
+  without growing it.
 """
 
 import numpy as np
@@ -26,7 +27,9 @@ from repro.dataplane import (
     Packet,
     PacketKind,
     TraceEventKind,
+    Tracer,
     UNABSORBED_FAULT,
+    VirtualLinkEntry,
     fastpath,
     route_packet,
     scalar_standdown,
@@ -453,6 +456,10 @@ def _unknown_vl_destination(net, events, route):
         start["dest"])
 
 
+def _deleted_vl_destination(net, events, route):
+    del net.controller.switches[events[1].details["dest"]]
+
+
 #: fault -> (decision shape the failing request's healthy walk must
 #: start with, what breaks the plane, hop budget of the retrieve pass).
 #: Every shape opens with a greedy forward, which a large batch takes
@@ -479,6 +486,20 @@ BATCH_SHAPES = {"whole-batch": (20, 1), "last-few": (150, 1),
                 "mid-wave": (20, 130)}
 
 
+def far_requests(probe, shape):
+    """``(data_id, entry, events, route)`` of every healthy walk on
+    ``probe`` that starts with the decisions in ``shape``, shortest
+    first."""
+    found = []
+    for i in range(40):
+        for entry in probe.switch_ids():
+            route, tracer = probe.trace_route(f"far/{i}", entry)
+            events = tracer.events()[1:]  # minus ingress
+            if tuple(e.kind for e in events[:len(shape)]) == shape:
+                found.append((f"far/{i}", entry, events, route))
+    return sorted(found, key=lambda far: far[3].overlay_hops)
+
+
 class TestStragglerTailErrors:
     """Routes that leave the waves for the scalar walker — *in the
     straggler tail* or *out of a wave's anomaly mask* — fail exactly
@@ -486,18 +507,6 @@ class TestStragglerTailErrors:
     partial decision mix, same stored prefix."""
 
     SEED, SWITCHES = 2, 24
-
-    def _far_requests(self, probe, shape):
-        """``(data_id, entry, events, route)`` of every healthy walk
-        that starts with the decisions in ``shape``, shortest first."""
-        found = []
-        for i in range(40):
-            for entry in probe.switch_ids():
-                route, tracer = probe.trace_route(f"far/{i}", entry)
-                events = tracer.events()[1:]  # minus ingress
-                if tuple(e.kind for e in events[:len(shape)]) == shape:
-                    found.append((f"far/{i}", entry, events, route))
-        return sorted(found, key=lambda far: far[3].overlay_hops)
 
     def _batch_vs_reference(self, reference_engine, shape, sabotage,
                             budget, batch_shape):
@@ -508,7 +517,7 @@ class TestStragglerTailErrors:
         bulk, far = BATCH_SHAPES[batch_shape]
         probe = build(self.SEED, self.SWITCHES)
         (bad_id, bad_entry, events, route), *others = \
-            self._far_requests(probe, shape)
+            far_requests(probe, shape)
         broken = build(self.SEED, self.SWITCHES)
         if sabotage is not None:
             sabotage(broken, events, route)
@@ -523,7 +532,7 @@ class TestStragglerTailErrors:
                 and broken.controller.switches[home].in_dt][:bulk]
         healthy = [
             (d, e) for d, e, _, r in
-            others + self._far_requests(probe, (GREEDY, GREEDY))
+            others + far_requests(probe, (GREEDY, GREEDY))
             if d != bad_id and not {bad_entry, *route.trace[1:]}
             & set(r.trace)][:far]
         assert len(healthy) == far
@@ -578,17 +587,12 @@ class TestStragglerTailErrors:
     def test_deleted_vl_destination(self, reference_engine, batch_shape):
         """A virtual link whose *destination* left the plane fails at
         the last relay's hand-off, with the reference engine's text
-        (it used to surface as a ``KeyError``).  Outcomes and stored
-        prefix only: the reference counts the relays it walked before
-        failing, the compiled chain resolution none — the partial mix
-        of a failed chain is still open."""
-        def sabotage(net, events, route):
-            del net.controller.switches[events[1].details["dest"]]
-
+        (it used to surface as a ``KeyError``) and — the chain is
+        walked up to its break — the relays the reference counted."""
         got, want = self._batch_vs_reference(
-            reference_engine, (GREEDY, VL_START), sabotage, None,
-            batch_shape)
-        assert got[:2] == want[:2]
+            reference_engine, (GREEDY, VL_START), _deleted_vl_destination,
+            None, batch_shape)
+        assert got[:4] == want[:4]
         kind, text = got[0][0]
         assert kind == "ForwardingError"
         assert "forwarded to unknown switch" in text
@@ -599,7 +603,7 @@ class TestStragglerTailErrors:
         text of a bound breached inside a relay chain, mid-route, is
         read off the router."""
         net = build(self.SEED, self.SWITCHES)
-        data_id, entry, _, _ = self._far_requests(
+        data_id, entry, _, _ = far_requests(
             net, TAIL_FAULTS["hop-bound-in-chain"][0])[0]
         ids = [f"bulk/{i}" for i in range(150)]
         homes = net.destinations_for(ids)
@@ -689,6 +693,107 @@ def engines(monkeypatch):
     monkeypatch.setattr(network_module, "route_packet", counting_packet)
     monkeypatch.setattr(CompiledRouter, "route", counting_route)
     return calls
+
+
+def narration(net, data_id, entry, max_hops=None):
+    """How the scalar route stage ends for a recording tracer — the
+    route, or the error text — and what the tracer heard."""
+    tracer = Tracer()
+    try:
+        ended = net._route(data_id, entry, PacketKind.RETRIEVAL, max_hops,
+                           tracer)[:4]
+    except ForwardingError as exc:
+        ended = str(exc)
+    return ended, [(e.kind, e.switch, e.details) for e in tracer.events()]
+
+
+def _no_vl_entry(net, events, route):
+    # The source of the virtual link forgets it: nothing is decided.
+    net.controller.switches[events[1].switch].table.remove_virtual(
+        events[1].details["dest"])
+
+
+def _second_hop_gone(net, events, route):
+    # The first relay forwards off the plane, its relay already told.
+    del net.controller.switches[events[2].details["next"]]
+
+
+def _relays_loop(net, events, route):
+    # The first relay hands the packet back: the link never terminates
+    # and the hop bound ends the walk, relay by relay.
+    start = events[1]
+    net.controller.switches[start.details["succ"]].table.install_virtual(
+        VirtualLinkEntry(sour=start.switch, pred=start.switch,
+                         succ=start.switch, dest=start.details["dest"]))
+
+
+#: broken virtual link -> (decision shape of the healthy walk, what
+#: breaks it, the text the walk now ends with).
+BROKEN_LINKS = {
+    "no-vl-entry": ((GREEDY, VL_START), _no_vl_entry,
+                    "has no virtual-link entry"),
+    "first-relay-forgets": ((GREEDY, VL_START, VL_RELAY),
+                            _unknown_vl_destination, "has no relay entry"),
+    "second-hop-gone": ((GREEDY, VL_START, VL_RELAY), _second_hop_gone,
+                        "forwarded to unknown switch"),
+    "destination-gone": ((GREEDY, VL_START), _deleted_vl_destination,
+                         "forwarded to unknown switch"),
+    "relays-loop": ((GREEDY, VL_START, VL_RELAY), _relays_loop,
+                    "hop bound"),
+}
+
+
+class TestNarration:
+    """A recording tracer does not select the engine, so it must hear
+    from the compiled walker exactly what ``route_packet`` tells it:
+    the same events — kind, switch, details, order — on the same
+    route, up to the same failure."""
+
+    @pytest.mark.parametrize("budget", [None, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_healthy_plane_with_an_extension(self, reference_engine,
+                                             engines, seed, budget):
+        compiled = build(seed, 24)
+        pinned = reference_engine(build(seed, 24))
+        switches = compiled.switch_ids()
+        for net in (compiled, pinned):
+            for switch in switches[::2]:
+                net.extend_range(switch, 0)
+        heard = set()
+        failed = 0
+        for i in range(24):
+            for entry in switches[i % 4::4]:
+                got = narration(compiled, f"nar/{i}", entry, budget)
+                assert got == narration(pinned, f"nar/{i}", entry, budget)
+                heard.update(kind for kind, _, _ in got[1])
+                failed += type(got[0]) is str
+        assert engines == {"reference": 144, "compiled": 144}
+        assert heard == set(TraceEventKind) - {
+            TraceEventKind.DEGRADED_REROUTE}
+        assert bool(failed) == (budget is not None)
+
+    @pytest.mark.parametrize("budget", [None, 3])
+    @pytest.mark.parametrize("link", sorted(BROKEN_LINKS))
+    def test_broken_virtual_link(self, reference_engine, engines, link,
+                                 budget):
+        """The walked prefix of a chain that breaks is told and
+        counted (the registry's decision mix) before the failure, and
+        a tight budget still ends the walk first."""
+        shape, sabotage, text = BROKEN_LINKS[link]
+        broken = far_requests(build(2, 24), shape)[:4]
+        engines.update(reference=0, compiled=0)
+        for data_id, entry, events, route in broken:
+            sides = []
+            for pin in (lambda net: net, reference_engine):
+                net = pin(build(2, 24))
+                sabotage(net, events, route)
+                sides.append(observe(net, [lambda net: narration(
+                    net, data_id, entry, budget)])[:4])
+            got, want = sides
+            assert got == want
+            ended = got[0][0][0]
+            assert text in ended or (budget and "hop bound" in ended)
+        assert engines == {"reference": 4, "compiled": 4}
 
 
 def exercise(net):
@@ -846,22 +951,22 @@ class TestEngineSelection:
         assert engines["compiled"] == 0
         assert scalar_standdown(net) == "southbound transport attached"
 
-    def test_recording_tracer_takes_route_packet(self, engines):
+    def test_recording_tracer_stays_compiled(self, engines):
         net = build(1, 12)
         entry = net.switch_ids()[0]
         net.trace_route("sel/t", entry)
-        assert engines == {"reference": 1, "compiled": 0}
+        assert engines == {"reference": 0, "compiled": 1}
         recorder = span_api.enable_tracing(sample_rate=1.0)
         try:
             exercise(net)  # place + retrieve are sampled; route_for is not
         finally:
             span_api.disable_tracing()
-        assert engines == {"reference": 3, "compiled": 1}
+        assert engines == {"reference": 0, "compiled": 4}
         roots = {s.name: s for s in recorder.spans()
                  if s.parent_id is None}
         for name in ("request.place", "request.retrieve"):
-            assert roots[name].attrs["engine"] == "reference"
-            assert roots[name].attrs["standdown"] == "tracing"
+            assert roots[name].attrs["engine"] == "compiled"
+            assert "standdown" not in roots[name].attrs
         assert any(s.name.startswith("hop.") for s in recorder.spans())
 
     def test_unsampled_trace_stays_compiled(self, engines):
@@ -873,7 +978,7 @@ class TestEngineSelection:
             span_api.disable_tracing()
         assert engines == {"reference": 0, "compiled": 3}
 
-    def test_gate_reason_wins_over_tracing(self):
+    def test_only_a_gate_names_a_reason(self):
         net = build(1, 12)
         injector = FaultInjector(net)
         entry = net.switch_ids()[0]
@@ -889,11 +994,13 @@ class TestEngineSelection:
             span_api.disable_tracing()
         roots = [s for s in recorder.spans() if s.parent_id is None
                  and s.name == "request.place"]
-        assert all(s.attrs["engine"] == "reference" for s in roots)
-        # Recording a sampled request is itself a reason; a firing
-        # gate's reason is reported ahead of it.
-        assert [s.attrs["standdown"] for s in roots] == \
-            ["tracing"] + [UNABSORBED_FAULT, "tracing"] * 3
+        # Being recorded is no reason: a sampled request is on the
+        # reference engine exactly while a gate fires.
+        reasons = [s.attrs.get("standdown") for s in roots]
+        assert reasons == [None] + [UNABSORBED_FAULT, None] * 3
+        assert [s.attrs["engine"] for s in roots] == [
+            "compiled" if reason is None else "reference"
+            for reason in reasons]
 
     def test_batch_exemplars_say_compiled(self):
         net = build(1, 12)
@@ -914,6 +1021,13 @@ class TestEngineSelection:
         try:
             injector = FaultInjector(net)
             exercise(net)
+            # Recorded requests stand nothing down: no ``tracing`` label.
+            span_api.enable_tracing(sample_rate=1.0)
+            try:
+                exercise(net)
+            finally:
+                span_api.disable_tracing()
+            net.trace_route("sel/a", net.switch_ids()[0])
             for inject, clear in standing_faults(net, injector):
                 assert not registry.counter_values(
                     "dataplane.scalar_standdowns")
