@@ -741,16 +741,17 @@ class Controller:
         nodes = [n for n in self.topology.nodes() if n in self.positions]
         if len(nodes) < 2:
             return 0.1
-        from ..graph import bfs_distances
+        from ..graph import HopRows
 
         num = 0.0
         den = 0.0
         sample = nodes[: min(len(nodes), 20)]
-        for node in sample:
-            hops = bfs_distances(self.topology, node)
-            for other in nodes:
-                d = hops.get(other)
-                if other == node or not d:
+        hops = HopRows(self.topology)
+        columns = [hops.column[other] for other in nodes]
+        for node, row in zip(sample, hops.rows(sample).tolist()):
+            for other, column in zip(nodes, columns):
+                d = row[column]
+                if other == node or d <= 0:  # itself, or unreachable
                     continue
                 e = euclidean(self.positions[node], self.positions[other])
                 num += e * d

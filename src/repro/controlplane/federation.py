@@ -379,10 +379,11 @@ class FederatedNetwork:
 
     def _resolve_entry(self, entry_switch: Optional[int],
                        rng: Optional[np.random.Generator]) -> int:
-        from ..core.network import GredError, draw_entries
+        from ..core.network import GredError, draw_entries, entry_index
 
         if entry_switch is None:
             return draw_entries(self._entry_pool(), 1, rng)[0]
+        entry_switch = entry_index(entry_switch)
         rid = self.controller._assignment.get(entry_switch)
         if rid is None:
             raise GredError(f"unknown entry switch {entry_switch}")

@@ -23,7 +23,6 @@ Typical use::
 from __future__ import annotations
 
 import operator
-from array import array
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -54,7 +53,7 @@ from ..edge import (
     load_vector,
 )
 from ..geometry import TIE_BAND, euclidean
-from ..graph import Graph, bfs_distances, hop_count
+from ..graph import Graph, HopRows, NoPath, hop_count
 from ..hashing import (
     data_position,
     digest_keys,
@@ -96,8 +95,7 @@ class _FastPathState:
     change counter so scoped events (joins, leaves, link changes) can
     patch the router and evict only the affected cache entries."""
 
-    __slots__ = ("epoch", "version", "router", "routes", "hops",
-                 "hop_column", "stale")
+    __slots__ = ("epoch", "version", "router", "routes", "hops", "stale")
 
     def __init__(self, epoch: int, version: int,
                  router: CompiledRouter) -> None:
@@ -112,10 +110,9 @@ class _FastPathState:
         #: intentionally NOT memoized — they are resolved live so
         #: extend/retract need no epoch bump.
         self.routes = RouteMemo(_ROUTE_CACHE_CAP)
-        #: BFS hop distances, one flat row per source switch;
-        #: ``hop_column`` is every row's ``target switch -> index``.
-        self.hops: Dict[int, array] = {}
-        self.hop_column: Dict[int, int] = {}
+        #: Hop distances between switches (rows filled on demand),
+        #: built on first use after every topology change.
+        self.hops: Optional[HopRows] = None
         #: Switches touched since ``routes`` was last swept: the router
         #: is patched on every sync, the route memo only when a batch
         #: is about to use it.  Non-empty = ``routes`` may hold stale
@@ -132,7 +129,7 @@ def check_copies(copies: int) -> None:
         raise GredError(f"copies must be >= 1, got {copies}")
 
 
-def _entry_index(entry):
+def entry_index(entry):
     """One entry switch as an exact ``int`` (``None`` stays: drawn
     later), so results serialise and compare like a scalar call's."""
     if entry is None:
@@ -169,7 +166,7 @@ def check_batch_args(data_ids: Sequence[str], copies: int,
         if isinstance(entry_switches, np.ndarray):
             entry_switches = entry_switches.tolist()
         if not set(map(type, entry_switches)) <= {int, type(None)}:
-            entry_switches = [_entry_index(e) for e in entry_switches]
+            entry_switches = [entry_index(e) for e in entry_switches]
     if payloads is not None and len(payloads) != count:
         raise GredError(
             f"payloads has {len(payloads)} entries for "
@@ -1129,7 +1126,7 @@ class GredNetwork:
         changes, failure absorption) instead asks the controller which
         switches were touched and patches only their compiled rows.
         Hop distances are cheap to recompute and topology edits shift
-        them non-locally, so that cache clears wholesale on any change.
+        them non-locally, so the hop rows are dropped on any change.
         The route memo is only marked (``state.stale``): sweeping it
         is linear in its size, so it waits for :meth:`_fast_state`."""
         controller = self.controller
@@ -1152,7 +1149,7 @@ class GredNetwork:
             state.router.patch(switches, present,
                                frozenset(touched) - present)
             state.stale |= touched
-            state.hops.clear()
+            state.hops = None
         state.version = controller.version
         return state
 
@@ -1170,23 +1167,20 @@ class GredNetwork:
             state.stale.clear()
         return state
 
+    def _hop_rows(self, state: _FastPathState) -> HopRows:
+        """The plane's hop rows, built on first use after a change."""
+        if state.hops is None:
+            state.hops = HopRows(self.topology)
+        return state.hops
+
     def _fast_hop(self, state: Optional[_FastPathState], source: int,
                   target: int) -> int:
-        """Hop distance with a per-epoch BFS cache (one BFS per
-        distinct source switch instead of one per request); a fresh
-        search when the reference engine routed (``state`` None)."""
+        """Hop distance from the plane's hop rows (one kernel row per
+        distinct source switch); a fresh search when the reference
+        engine routed (``state`` None).  Unreachable: :class:`NoPath`."""
         if state is None:
             return hop_count(self.topology, source, target)
-        row = state.hops.get(source)
-        if row is None:
-            if not state.hops:  # first row since the cache cleared
-                state.hop_column = {
-                    node: i for i, node in enumerate(self.topology)}
-            # (A managed topology is connected: no node lacks a key.)
-            dists = bfs_distances(self.topology, source)
-            row = state.hops[source] = array(
-                "i", map(dists.__getitem__, state.hop_column))
-        return row[state.hop_column[target]]
+        return (state.hops or self._hop_rows(state)).hop(source, target)
 
     @staticmethod
     def _emit_route_telemetry(registry, kind: str, mix,
@@ -1455,7 +1449,7 @@ class GredNetwork:
         :meth:`prehash`.  Each round of the nearest-first failover walk
         is one :meth:`_grouped_probe`: the round's replicas routed in
         waves, one bulk lookup per distinct delivery, response hops
-        from the per-epoch BFS distance cache.
+        from the plane's hop rows (one kernel call for missing rows).
         """
         batch = _Batch(self, PacketKind.RETRIEVAL, data_ids,
                        entry_switches, copies, rng, digests)
@@ -1584,15 +1578,15 @@ class GredNetwork:
         slot[order[forks]] += slots
         response = np.zeros(ok.size, dtype=np.int64)
         if sources:
-            for switch in sources:
-                self._fast_hop(state, switch, switch)  # fills its row
-            matrix = np.asarray([state.hops[switch] for switch in sources])
-            # Its columns are in topology order: find each entry's.
-            nodes = np.fromiter(state.hop_column, dtype=np.int64)
-            by_id = np.argsort(nodes)
-            column = by_id[np.searchsorted(
-                nodes[by_id], batch.flat_entries[probes[hit]])]
-            response[hit] = matrix[rows[slot[hit]], column]
+            hops = self._hop_rows(state)
+            holders = rows[slot[hit]]
+            targets = batch.flat_entries[probes[hit]].tolist()
+            back = hops.rows(list(sources))[
+                holders, list(map(hops.column.__getitem__, targets))]
+            if back.min() < 0:
+                j = int(np.argmin(back))
+                raise NoPath(list(sources)[holders[j]], targets[j])
+            response[hit] = back
         hops = routes.tlen[ok] - 1
         dests, overlays, starts, ends, traces = routes.lists(ok)
         data_ids, entries = batch.data_ids, batch.entries
@@ -2128,8 +2122,12 @@ class GredNetwork:
 
     def _resolve_entry(self, entry_switch: Optional[int],
                        rng: Optional[np.random.Generator]) -> int:
+        """A live entry switch as an exact ``int`` (drawn when ``None``;
+        the batch front door's :func:`entry_index` rule otherwise)."""
         if entry_switch is None:
             return draw_entries(self._entry_pool(), 1, rng)[0]
+        if type(entry_switch) is not int:
+            entry_switch = entry_index(entry_switch)
         if not self.topology.has_node(entry_switch):
             raise GredError(f"unknown entry switch {entry_switch}")
         fault = self.fault_state

@@ -4,7 +4,8 @@ This package is self-contained (no third-party graph library) and provides
 exactly what the GRED control plane and the evaluation harness need:
 
 * :class:`Graph` — undirected, optionally weighted adjacency structure;
-* shortest paths — BFS hop counts, Dijkstra, all-pairs matrices;
+* shortest paths — BFS hop counts, the many-source hop kernel
+  (:class:`HopRows`), Dijkstra, all-pairs matrices;
 * structure — connectivity, components, diameter, degrees.
 """
 
@@ -17,6 +18,7 @@ from .errors import (
 )
 from .graph import Graph
 from .shortest_paths import (
+    HopRows,
     all_pairs_hop_matrix,
     all_pairs_weighted_matrix,
     bfs_distances,
@@ -46,6 +48,7 @@ __all__ = [
     "dijkstra",
     "dijkstra_path",
     "hop_count",
+    "HopRows",
     "all_pairs_hop_matrix",
     "all_pairs_weighted_matrix",
     "connected_components",

@@ -7,7 +7,7 @@ from typing import Hashable, List, Set
 
 from .errors import DisconnectedGraph
 from .graph import Graph
-from .shortest_paths import bfs_distances
+from .shortest_paths import HopRows
 
 Node = Hashable
 
@@ -57,11 +57,7 @@ def diameter(graph: Graph) -> int:
     """
     if not is_connected(graph):
         raise DisconnectedGraph("diameter is undefined on a disconnected graph")
-    best = 0
-    for node in graph.nodes():
-        ecc = max(bfs_distances(graph, node).values())
-        best = max(best, ecc)
-    return best
+    return int(HopRows(graph).rows(graph.nodes()).max())
 
 
 def average_degree(graph: Graph) -> float:

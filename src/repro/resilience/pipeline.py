@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.network import GredError, check_batch_args
+from ..core.network import GredError, check_batch_args, entry_index
 from ..dataplane import ForwardingError
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
@@ -191,7 +191,9 @@ class ResilientNetwork:
         """The one scalar request body.  Disabled: ``passthrough()``,
         the wrapped network's own call.  Enabled: admit (or shed) at
         the entry switch, then ``serve(entry, arrival, queue wait,
-        recorder, root span)`` runs the kind's retry loop."""
+        recorder, root span)`` runs the kind's retry loop.  A
+        non-integral entry raises before either, never sheds."""
+        entry_switch = entry_index(entry_switch)
         if not self.config.enabled:
             return passthrough()
         arrival = self._time(now)

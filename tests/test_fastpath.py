@@ -634,6 +634,50 @@ class TestBatchFrontDoor:
                 assert type(entry) is int
                 json.dumps(entry)
 
+    @pytest.mark.parametrize("kind", ["compiled", "resilient",
+                                      "federated"])
+    def test_scalar_calls_take_the_batch_entry_rule(self, kind):
+        """``place`` / ``retrieve`` / ``delete`` take an entry the way
+        the batch front door does: any integer type is the ``int``
+        call (JSON-ready results), anything else raises the batch's
+        text before any side effect — never shed, never an
+        ``OverflowError`` from the route memo."""
+        import json
+
+        from repro import GredError
+
+        net, target = self._stack(kind)
+        calls = [lambda entry: target.place("fd/0", b"x",
+                                            entry_switch=entry),
+                 lambda entry: target.retrieve("fd/0", entry_switch=entry)]
+        if hasattr(target, "delete"):
+            calls.append(lambda entry: target.delete("fd/0",
+                                                     entry_switch=entry))
+        for bad in (1.0, "1", np.float64(2)):
+            for call in calls:
+                with pytest.raises(GredError) as err:
+                    call(bad)
+                assert str(err.value) == \
+                    f"entry switch must be an integer, got {bad!r}"
+            self._untouched(net, target)
+
+        def outcome(call, entry):
+            got = call(entry)
+            got = getattr(got, "result", got)
+            entries = ([] if isinstance(got, int) else
+                       [got.entry_switch] if hasattr(got, "found") else
+                       [record.entry_switch for record in got.records])
+            for entry_switch in entries:
+                assert type(entry_switch) is int
+                json.dumps(entry_switch)
+            return got
+
+        assert 1 in net.switch_ids()
+        want = [outcome(call, 1) for call in calls]
+        assert want[1].found
+        for entry in (np.int64(1), np.int32(1), True):
+            assert [outcome(call, entry) for call in calls] == want
+
     @pytest.mark.parametrize("kind", ["compiled", "faulted",
                                       "federated"])
     def test_first_bad_entry_in_request_order_is_named(self, kind):

@@ -5,7 +5,9 @@
   wrap around the index, the stale sweep, growth;
 * the footprint guard: at 10k+ real routes the memo stays within
   80 bytes a route and allocates no per-route Python object;
-* the hop cache beside it: flat rows that equal ``bfs_distances``;
+* the hop rows beside it (``repro.graph.HopRows``): equal to
+  ``bfs_distances`` after every kind of topology event, one kernel
+  call per batch after an event, ``NoPath`` for an unreachable pair;
 * a hypothesis differential — *warm ≡ cold*: the same interleaving of
   batch and scalar requests, joins, leaves and link changes on a
   network with a (tiny) memo and on a twin whose memo is emptied
@@ -16,6 +18,7 @@ import gc
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,9 +251,10 @@ class TestFootprint:
 
 class TestHopRows:
     def test_rows_equal_bfs_after_every_kind_of_change(self):
-        """``_fast_hop`` answers from one flat row per source; after a
-        join, a leave and a link change every pair still reads the
-        BFS distance (as a Python int)."""
+        """``_fast_hop`` answers from the plane's ``HopRows``; after a
+        join, a leave, a link coming up and going down, and a crash
+        the controller absorbs, every pair still reads the BFS
+        distance (as a Python int) from rows over the new topology."""
         from repro.graph import bfs_distances
 
         net = build(4, 14)
@@ -262,23 +266,108 @@ class TestHopRows:
                 for target in net.switch_ids():
                     got = net._fast_hop(state, source, target)
                     assert type(got) is int and got == want[target]
-            assert set(state.hops) == set(net.switch_ids())
-            assert all(len(row) == len(state.hops)
-                       for row in state.hops.values())
+            hops = state.hops
+            assert hops.nodes == net.switch_ids()
+            assert hops.rows(hops.nodes).shape == (len(hops.nodes),) * 2
 
         check()
+        for event in self._events(net):
+            event()
+            check()
+
+    @staticmethod
+    def _events(net):
+        """One of each topology event, applied in turn."""
+        from repro.faults import FaultInjector
+
         a, b, c = net.switch_ids()[:3]
-        net.add_switch(500, [a, b], servers_per_switch=1)
-        check()
-        net.remove_switch(c)
-        check()
+        yield lambda: net.add_switch(500, [a, b], servers_per_switch=1)
+        yield lambda: net.remove_switch(c)
         u, v = next((u, v) for u in net.switch_ids()
                     for v in net.switch_ids()
                     if u < v and not net.topology.has_edge(u, v))
-        net.controller.add_link(u, v)
-        check()
-        net.controller.remove_link(u, v)
-        check()
+        yield lambda: net.controller.add_link(u, v)
+        yield lambda: net.controller.remove_link(u, v)
+        dead = net.switch_ids()[-1]
+
+        def crash():
+            FaultInjector(net).crash_switch(dead)
+            net.controller.absorb_failures([dead])
+            assert dead not in net.topology
+        yield crash
+
+    def test_batch_after_each_event_is_the_scalar_loop(
+            self, reference_engine):
+        """The first ``retrieve_many`` after each event (its rows all
+        missing) answers what a scalar ``retrieve`` loop answers on a
+        twin pinned to the reference engine, whose response hops are
+        per-request searches — records, ``response_hops`` included."""
+        net, twin = build(4, 14), reference_engine(build(4, 14))
+        ids = [f"hops/{i}" for i in range(60)]
+        rng = np.random.default_rng(5)
+        for each in (net, twin):
+            each.place_many(ids, rng=np.random.default_rng(1))
+        for event, twin_event in zip(self._events(net),
+                                     self._events(twin)):
+            event()
+            twin_event()
+            switches = net.switch_ids()
+            entries = [switches[i] for i in
+                       rng.integers(0, len(switches), len(ids)).tolist()]
+            got = net.retrieve_many(ids, entry_switches=entries)
+            want = [twin.retrieve(d, entry_switch=e)
+                    for d, e in zip(ids, entries)]
+            assert got == want
+            assert sum(r.found for r in got) > len(ids) // 2
+            assert any(r.response_hops for r in got)
+
+    def test_one_kernel_call_per_batch_after_an_event(self, monkeypatch):
+        """The holders' missing rows come from one kernel call per
+        ``retrieve_many`` after an event, and none once they are
+        warm."""
+        from repro.graph import HopRows
+
+        calls = []
+        levels = HopRows._levels
+
+        def counted(self, starts):
+            calls.append(starts.size)
+            return levels(self, starts)
+
+        monkeypatch.setattr(HopRows, "_levels", counted)
+        net = build(4, 14)
+        ids = [f"hops/{i}" for i in range(80)]
+        net.place_many(ids, rng=np.random.default_rng(1))
+        for event in self._events(net):
+            event()
+            entries = [net.switch_ids()[i % 7] for i in range(len(ids))]
+            calls.clear()
+            net.retrieve_many(ids, entry_switches=entries)
+            assert len(calls) == 1 and calls[0] > 1
+            net.retrieve_many(ids, entry_switches=entries)
+            assert len(calls) == 1
+
+    def test_unreachable_pair_raises_no_path(self):
+        """A topology edited by hand to cut one switch off: a response
+        toward it has no path, and both the scalar and the grouped
+        read raise ``NoPath(holder, entry)`` — never a ``-1`` in a
+        result, never a bare ``KeyError``."""
+        from repro.graph import NoPath
+
+        net = build(4, 14)
+        ids = [f"hops/{i}" for i in range(40)]
+        net.place_many(ids, rng=np.random.default_rng(1))
+        lone = net.switch_ids()[0]
+        data_id = next(d for d in ids if net.destination_switch(d) != lone)
+        holder = net.destination_switch(data_id)
+        for neighbor in list(net.topology.neighbors(lone)):
+            net.topology.remove_edge(lone, neighbor)
+        for call in (lambda: net.retrieve(data_id, entry_switch=lone),
+                     lambda: net.retrieve_many([data_id],
+                                               entry_switches=[lone])):
+            with pytest.raises(NoPath) as err:
+                call()
+            assert (err.value.source, err.value.target) == (holder, lone)
 
 
 KEYS = 12

@@ -1,10 +1,15 @@
 """Unit tests for repro.graph.shortest_paths."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     Graph,
+    HopRows,
     NodeNotFound,
     NoPath,
     all_pairs_hop_matrix,
@@ -136,6 +141,140 @@ class TestAllPairs:
             for j in range(n):
                 for k in range(0, n, 5):
                     assert matrix[i, j] <= matrix[i, k] + matrix[k, j]
+
+
+def oracle_hop_matrix(graph, order=None):
+    """``all_pairs_hop_matrix`` as it was before the :class:`HopRows`
+    kernel — one early-exit Python BFS per source — kept as the
+    differential's oracle."""
+    nodes = list(order) if order is not None else graph.nodes()
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    for node in nodes:
+        if not graph.has_node(node):
+            raise NodeNotFound(node)
+    matrix = np.full((n, n), float("inf"))
+    np.fill_diagonal(matrix, 0.0)
+    # The graph is undirected, so d(i, j) == d(j, i): each source only
+    # resolves the targets ordered after it (filling both triangle
+    # halves) and its BFS stops as soon as the last one is labelled.
+    for i, node in enumerate(nodes):
+        pending = set(range(i + 1, n))
+        if not pending:
+            continue
+        dist = {node: 0}
+        queue = deque([node])
+        while queue and pending:
+            u = queue.popleft()
+            d = dist[u] + 1
+            for v in graph.neighbors(u):
+                if v in dist:
+                    continue
+                dist[v] = d
+                j = index.get(v)
+                if j is not None and j > i:
+                    matrix[i, j] = d
+                    matrix[j, i] = d
+                    pending.discard(j)
+                queue.append(v)
+    return matrix, nodes
+
+
+@st.composite
+def graphs_and_orders(draw):
+    """A graph of 0-12 nodes — int or string labels, any edge set, so
+    connected and disconnected alike — and an ``order`` over it: the
+    default, a permutation, or a strict subset."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    labels = draw(st.sampled_from([
+        list(range(n)), [f"s{i}" for i in range(n)],
+        [3 * i + 7 for i in range(n)][::-1]]))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    graph = Graph()
+    for node in labels:
+        graph.add_node(node)
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=20)
+                     if pairs else st.just([])):
+        graph.add_edge(u, v)
+    kind = draw(st.sampled_from(["default", "permutation", "subset"]))
+    if kind == "default":
+        return graph, None
+    order = draw(st.permutations(labels))
+    if kind == "subset" and order:
+        order = order[:draw(st.integers(0, len(order) - 1))]
+    return graph, list(order)
+
+
+class TestHopRowsKernel:
+    """``HopRows`` (the many-source level-synchronous kernel) against
+    the per-source Python BFS it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_orders())
+    def test_all_pairs_matrix_is_the_oracle(self, case):
+        graph, order = case
+        got, got_order = all_pairs_hop_matrix(graph, order=order)
+        want, want_order = oracle_hop_matrix(graph, order=order)
+        assert got_order == want_order
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # Layout too: the embedding's reductions sum in memory order.
+        assert got.flags["C_CONTIGUOUS"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_orders())
+    def test_rows_and_hops_are_bfs(self, case):
+        graph, order = case
+        hops = HopRows(graph)
+        sources = order if order is not None else graph.nodes()
+        rows = hops.rows(sources)
+        assert rows.dtype == np.int32
+        assert rows.shape == (len(sources), graph.num_nodes())
+        for source, row in zip(sources, rows.tolist()):
+            dist = bfs_distances(graph, source)
+            assert row == [dist.get(node, -1) for node in hops.nodes]
+            for target in graph.nodes():
+                if target in dist:
+                    got = hops.hop(source, target)
+                    assert type(got) is int and got == dist[target]
+                else:
+                    with pytest.raises(NoPath):
+                        hops.hop(source, target)
+
+    def test_paths_run_through_nodes_left_out_of_order(self):
+        g = line_graph(4)
+        matrix, order = all_pairs_hop_matrix(g, order=[3, 0])
+        assert order == [3, 0]
+        assert matrix.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+    def test_empty_graph_and_single_node(self):
+        matrix, order = all_pairs_hop_matrix(Graph())
+        assert matrix.shape == (0, 0) and order == []
+        g = Graph()
+        g.add_node("only")
+        matrix, order = all_pairs_hop_matrix(g)
+        assert matrix.tolist() == [[0.0]] and order == ["only"]
+        assert HopRows(g).hop("only", "only") == 0
+
+    def test_unknown_nodes_raise_node_not_found(self):
+        g = Graph([(0, 1), (1, 2)])
+        hops = HopRows(g)
+        with pytest.raises(NodeNotFound) as err:
+            hops.rows([0, 9, 8])
+        assert err.value.node == 9
+        for source, target in ((9, 0), (0, 9)):
+            with pytest.raises(NodeNotFound):
+                hops.hop(source, target)
+        with pytest.raises(NodeNotFound) as err:
+            all_pairs_hop_matrix(g, order=[2, "x", 0])
+        assert err.value.node == "x"
+
+    def test_rows_come_back_in_request_order(self):
+        g = grid_graph(3, 3)
+        hops = HopRows(g)
+        first = hops.rows([4, 0])
+        assert hops.rows([0, 4, 0]).tolist() == [
+            first[1].tolist(), first[0].tolist(), first[1].tolist()]
 
 
 class TestHopCountEarlyExit:
