@@ -355,14 +355,17 @@ class Controller:
         compiled fast path, route caches) rebuilds.  Scoped events
         (joins, leaves, link changes, failure absorption) bump only
         the version and the generations of the touched switches; the
-        routing index is updated in place.
+        routing index is updated in place, and the plan is compiled
+        from the last one, re-walking only the relay trees the event
+        can change.
         """
         registry = default_registry()
         if global_event:
             self._global_epoch += 1
             self._routing_index = None
         self._build_switches()
-        desired = self.desired_plan()
+        desired = self._compile_plan(
+            previous=None if global_event else self._plan)
         removed = (frozenset(self._plan.plans) - frozenset(desired.plans)
                    if self._plan is not None else frozenset())
         delta = diff_plans(snapshot_plan(self.switches), desired)
@@ -400,10 +403,14 @@ class Controller:
 
     def desired_plan(self) -> RulePlan:
         """Compile the desired plan from the current control view."""
+        return self._compile_plan(previous=None)
+
+    def _compile_plan(self, previous: Optional[RulePlan]) -> RulePlan:
         return compile_plan(
             self.topology, self.positions, self.dt_adjacency(),
             server_counts={node: len(self.server_map.get(node, []))
                            for node in self.topology.nodes()},
+            previous=previous,
         )
 
     def _apply(self, delta: RuleDelta, *, generation: int) -> None:
@@ -672,6 +679,14 @@ class Controller:
         for peer in links:
             if not self.topology.has_node(peer):
                 raise ControlPlaneError(f"unknown link peer {peer}")
+        # Placement names the serving server (switch, H(d) mod s): a
+        # server of another switch would take items it cannot serve.
+        ids = [(server.switch, server.serial) for server in servers]
+        if ids != [(switch_id, serial) for serial in range(len(ids))]:
+            raise ControlPlaneError(
+                f"servers of joining switch {switch_id} must be "
+                f"({switch_id}, 0), ({switch_id}, 1), ... in order; "
+                f"got {ids}")
         self.topology.add_node(switch_id)
         for peer in links:
             self.topology.add_edge(switch_id, peer)
@@ -805,7 +820,7 @@ class Controller:
         """A switch leaves (or fails).
 
         The remaining positions are kept; the DT is rebuilt over the
-        remaining participants (about a third of a leave; why vertex
+        remaining participants (about half of a leave; why vertex
         deletion is parked is in :class:`DelaunayTriangulation`'s
         docstring) and the rules are recompiled.
 

@@ -16,7 +16,7 @@ link toward ``w`` agrees on the successor and the paths cannot loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from ..dataplane import GredSwitch, VirtualLinkEntry
 from ..geometry import Point
@@ -38,39 +38,18 @@ def compile_port_map(topology: Graph) -> Dict[int, Dict[int, int]]:
 def bfs_parent_tree(topology: Graph, root: int) -> Dict[int, int]:
     """Parents pointing *toward* ``root`` (root maps to itself).
 
-    Neighbor iteration is sorted so the tree is deterministic.
-    """
-    return relay_parent_tree(
-        {node: sorted(topology.neighbors(node))
-         for node in topology.nodes()}, root)
-
-
-def relay_parent_tree(adjacency, root: int,
-                      sources: Optional[Iterable[int]] = None
-                      ) -> Dict[int, int]:
-    """:func:`bfs_parent_tree` over ``adjacency`` — switch -> its
-    neighbors in ascending order, which :func:`compile_port_map`'s rows
-    already are — so nothing is sorted per visit.
-
-    The walk stops as soon as each of ``sources`` (default: every
-    switch) has a parent.  A parent is final once assigned and every
-    node on a source's path is an ancestor discovered before it, so
-    :func:`path_toward` from any source reads the same path as on the
-    full tree.
+    Neighbor iteration is sorted so the tree is deterministic.  (The
+    planner's truncated walk, ``plan._walk``, reads the same paths.)
     """
     parent = {root: root}
     frontier = [root]
-    waiting = set(adjacency if sources is None else sources)
-    while frontier and waiting:
+    while frontier:
         next_frontier = []
         for u in frontier:
-            for v in adjacency[u]:
+            for v in sorted(topology.neighbors(u)):
                 if v not in parent:
                     parent[v] = u
                     next_frontier.append(v)
-                    waiting.discard(v)
-            if not waiting:
-                break
         frontier = next_frontier
     return parent
 

@@ -202,6 +202,20 @@ class TestDynamics:
         with pytest.raises(ControlPlaneError, match="unknown link peer"):
             c.add_switch(100, links=[999], servers=[])
 
+    def test_add_switch_with_servers_of_another_switch_rejected(self):
+        """A joiner's servers are ``(switch_id, i)`` for every ``i``:
+        anything else is refused before the topology is touched."""
+        c = make_controller()
+        version = c.version
+        for servers in ([EdgeServer(5, 0)], [EdgeServer(100, 1)],
+                        [EdgeServer(100, 0), EdgeServer(100, 0)]):
+            with pytest.raises(ControlPlaneError,
+                               match="servers of joining switch 100"):
+                c.add_switch(100, links=[0, 1], servers=servers)
+        assert not c.topology.has_node(100)
+        assert 100 not in c.server_map
+        assert c.version == version
+
     def test_remove_switch(self):
         c = make_controller()
         c.remove_switch(4)  # grid center: remaining ring is connected

@@ -30,8 +30,14 @@ from repro.controlplane import (
 )
 from repro.dataplane import GredSwitch, Packet, PacketKind, route_packet
 from repro.edge import EdgeServer, attach_uniform
-from repro.obs import default_registry, disable, enable
-from repro.topology import grid_graph
+from repro.obs import (
+    MetricsRegistry,
+    default_registry,
+    disable,
+    enable,
+    set_default_registry,
+)
+from repro.topology import brite_waxman_graph, grid_graph
 
 
 def canonical_state(switch):
@@ -391,3 +397,134 @@ def test_random_dynamics_sequence_matches_oracle(ops):
             Packet(kind=PacketKind.RETRIEVAL, data_id=f"h{i}",
                    position=position))
         assert got.trace == want.trace
+
+
+def fresh_plan(controller, dt_adjacency=None, previous=None):
+    """``compile_plan`` of the controller's current view — from scratch
+    unless ``previous`` is given."""
+    return compile_plan(
+        controller.topology, controller.positions,
+        controller.dt_adjacency() if dt_adjacency is None
+        else dt_adjacency,
+        server_counts={node: len(controller.server_map.get(node, []))
+                       for node in controller.topology.nodes()},
+        previous=previous)
+
+
+def random_event(controller, rng, next_id):
+    """Apply one random join / leave (often of the newest joiner) /
+    crash / link-up / link-down; returns its name, or ``None`` when
+    the controller refused it."""
+    ids = sorted(controller.topology.nodes())
+
+    def pick():
+        return ids[int(rng.integers(len(ids)))]
+
+    op = str(rng.choice(["join", "join", "leave", "leave-joiner",
+                         "crash", "link", "unlink"]))
+    try:
+        if op == "join":
+            join(controller, next_id,
+                 links=sorted({pick() for _ in range(rng.integers(1, 4))}),
+                 num_servers=int(rng.integers(0, 3)))
+        elif op.startswith("leave"):
+            joiner = op == "leave-joiner" and next_id - 1 in ids
+            controller.remove_switch(next_id - 1 if joiner else pick())
+        elif op == "crash":
+            controller.absorb_failures(dead_switches=[pick()])
+        elif op == "link":
+            u, v = pick(), pick()
+            if u == v or controller.topology.has_edge(u, v):
+                return None
+            controller.add_link(u, v)
+        else:
+            edges = sorted((min(u, v), max(u, v)) for u, v, _
+                           in controller.topology.edges())
+            if not edges:
+                return None
+            controller.remove_link(*edges[int(rng.integers(len(edges)))])
+    except ControlPlaneError:
+        return None  # would disconnect / last participant
+    return op
+
+
+SCOPED_TOPOLOGIES = {
+    # Grids tie every BFS level: which neighbour parents whom is
+    # decided by id order alone.
+    "grid3x3": lambda: grid_graph(3, 3),
+    "grid4x4": lambda: grid_graph(4, 4),
+    "waxman60": lambda: brite_waxman_graph(
+        60, min_degree=2, rng=np.random.default_rng(1))[0],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SCOPED_TOPOLOGIES))
+def test_every_scoped_plan_equals_a_fresh_compile(shape):
+    """After every event of a random join / leave / crash / link-up /
+    link-down sequence, the plan the controller compiled from its last
+    one equals a from-scratch ``compile_plan``.  So does a plan
+    compiled against a DT that lost one edge and nothing else: a
+    switch whose DT row alone changed is not carried over."""
+    topology = SCOPED_TOPOLOGIES[shape]()
+    controller = Controller(
+        topology, attach_uniform(topology.nodes(), 2),
+        config=ControllerConfig(cvt_iterations=3, seed=1))
+    rng = np.random.default_rng(1)
+    next_id = 100
+    for step in range(40):
+        op = random_event(controller, rng, next_id)
+        next_id += op == "join"
+        if op is None:
+            continue
+        assert controller._plan == fresh_plan(controller), (step, op)
+        dt = controller.dt_adjacency()
+        edges = sorted((u, v) for u in dt for v in dt[u] if u < v)
+        if edges:
+            u, v = edges[int(rng.integers(len(edges)))]
+            dt[u].discard(v)
+            dt[v].discard(u)
+            assert fresh_plan(controller, dt, controller._plan) == \
+                fresh_plan(controller, dt), (step, "dt edge", u, v)
+
+
+def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
+    """On a 200-switch Waxman, a leave of the switch that just joined
+    carries most relay trees and switch plans forward; the counters
+    say how many, once per compile."""
+    topology, _ = brite_waxman_graph(200, min_degree=3,
+                                     rng=np.random.default_rng(0))
+    controller = Controller(
+        topology, attach_uniform(topology.nodes(), 4),
+        config=ControllerConfig(cvt_iterations=2, seed=0))
+    registry = MetricsRegistry()
+    restore = set_default_registry(registry)
+    try:
+        def counts():
+            values = registry.counter_values("controlplane.plan.")
+            return {key[len("controlplane.plan."):]: value
+                    for key, value in values.items()}
+
+        controller.recompute()
+        full = counts()
+        trees = len(controller._plan.walks.trees)
+        assert full == {"relay_trees{outcome=walked}": trees,
+                        "relay_trees{outcome=reused}": 0,
+                        "switch_plans{outcome=built}": 200,
+                        "switch_plans{outcome=reused}": 0}
+        join(controller, 1000, links=[3, 71, 150], num_servers=4)
+        before = counts()
+        controller.remove_switch(1000)
+        after = {key: value - before[key]
+                 for key, value in counts().items()}
+    finally:
+        set_default_registry(restore)
+    walked = after["relay_trees{outcome=walked}"]
+    assert walked + after["relay_trees{outcome=reused}"] == \
+        len(controller._plan.walks.trees)
+    assert 0 < walked < len(controller._plan.walks.trees) / 4
+    assert after["switch_plans{outcome=built}"] + \
+        after["switch_plans{outcome=reused}"] == 200
+    assert after["switch_plans{outcome=reused}"] > 0
+    assert controller._plan == fresh_plan(controller)
+    assert verify_installed_state(
+        controller, desired_plan=controller.desired_plan()) == []

@@ -100,6 +100,23 @@ class TestJoinValidation:
         for data_id in ids:
             assert net.retrieve(data_id, entry_switch=0).found
 
+    def test_join_with_another_switchs_server_rejected(self):
+        """A joiner handed switch 5's server would have stored items
+        it reports as served by ``(5, 0)`` — unreadable once 5 leaves.
+        The join is refused and nothing changes."""
+        topology = grid_graph(4, 4)
+        net = GredNetwork(topology, servers_per_switch=2,
+                          cvt_iterations=5, seed=0)
+        ids = [f"foreign-{i}" for i in range(100)]
+        net.place_many(ids, entry_switches=[i % 16 for i in range(100)])
+        loads = net.load_vector()
+        with pytest.raises(ControlPlaneError, match="joining switch 100"):
+            net.add_switch(100, [0, 5], servers=[EdgeServer(5, 0)])
+        assert not net.topology.has_node(100)
+        assert net.load_vector() == loads
+        net.remove_switch(5)
+        assert all(r.found for r in net.retrieve_many(ids))
+
     def test_join_still_works_after_rejection(self, net):
         with pytest.raises(GredError):
             net.add_switch(100, links=[999])

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.controlplane import (
+    ControlPlaneError,
     FederatedNetwork,
     RegionError,
     RegionMap,
@@ -690,6 +691,15 @@ class TestChurnLocality:
                              .region_ids[0]).gateways[0]
         with pytest.raises(GredError):
             fed3.remove_switch(gateway)
+
+    def test_join_with_another_switchs_server_rejected(self, fed3):
+        home = fed3.controller.region_map.region_ids[0]
+        members = fed3.shard(home).net.switch_ids()
+        with pytest.raises(ControlPlaneError, match="joining switch 902"):
+            fed3.add_switch(902, links=list(members[:2]),
+                            servers=[EdgeServer(members[0], 0)])
+        assert not fed3.shard(home).net.topology.has_node(902)
+        assert 902 not in fed3.controller._assignment
 
     def test_join_must_stay_in_one_region(self, fed3):
         region_map = fed3.controller.region_map

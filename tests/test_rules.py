@@ -12,8 +12,8 @@ from repro.controlplane import (
     path_toward,
     table_entry_counts,
 )
-from repro.controlplane.rules import relay_parent_tree
-from repro.dataplane import GredSwitch
+from repro.controlplane.plan import _walk
+from repro.dataplane import GredSwitch, VirtualLinkEntry
 from repro.graph import Graph
 from repro.topology import brite_waxman_graph, grid_graph, line_graph
 
@@ -59,29 +59,45 @@ class TestBfsTree:
                       min_size=0, max_size=6))
 def test_early_exit_tree_is_the_full_tree_on_its_paths(size, seed,
                                                        picks):
-    """Stopped once its last source is reached, the relay tree reads
-    every source's path as the full tree does — and every parent it
-    holds is the full tree's."""
+    """Stopped once its last source is reached, the planner's relay
+    walk writes the tuples the full tree's paths give (later sources
+    overwriting earlier ones, as the installer does).  Its record holds
+    the full tree's depth for every switch it discovered, flags exactly
+    the full tree's parents among them, and goes no deeper than the
+    farthest source, having discovered everything shallower."""
     topology, _ = brite_waxman_graph(
         size, min_degree=min(2, size - 1),
         rng=np.random.default_rng(seed))
     nodes = topology.nodes()
     root = nodes[seed % len(nodes)]
-    sources = sorted({nodes[p % len(nodes)] for p in picks} - {root})
+    sources = tuple(sorted({nodes[p % len(nodes)] for p in picks} - {root},
+                           reverse=True))
+    ports = compile_port_map(topology)
+    ids = list(ports)
+    slots = {node: slot for slot, node in enumerate(ids)}
+    virtuals = {}
+    tree = _walk([[slots[n] for n in ports[node]] for node in ids], ids,
+                 slots, root, sources, [0] * len(ids), virtuals)
     full = bfs_parent_tree(topology, root)
-    early = relay_parent_tree(compile_port_map(topology), root, sources)
-    assert early.items() <= full.items()
-    for source in sources:
-        assert path_toward(early, source, root) == \
-            path_toward(full, source, root)
-    assert relay_parent_tree(compile_port_map(topology), root) == full
-    if sources:
-        # Nothing deeper than the farthest source was walked.
-        depth = max(len(path_toward(full, s, root)) for s in sources)
-        assert all(len(path_toward(early, n, root)) <= depth
-                   for n in early)
-    else:
-        assert early == {root: root}
+    depth = {n: len(path_toward(full, n, root)) - 1 for n in full}
+    want = {}
+    for sour in reversed(sources):
+        path = path_toward(full, sour, root)
+        for i, node in enumerate(path):
+            want.setdefault(node, {})[root] = VirtualLinkEntry(
+                sour=sour, pred=path[i - 1] if i else None,
+                succ=path[i + 1] if i < len(path) - 1 else None,
+                dest=root)
+    assert virtuals == want
+    assert sorted(tree.holders) == sorted(want)
+    seen = {ids[slot]: code for slot, code in enumerate(tree.code) if code}
+    assert all(code // 2 - 1 == depth[n] for n, code in seen.items())
+    assert {n for n, code in seen.items() if code & 1} == \
+        {full[n] for n in seen if n != root}
+    deepest = max((depth[s] for s in sources), default=0)
+    assert tree.deepest == deepest
+    assert all(depth[n] <= deepest for n in seen)
+    assert all(n in seen for n in nodes if depth[n] < deepest)
 
 
 class TestInstallAllRules:
