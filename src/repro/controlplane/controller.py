@@ -313,6 +313,33 @@ class Controller:
             for vertex, switch in self._dt_vertex_to_switch.items()
         }
 
+    def _drop_from_dt(self, leavers: List[int]) -> Optional[str]:
+        """Delete the leaving DT participants from the live DT.
+
+        The result is kept only when :meth:`DelaunayTriangulation.
+        why_not_canonical` certifies it equal to the rebuild over the
+        survivors; otherwise the DT is rebuilt exactly as
+        :meth:`recompute` builds it.  Returns that fallback's cause
+        (``"bbox"`` or ``"tie"``), or ``None``.  Leavers that host no
+        server leave the DT untouched and count nowhere.
+        """
+        vertices = [self._dt_switch_to_vertex.pop(s) for s in leavers
+                    if s in self._dt_switch_to_vertex]
+        if not vertices:
+            return None
+        for vertex in vertices:
+            self._dt.remove_point(vertex)
+            del self._dt_vertex_to_switch[vertex]
+        cause = self._dt.why_not_canonical()
+        if cause is not None:
+            self._build_dt(self.dt_participants())
+        default_registry().counter(
+            "controlplane.dt.removals",
+            help="Leaves and failure absorptions that changed the DT "
+                 "participants: vertices deleted, or DT rebuilt",
+            outcome="deleted" if cause is None else "rebuilt").inc()
+        return cause
+
     def dt_adjacency(self) -> Dict[int, Set[int]]:
         """DT neighbor sets in switch-id space."""
         if self._dt is None:
@@ -819,10 +846,11 @@ class Controller:
     def remove_switch(self, switch_id: int) -> None:
         """A switch leaves (or fails).
 
-        The remaining positions are kept; the DT is rebuilt over the
-        remaining participants (about half of a leave; why vertex
-        deletion is parked is in :class:`DelaunayTriangulation`'s
-        docstring) and the rules are recompiled.
+        The remaining positions are kept.  A leaver that hosts servers
+        is deleted from the live DT, and the result is kept when it is
+        certified equal to a rebuild over the remaining participants
+        (see :meth:`_drop_from_dt`); a relay-only leaver leaves the DT
+        untouched.  The rules are then recompiled from the last plan.
 
         Range extensions whose takeover server sits on the leaver are
         withdrawn before the rules are reinstalled, so what they
@@ -852,12 +880,12 @@ class Controller:
         self.positions.pop(switch_id, None)
         self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        self._build_dt(self.dt_participants())
+        fallback = self._drop_from_dt([switch_id])
         self._install_rules(global_event=False)
         registry = default_registry()
         registry.counter("controlplane.switch_leaves").inc()
         registry.event("switch_leave", level=EventLevel.WARNING,
-                       switch=switch_id)
+                       switch=switch_id, dt_fallback=fallback)
 
     def absorb_failures(self, dead_switches=(), dead_links=()
                         ) -> List[int]:
@@ -871,9 +899,10 @@ class Controller:
         participants (ties: most switches, then lowest id) stays under
         management and the rest is stranded — returned to the caller
         and dropped from the controller's view.  Surviving positions
-        are kept (the DT is repaired incrementally over the surviving
-        participants), extensions pointing at dead targets are
-        withdrawn, and all rules are reinstalled.
+        are kept (the DT is repaired incrementally: dead and stranded
+        participants are deleted from it, as in :meth:`remove_switch`),
+        extensions pointing at dead targets are withdrawn, and the
+        rules are recompiled from the last plan.
 
         Raises
         ------
@@ -915,8 +944,7 @@ class Controller:
             self.positions.pop(switch_id, None)
             self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        participants = self.dt_participants()
-        self._build_dt(participants)
+        fallback = self._drop_from_dt(dead + stranded)
         self._install_rules(global_event=False)
         registry = default_registry()
         if registry.enabled:
@@ -927,7 +955,7 @@ class Controller:
         registry.event("failures_absorbed", level=EventLevel.WARNING,
                        dead_switches=len(dead),
                        dead_links=len(list(dead_links)),
-                       stranded=len(stranded))
+                       stranded=len(stranded), dt_fallback=fallback)
         return stranded
 
     def _drop_dead_extensions(self) -> None:

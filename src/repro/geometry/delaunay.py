@@ -7,7 +7,9 @@ construction follows the paper's description: points are inserted in
 random order into a triangulation that starts from a large bounding
 ("super") triangle; each insertion splits the containing triangle and
 restores the Delaunay property with edge *flips*; finally the bounding
-triangle and all triangles touching it are removed.
+triangle and all triangles touching it are removed.  A deletion drops
+the vertex's star and fills the hole with Delaunay ears (Devillers, "On
+deletion in Delaunay triangulations", 1999).
 
 Robustness comes from the exact predicates in
 :mod:`repro.geometry.predicates`: orientation and in-circle tests fall
@@ -30,7 +32,7 @@ only affects point sets that are collinear up to floating-point noise.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -42,6 +44,22 @@ _SUPER_B = -2
 _SUPER_C = -3
 _SUPER_IDS = (_SUPER_A, _SUPER_B, _SUPER_C)
 _SUPER_SCALE = 1e6
+
+
+def _super_coords(pts: Sequence[Point]) -> Tuple[Point, Point, Point]:
+    """Corners of the super triangle for sites ``pts``: a function of
+    their bounding box alone."""
+    if pts:
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        cx = (min(xs) + max(xs)) / 2.0
+        cy = (min(ys) + max(ys)) / 2.0
+        span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    else:
+        cx, cy, span = 0.5, 0.5, 1.0
+    r = span * _SUPER_SCALE
+    return ((cx, cy + 2.0 * r), (cx - 1.8 * r, cy - r),
+            (cx + 1.8 * r, cy - r))
 
 
 class DelaunayError(Exception):
@@ -66,17 +84,18 @@ class DelaunayTriangulation:
         Generator controlling the random insertion order; defaults to a
         deterministic seed so repeated constructions agree.
 
-    The triangulation is *live*: :meth:`insert_point` supports the
-    network-dynamics case of a switch joining (paper Section VI).  Switch
-    departure is handled by the controller rebuilding the triangulation.
-    That is not free — at 200 switches the rebuild is about a third of
-    a graceful leave, second only to rule compilation — but vertex
-    deletion is parked because it is not rebuild-equal: for
-    a cocircular quadruple "whichever valid diagonal was constructed
-    first" wins, so deleting and re-triangulating the hole can keep a
-    diagonal a fresh build would not, and the super triangle is derived
-    from the bounding box, which a leaver on the hull changes.  The
-    committed reports pin the rebuild's adjacency.
+    The triangulation is *live*: :meth:`insert_point` and
+    :meth:`remove_point` support the network-dynamics cases of a switch
+    joining and leaving (paper Section VI).  A deletion re-triangulates
+    only the leaver's star polygon, so it is not by itself equal to a
+    fresh build: for a cocircular quadruple "whichever valid diagonal
+    was constructed first" wins, and the super triangle is derived from
+    the bounding box, which a leaver on the hull may change.
+    :meth:`why_not_canonical` says when it is: with the super triangle a
+    fresh build would pick and no tied edge, the Delaunay triangulation
+    is unique, so every build of the same vertices, in any insertion
+    order, produces exactly these triangles.  The controller keeps a
+    deletion only then and rebuilds otherwise.
     """
 
     def __init__(self, points: Sequence[Point] = (),
@@ -89,6 +108,8 @@ class DelaunayTriangulation:
         self._edge_tri: Dict[Tuple[int, int], int] = {}
         self._next_tri_id = 0
         self._last_tri_id = None  # walk start hint
+        #: Ids are never reused: a removed vertex's id stays retired.
+        self._next_vid = len(pts)
         self._init_super_triangle(pts)
         order = list(range(len(pts)))
         rng.shuffle(order)
@@ -112,9 +133,49 @@ class DelaunayTriangulation:
             the original data extent).
         """
         point = (float(point[0]), float(point[1]))
-        vid = max((v for v in self._coords if v >= 0), default=-1) + 1
+        vid = self._next_vid
         self._insert(vid, point)
+        self._next_vid += 1
         return vid
+
+    def remove_point(self, vid: int) -> None:
+        """Delete vertex ``vid`` and restore the Delaunay property.
+
+        Used for incremental updates when a switch leaves.  The star
+        triangles of ``vid`` are dropped and the hole — its ccw link
+        polygon, super-triangle corners included — is filled by Delaunay
+        ears: a convex corner whose circumcircle holds no other polygon
+        vertex.  Each new diagonal is then locally Delaunay against the
+        triangle later cut on its other side, and each polygon edge
+        against the untouched triangle outside, so the result is a
+        Delaunay triangulation of the remaining sites.  The id is
+        retired: :meth:`insert_point` never hands it out again.
+
+        Raises
+        ------
+        DelaunayError
+            If ``vid`` is not a real vertex (unknown or super-triangle).
+        """
+        if vid < 0 or vid not in self._coords:
+            raise DelaunayError(f"unknown vertex {vid}")
+        link = self._link(vid)
+        for tid in [self._edge_tri[(vid, u)] for u in link]:
+            self._delete_triangle(tid)
+        del self._coords[vid]
+        coords = self._coords
+        while len(link) > 3:
+            for i in range(len(link)):
+                a, b, c = link[i - 1], link[i], link[(i + 1) % len(link)]
+                pa, pb, pc = coords[a], coords[b], coords[c]
+                if orient2d(pa, pb, pc) > 0 and all(
+                        incircle(pa, pb, pc, coords[w]) <= 0
+                        for w in link if w != a and w != b and w != c):
+                    self._make_triangle(a, b, c)
+                    del link[i]
+                    break
+            else:  # pragma: no cover - a deletion hole always has one
+                raise DelaunayError(f"no Delaunay ear left removing {vid}")
+        self._make_triangle(*link)
 
     def num_vertices(self) -> int:
         """Number of real (non-super) vertices."""
@@ -139,22 +200,20 @@ class DelaunayTriangulation:
         """Real DT neighbors of a real vertex."""
         if vid not in self._coords or vid < 0:
             raise DelaunayError(f"unknown vertex {vid}")
-        result: Set[int] = set()
-        for edge in self.edges():
-            if vid in edge:
-                (other,) = edge - {vid}
-                result.add(other)
-        return result
+        return {u for u in self._link(vid) if u >= 0}
 
     def neighbor_map(self) -> Dict[int, Set[int]]:
-        """Adjacency map over real vertices (every vertex present)."""
+        """Adjacency map over real vertices (every vertex present).
+
+        Read off the directed-edge index: every real edge lies inside
+        the super triangle, so it appears there in both directions.
+        """
         result: Dict[int, Set[int]] = {
             v: set() for v in self._coords if v >= 0
         }
-        for edge in self.edges():
-            u, v = tuple(edge)
-            result[u].add(v)
-            result[v].add(u)
+        for u, v in self._edge_tri:
+            if u >= 0 and v >= 0:
+                result[u].add(v)
         return result
 
     def triangles(self) -> List[Tuple[int, int, int]]:
@@ -164,23 +223,56 @@ class DelaunayTriangulation:
             if all(v >= 0 for v in tri)
         ]
 
+    def why_not_canonical(self) -> Optional[str]:
+        """``None`` when a from-scratch build over this triangulation's
+        vertices — in any insertion order — yields exactly its
+        triangles; otherwise why that is not certain.
+
+        ``"bbox"``: a fresh build would pick another super triangle
+        (the live one is that of an earlier vertex set).  ``"tie"``:
+        some interior edge is not strictly locally Delaunay — its two
+        triangles are cocircular — so another diagonal is as valid.
+        Without either, every edge is strictly locally Delaunay over the
+        same point set, super triangle included; that triangulation is
+        the unique Delaunay one, and the incremental build produces it
+        too.  O(edges); about a millisecond at 200 vertices.
+        """
+        coords, triangles = self._coords, self._triangles
+        real = [p for v, p in coords.items() if v >= 0]
+        if _super_coords(real) != tuple(coords[s] for s in _SUPER_IDS):
+            return "bbox"
+        edge_tri = self._edge_tri
+        for (u, v), tid in edge_tri.items():
+            other = edge_tri.get((v, u)) if u < v else None
+            if other is None:
+                continue  # seen from (v, u), or a super-triangle side
+            a, b, c = triangles[tid]
+            apex = sum(triangles[other]) - u - v  # its third vertex
+            if incircle(coords[a], coords[b], coords[c],
+                        coords[apex]) >= 0:
+                return "tie"
+        return None
+
     # ------------------------------------------------------------------
     # construction internals
     # ------------------------------------------------------------------
     def _init_super_triangle(self, pts: Sequence[Point]) -> None:
-        if pts:
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            cx = (min(xs) + max(xs)) / 2.0
-            cy = (min(ys) + max(ys)) / 2.0
-            span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        else:
-            cx, cy, span = 0.5, 0.5, 1.0
-        r = span * _SUPER_SCALE
-        self._coords[_SUPER_A] = (cx, cy + 2.0 * r)
-        self._coords[_SUPER_B] = (cx - 1.8 * r, cy - r)
-        self._coords[_SUPER_C] = (cx + 1.8 * r, cy - r)
+        for sid, corner in zip(_SUPER_IDS, _super_coords(pts)):
+            self._coords[sid] = corner
         self._make_triangle(_SUPER_A, _SUPER_B, _SUPER_C)
+
+    def _link(self, vid: int) -> List[int]:
+        """The ccw polygon of ``vid``'s neighbours (super-triangle
+        corners included): the triangle with directed edge ``(vid, u)``
+        is ``(vid, u, w)``, and ``w`` follows ``u``."""
+        tri = self._triangles[self._locate(self._coords[vid])]
+        i = tri.index(vid)
+        first, u = tri[(i + 1) % 3], tri[(i + 2) % 3]
+        link = [first]
+        while u != first:
+            link.append(u)
+            u = sum(self._triangles[self._edge_tri[(vid, u)]]) - vid - u
+        return link
 
     def _make_triangle(self, a: int, b: int, c: int) -> int:
         """Register ccw triangle (a, b, c) and index its directed edges."""

@@ -30,6 +30,7 @@ from repro.controlplane import (
 )
 from repro.dataplane import GredSwitch, Packet, PacketKind, route_packet
 from repro.edge import EdgeServer, attach_uniform
+from repro.geometry import DelaunayTriangulation
 from repro.obs import (
     MetricsRegistry,
     default_registry,
@@ -528,3 +529,99 @@ def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
     assert controller._plan == fresh_plan(controller)
     assert verify_installed_state(
         controller, desired_plan=controller.desired_plan()) == []
+
+
+def rebuilt_adjacency(controller):
+    """The DT adjacency of a from-scratch build over the participants,
+    seeded as the controller builds it."""
+    participants = controller.dt_participants()
+    dt = DelaunayTriangulation(
+        [controller.positions[p] for p in participants],
+        rng=np.random.default_rng(controller.config.seed + 2))
+    return {participants[v]: {participants[u] for u in nbrs}
+            for v, nbrs in dt.neighbor_map().items()}
+
+
+class TestDtRemoval:
+    """A leave deletes its vertex from the live DT; the result is kept
+    only when certified equal to the rebuild, which it replaces."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = MetricsRegistry()
+        restore = set_default_registry(registry)
+        yield registry
+        set_default_registry(restore)
+
+    @staticmethod
+    def removals(registry):
+        return registry.counter_values("controlplane.dt.removals")
+
+    @staticmethod
+    def fallback(registry, event):
+        return registry.event_log.events(event)[-1].fields["dt_fallback"]
+
+    def test_relay_only_leavers_do_no_dt_work(self, registry):
+        topology = grid_graph(4, 4)
+        servers = attach_uniform(topology.nodes(), 2)
+        servers[5] = servers[6] = []
+        controller = Controller(topology, servers,
+                                config=ControllerConfig(cvt_iterations=3))
+        dt, adjacency = controller._dt, controller.dt_adjacency()
+        controller.remove_switch(5)
+        assert self.fallback(registry, "switch_leave") is None
+        controller.absorb_failures(dead_switches=[6])
+        controller.absorb_failures(dead_links=[(0, 1)])
+        assert self.fallback(registry, "failures_absorbed") is None
+        assert controller._dt is dt
+        assert controller.dt_adjacency() == adjacency
+        assert self.removals(registry) == {}
+        assert controller._plan == controller.desired_plan()
+
+    def test_deleted_leaver_equals_the_rebuild(self, registry):
+        topology, _ = brite_waxman_graph(60, min_degree=2,
+                                         rng=np.random.default_rng(1))
+        controller = Controller(topology, attach_uniform(topology.nodes(), 2),
+                                config=ControllerConfig(cvt_iterations=3))
+        join(controller, 100, links=[3, 17, 40])
+        controller.remove_switch(100)
+        controller.absorb_failures(dead_switches=[7, 8])
+        assert self.removals(registry) == {
+            "controlplane.dt.removals{outcome=deleted}": 2}
+        assert self.fallback(registry, "switch_leave") is None
+        assert controller.dt_adjacency() == rebuilt_adjacency(controller)
+        assert not set(controller._dt_vertex_to_switch.values()) & {
+            100, 7, 8}
+        assert controller._plan == controller.desired_plan()
+
+    def test_tie_laden_grid_falls_back_to_the_rebuild(self, registry):
+        topology = grid_graph(4, 4)
+        controller = Controller(topology, attach_uniform(topology.nodes(), 2),
+                                config=ControllerConfig(cvt_iterations=3))
+        controller.recompute(positions={
+            n: (float(n % 4), float(n // 4)) for n in topology.nodes()})
+        controller.remove_switch(5)
+        assert self.removals(registry) == {
+            "controlplane.dt.removals{outcome=rebuilt}": 1}
+        assert self.fallback(registry, "switch_leave") == "tie"
+        assert controller.dt_adjacency() == rebuilt_adjacency(controller)
+        assert list(controller.dt_adjacency()) == \
+            list(rebuilt_adjacency(controller))
+
+    def test_bounding_box_leaver_falls_back_to_the_rebuild(self, registry):
+        topology, _ = brite_waxman_graph(60, min_degree=2,
+                                         rng=np.random.default_rng(1))
+        controller = Controller(topology, attach_uniform(topology.nodes(), 2),
+                                config=ControllerConfig(cvt_iterations=3))
+        positions = controller.positions
+        for leaver in [pick(positions, key=lambda n: positions[n][axis])
+                       for pick in (min, max) for axis in (0, 1)]:
+            try:
+                controller.remove_switch(leaver)
+            except ControlPlaneError:
+                continue  # an articulation switch
+            break
+        assert self.fallback(registry, "switch_leave") == "bbox"
+        assert self.removals(registry) == {
+            "controlplane.dt.removals{outcome=rebuilt}": 1}
+        assert controller.dt_adjacency() == rebuilt_adjacency(controller)

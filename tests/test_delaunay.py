@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay as SciDelaunay
 
 from repro.geometry import (
@@ -22,6 +24,19 @@ def scipy_edges(points):
             a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
             edges.add(frozenset((a, b)))
     return edges
+
+
+def rebuilt_edges(dt):
+    """Edges of a from-scratch build over ``dt``'s vertices, in ``dt``'s
+    vertex ids."""
+    ids = sorted(dt.neighbor_map())
+    fresh = DelaunayTriangulation([dt.vertex_position(v) for v in ids])
+    return {frozenset(ids[i] for i in edge) for edge in fresh.edges()}
+
+
+def random_points(seed, n):
+    rng = np.random.default_rng(seed)
+    return [tuple(p) for p in rng.uniform(0, 1, size=(n, 2))]
 
 
 class TestSmallCases:
@@ -196,3 +211,116 @@ class TestNeighborExtraction:
             expected = nearest_point_index(pts, q)
             assert euclidean(pts[cur], q) <= \
                 euclidean(pts[expected], q) + 1e-12
+
+
+class TestVertexDeletion:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           data=st.data())
+    def test_any_deletions_equal_a_fresh_build(self, seed, n, data):
+        pts = random_points(seed, n)
+        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(seed))
+        order = data.draw(st.permutations(range(n)))
+        for vid in order[:data.draw(st.integers(1, n))]:
+            dt.remove_point(vid)
+            assert dt.edges() == rebuilt_edges(dt)
+            alive = sorted(dt.neighbor_map())
+            if len(alive) >= 3:
+                assert dt.edges() == {
+                    frozenset(alive[i] for i in edge)
+                    for edge in scipy_edges([pts[v] for v in alive])}
+
+    def test_collinear_chain(self):
+        dt = DelaunayTriangulation([(0.1 * i, 0.1 * i) for i in range(6)])
+        dt.remove_point(2)
+        assert dt.edges() == {frozenset(e) for e in
+                              ((0, 1), (1, 3), (3, 4), (4, 5))}
+        assert dt.edges() == rebuilt_edges(dt)
+        assert dt.triangles() == []
+
+    def test_hull_vertices(self):
+        pts = random_points(5, 30)
+        dt = DelaunayTriangulation(pts)
+        index = {p: i for i, p in enumerate(pts)}
+        for p in convex_hull(pts):
+            dt.remove_point(index[p])
+            assert dt.edges() == rebuilt_edges(dt)
+            assert dt.is_delaunay()
+
+    def test_bounding_box_vertex_is_not_canonical(self):
+        pts = random_points(7, 30)
+        dt = DelaunayTriangulation(pts)
+        assert dt.why_not_canonical() is None
+        dt.remove_point(min(range(30), key=lambda i: pts[i][0]))
+        # Still the Delaunay triangulation, but over the old super
+        # triangle: a fresh build would pick another one.
+        assert dt.why_not_canonical() == "bbox"
+        assert dt.edges() == rebuilt_edges(dt)
+
+    def test_ties_are_not_canonical(self):
+        grid = [(float(x), float(y)) for x in range(8) for y in range(8)]
+        assert DelaunayTriangulation(grid).why_not_canonical() == "tie"
+        dt = DelaunayTriangulation(grid)
+        dt.remove_point(27)
+        assert dt.is_delaunay()
+        assert dt.why_not_canonical() == "tie"
+
+    def test_down_to_one_then_zero(self):
+        dt = DelaunayTriangulation([(0.2, 0.2), (0.8, 0.3), (0.5, 0.9)])
+        dt.remove_point(0)
+        dt.remove_point(1)
+        assert dt.num_vertices() == 1
+        assert dt.edges() == set()
+        assert dt.neighbors(2) == set()
+        dt.remove_point(2)
+        assert dt.num_vertices() == 0
+        assert dt.neighbor_map() == {}
+        assert dt.triangles() == []
+        assert dt.insert_point((0.5, 0.5)) == 3
+        assert dt.neighbor_map() == {3: set()}
+
+    @pytest.mark.parametrize("vid", [-1, -2, -3, 3, 99])
+    def test_super_and_unknown_ids_raise(self, vid):
+        dt = DelaunayTriangulation([(0.2, 0.2), (0.8, 0.3), (0.5, 0.9)])
+        with pytest.raises(DelaunayError):
+            dt.remove_point(vid)
+        assert dt.num_vertices() == 3
+
+    def test_removed_vertex_is_gone(self):
+        dt = DelaunayTriangulation(random_points(3, 10))
+        dt.remove_point(4)
+        with pytest.raises(DelaunayError):
+            dt.remove_point(4)
+        with pytest.raises(DelaunayError):
+            dt.vertex_position(4)
+
+    def test_ids_are_never_reused(self):
+        dt = DelaunayTriangulation(random_points(4, 6))
+        dt.remove_point(5)
+        assert dt.insert_point((0.51, 0.49)) == 6
+        assert set(dt.neighbor_map()) == {0, 1, 2, 3, 4, 6}
+        assert dt.edges() == rebuilt_edges(dt)
+
+
+class TestNeighborMapFromEdgeIndex:
+    @staticmethod
+    def from_edges(dt):
+        """The adjacency as the triangle-edge scan builds it."""
+        result = {v: set() for v in dt.neighbor_map()}
+        for edge in dt.edges():
+            u, v = tuple(edge)
+            result[u].add(v)
+            result[v].add(u)
+        return result
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_edge_scan_key_order_included(self, seed):
+        pts = random_points(seed, 40)
+        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(seed))
+        dt.insert_point((0.5, 0.5))
+        dt.remove_point(seed)
+        got, want = dt.neighbor_map(), self.from_edges(dt)
+        assert got == want
+        assert list(got) == list(want)
+        for v in got:
+            assert dt.neighbors(v) == got[v]

@@ -3,9 +3,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import GredNetwork
+from repro.controlplane import ControlPlaneError
+from repro.core import GredError
 from repro.edge import EdgeServer, attach_uniform
 from repro.io import (
     SnapshotError,
@@ -14,7 +17,9 @@ from repro.io import (
     save_network,
     to_snapshot,
 )
-from repro.topology import grid_graph
+from repro.obs import MetricsRegistry, set_default_registry
+from repro.topology import brite_waxman_graph, grid_graph
+from test_controlplane_delta import rebuilt_adjacency
 
 
 @pytest.fixture
@@ -229,3 +234,46 @@ class TestControlPlaneCounters:
         assert restored.controller.version == version + 1
         assert restored.controller.generation(100) == \
             restored.controller.version
+
+
+def test_live_dt_is_the_restored_dt_after_churn():
+    """Joins insert into the live DT and leaves and failure absorptions
+    delete from it; after every event its adjacency is a from-scratch
+    build's and a snapshot restore's, and the plan a fresh compile."""
+    topology, _ = brite_waxman_graph(40, min_degree=3,
+                                     rng=np.random.default_rng(2))
+    net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=3,
+                      seed=0)
+    controller = net.controller
+    rng = np.random.default_rng(3)
+    registry = MetricsRegistry()
+    restore = set_default_registry(registry)
+    try:
+        next_id = 100
+        for _ in range(30):
+            ids = sorted(controller.topology.nodes())
+            pick = ids[int(rng.integers(len(ids)))]
+            op = str(rng.choice(["join", "leave", "leave-joiner", "crash"]))
+            try:
+                if op == "join":
+                    links = sorted({ids[i] for i in rng.integers(len(ids),
+                                                                 size=3)})
+                    net.add_switch(next_id, links,
+                                   servers_per_switch=int(rng.integers(3)))
+                    next_id += 1
+                elif op == "crash":
+                    controller.absorb_failures(dead_switches=[pick])
+                else:
+                    net.remove_switch(next_id - 1 if op == "leave-joiner"
+                                      and next_id - 1 in ids else pick)
+            except (ControlPlaneError, GredError):
+                continue  # would disconnect the network
+            assert controller._plan == controller.desired_plan()
+            live = controller.dt_adjacency()
+            assert live == rebuilt_adjacency(controller)
+            assert live == \
+                from_snapshot(to_snapshot(net)).controller.dt_adjacency()
+        removals = registry.counter_values("controlplane.dt.removals")
+    finally:
+        set_default_registry(restore)
+    assert removals["controlplane.dt.removals{outcome=deleted}"] >= 5
