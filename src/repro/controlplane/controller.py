@@ -57,6 +57,23 @@ class ControlPlaneError(Exception):
     """Raised for invalid control-plane requests or inconsistent state."""
 
 
+def _check_positions(positions: Dict[int, Point],
+                     participants: List[int]) -> None:
+    """Refuse positions the DT cannot triangulate: a non-finite
+    coordinate, or two participants on one point."""
+    bad = sorted(n for n, p in positions.items()
+                 if not (math.isfinite(p[0]) and math.isfinite(p[1])))
+    if bad:
+        raise ControlPlaneError(f"non-finite positions of switches {bad}")
+    owner: Dict[Point, int] = {}
+    for node in participants:
+        other = owner.setdefault(positions[node], node)
+        if other != node:
+            raise ControlPlaneError(
+                f"switches {other} and {node} share the position "
+                f"{positions[node]}")
+
+
 @dataclass
 class ControllerConfig:
     """Tunables of the control plane.
@@ -237,6 +254,13 @@ class Controller:
             snapshot).  When given, the embedding and CVT stages are
             skipped and the DT/rules are built over these positions;
             every topology switch must be covered.
+
+        Raises
+        ------
+        ControlPlaneError
+            If no switch hosts a server, or ``positions`` misses a
+            switch, holds a non-finite coordinate or puts two DT
+            participants on one point.  Nothing has changed then.
         """
         registry = default_registry()
         registry.counter("controlplane.recomputes").inc()
@@ -256,6 +280,7 @@ class Controller:
                          for n, p in positions.items()}
         else:
             positions = self._compute_positions(participants)
+        _check_positions(positions, participants)
         self.positions = positions
         with registry.timer("controlplane.phase.dt_build"):
             self._build_dt(participants)
@@ -303,9 +328,7 @@ class Controller:
 
     def _build_dt(self, participants: List[int]) -> None:
         sites = [self.positions[node] for node in participants]
-        self._dt = DelaunayTriangulation(
-            sites, rng=np.random.default_rng(self.config.seed + 2)
-        )
+        self._dt = DelaunayTriangulation(sites)
         # DelaunayTriangulation assigns vertex id == input index.
         self._dt_vertex_to_switch = dict(enumerate(participants))
         self._dt_switch_to_vertex = {
@@ -313,32 +336,18 @@ class Controller:
             for vertex, switch in self._dt_vertex_to_switch.items()
         }
 
-    def _drop_from_dt(self, leavers: List[int]) -> Optional[str]:
+    def _drop_from_dt(self, leavers: List[int]) -> None:
         """Delete the leaving DT participants from the live DT.
 
-        The result is kept only when :meth:`DelaunayTriangulation.
-        why_not_canonical` certifies it equal to the rebuild over the
-        survivors; otherwise the DT is rebuilt exactly as
-        :meth:`recompute` builds it.  Returns that fallback's cause
-        (``"bbox"`` or ``"tie"``), or ``None``.  Leavers that host no
-        server leave the DT untouched and count nowhere.
+        The DT is a function of its sites, so the result is the one
+        :meth:`recompute` would build over the survivors.  Leavers that
+        host no server are not in it.
         """
-        vertices = [self._dt_switch_to_vertex.pop(s) for s in leavers
-                    if s in self._dt_switch_to_vertex]
-        if not vertices:
-            return None
-        for vertex in vertices:
-            self._dt.remove_point(vertex)
-            del self._dt_vertex_to_switch[vertex]
-        cause = self._dt.why_not_canonical()
-        if cause is not None:
-            self._build_dt(self.dt_participants())
-        default_registry().counter(
-            "controlplane.dt.removals",
-            help="Leaves and failure absorptions that changed the DT "
-                 "participants: vertices deleted, or DT rebuilt",
-            outcome="deleted" if cause is None else "rebuilt").inc()
-        return cause
+        for switch in leavers:
+            vertex = self._dt_switch_to_vertex.pop(switch, None)
+            if vertex is not None:
+                self._dt.remove_point(vertex)
+                del self._dt_vertex_to_switch[vertex]
 
     def dt_adjacency(self) -> Dict[int, Set[int]]:
         """DT neighbor sets in switch-id space."""
@@ -847,10 +856,9 @@ class Controller:
         """A switch leaves (or fails).
 
         The remaining positions are kept.  A leaver that hosts servers
-        is deleted from the live DT, and the result is kept when it is
-        certified equal to a rebuild over the remaining participants
-        (see :meth:`_drop_from_dt`); a relay-only leaver leaves the DT
-        untouched.  The rules are then recompiled from the last plan.
+        is deleted from the live DT (see :meth:`_drop_from_dt`); a
+        relay-only leaver leaves the DT untouched.  The rules are then
+        recompiled from the last plan.
 
         Range extensions whose takeover server sits on the leaver are
         withdrawn before the rules are reinstalled, so what they
@@ -880,12 +888,12 @@ class Controller:
         self.positions.pop(switch_id, None)
         self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        fallback = self._drop_from_dt([switch_id])
+        self._drop_from_dt([switch_id])
         self._install_rules(global_event=False)
         registry = default_registry()
         registry.counter("controlplane.switch_leaves").inc()
         registry.event("switch_leave", level=EventLevel.WARNING,
-                       switch=switch_id, dt_fallback=fallback)
+                       switch=switch_id)
 
     def absorb_failures(self, dead_switches=(), dead_links=()
                         ) -> List[int]:
@@ -944,7 +952,7 @@ class Controller:
             self.positions.pop(switch_id, None)
             self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        fallback = self._drop_from_dt(dead + stranded)
+        self._drop_from_dt(dead + stranded)
         self._install_rules(global_event=False)
         registry = default_registry()
         if registry.enabled:
@@ -955,7 +963,7 @@ class Controller:
         registry.event("failures_absorbed", level=EventLevel.WARNING,
                        dead_switches=len(dead),
                        dead_links=len(list(dead_links)),
-                       stranded=len(stranded), dt_fallback=fallback)
+                       stranded=len(stranded))
         return stranded
 
     def _drop_dead_extensions(self) -> None:

@@ -4,62 +4,59 @@ The control plane of GRED builds a Delaunay triangulation (DT) of the
 switch positions in the virtual space; greedy forwarding on a DT is
 guaranteed to reach the node closest to any destination point.  The
 construction follows the paper's description: points are inserted in
-random order into a triangulation that starts from a large bounding
-("super") triangle; each insertion splits the containing triangle and
-restores the Delaunay property with edge *flips*; finally the bounding
-triangle and all triangles touching it are removed.  A deletion drops
-the vertex's star and fills the hole with Delaunay ears (Devillers, "On
-deletion in Delaunay triangulations", 1999).
+random order into a triangulation that starts from a bounding ("super")
+triangle; each insertion splits the containing triangle and restores
+the Delaunay property with edge *flips*; edges incident to the super
+triangle are not reported.  A deletion drops the vertex's star and
+fills the hole with Delaunay ears (Devillers, "On deletion in Delaunay
+triangulations", 1999).
 
-Robustness comes from the exact predicates in
-:mod:`repro.geometry.predicates`: orientation and in-circle tests fall
-back to rational arithmetic near degeneracy, so cocircular and collinear
-inputs are handled exactly (cocircular quadruples simply keep whichever
-valid diagonal was constructed first).
+The triangulation is a function of its sites: one per point set,
+whatever the history of insertions and deletions.  Two rules make it so.
 
-The super-triangle vertices carry negative ids and are placed far enough
-away (``1e6`` times the data span) that they act as points at infinity
-for all practical inputs; edges incident to them are excluded from the
-reported DT.
+* The super vertices (ids -1, -2, -3) have no coordinates.  Each is a
+  point at infinity, ``S(s) = s²·direction + s·tilt`` as ``s → ∞``, and
+  a predicate involving one takes the sign its exact determinant has for
+  all large ``s``: the leading nonzero coefficient of a polynomial in
+  ``s``, never 0 for distinct sites.  The common cases have closed forms
+  (cf. de Berg et al., *Computational Geometry*, §9.3): a site pair's
+  orientation against ``S`` follows the direction, then the tilt; the
+  circle through a hull edge and ``S`` is the open half-plane beyond the
+  edge plus the open edge itself; ``S`` lies outside every real circle.
+  So the result is the exact DT of the sites, convex hull included, at
+  any extent of the data.
+* A real in-circle tie (four cocircular sites) is broken by Simulation
+  of Simplicity (Edelsbrunner & Mücke, 1990) on the lifting map: site
+  ``p`` is lifted to ``|p|² + ε^rank(p)``, ranked in lexicographic order
+  of the coordinates, so a live triangulation and a rebuild, whose
+  vertex ids differ, break a tie alike.
 
-Resolution limit: a triangle flatter than roughly ``1 / 1e6`` of the
-data span has a circumcircle larger than the super triangle, so such
-near-collinear triples are triangulated as if collinear (a chain instead
-of a sliver triangle).  This loses no greedy-routing guarantee — greedy
-descent over the resulting chain still reaches the nearest site — and
-only affects point sets that are collinear up to floating-point noise.
+Every in-circle test inside the triangulation is therefore strict, and
+the Delaunay triangulation of points in this general position is
+unique.  Tests among real sites use the float-filtered exact predicates
+of :mod:`repro.geometry.predicates`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .predicates import incircle, orient2d
-from .primitives import Point, squared_distance
+from .predicates import _integers, _sign, incircle, orient2d
+from .primitives import Point
 
 _SUPER_A = -1
 _SUPER_B = -2
 _SUPER_C = -3
-_SUPER_IDS = (_SUPER_A, _SUPER_B, _SUPER_C)
-_SUPER_SCALE = 1e6
-
-
-def _super_coords(pts: Sequence[Point]) -> Tuple[Point, Point, Point]:
-    """Corners of the super triangle for sites ``pts``: a function of
-    their bounding box alone."""
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        cx = (min(xs) + max(xs)) / 2.0
-        cy = (min(ys) + max(ys)) / 2.0
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    else:
-        cx, cy, span = 0.5, 0.5, 1.0
-    r = span * _SUPER_SCALE
-    return ((cx, cy + 2.0 * r), (cx - 1.8 * r, cy - r),
-            (cx + 1.8 * r, cy - r))
+#: The super vertices in ccw order: each maps to the next.
+_SUCCESSOR = {_SUPER_A: _SUPER_B, _SUPER_B: _SUPER_C, _SUPER_C: _SUPER_A}
+#: ``S(s) = s²·_DIRECTION + s·_TILT``.  The directions are pairwise
+#: non-parallel and ccw, and no tilt is parallel to its direction; with
+#: these vectors no predicate over distinct sites vanishes identically
+#: in ``s``.
+_DIRECTION = {_SUPER_A: (0, 1), _SUPER_B: (-1, -1), _SUPER_C: (1, -1)}
+_TILT = {_SUPER_A: (1, 0), _SUPER_B: (1, -1), _SUPER_C: (1, 1)}
 
 
 class DelaunayError(Exception):
@@ -77,25 +74,22 @@ class DelaunayTriangulation:
     Parameters
     ----------
     points:
-        Initial sites.  Sites must be pairwise distinct (use
+        Initial sites; vertex ``i`` is ``points[i]``.  Sites must be
+        pairwise distinct (use
         :func:`repro.geometry.primitives.deduplicate_points` first when
         the input may contain coincident positions).
     rng:
-        Generator controlling the random insertion order; defaults to a
-        deterministic seed so repeated constructions agree.
+        Generator of the random insertion order, which sets only the
+        expected run time; defaults to a fixed seed.  The triangulation
+        does not depend on it.
 
     The triangulation is *live*: :meth:`insert_point` and
     :meth:`remove_point` support the network-dynamics cases of a switch
-    joining and leaving (paper Section VI).  A deletion re-triangulates
-    only the leaver's star polygon, so it is not by itself equal to a
-    fresh build: for a cocircular quadruple "whichever valid diagonal
-    was constructed first" wins, and the super triangle is derived from
-    the bounding box, which a leaver on the hull may change.
-    :meth:`why_not_canonical` says when it is: with the super triangle a
-    fresh build would pick and no tied edge, the Delaunay triangulation
-    is unique, so every build of the same vertices, in any insertion
-    order, produces exactly these triangles.  The controller keeps a
-    deletion only then and rebuilds otherwise.
+    joining and leaving (paper Section VI).  Super vertices at infinity
+    and a lexicographic tie rule (see the module docstring) make it
+    canonical: after any sequence of insertions and deletions it has
+    exactly the triangles of a fresh build over the same sites, in any
+    input order.
     """
 
     def __init__(self, points: Sequence[Point] = (),
@@ -103,6 +97,7 @@ class DelaunayTriangulation:
         if rng is None:
             rng = np.random.default_rng(0)
         pts = [(float(p[0]), float(p[1])) for p in points]
+        #: Coordinates of the real vertices; super vertices have none.
         self._coords: Dict[int, Point] = {}
         self._triangles: Dict[int, Tuple[int, int, int]] = {}
         self._edge_tri: Dict[Tuple[int, int], int] = {}
@@ -110,7 +105,7 @@ class DelaunayTriangulation:
         self._last_tri_id = None  # walk start hint
         #: Ids are never reused: a removed vertex's id stays retired.
         self._next_vid = len(pts)
-        self._init_super_triangle(pts)
+        self._make_triangle(_SUPER_A, _SUPER_B, _SUPER_C)
         order = list(range(len(pts)))
         rng.shuffle(order)
         for i in order:
@@ -128,9 +123,6 @@ class DelaunayTriangulation:
         ------
         DuplicatePointError
             If the point coincides with an existing vertex.
-        DelaunayError
-            If the point falls outside the super triangle (far outside
-            the original data extent).
         """
         point = (float(point[0]), float(point[1]))
         vid = self._next_vid
@@ -143,32 +135,30 @@ class DelaunayTriangulation:
 
         Used for incremental updates when a switch leaves.  The star
         triangles of ``vid`` are dropped and the hole — its ccw link
-        polygon, super-triangle corners included — is filled by Delaunay
-        ears: a convex corner whose circumcircle holds no other polygon
-        vertex.  Each new diagonal is then locally Delaunay against the
-        triangle later cut on its other side, and each polygon edge
-        against the untouched triangle outside, so the result is a
-        Delaunay triangulation of the remaining sites.  The id is
-        retired: :meth:`insert_point` never hands it out again.
+        polygon, super vertices included — is filled by Delaunay ears: a
+        convex corner whose circumcircle holds no other polygon vertex.
+        Each new diagonal is then locally Delaunay against the triangle
+        later cut on its other side, and each polygon edge against the
+        untouched triangle outside, so the result is the Delaunay
+        triangulation of the remaining sites.  The id is retired:
+        :meth:`insert_point` never hands it out again.
 
         Raises
         ------
         DelaunayError
-            If ``vid`` is not a real vertex (unknown or super-triangle).
+            If ``vid`` is not a real vertex (unknown or super).
         """
-        if vid < 0 or vid not in self._coords:
+        if vid not in self._coords:
             raise DelaunayError(f"unknown vertex {vid}")
         link = self._link(vid)
         for tid in [self._edge_tri[(vid, u)] for u in link]:
             self._delete_triangle(tid)
         del self._coords[vid]
-        coords = self._coords
         while len(link) > 3:
             for i in range(len(link)):
                 a, b, c = link[i - 1], link[i], link[(i + 1) % len(link)]
-                pa, pb, pc = coords[a], coords[b], coords[c]
-                if orient2d(pa, pb, pc) > 0 and all(
-                        incircle(pa, pb, pc, coords[w]) <= 0
+                if self._orient(a, b, c) > 0 and all(
+                        self._incircle(a, b, c, w) < 0
                         for w in link if w != a and w != b and w != c):
                     self._make_triangle(a, b, c)
                     del link[i]
@@ -179,11 +169,11 @@ class DelaunayTriangulation:
 
     def num_vertices(self) -> int:
         """Number of real (non-super) vertices."""
-        return sum(1 for v in self._coords if v >= 0)
+        return len(self._coords)
 
     def vertex_position(self, vid: int) -> Point:
         """Coordinates of vertex ``vid``."""
-        if vid not in self._coords or vid < 0:
+        if vid not in self._coords:
             raise DelaunayError(f"unknown vertex {vid}")
         return self._coords[vid]
 
@@ -198,7 +188,7 @@ class DelaunayTriangulation:
 
     def neighbors(self, vid: int) -> Set[int]:
         """Real DT neighbors of a real vertex."""
-        if vid not in self._coords or vid < 0:
+        if vid not in self._coords:
             raise DelaunayError(f"unknown vertex {vid}")
         return {u for u in self._link(vid) if u >= 0}
 
@@ -208,9 +198,7 @@ class DelaunayTriangulation:
         Read off the directed-edge index: every real edge lies inside
         the super triangle, so it appears there in both directions.
         """
-        result: Dict[int, Set[int]] = {
-            v: set() for v in self._coords if v >= 0
-        }
+        result: Dict[int, Set[int]] = {v: set() for v in self._coords}
         for u, v in self._edge_tri:
             if u >= 0 and v >= 0:
                 result[u].add(v)
@@ -223,49 +211,72 @@ class DelaunayTriangulation:
             if all(v >= 0 for v in tri)
         ]
 
-    def why_not_canonical(self) -> Optional[str]:
-        """``None`` when a from-scratch build over this triangulation's
-        vertices — in any insertion order — yields exactly its
-        triangles; otherwise why that is not certain.
+    # ------------------------------------------------------------------
+    # predicates over vertex ids
+    # ------------------------------------------------------------------
+    def _orient(self, a: int, b: int, c: int) -> int:
+        """Orientation of vertices ``(a, b, c)``, super ones included;
+        never 0 when one is super."""
+        coords = self._coords
+        if a >= 0 and b >= 0 and c >= 0:
+            return orient2d(coords[a], coords[b], coords[c])
+        if (a < 0) + (b < 0) + (c < 0) == 1:
+            while c >= 0:
+                a, b, c = b, c, a
+            pa, pb = coords[a], coords[b]
+            return (_cross_sign(pa, pb, _DIRECTION[c])
+                    or _cross_sign(pa, pb, _TILT[c]))
+        while a < 0 and (b >= 0 or c >= 0):
+            a, b, c = b, c, a  # the one real vertex first
+        # Two super vertices dominate: ccw when they follow each other.
+        return 1 if _SUCCESSOR[b] == c else -1
 
-        ``"bbox"``: a fresh build would pick another super triangle
-        (the live one is that of an earlier vertex set).  ``"tie"``:
-        some interior edge is not strictly locally Delaunay — its two
-        triangles are cocircular — so another diagonal is as valid.
-        Without either, every edge is strictly locally Delaunay over the
-        same point set, super triangle included; that triangulation is
-        the unique Delaunay one, and the incremental build produces it
-        too.  O(edges); about a millisecond at 200 vertices.
-        """
-        coords, triangles = self._coords, self._triangles
-        real = [p for v, p in coords.items() if v >= 0]
-        if _super_coords(real) != tuple(coords[s] for s in _SUPER_IDS):
-            return "bbox"
-        edge_tri = self._edge_tri
-        for (u, v), tid in edge_tri.items():
-            other = edge_tri.get((v, u)) if u < v else None
-            if other is None:
-                continue  # seen from (v, u), or a super-triangle side
-            a, b, c = triangles[tid]
-            apex = sum(triangles[other]) - u - v  # its third vertex
-            if incircle(coords[a], coords[b], coords[c],
-                        coords[apex]) >= 0:
-                return "tie"
-        return None
+    def _incircle(self, a: int, b: int, c: int, d: int) -> int:
+        """In-circle test of vertex ``d`` against the ccw triangle
+        ``(a, b, c)``, super vertices included; never 0."""
+        coords = self._coords
+        if d >= 0:
+            if a >= 0 and b >= 0 and c >= 0:
+                pa, pb, pc, pd = coords[a], coords[b], coords[c], coords[d]
+                return incircle(pa, pb, pc, pd) or _tie(pa, pb, pc, pd)
+            if (a < 0) + (b < 0) + (c < 0) == 1:
+                while c >= 0:
+                    a, b, c = b, c, a
+                return _ghost(coords[a], coords[b], coords[d])
+        elif a >= 0 and b >= 0 and c >= 0:
+            return -1  # a point at infinity is outside every real circle
+        return self._incircle_at_infinity((a, b, c, d))
+
+    def _incircle_at_infinity(self, ids: Tuple[int, int, int, int]) -> int:
+        """:meth:`_incircle` with two or more super vertices: the sign of
+        the leading coefficient of the determinant, a polynomial in
+        ``s`` over the sites' common power-of-two denominator."""
+        ratios = [c.as_integer_ratio() for v in ids if v >= 0
+                  for c in self._coords[v]]
+        den = max(q for _, q in ratios)
+        nums = iter([n * (den // q) for n, q in ratios])
+        pts = []
+        for v in ids:
+            if v >= 0:
+                pts.append(([next(nums)], [next(nums)]))
+            else:
+                (dx, dy), (tx, ty) = _DIRECTION[v], _TILT[v]
+                pts.append(([0, den * tx, den * dx], [0, den * ty, den * dy]))
+        qx, qy = pts[3]
+        a, b, c = [(_padd(x, qx, -1), _padd(y, qy, -1)) for x, y in pts[:3]]
+        det = _padd(_padd(_pmul(_norm(a), _cross(b, c)),
+                          _pmul(_norm(b), _cross(a, c)), -1),
+                    _pmul(_norm(c), _cross(a, b)))
+        return next((_sign(x) for x in reversed(det) if x), 0)
 
     # ------------------------------------------------------------------
     # construction internals
     # ------------------------------------------------------------------
-    def _init_super_triangle(self, pts: Sequence[Point]) -> None:
-        for sid, corner in zip(_SUPER_IDS, _super_coords(pts)):
-            self._coords[sid] = corner
-        self._make_triangle(_SUPER_A, _SUPER_B, _SUPER_C)
-
     def _link(self, vid: int) -> List[int]:
-        """The ccw polygon of ``vid``'s neighbours (super-triangle
-        corners included): the triangle with directed edge ``(vid, u)``
-        is ``(vid, u, w)``, and ``w`` follows ``u``."""
-        tri = self._triangles[self._locate(self._coords[vid])]
+        """The ccw polygon of ``vid``'s neighbours (super vertices
+        included): the triangle with directed edge ``(vid, u)`` is
+        ``(vid, u, w)``, and ``w`` follows ``u``."""
+        tri = self._triangles[self._locate(vid)]
         i = tri.index(vid)
         first, u = tri[(i + 1) % 3], tri[(i + 2) % 3]
         link = [first]
@@ -275,9 +286,8 @@ class DelaunayTriangulation:
         return link
 
     def _make_triangle(self, a: int, b: int, c: int) -> int:
-        """Register ccw triangle (a, b, c) and index its directed edges."""
-        if orient2d(self._coords[a], self._coords[b], self._coords[c]) < 0:
-            b, c = c, b
+        """Register the ccw triangle (a, b, c) and index its directed
+        edges."""
         tid = self._next_tri_id
         self._next_tri_id += 1
         self._triangles[tid] = (a, b, c)
@@ -295,8 +305,9 @@ class DelaunayTriangulation:
         if self._last_tri_id == tid:
             self._last_tri_id = None
 
-    def _locate(self, p: Point) -> int:
-        """Walk to a triangle whose closure contains ``p``."""
+    def _locate(self, vid: int) -> int:
+        """Walk to a triangle whose closure contains vertex ``vid``'s
+        point.  Every point lies inside the super triangle."""
         if self._last_tri_id in self._triangles:
             tid = self._last_tri_id
         else:
@@ -305,48 +316,31 @@ class DelaunayTriangulation:
         limit = 4 * len(self._triangles) + 16
         while True:
             a, b, c = self._triangles[tid]
-            pa, pb, pc = (self._coords[a], self._coords[b], self._coords[c])
-            moved = False
-            for (u, v, pu, pv) in ((a, b, pa, pb), (b, c, pb, pc),
-                                   (c, a, pc, pa)):
-                if orient2d(pu, pv, p) < 0:
-                    nxt = self._edge_tri.get((v, u))
-                    if nxt is None:
-                        raise DelaunayError(
-                            "point lies outside the super triangle; "
-                            "the insertion domain was exceeded"
-                        )
-                    tid = nxt
-                    moved = True
+            for u, v in ((a, b), (b, c), (c, a)):
+                if self._orient(u, v, vid) < 0:
+                    tid = self._edge_tri[(v, u)]
                     break
-            if not moved:
+            else:
                 return tid
             visited += 1
             if visited > limit:
                 raise DelaunayError("point location failed to terminate")
 
     def _insert(self, vid: int, point: Point) -> None:
-        if vid in self._coords:
-            raise DelaunayError(f"vertex id {vid} already present")
-        tid = self._locate(point)
+        self._coords[vid] = point
+        tid = self._locate(vid)
         a, b, c = self._triangles[tid]
         for existing in (a, b, c):
-            if squared_distance(self._coords[existing], point) == 0.0:
+            if existing >= 0 and self._coords[existing] == point:
+                del self._coords[vid]
                 raise DuplicatePointError(
                     f"point {point} coincides with vertex {existing}"
                 )
-        self._coords[vid] = point
-        pa, pb, pc = (self._coords[a], self._coords[b], self._coords[c])
-        on_edge = None
-        for (u, v, pu, pv) in ((a, b, pa, pb), (b, c, pb, pc),
-                               (c, a, pc, pa)):
-            if orient2d(pu, pv, point) == 0:
-                on_edge = (u, v)
-                break
-        if on_edge is None:
-            self._split_triangle(tid, vid, (a, b, c))
-        else:
-            self._split_edge(tid, vid, on_edge)
+        for u, v in ((a, b), (b, c), (c, a)):
+            if self._orient(u, v, vid) == 0:
+                self._split_edge(tid, vid, (u, v))
+                return
+        self._split_triangle(tid, vid, (a, b, c))
 
     def _split_triangle(self, tid: int,
                         vid: int, tri: Tuple[int, int, int]) -> None:
@@ -361,21 +355,21 @@ class DelaunayTriangulation:
 
     def _split_edge(self, tid: int, vid: int,
                     edge: Tuple[int, int]) -> None:
+        """Split the ccw triangle ``tid`` = ``(u, v, apex)``, and the
+        one across ``(u, v)`` if any, at ``vid`` on that edge."""
         u, v = edge
         # Triangle on the other side of (u, v), if any.
         other_tid = self._edge_tri.get((v, u))
-        a, b, c = self._triangles[tid]
-        apex = next(x for x in (a, b, c) if x not in (u, v))
+        apex = sum(self._triangles[tid]) - u - v
         self._delete_triangle(tid)
-        self._make_triangle(vid, u, apex)
-        self._make_triangle(vid, apex, v)
+        self._make_triangle(vid, apex, u)
+        self._make_triangle(vid, v, apex)
         outer = [(u, apex), (apex, v)]
         if other_tid is not None:
-            oa, ob, oc = self._triangles[other_tid]
-            other_apex = next(x for x in (oa, ob, oc) if x not in (u, v))
+            other_apex = sum(self._triangles[other_tid]) - u - v
             self._delete_triangle(other_tid)
-            self._make_triangle(vid, v, other_apex)
-            self._make_triangle(vid, other_apex, u)
+            self._make_triangle(vid, other_apex, v)
+            self._make_triangle(vid, u, other_apex)
             outer.extend([(v, other_apex), (other_apex, u)])
         for e in outer:
             self._legalize(vid, e)
@@ -389,25 +383,19 @@ class DelaunayTriangulation:
             inner = self._edge_tri.get((u, v))
             outer = self._edge_tri.get((v, u))
             if inner is None or outer is None:
-                continue  # hull edge of the super triangle
-            inner_tri = self._triangles[inner]
-            if vid not in inner_tri:
+                continue  # a side of the super triangle
+            if vid not in self._triangles[inner]:
                 # The triangulation changed under us; find the side that
                 # still has vid.
-                outer_tri = self._triangles[outer]
-                if vid in outer_tri:
+                if vid in self._triangles[outer]:
                     u, v = v, u
                     inner, outer = outer, inner
-                    inner_tri = outer_tri
                 else:
                     continue
-            apex = next(x for x in self._triangles[outer]
-                        if x not in (u, v))
-            # Delaunay test: apex inside circumcircle of (vid, u, v)?
-            tri_pts = (self._coords[vid], self._coords[u], self._coords[v])
-            if orient2d(*tri_pts) < 0:
-                tri_pts = (tri_pts[0], tri_pts[2], tri_pts[1])
-            if incircle(*tri_pts, self._coords[apex]) > 0:
+            apex = sum(self._triangles[outer]) - u - v
+            # Delaunay test: apex inside the circumcircle of the ccw
+            # triangle (vid, u, v)?
+            if self._incircle(vid, u, v, apex) > 0:
                 self._delete_triangle(inner)
                 self._delete_triangle(outer)
                 self._make_triangle(vid, u, apex)
@@ -421,15 +409,67 @@ class DelaunayTriangulation:
     def is_delaunay(self) -> bool:
         """Exhaustively check the empty-circumcircle property over real
         triangles and real vertices.  O(T * V); for tests only."""
-        real_vertices = [v for v in self._coords if v >= 0]
+        coords = self._coords
         for tri in self.triangles():
-            a, b, c = tri
-            pts = (self._coords[a], self._coords[b], self._coords[c])
+            pts = tuple(coords[v] for v in tri)
             if orient2d(*pts) < 0:
                 pts = (pts[0], pts[2], pts[1])
-            for v in real_vertices:
-                if v in tri:
-                    continue
-                if incircle(*pts, self._coords[v]) > 0:
+            for v, p in coords.items():
+                if v not in tri and incircle(*pts, p) > 0:
                     return False
         return True
+
+
+def _cross_sign(a: Point, b: Point, d: Tuple[int, int]) -> int:
+    """Exact sign of ``(b - a) × d`` for an integer vector ``d``."""
+    ax, ay, bx, by = _integers(*a, *b)
+    return _sign((bx - ax) * d[1] - (by - ay) * d[0])
+
+
+def _ghost(a: Point, b: Point, w: Point) -> int:
+    """``incircle(a, b, S, w)`` for a super vertex ``S`` left of ``a → b``:
+    that circle has become the open half-plane left of the line ``ab``
+    plus the open segment ``ab``."""
+    side = orient2d(a, b, w)
+    if side:
+        return side
+    i = 0 if a[0] != b[0] else 1
+    return 1 if min(a[i], b[i]) < w[i] < max(a[i], b[i]) else -1
+
+
+def _tie(a: Point, b: Point, c: Point, d: Point) -> int:
+    """The sign of a zero ``incircle(a, b, c, d)`` once each point ``p``
+    is lifted to ``|p|² + ε^rank(p)``.  The determinant is linear in
+    the perturbations, so the lexicographically smallest point whose
+    cofactor (the orientation of the other three) is nonzero decides."""
+    for _, sign, rest in sorted(((a, 1, (b, c, d)), (b, -1, (a, c, d)),
+                                 (c, 1, (a, b, d)), (d, -1, (a, b, c)))):
+        side = orient2d(*rest)
+        if side:
+            return sign * side
+    return 0  # pragma: no cover - (a, b, c) is a triangle
+
+
+# Polynomials in ``s``: integer coefficient lists, lowest degree first.
+def _padd(p: List[int], q: List[int], k: int = 1) -> List[int]:
+    """``p + k·q``."""
+    out = p + [0] * (len(q) - len(p))
+    for i, x in enumerate(q):
+        out[i] += k * x
+    return out
+
+
+def _pmul(p: List[int], q: List[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _cross(u, w) -> List[int]:
+    return _padd(_pmul(u[0], w[1]), _pmul(u[1], w[0]), -1)
+
+
+def _norm(u) -> List[int]:
+    return _padd(_pmul(u[0], u[0]), _pmul(u[1], u[1]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Union
 
-from ..controlplane import ControllerConfig
+from ..controlplane import ControlPlaneError, ControllerConfig
 from ..core import GredNetwork
 from ..edge import EdgeServer
 from ..graph import Graph
@@ -297,7 +297,10 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
         int(node): (float(pos[0]), float(pos[1]))
         for node, pos in snapshot["positions"].items()
     }
-    controller.recompute(positions=positions)
+    try:
+        controller.recompute(positions=positions)
+    except ControlPlaneError as exc:
+        raise SnapshotError(f"snapshot does not restore: {exc}") from exc
     # Resume the persisted counters (the recompute above consumed
     # epoch 1 / version 1; older snapshots without the section keep
     # those defaults).  The changelog is NOT restorable — leave it

@@ -531,89 +531,73 @@ def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
         controller, desired_plan=controller.desired_plan()) == []
 
 
-def rebuilt_adjacency(controller):
+def rebuilt_adjacency(controller, seed=0):
     """The DT adjacency of a from-scratch build over the participants,
-    seeded as the controller builds it."""
+    given in shuffled order."""
     participants = controller.dt_participants()
+    np.random.default_rng(seed).shuffle(participants)
     dt = DelaunayTriangulation(
-        [controller.positions[p] for p in participants],
-        rng=np.random.default_rng(controller.config.seed + 2))
+        [controller.positions[p] for p in participants])
     return {participants[v]: {participants[u] for u in nbrs}
             for v, nbrs in dt.neighbor_map().items()}
 
 
 class TestDtRemoval:
-    """A leave deletes its vertex from the live DT; the result is kept
-    only when certified equal to the rebuild, which it replaces."""
-
-    @pytest.fixture
-    def registry(self):
-        registry = MetricsRegistry()
-        restore = set_default_registry(registry)
-        yield registry
-        set_default_registry(restore)
+    """A leave deletes its vertex from the live DT, which is then the
+    rebuild's: the DT is a function of its sites."""
 
     @staticmethod
-    def removals(registry):
-        return registry.counter_values("controlplane.dt.removals")
+    def assert_deleted(controller, dt, leavers):
+        assert controller._dt is dt
+        assert not set(controller._dt_vertex_to_switch.values()) & leavers
+        for seed in range(3):
+            assert controller.dt_adjacency() == \
+                rebuilt_adjacency(controller, seed)
+        assert controller._plan == controller.desired_plan()
 
-    @staticmethod
-    def fallback(registry, event):
-        return registry.event_log.events(event)[-1].fields["dt_fallback"]
-
-    def test_relay_only_leavers_do_no_dt_work(self, registry):
+    def test_relay_only_leavers_do_no_dt_work(self):
         topology = grid_graph(4, 4)
         servers = attach_uniform(topology.nodes(), 2)
         servers[5] = servers[6] = []
         controller = Controller(topology, servers,
                                 config=ControllerConfig(cvt_iterations=3))
         dt, adjacency = controller._dt, controller.dt_adjacency()
+        triangles = dict(dt._triangles)
         controller.remove_switch(5)
-        assert self.fallback(registry, "switch_leave") is None
         controller.absorb_failures(dead_switches=[6])
         controller.absorb_failures(dead_links=[(0, 1)])
-        assert self.fallback(registry, "failures_absorbed") is None
         assert controller._dt is dt
+        assert dt._triangles == triangles
         assert controller.dt_adjacency() == adjacency
-        assert self.removals(registry) == {}
         assert controller._plan == controller.desired_plan()
 
-    def test_deleted_leaver_equals_the_rebuild(self, registry):
+    def test_deleted_leaver_equals_the_rebuild(self):
         topology, _ = brite_waxman_graph(60, min_degree=2,
                                          rng=np.random.default_rng(1))
         controller = Controller(topology, attach_uniform(topology.nodes(), 2),
                                 config=ControllerConfig(cvt_iterations=3))
+        dt = controller._dt
         join(controller, 100, links=[3, 17, 40])
         controller.remove_switch(100)
         controller.absorb_failures(dead_switches=[7, 8])
-        assert self.removals(registry) == {
-            "controlplane.dt.removals{outcome=deleted}": 2}
-        assert self.fallback(registry, "switch_leave") is None
-        assert controller.dt_adjacency() == rebuilt_adjacency(controller)
-        assert not set(controller._dt_vertex_to_switch.values()) & {
-            100, 7, 8}
-        assert controller._plan == controller.desired_plan()
+        self.assert_deleted(controller, dt, {100, 7, 8})
 
-    def test_tie_laden_grid_falls_back_to_the_rebuild(self, registry):
+    def test_cocircular_grid_leaver_equals_the_rebuild(self):
         topology = grid_graph(4, 4)
         controller = Controller(topology, attach_uniform(topology.nodes(), 2),
                                 config=ControllerConfig(cvt_iterations=3))
         controller.recompute(positions={
             n: (float(n % 4), float(n // 4)) for n in topology.nodes()})
+        dt = controller._dt
         controller.remove_switch(5)
-        assert self.removals(registry) == {
-            "controlplane.dt.removals{outcome=rebuilt}": 1}
-        assert self.fallback(registry, "switch_leave") == "tie"
-        assert controller.dt_adjacency() == rebuilt_adjacency(controller)
-        assert list(controller.dt_adjacency()) == \
-            list(rebuilt_adjacency(controller))
+        self.assert_deleted(controller, dt, {5})
 
-    def test_bounding_box_leaver_falls_back_to_the_rebuild(self, registry):
+    def test_bounding_box_leaver_equals_the_rebuild(self):
         topology, _ = brite_waxman_graph(60, min_degree=2,
                                          rng=np.random.default_rng(1))
         controller = Controller(topology, attach_uniform(topology.nodes(), 2),
                                 config=ControllerConfig(cvt_iterations=3))
-        positions = controller.positions
+        dt, positions = controller._dt, controller.positions
         for leaver in [pick(positions, key=lambda n: positions[n][axis])
                        for pick in (min, max) for axis in (0, 1)]:
             try:
@@ -621,7 +605,26 @@ class TestDtRemoval:
             except ControlPlaneError:
                 continue  # an articulation switch
             break
-        assert self.fallback(registry, "switch_leave") == "bbox"
-        assert self.removals(registry) == {
-            "controlplane.dt.removals{outcome=rebuilt}": 1}
-        assert controller.dt_adjacency() == rebuilt_adjacency(controller)
+        self.assert_deleted(controller, dt, {leaver})
+
+
+class TestRecomputeFailsClosed:
+    """Positions the DT cannot triangulate are refused before anything
+    changes."""
+
+    @pytest.mark.parametrize("bad", [
+        {1: (0.0, 0.0), 2: (0.0, 0.0)},
+        {3: (float("nan"), 0.5)},
+        {4: (0.5, float("inf"))},
+    ], ids=["duplicate", "nan", "inf"])
+    def test_bad_positions_change_nothing(self, bad):
+        topology = grid_graph(3, 3)
+        controller = Controller(topology, attach_uniform(topology.nodes(), 2),
+                                config=ControllerConfig(cvt_iterations=3))
+        positions = dict(controller.positions)
+        dt, plan = controller._dt, controller._plan
+        with pytest.raises(ControlPlaneError):
+            controller.recompute(positions={**positions, **bad})
+        assert controller.positions == positions
+        assert controller._dt is dt
+        assert controller._plan is plan

@@ -12,7 +12,9 @@ from repro.geometry import (
     DuplicatePointError,
     convex_hull,
     euclidean,
+    incircle,
     nearest_point_index,
+    orient2d,
 )
 
 
@@ -37,6 +39,36 @@ def rebuilt_edges(dt):
 def random_points(seed, n):
     rng = np.random.default_rng(seed)
     return [tuple(p) for p in rng.uniform(0, 1, size=(n, 2))]
+
+
+def grid_points(seed, n):
+    """``n`` distinct points of a 6x6 integer grid: maximally
+    cocircular."""
+    cells = np.random.default_rng(seed).permutation(36)[:n]
+    return [(float(c % 6), float(c // 6)) for c in cells]
+
+
+def sliver_points(seed, n):
+    """Distinct points within about 1e-12 of a line: collinear triples
+    and hull slivers far flatter than the data span."""
+    rng = np.random.default_rng(seed)
+    pts = [(float(x), 0.25 * float(x) + 1e-12 * int(k))
+           for x, k in zip(rng.uniform(0, 1, n), rng.integers(-2, 3, n))]
+    return list(dict.fromkeys(pts))
+
+
+def coordinate_edges(dt):
+    """``dt``'s edges as pairs of coordinates: comparable across builds
+    whose vertex ids differ."""
+    return {frozenset(dt.vertex_position(v) for v in edge)
+            for edge in dt.edges()}
+
+
+def fresh_edges(sites, seed):
+    """:func:`coordinate_edges` of a build over ``sites`` shuffled."""
+    sites = list(sites)
+    np.random.default_rng(seed).shuffle(sites)
+    return coordinate_edges(DelaunayTriangulation(sites))
 
 
 class TestSmallCases:
@@ -98,14 +130,14 @@ class TestDelaunayProperty:
     def test_empty_circumcircle_random(self, seed):
         rng = np.random.default_rng(seed)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(25, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         assert dt.is_delaunay()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scipy_random(self, seed):
         rng = np.random.default_rng(100 + seed)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(40, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         assert dt.edges() == scipy_edges(pts)
 
     def test_cocircular_grid_still_valid(self):
@@ -126,7 +158,7 @@ class TestDelaunayProperty:
     def test_hull_edges_present(self):
         rng = np.random.default_rng(5)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(30, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         hull = convex_hull(pts)
         index = {p: i for i, p in enumerate(pts)}
         edges = dt.edges()
@@ -134,11 +166,11 @@ class TestDelaunayProperty:
             assert frozenset((index[a], index[b])) in edges
 
     def test_insertion_order_invariance(self):
-        pts = [tuple(p) for p in
-               np.random.default_rng(3).uniform(0, 1, size=(20, 2))]
-        dt1 = DelaunayTriangulation(pts, rng=np.random.default_rng(1))
-        dt2 = DelaunayTriangulation(pts, rng=np.random.default_rng(2))
-        assert dt1.edges() == dt2.edges()
+        grid = [(float(x), float(y)) for x in range(5) for y in range(5)]
+        for pts in (random_points(3, 20), grid):
+            want = coordinate_edges(DelaunayTriangulation(pts))
+            for seed in range(4):
+                assert fresh_edges(pts, seed) == want
 
 
 class TestIncrementalInsert:
@@ -151,7 +183,7 @@ class TestIncrementalInsert:
     def test_insert_preserves_delaunay(self):
         rng = np.random.default_rng(11)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(15, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         for p in rng.uniform(0, 1, size=(10, 2)):
             dt.insert_point(tuple(p))
             assert dt.is_delaunay()
@@ -164,8 +196,7 @@ class TestIncrementalInsert:
     def test_insert_matches_batch_construction(self):
         rng = np.random.default_rng(21)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(25, 2))]
-        incremental = DelaunayTriangulation(pts[:10],
-                                            rng=np.random.default_rng(0))
+        incremental = DelaunayTriangulation(pts[:10])
         for p in pts[10:]:
             incremental.insert_point(p)
         assert incremental.edges() == scipy_edges(pts)
@@ -182,7 +213,7 @@ class TestNeighborExtraction:
     def test_neighbor_map_covers_all_vertices(self):
         rng = np.random.default_rng(9)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(20, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         nbrs = dt.neighbor_map()
         assert set(nbrs) == set(range(20))
         for u, vs in nbrs.items():
@@ -194,7 +225,7 @@ class TestNeighborExtraction:
         nearest vertex (the guaranteed-delivery property)."""
         rng = np.random.default_rng(13)
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(30, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         nbrs = dt.neighbor_map()
         for q in rng.uniform(0, 1, size=(25, 2)):
             q = tuple(q)
@@ -219,7 +250,7 @@ class TestVertexDeletion:
            data=st.data())
     def test_any_deletions_equal_a_fresh_build(self, seed, n, data):
         pts = random_points(seed, n)
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(seed))
+        dt = DelaunayTriangulation(pts)
         order = data.draw(st.permutations(range(n)))
         for vid in order[:data.draw(st.integers(1, n))]:
             dt.remove_point(vid)
@@ -247,23 +278,22 @@ class TestVertexDeletion:
             assert dt.edges() == rebuilt_edges(dt)
             assert dt.is_delaunay()
 
-    def test_bounding_box_vertex_is_not_canonical(self):
+    def test_bounding_box_vertex_deletes_to_the_fresh_build(self):
         pts = random_points(7, 30)
         dt = DelaunayTriangulation(pts)
-        assert dt.why_not_canonical() is None
-        dt.remove_point(min(range(30), key=lambda i: pts[i][0]))
-        # Still the Delaunay triangulation, but over the old super
-        # triangle: a fresh build would pick another one.
-        assert dt.why_not_canonical() == "bbox"
-        assert dt.edges() == rebuilt_edges(dt)
+        leaver = min(range(30), key=lambda i: pts[i][0])
+        dt.remove_point(leaver)
+        assert coordinate_edges(dt) == \
+            fresh_edges(pts[:leaver] + pts[leaver + 1:], 7)
 
-    def test_ties_are_not_canonical(self):
+    def test_cocircular_grid_deletes_to_the_fresh_build(self):
         grid = [(float(x), float(y)) for x in range(8) for y in range(8)]
-        assert DelaunayTriangulation(grid).why_not_canonical() == "tie"
         dt = DelaunayTriangulation(grid)
-        dt.remove_point(27)
-        assert dt.is_delaunay()
-        assert dt.why_not_canonical() == "tie"
+        for vid in (27, 0, 36):
+            dt.remove_point(vid)
+            assert dt.is_delaunay()
+            assert coordinate_edges(dt) == fresh_edges(
+                [dt.vertex_position(v) for v in dt.neighbor_map()], vid)
 
     def test_down_to_one_then_zero(self):
         dt = DelaunayTriangulation([(0.2, 0.2), (0.8, 0.3), (0.5, 0.9)])
@@ -316,7 +346,7 @@ class TestNeighborMapFromEdgeIndex:
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_edge_scan_key_order_included(self, seed):
         pts = random_points(seed, 40)
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(seed))
+        dt = DelaunayTriangulation(pts)
         dt.insert_point((0.5, 0.5))
         dt.remove_point(seed)
         got, want = dt.neighbor_map(), self.from_edges(dt)
@@ -324,3 +354,122 @@ class TestNeighborMapFromEdgeIndex:
         assert list(got) == list(want)
         for v in got:
             assert dt.neighbors(v) == got[v]
+
+
+class TestCanonical:
+    """One triangulation per point set, whatever the history."""
+
+    FAMILIES = {"random": random_points, "grid": grid_points,
+                "sliver": sliver_points}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           data=st.data())
+    def test_any_history_is_a_fresh_build(self, family, seed, n, data):
+        pts = self.FAMILIES[family](seed, n)
+        start = data.draw(st.integers(1, len(pts)))
+        dt = DelaunayTriangulation(pts[:start])
+        alive = dict(enumerate(pts[:start]))
+        pending = pts[start:]
+        for insert in data.draw(st.lists(st.booleans(), max_size=30)):
+            if insert and pending:
+                point = pending.pop()
+                alive[dt.insert_point(point)] = point
+            elif alive:
+                vid = data.draw(st.sampled_from(sorted(alive)))
+                dt.remove_point(vid)
+                pending.append(alive.pop(vid))
+            edges = coordinate_edges(dt)
+            assert edges == fresh_edges(alive.values(), seed)
+            if family == "random" and len(alive) >= 3:
+                sites = list(alive.values())
+                assert edges == {frozenset(sites[i] for i in edge)
+                                 for edge in scipy_edges(sites)}
+
+    def test_sites_far_outside_the_first_extent(self):
+        pts = random_points(2, 12)
+        dt = DelaunayTriangulation(pts)
+        far = [(1e12, -1e12), (-3e15, 0.5), (0.5, 1e300), (1e-300, 0.5)]
+        for point in far:
+            dt.insert_point(point)
+            pts.append(point)
+            assert coordinate_edges(dt) == fresh_edges(pts, len(pts))
+        for vid in (12, 0, 14, 13, 15):
+            pts.remove(dt.vertex_position(vid))
+            dt.remove_point(vid)
+            assert coordinate_edges(dt) == fresh_edges(pts, len(pts))
+        assert dt.is_delaunay()
+
+    def test_hull_sliver_is_a_triangle(self):
+        # Far flatter than any finite super triangle could resolve.
+        pts = [(0.0, 0.0), (0.5, 1e-15), (1.0, 0.0), (0.5, 0.5)]
+        dt = DelaunayTriangulation(pts)
+        assert sorted(map(sorted, dt.triangles())) == [[0, 1, 2], [0, 1, 3],
+                                                       [1, 2, 3]]
+
+
+class TestSymbolicPredicates:
+    """The closed forms for super vertices against the determinant's
+    leading coefficient in ``s``, and the tie rule against the
+    perturbed determinant."""
+
+    def test_closed_forms_are_the_leading_coefficient(self):
+        rng = np.random.default_rng(0)
+        values = [0.0, 1.0, 2.0, 0.5, -3.0, 1e-9]
+        pts = list(dict.fromkeys(
+            (float(rng.choice(values)), float(rng.choice(values)))
+            for _ in range(200)))
+        dt = DelaunayTriangulation(pts)
+        for _ in range(3000):
+            supers = list(rng.choice([-1, -2, -3], int(rng.integers(1, 3)),
+                                     replace=False))
+            ids = [int(v) for v in rng.permutation(
+                list(rng.choice(len(pts), 4 - len(supers), replace=False))
+                + supers)]
+            a, b, c = ids[:3]
+            side = dt._orient(a, b, c)
+            assert dt._orient(b, a, c) == -side
+            if side == 0:
+                assert min(a, b, c) >= 0
+                continue  # collinear sites: no circle
+            if side < 0:
+                b, c = c, b
+            got = dt._incircle(a, b, c, ids[3])
+            assert got != 0
+            assert got == dt._incircle_at_infinity((a, b, c, ids[3]))
+
+    def test_tie_rule_is_the_perturbed_determinant(self):
+        from fractions import Fraction
+
+        from repro.geometry.delaunay import _tie
+
+        eps = Fraction(1, 10**6)
+        grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+        rank = {p: i + 1 for i, p in enumerate(sorted(grid))}
+        rng = np.random.default_rng(1)
+        ties = 0
+        for _ in range(2000):
+            a, b, c, d = (grid[i] for i in rng.choice(16, 4, replace=False))
+            if orient2d(a, b, c) == 0:
+                continue
+            if orient2d(a, b, c) < 0:
+                b, c = c, b
+            rows = [[Fraction(x), Fraction(y),
+                     Fraction(x * x + y * y) + eps ** rank[(x, y)], 1]
+                    for x, y in (a, b, c, d)]
+            perturbed = _det4(rows)
+            side = incircle(a, b, c, d)
+            ties += side == 0
+            assert (side or _tie(a, b, c, d)) == \
+                (perturbed > 0) - (perturbed < 0)
+        assert ties > 50
+
+
+def _det4(m):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det4([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)))

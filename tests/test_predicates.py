@@ -98,8 +98,8 @@ def incircle_fraction(a, b, c, d):
                  + a_sq * (bx * cy - cx * by))
 
 
-#: Unit-square coordinates, and ones at the super triangle's 1e6 and a
-#: 1e-3 scale so one determinant mixes magnitudes.
+#: Unit-square coordinates, and ones at a 1e6 and a 1e-3 scale so one
+#: determinant mixes magnitudes.
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
 _MIXED = st.one_of(
     _UNIT,

@@ -60,14 +60,14 @@ class TestDelaunayProperties:
     @given(distinct_points(3, 18))
     @settings(max_examples=40, deadline=None)
     def test_triangulation_is_delaunay(self, pts):
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(0))
+        dt = DelaunayTriangulation(pts)
         assert dt.is_delaunay()
 
     @given(distinct_points(3, 15), point)
     @settings(max_examples=40, deadline=None)
     def test_greedy_delivery(self, pts, query):
         """Greedy descent on DT neighbors ends at the nearest site."""
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(0))
+        dt = DelaunayTriangulation(pts)
         nbrs = dt.neighbor_map()
         cur = 0
         for _ in range(len(pts) * len(pts) + 4):
@@ -87,19 +87,7 @@ class TestDelaunayProperties:
     @given(distinct_points(3, 15))
     @settings(max_examples=30, deadline=None)
     def test_hull_vertices_have_edges(self, pts):
-        def det(a, b, c):
-            return abs((b[0] - a[0]) * (c[1] - a[1])
-                       - (b[1] - a[1]) * (c[0] - a[0]))
-
-        # Exclude triples that are collinear up to float noise: the
-        # triangulation's documented resolution limit treats slivers
-        # flatter than ~1e-6 of the span as collinear chains.
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                for k in range(j + 1, len(pts)):
-                    flatness = det(pts[i], pts[j], pts[k])
-                    assume(flatness == 0.0 or flatness > 1e-9)
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(1))
+        dt = DelaunayTriangulation(pts)
         hull = convex_hull(pts)
         assume(len(hull) >= 3)
         index = {p: i for i, p in enumerate(pts)}
@@ -108,18 +96,10 @@ class TestDelaunayProperties:
         def subdivided(a, b):
             """True when another input point lies on segment a-b (the
             hull edge is then legitimately split in the DT)."""
-            for q in pts:
-                if q in (a, b):
-                    continue
-                # Float-flat like the filter above, not the exact
-                # predicate: a triple whose determinant rounds to 0.0
-                # is a chain to the triangulation even when
-                # ``orient2d`` can still tell its sign.
-                if det(a, b, q) <= 1e-9 and \
-                        min(a[0], b[0]) <= q[0] <= max(a[0], b[0]) and \
-                        min(a[1], b[1]) <= q[1] <= max(a[1], b[1]):
-                    return True
-            return False
+            return any(q not in (a, b) and orient2d(a, b, q) == 0
+                       and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+                       and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
+                       for q in pts)
 
         for a, b in zip(hull, hull[1:] + hull[:1]):
             if subdivided(a, b):
@@ -131,7 +111,7 @@ class TestDelaunayProperties:
     def test_triangle_cover(self, pts):
         """Every point inside the hull lies in some real triangle (when
         triangles exist)."""
-        dt = DelaunayTriangulation(pts, rng=np.random.default_rng(2))
+        dt = DelaunayTriangulation(pts)
         hull = convex_hull(pts)
         tris = dt.triangles()
         assume(tris)

@@ -17,7 +17,6 @@ from repro.io import (
     save_network,
     to_snapshot,
 )
-from repro.obs import MetricsRegistry, set_default_registry
 from repro.topology import brite_waxman_graph, grid_graph
 from test_controlplane_delta import rebuilt_adjacency
 
@@ -118,9 +117,17 @@ class TestErrors:
     def test_missing_positions_rejected(self, net):
         snapshot = to_snapshot(net)
         del snapshot["positions"]["0"]
-        from repro.controlplane import ControlPlaneError
+        with pytest.raises(SnapshotError, match="missing"):
+            from_snapshot(snapshot)
 
-        with pytest.raises(ControlPlaneError, match="missing"):
+    @pytest.mark.parametrize("position", [
+        [0.0, 0.0], [float("nan"), 0.5], [0.5, float("-inf")]],
+        ids=["duplicate", "nan", "inf"])
+    def test_bad_positions_rejected(self, net, position):
+        snapshot = json.loads(json.dumps(to_snapshot(net)))
+        snapshot["positions"]["0"] = position
+        snapshot["positions"]["1"] = [0.0, 0.0]
+        with pytest.raises(SnapshotError, match="position"):
             from_snapshot(snapshot)
 
 
@@ -236,44 +243,54 @@ class TestControlPlaneCounters:
             restored.controller.version
 
 
+def churn_and_compare(net, seed):
+    """Thirty random joins, leaves and crashes.  Joins insert into the
+    live DT and leaves and failure absorptions delete from it; after
+    every event its adjacency is a from-scratch build's and a snapshot
+    restore's, and the plan a fresh compile."""
+    controller = net.controller
+    rng = np.random.default_rng(seed)
+    next_id = 100
+    for _ in range(30):
+        ids = sorted(controller.topology.nodes())
+        pick = ids[int(rng.integers(len(ids)))]
+        op = str(rng.choice(["join", "leave", "leave-joiner", "crash"]))
+        try:
+            if op == "join":
+                links = sorted({ids[i] for i in rng.integers(len(ids),
+                                                             size=3)})
+                net.add_switch(next_id, links,
+                               servers_per_switch=int(rng.integers(3)))
+                next_id += 1
+            elif op == "crash":
+                controller.absorb_failures(dead_switches=[pick])
+            else:
+                net.remove_switch(next_id - 1 if op == "leave-joiner"
+                                  and next_id - 1 in ids else pick)
+        except (ControlPlaneError, GredError):
+            continue  # would disconnect the network
+        assert controller._plan == controller.desired_plan()
+        live = controller.dt_adjacency()
+        assert live == rebuilt_adjacency(controller, seed)
+        assert live == \
+            from_snapshot(to_snapshot(net)).controller.dt_adjacency()
+
+
 def test_live_dt_is_the_restored_dt_after_churn():
-    """Joins insert into the live DT and leaves and failure absorptions
-    delete from it; after every event its adjacency is a from-scratch
-    build's and a snapshot restore's, and the plan a fresh compile."""
     topology, _ = brite_waxman_graph(40, min_degree=3,
                                      rng=np.random.default_rng(2))
     net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=3,
                       seed=0)
-    controller = net.controller
-    rng = np.random.default_rng(3)
-    registry = MetricsRegistry()
-    restore = set_default_registry(registry)
-    try:
-        next_id = 100
-        for _ in range(30):
-            ids = sorted(controller.topology.nodes())
-            pick = ids[int(rng.integers(len(ids)))]
-            op = str(rng.choice(["join", "leave", "leave-joiner", "crash"]))
-            try:
-                if op == "join":
-                    links = sorted({ids[i] for i in rng.integers(len(ids),
-                                                                 size=3)})
-                    net.add_switch(next_id, links,
-                                   servers_per_switch=int(rng.integers(3)))
-                    next_id += 1
-                elif op == "crash":
-                    controller.absorb_failures(dead_switches=[pick])
-                else:
-                    net.remove_switch(next_id - 1 if op == "leave-joiner"
-                                      and next_id - 1 in ids else pick)
-            except (ControlPlaneError, GredError):
-                continue  # would disconnect the network
-            assert controller._plan == controller.desired_plan()
-            live = controller.dt_adjacency()
-            assert live == rebuilt_adjacency(controller)
-            assert live == \
-                from_snapshot(to_snapshot(net)).controller.dt_adjacency()
-        removals = registry.counter_values("controlplane.dt.removals")
-    finally:
-        set_default_registry(restore)
-    assert removals["controlplane.dt.removals{outcome=deleted}"] >= 5
+    churn_and_compare(net, 3)
+
+
+def test_live_dt_is_the_restored_dt_after_churn_on_a_grid():
+    # Every survivor keeps its integer-grid position: cocircular ties
+    # throughout, broken alike by the live DT and each rebuild.
+    topology, _ = brite_waxman_graph(40, min_degree=3,
+                                     rng=np.random.default_rng(2))
+    net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=3,
+                      seed=0)
+    net.controller.recompute(positions={
+        n: (float(n % 7), float(n // 7)) for n in topology.nodes()})
+    churn_and_compare(net, 4)

@@ -111,7 +111,7 @@ class TestTheoryPredictsMeasurement:
         rng = np.random.default_rng(2)
         n = 200
         pts = [tuple(p) for p in rng.uniform(0, 1, size=(n, 2))]
-        dt = DelaunayTriangulation(pts, rng=rng)
+        dt = DelaunayTriangulation(pts)
         degrees = [len(v) for v in dt.neighbor_map().values()]
         measured = sum(degrees) / n
         predicted = average_delaunay_degree(n)
