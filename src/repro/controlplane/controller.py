@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -211,6 +211,10 @@ class Controller:
         self._pending_deltas: Dict[int, int] = {}
         #: switch id -> generation of the last fully-acked delta.
         self._ack_generations: Dict[int, int] = {}
+        #: switch id -> (switch object, its revision) when it was last
+        #: known to hold its plan in ``_plan`` (see :meth:`_dirty`); a
+        #: new object under a known id never matches.
+        self._converged: Dict[int, Tuple[GredSwitch, int]] = {}
         #: Outcome of the last transactional apply, for introspection.
         self.last_apply_report = None
         self._routing_index: Optional[RoutingIndex] = None
@@ -391,9 +395,10 @@ class Controller:
         compiled fast path, route caches) rebuilds.  Scoped events
         (joins, leaves, link changes, failure absorption) bump only
         the version and the generations of the touched switches; the
-        routing index is updated in place, and the plan is compiled
-        from the last one, re-walking only the relay trees the event
-        can change.
+        routing index is updated in place, the plan is compiled from
+        the last one, re-walking only the relay trees the event can
+        change, and only the :meth:`_dirty` switches are read back and
+        diffed — the delta is the full diff's all the same.
         """
         registry = default_registry()
         if global_event:
@@ -404,12 +409,29 @@ class Controller:
             previous=None if global_event else self._plan)
         removed = (frozenset(self._plan.plans) - frozenset(desired.plans)
                    if self._plan is not None else frozenset())
-        delta = diff_plans(snapshot_plan(self.switches), desired)
+        only = None if global_event else self._dirty(desired)
+        read = (self.switches if only is None
+                else {sid: self.switches[sid] for sid in only})
+        seen = {sid: (switch, switch.revision)
+                for sid, switch in read.items()}
+        delta = diff_plans(snapshot_plan(read), desired, only=only)
         with registry.timer("controlplane.phase.rule_install"):
             self._apply(delta, generation=self._version + 1)
+        # A switch read and sent nothing held its plan when read.  One
+        # sent a delta holds it now, unless a lossy transport carried
+        # it: a reordered pair can leave it wrong though acked, so it
+        # stays dirty until a later read finds it converged.
+        self._converged.update(seen)
+        for sid in delta.touched:
+            switch = self.switches[sid]
+            if self._applier is None:
+                self._converged[sid] = (switch, switch.revision)
+            else:
+                del self._converged[sid]
         for sid in removed:
             self._pending_deltas.pop(sid, None)
             self._ack_generations.pop(sid, None)
+            self._converged.pop(sid, None)
         self._plan = desired
         self._version += 1
         if global_event:
@@ -435,7 +457,26 @@ class Controller:
             registry.gauge("controlplane.table_entries").set(total)
             registry.gauge("controlplane.switches").set(
                 len(self.switches))
+            registry.counter(
+                "controlplane.delta.switches_read",
+                help="Switches read back and diffed per rule install",
+                scope="full" if only is None else "scoped").inc(len(read))
         return delta
+
+    def _dirty(self, desired: RulePlan) -> FrozenSet[int]:
+        """The switches a scoped event must read back and diff: its
+        desired plan is not the last plan's object, it has a pending
+        delta, or it is not known converged — never recorded, or its
+        revision moved since (an out-of-band write, a late message).
+        Every other switch holds the last plan's ``SwitchPlan``, which
+        is ``desired``'s, so its diff would be empty."""
+        last = self._plan.plans
+        converged = self._converged
+        pending = self._pending_deltas
+        return frozenset(
+            sid for sid, switch in self.switches.items()
+            if desired.plans[sid] is not last.get(sid) or sid in pending
+            or converged.get(sid) != (switch, switch.revision))
 
     def desired_plan(self) -> RulePlan:
         """Compile the desired plan from the current control view."""
@@ -920,6 +961,7 @@ class Controller:
         """
         dead = sorted({s for s in dead_switches
                        if self.topology.has_node(s)})
+        dead_links = list(dead_links)  # may be a one-shot iterator
         candidate = self.topology.copy()
         for switch_id in dead:
             candidate.remove_node(switch_id)
@@ -962,7 +1004,7 @@ class Controller:
                     len(stranded))
         registry.event("failures_absorbed", level=EventLevel.WARNING,
                        dead_switches=len(dead),
-                       dead_links=len(list(dead_links)),
+                       dead_links=len(dead_links),
                        stranded=len(stranded))
         return stranded
 

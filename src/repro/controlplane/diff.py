@@ -61,24 +61,28 @@ def diff_plans(old: Optional[RulePlan], new: RulePlan,
 
     ``old`` may be ``None`` (nothing installed): every switch gets a
     full install.  Switches only in ``old`` are reported in
-    ``removed``.  ``only`` restricts the diff to a switch subset — the
-    anti-entropy sweep re-ships exactly the digest-divergent switches
-    and nothing else (``removed`` is filtered the same way).
+    ``removed``.  ``only`` restricts the diff to a switch subset, and
+    the diff then costs the subset, not the plans: the anti-entropy
+    sweep re-ships exactly the digest-divergent switches, and a scoped
+    event diffs only the switches it may have to change (``old`` then
+    needs to cover just those; ``removed`` is filtered the same way).
     """
     old_plans = old.plans if old is not None else {}
     messages: List[SouthboundMessage] = []
     touched: List[int] = []
-    for switch_id in sorted(new.plans):
-        if only is not None and switch_id not in only:
-            continue
+    ids = (new.plans if only is None
+           else [s for s in only if s in new.plans])
+    for switch_id in sorted(ids):
         switch_messages = _switch_messages(
             old_plans.get(switch_id), new.plans[switch_id])
         if switch_messages:
             touched.append(switch_id)
             messages.extend(switch_messages)
-    removed = frozenset(old_plans) - frozenset(new.plans)
-    if only is not None:
-        removed = removed & only
+    if only is None:
+        removed = frozenset(old_plans) - frozenset(new.plans)
+    else:
+        removed = frozenset(s for s in only
+                            if s in old_plans and s not in new.plans)
     return RuleDelta(messages=tuple(messages),
                      touched=frozenset(touched),
                      removed=frozenset(removed))

@@ -72,13 +72,14 @@ class _Tree(NamedTuple):
     ``code`` has one entry per switch slot: 0 for a switch the walk
     never discovered, else ``2 * (depth + 1)``, plus 1 if the switch
     became a parent.  ``deepest`` is the farthest source's depth (*K*);
-    ``holders`` are the switches holding one of its relay tuples.
+    ``holders`` maps each switch holding one of its relay tuples to
+    that tuple.
     """
 
     sources: Tuple[int, ...]
     code: array
     deepest: int
-    holders: Tuple[int, ...]
+    holders: Dict[int, VirtualLinkEntry]
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,13 @@ def compile_plan(
 
     ``previous`` is the plan compiled last.  The topology delta is read
     off the two port maps; a destination whose sources are unchanged
-    and whose walk the delta cannot alter keeps its walk, and a switch
-    none of whose inputs changed keeps its :class:`SwitchPlan` object.
-    The result ``==`` a compile without ``previous``.  That compile is
-    the same code with nothing to reuse, and so is one after a moved
-    position.
+    and whose walk the delta cannot alter keeps its walk.  A switch
+    keeps its :class:`SwitchPlan` object unless its port row, DT row,
+    server count or a neighbour's DT membership changed, or one of the
+    relay tuples it holds was added, dropped or changed — so a plan is
+    rebuilt exactly where it differs from ``previous``'s.  The result
+    ``==`` a compile without ``previous``.  That compile is the same
+    code with nothing to reuse, and so is one after a moved position.
     """
     ports = compile_port_map(topology)
     rows = {node: tuple(row.items()) for node, row in ports.items()}
@@ -157,8 +160,10 @@ def compile_plan(
         adjacency[slots[node]] = [slots[n] for n, _ in row]
     parent = [0] * size
     trees: Dict[int, _Tree] = {}
-    fresh: Dict[int, Dict[int, VirtualLinkEntry]] = {}
-    walked: Set[int] = set()
+    # switch -> {dest: its new relay tuple, or None for none}, only
+    # where the tuple differs from the one it held before.
+    updates: Dict[int, Dict[int, Optional[VirtualLinkEntry]]] = {}
+    walked = 0
     for dest, nbrs in dt_adjacency.items():
         sources = nbrs - ports[dest].keys()
         if not sources:
@@ -168,34 +173,36 @@ def compile_plan(
         tree = (delta.carry(old) if old is not None
                 and old.sources == sources else None)
         if tree is None:
-            tree = _walk(adjacency, ids, slots, dest, sources, parent,
-                         fresh)
-            walked.add(dest)
+            tree = _walk(adjacency, ids, slots, dest, sources, parent)
+            walked += 1
+            _note(updates, dest, {} if old is None else old.holders,
+                  tree.holders)
         trees[dest] = tree
+    for dest in before.keys() - trees.keys():
+        _note(updates, dest, before[dest].holders, {})
     members = frozenset(dt_adjacency)
-    # Destinations whose tuples may have moved, and every switch that
-    # holds (or held) one of them or whose candidates may have changed.
-    changed = walked.union(before.keys() - trees.keys())
-    touched = set(fresh)
+    regrouped: Set[int] = set()  # switches whose candidates changed
     if delta is not None:
-        for dest in changed & before.keys():
-            touched.update(before[dest].holders)
         for node in members ^ previous.walks.members:
-            touched.update(n for n, _ in rows.get(node, ()))
+            regrouped.update(n for n, _ in rows.get(node, ()))
     plans: Dict[int, SwitchPlan] = {}
     for node, row in rows.items():
         old = old_plans.get(node)
         count = None if server_counts is None else server_counts.get(node, 0)
         dt_nbrs = dt_adjacency.get(node, ())
-        if (old is not None and node not in touched and old.ports == row
-                and old.num_servers == count
+        update = updates.get(node)
+        if (old is not None and update is None and node not in regrouped
+                and old.ports == row and old.num_servers == count
                 and len(old.dt_neighbors) == len(dt_nbrs)
                 and all(o in dt_nbrs for o, _ in old.dt_neighbors)):
             plans[node] = old
             continue
-        entries = ({} if old is None else
-                   {e.dest: e for e in old.virtuals if e.dest not in changed})
-        entries.update(fresh.get(node, ()))
+        entries = {} if old is None else {e.dest: e for e in old.virtuals}
+        for dest, entry in (update or {}).items():
+            if entry is None:
+                del entries[dest]
+            else:
+                entries[dest] = entry
         plans[node] = SwitchPlan(
             switch=node,
             position=positions[node],
@@ -211,8 +218,8 @@ def compile_plan(
         kept = sum(plan is old_plans.get(node)
                    for node, plan in plans.items())
         for name, outcome, value in (
-                ("relay_trees", "walked", len(walked)),
-                ("relay_trees", "reused", len(trees) - len(walked)),
+                ("relay_trees", "walked", walked),
+                ("relay_trees", "reused", len(trees) - walked),
                 ("switch_plans", "built", len(plans) - kept),
                 ("switch_plans", "reused", kept)):
             registry.counter(
@@ -232,14 +239,26 @@ _COUNTER_HELP = {
 _UNSEEN = 1 << 30
 
 
+def _note(updates: Dict[int, Dict[int, Optional[VirtualLinkEntry]]],
+          dest: int, old: Dict[int, VirtualLinkEntry],
+          new: Dict[int, VirtualLinkEntry]) -> None:
+    """Record in ``updates`` every switch whose relay tuple for
+    ``dest`` differs between the holder maps ``old`` and ``new``."""
+    for node, entry in new.items():
+        held = old.get(node)
+        if held is None or held != entry:
+            updates.setdefault(node, {})[dest] = entry
+    for node in old.keys() - new.keys():
+        updates.setdefault(node, {})[dest] = None
+
+
 def _walk(adjacency: List[List[int]], ids: List[int],
           slots: Dict[int, int], dest: int, sources: Tuple[int, ...],
-          parent: List[int],
-          virtuals: Dict[int, Dict[int, VirtualLinkEntry]]) -> _Tree:
+          parent: List[int]) -> _Tree:
     """Walk ``dest``'s BFS tree over the slot rows (each in ascending
     switch id, as the port map numbers them) only until every source
-    has a parent; write its relay tuples into ``virtuals`` and return
-    its record.  ``parent`` is scratch, read only where written.
+    has a parent, and return its record with its relay tuples.
+    ``parent`` is scratch, read only where written.
 
     A parent is final once assigned and every switch on a source's
     path is discovered before it, so the paths are the full tree's.
@@ -275,20 +294,18 @@ def _walk(adjacency: List[List[int]], ids: List[int],
         frontier = level
     if waiting:
         raise ValueError(f"{ids[waiting.pop()]} cannot reach {dest}")
-    held: Set[int] = set()
+    holders: Dict[int, VirtualLinkEntry] = {}
     for sour in sources:
         pred, node = None, slots[sour]
-        while node not in held:
-            held.add(node)
+        while ids[node] not in holders:
             succ = None if node == root else parent[node]
-            virtuals.setdefault(ids[node], {})[dest] = VirtualLinkEntry(
+            holders[ids[node]] = VirtualLinkEntry(
                 sour=sour, pred=pred,
                 succ=None if succ is None else ids[succ], dest=dest)
             if succ is None:
                 break
             pred, node = ids[node], succ
-    return _Tree(sources, array("H", code), mark // 2 - 1,
-                 tuple(ids[node] for node in held))
+    return _Tree(sources, array("H", code), mark // 2 - 1, holders)
 
 
 class _Delta(NamedTuple):

@@ -89,7 +89,6 @@ def install_all_rules(
     # Reset any previous DT-derived state.
     for switch in switches.values():
         switch.clear_dt_state()
-        switch.physical_neighbor_positions.clear()
 
     for node in topology.nodes():
         switch = switches[node]

@@ -192,7 +192,6 @@ def apply_message(switches: Dict[int, GredSwitch],
         switch.install_position(message.position)
     elif isinstance(message, ClearDtState):
         switch.clear_dt_state()
-        switch.physical_neighbor_positions.clear()
     elif isinstance(message, InstallPhysical):
         switch.install_physical_neighbor(
             message.neighbor, message.port, position=message.position)

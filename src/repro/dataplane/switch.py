@@ -15,8 +15,9 @@ the controller on the per-packet path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..geometry import Point, squared_distance
 from ..hashing import server_index
@@ -60,7 +61,6 @@ class DeliverAction:
 Action = object  # union of ForwardAction | DeliverAction
 
 
-@dataclass
 class GredSwitch:
     """One switch of the SDEN switch plane.
 
@@ -73,21 +73,68 @@ class GredSwitch:
     num_servers:
         Count of directly attached edge servers (0 for relay-only
         switches, which do not participate in the DT).
+    physical_neighbor_positions, dt_neighbor_positions:
+        Read-only views of the neighbor positions installed by the
+        control plane (written through the ``install_*`` / ``remove_*``
+        methods).
+    revision:
+        Advances on every write to the state above or to the table's
+        physical and virtual entries, so the controller can tell which
+        switches changed since it last read them.
     """
 
-    switch_id: int
-    position: Point
-    num_servers: int = 0
-    table: ForwardingTable = field(default_factory=ForwardingTable)
-    # Neighbor positions installed by the control plane.
-    physical_neighbor_positions: Dict[int, Point] = field(
-        default_factory=dict)
-    dt_neighbor_positions: Dict[int, Point] = field(default_factory=dict)
+    def __init__(self, switch_id: int, position: Point,
+                 num_servers: int = 0,
+                 table: Optional[ForwardingTable] = None) -> None:
+        self.switch_id = switch_id
+        self._position = position
+        self._num_servers = num_servers
+        self.table = ForwardingTable() if table is None else table
+        self._physical_positions: Dict[int, Point] = {}
+        self._dt_positions: Dict[int, Point] = {}
+        self._physical_view = MappingProxyType(self._physical_positions)
+        self._dt_view = MappingProxyType(self._dt_positions)
+        self._revision = 0
+
+    def __repr__(self) -> str:
+        return (f"GredSwitch(switch_id={self.switch_id}, "
+                f"position={self._position}, "
+                f"num_servers={self._num_servers})")
+
+    @property
+    def revision(self) -> int:
+        return self._revision + self.table.revision
+
+    @property
+    def position(self) -> Point:
+        return self._position
+
+    @position.setter
+    def position(self, position: Point) -> None:
+        self._position = position
+        self._revision += 1
+
+    @property
+    def num_servers(self) -> int:
+        return self._num_servers
+
+    @num_servers.setter
+    def num_servers(self, count: int) -> None:
+        self._num_servers = count
+        self._revision += 1
+
+    @property
+    def physical_neighbor_positions(self) -> Mapping[int, Point]:
+        return self._physical_view
+
+    @property
+    def dt_neighbor_positions(self) -> Mapping[int, Point]:
+        return self._dt_view
 
     @property
     def in_dt(self) -> bool:
         """Whether this switch participates in the DT (has servers)."""
-        return self.num_servers > 0
+        return self._num_servers > 0
 
     # ------------------------------------------------------------------
     # pipeline
@@ -158,20 +205,21 @@ class GredSwitch:
                 f"greedy stage reached relay-only switch {self.switch_id}"
             )
         target = packet.position
-        own_key = self._greedy_key(self.position, target)
+        own_key = self._greedy_key(self._position, target)
         # (key, tiebreak, nid): physical candidates sort before DT-only
         # ones at equal key, matching Algorithm 2's physical-first scan
         # (keys of distinct switches never tie — positions are
         # deduplicated — so the tiebreak is purely defensive).
         candidates = []
-        for nid, pos in self.physical_neighbor_positions.items():
+        physical = self._physical_positions
+        for nid, pos in physical.items():
             if nid in exclude:
                 continue
             key = self._greedy_key(pos, target)
             if key < own_key:
                 candidates.append((key, 0, nid))
-        for nid, pos in self.dt_neighbor_positions.items():
-            if nid in exclude or nid in self.physical_neighbor_positions:
+        for nid, pos in self._dt_positions.items():
+            if nid in exclude or nid in physical:
                 continue
             key = self._greedy_key(pos, target)
             if key < own_key:
@@ -222,24 +270,28 @@ class GredSwitch:
         """
         self.table.install_physical(neighbor, port)
         if position is not None:
-            self.physical_neighbor_positions[neighbor] = position
+            self._physical_positions[neighbor] = position
 
     def remove_physical_neighbor(self, neighbor: int) -> None:
         """Retract a physical adjacency: the port mapping and, if the
         neighbor was a greedy candidate, its candidate position."""
         self.table.remove_physical(neighbor)
-        self.physical_neighbor_positions.pop(neighbor, None)
+        self._physical_positions.pop(neighbor, None)
 
     def install_dt_neighbor(self, neighbor: int, position: Point) -> None:
-        self.dt_neighbor_positions[neighbor] = position
+        self._dt_positions[neighbor] = position
+        self._revision += 1
 
     def remove_dt_neighbor(self, neighbor: int) -> None:
-        self.dt_neighbor_positions.pop(neighbor, None)
+        self._dt_positions.pop(neighbor, None)
+        self._revision += 1
 
     def clear_dt_state(self) -> None:
-        """Drop DT neighbor positions and virtual-link entries (used on
-        reconfiguration)."""
-        self.dt_neighbor_positions.clear()
+        """Drop every neighbor position and virtual-link entry (used on
+        a full reinstall; ports stay)."""
+        self._physical_positions.clear()
+        self._dt_positions.clear()
+        self._revision += 1
         self.table.clear_virtual()
 
 

@@ -49,19 +49,28 @@ class ExtensionEntry:
 
 
 class ForwardingTable:
-    """The complete forwarding state of one switch."""
+    """The complete forwarding state of one switch.
+
+    ``revision`` advances on every write to the physical or virtual
+    entries (the state a plan snapshot reads; extensions are not part
+    of it), so a reader that remembers it can tell whether anything
+    it read since changed.
+    """
 
     def __init__(self) -> None:
         self._physical: Dict[int, int] = {}  # neighbor id -> port
         self._virtual: Dict[int, VirtualLinkEntry] = {}  # dest -> entry
         self._extensions: Dict[int, ExtensionEntry] = {}  # serial -> entry
+        self.revision = 0
 
     # -- physical ------------------------------------------------------
     def install_physical(self, neighbor: int, port: int) -> None:
         self._physical[neighbor] = port
+        self.revision += 1
 
     def remove_physical(self, neighbor: int) -> None:
         self._physical.pop(neighbor, None)
+        self.revision += 1
 
     def physical_port(self, neighbor: int) -> Optional[int]:
         return self._physical.get(neighbor)
@@ -74,9 +83,11 @@ class ForwardingTable:
         """Install a relay tuple, keyed by the virtual-link destination
         (the paper matches tuples on ``t.dest == d.dest``)."""
         self._virtual[entry.dest] = entry
+        self.revision += 1
 
     def remove_virtual(self, dest: int) -> None:
         self._virtual.pop(dest, None)
+        self.revision += 1
 
     def virtual_entry(self, dest: int) -> Optional[VirtualLinkEntry]:
         return self._virtual.get(dest)
@@ -86,6 +97,7 @@ class ForwardingTable:
 
     def clear_virtual(self) -> None:
         self._virtual.clear()
+        self.revision += 1
 
     # -- range extension -------------------------------------------------
     def install_extension(self, entry: ExtensionEntry) -> None:

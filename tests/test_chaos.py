@@ -55,7 +55,7 @@ class TestCorruptionDetection:
     def test_stale_position_detected(self, net):
         switch = net.controller.switches[0]
         victim = next(iter(switch.dt_neighbor_positions))
-        switch.dt_neighbor_positions[victim] = (0.123, 0.456)
+        switch.install_dt_neighbor(victim, (0.123, 0.456))
         kinds = {v.kind for v in verify_installed_state(net.controller)}
         assert "stale-position" in kinds
 
@@ -100,8 +100,7 @@ class TestCorruptionDetection:
         # Install a bogus DT neighbor the controller never computed.
         bogus = next(s for s in net.switch_ids()
                      if s != 0 and s not in switch.dt_neighbor_positions)
-        switch.dt_neighbor_positions[bogus] = \
-            net.controller.positions[bogus]
+        switch.install_dt_neighbor(bogus, net.controller.positions[bogus])
         kinds = {v.kind for v in verify_installed_state(net.controller)}
         assert "dt-adjacency" in kinds
 

@@ -217,8 +217,7 @@ class TestPlanDiffApply:
         controller = make_controller()
         switch = controller.switches[0]
         neighbor = next(iter(switch.table.physical_neighbors()))
-        switch.table.remove_physical(neighbor)
-        switch.physical_neighbor_positions.pop(neighbor, None)
+        switch.remove_physical_neighbor(neighbor)
         kinds = {v.kind for v in verify_installed_state(controller)}
         assert "port-map" in kinds
 
@@ -490,8 +489,9 @@ def test_every_scoped_plan_equals_a_fresh_compile(shape):
 
 def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
     """On a 200-switch Waxman, a leave of the switch that just joined
-    carries most relay trees and switch plans forward; the counters
-    say how many, once per compile."""
+    carries most relay trees and switch plans forward, rebuilds exactly
+    the plans that change, and reads back under a quarter of the
+    switches; the counters say how many, once per compile."""
     topology, _ = brite_waxman_graph(200, min_degree=3,
                                      rng=np.random.default_rng(0))
     controller = Controller(
@@ -501,31 +501,36 @@ def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
     restore = set_default_registry(registry)
     try:
         def counts():
-            values = registry.counter_values("controlplane.plan.")
-            return {key[len("controlplane.plan."):]: value
-                    for key, value in values.items()}
+            values = registry.counter_values("controlplane.")
+            return {key[len("controlplane."):]: value
+                    for key, value in values.items()
+                    if key.startswith(("controlplane.plan.",
+                                       "controlplane.delta.switches_read"))}
 
         controller.recompute()
         full = counts()
         trees = len(controller._plan.walks.trees)
-        assert full == {"relay_trees{outcome=walked}": trees,
-                        "relay_trees{outcome=reused}": 0,
-                        "switch_plans{outcome=built}": 200,
-                        "switch_plans{outcome=reused}": 0}
+        assert full == {"plan.relay_trees{outcome=walked}": trees,
+                        "plan.relay_trees{outcome=reused}": 0,
+                        "plan.switch_plans{outcome=built}": 200,
+                        "plan.switch_plans{outcome=reused}": 0,
+                        "delta.switches_read{scope=full}": 200}
         join(controller, 1000, links=[3, 71, 150], num_servers=4)
-        before = counts()
+        before, plans = counts(), controller._plan.plans
         controller.remove_switch(1000)
-        after = {key: value - before[key]
+        after = {key: value - before.get(key, 0)
                  for key, value in counts().items()}
     finally:
         set_default_registry(restore)
-    walked = after["relay_trees{outcome=walked}"]
-    assert walked + after["relay_trees{outcome=reused}"] == \
+    walked = after["plan.relay_trees{outcome=walked}"]
+    assert walked + after["plan.relay_trees{outcome=reused}"] == \
         len(controller._plan.walks.trees)
     assert 0 < walked < len(controller._plan.walks.trees) / 4
-    assert after["switch_plans{outcome=built}"] + \
-        after["switch_plans{outcome=reused}"] == 200
-    assert after["switch_plans{outcome=reused}"] > 0
+    assert after["plan.switch_plans{outcome=built}"] + \
+        after["plan.switch_plans{outcome=reused}"] == 200
+    assert after["plan.switch_plans{outcome=built}"] == sum(
+        plan != plans[n] for n, plan in controller._plan.plans.items())
+    assert 0 < after["delta.switches_read{scope=scoped}"] < 200 / 4
     assert controller._plan == fresh_plan(controller)
     assert verify_installed_state(
         controller, desired_plan=controller.desired_plan()) == []

@@ -777,7 +777,7 @@ class TestRegionScope:
         foreign = fed.controller.region_map.members(rids[1])[0]
         switch = shard.controller.switches[
             shard.net.switch_ids()[0]]
-        switch.dt_neighbor_positions[foreign] = (0.5, 0.5)
+        switch.install_dt_neighbor(foreign, (0.5, 0.5))
         violations = verify_region_scope(shard.controller,
                                          shard.members,
                                          region=rids[0])
@@ -821,7 +821,8 @@ class TestFederationSnapshot:
         # The region "crashes": wipe its installed rules in place.
         victim = fed.shard(rid).controller
         for switch in victim.switches.values():
-            switch.dt_neighbor_positions.clear()
+            for neighbor in list(switch.dt_neighbor_positions):
+                switch.remove_dt_neighbor(neighbor)
         channels = fed.controller.attach_channels()
         restore_shard(fed, rid, saved)
         reports = fed.controller.reconcile(region=rid)

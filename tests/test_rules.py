@@ -75,21 +75,19 @@ def test_early_exit_tree_is_the_full_tree_on_its_paths(size, seed,
     ports = compile_port_map(topology)
     ids = list(ports)
     slots = {node: slot for slot, node in enumerate(ids)}
-    virtuals = {}
     tree = _walk([[slots[n] for n in ports[node]] for node in ids], ids,
-                 slots, root, sources, [0] * len(ids), virtuals)
+                 slots, root, sources, [0] * len(ids))
     full = bfs_parent_tree(topology, root)
     depth = {n: len(path_toward(full, n, root)) - 1 for n in full}
     want = {}
     for sour in reversed(sources):
         path = path_toward(full, sour, root)
         for i, node in enumerate(path):
-            want.setdefault(node, {})[root] = VirtualLinkEntry(
+            want[node] = VirtualLinkEntry(
                 sour=sour, pred=path[i - 1] if i else None,
                 succ=path[i + 1] if i < len(path) - 1 else None,
                 dest=root)
-    assert virtuals == want
-    assert sorted(tree.holders) == sorted(want)
+    assert tree.holders == want
     seen = {ids[slot]: code for slot, code in enumerate(tree.code) if code}
     assert all(code // 2 - 1 == depth[n] for n, code in seen.items())
     assert {n for n, code in seen.items() if code & 1} == \
