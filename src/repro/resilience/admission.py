@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..obs import TIME_BUCKETS, default_registry
 
@@ -105,35 +105,46 @@ class AdmissionController:
     def offer(self, entry: Hashable, now: float,
               priority: int = 1) -> AdmissionVerdict:
         """Decide one request arriving at ``entry`` at time ``now``."""
+        delay, reason, occupancy = self._decide(
+            entry, now, priority, default_registry())
+        return AdmissionVerdict(admitted=reason is None,
+                                queued_delay=delay, shed_reason=reason,
+                                occupancy=occupancy)
+
+    def offer_many(self, entries: Sequence[Hashable], now: float,
+                   priorities: Sequence[int]
+                   ) -> List[Tuple[float, Optional[str], int]]:
+        """Decide a batch arriving at ``now`` in one pass: per request
+        its verdict's ``(queued delay, shed reason, occupancy)`` — what
+        one :meth:`offer` per request, in order, decides and counts."""
         registry = default_registry()
-        interval = 1.0 / self.rate
+        return [self._decide(entry, now, priority, registry)
+                for entry, priority in zip(entries, priorities)]
+
+    def _decide(self, entry: Hashable, now: float, priority: int,
+                registry) -> Tuple[float, Optional[str], int]:
+        """The GCRA decision: ``(queued delay, shed reason or None,
+        occupancy)``; an admitted request takes its token."""
         tat = max(self._tat.get(entry, float("-inf")), now)
         delay = tat - now - self.burst / self.rate
-        if delay <= 0:
-            # A token is available: admit immediately.
-            self._tat[entry] = tat + interval
-            if registry.enabled:
-                registry.counter("resilience.admitted").inc()
-                registry.histogram("resilience.queue_wait_seconds",
-                                   buckets=TIME_BUCKETS).observe(0.0)
-            return AdmissionVerdict(admitted=True)
-        occupancy = int(math.ceil(delay * self.rate))
-        allowed = self.allowed_occupancy(priority)
-        if occupancy > allowed:
-            reason = (SHED_QUEUE_FULL if occupancy > self.queue_limit
-                      else SHED_PRIORITY)
-            if registry.enabled:
-                registry.counter("resilience.shed", reason=reason).inc()
-            return AdmissionVerdict(admitted=False, shed_reason=reason,
-                                    occupancy=occupancy)
-        # Queue the request: it is served when its token accrues.
-        self._tat[entry] = tat + interval
+        if delay <= 0:  # a token is available: admit at once
+            delay, occupancy = 0.0, 0
+        else:
+            occupancy = int(math.ceil(delay * self.rate))
+            if occupancy > self.allowed_occupancy(priority):
+                reason = (SHED_QUEUE_FULL if occupancy > self.queue_limit
+                          else SHED_PRIORITY)
+                if registry.enabled:
+                    registry.counter("resilience.shed",
+                                     reason=reason).inc()
+                return 0.0, reason, occupancy
+        # A queued request is served when its token accrues.
+        self._tat[entry] = tat + 1.0 / self.rate
         if registry.enabled:
             registry.counter("resilience.admitted").inc()
             registry.histogram("resilience.queue_wait_seconds",
                                buckets=TIME_BUCKETS).observe(delay)
-        return AdmissionVerdict(admitted=True, queued_delay=delay,
-                                occupancy=occupancy)
+        return delay, None, occupancy
 
     def reset(self) -> None:
         """Forget all bucket state (drains every virtual queue)."""

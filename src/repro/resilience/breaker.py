@@ -113,10 +113,10 @@ class BreakerBoard:
         self.recovery_time = recovery_time
         self.half_open_probes = half_open_probes
         self._breakers: Dict[BreakerKey, CircuitBreaker] = {}
-        #: Keys of the non-closed breakers, kept by
-        #: :meth:`_note_transition` so :meth:`any_tripped` — asked on
-        #: every batch — does not scan the board.
-        self._tripped: Set[BreakerKey] = set()
+        #: Keys of the breakers not closed with a zero failure count,
+        #: kept by :meth:`_note` so :meth:`quiet` and :meth:`any_tripped`
+        #: (asked on every request or batch) do not scan the board.
+        self._unsettled: Set[BreakerKey] = set()
 
     def get(self, key: BreakerKey) -> CircuitBreaker:
         breaker = self._breakers.get(key)
@@ -138,7 +138,7 @@ class BreakerBoard:
             return True  # never seen -> closed
         before = breaker.state
         verdict = breaker.allow(now)
-        self._note_transition(key, before, breaker.state, now)
+        self._note(key, breaker, before, now)
         return verdict
 
     def success(self, key: BreakerKey, now: float) -> None:
@@ -147,19 +147,19 @@ class BreakerBoard:
             return  # nothing to repair
         before = breaker.state
         breaker.record_success(now)
-        self._note_transition(key, before, breaker.state, now)
+        self._note(key, breaker, before, now)
 
     def failure(self, key: BreakerKey, now: float) -> None:
         breaker = self.get(key)
         before = breaker.state
         breaker.record_failure(now)
-        self._note_transition(key, before, breaker.state, now)
+        self._note(key, breaker, before, now)
 
     def force_open(self, key: BreakerKey, now: float) -> None:
         breaker = self.get(key)
         before = breaker.state
         breaker.force_open(now)
-        self._note_transition(key, before, breaker.state, now)
+        self._note(key, breaker, before, now)
 
     def absorb(self, fault_state, now: float) -> int:
         """Force-open breakers for every crashed switch/server in the
@@ -184,11 +184,19 @@ class BreakerBoard:
     # ------------------------------------------------------------------
     def any_tripped(self) -> bool:
         """True when any breaker is not closed."""
-        return bool(self._tripped)
+        return bool(self.tripped())
+
+    def quiet(self) -> bool:
+        """True when every breaker is closed with no failure counted:
+        every :meth:`allow` is then True and every :meth:`success` a
+        no-op, skippable with their keys.  Ask before every use."""
+        return not self._unsettled
 
     def tripped(self) -> List[BreakerKey]:
         """Keys of every non-closed breaker (deterministic order)."""
-        return sorted(self._tripped, key=repr)
+        return sorted((key for key in self._unsettled
+                       if self._breakers[key].state
+                       is not BreakerState.CLOSED), key=repr)
 
     def states(self) -> Dict[str, str]:
         """``"kind:id" -> state`` map for stats/JSON reporting."""
@@ -200,19 +208,19 @@ class BreakerBoard:
 
     def reset(self) -> None:
         self._breakers.clear()
-        self._tripped.clear()
+        self._unsettled.clear()
 
     # ------------------------------------------------------------------
-    def _note_transition(self, key: BreakerKey, before: BreakerState,
-                         after: BreakerState, now: float) -> None:
-        if before is after:
-            return
-        if after is BreakerState.CLOSED:
-            self._tripped.discard(key)
+    def _note(self, key: BreakerKey, breaker: CircuitBreaker,
+              before: BreakerState, now: float) -> None:
+        """Book ``key``'s breaker after any call; count a transition."""
+        after = breaker.state
+        if after is BreakerState.CLOSED and not breaker._consecutive_failures:
+            self._unsettled.discard(key)
         else:
-            self._tripped.add(key)
+            self._unsettled.add(key)
         registry = default_registry()
-        if not registry.enabled:
+        if before is after or not registry.enabled:
             return
         if after is BreakerState.OPEN:
             registry.counter("resilience.breaker_opens").inc()

@@ -12,7 +12,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 
@@ -149,25 +149,4 @@ class ResilienceConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (stable key order)."""
-        return {
-            "enabled": self.enabled,
-            "rate_per_switch": self.rate_per_switch,
-            "burst": self.burst,
-            "queue_limit": self.queue_limit,
-            "max_priority": self.max_priority,
-            "default_deadline": self.default_deadline,
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_multiplier": self.backoff_multiplier,
-            "backoff_jitter": self.backoff_jitter,
-            "breaker_failure_threshold": self.breaker_failure_threshold,
-            "breaker_recovery_time": self.breaker_recovery_time,
-            "breaker_half_open_probes": self.breaker_half_open_probes,
-            "hedge_enabled": self.hedge_enabled,
-            "hedge_fraction": self.hedge_fraction,
-            "read_repair": self.read_repair,
-            "per_hop_latency": self.per_hop_latency,
-            "service_time": self.service_time,
-            "failure_penalty": self.failure_penalty,
-            "seed": self.seed,
-        }
+        return asdict(self)

@@ -17,7 +17,8 @@ with request-level resilience:
    fed by the PR 2 fault ground truth (``breakers.absorb``) and by
    consecutive request failures; replicas behind open breakers are
    skipped (routed around) while at least one candidate remains, and
-   placement fails fast on them.
+   placement fails fast on them.  While the board is *quiet* a
+   request that succeeds derives no breaker key (DESIGN.md §5f).
 4. **Hedged retrieval** — with ``copies > 1``, when the deadline is at
    risk (or on any retry) the read is forked to the two nearest live
    replicas and the first success wins.
@@ -37,13 +38,16 @@ created.
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.network import GredError, check_batch_args, entry_index
+from ..core.network import (GredError, check_batch_args, draw_entries,
+                            entry_index)
 from ..dataplane import ForwardingError
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
@@ -55,6 +59,8 @@ from .deadline import DeadlineBudget, RetryPolicy
 
 #: Shed reason when the resolved entry switch has crashed.
 SHED_ENTRY_DOWN = "entry_down"
+#: What :meth:`ResilientNetwork._quiet` enters when nothing records.
+_UNTRACED = nullcontext()
 
 
 @dataclass
@@ -160,6 +166,7 @@ class ResilientNetwork:
                  now: Optional[float] = None,
                  rng: Optional[np.random.Generator] = None,
                  max_hops: Optional[int] = None) -> ResilientOutcome:
+        timeout = self._timeout(deadline)
         return self._request(
             "retrieve", data_id, entry_switch, priority, now, rng,
             lambda: _retrieved(data_id, self.net.retrieve(
@@ -167,7 +174,7 @@ class ResilientNetwork:
                 rng=rng, max_hops=max_hops,
                 read_repair=self.config.read_repair)),
             lambda *admitted: self._retrieve_admitted(
-                data_id, copies, deadline, max_hops, *admitted))
+                data_id, copies, timeout, max_hops, *admitted))
 
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
@@ -175,13 +182,14 @@ class ResilientNetwork:
               now: Optional[float] = None,
               rng: Optional[np.random.Generator] = None
               ) -> ResilientOutcome:
+        timeout = self._timeout(deadline)
         return self._request(
             "place", data_id, entry_switch, priority, now, rng,
             lambda: _placed(data_id, self.net.place(
                 data_id, payload=payload, entry_switch=entry_switch,
                 copies=copies, rng=rng)),
             lambda *admitted: self._place_admitted(
-                data_id, payload, copies, deadline, *admitted))
+                data_id, payload, copies, timeout, *admitted))
 
     def _request(self, kind: str, data_id: str,
                  entry_switch: Optional[int], priority: int,
@@ -209,7 +217,7 @@ class ResilientNetwork:
                     end=arrival + wait, parent=root, entry=entry,
                     wait=wait)
             outcome = serve(entry, arrival, wait, recorder, root)
-            self._finish(outcome, arrival)
+            self._finish([outcome], arrival)
         self._close_root(root, arrival, outcome)
         return outcome
 
@@ -227,13 +235,14 @@ class ResilientNetwork:
                       ) -> List[ResilientOutcome]:
         """Batch retrieval.  Disabled: one delegated ``retrieve_many``
         call, results untouched.  Enabled and healthy (no tripped
-        breaker): admission per item, then one delegated batch call
+        breaker): one admission pass, then one delegated batch call
         for the admitted subset — single attempt, no hedging (the
         throughput path).  Enabled with tripped breakers: every item
-        takes the full scalar resilient path.  The arguments are
-        validated before any token is spent."""
+        takes the full scalar resilient path.  The arguments, deadline
+        too, are validated before any token is spent."""
         data_ids, entry_switches = check_batch_args(
             data_ids, copies, entry_switches)
+        timeout = self._timeout(deadline)
 
         def many(picked, entries, rng=None):
             return self.net.retrieve_many(
@@ -247,10 +256,10 @@ class ResilientNetwork:
             return service
 
         return self._batch(
-            "retrieve", data_ids, entry_switches, priorities, deadline,
+            "retrieve", data_ids, entry_switches, priorities, timeout,
             now, rng, many, _retrieved, settle,
             lambda i, *admitted: self._retrieve_admitted(
-                data_ids[i], copies, deadline, max_hops, *admitted))
+                data_ids[i], copies, timeout, max_hops, *admitted))
 
     def place_many(self, data_ids: Sequence[str],
                    payloads: Optional[Sequence[Any]] = None,
@@ -264,6 +273,7 @@ class ResilientNetwork:
         """Batch placement; same structure as :meth:`retrieve_many`."""
         data_ids, entry_switches = check_batch_args(
             data_ids, copies, entry_switches, payloads)
+        timeout = self._timeout(deadline)
         cfg = self.config
 
         def many(picked, entries, rng=None):
@@ -278,24 +288,23 @@ class ResilientNetwork:
                 cfg.per_hop_latency * 2 * rec.physical_hops
                 + cfg.service_time for rec in result.records)
             when = start + service
-            for rec in result.records:
+            for rec in () if self.breakers.quiet() else result.records:
                 self.breakers.success(
                     ("switch", rec.destination_switch), when)
                 self.breakers.success(("server", rec.server_id), when)
             return service
 
         return self._batch(
-            "place", data_ids, entry_switches, priorities, deadline,
+            "place", data_ids, entry_switches, priorities, timeout,
             now, rng, many, _placed, settle,
             lambda i, *admitted: self._place_admitted(
                 data_ids[i], None if payloads is None else payloads[i],
-                copies, deadline, *admitted))
+                copies, timeout, *admitted))
 
     def _batch(self, kind: str, data_ids: List[str],
                entry_switches: Optional[Sequence[int]],
-               priorities: Optional[Sequence[int]],
-               deadline: Optional[float], now: Optional[float],
-               rng: Optional[np.random.Generator],
+               priorities: Optional[Sequence[int]], timeout: float,
+               now: Optional[float], rng: Optional[np.random.Generator],
                many, wrap, settle, admitted) -> List[ResilientOutcome]:
         """The one batch request body, over validated arguments.
         ``many(indices, entries, rng)`` is the wrapped network's batch
@@ -309,46 +318,50 @@ class ResilientNetwork:
         if not self.config.enabled:
             return [wrap(d, r) for d, r in zip(
                 data_ids, many(range(count), entry_switches, rng))]
-        if priorities is not None and len(priorities) != count:
+        if priorities is None:
+            priorities = [1] * count
+        elif len(priorities) != count:
             raise GredError(
                 f"priorities has {len(priorities)} entries for "
                 f"{count} data ids"
             )
-        requests = zip(
-            [None] * count if entry_switches is None else entry_switches,
-            [1] * count if priorities is None else priorities)
+        if entry_switches is None:
+            entry_switches = [None] * count
         if self.breakers.any_tripped():
             return [
                 self._request(kind, data_ids[i], entry, priority, now,
                               rng, None, partial(admitted, i))
-                for i, (entry, priority) in enumerate(requests)]
+                for i, (entry, priority)
+                in enumerate(zip(entry_switches, priorities))]
         arrival = self._time(now)
+        entries = self._resolve_entries(entry_switches, rng)
+        live = [i for i, entry in enumerate(entries) if entry is not None]
+        verdicts = iter(self.admission.offer_many(
+            [entries[i] for i in live], arrival,
+            [priorities[i] for i in live]))
         outcomes: List[Optional[ResilientOutcome]] = [None] * count
         picked: List[int] = []
-        entries: List[int] = []
         waits: List[float] = []
-        for i, (entry, priority) in enumerate(requests):
-            entry, wait, shed = self._admit(entry, arrival, priority,
-                                            rng)
+        for i, entry in enumerate(entries):
+            wait, shed, _ = ((0.0, SHED_ENTRY_DOWN, 0) if entry is None
+                             else next(verdicts))
             if shed is not None:
                 outcomes[i] = self._shed_outcome(kind, data_ids[i],
                                                  shed)
             else:
                 picked.append(i)
-                entries.append(entry)
                 waits.append(wait)
         if not picked:
             return outcomes
         try:
-            results = many(picked, entries)
+            results = many(picked, [entries[i] for i in picked])
         except (GredError, ForwardingError):
             # A mid-batch failure means some node is sick: fall back
             # to the scalar resilient path per item so breakers and
             # retries engage.
-            served = [admitted(i, entry, arrival, wait)
-                      for i, entry, wait in zip(picked, entries, waits)]
+            served = [admitted(i, entries[i], arrival, wait)
+                      for i, wait in zip(picked, waits)]
         else:
-            timeout = deadline or self.config.default_deadline
             served = []
             for i, result, wait in zip(picked, results, waits):
                 service = settle(i, result, arrival + wait)
@@ -358,7 +371,7 @@ class ResilientNetwork:
                     deadline_missed=wait + service > timeout))
         for i, outcome in zip(picked, served):
             outcomes[i] = outcome
-            self._finish(outcome, arrival)
+        self._finish(served, arrival)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -410,14 +423,11 @@ class ResilientNetwork:
         elif not outcome.ok:
             root.status = "error"
 
-    def _quiet(self, recorder):
+    @staticmethod
+    def _quiet(recorder):
         """Context manager silencing network-level span sites for one
         wrapped data-plane call."""
-        if recorder is not None:
-            return recorder.suppress()
-        from contextlib import nullcontext
-
-        return nullcontext()
+        return _UNTRACED if recorder is None else recorder.suppress()
 
     # ------------------------------------------------------------------
     # internals — admission
@@ -428,6 +438,16 @@ class ResilientNetwork:
         self._clock = max(self._clock, now)
         return now
 
+    def _timeout(self, deadline: Optional[float]) -> float:
+        """A request's deadline budget in seconds (``None``: the default);
+        a non-positive or non-finite one raises ``ValueError``."""
+        if deadline is None:
+            return self.config.default_deadline
+        if not 0.0 < deadline < math.inf:
+            raise ValueError(f"deadline must be a positive, finite "
+                             f"number of seconds, got {deadline!r}")
+        return deadline
+
     def _admit(self, entry_switch: Optional[int], arrival: float,
                priority: int, rng: Optional[np.random.Generator]
                ) -> Tuple[Optional[int], float, Optional[str]]:
@@ -437,19 +457,38 @@ class ResilientNetwork:
         try:
             entry = self.net._resolve_entry(entry_switch, rng)
         except GredError:
-            registry = default_registry()
-            if registry.enabled:
-                registry.counter("resilience.shed",
-                                 reason=SHED_ENTRY_DOWN).inc()
             return None, 0.0, SHED_ENTRY_DOWN
         verdict = self.admission.offer(entry, arrival, priority)
         return entry, verdict.queued_delay, verdict.shed_reason
+
+    def _resolve_entries(self, entry_switches: Sequence[Optional[int]],
+                         rng: Optional[np.random.Generator]
+                         ) -> List[Optional[int]]:
+        """:meth:`_admit`'s entry resolution for a batch (``None``: entry
+        down), once per distinct entry; the ``None`` entries take one
+        :func:`draw_entries`, consuming ``rng`` like a draw per item."""
+        resolved: Dict[int, Optional[int]] = {}
+        for entry in set(entry_switches) - {None}:
+            try:
+                resolved[entry] = self.net._resolve_entry(entry, rng)
+            except GredError:
+                resolved[entry] = None
+        draws = entry_switches.count(None)
+        try:
+            drawn = iter(draw_entries(self.net._entry_pool(), draws, rng)
+                         if draws else ())
+        except GredError:  # no live switch to enter at
+            drawn = iter([None] * draws)
+        return [next(drawn) if entry is None else resolved[entry]
+                for entry in entry_switches]
 
     def _shed_outcome(self, kind: str, data_id: str,
                       reason: str) -> ResilientOutcome:
         registry = default_registry()
         if registry.enabled:
             registry.counter("resilience.requests", kind=kind).inc()
+            if reason == SHED_ENTRY_DOWN:  # admission counts the rest
+                registry.counter("resilience.shed", reason=reason).inc()
         return ResilientOutcome(kind=kind, data_id=data_id,
                                 admitted=False, shed_reason=reason,
                                 ok=False)
@@ -458,14 +497,13 @@ class ResilientNetwork:
     # internals — retrieval
     # ------------------------------------------------------------------
     def _retry(self, outcome: ResilientOutcome, arrival: float,
-               deadline: Optional[float], attempt, recorder,
+               timeout: float, attempt, recorder,
                root: Optional[Span]) -> ResilientOutcome:
         """The retry loop of one admitted request: run ``attempt(clock,
         budget, tries) -> (clock, done)`` until it is done, the
         deadline budget is spent or the retry policy gives up, backing
         off in between; then stamp ``outcome`` with the result."""
-        budget = DeadlineBudget(arrival,
-                                deadline or self.config.default_deadline)
+        budget = DeadlineBudget(arrival, timeout)
         registry = default_registry()
         clock = arrival + outcome.queue_wait
         tries = 0
@@ -491,7 +529,7 @@ class ResilientNetwork:
         return outcome
 
     def _retrieve_admitted(self, data_id: str, copies: int,
-                           deadline: Optional[float],
+                           timeout: float,
                            max_hops: Optional[int], entry: int,
                            arrival: float, queue_wait: float,
                            recorder=None, root: Optional[Span] = None
@@ -508,7 +546,7 @@ class ResilientNetwork:
                 outcome.result = result  # the hit, or the latest miss
             return clock, result is not None and result.found
 
-        return self._retry(outcome, arrival, deadline, attempt,
+        return self._retry(outcome, arrival, timeout, attempt,
                            recorder, root)
 
     def _attempt_retrieve(self, data_id: str, entry: int, copies: int,
@@ -522,8 +560,8 @@ class ResilientNetwork:
         cfg = self.config
         registry = default_registry()
         order = self.net.replica_order(data_id, copies, entry)
-        open_order = [i for i in order
-                      if self._replica_allowed(data_id, i, clock)]
+        open_order = order if self.breakers.quiet() else [
+            i for i in order if self._replica_allowed(data_id, i, clock)]
         if open_order and len(open_order) < len(order) \
                 and root is not None:
             recorder.add_span(
@@ -620,33 +658,31 @@ class ResilientNetwork:
                         hedged: bool = False):
         """Probe one replica; returns ``(result_or_None, latency)``
         and feeds the breakers."""
-        cfg = self.config
-        copy_id = replica_id(data_id, copy_index)
-        dest = self.net.destination_switch(copy_id)
-        switch_key: BreakerKey = ("switch", dest)
-        server_key = ("server", self._server_key(copy_id, dest))
         with self._quiet(recorder):
             result = self.net.probe_replica(data_id, copy_index, entry,
                                             max_hops=max_hops,
                                             attempts=attempt_no)
         if result is None:
+            latency, status = self.config.failure_penalty, "route_error"
+        else:
+            latency = self._retrieval_service_time(result)
+            status = "ok" if result.found else "miss"
+        if status == "ok" and root is None and self.breakers.quiet():
+            return result, latency  # both success feeds are no-ops
+        dest, switch_key, server_key = self._breaker_keys(
+            replica_id(data_id, copy_index))
+        if result is None:
             # The route itself failed: the destination's neighborhood
             # is sick.
             self.breakers.failure(switch_key, now)
-            self._probe_span(recorder, root, now, cfg.failure_penalty,
-                             copy_index, attempt_no, dest, hedged,
-                             "route_error", None)
-            return None, cfg.failure_penalty
-        latency = self._retrieval_service_time(result)
-        if result.found:
+        elif result.found:
             self.breakers.success(switch_key, now + latency)
             self.breakers.success(server_key, now + latency)
         else:
             # Routed but the copy is gone (crashed/lost server data).
             self.breakers.failure(server_key, now + latency)
         self._probe_span(recorder, root, now, latency, copy_index,
-                         attempt_no, dest, hedged,
-                         "ok" if result.found else "miss", result)
+                         attempt_no, dest, hedged, status, result)
         return result, latency
 
     @staticmethod
@@ -676,19 +712,20 @@ class ResilientNetwork:
 
     def _replica_allowed(self, data_id: str, copy_index: int,
                          now: float) -> bool:
-        copy_id = replica_id(data_id, copy_index)
-        dest = self.net.destination_switch(copy_id)
-        if not self.breakers.allow(("switch", dest), now):
-            return False
-        return self.breakers.allow(
-            ("server", self._server_key(copy_id, dest)), now)
+        _, switch_key, server_key = self._breaker_keys(
+            replica_id(data_id, copy_index))
+        return (self.breakers.allow(switch_key, now)
+                and self.breakers.allow(server_key, now))
 
-    def _server_key(self, copy_id: str, dest: int) -> Tuple[int, int]:
-        servers = self.net.server_map.get(dest, ())
-        count = len(servers)
-        if count == 0:
-            return (dest, 0)
-        return (dest, server_index(copy_id, count))
+    def _breaker_keys(self, copy_id: str, dest: Optional[int] = None
+                      ) -> Tuple[int, BreakerKey, BreakerKey]:
+        """``(destination, switch key, server key)`` of one replica: an
+        owner lookup (unless ``dest`` is known) and a hash."""
+        if dest is None:
+            dest = self.net.destination_switch(copy_id)
+        count = len(self.net.server_map.get(dest, ()))
+        serial = server_index(copy_id, count) if count else 0
+        return dest, ("switch", dest), ("server", (dest, serial))
 
     def _retrieval_service_time(self, result) -> float:
         cfg = self.config
@@ -700,25 +737,20 @@ class ResilientNetwork:
 
     def _feed_breakers_retrieval(self, data_id: str, result,
                                  now: float) -> None:
-        copy_id = replica_id(data_id, result.copy_used)
-        dest = (result.destination_switch
-                if result.destination_switch is not None
-                else self.net.destination_switch(copy_id))
-        switch_key: BreakerKey = ("switch", dest)
-        if result.found:
-            self.breakers.success(switch_key, now)
-            if result.server_id is not None:
-                self.breakers.success(("server", result.server_id),
-                                      now)
-        else:
-            self.breakers.failure(
-                ("server", self._server_key(copy_id, dest)), now)
+        if not result.found:
+            self.breakers.failure(self._breaker_keys(
+                replica_id(data_id, result.copy_used),
+                result.destination_switch)[2], now)
+        elif not self.breakers.quiet():  # else both feeds are no-ops
+            self.breakers.success(("switch", result.destination_switch),
+                                  now)
+            self.breakers.success(("server", result.server_id), now)
 
     # ------------------------------------------------------------------
     # internals — placement
     # ------------------------------------------------------------------
     def _place_admitted(self, data_id: str, payload: Any, copies: int,
-                        deadline: Optional[float], entry: int,
+                        timeout: float, entry: int,
                         arrival: float, queue_wait: float,
                         recorder=None, root: Optional[Span] = None
                         ) -> ResilientOutcome:
@@ -738,12 +770,14 @@ class ResilientNetwork:
                 if budget.expired(clock):
                     break
                 copy_id = replica_id(data_id, copy_index)
-                dest = self.net.destination_switch(copy_id)
-                switch_key: BreakerKey = ("switch", dest)
-                server_key = ("server",
-                              self._server_key(copy_id, dest))
-                if not (self.breakers.allow(switch_key, clock)
-                        and self.breakers.allow(server_key, clock)):
+                # Nothing feeds the board before this copy lands, so a
+                # board quiet now allows it and ignores its success.
+                keys = (self._breaker_keys(copy_id)
+                        if root is not None or not self.breakers.quiet()
+                        else None)
+                if keys is not None and not (
+                        self.breakers.allow(keys[1], clock)
+                        and self.breakers.allow(keys[2], clock)):
                     # Fail fast on an open breaker: no data-plane
                     # traffic, no latency burned; the retry loop comes
                     # back after backoff (by when the breaker may
@@ -755,7 +789,7 @@ class ResilientNetwork:
                         recorder.add_span(
                             "breaker.fast_fail", start=clock,
                             end=clock, parent=root, copy=copy_index,
-                            destination=dest)
+                            destination=keys[0])
                     continue
                 outcome.attempts += 1
                 try:
@@ -763,6 +797,8 @@ class ResilientNetwork:
                         record = self.net._place_one(
                             copy_id, payload, entry, stamp)
                 except (GredError, ForwardingError):
+                    dest, _, server_key = (keys
+                                           or self._breaker_keys(copy_id))
                     if root is not None:
                         recorder.add_span(
                             "place.copy", start=clock,
@@ -779,18 +815,19 @@ class ResilientNetwork:
                     recorder.add_span(
                         "place.copy", start=clock,
                         end=clock + latency, parent=root,
-                        copy=copy_index, destination=dest,
+                        copy=copy_index, destination=keys[0],
                         server=record.server_id,
                         physical_hops=record.physical_hops,
                         attempt=outcome.attempts)
                 clock += latency
-                self.breakers.success(switch_key, clock)
-                self.breakers.success(("server", record.server_id),
-                                      clock)
+                if keys is not None:
+                    self.breakers.success(keys[1], clock)
+                    self.breakers.success(("server", record.server_id),
+                                          clock)
                 placed[copy_index] = record
             return clock, len(placed) == copies
 
-        self._retry(outcome, arrival, deadline, attempt, recorder, root)
+        self._retry(outcome, arrival, timeout, attempt, recorder, root)
         outcome.records = [placed[i] for i in sorted(placed)]
         if outcome.ok:
             from ..core.results import PlacementResult
@@ -803,18 +840,21 @@ class ResilientNetwork:
     # ------------------------------------------------------------------
     # internals — completion accounting
     # ------------------------------------------------------------------
-    def _finish(self, outcome: ResilientOutcome,
+    def _finish(self, outcomes: Sequence[ResilientOutcome],
                 arrival: float) -> None:
+        """Count requests admitted at ``arrival``; advance the clock."""
         registry = default_registry()
         if registry.enabled:
-            registry.counter("resilience.requests",
-                             kind=outcome.kind).inc()
-            if not outcome.ok:
-                registry.counter("resilience.failures",
+            for outcome in outcomes:
+                registry.counter("resilience.requests",
                                  kind=outcome.kind).inc()
-            if outcome.deadline_missed:
-                registry.counter("resilience.deadline_misses").inc()
-            registry.histogram("resilience.latency_seconds",
-                               buckets=TIME_BUCKETS).observe(
-                outcome.latency)
-        self._clock = max(self._clock, arrival + outcome.latency)
+                if not outcome.ok:
+                    registry.counter("resilience.failures",
+                                     kind=outcome.kind).inc()
+                if outcome.deadline_missed:
+                    registry.counter("resilience.deadline_misses").inc()
+                registry.histogram("resilience.latency_seconds",
+                                   buckets=TIME_BUCKETS).observe(
+                    outcome.latency)
+        self._clock = max(self._clock, arrival + max(
+            outcome.latency for outcome in outcomes))

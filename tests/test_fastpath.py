@@ -745,6 +745,27 @@ class TestBatchFrontDoor:
                 "priorities has 2 entries for 3 data ids"
         self._untouched(net, pipeline)
 
+    @pytest.mark.parametrize("kind", ["resilient", "tripped"])
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_resilient_deadline_checked(self, kind, deadline):
+        """``None`` takes the default; anything else must be a positive
+        finite number of seconds — checked before a token is spent,
+        with one error on the scalar and the batch calls."""
+        net, pipeline = self._stack(kind)
+        calls = [
+            lambda: pipeline.place_many(self.IDS, deadline=deadline),
+            lambda: pipeline.retrieve_many(self.IDS, deadline=deadline),
+            lambda: pipeline.place("fd/0", b"x", deadline=deadline),
+            lambda: pipeline.retrieve("fd/0", deadline=deadline)]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (
+                f"deadline must be a positive, finite number of "
+                f"seconds, got {deadline!r}")
+            self._untouched(net, pipeline)
+
 
 class TestPlaneDtypeInvariants:
     def test_compiled_plane_dtypes(self):

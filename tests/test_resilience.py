@@ -11,7 +11,7 @@ bounded p99 latency with zero lost acknowledged writes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import GredNetwork, attach_uniform, brite_waxman_graph
@@ -53,6 +53,13 @@ def enabled_config(**overrides):
                     queue_limit=8, seed=0)
     defaults.update(overrides)
     return ResilienceConfig(**defaults)
+
+
+def series(registry):
+    """Every ``resilience.*`` counter and histogram, comparable."""
+    return sorted(repr(instrument.to_dict())
+                  for instrument in registry.instruments()
+                  if instrument.name.startswith("resilience."))
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +173,47 @@ class TestAdmissionController:
             assert verdict.admitted
             assert verdict.queued_delay == 0.0
             now += factor / rate
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=0.2),
+            st.lists(st.tuples(st.sampled_from("abc"),
+                               st.integers(min_value=-1, max_value=3)),
+                     max_size=40)),
+            min_size=1, max_size=6),
+        queue_limit=st.integers(min_value=0, max_value=9),
+    )
+    def test_offer_many_is_sequential_offers(self, batches,
+                                             queue_limit):
+        """One pass over a batch decides, books and counts exactly what
+        one ``offer`` per request does — a low priority shed before a
+        high one admitted at the same entry included."""
+        def decide(many):
+            adm = AdmissionController(rate=20.0, burst=2.0,
+                                      queue_limit=queue_limit)
+            registry = obs.MetricsRegistry()
+            previous = obs.set_default_registry(registry)
+            try:
+                now, verdicts = 0.0, []
+                for gap, requests in batches:
+                    now += gap
+                    entries = [entry for entry, _ in requests]
+                    priorities = [priority for _, priority in requests]
+                    if many:
+                        verdicts += adm.offer_many(entries, now,
+                                                   priorities)
+                    else:
+                        verdicts += [
+                            (v.queued_delay, v.shed_reason, v.occupancy)
+                            for v in map(adm.offer, entries,
+                                         [now] * len(entries),
+                                         priorities)]
+            finally:
+                obs.set_default_registry(previous)
+            return verdicts, adm._tat, series(registry)
+
+        assert decide(many=True) == decide(many=False)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +358,34 @@ class TestBreakerBoard:
         assert not board.allow(("server", (5, 0)), now=0.0)
         # Idempotent: already-open breakers are not re-tripped.
         assert board.absorb(net.fault_state, now=0.0) == 0
+        assert not board.quiet()
+        board.reset()
+        assert board.quiet()
+
+    def test_quiet_means_no_failure_counted(self):
+        """Quiet is "closed with a zero failure count" everywhere: a
+        counted failure that trips nothing still ends it."""
+        board = BreakerBoard(failure_threshold=2, recovery_time=0.1,
+                             half_open_probes=1)
+        key = ("server", (3, 0))
+        assert board.quiet()
+        board.success(key, 0.0)
+        board.allow(key, 0.0)
+        assert board.quiet() and board.states() == {}
+        board.failure(key, 0.0)
+        assert not board.quiet() and not board.any_tripped()
+        board.success(key, 0.0)
+        assert board.quiet() and board.states() == {"server:(3, 0)":
+                                                    "closed"}
+        board.failure(key, 0.0)
+        board.failure(key, 0.0)
+        assert not board.allow(key, 0.05)
+        assert board.allow(key, 0.1)  # half-open: still not quiet
+        assert not board.quiet()
+        board.success(key, 0.1)
+        assert board.quiet()
+        board.force_open(("switch", 1), 0.2)
+        assert not board.quiet()
 
     def test_transition_counters(self):
         previous = obs.set_default_registry(obs.MetricsRegistry())
@@ -573,3 +649,238 @@ class TestChaosUnderOverload:
         assert lost == [], f"acknowledged writes lost: {lost}"
         p99 = float(np.percentile(np.asarray(latencies), 99.0))
         assert p99 <= deadline
+
+
+# ----------------------------------------------------------------------
+# quiet board and bulk admission
+# ----------------------------------------------------------------------
+class _Side:
+    """One pipeline of the quiet-board differential.  The reference
+    side's board is never quiet, so it derives every breaker key and
+    makes every feed, and it admits a batch one ``offer`` at a time:
+    the pipeline without either shortcut."""
+
+    def __init__(self, telemetry: bool, reference: bool) -> None:
+        # Six one-server switches, so a batch's misses and hits share
+        # servers; a tiny bucket, so a batch at one entry queues and
+        # sheds by priority.
+        self.net = build_net(switches=6, servers=1, seed=4,
+                             cvt_iterations=3)
+        self.pipeline = self.net.resilient(enabled_config(
+            rate_per_switch=40.0, burst=2.0, queue_limit=4,
+            breaker_failure_threshold=3, breaker_recovery_time=0.2,
+            breaker_half_open_probes=1))
+        self.registry = obs.MetricsRegistry(enabled=telemetry)
+        self.rng = np.random.default_rng(5)
+        self.injector = None
+        if reference:
+            board, adm = self.pipeline.breakers, self.pipeline.admission
+            board.quiet = lambda: False
+            adm.offer_many = lambda entries, now, priorities: [
+                (v.queued_delay, v.shed_reason, v.occupancy)
+                for v in map(adm.offer, entries, [now] * len(entries),
+                             priorities)]
+
+    def run(self, step, now):
+        previous = obs.set_default_registry(self.registry)
+        try:
+            return self._apply(step, now)
+        except Exception as err:  # both sides must fail alike
+            return ("raised", type(err).__name__, str(err))
+        finally:
+            obs.set_default_registry(previous)
+
+    def _apply(self, step, now):
+        from repro.faults import FailureDetector
+
+        kind, pipeline = step[0], self.pipeline
+        live = sorted(self.net.switch_ids())
+        if kind in ("place", "retrieve"):
+            _, picks, copies, priorities, batch, entry_mode = step
+            ids = [f"d{k}" for k in picks]
+            priorities = priorities[:len(ids)]
+            entries = {"drawn": [None] * len(ids),
+                       "spread": [live[k % len(live)] for k in picks],
+                       "one": [live[0]] * len(ids)}[entry_mode]
+            kwargs = dict(copies=copies, now=now, rng=self.rng)
+            if batch:
+                column = None if entry_mode == "drawn" else entries
+                if kind == "place":
+                    return pipeline.place_many(
+                        ids, payloads=ids, entry_switches=column,
+                        priorities=priorities, **kwargs)
+                return pipeline.retrieve_many(
+                    ids, entry_switches=column, priorities=priorities,
+                    **kwargs)
+            if kind == "place":
+                return [pipeline.place(data_id, payload=data_id,
+                                       entry_switch=entry,
+                                       priority=priority, **kwargs)
+                        for data_id, entry, priority
+                        in zip(ids, entries, priorities)]
+            return [pipeline.retrieve(data_id, entry_switch=entry,
+                                      priority=priority, **kwargs)
+                    for data_id, entry, priority
+                    in zip(ids, entries, priorities)]
+        if kind == "repair":
+            if self.injector is not None:
+                FailureDetector(self.net).repair()
+            return None
+        pick = live[step[1] % len(live)]
+        if kind == "force_open":
+            key = ("switch", pick) if step[1] % 2 else ("server", (pick, 0))
+            return pipeline.breakers.force_open(key, now)
+        if self.injector is None:
+            self.injector = FaultInjector(self.net, seed=0)
+        state = self.injector.state
+        if kind == "crash_server" and (pick, 0) not in state.crashed_servers:
+            self.injector.crash_server(pick, 0)
+        elif kind == "crash_switch" and not state.crashed_switches:
+            self.injector.crash_switch(pick)
+        return pipeline.absorb_faults(now)
+
+    def state(self):
+        pipeline = self.pipeline
+        return (pipeline.breakers.states(),
+                {key: (b.state, b._consecutive_failures,
+                       b._probe_successes, b._opened_at)
+                 for key, b in pipeline.breakers._breakers.items()},
+                pipeline.admission._tat, pipeline._clock,
+                pipeline._rng.bit_generator.state,
+                self.rng.bit_generator.state, self.net.load_vector(),
+                series(self.registry))
+
+
+#: A request: kind, ids, copies, priorities, batch or scalar, and how
+#: entries are chosen ("one" puts the whole request on one entry).
+_REQUEST = st.tuples(
+    st.sampled_from(["place", "retrieve"]),
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+             max_size=8),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=8,
+             max_size=8),
+    st.booleans(),
+    st.sampled_from(["drawn", "spread", "one"]))
+_EVENT = st.one_of(
+    st.tuples(st.sampled_from(["crash_server", "crash_switch",
+                               "force_open"]),
+              st.integers(min_value=0, max_value=63)),
+    st.just(("repair",)))
+
+
+class TestQuietBoard:
+    """A healthy request skips the breaker and admission work that
+    cannot change its outcome — and only that work."""
+
+    @settings(max_examples=60, deadline=None)
+    # A batch that makes a quiet board loud with a miss on d2, then
+    # hits d0 on the same server: the hit must reset the count.
+    @example(steps=[(("place", [0], 1, [1] * 8, True, "spread"), 0.0),
+                    (("retrieve", [2, 0], 1, [1] * 8, True, "spread"),
+                     0.001)],
+             telemetry=False)
+    # A batch at one entry whose fifth request (priority 0) is shed and
+    # whose sixth (priority 1) still fits the queue.
+    @example(steps=[(("place", list(range(7)), 1, [2, 2, 2, 2, 0, 1, 1, 1],
+                      True, "one"), 0.0)],
+             telemetry=True)
+    @given(steps=st.lists(
+               st.tuples(st.one_of(_REQUEST, _REQUEST, _REQUEST, _EVENT),
+                         st.sampled_from([0.0, 0.001, 0.05, 0.3])),
+               min_size=1, max_size=14),
+           telemetry=st.booleans())
+    def test_quiet_board_changes_no_outcome(self, steps, telemetry):
+        """Scalar and batch place/retrieve (misses on never-placed ids
+        included), overload bursts, crashes absorbed into the board,
+        repairs and forced-open breakers: every outcome, breaker,
+        failure count, bucket, clock and ``resilience.*`` series equals
+        the reference pipeline's."""
+        ours, reference = _Side(telemetry, False), _Side(telemetry, True)
+        now = 0.0
+        for step, gap in steps:
+            now += gap
+            assert ours.run(step, now) == reference.run(step, now), step
+            assert ours.state() == reference.state(), step
+
+    def test_a_hit_after_a_miss_in_one_batch_resets_the_count(self, net):
+        """The board is asked before every feed, not once per batch: a
+        miss on a server makes it loud mid-batch, and a later hit on
+        that server must still reset the count."""
+        pipeline = net.resilient(enabled_config())
+        placed = pipeline.place_many([f"mh/{i}" for i in range(40)],
+                                     now=0.0)
+        holder = {o.result.records[0].server_id: o.data_id
+                  for o in placed}
+        missing = next(
+            data_id for data_id in (f"mh/gone/{i}" for i in range(500))
+            if pipeline._breaker_keys(data_id)[2][1] in holder)
+        server = pipeline._breaker_keys(missing)[2]
+        got = pipeline.retrieve_many([missing, holder[server[1]]],
+                                     now=1.0)
+        assert [o.ok for o in got] == [False, True]
+        assert pipeline.breakers.get(server)._consecutive_failures == 0
+        assert pipeline.breakers.quiet()
+
+    def test_healthy_requests_derive_no_breaker_key(self, net,
+                                                    monkeypatch):
+        """No owner lookup and no server hash on a quiet board; one
+        forced-open breaker brings both back."""
+        from repro.resilience import pipeline as module
+
+        calls = []
+        lookup, index = net.destination_switch, module.server_index
+        monkeypatch.setattr(net, "destination_switch",
+                            lambda d: calls.append(d) or lookup(d))
+        monkeypatch.setattr(module, "server_index",
+                            lambda *a: calls.append(a) or index(*a))
+        pipeline = net.resilient(enabled_config())
+        ids = [f"cg/{i}" for i in range(12)]
+
+        def traffic(now):
+            assert all(o.ok for o in pipeline.place_many(
+                ids, payloads=ids, copies=2, now=now))
+            assert all(o.ok for o in pipeline.retrieve_many(
+                ids, copies=2, now=now + 0.1))
+            assert pipeline.place("cg/x", b"v", copies=3,
+                                  now=now + 0.2).ok
+            assert pipeline.retrieve("cg/x", copies=3, now=now + 0.3).ok
+            assert pipeline.retrieve(ids[0], now=now + 0.4).ok
+
+        traffic(0.0)
+        assert calls == []
+        pipeline.breakers.force_open(("switch", 999), now=1.0)
+        traffic(1.0)
+        assert calls
+
+    @pytest.mark.parametrize("seed", ["generator", "int"])
+    def test_drawn_entries_match_per_item_draws(self, seed, monkeypatch):
+        """``entry_switches=None`` (or a ``None`` in the column) draws
+        the whole batch from one live pool, consuming ``rng`` exactly
+        like one scalar draw per item in request order."""
+        def make():
+            return np.random.default_rng(21) if seed == "generator" else 21
+
+        net, twin = build_net(), build_net()
+        pipeline = net.resilient(enabled_config())
+        reference = twin.resilient(enabled_config())
+        pools = []
+        pool = net._entry_pool
+        monkeypatch.setattr(net, "_entry_pool",
+                            lambda: pools.append(1) or pool())
+        ids = [f"draw/{i}" for i in range(12)]
+        fixed = sorted(net.switch_ids())[3]
+        for column in (None, [None, fixed, None, None] * 3):
+            for name in ("place_many", "retrieve_many"):
+                ours, theirs = make(), make()
+                got = getattr(pipeline, name)(
+                    ids, entry_switches=column, copies=2, rng=ours)
+                entries = [twin._resolve_entry(entry, theirs)
+                           for entry in column or [None] * len(ids)]
+                want = getattr(reference, name)(
+                    ids, entry_switches=entries, copies=2)
+                assert got == want
+                if seed == "generator":
+                    assert ours.integers(1 << 30) == \
+                        theirs.integers(1 << 30)
+        assert len(pools) == 4  # one pool per batch
