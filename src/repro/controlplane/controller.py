@@ -657,13 +657,16 @@ class Controller:
     # ------------------------------------------------------------------
     # range extension (paper Section V-B)
     # ------------------------------------------------------------------
-    def extend_range(self, switch_id: int, serial: int) -> ExtensionEntry:
+    def extend_range(self, switch_id: int, serial: int,
+                     admit=None) -> ExtensionEntry:
         """Offload an overloaded server to a neighboring switch.
 
         Picks, among the physical neighbors' servers, the one with the
         most remaining capacity (unbounded servers count as infinite,
         broken by lowest current load), installs the rewrite entry at the
-        overloaded switch, and returns it.
+        overloaded switch, and returns it.  ``admit(takeover server)``,
+        when given, runs before the install; if it raises, nothing is
+        installed.
 
         Raises
         ------
@@ -688,6 +691,8 @@ class Controller:
                 f"no physical neighbor of switch {switch_id} hosts a "
                 f"server to take over"
             )
+        if admit is not None:
+            admit(candidate)
         entry = ExtensionEntry(
             local_serial=serial,
             target_switch=candidate.switch,
@@ -738,7 +743,7 @@ class Controller:
     # network dynamics (paper Section VI)
     # ------------------------------------------------------------------
     def add_switch(self, switch_id: int, links: List[int],
-                   servers: List[EdgeServer]) -> None:
+                   servers: List[EdgeServer], admit=None):
         """A new switch joins the network.
 
         The new switch's virtual position is computed *locally* — the
@@ -747,7 +752,44 @@ class Controller:
         between embedded and network distances against all existing
         switches, then the DT is extended incrementally and rules are
         recompiled.
+
+        The join is a pure solve (:meth:`_solve_join`: checks, the
+        topology with the joiner, its position) and a commit.  Between
+        them the joiner's DT vertex is inserted and, when given,
+        ``admit(dt_neighbours, position)`` runs; if it raises, the
+        vertex is deleted again — the DT is a function of its sites —
+        and the join is refused with nothing else touched: no topology,
+        plan, table or version change.  Returns what ``admit``
+        returned.
         """
+        topology, position = self._solve_join(switch_id, links, servers)
+        if servers:
+            vertex = self._dt.insert_point(position)
+            self._dt_vertex_to_switch[vertex] = switch_id
+            self._dt_switch_to_vertex[switch_id] = vertex
+        admitted = None
+        if admit is not None:
+            try:
+                admitted = admit(self.dt_adjacency().get(switch_id, set()),
+                                 position)
+            except BaseException:
+                self._drop_from_dt([switch_id])
+                raise
+        self.topology = topology
+        self.server_map[switch_id] = list(servers)
+        self.positions[switch_id] = position
+        self._install_rules(global_event=False)
+        registry = default_registry()
+        registry.counter("controlplane.switch_joins").inc()
+        registry.event("switch_join", switch=switch_id,
+                       links=len(links), servers=len(servers))
+        return admitted
+
+    def _solve_join(self, switch_id: int, links: List[int],
+                    servers: List[EdgeServer]) -> Tuple[Graph, Point]:
+        """Check a join and solve it without changing anything: the
+        topology with the joiner linked in, and the joiner's position
+        (deduplicated against every existing one)."""
         if self.topology.has_node(switch_id):
             raise ControlPlaneError(f"switch {switch_id} already exists")
         if not links:
@@ -764,42 +806,34 @@ class Controller:
                 f"servers of joining switch {switch_id} must be "
                 f"({switch_id}, 0), ({switch_id}, 1), ... in order; "
                 f"got {ids}")
-        self.topology.add_node(switch_id)
+        topology = self.topology.copy()
+        topology.add_node(switch_id)
         for peer in links:
-            self.topology.add_edge(switch_id, peer)
-        self.server_map[switch_id] = list(servers)
-        position = self._solve_join_position(switch_id)
+            topology.add_edge(switch_id, peer)
+        position = self._solve_join_position(switch_id, topology)
         position = deduplicate_points(
-            [self.positions[n] for n in self.topology.nodes()
+            [self.positions[n] for n in topology.nodes()
              if n != switch_id] + [position]
         )[-1]
-        self.positions[switch_id] = position
-        if servers:
-            vertex = self._dt.insert_point(position)
-            self._dt_vertex_to_switch[vertex] = switch_id
-            self._dt_switch_to_vertex[switch_id] = vertex
-        self._install_rules(global_event=False)
-        registry = default_registry()
-        registry.counter("controlplane.switch_joins").inc()
-        registry.event("switch_join", switch=switch_id,
-                       links=len(links), servers=len(servers))
+        return topology, position
 
-    def _solve_join_position(self, switch_id: int) -> Point:
+    def _solve_join_position(self, switch_id: int,
+                             topology: Graph) -> Point:
         """Least-squares position for a joining switch against the
-        existing embedding."""
+        existing embedding, over ``topology`` (the joiner linked in)."""
         from ..graph import bfs_distances
 
         anchors = []
-        hop = bfs_distances(self.topology, switch_id)
+        hop = bfs_distances(topology, switch_id)
         for node, d in hop.items():
             if node != switch_id and node in self.positions and d > 0:
                 anchors.append((self.positions[node], float(d)))
         if not anchors:
             return (0.5, 0.5)
-        scale = self._embedding_scale()
+        scale = self._embedding_scale(topology)
         targets = [(x, y, scale * d) for (x, y), d in anchors]
         neighbor_positions = [
-            self.positions[n] for n in self.topology.neighbors(switch_id)
+            self.positions[n] for n in topology.neighbors(switch_id)
             if n in self.positions
         ]
         if neighbor_positions:
@@ -827,10 +861,10 @@ class Controller:
         except Exception:  # pragma: no cover - scipy should be present
             return x0
 
-    def _embedding_scale(self) -> float:
-        """Least-squares factor mapping hop distances to embedded
-        distances over a sample of existing pairs."""
-        nodes = [n for n in self.topology.nodes() if n in self.positions]
+    def _embedding_scale(self, topology: Graph) -> float:
+        """Least-squares factor mapping hop distances over ``topology``
+        to embedded distances, over a sample of existing pairs."""
+        nodes = [n for n in topology.nodes() if n in self.positions]
         if len(nodes) < 2:
             return 0.1
         from ..graph import HopRows
@@ -838,7 +872,7 @@ class Controller:
         num = 0.0
         den = 0.0
         sample = nodes[: min(len(nodes), 20)]
-        hops = HopRows(self.topology)
+        hops = HopRows(topology)
         columns = [hops.column[other] for other in nodes]
         for node, row in zip(sample, hops.rows(sample).tolist()):
             for other, column in zip(nodes, columns):
@@ -893,7 +927,7 @@ class Controller:
         registry.counter("controlplane.links_removed").inc()
         registry.event("link_down", level=EventLevel.WARNING, u=u, v=v)
 
-    def remove_switch(self, switch_id: int) -> None:
+    def remove_switch(self, switch_id: int, admit=None):
         """A switch leaves (or fails).
 
         The remaining positions are kept.  A leaver that hosts servers
@@ -904,6 +938,10 @@ class Controller:
         Range extensions whose takeover server sits on the leaver are
         withdrawn before the rules are reinstalled, so what they
         redirected re-delivers to its home server and none dangles.
+
+        ``admit()``, when given, runs once the leave is accepted and
+        before anything changes; if it raises, so does the leave, with
+        nothing changed.  Returns what it returned.
 
         Raises
         ------
@@ -924,6 +962,7 @@ class Controller:
             raise ControlPlaneError(
                 "cannot remove the last server-hosting switch"
             )
+        admitted = None if admit is None else admit()
         self.topology = candidate
         self.server_map.pop(switch_id, None)
         self.positions.pop(switch_id, None)
@@ -935,6 +974,7 @@ class Controller:
         registry.counter("controlplane.switch_leaves").inc()
         registry.event("switch_leave", level=EventLevel.WARNING,
                        switch=switch_id)
+        return admitted
 
     def absorb_failures(self, dead_switches=(), dead_links=()
                         ) -> List[int]:

@@ -159,9 +159,10 @@ class RoutingIndex:
             iy = self._gy - 1
         return ix, iy
 
-    def closest(self, point: Point) -> int:
+    def closest(self, point: Point, drop: Optional[int] = None) -> int:
         """The participant nearest to ``point`` under the paper's
-        ``(distance, x, y)`` tie-break rule.
+        ``(distance, x, y)`` tie-break rule (``drop``, when given, is
+        passed over: the answer once it has left).
 
         Raises
         ------
@@ -170,6 +171,7 @@ class RoutingIndex:
         """
         if not self._slot:
             raise ValueError("routing index has no participants")
+        skip = self._slot.get(drop, -1)
         px = float(point[0])
         py = float(point[1])
         cx, cy = self._cell_of(px, py)
@@ -198,6 +200,8 @@ class RoutingIndex:
                     break
             for ix, iy in self._ring_cells(cx, cy, ring):
                 for i in grid.get((ix, iy), ()):
+                    if i == skip:
+                        continue
                     x = xs[i]
                     y = ys[i]
                     d = math.hypot(x - px, y - py)
@@ -210,10 +214,12 @@ class RoutingIndex:
                         best_y = y
         return self._nodes[best_i]
 
-    def closest_many(self, points: np.ndarray) -> np.ndarray:
+    def closest_many(self, points: np.ndarray,
+                     drop: Optional[int] = None) -> np.ndarray:
         """:meth:`closest` of every row of ``(n, 2)`` ``points``, as an
         int64 array: one squared-distance matrix against the live
-        participants and an ``argmin`` per row chunk.
+        participants (``drop`` passed over) and an ``argmin`` per row
+        chunk.
 
         The matrix's ``dx² + dy²`` and :meth:`closest`'s ``math.hypot``
         round differently in the last bits, so only a clear winner is
@@ -230,6 +236,9 @@ class RoutingIndex:
                 np.fromiter(self._slot, dtype=np.int64, count=len(slots)),
                 np.asarray(self._xs)[slots], np.asarray(self._ys)[slots])
         ids, xs, ys = self._live
+        if drop is not None:
+            keep = ids != drop
+            ids, xs, ys = ids[keep], xs[keep], ys[keep]
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         winners = np.empty(len(points), dtype=np.int64)
         rows = max(1, _CHUNK_ELEMENTS // len(ids))
@@ -250,8 +259,33 @@ class RoutingIndex:
             close = np.sqrt(square.min(axis=1)) - np.sqrt(nearest)
             for f in np.flatnonzero(close <= TIE_BAND).tolist():
                 winners[start + f] = self.closest(
-                    (chunk[f, 0], chunk[f, 1]))
+                    (chunk[f, 0], chunk[f, 1]), drop)
         return winners
+
+    def nearer(self, site: Point, points: np.ndarray,
+               winners: np.ndarray) -> np.ndarray:
+        """Per row, as a bool array: does ``site`` beat participant
+        ``winners[k]`` as the nearest to ``points[k]`` under the
+        ``(distance, x, y)`` rule?  With ``winners`` from
+        :meth:`closest_many`, that says whether a participant at
+        ``site`` would win the row — a joiner's rows, or a leaver's
+        before it left — without changing the index.  As there, a row
+        within ``TIE_BAND`` is decided by ``math.hypot`` keys."""
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        holders, at = np.unique(winners, return_inverse=True)
+        slots = [self._slot[node] for node in holders.tolist()]
+        wx = np.asarray(self._xs)[slots][at]
+        wy = np.asarray(self._ys)[slots][at]
+        sx, sy = float(site[0]), float(site[1])
+        px, py = points[:, 0], points[:, 1]
+        gap = (np.sqrt((wx - px) ** 2 + (wy - py) ** 2)
+               - np.sqrt((sx - px) ** 2 + (sy - py) ** 2))
+        result = gap > 0
+        for k in np.flatnonzero(np.abs(gap) <= TIE_BAND).tolist():
+            x, y, qx, qy = wx[k], wy[k], px[k], py[k]
+            result[k] = ((math.hypot(sx - qx, sy - qy), sx, sy)
+                         < (math.hypot(x - qx, y - qy), x, y))
+        return result
 
     def _ring_cells(self, cx: int, cy: int, ring: int):
         """In-bounds cells at Chebyshev distance ``ring`` from the

@@ -64,7 +64,6 @@ from ..hashing import (
     replica_ids_flat,
     serials_from_digests,
     server_index,
-    server_indices_from_digests,
     sha256_digests,
 )
 from ..obs import (
@@ -266,6 +265,20 @@ def _standdown(series: str, *reasons: str) -> None:
                 "dataplane." + series, help=_STANDDOWNS[series],
                 reason=reason.replace(" ", "_"),
             ).inc()
+
+
+def _by_target(targets, which) -> list:
+    """Rows grouped by target *server*, each group in row order:
+    ``[(server, rows)]`` with ``targets[which[k]]`` row ``k``'s target.
+    Grouped by server, not by index: an extension can redirect one
+    delivery into the home of another, and only the stable grouping on
+    the server keeps its insertion order the row order."""
+    slots: Dict[tuple, int] = {}
+    slot = np.asarray([slots.setdefault(t.server_id, u)
+                       for u, t in enumerate(targets)], dtype=np.intp)[which]
+    order = np.argsort(slot, kind="stable")
+    return [(targets[slot[g[0]]], g.tolist()) for g in np.split(
+        order, np.flatnonzero(np.diff(slot[order])) + 1) if len(g)]
 
 
 def _payload_size(payload: Any) -> Optional[int]:
@@ -848,20 +861,28 @@ class GredNetwork:
         serves.  Otherwise writes go to ``takeover``, reads fork to
         both (paper Sections V-B, V-C), ``extra hops`` away.
         """
-        controller = self.controller
-        home = controller.server_map[dest][serial]
-        extension = controller.switches[dest].table.extension_for(serial)
-        if extension is None:
-            return home, None, None, 0
-        fault = self.fault_state
-        if not controller.topology.has_node(extension.target_switch) \
-                or (fault is not None and not fault.switch_alive(
-                    extension.target_switch)):
+        home = self.controller.server_map[dest][serial]
+        extension, takeover = self._takeover(dest, serial)
+        if takeover is None:
             return home, extension, None, 0
-        return (home, extension,
-                self.server(extension.target_switch,
-                            extension.target_serial),
-                self._fast_hop(state, dest, extension.target_switch))
+        return (home, extension, takeover,
+                self._fast_hop(state, dest, takeover.switch))
+
+    def _takeover(self, dest: int, serial: int, gone=None):
+        """:meth:`_serving`'s policy without the hops: ``(extension,
+        takeover server or None)`` — ``None`` also when the takeover
+        switch has left (or is leaving: ``gone``) or crashed."""
+        switch = self.controller.switches.get(dest)
+        extension = (None if switch is None
+                     else switch.table.extension_for(serial))
+        if extension is None:
+            return None, None
+        target = extension.target_switch
+        fault = self.fault_state
+        if target == gone or not self.topology.has_node(target) or (
+                fault is not None and not fault.switch_alive(target)):
+            return extension, None
+        return extension, self.server(target, extension.target_serial)
 
     def _store(self, serving, copy_id: str, payload: Any, entry: int,
                stamp, trace: List[int], overlay: int, dest: int,
@@ -1361,17 +1382,7 @@ class GredNetwork:
         if fault is not None and not all(map(fault.server_alive,
                                              server_ids)):
             return _standdown("fastpath_standdowns", "target_down")
-        # Grouped by *target server*, not by delivery: an extension can
-        # redirect one delivery into the home of another, and only the
-        # stable grouping on the target keeps each server's insertion
-        # order the loop's.
-        slots = {server_id: u for u, server_id in enumerate(server_ids)}
-        slot = np.asarray([slots[server_id] for server_id in server_ids],
-                          dtype=np.intp)[which]
-        order = np.argsort(slot, kind="stable")
-        groups = [(targets[slot[group[0]]], group.tolist())
-                  for group in np.split(
-                      order, np.flatnonzero(np.diff(slot[order])) + 1)]
+        groups = _by_target(targets, which)
         for target, flats in groups:
             if target.capacity is not None and \
                     target.load + len(flats) > target.capacity:
@@ -1707,13 +1718,17 @@ class GredNetwork:
         extension."""
         switch = self.controller.closest_switch(
             self._position_fn(copy_id))
-        home, _, takeover, _ = self._serving(None, switch, server_index(
-            copy_id, len(self.server_map[switch])))
-        return home if takeover is None else takeover
+        serial = server_index(copy_id, len(self.server_map[switch]))
+        _, takeover = self._takeover(switch, serial)
+        return (self.server_map[switch][serial] if takeover is None
+                else takeover)
 
-    def _nearest_live_server(self, entry: int) -> Optional[EdgeServer]:
-        """The closest live server reachable from ``entry`` (BFS over
-        the physical topology honoring the fault state), or ``None``."""
+    def _hint_holder(self, copy_id: str, entry: int,
+                     gone=None) -> EdgeServer:
+        """Where a hint for ``copy_id`` parks: the closest live server
+        reachable from ``entry`` (BFS over the physical topology
+        honoring the fault state, passing over a leaving switch
+        ``gone``)."""
         fault = self.fault_state
         seen = {entry}
         frontier = [entry]
@@ -1725,7 +1740,7 @@ class GredNetwork:
                             server.server_id):
                         return server
                 for peer in sorted(self.topology.neighbors(switch)):
-                    if peer in seen:
+                    if peer in seen or peer == gone:
                         continue
                     if fault is not None and \
                             not fault.can_forward(switch, peer):
@@ -1733,17 +1748,16 @@ class GredNetwork:
                     seen.add(peer)
                     next_frontier.append(peer)
             frontier = next_frontier
-        return None
+        raise GredError(
+            f"cannot park a hint for {copy_id!r}: no live server "
+            f"is reachable from switch {entry}"
+        )
 
     def _park_hint(self, copy_id: str, op: str, target, stamp,
-                   payload: Any, entry: int) -> EdgeServer:
-        """Park a hinted write/delete on the nearest live server."""
-        holder = self._nearest_live_server(entry)
-        if holder is None:
-            raise GredError(
-                f"cannot park a hint for {copy_id!r}: no live server "
-                f"is reachable from switch {entry}"
-            )
+                   payload: Any, entry: int, holder=None) -> EdgeServer:
+        """Park a hinted write/delete on ``holder``, by default the
+        nearest live server (:meth:`_hint_holder`)."""
+        holder = holder or self._hint_holder(copy_id, entry)
         holder.park_hint(Hint(copy_id=copy_id, op=op, target=target,
                               stamp=stamp, payload=payload))
         registry = default_registry()
@@ -1895,16 +1909,18 @@ class GredNetwork:
         With ``migrate=True`` the items currently on the overloaded
         server move to the takeover server immediately (the default
         leaves them, matching the paper where only *new* placements are
-        redirected and retrieval forks to both locations).
+        redirected and retrieval forks to both locations) — checked
+        first: a move that cannot fit installs and moves nothing.
         """
-        entry = self.controller.extend_range(switch, serial)
-        if migrate:
+        def admit(takeover):
             source = self.server(switch, serial)
-            target = self.server(entry.target_switch, entry.target_serial)
-            for item_id in source.stored_ids():
-                target.store(item_id, source.retrieve(item_id),
-                             stamp=source.stamp_of(item_id))
-                source.delete(item_id)
+            ids = list(source.stored_ids()) if migrate else []
+            checked.append(self._check_move(
+                [source] * len(ids), ids, [takeover], [0] * len(ids)))
+
+        checked = []
+        self.controller.extend_range(switch, serial, admit=admit)
+        self._commit_move(checked[0])
 
     def retract_range(self, switch: int, serial: int) -> int:
         """Deactivate a range extension, migrating the redirected items
@@ -1937,12 +1953,22 @@ class GredNetwork:
                     f"{free} free slots but {len(belonging)} items must "
                     f"migrate back"
                 )
-        for item_id in belonging:
-            home.store(item_id, source.retrieve(item_id),
-                       stamp=source.stamp_of(item_id))
-            source.delete(item_id)
+        self._commit_move(self._check_move(
+            [source] * len(belonging), belonging, [home],
+            [0] * len(belonging)))
         self.controller.retract_range(switch, serial)
         return len(belonging)
+
+    def _hash_pass(self, item_ids: Sequence[str]):
+        """One digest pass: ``(positions, words)``; ``word mod s`` is
+        an item's ``H(d) mod s``."""
+        digests = sha256_digests(item_ids)
+        if self._position_fn is data_position:
+            positions = positions_from_digests(digests)
+        else:
+            positions = np.asarray(
+                [self._position_fn(d) for d in item_ids], dtype=np.float64)
+        return positions, serials_from_digests(digests)
 
     def _belong(self, server: EdgeServer,
                 item_ids: Sequence[str]) -> List[bool]:
@@ -1951,16 +1977,9 @@ class GredNetwork:
         the serial from the digest head."""
         if not item_ids:
             return []
-        digests = sha256_digests(item_ids)
-        if self._position_fn is data_position:
-            positions = positions_from_digests(digests)
-        else:
-            positions = np.asarray(
-                [self._position_fn(d) for d in item_ids],
-                dtype=np.float64)
+        positions, words = self._hash_pass(item_ids)
         dests = self.controller.routing_index().closest_many(positions)
-        serials = server_indices_from_digests(
-            digests, len(self.server_map[server.switch]))
+        serials = words % np.uint64(len(self.server_map[server.switch]))
         return ((dests == server.switch)
                 & (serials == server.serial)).tolist()
 
@@ -1974,7 +1993,8 @@ class GredNetwork:
 
         Data stored on the DT neighbors of the new switch is re-evaluated
         and items now closest to the new switch migrate to it.  Returns
-        the number of migrated items.
+        the number of migrated items.  A move that cannot fit refuses
+        the join with nothing changed (:meth:`_check_move`).
         """
         if self.topology.has_node(switch_id):
             raise GredError(
@@ -1993,11 +2013,14 @@ class GredNetwork:
                 EdgeServer(switch=switch_id, serial=i)
                 for i in range(servers_per_switch)
             ]
-        self.controller.add_switch(switch_id, list(links), servers)
-        if not servers:
-            return 0
-        neighbors = self.controller.dt_adjacency().get(switch_id, set())
-        return self._migrate_from(neighbors)
+        move = self.controller.add_switch(
+            switch_id, list(links), servers,
+            admit=(lambda neighbors, position: self._plan_move(
+                [(server, server.stored_ids(), None)
+                 for switch in neighbors
+                 for server in self.server_map.get(switch, [])],
+                joiner=(switch_id, position, servers))) if servers else None)
+        return 0 if move is None else self._commit_move(move, event=True)
 
     def remove_switch(self, switch_id: int) -> int:
         """A switch leaves gracefully; its stored items are re-placed
@@ -2011,27 +2034,22 @@ class GredNetwork:
                 f"cannot remove switch {switch_id}: it is the last "
                 f"switch and removing it would leave an empty network"
             )
-        # Validate, then mutate: read what must move (the leaver's
-        # items, and those its own extensions redirected to a neighbor),
-        # let the controller accept or refuse, and only then clear and
-        # re-deliver.  A refused leave changes no server.
+        # What must move — the leaver's items and those its own
+        # extensions redirected — is planned and checked once the
+        # controller accepts the leave, before it changes anything.
         servers = self.server_map.get(switch_id, [])
-        orphans = []
-        for serial in range(len(servers)):
-            home, _, takeover, _ = self._serving(None, switch_id, serial)
-            orphans.extend((home, item_id)
-                           for item_id in home.stored_ids())
+        held = []
+        for serial, home in enumerate(servers):
+            held.append((home, home.stored_ids(), None))
+            _, takeover = self._takeover(switch_id, serial)
             if takeover is not None:
-                redirected = takeover.stored_ids()
-                orphans.extend(
-                    (takeover, item_id) for item_id, owned in zip(
-                        redirected, self._belong(home, redirected))
-                    if owned)
-        # Re-place from a surviving physical neighbor of the leaver
+                held.append((takeover, takeover.stored_ids(), serial))
+        # Hints park from a surviving physical neighbor of the leaver
         # (a connected topology of two or more switches has one).
         entry = next(self.topology.neighbors(switch_id))
-        self.controller.remove_switch(switch_id)
-        moved = self._redeliver(orphans, entry)
+        moved = self._commit_move(self.controller.remove_switch(
+            switch_id, admit=lambda: self._plan_move(
+                held, leaver=switch_id, entry=entry)), event=True)
         for server in servers:
             # Hints parked here are other servers' pending writes and
             # deletes: they move on with the items, not into the void.
@@ -2041,42 +2059,127 @@ class GredNetwork:
             server.clear()
         return moved
 
-    def _migrate_from(self, switches: Sequence[int]) -> int:
-        """Re-evaluate items stored under the given switches and move the
-        ones whose closest switch changed."""
-        moved = 0
-        for switch in switches:
-            for server in self.server_map.get(switch, []):
-                held = server.stored_ids()
-                moved += self._redeliver(
-                    [(server, item_id) for item_id, owned in zip(
-                        held, self._belong(server, held)) if not owned],
-                    switch)
-        return moved
+    def _plan_move(self, held, joiner=None, leaver=None, entry=None):
+        """Plan a join's or a leave's move, then :meth:`_check_move` it.
 
-    def _redeliver(self, items, entry: int) -> int:
-        """Deliver each ``(server, item id)`` again from ``entry``
-        through the one store path, stamp kept, and take it off its
-        old server once the store is acknowledged — unless it landed
-        on that very server (a re-delivery through an extension can);
-        returns the count.
-
-        A store that raises (``StorageFull``) therefore loses nothing:
-        the item that failed and the not-yet-moved remainder stay
-        readable on their old servers.  For a leaver those servers'
-        switch is already gone from the controller — ROADMAP item 4's
-        hole, not closed here.
+        ``held`` lists ``(server, item ids, rule)``.  One digest pass
+        and one ``closest_many`` give each item its home after the
+        event (``joiner = (switch, position, servers)`` counted in,
+        ``leaver`` left out), so whether it moves and where are one
+        decision.  Rule ``None`` moves the items whose home is not the
+        server they sit on; a serial ``s`` those that were the leaver's
+        server ``s``'s (its extension's redirects).  Each distinct home
+        resolves once to itself or its live takeover, no hop counted.
         """
-        for server, item_id in items:
-            record = self._place_one(
-                item_id, server.retrieve(item_id), entry,
-                stamp=server.stamp_of(item_id))
-            if record.hinted or record.server_id != server.server_id:
-                server.delete(item_id)
-        if items:
-            default_registry().counter("core.migrations").inc(
-                len(items))
-        return len(items)
+        ids = [item for _, items, _ in held for item in items]
+        rows = np.repeat(np.arange(len(held)),
+                         [len(items) for _, items, _ in held])
+        if not ids:
+            return self._check_move([], [], [], [])
+        positions, words = self._hash_pass(ids)
+        index = self.controller.routing_index()
+        dests = index.closest_many(positions, drop=leaver)
+        homes = self.server_map
+        if joiner is not None:
+            switch, position, servers = joiner
+            dests[index.nearer(position, positions, dests)] = switch
+            homes = {**homes, switch: servers}
+        switches, at = np.unique(dests, return_inverse=True)
+        serials = (words % np.asarray(
+            [len(homes[s]) for s in switches.tolist()],
+            dtype=np.uint64)[at]).astype(np.int64)
+        sits = np.asarray([(server.switch, server.serial,
+                            -1 if rule is None else rule)
+                           for server, _, rule in held], dtype=np.int64)[rows]
+        move = (dests != sits[:, 0]) | (serials != sits[:, 1])
+        owned = np.flatnonzero(sits[:, 2] >= 0)
+        if len(owned):
+            move[owned] = index.nearer(
+                self.controller.positions[leaver], positions[owned],
+                dests[owned]) & (words[owned] % np.uint64(
+                    len(homes[leaver])) == sits[owned, 2].astype(np.uint64))
+        picked = np.flatnonzero(move)
+        width = int(serials.max()) + 1
+        keys, which = np.unique(dests[picked] * width + serials[picked],
+                                return_inverse=True)
+        targets = []
+        for key in keys.tolist():
+            dest, serial = divmod(key, width)
+            _, takeover = self._takeover(dest, serial, gone=leaver)
+            targets.append(homes[dest][serial] if takeover is None
+                           else takeover)
+        return self._check_move(
+            [held[r][0] for r in rows[picked].tolist()],
+            [ids[k] for k in picked.tolist()], targets, which, entry,
+            leaver)
+
+    def _check_move(self, sources, ids, targets, which, entry=None,
+                    gone=None):
+        """Check that item ``ids[k]`` can leave ``sources[k]`` for
+        ``targets[which[k]]``; before any side effect, raise the error
+        of the first item in plan order that could not land:
+        ``StorageFull`` for a bounded target without room for the items
+        new to it (no item leaving it is credited), ``GredError`` for a
+        target down under the attached fault state — unless hinted
+        handoff is on: those items park as hints on the live server
+        nearest ``entry`` (default: their old switch; ``gone`` passed
+        over).  Returns what :meth:`_commit_move` applies."""
+        fault = self.fault_state
+        stores, hints, failed = [], [], []
+        for target, flats in _by_target(targets, which):
+            if fault is not None and \
+                    not fault.server_alive(target.server_id):
+                if self.hinted_handoff:
+                    hints.extend((flat, target.server_id) for flat in flats)
+                    continue
+                failed.append((flats[0], GredError(
+                    f"cannot move {ids[flats[0]]!r}: target server "
+                    f"{target.server_id} has crashed and has not been "
+                    f"repaired yet")))
+            elif target.capacity is not None:
+                new: Dict[str, int] = {}  # id new to it -> its first row
+                for flat in flats:
+                    if not target.has(ids[flat]):
+                        new.setdefault(ids[flat], flat)
+                room = target.capacity - target.load
+                if len(new) > room:
+                    failed.append((list(new.values())[room], StorageFull(
+                        target.server_id, target.capacity)))
+            stores.append((target, flats))
+        if failed:
+            raise min(failed, key=lambda failure: failure[0])[1]
+        parked = [(flat, target_id, self._hint_holder(
+            ids[flat], sources[flat].switch if entry is None else entry,
+            gone)) for flat, target_id in sorted(hints)]
+        return sources, ids, stores, parked
+
+    def _commit_move(self, move, event: bool = False) -> int:
+        """Apply a checked move: one ``store_many`` per target server
+        (plan order, payloads and stamps carried), the hints parked,
+        then each item taken off its old server unless it landed back
+        on it.  Returns how many items moved.  For a join or leave
+        (``event``) they count on ``core.migrations``, and the compiled
+        plane is patched inside the event, so the next request pays
+        nothing new for it."""
+        sources, ids, stores, parked = move
+        for target, flats in stores:
+            stamps = [sources[f].stamp_of(ids[f]) for f in flats]
+            target.store_many([ids[f] for f in flats],
+                              [sources[f].retrieve(ids[f]) for f in flats],
+                              stamps if any(stamps) else None)
+        for flat, target_id, holder in parked:
+            source = sources[flat]
+            self._park_hint(ids[flat], "store", target_id,
+                            source.stamp_of(ids[flat]),
+                            source.retrieve(ids[flat]), None, holder)
+        for flat in [f for target, flats in stores for f in flats
+                     if sources[f] is not target] + [f for f, _, _ in parked]:
+            sources[flat].delete(ids[flat])
+        if event and ids:
+            default_registry().counter("core.migrations").inc(len(ids))
+            if not batch_fastpath_blockers(self):
+                self._fast_plane()
+        return len(ids)
 
     # ------------------------------------------------------------------
     # evaluation helpers

@@ -135,12 +135,21 @@ class Graph:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def copy(self) -> "Graph":
-        """Deep copy of the adjacency structure (nodes are shared)."""
+        """Deep copy of the adjacency structure (nodes are shared).
+
+        Neighbour order is the one ``add_edge`` over :meth:`edges`
+        gives: each edge lands in both rows when its earlier endpoint
+        (in node order) is visited — the edge is new there iff the
+        peer's row does not hold it yet."""
+        adj = {node: {} for node in self._adj}
+        for u, nbrs in self._adj.items():
+            row = adj[u]
+            for v, w in nbrs.items():
+                if v not in row:
+                    row[v] = w
+                    adj[v][u] = w
         clone = Graph()
-        for node in self._adj:
-            clone.add_node(node)
-        for u, v, w in self.edges():
-            clone.add_edge(u, v, weight=w)
+        clone._adj = adj
         return clone
 
     def subgraph(self, keep: Iterable[Node]) -> "Graph":

@@ -451,29 +451,104 @@ class TestMovedCounts:
         _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
 
 
-def test_failed_redelivery_loses_nothing():
-    """A migration store that raises ``StorageFull`` leaves the item
-    it failed on, and every one after it, on its old server."""
+def _control_state(net):
+    from repro.controlplane import snapshot_plan
+
+    controller = net.controller
+    return (controller.version, controller.dt_adjacency(), controller._plan,
+            snapshot_plan(controller.switches), net.topology.nodes(),
+            {s: list(net.topology.neighbors(s)) for s in net.switch_ids()},
+            dict(controller.positions))
+
+
+def test_unfittable_join_changes_nothing():
+    """A join whose move cannot fit (bounded joiner servers, more items
+    due than they hold) raises ``StorageFull`` before anything changes:
+    controller version, DT, plan, tables, topology and every server are
+    as they were, and the same join with room then succeeds."""
     net = _waxman_monolith()
     ids = [f"full/{i}" for i in range(3000)]
     net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
-    before = _storage(net)
+    control, before = _control_state(net), _storage(net)
     with pytest.raises(StorageFull):
         net.add_switch(100, links=[0, 1, 2], servers=[
             EdgeServer(switch=100, serial=i, capacity=2)
             for i in range(2)])
-    assert sum(net.load_vector()) == len(ids)
-    after = _storage(net)
-    landed = {d for server in net.server_map[100]
-              for d in after.pop(server.server_id)}
-    assert 0 < len(landed) <= 4
-    for server_id, items in before.items():
-        assert after[server_id] == {
-            d: record for d, record in items.items()
-            if d not in landed}
-    # More than the new servers could take was due to move, so some
-    # item did fail — and is still where it was.
-    assert sum(net.destination_switch(d) == 100 for d in ids) > 4
+    assert _control_state(net) == control
+    assert _storage(net) == before
+    assert 100 not in net.server_map
+    assert net.add_switch(100, links=[0, 1, 2], servers_per_switch=2) > 4
+    _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
+
+
+def test_unfittable_leave_changes_nothing():
+    """A leave into bounded survivors that cannot take its items raises
+    ``StorageFull`` with the leaver still in place and nothing moved."""
+    net = _waxman_monolith()
+    ids = [f"tight/{i}" for i in range(600)]
+    net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+    for server in net.servers():
+        server.capacity = server.load
+    leaver = next(s for s in net.switch_ids()
+                  if _can_leave(net, s) and net.server(s, 0).load)
+    control, before = _control_state(net), _storage(net)
+    with pytest.raises(StorageFull):
+        net.remove_switch(leaver)
+    assert _control_state(net) == control
+    assert _storage(net) == before
+    for server in net.servers():
+        server.capacity = None
+    assert net.remove_switch(leaver) == len(
+        [d for sid, items in before.items() if sid[0] == leaver
+         for d in items])
+    _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
+
+
+def test_a_move_routes_nothing_and_hashes_once(monkeypatch):
+    """A membership event moves its items as one planned transaction:
+    no per-item route or store, one digest pass and one nearest-switch
+    pass (a leaver's redirected items included), and the compiled plane
+    left in step with the controller."""
+    from repro.controlplane.routing_index import RoutingIndex
+    from repro.core import network as network_module
+    from repro.dataplane import CompiledRouter
+
+    net = _waxman_monolith()
+    ids = [f"cost/{i}" for i in range(2000)]
+    net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+    _, home, _ = _extend_toward_removable(net, False)
+    net.place_many([f"more/{i}" for i in range(400)],
+                   rng=np.random.default_rng(2))
+    net.retrieve_many(ids)
+    calls = {}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a move must not route item by item")
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GredNetwork, "_place_one", refuse)
+    monkeypatch.setattr(CompiledRouter, "route_batch_packed", refuse)
+    monkeypatch.setattr(network_module, "sha256_digests", counting(
+        "digests", network_module.sha256_digests))
+    monkeypatch.setattr(RoutingIndex, "closest_many", counting(
+        "closest", RoutingIndex.closest_many))
+    for event in (lambda: net.add_switch(100, [0, 1, 2],
+                                         servers_per_switch=2),
+                  lambda: net.remove_switch(home),
+                  lambda: net.remove_switch(100)):
+        calls.update(digests=0, closest=0)
+        assert event() > 0
+        assert calls == {"digests": 1, "closest": 1}
+        # The compiled plane is patched inside the event: the next
+        # request finds it in step.
+        assert net._fastpath.version == net.controller.version
+    monkeypatch.undo()
+    _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
 
 
 @pytest.mark.parametrize("build, victim", [(_line_monolith, 2),

@@ -365,6 +365,40 @@ class TestRoutingIndex:
         index.remove(index.nodes()[0])
         self._many_agrees(index, points)
 
+    def test_drop_and_nearer_answer_for_the_changed_index(self):
+        """``closest_many(drop=n)`` is the index without ``n``, and
+        ``nearer(site, ...)`` says where an index holding ``site``
+        would pick it — on bisector ties, points 1e-12 off them and
+        random points — without changing the index."""
+        positions = {i * 10 + j: (i / 4.0 + 0.01 * j, j / 4.0)
+                     for i in range(4) for j in range(4)}
+        rng = np.random.default_rng(8)
+        nodes = sorted(positions)
+        points = np.concatenate([
+            rng.random((2_000, 2)),
+            [positions[n] for n in nodes],
+            [((positions[a][0] + positions[b][0]) / 2,
+              (positions[a][1] + positions[b][1]) / 2)
+             for a, b in zip(nodes, nodes[1:])]])
+        points = np.concatenate([points, points + 1e-12])
+        index = RoutingIndex(nodes, positions)
+        for node in nodes[::3]:
+            rest = [n for n in nodes if n != node]
+            without = RoutingIndex(rest, positions)
+            got = index.closest_many(points, drop=node)
+            assert got.tolist() == without.closest_many(points).tolist()
+            assert got.tolist() == [index.closest(p, node)
+                                    for p in points.tolist()]
+            # The node, joining the index without it, wins exactly the
+            # rows it wins in the full index.
+            wins = without.nearer(positions[node], points, got)
+            assert (wins == (index.closest_many(points) == node)).all()
+        for site in [(0.5, 0.5), (0.125, 0.25), (0.26, 0.0), (2.0, 2.0)]:
+            grown = RoutingIndex(nodes + [99], {**positions, 99: site})
+            wins = index.nearer(site, points, index.closest_many(points))
+            assert (wins == (grown.closest_many(points) == 99)).all()
+        assert len(index) == len(nodes)
+
     def test_closest_many_with_one_participant(self):
         index = RoutingIndex([7], {7: (0.2, 0.9)})
         assert index.closest_many(

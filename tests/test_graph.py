@@ -131,6 +131,46 @@ class TestCopySubgraph:
         g.add_edge(0, 1, weight=2.5)
         assert g.copy().edge_weight(0, 1) == 2.5
 
+    def test_copy_keeps_neighbour_order(self):
+        """Relay paths and hop counts follow neighbour order, so a copy
+        must iterate exactly as the edge-by-edge rebuild did — on
+        random graphs after joins, removals and weight updates."""
+        import numpy as np
+
+        def oracle_copy(graph):
+            clone = Graph()
+            for node in graph.nodes():
+                clone.add_node(node)
+            for u, v, w in graph.edges():
+                clone.add_edge(u, v, weight=w)
+            return clone
+
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            g = Graph()
+            for node in rng.permutation(n).tolist():
+                g.add_node(node)
+            for _ in range(int(rng.integers(1, 4 * n))):
+                u, v = rng.choice(n, 2, replace=False).tolist()
+                g.add_edge(u, v, weight=float(rng.integers(1, 4)))
+            for step in range(10):
+                if rng.random() < 0.3 and g.num_nodes() > 2:
+                    g.remove_node(g.nodes()[int(rng.integers(g.num_nodes()))])
+                else:
+                    joiner = 1000 * (trial + 1) + step
+                    for peer in rng.choice(g.nodes(), 2).tolist():
+                        g.add_edge(joiner, peer)
+                clone, want = g.copy(), oracle_copy(g)
+                assert clone.nodes() == want.nodes()
+                for node in want.nodes():
+                    assert list(clone.neighbors(node)) \
+                        == list(want.neighbors(node))
+                    assert [clone.edge_weight(node, peer)
+                            for peer in clone.neighbors(node)] \
+                        == [want.edge_weight(node, peer)
+                            for peer in want.neighbors(node)]
+
     def test_subgraph_induced(self):
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 0)])
         sub = g.subgraph([0, 1, 2])

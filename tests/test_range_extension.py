@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GredError, GredNetwork
-from repro.edge import attach_uniform
+from repro.edge import StorageFull, attach_uniform
 from repro.hashing import data_position, server_index
 from repro.topology import grid_graph
 
@@ -92,6 +92,32 @@ class TestMigration:
         assert result.found
         assert result.payload == b"m"
 
+    def test_extend_that_cannot_fit_changes_nothing(self, net):
+        """A takeover server without room for every item refuses the
+        migrating extension before it is installed: no item has moved
+        and the home server still serves alone."""
+        ids = [f"fit-{i}" for i in range(400)]
+        net.place_many(ids, payloads=ids, entry_switches=[0] * len(ids))
+        home = net.server(4, 0)
+        held = {d: home.retrieve(d) for d in home.stored_ids()}
+        assert len(held) > 5
+        for server in net.servers():
+            server.capacity = server.load + 5
+        loads = net.load_vector()
+        with pytest.raises(StorageFull):
+            net.extend_range(4, 0, migrate=True)
+        assert net.controller.switches[4].table.extension_for(0) is None
+        assert net.load_vector() == loads
+        assert {d: home.retrieve(d) for d in home.stored_ids()} == held
+        for server in net.servers():
+            server.capacity = None
+        net.extend_range(4, 0, migrate=True)
+        entry = net.controller.switches[4].table.extension_for(0)
+        takeover = net.server(entry.target_switch, entry.target_serial)
+        assert home.load == 0
+        assert all(takeover.retrieve(d) == d for d in held)
+        assert all(r.found for r in net.retrieve_many(ids))
+
     def test_retract_migrates_back(self, net):
         switch = 4
         item = find_item_for_server(net, switch, 0)
@@ -145,3 +171,30 @@ class TestUnusableTakeover:
         assert result.found and not result.forked
         assert net.delete(first, entry_switch=switch) == 1
         assert net._home_server(second).server_id == (switch, 0)
+
+    def test_migrating_toward_a_crashed_server(self, net):
+        """A migrating extension whose takeover server is down follows
+        the write rule: refused with nothing installed while hinted
+        handoff is off, parked as hints (drained once the server is
+        back) while it is on."""
+        from repro.faults import FaultInjector
+
+        ids = [f"down-{i}" for i in range(200)]
+        net.place_many(ids, payloads=ids, entry_switches=[0] * len(ids))
+        home = net.server(4, 0)
+        held = list(home.stored_ids())
+        assert held
+        injector = FaultInjector(net, seed=0)
+        takeover = net.controller._pick_takeover_server(4)
+        injector.crash_server(*takeover.server_id)
+        with pytest.raises(GredError, match="has crashed"):
+            net.extend_range(4, 0, migrate=True)
+        assert net.controller.switches[4].table.extension_for(0) is None
+        assert list(home.stored_ids()) == held
+        net.hinted_handoff = True
+        net.extend_range(4, 0, migrate=True)
+        assert home.load == 0 and not takeover.has(held[0])
+        assert sum(s.hint_count for s in net.servers()) == len(held)
+        injector.state.crashed_servers.discard(takeover.server_id)
+        assert net.drain_hints() == len(held)
+        assert [takeover.retrieve(d) for d in held] == held
