@@ -153,10 +153,14 @@ class Controller:
         participate in the DT.
     config:
         Control-plane tunables.
+    positions:
+        Optional precomputed virtual positions, as for
+        :meth:`recompute` (a snapshot restore passes the saved ones).
     """
 
     def __init__(self, topology: Graph, server_map: ServerMap,
-                 config: Optional[ControllerConfig] = None) -> None:
+                 config: Optional[ControllerConfig] = None,
+                 positions: Optional[Dict[int, Point]] = None) -> None:
         if not is_connected(topology):
             raise ControlPlaneError("the switch topology must be connected")
         unknown = [s for s in server_map if not topology.has_node(s)]
@@ -176,16 +180,6 @@ class Controller:
         self._dt_vertex_to_switch: Dict[int, int] = {}
         self._dt_switch_to_vertex: Dict[int, int] = {}
         self._rng = np.random.default_rng(self.config.seed)
-        self._init_incremental_state()
-        self.recompute()
-
-    def _init_incremental_state(self) -> None:
-        """Initialize the plan/diff/apply bookkeeping.
-
-        Split out of ``__init__`` because snapshot restore builds
-        controllers via ``__new__`` and must set up the same state
-        before calling :meth:`recompute`.
-        """
         #: Last applied plan (what the controller believes installed).
         self._plan: Optional[RulePlan] = None
         #: Bumps on every applied change, global or scoped.
@@ -221,6 +215,7 @@ class Controller:
         #: Full index (re)builds — the churn experiment asserts joins
         #: leave this flat.
         self._index_builds = 0
+        self.recompute(positions)
 
     # ------------------------------------------------------------------
     # main pipeline

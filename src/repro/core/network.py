@@ -2216,8 +2216,9 @@ class GredNetwork:
             self._position_fn(data_id))
 
     def _entry_pool(self) -> List[int]:
-        """The switches a request may enter at: every live one."""
-        ids = self.switch_ids()
+        """The switches a request may enter at: every live one that
+        hosts a server (a relay-only switch is no access point)."""
+        ids = [s for s in self.switch_ids() if self.server_map.get(s)]
         fault = self.fault_state
         if fault is not None:
             ids = [s for s in ids if fault.switch_alive(s)]
@@ -2231,8 +2232,13 @@ class GredNetwork:
             return draw_entries(self._entry_pool(), 1, rng)[0]
         if type(entry_switch) is not int:
             entry_switch = entry_index(entry_switch)
-        if not self.topology.has_node(entry_switch):
+        servers = self.server_map.get(entry_switch)
+        if servers is None:
             raise GredError(f"unknown entry switch {entry_switch}")
+        if not servers:
+            raise GredError(
+                f"entry switch {entry_switch} hosts no server; relay-only "
+                f"switches are not access points")
         fault = self.fault_state
         if fault is not None and not fault.switch_alive(entry_switch):
             raise GredError(

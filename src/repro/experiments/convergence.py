@@ -65,9 +65,10 @@ def canonical_state(switch) -> FrozenSet:
     return frozenset(entries)
 
 
-def oracle_switches(controller: Controller) -> Dict[int, GredSwitch]:
-    """From-scratch rebuild through the pre-refactor full installer."""
-    switches = {
+def blank_switches(controller: Controller) -> Dict[int, GredSwitch]:
+    """A switch per topology node, holding only its position and server
+    count (what a southbound install starts from)."""
+    return {
         node: GredSwitch(
             switch_id=node,
             position=controller.positions[node],
@@ -75,8 +76,19 @@ def oracle_switches(controller: Controller) -> Dict[int, GredSwitch]:
         )
         for node in controller.topology.nodes()
     }
+
+
+def oracle_switches(controller: Controller) -> Dict[int, GredSwitch]:
+    """From-scratch rebuild through the pre-refactor full installer.
+
+    Range extensions are operator decisions, not a function of the
+    control view, so the oracle holds the controller's own."""
+    switches = blank_switches(controller)
     install_all_rules(controller.topology, switches,
                       controller.positions, controller.dt_adjacency())
+    for node, live in controller.switches.items():
+        for entry in live.table.extensions():
+            switches[node].table.install_extension(entry)
     return switches
 
 

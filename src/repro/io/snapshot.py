@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Union
 
-from ..controlplane import ControlPlaneError, ControllerConfig
+from ..controlplane import ControlPlaneError, Controller, ControllerConfig
 from ..core import GredNetwork
+from ..dataplane import ExtensionEntry
 from ..edge import EdgeServer
 from ..graph import Graph
 
@@ -263,45 +264,30 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
         server_map.setdefault(server.switch, []).append(server)
     for servers in server_map.values():
         servers.sort(key=lambda s: s.serial)
-    config = snapshot["config"]
+    saved = snapshot["config"]
     net = GredNetwork.__new__(GredNetwork)
     net._init_request_state()
     # Re-attach the persisted fault state (if any) so a degraded
     # deployment restores degraded — crashed nodes must never come
     # back to life through a snapshot round trip.
     net.fault_state = _restore_fault_state(snapshot.get("faults"))
-    from ..controlplane import Controller
-
-    controller = Controller.__new__(Controller)
-    controller.config = ControllerConfig(
-        cvt_iterations=int(config["cvt_iterations"]),
-        samples_per_iteration=int(config["samples_per_iteration"]),
-        relaxation=float(config["relaxation"]),
-        margin=float(config["margin"]),
-        seed=int(config["seed"]),
+    config = ControllerConfig(
+        cvt_iterations=int(saved["cvt_iterations"]),
+        samples_per_iteration=int(saved["samples_per_iteration"]),
+        relaxation=float(saved["relaxation"]),
+        margin=float(saved["margin"]),
+        seed=int(saved["seed"]),
     )
-    controller.topology = topology
-    controller.server_map = {
-        node: server_map.get(node, []) for node in topology.nodes()
-    }
-    controller.positions = {}
-    controller.switches = {}
-    controller._dt = None
-    controller._dt_vertex_to_switch = {}
-    controller._dt_switch_to_vertex = {}
-    import numpy as np
-
-    controller._rng = np.random.default_rng(controller.config.seed)
-    controller._init_incremental_state()
     positions = {
         int(node): (float(pos[0]), float(pos[1]))
         for node, pos in snapshot["positions"].items()
     }
     try:
-        controller.recompute(positions=positions)
+        controller = Controller(topology, server_map, config,
+                                positions=positions)
     except ControlPlaneError as exc:
         raise SnapshotError(f"snapshot does not restore: {exc}") from exc
-    # Resume the persisted counters (the recompute above consumed
+    # Resume the persisted counters (the construction above consumed
     # epoch 1 / version 1; older snapshots without the section keep
     # those defaults).  The changelog is NOT restorable — leave it
     # truncated so ``changes_since`` answers ``None`` (full rebuild)
@@ -327,15 +313,17 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
             in controlplane.get("ack_generations", {}).items()
         }
     for ext in snapshot.get("extensions", []):
-        from ..dataplane import ExtensionEntry
-
-        controller.switches[int(ext["switch"])].table.install_extension(
-            ExtensionEntry(
-                local_serial=int(ext["serial"]),
-                target_switch=int(ext["target_switch"]),
-                target_serial=int(ext["target_serial"]),
-            )
-        )
+        switch, serial = int(ext["switch"]), int(ext["serial"])
+        entry = ExtensionEntry(local_serial=serial,
+                               target_switch=int(ext["target_switch"]),
+                               target_serial=int(ext["target_serial"]))
+        for owner, index in ((switch, serial), (entry.target_switch,
+                                                 entry.target_serial)):
+            if not 0 <= index < len(controller.server_map.get(owner, ())):
+                raise SnapshotError(
+                    f"extension record {ext} names unknown server "
+                    f"({owner}, {index})")
+        controller.switches[switch].table.install_extension(entry)
     net.controller = controller
     # Snapshots carry no code, so only the paper's default SHA-256
     # position mapping is restorable; networks built with a custom

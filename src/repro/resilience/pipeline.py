@@ -57,7 +57,8 @@ from .breaker import BreakerBoard, BreakerKey
 from .config import ResilienceConfig
 from .deadline import DeadlineBudget, RetryPolicy
 
-#: Shed reason when the resolved entry switch has crashed.
+#: Shed reason when the entry switch cannot take requests (crashed,
+#: unknown or relay-only).
 SHED_ENTRY_DOWN = "entry_down"
 #: What :meth:`ResilientNetwork._quiet` enters when nothing records.
 _UNTRACED = nullcontext()

@@ -4,10 +4,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.edge import EdgeServer, attach_uniform
 from repro.graph import Graph
 from repro.topology import brite_waxman_graph, grid_graph, testbed_topology
+
+#: ``pytest --hypothesis-profile=deep``: the control-plane model's long
+#: walk (tests/test_controlplane_model.py); CI runs it as its own step.
+settings.register_profile("deep", max_examples=50, stateful_step_count=40)
 
 
 @pytest.fixture(scope="session")

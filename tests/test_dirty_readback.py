@@ -1,142 +1,28 @@
 """A scoped event reads back and diffs only the switches it may have to
 change.
 
-The oracle is the full diff, ``diff_plans(snapshot_plan(every switch),
-desired)``, taken just before the controller applies its delta: the
-scoped delta must equal it after every join, leave, crash, link flip,
-out-of-band table write and anti-entropy sweep, over a perfect and a
-lossy southbound.  The scoped compile must also rebuild exactly the
-switch plans that differ from the last plan's.  A switch counts as
-clean only while its ``revision`` holds still, so the second group
-shows every mutator moves it and a corrupted switch the next event
-does not change is still repaired.
+That its delta is the full diff taken just before the apply, after
+every kind of event, is the control-plane model's invariant
+(``test_controlplane_model.py``).  Here: a switch counts as clean only
+while its ``revision`` holds still, so every mutator moves it, and a
+corrupted switch the next event does not change is still repaired.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.controlplane import (
-    ControlPlaneError,
     Controller,
     ControllerConfig,
     FaultyChannel,
     apply_message,
-    diff_plans,
-    snapshot_plan,
 )
 from repro.controlplane.southbound import RemoveVirtual
 from repro.dataplane import GredSwitch, VirtualLinkEntry
-from repro.edge import EdgeServer, attach_uniform
+from repro.edge import attach_uniform
 from repro.obs import MetricsRegistry, set_default_registry
 from repro.topology import brite_waxman_graph, grid_graph
-
-
-def spy(controller):
-    """Per rule install, ``(delta shipped, full diff just before it)``."""
-    calls = []
-    compile_plan, apply = controller._compile_plan, controller._apply
-    desired = []
-
-    def compiled(previous):
-        desired.append(compile_plan(previous))
-        return desired[-1]
-
-    def applied(delta, *, generation):
-        calls.append((delta, diff_plans(snapshot_plan(controller.switches),
-                                        desired[-1])))
-        apply(delta, generation=generation)
-
-    controller._compile_plan = compiled
-    controller._apply = applied
-    return calls
-
-
-def join(controller, switch_id, links, num_servers=2):
-    controller.add_switch(
-        switch_id, links=links,
-        servers=[EdgeServer(switch_id, s) for s in range(num_servers)])
-
-
-def drift(controller, switch, pick):
-    """One out-of-band write to ``switch``, chosen by ``pick``."""
-    entries = switch.table.virtual_entries()
-    kind = pick % 4
-    if kind == 0 and entries:
-        switch.table.remove_virtual(entries[pick % len(entries)].dest)
-    elif kind == 1:
-        others = sorted(set(controller.switches) - {switch.switch_id})
-        bogus = others[pick % len(others)]
-        switch.install_dt_neighbor(bogus, controller.positions[bogus])
-    elif kind == 2:
-        switch.num_servers = 0 if switch.num_servers else 3
-    else:
-        neighbors = sorted(switch.table.physical_neighbors())
-        switch.remove_physical_neighbor(neighbors[pick % len(neighbors)])
-
-
-EVENTS = st.lists(
-    st.tuples(st.sampled_from(["join", "leave", "leave-joiner", "crash",
-                               "link", "unlink", "drift", "reconcile"]),
-              st.integers(min_value=0, max_value=10 ** 6)),
-    min_size=1, max_size=8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(events=EVENTS, lossy=st.booleans())
-def test_scoped_delta_is_the_full_diff(events, lossy):
-    topology = grid_graph(3, 4)
-    controller = Controller(
-        topology, attach_uniform(topology.nodes(), 2),
-        config=ControllerConfig(cvt_iterations=3, seed=1))
-    if lossy:
-        controller.attach_transport(FaultyChannel(
-            drop=0.2, dup=0.1, delay=0.1, reorder_window=3, seed=7))
-    calls = spy(controller)
-    next_id = 100
-    for op, pick in events:
-        ids = sorted(controller.switches)
-        previous = controller._plan.plans
-        installs = len(calls)
-        try:
-            if op == "join":
-                join(controller, next_id,
-                     links=sorted({ids[pick % len(ids)],
-                                   ids[(pick // 7) % len(ids)]}),
-                     num_servers=pick % 3)
-                next_id += 1
-            elif op.startswith("leave"):
-                leaver = (next_id - 1 if op == "leave-joiner"
-                          and next_id - 1 in ids else ids[pick % len(ids)])
-                controller.remove_switch(leaver)
-            elif op == "crash":
-                controller.absorb_failures(
-                    dead_switches=[ids[pick % len(ids)]])
-            elif op == "link":
-                u, v = ids[pick % len(ids)], ids[(pick // 11) % len(ids)]
-                if u != v and not controller.topology.has_edge(u, v):
-                    controller.add_link(u, v)
-            elif op == "unlink":
-                edges = sorted((min(u, v), max(u, v)) for u, v, _
-                               in controller.topology.edges())
-                controller.remove_link(*edges[pick % len(edges)])
-            elif op == "drift":
-                drift(controller, controller.switches[ids[pick % len(ids)]],
-                      pick // 5)
-            else:
-                controller.reconcile()
-        except ControlPlaneError:
-            continue  # would disconnect / last participant
-        if len(calls) == installs:
-            continue  # no rule install: drift or reconcile
-        delta, full = calls[-1]
-        assert delta == full, op
-        plans = controller._plan.plans
-        rebuilt = {n for n, plan in plans.items()
-                   if plan is not previous.get(n)}
-        assert rebuilt == {n for n, plan in plans.items()
-                           if plan != previous.get(n)}, op
+from test_controlplane_model import join, spy
 
 
 def populated_switch():

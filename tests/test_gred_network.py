@@ -209,3 +209,62 @@ class TestServerAccess:
     def test_servers_flattened(self, gred_small):
         servers = gred_small.servers()
         assert len(servers) == 18  # 9 switches x 2
+
+
+class TestRelayOnlyEntries:
+    """A switch without servers is no access point: random entries are
+    drawn among server-hosting switches, and an explicit relay-only
+    entry is refused before anything is hashed or stored."""
+
+    @pytest.fixture
+    def net(self, waxman_topology):
+        servers = attach_uniform(waxman_topology.nodes(), 2)
+        servers[7] = []
+        net = GredNetwork(waxman_topology, servers, cvt_iterations=3,
+                          seed=0)
+        net.add_switch(100, links=[3, 12], servers_per_switch=0)
+        return net
+
+    def test_random_entries_skip_relay_only_switches(self, net):
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            net.place(f"scalar-{i}", rng=rng)
+        net.place_many([f"batch-{i}" for i in range(300)], rng=rng)
+        assert sum(net.load_vector()) == 600
+
+    @pytest.mark.parametrize("relay", [7, 100])
+    def test_relay_only_entry_is_refused(self, net, relay):
+        with pytest.raises(GredError, match=f"entry switch {relay} hosts"):
+            net.place("x", entry_switch=relay)
+        entries = [0] * 199 + [relay] + [0] * 100
+        with pytest.raises(GredError, match=f"entry switch {relay} hosts"):
+            net.place_many([f"b-{i}" for i in range(300)],
+                           entry_switches=entries)
+        assert sum(net.load_vector()) == 0
+
+    def test_resilient_random_entries_succeed(self, net):
+        from repro.resilience import ResilienceConfig
+
+        pipeline = net.resilient(ResilienceConfig(enabled=True))
+        rng = np.random.default_rng(1)
+        outcomes = [pipeline.place(f"r-{i}", now=float(i), rng=rng)
+                    for i in range(100)]
+        assert all(outcome.ok for outcome in outcomes)
+
+    def test_federated_relay_only_entry_is_refused(self):
+        from repro.controlplane import FederatedNetwork
+        from repro.topology import federated_topology
+
+        topology, assignment = federated_topology(2, 8, min_degree=2,
+                                                  seed=0)
+        servers = attach_uniform(topology.nodes(), 2)
+        relay = sorted(topology.nodes())[3]
+        servers[relay] = []
+        fed = FederatedNetwork(topology, assignment=assignment,
+                               server_map=servers, servers_per_switch=2,
+                               cvt_iterations=3, seed=0)
+        with pytest.raises(GredError, match=f"entry switch {relay} hosts"):
+            fed.place("x", entry_switch=relay)
+        rng = np.random.default_rng(2)
+        for i in range(100):
+            fed.place(f"f-{i}", rng=rng)

@@ -3,12 +3,9 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro import GredNetwork
-from repro.controlplane import ControlPlaneError
-from repro.core import GredError
 from repro.edge import EdgeServer, attach_uniform
 from repro.io import (
     SnapshotError,
@@ -17,8 +14,7 @@ from repro.io import (
     save_network,
     to_snapshot,
 )
-from repro.topology import brite_waxman_graph, grid_graph
-from test_controlplane_delta import rebuilt_adjacency
+from repro.topology import grid_graph
 
 
 @pytest.fixture
@@ -118,6 +114,27 @@ class TestErrors:
         snapshot = to_snapshot(net)
         del snapshot["positions"]["0"]
         with pytest.raises(SnapshotError, match="missing"):
+            from_snapshot(snapshot)
+
+    @pytest.mark.parametrize("doctor", [
+        lambda s: s.update(edges=[e for e in s["edges"] if 8 not in e[:2]]),
+        lambda s: s["servers"].append(
+            {"switch": 99, "serial": 0, "capacity": None,
+             "items": {"lost": 1}}),
+        lambda s: s.update(extensions=[
+            {"switch": 4, "serial": 0, "target_switch": 99,
+             "target_serial": 0}]),
+        lambda s: s.update(extensions=[
+            {"switch": 4, "serial": 7, "target_switch": 1,
+             "target_serial": 0}]),
+    ], ids=["disconnected", "server-on-unknown-switch",
+            "extension-to-unknown-switch", "extension-of-unknown-serial"])
+    def test_inconsistent_snapshot_rejected(self, net, doctor):
+        # Restore builds its controller through the constructor, so it
+        # refuses what a build would, and checks every extension.
+        snapshot = to_snapshot(net)
+        doctor(snapshot)
+        with pytest.raises(SnapshotError):
             from_snapshot(snapshot)
 
     @pytest.mark.parametrize("position", [
@@ -241,56 +258,3 @@ class TestControlPlaneCounters:
         assert restored.controller.version == version + 1
         assert restored.controller.generation(100) == \
             restored.controller.version
-
-
-def churn_and_compare(net, seed):
-    """Thirty random joins, leaves and crashes.  Joins insert into the
-    live DT and leaves and failure absorptions delete from it; after
-    every event its adjacency is a from-scratch build's and a snapshot
-    restore's, and the plan a fresh compile."""
-    controller = net.controller
-    rng = np.random.default_rng(seed)
-    next_id = 100
-    for _ in range(30):
-        ids = sorted(controller.topology.nodes())
-        pick = ids[int(rng.integers(len(ids)))]
-        op = str(rng.choice(["join", "leave", "leave-joiner", "crash"]))
-        try:
-            if op == "join":
-                links = sorted({ids[i] for i in rng.integers(len(ids),
-                                                             size=3)})
-                net.add_switch(next_id, links,
-                               servers_per_switch=int(rng.integers(3)))
-                next_id += 1
-            elif op == "crash":
-                controller.absorb_failures(dead_switches=[pick])
-            else:
-                net.remove_switch(next_id - 1 if op == "leave-joiner"
-                                  and next_id - 1 in ids else pick)
-        except (ControlPlaneError, GredError):
-            continue  # would disconnect the network
-        assert controller._plan == controller.desired_plan()
-        live = controller.dt_adjacency()
-        assert live == rebuilt_adjacency(controller, seed)
-        assert live == \
-            from_snapshot(to_snapshot(net)).controller.dt_adjacency()
-
-
-def test_live_dt_is_the_restored_dt_after_churn():
-    topology, _ = brite_waxman_graph(40, min_degree=3,
-                                     rng=np.random.default_rng(2))
-    net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=3,
-                      seed=0)
-    churn_and_compare(net, 3)
-
-
-def test_live_dt_is_the_restored_dt_after_churn_on_a_grid():
-    # Every survivor keeps its integer-grid position: cocircular ties
-    # throughout, broken alike by the live DT and each rebuild.
-    topology, _ = brite_waxman_graph(40, min_degree=3,
-                                     rng=np.random.default_rng(2))
-    net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=3,
-                      seed=0)
-    net.controller.recompute(positions={
-        n: (float(n % 7), float(n // 7)) for n in topology.nodes()})
-    churn_and_compare(net, 4)

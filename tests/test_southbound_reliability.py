@@ -1,22 +1,19 @@
 """Reliable-southbound tests: lossy channel, ack/retry convergence,
 and digest-based anti-entropy reconciliation.
 
-The convergence oracle throughout is
-:func:`repro.controlplane.install_all_rules` — after any churn over
-any seeded fault mix, every switch must end byte-identical to a
-from-scratch rebuild once the transactional applier's retries and
-``Controller.reconcile`` have run.  A second pillar is the no-fault
+The convergence oracle is :func:`repro.controlplane.install_all_rules`
+(through :func:`repro.experiments.convergence.mismatched_switches`);
+that churn over any fault mix converges to it once ``reconcile`` has
+run is the control-plane model's invariant
+(``test_controlplane_model.py``).  A second pillar is the no-fault
 equality: with every channel knob at zero, the reliable path must
 transmit *exactly* the message sequence ``apply_delta`` would.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.controlplane import (
-    ControlPlaneError,
     Controller,
     ControllerConfig,
     FaultyChannel,
@@ -24,9 +21,7 @@ from repro.controlplane import (
     RetryPolicy,
     TransactionalApplier,
     apply_delta,
-    compile_plan,
     diff_plans,
-    install_all_rules,
     plan_digests,
     snapshot_plan,
     switch_digest,
@@ -42,17 +37,18 @@ from repro.controlplane.southbound import (
 )
 from repro.core import GredError
 from repro.dataplane import GredSwitch
-from repro.edge import EdgeServer, attach_uniform
+from repro.edge import EdgeServer
+from repro.experiments.convergence import (
+    blank_switches,
+    canonical_state,
+    mismatched_switches,
+)
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 from repro.obs import MetricsRegistry, default_registry, set_default_registry
 from repro.topology import grid_graph
 
-from test_controlplane_delta import (
-    assert_matches_oracle,
-    canonical_state,
-    join,
-    make_controller,
-)
+from test_controlplane_delta import make_controller
+from test_controlplane_model import join
 
 
 def make_reliable_controller(rows=4, cols=4, seed=0, **channel_knobs):
@@ -63,33 +59,13 @@ def make_reliable_controller(rows=4, cols=4, seed=0, **channel_knobs):
     return controller, channel
 
 
-def fresh_switches(controller):
-    return {
-        node: GredSwitch(
-            switch_id=node,
-            position=controller.positions[node],
-            num_servers=len(controller.server_map.get(node, [])),
-        )
-        for node in controller.topology.nodes()
-    }
-
-
-def desired_plan(controller):
-    return compile_plan(
-        controller.topology, controller.positions,
-        controller.dt_adjacency(),
-        server_counts={node: len(controller.server_map.get(node, []))
-                       for node in controller.topology.nodes()},
-    )
-
-
 class TestFaultyChannel:
     """Deterministic fault injection on the southbound channel."""
 
     def test_faultless_channel_delivers_everything_in_order(self):
         controller = make_controller()
-        plan = desired_plan(controller)
-        switches = fresh_switches(controller)
+        plan = controller.desired_plan()
+        switches = blank_switches(controller)
         observer = RecordingChannel()
         channel = FaultyChannel(observer=observer)
         delta = diff_plans(None, plan)
@@ -105,31 +81,31 @@ class TestFaultyChannel:
 
     def test_same_seed_same_faults(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
+        delta = diff_plans(None, controller.desired_plan())
         runs = []
         for _ in range(2):
             channel = FaultyChannel(drop=0.3, dup=0.1,
                                     reorder_window=3, seed=7)
-            acks = channel.ship(fresh_switches(controller),
+            acks = channel.ship(blank_switches(controller),
                                 delta.messages)
             runs.append((acks, channel.stats.to_dict()))
         assert runs[0] == runs[1]
 
     def test_different_seed_different_faults(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
+        delta = diff_plans(None, controller.desired_plan())
         stats = []
         for seed in (1, 2):
             channel = FaultyChannel(drop=0.3, seed=seed)
-            channel.ship(fresh_switches(controller), delta.messages)
+            channel.ship(blank_switches(controller), delta.messages)
             stats.append(tuple(channel.stats.to_dict().items()))
         assert stats[0] != stats[1]
 
     def test_dropped_messages_are_not_acked(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
+        delta = diff_plans(None, controller.desired_plan())
         channel = FaultyChannel(drop=0.5, seed=3)
-        acks = channel.ship(fresh_switches(controller), delta.messages)
+        acks = channel.ship(blank_switches(controller), delta.messages)
         assert channel.stats.dropped > 0
         assert sum(1 for a in acks if not a) == channel.stats.dropped
 
@@ -226,16 +202,16 @@ class TestTransactionalApplier:
 
     def test_no_fault_path_is_message_identical_to_apply_delta(self):
         controller = make_controller()
-        plan = desired_plan(controller)
+        plan = controller.desired_plan()
         delta = diff_plans(None, plan)
 
         plain_channel = RecordingChannel()
-        apply_delta(fresh_switches(controller), delta,
+        apply_delta(blank_switches(controller), delta,
                     channel=plain_channel)
 
         observer = RecordingChannel()
         applier = TransactionalApplier(FaultyChannel(observer=observer))
-        report = applier.apply(fresh_switches(controller), delta)
+        report = applier.apply(blank_switches(controller), delta)
 
         assert observer.messages == plain_channel.messages
         assert report.converged
@@ -244,10 +220,10 @@ class TestTransactionalApplier:
 
     def test_delta_applied_twice_equals_once(self):
         controller = make_controller()
-        plan = desired_plan(controller)
+        plan = controller.desired_plan()
         delta = diff_plans(None, plan)
         applier = TransactionalApplier(FaultyChannel())
-        switches = fresh_switches(controller)
+        switches = blank_switches(controller)
         applier.apply(switches, delta)
         once = {sid: canonical_state(sw)
                 for sid, sw in switches.items()}
@@ -258,16 +234,16 @@ class TestTransactionalApplier:
 
     def test_retries_recover_from_drops(self):
         controller = make_controller()
-        plan = desired_plan(controller)
+        plan = controller.desired_plan()
         delta = diff_plans(None, plan)
-        switches = fresh_switches(controller)
+        switches = blank_switches(controller)
         applier = TransactionalApplier(
             FaultyChannel(drop=0.3, seed=5),
             policy=RetryPolicy(max_attempts=16, delta_deadline=100.0))
         report = applier.apply(switches, delta)
         assert report.converged
         assert report.retries > 0
-        oracle = fresh_switches(controller)
+        oracle = blank_switches(controller)
         apply_delta(oracle, delta)
         for sid in oracle:
             assert canonical_state(switches[sid]) == \
@@ -275,30 +251,30 @@ class TestTransactionalApplier:
 
     def test_retry_budget_exhaustion_lands_on_pending(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
+        delta = diff_plans(None, controller.desired_plan())
         applier = TransactionalApplier(
             FaultyChannel(drop=1.0, seed=0),
             policy=RetryPolicy(max_attempts=2, delta_deadline=100.0))
-        report = applier.apply(fresh_switches(controller), delta)
+        report = applier.apply(blank_switches(controller), delta)
         assert not report.converged
         assert report.pending == delta.touched
         assert report.acked == frozenset()
 
     def test_unreachable_switch_goes_straight_to_pending(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
+        delta = diff_plans(None, controller.desired_plan())
         channel = FaultyChannel()
         target = sorted(delta.touched)[0]
         channel.mark_unreachable(target)
         report = TransactionalApplier(channel).apply(
-            fresh_switches(controller), delta)
+            blank_switches(controller), delta)
         assert target in report.pending
         assert report.pending == frozenset({target})
 
     def test_departed_switch_is_acked_noop(self):
         controller = make_controller()
-        delta = diff_plans(None, desired_plan(controller))
-        switches = fresh_switches(controller)
+        delta = diff_plans(None, controller.desired_plan())
+        switches = blank_switches(controller)
         gone = sorted(delta.touched)[0]
         del switches[gone]
         report = TransactionalApplier(FaultyChannel()).apply(
@@ -320,7 +296,7 @@ class TestDigests:
 
     def test_digest_matches_iff_state_matches(self):
         controller = make_controller()
-        plan = desired_plan(controller)
+        plan = controller.desired_plan()
         installed = snapshot_plan(controller.switches)
         for sid in plan.plans:
             assert switch_digest(plan.plans[sid]) == \
@@ -334,7 +310,7 @@ class TestDigests:
 
     def test_plan_digests_keys(self):
         controller = make_controller()
-        plan = desired_plan(controller)
+        plan = controller.desired_plan()
         digests = plan_digests(plan)
         assert set(digests) == set(plan.plans)
 
@@ -356,7 +332,7 @@ class TestReconcile:
         report = controller.reconcile()
         assert report.divergent_initial >= 1
         assert report.converged
-        assert_matches_oracle(controller)
+        assert mismatched_switches(controller) == []
 
     def test_reconcile_skips_unreachable_and_drains_on_recovery(self):
         controller, channel = make_reliable_controller()
@@ -377,67 +353,26 @@ class TestReconcile:
         assert report.converged
         assert report.drained >= 1
         assert victim not in controller.pending_deltas
-        assert_matches_oracle(controller)
+        assert mismatched_switches(controller) == []
 
     def test_verifier_reports_digest_mismatch(self):
         controller, _ = make_reliable_controller()
         victim = sorted(controller.switches)[0]
         controller.switches[victim].num_servers = 99
         violations = verify_installed_state(
-            controller, desired_plan=desired_plan(controller))
+            controller, desired_plan=controller.desired_plan())
         assert any(v.kind == "digest-mismatch" and v.switch == victim
                    for v in violations)
         controller.reconcile()
         violations = verify_installed_state(
-            controller, desired_plan=desired_plan(controller))
+            controller, desired_plan=controller.desired_plan())
         assert not [v for v in violations
                     if v.kind == "digest-mismatch"]
 
 
 class TestChurnUnderLossConvergence:
-    """The tentpole property: churn over a lossy channel converges to
-    the install_all_rules oracle once reconcile has run."""
-
-    OPS = st.lists(
-        st.tuples(st.sampled_from(["join", "leave", "link"]),
-                  st.integers(0, 10 ** 6)),
-        min_size=1, max_size=6)
-
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(ops=OPS, drop=st.sampled_from([0.0, 0.2, 0.4]),
-           window=st.sampled_from([1, 4]))
-    def test_random_churn_converges_to_oracle(self, ops, drop, window):
-        controller, channel = make_reliable_controller(
-            drop=drop, dup=0.05, reorder_window=window)
-        next_id = 200
-        joined = []
-        for op, pick in ops:
-            try:
-                if op == "join":
-                    ids = sorted(controller.switches)
-                    links = [ids[pick % len(ids)],
-                             ids[(pick // 7) % len(ids)]]
-                    join(controller, next_id,
-                         links=sorted(set(links)))
-                    joined.append(next_id)
-                    next_id += 1
-                elif op == "leave" and joined:
-                    controller.remove_switch(
-                        joined.pop(pick % len(joined)))
-                elif op == "link":
-                    ids = sorted(controller.switches)
-                    u = ids[pick % len(ids)]
-                    v = ids[(pick // 13) % len(ids)]
-                    if u != v:
-                        controller.add_link(u, v)
-            except ControlPlaneError:
-                continue  # structurally impossible pick — skip
-        report = controller.reconcile(max_sweeps=16)
-        assert report.converged, \
-            f"unconverged after reconcile: {sorted(report.divergent_final)}"
-        assert_matches_oracle(controller)
-        assert controller.pending_deltas == {}
+    """Churn over a heavily lossy channel converges to the
+    install_all_rules oracle once reconcile has run."""
 
     def test_heavy_loss_single_join_converges(self):
         controller, _ = make_reliable_controller(
@@ -447,7 +382,7 @@ class TestChurnUnderLossConvergence:
         controller.remove_switch(300)
         report = controller.reconcile(max_sweeps=16)
         assert report.converged
-        assert_matches_oracle(controller)
+        assert mismatched_switches(controller) == []
 
 
 class TestControlFaultPlan:
@@ -496,7 +431,7 @@ class TestControlFaultPlan:
             servers=[EdgeServer(50, 0), EdgeServer(50, 1)])
         report = net.controller.reconcile(max_sweeps=16)
         assert report.converged
-        assert_matches_oracle(net.controller)
+        assert mismatched_switches(net.controller) == []
 
 
 class TestSouthboundMetrics:
@@ -570,4 +505,4 @@ class TestSnapshotReliabilityState:
         report = controller.reconcile()
         assert report.divergent_initial >= 1
         assert report.converged
-        assert_matches_oracle(controller)
+        assert mismatched_switches(controller) == []
