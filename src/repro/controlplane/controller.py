@@ -460,17 +460,17 @@ class Controller:
 
     def _dirty(self, desired: RulePlan) -> FrozenSet[int]:
         """The switches a scoped event must read back and diff: its
-        desired plan is not the last plan's object, it has a pending
-        delta, or it is not known converged — never recorded, or its
-        revision moved since (an out-of-band write, a late message).
-        Every other switch holds the last plan's ``SwitchPlan``, which
-        is ``desired``'s, so its diff would be empty."""
+        desired plan is not the last plan's object, or it is not known
+        converged — never recorded, or its revision moved since (an
+        out-of-band write, a late message).  Every other switch holds
+        the last plan's ``SwitchPlan``, which is ``desired``'s, so its
+        diff would be empty.  A pending delta needs no clause of its
+        own (DESIGN.md §5a)."""
         last = self._plan.plans
         converged = self._converged
-        pending = self._pending_deltas
         return frozenset(
             sid for sid, switch in self.switches.items()
-            if desired.plans[sid] is not last.get(sid) or sid in pending
+            if desired.plans[sid] is not last.get(sid)
             or converged.get(sid) != (switch, switch.revision))
 
     def desired_plan(self) -> RulePlan:
@@ -815,7 +815,9 @@ class Controller:
     def _solve_join_position(self, switch_id: int,
                              topology: Graph) -> Point:
         """Least-squares position for a joining switch against the
-        existing embedding, over ``topology`` (the joiner linked in)."""
+        existing embedding, over ``topology`` (the joiner linked in).
+        A solve that fails or is not finite raises
+        :class:`ControlPlaneError`."""
         from ..graph import bfs_distances
 
         anchors = []
@@ -840,21 +842,30 @@ class Controller:
             )
         else:
             x0 = (0.5, 0.5)
+        from scipy.optimize import least_squares
+
+        # math.hypot, not np.hypot: the two differ in the last bit
+        # (see TIE_BAND) and the committed CHURN / FEDERATION reports
+        # pin the solved position.
+        def residuals(q):
+            q0, q1 = q[0], q[1]
+            return [math.hypot(q0 - x, q1 - y) - target
+                    for x, y, target in targets]
+
+        # Fail closed: the join is still a pure solve here, so a
+        # refusal changes nothing (no fallback position is guessed).
         try:
-            from scipy.optimize import least_squares
-
-            # math.hypot, not np.hypot: the two differ in the last bit
-            # (see TIE_BAND) and the committed CHURN / FEDERATION
-            # reports pin the solved position.
-            def residuals(q):
-                q0, q1 = q[0], q[1]
-                return [math.hypot(q0 - x, q1 - y) - target
-                        for x, y, target in targets]
-
-            solution = least_squares(residuals, x0=list(x0))
-            return (float(solution.x[0]), float(solution.x[1]))
-        except Exception:  # pragma: no cover - scipy should be present
-            return x0
+            x, y = (float(v) for v in
+                    least_squares(residuals, x0=list(x0)).x)
+        except Exception as exc:
+            raise ControlPlaneError(
+                f"join of switch {switch_id}: the position solve "
+                f"failed ({exc})") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ControlPlaneError(
+                f"join of switch {switch_id}: the position solve gave "
+                f"a non-finite point ({x}, {y})")
+        return (x, y)
 
     def _embedding_scale(self, topology: Graph) -> float:
         """Least-squares factor mapping hop distances over ``topology``

@@ -28,15 +28,21 @@ map and seed as a monolithic ``GredNetwork``.
 
 from __future__ import annotations
 
+import time
+from math import hypot
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
+# The module, not its names: ``repro.core`` imports this package, so
+# they resolve at call time (no import machinery on the request path).
+from ..core import network as _network
+from ..core.results import PlacementResult
 from ..embedding import m_position
 from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
-from ..hashing import data_position, replica_id
+from ..hashing import digest_keys, position_from_bits, replica_id
 from ..obs import HOP_BUCKETS, default_registry
 from .region import RegionError, RegionMap
 from .routing_index import RoutingIndex
@@ -114,6 +120,10 @@ class FederatedController:
         self._sites = _region_sites(region_map.region_graph)
         self._region_index = RoutingIndex(sorted(self._sites),
                                           self._sites)
+        #: ``(x, y, region)`` per site, in region order (see
+        #: :meth:`home_region`).
+        self._site_rows = [(float(x), float(y), rid)
+                           for rid, (x, y) in sorted(self._sites.items())]
 
     # ------------------------------------------------------------------
     # region resolution
@@ -135,8 +145,16 @@ class FederatedController:
 
     def home_region(self, position: Tuple[float, float]) -> int:
         """The region whose top-level site is nearest to ``position``
-        — where a data item with that hash position lives."""
-        return self._region_index.closest(position)
+        — where a data item with that hash position lives.
+
+        A scan of the few region sites under
+        :meth:`RoutingIndex.closest`'s ``(math.hypot distance, x, y)``
+        key — the same answer bit for bit, a coincident site going to
+        the lower region id as there — without its grid rings, which
+        pay off only over many points."""
+        px, py = position
+        return min([(hypot(x - px, y - py), x, y, rid)
+                    for x, y, rid in self._site_rows])[3]
 
     def home_regions(self, positions: np.ndarray) -> List[int]:
         """Batch :meth:`home_region` over ``(n, 2)`` positions
@@ -287,8 +305,6 @@ class FederatedNetwork:
         samples_per_iteration: int = 1000,
         seed: int = 0,
     ) -> None:
-        from ..core import GredNetwork
-
         if assignment is None:
             from ..topology.regions import partition_regions
 
@@ -297,15 +313,13 @@ class FederatedNetwork:
         self.seed = seed
         shards: Dict[int, RegionShard] = {}
         self.build_seconds: Dict[int, float] = {}
-        import time
-
         for rid in self.region_map.region_ids:
             members = self.region_map.members(rid)
             shard_servers = None
             if server_map is not None:
                 shard_servers = {sid: server_map[sid] for sid in members}
             start = time.perf_counter()
-            net = GredNetwork(
+            net = _network.GredNetwork(
                 self.region_map.subtopology(rid),
                 server_map=shard_servers,
                 servers_per_switch=servers_per_switch,
@@ -318,7 +332,16 @@ class FederatedNetwork:
                                       self.region_map.gateways(rid))
         self.shards = shards
         self.controller = FederatedController(self.region_map, shards)
+        self._init_request_state()
+
+    def _init_request_state(self) -> None:
+        """The request-path caches (also what a restore starts from)."""
         self._legs: Dict[int, Tuple[int, Dict]] = {}  # see _leg
+        #: ``(entry, home) -> _stitch(entry, home)`` across calls, and
+        #: the shard controllers and versions it holds for (see
+        #: :meth:`_stitches`).
+        self._stitch_memo: Dict[Tuple[int, int], Any] = {}
+        self._stitch_stamp: List[Any] = []
 
     # ------------------------------------------------------------------
     # views
@@ -363,8 +386,13 @@ class FederatedNetwork:
 
     def home_region_of(self, data_id: str, copy_index: int = 0) -> int:
         """The region where copy ``copy_index`` of ``data_id`` lives."""
-        pos = data_position(replica_id(data_id, copy_index))
-        return self.controller.home_region(pos)
+        return self._home(replica_id(data_id, copy_index))[0]
+
+    def _home(self, copy_id: str):
+        """``(home region, digest keys)`` of one replica id: the one
+        SHA-256 of a scalar request, which the home shard routes on."""
+        keys = digest_keys(copy_id)
+        return self.controller.home_region(position_from_bits(keys[1])), keys
 
     # ------------------------------------------------------------------
     # entry resolution (the owning shard's rule)
@@ -379,19 +407,50 @@ class FederatedNetwork:
 
     def _resolve_entry(self, entry_switch: Optional[int],
                        rng: Optional[np.random.Generator]) -> int:
-        from ..core.network import GredError, draw_entries, entry_index
-
         if entry_switch is None:
-            return draw_entries(self._entry_pool(), 1, rng)[0]
-        entry_switch = entry_index(entry_switch)
+            return _network.draw_entries(self._entry_pool(), 1, rng)[0]
+        entry_switch = _network.entry_index(entry_switch)
         rid = self.controller._assignment.get(entry_switch)
         if rid is None:
-            raise GredError(f"unknown entry switch {entry_switch}")
+            raise _network.GredError(
+                f"unknown entry switch {entry_switch}")
         return self.shards[rid].net._resolve_entry(entry_switch, rng)
 
     # ------------------------------------------------------------------
     # gateway stitching
     # ------------------------------------------------------------------
+    def _stitches(self) -> Dict[Tuple[int, int], Any]:
+        """The stitch memo a call looks its ``(entry, home)`` pairs up
+        in (through :meth:`_stitch_via`).
+
+        With no fault state attached anywhere, a stitch is a function
+        of the static region map and the shards' topologies, so the
+        memo is kept across calls while every shard's controller
+        (object and ``version``) stands: any event that can change a
+        topology bumps a version and drops it.  Under a fault state,
+        gateway liveness and serving regions enter the answer: each
+        call gets a fresh dict, so a stitch is computed as it always
+        was, once per pair and call."""
+        stamp: List[Any] = []
+        for shard in self.shards.values():
+            net = shard.net
+            if net.fault_state is not None:
+                return {}
+            stamp += (net.controller, net.controller.version)
+        if stamp != self._stitch_stamp:
+            self._stitch_stamp = stamp
+            self._stitch_memo = {}
+        return self._stitch_memo
+
+    def _stitch_via(self, memo: Dict[Tuple[int, int], Any], entry: int,
+                    home: int) -> Optional[Tuple[List[int], int, int]]:
+        """:meth:`_stitch` through ``memo`` (from :meth:`_stitches`)."""
+        try:
+            return memo[entry, home]
+        except KeyError:
+            stitched = memo[entry, home] = self._stitch(entry, home)
+            return stitched
+
     def _stitch(self, entry: int, home_region: int
                 ) -> Optional[Tuple[List[int], int, int]]:
         """Carry a request from ``entry`` to the ingress gateway of
@@ -435,9 +494,7 @@ class FederatedNetwork:
     # per-shard requests (shared by the scalar and the batch calls)
     # ------------------------------------------------------------------
     def _unreachable(self, home: int, copy_id: str):
-        from ..core import GredError
-
-        return GredError(
+        return _network.GredError(
             f"region {home} is unreachable over the gateway "
             f"overlay; cannot place {copy_id}"
         )
@@ -506,31 +563,33 @@ class FederatedNetwork:
     def place(self, data_id: str, payload: Any = None,
               entry_switch: Optional[int] = None, copies: int = 1,
               rng: Optional[np.random.Generator] = None):
-        from ..core.network import check_copies
-        from ..core.results import PlacementResult
-
-        check_copies(copies)
+        _network.check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
+        memo = self._stitches()
         records = [
-            self._place_copy(replica_id(data_id, i), payload, entry)
+            self._place_copy(replica_id(data_id, i), payload, entry, memo)
             for i in range(copies)
         ]
         return PlacementResult(data_id=data_id, records=records)
 
-    def _place_copy(self, copy_id: str, payload: Any, entry: int):
+    def _place_copy(self, copy_id: str, payload: Any, entry: int,
+                    memo: Dict[Tuple[int, int], Any]):
         """One replica, placed by its home shard as the single-copy
-        item it is there (a replica id is copy 0 of itself)."""
-        home = self.controller.home_region(data_position(copy_id))
+        item it is there (a replica id is copy 0 of itself): what the
+        shard's ``place(copy_id, ...)`` does, routed on this call's
+        digest."""
+        home, keys = self._home(copy_id)
         stitched = None
         if home != self.region_of(entry):
-            stitched = self._stitch(entry, home)
+            stitched = self._stitch_via(memo, entry, home)
             if stitched is None:
                 raise self._unreachable(home, copy_id)
         self._count_requests(home, (stitched,))
-        record = self.shards[home].net.place(
-            copy_id, payload=payload,
-            entry_switch=entry if stitched is None else stitched[1],
-        ).records[0]
+        net = self.shards[home].net
+        local = net._resolve_entry(
+            entry if stitched is None else stitched[1], None)
+        record = net._place_one(copy_id, payload, local,
+                                net._op_stamp(local), keys)
         if stitched is None:
             return record
         return self._carry_record(record, entry, stitched)
@@ -554,17 +613,12 @@ class FederatedNetwork:
         Fails closed: an unreachable home region raises before any
         shard stores anything.
         """
-        from ..core.network import batch_front_door
-        from ..core.results import PlacementResult
-
         data_ids, entries, flat_ids, digests, positions = \
-            batch_front_door(self, data_ids, entry_switches, copies,
-                             rng, digests, payloads)
+            _network.batch_front_door(self, data_ids, entry_switches,
+                                      copies, rng, digests, payloads)
         homes = self.controller.home_regions(positions)
         assignment = self.controller._assignment
-        # Stitches are memoized for this call only: the leg cache and
-        # ``serving()`` keep their own invalidation rules.
-        stitches: Dict[Tuple[int, int], Any] = {}
+        memo = self._stitches()
         # home region -> (flat rows, their stitches; None = intra),
         # in request order: each shard stores exactly the sequence a
         # loop of ``place`` calls would hand it.
@@ -573,12 +627,9 @@ class FederatedNetwork:
             entry = entries[f // copies]
             stitched = None
             if assignment[entry] != home:
-                stitched = stitches.get((entry, home))
+                stitched = self._stitch_via(memo, entry, home)
                 if stitched is None:
-                    stitched = self._stitch(entry, home)
-                    if stitched is None:
-                        raise self._unreachable(home, flat_ids[f])
-                    stitches[entry, home] = stitched
+                    raise self._unreachable(home, flat_ids[f])
             flats, hows = plan.setdefault(home, ([], []))
             flats.append(f)
             hows.append(stitched)
@@ -617,19 +668,22 @@ class FederatedNetwork:
                  rng: Optional[np.random.Generator] = None,
                  max_hops: Optional[int] = None,
                  read_repair: bool = False):
-        from ..core.network import GredError, GredNetwork, check_copies
-
-        check_copies(copies)
+        _network.check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
-        homes = [self.home_region_of(data_id, i) for i in range(copies)]
+        # One digest per replica: it homes the replica, and the shard
+        # that serves it routes on it (``_retrieve_at``'s ``keys``).
+        resolved = [self._home(replica_id(data_id, i))
+                    for i in range(copies)]
+        homes = [home for home, _ in resolved]
         entry_region = self.region_of(entry)
         if all(h == entry_region for h in homes):
             self._count_requests(entry_region, (None,))
-            return self.shards[entry_region].net.retrieve(
-                data_id, entry_switch=entry, copies=copies,
-                max_hops=max_hops, read_repair=read_repair)
+            net = self.shards[entry_region].net
+            return net._retrieve_at(
+                data_id, net._resolve_entry(entry, None), copies,
+                max_hops, read_repair, [keys for _, keys in resolved])
         if read_repair and copies > 1:
-            raise GredError(
+            raise _network.GredError(
                 f"cannot read-repair {data_id!r} from region "
                 f"{entry_region}: its replicas live in regions "
                 f"{sorted(set(homes))}, and replica stamps come from "
@@ -640,25 +694,26 @@ class FederatedNetwork:
         # that is not serving, is unreachable or cannot route the
         # probe is skipped (the attempt still counts).
         order = self._probe_order(entry_region, homes)
+        memo = self._stitches()
         attempts = 0
         last_miss = None
         for i in order:
             attempts += 1
-            home = homes[i]
+            home, keys = resolved[i]
             stitched = None
             if home != entry_region:
                 if not self.shards[home].serving():
                     continue
-                stitched = self._stitch(entry, home)
+                stitched = self._stitch_via(memo, entry, home)
                 if stitched is None:
                     continue
             self._count_requests(home, (stitched,))
+            net = self.shards[home].net
+            local = net._resolve_entry(
+                entry if stitched is None else stitched[1], None)
             result = self._carry_probe(
-                self.shards[home].net.retrieve(
-                    replica_id(data_id, i),
-                    entry_switch=(entry if stitched is None
-                                  else stitched[1]),
-                    max_hops=max_hops),
+                net._retrieve_at(replica_id(data_id, i), local, 1,
+                                 max_hops, False, [keys]),
                 data_id, i, attempts, entry, stitched)
             if result is None:
                 continue
@@ -667,8 +722,8 @@ class FederatedNetwork:
             last_miss = result
         if last_miss is not None:
             return last_miss
-        return GredNetwork._unroutable(data_id, entry, order[-1],
-                                       attempts)
+        return _network.GredNetwork._unroutable(data_id, entry, order[-1],
+                                                attempts)
 
     def _probe_order(self, entry_region: int,
                      homes: Sequence[int]) -> List[int]:
@@ -698,11 +753,9 @@ class FederatedNetwork:
         ``copies=1`` is a single wave.  Results equal a loop of
         :meth:`retrieve` over the items.
         """
-        from ..core.network import GredNetwork, batch_front_door
-
         data_ids, entries, flat_ids, digests, positions = \
-            batch_front_door(self, data_ids, entry_switches, copies,
-                             rng, digests)
+            _network.batch_front_door(self, data_ids, entry_switches,
+                                      copies, rng, digests)
         homes = self.controller.home_regions(positions)
         assignment = self.controller._assignment
         count = len(data_ids)
@@ -715,8 +768,7 @@ class FederatedNetwork:
             orders.append(
                 None if all(h == region for h in item_homes)
                 else self._probe_order(region, item_homes))
-        # Memoized for this call only, like ``place_many``'s.
-        stitches: Dict[Tuple[int, int], Any] = {}
+        memo = self._stitches()
         serving: Dict[int, bool] = {}
         results: List[Any] = [None] * count
         attempts = [0] * count
@@ -740,10 +792,7 @@ class FederatedNetwork:
                         serving[home] = self.shards[home].serving()
                     if not serving[home]:
                         continue
-                    if (entry, home) not in stitches:
-                        stitches[entry, home] = self._stitch(entry,
-                                                             home)
-                    stitched = stitches[entry, home]
+                    stitched = self._stitch_via(memo, entry, home)
                     if stitched is None:
                         continue
                 groups.setdefault((home, 1), []).append(
@@ -780,7 +829,7 @@ class FederatedNetwork:
                 break
         for i in pending:
             if results[i] is None:
-                results[i] = GredNetwork._unroutable(
+                results[i] = _network.GredNetwork._unroutable(
                     data_ids[i], entries[i], orders[i][-1],
                     attempts[i])
         return results
@@ -790,18 +839,17 @@ class FederatedNetwork:
     # ------------------------------------------------------------------
     def delete(self, data_id: str, copies: int = 1,
                entry_switch: Optional[int] = None) -> int:
-        from ..core.network import check_copies
-
-        check_copies(copies)
+        _network.check_copies(copies)
         entry = self._resolve_entry(entry_switch, None)
+        memo = self._stitches()
         removed = 0
         for i in range(copies):
             copy_id = replica_id(data_id, i)
-            home = self.controller.home_region(data_position(copy_id))
+            home = self.home_region_of(copy_id)
             if home == self.region_of(entry):
                 local_entry = entry
             else:
-                stitched = self._stitch(entry, home)
+                stitched = self._stitch_via(memo, entry, home)
                 if stitched is None:
                     continue
                 local_entry = stitched[1]
@@ -820,19 +868,17 @@ class FederatedNetwork:
         are a topology build-time decision), so the join mutates
         exactly one shard controller and ships zero southbound
         messages anywhere else."""
-        from ..core import GredError
-
         link_regions = {self.region_of(p) for p in links}
         if region is None:
             if len(link_regions) != 1:
-                raise GredError(
+                raise _network.GredError(
                     f"join of {switch_id} spans regions "
                     f"{sorted(link_regions)}; a joining switch must "
                     f"link into exactly one region"
                 )
             region = link_regions.pop()
         elif link_regions - {region}:
-            raise GredError(
+            raise _network.GredError(
                 f"join of {switch_id} into region {region} has link "
                 f"peers in {sorted(link_regions - {region})}"
             )
@@ -846,11 +892,9 @@ class FederatedNetwork:
         """A switch leaves its region gracefully (items re-placed
         within the shard).  Gateway switches pin the overlay and
         cannot leave."""
-        from ..core import GredError
-
         region = self.region_of(switch_id)
         if switch_id in self.shards[region].gateways:
-            raise GredError(
+            raise _network.GredError(
                 f"switch {switch_id} is a designated gateway of region "
                 f"{region} and cannot leave"
             )

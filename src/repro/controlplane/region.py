@@ -101,6 +101,9 @@ class RegionMap:
                 "the region adjacency graph is disconnected — some "
                 "regions have no gateway link path between them"
             )
+        #: ``(src, dst, avoid) -> path`` of :meth:`overlay_path`.
+        self._paths: Dict[Tuple[int, int, FrozenSet[int]],
+                          Optional[Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -181,9 +184,20 @@ class RegionMap:
                      ) -> Optional[List[int]]:
         """Shortest region-level path (BFS, lowest-id tie-break),
         skipping transit through regions in ``avoid`` (source and
-        destination are never skipped).  ``None`` when unreachable."""
+        destination are never skipped).  ``None`` when unreachable.
+        Memoized per ``(src, dst, avoid)``: the region graph is fixed
+        at construction."""
+        key = (src_region, dst_region, frozenset(avoid))
+        try:
+            path = self._paths[key]
+        except KeyError:
+            path = self._paths[key] = self._overlay_bfs(*key)
+        return None if path is None else list(path)
+
+    def _overlay_bfs(self, src_region: int, dst_region: int,
+                     avoid: FrozenSet[int]) -> Optional[Tuple[int, ...]]:
         if src_region == dst_region:
-            return [src_region]
+            return (src_region,)
         parent: Dict[int, int] = {src_region: src_region}
         queue = deque([src_region])
         while queue:
@@ -198,8 +212,7 @@ class RegionMap:
                     path = [nxt]
                     while path[-1] != src_region:
                         path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
+                    return tuple(reversed(path))
                 queue.append(nxt)
         return None
 

@@ -693,7 +693,7 @@ class GredNetwork:
             for i in range(copies)])
 
     def _route(self, copy_id: str, entry: int, kind: PacketKind,
-               max_hops: Optional[int] = None, tracer=None):
+               max_hops: Optional[int] = None, tracer=None, keys=None):
         """The one scalar route stage: walk ``copy_id`` from ``entry``
         to its delivery switch.  Returns ``(trace, overlay_hops,
         delivery switch, primary serial, state)`` or raises the
@@ -738,8 +738,8 @@ class GredNetwork:
                 narrate(TraceEventKind.INGRESS, entry,
                         packet_kind=kind.value)
         # The memo keys on the digest's position bits, so even a hit
-        # hashes the id once.
-        serial_u64, position_key = digest_keys(copy_id)
+        # hashes the id once, unless the caller did (``keys``).
+        serial_u64, position_key = keys or digest_keys(copy_id)
         cached = (state.routes.get(entry, position_key, serial_u64)
                   if max_hops is None and tracer is None
                   and not state.stale else None)
@@ -795,8 +795,8 @@ class GredNetwork:
             region=demand_region(*self._position_fn(copy_id)),
         ).inc()
 
-    def _place_one(self, copy_id: str, payload: Any,
-                   entry: int, stamp=None) -> PlacementRecord:
+    def _place_one(self, copy_id: str, payload: Any, entry: int,
+                   stamp=None, keys=None) -> PlacementRecord:
         recorder = default_span_recorder()
         with (recorder.trace("request.place", key=copy_id, entry=entry)
               if recorder is not None else NULL_SPAN) as handle:
@@ -806,7 +806,7 @@ class GredNetwork:
                 handle.set(**self._engine_attrs())
             try:
                 trace, overlay, dest, serial, state = self._route(
-                    copy_id, entry, PacketKind.PLACEMENT, tracer=tracer)
+                    copy_id, entry, PacketKind.PLACEMENT, None, tracer, keys)
             except ForwardingError:
                 if not self.hinted_handoff or self.fault_state is None:
                     raise
@@ -984,13 +984,40 @@ class GredNetwork:
         read path.
         """
         check_copies(copies)
-        entry = self._resolve_entry(entry_switch, rng)
+        return self._retrieve_at(data_id, self._resolve_entry(
+            entry_switch, rng), copies, max_hops, read_repair)
+
+    def _retrieve_at(self, data_id: str, entry: int, copies: int,
+                     max_hops: Optional[int], read_repair: bool,
+                     keys=None) -> RetrievalResult:
+        """:meth:`retrieve` from a resolved ``entry``: the nearest-first
+        failover walk, on the replicas' :func:`digest_keys` ``keys``
+        when the caller has them."""
+        registry = default_registry()
         recorder = default_span_recorder()
+        order = (self.replica_order(data_id, copies, entry)
+                 if keys is None or copies == 1 else self._nearest_first(
+                     entry, [position_from_bits(k[1]) for k in keys]))
         with (recorder.trace("request.retrieve", key=data_id,
                              entry=entry)
               if recorder is not None else NULL_SPAN) as handle:
-            result = self._retrieve_ordered(data_id, entry, copies,
-                                            max_hops)
+            result = None
+            for attempts, copy_index in enumerate(order, 1):
+                probe = self._probe_replica(data_id, copy_index, entry,
+                                            max_hops, attempts,
+                                            keys and keys[copy_index])
+                if probe is not None:  # else the route failed loudly
+                    result = probe  # found, or the latest miss
+                    if probe.found:
+                        break
+            if result is None or not result.found:
+                if registry.enabled:
+                    registry.counter("core.retrieve_misses").inc()
+                if result is None:
+                    result = self._unroutable(data_id, entry, order[-1],
+                                              attempts)
+            elif attempts > 1 and registry.enabled:
+                registry.counter("faults.failovers").inc()
             if handle.recording:
                 handle.set(found=result.found,
                            attempts=result.attempts,
@@ -1003,30 +1030,6 @@ class GredNetwork:
         if read_repair and copies > 1:
             self.read_repair(data_id, copies)
         return result
-
-    def _retrieve_ordered(self, data_id: str, entry: int, copies: int,
-                          max_hops: Optional[int]) -> RetrievalResult:
-        """The nearest-first failover walk of :meth:`retrieve`."""
-        registry = default_registry()
-        order = self.replica_order(data_id, copies, entry)
-        attempts = 0
-        last_miss: Optional[RetrievalResult] = None
-        for copy_index in order:
-            attempts += 1
-            result = self.probe_replica(data_id, copy_index, entry,
-                                        max_hops, attempts)
-            if result is None:
-                continue  # route failed loudly; try the next replica
-            if result.found:
-                if attempts > 1 and registry.enabled:
-                    registry.counter("faults.failovers").inc()
-                return result
-            last_miss = result
-        if registry.enabled:
-            registry.counter("core.retrieve_misses").inc()
-        if last_miss is not None:
-            return last_miss
-        return self._unroutable(data_id, entry, order[-1], attempts)
 
     @staticmethod
     def _unroutable(data_id: str, entry: int, copy_used: int,
@@ -1047,6 +1050,13 @@ class GredNetwork:
         of :meth:`retrieve`'s failover walk, exposed so external
         request pipelines (hedging, breaker-aware candidate ordering)
         can drive the walk themselves."""
+        return self._probe_replica(data_id, copy_index, entry, max_hops,
+                                   attempts)
+
+    def _probe_replica(self, data_id: str, copy_index: int, entry: int,
+                       max_hops: Optional[int], attempts: int,
+                       keys=None) -> Optional[RetrievalResult]:
+        """:meth:`probe_replica`, on the copy's ``keys`` if given."""
         recorder = default_span_recorder()
         with (recorder.span("retrieve.probe", copy=copy_index,
                             attempt=attempts)
@@ -1058,7 +1068,7 @@ class GredNetwork:
             try:
                 trace, _, dest, serial, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL, max_hops,
-                    tracer)
+                    tracer, keys)
             except ForwardingError:
                 if registry.enabled:
                     registry.counter("faults.route_failures").inc()

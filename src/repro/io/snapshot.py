@@ -434,7 +434,7 @@ def from_federation_snapshot(document: Dict[str, Any]):
         for rid in region_map.region_ids
     }
     fed.controller = FederatedController(region_map, fed.shards)
-    fed._legs = {}
+    fed._init_request_state()
     return fed
 
 

@@ -481,6 +481,36 @@ def test_unfittable_join_changes_nothing():
     _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
 
 
+@pytest.mark.parametrize("solution", ["raises", [np.nan, 0.5],
+                                      [0.5, np.inf]])
+def test_failed_join_solve_changes_nothing(solution, monkeypatch):
+    """A join whose position solve fails or is not finite is refused
+    with ``ControlPlaneError`` before anything changes: no neighbours'
+    centroid is guessed in its place."""
+    from types import SimpleNamespace
+
+    import scipy.optimize
+
+    def least_squares(*args, **kwargs):
+        if solution == "raises":
+            raise RuntimeError("solver diverged")
+        return SimpleNamespace(x=np.asarray(solution))
+
+    net = _waxman_monolith()
+    ids = [f"solve/{i}" for i in range(300)]
+    net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+    control, before = _control_state(net), _storage(net)
+    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
+    with pytest.raises(ControlPlaneError, match="position solve"):
+        net.add_switch(100, links=[0, 1, 2], servers_per_switch=2)
+    assert _control_state(net) == control
+    assert _storage(net) == before
+    assert 100 not in net.server_map
+    monkeypatch.undo()
+    assert net.add_switch(100, links=[0, 1, 2], servers_per_switch=2) > 0
+    _assert_healthy(net, ids, [net.switch_ids()[0]] * len(ids))
+
+
 def test_unfittable_leave_changes_nothing():
     """A leave into bounded survivors that cannot take its items raises
     ``StorageFull`` with the leaver still in place and nothing moved."""

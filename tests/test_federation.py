@@ -1,6 +1,6 @@
 """Federated control plane: region shards + gateway overlay.
 
-Five claims, each with a differential or adversarial test:
+Six claims, each with a differential or adversarial test:
 
 0. **Batch ≡ scalar loop** — `place_many` / `retrieve_many` (one
    grouped pass per home region) leave results, per-server storage,
@@ -19,6 +19,10 @@ Five claims, each with a differential or adversarial test:
 4. **Blast radius** — a partitioned/crashed region degrades alone: the
    other shards keep serving their homes and their channels stay
    silent.
+5. **The request path is a lookup** — `home_region` ≡ the routing
+   index's exact rule, a memoized gateway stitch ≡ a fresh one after
+   every kind of event, and a scalar request with `copies=c` takes
+   exactly `c` SHA-256 digests.
 """
 
 import numpy as np
@@ -367,6 +371,10 @@ class TestHomeRegions:
                        for x, y in positions.tolist()]
         # The exact index is the tie-band fallback, not the resolver.
         assert len(calls) <= len(positions) // 100
+        # ``home_region`` scans the sites under the index's key; the
+        # index's grid search is its oracle.
+        assert got[:5_000] == [closest((x, y))
+                               for x, y in positions[:5_000].tolist()]
 
     @pytest.mark.parametrize("regions", [2, 3, 4])
     def test_ties_and_near_ties_take_the_exact_rule(self, regions):
@@ -394,9 +402,11 @@ class TestHomeRegions:
                 near.append((x + 1e-12 * (bx - ax),
                              y + 1e-12 * (by - ay)))
         assert ties, "no exact float tie on any bisector"
+        oracle = controller._region_index.closest
         for points in (ties, near):
-            assert controller.home_regions(np.asarray(points)) == \
-                [controller.home_region(p) for p in points]
+            want = [oracle(p) for p in points]
+            assert controller.home_regions(np.asarray(points)) == want
+            assert [controller.home_region(p) for p in points] == want
 
 
 # ---------------------------------------------------------------------
@@ -615,6 +625,185 @@ class TestUnreachableHome:
         with pytest.raises(GredError, match="unreachable"):
             fed.place_many(ids, entry_switches=[entry] * len(ids))
         assert fed.load_vector() == before
+
+
+# ---------------------------------------------------------------------
+# the request path is a lookup: stitch memo, one digest per replica
+# ---------------------------------------------------------------------
+def all_stitches(fed):
+    """``(entry, home) -> stitch`` over every switch and foreign home,
+    through the request path's memo."""
+    memo = fed._stitches()
+    return {
+        (entry, home): fed._stitch_via(memo, entry, home)
+        for entry in fed.switch_ids()
+        for home in fed.controller.region_map.region_ids
+        if home != fed.region_of(entry)
+    }
+
+
+def fresh_stitches(fed):
+    """The same pairs computed from scratch: no stitch memo, no leg
+    cache, no overlay-path memo."""
+    fed._legs = {}
+    fed.region_map._paths = {}
+    return {pair: fed._stitch(*pair) for pair in all_stitches(fed)}
+
+
+def inner_switches(fed, stitches):
+    """Non-gateway switches some memoized stitch walks through."""
+    gateways = {g for shard in fed.shards.values() for g in shard.gateways}
+    return sorted({s for stitched in stitches.values()
+                   if stitched is not None
+                   for s in stitched[0][1:-1]} - gateways)
+
+
+def shortcut(fed, stitches):
+    """Two unlinked switches of one region that the longest stitched
+    leg walks between: a link or a joiner across them shortens it."""
+    trace = max((s[0] for s in stitches.values() if s is not None),
+                key=len)
+    region = fed.region_of(trace[0])
+    leg = [s for s in trace if fed.region_of(s) == region]
+    assert len(leg) >= 3, leg
+    return leg[0], leg[-1]
+
+
+class TestStitchMemo:
+    """A memoized stitch is the one a fresh computation gives, after
+    every event that can change it."""
+
+    def check(self, fed):
+        got = all_stitches(fed)
+        assert got == fresh_stitches(fed)
+        return got
+
+    def warm(self, fed):
+        stitches = all_stitches(fed)
+        assert stitches and all(fed._stitches()[pair] is stitched
+                                for pair, stitched in stitches.items())
+        return stitches
+
+    def test_kept_across_calls_while_nothing_changes(self):
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        memo = fed._stitches()
+        fed.place_many([f"m/{i}" for i in range(50)],
+                       rng=np.random.default_rng(0))
+        assert fed._stitches() is memo
+        assert all_stitches(fed) == stitches
+
+    def test_join(self):
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        fed.add_switch(990, links=list(shortcut(fed, stitches)),
+                       servers=[EdgeServer(990, 0)])
+        assert self.check(fed) != stitches
+
+    def test_leave(self):
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        fed.remove_switch(inner_switches(fed, stitches)[0])
+        self.check(fed)
+
+    def test_recompute(self):
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        fed.controller.recompute(fed.controller.region_map.region_ids[1])
+        assert self.check(fed) == stitches
+
+    def test_restore_shard(self):
+        """The restored shard lacks a link the live one has."""
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        u, v = shortcut(fed, stitches)
+        rid = fed.region_of(u)
+        saved = to_federation_snapshot(fed)["shards"][str(rid)]
+        fed.shard(rid).controller.add_link(u, v)
+        assert self.warm(fed) != stitches
+        restore_shard(fed, rid, saved)
+        assert self.check(fed) == stitches
+
+    def test_fault_state_and_crashed_gateway(self):
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        stitches = self.warm(fed)
+        rids = fed.controller.region_map.region_ids
+        _, ingress = fed.region_map.gateway(rids[0], rids[1])
+        injector = FaultInjector.for_region(fed, rids[1])
+        # Attached but quiet: nothing is kept, answers are unchanged.
+        assert fed._stitches() is not fed._stitches()
+        assert self.check(fed) == stitches
+        injector.crash_switch(ingress)
+        got = self.check(fed)
+        assert any(got[pair] is None and stitched is not None
+                   for pair, stitched in stitches.items())
+
+    def test_a_repeated_pair_runs_no_bfs(self, monkeypatch):
+        """Call counts, not timing: requests over seen ``(entry,
+        home)`` pairs stitch nothing; after a join the next request
+        stitches again."""
+        import repro.controlplane.federation as federation
+
+        fed = make_fed(regions=4, per_region=8, seed=3)
+        ids = [f"bfs/{i}" for i in range(40)]
+        entries = [fed.switch_ids()[i % 7] for i in range(len(ids))]
+        fed.place_many(ids, entry_switches=entries)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(federation, "bfs_path",
+                            counted("bfs_path", federation.bfs_path))
+        monkeypatch.setattr(fed.region_map, "_overlay_bfs", counted(
+            "region bfs", fed.region_map._overlay_bfs))
+        monkeypatch.setattr(fed, "_stitch",
+                            counted("stitch", fed._stitch))
+        for data_id, entry in zip(ids, entries):
+            assert fed.retrieve(data_id, entry_switch=entry).found
+            fed.place(data_id, entry_switch=entry)
+        fed.retrieve_many(ids, entry_switches=entries)
+        assert calls == []
+        cross = next(i for i, (d, e) in enumerate(zip(ids, entries))
+                     if fed.home_region_of(d) != fed.region_of(e))
+        region = fed.region_of(entries[cross])
+        fed.add_switch(991, links=[fed.shard(region).net.switch_ids()[0]],
+                       servers=[EdgeServer(991, 0)])
+        assert fed.retrieve(ids[cross], entry_switch=entries[cross]).found
+        assert calls.count("stitch") == 1
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_one_digest_per_replica(copies, monkeypatch):
+    """A scalar federated place / retrieve with ``copies=c`` takes
+    exactly ``c`` SHA-256 digests: the home shard routes on the
+    federation's, intra- and cross-region alike."""
+    import hashlib
+
+    fed = make_fed(regions=4, per_region=8, seed=3)
+    ids = [f"sha/{i}" for i in range(24)]
+    entries = fed.switch_ids()[::5]
+    real = hashlib.sha256
+    digests = []
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data=b"": digests.append(data) or real(data))
+    local = cross = 0
+    for data_id in ids:
+        for entry in entries:
+            homes = {fed.home_region_of(data_id, c) for c in range(copies)}
+            local += homes == {fed.region_of(entry)}
+            cross += fed.region_of(entry) not in homes
+            del digests[:]
+            fed.place(data_id, entry_switch=entry, copies=copies)
+            assert len(digests) == copies
+            del digests[:]
+            assert fed.retrieve(data_id, entry_switch=entry,
+                                copies=copies).found
+            assert len(digests) == copies
+    assert local and cross
 
 
 # ---------------------------------------------------------------------
