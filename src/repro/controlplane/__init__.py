@@ -10,6 +10,7 @@ from .controller import (
 )
 from .routing_index import RoutingIndex
 from .verification import (
+    DetachedExtension,
     Violation,
     verify_installed_state,
     verify_region_scope,
@@ -66,6 +67,7 @@ __all__ = [
     "table_entry_counts",
     "verify_installed_state",
     "verify_region_scope",
+    "DetachedExtension",
     "Violation",
     "RegionMap",
     "RegionError",

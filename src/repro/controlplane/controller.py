@@ -911,13 +911,15 @@ class Controller:
         registry.counter("controlplane.links_added").inc()
         registry.event("link_up", u=u, v=v)
 
-    def remove_link(self, u: int, v: int) -> None:
+    def remove_link(self, u: int, v: int, admit=None) -> None:
         """A physical link fails.
 
         The topology must stay connected (a partition cannot be routed
         around).  Relay paths that crossed the failed link are
         recompiled over the surviving topology; positions and the DT
-        are kept.
+        are kept.  A range extension across the link is withdrawn
+        only once ``admit`` has moved its items home
+        (:meth:`_drop_detached_extensions`).
         """
         if not self.topology.has_edge(u, v):
             raise ControlPlaneError(f"no link ({u}, {v})")
@@ -929,6 +931,7 @@ class Controller:
             )
         self.topology = candidate
         self._install_rules(global_event=False)
+        self._drop_detached_extensions(admit)
         registry = default_registry()
         registry.counter("controlplane.links_removed").inc()
         registry.event("link_down", level=EventLevel.WARNING, u=u, v=v)
@@ -982,8 +985,8 @@ class Controller:
                        switch=switch_id)
         return admitted
 
-    def absorb_failures(self, dead_switches=(), dead_links=()
-                        ) -> List[int]:
+    def absorb_failures(self, dead_switches=(), dead_links=(),
+                        admit=None) -> List[int]:
         """Repair the control plane after *unannounced* failures.
 
         Unlike :meth:`remove_switch` (a graceful leave that refuses to
@@ -997,7 +1000,9 @@ class Controller:
         are kept (the DT is repaired incrementally: dead and stranded
         participants are deleted from it, as in :meth:`remove_switch`),
         extensions pointing at dead targets are withdrawn, and the
-        rules are recompiled from the last plan.
+        rules are recompiled from the last plan; then extensions across
+        a lost link are withdrawn once ``admit`` has moved their items
+        home (:meth:`_drop_detached_extensions`).
 
         Raises
         ------
@@ -1042,6 +1047,7 @@ class Controller:
         self._drop_dead_extensions()
         self._drop_from_dt(dead + stranded)
         self._install_rules(global_event=False)
+        self._drop_detached_extensions(admit)
         registry = default_registry()
         if registry.enabled:
             registry.counter("controlplane.failures_absorbed").inc()
@@ -1062,6 +1068,25 @@ class Controller:
             for entry in list(switch.table.extensions()):
                 if entry.target_switch not in self.server_map:
                     switch.table.remove_extension(entry.local_serial)
+
+    def _drop_detached_extensions(self, admit=None) -> None:
+        """Withdraw each range extension whose takeover switch is no
+        longer a physical neighbour (a lost link) once ``admit(switch,
+        entry)`` has moved what it redirected home.  Without ``admit``
+        nothing can move, and if it raises (the move does not fit) the
+        extension stays: what it redirected is served on, and the
+        verifier reports a ``detached-extension``."""
+        if admit is None:
+            return
+        for switch_id, switch in self.switches.items():
+            for entry in list(switch.table.extensions()):
+                if self.topology.has_edge(switch_id, entry.target_switch):
+                    continue
+                try:
+                    admit(switch_id, entry)
+                except Exception:
+                    continue
+                switch.table.remove_extension(entry.local_serial)
 
     # ------------------------------------------------------------------
     # introspection

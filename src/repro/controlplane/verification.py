@@ -18,7 +18,9 @@ Checked invariants:
 3. every relay chain, followed hop by hop, terminates at its declared
    destination without revisiting a switch;
 4. DT adjacency is symmetric and matches the controller's view;
-5. extension entries point at existing servers on physical neighbors;
+5. extension entries point at existing servers on physical neighbors
+   (one kept across a lost link, because what it redirected could not
+   move home, is a :class:`DetachedExtension` with its hop distance);
 6. (with ``fault_state``) no installed rule references a crashed
    switch — dead greedy candidates, relay successors or extension
    targets mean a repair sweep has not yet run;
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..graph import hop_count
 from .controller import Controller
 from .plan import RulePlan, plan_digests, snapshot_plan
 
@@ -58,6 +61,17 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.kind}] switch {self.switch}: {self.detail}"
+
+
+@dataclass(frozen=True)
+class DetachedExtension(Violation):
+    """A range extension on ``switch`` whose takeover switch is
+    ``hops`` physical hops away instead of a neighbour: its link was
+    lost and what it redirected did not fit back home, so it serves
+    on, ``hops - 1`` relays further than the paper's extension."""
+
+    serial: int
+    hops: int
 
 
 def verify_installed_state(
@@ -117,11 +131,19 @@ def verify_installed_state(
                     f"{nid} is not physically adjacent"))
         # 5. extensions point at real neighbor servers.
         for ext in switch.table.extensions():
-            if not topology.has_edge(switch_id, ext.target_switch):
+            if not topology.has_node(ext.target_switch):
                 violations.append(Violation(
                     "bad-extension", switch_id,
-                    f"extension target switch {ext.target_switch} is "
-                    f"not a physical neighbor"))
+                    f"extension target switch {ext.target_switch} "
+                    f"does not exist"))
+                continue
+            if not topology.has_edge(switch_id, ext.target_switch):
+                hops = hop_count(topology, switch_id, ext.target_switch)
+                violations.append(DetachedExtension(
+                    "detached-extension", switch_id,
+                    f"extension of serial {ext.local_serial} reaches "
+                    f"switch {ext.target_switch} {hops} hops away",
+                    ext.local_serial, hops))
                 continue
             servers = controller.server_map.get(ext.target_switch, [])
             if ext.target_serial >= len(servers):

@@ -1942,14 +1942,20 @@ class GredNetwork:
         refused when the home server lacks capacity for everything that
         belongs to it — the extension stays active and no item moves.
         """
-        table = self.controller.switches[switch].table
-        entry = table.extension_for(serial)
+        entry = self.controller.switches[switch].table.extension_for(serial)
         if entry is None:
             raise GredError(
                 f"server ({switch}, {serial}) has no active extension"
             )
+        moved = self._commit_move(self._move_home(switch, entry))
+        self.controller.retract_range(switch, serial)
+        return moved
+
+    def _move_home(self, switch: int, entry):
+        """The checked move of what extension ``entry`` of ``switch``
+        redirected back to its home server."""
         source = self.server(entry.target_switch, entry.target_serial)
-        home = self.server(switch, serial)
+        home = self.server(switch, entry.local_serial)
         redirected = source.stored_ids()
         belonging = [
             item_id for item_id, owned in zip(
@@ -1959,15 +1965,12 @@ class GredNetwork:
             free = home.capacity - home.load
             if len(belonging) > free:
                 raise GredError(
-                    f"cannot retract: server ({switch}, {serial}) has "
-                    f"{free} free slots but {len(belonging)} items must "
-                    f"migrate back"
+                    f"cannot retract: server ({switch}, "
+                    f"{entry.local_serial}) has {free} free slots but "
+                    f"{len(belonging)} items must migrate back"
                 )
-        self._commit_move(self._check_move(
-            [source] * len(belonging), belonging, [home],
-            [0] * len(belonging)))
-        self.controller.retract_range(switch, serial)
-        return len(belonging)
+        return self._check_move([source] * len(belonging), belonging,
+                                [home], [0] * len(belonging))
 
     def _hash_pass(self, item_ids: Sequence[str]):
         """One digest pass: ``(positions, words)``; ``word mod s`` is

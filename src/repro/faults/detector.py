@@ -186,7 +186,9 @@ class FailureDetector:
         # 1. prune the control plane and repair DT + rules.
         if detection.dead_switches or detection.dead_links:
             report.stranded_switches = controller.absorb_failures(
-                detection.dead_switches, detection.dead_links)
+                detection.dead_switches, detection.dead_links,
+                admit=lambda switch, entry: self.net._commit_move(
+                    self.net._move_home(switch, entry)))
             transport = getattr(controller, "transport", None)
             if transport is not None:
                 # Absorbed switches no longer exist — drop their

@@ -48,6 +48,7 @@ import numpy as np
 
 from ..core.network import (GredError, check_batch_args, draw_entries,
                             entry_index)
+from ..core.results import PlacementResult
 from ..dataplane import ForwardingError
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
@@ -316,16 +317,16 @@ class ResilientNetwork:
         retry loop — what every item takes while a breaker is
         tripped."""
         count = len(data_ids)
+        if priorities is not None and len(priorities) != count:
+            raise GredError(
+                f"priorities has {len(priorities)} entries for "
+                f"{count} data ids"
+            )
         if not self.config.enabled:
             return [wrap(d, r) for d, r in zip(
                 data_ids, many(range(count), entry_switches, rng))]
         if priorities is None:
             priorities = [1] * count
-        elif len(priorities) != count:
-            raise GredError(
-                f"priorities has {len(priorities)} entries for "
-                f"{count} data ids"
-            )
         if entry_switches is None:
             entry_switches = [None] * count
         if self.breakers.any_tripped():
@@ -831,8 +832,6 @@ class ResilientNetwork:
         self._retry(outcome, arrival, timeout, attempt, recorder, root)
         outcome.records = [placed[i] for i in sorted(placed)]
         if outcome.ok:
-            from ..core.results import PlacementResult
-
             outcome.result = PlacementResult(
                 data_id=data_id,
                 records=[placed[i] for i in range(copies)])

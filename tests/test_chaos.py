@@ -12,6 +12,7 @@ import pytest
 from repro import GredNetwork, attach_uniform, brite_waxman_graph
 from repro.controlplane import verify_installed_state
 from repro.dataplane import ForwardingError, VirtualLinkEntry
+from repro.graph import hop_count
 from repro.topology import grid_graph
 
 
@@ -105,17 +106,27 @@ class TestCorruptionDetection:
         assert "dt-adjacency" in kinds
 
     def test_bad_extension_detected(self, net):
+        """A takeover serial or switch that does not exist is a
+        ``bad-extension``; a takeover that is no longer a neighbour is
+        a ``detached-extension`` with its hop distance."""
         from repro.dataplane import ExtensionEntry
 
+        neighbor = next(net.topology.neighbors(0))
         non_neighbor = next(
             s for s in net.switch_ids()
             if s != 0 and not net.topology.has_edge(0, s)
         )
-        net.controller.switches[0].table.install_extension(
-            ExtensionEntry(local_serial=0, target_switch=non_neighbor,
-                           target_serial=0))
-        kinds = {v.kind for v in verify_installed_state(net.controller)}
-        assert "bad-extension" in kinds
+        table = net.controller.switches[0].table
+        for target, serial in ((neighbor, 99), (10 ** 6, 0)):
+            table.install_extension(ExtensionEntry(
+                local_serial=0, target_switch=target, target_serial=serial))
+            kinds = {v.kind for v in verify_installed_state(net.controller)}
+            assert "bad-extension" in kinds
+        table.install_extension(ExtensionEntry(
+            local_serial=0, target_switch=non_neighbor, target_serial=0))
+        [finding] = verify_installed_state(net.controller)
+        assert finding.kind == "detached-extension"
+        assert finding.hops == hop_count(net.topology, 0, non_neighbor) > 1
 
 
 class TestDataPlaneFailsLoudly:

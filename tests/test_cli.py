@@ -295,6 +295,37 @@ class TestChaosGate:
         assert code == 1
         assert "min-availability" in capsys.readouterr().err
 
+    @staticmethod
+    def chaos(tmp_path, capsys, flag, events):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": events}))
+        assert main(["chaos", "--switches", "12", "--items", "16",
+                     "--requests", "25", "--cvt-iterations", "5",
+                     "--seed", "3", flag, str(plan), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_planned_crashes_recover(self, tmp_path, capsys):
+        report = self.chaos(tmp_path, capsys, "--plan", [
+            {"time": 0.4, "kind": "switch_crash", "switch": 3},
+            {"time": 0.6, "kind": "server_crash", "switch": 0,
+             "serial": 0}])
+        assert report["availability"] == 1.0, report["availability"]
+        assert report["verifier_violations"] == 0
+        assert {"items_lost", "re_replicated", "hop_inflation",
+                "recovery_time", "faults_metrics"} <= set(report)
+
+    def test_lossy_southbound_reconciles(self, tmp_path, capsys):
+        report = self.chaos(tmp_path, capsys, "--control-plan", [
+            {"time": 0.0, "kind": "control_drop", "probability": 0.25},
+            {"time": 0.0, "kind": "control_dup", "probability": 0.05},
+            {"time": 0.0, "kind": "control_reorder", "window": 4},
+            {"time": 0.4, "kind": "switch_crash", "switch": 3}])
+        assert report["verifier_violations"] == 0
+        southbound = report["southbound"]
+        assert southbound["channel"]["dropped"] > 0, southbound["channel"]
+        assert southbound["reconcile"]["converged"], southbound["reconcile"]
+        assert report["post_reconcile_divergence"] == 0
+
 
 class TestStatsExtensions:
     def test_fastpath_blockers_reported(self, net_file, capsys):
@@ -350,18 +381,19 @@ class TestStatsExtensions:
 class TestChurn:
     def test_churn_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "churn.json")
-        code = main(["churn", "--sizes", "12", "--joins", "1",
-                     "--cvt-iterations", "3", "--seed", "0",
-                     "--max-touched", "12", "-o", out])
+        code = main(["churn", "--sizes", "30", "60", "--joins", "3",
+                     "--cvt-iterations", "5", "--seed", "0",
+                     "--max-touched", "25", "-o", out])
         assert code == 0
         with open(out) as handle:
             report = json.load(handle)
         assert report["format"] == "gred-churn-v1"
-        assert len(report["rows"]) == 1
-        row = report["rows"][0]
-        assert row["avg_delta_messages"] < \
-            row["avg_full_reinstall_messages"]
-        assert row["untouched_generations_preserved"]
+        assert len(report["rows"]) == 2
+        for row in report["rows"]:
+            assert row["avg_delta_messages"] < \
+                row["avg_full_reinstall_messages"]
+            assert row["index_builds_during_joins"] == 0
+            assert row["untouched_generations_preserved"]
         assert "wrote" in capsys.readouterr().out
 
     def test_churn_locality_gate_fails(self, tmp_path, capsys):
@@ -384,23 +416,26 @@ class TestChurn:
 
     def test_churn_federated_regions(self, tmp_path, capsys):
         out = str(tmp_path / "churn.json")
-        code = main(["churn", "--sizes", "24", "--joins", "2",
-                     "--cvt-iterations", "3", "--seed", "0",
-                     "--regions", "3", "--max-foreign-touched", "0",
-                     "-o", out])
-        assert code == 0
-        with open(out) as handle:
-            report = json.load(handle)
-        assert report["regions"] == 3
-        row = report["rows"][0]
-        assert row["regions"] == 3
-        assert row["avg_foreign_touched"] == 0
-        assert row["avg_foreign_messages"] == 0
-        assert len(row["join_events"]) == 2
-        for event in row["join_events"]:
-            touched = set(event["touched_per_region"])
-            assert touched <= {str(event["home_region"])}
-        assert "wrote" in capsys.readouterr().out
+        for size, joins, iterations, regions in [(24, 2, 3, 3),
+                                                 (48, 4, 5, 4)]:
+            code = main(["churn", "--sizes", str(size),
+                         "--joins", str(joins),
+                         "--cvt-iterations", str(iterations),
+                         "--seed", "0", "--regions", str(regions),
+                         "--max-foreign-touched", "0", "-o", out])
+            assert code == 0
+            with open(out) as handle:
+                report = json.load(handle)
+            assert report["regions"] == regions
+            row = report["rows"][0]
+            assert row["regions"] == regions
+            assert row["avg_foreign_touched"] == 0
+            assert row["avg_foreign_messages"] == 0
+            assert len(row["join_events"]) == joins
+            for event in row["join_events"]:
+                touched = set(event["touched_per_region"])
+                assert touched <= {str(event["home_region"])}
+            assert "wrote" in capsys.readouterr().out
 
 
 class TestFederate:
@@ -422,6 +457,15 @@ class TestFederate:
                    for key, value in differential.items()
                    if key != "switches"), differential
         assert "wrote" in capsys.readouterr().out
+        pinned = [
+            {"regions": 4, "requests": 96, "retrieved_found": 96,
+             "foreign_messages": 0, "cross_region_fraction": 0.7708,
+             "avg_cross_place_hops": 5.135, "avg_intra_place_hops": 1.432},
+            {"regions": 8, "requests": 96, "retrieved_found": 96,
+             "foreign_messages": 0, "cross_region_fraction": 0.901,
+             "avg_cross_place_hops": 7.676, "avg_intra_place_hops": 1.421}]
+        assert [{key: row[key] for key in want} for row, want
+                in zip(report["rows"], pinned)] == pinned
 
 
 class TestTraceRecording:
@@ -446,6 +490,13 @@ class TestTraceRecording:
         assert spans
         tree = ospans.reconstruct(spans, spans[0].trace_id)
         assert tree["span"].name == "request.retrieve"
+        # Telemetry never selects the engine: the traced request stays
+        # on the compiled plane, which narrates its own hops.
+        root, = (s for s in spans if s.name == "request.retrieve")
+        assert root.attrs["engine"] == "compiled", root.attrs
+        assert "standdown" not in root.attrs, root.attrs
+        assert any(s.name == "hop.deliver" and s.trace_id == root.trace_id
+                   for s in spans), [s.name for s in spans]
         chrome = ospans.load_chrome(chrome_file)
         assert {s.span_id for s in chrome} == \
             {s.span_id for s in spans}
@@ -482,19 +533,29 @@ class TestLoadtestTraceOut:
 
         report_file = str(tmp_path / "slo.json")
         trace_file = str(tmp_path / "traces.jsonl")
-        code = main(["loadtest", "--quick", "-o", report_file,
-                     "--trace-out", trace_file,
+        code = main(["loadtest", "--quick", "--seed", "0",
+                     "--min-goodput", "0.99", "--min-attainment", "0.95",
+                     "-o", report_file, "--trace-out", trace_file,
                      "--trace-sample", "0.1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "trace(s)" in out
         spans = ospans.load_jsonl(trace_file)
         assert spans
+        groups = ospans.traces(spans)
         roots = [s for s in spans if s.parent_id is None]
-        assert roots
+        assert len(roots) == len(groups), "a trace is missing its root"
         assert all(r.name.startswith("request.") for r in roots)
+        assert ospans.reconstruct(spans, next(iter(groups))) is not None
         with open(report_file) as handle:
             report = json.load(handle)
+        assert report["format"] == "gred-loadtest-v1"
+        points = report["points"]
+        assert len(points) == 2, points
+        assert points[0]["goodput"] >= 0.99
+        assert all(p["slo_attainment"] >= 0.95 for p in points)
+        assert all("burn_rates" in p for p in points)
+        assert report["trace_summary"]["traces"] > 0
         assert report["trace_summary"]["spans"] == len(spans)
         assert report["config"]["trace_sample_rate"] == 0.1
 
@@ -531,6 +592,10 @@ class TestReconcile:
         assert report["format"] == "gred-convergence-v1"
         assert (report["config"]["switches"],
                 report["config"]["events"]) == (24, 8)
+        assert report["oracle_match"], report["mismatched_switches"]
+        assert report["divergence"]["after_reconcile"] == 0
+        assert report["channel"]["dropped"] > 0, report["channel"]
+        assert report["verifier_violations"] == 0
 
     def test_failed_gates_are_named_in_order(self, tmp_path, capsys,
                                              monkeypatch):
@@ -591,6 +656,13 @@ class TestScrub:
         assert report["format"] == "gred-durability-v1"
         assert (report["config"]["switches"], report["config"]["items"],
                 report["config"]["ops"]) == (24, 60, 40)
+        assert report["oracle_match"], tuple(report[key] for key in (
+            "resurrected", "lost", "stale", "unavailable"))
+        assert report["divergence"]["after_scrub"] == 0
+        assert report["divergence"]["before_scrub"] > 0
+        assert report["workload"]["crash_fraction_actual"] >= 0.2
+        assert report["workload"]["hints_parked_pre_scrub"] > 0
+        assert report["scrub"]["converged"], report["scrub"]
 
     def test_failed_gates_are_named_in_order(self, tmp_path, capsys,
                                              monkeypatch):

@@ -6,8 +6,9 @@ range extensions.  The state machine walks every control-plane event
 (membership, links, table drift, extensions, reconcile, a lossy
 southbound, snapshot restore) and checks after each step that the live
 controller equals :func:`fresh_twin`, one rebuilt from those inputs.
-CI's churn smoke imports :func:`check_plane` and :class:`Watch`
-(``PYTHONPATH=src:tests``); ``--hypothesis-profile=deep`` walks longer.
+``test_churn_moves_locally`` runs :func:`check_plane` and
+:class:`Watch` over data-carrying churn; ``--hypothesis-profile=deep``
+walks longer.
 """
 
 import json
@@ -34,10 +35,11 @@ from repro.controlplane import (
     snapshot_plan,
     verify_installed_state,
 )
-from repro.edge import EdgeServer, attach_uniform
+from repro.edge import EdgeServer, StorageFull, attach_uniform
 from repro.experiments.convergence import mismatched_switches
 from repro.io import from_snapshot, to_snapshot
-from repro.obs import MetricsRegistry, default_registry, set_default_registry
+from repro.obs import (MetricsRegistry, default_registry, scoped_registry,
+                       set_default_registry)
 from repro.topology import brite_waxman_graph, grid_graph
 
 
@@ -63,10 +65,11 @@ def dt_edges(controller):
             for u, nbrs in controller.dt_adjacency().items() for v in nbrs}
 
 
-def check_plane(controller, converged=True):
+def check_plane(controller, converged=True, full=frozenset()):
     """The plan is a fresh compile and the twin's, the DT the twin's,
     the twin's tables ``install_all_rules``'; while the plane should be
-    converged, the live tables are the twin's and pass the verifier."""
+    converged, the live tables are the twin's and pass the verifier
+    (see :func:`check_findings` for ``full``)."""
     twin = fresh_twin(controller)
     assert controller._plan == controller.desired_plan() == twin._plan
     assert dt_edges(controller) == dt_edges(twin)
@@ -74,18 +77,22 @@ def check_plane(controller, converged=True):
     if converged:
         assert snapshot_plan(controller.switches) == \
             snapshot_plan(twin.switches)
-        assert audit(controller) == []
+        check_findings(controller, verify_installed_state(controller),
+                       full)
 
 
-def audit(controller, desired_plan=None):
-    """``verify_installed_state`` less one open defect: a link loss
-    withdraws no range extension across it, which the verifier reports
-    as ``bad-extension`` (``test_link_loss_leaves_no_detached_extension``)."""
-    detached = {sid for sid, entry in extensions(controller)
+def check_findings(controller, findings, full):
+    """The verifier finds nothing but one ``detached-extension`` per
+    extension across a lost link, and those only where the model made
+    the home full: ``full`` holds the ``(switch, serial)`` whose move
+    home was refused."""
+    detached = {(sid, entry.local_serial)
+                for sid, entry in extensions(controller)
                 if not controller.topology.has_edge(sid, entry.target_switch)}
-    return [v for v in verify_installed_state(controller,
-                                              desired_plan=desired_plan)
-            if not (v.kind == "bad-extension" and v.switch in detached)]
+    assert detached <= full
+    assert sorted((v.kind, v.switch, getattr(v, "serial", None))
+                  for v in findings) == sorted(
+        ("detached-extension", sid, serial) for sid, serial in detached)
 
 
 def spy(controller):
@@ -197,6 +204,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         self.restore_registry = set_default_registry(MetricsRegistry())
         self.channel = None
         self.ext = set()
+        self.full = set()
         self.next_id = 1000
         self.adopt(from_snapshot(json.loads(base_snapshot(self.shape))))
 
@@ -262,13 +270,24 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         if leaver in self.controller.switches:
             self.event(lambda: self.controller.remove_switch(leaver))
 
-    @rule(pick=PICK, switch=st.booleans(), link=st.booleans())
-    def crash(self, pick, switch, link):
+    def home(self, full):
+        """A lost link's ``admit``: the move home of what an extension
+        redirected, refused when the home is ``full``."""
+        def admit(switch, entry):
+            if full:
+                self.full.add((switch, entry.local_serial))
+                raise StorageFull(switch, 0)
+            self.ext.discard((switch, entry))
+        return admit
+
+    @rule(pick=PICK, switch=st.booleans(), link=st.booleans(),
+          full=st.booleans())
+    def crash(self, pick, switch, link, full):
         edges = self.edges()
         self.event(lambda: self.controller.absorb_failures(
             dead_switches=[self.pick(pick)] if switch else [],
             dead_links=[edges[pick % len(edges)]] if link and edges
-            else []))
+            else [], admit=self.home(full)))
 
     @rule(u=PICK, v=PICK)
     def add_link(self, u, v):
@@ -277,11 +296,16 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             self.event(lambda: self.controller.add_link(u, v))
 
     @precondition(lambda self: self.controller.topology.num_edges())
-    @rule(pick=PICK)
-    def remove_link(self, pick):
-        edges = self.edges()
+    @rule(pick=PICK, full=st.booleans(), across=st.booleans())
+    def remove_link(self, pick, full, across):
+        """``across``: a link under a range extension, if there is one."""
+        topology = self.controller.topology
+        edges = [(sid, entry.target_switch)
+                 for sid, entry in sorted(self.ext, key=str)
+                 if across and topology.has_edge(sid, entry.target_switch)
+                 ] or self.edges()
         self.event(lambda: self.controller.remove_link(
-            *edges[pick % len(edges)]))
+            *edges[pick % len(edges)], admit=self.home(full)))
 
     @rule(pick=PICK)
     def drift(self, pick):
@@ -333,7 +357,9 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         assert report.divergent_final <= unreachable
         assert not controller.pending_deltas.keys() - unreachable
         if not unreachable:
-            assert audit(controller, controller.desired_plan()) == []
+            check_findings(controller, verify_installed_state(
+                controller, desired_plan=controller.desired_plan()),
+                self.full)
             self.converged = True
 
     @rule()
@@ -348,7 +374,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
     @invariant()
     def plane(self):
         controller = self.controller
-        check_plane(controller, self.converged)
+        check_plane(controller, self.converged, self.full)
         assert extensions(controller) == self.ext
         assert controller._dt is self.dt  # a leave has no rebuild path
         version, plans, generations = self.base
@@ -383,15 +409,89 @@ TestGridPlane = GridMachine.TestCase
 TestWaxmanPlane.settings = TestGridPlane.settings = WALK
 
 
-@pytest.mark.xfail(strict=True, reason="open defect (ROADMAP item 4): a "
-                   "link loss withdraws no range extension across it")
 def test_link_loss_leaves_no_detached_extension():
-    """The model's first counter-example: a range extension outlives
-    the link to its takeover switch, and the verifier reports
-    ``bad-extension`` (the data plane still serves it, hops away)."""
+    """The model's first counter-example: a range extension outlived
+    the link to its takeover switch, served hops away.  A controller
+    that holds no data moves nothing home, so its ``admit`` accepts;
+    without one the extension stays, reported as detached."""
     topology = grid_graph(3, 3)
     controller = Controller(topology, attach_uniform(topology.nodes(), 2),
                             config=ControllerConfig(cvt_iterations=3))
     entry = controller.extend_range(4, 0)
     controller.remove_link(4, entry.target_switch)
+    assert [v.kind for v in verify_installed_state(controller)] == [
+        "detached-extension"]
+    controller.add_link(4, entry.target_switch)
+    controller.remove_link(4, entry.target_switch,
+                           admit=lambda switch, entry: None)
     assert verify_installed_state(controller) == []
+
+
+def test_churn_moves_locally(monkeypatch):
+    """Ten join + leave cycles on a 100-switch Waxman holding 4,000
+    items, on CVT positions and on an integer grid (cocircular ties
+    in every leaver's hole), each event under :class:`Watch` and
+    :func:`check_plane`.  The leaves carry more relay trees forward
+    than they walk and together read back under a quarter of 20 x
+    the switch count; the joins move items with ``_place_one``
+    raising (a move routes nothing); a bounded joiner that cannot fit
+    is refused with the version and every server unchanged."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a move must not route item by item")
+
+    def storage(net):
+        return {s.server_id: {d: (s.retrieve(d), s.stamp_of(d))
+                              for d in s.stored_ids()}
+                for s in net.servers()}
+
+    monkeypatch.setattr(GredNetwork, "_place_one", refuse)
+    topology, _ = brite_waxman_graph(100, min_degree=3,
+                                     rng=np.random.default_rng(0))
+    trees = {"walked": 0, "reused": 0}
+
+    def walks():
+        return {o: registry.counter("controlplane.plan.relay_trees",
+                                    outcome=o).value for o in trees}
+
+    leave_reads = moved = 0
+    with scoped_registry() as registry:
+        reads = registry.counter("controlplane.delta.switches_read",
+                                 scope="scoped")
+        for grid in (False, True):
+            net = GredNetwork(topology, servers_per_switch=4,
+                              cvt_iterations=5, seed=0)
+            controller = net.controller
+            if grid:
+                controller.recompute(positions={
+                    n: (float(n % 10), float(n // 10))
+                    for n in topology.nodes()})
+            ids = [f"smoke/{i}" for i in range(4000)]
+            net.place_many(ids, payloads=ids, rng=np.random.default_rng(1))
+            watch = Watch(controller)
+            rng = np.random.default_rng(0)
+            nodes = sorted(controller.topology.nodes())
+            for cycle in range(10):
+                links = [nodes[i] for i in rng.choice(100, 3, replace=False)]
+                watch.event(lambda: net.add_switch(
+                    1000 + cycle, links, servers_per_switch=4))
+                moved += sum(s.load for s in net.server_map[1000 + cycle])
+                check_plane(controller)
+                before, read = walks(), reads.value
+                watch.event(lambda: net.remove_switch(1000 + cycle))
+                leave_reads += reads.value - read
+                for o, value in walks().items():
+                    trees[o] += value - before[o]
+                check_plane(controller)
+            assert sum(net.load_vector()) == len(ids)
+            if grid:
+                continue  # (no item sits near a grid joiner)
+            version, before = controller.version, storage(net)
+            with pytest.raises(StorageFull):
+                net.add_switch(5000, links, servers=[
+                    EdgeServer(5000, i, capacity=1) for i in range(4)])
+            assert controller.version == version
+            assert storage(net) == before
+            check_plane(controller)
+    assert trees["reused"] > trees["walked"], trees
+    assert leave_reads < 0.25 * 20 * len(controller.switches)
+    assert moved > 0, "the joins moved no item"

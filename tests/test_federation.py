@@ -740,8 +740,8 @@ class TestStitchMemo:
 
     def test_a_repeated_pair_runs_no_bfs(self, monkeypatch):
         """Call counts, not timing: requests over seen ``(entry,
-        home)`` pairs stitch nothing; after a join the next request
-        stitches again."""
+        home)`` pairs run no BFS and stitch nothing; after a join the
+        next request stitches its own pair again, once."""
         import repro.controlplane.federation as federation
 
         fed = make_fed(regions=4, per_region=8, seed=3)
@@ -760,20 +760,22 @@ class TestStitchMemo:
                             counted("bfs_path", federation.bfs_path))
         monkeypatch.setattr(fed.region_map, "_overlay_bfs", counted(
             "region bfs", fed.region_map._overlay_bfs))
-        monkeypatch.setattr(fed, "_stitch",
-                            counted("stitch", fed._stitch))
+        stitched, stitch = [], fed._stitch
+        monkeypatch.setattr(fed, "_stitch", lambda *pair: (
+            stitched.append(pair) or stitch(*pair)))
         for data_id, entry in zip(ids, entries):
             assert fed.retrieve(data_id, entry_switch=entry).found
             fed.place(data_id, entry_switch=entry)
-        fed.retrieve_many(ids, entry_switches=entries)
-        assert calls == []
+        assert all(r.found for r in fed.retrieve_many(
+            ids, entry_switches=entries))
+        assert calls == [] and stitched == []
         cross = next(i for i, (d, e) in enumerate(zip(ids, entries))
                      if fed.home_region_of(d) != fed.region_of(e))
         region = fed.region_of(entries[cross])
         fed.add_switch(991, links=[fed.shard(region).net.switch_ids()[0]],
                        servers=[EdgeServer(991, 0)])
         assert fed.retrieve(ids[cross], entry_switch=entries[cross]).found
-        assert calls.count("stitch") == 1
+        assert stitched == [(entries[cross], fed.home_region_of(ids[cross]))]
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])

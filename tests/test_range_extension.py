@@ -3,7 +3,10 @@
 import pytest
 
 from repro import GredError, GredNetwork
+from repro.controlplane import DetachedExtension, verify_installed_state
 from repro.edge import StorageFull, attach_uniform
+from repro.faults import FailureDetector, FaultInjector
+from repro.graph import hop_count
 from repro.hashing import data_position, server_index
 from repro.topology import grid_graph
 
@@ -198,3 +201,50 @@ class TestUnusableTakeover:
         injector.state.crashed_servers.discard(takeover.server_id)
         assert net.drain_hints() == len(held)
         assert [takeover.retrieve(d) for d in held] == held
+
+
+class TestLinkLoss:
+    """A lost link withdraws the extensions across it once what they
+    redirected is home; one whose home is full stays, detached, and so
+    does one lost without a data plane to move its items."""
+
+    def lose_the_link(self, net, home_room=None, repair=True):
+        ids = [f"lost-{i}" for i in range(300)]
+        net.extend_range(4, 0)
+        net.place_many(ids, payloads=ids, entry_switches=[0] * len(ids))
+        entry = net.controller.switches[4].table.extension_for(0)
+        home = net.server(4, 0)
+        takeover = net.server(entry.target_switch, entry.target_serial)
+        redirected = [d for d in ids if takeover.has(d)
+                      and net.destination_switch(d) == 4]
+        assert redirected
+        if home_room is not None:
+            home.capacity = home.load + home_room
+        if repair:
+            injector = FaultInjector(net, seed=0)
+            injector.link_down(4, entry.target_switch)
+            FailureDetector(net, injector.state).repair()
+        else:
+            net.controller.remove_link(4, entry.target_switch)
+        assert [r.payload for r in net.retrieve_many(ids)] == ids
+        return entry, home, takeover, redirected
+
+    def test_repair_moves_the_redirects_home(self, net):
+        _, home, takeover, redirected = self.lose_the_link(net)
+        assert net.controller.switches[4].table.extension_for(0) is None
+        assert verify_installed_state(net.controller) == []
+        assert all(home.has(d) and not takeover.has(d) for d in redirected)
+
+    @pytest.mark.parametrize("how", ["full-home", "controller-only"])
+    def test_an_unmoved_extension_stays_detached(self, net, how):
+        entry, home, takeover, redirected = self.lose_the_link(
+            net, home_room=0 if how == "full-home" else None,
+            repair=how == "full-home")
+        assert net.controller.switches[4].table.extension_for(0) == entry
+        assert all(takeover.has(d) and not home.has(d) for d in redirected)
+        [finding] = verify_installed_state(net.controller)
+        assert isinstance(finding, DetachedExtension)
+        assert finding.kind == "detached-extension"
+        assert (finding.switch, finding.serial, finding.hops) == (
+            4, 0, hop_count(net.topology, 4, entry.target_switch))
+        assert finding.hops > 1

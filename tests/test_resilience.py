@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import GredNetwork, attach_uniform, brite_waxman_graph
+from repro import (GredError, GredNetwork, attach_uniform,
+                   brite_waxman_graph)
 from repro import obs
 from repro.faults import FaultInjector
 from repro.resilience import (
@@ -431,6 +432,17 @@ class TestDisabledPassthrough:
         assert r2.result == r1
         assert r2.ok == r1.found
 
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_short_priorities_raise_before_any_store(self, net, enabled):
+        """A ``priorities`` column of the wrong length is refused on
+        both configs, before the batch reaches the network."""
+        pipeline = net.resilient(ResilienceConfig(enabled=enabled))
+        with pytest.raises(GredError, match="priorities has 1 entries"):
+            pipeline.place_many(["a", "b", "c"], priorities=[1])
+        with pytest.raises(GredError, match="priorities has 1 entries"):
+            pipeline.retrieve_many(["a", "b", "c"], priorities=[1])
+        assert sum(net.load_vector()) == 0
+
     def test_no_state_accumulated(self, net):
         pipeline = ResilientNetwork(net)
         pipeline.place("x", payload=b"v")
@@ -822,36 +834,42 @@ class TestQuietBoard:
         assert pipeline.breakers.get(server)._consecutive_failures == 0
         assert pipeline.breakers.quiet()
 
-    def test_healthy_requests_derive_no_breaker_key(self, net,
-                                                    monkeypatch):
-        """No owner lookup and no server hash on a quiet board; one
-        forced-open breaker brings both back."""
+    def test_healthy_requests_derive_no_breaker_key(self, monkeypatch):
+        """No owner lookup and no server hash on a quiet board, at
+        every copy count, scalar and batch: the lookup raises, so one
+        call would fail the run.  One forced-open breaker brings both
+        back."""
         from repro.resilience import pipeline as module
 
-        calls = []
-        lookup, index = net.destination_switch, module.server_index
-        monkeypatch.setattr(net, "destination_switch",
-                            lambda d: calls.append(d) or lookup(d))
+        net = build_net(switches=30, cvt_iterations=5)
+        pipeline = net.resilient(ResilienceConfig(enabled=True))
+        hashes, lookup = [], net.destination_switch
+        index = module.server_index
+
+        def owner_lookup(data_id):
+            raise RuntimeError(f"owner lookup for {data_id}")
+
+        monkeypatch.setattr(net, "destination_switch", owner_lookup)
         monkeypatch.setattr(module, "server_index",
-                            lambda *a: calls.append(a) or index(*a))
-        pipeline = net.resilient(enabled_config())
-        ids = [f"cg/{i}" for i in range(12)]
-
-        def traffic(now):
+                            lambda *a: hashes.append(a) or index(*a))
+        ids = [f"smoke/{i}" for i in range(200)]
+        for copies in (1, 2, 3):
+            now = 10.0 * copies
             assert all(o.ok for o in pipeline.place_many(
-                ids, payloads=ids, copies=2, now=now))
+                ids, copies=copies, now=now))
             assert all(o.ok for o in pipeline.retrieve_many(
-                ids, copies=2, now=now + 0.1))
-            assert pipeline.place("cg/x", b"v", copies=3,
-                                  now=now + 0.2).ok
-            assert pipeline.retrieve("cg/x", copies=3, now=now + 0.3).ok
-            assert pipeline.retrieve(ids[0], now=now + 0.4).ok
-
-        traffic(0.0)
-        assert calls == []
-        pipeline.breakers.force_open(("switch", 999), now=1.0)
-        traffic(1.0)
-        assert calls
+                ids, copies=copies, now=now + 1))
+            assert pipeline.place("smoke/x", b"v", copies=copies,
+                                  now=now + 2).ok
+            assert pipeline.retrieve("smoke/x", copies=copies,
+                                     now=now + 3).ok
+        assert hashes == []
+        pipeline.breakers.force_open(("switch", 999), now=50.0)
+        with pytest.raises(RuntimeError, match="owner lookup"):
+            pipeline.retrieve("smoke/x", now=51.0)
+        monkeypatch.setattr(net, "destination_switch", lookup)
+        assert pipeline.retrieve("smoke/x", now=52.0).ok
+        assert hashes
 
     @pytest.mark.parametrize("seed", ["generator", "int"])
     def test_drawn_entries_match_per_item_draws(self, seed, monkeypatch):
