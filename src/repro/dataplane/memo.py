@@ -42,6 +42,10 @@ _MIX = 0x9E3779B97F4A7C15
 #: benchmark twin pays kilobytes, not the cap).
 _MIN_ROWS = 256
 
+#: A full memo's doorkeeper bitset (TinyLFU's, guarding eviction only)
+#: and the marks that clear it: a false "seen" is ≤ 1 in 16.
+_DOOR_BITS, _DOOR_MARKS = 1 << 20, 1 << 16
+
 _ROW = np.dtype([
     ("pos", "u8"), ("off", "u4"), ("tick", "u4"), ("entry", "i4"),
     ("dest", "i4"), ("servers", "i4"), ("overlay", "u2"),
@@ -59,7 +63,8 @@ _U4_MAX = np.iinfo(np.uint32).max
 
 class RouteMemo:
     """Exact packed memo of at most ``cap`` delivered routes, least
-    recently used out first.
+    recently used out first; a full memo admits a route only on its
+    second sighting.
 
     Batches :meth:`lookup` every key in one vectorized probe (which is
     what touches the LRU clock), :meth:`take` the hits' columns and
@@ -75,7 +80,7 @@ class RouteMemo:
     """
 
     __slots__ = ("cap", "get", "_n", "_clock", "_rows", "_pool",
-                 "_index")
+                 "_index", "_door")
 
     def __init__(self, cap: int) -> None:
         if cap * _HOPS_MAX > _U4_MAX:
@@ -88,6 +93,7 @@ class RouteMemo:
         self._rows = np.empty(0, dtype=_ROW)
         self._pool = np.empty(0, dtype=np.uint16)
         self._index = np.empty(0, dtype=np.int32)
+        self._door: Optional[np.ndarray] = None
         self._reserve(min(cap, _MIN_ROWS), 0)
 
     # -- read API -------------------------------------------------------
@@ -103,8 +109,9 @@ class RouteMemo:
 
     @property
     def nbytes(self) -> int:
-        """Bytes allocated: the records, the pool and the index."""
-        return self._rows.nbytes + self._pool.nbytes + self._index.nbytes
+        """Bytes allocated: the records, pool, index and doorkeeper."""
+        return (self._rows.nbytes + self._pool.nbytes + self._index.nbytes
+                + (0 if self._door is None else self._door.nbytes))
 
     # -- the batch route stage's side -----------------------------------
     def lookup(self, entries: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -140,7 +147,9 @@ class RouteMemo:
         """Memoize the delivered routes of one packed walk straight
         from its arrays; ``entries`` / ``pos`` are the walk's keys,
         aligned with it.  A key already present — repeated inside the
-        batch — is kept once.  When the memo would exceed ``cap`` the
+        batch — is kept once.  When the routes would not fit under
+        ``cap``, only the keys an earlier such insert saw are admitted
+        (:meth:`_admitted`).  When the memo would exceed ``cap`` the
         least recently used eighth goes first (in bulk, so the index
         rebuild amortizes); of more than ``cap`` new routes the last
         ``cap`` stay."""
@@ -154,7 +163,10 @@ class RouteMemo:
                 self._pool = self._pool.astype(np.int32)
                 self._bind_reader()
         sel = np.flatnonzero((packed.dest >= 0)
-                             & (packed.tlen <= _HOPS_MAX))[-self.cap:]
+                             & (packed.tlen <= _HOPS_MAX))
+        if self._n + sel.size > self.cap:
+            sel = sel[self._admitted(entries, pos)[sel]]
+        sel = sel[-self.cap:]
         if not sel.size:
             return
         if self._n + sel.size > self.cap:
@@ -204,6 +216,22 @@ class RouteMemo:
         stale |= rows["tlen"] > hop_bound + 1
         if stale.any():
             self._keep(~stale)
+
+    def _admitted(self, entries: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Which keys the doorkeeper (allocated on first use) marked
+        before this call; then marks them all, and clears itself once
+        ``_DOOR_MARKS`` bits are set."""
+        if self._door is None:
+            self._door = np.zeros(_DOOR_BITS // 8, dtype=np.uint8)
+        bit = ((pos + entries.astype(np.uint64) * np.uint64(_MIX))
+               & np.uint64(_DOOR_BITS - 1))
+        byte = (bit >> np.uint64(3)).astype(np.intp)
+        mask = np.left_shift(1, bit & np.uint64(7)).astype(np.uint8)
+        seen = (self._door[byte] & mask) != 0
+        np.bitwise_or.at(self._door, byte, mask)
+        if np.bitwise_count(self._door).sum() >= _DOOR_MARKS:
+            self._door.fill(0)
+        return seen
 
     # -- storage --------------------------------------------------------
     def _used(self) -> int:

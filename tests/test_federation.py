@@ -808,6 +808,33 @@ def test_one_digest_per_replica(copies, monkeypatch):
     assert local and cross
 
 
+def test_a_cross_region_read_reuses_the_placed_route(monkeypatch):
+    """A batch read of ids just placed from other entries of the same
+    region: an id homed in the other region enters its shard at the
+    same gateway, so the shard's memo answers it on the route the
+    placement walked — only the ids homed at the entries' own region
+    are walked again."""
+    from repro.dataplane.fastpath import CompiledRouter
+
+    fed = make_fed(regions=2, per_region=12)
+    local = [s for s in fed.switch_ids() if fed.region_of(s) == 0]
+    ids = [f"reuse/{i}" for i in range(400)]
+    fed.place_many(ids, entry_switches=[local[i % len(local)]
+                                        for i in range(len(ids))])
+    walked = []
+    route = CompiledRouter.route_batch_packed
+    monkeypatch.setattr(
+        CompiledRouter, "route_batch_packed",
+        lambda self, entries, *rest: walked.append(entries.size)
+        or route(self, entries, *rest))
+    got = fed.retrieve_many(ids, entry_switches=[
+        local[(i + 1) % len(local)] for i in range(len(ids))])
+    assert all(r.found for r in got)
+    homed_here = sum(fed.home_region_of(d) == 0 for d in ids)
+    assert 0 < homed_here < len(ids)
+    assert sum(walked) == homed_here
+
+
 # ---------------------------------------------------------------------
 # churn locality
 # ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 * unit tests on the class with synthetic keys and traces: insert / hit,
   keys repeated in one insert, bulk LRU eviction, probe chains that
-  wrap around the index, the stale sweep, growth;
+  wrap around the index, the stale sweep, growth, and the doorkeeper
+  a full memo admits through;
 * the footprint guard: at 10k+ real routes the memo stays within
   80 bytes a route and allocates no per-route Python object;
 * the hop rows beside it (``repro.graph.HopRows``): equal to
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core import network as network_module
 from repro.dataplane import RouteMemo
 from repro.dataplane.fastpath import _PackedRoutes
-from repro.dataplane.memo import _MIN_ROWS, _MIX
+from repro.dataplane.memo import _DOOR_MARKS, _MIN_ROWS, _MIX
 from repro.hashing import digest_keys
 
 from test_route_stage import build, observe
@@ -137,6 +138,7 @@ class TestRouteMemo:
             fill(memo, [0] * 8, range(base, base + 8),
                  [[0, k] for k in range(base, base + 8)])
             memo.lookup(*keys_of([0] * 8, range(base, base + 8)))
+        fill(memo, [0], [100], [[0, 100]])  # full: a first sighting
         memo._clock = 2 ** 32 - 2
         memo.lookup(*keys_of([0] * 8, range(8, 16)))   # the ceiling
         memo.lookup(*keys_of([0] * 8, range(0, 8)))    # rebases first
@@ -153,6 +155,8 @@ class TestRouteMemo:
             fill(memo, [0] * 8, range(base, base + 8),
                  [[0, k] for k in range(base, base + 8)])
         assert len(memo) == 32
+        fill(memo, [0], [100], [[0, 100]])  # full: a first sighting
+        assert len(memo) == 32
         # Touch the oldest eight; the next eight are now the oldest.
         memo.lookup(*keys_of([0] * 8, range(8)))
         fill(memo, [0], [100], [[0, 100]])
@@ -166,7 +170,8 @@ class TestRouteMemo:
 
     def test_more_than_cap_in_one_insert_keeps_the_last(self):
         memo = RouteMemo(32)
-        fill(memo, [0] * 100, range(100), [[0, k] for k in range(100)])
+        for _ in range(2):  # the first sighting marks, the second admits
+            fill(memo, [0] * 100, range(100), [[0, k] for k in range(100)])
         assert sorted(pos for _, pos in memo) == list(range(68, 100))
         assert memo.get(0, 99, 0)[0] == [0, 99]
 
@@ -222,6 +227,36 @@ class TestRouteMemo:
             assert memo.get(k % 50, int(positions[k]), 0)[0] == \
                 [k % 50, k % 7, k % 11]
         assert memo._index.size >= 2 * len(memo)
+
+
+class TestDoorkeeper:
+    def test_a_full_memo_admits_on_the_second_sighting(self):
+        """A memo with room admits a first sighting and allocates no
+        doorkeeper; a full one refuses it and admits the second."""
+        memo = RouteMemo(8)
+        fill(memo, [0] * 8, range(8), [[0, k] for k in range(8)])
+        assert len(memo) == 8 and memo._door is None
+        fill(memo, [0], [100], [[0, 100]])
+        assert (0, 100) not in memo and len(memo) == 8
+        assert memo._door is not None and memo._door.nbytes == 128 * 1024
+        fill(memo, [0], [100], [[0, 100]])
+        assert memo.get(0, 100, 0)[0] == [0, 100] and len(memo) == 8
+        # The same key twice in one call is still a first sighting.
+        fill(memo, [1, 1], [7, 7], [[1, 7], [1, 7]])
+        assert (1, 7) not in memo
+
+    def test_the_bitset_is_cleared_after_its_marks(self):
+        memo = RouteMemo(8)
+        fill(memo, [0] * 8, range(8), [[0, k] for k in range(8)])
+        marked = range(1000, 1000 + _DOOR_MARKS - 1)
+        fill(memo, [0] * len(marked), marked, [[0, 1]] * len(marked))
+        assert np.bitwise_count(memo._door).sum() == _DOOR_MARKS - 1
+        fill(memo, [0], [1000], [[0, 1]])  # marked: admitted
+        assert (0, 1000) in memo
+        fill(memo, [0], [999], [[0, 1]])   # the last mark clears
+        assert not memo._door.any()
+        fill(memo, [0], [1001], [[0, 1]])  # ... so this is forgotten
+        assert (0, 1001) not in memo
 
 
 class TestFootprint:
@@ -453,15 +488,18 @@ class TestWarmEqualsCold:
 
     def test_memo_is_used_and_bounded(self, monkeypatch):
         """The differential above is not vacuous: under its tiny cap a
-        warm network does answer from the memo, and honours the cap."""
+        warm network does answer from the memo, honours the cap, and
+        admits through the doorkeeper."""
         monkeypatch.setattr(network_module, "_ROUTE_CACHE_CAP", 8)
         net = build(0, 10)
         switches = net.switch_ids()
         ids = [f"k{k}" for k in range(KEYS)]
         entries = [switches[k % 10] for k in range(KEYS)]
+        net.retrieve_many(ids, entry_switches=entries)  # first sighting
         net.place_many(ids, entry_switches=entries)
         memo = net._fastpath.routes
         assert 0 < len(memo) <= 8
+        assert memo._door is not None  # the gate engaged
         entry, bits = next(iter(memo))
         hit = next(d for d, e in zip(ids, entries)
                    if (e, digest_keys(d)[1]) == (entry, bits))
