@@ -179,6 +179,9 @@ class Controller:
         self._dt: Optional[DelaunayTriangulation] = None
         self._dt_vertex_to_switch: Dict[int, int] = {}
         self._dt_switch_to_vertex: Dict[int, int] = {}
+        #: DT rows in switch-id space, kept from the stars of inserted
+        #: and deleted vertices; ``dt_adjacency()`` reads the DT itself.
+        self._dt_rows: Dict[int, Set[int]] = {}
         self._rng = np.random.default_rng(self.config.seed)
         #: Last applied plan (what the controller believes installed).
         self._plan: Optional[RulePlan] = None
@@ -283,7 +286,7 @@ class Controller:
         self.positions = positions
         with registry.timer("controlplane.phase.dt_build"):
             self._build_dt(participants)
-        self._install_rules(global_event=True)
+        self._install_rules()
 
     def _compute_positions(
         self, participants: List[int]
@@ -334,9 +337,13 @@ class Controller:
             switch: vertex
             for vertex, switch in self._dt_vertex_to_switch.items()
         }
+        self._dt_rows = self.dt_adjacency()
 
-    def _drop_from_dt(self, leavers: List[int]) -> None:
-        """Delete the leaving DT participants from the live DT.
+    def _drop_from_dt(self, leavers: List[int]) -> Set[int]:
+        """Delete the leaving DT participants from the live DT and
+        return the survivors of their stars (their kept rows): a
+        deletion adds edges only inside its star, so no other switch's
+        DT row changes.
 
         The DT is a function of its sites, so the result is the one
         :meth:`recompute` would build over the survivors.  Leavers that
@@ -347,6 +354,17 @@ class Controller:
             if vertex is not None:
                 self._dt.remove_point(vertex)
                 del self._dt_vertex_to_switch[vertex]
+        star = set().union(*(self._dt_rows.pop(s, ()) for s in leavers))
+        return star.difference(leavers)
+
+    def _star(self, switch: int) -> Set[int]:
+        """The switches of DT participant ``switch``'s neighbours, read
+        off the DT from an edge of its kept row if one remains."""
+        vertices = self._dt_switch_to_vertex
+        near = next((vertices[n] for n in self._dt_rows.get(switch, ())
+                     if n in vertices), None)
+        return {self._dt_vertex_to_switch[v]
+                for v in self._dt.neighbors(vertices[switch], near)}
 
     def dt_adjacency(self) -> Dict[int, Set[int]]:
         """DT neighbor sets in switch-id space."""
@@ -379,31 +397,40 @@ class Controller:
                 )
             self.switches[node] = switch
 
-    def _install_rules(self, *, global_event: bool) -> RuleDelta:
+    def _install_rules(self, ends: Optional[Set[int]] = None,
+                       star: Set[int] = frozenset()) -> RuleDelta:
         """Converge the data plane to the desired plan.
 
         The plan/diff/apply pipeline: compile the desired per-switch
         state (pure), diff it against what is actually installed, and
-        ship only the difference southbound.  ``global_event`` marks a
+        ship only the difference southbound.  No ``changed`` marks a
         full :meth:`recompute` — every position may have moved, so the
         global epoch advances and every scoped cache (routing index,
         compiled fast path, route caches) rebuilds.  Scoped events
-        (joins, leaves, link changes, failure absorption) bump only
-        the version and the generations of the touched switches; the
-        routing index is updated in place, the plan is compiled from
-        the last one, re-walking only the relay trees the event can
-        change, and only the :meth:`_dirty` switches are read back and
-        diffed — the delta is the full diff's all the same.
+        (joins, leaves, link changes, failure absorption) pass the
+        switches they touched — the ``ends`` whose port rows or
+        membership changed and the ``star`` of survivors whose DT rows
+        did, which are re-read — and bump only the version and the
+        generations of the touched switches; the routing index is
+        updated in place, the plan is compiled from the last one
+        (``compile_plan``'s ``changed``), and only the :meth:`_dirty`
+        switches are read back and diffed — the delta is the full
+        diff's all the same.
         """
         registry = default_registry()
+        global_event = ends is None
+        changed = None if global_event else ends | star
         if global_event:
             self._global_epoch += 1
             self._routing_index = None
+        for sid in star:
+            self._dt_rows[sid] = self._star(sid)
         self._build_switches()
         desired = self._compile_plan(
-            previous=None if global_event else self._plan)
-        removed = (frozenset(self._plan.plans) - frozenset(desired.plans)
-                   if self._plan is not None else frozenset())
+            previous=None if global_event else self._plan, changed=changed)
+        last = {} if self._plan is None else self._plan.plans
+        removed = frozenset(sid for sid in (last if global_event else changed)
+                            if sid in last and sid not in desired.plans)
         only = None if global_event else self._dirty(desired)
         read = (self.switches if only is None
                 else {sid: self.switches[sid] for sid in only})
@@ -434,12 +461,16 @@ class Controller:
                 sid: self._version for sid in self.switches}
             self._log_change(None)
         else:
-            for sid in delta.touched:
+            # A new plan counts as touching its switch even where an
+            # out-of-band write had put it in place already.
+            touched = delta.touched | {
+                sid for sid in only if desired.plans[sid] is not last.get(sid)}
+            for sid in touched:
                 self._generations[sid] = self._version
             for sid in removed:
                 self._generations.pop(sid, None)
-            self._log_change(frozenset(delta.touched | removed))
-            self._sync_routing_index()
+            self._log_change(frozenset(touched | removed))
+            self._sync_routing_index(changed)
         if registry.enabled:
             total = sum(s.table.num_entries()
                         for s in self.switches.values())
@@ -474,15 +505,20 @@ class Controller:
             or converged.get(sid) != (switch, switch.revision))
 
     def desired_plan(self) -> RulePlan:
-        """Compile the desired plan from the current control view."""
-        return self._compile_plan(previous=None)
+        """Compile the desired plan from the current control view (the
+        DT itself, not the rows the controller keeps)."""
+        return self._compile_plan(None, dt_rows=self.dt_adjacency())
 
-    def _compile_plan(self, previous: Optional[RulePlan]) -> RulePlan:
+    def _compile_plan(self, previous: Optional[RulePlan],
+                      changed: Optional[Set[int]] = None,
+                      dt_rows: Optional[Dict[int, Set[int]]] = None
+                      ) -> RulePlan:
         return compile_plan(
-            self.topology, self.positions, self.dt_adjacency(),
+            self.topology, self.positions,
+            self._dt_rows if dt_rows is None else dt_rows,
             server_counts={node: len(self.server_map.get(node, []))
                            for node in self.topology.nodes()},
-            previous=previous,
+            previous=previous, changed=changed,
         )
 
     def _apply(self, delta: RuleDelta, *, generation: int) -> None:
@@ -517,19 +553,20 @@ class Controller:
         if len(self._changelog) > _CHANGELOG_CAP:
             del self._changelog[:len(self._changelog) - _CHANGELOG_CAP]
 
-    def _sync_routing_index(self) -> None:
+    def _sync_routing_index(self, changed: Set[int]) -> None:
         """Bring the (lazily built) routing index's membership in line
         with the current DT participants, in place.
 
-        Scoped events never move surviving positions, so insert/remove
-        of the changed participants is sufficient; a missing index
-        stays missing until queried.
+        Scoped events never move surviving positions, and only
+        ``changed`` switches join or leave the DT, so insert/remove of
+        those is sufficient; a missing index stays missing until
+        queried.
         """
         index = self._routing_index
         if index is None:
             return
-        current = set(index.nodes())
-        desired = set(self.dt_participants())
+        current = {node for node in changed if node in index}
+        desired = {node for node in changed if self.server_map.get(node)}
         for node in sorted(current - desired):
             index.remove(node)
         for node in sorted(desired - current):
@@ -758,13 +795,16 @@ class Controller:
         returned.
         """
         topology, position = self._solve_join(switch_id, links, servers)
+        star: Set[int] = set()
         if servers:
             vertex = self._dt.insert_point(position)
             self._dt_vertex_to_switch[vertex] = switch_id
             self._dt_switch_to_vertex[switch_id] = vertex
+            star = self._dt_rows[switch_id] = self._star(switch_id)
         admitted = None
         if admit is not None:
             try:
+                # dt_adjacency()'s set: a join moves items in its order.
                 admitted = admit(self.dt_adjacency().get(switch_id, set()),
                                  position)
             except BaseException:
@@ -773,7 +813,7 @@ class Controller:
         self.topology = topology
         self.server_map[switch_id] = list(servers)
         self.positions[switch_id] = position
-        self._install_rules(global_event=False)
+        self._install_rules({switch_id, *links}, star)
         registry = default_registry()
         registry.counter("controlplane.switch_joins").inc()
         registry.event("switch_join", switch=switch_id,
@@ -906,7 +946,7 @@ class Controller:
         if self.topology.has_edge(u, v):
             raise ControlPlaneError(f"link ({u}, {v}) already exists")
         self.topology.add_edge(u, v)
-        self._install_rules(global_event=False)
+        self._install_rules({u, v})
         registry = default_registry()
         registry.counter("controlplane.links_added").inc()
         registry.event("link_up", u=u, v=v)
@@ -930,7 +970,7 @@ class Controller:
                 f"removing link ({u}, {v}) would partition the network"
             )
         self.topology = candidate
-        self._install_rules(global_event=False)
+        self._install_rules({u, v})
         self._drop_detached_extensions(admit)
         registry = default_registry()
         registry.counter("controlplane.links_removed").inc()
@@ -972,13 +1012,13 @@ class Controller:
                 "cannot remove the last server-hosting switch"
             )
         admitted = None if admit is None else admit()
+        ends = {switch_id, *self.topology.neighbors(switch_id)}
         self.topology = candidate
         self.server_map.pop(switch_id, None)
         self.positions.pop(switch_id, None)
         self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        self._drop_from_dt([switch_id])
-        self._install_rules(global_event=False)
+        self._install_rules(ends, self._drop_from_dt([switch_id]))
         registry = default_registry()
         registry.counter("controlplane.switch_leaves").inc()
         registry.event("switch_leave", level=EventLevel.WARNING,
@@ -1039,14 +1079,16 @@ class Controller:
                           if component is not keep for n in component)
         for switch_id in stranded:
             candidate.remove_node(switch_id)
+        ends = {n for switch_id in dead + stranded
+                for n in self.topology.neighbors(switch_id)}
+        ends.update(dead + stranded, *dead_links)
         self.topology = candidate
         for switch_id in dead + stranded:
             self.server_map.pop(switch_id, None)
             self.positions.pop(switch_id, None)
             self.switches.pop(switch_id, None)
         self._drop_dead_extensions()
-        self._drop_from_dt(dead + stranded)
-        self._install_rules(global_event=False)
+        self._install_rules(ends, self._drop_from_dt(dead + stranded))
         self._drop_detached_extensions(admit)
         registry = default_registry()
         if registry.enabled:

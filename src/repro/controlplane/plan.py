@@ -32,15 +32,16 @@ holds).
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from ..dataplane import GredSwitch, VirtualLinkEntry
 from ..geometry import Point
 from ..graph import Graph
 from ..obs import default_registry
-from .rules import compile_port_map
+from .rules import port_row
 
 
 @dataclass(frozen=True)
@@ -67,31 +68,34 @@ class SwitchPlan:
 
 
 class _Tree(NamedTuple):
-    """What the reuse rule reads of one destination's truncated walk.
-
-    ``code`` has one entry per switch slot: 0 for a switch the walk
-    never discovered, else ``2 * (depth + 1)``, plus 1 if the switch
-    became a parent.  ``deepest`` is the farthest source's depth (*K*);
-    ``holders`` maps each switch holding one of its relay tuples to
-    that tuple.
-    """
+    """A destination's walk besides its ``code`` row: its sources, and
+    each switch holding one of its relay tuples with that tuple."""
 
     sources: Tuple[int, ...]
-    code: array
-    deepest: int
     holders: Dict[int, VirtualLinkEntry]
 
 
 @dataclass(frozen=True)
 class _Walks:
-    """The walks a plan was compiled from.  Switch slots stay put
-    across scoped events: a leaver's slot is freed, a joiner takes the
-    lowest free one, and every ``code`` is ``size`` long."""
+    """The walks a plan was compiled from, over switch slots that stay
+    put across scoped events: a leaver's slot is freed (``ids`` holds
+    ``None``), a joiner takes the lowest free one.  ``code`` has a row
+    per destination slot (read only for a tree) and a column per switch
+    slot: 0 for a switch the walk never discovered, else ``2 * (depth +
+    1)``, plus 1 if it became a parent; ``deepest`` is per row the
+    farthest source's depth (*K*)."""
 
     slots: Dict[int, int]
-    size: int
+    ids: List[Optional[int]]
+    adjacency: List[List[int]]
     members: FrozenSet[int]
     trees: Dict[int, _Tree]
+    code: np.ndarray
+    deepest: np.ndarray
+
+
+_NO_WALKS = _Walks({}, [], [], frozenset(), {},
+                   np.zeros((0, 0), np.uint16), np.zeros(0, np.int64))
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,7 @@ def compile_plan(
     dt_adjacency: Dict[int, Set[int]],
     server_counts: Optional[Dict[int, int]] = None,
     previous: Optional[RulePlan] = None,
+    changed: Optional[Set[int]] = None,
 ) -> RulePlan:
     """Compile the desired forwarding state of every switch.
 
@@ -134,9 +139,14 @@ def compile_plan(
     same later-source-wins overwrite for relay tuples sharing a
     destination — which the differential tests assert.
 
-    ``previous`` is the plan compiled last.  The topology delta is read
-    off the two port maps; a destination whose sources are unchanged
-    and whose walk the delta cannot alter keeps its walk.  A switch
+    ``previous`` is the plan compiled last, and ``changed`` a superset
+    of the switches whose port row, DT row, position or server count
+    may differ from it (``None``: unknown, so every switch is read).
+    Only the changed rows are read; every other row, walk and
+    :class:`SwitchPlan` is carried forward by reference.  The topology
+    delta is read off the changed port rows, and one array pass over
+    the walk matrix finds the walks it may alter; those and the
+    destinations whose sources changed are walked again.  A switch
     keeps its :class:`SwitchPlan` object unless its port row, DT row,
     server count or a neighbour's DT membership changed, or one of the
     relay tuples it holds was added, dropped or changed — so a plan is
@@ -144,65 +154,83 @@ def compile_plan(
     ``==`` a compile without ``previous``.  That compile is the same
     code with nothing to reuse, and so is one after a moved position.
     """
-    ports = compile_port_map(topology)
-    rows = {node: tuple(row.items()) for node, row in ports.items()}
-    delta = _Delta.between(previous, rows, positions)
-    if delta is None:
-        slots = {node: slot for slot, node in enumerate(rows)}
-        size, before, old_plans = len(slots), {}, {}
-    else:
-        slots, size = delta.slots, delta.size
-        before, old_plans = previous.walks.trees, previous.plans
-    ids = [0] * size
-    adjacency: List[List[int]] = [[]] * size
-    for node, row in rows.items():
-        ids[slots[node]] = node
-        adjacency[slots[node]] = [slots[n] for n, _ in row]
-    parent = [0] * size
-    trees: Dict[int, _Tree] = {}
+    walks = None if previous is None else previous.walks
+    old = {} if walks is None else previous.plans
+    if changed is None or walks is None:
+        changed = old.keys() | topology.nodes()
+    walks = walks or _NO_WALKS
+    rows = {node: tuple(port_row(topology, node).items())
+            for node in changed if topology.has_node(node)}
+    delta = _Delta.between(walks, old, rows, changed, positions)
+    if delta is None:  # a moved position or two joiners: start afresh
+        return compile_plan(topology, positions, dt_adjacency,
+                            server_counts)
+    slots, ids = delta.slots, delta.ids
+    trees = dict(walks.trees)
     # switch -> {dest: its new relay tuple, or None for none}, only
     # where the tuple differs from the one it held before.
     updates: Dict[int, Dict[int, Optional[VirtualLinkEntry]]] = {}
-    walked = 0
-    for dest, nbrs in dt_adjacency.items():
-        sources = nbrs - ports[dest].keys()
-        if not sources:
-            continue  # every DT neighbour is one physical hop away
-        sources = tuple(sorted(sources, reverse=True))
-        old = before.get(dest)
-        tree = (delta.carry(old) if old is not None
-                and old.sources == sources else None)
-        if tree is None:
-            tree = _walk(adjacency, ids, slots, dest, sources, parent)
-            walked += 1
-            _note(updates, dest, {} if old is None else old.holders,
-                  tree.holders)
-        trees[dest] = tree
-    for dest in before.keys() - trees.keys():
-        _note(updates, dest, before[dest].holders, {})
-    members = frozenset(dt_adjacency)
-    regrouped: Set[int] = set()  # switches whose candidates changed
-    if delta is not None:
-        for node in members ^ previous.walks.members:
-            regrouped.update(n for n, _ in rows.get(node, ()))
-    plans: Dict[int, SwitchPlan] = {}
-    for node, row in rows.items():
-        old = old_plans.get(node)
-        count = None if server_counts is None else server_counts.get(node, 0)
+    walk: Dict[int, Tuple[int, ...]] = {}  # dest -> sources, to re-walk
+    code, deepest, column = walks.code, walks.deepest, None
+    if trees:
+        stale, column = delta.stale(code, deepest)
+        walk = {dest: trees[dest].sources for dest in map(
+            walks.ids.__getitem__, np.flatnonzero(stale).tolist())
+            if dest in trees}
+    for dest in changed:
+        nbrs, row = dt_adjacency.get(dest), rows.get(dest)
+        sources = () if not nbrs or row is None else tuple(
+            sorted(nbrs.difference(n for n, _ in row), reverse=True))
+        tree = trees.get(dest)
+        if sources and (tree is None or tree.sources != sources):
+            walk[dest] = sources
+        elif not sources and tree is not None:
+            # every DT neighbour is one physical hop away, or it left
+            walk.pop(dest, None)
+            del trees[dest]
+            _note(updates, dest, tree.holders, {})
+    if walk or column is not None or len(code) != len(ids):
+        grow = (0, len(ids) - len(code))  # a copy, even if no wider
+        code, deepest = np.pad(code, grow), np.pad(deepest, grow)
+        if column is not None:
+            code[:len(column), delta.joiner] = column
+    parent = [0] * len(ids)
+    for dest, sources in walk.items():
+        slot = slots[dest]
+        code[slot], deepest[slot], holders = _walk(
+            delta.adjacency, ids, slots, dest, sources, parent)
+        tree = trees.get(dest)
+        _note(updates, dest, {} if tree is None else tree.holders, holders)
+        trees[dest] = _Tree(sources, holders)
+    # A switch whose DT membership flipped regroups its neighbours.
+    flips = [n for n in changed
+             if (n in dt_adjacency) != (n in walks.members)]
+    members = walks.members.symmetric_difference(flips)
+    regrouped = {n for node in flips for n, _ in rows.get(node, ())}
+    plans = dict(old)
+    for node in delta.removed:
+        del plans[node]
+    built = 0
+    for node in (rows.keys() | updates.keys() | regrouped).difference(
+            delta.removed):
+        prior = old.get(node)
+        row = rows[node] if node in rows else prior.ports
+        servers = (None if server_counts is None
+                   else server_counts.get(node, 0))
         dt_nbrs = dt_adjacency.get(node, ())
         update = updates.get(node)
-        if (old is not None and update is None and node not in regrouped
-                and old.ports == row and old.num_servers == count
-                and len(old.dt_neighbors) == len(dt_nbrs)
-                and all(o in dt_nbrs for o, _ in old.dt_neighbors)):
-            plans[node] = old
+        if (prior is not None and update is None and node not in regrouped
+                and prior.ports == row and prior.num_servers == servers
+                and len(prior.dt_neighbors) == len(dt_nbrs)
+                and all(o in dt_nbrs for o, _ in prior.dt_neighbors)):
             continue
-        entries = {} if old is None else {e.dest: e for e in old.virtuals}
+        entries = {} if prior is None else {e.dest: e for e in prior.virtuals}
         for dest, entry in (update or {}).items():
             if entry is None:
                 del entries[dest]
             else:
                 entries[dest] = entry
+        built += 1
         plans[node] = SwitchPlan(
             switch=node,
             position=positions[node],
@@ -211,27 +239,28 @@ def compile_plan(
                              if n in members),
             dt_neighbors=tuple((o, positions[o]) for o in sorted(dt_nbrs)),
             virtuals=tuple(entries[d] for d in sorted(entries)),
-            num_servers=count,
+            num_servers=servers,
         )
     registry = default_registry()
     if registry.enabled:
-        kept = sum(plan is old_plans.get(node)
-                   for node, plan in plans.items())
         for name, outcome, value in (
-                ("relay_trees", "walked", walked),
-                ("relay_trees", "reused", len(trees) - walked),
-                ("switch_plans", "built", len(plans) - kept),
-                ("switch_plans", "reused", kept)):
+                ("relay_trees", "walked", len(walk)),
+                ("relay_trees", "reused", len(trees) - len(walk)),
+                ("switch_plans", "built", built),
+                ("switch_plans", "reused", len(plans) - built),
+                ("switch_rows", "read", len(rows)),
+                ("switch_rows", "carried", len(plans) - len(rows))):
             registry.counter(
                 "controlplane.plan." + name, help=_COUNTER_HELP[name],
                 outcome=outcome).inc(value)
-    return RulePlan(plans=plans,
-                    walks=_Walks(slots, size, members, trees))
+    return RulePlan(plans=plans, walks=_Walks(
+        slots, ids, delta.adjacency, members, trees, code, deepest))
 
 
 _COUNTER_HELP = {
     "relay_trees": "Relay trees per compile: walked or carried forward",
     "switch_plans": "Switch plans per compile: built or carried forward",
+    "switch_rows": "Switch rows per compile: read or carried forward",
 }
 
 #: The depth the reuse rule gives a switch its walk never discovered
@@ -252,13 +281,15 @@ def _note(updates: Dict[int, Dict[int, Optional[VirtualLinkEntry]]],
         updates.setdefault(node, {})[dest] = None
 
 
-def _walk(adjacency: List[List[int]], ids: List[int],
+def _walk(adjacency: List[List[int]], ids: List[Optional[int]],
           slots: Dict[int, int], dest: int, sources: Tuple[int, ...],
-          parent: List[int]) -> _Tree:
+          parent: List[int]
+          ) -> Tuple[List[int], int, Dict[int, VirtualLinkEntry]]:
     """Walk ``dest``'s BFS tree over the slot rows (each in ascending
     switch id, as the port map numbers them) only until every source
-    has a parent, and return its record with its relay tuples.
-    ``parent`` is scratch, read only where written.
+    has a parent, and return its ``code`` row, its deepest source's
+    depth and its relay tuples.  ``parent`` is scratch, read only
+    where written.
 
     A parent is final once assigned and every switch on a source's
     path is discovered before it, so the paths are the full tree's.
@@ -270,7 +301,7 @@ def _walk(adjacency: List[List[int]], ids: List[int],
     builds none to be discarded.
     """
     root = slots[dest]
-    code = [0] * len(ids)  # packed into the record's array at the end
+    code = [0] * len(ids)
     code[root] = mark = 2
     waiting = {slots[s] for s in sources}
     frontier = [root]
@@ -305,39 +336,40 @@ def _walk(adjacency: List[List[int]], ids: List[int],
             if succ is None:
                 break
             pred, node = ids[node], succ
-    return _Tree(sources, array("H", code), mark // 2 - 1, holders)
+    return code, mark // 2 - 1, holders
 
 
 class _Delta(NamedTuple):
-    """How the topology moved since the previous plan, as the switch
-    slots the reuse rule tests: ``no_parent`` (removed switches and the
-    ends of removed links) must have parented no switch on a walk,
-    ``unseen`` (the ends of new links between existing switches) must
-    not have been discovered, and a joiner (at most one) is tested
-    against the depths of its ``links``."""
+    """How the topology moved since the previous plan: the new slots,
+    the removed switches, and the switch slots the reuse rule tests.
+    ``no_parent`` (removed switches and the ends of removed links) must
+    have parented no switch on a walk, ``unseen`` (the ends of new
+    links between existing switches) must not have been discovered,
+    and a joiner (at most one while walks exist) is tested against the
+    depths of its ``links``."""
 
     slots: Dict[int, int]
-    size: int
+    ids: List[Optional[int]]
+    adjacency: List[List[int]]
+    removed: List[int]
     no_parent: List[int]
     unseen: List[int]
     joiner: Optional[int]
     links: List[int]
 
     @classmethod
-    def between(cls, previous: Optional[RulePlan],
+    def between(cls, walks: _Walks, old: Dict[int, SwitchPlan],
                 rows: Dict[int, Tuple[Tuple[int, int], ...]],
-                positions: Dict[int, Point]) -> Optional["_Delta"]:
-        """The delta from ``previous`` to the port map ``rows``, or
-        ``None`` when nothing can be reused: no previous walks, a moved
-        position or more than one joiner."""
-        walks = None if previous is None else previous.walks
-        if walks is None:
-            return None
-        old = previous.plans
+                changed: Set[int], positions: Dict[int, Point]
+                ) -> Optional["_Delta"]:
+        """The delta from the plans ``old`` walked by ``walks`` to the
+        changed port ``rows``, or ``None`` when nothing can be reused:
+        a moved position, or more than one joiner while walks exist."""
         added = [node for node in rows if node not in old]
-        if len(added) > 1:
+        if len(added) > 1 and walks.trees:
             return None
-        removed = [node for node in old if node not in rows]
+        removed = [node for node in changed
+                   if node in old and node not in rows]
         lost: List[int] = []
         gained: List[int] = []
         for node, row in rows.items():
@@ -353,43 +385,43 @@ class _Delta(NamedTuple):
                     lost.append(node)
                 if after.difference(before, added):
                     gained.append(node)
-        slots, size = walks.slots, walks.size
+        slots, ids = walks.slots, list(walks.ids)
         if removed or added:
             slots = dict(slots)
             for node in removed:
-                del slots[node]
+                ids[slots.pop(node)] = None
             for node in added:  # the lowest free slot
-                slots[node] = min(set(range(size + 1)) - set(slots.values()))
-                size = max(size, slots[node] + 1)
-        return cls(slots, size,
+                slots[node] = slot = (ids.index(None) if None in ids
+                                      else len(ids))
+                ids[slot:slot + 1] = [node]
+        adjacency = walks.adjacency + [[]] * (len(ids) - len(walks.ids))
+        for node, row in rows.items():
+            adjacency[slots[node]] = [slots[n] for n, _ in row]
+        joiner = added[0] if len(added) == 1 else None
+        return cls(slots, ids, adjacency, removed,
                    no_parent=[walks.slots[n] for n in removed + lost],
                    unseen=[slots[n] for n in gained],
-                   joiner=slots[added[0]] if added else None,
-                   links=[slots[n] for n, _ in rows[added[0]]]
-                   if added else [])
+                   joiner=None if joiner is None else slots[joiner],
+                   links=[] if joiner is None
+                   else [slots[n] for n, _ in rows[joiner]])
 
-    def carry(self, tree: _Tree) -> Optional[_Tree]:
-        """``tree`` as the changed topology walks it, or ``None`` when
-        the change may alter the walk and it must be walked again."""
-        code = tree.code
-        if any(code[s] & 1 for s in self.no_parent) or \
-                any(code[s] for s in self.unseen):
-            return None
+    def stale(self, code: np.ndarray, deepest: np.ndarray
+              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The reuse rule over every walk at once: per row of ``code``,
+        whether the change may alter that walk, which must then be
+        walked again; and the joiner's column for the walks kept."""
+        stale = ((code[:, self.no_parent] & 1).any(axis=1)
+                 | code[:, self.unseen].any(axis=1))
         if self.joiner is None:
-            return tree
+            return stale, None
         # The joiner sits one below its shallowest neighbour.  It
         # parents a switch only if one of its neighbours is deeper
         # still, and that matters only above the deepest source.
-        depths = [code[s] // 2 - 1 if code[s] else _UNSEEN
-                  for s in self.links]
-        depth = min(depths, default=_UNSEEN) + 1
-        if depth < tree.deepest and max(depths) > depth:
-            return None
-        # A copy, since the previous plan still holds the record; the
-        # joiner's slot may be a leaver's, so it is always written.
-        code = code + array("H", bytes(2 * (self.size - len(code))))
-        code[self.joiner] = 2 * depth + 2 if depth <= tree.deepest else 0
-        return tree._replace(code=code)
+        seen = code[:, self.links].astype(np.int64)
+        depths = np.where(seen > 0, seen // 2 - 1, _UNSEEN)
+        depth = depths.min(axis=1, initial=_UNSEEN) + 1
+        stale |= (depth < deepest) & (depths.max(axis=1, initial=0) > depth)
+        return stale, np.where(depth <= deepest, 2 * depth + 2, 0)
 
 
 def switch_digest(plan: SwitchPlan) -> str:

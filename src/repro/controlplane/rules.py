@@ -24,15 +24,14 @@ from ..graph import Graph
 
 
 def compile_port_map(topology: Graph) -> Dict[int, Dict[int, int]]:
-    """Deterministic port numbering: for each switch, neighbors sorted by
-    id get ports 0, 1, 2, ..."""
-    ports: Dict[int, Dict[int, int]] = {}
-    for node in topology.nodes():
-        ports[node] = {
-            neighbor: port
-            for port, neighbor in enumerate(sorted(topology.neighbors(node)))
-        }
-    return ports
+    """Deterministic port numbering: :func:`port_row` of every switch."""
+    return {node: port_row(topology, node) for node in topology.nodes()}
+
+
+def port_row(topology: Graph, node: int) -> Dict[int, int]:
+    """``node``'s neighbors sorted by id get ports 0, 1, 2, ..."""
+    return {neighbor: port
+            for port, neighbor in enumerate(sorted(topology.neighbors(node)))}
 
 
 def bfs_parent_tree(topology: Graph, root: int) -> Dict[int, int]:

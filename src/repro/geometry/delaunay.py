@@ -39,7 +39,7 @@ of :mod:`repro.geometry.predicates`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -186,11 +186,13 @@ class DelaunayTriangulation:
                     result.add(frozenset((u, v)))
         return result
 
-    def neighbors(self, vid: int) -> Set[int]:
-        """Real DT neighbors of a real vertex."""
+    def neighbors(self, vid: int, near: Optional[int] = None) -> Set[int]:
+        """Real DT neighbors of a real vertex.  If ``near`` is one of
+        them, the walk starts at their edge instead of locating
+        ``vid``."""
         if vid not in self._coords:
             raise DelaunayError(f"unknown vertex {vid}")
-        return {u for u in self._link(vid) if u >= 0}
+        return {u for u in self._link(vid, near) if u >= 0}
 
     def neighbor_map(self) -> Dict[int, Set[int]]:
         """Adjacency map over real vertices (every vertex present).
@@ -272,11 +274,12 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # construction internals
     # ------------------------------------------------------------------
-    def _link(self, vid: int) -> List[int]:
+    def _link(self, vid: int, near: Optional[int] = None) -> List[int]:
         """The ccw polygon of ``vid``'s neighbours (super vertices
         included): the triangle with directed edge ``(vid, u)`` is
         ``(vid, u, w)``, and ``w`` follows ``u``."""
-        tri = self._triangles[self._locate(vid)]
+        tid = self._edge_tri.get((vid, near))
+        tri = self._triangles[self._locate(vid) if tid is None else tid]
         i = tri.index(vid)
         first, u = tri[(i + 1) % 3], tri[(i + 2) % 3]
         link = [first]

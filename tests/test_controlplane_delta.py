@@ -284,9 +284,11 @@ SCOPED_TOPOLOGIES = {
 @pytest.mark.parametrize("shape", sorted(SCOPED_TOPOLOGIES))
 def test_every_scoped_plan_equals_a_fresh_compile(shape):
     """A plan compiled from the last one against a DT that lost one
-    edge and nothing else equals a from-scratch ``compile_plan``: a
-    switch whose DT row alone changed is not carried over.  (No event
-    makes that change; the model checks the plans events make.)"""
+    edge and nothing else equals a from-scratch ``compile_plan``, both
+    when every row is examined and when only the edge's two ends are
+    named changed: a switch whose DT row alone changed is not carried
+    over.  (No event makes that change; the model checks the plans
+    events make.)"""
     topology = SCOPED_TOPOLOGIES[shape]()
     controller = Controller(
         topology, attach_uniform(topology.nodes(), 2),
@@ -299,18 +301,21 @@ def test_every_scoped_plan_equals_a_fresh_compile(shape):
         dt = controller.dt_adjacency()
         dt[u].discard(v)
         dt[v].discard(u)
-        plans = [compile_plan(controller.topology, controller.positions, dt,
-                              server_counts={n: 2 for n in topology.nodes()},
-                              previous=previous)
-                 for previous in (controller._plan, None)]
-        assert plans[0] == plans[1], (u, v)
+        fresh, *scoped = [
+            compile_plan(controller.topology, controller.positions, dt,
+                         server_counts={n: 2 for n in topology.nodes()},
+                         previous=previous, changed=changed)
+            for previous, changed in ((None, None), (controller._plan, None),
+                                      (controller._plan, {u, v}))]
+        assert scoped == [fresh, fresh], (u, v)
 
 
 def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
     """On a 200-switch Waxman, a leave of the switch that just joined
-    carries most relay trees and switch plans forward, rebuilds exactly
-    the plans that change, and reads back under a quarter of the
-    switches; the counters say how many, once per compile."""
+    reads under a fifth of the port rows, carries most relay trees and
+    switch plans forward, rebuilds exactly the plans that change, and
+    reads back under a quarter of the switches; the counters say how
+    many, once per compile."""
     topology, _ = brite_waxman_graph(200, min_degree=3,
                                      rng=np.random.default_rng(0))
     controller = Controller(
@@ -333,6 +338,8 @@ def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
                         "plan.relay_trees{outcome=reused}": 0,
                         "plan.switch_plans{outcome=built}": 200,
                         "plan.switch_plans{outcome=reused}": 0,
+                        "plan.switch_rows{outcome=read}": 200,
+                        "plan.switch_rows{outcome=carried}": 0,
                         "delta.switches_read{scope=full}": 200}
         join(controller, 1000, links=[3, 71, 150], num_servers=4)
         before, plans = counts(), controller._plan.plans
@@ -349,6 +356,9 @@ def test_leave_of_a_joiner_rewalks_under_a_quarter_of_the_trees():
         after["plan.switch_plans{outcome=reused}"] == 200
     assert after["plan.switch_plans{outcome=built}"] == sum(
         plan != plans[n] for n, plan in controller._plan.plans.items())
+    assert after["plan.switch_rows{outcome=read}"] + \
+        after["plan.switch_rows{outcome=carried}"] == 200
+    assert 0 < after["plan.switch_rows{outcome=read}"] < 200 / 5
     assert 0 < after["delta.switches_read{scope=scoped}"] < 200 / 4
     assert controller._plan == controller.desired_plan()
     assert verify_installed_state(

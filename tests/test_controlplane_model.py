@@ -72,6 +72,7 @@ def check_plane(controller, converged=True, full=frozenset()):
     (see :func:`check_findings` for ``full``)."""
     twin = fresh_twin(controller)
     assert controller._plan == controller.desired_plan() == twin._plan
+    assert controller._dt_rows == controller.dt_adjacency()
     assert dt_edges(controller) == dt_edges(twin)
     assert mismatched_switches(twin) == []
     if converged:
@@ -101,8 +102,8 @@ def spy(controller):
     compile_plan, apply = controller._compile_plan, controller._apply
     desired = []
 
-    def compiled(previous):
-        desired.append(compile_plan(previous))
+    def compiled(previous, **kwargs):
+        desired.append(compile_plan(previous, **kwargs))
         return desired[-1]
 
     def applied(delta, *, generation):
@@ -151,7 +152,7 @@ def drift(controller, switch, pick):
     kind = pick % 4
     if kind == 0 and entries:
         switch.table.remove_virtual(entries[pick % len(entries)].dest)
-    elif kind == 1:
+    elif kind == 1 and len(controller.switches) > 1:
         others = sorted(set(controller.switches) - {switch.switch_id})
         bogus = others[pick % len(others)]
         switch.install_dt_neighbor(bogus, controller.positions[bogus])
@@ -280,14 +281,16 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             self.ext.discard((switch, entry))
         return admit
 
-    @rule(pick=PICK, switch=st.booleans(), link=st.booleans(),
+    @rule(picks=st.lists(PICK, max_size=3), link=st.one_of(st.none(), PICK),
           full=st.booleans())
-    def crash(self, pick, switch, link, full):
+    def crash(self, picks, link, full):
+        """Up to three switches and any one link fail in one
+        absorption."""
         edges = self.edges()
         self.event(lambda: self.controller.absorb_failures(
-            dead_switches=[self.pick(pick)] if switch else [],
-            dead_links=[edges[pick % len(edges)]] if link and edges
-            else [], admit=self.home(full)))
+            dead_switches=[self.pick(pick) for pick in picks],
+            dead_links=[edges[link % len(edges)]]
+            if link is not None and edges else [], admit=self.home(full)))
 
     @rule(u=PICK, v=PICK)
     def add_link(self, u, v):

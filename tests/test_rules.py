@@ -75,8 +75,9 @@ def test_early_exit_tree_is_the_full_tree_on_its_paths(size, seed,
     ports = compile_port_map(topology)
     ids = list(ports)
     slots = {node: slot for slot, node in enumerate(ids)}
-    tree = _walk([[slots[n] for n in ports[node]] for node in ids], ids,
-                 slots, root, sources, [0] * len(ids))
+    code, reach, holders = _walk(
+        [[slots[n] for n in ports[node]] for node in ids], ids, slots, root,
+        sources, [0] * len(ids))
     full = bfs_parent_tree(topology, root)
     depth = {n: len(path_toward(full, n, root)) - 1 for n in full}
     want = {}
@@ -87,13 +88,13 @@ def test_early_exit_tree_is_the_full_tree_on_its_paths(size, seed,
                 sour=sour, pred=path[i - 1] if i else None,
                 succ=path[i + 1] if i < len(path) - 1 else None,
                 dest=root)
-    assert tree.holders == want
-    seen = {ids[slot]: code for slot, code in enumerate(tree.code) if code}
+    assert holders == want
+    seen = {ids[slot]: mark for slot, mark in enumerate(code) if mark}
     assert all(code // 2 - 1 == depth[n] for n, code in seen.items())
     assert {n for n, code in seen.items() if code & 1} == \
         {full[n] for n in seen if n != root}
     deepest = max((depth[s] for s in sources), default=0)
-    assert tree.deepest == deepest
+    assert reach == deepest
     assert all(depth[n] <= deepest for n in seen)
     assert all(n in seen for n in nodes if depth[n] < deepest)
 
