@@ -2033,7 +2033,7 @@ class GredNetwork:
                  for switch in neighbors
                  for server in self.server_map.get(switch, [])],
                 joiner=(switch_id, position, servers))) if servers else None)
-        return 0 if move is None else self._commit_move(move, event=True)
+        return self._commit_move(move or ([], [], [], []), event=True)
 
     def remove_switch(self, switch_id: int) -> int:
         """A switch leaves gracefully; its stored items are re-placed
@@ -2172,8 +2172,8 @@ class GredNetwork:
         then each item taken off its old server unless it landed back
         on it.  Returns how many items moved.  For a join or leave
         (``event``) they count on ``core.migrations``, and the compiled
-        plane is patched inside the event, so the next request pays
-        nothing new for it."""
+        router is patched inside the event, even one that moved
+        nothing: the next request finds it in step."""
         sources, ids, stores, parked = move
         for target, flats in stores:
             stamps = [sources[f].stamp_of(ids[f]) for f in flats]
@@ -2190,8 +2190,8 @@ class GredNetwork:
             sources[flat].delete(ids[flat])
         if event and ids:
             default_registry().counter("core.migrations").inc(len(ids))
-            if not batch_fastpath_blockers(self):
-                self._fast_plane()
+        if event and not batch_fastpath_blockers(self):
+            self._fast_plane()
         return len(ids)
 
     # ------------------------------------------------------------------

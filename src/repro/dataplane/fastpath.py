@@ -47,11 +47,13 @@ messages as the reference engine on inconsistent state.
 
 from __future__ import annotations
 
+from itertools import chain as _concat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..hashing import data_position
+from ..obs import default_registry
 from .switch import ForwardingError, GredSwitch
 from .tracing import TraceEventKind
 
@@ -188,68 +190,150 @@ RouteOutcome = Union[
     ForwardingError]
 
 
-class _FlatPlane:
-    """Dense, padded form of the whole switch plane for wave routing.
+#: What a free row and a pad cell of the wave plane hold, per array.
+#: Pad cells sit at ``+inf`` (their squared distance never wins the
+#: argmin against a finite target) with kind 2 / nid -1 sentinels.
+_PAD = {"sid": -1, "ox": np.inf, "oy": np.inf, "ns": 0,
+        "cx": np.inf, "cy": np.inf, "kind": 2, "nid": -1, "nrow": -1,
+        "chain_off": -1, "chain_len": 0, "chain_err": 0}
+_ROW_ARRAYS = ("sid", "ox", "oy", "ns")
+_PLANE_HELP = {"rows": "Wave-plane rows per sync: written or carried",
+               "chains": "Chain cells per sync: resolved or carried"}
 
-    Row ``r`` is the switch with the ``r``-th smallest id; every
-    candidate list is right-padded to the widest switch so one fancy
-    gather yields the candidate block of all in-flight requests at
-    once.  Pad cells carry ``+inf`` positions (their squared distance
-    can never win the argmin against a finite target) and kind 2 /
-    nid -1 sentinels.  ``ns`` is the server count a request parked on
-    the row can be delivered to: zero on a relay-only switch.
+
+class _FlatPlane:
+    """Dense, padded form of the whole switch plane for wave routing:
+    a table of stable row slots (``slot[sid]``), synced in place.
+
+    A leaver's row is cleared to :data:`_PAD` and reused by a later
+    joiner; ``lookup_sid`` (sorted) / ``lookup_row`` map ids to rows.
+    Every candidate list is right-padded to the widest switch so one
+    fancy gather yields the candidate block of all in-flight requests
+    at once; ``nrow`` is a candidate's row (-1: not in the plane) and
+    ``ns`` the servers a request parked on the row can be delivered to
+    (zero on a relay-only switch).  A virtual-link cell's relay chain
+    is a CSR run (``chain_off`` / ``chain_len`` into ``chain_sids``);
+    ``chain_err`` flags one that does not resolve, which the wave
+    router hands to the scalar walker to resolve again and raise.
     """
 
-    __slots__ = ("sid_sorted", "sid", "ox", "oy", "ns",
-                 "cx", "cy", "kind", "nid", "nrow",
-                 "chain_off", "chain_len", "chain_err",
-                 "chain_sids", "chains_built")
+    __slots__ = ("slot", "free", "lookup_sid", "lookup_row", "chain_sids",
+                 *_PAD)
 
-    def __init__(self, states: Dict[int, _CompiledSwitch]) -> None:
-        sids = sorted(states)
-        n = len(sids)
-        width = max((len(states[sid].cands) for sid in sids), default=0)
-        width = max(width, 1)
-        self.sid_sorted = np.asarray(sids, dtype=np.int64)
-        self.sid = self.sid_sorted
-        self.ox = np.empty(n, dtype=np.float64)
-        self.oy = np.empty(n, dtype=np.float64)
-        self.ns = np.empty(n, dtype=np.int64)
-        self.cx = np.empty((n, width), dtype=np.float64)
-        self.cy = np.empty((n, width), dtype=np.float64)
-        self.kind = np.empty((n, width), dtype=np.int64)
-        self.nid = np.empty((n, width), dtype=np.int64)
-        self.nrow = np.empty((n, width), dtype=np.int64)
-        self.fill(states, sids)
-        self.invalidate_chains()
+    def __init__(self) -> None:
+        self.slot: Dict[int, int] = {}
+        self.free: List[int] = []
+        self.lookup_sid = self.lookup_row = self.chain_sids = np.empty(
+            0, dtype=np.int64)
+        for name, pad in _PAD.items():
+            setattr(self, name, np.full(
+                (0,) if name in _ROW_ARRAYS else (0, 1), pad,
+                dtype=np.float64 if isinstance(pad, float) else np.int64))
+
+    def rows_of(self, sids: np.ndarray) -> np.ndarray:
+        """The row of each switch id in ``sids``, -1 where absent."""
+        keys = self.lookup_sid
+        if not keys.size:
+            return np.full(np.shape(sids), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, sids), keys.size - 1)
+        return np.where(keys[at] == sids, self.lookup_row[at], -1)
+
+    def sync(self, states: Dict[int, _CompiledSwitch], dirty,
+             pruned: Optional[set], resolver) -> None:
+        """Bring the plane in step with ``states``: free the rows of the
+        ``dirty`` switches that left, seat the joiners (free rows
+        first), rewrite every dirty row in one scatter, then re-resolve
+        the virtual-link cells whose chain may differ — those in dirty
+        rows, those of a ``(source, dest)`` key in ``pruned`` (every
+        cell when ``None``) and every failed one (failures are not
+        cached).  Every other row and chain is carried as it stands."""
+        slot, free = self.slot, self.free
+        left = [sid for sid in dirty if sid in slot and sid not in states]
+        gone = [slot.pop(sid) for sid in left]
+        live = sorted(sid for sid in dirty if sid in states)
+        joined = [sid for sid in live if sid not in slot]
+        free.extend(gone)
+        for sid in joined:
+            slot[sid] = free.pop() if free else len(slot)
+        compiled = [states[sid] for sid in live]
+        cells = [cell for state in compiled for cell in state.cands]
+        lens = np.asarray([len(s.cands) for s in compiled], dtype=np.int64)
+        rows, size = len(slot) + len(free), self.sid.size
+        width = max(self.kind.shape[1], lens.max(initial=0))
+        if rows > size or width > self.kind.shape[1]:
+            rows = max(rows, 2 * size) if rows > size else size
+            for name, pad in _PAD.items():  # grow, content kept
+                old = getattr(self, name)
+                new = np.full((rows, width)[:old.ndim], pad, dtype=old.dtype)
+                new[tuple(map(slice, old.shape))] = old
+                setattr(self, name, new)
+        at = np.asarray(gone + [slot[sid] for sid in live], dtype=np.int64)
+        for name, pad in _PAD.items():
+            getattr(self, name)[at] = pad
+        at = at[len(gone):]
+        r, c = np.repeat(at, lens), _ragged_arange(lens)
+        self.sid[at] = live
+        self.ox[at] = [state.x for state in compiled]
+        self.oy[at] = [state.y for state in compiled]
+        self.ns[at] = [s.num_servers if s.in_dt else 0 for s in compiled]
+        self.cx[r, c], self.cy[r, c] = np.fromiter(_concat.from_iterable(
+            cell[:2] for cell in cells), np.float64).reshape(-1, 2).T
+        self.kind[r, c], self.nid[r, c] = np.fromiter(_concat.from_iterable(
+            cell[2:] for cell in cells), np.int64).reshape(-1, 2).T
+        if left or joined:
+            pairs = np.asarray(sorted(slot.items()), dtype=np.int64)
+            self.lookup_sid, self.lookup_row = pairs.reshape(-1, 2).T.copy()
+            stale = np.isin(self.nid, left + joined)  # a leaver or joiner
+            self.nrow[stale] = self.rows_of(self.nid[stale])
+        self.nrow[r, c] = self.rows_of(self.nid[r, c])
+        resolved, links = self._resolve(at, pruned, resolver)
         self._assert_invariants()
+        registry = default_registry()
+        for name, outcome, value in (
+                ("rows", "written", len(live)),
+                ("rows", "carried", len(slot) - len(live)),
+                ("chains", "resolved", resolved),
+                ("chains", "carried", links - resolved)):
+            registry.counter("dataplane.plane." + name, outcome=outcome,
+                             help=_PLANE_HELP[name]).inc(value)
 
-    def fill(self, states: Dict[int, _CompiledSwitch], touched) -> bool:
-        """(Re)write the rows of the ``touched`` switches from their
-        compiled state, or return ``False`` (build a new plane) when a
-        candidate list no longer fits the padded width."""
-        rows = {sid: r for r, sid in enumerate(self.sid_sorted.tolist())}
-        width = self.cx.shape[1]
-        for sid in touched:
-            r = rows[sid]
-            state = states[sid]
-            if len(state.cands) > width:
-                return False
-            self.ox[r] = state.x
-            self.oy[r] = state.y
-            self.ns[r] = state.num_servers if state.in_dt else 0
-            self.cx[r, :] = np.inf
-            self.cy[r, :] = np.inf
-            self.kind[r, :] = 2
-            self.nid[r, :] = -1
-            self.nrow[r, :] = -1
-            for c, (x, y, kind, nid) in enumerate(state.cands):
-                self.cx[r, c] = x
-                self.cy[r, c] = y
-                self.kind[r, c] = kind
-                self.nid[r, c] = nid
-                self.nrow[r, c] = rows.get(nid, -1)
-        return True
+    def _resolve(self, rows: np.ndarray, pruned: Optional[set],
+                 resolver) -> Tuple[int, int]:
+        """Re-resolve the virtual-link cells :meth:`sync` names (dirty
+        ``rows`` among them), append their chains to ``chain_sids`` and
+        compact it once dead ids outnumber live ones.  Returns
+        ``(cells resolved, virtual-link cells)``."""
+        vl = self.kind == 1
+        redo = vl.copy() if pruned is None else vl & (self.chain_err != 0)
+        redo[rows] = vl[rows]
+        if pruned:
+            keys = np.fromiter(_concat.from_iterable(pruned),
+                               np.int64).reshape(-1, 2)
+            src = self.rows_of(keys[:, 0])
+            keys, src = keys[src >= 0], src[src >= 0]
+            hit, col = np.nonzero(vl[src] & (self.nid[src] == keys[:, 1:]))
+            redo[src[hit], col] = True
+        rr, cc = np.nonzero(redo)
+        off, length, run = [], [], []
+        base = self.chain_sids.size
+        for source, dest in zip(self.sid[rr].tolist(),
+                                self.nid[rr, cc].tolist()):
+            chain, broken = resolver(source, dest)
+            off.append(-1 if broken else base + len(run))
+            length.append(0 if broken else len(chain))
+            run.extend(() if broken else chain)
+        self.chain_off[rr, cc] = off
+        self.chain_len[rr, cc] = length
+        self.chain_err[rr, cc] = np.asarray(off, dtype=np.int64) < 0
+        sids = np.append(self.chain_sids, np.asarray(run, dtype=np.int64))
+        held = np.nonzero(self.chain_len)
+        lens = self.chain_len[held]
+        if sids.size > 2 * lens.sum():
+            sids = sids[np.repeat(self.chain_off[held], lens)
+                        + _ragged_arange(lens)]
+            self.chain_off[held] = np.cumsum(lens) - lens
+        self.chain_sids = sids
+        return int(rr.size), int(vl.sum())
 
     def _assert_invariants(self) -> None:
         """Dtype invariant of the compile step: every id/count plane
@@ -257,55 +341,14 @@ class _FlatPlane:
         ``uint64`` array into int64 arithmetic silently promotes the
         result to ``float64``, which corrupts exact comparisons above
         2**53 — ``ns`` shipped as uint64 once, so the invariant is now
-        enforced at build time."""
-        for name in ("sid_sorted", "sid", "ns", "kind", "nid", "nrow"):
-            dtype = getattr(self, name).dtype
-            if dtype != np.int64:
-                raise AssertionError(
-                    f"_FlatPlane.{name} must be int64, got {dtype}")
-        for name in ("ox", "oy", "cx", "cy"):
-            dtype = getattr(self, name).dtype
-            if dtype != np.float64:
-                raise AssertionError(
-                    f"_FlatPlane.{name} must be float64, got {dtype}")
-
-    def invalidate_chains(self) -> None:
-        """Drop the CSR relay-chain arrays (after a scoped patch —
-        chains are rebuilt from the router's pruned cache on next
-        use)."""
-        self.chain_off = None
-        self.chain_len = None
-        self.chain_err = None
-        self.chain_sids = None
-        self.chains_built = False
-
-    def attach_chains(self, resolver) -> None:
-        """Resolve every virtual-link cell's relay chain into CSR
-        arrays (``chain_off``/``chain_len`` index a flat ``chain_sids``
-        run) so wave dispatch crosses virtual links without leaving
-        numpy.  A cell whose resolution fails is only flagged in
-        ``chain_err``: the wave router hands a request that crosses it
-        to the scalar walker, which resolves it again and raises —
-        exactly the behavior of lazy per-request resolution."""
-        n, width = self.kind.shape
-        off = np.full((n, width), -1, dtype=np.int64)
-        length = np.zeros((n, width), dtype=np.int64)
-        err = np.zeros((n, width), dtype=np.int64)
-        sids: List[int] = []
-        vl_rows, vl_cols = np.nonzero(self.kind == 1)
-        for r, c in zip(vl_rows.tolist(), vl_cols.tolist()):
-            chain, broken = resolver(int(self.sid[r]), int(self.nid[r, c]))
-            if broken is not None:
-                err[r, c] = 1
-                continue
-            off[r, c] = len(sids)
-            length[r, c] = len(chain)
-            sids.extend(chain)
-        self.chain_off = off
-        self.chain_len = length
-        self.chain_err = err
-        self.chain_sids = np.asarray(sids, dtype=np.int64)
-        self.chains_built = True
+        enforced on every sync."""
+        for name in ("lookup_sid", "lookup_row", "chain_sids", *_PAD):
+            dtype, want = getattr(self, name).dtype, np.int64
+            if isinstance(_PAD.get(name), float):
+                want = np.float64
+            if dtype != want:
+                raise AssertionError(f"_FlatPlane.{name} must be "
+                                     f"{want.__name__}, got {dtype}")
 
 
 class _CompiledSwitch:
@@ -546,16 +589,8 @@ def _route_batch_packed(flat: _FlatPlane, walk,
     segs: List[tuple] = []
     scratch = [np.empty((min(k, _WAVE_BLOCK_ROWS), flat.cx.shape[1]))
                for _ in range(2)]
-    if flat.sid_sorted.size:
-        lookup = np.minimum(
-            np.searchsorted(flat.sid_sorted, entries_arr),
-            flat.sid_sorted.size - 1)
-        known = flat.sid_sorted[lookup] == entries_arr
-    else:
-        lookup = np.zeros(k, dtype=np.int64)
-        known = np.zeros(k, dtype=bool)
-    current = lookup.astype(np.int64, copy=True)
-    packed.known = known
+    current = flat.rows_of(entries_arr)
+    known = packed.known = current >= 0
     if known.all():
         active = np.arange(k, dtype=np.int64)
     else:
@@ -594,8 +629,7 @@ def _route_batch_packed(flat: _FlatPlane, walk,
                 segs.append((2, j, trace[1:]))
                 tlen[j] += len(trace) - 1
         done = idx[dest[idx] >= 0]
-        servers[done] = flat.ns[
-            np.searchsorted(flat.sid_sorted, dest[done])]
+        servers[done] = flat.ns[flat.rows_of(dest[done])]
 
     width = flat.kind.shape[1]
     kind_of, nrow_of, chain_len_of, chain_err_of, chain_off_of = (
@@ -711,14 +745,20 @@ class CompiledRouter:
         self._default_max_hops = 4 * len(switches) + 16
         # (switch, dest) -> relay chain (first relay ... dest).
         self._chains: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # Dense plane for route_batch, built on first use.
-        self._flat: Optional[_FlatPlane] = None
+        # Dense plane for route_batch, synced on first use: switches whose
+        # rows may differ, chain keys pruned since (None: every cell).
+        self._flat = _FlatPlane()
+        self._dirty = set(self._states)
+        self._pruned: Optional[set] = set()
         #: Per-switch compilations so far (observability: a scoped
         #: patch after a join should grow this by a neighborhood, not
         #: by the network).
         self.switch_compiles = len(switches)
         #: Scoped :meth:`patch` applications.
         self.patch_events = 0
+        #: Wave planes built from empty: one per router, on its first
+        #: batch (a patch rewrites rows of the plane it has).
+        self.plane_builds = 0
         #: Waves dispatched by the most recent :meth:`route_batch`
         #: (telemetry: proof the vectorized path ran, and the divisor
         #: for per-wave cost estimates).
@@ -736,47 +776,37 @@ class CompiledRouter:
               touched, removed=()) -> None:
         """Recompile only the ``touched`` switches' state in place.
 
-        ``removed`` switches are dropped.  Everything derived from the
-        affected switches is invalidated selectively: relay chains
-        whose source, destination or relays intersect them, the dense
-        wave plane's rows (or the whole plane when membership changed
-        — its row numbering is positional), and the default hop bound.
-        Untouched switches keep their compiled rows, which is what
-        makes a join's fast-path cost neighborhood-sized.
+        ``removed`` switches are dropped.  Relay chains whose source,
+        destination or relays intersect the affected switches leave the
+        chain cache, and the default hop bound follows the membership.
+        The wave plane is only marked: the next :meth:`_ensure_flat`
+        rewrites the affected rows and the pruned chains' cells in
+        place.  Untouched switches keep their state and rows, which is
+        what makes a join's fast-path cost neighborhood-sized.
         """
         states = self._states
-        membership_changed = False
         for sid in removed:
-            if states.pop(sid, None) is not None:
-                membership_changed = True
+            states.pop(sid, None)
         for sid in sorted(touched):
             switch = switches.get(sid)
             if switch is None:
-                if states.pop(sid, None) is not None:
-                    membership_changed = True
+                states.pop(sid, None)
                 continue
-            if sid not in states:
-                membership_changed = True
             states[sid] = _CompiledSwitch(switch)
             self.switch_compiles += 1
         self._default_max_hops = 4 * len(states) + 16
         affected = set(touched) | set(removed)
-        if self._chains:
-            self._chains = {
-                key: chain for key, chain in self._chains.items()
-                if key[0] not in affected and key[1] not in affected
-                and not affected.intersection(chain)
-            }
-        if membership_changed:
-            self._flat = None
-        elif self._flat is not None:
-            if self._flat.fill(states, touched):
-                # Patched rows may carry different virtual-link
-                # candidates and the chain cache was pruned above;
-                # rebuild the CSR arrays on next use.
-                self._flat.invalidate_chains()
-            else:
-                self._flat = None
+        self._dirty |= affected
+        chains = self._chains
+        dropped = [key for key, chain in chains.items()
+                   if key[0] in affected or key[1] in affected
+                   or not affected.isdisjoint(chain)]
+        for key in dropped:
+            del chains[key]
+        if self._pruned is not None and self._flat.slot:
+            self._pruned.update(dropped)
+            if len(self._pruned) > self._flat.kind.size:
+                self._pruned = None
         self.patch_events += 1
 
     # ------------------------------------------------------------------
@@ -999,13 +1029,13 @@ class CompiledRouter:
             max_hops)
 
     def _ensure_flat(self) -> _FlatPlane:
-        """The dense plane with relay-chain CSR arrays attached,
-        building either lazily (chains resolve through the epoch's
-        pruned chain cache, so a scoped patch recomputes only what it
-        invalidated)."""
+        """The dense plane in step with the compiled switches: the
+        first call syncs the empty plane with every switch dirty (the
+        one way a plane is built), later ones what :meth:`patch`
+        marked since.  Chains resolve through the pruned chain cache."""
         flat = self._flat
-        if flat is None:
-            flat = self._flat = _FlatPlane(self._states)
-        if not flat.chains_built:
-            flat.attach_chains(self._chain)
+        if self._dirty or self._pruned is None or self._pruned:
+            self.plane_builds += not flat.slot
+            flat.sync(self._states, self._dirty, self._pruned, self._chain)
+            self._dirty, self._pruned = set(), set()
         return flat

@@ -35,6 +35,7 @@ from repro.controlplane import (
     snapshot_plan,
     verify_installed_state,
 )
+from repro.dataplane import CompiledRouter, batch_fastpath_blockers
 from repro.edge import EdgeServer, StorageFull, attach_uniform
 from repro.experiments.convergence import mismatched_switches
 from repro.io import from_snapshot, to_snapshot
@@ -80,6 +81,34 @@ def check_plane(controller, converged=True, full=frozenset()):
             snapshot_plan(twin.switches)
         check_findings(controller, verify_installed_state(controller),
                        full)
+
+
+def wave_plane(flat):
+    """A compiled wave plane by switch id, not by row: position,
+    deliverable servers and each candidate as ``(x, y, kind, id, id of
+    its row or -1, relay chain or None, failed)``."""
+    sid = flat.sid.tolist()
+    plane = {}
+    for switch, r in zip(flat.lookup_sid.tolist(), flat.lookup_row.tolist()):
+        assert sid[r] == switch
+        cells = []
+        for c in np.flatnonzero(flat.kind[r] != 2).tolist():
+            nrow, off = int(flat.nrow[r, c]), int(flat.chain_off[r, c])
+            cells.append((
+                flat.cx[r, c], flat.cy[r, c], flat.kind[r, c],
+                flat.nid[r, c], -1 if nrow < 0 else sid[nrow],
+                None if off < 0 else tuple(flat.chain_sids[
+                    off:off + flat.chain_len[r, c]].tolist()),
+                bool(flat.chain_err[r, c])))
+        plane[switch] = (flat.ox[r], flat.oy[r], flat.ns[r], cells)
+    return plane
+
+
+def check_wave_plane(net):
+    """The deployment's patched wave plane is a fresh compile's."""
+    patched = net._fast_plane().router._ensure_flat()
+    fresh = CompiledRouter(net.controller.switches)._ensure_flat()
+    assert wave_plane(patched) == wave_plane(fresh)
 
 
 def check_findings(controller, findings, full):
@@ -389,6 +418,8 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             assert all(generation == generations[n] for n, generation
                        in controller.generations.items() if n not in touched)
         if self.converged:
+            if not batch_fastpath_blockers(self.net):
+                check_wave_plane(self.net)
             self.rebase()
 
 

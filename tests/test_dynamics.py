@@ -538,7 +538,8 @@ def test_a_move_routes_nothing_and_hashes_once(monkeypatch):
     """A membership event moves its items as one planned transaction:
     no per-item route or store, one digest pass and one nearest-switch
     pass (a leaver's redirected items included), and the compiled plane
-    left in step with the controller."""
+    left in step with the controller — also by an event that moves
+    nothing (a relay-only joiner, a leaver holding no items)."""
     from repro.controlplane.routing_index import RoutingIndex
     from repro.core import network as network_module
     from repro.dataplane import CompiledRouter
@@ -567,13 +568,16 @@ def test_a_move_routes_nothing_and_hashes_once(monkeypatch):
         "digests", network_module.sha256_digests))
     monkeypatch.setattr(RoutingIndex, "closest_many", counting(
         "closest", RoutingIndex.closest_many))
-    for event in (lambda: net.add_switch(100, [0, 1, 2],
-                                         servers_per_switch=2),
-                  lambda: net.remove_switch(home),
-                  lambda: net.remove_switch(100)):
+    for event, passes in (
+            (lambda: net.add_switch(100, [0, 1, 2], servers_per_switch=2),
+             1),
+            (lambda: net.remove_switch(home), 1),
+            (lambda: net.remove_switch(100), 1),
+            (lambda: net.add_switch(101, net.switch_ids()[:2]), 0),
+            (lambda: net.remove_switch(101), 0)):
         calls.update(digests=0, closest=0)
-        assert event() > 0
-        assert calls == {"digests": 1, "closest": 1}
+        assert (event() > 0) == (passes > 0)
+        assert calls == {"digests": passes, "closest": passes}
         # The compiled plane is patched inside the event: the next
         # request finds it in step.
         assert net._fastpath.version == net.controller.version

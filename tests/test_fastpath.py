@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from repro import GredNetwork, utils
 from repro.controlplane import RoutingIndex
-from repro.dataplane import ExtensionEntry
+from repro.dataplane import CompiledRouter, ExtensionEntry, ForwardingError
 from repro.edge import attach_uniform
 from repro.faults import FaultInjector
 from repro.hashing import (
     batch_hash,
     data_position,
     data_positions,
+    positions_from_digests,
     replica_id,
     replica_ids,
     serials_from_digests,
@@ -36,6 +37,7 @@ from repro.hashing import (
     sha256_digests,
 )
 from repro.topology import brite_waxman_graph
+from test_controlplane_model import wave_plane
 from test_route_stage import durable_state, observe
 
 IDS = ["videos/a.mp4", "sensor-42/frame-7", "x", "", "data#copy1",
@@ -807,13 +809,12 @@ class TestPlaneDtypeInvariants:
         net.place_many([f"dt/{i}" for i in range(8)],
                        rng=np.random.default_rng(0))
         flat = net._fast_state().router._ensure_flat()
-        for name in ("sid_sorted", "sid", "ns", "kind", "nid", "nrow"):
+        for name in ("lookup_sid", "lookup_row", "sid", "ns", "kind",
+                     "nid", "nrow", "chain_off", "chain_len", "chain_err",
+                     "chain_sids"):
             assert getattr(flat, name).dtype == np.int64, name
         for name in ("ox", "oy", "cx", "cy"):
             assert getattr(flat, name).dtype == np.float64, name
-        assert flat.chains_built
-        for name in ("chain_off", "chain_len", "chain_err"):
-            assert getattr(flat, name).dtype == np.int64, name
 
     def test_dtype_violation_is_rejected(self):
         net, _ = build_pair(switches=12)
@@ -827,6 +828,126 @@ class TestPlaneDtypeInvariants:
         finally:
             flat.ns = good
         flat._assert_invariants()
+
+
+class TestPlaneSlots:
+    """The wave plane keeps one row slot per switch across patches: a
+    leaver's row is freed, a joiner reuses it, and every case routes a
+    batch exactly as the scalar walker does."""
+
+    @staticmethod
+    def _router():
+        net, _ = build_pair(switches=30)
+        router = CompiledRouter(net.controller.switches)
+        router._ensure_flat()
+        return net, router, net.controller.version
+
+    @staticmethod
+    def _patch(net, router, version):
+        switches = net.controller.switches
+        touched = net.controller.changes_since(version)
+        present = frozenset(s for s in touched if s in switches)
+        router.patch(switches, present, frozenset(touched) - present)
+        return net.controller.version
+
+    @staticmethod
+    def _batch_is_scalar(router, switches):
+        """2,000 probes from every switch: ``route_batch`` == ``route``,
+        failures by their text."""
+        ids = [f"slot/{i}" for i in range(2000)]
+        digests = sha256_digests(ids)
+        positions = positions_from_digests(digests)
+        serials = serials_from_digests(digests)
+        sids = sorted(switches)
+        entries = [sids[i % len(sids)] for i in range(len(ids))]
+        got = router.route_batch(entries, ids, positions[:, 0],
+                                 positions[:, 1], serials)
+        for i, outcome in enumerate(got):
+            try:
+                want = router.route(entries[i], ids[i], positions[i, 0],
+                                    positions[i, 1], int(serials[i]))
+            except ForwardingError as err:
+                assert str(outcome) == str(err)
+            else:
+                assert outcome == want
+
+    def _check(self, net, router):
+        flat = router._ensure_flat()
+        self._batch_is_scalar(router, net.controller.switches)
+        assert router.plane_builds == 1
+        assert wave_plane(flat) == wave_plane(
+            CompiledRouter(net.controller.switches)._ensure_flat())
+        return flat
+
+    def test_a_joiner_reuses_a_leavers_slot(self):
+        net, router, version = self._router()
+        leaver = net.switch_ids()[5]
+        row = router._flat.slot[leaver]
+        net.remove_switch(leaver)
+        version = self._patch(net, router, version)
+        flat = self._check(net, router)
+        assert leaver not in flat.slot and flat.free == [row]
+        assert (flat.kind[row] == 2).all() and flat.sid[row] == -1
+        net.add_switch(500, net.switch_ids()[:3], servers_per_switch=2)
+        self._patch(net, router, version)
+        flat = self._check(net, router)
+        assert flat.slot[500] == row and flat.free == []
+
+    def test_an_id_that_leaves_and_rejoins_before_a_batch(self):
+        net, router, version = self._router()
+        switch = net.switch_ids()[7]
+        row = router._flat.slot[switch]
+        links = sorted(net.topology.neighbors(switch))[:3]
+        net.remove_switch(switch)
+        net.add_switch(switch, links, servers_per_switch=3)
+        self._patch(net, router, version)
+        flat = self._check(net, router)
+        assert flat.slot[switch] == row and flat.free == []
+
+    def test_a_joiner_wider_than_the_padding(self):
+        net, router, version = self._router()
+        width = router._flat.kind.shape[1]
+        net.add_switch(500, net.switch_ids()[:width + 4],
+                       servers_per_switch=2)
+        self._patch(net, router, version)
+        flat = self._check(net, router)
+        assert flat.kind.shape[1] > width
+        assert len(router._states[500].cands) == flat.kind.shape[1]
+
+    def test_a_stale_candidate_toward_a_freed_slot_fails_closed(self):
+        """A patch naming only the leaver leaves its neighbours' rows
+        listing it: their cells toward it read ``nrow == -1``, so the
+        waves hand those requests to the walker, which raises.  When
+        the id comes back, the same cells point at its new row."""
+        net, router, _ = self._router()
+        leaver = net.switch_ids()[5]
+        router.patch(net.controller.switches, (), {leaver})
+        flat = router._ensure_flat()
+        stale = flat.nid == leaver
+        assert stale.any() and (flat.nrow[stale] == -1).all()
+        self._batch_is_scalar(router, router._states)
+        router.patch(net.controller.switches, {leaver})
+        flat = self._check(net, router)
+        assert (flat.nrow[stale] == flat.slot[leaver]).all()
+
+    def test_a_failed_chain_cell_resolves_once_repaired(self):
+        """A failure is not cached, so no later patch can prune it: the
+        sync re-resolves every flagged cell, and the cell of a relay
+        chain repaired out of its source's sight carries its run again."""
+        net, router, _ = self._router()
+        flat = router._flat
+        cells = zip(*np.nonzero((flat.kind == 1) & (flat.chain_len > 1)))
+        r, c = next(cells)
+        source, dest = int(flat.sid[r]), int(flat.nid[r, c])
+        relay = router._chain(source, dest)[0][0]
+        table = net.controller.switches[relay].table
+        entry = table.virtual_entry(dest)
+        table.remove_virtual(dest)
+        router.patch(net.controller.switches, {relay})
+        assert router._ensure_flat().chain_err[r, c]
+        table.install_virtual(entry)
+        router.patch(net.controller.switches, {relay})
+        assert not self._check(net, router).chain_err[r, c]
 
 
 class TestRouteCacheEviction:

@@ -58,10 +58,12 @@ OPS = st.lists(
         st.integers(min_value=0, max_value=10 ** 6)),
     min_size=8, max_size=32)
 
-#: Instruments that differ by construction: batch-only extras, the
-#: stand-down counters (the oracle *is* a stand-down) and wall-clock
-#: control-plane timers.
-ENGINE_SPECIFIC = ("dataplane.batch.", "dataplane.scalar_standdowns",
+#: Instruments that differ by construction: batch-only extras (the
+#: wave plane's row and chain syncs among them), the stand-down
+#: counters (the oracle *is* a stand-down) and wall-clock control-plane
+#: timers.
+ENGINE_SPECIFIC = ("dataplane.batch.", "dataplane.plane.",
+                   "dataplane.scalar_standdowns",
                    "dataplane.fastpath_standdowns", "controlplane.")
 
 

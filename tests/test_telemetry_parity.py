@@ -70,15 +70,17 @@ def _workload(net, batch: bool):
 
 def _normalize(dump):
     """Key instruments by (name, labels); drop the engine-specific
-    extras (``dataplane.batch.*`` counts waves/requests the scalar
-    path has no notion of; ``dataplane.scalar_standdowns`` counts the
-    oracle's own pin to the reference engine and ``dataplane.
-    fastpath_standdowns`` the batches that ran its loop)."""
+    extras (``dataplane.batch.*`` counts waves/requests and
+    ``dataplane.plane.*`` the wave plane's row and chain syncs, which
+    the scalar path has no notion of; ``dataplane.scalar_standdowns``
+    counts the oracle's own pin to the reference engine and
+    ``dataplane.fastpath_standdowns`` the batches that ran its loop)."""
     out = {}
     for kind in ("counters", "gauges", "histograms"):
         items = {}
         for entry in dump[kind]:
             if entry["name"].startswith(("dataplane.batch.",
+                                         "dataplane.plane.",
                                          "dataplane.scalar_standdowns",
                                          "dataplane.fastpath_standdowns")):
                 continue
