@@ -260,9 +260,11 @@ class Controller:
         Raises
         ------
         ControlPlaneError
-            If no switch hosts a server, or ``positions`` misses a
+            If no switch hosts a server, ``positions`` misses a
             switch, holds a non-finite coordinate or puts two DT
-            participants on one point.  Nothing has changed then.
+            participants on one point, or C-regulation refuses its
+            input (a ``density_sampler`` batch that is not finite or
+            not inside the unit square).  Nothing has changed then.
         """
         registry = default_registry()
         registry.counter("controlplane.recomputes").inc()
@@ -313,15 +315,19 @@ class Controller:
         participant_sites = [positions[node] for node in participants]
         if self.config.cvt_iterations > 0:
             with registry.timer("controlplane.phase.c_regulation"):
-                result = c_regulation(
-                    participant_sites,
-                    iterations=self.config.cvt_iterations,
-                    samples_per_iteration=(
-                        self.config.samples_per_iteration),
-                    relaxation=self.config.relaxation,
-                    rng=np.random.default_rng(self.config.seed + 1),
-                    sampler=self.config.density_sampler,
-                )
+                try:
+                    result = c_regulation(
+                        participant_sites,
+                        iterations=self.config.cvt_iterations,
+                        samples_per_iteration=(
+                            self.config.samples_per_iteration),
+                        relaxation=self.config.relaxation,
+                        rng=np.random.default_rng(self.config.seed + 1),
+                        sampler=self.config.density_sampler,
+                    )
+                except ValueError as exc:
+                    raise ControlPlaneError(
+                        f"C-regulation refused: {exc}") from exc
             participant_sites = result.sites
         participant_sites = deduplicate_points(participant_sites)
         for node, site in zip(participants, participant_sites):

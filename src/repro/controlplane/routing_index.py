@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import TIE_BAND, Point
+from ..geometry import TIE_BAND, Point, squared_distance_block
 
 #: Bound on one ``closest_many`` distance-matrix chunk, in elements
 #: (256 KB of float64 a temporary): larger chunks are no faster and
@@ -73,11 +73,10 @@ class RoutingIndex:
         self._slot: Dict[int, int] = {
             node: i for i, node in enumerate(self._nodes)
         }
-        #: Live ``(ids, xs, ys)`` arrays for :meth:`closest_many`,
-        #: built on first use and dropped by :meth:`insert` /
-        #: :meth:`remove`.
-        self._live: Optional[Tuple[np.ndarray, np.ndarray,
-                                   np.ndarray]] = None
+        #: Live ``(ids, (n, 2) positions)`` arrays for
+        #: :meth:`closest_many`, built on first use and dropped by
+        #: :meth:`insert` / :meth:`remove`.
+        self._live: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: In-place update counters (observability + locality tests).
         self.inserts = 0
         self.removes = 0
@@ -218,7 +217,8 @@ class RoutingIndex:
                      drop: Optional[int] = None) -> np.ndarray:
         """:meth:`closest` of every row of ``(n, 2)`` ``points``, as an
         int64 array: one squared-distance matrix against the live
-        participants (``drop`` passed over) and an ``argmin`` per row
+        participants (``drop`` passed over), from the shared
+        ``squared_distance_block`` kernel, and an ``argmin`` per row
         chunk.
 
         The matrix's ``dx² + dy²`` and :meth:`closest`'s ``math.hypot``
@@ -232,23 +232,22 @@ class RoutingIndex:
         if self._live is None:
             slots = np.fromiter(self._slot.values(), dtype=np.int64,
                                 count=len(self._slot))
+            sites = np.empty((len(slots), 2))
+            sites[:, 0] = np.asarray(self._xs)[slots]
+            sites[:, 1] = np.asarray(self._ys)[slots]
             self._live = (
                 np.fromiter(self._slot, dtype=np.int64, count=len(slots)),
-                np.asarray(self._xs)[slots], np.asarray(self._ys)[slots])
-        ids, xs, ys = self._live
+                sites)
+        ids, sites = self._live
         if drop is not None:
             keep = ids != drop
-            ids, xs, ys = ids[keep], xs[keep], ys[keep]
+            ids, sites = ids[keep], sites[keep]
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         winners = np.empty(len(points), dtype=np.int64)
         rows = max(1, _CHUNK_ELEMENTS // len(ids))
         for start in range(0, len(points), rows):
             chunk = points[start:start + rows]
-            square = chunk[:, 0:1] - xs
-            dy = chunk[:, 1:2] - ys
-            square *= square
-            dy *= dy
-            square += dy
+            square = squared_distance_block(chunk, sites)
             best = square.argmin(axis=1)
             winners[start:start + rows] = ids[best]
             # The runner-up, by masking the winner out (``inf`` when

@@ -21,7 +21,7 @@ structure of the M-position embedding; ``relaxation=1.0`` is pure Lloyd.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,24 +40,53 @@ class CRegulationResult:
     Attributes
     ----------
     sites:
-        Refined switch positions (the paper's ``Q*``).
-    energy_history:
-        Estimated CVT energy after each iteration, measured on a fresh
-        held-out Monte-Carlo batch (useful for the convergence
-        ablation).
+        Refined switch positions (the paper's ``Q*``), as tuples of
+        Python floats.
     iterations_run:
         Number of iterations actually executed (may be fewer than the
         requested ``T`` when ``energy_threshold`` triggers early stop).
+    energy_history:
+        Estimated CVT energy after each iteration, measured on a fresh
+        held-out Monte-Carlo batch (useful for the convergence
+        ablation).  Without ``energy_threshold`` nothing reads it while
+        the sites move, so it is computed on first read, from the kept
+        per-iteration sites and the same held-out stream drawn in the
+        same order: the same list, paid for only by its readers.
     """
 
     sites: List[Point]
-    energy_history: List[float] = field(default_factory=list)
     iterations_run: int = 0
+    _energies: Optional[List[float]] = field(default=None, repr=False)
+    _replay: Optional[Callable[[], List[float]]] = field(
+        default=None, repr=False)
+
+    @property
+    def energy_history(self) -> List[float]:
+        if self._energies is None:
+            self._energies = self._replay() if self._replay else []
+            self._replay = None
+        return self._energies
 
 
 #: A sampler draws ``k`` points from the data-position density: it takes
 #: ``(k, rng)`` and returns a ``(k, 2)`` array inside the unit square.
 Sampler = "Callable[[int, np.random.Generator], np.ndarray]"
+
+
+def _draw(sampler, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One sampler batch, refused unless it is ``(k, 2)``-shaped,
+    finite and inside the unit square (a NaN would win every
+    ``argmin`` and poison a site; a point outside drags one out)."""
+    samples = np.asarray(sampler(k, rng), dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise ValueError(
+            f"sampler must return a (k, 2) array, got shape "
+            f"{samples.shape}"
+        )
+    if not (samples.min() >= 0.0 and samples.max() <= 1.0):
+        raise ValueError(
+            "sampler must return finite points inside the unit square")
+    return samples
 
 
 def c_regulation(
@@ -99,6 +128,13 @@ def c_regulation(
     Returns
     -------
     :class:`CRegulationResult`
+
+    Raises
+    ------
+    ValueError
+        On a bad parameter, a non-finite input site, or a sampler batch
+        that is not ``(k, 2)``, not finite or not inside the unit
+        square.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -114,6 +150,10 @@ def c_regulation(
 
     if sampler is None:
         sampler = sample_unit_square
+    current = np.array([(float(p[0]), float(p[1])) for p in sites],
+                       dtype=float).reshape(-1, 2)
+    if not np.isfinite(current).all():
+        raise ValueError("sites must be finite")
     # The early-stop energy must be measured on samples the sites were
     # NOT fitted to this iteration: evaluating on the training batch
     # biases the estimate low (each site just moved to the centroid of
@@ -121,35 +161,33 @@ def c_regulation(
     # A spawned child stream supplies held-out batches without
     # perturbing the main stream that drives the site trajectory.
     eval_rng = rng.spawn(1)[0]
-    current: List[Point] = [(float(p[0]), float(p[1])) for p in sites]
-    history: List[float] = []
+    energies: List[float] = []
+    trajectory: List[np.ndarray] = []
     iterations_run = 0
     for _ in range(iterations):
-        samples = np.asarray(sampler(samples_per_iteration, rng),
-                             dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 2:
-            raise ValueError(
-                f"sampler must return a (k, 2) array, got shape "
-                f"{samples.shape}"
-            )
+        samples = _draw(sampler, samples_per_iteration, rng)
         centroids, counts = estimate_cell_centroids(current, samples)
-        moved: List[Point] = []
-        for site, target, count in zip(current, centroids, counts):
-            if count == 0:
-                moved.append(site)
-                continue
-            moved.append((
-                (1.0 - relaxation) * site[0] + relaxation * target[0],
-                (1.0 - relaxation) * site[1] + relaxation * target[1],
-            ))
-        current = moved
+        current = np.where(
+            (counts > 0)[:, None],
+            (1.0 - relaxation) * current + relaxation * centroids,
+            current)
         iterations_run += 1
-        eval_samples = np.asarray(
-            sampler(samples_per_iteration, eval_rng), dtype=float
-        )
-        energy = cvt_energy(current, eval_samples)
-        history.append(energy)
-        if energy_threshold is not None and energy <= energy_threshold:
+        if energy_threshold is None:
+            trajectory.append(current)
+            continue
+        energy = cvt_energy(
+            current, _draw(sampler, samples_per_iteration, eval_rng))
+        energies.append(energy)
+        if energy <= energy_threshold:
             break
-    return CRegulationResult(sites=current, energy_history=history,
-                             iterations_run=iterations_run)
+    result = CRegulationResult(
+        sites=[(x, y) for x, y in current.tolist()],
+        iterations_run=iterations_run)
+    if energy_threshold is not None:
+        result._energies = energies
+    else:
+        result._replay = lambda: [
+            cvt_energy(moved,
+                       _draw(sampler, samples_per_iteration, eval_rng))
+            for moved in trajectory]
+    return result

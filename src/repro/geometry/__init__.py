@@ -30,6 +30,7 @@ from .voronoi import (
     estimate_cell_areas,
     estimate_cell_centroids,
     sample_unit_square,
+    squared_distance_block,
 )
 from .voronoi_exact import (
     clip_polygon_halfplane,
@@ -58,6 +59,7 @@ __all__ = [
     "DelaunayTriangulation",
     "DelaunayError",
     "DuplicatePointError",
+    "squared_distance_block",
     "assign_to_sites",
     "sample_unit_square",
     "estimate_cell_centroids",

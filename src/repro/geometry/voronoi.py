@@ -15,11 +15,66 @@ for a uniform density rho.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .primitives import Point
+
+
+#: Bound on one nearest-site block, in ``(sample, site)`` cells, so
+#: million-sample workloads stay within a bounded memory footprint.
+_BLOCK_CELLS = 8_000_000
+
+
+def squared_distance_block(points: np.ndarray,
+                           sites: np.ndarray) -> np.ndarray:
+    """``(k, n)`` squared distances from ``(k, 2)`` ``points`` to
+    ``(n, 2)`` ``sites``: the one nearest-site kernel.
+
+    ``dx * dx + dy * dy`` is computed in place on two 2-D arrays, one
+    ``(k, n)`` block and one temporary, never a ``(k, n, 2)`` tensor.
+    Callers bound ``k`` by chunking.
+
+    Raises
+    ------
+    ValueError
+        If ``sites`` is not ``(n >= 1, 2)`` or ``points`` not
+        ``(k, 2)``.
+    """
+    if sites.ndim != 2 or sites.shape[1] != 2 or len(sites) == 0:
+        raise ValueError(
+            f"sites must be an (n >= 1, 2) point array, got shape "
+            f"{sites.shape}")
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(
+            f"samples must be a (k, 2) point array, got shape "
+            f"{points.shape}")
+    square = points[:, 0:1] - sites[:, 0]
+    dy = points[:, 1:2] - sites[:, 1]
+    square *= square
+    dy *= dy
+    square += dy
+    return square
+
+
+def _nearest(samples: np.ndarray, sites: Sequence[Point], reduce
+             ) -> np.ndarray:
+    """``reduce(block, axis=1)`` of every sample's row of squared
+    site distances, one bounded block at a time (at least one, so an
+    empty batch is still checked)."""
+    site_arr = np.asarray(sites, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    chunk = max(1, _BLOCK_CELLS // max(1, len(site_arr)))
+    return np.concatenate([
+        reduce(squared_distance_block(samples[start:start + chunk],
+                                      site_arr), axis=1)
+        for start in range(0, max(1, len(samples)), chunk)])
+
+
+def _check_nonempty(per_sample: np.ndarray) -> None:
+    if len(per_sample) == 0:
+        raise ValueError("an estimate needs at least one sample")
 
 
 def assign_to_sites(samples: np.ndarray, sites: Sequence[Point]) -> np.ndarray:
@@ -30,28 +85,19 @@ def assign_to_sites(samples: np.ndarray, sites: Sequence[Point]) -> np.ndarray:
     samples:
         ``(k, 2)`` array of sample points.
     sites:
-        Sequence of ``n`` site positions.
+        Sequence of ``n >= 1`` site positions.
 
     Returns
     -------
     ``(k,)`` integer array of site indices.  Ties broken by lowest index
     (numpy argmin), which is measure-zero for random samples.
+
+    Raises
+    ------
+    ValueError
+        On the shapes :func:`squared_distance_block` rejects.
     """
-    site_arr = np.asarray(sites, dtype=float)
-    if site_arr.ndim != 2 or site_arr.shape[1] != 2:
-        raise ValueError("sites must be an (n, 2) point sequence")
-    samples = np.asarray(samples, dtype=float)
-    # Chunk the (k, n) distance computation so million-sample workloads
-    # stay within a bounded memory footprint.
-    max_cells = 8_000_000
-    chunk = max(1, max_cells // max(1, site_arr.shape[0]))
-    out = np.empty(samples.shape[0], dtype=np.int64)
-    for start in range(0, samples.shape[0], chunk):
-        block = samples[start:start + chunk]
-        diff = block[:, None, :] - site_arr[None, :, :]
-        sq = np.einsum("kni,kni->kn", diff, diff)
-        out[start:start + chunk] = np.argmin(sq, axis=1)
-    return out
+    return _nearest(samples, sites, np.argmin)
 
 
 def sample_unit_square(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,44 +109,47 @@ def sample_unit_square(k: int, rng: np.random.Generator) -> np.ndarray:
 
 def estimate_cell_centroids(
     sites: Sequence[Point], samples: np.ndarray
-) -> Tuple[List[Point], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo centroids of each site's Voronoi cell.
 
-    Returns ``(centroids, counts)`` where a site whose cell received no
+    Returns ``(centroids, counts)``: an ``(n, 2)`` float array and the
+    ``(n,)`` sample count of each cell.  A site whose cell received no
     samples keeps its own position as the centroid and gets count 0.
     """
-    owners = assign_to_sites(samples, sites)
-    n = len(sites)
+    site_arr = np.asarray(sites, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    owners = assign_to_sites(samples, site_arr)
+    n = len(site_arr)
     counts = np.bincount(owners, minlength=n)
-    sums_x = np.bincount(owners, weights=samples[:, 0], minlength=n)
-    sums_y = np.bincount(owners, weights=samples[:, 1], minlength=n)
-    centroids: List[Point] = []
-    for i in range(n):
-        if counts[i] > 0:
-            centroids.append((sums_x[i] / counts[i], sums_y[i] / counts[i]))
-        else:
-            centroids.append(tuple(sites[i]))
+    sums = np.empty((n, 2))
+    sums[:, 0] = np.bincount(owners, weights=samples[:, 0], minlength=n)
+    sums[:, 1] = np.bincount(owners, weights=samples[:, 1], minlength=n)
+    centroids = site_arr.copy()
+    np.divide(sums, counts[:, None], out=centroids,
+              where=counts[:, None] > 0)
     return centroids, counts
 
 
 def estimate_cell_areas(sites: Sequence[Point],
                         samples: np.ndarray) -> np.ndarray:
-    """Monte-Carlo areas of the Voronoi cells within the unit square."""
+    """Monte-Carlo areas of the Voronoi cells within the unit square
+    (``ValueError`` on an empty batch)."""
     owners = assign_to_sites(samples, sites)
+    _check_nonempty(owners)
     counts = np.bincount(owners, minlength=len(sites))
     return counts / len(samples)
 
 
 def cvt_energy(sites: Sequence[Point], samples: np.ndarray) -> float:
-    """Monte-Carlo estimate of the CVT energy for uniform density.
+    """Monte-Carlo estimate of the CVT energy for uniform density
+    (``ValueError`` on an empty batch).
 
     Lower is better; the global minimizer is a centroidal Voronoi
     tessellation.
     """
-    site_arr = np.asarray(sites, dtype=float)
-    diff = samples[:, None, :] - site_arr[None, :, :]
-    sq = np.einsum("kni,kni->kn", diff, diff)
-    return float(np.min(sq, axis=1).mean())
+    nearest = _nearest(samples, sites, np.min)
+    _check_nonempty(nearest)
+    return float(nearest.mean())
 
 
 def cell_load_distribution(

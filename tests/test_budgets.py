@@ -18,6 +18,10 @@
   feed no breaker, derive no breaker key and hand the wrapped network
   the id list they validated; with one breaker forced open, every
   copy feeds its switch's and its server's breaker once (counted).
+* A build pays for C-regulation once: a ``Controller`` built with
+  ``cvt_iterations=T`` draws ``T`` sampler batches, and a direct
+  ``c_regulation`` draws ``T`` more only when its ``energy_history``
+  is read (counted).
 
 ``tools/line_budget.py`` prints the same measurements as a report.
 """
@@ -32,6 +36,10 @@ import numpy as np
 
 import repro
 from repro import GredNetwork, ResilienceConfig, brite_waxman_graph
+from repro.controlplane import Controller, ControllerConfig
+from repro.edge import attach_uniform
+from repro.embedding import c_regulation
+from repro.geometry import sample_unit_square
 from repro.obs import scoped_registry
 from repro.resilience import pipeline as resilient_pipeline
 
@@ -155,6 +163,30 @@ def resilient_feeds(count=1_000):
     return rows
 
 
+def sampler_batches(iterations=8):
+    """``(build, run, read)``: the sampler batches a 40-switch
+    ``Controller`` build with ``cvt_iterations=iterations`` draws, then
+    those of a direct ``c_regulation`` run, and those its first
+    ``energy_history`` read adds."""
+    calls = []
+
+    def counted(k, rng):
+        calls.append(k)
+        return sample_unit_square(k, rng)
+
+    topology, _ = brite_waxman_graph(40, min_degree=3,
+                                     rng=np.random.default_rng(0))
+    Controller(topology, attach_uniform(topology.nodes(), 2),
+               ControllerConfig(cvt_iterations=iterations,
+                                density_sampler=counted))
+    build = len(calls)
+    result = c_regulation([(0.2, 0.3), (0.6, 0.7)], iterations=iterations,
+                          sampler=counted)
+    run = len(calls) - build
+    assert len(result.energy_history) == iterations
+    return build, run, len(calls) - build - run
+
+
 def test_no_function_body_over_the_limit():
     long = [(lines, where) for lines, where in function_bodies(sorted(
         str(path) for package in PACKAGES
@@ -195,3 +227,7 @@ def test_a_healthy_resilient_batch_settles_in_one_pass():
     assert loud == ("loud", 2 * 2 * 1_000, 0, 0, [True, True]), loud
     assert forced[:3] + forced[4:] == ("forced", 2 * 2 * 1_000, 0, None), \
         forced
+
+
+def test_a_build_draws_one_sampler_batch_an_iteration():
+    assert sampler_batches(8) == (8, 8, 8)

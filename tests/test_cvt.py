@@ -1,8 +1,12 @@
 """Unit tests for the C-regulation algorithm."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
+from repro import GredNetwork, brite_waxman_graph
 from repro.embedding import c_regulation
 from repro.geometry import cvt_energy, sample_unit_square
 
@@ -155,3 +159,38 @@ class TestHeldOutEnergy:
                                rng=np.random.default_rng(4))
         assert stopped.iterations_run == 1
         assert stopped.energy_history == probe.energy_history
+
+
+class TestEnergyOnRead:
+    """Without ``energy_threshold`` the history is computed when it is
+    first read; the threshold test above shows it equals the inline
+    one."""
+
+    def test_reading_twice_gives_equal_lists(self):
+        result = c_regulation(clustered_sites(), iterations=6,
+                              rng=np.random.default_rng(12))
+        first = list(result.energy_history)
+        assert len(first) == 6
+        assert result.energy_history == first
+
+
+#: sha-256 over ``(id, x, y)`` packed as ``<qdd`` in switch-id order of
+#: the positions a 200-switch Waxman build (4 servers a switch,
+#: ``cvt_iterations=20``, seed 0) computed before C-regulation moved
+#: to one nearest-site kernel and an array Lloyd step.
+WAXMAN_200_POSITIONS = (
+    "4a4764ef3cfe5c632cb714d705758363edea0cbfbe6274e92100c3d78a38f423")
+
+
+def test_a_build_keeps_its_positions_bit_for_bit():
+    topology, _ = brite_waxman_graph(200, min_degree=3,
+                                     rng=np.random.default_rng(0))
+    net = GredNetwork(topology, servers_per_switch=4, cvt_iterations=20,
+                      seed=0)
+    positions = net.controller.positions
+    digest = hashlib.sha256()
+    for node in sorted(positions):
+        x, y = positions[node]
+        assert type(x) is float and type(y) is float, (node, x, y)
+        digest.update(struct.pack("<qdd", node, x, y))
+    assert digest.hexdigest() == WAXMAN_200_POSITIONS

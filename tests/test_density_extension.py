@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import GredNetwork
+from repro.controlplane import ControlPlaneError, Controller, ControllerConfig
 from repro.edge import attach_uniform
 from repro.embedding import c_regulation
 from repro.metrics import max_avg_ratio
@@ -54,6 +55,40 @@ class TestCustomSampler:
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
             c_regulation([(0.5, 0.5)], iterations=1,
                          sampler=lambda k, rng: np.zeros((k, 3)))
+
+    @pytest.mark.parametrize("sampler", [
+        lambda k, rng: np.full((k, 2), np.nan),
+        lambda k, rng: np.full((k, 2), np.inf),
+        lambda k, rng: rng.uniform(5.0, 6.0, size=(k, 2)),
+        lambda k, rng: rng.uniform(-1.0, 0.5, size=(k, 2)),
+    ], ids=["nan", "inf", "far-square", "below-origin"])
+    def test_bad_sampler_batch_rejected(self, sampler):
+        """A NaN wins every ``argmin`` (one NaN site); a batch outside
+        the unit square drags a site out of it."""
+        with pytest.raises(ValueError, match="inside the unit square"):
+            c_regulation([(0.2, 0.2), (0.8, 0.8)], iterations=3,
+                         sampler=sampler)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sites_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            c_regulation([(0.2, 0.2), (bad, 0.8)], iterations=3)
+
+    def test_controller_refuses_a_bad_sampler_unchanged(self):
+        topology = grid_graph(3, 3)
+        servers = attach_uniform(topology.nodes(), 1)
+        nan_sampler = lambda k, rng: np.full((k, 2), np.nan)  # noqa: E731
+        with pytest.raises(ControlPlaneError, match="unit square"):
+            Controller(topology, servers, ControllerConfig(
+                cvt_iterations=5, density_sampler=nan_sampler))
+        controller = Controller(topology, servers,
+                                ControllerConfig(cvt_iterations=5))
+        before = dict(controller.positions)
+        controller.config.density_sampler = (
+            lambda k, rng: rng.uniform(5.0, 6.0, size=(k, 2)))
+        with pytest.raises(ControlPlaneError, match="unit square"):
+            controller.recompute()
+        assert controller.positions == before
 
     def test_uniform_default_unchanged(self):
         sites = [(0.3, 0.3), (0.7, 0.7)]

@@ -1,8 +1,14 @@
 """Unit tests for repro.geometry.voronoi (Monte-Carlo CVT estimates)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.controlplane import routing_index
 from repro.geometry import (
     assign_to_sites,
     cell_load_distribution,
@@ -10,7 +16,20 @@ from repro.geometry import (
     estimate_cell_areas,
     estimate_cell_centroids,
     sample_unit_square,
+    squared_distance_block,
+    voronoi,
 )
+
+
+def einsum_distances(points, sites):
+    """The ``(k, n, 2)`` difference tensor and ``einsum`` the kernel
+    replaced: the oracle it must equal bit for bit."""
+    diff = points[:, None, :] - sites[None, :, :]
+    return np.einsum("kni,kni->kn", diff, diff)
+
+
+SITES = [(0.25, 0.5), (0.75, 0.5)]
+SAMPLES = np.array([[0.1, 0.5], [0.9, 0.5]])
 
 
 class TestSampling:
@@ -37,9 +56,24 @@ class TestAssignment:
         owners = assign_to_sites(samples, [(0.0, 0.5), (1.0, 0.5)])
         assert list(owners) == [0, 1, 0, 1]
 
-    def test_bad_sites_shape_raises(self, rng):
+    @pytest.mark.parametrize("estimate, sites, samples", [
+        (assign_to_sites, [(1, 2, 3)], SAMPLES),
+        (assign_to_sites, [], SAMPLES),
+        (assign_to_sites, SITES, np.array([0.1, 0.5])),
+        (assign_to_sites, SITES, np.zeros((4, 3))),
+        (cvt_energy, [], SAMPLES),
+        (cvt_energy, [(1, 2, 3)], SAMPLES),
+        (cvt_energy, SITES, np.empty((0, 2))),
+        (estimate_cell_areas, SITES, np.empty((0, 2))),
+        (estimate_cell_centroids, [], SAMPLES),
+        (cell_load_distribution, SITES, np.array([0.1, 0.5])),
+    ], ids=["assign-3d-sites", "assign-no-sites", "assign-1d-samples",
+            "assign-3d-samples", "energy-no-sites", "energy-3d-sites",
+            "energy-no-samples", "areas-no-samples", "centroids-no-sites",
+            "load-1d-samples"])
+    def test_bad_sites_shape_raises(self, estimate, sites, samples):
         with pytest.raises(ValueError):
-            assign_to_sites(sample_unit_square(5, rng), [(1, 2, 3)])
+            estimate(sites, samples)
 
     def test_chunked_assignment_matches_direct(self, rng):
         """The chunked path must agree with a brute-force computation."""
@@ -65,7 +99,7 @@ class TestCentroids:
         sites = [(0.0, 0.5), (1.0, 0.5)]
         centroids, counts = estimate_cell_centroids(sites, samples)
         assert counts[1] == 0
-        assert centroids[1] == (1.0, 0.5)
+        assert tuple(centroids[1]) == (1.0, 0.5)
 
 
 class TestAreasEnergy:
@@ -100,3 +134,49 @@ class TestCellLoad:
         dist = cell_load_distribution(sites, positions)
         assert sum(dist.values()) == 1000
         assert set(dist) == set(range(5))
+
+
+class TestKernel:
+    """One nearest-site kernel: the in-place ``dx² + dy²`` block equals
+    the ``einsum`` form it replaced, bit for bit, and so do the
+    chunked estimators built on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(0, 300), n=st.integers(1, 40))
+    def test_kernel_is_the_einsum_bit_for_bit(self, data, k, n):
+        coords = st.floats(-3.0, 4.0, allow_nan=False, width=64)
+        points = data.draw(hnp.arrays(np.float64, (k, 2), elements=coords))
+        sites = data.draw(hnp.arrays(np.float64, (n, 2), elements=coords))
+        assert np.array_equal(squared_distance_block(points, sites),
+                              einsum_distances(points, sites))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 400),
+           n=st.integers(1, 60), cells=st.integers(7, 500))
+    def test_chunked_estimates_are_the_oracle(self, seed, k, n, cells):
+        """A block bound small enough that ``k`` spans several blocks,
+        usually not a whole number of them."""
+        gen = np.random.default_rng(seed)
+        points = gen.uniform(-0.5, 1.5, size=(k, 2))
+        sites = gen.uniform(-0.5, 1.5, size=(n, 2))
+        oracle = einsum_distances(points, sites)
+        with mock.patch.object(voronoi, "_BLOCK_CELLS", cells):
+            assert np.array_equal(assign_to_sites(points, sites),
+                                  oracle.argmin(axis=1))
+            assert cvt_energy(sites, points) == \
+                float(oracle.min(axis=1).mean())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300),
+           n=st.integers(1, 60), cells=st.integers(7, 500))
+    def test_closest_many_rides_the_kernel(self, seed, k, n, cells):
+        """``closest_many`` over chunks of its own bound answers every
+        row as the exact scalar ``closest``."""
+        gen = np.random.default_rng(seed)
+        points = gen.uniform(-0.5, 1.5, size=(k, 2))
+        sites = {node: (float(x), float(y)) for node, (x, y)
+                 in enumerate(gen.uniform(0.0, 1.0, size=(n, 2)))}
+        index = routing_index.RoutingIndex(sorted(sites), sites)
+        with mock.patch.object(routing_index, "_CHUNK_ELEMENTS", cells):
+            winners = index.closest_many(points)
+        assert winners.tolist() == [index.closest(p) for p in points]

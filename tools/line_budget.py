@@ -12,9 +12,11 @@ bodies, the reference engine's and the per-source BFS's call sites,
 what this commit did to the request path, to ``src + benchmarks`` and
 to ``tests/``, the CI workflow's length, the route memo's bytes a
 route, the breaker feeds and key derivations of a resilient batch of
-1,000 ids (quiet board, loud board, one breaker forced open), and the
-fault-attached posture's peak RSS.  It gates nothing:
-``tests/test_budgets.py`` asserts the budgets that gate.
+1,000 ids (quiet board, loud board, one breaker forced open), the
+sampler batches C-regulation draws (a build, a direct run, its first
+``energy_history`` read), and the fault-attached posture's peak RSS.
+It gates nothing: ``tests/test_budgets.py`` asserts the budgets that
+gate.
 """
 
 import re
@@ -26,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_budgets import (function_bodies, resilient_feeds,  # noqa: E402
-                          route_memo_footprint)
+                          route_memo_footprint, sampler_batches)
 
 #: The budget's files, and the ROADMAP target: -25 % against the 7,844
 #: lines they held when the item was opened (commit ab91f4e).
@@ -99,6 +101,9 @@ def main():
         print(f"resilient batch of 1000, {board} board: {successes} "
               f"breaker successes, {failures} failures, {keys} breaker "
               f"keys derived, validated ids handed on: {handed}")
+    build, run, read = sampler_batches()
+    print(f"C-regulation, T=8: {build} sampler batches a build, {run} a "
+          f"direct run, {read} more on its first energy_history read")
     bench = subprocess.run(
         [sys.executable, "benchmarks/gredbench/run.py", "--workload",
          "faulted", "--quick"], cwd=ROOT, check=True, capture_output=True,
