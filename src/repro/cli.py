@@ -26,6 +26,10 @@ File-backed workflows over a saved deployment snapshot::
     gred federate [--quick] [-o FEDERATION_report.json]
                   [--max-foreign-touched 0]
 
+Item commands declare their flags here; a report command (``chaos`` …
+``scrub``) is one :class:`Report` row, its flags derived from its
+config's fields (:mod:`repro.report`).
+
 (Installed as the ``gred`` console script; also runnable via
 ``python -m repro.cli``.)
 """
@@ -33,34 +37,153 @@ File-backed workflows over a saved deployment snapshot::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+import typing
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import GredNetwork, brite_waxman_graph, obs, slo
+from .controlplane import average_table_entries, verify_installed_state
+from .dataplane import batch_fastpath_blockers, unabsorbed_faults
+from .experiments import control_churn, convergence, durability, federation
+from .experiments.catalog import GROUPS, TABLES, show
+from .faults import harness
+from .io import load_network, save_network
+from .metrics import load_imbalance_summary
+from .obs import spans as ospans
+from .report import Gate, gate_failures
+from .services import OverloadManager
+from .slo import write_report
+from .viz import render_virtual_space
 
-def _shared_flags(cmd, *, servers, output=None, quick=False,
-                  what="report", summary="summary") -> None:
-    """The flags several commands declare with one type and help text;
-    defaults stay per command."""
-    cmd.add_argument("--servers", type=int, default=servers,
-                     help="servers per switch")
-    if quick:
-        cmd.add_argument("--quick", action="store_true",
-                         help="tiny CI smoke preset (overrides the "
-                              "workload-shape flags)")
-    if output is not None:
-        cmd.add_argument("-o", "--output", default=output, metavar="FILE",
-                         help=f"{what} path (default: {output})")
+
+class Report(NamedTuple):
+    """One report command: ``run(config)`` builds the report, ``render``
+    summarizes it, ``gates`` are its CI thresholds, ``output`` is its
+    file (``None``: printed only) and ``summary`` what ``--json``
+    replaces.  With ``-n`` (help ``network``), ``sweep(net, config)``
+    returns a snapshot's report, gated divergence and summary."""
+
+    help: str
+    config: type
+    run: Callable[..., Dict]
+    render: Callable[[Dict], str]
+    gates: Tuple[Gate, ...]
+    output: Optional[str] = None
+    summary: str = "summary"
+    network: Optional[str] = None
+    sweep: Optional[Callable] = None
+
+
+def _reports() -> Dict[str, Report]:
+    """The report commands (looked up per call, so a test can patch a
+    runner)."""
+    return {
+        "chaos": Report(
+            "replay a workload under injected faults and report "
+            "availability / recovery",
+            harness.ChaosConfig, harness.run_chaos, harness.render_chaos,
+            harness.GATES),
+        "loadtest": Report(
+            "drive open-loop arrivals through the resilience pipeline "
+            "and report goodput / shed rate / latency / SLO attainment",
+            slo.SloConfig, slo.run_loadtest, slo.render_summary,
+            slo.GATES, output="SLO_report.json"),
+        "churn": Report(
+            "measure per-join control traffic (delta vs full reinstall) "
+            "across network sizes and write CHURN_report.json",
+            control_churn.ChurnConfig, control_churn.run_churn_scaling,
+            control_churn.render_churn, control_churn.GATES,
+            output="CHURN_report.json", summary="summary table"),
+        "federate": Report(
+            "federation scaling experiment: per-shard recompute time, "
+            "per-join cost and cross-region traffic as the switch count "
+            "grows at constant region size; writes "
+            "FEDERATION_report.json",
+            federation.FederationConfig, federation.run_federation_scaling,
+            federation.render_federation, federation.GATES,
+            output="FEDERATION_report.json", summary="summary table"),
+        "reconcile": Report(
+            "anti-entropy reconcile of a snapshot (-n), or the "
+            "churn-under-loss convergence experiment writing "
+            "CONVERGENCE_report.json",
+            convergence.ConvergenceConfig, convergence.run_convergence,
+            convergence.render_convergence, convergence.GATES,
+            output="CONVERGENCE_report.json",
+            network="snapshot to reconcile in place (omit to run the "
+                    "convergence experiment instead)",
+            sweep=convergence.reconcile_snapshot),
+        "scrub": Report(
+            "storage anti-entropy scrub of a snapshot (-n), or the "
+            "crash+partition+delete durability experiment writing "
+            "DURABILITY_report.json",
+            durability.DurabilityConfig, durability.run_durability,
+            durability.render_durability, durability.GATES,
+            output="DURABILITY_report.json",
+            network="snapshot to scrub in place (omit to run the "
+                    "durability experiment instead)",
+            sweep=durability.scrub_snapshot),
+    }
+
+
+def _report_parser(sub, name: str, row: Report) -> argparse.ArgumentParser:
+    """A report command's flags: ``-n`` (if it sweeps snapshots), one
+    per config field declared with :func:`repro.report.flag` (type and
+    default from the field), the output flags after ``--servers``, and
+    the gates after the field each names (default: the last)."""
+    cmd = sub.add_parser(name, help=row.help)
+
+    def add_gates(after: Optional[str]) -> None:
+        for gate in row.gates:
+            if gate.after == after:
+                cmd.add_argument(gate.flag, type=gate.type,
+                                 default=gate.default,
+                                 metavar=gate.metavar, help=gate.help)
+
+    if row.network:
+        cmd.add_argument("-n", "--network", default=None,
+                         help=row.network)
+    hints = typing.get_type_hints(row.config)
+    for field in dataclasses.fields(row.config):
+        spec = field.metadata.get("flag")
+        if spec is None:
+            continue
+        kind = hints[field.name]
+        if typing.get_origin(kind) is tuple:
+            kind = typing.get_args(kind)[0]
+        flag = spec.get("name", "--" + field.name.replace("_", "-"))
+        cmd.add_argument(
+            flag, dest=field.name,
+            type=kind if kind in (int, float) else None,
+            default=spec.get("cli_default", field.default),
+            nargs=spec.get("nargs"), help=spec["help"],
+            metavar=spec.get("metavar",
+                             flag[2:].replace("-", "_").upper()))
+        if field.name == "servers_per_switch" and row.output:
+            if hasattr(row.config, "QUICK"):
+                cmd.add_argument("--quick", action="store_true",
+                                 help="tiny CI smoke preset (overrides "
+                                      "the workload-shape flags)")
+            what = "experiment report" if row.network else "report"
+            cmd.add_argument("-o", "--output", default=row.output,
+                             metavar="FILE",
+                             help=f"{what} path (default: {row.output})")
+            cmd.add_argument("--json", action="store_true",
+                             help=f"print the full report instead of "
+                                  f"the {row.summary}")
+        add_gates(field.name)
+    if not row.output:
         cmd.add_argument("--json", action="store_true",
-                         help=f"print the full report instead of the "
-                              f"{summary}")
+                         help="emit the full report as JSON")
+    add_gates(None)
+    return cmd
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from .experiments.catalog import GROUPS, TABLES
-
+def _build_parser(reports: Optional[Dict[str, Report]] = None
+                  ) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gred",
         description="GRED: data placement/retrieval for edge computing "
@@ -72,29 +195,22 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="generate a network and save a snapshot")
     gen.add_argument("--switches", type=int, default=20)
     gen.add_argument("--min-degree", type=int, default=3)
-    _shared_flags(gen, servers=4)
+    gen.add_argument("--servers", type=int, default=4,
+                     help="servers per switch")
     gen.add_argument("--cvt-iterations", type=int, default=50)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
 
-    place = sub.add_parser("place", help="place a data item")
-    place.add_argument("-n", "--network", required=True)
-    place.add_argument("data_id")
-    place.add_argument("--payload", default=None,
-                       help="JSON-encoded payload")
-    place.add_argument("--entry", type=int, default=None)
-    place.add_argument("--copies", type=int, default=1)
-
-    retrieve = sub.add_parser("retrieve", help="retrieve a data item")
-    retrieve.add_argument("-n", "--network", required=True)
-    retrieve.add_argument("data_id")
-    retrieve.add_argument("--entry", type=int, default=None)
-    retrieve.add_argument("--copies", type=int, default=1)
-
-    delete = sub.add_parser("delete", help="delete a data item")
-    delete.add_argument("-n", "--network", required=True)
-    delete.add_argument("data_id")
-    delete.add_argument("--copies", type=int, default=1)
+    for name in ("place", "retrieve", "delete"):
+        item = sub.add_parser(name, help=f"{name} a data item")
+        item.add_argument("-n", "--network", required=True)
+        item.add_argument("data_id")
+        if name == "place":
+            item.add_argument("--payload", default=None,
+                              help="JSON-encoded payload")
+        if name != "delete":
+            item.add_argument("--entry", type=int, default=None)
+        item.add_argument("--copies", type=int, default=1)
 
     stats = sub.add_parser("stats", help="deployment statistics")
     stats.add_argument("-n", "--network", required=True)
@@ -125,17 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="emit the JSON dump instead of "
                               "Prometheus text")
 
-    extend = sub.add_parser("extend",
-                            help="activate a range extension")
-    extend.add_argument("-n", "--network", required=True)
-    extend.add_argument("switch", type=int)
-    extend.add_argument("serial", type=int)
-
-    retract = sub.add_parser("retract",
-                             help="retract a range extension")
-    retract.add_argument("-n", "--network", required=True)
-    retract.add_argument("switch", type=int)
-    retract.add_argument("serial", type=int)
+    for name, verb in (("extend", "activate"), ("retract", "retract")):
+        ranged = sub.add_parser(name, help=f"{verb} a range extension")
+        ranged.add_argument("-n", "--network", required=True)
+        ranged.add_argument("switch", type=int)
+        ranged.add_argument("serial", type=int)
 
     verify = sub.add_parser(
         "verify", help="audit installed data-plane state")
@@ -191,81 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run with telemetry enabled and write the JSON metrics "
              "dump next to the results")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="replay a workload under injected faults and report "
-             "availability / recovery")
-    chaos.add_argument("--switches", type=int, default=30)
-    chaos.add_argument("--min-degree", type=int, default=3)
-    _shared_flags(chaos, servers=2)
-    chaos.add_argument("--cvt-iterations", type=int, default=20)
-    chaos.add_argument("--items", type=int, default=60)
-    chaos.add_argument("--copies", type=int, default=3)
-    chaos.add_argument("--requests", type=int, default=120)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--plan", default=None, metavar="FILE",
-                       help="JSON fault plan; default crashes one "
-                            "random switch mid-trace")
-    chaos.add_argument("--control-plan", default=None, metavar="FILE",
-                       help="JSON fault plan of control_* events that "
-                            "degrade the southbound channel for the "
-                            "whole run; the harness finishes with an "
-                            "anti-entropy reconcile")
-    chaos.add_argument("--duration", type=float, default=1.0,
-                       help="request window in simulated seconds")
-    chaos.add_argument("--detection-interval", type=float, default=0.1,
-                       help="heartbeat period of the failure detector")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the full report as JSON")
-    chaos.add_argument("--min-availability", type=float, default=None,
-                       metavar="FRACTION",
-                       help="exit nonzero when recovered availability "
-                            "falls below this threshold (CI gate)")
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="drive open-loop arrivals through the resilience "
-             "pipeline and report goodput / shed rate / latency / "
-             "SLO attainment")
-    loadtest.add_argument("--switches", type=int, default=200)
-    loadtest.add_argument("--entry-switches", type=int, default=20,
-                          help="access gateways policed by admission "
-                               "control")
-    _shared_flags(loadtest, servers=4, quick=True,
-                  output="SLO_report.json")
-    loadtest.add_argument("--min-degree", type=int, default=3)
-    loadtest.add_argument("--cvt-iterations", type=int, default=20)
-    loadtest.add_argument("--items", type=int, default=1000)
-    loadtest.add_argument("--copies", type=int, default=2)
-    loadtest.add_argument("--requests", type=int, default=8000,
-                          help="requests per load point")
-    loadtest.add_argument("--seed", type=int, default=0)
-    loadtest.add_argument("--load-factors", type=float, nargs="+",
-                          default=None, metavar="FACTOR",
-                          help="offered load as fractions of capacity "
-                               "(default: 0.8 1.5)")
-    loadtest.add_argument("--deadline", type=float, default=0.25,
-                          help="per-request SLO deadline in seconds")
-    loadtest.add_argument("--rate", type=float, default=200.0,
-                          help="admission tokens/second per entry "
-                               "switch")
-    loadtest.add_argument("--burst", type=float, default=40.0,
-                          help="admission token-bucket capacity")
-    loadtest.add_argument("--queue-limit", type=int, default=32,
-                          help="pending-queue bound per entry switch")
-    loadtest.add_argument("--plan", default=None, metavar="FILE",
-                          help="JSON fault plan replayed on the "
-                               "arrival clock")
-    loadtest.add_argument("--min-goodput", type=float, default=None,
-                          metavar="FRACTION",
-                          help="exit nonzero when goodput at any "
-                               "at-or-below-capacity point falls below "
-                               "this threshold (CI gate)")
-    loadtest.add_argument("--min-attainment", type=float, default=None,
-                          metavar="FRACTION",
-                          help="exit nonzero when SLO attainment at "
-                               "any point falls below this threshold "
-                               "(CI gate)")
+    commands = {name: _report_parser(sub, name, row)
+                for name, row in (reports or _reports()).items()}
+    loadtest = commands["loadtest"]
     loadtest.add_argument("--trace-out", default=None, metavar="FILE",
                           help="record sampled request traces and "
                                "write them as JSONL spans")
@@ -274,191 +312,28 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="head-based trace sampling rate "
                                "(default 0.05 when --trace-out is "
                                "given)")
-
-    churn = sub.add_parser(
-        "churn",
-        help="measure per-join control traffic (delta vs full "
-             "reinstall) across network sizes and write "
-             "CHURN_report.json")
-    churn.add_argument("--sizes", type=int, nargs="+",
-                       default=[50, 100, 200, 400],
-                       help="network sizes (switch counts) to sweep")
-    churn.add_argument("--joins", type=int, default=5,
-                       help="node joins per size")
-    _shared_flags(churn, servers=2, output="CHURN_report.json",
-                  summary="summary table")
-    churn.add_argument("--cvt-iterations", type=int, default=30)
-    churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("--max-touched", type=float, default=None,
-                       metavar="N",
-                       help="exit nonzero when the average switches "
-                            "touched per join exceeds N at any size "
-                            "(CI gate for delta locality)")
-    churn.add_argument("--regions", type=int, default=1,
-                       help="shard the control plane into this many "
-                            "regions (metro topology); joins then "
-                            "round-robin across regions and the "
-                            "report adds a per-region touched "
-                            "breakdown")
-    churn.add_argument("--max-foreign-touched", type=float, default=0,
-                       metavar="N",
-                       help="exit nonzero when a join touches more "
-                            "than N switches outside its home region "
-                            "(cross-shard locality gate; default 0, "
-                            "only meaningful with --regions > 1)")
-
-    federate = sub.add_parser(
-        "federate",
-        help="federation scaling experiment: per-shard recompute "
-             "time, per-join cost and cross-region traffic as the "
-             "switch count grows at constant region size; writes "
-             "FEDERATION_report.json")
-    federate.add_argument("--sizes", type=int, nargs="+",
-                          default=[1000, 5000], metavar="N",
-                          help="total switch counts to sweep "
-                               "(default: 1000 5000)")
-    federate.add_argument("--per-region", type=int, default=250,
-                          metavar="N",
-                          help="switches per region (default: 250)")
-    _shared_flags(federate, servers=2, quick=True,
-                  output="FEDERATION_report.json",
-                  summary="summary table")
-    federate.add_argument("--cvt-iterations", type=int, default=8)
-    federate.add_argument("--joins", type=int, default=8,
-                          help="switch joins, round-robin across "
-                               "regions")
-    federate.add_argument("--requests", type=int, default=256,
-                          help="data items placed and retrieved "
-                               "through the overlay")
-    federate.add_argument("--copies", type=int, default=2)
-    federate.add_argument("--seed", type=int, default=0)
-    federate.add_argument("--max-foreign-touched", type=float,
-                          default=0, metavar="N",
-                          help="exit nonzero when churn ships more "
-                               "than N southbound messages into "
-                               "foreign regions (default 0: perfect "
-                               "isolation)")
-
-    reconcile = sub.add_parser(
-        "reconcile",
-        help="anti-entropy reconcile of a snapshot (-n), or the "
-             "churn-under-loss convergence experiment writing "
-             "CONVERGENCE_report.json")
-    reconcile.add_argument("-n", "--network", default=None,
-                           help="snapshot to reconcile in place "
-                                "(omit to run the convergence "
-                                "experiment instead)")
-    reconcile.add_argument("--switches", type=int, default=200)
-    reconcile.add_argument("--events", type=int, default=30,
-                           help="churn events (joins/leaves/link "
-                                "flaps) to drive under loss")
-    reconcile.add_argument("--drop", type=float, default=0.2,
-                           help="southbound drop probability")
-    reconcile.add_argument("--dup", type=float, default=0.05,
-                           help="southbound duplication probability")
-    reconcile.add_argument("--delay", type=float, default=0.0,
-                           help="southbound delayed-delivery "
-                                "probability")
-    reconcile.add_argument("--reorder-window", type=int, default=4,
-                           help="southbound reorder window (1 = "
-                                "in order)")
-    _shared_flags(reconcile, servers=2, quick=True,
-                  output="CONVERGENCE_report.json",
-                  what="experiment report")
-    reconcile.add_argument("--cvt-iterations", type=int, default=15)
-    reconcile.add_argument("--seed", type=int, default=0)
-    reconcile.add_argument("--max-sweeps", type=int, default=12,
-                           help="anti-entropy sweep budget")
-    reconcile.add_argument("--max-divergence", type=int, default=None,
-                           metavar="N",
-                           help="exit nonzero when more than N "
-                                "switches stay divergent after the "
-                                "reconcile (CI gate; the experiment "
-                                "mode additionally requires the "
-                                "install_all_rules oracle to match)")
-
-    scrub = sub.add_parser(
-        "scrub",
-        help="storage anti-entropy scrub of a snapshot (-n), or the "
-             "crash+partition+delete durability experiment writing "
-             "DURABILITY_report.json")
-    scrub.add_argument("-n", "--network", default=None,
-                       help="snapshot to scrub in place (omit to run "
-                            "the durability experiment instead)")
-    scrub.add_argument("--switches", type=int, default=40)
-    _shared_flags(scrub, servers=2, quick=True,
-                  output="DURABILITY_report.json",
-                  what="experiment report")
-    scrub.add_argument("--items", type=int, default=120,
-                       help="items seeded before the fault schedule")
-    scrub.add_argument("--copies", type=int, default=2,
-                       help="replicas per item")
-    scrub.add_argument("--ops", type=int, default=80,
-                       help="delete-heavy write ops driven through "
-                            "the partitioned network")
-    scrub.add_argument("--crash-fraction", type=float, default=0.2,
-                       help="fraction of edge servers crashed before "
-                            "the partition window")
-    scrub.add_argument("--partition-fraction", type=float,
-                       default=0.3,
-                       help="fraction of switches split away during "
-                            "the write workload")
-    scrub.add_argument("--late-crashes", type=int, default=3,
-                       help="extra crashes inside the partition "
-                            "window")
-    scrub.add_argument("--cvt-iterations", type=int, default=10)
-    scrub.add_argument("--seed", type=int, default=0)
-    scrub.add_argument("--max-sweeps", type=int, default=6,
-                       help="scrub sweep budget")
-    scrub.add_argument("--max-divergence", type=int, default=None,
-                       metavar="N",
-                       help="exit nonzero when more than N "
-                            "(server, hash-range) pairs stay "
-                            "divergent after the scrub (CI gate; "
-                            "the experiment mode additionally "
-                            "requires the fault-free oracle to "
-                            "match: zero resurrected, lost or "
-                            "stale items)")
     return parser
 
 
-def _load(path: str):
-    from .io import load_network
-
-    return load_network(path)
-
-
-def _save(net, path: str) -> None:
-    from .io import save_network
-
-    save_network(net, path)
-
-
 def _cmd_generate(args) -> int:
-    from . import GredNetwork, attach_uniform, brite_waxman_graph
-
     topology, _ = brite_waxman_graph(
         args.switches, min_degree=args.min_degree,
-        rng=np.random.default_rng(args.seed),
-    )
-    servers = attach_uniform(topology.nodes(),
-                             servers_per_switch=args.servers)
-    net = GredNetwork(topology, servers,
-                      cvt_iterations=args.cvt_iterations,
-                      seed=args.seed)
-    _save(net, args.output)
+        rng=np.random.default_rng(args.seed))
+    net = GredNetwork(topology, servers_per_switch=args.servers,
+                      cvt_iterations=args.cvt_iterations, seed=args.seed)
+    save_network(net, args.output)
     print(f"generated {args.switches} switches x {args.servers} servers "
           f"-> {args.output}")
     return 0
 
 
 def _cmd_place(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     payload = json.loads(args.payload) if args.payload else None
     result = net.place(args.data_id, payload=payload,
                        entry_switch=args.entry, copies=args.copies,
                        rng=np.random.default_rng(0))
-    _save(net, args.network)
+    save_network(net, args.network)
     for record in result.records:
         print(f"placed {record.data_id} on server {record.server_id} "
               f"({record.physical_hops} hops"
@@ -467,7 +342,7 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     result = net.retrieve(args.data_id, entry_switch=args.entry,
                           copies=args.copies,
                           rng=np.random.default_rng(0))
@@ -481,29 +356,24 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_delete(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     removed = net.delete(args.data_id, copies=args.copies,
                          entry_switch=net.switch_ids()[0])
-    _save(net, args.network)
+    save_network(net, args.network)
     print(f"deleted {removed} copies of {args.data_id}")
     return 0 if removed else 1
 
 
 def _cmd_stats(args) -> int:
-    from .controlplane import average_table_entries
-    from .metrics import load_imbalance_summary
-
-    net = _load(args.network)
+    net = load_network(args.network)
     overload_events = None
     if args.sweep:
-        from .services import OverloadManager
-
         manager = OverloadManager(net,
                                   high_watermark=args.high_watermark,
                                   low_watermark=args.low_watermark)
         overload_events = manager.sweep()
         if overload_events:
-            _save(net, args.network)
+            save_network(net, args.network)
     topology = net.topology
     loads = net.load_vector()
     avg_entries = average_table_entries(
@@ -513,8 +383,6 @@ def _cmd_stats(args) -> int:
         for s in net.controller.switches.values()
     )
     balance = load_imbalance_summary(loads) if sum(loads) else None
-    from .dataplane import batch_fastpath_blockers, unabsorbed_faults
-
     blockers = batch_fastpath_blockers(net)
     # The engine one scalar place/retrieve would take right now, and
     # the reason it counts a stand-down under: the first blocker's.
@@ -575,8 +443,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from . import obs
-
     if args.from_file is not None:
         dump = obs.load_json(args.from_file)
     elif args.network is not None:
@@ -584,7 +450,7 @@ def _cmd_metrics(args) -> int:
         # probe reports this deployment only (recompute-phase timings,
         # rule counts, per-server load gauges).
         with obs.scoped_registry() as registry:
-            net = _load(args.network)
+            net = load_network(args.network)
             net.record_load_gauges()
         dump = registry.to_dict()
     else:
@@ -599,9 +465,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     net.extend_range(args.switch, args.serial)
-    _save(net, args.network)
+    save_network(net, args.network)
     entry = net.controller.switches[args.switch].table.extension_for(
         args.serial)
     print(f"extended ({args.switch}, {args.serial}) -> "
@@ -610,18 +476,16 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_retract(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     moved = net.retract_range(args.switch, args.serial)
-    _save(net, args.network)
+    save_network(net, args.network)
     print(f"retracted ({args.switch}, {args.serial}); "
           f"{moved} items migrated home")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .controlplane import verify_installed_state
-
-    net = _load(args.network)
+    net = load_network(args.network)
     violations = verify_installed_state(net.controller)
     if not violations:
         print("installed state is consistent")
@@ -633,9 +497,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .viz import render_virtual_space
-
-    net = _load(args.network)
+    net = load_network(args.network)
     route_trace = None
     if args.route is not None:
         entry = args.entry if args.entry is not None \
@@ -654,7 +516,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    net = _load(args.network)
+    net = load_network(args.network)
     entry = args.entry if args.entry is not None \
         else net.switch_ids()[0]
     recording = bool(args.summary or args.spans_out or args.chrome_out)
@@ -669,9 +531,6 @@ def _cmd_trace(args) -> int:
               f"{route.physical_hops} physical hops, "
               f"{route.overlay_hops} overlay hops")
         return 0
-
-    from . import obs
-    from .obs import spans as ospans
 
     recorder = ospans.SpanRecorder(sample_rate=args.sample_rate)
     previous_recorder = ospans.set_default_recorder(recorder)
@@ -716,9 +575,6 @@ def _cmd_trace(args) -> int:
 
 def _render_trace_summary(dump, spans) -> str:
     """Join hop-histogram quantiles with the recorded traces."""
-    from . import obs
-    from .obs import spans as ospans
-
     lines = []
     for name in ("dataplane.hops_per_request", "core.retrieve_hops"):
         quantiles = obs.dump_quantiles(dump, name)
@@ -745,9 +601,6 @@ def _render_trace_summary(dump, spans) -> str:
 
 
 def _cmd_experiment(args) -> int:
-    from . import obs
-    from .experiments.catalog import show
-
     if args.metrics_out is None:
         show(args.figure)
         return 0
@@ -763,8 +616,6 @@ def _finish(args, report, render, failures, wrote=True) -> int:
     it (``--json``) or its rendered summary, name each failed gate on
     stderr, and exit 1 if any failed."""
     if wrote:
-        from .slo import write_report
-
         write_report(report, args.output)
     print(json.dumps(report, indent=2, sort_keys=True) if args.json
           else render(report))
@@ -775,394 +626,58 @@ def _finish(args, report, render, failures, wrote=True) -> int:
     return 1 if failures else 0
 
 
-def _cmd_chaos(args) -> int:
-    from .faults import ChaosConfig, FaultPlan, run_chaos
-
-    plan = FaultPlan.from_json(args.plan) if args.plan else None
-    control_plan = (FaultPlan.from_json(args.control_plan)
-                    if args.control_plan else None)
-    config = ChaosConfig(
-        switches=args.switches,
-        min_degree=args.min_degree,
-        servers_per_switch=args.servers,
-        cvt_iterations=args.cvt_iterations,
-        items=args.items,
-        copies=args.copies,
-        requests=args.requests,
-        seed=args.seed,
-        plan=plan,
-        control_plan=control_plan,
-        duration=args.duration,
-        detection_interval=args.detection_interval,
-    )
-    report = run_chaos(config)
-    failures = []
-    if args.min_availability is not None \
-            and report["availability"] < args.min_availability:
-        failures.append(
-            f"recovered availability {report['availability']:.4f} is "
-            f"below the --min-availability gate {args.min_availability}")
-    return _finish(args, report, _render_chaos, failures, wrote=False)
+def _config(row: Report, args) -> Any:
+    """The run's config from the flags given (one left at ``None``
+    keeps the field's default); ``--quick`` then replaces the shape
+    fields with the config's ``QUICK`` preset."""
+    values = {}
+    for field in dataclasses.fields(row.config):
+        value = getattr(args, field.name, None)
+        if "flag" in field.metadata and value is not None:
+            parse = field.metadata["flag"].get("parse")
+            values[field.name] = (parse(value) if parse
+                                  else tuple(value) if isinstance(value, list)
+                                  else value)
+    if getattr(args, "quick", False):
+        values.update(row.config.QUICK)
+    return row.config(**values)
 
 
-def _render_chaos(report) -> str:
-    repair = report["repair"]
-    events = report["plan"]["events"]
-    lines = [
-        f"baseline availability  : "
-        f"{report['baseline']['availability']:.3f} "
-        f"({report['baseline']['mean_round_trip_hops']:.2f} hops)",
-        (f"fault plan             : {len(events)} event(s), "
-         f"first at t={events[0]['time']:.3f}" if events
-         else "fault plan             : empty"),
-        f"under faults           : {report['under_faults']['completed']}"
-        f"/{report['under_faults']['requests']} requests completed, "
-        f"{report['under_faults']['failed']} failed",
-        f"dead switches detected : {repair['dead_switches']}",
-        f"stranded switches      : {repair['stranded_switches']}",
-        f"servers replaced       : {repair['servers_replaced']}",
-        f"re-replicated copies   : {report['re_replicated']}",
-        f"items lost             : {report['items_lost']}",
-        f"recovery time          : {report['recovery_time']:.3f}s",
-        f"recovered availability : {report['availability']:.3f} "
-        f"({report['recovered']['mean_round_trip_hops']:.2f} hops, "
-        f"inflation x{report['hop_inflation']:.2f})",
-        f"verifier violations    : {report['verifier_violations']}",
-    ]
-    southbound = report.get("southbound")
-    if southbound is not None:
-        stats = southbound["channel"]
-        reconcile = southbound["reconcile"]
-        lines += [
-            f"southbound channel     : {stats['sent']} sent, "
-            f"{stats['dropped']} dropped, "
-            f"{stats['duplicated']} duplicated, "
-            f"{stats['reordered']} reordered, "
-            f"{stats['delayed']} delayed",
-            f"reconcile              : "
-            f"{reconcile['divergent_initial']} divergent, "
-            f"{reconcile['sweeps']} sweep(s), "
-            f"{reconcile['resynced']} resync(s), "
-            f"{reconcile['drained']} drained, "
-            f"converged={reconcile['converged']}",
-        ]
-    return "\n".join(lines)
+def _cmd_report(args, row: Report, config=None, **run_kw) -> int:
+    """Run one report command: the experiment, or (``-n``) a sweep of
+    a snapshot, which is saved back and writes no report."""
+    config = config or _config(row, args)
+    if row.sweep is not None and args.network is not None:
+        net = load_network(args.network)
+        report, divergence, summary = row.sweep(net, config)
+        save_network(net, args.network)
+        gate, = row.gates
+        failure = gate.verdict(divergence, getattr(args, gate.dest))
+        return _finish(args, report, lambda _: summary,
+                       [failure] if failure else [], wrote=False)
+    report = row.run(config, **run_kw)
+    return _finish(args, report, row.render,
+                   gate_failures(row.gates, report, vars(args)),
+                   wrote=row.output is not None)
 
 
-def _cmd_loadtest(args) -> int:
-    from .faults import FaultPlan
-    from .obs import spans as ospans
-    from .slo import (DEFAULT_LOAD_FACTORS, SloConfig, evaluate_gates,
-                      render_summary, run_loadtest)
-
-    config = SloConfig(
-        switches=args.switches,
-        entry_switches=args.entry_switches,
-        servers_per_switch=args.servers,
-        min_degree=args.min_degree,
-        cvt_iterations=args.cvt_iterations,
-        items=args.items,
-        copies=args.copies,
-        requests=args.requests,
-        seed=args.seed,
-        load_factors=(tuple(args.load_factors)
-                      if args.load_factors is not None
-                      else DEFAULT_LOAD_FACTORS),
-        deadline=args.deadline,
-        rate_per_switch=args.rate,
-        burst=args.burst,
-        queue_limit=args.queue_limit,
-        plan=FaultPlan.from_json(args.plan) if args.plan else None,
-    )
-    recorder = None
-    if args.trace_out is not None or args.trace_sample is not None:
-        config.trace_sample_rate = (args.trace_sample
-                                    if args.trace_sample is not None
-                                    else 0.05)
-        recorder = ospans.SpanRecorder(
-            sample_rate=config.trace_sample_rate)
-    report = run_loadtest(config, recorder=recorder)
-    code = _finish(args, report, render_summary, evaluate_gates(
-        report, min_goodput=args.min_goodput,
-        min_attainment=args.min_attainment))
-    if recorder is not None and args.trace_out is not None:
-        ospans.write_jsonl(recorder.spans(), args.trace_out)
-        summary = report["trace_summary"]
-        print(f"wrote {summary['traces']} trace(s) "
-              f"({summary['spans']} spans, sample rate "
-              f"{summary['sample_rate']:g}) to {args.trace_out}")
+def _cmd_loadtest(args, row: Report) -> int:
+    """The loadtest row, recording sampled request traces when
+    ``--trace-out`` or ``--trace-sample`` asks for them."""
+    if args.trace_out is None and args.trace_sample is None:
+        return _cmd_report(args, row)
+    config = _config(row, args)
+    config.trace_sample_rate = (args.trace_sample
+                                if args.trace_sample is not None else 0.05)
+    recorder = ospans.SpanRecorder(sample_rate=config.trace_sample_rate)
+    code = _cmd_report(args, row, config, recorder=recorder)
+    if args.trace_out is not None:
+        spans = recorder.spans()
+        ospans.write_jsonl(spans, args.trace_out)
+        print(f"wrote {len(ospans.traces(spans))} trace(s) "
+              f"({len(spans)} spans, sample rate "
+              f"{recorder.sample_rate:g}) to {args.trace_out}")
     return code
-
-
-def _cmd_churn(args) -> int:
-    from .experiments.common import format_table
-    from .experiments.control_churn import run_churn_scaling
-
-    report = run_churn_scaling(
-        sizes=tuple(args.sizes),
-        servers_per_switch=args.servers,
-        num_joins=args.joins,
-        cvt_iterations=args.cvt_iterations,
-        seed=args.seed,
-        regions=args.regions,
-    )
-    columns = ["switches", "avg_delta_messages",
-               "avg_switches_touched",
-               "avg_full_reinstall_messages",
-               "route_cache_survival"]
-    if args.regions > 1:
-        columns = ["switches", "regions", "avg_delta_messages",
-                   "avg_switches_touched", "avg_foreign_touched",
-                   "avg_foreign_messages",
-                   "avg_full_reinstall_messages"]
-    failures = []
-    for row in report["rows"]:
-        if args.max_touched is not None and \
-                row["avg_switches_touched"] > args.max_touched:
-            failures.append(
-                f"avg switches touched per join at n={row['switches']} "
-                f"is {row['avg_switches_touched']:.1f} > "
-                f"--max-touched {args.max_touched:g}")
-        if args.max_foreign_touched is not None and \
-                row.get("avg_foreign_touched", 0) \
-                > args.max_foreign_touched:
-            failures.append(
-                f"churn at n={row['switches']} touched "
-                f"{row['avg_foreign_touched']:.1f} switch(es) outside "
-                f"the joining region > --max-foreign-touched "
-                f"{args.max_foreign_touched:g} (cross-shard locality "
-                f"leak)")
-        if not row["untouched_generations_preserved"]:
-            failures.append(
-                f"untouched switch generations were bumped at "
-                f"n={row['switches']} (scoped invalidation leak)")
-    return _finish(
-        args, report,
-        lambda report: format_table(
-            report["rows"], columns,
-            "churn: delta vs full-reinstall control traffic"),
-        failures)
-
-
-def _cmd_federate(args) -> int:
-    from .experiments.federation import run_federation_scaling
-
-    report = run_federation_scaling(
-        total_switches=tuple(args.sizes),
-        switches_per_region=args.per_region,
-        servers_per_switch=args.servers,
-        cvt_iterations=args.cvt_iterations,
-        num_joins=args.joins, num_requests=args.requests,
-        copies=args.copies, seed=args.seed)
-    failures = []
-    for row in report["rows"]:
-        if args.max_foreign_touched is not None and \
-                row["foreign_messages"] > args.max_foreign_touched:
-            failures.append(
-                f"churn at n={row['total_switches']} shipped "
-                f"{row['foreign_messages']} southbound message(s) "
-                f"into foreign regions > --max-foreign-touched "
-                f"{args.max_foreign_touched:g}")
-        if row["retrieved_found"] != row["requests"]:
-            failures.append(
-                f"{row['requests'] - row['retrieved_found']} of "
-                f"{row['requests']} retrievals missed at "
-                f"n={row['total_switches']}")
-    for key, value in report["single_region_differential"].items():
-        if key != "switches" and value is not True:
-            failures.append(
-                f"single-region differential mismatch: {key}={value} "
-                f"(1-region federation must be identical to the "
-                f"monolithic controller)")
-    return _finish(args, report, _render_federate, failures)
-
-
-def _render_federate(report) -> str:
-    from .experiments.common import format_table
-
-    table = format_table(
-        report["rows"],
-        ["total_switches", "regions", "mean_shard_recompute_s",
-         "avg_join_messages", "foreign_messages",
-         "cross_region_fraction", "retrieved_found"],
-        "federation: flat per-shard cost, zero foreign churn traffic")
-    differential = report["single_region_differential"]
-    return (f"{table}\nsingle-region differential vs monolith: "
-            + ", ".join(f"{key}={value}"
-                        for key, value in differential.items()
-                        if key != "switches"))
-
-
-def _cmd_reconcile(args) -> int:
-    """Anti-entropy sweep over a saved deployment (``-n``: repair any
-    drift between the snapshot's installed state and the compiled plan,
-    save it back), or the churn-under-loss convergence experiment that
-    writes the committed CONVERGENCE_report.json CI artifact."""
-    snapshot = args.network is not None
-    if snapshot:
-        net = _load(args.network)
-        report = net.controller.reconcile(
-            max_sweeps=args.max_sweeps).to_dict()
-        _save(net, args.network)
-        after = len(report["divergent_final"])
-    else:
-        from .experiments.convergence import run_convergence
-
-        report = run_convergence(
-            switches=args.switches, events=args.events, drop=args.drop,
-            dup=args.dup, delay=args.delay,
-            reorder_window=args.reorder_window,
-            servers_per_switch=args.servers,
-            cvt_iterations=args.cvt_iterations, seed=args.seed,
-            max_sweeps=args.max_sweeps)
-        after = report["divergence"]["after_reconcile"]
-    failures = []
-    if args.max_divergence is not None:
-        if after > args.max_divergence:
-            failures.append(
-                f"{after} switch(es) stay divergent after reconcile, "
-                f"above the --max-divergence gate "
-                f"{args.max_divergence}")
-        if not snapshot and not report["oracle_match"]:
-            failures.append(
-                f"switches {report['mismatched_switches']} diverge "
-                f"from the install_all_rules oracle")
-        if not snapshot and report["verifier_violations"]:
-            failures.append(
-                f"{report['verifier_violations']} verifier "
-                f"violation(s) after reconcile")
-    return _finish(
-        args, report,
-        _render_reconcile if snapshot else _render_convergence,
-        failures, wrote=not snapshot)
-
-
-def _render_reconcile(report) -> str:
-    return "\n".join([
-        f"divergent switches : {report['divergent_initial']}",
-        f"sweeps             : {report['sweeps']}",
-        f"resyncs shipped    : {report['resynced']}",
-        f"pending drained    : {report['drained']}",
-        f"still divergent    : {report['divergent_final'] or 'none'}",
-    ])
-
-
-def _render_convergence(report) -> str:
-    config = report["config"]
-    stats = report["channel"]
-    divergence = report["divergence"]
-    return "\n".join([
-        f"churn              : {report['events_applied']} "
-        f"event(s) applied ({report['events_skipped']} skipped) "
-        f"over {config['switches']} switches",
-        f"channel faults     : drop={config['drop']:g} "
-        f"dup={config['dup']:g} delay={config['delay']:g} "
-        f"reorder_window={config['reorder_window']}",
-        f"southbound         : {stats['sent']} sent, "
-        f"{stats['dropped']} dropped, "
-        f"{stats['duplicated']} duplicated, "
-        f"{stats['reordered']} reordered, "
-        f"{stats['delayed']} delayed",
-        f"retries            : {report['totals']['retries']}",
-        f"divergence         : {divergence['before_reconcile']} "
-        f"before reconcile, {divergence['after_reconcile']} "
-        f"after ({report['reconcile']['sweeps']} sweep(s))",
-        f"oracle match       : {report['oracle_match']}",
-        f"verifier violations: {report['verifier_violations']}",
-    ])
-
-
-def _cmd_scrub(args) -> int:
-    """Anti-entropy sweep over a saved deployment's storage plane
-    (``-n``: drain parked hints, repair stale/missing/orphaned replicas
-    and collect eligible tombstones, then save the snapshot back), or
-    the crash+partition+delete durability experiment that writes the
-    committed DURABILITY_report.json CI artifact."""
-    snapshot = args.network is not None
-    if snapshot:
-        from .core import storage_divergence
-
-        net = _load(args.network)
-        report = net.scrub(max_sweeps=args.max_sweeps).to_dict()
-        after = storage_divergence(net)
-        _save(net, args.network)
-    else:
-        from .experiments.durability import run_durability
-
-        report = run_durability(
-            switches=args.switches,
-            servers_per_switch=args.servers, items=args.items,
-            copies=args.copies, ops=args.ops,
-            crash_fraction=args.crash_fraction,
-            partition_fraction=args.partition_fraction,
-            late_crashes=args.late_crashes,
-            cvt_iterations=args.cvt_iterations, seed=args.seed,
-            max_sweeps=args.max_sweeps)
-        after = report["divergence"]["after_scrub"]
-    failures = []
-    if args.max_divergence is not None:
-        if after > args.max_divergence:
-            failures.append(
-                f"{after} (server, range) pair(s) stay divergent "
-                f"after scrub, above the --max-divergence gate "
-                f"{args.max_divergence}")
-        if not snapshot and not report["oracle_match"]:
-            failures.append(
-                "storage plane diverges from the fault-free oracle: "
-                + _oracle_verdicts(report))
-    return _finish(
-        args, report,
-        (lambda report: _render_scrub(report, after)) if snapshot
-        else _render_durability,
-        failures, wrote=not snapshot)
-
-
-def _render_scrub(report, divergent) -> str:
-    return "\n".join([
-        f"sweeps             : {report['sweeps']}",
-        f"hints drained      : {report['hints_drained']}",
-        f"repairs            : {report['repairs']}",
-        f"resurrections cut  : {report['resurrections_removed']}",
-        f"orphans removed    : {report['orphans_removed']}",
-        f"tombstones gc'd    : {report['tombstones_gced']}",
-        f"unreachable skips  : {report['skipped_unreachable']}",
-        f"still divergent    : {divergent}",
-    ])
-
-
-def _oracle_verdicts(report) -> str:
-    return (f"{len(report['resurrected'])} resurrected, "
-            f"{len(report['lost'])} lost, "
-            f"{len(report['stale'])} stale, "
-            f"{len(report['unavailable'])} unavailable")
-
-
-def _render_durability(report) -> str:
-    config = report["config"]
-    workload = report["workload"]
-    divergence = report["divergence"]
-    scrub_stats = report["scrub"]
-    return "\n".join([
-        f"workload           : {workload['items_placed']} "
-        f"item(s), {workload['items_deleted']} deleted, "
-        f"{config['ops']} op(s) under partition",
-        f"faults             : {workload['crashes']} crash(es) "
-        f"({workload['crash_fraction_actual']:.0%} of servers), "
-        f"partition_fraction={config['partition_fraction']:g}",
-        f"hints              : "
-        f"{workload['hints_parked_pre_scrub']} parked, "
-        f"{scrub_stats['hints_drained']} drained by scrub",
-        f"divergence         : {divergence['before_scrub']} "
-        f"before scrub, {divergence['after_scrub']} after "
-        f"({scrub_stats['sweeps']} sweep(s), "
-        f"{scrub_stats['repairs']} repair(s))",
-        f"tombstones         : "
-        f"{scrub_stats['resurrections_removed']} "
-        f"resurrection(s) cut, {scrub_stats['tombstones_gced']} "
-        f"gc'd",
-        f"oracle verdicts    : {_oracle_verdicts(report)}",
-        f"oracle match       : {report['oracle_match']}",
-    ])
 
 
 _COMMANDS = {
@@ -1178,37 +693,17 @@ _COMMANDS = {
     "render": _cmd_render,
     "trace": _cmd_trace,
     "experiment": _cmd_experiment,
-    "chaos": _cmd_chaos,
-    "loadtest": _cmd_loadtest,
-    "churn": _cmd_churn,
-    "federate": _cmd_federate,
-    "reconcile": _cmd_reconcile,
-    "scrub": _cmd_scrub,
-}
-
-
-#: ``--quick``: the flags each command's tiny CI smoke preset
-#: overrides before its one ``run_*`` call; every other flag stays
-#: honoured.  (loadtest's row is ``SloConfig.quick()`` as flags.)
-_QUICK = {
-    "loadtest": dict(switches=16, entry_switches=6, servers=2,
-                     min_degree=3, cvt_iterations=5, items=60, copies=2,
-                     requests=400, deadline=0.25, rate=50.0, burst=20,
-                     queue_limit=16),
-    "federate": dict(sizes=[48, 96], per_region=12, cvt_iterations=4,
-                     joins=4, requests=96),
-    "reconcile": dict(switches=24, events=8, cvt_iterations=5),
-    "scrub": dict(switches=24, items=60, ops=40, cvt_iterations=5),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "quick", False):
-        vars(args).update(_QUICK[args.command])
+    reports = _reports()
+    args = _build_parser(reports).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command not in reports:
+            return _COMMANDS[args.command](args)
+        run = _cmd_loadtest if args.command == "loadtest" else _cmd_report
+        return run(args, reports[args.command])
     except Exception as exc:  # surface library errors as CLI errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

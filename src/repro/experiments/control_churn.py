@@ -28,13 +28,15 @@ report (``gred churn``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from ..chord import ChordRing
 from ..edge import EdgeServer, attach_uniform
-from .common import build_topology, mean_or_zero
+from ..report import Gate, check_bounds, echo, flag
+from .common import build_topology, format_table, mean_or_zero
 from .convergence import canonical_state
 
 #: Format marker of the ``gred churn`` JSON report.
@@ -75,12 +77,9 @@ def run_control_churn(
     seed: int = 0,
 ) -> List[Dict]:
     """Average installed-state changes per join, GRED vs Chord."""
-    from ..controlplane import Controller, ControllerConfig
+    from ..controlplane import (Controller, ControllerConfig,
+                                RecordingChannel)
 
-    from ..controlplane import RecordingChannel
-    from ..controlplane.southbound import Probe
-
-    rows = []
     # ---------------- GRED ------------------------------------------
     topology = build_topology(num_switches, 3, seed)
     controller = Controller(
@@ -92,45 +91,20 @@ def run_control_churn(
     channel = RecordingChannel()
     controller.southbound_channel = channel
     rng = np.random.default_rng(seed + 1)
-    touched_total = 0
-    entries_total = 0
-    messages_total = 0
-    switches_messaged_total = 0
-    for j in range(num_joins):
-        before = {
-            sid: canonical_state(sw)
-            for sid, sw in controller.switches.items()
-        }
-        new_id = 1000 + j
+    meter = _JoinMeter()
+    for _ in range(num_joins):
         peers = [int(p) for p in rng.choice(num_switches, size=2,
                                             replace=False)]
-        channel.clear()
-        controller.add_switch(
-            new_id, links=peers,
-            servers=[EdgeServer(new_id, s)
-                     for s in range(servers_per_switch)],
-        )
-        # Exclude liveness probes: the row reports rule traffic, and a
-        # failure-detector sweep sharing the channel must not inflate
-        # the join's apparent cost.
-        messages_total += channel.count(exclude=(Probe,))
-        switches_messaged_total += len(
-            channel.per_switch(exclude=(Probe,)))
-        after = {
-            sid: canonical_state(sw)
-            for sid, sw in controller.switches.items()
-        }
-        touched, entries = _diff_states(before, after)
-        touched_total += touched
-        entries_total += entries
-    rows.append({
+        meter.measure(controller, channel, controller.add_switch, peers,
+                      servers_per_switch)
+    rows = [{
         "protocol": "GRED",
-        "avg_nodes_touched": touched_total / num_joins,
-        "avg_entries_changed": entries_total / num_joins,
-        "avg_messages_sent": messages_total / num_joins,
-        "avg_switches_messaged": switches_messaged_total / num_joins,
+        "avg_nodes_touched": mean_or_zero(meter.semantic_touched),
+        "avg_entries_changed": mean_or_zero(meter.semantic_entries),
+        "avg_messages_sent": mean_or_zero(meter.delta_messages),
+        "avg_switches_messaged": mean_or_zero(meter.touched_counts),
         "population": num_switches,
-    })
+    }]
     # ---------------- Chord -----------------------------------------
     members = {
         f"server-{sw}-{s}": sw
@@ -168,10 +142,11 @@ def run_control_churn(
 
 
 class _JoinMeter:
-    """What both arms of :func:`run_churn_scaling` measure per join,
-    and the row the joins of one network size average into.  The arms
-    differ only in how they build the deployment, pick the joiner's
-    peers and account foreign regions."""
+    """What X6 (:func:`run_control_churn`) and both arms of
+    :func:`run_churn_scaling` measure per join, and the row the joins
+    of one network size average into.  The arms differ only in how they
+    build the deployment, pick the joiner's peers and account foreign
+    regions."""
 
     def __init__(self) -> None:
         self.delta_messages: List[int] = []
@@ -198,6 +173,9 @@ class _JoinMeter:
         add_switch(new_id, peers,
                    servers=[EdgeServer(new_id, s)
                             for s in range(servers_per_switch)])
+        # Exclude liveness probes: the row reports rule traffic, and a
+        # failure-detector sweep sharing the channel must not inflate
+        # the join's apparent cost.
         self.delta_messages.append(channel.count(exclude=(Probe,)))
         touched = set(channel.per_switch(exclude=(Probe,)))
         self.touched_counts.append(len(touched))
@@ -247,14 +225,30 @@ class _JoinMeter:
         }
 
 
-def run_churn_scaling(
-    sizes: Sequence[int] = (50, 100, 200, 400),
-    servers_per_switch: int = 2,
-    num_joins: int = 5,
-    cvt_iterations: int = 30,
-    seed: int = 0,
-    regions: int = 1,
-) -> Dict:
+@dataclass
+class ChurnConfig:
+    """The join workload of :func:`run_churn_scaling`."""
+
+    sizes: Tuple[int, ...] = flag(
+        (50, 100, 200, 400), "network sizes (switch counts) to sweep",
+        nargs="+")
+    num_joins: int = flag(5, "node joins per size", name="--joins")
+    servers_per_switch: int = flag(2, "servers per switch",
+                                   name="--servers")
+    cvt_iterations: int = flag(30)
+    seed: int = flag(0)
+    regions: int = flag(
+        1, "shard the control plane into this many regions (metro "
+           "topology); joins then round-robin across regions and the "
+           "report adds a per-region touched breakdown")
+
+    def __post_init__(self) -> None:
+        check_bounds(self, sizes=(4, None), num_joins=(1, None),
+                     servers_per_switch=(1, None),
+                     cvt_iterations=(0, None), regions=(1, None))
+
+
+def run_churn_scaling(config: ChurnConfig) -> Dict:
     """Churn locality across network sizes: delta vs full reinstall.
 
     For each size, a network is built, the request fast path is warmed,
@@ -289,36 +283,67 @@ def run_churn_scaling(
     (both must be exactly zero).  The fast-path cache fields are the
     monolith's and are ``None`` in federated rows.
     """
-    if regions < 1:
-        raise ValueError(f"regions must be >= 1, got {regions}")
-    arm = _monolith_churn_row if regions == 1 else _federated_churn_row
+    arm = (_monolith_churn_row if config.regions == 1
+           else _federated_churn_row)
     return {
         "format": CHURN_FORMAT,
-        "sizes": list(sizes),
-        "servers_per_switch": servers_per_switch,
-        "num_joins": num_joins,
-        "cvt_iterations": cvt_iterations,
-        "seed": seed,
-        "regions": regions,
-        "rows": [arm(num_switches, servers_per_switch, num_joins,
-                     cvt_iterations, seed, regions)
-                 for num_switches in sizes],
+        **echo(config),
+        "rows": [arm(size, config) for size in config.sizes],
     }
 
 
-def _monolith_churn_row(num_switches: int, servers_per_switch: int,
-                        num_joins: int, cvt_iterations: int, seed: int,
-                        regions: int) -> Dict:
+def check_churn(report: Dict) -> List[str]:
+    """The invariant every churn row must keep: a join bumps no
+    generation of a switch it did not message."""
+    return [f"untouched switch generations were bumped at "
+            f"n={row['switches']} (scoped invalidation leak)"
+            for row in report["rows"]
+            if not row["untouched_generations_preserved"]]
+
+
+#: ``gred churn``'s CI thresholds.
+GATES = (
+    Gate("--max-touched", "rows.avg_switches_touched", False,
+         "avg switches touched per join at n={row[switches]} is "
+         "{value:.1f} > --max-touched {limit:g}",
+         "exit nonzero when the average switches touched per join "
+         "exceeds N at any size (CI gate for delta locality)",
+         after="seed"),
+    Gate("--max-foreign-touched", "rows.avg_foreign_touched", False,
+         "churn at n={row[switches]} touched {value:.1f} switch(es) "
+         "outside the joining region > --max-foreign-touched "
+         "{limit:g} (cross-shard locality leak)",
+         "exit nonzero when a join touches more than N switches "
+         "outside its home region (cross-shard locality gate; default "
+         "0, only meaningful with --regions > 1)",
+         default=0, checks=check_churn),
+)
+
+
+def render_churn(report: Dict) -> str:
+    """The churn report as a table: per size, delta vs full-reinstall
+    traffic (and the foreign-region columns when federated)."""
+    columns = ["switches", "avg_delta_messages", "avg_switches_touched",
+               "avg_full_reinstall_messages", "route_cache_survival"]
+    if report["regions"] > 1:
+        columns = ["switches", "regions", "avg_delta_messages",
+                   "avg_switches_touched", "avg_foreign_touched",
+                   "avg_foreign_messages", "avg_full_reinstall_messages"]
+    return format_table(report["rows"], columns,
+                        "churn: delta vs full-reinstall control traffic")
+
+
+def _monolith_churn_row(num_switches: int, config: ChurnConfig) -> Dict:
     """The ``regions == 1`` arm of :func:`run_churn_scaling`: one
     controller, whose compiled router and route cache the joins must
     preserve."""
     from ..controlplane import RecordingChannel
     from ..core import GredNetwork
 
-    topology = build_topology(num_switches, 3, seed)
+    topology = build_topology(num_switches, 3, config.seed)
     net = GredNetwork(
-        topology, servers_per_switch=servers_per_switch,
-        cvt_iterations=cvt_iterations, seed=seed,
+        topology, servers_per_switch=config.servers_per_switch,
+        cvt_iterations=config.cvt_iterations, seed=config.seed,
     )
     controller = net.controller
     channel = RecordingChannel()
@@ -328,37 +353,36 @@ def _monolith_churn_row(num_switches: int, servers_per_switch: int,
     # populated route cache.
     controller.closest_switch((0.5, 0.5))
     ids = [f"churn/{num_switches}/{i}" for i in range(256)]
-    net.place_many(ids, rng=np.random.default_rng(seed + 2))
+    net.place_many(ids, rng=np.random.default_rng(config.seed + 2))
     router_before = net._fastpath.router
     compiles_before = router_before.switch_compiles
     cached_before = set(net._fastpath.routes)
     index_builds_before = controller.index_builds
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(config.seed + 1)
     meter = _JoinMeter()
-    for _ in range(num_joins):
+    for _ in range(config.num_joins):
         peers = [int(p) for p in rng.choice(num_switches, size=2,
                                             replace=False)]
         meter.measure(controller, channel, controller.add_switch, peers,
-                      servers_per_switch)
+                      config.servers_per_switch)
         controller.closest_switch((0.25, 0.75))
     # Force the scoped fast-path update and measure what survived.
     state = net._fast_state()
     router_reused = state.router is router_before
     surviving = len(cached_before & set(state.routes))
     return meter.row(
-        num_switches, regions,
+        num_switches, config.regions,
         controller.index_builds - index_builds_before,
         router_reused=router_reused,
         avg_router_recompiles=(
-            (state.router.switch_compiles - compiles_before) / num_joins
+            (state.router.switch_compiles - compiles_before)
+            / config.num_joins
             if router_reused else None),
         route_cache_survival=(surviving / len(cached_before)
                               if cached_before else None))
 
 
-def _federated_churn_row(num_switches: int, servers_per_switch: int,
-                         num_joins: int, cvt_iterations: int, seed: int,
-                         regions: int) -> Dict:
+def _federated_churn_row(num_switches: int, config: ChurnConfig) -> Dict:
     """The ``regions > 1`` arm of :func:`run_churn_scaling`.
 
     The size becomes a metro federation (``size // regions`` switches
@@ -370,13 +394,13 @@ def _federated_churn_row(num_switches: int, servers_per_switch: int,
     from ..controlplane.southbound import Probe
     from ..topology import federated_topology
 
-    per_region = max(4, num_switches // regions)
+    per_region = max(4, num_switches // config.regions)
     topology, assignment = federated_topology(
-        regions, per_region, min_degree=3, seed=seed)
+        config.regions, per_region, min_degree=3, seed=config.seed)
     fed = FederatedNetwork(
         topology, assignment=assignment,
-        servers_per_switch=servers_per_switch,
-        cvt_iterations=cvt_iterations, seed=seed)
+        servers_per_switch=config.servers_per_switch,
+        cvt_iterations=config.cvt_iterations, seed=config.seed)
     channels = fed.controller.attach_channels()
     index_builds_before = {
         rid: shard.controller.index_builds
@@ -385,22 +409,22 @@ def _federated_churn_row(num_switches: int, servers_per_switch: int,
     # Warm every shard's planes so the joins exercise the scoped
     # invalidation paths, exactly like the monolithic arm.
     ids = [f"churn/{num_switches}/{i}" for i in range(256)]
-    fed.place_many(ids, rng=np.random.default_rng(seed + 2))
-    rng = np.random.default_rng(seed + 1)
+    fed.place_many(ids, rng=np.random.default_rng(config.seed + 2))
+    rng = np.random.default_rng(config.seed + 1)
     region_ids = sorted(fed.shards)
     meter = _JoinMeter()
     foreign_touched: List[int] = []
     foreign_messages: List[int] = []
     join_events: List[Dict] = []
-    for j in range(num_joins):
-        rid = region_ids[j % regions]
+    for j in range(config.num_joins):
+        rid = region_ids[j % config.regions]
         members = fed.shard(rid).net.switch_ids()
         peers = [int(members[int(v)]) for v in
                  rng.choice(len(members), size=2, replace=False)]
         for channel in channels.values():
             channel.clear()
         meter.measure(fed.shard(rid).net.controller, channels[rid],
-                      fed.add_switch, peers, servers_per_switch)
+                      fed.add_switch, peers, config.servers_per_switch)
         per_region_touched = {
             str(other): len(channels[other].per_switch(
                 exclude=(Probe,)))
@@ -419,7 +443,7 @@ def _federated_churn_row(num_switches: int, servers_per_switch: int,
             "touched_per_region": per_region_touched,
         })
     return meter.row(
-        num_switches, regions,
+        num_switches, config.regions,
         sum(shard.controller.index_builds - index_builds_before[rid]
             for rid, shard in fed.shards.items()),
         foreign_touched, foreign_messages, join_events=join_events)

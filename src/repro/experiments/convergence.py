@@ -20,7 +20,8 @@ verdict.  Everything is deterministic under the seed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -29,13 +30,13 @@ from ..controlplane import (
     Controller,
     ControllerConfig,
     FaultyChannel,
-    RetryPolicy,
     install_all_rules,
     verify_installed_state,
 )
 from ..dataplane import GredSwitch
 from ..edge import EdgeServer, attach_uniform
 from ..obs import default_registry, scoped_registry
+from ..report import CHANNEL_KEYS, Gate, check_bounds, echo, flag, tally
 from .common import build_topology
 
 #: Format marker of the ``gred reconcile`` JSON report.
@@ -104,20 +105,37 @@ def mismatched_switches(controller: Controller) -> List[int]:
     return sorted(bad)
 
 
+@dataclass
+class ConvergenceConfig:
+    """The churn and channel faults of :func:`run_convergence`."""
+
+    switches: int = flag(200)
+    events: int = flag(30, "churn events (joins/leaves/link flaps) to "
+                           "drive under loss")
+    drop: float = flag(0.2, "southbound drop probability")
+    dup: float = flag(0.05, "southbound duplication probability")
+    delay: float = flag(0.0, "southbound delayed-delivery probability")
+    reorder_window: int = flag(4, "southbound reorder window (1 = in "
+                                  "order)")
+    servers_per_switch: int = flag(2, "servers per switch",
+                                   name="--servers")
+    cvt_iterations: int = flag(15)
+    seed: int = flag(0)
+    max_sweeps: int = flag(12, "anti-entropy sweep budget")
+
+    #: ``--quick``: the CI smoke preset's shape (see SloConfig.QUICK).
+    QUICK = dict(switches=24, events=8, cvt_iterations=5)
+
+    def __post_init__(self) -> None:
+        check_bounds(self, switches=(4, None), events=(0, None),
+                     drop=(0, 1), dup=(0, 1), delay=(0, 1),
+                     reorder_window=(1, None),
+                     servers_per_switch=(1, None),
+                     cvt_iterations=(0, None), max_sweeps=(1, None))
+
+
 @scoped_registry()
-def run_convergence(
-    switches: int = 200,
-    events: int = 30,
-    drop: float = 0.2,
-    dup: float = 0.05,
-    delay: float = 0.0,
-    reorder_window: int = 4,
-    servers_per_switch: int = 2,
-    cvt_iterations: int = 15,
-    seed: int = 0,
-    max_sweeps: int = 12,
-    policy: Optional[RetryPolicy] = None,
-) -> Dict:
+def run_convergence(config: ConvergenceConfig) -> Dict:
     """Random churn over a seeded lossy channel, then reconcile.
 
     Returns the deterministic ``gred-convergence-v1`` report.  The run
@@ -125,21 +143,23 @@ def run_convergence(
     ``controlplane.southbound.*`` counters in the report belong to this
     experiment alone.
     """
-    topology = build_topology(switches, 3, seed)
+    seed, servers_per_switch = config.seed, config.servers_per_switch
+    topology = build_topology(config.switches, 3, seed)
     controller = Controller(
         topology, attach_uniform(topology.nodes(), servers_per_switch),
-        config=ControllerConfig(cvt_iterations=cvt_iterations,
+        config=ControllerConfig(cvt_iterations=config.cvt_iterations,
                                 seed=seed),
     )
-    channel = FaultyChannel(drop=drop, dup=dup, delay=delay,
-                            reorder_window=reorder_window,
+    channel = FaultyChannel(drop=config.drop, dup=config.dup,
+                            delay=config.delay,
+                            reorder_window=config.reorder_window,
                             seed=seed + 1)
-    controller.attach_transport(channel, policy=policy)
+    controller.attach_transport(channel)
     rng = np.random.default_rng(seed + 2)
     joined: List[int] = []
     event_rows: List[Dict] = []
     skipped = 0
-    for j in range(events):
+    for j in range(config.events):
         kind = str(rng.choice(
             ["join", "leave", "add_link", "remove_link"],
             p=[0.4, 0.2, 0.2, 0.2]))
@@ -195,25 +215,14 @@ def run_convergence(
         event_rows.append(detail)
 
     divergence_before = len(controller.divergent_switches())
-    reconcile = controller.reconcile(max_sweeps=max_sweeps)
+    reconcile = controller.reconcile(max_sweeps=config.max_sweeps)
     divergence_after = len(controller.divergent_switches())
     mismatched = mismatched_switches(controller)
     violations = verify_installed_state(
         controller, desired_plan=controller.desired_plan())
     return {
         "format": CONVERGENCE_FORMAT,
-        "config": {
-            "switches": switches,
-            "events": events,
-            "drop": drop,
-            "dup": dup,
-            "delay": delay,
-            "reorder_window": reorder_window,
-            "servers_per_switch": servers_per_switch,
-            "cvt_iterations": cvt_iterations,
-            "seed": seed,
-            "max_sweeps": max_sweeps,
-        },
+        "config": echo(config),
         "events": event_rows,
         "events_applied": len(event_rows) - skipped,
         "events_skipped": skipped,
@@ -236,3 +245,71 @@ def run_convergence(
         "southbound_metrics": default_registry().counter_values(
             "controlplane.southbound."),
     }
+
+
+def check_convergence(report: Dict) -> List[str]:
+    """The convergence verdicts: every switch matches the
+    ``install_all_rules`` oracle and the verifier finds nothing."""
+    failures = []
+    if not report["oracle_match"]:
+        failures.append(f"switches {report['mismatched_switches']} "
+                        f"diverge from the install_all_rules oracle")
+    if report["verifier_violations"]:
+        failures.append(f"{report['verifier_violations']} verifier "
+                        f"violation(s) after reconcile")
+    return failures
+
+
+#: ``gred reconcile``'s CI threshold; the experiment's verdicts come
+#: with it.
+GATES = (
+    Gate("--max-divergence", "divergence.after_reconcile", False,
+         "{value} switch(es) stay divergent after reconcile, above the "
+         "--max-divergence gate {limit}",
+         "exit nonzero when more than N switches stay divergent after "
+         "the reconcile (CI gate; the experiment mode additionally "
+         "requires the install_all_rules oracle to match)",
+         type=int, checks=check_convergence),
+)
+
+
+def reconcile_snapshot(net, config: ConvergenceConfig
+                       ) -> Tuple[Dict, int, str]:
+    """``gred reconcile -n``: one anti-entropy reconcile of a restored
+    deployment; its report, how many switches stay divergent, and the
+    summary."""
+    report = net.controller.reconcile(
+        max_sweeps=config.max_sweeps).to_dict()
+    return report, len(report["divergent_final"]), render_reconcile(report)
+
+
+def render_reconcile(report: Dict) -> str:
+    """Human-readable digest of a snapshot reconcile."""
+    return "\n".join([
+        f"divergent switches : {report['divergent_initial']}",
+        f"sweeps             : {report['sweeps']}",
+        f"resyncs shipped    : {report['resynced']}",
+        f"pending drained    : {report['drained']}",
+        f"still divergent    : {report['divergent_final'] or 'none'}",
+    ])
+
+
+def render_convergence(report: Dict) -> str:
+    """Human-readable digest of a ``gred-convergence-v1`` report."""
+    config = report["config"]
+    divergence = report["divergence"]
+    return "\n".join([
+        f"churn              : {report['events_applied']} "
+        f"event(s) applied ({report['events_skipped']} skipped) "
+        f"over {config['switches']} switches",
+        f"channel faults     : drop={config['drop']:g} "
+        f"dup={config['dup']:g} delay={config['delay']:g} "
+        f"reorder_window={config['reorder_window']}",
+        f"southbound         : {tally(report['channel'], *CHANNEL_KEYS)}",
+        f"retries            : {report['totals']['retries']}",
+        f"divergence         : {divergence['before_reconcile']} "
+        f"before reconcile, {divergence['after_reconcile']} "
+        f"after ({report['reconcile']['sweeps']} sweep(s))",
+        f"oracle match       : {report['oracle_match']}",
+        f"verifier violations: {report['verifier_violations']}",
+    ])

@@ -21,7 +21,8 @@ Everything is deterministic under the seed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from ..edge import NO_STAMP, EdgeServer
 from ..faults import FailureDetector, FaultInjector
 from ..hashing import parse_replica_id, replica_id
 from ..obs import default_registry, scoped_registry
+from ..report import Gate, check_bounds, echo, flag, tally
 from .common import build_gred, build_topology
 
 #: Format marker of the ``gred scrub`` JSON report.
@@ -42,13 +44,11 @@ _DELETED = object()
 def _live_holders(net, fault) -> Dict[str, Set[Tuple[int, int]]]:
     """Per replica id, the alive servers currently holding it."""
     holders: Dict[str, Set[Tuple[int, int]]] = {}
-    for switch in sorted(net.server_map):
-        for server in net.server_map[switch]:
-            if fault is not None and \
-                    not fault.server_alive(server.server_id):
-                continue
-            for copy_id in server.stored_ids():
-                holders.setdefault(copy_id, set()).add(server.server_id)
+    for server in net.servers():
+        if fault is not None and not fault.server_alive(server.server_id):
+            continue
+        for copy_id in server.stored_ids():
+            holders.setdefault(copy_id, set()).add(server.server_id)
     return holders
 
 
@@ -59,22 +59,19 @@ def _best_stamp_elsewhere(net, fault,
     by degraded-mode rerouting), tombstones and parked hints all
     count."""
     best: Dict[str, tuple] = {}
-    for switch in sorted(net.server_map):
-        for server in net.server_map[switch]:
-            if server.server_id == exclude:
-                continue
-            if fault is not None and \
-                    not fault.server_alive(server.server_id):
-                continue
-            carried = [(copy_id, server.stamp_of(copy_id) or NO_STAMP)
-                       for copy_id in server.stored_ids()]
-            carried += server.tombstones().items()
-            carried += [(hint.copy_id, hint.stamp)
-                        for hint in server.hints()]
-            for copy_id, stamp in carried:
-                base, _ = parse_replica_id(copy_id)
-                if stamp > best.get(base, NO_STAMP):
-                    best[base] = stamp
+    for server in net.servers():
+        if server.server_id == exclude:
+            continue
+        if fault is not None and not fault.server_alive(server.server_id):
+            continue
+        carried = [(copy_id, server.stamp_of(copy_id) or NO_STAMP)
+                   for copy_id in server.stored_ids()]
+        carried += server.tombstones().items()
+        carried += [(hint.copy_id, hint.stamp) for hint in server.hints()]
+        for copy_id, stamp in carried:
+            base, _ = parse_replica_id(copy_id)
+            if stamp > best.get(base, NO_STAMP):
+                best[base] = stamp
     return best
 
 
@@ -119,8 +116,7 @@ def _crash_window(net, injector, rng, catalog: Dict[str, int],
     replica; returns the event rows (skips recorded explicitly)."""
     events: List[Dict] = []
     crashed = 0
-    pool = [server for switch in sorted(net.server_map)
-            for server in net.server_map[switch]]
+    pool = net.servers()
     order = rng.permutation(len(pool))
     for k in order:
         if crashed >= count:
@@ -147,20 +143,42 @@ def _alive_entry(net, injector, rng) -> int:
     return int(ids[int(rng.integers(0, len(ids)))])
 
 
+@dataclass
+class DurabilityConfig:
+    """The deployment and fault schedule of :func:`run_durability`."""
+
+    switches: int = flag(40)
+    servers_per_switch: int = flag(2, "servers per switch",
+                                   name="--servers")
+    items: int = flag(120, "items seeded before the fault schedule")
+    copies: int = flag(2, "replicas per item")
+    ops: int = flag(80, "delete-heavy write ops driven through the "
+                        "partitioned network")
+    crash_fraction: float = flag(
+        0.2, "fraction of edge servers crashed before the partition "
+             "window")
+    partition_fraction: float = flag(
+        0.3, "fraction of switches split away during the write workload")
+    late_crashes: int = flag(3, "extra crashes inside the partition "
+                                "window")
+    cvt_iterations: int = flag(10)
+    seed: int = flag(0)
+    max_sweeps: int = flag(6, "scrub sweep budget")
+
+    #: ``--quick``: the CI smoke preset's shape (see SloConfig.QUICK).
+    QUICK = dict(switches=24, items=60, ops=40, cvt_iterations=5)
+
+    def __post_init__(self) -> None:
+        check_bounds(self, switches=(4, None),
+                     servers_per_switch=(1, None), items=(1, None),
+                     copies=(1, None), ops=(0, None),
+                     crash_fraction=(0, 1), partition_fraction=(0, 1),
+                     late_crashes=(0, None), cvt_iterations=(0, None),
+                     max_sweeps=(1, None))
+
+
 @scoped_registry()
-def run_durability(
-    switches: int = 40,
-    servers_per_switch: int = 2,
-    items: int = 120,
-    copies: int = 2,
-    ops: int = 80,
-    crash_fraction: float = 0.2,
-    partition_fraction: float = 0.3,
-    late_crashes: int = 3,
-    cvt_iterations: int = 10,
-    seed: int = 0,
-    max_sweeps: int = 6,
-) -> Dict:
+def run_durability(config: DurabilityConfig) -> Dict:
     """Crash + partition + delete-heavy churn, then one scrub.
 
     Returns the deterministic ``gred-durability-v1`` report.  The run
@@ -168,8 +186,10 @@ def run_durability(
     the ``durability.*`` counters in the report belong to this
     experiment alone.
     """
-    topology = build_topology(switches, 3, seed)
-    net = build_gred(topology, servers_per_switch, cvt_iterations, seed)
+    seed, copies = config.seed, config.copies
+    topology = build_topology(config.switches, 3, seed)
+    net = build_gred(topology, config.servers_per_switch,
+                     config.cvt_iterations, seed)
     injector = FaultInjector(net, seed=seed + 1)
     net.hinted_handoff = True
     rng = np.random.default_rng(seed + 2)
@@ -178,7 +198,7 @@ def run_durability(
     events: List[Dict] = []
 
     # Phase 1 — seed the catalog (stamped: the fault state is attached).
-    for i in range(items):
+    for i in range(config.items):
         data_id = f"item-{i:04d}"
         payload = f"v1:{data_id}"
         net.place(data_id, payload=payload,
@@ -191,7 +211,7 @@ def run_durability(
     # Phase 2 — crash window (>= crash_fraction of all servers), then
     # repair: re-replication restores the replica counts.
     total_servers = sum(len(v) for v in net.server_map.values())
-    crash_count = int(np.ceil(crash_fraction * total_servers))
+    crash_count = int(np.ceil(config.crash_fraction * total_servers))
     events += _crash_window(net, injector, rng, catalog, crash_count)
     repair_1 = detector.repair()
     events.append({"kind": "repair",
@@ -204,7 +224,7 @@ def run_durability(
     # both sides.  Writes toward the far side park as hints; replicas
     # split across the cut go stale.
     ids = sorted(net.switch_ids())
-    side_size = max(1, int(partition_fraction * len(ids)))
+    side_size = max(1, int(config.partition_fraction * len(ids)))
     side = [int(ids[int(k)]) for k in rng.choice(len(ids),
                                                  size=side_size,
                                                  replace=False)]
@@ -212,7 +232,7 @@ def run_durability(
     events.append({"kind": "partition", "switches": sorted(side)})
     version = 2
     known = sorted(oracle)
-    for j in range(ops):
+    for j in range(config.ops):
         op = str(rng.choice(["delete", "update", "place"],
                             p=[0.5, 0.3, 0.2]))
         entry = _alive_entry(net, injector, rng)
@@ -250,7 +270,8 @@ def run_durability(
     # Phase 4 — crashes *inside* the partition, heal, repair: the
     # tombstone-aware re-replication rebuilds from survivors that may
     # be stale, manufacturing exactly the divergence a scrub must fix.
-    events += _crash_window(net, injector, rng, catalog, late_crashes)
+    events += _crash_window(net, injector, rng, catalog,
+                            config.late_crashes)
     injector.heal_partition()
     events.append({"kind": "heal_partition"})
     repair_2 = detector.repair()
@@ -263,11 +284,9 @@ def run_durability(
     })
 
     # Phase 5 — measure, scrub, re-measure.
-    hints_parked = sum(server.hint_count
-                       for switch in sorted(net.server_map)
-                       for server in net.server_map[switch])
+    hints_parked = sum(server.hint_count for server in net.servers())
     divergence_before = storage_divergence(net, catalog)
-    scrub_report = net.scrub(catalog, max_sweeps=max_sweeps)
+    scrub_report = net.scrub(catalog, max_sweeps=config.max_sweeps)
     divergence_after = storage_divergence(net, catalog)
 
     # Phase 6 — oracle verdicts + retrieval availability.
@@ -289,14 +308,10 @@ def run_durability(
         if not live:
             lost.append(data_id)
             continue
-        for copy_id in live:
-            for server_id in sorted(holders[copy_id]):
-                if net.server(*server_id).retrieve(copy_id) != want:
-                    stale.append(data_id)
-                    break
-            else:
-                continue
-            break
+        if any(net.server(*server_id).retrieve(copy_id) != want
+               for copy_id in live
+               for server_id in sorted(holders[copy_id])):
+            stale.append(data_id)
         result = net.retrieve(data_id,
                               entry_switch=_alive_entry(net, injector,
                                                         rng),
@@ -305,31 +320,16 @@ def run_durability(
             unavailable.append(data_id)
 
     deleted_total = sum(1 for v in oracle.values() if v is _DELETED)
+    crashes = sum(1 for e in events if e["kind"] == "server_crash")
     return {
         "format": DURABILITY_FORMAT,
-        "config": {
-            "switches": switches,
-            "servers_per_switch": servers_per_switch,
-            "items": items,
-            "copies": copies,
-            "ops": ops,
-            "crash_fraction": crash_fraction,
-            "partition_fraction": partition_fraction,
-            "late_crashes": late_crashes,
-            "cvt_iterations": cvt_iterations,
-            "seed": seed,
-            "max_sweeps": max_sweeps,
-            "avoid_total_loss": True,
-        },
+        "config": {**echo(config), "avoid_total_loss": True},
         "events": events,
         "workload": {
             "items_placed": len(oracle),
             "items_deleted": deleted_total,
-            "crashes": sum(1 for e in events
-                           if e["kind"] == "server_crash"),
-            "crash_fraction_actual": round(
-                sum(1 for e in events
-                    if e["kind"] == "server_crash") / total_servers, 4),
+            "crashes": crashes,
+            "crash_fraction_actual": round(crashes / total_servers, 4),
             "hints_parked_pre_scrub": hints_parked,
         },
         "divergence": {
@@ -347,3 +347,83 @@ def run_durability(
         "durability_metrics": default_registry().counter_values(
             "durability."),
     }
+
+
+def oracle_verdicts(report: Dict) -> str:
+    """How the storage plane differs from the fault-free oracle."""
+    keys = ("resurrected", "lost", "stale", "unavailable")
+    return tally({key: len(report[key]) for key in keys}, *keys)
+
+
+def check_durability(report: Dict) -> List[str]:
+    """The durability verdict: the scrubbed storage plane matches the
+    fault-free oracle."""
+    return ([] if report["oracle_match"] else
+            ["storage plane diverges from the fault-free oracle: "
+             + oracle_verdicts(report)])
+
+
+#: ``gred scrub``'s CI threshold; the experiment's verdict comes with
+#: it.
+GATES = (
+    Gate("--max-divergence", "divergence.after_scrub", False,
+         "{value} (server, range) pair(s) stay divergent after scrub, "
+         "above the --max-divergence gate {limit}",
+         "exit nonzero when more than N (server, hash-range) pairs stay "
+         "divergent after the scrub (CI gate; the experiment mode "
+         "additionally requires the fault-free oracle to match: zero "
+         "resurrected, lost or stale items)",
+         type=int, checks=check_durability),
+)
+
+
+def scrub_snapshot(net, config: DurabilityConfig) -> Tuple[Dict, int, str]:
+    """``gred scrub -n``: one scrub of a restored deployment's storage
+    plane; its report, the (server, range) pairs still divergent, and
+    the summary."""
+    report = net.scrub(max_sweeps=config.max_sweeps).to_dict()
+    divergent = storage_divergence(net)
+    return report, divergent, render_scrub(report, divergent)
+
+
+def render_scrub(report: Dict, divergent: int) -> str:
+    """Human-readable digest of a snapshot scrub."""
+    return "\n".join([
+        f"sweeps             : {report['sweeps']}",
+        f"hints drained      : {report['hints_drained']}",
+        f"repairs            : {report['repairs']}",
+        f"resurrections cut  : {report['resurrections_removed']}",
+        f"orphans removed    : {report['orphans_removed']}",
+        f"tombstones gc'd    : {report['tombstones_gced']}",
+        f"unreachable skips  : {report['skipped_unreachable']}",
+        f"still divergent    : {divergent}",
+    ])
+
+
+def render_durability(report: Dict) -> str:
+    """Human-readable digest of a ``gred-durability-v1`` report."""
+    config = report["config"]
+    workload = report["workload"]
+    divergence = report["divergence"]
+    scrub_stats = report["scrub"]
+    return "\n".join([
+        f"workload           : {workload['items_placed']} "
+        f"item(s), {workload['items_deleted']} deleted, "
+        f"{config['ops']} op(s) under partition",
+        f"faults             : {workload['crashes']} crash(es) "
+        f"({workload['crash_fraction_actual']:.0%} of servers), "
+        f"partition_fraction={config['partition_fraction']:g}",
+        f"hints              : "
+        f"{workload['hints_parked_pre_scrub']} parked, "
+        f"{scrub_stats['hints_drained']} drained by scrub",
+        f"divergence         : {divergence['before_scrub']} "
+        f"before scrub, {divergence['after_scrub']} after "
+        f"({scrub_stats['sweeps']} sweep(s), "
+        f"{scrub_stats['repairs']} repair(s))",
+        f"tombstones         : "
+        f"{scrub_stats['resurrections_removed']} "
+        f"resurrection(s) cut, {scrub_stats['tombstones_gced']} "
+        f"gc'd",
+        f"oracle verdicts    : {oracle_verdicts(report)}",
+        f"oracle match       : {report['oracle_match']}",
+    ])

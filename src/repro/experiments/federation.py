@@ -27,7 +27,8 @@ count (``--max-foreign-touched``, default 0).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from ..controlplane.southbound import Probe
 from ..core import GredNetwork
 from ..edge import EdgeServer
 from ..topology import federated_topology
-from .common import build_topology, mean_or_zero
+from ..report import Gate, check_bounds, echo, flag
+from .common import build_topology, format_table, mean_or_zero
 
 #: Format marker of the ``gred federate`` JSON report.
 FEDERATE_FORMAT = "gred-federate-v1"
@@ -91,33 +93,59 @@ def single_region_differential(num_switches: int = 40,
     }
 
 
-def run_federation_scaling(
-    total_switches: Sequence[int] = (1000, 5000),
-    switches_per_region: int = 250,
-    min_regions: int = 4,
-    servers_per_switch: int = 2,
-    cvt_iterations: int = 8,
-    num_joins: int = 8,
-    num_requests: int = 256,
-    copies: int = 2,
-    seed: int = 0,
-) -> Dict:
+@dataclass
+class FederationConfig:
+    """The sweep of :func:`run_federation_scaling`."""
+
+    total_switches: Tuple[int, ...] = flag(
+        (1000, 5000), "total switch counts to sweep (default: 1000 5000)",
+        name="--sizes", nargs="+", metavar="N")
+    switches_per_region: int = flag(
+        250, "switches per region (default: 250)", name="--per-region",
+        metavar="N")
+    min_regions: int = 4
+    servers_per_switch: int = flag(2, "servers per switch",
+                                   name="--servers")
+    cvt_iterations: int = flag(8)
+    num_joins: int = flag(8, "switch joins, round-robin across regions",
+                          name="--joins")
+    num_requests: int = flag(
+        256, "data items placed and retrieved through the overlay",
+        name="--requests")
+    copies: int = flag(2)
+    seed: int = flag(0)
+
+    #: ``--quick``: the CI smoke preset's shape (see SloConfig.QUICK).
+    QUICK = dict(total_switches=(48, 96), switches_per_region=12,
+                 cvt_iterations=4, num_joins=4, num_requests=96)
+
+    def __post_init__(self) -> None:
+        check_bounds(self, total_switches=(1, None),
+                     switches_per_region=(1, None), min_regions=(1, None),
+                     servers_per_switch=(1, None),
+                     cvt_iterations=(0, None), num_joins=(0, None),
+                     num_requests=(1, None), copies=(1, None))
+
+
+def run_federation_scaling(config: FederationConfig) -> Dict:
     """The federation scaling report (see module docstring).
 
     Region count grows with the total (``total // switches_per_region``,
     at least ``min_regions``); the per-shard metrics must stay flat
     across rows while the totals grow 5x.
     """
+    seed, copies = config.seed, config.copies
     rows: List[Dict] = []
-    for total in total_switches:
-        regions = max(min_regions, total // switches_per_region)
+    for total in config.total_switches:
+        regions = max(config.min_regions,
+                      total // config.switches_per_region)
         per_region = max(4, total // regions)
         topology, assignment = federated_topology(
             regions, per_region, min_degree=3, seed=seed)
         fed = FederatedNetwork(
             topology, assignment=assignment,
-            servers_per_switch=servers_per_switch,
-            cvt_iterations=cvt_iterations, seed=seed)
+            servers_per_switch=config.servers_per_switch,
+            cvt_iterations=config.cvt_iterations, seed=seed)
         # Per-shard full recompute: the cost of rebuilding one region's
         # embedding + DT + rules from scratch, which in the monolith
         # grew with the global n.
@@ -128,7 +156,7 @@ def run_federation_scaling(
             recompute_seconds.append(time.perf_counter() - start)
         channels = fed.controller.attach_channels()
         # Warm each shard's planes with a batch round before churn.
-        ids = [f"fed/{total}/{i}" for i in range(num_requests)]
+        ids = [f"fed/{total}/{i}" for i in range(config.num_requests)]
         digests = fed.shards[sorted(fed.shards)[0]].net.prehash(
             ids, copies)
         place_results = fed.place_many(
@@ -141,7 +169,7 @@ def run_federation_scaling(
         home_touched: List[int] = []
         foreign_messages_total = 0
         join_seconds: List[float] = []
-        for j in range(num_joins):
+        for j in range(config.num_joins):
             rid = sorted(fed.shards)[j % regions]
             members = fed.shards[rid].net.switch_ids()
             peers = [int(members[int(v)]) for v in
@@ -150,9 +178,9 @@ def run_federation_scaling(
                 channel.clear()
             new_id = 1_000_000 + j
             start = time.perf_counter()
-            fed.add_switch(new_id, peers,
-                           servers=[EdgeServer(new_id, s)
-                                    for s in range(servers_per_switch)])
+            fed.add_switch(new_id, peers, servers=[
+                EdgeServer(new_id, s)
+                for s in range(config.servers_per_switch)])
             join_seconds.append(time.perf_counter() - start)
             home_messages.append(
                 channels[rid].count(exclude=(Probe,)))
@@ -179,7 +207,7 @@ def run_federation_scaling(
                     intra_hops.append(record.physical_hops)
         total_records = cross + len(intra_hops)
         rows.append({
-            "total_switches": total + num_joins,
+            "total_switches": total + config.num_joins,
             "regions": regions,
             "switches_per_region": per_region,
             "mean_shard_recompute_s": round(mean_or_zero(recompute_seconds),
@@ -197,16 +225,52 @@ def run_federation_scaling(
         })
     return {
         "format": FEDERATE_FORMAT,
-        "total_switches": list(total_switches),
-        "switches_per_region": switches_per_region,
-        "min_regions": min_regions,
-        "servers_per_switch": servers_per_switch,
-        "cvt_iterations": cvt_iterations,
-        "num_joins": num_joins,
-        "num_requests": num_requests,
-        "copies": copies,
-        "seed": seed,
+        **echo(config),
         "single_region_differential": single_region_differential(
             seed=seed),
         "rows": rows,
     }
+
+
+def check_federation(report: Dict) -> List[str]:
+    """The invariants of a federation report: every retrieval found its
+    item, and a 1-region federation is the monolithic controller."""
+    failures = [
+        f"{row['requests'] - row['retrieved_found']} of "
+        f"{row['requests']} retrievals missed at "
+        f"n={row['total_switches']}"
+        for row in report["rows"]
+        if row["retrieved_found"] != row["requests"]]
+    return failures + [
+        f"single-region differential mismatch: {key}={value} "
+        f"(1-region federation must be identical to the monolithic "
+        f"controller)"
+        for key, value in report["single_region_differential"].items()
+        if key != "switches" and value is not True]
+
+
+#: ``gred federate``'s CI threshold.
+GATES = (
+    Gate("--max-foreign-touched", "rows.foreign_messages", False,
+         "churn at n={row[total_switches]} shipped {value} southbound "
+         "message(s) into foreign regions > --max-foreign-touched "
+         "{limit:g}",
+         "exit nonzero when churn ships more than N southbound messages "
+         "into foreign regions (default 0: perfect isolation)",
+         default=0, checks=check_federation),
+)
+
+
+def render_federation(report: Dict) -> str:
+    """The federation report's table and differential verdicts."""
+    table = format_table(
+        report["rows"],
+        ["total_switches", "regions", "mean_shard_recompute_s",
+         "avg_join_messages", "foreign_messages",
+         "cross_region_fraction", "retrieved_found"],
+        "federation: flat per-shard cost, zero foreign churn traffic")
+    differential = report["single_region_differential"]
+    return (f"{table}\nsingle-region differential vs monolith: "
+            + ", ".join(f"{key}={value}"
+                        for key, value in differential.items()
+                        if key != "switches"))

@@ -26,7 +26,7 @@ values, so two runs with the same config are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ import numpy as np
 from ..core import GredNetwork
 from ..controlplane.southbound import RecordingChannel
 from ..controlplane.verification import verify_installed_state
-from ..edge import attach_uniform
 from ..obs import MetricsRegistry, default_registry, scoped_registry
+from ..report import CHANNEL_KEYS, Gate, check_bounds, flag, tally
 from ..simulation import LinkModel, PacketLevelSimulator
 from ..topology import brite_waxman_graph
 from ..workloads import uniform_retrieval_trace
@@ -48,27 +48,33 @@ from .plan import FaultEvent, FaultPlan
 class ChaosConfig:
     """Parameters of one chaos experiment."""
 
-    switches: int = 30
-    min_degree: int = 3
-    servers_per_switch: int = 2
-    cvt_iterations: int = 20
-    items: int = 60
-    copies: int = 3
-    requests: int = 120
-    seed: int = 0
+    switches: int = flag(30)
+    min_degree: int = flag(3)
+    servers_per_switch: int = flag(2, "servers per switch",
+                                   name="--servers")
+    cvt_iterations: int = flag(20)
+    items: int = flag(60)
+    copies: int = flag(3)
+    requests: int = flag(120)
+    seed: int = flag(0)
     #: Faults to inject; ``None`` crashes one random switch at
     #: ``duration / 2``.
-    plan: Optional[FaultPlan] = None
+    plan: Optional[FaultPlan] = flag(
+        None, "JSON fault plan; default crashes one random switch "
+              "mid-trace", metavar="FILE", parse=FaultPlan.from_json)
     #: Control-channel faults (``control_*`` events) applied *before*
     #: the load window: the whole run, including repair, then goes
     #: through a lossy southbound channel, and the harness finishes
     #: with an anti-entropy reconcile whose outcome lands in the
     #: report's ``southbound`` section.
-    control_plan: Optional[FaultPlan] = None
-    #: Length of the request window in simulated seconds.
-    duration: float = 1.0
-    #: Heartbeat period of the failure detector.
-    detection_interval: float = 0.1
+    control_plan: Optional[FaultPlan] = flag(
+        None, "JSON fault plan of control_* events that degrade the "
+              "southbound channel for the whole run; the harness "
+              "finishes with an anti-entropy reconcile",
+        metavar="FILE", parse=FaultPlan.from_json)
+    duration: float = flag(1.0, "request window in simulated seconds")
+    detection_interval: float = flag(
+        0.1, "heartbeat period of the failure detector")
     request_size: int = 256
     response_size: int = 4096
     #: Packet-sim retransmission budget per request.
@@ -76,30 +82,18 @@ class ChaosConfig:
     retry_backoff: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.switches < 2:
-            raise ValueError("a chaos run needs at least 2 switches")
-        if self.items < 1 or self.requests < 0:
-            raise ValueError("items must be >= 1 and requests >= 0")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
+        check_bounds(self, switches=(2, None), items=(1, None),
+                     requests=(0, None), copies=(1, None))
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
     def to_dict(self) -> Dict:
-        return {
-            "switches": self.switches,
-            "min_degree": self.min_degree,
-            "servers_per_switch": self.servers_per_switch,
-            "cvt_iterations": self.cvt_iterations,
-            "items": self.items,
-            "copies": self.copies,
-            "requests": self.requests,
-            "seed": self.seed,
-            "duration": self.duration,
-            "detection_interval": self.detection_interval,
-            "control_plan": (self.control_plan.to_dict()
-                             if self.control_plan is not None else None),
-        }
+        """The flagged fields but the plan (the report lists it)."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if "flag" in f.metadata and f.name != "plan"}
+        if self.control_plan is not None:
+            record["control_plan"] = self.control_plan.to_dict()
+        return record
 
 
 def _retrieval_pass(net: GredNetwork, item_ids: List[str],
@@ -144,9 +138,7 @@ def run_chaos(config: ChaosConfig) -> Dict:
     topology, _ = brite_waxman_graph(
         config.switches, min_degree=config.min_degree,
         rng=np.random.default_rng(config.seed))
-    servers = attach_uniform(
-        topology.nodes(), servers_per_switch=config.servers_per_switch)
-    net = GredNetwork(topology, servers,
+    net = GredNetwork(topology, servers_per_switch=config.servers_per_switch,
                       cvt_iterations=config.cvt_iterations,
                       seed=config.seed)
     item_ids = [f"chaos-{i}" for i in range(config.items)]
@@ -263,3 +255,54 @@ def run_chaos(config: ChaosConfig) -> Dict:
             if southbound_summary is not None else 0),
         "faults_metrics": _faults_counters(registry),
     }
+
+
+#: ``gred chaos``'s CI threshold.
+GATES = (
+    Gate("--min-availability", "availability", True,
+         "recovered availability {value:.4f} is below the "
+         "--min-availability gate {limit}",
+         "exit nonzero when recovered availability falls below this "
+         "threshold (CI gate)", metavar="FRACTION"),
+)
+
+
+def render_chaos(report: Dict) -> str:
+    """Human-readable digest of a chaos report."""
+    repair = report["repair"]
+    events = report["plan"]["events"]
+    lines = [
+        f"baseline availability  : "
+        f"{report['baseline']['availability']:.3f} "
+        f"({report['baseline']['mean_round_trip_hops']:.2f} hops)",
+        (f"fault plan             : {len(events)} event(s), "
+         f"first at t={events[0]['time']:.3f}" if events
+         else "fault plan             : empty"),
+        f"under faults           : {report['under_faults']['completed']}"
+        f"/{report['under_faults']['requests']} requests completed, "
+        f"{report['under_faults']['failed']} failed",
+        f"dead switches detected : {repair['dead_switches']}",
+        f"stranded switches      : {repair['stranded_switches']}",
+        f"servers replaced       : {repair['servers_replaced']}",
+        f"re-replicated copies   : {report['re_replicated']}",
+        f"items lost             : {report['items_lost']}",
+        f"recovery time          : {report['recovery_time']:.3f}s",
+        f"recovered availability : {report['availability']:.3f} "
+        f"({report['recovered']['mean_round_trip_hops']:.2f} hops, "
+        f"inflation x{report['hop_inflation']:.2f})",
+        f"verifier violations    : {report['verifier_violations']}",
+    ]
+    southbound = report.get("southbound")
+    if southbound is not None:
+        stats = southbound["channel"]
+        reconcile = southbound["reconcile"]
+        lines += [
+            f"southbound channel     : {tally(stats, *CHANNEL_KEYS)}",
+            f"reconcile              : "
+            f"{reconcile['divergent_initial']} divergent, "
+            f"{reconcile['sweeps']} sweep(s), "
+            f"{reconcile['resynced']} resync(s), "
+            f"{reconcile['drained']} drained, "
+            f"converged={reconcile['converged']}",
+        ]
+    return "\n".join(lines)

@@ -27,12 +27,19 @@ from __future__ import annotations
 
 import json
 import platform
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import obs
+from .core.network import GredNetwork
+from .faults import FaultInjector, FaultPlan
+from .obs import spans
+from .report import Gate, check_bounds, echo, flag, gate_failures
 from .resilience import ResilienceConfig
+from .topology import brite_waxman_graph
 
 #: Default load factors: below capacity and well above it.
 DEFAULT_LOAD_FACTORS: Tuple[float, ...] = (0.8, 1.5)
@@ -48,24 +55,32 @@ class SloConfig:
     is ``rate_per_switch × entry_switches`` requests/second.
     """
 
-    switches: int = 200
-    entry_switches: int = 20
-    servers_per_switch: int = 4
-    min_degree: int = 3
-    cvt_iterations: int = 20
-    items: int = 1000
-    copies: int = 2
-    requests: int = 8000
-    seed: int = 0
-    load_factors: Tuple[float, ...] = DEFAULT_LOAD_FACTORS
-    deadline: float = 0.25
-    rate_per_switch: float = 200.0
-    burst: float = 40.0
-    queue_limit: int = 32
+    switches: int = flag(200)
+    entry_switches: int = flag(
+        20, "access gateways policed by admission control")
+    servers_per_switch: int = flag(4, "servers per switch",
+                                   name="--servers")
+    min_degree: int = flag(3)
+    cvt_iterations: int = flag(20)
+    items: int = flag(1000)
+    copies: int = flag(2)
+    requests: int = flag(8000, "requests per load point")
+    seed: int = flag(0)
+    load_factors: Tuple[float, ...] = flag(
+        DEFAULT_LOAD_FACTORS, "offered load as fractions of capacity "
+                              "(default: 0.8 1.5)",
+        nargs="+", metavar="FACTOR", cli_default=None)
+    deadline: float = flag(0.25, "per-request SLO deadline in seconds")
+    rate_per_switch: float = flag(
+        200.0, "admission tokens/second per entry switch", name="--rate")
+    burst: float = flag(40.0, "admission token-bucket capacity")
+    queue_limit: int = flag(32, "pending-queue bound per entry switch")
     #: Fraction of requests at priority 0 (best effort), 1 (normal),
     #: 2 (critical); must sum to 1.
     priority_mix: Tuple[float, float, float] = (0.2, 0.6, 0.2)
-    plan: Any = None  # Optional[repro.faults.FaultPlan]
+    plan: Optional[FaultPlan] = flag(
+        None, "JSON fault plan replayed on the arrival clock",
+        metavar="FILE", parse=FaultPlan.from_json)
     max_attempts: int = 3
     hedge_enabled: bool = True
     #: SLO success target used for burn-rate gauges (budget is
@@ -75,10 +90,8 @@ class SloConfig:
     trace_sample_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.entry_switches < 1 or self.entry_switches > self.switches:
-            raise ValueError(
-                f"entry_switches must be in [1, switches], got "
-                f"{self.entry_switches}")
+        check_bounds(self, entry_switches=(1, self.switches),
+                     trace_sample_rate=(0, 1))
         if abs(sum(self.priority_mix) - 1.0) > 1e-9:
             raise ValueError(
                 f"priority_mix must sum to 1, got {self.priority_mix}")
@@ -90,17 +103,18 @@ class SloConfig:
         if not 0.0 <= self.objective < 1.0:
             raise ValueError(
                 f"objective must be in [0, 1), got {self.objective}")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0, 1], got "
-                f"{self.trace_sample_rate}")
+
+    #: ``--quick``: the shape of the CI smoke preset (~seconds); the
+    #: CLI honours every other flag.
+    QUICK = dict(switches=16, entry_switches=6, servers_per_switch=2,
+                 min_degree=3, cvt_iterations=5, items=60, copies=2,
+                 requests=400, deadline=0.25, rate_per_switch=50.0,
+                 burst=20, queue_limit=16)
 
     @classmethod
     def quick(cls) -> "SloConfig":
         """CI smoke preset: tiny topology and workload (~seconds)."""
-        return cls(switches=16, entry_switches=6, servers_per_switch=2,
-                   cvt_iterations=5, items=60, requests=400,
-                   rate_per_switch=50.0, burst=20, queue_limit=16)
+        return cls(**cls.QUICK)
 
     def resilience_config(self) -> ResilienceConfig:
         return ResilienceConfig(
@@ -121,19 +135,13 @@ class SloConfig:
 
 
 def _build_network(config: SloConfig):
-    from .core.network import GredNetwork
-    from .edge import attach_uniform
-    from .topology import brite_waxman_graph
-
     topology, _ = brite_waxman_graph(
         config.switches, min_degree=config.min_degree,
         rng=np.random.default_rng(config.seed))
-    servers = attach_uniform(
-        topology.nodes(), servers_per_switch=config.servers_per_switch)
-    net = GredNetwork(topology, servers,
-                      cvt_iterations=config.cvt_iterations,
-                      seed=config.seed)
-    return net
+    return GredNetwork(topology,
+                       servers_per_switch=config.servers_per_switch,
+                       cvt_iterations=config.cvt_iterations,
+                       seed=config.seed)
 
 
 def _place_catalog(net, config: SloConfig) -> List[str]:
@@ -176,13 +184,6 @@ class _PointTally:
 def _run_point(config: SloConfig, load_factor: float) -> Dict[str, Any]:
     """One load point: fresh deployment, catalog, pipeline and
     registry (so counters are exactly this point's)."""
-    from . import obs
-    from .faults import FaultInjector
-
-    from contextlib import nullcontext
-
-    from .obs import spans
-
     with obs.scoped_registry() as registry:
         # Setup (topology build + catalog placement) is not request
         # traffic: keep it out of the trace so sampled traces are all
@@ -303,8 +304,6 @@ def run_loadtest(config: Optional[SloConfig] = None,
     automatically.  The report gains a deterministic
     ``trace_summary`` block whenever tracing is on.
     """
-    from .obs import spans
-
     config = config or SloConfig()
     if recorder is None and config.trace_sample_rate > 0:
         recorder = spans.SpanRecorder(
@@ -326,29 +325,9 @@ def run_loadtest(config: Optional[SloConfig] = None,
         }
     return {
         "format": "gred-loadtest-v1",
-        "config": {
-            "switches": config.switches,
-            "entry_switches": config.entry_switches,
-            "servers_per_switch": config.servers_per_switch,
-            "min_degree": config.min_degree,
-            "cvt_iterations": config.cvt_iterations,
-            "items": config.items,
-            "copies": config.copies,
-            "requests": config.requests,
-            "seed": config.seed,
-            "load_factors": list(config.load_factors),
-            "deadline": config.deadline,
-            "rate_per_switch": config.rate_per_switch,
-            "burst": config.burst,
-            "queue_limit": config.queue_limit,
-            "priority_mix": list(config.priority_mix),
-            "max_attempts": config.max_attempts,
-            "hedge_enabled": config.hedge_enabled,
-            "objective": config.objective,
-            "trace_sample_rate": config.trace_sample_rate,
-            "fault_events": (len(config.plan)
-                             if config.plan is not None else 0),
-        },
+        "config": {**echo(config, "plan"),
+                   "fault_events": (len(config.plan)
+                                    if config.plan is not None else 0)},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -359,33 +338,32 @@ def run_loadtest(config: Optional[SloConfig] = None,
     }
 
 
+#: ``gred loadtest``'s CI thresholds.  Goodput is gated at or below
+#: capacity only: above it, admission is *supposed* to shed the
+#: excess.  Whatever is admitted must meet its deadline everywhere.
+GATES = (
+    Gate("--min-goodput", "points.goodput", True,
+         "goodput {value:.4f} at {row[load_factor]}x capacity is below "
+         "the --min-goodput gate {limit}",
+         "exit nonzero when goodput at any at-or-below-capacity point "
+         "falls below this threshold (CI gate)", metavar="FRACTION",
+         where=lambda point: point["load_factor"] <= 1.0),
+    Gate("--min-attainment", "points.slo_attainment", True,
+         "SLO attainment {value:.4f} at {row[load_factor]}x capacity is "
+         "below the --min-attainment gate {limit}",
+         "exit nonzero when SLO attainment at any point falls below "
+         "this threshold (CI gate)", metavar="FRACTION"),
+)
+
+
 def evaluate_gates(report: Dict[str, Any],
                    min_goodput: Optional[float] = None,
                    min_attainment: Optional[float] = None
                    ) -> List[str]:
-    """CI gate checks; returns failure messages (empty = all pass).
-
-    ``min_goodput`` applies to load points at or below capacity
-    (``load_factor <= 1``) — above capacity, goodput is *supposed* to
-    drop as admission sheds the excess.  ``min_attainment`` applies to
-    every point: whatever is admitted must meet its deadline.
-    """
-    failures: List[str] = []
-    for point in report["points"]:
-        factor = point["load_factor"]
-        if (min_goodput is not None and factor <= 1.0
-                and point["goodput"] < min_goodput):
-            failures.append(
-                f"goodput {point['goodput']:.4f} at {factor}x capacity "
-                f"is below the --min-goodput gate {min_goodput}")
-        attainment = point["slo_attainment"]
-        if (min_attainment is not None and attainment is not None
-                and attainment < min_attainment):
-            failures.append(
-                f"SLO attainment {attainment:.4f} at {factor}x "
-                f"capacity is below the --min-attainment gate "
-                f"{min_attainment}")
-    return failures
+    """CI gate checks (:data:`GATES`); returns failure messages (empty
+    = all pass)."""
+    return gate_failures(GATES, report, {"min_goodput": min_goodput,
+                                         "min_attainment": min_attainment})
 
 
 def render_summary(report: Dict[str, Any]) -> str:
