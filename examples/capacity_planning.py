@@ -20,7 +20,7 @@ from repro import (
     attach_uniform,
     brite_waxman_graph,
 )
-from repro.simulation import LinkModel, PacketLevelSimulator
+from repro.simulation import LatencyModel, PacketLevelSimulator
 from repro.workloads import (
     read_trace,
     sequential_ids,
@@ -44,10 +44,8 @@ def main() -> None:
 
     # A deliberately constrained physical network: 1 Gbps links and
     # 100 KB responses, so the knee is visible at simulation scale.
-    model = LinkModel(bandwidth_bytes_per_s=1.25e8,
-                      propagation_delay=5e-6,
-                      switch_processing=2e-6,
-                      server_service_time=50e-6)
+    model = LatencyModel(link_delay=5e-6, switch_delay=2e-6,
+                         server_service_time=50e-6)
 
     print(f"{'rate/s':>8}  {'GRED p99 (ms)':>14}  {'Chord p99 (ms)':>15}")
     knees = {"GRED": None, "Chord": None}
@@ -64,7 +62,8 @@ def main() -> None:
         trace = read_trace(io.StringIO(trace_to_string(trace)))
         p99 = {}
         for label, net in (("GRED", gred), ("Chord", chord)):
-            sim = PacketLevelSimulator(net, model)
+            sim = PacketLevelSimulator(
+                net, model, bandwidth_bytes_per_s=1.25e8)
             sim.run(trace, request_size=256, response_size=100_000)
             p99[label] = sim.p99_response_delay() * 1e3
             if knees[label] is None and p99[label] > SLO_P99_MS:

@@ -48,7 +48,7 @@ from .resilience import (
     ResilientOutcome,
 )
 from .metrics import max_avg_ratio, routing_stretch, summarize
-from .simulation import LatencyModel, ResponseDelaySimulator
+from .simulation import LatencyModel
 from .topology import (
     brite_waxman_graph,
     grid_graph,
@@ -91,7 +91,6 @@ __all__ = [
     "max_avg_ratio",
     "summarize",
     "LatencyModel",
-    "ResponseDelaySimulator",
     "brite_waxman_graph",
     "waxman_graph",
     "grid_graph",

@@ -261,7 +261,7 @@ def run_saturation(
     physical network it sustains a higher request rate before queueing
     delay takes off.
     """
-    from ..simulation import LinkModel, PacketLevelSimulator
+    from ..simulation import LatencyModel, PacketLevelSimulator
     from ..workloads import sequential_ids, uniform_retrieval_trace
 
     topology = build_topology(num_switches, 3, seed)
@@ -270,10 +270,8 @@ def run_saturation(
     items = sequential_ids(num_items, prefix="sat")
     # A deliberately constrained network so saturation is visible at
     # simulation-friendly rates: 1 Gbps links, 100 KB responses.
-    model = LinkModel(bandwidth_bytes_per_s=1.25e8,
-                      propagation_delay=5e-6,
-                      switch_processing=2e-6,
-                      server_service_time=50e-6)
+    model = LatencyModel(link_delay=5e-6, switch_delay=2e-6,
+                         server_service_time=50e-6)
     rows = []
     for rate in rates_per_s:
         count = max(1, int(rate * window))
@@ -282,7 +280,8 @@ def run_saturation(
             np.random.default_rng(seed + rate),
         )
         for label, net in (("GRED", gred), ("Chord", chord)):
-            sim = PacketLevelSimulator(net, model)
+            sim = PacketLevelSimulator(
+                net, model, bandwidth_bytes_per_s=1.25e8)
             sim.run(trace, request_size=256, response_size=100_000)
             rows.append({
                 "rate_per_s": rate,

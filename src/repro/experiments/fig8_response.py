@@ -4,10 +4,14 @@ The paper places data items on the prototype and measures the average
 response delay of retrieval requests, finding that the delay is low and
 changes only modestly with the number of requests, for both GRED and
 GRED-NoCVT.  The reproduction substitutes a discrete-event simulation
-with FIFO server queues (DESIGN.md Section 2).
+with FIFO server queues (DESIGN.md Section 2): the packet-level
+simulator at unbounded bandwidth, where no packet waits for a link and
+every hop costs the latency model's link and switch delay.
 """
 
 from __future__ import annotations
+
+import math
 
 from typing import Dict, List, Sequence
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from ..core import GredNetwork
 from ..edge import attach_uniform
-from ..simulation import LatencyModel, ResponseDelaySimulator
+from ..simulation import LatencyModel, PacketLevelSimulator
 from ..topology import TESTBED_SERVERS_PER_SWITCH, testbed_topology
 from ..workloads import sequential_ids, uniform_retrieval_trace
 
@@ -52,7 +56,8 @@ def run_fig8(
                 items, net.switch_ids(), count, TRACE_DURATION,
                 np.random.default_rng(seed + count),
             )
-            simulator = ResponseDelaySimulator(net, latency)
+            simulator = PacketLevelSimulator(
+                net, latency, bandwidth_bytes_per_s=math.inf)
             simulator.run(trace)
             rows.append({
                 "protocol": label,

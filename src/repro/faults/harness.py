@@ -36,7 +36,7 @@ from ..controlplane.southbound import RecordingChannel
 from ..controlplane.verification import verify_installed_state
 from ..obs import MetricsRegistry, default_registry, scoped_registry
 from ..report import CHANNEL_KEYS, Gate, check_bounds, flag, tally
-from ..simulation import LinkModel, PacketLevelSimulator
+from ..simulation import PacketLevelSimulator
 from ..topology import brite_waxman_graph
 from ..workloads import uniform_retrieval_trace
 from .detector import FailureDetector
@@ -166,7 +166,7 @@ def run_chaos(config: ChaosConfig) -> Dict:
         item_ids, net.switch_ids(), config.requests, config.duration,
         np.random.default_rng(config.seed + 12))
     simulator = PacketLevelSimulator(
-        net, LinkModel(), fault_state=injector.state,
+        net, fault_state=injector.state,
         loss_rng=np.random.default_rng(config.seed + 2),
         max_attempts=config.max_attempts,
         retry_backoff=config.retry_backoff)

@@ -37,13 +37,15 @@ CHANNEL_KEYS = ("sent", "dropped", "duplicated", "reordered", "delayed")
 
 def check_bounds(config: Any, **bounds: tuple) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` outside
-    its ``(low, high)`` bounds (``high`` ``None``: unbounded).  A tuple
-    field must be non-empty, and each of its items is checked."""
+    its ``(low, high)`` bounds (``high`` ``None``: unbounded); NaN is
+    outside every bound.  A tuple field must be non-empty, and each of
+    its items is checked."""
     for name, (low, high) in bounds.items():
         value = getattr(config, name)
         items = value if isinstance(value, tuple) else (value,)
-        if not items or any(item < low or (high is not None and item > high)
-                            for item in items):
+        if not items or not all(
+                low <= item and (high is None or item <= high)
+                for item in items):
             span = (f"in [{low}, {high}]" if high is not None
                     else f">= {low}")
             raise ValueError(f"{name} must be {span}, got {value}")

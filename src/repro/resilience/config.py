@@ -12,8 +12,11 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict
+
+from ..simulation.latency import LatencyModel
 
 
 @dataclass(frozen=True)
@@ -67,11 +70,12 @@ class ResilienceConfig:
         (:meth:`repro.core.GredNetwork.read_repair`) — opt-in
         anti-entropy piggybacked on the read path.  Repairs happen
         outside the latency model (a background write-back).
-    per_hop_latency:
-        Virtual seconds charged per physical hop of a request/response
-        path (the pipeline's latency model — no wall clock anywhere).
-    service_time:
-        Virtual seconds charged by the storage server per probe.
+    latency:
+        The per-hop latency model each probe is charged through
+        (:meth:`repro.simulation.LatencyModel.round_trip`): virtual
+        seconds per link and switch of its request/response path, the
+        storage server's service time per probe, and a slow link's
+        ``delay_factor`` on the request path — no wall clock anywhere.
     failure_penalty:
         Virtual seconds charged by a probe that fails to route or
         place (the cost of discovering the failure).
@@ -101,12 +105,16 @@ class ResilienceConfig:
     # read-path anti-entropy
     read_repair: bool = False
     # virtual service-time model
-    per_hop_latency: float = 0.0005
-    service_time: float = 0.001
+    latency: LatencyModel = LatencyModel(
+        link_delay=0.0005, switch_delay=0.0, server_service_time=0.001)
     failure_penalty: float = 0.005
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.rate_per_switch <= 0:
             raise ValueError(
                 f"rate_per_switch must be positive, got "
@@ -143,9 +151,9 @@ class ResilienceConfig:
             raise ValueError(
                 f"hedge_fraction must be in (0, 1], got "
                 f"{self.hedge_fraction}")
-        if min(self.per_hop_latency, self.service_time,
-               self.failure_penalty) < 0:
-            raise ValueError("latency-model times must be >= 0")
+        if self.failure_penalty < 0:
+            raise ValueError(
+                f"failure_penalty must be >= 0, got {self.failure_penalty}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (stable key order)."""

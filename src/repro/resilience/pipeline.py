@@ -23,11 +23,14 @@ with request-level resilience:
    risk (or on any retry) the read is forked to the two nearest live
    replicas and the first success wins.
 
-Latency is *virtual*: the pipeline charges
-``per_hop_latency × hops + service_time`` per probe (plus
-``failure_penalty`` for probes that die in routing) on the caller's
-clock, so every run is deterministic and reports are bit-identical
-under a fixed seed — there is no wall clock anywhere in the pipeline.
+Latency is *virtual*: the pipeline charges each probe through
+``config.latency`` (:meth:`repro.simulation.LatencyModel.round_trip`:
+the per-hop delay of its request and response paths, the server's
+service time, and the extra delay of every slow link of the wrapped
+network's fault state on the request path), plus ``failure_penalty``
+for probes that die in routing, on the caller's clock, so every run is
+deterministic and reports are bit-identical under a fixed seed — there
+is no wall clock anywhere in the pipeline.
 
 With ``config.enabled == False`` (the default) every call delegates
 straight to the wrapped network and returns its result untouched inside
@@ -364,9 +367,10 @@ class ResilientNetwork:
         request's modeled service time, its breaker feed — made for a
         miss, or after the board says it is loud — and its envelope,
         built positionally."""
-        quiet, served = self.breakers.quiet, []
+        quiet, served, slowed = self.breakers.quiet, [], self._slowed()
         if kind == "place":
-            service_time = self._placement_service_time
+            service_time = partial(self._placement_service_time,
+                                   slowed=slowed)
             for data_id, result, wait in zip(ids, results, waits):
                 service = sum(map(service_time, result.records))
                 for rec in () if quiet() else result.records:
@@ -379,7 +383,7 @@ class ResilientNetwork:
                     result.records))
             return served
         for data_id, result, wait in zip(ids, results, waits):
-            service = self._retrieval_service_time(result)
+            service = self._retrieval_service_time(result, slowed)
             if not result.found:
                 self.breakers.failure(self._breaker_keys(
                     replica_id(data_id, result.copy_used),
@@ -692,7 +696,7 @@ class ResilientNetwork:
         if result is None:
             latency, status = self.config.failure_penalty, "route_error"
         else:
-            latency = self._retrieval_service_time(result)
+            latency = self._retrieval_service_time(result, self._slowed())
             status = "ok" if result.found else "miss"
         if status == "ok" and root is None and self.breakers.quiet():
             return result, latency  # both success feeds are no-ops
@@ -754,18 +758,24 @@ class ResilientNetwork:
         serial = server_index(copy_id, count) if count else 0
         return dest, ("switch", dest), ("server", (dest, serial))
 
-    def _placement_service_time(self, record) -> float:
-        cfg = self.config
-        return (cfg.per_hop_latency * 2 * record.physical_hops
-                + cfg.service_time)
+    def _slowed(self):
+        """The wrapped network's fault state if it slows a link (what
+        the latency model reads), else ``None``."""
+        faults = self.net.fault_state
+        return faults if faults is not None and faults.slow else None
 
-    def _retrieval_service_time(self, result) -> float:
-        cfg = self.config
-        if result.found:
-            return (cfg.per_hop_latency * result.round_trip_hops
-                    + cfg.service_time)
-        return (cfg.per_hop_latency * 2 * result.request_hops
-                + cfg.service_time)
+    def _placement_service_time(self, record, slowed) -> float:
+        """One stored copy: its route, the ack retracing it, the
+        server's service time."""
+        return self.config.latency.round_trip(
+            record.trace, record.physical_hops, None, slowed)
+
+    def _retrieval_service_time(self, result, slowed) -> float:
+        """One probe: a hit answers along the shortest path home, a miss
+        retraces the request."""
+        return self.config.latency.round_trip(
+            result.trace, result.request_hops,
+            result.response_hops if result.found else None, slowed)
 
     def _succeeded(self, switch: int, server, now: float) -> None:
         """Feed one success to a switch's and a server's breakers."""
@@ -835,7 +845,8 @@ class ResilientNetwork:
                     clock += cfg.failure_penalty
                     self.breakers.failure(server_key, clock)
                     continue
-                latency = self._placement_service_time(record)
+                latency = self._placement_service_time(record,
+                                                       self._slowed())
                 if root is not None:
                     recorder.add_span(
                         "place.copy", start=clock,

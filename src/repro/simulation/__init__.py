@@ -3,12 +3,7 @@ testbed latency measurements."""
 
 from .events import SimulationError, Simulator
 from .latency import LatencyModel
-from .response import (
-    CompletedRequest,
-    ResponseDelaySimulator,
-)
 from .packet_sim import (
-    LinkModel,
     PacketCompletion,
     PacketFailure,
     PacketLevelSimulator,
@@ -18,9 +13,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "LatencyModel",
-    "ResponseDelaySimulator",
-    "CompletedRequest",
-    "LinkModel",
     "PacketLevelSimulator",
     "PacketCompletion",
     "PacketFailure",

@@ -1,16 +1,22 @@
-"""Latency model for the response-delay experiments.
+"""The one per-hop latency model: every hop crosses one link and one
+switch pipeline, and the storage server adds a fixed service time.
 
-Defaults approximate a small-campus edge deployment: 50 microseconds per
-physical link traversal (propagation + transmission for a small request),
-10 microseconds of switch pipeline latency per hop, and 200 microseconds
-of server service time per request.  Absolute values only set the scale
-of Fig. 8; the reproduced *shape* (delay roughly flat in the number of
-requests, dominated by path length) is model-independent.
+The packet-level simulator moves packets hop by hop through it, and
+the resilience pipeline charges each probe through
+:meth:`LatencyModel.round_trip`.  Fig. 8's defaults approximate a
+small-campus edge deployment: 50 microseconds per physical link
+traversal (propagation + transmission for a small request),
+10 microseconds of switch pipeline latency per hop, and 200
+microseconds of server service time per request.  Absolute values only
+set the scale of Fig. 8; the reproduced *shape* (delay roughly flat in
+the number of requests, dominated by path length) is model-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -22,9 +28,11 @@ class LatencyModel:
     server_service_time: float = 200e-6
 
     def __post_init__(self) -> None:
-        if self.link_delay < 0 or self.switch_delay < 0 \
-                or self.server_service_time < 0:
-            raise ValueError("latency components must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be a finite number >= 0, "
+                                 f"got {value!r}")
 
     def path_delay(self, hops: int) -> float:
         """One-way delay of a path of ``hops`` physical hops.
@@ -35,3 +43,25 @@ class LatencyModel:
         if hops < 0:
             raise ValueError(f"hops must be >= 0, got {hops}")
         return hops * (self.link_delay + self.switch_delay)
+
+    def round_trip(self, trace: Sequence[int], hops: int,
+                   back: Optional[int] = None, fault_state=None) -> float:
+        """Delay of one request/response exchange: ``hops`` physical hops
+        out along ``trace``, the server's service time, and ``back`` hops
+        home (``None``: the reply retraces ``trace``).  Each traversal
+        of a link ``fault_state`` slows by ``factor`` adds
+        ``(factor - 1) * link_delay``: twice for a retraced reply, once
+        otherwise, since a reply known only by its hop count runs at
+        the nominal per-hop delay."""
+        retraced = back is None
+        # path_delay of both legs, inlined: the resilience pipeline
+        # calls this once per settled request.
+        delay = ((2 * hops if retraced else hops + back)
+                 * (self.link_delay + self.switch_delay)
+                 + self.server_service_time)
+        if fault_state is not None and fault_state.slow:
+            factor = fault_state.delay_factor
+            slowdown = sum(factor(u, v) - 1.0
+                           for u, v in zip(trace, trace[1:]))
+            delay += (2 if retraced else 1) * slowdown * self.link_delay
+        return delay

@@ -1,17 +1,19 @@
 """Packet-level network simulation with link contention.
 
-The flow-level simulator (:mod:`repro.simulation.response`) charges a
-fixed delay per hop; this simulator models the *store-and-forward*
-behavior of the switch plane: every directed link has finite bandwidth
-and a FIFO output queue, so concurrent requests contend for links and
-the response delay grows with offered load until the network saturates.
+Every hop costs what :class:`~repro.simulation.latency.LatencyModel`
+says, plus the *store-and-forward* behavior of the switch plane: every
+directed link has a bandwidth and a FIFO output queue, so concurrent
+requests contend for links and the response delay grows with offered
+load until the network saturates.  At unbounded bandwidth
+(``math.inf``) serialization takes no time, no packet ever waits for a
+link, and only the servers queue: the per-hop delay model of Fig. 8.
 
 Routes themselves are deterministic (precomputed through the deployed
 protocol); what is simulated is their transmission:
 
-* per-hop: switch processing delay, then queueing on the output link
-  (a packet starts serializing when the link is free), serialization
-  ``size / bandwidth``, then propagation;
+* per-hop: the switch delay, then queueing on the output link (a
+  packet starts serializing when the link is free), serialization
+  ``size / bandwidth``, then the link delay;
 * at the server: FIFO queue with a fixed service time;
 * the response travels the physical shortest path back, contending for
   links like any other packet.
@@ -39,26 +41,14 @@ from ..graph import bfs_path
 from ..obs import default_registry
 from ..workloads import RetrievalRequest
 from .events import Simulator
+from .latency import LatencyModel
 
-
-@dataclass(frozen=True)
-class LinkModel:
-    """Physical parameters of the packet-level simulation."""
-
-    bandwidth_bytes_per_s: float = 1.25e9  # 10 Gbps
-    propagation_delay: float = 5e-6
-    switch_processing: float = 2e-6
-    server_service_time: float = 100e-6
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be positive")
-        if min(self.propagation_delay, self.switch_processing,
-               self.server_service_time) < 0:
-            raise ValueError("delays must be non-negative")
-
-    def serialization(self, size_bytes: int) -> float:
-        return size_bytes / self.bandwidth_bytes_per_s
+#: The simulator's default hop: 5 µs a link, 2 µs a switch, 100 µs of
+#: server service (at 10 Gbps, :data:`DEFAULT_BANDWIDTH`).
+DEFAULT_MODEL = LatencyModel(link_delay=5e-6, switch_delay=2e-6,
+                             server_service_time=100e-6)
+#: 10 Gbps, in bytes per second.
+DEFAULT_BANDWIDTH = 1.25e9
 
 
 @dataclass
@@ -90,7 +80,10 @@ class PacketLevelSimulator:
         A deployed protocol network exposing ``route_for`` and
         ``topology`` (GRED, Chord, or a baseline).
     model:
-        Physical link/switch/server parameters.
+        Per-hop link and switch delays and the server service time
+        (default :data:`DEFAULT_MODEL`).
+    bandwidth_bytes_per_s:
+        Every link's bandwidth; ``math.inf`` makes serialization free.
     fault_state:
         Optional :class:`repro.faults.FaultState`; defaults to the
         network's own (``net.fault_state``) when one is attached.
@@ -114,17 +107,22 @@ class PacketLevelSimulator:
         admitted request are not re-admitted.
     """
 
-    def __init__(self, net, model: Optional[LinkModel] = None,
+    def __init__(self, net, model: Optional[LatencyModel] = None,
+                 bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH,
                  fault_state=None, loss_rng=None,
                  max_attempts: int = 1,
                  retry_backoff: float = 0.01,
                  admission=None) -> None:
+        if not bandwidth_bytes_per_s > 0:
+            raise ValueError(f"bandwidth_bytes_per_s must be positive, "
+                             f"got {bandwidth_bytes_per_s!r}")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
         self.net = net
-        self.model = model or LinkModel()
+        self.model = model or DEFAULT_MODEL
+        self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.fault_state = fault_state if fault_state is not None \
             else getattr(net, "fault_state", None)
         self.loss_rng = loss_rng
@@ -355,15 +353,15 @@ class PacketLevelSimulator:
                     return
                 factor = fault_state.delay_factor(u, v)
             link = (u, v)
-            ready = sim.now + self.model.switch_processing
+            ready = sim.now + self.model.switch_delay
             busy = self._link_busy.get(link, 0.0)
             start_tx = max(ready, busy)
             state["wait"] += start_tx - ready
             if backlog_hist is not None:
                 backlog_hist.observe(max(0.0, busy - ready))
-            end_tx = start_tx + self.model.serialization(size) * factor
+            end_tx = start_tx + self.serialization(size) * factor
             self._link_busy[link] = end_tx
-            arrival = end_tx + self.model.propagation_delay * factor
+            arrival = end_tx + self.model.link_delay * factor
             sim.schedule(arrival - sim.now, lambda: hop(index + 1))
 
         hop(0)
@@ -390,6 +388,10 @@ class PacketLevelSimulator:
                 "simulation.link_wait_seconds").observe(link_wait)
 
     # ------------------------------------------------------------------
+    def serialization(self, size_bytes: int) -> float:
+        """Seconds to put ``size_bytes`` on one link."""
+        return size_bytes / self.bandwidth_bytes_per_s
+
     def average_response_delay(self) -> float:
         if not self.completed:
             raise ValueError("run a trace first")

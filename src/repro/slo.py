@@ -103,6 +103,9 @@ class SloConfig:
         if not 0.0 <= self.objective < 1.0:
             raise ValueError(
                 f"objective must be in [0, 1), got {self.objective}")
+        # The deadline and admission knobs are refused here, before a
+        # run builds anything (a NaN deadline would pass every request).
+        self.resilience_config()
 
     #: ``--quick``: the shape of the CI smoke preset (~seconds); the
     #: CLI honours every other flag.

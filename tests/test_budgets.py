@@ -1,9 +1,7 @@
 """Budgets the code keeps, checked on every run.
 
-* No function body under ``core/``, ``dataplane/``, ``resilience/``,
-  ``controlplane/`` or ``geometry/``, or in ``cli.py``, exceeds 200
-  lines, so the bodies simplicity work shrinks cannot regrow
-  unnoticed.
+* No function body anywhere under ``src/repro`` exceeds 200 lines, so
+  the bodies simplicity work shrinks cannot regrow unnoticed.
 * ``import repro`` leaves ``scipy.stats`` unloaded: it costs ~70 MB RSS
   and ~0.7 s, and only ``metrics.confidence_interval`` needs it, at
   call time.
@@ -44,10 +42,7 @@ from repro.obs import scoped_registry
 from repro.resilience import pipeline as resilient_pipeline
 
 SRC = Path(repro.__file__).resolve().parent
-#: The ratchet: packages and modules scanned, and the longest body
-#: allowed.
-PACKAGES = ("core", "dataplane", "resilience", "controlplane", "geometry")
-MODULES = ("cli.py",)
+#: The ratchet: the longest function body allowed in any module.
 LIMIT = 200
 
 
@@ -190,10 +185,8 @@ def sampler_batches(iterations=8):
 
 
 def test_no_function_body_over_the_limit():
-    long = [(lines, where) for lines, where in function_bodies(sorted(
-        [str(path) for package in PACKAGES
-         for path in (SRC / package).glob("*.py")]
-        + [str(SRC / module) for module in MODULES])) if lines > LIMIT]
+    long = [(lines, where) for lines, where in function_bodies(
+        sorted(map(str, SRC.rglob("*.py")))) if lines > LIMIT]
     assert long == [], f"function bodies over {LIMIT} lines"
 
 

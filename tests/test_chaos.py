@@ -190,7 +190,7 @@ class TestCrashUnderLoad:
 
     def test_mid_trace_crash_never_misdelivers(self, net):
         from repro.faults import FaultEvent, FaultInjector, FaultPlan
-        from repro.simulation import LinkModel, PacketLevelSimulator
+        from repro.simulation import PacketLevelSimulator
         from repro.workloads import uniform_retrieval_trace
 
         items = self._place(net)
@@ -198,7 +198,7 @@ class TestCrashUnderLoad:
         victim = injector.random_alive_switch()
         plan = FaultPlan([FaultEvent(time=0.5, kind="switch_crash",
                                      switch=victim)])
-        sim = PacketLevelSimulator(net, LinkModel(), max_attempts=2)
+        sim = PacketLevelSimulator(net, max_attempts=2)
         trace = uniform_retrieval_trace(
             items, net.switch_ids(), 50, 1.0,
             np.random.default_rng(6))

@@ -284,6 +284,38 @@ class TestLoadtest:
         assert code == 1
         assert "min-goodput" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_deadline_is_refused(self, tmp_path, capsys,
+                                            value):
+        out = tmp_path / "slo.json"
+        code = main(["loadtest", "--deadline", value, "-o", str(out)])
+        assert code == 2
+        assert "deadline must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_slow_links_reach_the_latency(self, tmp_path):
+        """A plan that makes every link 50x slower moves the modelled
+        latency: the pipeline charges each probe through the same
+        latency model the fault state slows."""
+        from repro.slo import SloConfig, _build_network
+
+        topology = _build_network(SloConfig.quick()).topology
+        plan = tmp_path / "slow.json"
+        plan.write_text(json.dumps({"events": [
+            {"time": 0.0, "kind": "slow_link", "u": u, "v": v,
+             "factor": 50.0} for u, v, _ in topology.edges()]}))
+        p99 = {}
+        for name, extra in (("nominal", []),
+                            ("slow", ["--plan", str(plan)])):
+            out = tmp_path / f"{name}.json"
+            assert main(["loadtest", "--quick", "-o", str(out)]
+                        + extra) == 0
+            report = json.loads(out.read_text())
+            p99[name] = [point["latency_ms"]["p99"]
+                         for point in report["points"]]
+        assert all(slow > nominal for slow, nominal
+                   in zip(p99["slow"], p99["nominal"]))
+
 
 class TestChaosGate:
     def test_min_availability_gate(self, capsys):

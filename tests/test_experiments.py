@@ -91,6 +91,24 @@ class TestFig8:
                       for r in by_protocol(rows, protocol)]
             assert max(delays) < 2 * min(delays)  # "modest change"
 
+    def test_small_sweep_is_pinned(self):
+        """Fig. 8's numbers on a small sweep, request hops exact and
+        delays to 1e-12 relative: the 200-request points queue at the
+        servers, the 50-request points do not."""
+        pinned = [
+            ("GRED-NoCVT", 50, 0.3703999999999699, 1.42),
+            ("GRED-NoCVT", 200, 0.34927293521889796, 1.23),
+            ("GRED", 50, 0.38719999999998006, 1.56),
+            ("GRED", 200, 0.3547012369670127, 1.28),
+        ]
+        rows = run_fig8(request_counts=(50, 200), num_items=40)
+        assert [(r["protocol"], r["requests"]) for r in rows] == [
+            (protocol, requests) for protocol, requests, _, _ in pinned]
+        for row, (_, _, delay_ms, hops) in zip(rows, pinned):
+            assert row["avg_request_hops"] == hops
+            assert row["avg_delay_ms"] == pytest.approx(delay_ms,
+                                                         rel=1e-12)
+
 
 class TestFig9:
     def test_fig9a_ordering(self, catalogued):

@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.graph import Graph
 from repro.hashing import replica_id
-from repro.simulation import LinkModel, PacketLevelSimulator
+from repro.simulation import PacketLevelSimulator
 from repro.workloads import uniform_retrieval_trace
 
 
@@ -524,7 +524,7 @@ class TestPacketSimFaults:
         plan = FaultPlan([FaultEvent(
             time=0.5, kind="switch_crash",
             switch=injector.random_alive_switch())])
-        sim = PacketLevelSimulator(net, LinkModel(), max_attempts=2)
+        sim = PacketLevelSimulator(net, max_attempts=2)
         trace = self._trace(net, items)
         completions = sim.run(trace, injector=injector, plan=plan)
         assert len(completions) + len(sim.failed) == len(trace)
@@ -538,7 +538,7 @@ class TestPacketSimFaults:
         for u, v, _ in net.topology.edges():
             injector.set_packet_loss(u, v, 1.0)
         sim = PacketLevelSimulator(
-            net, LinkModel(), loss_rng=np.random.default_rng(0),
+            net, loss_rng=np.random.default_rng(0),
             max_attempts=1)
         trace = self._trace(net, items, count=20)
         completions = sim.run(trace, injector=injector)
@@ -551,12 +551,12 @@ class TestPacketSimFaults:
     def test_slow_links_inflate_delay(self, net):
         items = self._place(net)
         trace = self._trace(net, items, count=20)
-        baseline = PacketLevelSimulator(net, LinkModel())
+        baseline = PacketLevelSimulator(net)
         baseline.run(trace)
         injector = FaultInjector(net, seed=0)
         for u, v, _ in net.topology.edges():
             injector.set_slow_link(u, v, 10.0)
-        slowed = PacketLevelSimulator(net, LinkModel())
+        slowed = PacketLevelSimulator(net)
         slowed.run(trace, injector=injector)
         assert slowed.average_response_delay() > \
             baseline.average_response_delay()
@@ -565,7 +565,7 @@ class TestPacketSimFaults:
         plan = FaultPlan([FaultEvent(time=0.1, kind="switch_crash",
                                      switch=0)])
         with pytest.raises(ValueError, match="injector"):
-            PacketLevelSimulator(net, LinkModel()).run([], plan=plan)
+            PacketLevelSimulator(net).run([], plan=plan)
 
     def test_identical_runs_are_identical(self):
         def one_run():
@@ -583,8 +583,7 @@ class TestPacketSimFaults:
                 time=0.5, kind="switch_crash",
                 switch=injector.random_alive_switch())])
             sim = PacketLevelSimulator(
-                net, LinkModel(),
-                loss_rng=np.random.default_rng(8), max_attempts=3)
+                net, loss_rng=np.random.default_rng(8), max_attempts=3)
             trace = uniform_retrieval_trace(
                 items, net.switch_ids(), 30, 1.0,
                 np.random.default_rng(11))

@@ -1,12 +1,14 @@
 """Tests for the packet-level simulator with link contention."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import GredNetwork
 from repro.chord import ChordNetwork
 from repro.edge import attach_uniform
-from repro.simulation import LinkModel, PacketLevelSimulator
+from repro.simulation import LatencyModel, PacketLevelSimulator
 from repro.topology import grid_graph
 from repro.workloads import RetrievalRequest, uniform_retrieval_trace
 
@@ -21,16 +23,18 @@ def net():
     return network
 
 
-class TestLinkModel:
-    def test_serialization_time(self):
-        model = LinkModel(bandwidth_bytes_per_s=1e6)
-        assert model.serialization(1_000_000) == pytest.approx(1.0)
+class TestBandwidth:
+    def test_serialization_time(self, net):
+        sim = PacketLevelSimulator(net, bandwidth_bytes_per_s=1e6)
+        assert sim.serialization(1_000_000) == pytest.approx(1.0)
+        unbounded = PacketLevelSimulator(net,
+                                         bandwidth_bytes_per_s=math.inf)
+        assert unbounded.serialization(1_000_000) == 0.0
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            LinkModel(bandwidth_bytes_per_s=0)
-        with pytest.raises(ValueError):
-            LinkModel(propagation_delay=-1)
+    def test_invalid_params_rejected(self, net):
+        for bandwidth in (0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
+                PacketLevelSimulator(net, bandwidth_bytes_per_s=bandwidth)
 
 
 class TestPacketLevelSimulator:
@@ -45,20 +49,21 @@ class TestPacketLevelSimulator:
     def test_isolated_request_delay_floor(self, net):
         """A single request's delay equals the deterministic sum of its
         components (no queueing)."""
-        model = LinkModel()
+        model = LatencyModel(link_delay=5e-6, switch_delay=2e-6,
+                             server_service_time=100e-6)
         trace = [RetrievalRequest(time=0.0, data_id="pk-0",
                                   entry_switch=0)]
         sim = PacketLevelSimulator(net, model)
         (completion,) = sim.run(trace, request_size=256,
                                 response_size=4096)
         expected = (
-            completion.request_hops * (model.switch_processing
-                                       + model.serialization(256)
-                                       + model.propagation_delay)
+            completion.request_hops * (model.switch_delay
+                                       + sim.serialization(256)
+                                       + model.link_delay)
             + model.server_service_time
-            + completion.response_hops * (model.switch_processing
-                                          + model.serialization(4096)
-                                          + model.propagation_delay)
+            + completion.response_hops * (model.switch_delay
+                                          + sim.serialization(4096)
+                                          + model.link_delay)
         )
         assert completion.response_delay == pytest.approx(expected,
                                                           rel=1e-9)
@@ -70,8 +75,7 @@ class TestPacketLevelSimulator:
         trace = [RetrievalRequest(time=0.0, data_id="pk-0",
                                   entry_switch=0)
                  for _ in range(20)]
-        model = LinkModel(bandwidth_bytes_per_s=1e7)  # slow links
-        sim = PacketLevelSimulator(net, model)
+        sim = PacketLevelSimulator(net, bandwidth_bytes_per_s=1e7)
         completed = sim.run(trace, response_size=50_000)
         total_wait = sum(c.link_wait for c in completed)
         assert total_wait > 0
@@ -80,13 +84,11 @@ class TestPacketLevelSimulator:
 
     def test_delay_increases_with_load(self, net, rng):
         items = [f"pk-{i}" for i in range(10)]
-        model = LinkModel(bandwidth_bytes_per_s=1e7)
-
         def avg_delay(count):
             trace = uniform_retrieval_trace(
                 items, net.switch_ids(), count, 0.01,
                 np.random.default_rng(3))
-            sim = PacketLevelSimulator(net, model)
+            sim = PacketLevelSimulator(net, bandwidth_bytes_per_s=1e7)
             sim.run(trace, response_size=50_000)
             return sim.average_response_delay()
 

@@ -9,6 +9,7 @@ verdicts, and the combined chaos + overload acceptance scenario:
 bounded p99 latency with zero lost acknowledged writes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,21 @@ def reference_decide(adm, entry, now, priority):
         registry.histogram("resilience.queue_wait_seconds",
                            buckets=obs.TIME_BUCKETS).observe(delay)
     return delay, None, occupancy
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(ResilienceConfig)
+        if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ResilienceConfig(**{name: value})
+
+    def test_latency_defaults_to_half_a_millisecond_a_hop(self):
+        latency = ResilienceConfig().latency
+        assert (latency.link_delay, latency.switch_delay,
+                latency.server_service_time) == (0.0005, 0.0, 0.001)
 
 
 # ----------------------------------------------------------------------
@@ -972,7 +988,7 @@ class TestQuietBoard:
             if outcome.admitted:
                 result = outcome.result
                 assert outcome.latency == outcome.queue_wait + \
-                    ours.pipeline._retrieval_service_time(result)
+                    ours.pipeline._retrieval_service_time(result, None)
                 assert outcome.deadline_missed == (
                     outcome.latency > cfg.default_deadline)
                 assert (outcome.ok, outcome.attempts) == (
@@ -1071,3 +1087,78 @@ class TestQuietBoard:
                     assert ours.integers(1 << 30) == \
                         theirs.integers(1 << 30)
         assert len(pools) == 4  # one pool per batch
+
+
+class TestSlowLinkCharge:
+    """A slow link on a probe's request path reaches the resilient
+    charge: each traversal of a link ``factor`` times slower adds
+    ``(factor - 1) * link_delay`` (twice for a placement, whose ack
+    retraces the path; once for a retrieval hit, whose reply is known
+    only by its hop count)."""
+
+    FACTOR = 7.0
+
+    @staticmethod
+    def traced(net, pipeline, kind):
+        """The id, entry and first outcome of a request that crosses
+        at least one link."""
+        entry = sorted(net.switch_ids())[0]
+        for i in range(50):
+            data_id = f"slow/{i}"
+            outcome = pipeline.place(data_id, payload=b"v",
+                                     entry_switch=entry, now=0.0)
+            if kind == "retrieve":
+                outcome = pipeline.retrieve(data_id, entry_switch=entry,
+                                            now=0.0)
+            trace = (outcome.records[0].trace if kind == "place"
+                     else outcome.result.trace)
+            if len(trace) > 1:
+                return data_id, entry, outcome, trace
+        raise AssertionError("no request crossed a link")
+
+    @pytest.mark.parametrize("kind,traversals",
+                             [("place", 2), ("retrieve", 1)])
+    def test_scalar_charge(self, net, kind, traversals):
+        pipeline = net.resilient(enabled_config(burst=200.0))
+        data_id, entry, before, trace = self.traced(net, pipeline, kind)
+        FaultInjector(net).set_slow_link(trace[0], trace[1], self.FACTOR)
+        call = getattr(pipeline, kind)
+        after = call(data_id, entry_switch=entry, now=0.0)
+        link = pipeline.config.latency.link_delay
+        assert after.ok and after.queue_wait == before.queue_wait == 0.0
+        assert after.latency == \
+            before.latency + traversals * (self.FACTOR - 1) * link
+
+    @pytest.mark.parametrize("kind,traversals",
+                             [("place", 2), ("retrieve", 1)])
+    def test_batch_charge_reads_the_faults_once(self, net, kind,
+                                                traversals, monkeypatch):
+        pipeline = net.resilient(enabled_config(burst=200.0))
+        data_id, entry, _, trace = self.traced(net, pipeline, kind)
+        many = getattr(pipeline, f"{kind}_many")
+        ids = [data_id] * 8
+        before = many(ids, entry_switches=[entry] * 8, now=0.0)
+        FaultInjector(net).set_slow_link(trace[0], trace[1], self.FACTOR)
+        reads = []
+        slowed = pipeline._slowed
+        monkeypatch.setattr(pipeline, "_slowed",
+                            lambda: reads.append(1) or slowed())
+        after = many(ids, entry_switches=[entry] * 8, now=0.0)
+        assert len(reads) == 1
+        link = pipeline.config.latency.link_delay
+        for old, new in zip(before, after):
+            assert new.ok and new.queue_wait == old.queue_wait == 0.0
+            assert new.latency == \
+                old.latency + traversals * (self.FACTOR - 1) * link
+
+    def test_links_off_the_path_charge_nothing(self, net):
+        pipeline = net.resilient(enabled_config(burst=200.0))
+        data_id, entry, before, trace = self.traced(net, pipeline,
+                                                    "retrieve")
+        on_path = {frozenset(pair) for pair in zip(trace, trace[1:])}
+        injector = FaultInjector(net)
+        for u, v, _ in net.topology.edges():
+            if frozenset((u, v)) not in on_path:
+                injector.set_slow_link(u, v, self.FACTOR)
+        after = pipeline.retrieve(data_id, entry_switch=entry, now=0.0)
+        assert after.latency == before.latency

@@ -1,4 +1,9 @@
-"""Tests for the discrete-event simulator and the response-delay model."""
+"""Tests for the discrete-event simulator, the latency model, and the
+response delays the packet-level simulator gives at unbounded bandwidth
+(Fig. 8's setting)."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from repro import GredNetwork
 from repro.edge import attach_uniform
 from repro.simulation import (
     LatencyModel,
-    ResponseDelaySimulator,
+    PacketLevelSimulator,
     SimulationError,
     Simulator,
 )
@@ -97,8 +102,59 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(link_delay=-1.0)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(LatencyModel)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_component_names_the_field(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a finite number >= 0"):
+            LatencyModel(**{name: value})
+
+    def test_round_trip_is_the_per_hop_sum(self):
+        m = LatencyModel(link_delay=1e-3, switch_delay=1e-4,
+                         server_service_time=5e-3)
+        assert m.round_trip([0, 1, 2], 2) == m.path_delay(4) + 5e-3
+        assert m.round_trip([0, 1, 2], 2, 3) == m.path_delay(5) + 5e-3
+
+
+class _SlowLinks:
+    """The part of a fault state the latency model reads."""
+
+    def __init__(self, slow):
+        self.slow = slow
+
+    def delay_factor(self, u, v):
+        return self.slow.get((min(u, v), max(u, v)), 1.0)
+
+
+class TestSlowLinks:
+    model = LatencyModel(link_delay=1e-3, switch_delay=1e-4,
+                         server_service_time=5e-3)
+
+    def test_each_traversal_of_a_slow_link_adds_its_excess(self):
+        slow = _SlowLinks({(1, 2): 4.0})
+        trace = [0, 1, 2, 3]
+        nominal = self.model.round_trip(trace, 3)
+        assert self.model.round_trip(trace, 3, None, slow) == \
+            pytest.approx(nominal + 2 * 3.0 * 1e-3, rel=1e-12)
+        one_way = self.model.round_trip(trace, 3, 3)
+        assert self.model.round_trip(trace, 3, 3, slow) == \
+            pytest.approx(one_way + 3.0 * 1e-3, rel=1e-12)
+
+    def test_links_off_the_trace_change_nothing(self):
+        slow = _SlowLinks({(5, 6): 10.0})
+        trace = [0, 1, 2]
+        assert self.model.round_trip(trace, 2, None, slow) == \
+            self.model.round_trip(trace, 2)
+        assert self.model.round_trip(trace, 2, None, _SlowLinks({})) == \
+            self.model.round_trip(trace, 2)
+
 
 class TestResponseDelay:
+    """The packet-level simulator at unbounded bandwidth: no packet
+    waits for a link, so each hop costs exactly its link and switch
+    delay and only the servers queue."""
+
     @pytest.fixture
     def net(self):
         topology = testbed_topology()
@@ -108,21 +164,25 @@ class TestResponseDelay:
             net.place(f"sim-{i}", payload=b"x", entry_switch=0)
         return net
 
+    @staticmethod
+    def simulator(net, latency=None):
+        return PacketLevelSimulator(net, latency or LatencyModel(),
+                                    bandwidth_bytes_per_s=math.inf)
+
     def test_every_request_completes(self, net, rng):
         items = [f"sim-{i}" for i in range(20)]
         trace = uniform_retrieval_trace(items, net.switch_ids(), 50,
                                         1.0, rng)
-        sim = ResponseDelaySimulator(net)
-        completed = sim.run(trace)
+        completed = self.simulator(net).run(trace)
         assert len(completed) == 50
+        assert all(c.link_wait == 0.0 for c in completed)
 
     def test_delay_at_least_service_plus_path(self, net, rng):
         latency = LatencyModel()
         items = [f"sim-{i}" for i in range(20)]
         trace = uniform_retrieval_trace(items, net.switch_ids(), 30,
                                         1.0, rng)
-        sim = ResponseDelaySimulator(net, latency)
-        for c in sim.run(trace):
+        for c in self.simulator(net, latency).run(trace):
             floor = (latency.server_service_time
                      + latency.path_delay(c.request_hops)
                      + latency.path_delay(c.response_hops))
@@ -130,26 +190,25 @@ class TestResponseDelay:
 
     def test_queueing_under_contention(self, net):
         """Many simultaneous requests for one item must queue at its
-        server, so later completions see queueing delay."""
+        server: they share one path, so the last completes nine
+        service times after the first."""
         trace = [RetrievalRequest(time=0.0, data_id="sim-0",
                                   entry_switch=0)
                  for _ in range(10)]
-        sim = ResponseDelaySimulator(net)
-        completed = sim.run(trace)
-        queueing = [c.queueing_delay for c in completed]
-        assert max(queueing) >= 9 * LatencyModel().server_service_time \
-            - 1e-9
+        completed = self.simulator(net).run(trace)
+        delays = [c.response_delay for c in completed]
+        assert max(delays) - min(delays) >= \
+            9 * LatencyModel().server_service_time - 1e-9
 
     def test_average_requires_run(self, net):
-        sim = ResponseDelaySimulator(net)
         with pytest.raises(ValueError):
-            sim.average_response_delay()
+            self.simulator(net).average_response_delay()
 
     def test_average_delay_positive(self, net, rng):
         items = [f"sim-{i}" for i in range(20)]
         trace = uniform_retrieval_trace(items, net.switch_ids(), 40,
                                         1.0, rng)
-        sim = ResponseDelaySimulator(net)
+        sim = self.simulator(net)
         sim.run(trace)
         assert sim.average_response_delay() > 0
 
@@ -164,6 +223,5 @@ class TestResponseDelay:
             chord.place(item, entry_switch=0)
         trace = uniform_retrieval_trace(items, topology.nodes(), 20,
                                         1.0, rng)
-        sim = ResponseDelaySimulator(chord)
-        completed = sim.run(trace)
+        completed = self.simulator(chord).run(trace)
         assert len(completed) == 20
