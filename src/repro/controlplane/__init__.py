@@ -25,8 +25,6 @@ from .southbound import (
     RecordingChannel,
     SouthboundMessage,
     apply_message,
-    compile_messages,
-    install_via_messages,
 )
 from .channel import ChannelStats, ControlChannelError, FaultyChannel
 from .rules import (
@@ -51,7 +49,6 @@ from .apply import (
     RetryPolicy,
     TransactionalApplier,
     apply_delta,
-    install_plan,
 )
 
 __all__ = [
@@ -76,9 +73,7 @@ __all__ = [
     "FederatedNetwork",
     "SouthboundMessage",
     "RecordingChannel",
-    "compile_messages",
     "apply_message",
-    "install_via_messages",
     "RulePlan",
     "SwitchPlan",
     "compile_plan",
@@ -86,7 +81,6 @@ __all__ = [
     "RuleDelta",
     "diff_plans",
     "apply_delta",
-    "install_plan",
     "switch_digest",
     "plan_digests",
     "FaultyChannel",

@@ -35,7 +35,6 @@ import numpy as np
 from ..dataplane import GredSwitch
 from ..obs import default_registry
 from .diff import RuleDelta
-from .plan import RulePlan, snapshot_plan
 from .southbound import RecordingChannel, apply_message
 
 
@@ -66,15 +65,20 @@ def apply_delta(switches: Dict[int, GredSwitch], delta: RuleDelta,
             apply_message(switches, message)
     registry = default_registry()
     if registry.enabled:
-        registry.counter("controlplane.delta.events").inc()
-        registry.counter("controlplane.delta.messages").inc(
-            len(delta.messages))
-        registry.counter("controlplane.delta.switches_touched").inc(
-            len(delta.touched))
-        if delta.removed:
-            registry.counter("controlplane.delta.switches_removed").inc(
-                len(delta.removed))
+        _count_delta(registry, delta)
     return len(delta.messages)
+
+
+def _count_delta(registry, delta: RuleDelta) -> None:
+    """The ``controlplane.delta.*`` counters of one shipped delta."""
+    registry.counter("controlplane.delta.events").inc()
+    registry.counter("controlplane.delta.messages").inc(
+        len(delta.messages))
+    registry.counter("controlplane.delta.switches_touched").inc(
+        len(delta.touched))
+    if delta.removed:
+        registry.counter("controlplane.delta.switches_removed").inc(
+            len(delta.removed))
 
 
 @dataclass(frozen=True)
@@ -208,15 +212,7 @@ class TransactionalApplier:
         report.departed = frozenset(departed)
         registry = default_registry()
         if registry.enabled:
-            registry.counter("controlplane.delta.events").inc()
-            registry.counter("controlplane.delta.messages").inc(
-                len(delta.messages))
-            registry.counter("controlplane.delta.switches_touched").inc(
-                len(delta.touched))
-            if delta.removed:
-                registry.counter(
-                    "controlplane.delta.switches_removed").inc(
-                        len(delta.removed))
+            _count_delta(registry, delta)
             if report.retries:
                 registry.counter("controlplane.southbound.retries").inc(
                     report.retries)
@@ -224,14 +220,3 @@ class TransactionalApplier:
                 registry.counter("controlplane.southbound.pending").inc(
                     len(pending))
         return report
-
-
-def install_plan(switches: Dict[int, GredSwitch], plan: RulePlan,
-                 channel: Optional[RecordingChannel] = None) -> RuleDelta:
-    """Converge live switches to ``plan`` (diff against their actual
-    installed state, then apply); returns the delta that was applied."""
-    from .diff import diff_plans
-
-    delta = diff_plans(snapshot_plan(switches), plan)
-    apply_delta(switches, delta, channel=channel)
-    return delta

@@ -42,7 +42,8 @@ from ..graph import (
     is_connected,
 )
 from ..obs import EventLevel, default_registry
-from .apply import RetryPolicy, TransactionalApplier, apply_delta
+from .apply import (ApplyReport, RetryPolicy, TransactionalApplier,
+                    apply_delta)
 from .diff import RuleDelta, diff_plans
 from .plan import RulePlan, compile_plan, plan_digests, snapshot_plan
 from .routing_index import RoutingIndex
@@ -527,23 +528,30 @@ class Controller:
             previous=previous, changed=changed,
         )
 
-    def _apply(self, delta: RuleDelta, *, generation: int) -> None:
-        """Ship one delta southbound.
-
-        Without a transport this is the perfect synchronous
-        ``apply_delta``.  With one attached, the delta is applied as
-        per-switch transactions: fully-acked switches advance their ack
-        generation, unconverged ones land on the pending queue (their
-        data plane keeps serving stale rules until :meth:`reconcile`
-        or a later delta converges them).
-        """
+    def _ship(self, delta: RuleDelta,
+              generation: int) -> Optional[ApplyReport]:
+        """Ship one delta southbound, observed by
+        ``southbound_channel``: the perfect synchronous ``apply_delta``
+        without a transport (returns ``None``), per-switch transactions
+        through it with one attached (returns their report)."""
         if self._applier is None:
             apply_delta(self.switches, delta,
                         channel=self.southbound_channel)
-            return
+            return None
         self.transport.observer = self.southbound_channel
-        report = self._applier.apply(self.switches, delta,
-                                     generation=generation)
+        return self._applier.apply(self.switches, delta,
+                                   generation=generation)
+
+    def _apply(self, delta: RuleDelta, *, generation: int) -> None:
+        """Ship one event's delta (:meth:`_ship`).  Over a transport,
+        fully-acked switches advance their ack generation, unconverged
+        ones land on the pending queue (their data plane keeps serving
+        stale rules until :meth:`reconcile` or a later delta converges
+        them).
+        """
+        report = self._ship(delta, generation)
+        if report is None:
+            return
         self.last_apply_report = report
         for sid in report.acked:
             self._ack_generations[sid] = generation
@@ -635,16 +643,12 @@ class Controller:
                 reachable = frozenset(divergent - unreachable)
                 delta = diff_plans(snapshot_plan(self.switches),
                                    desired, only=reachable)
-                if self._applier is not None:
-                    self.transport.observer = self.southbound_channel
-                    apply_report = self._applier.apply(
-                        self.switches, delta, generation=self._version)
-                    report.retries += apply_report.retries
-                    report.messages += apply_report.transmissions
+                shipped = self._ship(delta, self._version)
+                if shipped is None:
+                    report.messages += len(delta.messages)
                 else:
-                    report.messages += apply_delta(
-                        self.switches, delta,
-                        channel=self.southbound_channel)
+                    report.retries += shipped.retries
+                    report.messages += shipped.transmissions
                 report.resynced += len(reachable)
                 sweeps += 1
                 if registry.enabled:

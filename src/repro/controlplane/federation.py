@@ -167,15 +167,11 @@ class FederatedController:
     # ------------------------------------------------------------------
     # overlay routing
     # ------------------------------------------------------------------
-    def overlay_path(self, src_region: int, dst_region: int,
-                     live_only: bool = True) -> Optional[List[int]]:
+    def overlay_path(self, src_region: int,
+                     dst_region: int) -> Optional[List[int]]:
         """Region-level path, avoiding non-serving transit regions."""
-        avoid: FrozenSet[int] = frozenset()
-        if live_only:
-            avoid = frozenset(
-                rid for rid, shard in self.shards.items()
-                if not shard.serving()
-            )
+        avoid = frozenset(rid for rid, shard in self.shards.items()
+                          if not shard.serving())
         return self.region_map.overlay_path(src_region, dst_region,
                                             avoid=avoid)
 

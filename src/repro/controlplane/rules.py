@@ -69,8 +69,11 @@ def install_all_rules(
     switches: Dict[int, GredSwitch],
     positions: Dict[int, Point],
     dt_adjacency: Dict[int, Set[int]],
-) -> None:
-    """Install the complete forwarding state into ``switches``.
+) -> int:
+    """Install the complete forwarding state into ``switches``; returns
+    the number of switch writes made (a clear and a position per
+    switch, one write per port, per DT entry and per relay-path node) —
+    what a southbound clear-and-reinstall would ship.
 
     Parameters
     ----------
@@ -88,10 +91,12 @@ def install_all_rules(
     # Reset any previous DT-derived state.
     for switch in switches.values():
         switch.clear_dt_state()
+    writes = len(switches)
 
     for node in topology.nodes():
         switch = switches[node]
         switch.install_position(positions[node])
+        writes += 1 + len(ports[node])
         for neighbor, port in ports[node].items():
             neighbor_position = (
                 positions[neighbor] if neighbor in dt_members else None
@@ -102,6 +107,7 @@ def install_all_rules(
 
     # DT neighbor positions.
     for node, nbrs in dt_adjacency.items():
+        writes += len(nbrs)
         for other in nbrs:
             switches[node].install_dt_neighbor(other, positions[other])
 
@@ -115,6 +121,8 @@ def install_all_rules(
                 continue  # single-hop DT neighbor: direct link suffices
             path = path_toward(parent, sour, dest)
             _install_virtual_path(switches, path)
+            writes += len(path)
+    return writes
 
 
 def _multi_hop_destinations(

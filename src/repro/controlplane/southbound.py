@@ -2,10 +2,11 @@
 
 The paper's controller programs switches through generated Thrift APIs;
 real SDN deployments use OpenFlow/P4Runtime messages.  This module
-makes rule distribution explicit: the compiler's decisions are
-expressed as message objects which are then applied to switches, and an
-optional recording channel observes exactly what the controller pushed
-— the basis for counting control-plane traffic.
+makes rule distribution explicit: the differ's decisions
+(:func:`~repro.controlplane.diff.diff_plans`) are expressed as message
+objects which are then applied to switches, and an optional recording
+channel observes exactly what the controller pushed — the basis for
+counting control-plane traffic.
 
 Message types mirror the switch state surface:
 
@@ -15,8 +16,7 @@ Message types mirror the switch state surface:
 * ``InstallDtNeighbor`` — a DT greedy candidate;
 * ``InstallVirtual`` — one ``<sour, pred, succ, dest>`` relay tuple;
 * ``InstallExtension`` / ``RemoveExtension`` — range extension
-  rewrites;
-* ``ClearDtState`` — drop DT-derived state before a reconfiguration.
+  rewrites.
 
 The delta pipeline (:mod:`repro.controlplane.diff`) additionally needs
 targeted *removals* so a reconfiguration can retract exactly the
@@ -49,11 +49,6 @@ class SouthboundMessage:
 @dataclass(frozen=True)
 class SetPosition(SouthboundMessage):
     position: Point = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ClearDtState(SouthboundMessage):
-    pass
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,6 @@ def apply_message(switches: Dict[int, GredSwitch],
         )
     if isinstance(message, SetPosition):
         switch.install_position(message.position)
-    elif isinstance(message, ClearDtState):
-        switch.clear_dt_state()
     elif isinstance(message, InstallPhysical):
         switch.install_physical_neighbor(
             message.neighbor, message.port, position=message.position)
@@ -220,69 +213,3 @@ def apply_message(switches: Dict[int, GredSwitch],
         pass  # liveness only: reaching the switch is the whole effect
     else:
         raise TypeError(f"unknown southbound message {message!r}")
-
-
-def compile_messages(topology, positions, dt_adjacency
-                     ) -> List[SouthboundMessage]:
-    """Compile the full rule set as an ordered message sequence.
-
-    Produces exactly the state :func:`repro.controlplane.rules.
-    install_all_rules` installs, but as explicit messages.
-    """
-    from .rules import (
-        _multi_hop_destinations,
-        bfs_parent_tree,
-        compile_port_map,
-        path_toward,
-    )
-
-    messages: List[SouthboundMessage] = []
-    ports = compile_port_map(topology)
-    dt_members = set(dt_adjacency)
-    for node in topology.nodes():
-        messages.append(ClearDtState(switch=node))
-        messages.append(SetPosition(switch=node,
-                                    position=positions[node]))
-        for neighbor, port in ports[node].items():
-            messages.append(InstallPhysical(
-                switch=node, neighbor=neighbor, port=port,
-                position=(positions[neighbor]
-                          if neighbor in dt_members else None),
-            ))
-    for node, nbrs in dt_adjacency.items():
-        for other in nbrs:
-            messages.append(InstallDtNeighbor(
-                switch=node, neighbor=other,
-                position=positions[other]))
-    for dest in sorted(_multi_hop_destinations(topology, dt_adjacency)):
-        parent = bfs_parent_tree(topology, dest)
-        for sour in sorted(dt_adjacency[dest]):
-            if topology.has_edge(sour, dest):
-                continue
-            path = path_toward(parent, sour, dest)
-            for i, node in enumerate(path):
-                messages.append(InstallVirtual(
-                    switch=node,
-                    sour=sour,
-                    pred=path[i - 1] if i > 0 else None,
-                    succ=path[i + 1] if i < len(path) - 1 else None,
-                    dest=dest,
-                ))
-    return messages
-
-
-def install_via_messages(topology, switches, positions, dt_adjacency,
-                         channel: Optional[RecordingChannel] = None
-                         ) -> int:
-    """Compile and apply the full rule set message by message.
-
-    Returns the number of messages sent.  Behaviorally equivalent to
-    :func:`repro.controlplane.rules.install_all_rules` (covered by the
-    equivalence test).
-    """
-    messages = compile_messages(topology, positions, dt_adjacency)
-    for message in messages:
-        if channel is not None:
-            channel.send(message)
-        apply_message(switches, message)
-    return len(messages)

@@ -35,14 +35,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..edge import (
-    DEFAULT_RANGES,
-    NO_STAMP,
-    StorageFull,
-    hash_range,
-    rows_digest,
-    server_rows,
-)
+from ..edge import NO_STAMP, StorageFull, rows_digest, server_rows
+from ..edge.antientropy import digest_rows
 from ..hashing import parse_replica_id, replica_id
 from ..obs import EventLevel, default_registry
 
@@ -181,16 +175,13 @@ def _desired_state(net, catalog: Dict[str, int], gc: bool):
     return desired, skipped, deleted_bases
 
 
-def _desired_rows(rows: Dict[str, _DesiredRow],
-                  ranges: int) -> Dict[int, List[tuple]]:
+def _desired_rows(rows: Dict[str, _DesiredRow]) -> Dict[int, List[tuple]]:
     """Desired rows in the canonical digest-row form, per range."""
-    buckets: Dict[int, List[tuple]] = {}
-    for copy_id, (kind, stamp, _) in rows.items():
-        buckets.setdefault(hash_range(copy_id, ranges), []).append(
-            (kind, copy_id, stamp[0], stamp[1]))
-    for bucket in buckets.values():
-        bucket.sort()
-    return buckets
+    return digest_rows(
+        ((copy_id, stamp) for copy_id, (kind, stamp, _) in rows.items()
+         if kind == "item"),
+        ((copy_id, stamp) for copy_id, (kind, stamp, _) in rows.items()
+         if kind == "tomb"))
 
 
 def _repair_range(net, server, copy_ids, rows: Dict[str, _DesiredRow],
@@ -245,8 +236,7 @@ def _repair_range(net, server, copy_ids, rows: Dict[str, _DesiredRow],
     return done
 
 
-def storage_divergence(net, catalog: Optional[Dict[str, int]] = None,
-                       ranges: int = DEFAULT_RANGES) -> int:
+def storage_divergence(net, catalog: Optional[Dict[str, int]] = None) -> int:
     """Measure (without repairing) how many ``(server, hash-range)``
     digest pairs differ between the actual contents and the resolved
     desired state — the storage plane's divergence metric.  Crashed
@@ -262,9 +252,8 @@ def storage_divergence(net, catalog: Optional[Dict[str, int]] = None,
             if fault is not None and \
                     not fault.server_alive(server.server_id):
                 continue
-            want_ranges = _desired_rows(
-                desired.get(server.server_id, {}), ranges)
-            have_ranges = server_rows(server, ranges)
+            want_ranges = _desired_rows(desired.get(server.server_id, {}))
+            have_ranges = server_rows(server)
             for r in set(want_ranges) | set(have_ranges):
                 if rows_digest(want_ranges.get(r, [])) != \
                         rows_digest(have_ranges.get(r, [])):
@@ -274,7 +263,6 @@ def storage_divergence(net, catalog: Optional[Dict[str, int]] = None,
 
 def scrub_network(net, catalog: Optional[Dict[str, int]] = None,
                   max_sweeps: int = 4,
-                  ranges: int = DEFAULT_RANGES,
                   max_repairs_per_sweep: Optional[int] = None,
                   gc: bool = True) -> ScrubReport:
     """Run anti-entropy sweeps until the storage plane converges (or
@@ -307,8 +295,8 @@ def scrub_network(net, catalog: Optional[Dict[str, int]] = None,
                         not fault.server_alive(server_id):
                     continue
                 want = desired.get(server_id, {})
-                want_ranges = _desired_rows(want, ranges)
-                have_ranges = server_rows(server, ranges)
+                want_ranges = _desired_rows(want)
+                have_ranges = server_rows(server)
                 for r in sorted(set(want_ranges) | set(have_ranges)):
                     report.ranges_checked += 1
                     want_rows = want_ranges.get(r, [])

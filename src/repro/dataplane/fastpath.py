@@ -21,10 +21,10 @@ decision procedure with no per-packet object construction:
 
 :meth:`CompiledRouter.route` walks one request — it is what the
 facade's scalar route stage (``place`` / ``retrieve`` / ``route_for``)
-runs; :meth:`route_batch` advances a whole batch in switch-grouped
-*waves* — every request parked at the same switch shares one vectorized
-candidate evaluation — which amortizes the per-hop decision to a few
-numpy operations per group.  A wave carries only what cannot fail.
+runs; :meth:`~CompiledRouter.route_batch_packed` advances a whole
+batch in switch-grouped *waves* — every request parked at the same
+switch shares one vectorized candidate evaluation — which amortizes the
+per-hop decision to a few numpy operations per group.  A wave carries only what cannot fail.
 There is one scalar loop, :meth:`CompiledRouter._walk`: ``route``
 starts it at the entry switch, and the wave router hands it, mid-route,
 the last few in-flight requests of a batch and every request it cannot
@@ -170,8 +170,8 @@ def federated_blockers(fed) -> Dict[int, List[str]]:
     }
 
 
-#: ``route_batch`` hands stragglers to the scalar walker once the
-#: active set is this small — whole-batch numpy dispatch no longer
+#: ``route_batch_packed`` hands stragglers to the scalar walker once
+#: the active set is this small — whole-batch numpy dispatch no longer
 #: amortizes over a handful of in-flight requests.
 _WAVE_MIN_ACTIVE = 96
 
@@ -745,7 +745,7 @@ class CompiledRouter:
         self._default_max_hops = 4 * len(switches) + 16
         # (switch, dest) -> relay chain (first relay ... dest).
         self._chains: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # Dense plane for route_batch, synced on first use: switches whose
+        # Dense plane for the waves, synced on first use: switches whose
         # rows may differ, chain keys pruned since (None: every cell).
         self._flat = _FlatPlane()
         self._dirty = set(self._states)
@@ -759,10 +759,6 @@ class CompiledRouter:
         #: Wave planes built from empty: one per router, on its first
         #: batch (a patch rewrites rows of the plane it has).
         self.plane_builds = 0
-        #: Waves dispatched by the most recent :meth:`route_batch`
-        #: (telemetry: proof the vectorized path ran, and the divisor
-        #: for per-wave cost estimates).
-        self.last_batch_waves = 0
         #: ``(greedy_forwards, vl_starts, vl_relays)`` of the most
         #: recent :meth:`route` call — the per-request decision mix the
         #: forwarding engine counts one event at a time, recovered here
@@ -984,43 +980,16 @@ class CompiledRouter:
                 current = bnid
 
     # ------------------------------------------------------------------
-    def route_batch(self, entries: Sequence[int],
-                    data_ids: Sequence[str],
-                    pxs: np.ndarray, pys: np.ndarray,
-                    serial_u64s: np.ndarray,
-                    max_hops: Optional[int] = None
-                    ) -> List[RouteOutcome]:
-        """Route many requests in switch-grouped waves.
-
-        Each wave groups the in-flight requests by their current
-        switch and evaluates that switch's candidate set against all
-        of them with one vectorized pass; the per-request winner and
-        strict-improvement test replicate :meth:`route`'s float
-        arithmetic and lexicographic tie-breaks exactly, so every
-        outcome is byte-identical to the scalar walk.  The walk itself
-        is the array program :func:`_route_batch_packed` (its
-        straggler tail runs :meth:`_walk`) and this wrapper
-        materializes its packed result.
-
-        Returns one outcome per request, in order: the same tuple
-        :meth:`route` produces, or the :class:`ForwardingError`
-        it would have raised (the caller decides whether to raise).
-        """
-        if max_hops is None:
-            max_hops = self._default_max_hops
-        packed = self.route_batch_packed(
-            np.asarray(entries, dtype=np.int64),
-            pxs, pys, serial_u64s, max_hops)
-        self.last_batch_waves = packed.waves
-        return packed.materialize(data_ids, max_hops)
-
     def route_batch_packed(self, entries_arr: np.ndarray,
                            pxs: np.ndarray, pys: np.ndarray,
                            serial_u64s: np.ndarray,
                            max_hops: int) -> _PackedRoutes:
-        """Array-form batch walk over the dense plane.  Returns the
-        raw :class:`_PackedRoutes` without touching the router's
-        last-batch telemetry (the caller owns aggregation)."""
+        """Route many requests in switch-grouped waves over the dense
+        plane, replicating :meth:`route`'s float arithmetic and
+        tie-breaks exactly (its straggler tail runs :meth:`_walk`).
+        ``materialize`` on the result gives one outcome per request,
+        in order: the tuple :meth:`route` produces, or the
+        :class:`ForwardingError` it would have raised."""
         return _route_batch_packed(
             self._ensure_flat(), self._walk, entries_arr,
             np.asarray(pxs, dtype=np.float64),

@@ -12,7 +12,6 @@ from .antientropy import (
     DEFAULT_RANGES,
     hash_range,
     rows_digest,
-    server_range_digests,
     server_rows,
 )
 from .attachment import (
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_RANGES",
     "hash_range",
     "rows_digest",
-    "server_range_digests",
     "server_rows",
     "ServerMap",
     "attach_uniform",

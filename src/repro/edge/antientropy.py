@@ -1,10 +1,10 @@
 """Item-level anti-entropy digests for the storage plane.
 
 Mirrors the control plane's ``plan.switch_digest`` pattern one layer
-down: a server's contents are split into ``ranges`` hash ranges (by the
-SHA-256 of each replica identifier) and each range is summarized as one
-SHA-256 digest over its canonical rows ``(kind, copy_id, version,
-origin)``.  Two parties that agree on a range's digest agree on every
+down: a server's contents are split into ``DEFAULT_RANGES`` hash
+ranges (by the SHA-256 of each replica identifier) and each range is
+summarized as one SHA-256 digest over its canonical rows ``(kind,
+copy_id, version, origin)``.  Two parties that agree on a range's digest agree on every
 stamped item *and tombstone* in that range, so a scrub sweep only
 pulls item-level detail for ranges whose digests mismatch — the same
 bounded-traffic trick ``Controller.reconcile`` uses for rules.
@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from .server import NO_STAMP, EdgeServer, Stamp
 
-#: Default number of hash ranges per server.
+#: Number of hash ranges per server.
 DEFAULT_RANGES = 16
 
 #: One canonical digest row: ``(kind, copy_id, version, origin)`` with
@@ -30,30 +30,28 @@ DEFAULT_RANGES = 16
 DigestRow = Tuple[str, str, int, int]
 
 
-def hash_range(copy_id: str, ranges: int = DEFAULT_RANGES) -> int:
-    """The hash range (0..ranges-1) a replica identifier falls into.
+def hash_range(copy_id: str) -> int:
+    """The hash range (0..DEFAULT_RANGES-1) a replica identifier falls
+    into.
 
     Uses the first byte of the id's SHA-256 digest, so ranges are
     uniform and independent of the virtual-position hashing.
     """
-    if ranges < 1:
-        raise ValueError(f"ranges must be >= 1, got {ranges}")
     first = hashlib.sha256(copy_id.encode("utf-8")).digest()[0]
-    return first * ranges // 256
+    return first * DEFAULT_RANGES // 256
 
 
 def digest_rows(items: Iterable[Tuple[str, Stamp]],
-                tombstones: Iterable[Tuple[str, Stamp]],
-                ranges: int = DEFAULT_RANGES
+                tombstones: Iterable[Tuple[str, Stamp]]
                 ) -> Dict[int, List[DigestRow]]:
     """Canonical per-range rows for a set of stamped items and
     tombstones (rows sorted within each range)."""
     buckets: Dict[int, List[DigestRow]] = {}
     for copy_id, stamp in items:
-        buckets.setdefault(hash_range(copy_id, ranges), []).append(
+        buckets.setdefault(hash_range(copy_id), []).append(
             ("item", copy_id, stamp[0], stamp[1]))
     for copy_id, stamp in tombstones:
-        buckets.setdefault(hash_range(copy_id, ranges), []).append(
+        buckets.setdefault(hash_range(copy_id), []).append(
             ("tomb", copy_id, stamp[0], stamp[1]))
     for rows in buckets.values():
         rows.sort()
@@ -66,23 +64,10 @@ def rows_digest(rows: List[DigestRow]) -> str:
     return hashlib.sha256(repr(tuple(rows)).encode("utf-8")).hexdigest()
 
 
-def server_rows(server: EdgeServer,
-                ranges: int = DEFAULT_RANGES
-                ) -> Dict[int, List[DigestRow]]:
+def server_rows(server: EdgeServer) -> Dict[int, List[DigestRow]]:
     """The server's actual contents as canonical per-range rows."""
     return digest_rows(
         ((copy_id, server.stamp_of(copy_id) or NO_STAMP)
          for copy_id in server.stored_ids()),
         server.tombstones().items(),
-        ranges,
     )
-
-
-def server_range_digests(server: EdgeServer,
-                         ranges: int = DEFAULT_RANGES
-                         ) -> Dict[int, str]:
-    """Per-range digests of one server's stamped contents.  Ranges
-    with no rows are omitted (their digest is the empty-rows digest on
-    both sides, so omission cannot mask divergence)."""
-    return {r: rows_digest(rows)
-            for r, rows in server_rows(server, ranges).items()}

@@ -37,7 +37,7 @@ from ..chord import ChordRing
 from ..edge import EdgeServer, attach_uniform
 from ..report import Gate, check_bounds, echo, flag
 from .common import build_topology, format_table, mean_or_zero
-from .convergence import canonical_state
+from .convergence import blank_switches, canonical_state
 
 #: Format marker of the ``gred churn`` JSON report.
 CHURN_FORMAT = "gred-churn-v1"
@@ -161,7 +161,7 @@ class _JoinMeter:
         """One join event: ``add_switch`` (the deployment's) links a
         new switch to ``peers`` under the ``home`` controller, whose
         recording ``channel`` then holds what the join shipped."""
-        from ..controlplane import compile_messages
+        from ..controlplane import install_all_rules
         from ..controlplane.southbound import Probe
 
         before = {
@@ -181,10 +181,11 @@ class _JoinMeter:
         self.touched_counts.append(len(touched))
         # The pre-refactor path cleared and reinstalled every switch
         # of the home controller (a region was the unit of blast
-        # radius even before the delta pipeline): its cost is the full
-        # compiled message sequence over the post-join network.
-        self.full_messages.append(len(compile_messages(
-            home.topology, home.positions, home.dt_adjacency())))
+        # radius even before the delta pipeline): its cost is the
+        # writes of a full install over the post-join network.
+        self.full_messages.append(install_all_rules(
+            home.topology, blank_switches(home), home.positions,
+            home.dt_adjacency()))
         after = {
             sid: canonical_state(sw) for sid, sw in home.switches.items()
         }

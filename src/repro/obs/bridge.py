@@ -9,7 +9,7 @@ stream.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..dataplane.tracing import TraceEventKind, Tracer
 from .spans import Span, SpanRecorder
@@ -44,33 +44,24 @@ class CountingTracer(Tracer):
 
 
 def spans_from_tracer(recorder: SpanRecorder, tracer: Tracer,
-                      parent: Optional[Span] = None,
-                      data_id: Optional[str] = None,
-                      start: Optional[float] = None,
-                      hop_seconds: float = 1e-6) -> List[Span]:
+                      parent: Span) -> List[Span]:
     """Promote a packet's tracer events to per-hop child spans.
 
     Each forwarding decision becomes one span named
-    ``hop.<event kind>`` under ``parent`` (the recorder's current span
-    when omitted).  Simulated forwarding has no measurable per-hop
-    wall time, so hops are laid out sequentially from the parent's
-    start at ``hop_seconds`` apiece — the sequence/topology is the
-    signal, the synthetic durations just make the hops render in order
-    in ``chrome://tracing``.
+    ``hop.<event kind>`` under ``parent``.  Simulated forwarding has no
+    measurable per-hop wall time, so hops are laid out sequentially
+    from the parent's start at a microsecond apiece — the
+    sequence/topology is the signal, the synthetic durations just make
+    the hops render in order in ``chrome://tracing``.
     """
-    if parent is None:
-        parent = recorder.current()
-    if parent is None:
-        return []
-    base = parent.start if start is None else float(start)
     spans: List[Span] = []
-    for i, event in enumerate(tracer.events(data_id)):
+    for i, event in enumerate(tracer.events()):
         attrs = {"switch": event.switch, "data_id": event.data_id}
         attrs.update(event.details)
         span = recorder.add_span(
             f"hop.{event.kind.value}",
-            start=base + i * hop_seconds,
-            end=base + (i + 1) * hop_seconds,
+            start=parent.start + i * 1e-6,
+            end=parent.start + (i + 1) * 1e-6,
             parent=parent,
             **attrs,
         )

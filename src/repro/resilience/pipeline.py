@@ -27,10 +27,10 @@ Latency is *virtual*: the pipeline charges each probe through
 ``config.latency`` (:meth:`repro.simulation.LatencyModel.round_trip`:
 the per-hop delay of its request and response paths, the server's
 service time, and the extra delay of every slow link of the wrapped
-network's fault state on the request path), plus ``failure_penalty``
-for probes that die in routing, on the caller's clock, so every run is
-deterministic and reports are bit-identical under a fixed seed — there
-is no wall clock anywhere in the pipeline.
+network's fault state on the request and reply paths), plus
+``failure_penalty`` for probes that die in routing, on the caller's
+clock, so every run is deterministic and reports are bit-identical
+under a fixed seed — there is no wall clock anywhere in the pipeline.
 
 With ``config.enabled == False`` (the default) every call delegates
 straight to the wrapped network and returns its result untouched inside
@@ -53,6 +53,7 @@ from ..core.network import (GredError, check_batch_args, draw_entries,
                             entry_index)
 from ..core.results import PlacementResult
 from ..dataplane import ForwardingError
+from ..graph import bfs_path
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
 from ..obs.spans import Span, default_recorder as span_recorder
@@ -771,11 +772,15 @@ class ResilientNetwork:
             record.trace, record.physical_hops, None, slowed)
 
     def _retrieval_service_time(self, result, slowed) -> float:
-        """One probe: a hit answers along the shortest path home, a miss
-        retraces the request."""
+        """One probe: a hit answers along the shortest path home (read
+        only when a link is slow), a miss retraces the request."""
+        reply = None
+        if result.found and slowed is not None:
+            reply = bfs_path(self.net.topology, result.server_id[0],
+                             result.entry_switch)
         return self.config.latency.round_trip(
             result.trace, result.request_hops,
-            result.response_hops if result.found else None, slowed)
+            result.response_hops if result.found else None, slowed, reply)
 
     def _succeeded(self, switch: int, server, now: float) -> None:
         """Feed one success to a switch's and a server's breakers."""

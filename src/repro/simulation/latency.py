@@ -45,14 +45,17 @@ class LatencyModel:
         return hops * (self.link_delay + self.switch_delay)
 
     def round_trip(self, trace: Sequence[int], hops: int,
-                   back: Optional[int] = None, fault_state=None) -> float:
+                   back: Optional[int] = None, fault_state=None,
+                   reply: Optional[Sequence[int]] = None) -> float:
         """Delay of one request/response exchange: ``hops`` physical hops
         out along ``trace``, the server's service time, and ``back`` hops
         home (``None``: the reply retraces ``trace``).  Each traversal
         of a link ``fault_state`` slows by ``factor`` adds
-        ``(factor - 1) * link_delay``: twice for a retraced reply, once
-        otherwise, since a reply known only by its hop count runs at
-        the nominal per-hop delay."""
+        ``(factor - 1) * link_delay``: once out along ``trace``, and
+        once back along ``trace`` again (retraced) or along ``reply``,
+        the switches the reply crosses.  A reply known only by its hop
+        count (``back`` without ``reply``) runs at the nominal per-hop
+        delay."""
         retraced = back is None
         # path_delay of both legs, inlined: the resilience pipeline
         # calls this once per settled request.
@@ -63,5 +66,10 @@ class LatencyModel:
             factor = fault_state.delay_factor
             slowdown = sum(factor(u, v) - 1.0
                            for u, v in zip(trace, trace[1:]))
-            delay += (2 if retraced else 1) * slowdown * self.link_delay
+            if retraced:
+                slowdown *= 2
+            elif reply is not None:
+                slowdown += sum(factor(u, v) - 1.0
+                                for u, v in zip(reply, reply[1:]))
+            delay += slowdown * self.link_delay
         return delay

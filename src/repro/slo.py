@@ -37,7 +37,7 @@ from . import obs
 from .core.network import GredNetwork
 from .faults import FaultInjector, FaultPlan
 from .obs import spans
-from .report import Gate, check_bounds, echo, flag, gate_failures
+from .report import Gate, check_bounds, echo, flag
 from .resilience import ResilienceConfig
 from .topology import brite_waxman_graph
 
@@ -357,16 +357,6 @@ GATES = (
          "exit nonzero when SLO attainment at any point falls below "
          "this threshold (CI gate)", metavar="FRACTION"),
 )
-
-
-def evaluate_gates(report: Dict[str, Any],
-                   min_goodput: Optional[float] = None,
-                   min_attainment: Optional[float] = None
-                   ) -> List[str]:
-    """CI gate checks (:data:`GATES`); returns failure messages (empty
-    = all pass)."""
-    return gate_failures(GATES, report, {"min_goodput": min_goodput,
-                                         "min_attainment": min_attainment})
 
 
 def render_summary(report: Dict[str, Any]) -> str:

@@ -852,7 +852,7 @@ class TestPlaneSlots:
 
     @staticmethod
     def _batch_is_scalar(router, switches):
-        """2,000 probes from every switch: ``route_batch`` == ``route``,
+        """2,000 probes from every switch: the waves == ``route``,
         failures by their text."""
         ids = [f"slot/{i}" for i in range(2000)]
         digests = sha256_digests(ids)
@@ -860,8 +860,10 @@ class TestPlaneSlots:
         serials = serials_from_digests(digests)
         sids = sorted(switches)
         entries = [sids[i % len(sids)] for i in range(len(ids))]
-        got = router.route_batch(entries, ids, positions[:, 0],
-                                 positions[:, 1], serials)
+        bound = router._default_max_hops
+        got = router.route_batch_packed(
+            np.asarray(entries, dtype=np.int64), positions[:, 0],
+            positions[:, 1], serials, bound).materialize(ids, bound)
         for i, outcome in enumerate(got):
             try:
                 want = router.route(entries[i], ids[i], positions[i, 0],

@@ -21,6 +21,7 @@ from repro import (GredError, GredNetwork, attach_uniform,
                    brite_waxman_graph)
 from repro import obs
 from repro.faults import FaultInjector
+from repro.graph import bfs_path
 from repro.resilience import (
     AdmissionController,
     BreakerBoard,
@@ -1090,11 +1091,12 @@ class TestQuietBoard:
 
 
 class TestSlowLinkCharge:
-    """A slow link on a probe's request path reaches the resilient
-    charge: each traversal of a link ``factor`` times slower adds
+    """A slow link on a probe's path reaches the resilient charge: each
+    traversal of a link ``factor`` times slower adds
     ``(factor - 1) * link_delay`` (twice for a placement, whose ack
-    retraces the path; once for a retrieval hit, whose reply is known
-    only by its hop count)."""
+    retraces the request path; for a retrieval hit, once on the request
+    path and once more per crossing of its reply, the shortest path
+    from the holder home)."""
 
     FACTOR = 7.0
 
@@ -1116,6 +1118,21 @@ class TestSlowLinkCharge:
                 return data_id, entry, outcome, trace
         raise AssertionError("no request crossed a link")
 
+    @staticmethod
+    def reply_links(net, outcome):
+        """The links a retrieval hit's reply crosses."""
+        result = outcome.result
+        path = bfs_path(net.topology, result.server_id[0],
+                        result.entry_switch)
+        return [frozenset(pair) for pair in zip(path, path[1:])]
+
+    def charged(self, net, kind, outcome, trace, traversals):
+        """Traversals of the request's first link the charge counts."""
+        if kind == "place":
+            return traversals
+        return traversals + self.reply_links(net, outcome).count(
+            frozenset(trace[:2]))
+
     @pytest.mark.parametrize("kind,traversals",
                              [("place", 2), ("retrieve", 1)])
     def test_scalar_charge(self, net, kind, traversals):
@@ -1125,16 +1142,17 @@ class TestSlowLinkCharge:
         call = getattr(pipeline, kind)
         after = call(data_id, entry_switch=entry, now=0.0)
         link = pipeline.config.latency.link_delay
+        count = self.charged(net, kind, before, trace, traversals)
         assert after.ok and after.queue_wait == before.queue_wait == 0.0
         assert after.latency == \
-            before.latency + traversals * (self.FACTOR - 1) * link
+            before.latency + count * (self.FACTOR - 1) * link
 
     @pytest.mark.parametrize("kind,traversals",
                              [("place", 2), ("retrieve", 1)])
     def test_batch_charge_reads_the_faults_once(self, net, kind,
                                                 traversals, monkeypatch):
         pipeline = net.resilient(enabled_config(burst=200.0))
-        data_id, entry, _, trace = self.traced(net, pipeline, kind)
+        data_id, entry, first, trace = self.traced(net, pipeline, kind)
         many = getattr(pipeline, f"{kind}_many")
         ids = [data_id] * 8
         before = many(ids, entry_switches=[entry] * 8, now=0.0)
@@ -1146,19 +1164,48 @@ class TestSlowLinkCharge:
         after = many(ids, entry_switches=[entry] * 8, now=0.0)
         assert len(reads) == 1
         link = pipeline.config.latency.link_delay
+        count = self.charged(net, kind, first, trace, traversals)
         for old, new in zip(before, after):
             assert new.ok and new.queue_wait == old.queue_wait == 0.0
             assert new.latency == \
-                old.latency + traversals * (self.FACTOR - 1) * link
+                old.latency + count * (self.FACTOR - 1) * link
 
     def test_links_off_the_path_charge_nothing(self, net):
+        """Off both paths: the request's and the reply's."""
         pipeline = net.resilient(enabled_config(burst=200.0))
         data_id, entry, before, trace = self.traced(net, pipeline,
                                                     "retrieve")
         on_path = {frozenset(pair) for pair in zip(trace, trace[1:])}
+        on_path.update(self.reply_links(net, before))
         injector = FaultInjector(net)
         for u, v, _ in net.topology.edges():
             if frozenset((u, v)) not in on_path:
                 injector.set_slow_link(u, v, self.FACTOR)
         after = pipeline.retrieve(data_id, entry_switch=entry, now=0.0)
         assert after.latency == before.latency
+
+    def test_a_slow_link_on_the_reply_only(self, net):
+        """A link only the reply crosses adds exactly one excess."""
+        pipeline = net.resilient(enabled_config(burst=200.0))
+        for i in range(200):
+            data_id = f"reply/{i}"
+            entry = net.switch_ids()[i % len(net.switch_ids())]
+            pipeline.place(data_id, payload=b"v", entry_switch=entry,
+                           now=0.0)
+            before = pipeline.retrieve(data_id, entry_switch=entry,
+                                       now=0.0)
+            trace = before.result.trace
+            request = {frozenset(pair) for pair in zip(trace, trace[1:])}
+            reply_only = [link for link in self.reply_links(net, before)
+                          if link not in request]
+            if reply_only:
+                break
+        else:
+            raise AssertionError("no reply left the request path")
+        FaultInjector(net).set_slow_link(*sorted(reply_only[0]),
+                                         self.FACTOR)
+        after = pipeline.retrieve(data_id, entry_switch=entry, now=0.0)
+        link = pipeline.config.latency.link_delay
+        assert after.ok and after.queue_wait == before.queue_wait == 0.0
+        assert after.latency == \
+            before.latency + (self.FACTOR - 1) * link

@@ -612,10 +612,11 @@ class TestStragglerTailErrors:
         digests = sha256_digests(ids + [data_id])
         positions = positions_from_digests(digests)
         router = CompiledRouter(net.controller.switches)
-        got = router.route_batch(
-            homes + [entry], ids + [data_id], positions[:, 0],
-            positions[:, 1], serials_from_digests(digests), max_hops=2)
-        assert router.last_batch_waves == 2
+        packed = router.route_batch_packed(
+            np.asarray(homes + [entry], dtype=np.int64), positions[:, 0],
+            positions[:, 1], serials_from_digests(digests), 2)
+        assert packed.waves == 2
+        got = packed.materialize(ids + [data_id], 2)
         with pytest.raises(ForwardingError) as want:
             route_packet(net.controller.switches, entry,
                          Packet(kind=PacketKind.RETRIEVAL,
@@ -635,8 +636,8 @@ class TestStragglerTailErrors:
     @settings(max_examples=30, deadline=None)
     def test_route_batch_is_route_on_a_broken_plane(
             self, seed, switches, budget, dropped, stripped, strangers):
-        """``route_batch`` ≡ per-request ``route`` when walks fail all
-        over the batch — tight hop budgets, switches dropped from the
+        """The waves ≡ per-request ``route`` when walks fail all over
+        the batch — tight hop budgets, switches dropped from the
         plane, switches stripped of their servers, unknown entries —
         with enough requests in flight that waves decide most of them:
         same outcome tuple or error text, and the same decision mix,

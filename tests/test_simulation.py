@@ -141,6 +141,15 @@ class TestSlowLinks:
         assert self.model.round_trip(trace, 3, 3, slow) == \
             pytest.approx(one_way + 3.0 * 1e-3, rel=1e-12)
 
+    def test_a_reply_path_charges_its_own_links(self):
+        slow = _SlowLinks({(1, 2): 4.0, (3, 5): 2.0})
+        trace = [0, 1, 2, 3]
+        one_way = self.model.round_trip(trace, 3, 2)
+        assert self.model.round_trip(trace, 3, 2, slow, [3, 5, 0]) == \
+            pytest.approx(one_way + (3.0 + 1.0) * 1e-3, rel=1e-12)
+        assert self.model.round_trip(trace, 3, 2, None, [3, 5, 0]) == \
+            one_way
+
     def test_links_off_the_trace_change_nothing(self):
         slow = _SlowLinks({(5, 6): 10.0})
         trace = [0, 1, 2]

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultEvent, FaultPlan
+from repro.report import gate_failures
 from repro.slo import (
     DEFAULT_LOAD_FACTORS,
+    GATES,
     SloConfig,
-    evaluate_gates,
     render_summary,
     run_loadtest,
     write_report,
@@ -96,18 +97,21 @@ class TestReport:
 
 class TestGates:
     def test_gates_pass(self, quick_report):
-        assert evaluate_gates(quick_report, min_goodput=0.99,
-                              min_attainment=0.95) == []
+        assert gate_failures(GATES, quick_report,
+                             {"min_goodput": 0.99,
+                              "min_attainment": 0.95}) == []
 
     def test_goodput_gate_only_below_capacity(self, quick_report):
         # An impossible goodput gate fails the 0.8x point but is not
         # applied to the 1.5x point (shedding is the design there).
-        failures = evaluate_gates(quick_report, min_goodput=1.01)
+        failures = gate_failures(GATES, quick_report,
+                                 {"min_goodput": 1.01})
         assert len(failures) == 1
         assert "0.8x" in failures[0]
 
     def test_attainment_gate_applies_everywhere(self, quick_report):
-        failures = evaluate_gates(quick_report, min_attainment=1.01)
+        failures = gate_failures(GATES, quick_report,
+                                 {"min_attainment": 1.01})
         assert len(failures) == 2
 
 

@@ -2,27 +2,23 @@
 
 import pytest
 
-from repro import GredNetwork
 from repro.controlplane import (
     Controller,
     ControllerConfig,
     RecordingChannel,
+    apply_delta,
     apply_message,
-    compile_messages,
-    install_via_messages,
-    verify_installed_state,
+    diff_plans,
 )
 from repro.controlplane.southbound import (
-    ClearDtState,
-    InstallDtNeighbor,
     InstallExtension,
-    InstallPhysical,
     InstallVirtual,
     RemoveExtension,
     SetPosition,
 )
-from repro.dataplane import GredSwitch
 from repro.edge import attach_uniform
+from repro.experiments.control_churn import ChurnConfig, run_churn_scaling
+from repro.experiments.convergence import blank_switches
 from repro.topology import grid_graph
 
 
@@ -35,90 +31,12 @@ def controller():
     )
 
 
-class TestCompileMessages:
-    def test_every_switch_gets_position_and_clear(self, controller):
-        messages = compile_messages(
-            controller.topology, controller.positions,
-            controller.dt_adjacency())
-        positions = [m for m in messages if isinstance(m, SetPosition)]
-        clears = [m for m in messages if isinstance(m, ClearDtState)]
-        assert len(positions) == 9
-        assert len(clears) == 9
-
-    def test_physical_messages_match_topology(self, controller):
-        messages = compile_messages(
-            controller.topology, controller.positions,
-            controller.dt_adjacency())
-        physical = [m for m in messages
-                    if isinstance(m, InstallPhysical)]
-        # Two directed entries per undirected link.
-        assert len(physical) == 2 * controller.topology.num_edges()
-
-    def test_dt_messages_match_adjacency(self, controller):
-        adjacency = controller.dt_adjacency()
-        messages = compile_messages(
-            controller.topology, controller.positions, adjacency)
-        dt = [m for m in messages if isinstance(m, InstallDtNeighbor)]
-        assert len(dt) == sum(len(v) for v in adjacency.values())
-
-
-class TestEquivalence:
-    def test_message_install_equals_direct_install(self, controller):
-        """Installing via messages must produce the exact same switch
-        state as the direct rule compiler."""
-        fresh = {
-            node: GredSwitch(
-                switch_id=node,
-                position=controller.positions[node],
-                num_servers=len(controller.server_map.get(node, [])),
-            )
-            for node in controller.topology.nodes()
-        }
-        install_via_messages(
-            controller.topology, fresh, controller.positions,
-            controller.dt_adjacency())
-        for node, reference in controller.switches.items():
-            candidate = fresh[node]
-            assert candidate.position == reference.position
-            assert candidate.physical_neighbor_positions == \
-                reference.physical_neighbor_positions
-            assert candidate.dt_neighbor_positions == \
-                reference.dt_neighbor_positions
-            assert set(candidate.table.virtual_entries()) == \
-                set(reference.table.virtual_entries())
-            assert candidate.table.physical_neighbors() == \
-                reference.table.physical_neighbors()
-
-    def test_message_installed_state_verifies_clean(self, controller):
-        fresh = {
-            node: GredSwitch(
-                switch_id=node,
-                position=controller.positions[node],
-                num_servers=len(controller.server_map.get(node, [])),
-            )
-            for node in controller.topology.nodes()
-        }
-        install_via_messages(
-            controller.topology, fresh, controller.positions,
-            controller.dt_adjacency())
-        controller.switches = fresh
-        assert verify_installed_state(controller) == []
-
-
 class TestChannel:
     def test_channel_records_all_messages(self, controller):
         channel = RecordingChannel()
-        fresh = {
-            node: GredSwitch(
-                switch_id=node,
-                position=controller.positions[node],
-                num_servers=2,
-            )
-            for node in controller.topology.nodes()
-        }
-        sent = install_via_messages(
-            controller.topology, fresh, controller.positions,
-            controller.dt_adjacency(), channel=channel)
+        sent = apply_delta(blank_switches(controller),
+                           diff_plans(None, controller.desired_plan()),
+                           channel=channel)
         assert channel.count() == sent
         assert channel.count(SetPosition) == 9
         per_switch = channel.per_switch()
@@ -159,3 +77,20 @@ class TestVirtualLinkMessage:
         entry = controller.switches[0].table.virtual_entry(8)
         assert entry is not None
         assert entry.succ == 1
+
+
+class TestFullReinstallCount:
+    """The churn report's full-reinstall column, pinned per row: what a
+    clear-and-reinstall of the home controller would write after each
+    join (a clear and a position per switch, one write per port, DT
+    entry and relay-path node), averaged over the joins."""
+
+    @pytest.mark.parametrize("regions,sizes,want", [
+        (1, (12, 30), [620 / 3, 2058 / 3]),
+        (3, (24, 36), [334 / 3, 578 / 3]),
+    ])
+    def test_rows_are_pinned(self, regions, sizes, want):
+        report = run_churn_scaling(ChurnConfig(
+            sizes=sizes, num_joins=3, cvt_iterations=3, regions=regions))
+        assert [row["avg_full_reinstall_messages"]
+                for row in report["rows"]] == want

@@ -71,7 +71,8 @@ def main():
     network = src / "core" / "network.py"
     print(f"{lines(network):7d} {network.relative_to(ROOT)}")
 
-    bodies = function_bodies(str(p.relative_to(ROOT)) for p in budget)
+    bodies = [(length, where.removeprefix(f"{ROOT}/"))
+              for length, where in function_bodies(budget)]
     for length, where in sorted(bodies, reverse=True)[:5]:
         print(f"{length:5d} {where}")
     for length, where in bodies:
