@@ -29,6 +29,7 @@ map and seed as a monolithic ``GredNetwork``.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from math import hypot
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
@@ -99,6 +100,18 @@ def _region_sites(region_graph: Graph) -> Dict[int, Tuple[float, float]]:
     return {rid: points[i] for i, rid in enumerate(order)}
 
 
+def _groups(keys: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """The rows of ``keys`` grouped by key, in key order, each group's
+    rows in row order (one stable ``argsort``): ``(key, rows)``
+    pairs."""
+    if not keys.size:
+        return []
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return list(zip(ranked[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
+
+
 class FederatedController:
     """The federation's control plane: per-region shard controllers
     plus the top-level gateway overlay.
@@ -124,6 +137,13 @@ class FederatedController:
         #: :meth:`home_region`).
         self._site_rows = [(float(x), float(y), rid)
                            for rid, (x, y) in sorted(self._sites.items())]
+        #: The region ids in order, and the unobstructed overlay hops
+        #: between them (row: from, column: to) in that order: the
+        #: batch calls work on region *ranks* into ``_rids``.
+        self._rids = sorted(self._sites)
+        self._hop_matrix = np.array(
+            [[region_map.overlay_hops(a, b) for b in self._rids]
+             for a in self._rids], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # region resolution
@@ -500,12 +520,20 @@ class FederatedNetwork:
         """Federation telemetry for the requests one home shard was
         just handed, one entry of ``hows`` each: ``None`` for a request
         from its own switches, else the request's stitch."""
+        if default_registry().enabled:
+            hows = list(hows)
+            FederatedNetwork._count_rows(
+                region, len(hows), [s[2] for s in hows if s is not None])
+
+    @staticmethod
+    def _count_rows(region: int, rows: int, crossings: List[int]) -> None:
+        """:meth:`_count_requests` by columns: ``rows`` requests handed
+        to one home shard, and the gateway crossings of each of them
+        that came from another region."""
         registry = default_registry()
         if not registry.enabled:
             return
-        hows = list(hows)
-        crossings = [s[2] for s in hows if s is not None]
-        intra = len(hows) - len(crossings)
+        intra = rows - len(crossings)
         if intra:
             registry.counter(
                 "federation.requests",
@@ -596,65 +624,109 @@ class FederatedNetwork:
                    copies: int = 1,
                    rng: Optional[np.random.Generator] = None,
                    digests: Optional[np.ndarray] = None):
-        """Batch placement: one grouped pass per home region.
+        """Batch placement, planned in columns (one row per replica).
 
         Every replica is resolved to its home region in one vectorized
         pass, cross-region replicas are stitched to the home's ingress
         gateway (once per distinct ``(entry, home)`` pair), and each
         home shard then places all of its replicas, cross-region and
         intra-region alike, in request order in a single vectorized
-        ``place_many``.  Results and stored state equal a loop of
-        :meth:`place` over the items.
+        ``place_many``.  With ``copies=1`` the shard's own results are
+        the answers (a replica id is copy 0 of itself).  Results and
+        stored state equal a loop of :meth:`place` over the items.
 
-        Fails closed: an unreachable home region raises before any
-        shard stores anything.
+        Fails closed: an unreachable home region raises, naming the
+        first such replica in request order, before any shard stores
+        anything.
         """
         data_ids, entries, flat_ids, digests, positions = \
             _network.batch_front_door(self, data_ids, entry_switches,
                                       copies, rng, digests, payloads)
-        homes = self.controller.home_regions(positions)
-        assignment = self.controller._assignment
-        memo = self._stitches()
-        # home region -> (flat rows, their stitches; None = intra),
-        # in request order: each shard stores exactly the sequence a
-        # loop of ``place`` calls would hand it.
-        plan: Dict[int, Tuple[List[int], List[Any]]] = {}
-        for f, home in enumerate(homes):
-            entry = entries[f // copies]
-            stitched = None
-            if assignment[entry] != home:
-                stitched = self._stitch_via(memo, entry, home)
-                if stitched is None:
-                    raise self._unreachable(home, flat_ids[f])
-            flats, hows = plan.setdefault(home, ([], []))
-            flats.append(f)
-            hows.append(stitched)
-        records: List[Any] = [None] * len(flat_ids)
-        for rid in sorted(plan):
-            flats, hows = plan[rid]
-            self._count_requests(rid, hows)
+        rids = self.controller._rids
+        homes = self._home_ranks(positions)
+        item_entries, regions = self._entry_regions(entries)
+        local = np.repeat(item_entries, copies)
+        cross = np.flatnonzero(homes != np.repeat(regions, copies))
+        stitches, pair, ingress, crossings = self._stitch_rows(
+            self._stitches(), local, homes, cross)
+        if None in stitches:
+            f = int(cross[pair[cross] < 0][0])
+            raise self._unreachable(rids[homes[f]], flat_ids[f])
+        local[cross] = ingress[pair[cross]]
+        answers: List[Any] = [None] * len(flat_ids)
+        for rank, rows in _groups(homes):
+            rid = rids[rank]
+            flats = rows.tolist()
+            items = (rows // copies).tolist()
+            pairs = pair[rows]
+            self._count_rows(rid, len(flats),
+                             crossings[pairs[pairs >= 0]].tolist())
             results = self.shards[rid].net.place_many(
                 [flat_ids[f] for f in flats],
-                payloads=([payloads[f // copies] for f in flats]
-                          if payloads is not None else None),
-                entry_switches=[
-                    entries[f // copies] if s is None else s[1]
-                    for f, s in zip(flats, hows)],
+                payloads=(None if payloads is None
+                          else [payloads[i] for i in items]),
+                entry_switches=local[rows].tolist(),
                 copies=1,
-                digests=digests[np.asarray(flats, dtype=np.intp)],
+                digests=digests[rows],
             )
-            for f, stitched, result in zip(flats, hows, results):
-                record = records[f] = result.records[0]
-                if stitched is not None:
-                    self._carry_record(record, entries[f // copies],
-                                       stitched)
+            carried = np.flatnonzero(pairs >= 0)
+            for k, p in zip(carried.tolist(), pairs[carried].tolist()):
+                self._carry_record(results[k].records[0],
+                                   entries[items[k]], stitches[p])
+            for f, result in zip(flats, results):
+                answers[f] = result
+        if copies == 1:
+            return answers
         return [
             PlacementResult(
                 data_id=data_id,
-                records=records[i * copies:(i + 1) * copies],
+                records=[result.records[0] for result in
+                         answers[i * copies:(i + 1) * copies]],
             )
             for i, data_id in enumerate(data_ids)
         ]
+
+    def _home_ranks(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`FederatedController.home_regions` as an int64 array
+        of ranks into the controller's ``_rids``."""
+        controller = self.controller
+        return np.searchsorted(
+            controller._rids,
+            controller._region_index.closest_many(positions))
+
+    def _entry_regions(self, entries: List[int]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(entry switches, entry region ranks)`` of a batch's items
+        as int64 columns: one region lookup per distinct entry."""
+        column = np.asarray(entries, dtype=np.int64)
+        distinct, rank = np.unique(column, return_inverse=True)
+        assignment = self.controller._assignment
+        regions = np.searchsorted(self.controller._rids, np.array(
+            [assignment[e] for e in distinct.tolist()], dtype=np.int64))
+        return column, regions[rank.reshape(-1)]
+
+    def _stitch_rows(self, memo: Dict[Tuple[int, int], Any],
+                     entries: np.ndarray, homes: np.ndarray,
+                     rows: np.ndarray):
+        """Stitch the cross-region ``rows`` of a batch (entry switch and
+        home rank columns): one :meth:`_stitch_via` per distinct
+        ``(entry, home)`` pair.  Returns the stitches and, as int64
+        columns, each row's index into them (-1 off ``rows`` and where
+        the stitch is ``None``) and each stitch's ingress switch and
+        gateway crossings."""
+        rids = self.controller._rids
+        span = len(rids)
+        keys, which = np.unique(entries[rows] * span + homes[rows],
+                                return_inverse=True)
+        stitches = [self._stitch_via(memo, key // span, rids[key % span])
+                    for key in keys.tolist()]
+        columns = np.array([(-1, 0, 0) if stitched is None
+                            else (k, stitched[1], stitched[2])
+                            for k, stitched in enumerate(stitches)],
+                           dtype=np.int64).reshape(-1, 3)
+        pair = np.full(len(entries), -1, dtype=np.int64)
+        pair[rows] = columns[which.reshape(-1), 0]
+        return stitches, pair, columns[:, 1], columns[:, 2]
 
     # ------------------------------------------------------------------
     # retrieval
@@ -736,98 +808,95 @@ class FederatedNetwork:
                       rng: Optional[np.random.Generator] = None,
                       max_hops: Optional[int] = None,
                       digests: Optional[np.ndarray] = None):
-        """Batch retrieval in probe waves, one grouped pass per home
-        region and wave.
+        """Batch retrieval in probe waves, each planned in columns (one
+        row per still-unresolved item).
 
         An item whose every replica lives in its entry's own region is
-        answered whole by that shard.  Any other item is probed one
-        replica per wave, region-nearest-first: wave *k* hands each
-        still-unresolved item's *k*-th replica to its home shard (at
-        the ingress gateway when it lives in another region), skipping
-        homes that are not serving or unreachable.  Each shard answers
-        its share of a wave in a single vectorized ``retrieve_many``;
-        ``copies=1`` is a single wave.  Results equal a loop of
-        :meth:`retrieve` over the items.
+        answered whole by that shard, and the shard's answer is the
+        item's.  Any other item is probed one replica per wave,
+        region-nearest-first (ties by copy index: one ``argsort`` over
+        the overlay hops): wave *k* hands each still-unresolved item's
+        *k*-th replica to its home shard (at the ingress gateway when
+        it lives in another region), skipping homes that are not
+        serving or unreachable.  Each shard answers its share of a
+        wave, rows in request order, in a single vectorized
+        ``retrieve_many``; ``copies=1`` is a single wave.  Results
+        equal a loop of :meth:`retrieve` over the items.
         """
         data_ids, entries, flat_ids, digests, positions = \
             _network.batch_front_door(self, data_ids, entry_switches,
                                       copies, rng, digests)
-        homes = self.controller.home_regions(positions)
-        assignment = self.controller._assignment
         count = len(data_ids)
-        # Per item, the copy indices to probe in order; ``None`` marks
-        # an item its entry shard answers whole (all replicas local).
-        orders: List[Optional[List[int]]] = []
-        for i, entry in enumerate(entries):
-            region = assignment[entry]
-            item_homes = homes[i * copies:(i + 1) * copies]
-            orders.append(
-                None if all(h == region for h in item_homes)
-                else self._probe_order(region, item_homes))
+        rids = self.controller._rids
+        homes = self._home_ranks(positions).reshape(count, copies)
+        item_entries, regions = self._entry_regions(entries)
+        whole = (homes == regions[:, None]).all(axis=1)
+        # Per item, the copy indices to probe in order.
+        orders = np.argsort(
+            self.controller._hop_matrix[regions[:, None], homes],
+            axis=1, kind="stable")
+        serving = np.array([self.shards[rid].serving() for rid in rids])
         memo = self._stitches()
-        serving: Dict[int, bool] = {}
         results: List[Any] = [None] * count
-        attempts = [0] * count
-        pending = list(range(count))
+        settled = np.zeros(count, dtype=bool)
+        pending = np.arange(count)
         for wave in range(copies):
-            # (home region, copies per row) -> [(item, copy, stitch)]
-            groups: Dict[Tuple[int, int], List[Any]] = {}
-            for i in pending:
-                order = orders[i]
-                entry = entries[i]
-                if order is None:
-                    groups.setdefault((assignment[entry], copies),
-                                      []).append((i, 0, None))
-                    continue
-                attempts[i] += 1
-                c = order[wave]
-                home = homes[i * copies + c]
-                stitched = None
-                if home != assignment[entry]:
-                    if home not in serving:
-                        serving[home] = self.shards[home].serving()
-                    if not serving[home]:
-                        continue
-                    stitched = self._stitch_via(memo, entry, home)
-                    if stitched is None:
-                        continue
-                groups.setdefault((home, 1), []).append(
-                    (i, c, stitched))
-            done = set()
-            for rid, width in sorted(groups):
-                rows = groups[rid, width]
-                self._count_requests(rid, (s for _, _, s in rows))
-                flats = [i * copies + c + k for i, c, _ in rows
-                         for k in range(width)]
+            # One row per pending item: the whole item, or its probe.
+            copy = np.where(whole[pending], 0, orders[pending, wave])
+            home = homes[pending, copy]
+            intra = home == regions[pending]
+            stitches, pair, ingress, crossings = self._stitch_rows(
+                memo, item_entries[pending], home,
+                np.flatnonzero(~intra & serving[home]))
+            rows = np.flatnonzero(intra | (pair >= 0))
+            items, copy, home, pair = (
+                pending[rows], copy[rows], home[rows], pair[rows])
+            local = item_entries[items]
+            hop = np.flatnonzero(pair >= 0)
+            local[hop] = ingress[pair[hop]]
+            handed = whole[items]
+            width = np.where(handed, copies, 1)
+            found: List[int] = []
+            for key, g in _groups(home * (copies + 1) + width):
+                rank, span = divmod(key, copies + 1)
+                rid = rids[rank]
+                flats = items[g] * copies + copy[g]
+                pairs = pair[g]
+                self._count_rows(rid, len(g),
+                                 crossings[pairs[pairs >= 0]].tolist())
                 answers = self.shards[rid].net.retrieve_many(
-                    [flat_ids[i * copies + c] for i, c, _ in rows],
-                    entry_switches=[
-                        entries[i] if s is None else s[1]
-                        for i, _, s in rows],
-                    copies=width,
+                    [flat_ids[f] for f in flats.tolist()],
+                    entry_switches=local[g].tolist(),
+                    copies=span,
                     max_hops=max_hops,
-                    digests=digests[np.asarray(flats, dtype=np.intp)],
+                    digests=digests[
+                        (flats[:, None] + np.arange(span)).ravel()],
                 )
-                for (i, c, stitched), answer in zip(rows, answers):
-                    if orders[i] is None:
-                        results[i] = answer
-                        done.add(i)
-                        continue
+                group, whole_rows = items[g], handed[g]
+                for i, answer in zip(group[whole_rows].tolist(),
+                                     compress(answers, whole_rows)):
+                    results[i] = answer
+                probed = np.flatnonzero(~whole_rows)
+                for k, i, c, p in zip(probed.tolist(),
+                                      group[probed].tolist(),
+                                      copy[g][probed].tolist(),
+                                      pairs[probed].tolist()):
                     answer = self._carry_probe(
-                        answer, data_ids[i], c, attempts[i],
-                        entries[i], stitched)
+                        answers[k], data_ids[i], c, wave + 1, entries[i],
+                        None if p < 0 else stitches[p])
                     if answer is not None:
                         results[i] = answer  # found, or the latest miss
                         if answer.found:
-                            done.add(i)
-            pending = [i for i in pending if i not in done]
-            if not pending:
+                            found.append(i)
+            settled[items[handed]] = True
+            settled[found] = True
+            pending = pending[~settled[pending]]
+            if not pending.size:
                 break
-        for i in pending:
+        for i in pending.tolist():
             if results[i] is None:
                 results[i] = _network.GredNetwork._unroutable(
-                    data_ids[i], entries[i], orders[i][-1],
-                    attempts[i])
+                    data_ids[i], entries[i], int(orders[i, -1]), copies)
         return results
 
     # ------------------------------------------------------------------

@@ -157,6 +157,9 @@ class ResilientNetwork:
         )
         self._rng = np.random.default_rng(cfg.seed)
         self._clock = 0.0
+        #: ``(controller, version, {(holder, entry): reply path})``
+        #: (see :meth:`_reply`).
+        self._replies: Tuple[Any, int, Dict] = (None, -1, {})
         net._resilience = self
 
     def absorb_faults(self, now: Optional[float] = None) -> int:
@@ -776,11 +779,26 @@ class ResilientNetwork:
         only when a link is slow), a miss retraces the request."""
         reply = None
         if result.found and slowed is not None:
-            reply = bfs_path(self.net.topology, result.server_id[0],
-                             result.entry_switch)
+            reply = self._reply(result.server_id[0], result.entry_switch)
         return self.config.latency.round_trip(
             result.trace, result.request_hops,
             result.response_hops if result.found else None, slowed, reply)
+
+    def _reply(self, holder: int, entry: int) -> List[int]:
+        """The shortest path from ``holder`` to ``entry``, cached per
+        pair for as long as the wrapped network's controller (object
+        and ``version``) stands: any topology change bumps the version
+        and drops every reply."""
+        controller = self.net.controller
+        owner, version, replies = self._replies
+        if owner is not controller or version != controller.version:
+            replies = {}
+            self._replies = (controller, controller.version, replies)
+        path = replies.get((holder, entry))
+        if path is None:
+            path = replies[holder, entry] = bfs_path(
+                self.net.topology, holder, entry)
+        return path
 
     def _succeeded(self, switch: int, server, now: float) -> None:
         """Feed one success to a switch's and a server's breakers."""

@@ -478,6 +478,17 @@ class TestBatchEqualsScalarLoop:
     @example(w={"regions": 4, "copies": 2, "payloads": True,
                 "keys": list(range(61)) * 2, "prehashed": False,
                 "variant": "crashed-switch", "seed": 2})
+    # One wave, as gredbench runs it: whole intra-region rows and
+    # cross-region probes share each shard's call, and the rows homed
+    # in the dead region are skipped.
+    @example(w={"regions": 3, "copies": 1, "payloads": False,
+                "keys": list(range(150)) * 2, "prehashed": False,
+                "variant": "dead-region", "seed": 4})
+    # Three waves over four regions: replicas at equal overlay hops
+    # are probed in copy order.
+    @example(w={"regions": 4, "copies": 3, "payloads": True,
+                "keys": list(range(61)) + list(range(40)),
+                "prehashed": True, "variant": "dead-region", "seed": 5})
     def test_place_many_and_retrieve_many(self, w, reference_engine):
         copies = w["copies"]
         batch = make_fed(regions=w["regions"], per_region=8, cvt=3)

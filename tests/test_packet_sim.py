@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro import GredNetwork
+from repro import GredNetwork, obs
 from repro.chord import ChordNetwork
 from repro.edge import attach_uniform
+from repro.faults import FaultState
 from repro.simulation import LatencyModel, PacketLevelSimulator
 from repro.topology import grid_graph
 from repro.workloads import RetrievalRequest, uniform_retrieval_trace
@@ -147,3 +148,35 @@ class TestSaturationExperiment:
         chord_high = next(r for r in rows if r["protocol"] == "Chord"
                           and r["rate_per_s"] == 8000)
         assert gred_high["avg_delay_ms"] < chord_high["avg_delay_ms"]
+
+
+class TestUnboundedBandwidth:
+    """At ``math.inf`` with no fault state attached a packet's path is
+    one event, and it completes exactly as the hop-by-hop walk (which
+    a quiet fault state keeps) does: same delays, bit for bit, and one
+    zero ``link_backlog_seconds`` sample per hop."""
+
+    def run(self, net, trace, fault_state):
+        with obs.scoped_registry() as registry:
+            sim = PacketLevelSimulator(net, LatencyModel(),
+                                       bandwidth_bytes_per_s=math.inf,
+                                       fault_state=fault_state)
+            completed = [(c.request, c.request_hops, c.response_hops,
+                          c.response_delay, c.link_wait)
+                         for c in sim.run(trace)]
+        backlog = registry.lookup("histogram",
+                                  "simulation.link_backlog_seconds")
+        events = registry.counter_values("simulation.events_processed")
+        return completed, (backlog.count, backlog.sum), sum(events.values())
+
+    def test_one_event_per_path_is_the_hop_walk(self, net, rng):
+        items = [f"pk-{i}" for i in range(10)]
+        trace = uniform_retrieval_trace(items, net.switch_ids(), 200,
+                                        0.005, rng)
+        fast, backlog, events = self.run(net, trace, None)
+        walked, walked_backlog, walked_events = self.run(
+            net, trace, FaultState())
+        assert fast == walked
+        hops = sum(c[1] + c[2] for c in fast)
+        assert backlog == walked_backlog == (hops, 0.0) and hops > 200
+        assert events < walked_events

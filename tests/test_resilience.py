@@ -1209,3 +1209,44 @@ class TestSlowLinkCharge:
         assert after.ok and after.queue_wait == before.queue_wait == 0.0
         assert after.latency == \
             before.latency + (self.FACTOR - 1) * link
+
+
+class TestReplyMemo:
+    """While a link is slow, a hit's reply path is searched once per
+    ``(holder, entry)`` pair, until the topology changes."""
+
+    @staticmethod
+    def read(pipeline, ids, entries, calls):
+        """Retrieve ``ids`` twice over in one batch; the distinct
+        ``(holder, entry)`` pairs of the hits and the BFS runs."""
+        del calls[:]
+        got = pipeline.retrieve_many(ids * 2, entry_switches=entries * 2,
+                                     now=0.0)
+        assert all(outcome.ok and outcome.result.found for outcome in got)
+        return {(o.result.server_id[0], o.result.entry_switch)
+                for o in got}, list(calls)
+
+    def test_one_bfs_per_pair(self, net, monkeypatch):
+        import repro.resilience.pipeline as pipeline_module
+
+        pipeline = net.resilient(enabled_config(burst=1000.0))
+        switches = sorted(net.switch_ids())
+        ids = [f"memo/{i}" for i in range(60)]
+        entries = [switches[i % 3] for i in range(len(ids))]
+        pipeline.place_many(ids, entry_switches=entries, now=0.0)
+        calls = []
+        monkeypatch.setattr(pipeline_module, "bfs_path", lambda *args: (
+            calls.append(args[1:]) or bfs_path(*args)))
+        # No slow link: no reply is searched.
+        assert self.read(pipeline, ids, entries, calls)[1] == []
+        u, v, _ = next(iter(net.topology.edges()))
+        FaultInjector(net).set_slow_link(u, v, 3.0)
+        pairs, searched = self.read(pipeline, ids, entries, calls)
+        assert len(pairs) < len(ids) and sorted(searched) == sorted(pairs)
+        assert self.read(pipeline, ids, entries, calls)[1] == []
+        # A new link bumps the controller's version: searched again.
+        a, b = next((a, b) for a in switches for b in switches
+                    if a < b and not net.topology.has_edge(a, b))
+        net.controller.add_link(a, b)
+        pairs, searched = self.read(pipeline, ids, entries, calls)
+        assert sorted(searched) == sorted(pairs)

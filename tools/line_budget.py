@@ -9,8 +9,9 @@ It prints, in order: the line budget (``core + dataplane + resilience
 + cli.py``) against the ROADMAP target, the facade's length, the five
 longest function bodies on the request path and the two grouped batch
 bodies, the reference engine's and the per-source BFS's call sites,
-what this commit did to the request path, to ``src + benchmarks`` and
-to ``tests/``, the CI workflow's length, the route memo's bytes a
+what this change did to the request path, to ``src + benchmarks`` and
+to ``tests/`` (the uncommitted change where there is one, else the
+last commit), the CI workflow's length, the route memo's bytes a
 route, the breaker feeds and key derivations of a resilient batch of
 1,000 ids (quiet board, loud board, one breaker forced open), the
 sampler batches C-regulation draws (a build, a direct run, its first
@@ -48,15 +49,22 @@ def call_sites(name, paths, skip=None):
 
 
 def vs_parent(label, *paths):
-    numstat = subprocess.run(
-        ["git", "diff", "--numstat", "HEAD~1", "--", *paths], cwd=ROOT,
-        check=True, capture_output=True, text=True).stdout.split("\n")
+    """One change's lines under ``paths``: the uncommitted one against
+    ``HEAD`` while the paths are dirty, else the last commit's against
+    ``HEAD~1``."""
+    def git(*args):
+        return subprocess.run(["git", *args, "--", *paths], cwd=ROOT,
+                              capture_output=True, text=True)
+
+    base = "HEAD" if git("diff", "--quiet", "HEAD").returncode else "HEAD~1"
+    numstat = git("diff", "--numstat", base)
+    numstat.check_returncode()
     added = deleted = 0
-    for row in filter(None, numstat):
+    for row in filter(None, numstat.stdout.split("\n")):
         a, d, _ = row.split("\t", 2)
         added += int(a) if a != "-" else 0
         deleted += int(d) if d != "-" else 0
-    print(f"{label} vs parent: {added - deleted:+d} lines "
+    print(f"{label} vs {base}: {added - deleted:+d} lines "
           f"(+{added} -{deleted})")
 
 
