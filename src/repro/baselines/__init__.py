@@ -1,14 +1,12 @@
-"""Extra baselines beyond Chord: one-hop consistent hashing (global
-membership) and random placement (load-balance floor)."""
+"""Extra baseline beyond Chord: one-hop consistent hashing (global
+membership)."""
 
 from .consistent_hashing import (
     ConsistentHashingNetwork,
     OneHopRouteResult,
 )
-from .random_placement import RandomPlacementNetwork
 
 __all__ = [
     "ConsistentHashingNetwork",
     "OneHopRouteResult",
-    "RandomPlacementNetwork",
 ]

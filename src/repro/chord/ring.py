@@ -140,10 +140,6 @@ class ChordRing:
             idx = 0
         return self._nodes[idx]
 
-    def _predecessor_index(self, node_id: int) -> int:
-        idx = bisect_left(self._ids, node_id)
-        return (idx - 1) % len(self._nodes)
-
     def _build_finger_tables(self) -> Dict[int, List[RingNode]]:
         """finger[k] = successor(node_id + 2^k) for k in 0..bits-1.
 

@@ -33,7 +33,7 @@ anti-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np

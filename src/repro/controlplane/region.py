@@ -17,7 +17,7 @@ control plane needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph import Graph
 from ..graph.algorithms import is_connected

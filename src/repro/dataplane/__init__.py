@@ -14,7 +14,6 @@ from .fastpath import (
     FASTPATH_GATES,
     UNABSORBED_FAULT,
     batch_fastpath_blockers,
-    federated_blockers,
     scalar_standdown,
     unabsorbed_faults,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "FASTPATH_GATES",
     "UNABSORBED_FAULT",
     "batch_fastpath_blockers",
-    "federated_blockers",
     "scalar_standdown",
     "unabsorbed_faults",
     "Tracer",

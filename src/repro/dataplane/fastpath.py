@@ -153,23 +153,6 @@ def scalar_standdown(net) -> Optional[str]:
     return blockers[0] if blockers else None
 
 
-def federated_blockers(fed) -> Dict[int, List[str]]:
-    """Per-region fast-path blockers of a federation.
-
-    The federation has no global compiled plane — each region shard
-    carries its own ``_FastPathState`` — so batch eligibility is a
-    per-shard question: an unabsorbed fault in one region stands that
-    shard down to the scalar reference path while every other region
-    keeps its vectorized plane.  Returns ``region id -> blocker
-    reasons`` (all empty = every shard batch-eligible), the federated
-    twin of :func:`batch_fastpath_blockers`.
-    """
-    return {
-        rid: batch_fastpath_blockers(shard.net)
-        for rid, shard in sorted(fed.shards.items())
-    }
-
-
 #: ``route_batch_packed`` hands stragglers to the scalar walker once
 #: the active set is this small — whole-batch numpy dispatch no longer
 #: amortizes over a handful of in-flight requests.

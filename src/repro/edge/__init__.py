@@ -10,7 +10,6 @@ from .server import (
 )
 from .antientropy import (
     DEFAULT_RANGES,
-    hash_range,
     rows_digest,
     server_rows,
 )
@@ -20,7 +19,6 @@ from .attachment import (
     attach_heterogeneous,
     attach_uniform,
     load_vector,
-    total_load,
 )
 
 __all__ = [
@@ -31,13 +29,11 @@ __all__ = [
     "Stamp",
     "StorageFull",
     "DEFAULT_RANGES",
-    "hash_range",
     "rows_digest",
     "server_rows",
     "ServerMap",
     "attach_uniform",
     "attach_heterogeneous",
     "all_servers",
-    "total_load",
     "load_vector",
 ]

@@ -30,7 +30,7 @@ DEFAULT_RANGES = 16
 DigestRow = Tuple[str, str, int, int]
 
 
-def hash_range(copy_id: str) -> int:
+def _hash_range(copy_id: str) -> int:
     """The hash range (0..DEFAULT_RANGES-1) a replica identifier falls
     into.
 
@@ -48,10 +48,10 @@ def digest_rows(items: Iterable[Tuple[str, Stamp]],
     tombstones (rows sorted within each range)."""
     buckets: Dict[int, List[DigestRow]] = {}
     for copy_id, stamp in items:
-        buckets.setdefault(hash_range(copy_id), []).append(
+        buckets.setdefault(_hash_range(copy_id), []).append(
             ("item", copy_id, stamp[0], stamp[1]))
     for copy_id, stamp in tombstones:
-        buckets.setdefault(hash_range(copy_id), []).append(
+        buckets.setdefault(_hash_range(copy_id), []).append(
             ("tomb", copy_id, stamp[0], stamp[1]))
     for rows in buckets.values():
         rows.sort()

@@ -84,11 +84,6 @@ def all_servers(server_map: ServerMap) -> List[EdgeServer]:
     return flat
 
 
-def total_load(server_map: ServerMap) -> int:
-    """Total number of items stored across all servers."""
-    return sum(s.load for s in all_servers(server_map))
-
-
 def load_vector(server_map: ServerMap) -> List[int]:
     """Per-server loads, in deterministic (switch, serial) order."""
     return [s.load for s in all_servers(server_map)]

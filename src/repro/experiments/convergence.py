@@ -280,10 +280,10 @@ def reconcile_snapshot(net, config: ConvergenceConfig
     summary."""
     report = net.controller.reconcile(
         max_sweeps=config.max_sweeps).to_dict()
-    return report, len(report["divergent_final"]), render_reconcile(report)
+    return report, len(report["divergent_final"]), _render_reconcile(report)
 
 
-def render_reconcile(report: Dict) -> str:
+def _render_reconcile(report: Dict) -> str:
     """Human-readable digest of a snapshot reconcile."""
     return "\n".join([
         f"divergent switches : {report['divergent_initial']}",

@@ -349,7 +349,7 @@ def run_durability(config: DurabilityConfig) -> Dict:
     }
 
 
-def oracle_verdicts(report: Dict) -> str:
+def _oracle_verdicts(report: Dict) -> str:
     """How the storage plane differs from the fault-free oracle."""
     keys = ("resurrected", "lost", "stale", "unavailable")
     return tally({key: len(report[key]) for key in keys}, *keys)
@@ -360,7 +360,7 @@ def check_durability(report: Dict) -> List[str]:
     fault-free oracle."""
     return ([] if report["oracle_match"] else
             ["storage plane diverges from the fault-free oracle: "
-             + oracle_verdicts(report)])
+             + _oracle_verdicts(report)])
 
 
 #: ``gred scrub``'s CI threshold; the experiment's verdict comes with
@@ -383,10 +383,10 @@ def scrub_snapshot(net, config: DurabilityConfig) -> Tuple[Dict, int, str]:
     the summary."""
     report = net.scrub(max_sweeps=config.max_sweeps).to_dict()
     divergent = storage_divergence(net)
-    return report, divergent, render_scrub(report, divergent)
+    return report, divergent, _render_scrub(report, divergent)
 
 
-def render_scrub(report: Dict, divergent: int) -> str:
+def _render_scrub(report: Dict, divergent: int) -> str:
     """Human-readable digest of a snapshot scrub."""
     return "\n".join([
         f"sweeps             : {report['sweeps']}",
@@ -424,6 +424,6 @@ def render_durability(report: Dict) -> str:
         f"{scrub_stats['resurrections_removed']} "
         f"resurrection(s) cut, {scrub_stats['tombstones_gced']} "
         f"gc'd",
-        f"oracle verdicts    : {oracle_verdicts(report)}",
+        f"oracle verdicts    : {_oracle_verdicts(report)}",
         f"oracle match       : {report['oracle_match']}",
     ])

@@ -3,7 +3,7 @@
 * exact-ish predicates (float filter + rational fallback);
 * randomized-incremental Delaunay triangulation with flips;
 * Monte-Carlo Voronoi/CVT estimates used by the C-regulation algorithm;
-* convex hull for validation.
+* exact Voronoi cells by half-plane clipping, for rendering.
 """
 
 from .primitives import (
@@ -14,7 +14,6 @@ from .primitives import (
     clamp_to_unit_square,
     deduplicate_points,
     euclidean,
-    nearest_point_index,
     squared_distance,
 )
 from .predicates import incircle, orient2d, point_in_triangle
@@ -32,16 +31,7 @@ from .voronoi import (
     sample_unit_square,
     squared_distance_block,
 )
-from .voronoi_exact import (
-    clip_polygon_halfplane,
-    exact_cell_areas,
-    exact_cell_centroids,
-    exact_cvt_energy,
-    polygon_area,
-    polygon_centroid,
-    voronoi_cell,
-)
-from .hull import convex_hull, point_in_hull
+from .voronoi_exact import clip_polygon_halfplane, voronoi_cell
 
 __all__ = [
     "Point",
@@ -50,7 +40,6 @@ __all__ = [
     "squared_distance",
     "centroid",
     "bounding_box",
-    "nearest_point_index",
     "clamp_to_unit_square",
     "deduplicate_points",
     "orient2d",
@@ -66,13 +55,6 @@ __all__ = [
     "estimate_cell_areas",
     "cvt_energy",
     "cell_load_distribution",
-    "convex_hull",
-    "point_in_hull",
     "voronoi_cell",
     "clip_polygon_halfplane",
-    "polygon_area",
-    "polygon_centroid",
-    "exact_cell_areas",
-    "exact_cell_centroids",
-    "exact_cvt_energy",
 ]

@@ -52,27 +52,6 @@ def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
     return (min(xs), min(ys)), (max(xs), max(ys))
 
 
-def nearest_point_index(points: Sequence[Point], query: Point) -> int:
-    """Index of the point nearest to ``query``.
-
-    Ties are broken by lower x coordinate, then lower y coordinate, then
-    lower index — the same deterministic rule the paper uses to break ties
-    for data mapped onto a Voronoi edge (Section V-A).
-    """
-    if not points:
-        raise ValueError("nearest point of an empty point set is undefined")
-    best_idx = 0
-    best_key = (squared_distance(points[0], query),
-                points[0][0], points[0][1])
-    for i in range(1, len(points)):
-        key = (squared_distance(points[i], query),
-               points[i][0], points[i][1])
-        if key < best_key:
-            best_key = key
-            best_idx = i
-    return best_idx
-
-
 def clamp_to_unit_square(point: Point) -> Point:
     """Clamp a point into ``[0, 1] x [0, 1]``."""
     return (min(1.0, max(0.0, point[0])), min(1.0, max(0.0, point[1])))

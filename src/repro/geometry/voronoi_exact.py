@@ -3,8 +3,7 @@
 The Monte-Carlo estimates in :mod:`repro.geometry.voronoi` are what the
 paper's C-regulation uses; this module computes the cells *exactly* by
 half-plane clipping (Sutherland–Hodgman against the perpendicular
-bisectors), which the test-suite uses to validate the estimators and
-the experiments use for exact load predictions.
+bisectors), which ``gred render`` draws (:mod:`repro.viz.svg`).
 
 For each site ``q_i`` the cell is::
 
@@ -74,97 +73,3 @@ def voronoi_cell(sites: Sequence[Point], index: int) -> List[Point]:
         if not cell:
             break
     return cell
-
-
-def polygon_area(polygon: Sequence[Point]) -> float:
-    """Absolute area of a simple polygon (shoelace formula)."""
-    n = len(polygon)
-    if n < 3:
-        return 0.0
-    twice = 0.0
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        twice += x1 * y2 - x2 * y1
-    return abs(twice) / 2.0
-
-
-def polygon_centroid(polygon: Sequence[Point]) -> Point:
-    """Centroid of a simple polygon (area-weighted)."""
-    n = len(polygon)
-    if n == 0:
-        raise ValueError("centroid of an empty polygon is undefined")
-    if n < 3:
-        sx = sum(p[0] for p in polygon)
-        sy = sum(p[1] for p in polygon)
-        return (sx / n, sy / n)
-    twice = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        cross = x1 * y2 - x2 * y1
-        twice += cross
-        cx += (x1 + x2) * cross
-        cy += (y1 + y2) * cross
-    if twice == 0.0:
-        sx = sum(p[0] for p in polygon)
-        sy = sum(p[1] for p in polygon)
-        return (sx / n, sy / n)
-    return (cx / (3.0 * twice), cy / (3.0 * twice))
-
-
-def exact_cell_areas(sites: Sequence[Point]) -> List[float]:
-    """Exact area of every site's cell (sums to 1 when all sites are in
-    the unit square)."""
-    return [polygon_area(voronoi_cell(sites, i))
-            for i in range(len(sites))]
-
-
-def exact_cell_centroids(sites: Sequence[Point]) -> List[Point]:
-    """Exact centroid of every site's cell (a site with an empty cell —
-    only possible for coincident sites — keeps its own position)."""
-    result: List[Point] = []
-    for i in range(len(sites)):
-        cell = voronoi_cell(sites, i)
-        if polygon_area(cell) == 0.0:
-            result.append(tuple(sites[i]))
-        else:
-            result.append(polygon_centroid(cell))
-    return result
-
-
-def exact_cvt_energy(sites: Sequence[Point]) -> float:
-    """Exact CVT energy for uniform density over the unit square.
-
-    Integrates ``|r - q_i|^2`` over each cell by fan-triangulating it
-    and using the exact second-moment formula for a triangle with one
-    vertex at the site.
-    """
-    total = 0.0
-    for i, site in enumerate(sites):
-        cell = voronoi_cell(sites, i)
-        if len(cell) < 3:
-            continue
-        for k in range(1, len(cell) - 1):
-            total += _triangle_second_moment(site, cell[0], cell[k],
-                                             cell[k + 1])
-    return total
-
-
-def _triangle_second_moment(q: Point, a: Point, b: Point,
-                            c: Point) -> float:
-    """Integral of ``|r - q|^2`` over triangle (a, b, c).
-
-    With u = a - q, v = b - q, w = c - q and A the triangle area:
-    integral = A/6 * (|u|^2 + |v|^2 + |w|^2 + u.v + v.w + w.u).
-    """
-    ux, uy = a[0] - q[0], a[1] - q[1]
-    vx, vy = b[0] - q[0], b[1] - q[1]
-    wx, wy = c[0] - q[0], c[1] - q[1]
-    area = abs((b[0] - a[0]) * (c[1] - a[1])
-               - (b[1] - a[1]) * (c[0] - a[0])) / 2.0
-    sq = (ux * ux + uy * uy + vx * vx + vy * vy + wx * wx + wy * wy)
-    dots = (ux * vx + uy * vy + vx * wx + vy * wy + wx * ux + wy * uy)
-    return area / 6.0 * (sq + dots)

@@ -186,9 +186,6 @@ class GpsrRouter:
                 best = neighbor
         return best
 
-    def _is_closest_locally(self, node: int, target: Point) -> bool:
-        return self._greedy_next(node, target) is None
-
     def _perimeter_first(self, node: int,
                          target: Point) -> Optional[int]:
         """First perimeter edge: the planar neighbor that is the first

@@ -1,17 +1,13 @@
 """Planarization subgraphs for geographic face routing.
 
 GPSR's perimeter mode only works on a planar subgraph of the
-connectivity graph; the classical distributed constructions are the
-Gabriel graph (GG) and the relative neighborhood graph (RNG).  Both are
-computed per edge from local information:
+connectivity graph; the classical distributed construction used here
+is the Gabriel graph (GG), computed per edge from local information: it
+keeps edge (u, v) unless some node w lies inside the circle with
+diameter uv.
 
-* **GG** keeps edge (u, v) unless some node w lies inside the circle
-  with diameter uv;
-* **RNG** keeps (u, v) unless some w is closer to both endpoints than
-  they are to each other (the lune) — RNG ⊆ GG.
-
-On unit-disk graphs these are connected planar spanners; on arbitrary
-edge networks (e.g. Waxman topologies with long links) they may
+On unit-disk graphs it is a connected planar spanner; on arbitrary
+edge networks (e.g. Waxman topologies with long links) it may
 disconnect the graph or leave crossing edges — the very failure mode
 the paper cites when dismissing GHT/GPSR for edge computing
 (Section VIII-B).  The experiments measure exactly that.
@@ -52,27 +48,6 @@ def gabriel_graph(graph: Graph, coords: Coordinates) -> Graph:
         witnesses = set(graph.neighbors(u)) | set(graph.neighbors(v))
         blocked = any(
             x not in (u, v) and _sq(coords[x], mid) < radius_sq - 1e-15
-            for x in witnesses
-        )
-        if not blocked:
-            planar.add_edge(u, v, weight=w)
-    return planar
-
-
-def relative_neighborhood_graph(graph: Graph,
-                                coords: Coordinates) -> Graph:
-    """The RNG subgraph of ``graph`` under ``coords``."""
-    _check_coords(graph, coords)
-    planar = Graph()
-    for node in graph.nodes():
-        planar.add_node(node)
-    for u, v, w in graph.edges():
-        duv = _sq(coords[u], coords[v])
-        witnesses = set(graph.neighbors(u)) | set(graph.neighbors(v))
-        blocked = any(
-            x not in (u, v)
-            and _sq(coords[u], coords[x]) < duv - 1e-15
-            and _sq(coords[v], coords[x]) < duv - 1e-15
             for x in witnesses
         )
         if not blocked:

@@ -4,8 +4,8 @@ This package is self-contained (no third-party graph library) and provides
 exactly what the GRED control plane and the evaluation harness need:
 
 * :class:`Graph` — undirected, optionally weighted adjacency structure;
-* shortest paths — BFS hop counts, the many-source hop kernel
-  (:class:`HopRows`), Dijkstra, all-pairs matrices;
+* shortest paths — BFS hop counts and paths, the many-source hop kernel
+  (:class:`HopRows`), the all-pairs hop matrix;
 * structure — connectivity, components, diameter, degrees.
 """
 
@@ -20,11 +20,8 @@ from .graph import Graph
 from .shortest_paths import (
     HopRows,
     all_pairs_hop_matrix,
-    all_pairs_weighted_matrix,
     bfs_distances,
     bfs_path,
-    dijkstra,
-    dijkstra_path,
     hop_count,
 )
 from .algorithms import (
@@ -45,12 +42,9 @@ __all__ = [
     "NoPath",
     "bfs_distances",
     "bfs_path",
-    "dijkstra",
-    "dijkstra_path",
     "hop_count",
     "HopRows",
     "all_pairs_hop_matrix",
-    "all_pairs_weighted_matrix",
     "connected_components",
     "is_connected",
     "largest_component_subgraph",

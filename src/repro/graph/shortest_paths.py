@@ -9,12 +9,11 @@ between DT neighbors to derive relay entries.
 Hop-count metrics use breadth-first search — per source in Python
 (:func:`bfs_distances`, :func:`hop_count`, :func:`bfs_path`) or, for many
 sources at once, the level-synchronous bit-matrix kernel of
-:class:`HopRows`; weighted metrics use Dijkstra with a binary heap.
+:class:`HopRows`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -83,44 +82,6 @@ def _reconstruct(parent: Dict[Node, Node], source: Node,
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def dijkstra(graph: Graph, source: Node) -> Tuple[Dict[Node, float],
-                                                  Dict[Node, Node]]:
-    """Weighted shortest-path distances and parents from ``source``.
-
-    Returns ``(dist, parent)`` where ``parent[source] == source``.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFound(source)
-    dist: Dict[Node, float] = {source: 0.0}
-    parent: Dict[Node, Node] = {source: source}
-    visited = set()
-    heap: List[Tuple[float, int, Node]] = [(0.0, 0, source)]
-    counter = 1  # tie-breaker so heapq never compares nodes directly
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in visited:
-            continue
-        visited.add(u)
-        for v in graph.neighbors(u):
-            nd = d + graph.edge_weight(u, v)
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return dist, parent
-
-
-def dijkstra_path(graph: Graph, source: Node, target: Node) -> List[Node]:
-    """A minimum-weight path from ``source`` to ``target``."""
-    dist, parent = dijkstra(graph, source)
-    if target not in dist:
-        if not graph.has_node(target):
-            raise NodeNotFound(target)
-        raise NoPath(source, target)
-    return _reconstruct(parent, source, target)
 
 
 def hop_count(graph: Graph, source: Node, target: Node) -> int:
@@ -279,19 +240,3 @@ def all_pairs_hop_matrix(
     matrix[rows < 0] = _UNREACHABLE
     return matrix, nodes
 
-
-def all_pairs_weighted_matrix(
-    graph: Graph, order: Optional[Sequence[Node]] = None
-) -> Tuple[np.ndarray, List[Node]]:
-    """All-pairs weighted distance matrix via repeated Dijkstra."""
-    nodes = list(order) if order is not None else graph.nodes()
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    matrix = np.full((n, n), _UNREACHABLE)
-    for node in nodes:
-        i = index[node]
-        dist, _ = dijkstra(graph, node)
-        for other, d in dist.items():
-            if other in index:
-                matrix[i, index[other]] = d
-    return matrix, nodes

@@ -339,25 +339,41 @@ def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
     return net
 
 
+def _write_json(document: Dict[str, Any],
+                destination: Union[str, IO[str]]) -> None:
+    if isinstance(destination, str):
+        with open(destination, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+    else:
+        json.dump(document, destination)
+
+
+def _read_json(source: Union[str, IO[str]]) -> Dict[str, Any]:
+    """The JSON object at a path or in an open text file;
+    :class:`SnapshotError` when it does not parse (truncated, not JSON,
+    not UTF-8) or is not an object."""
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        else:
+            document = json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SnapshotError(f"snapshot is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SnapshotError("snapshot is not a JSON object")
+    return document
+
+
 def save_network(net: GredNetwork,
                  destination: Union[str, IO[str]]) -> None:
     """Serialize ``net`` as JSON to a path or open text file."""
-    snapshot = to_snapshot(net)
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
-    else:
-        json.dump(snapshot, destination)
+    _write_json(to_snapshot(net), destination)
 
 
 def load_network(source: Union[str, IO[str]]) -> GredNetwork:
     """Restore a network from a JSON path or open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-    else:
-        snapshot = json.load(source)
-    return from_snapshot(snapshot)
+    return from_snapshot(_read_json(source))
 
 
 # ----------------------------------------------------------------------
@@ -464,19 +480,9 @@ def restore_shard(fed, region: int, document: Dict[str, Any]) -> None:
 
 def save_federation(fed, destination: Union[str, IO[str]]) -> None:
     """Serialize a federation as JSON to a path or open text file."""
-    document = to_federation_snapshot(fed)
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-    else:
-        json.dump(document, destination)
+    _write_json(to_federation_snapshot(fed), destination)
 
 
 def load_federation(source: Union[str, IO[str]]):
     """Restore a federation from a JSON path or open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    else:
-        document = json.load(source)
-    return from_federation_snapshot(document)
+    return from_federation_snapshot(_read_json(source))

@@ -110,12 +110,6 @@ class AdaptiveReplicationService:
     def copies_of(self, data_id: str) -> int:
         return self._copies.get(data_id, 0)
 
-    def copies_catalog(self) -> Dict[str, int]:
-        """Current target copy count of every managed item — the
-        catalog a :class:`repro.faults.FailureDetector` re-replicates
-        against."""
-        return dict(self._copies)
-
     def stats(self) -> ReplicationStats:
         return ReplicationStats(
             items=len(self._copies),

@@ -1,0 +1,3 @@
+"""Reference implementations the tests check the system against; nothing
+under ``src/`` imports them (the P4 pipeline model, exact Voronoi cells,
+closed-form theory, weighted shortest paths, random placement)."""

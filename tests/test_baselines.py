@@ -1,12 +1,11 @@
-"""Tests for the extra baselines (one-hop CH, random placement)."""
+"""Tests for the one-hop consistent-hashing baseline and the
+random-placement oracle."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    ConsistentHashingNetwork,
-    RandomPlacementNetwork,
-)
+from oracles.random_placement import RandomPlacementNetwork
+from repro.baselines import ConsistentHashingNetwork
 from repro.edge import attach_uniform
 from repro.graph import hop_count
 from repro.topology import grid_graph

@@ -20,12 +20,23 @@
   ``cvt_iterations=T`` draws ``T`` sampler batches, and a direct
   ``c_regulation`` draws ``T`` more only when its ``energy_history``
   is read (counted).
+* src ships only what the system runs: every top-level public ``def``
+  or ``class`` under ``src/repro`` that no other module there (a
+  package ``__init__``'s re-export aside) and no file under
+  ``benchmarks/`` names is listed in
+  ``tests/data/unreferenced_symbols.json``, the supported API kept for
+  users, each with an entry in ``docs/api.md`` and importable from its
+  package.  The list may only shrink: a reference implementation
+  moves to ``tests/oracles/``, dead code goes.
 
 ``tools/line_budget.py`` prints the same measurements as a report.
 """
 
 import ast
+import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,8 +53,12 @@ from repro.obs import scoped_registry
 from repro.resilience import pipeline as resilient_pipeline
 
 SRC = Path(repro.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 #: The ratchet: the longest function body allowed in any module.
 LIMIT = 200
+#: The other ratchet: the public symbols nothing in src or benchmarks
+#: names, each a supported API entry.
+ALLOWLIST = ROOT / "tests" / "data" / "unreferenced_symbols.json"
 
 
 def function_bodies(paths):
@@ -52,6 +67,39 @@ def function_bodies(paths):
             for path in paths
             for n in ast.walk(ast.parse(Path(path).read_text()))
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def unreferenced_symbols(root=ROOT):
+    """``repro.module.name`` of every top-level public ``def`` / ``class``
+    under ``root/src/repro`` that no other module there names (a
+    package ``__init__``'s imports are re-exports, not uses) and no
+    ``root/benchmarks`` file names.  A name counts wherever it appears
+    as a name, an attribute or an imported alias."""
+    def names(path, imports=True):
+        fields = {ast.Name: "id", ast.Attribute: "attr",
+                  **({ast.alias: "name"} if imports else {})}
+        return {getattr(node, fields[type(node)]).rpartition(".")[2]
+                for node in ast.walk(ast.parse(path.read_text()))
+                if type(node) in fields}
+
+    src = root / "src"
+    modules = sorted((src / "repro").rglob("*.py"))
+    named = {path: names(path, path.name != "__init__.py")
+             for path in modules}
+    benchmarks = set().union(*map(names, (root / "benchmarks").rglob("*.py")))
+    unused = []
+    for path in modules:
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in benchmarks
+                    and not any(node.name in found for other, found
+                                in named.items() if other != path)):
+                unused.append(f"{module.removesuffix('.__init__')}."
+                              f"{node.name}")
+    return sorted(unused)
 
 
 def route_memo_footprint(counts=(10_000, 65_536, 70_000)):
@@ -188,6 +236,32 @@ def test_no_function_body_over_the_limit():
     long = [(lines, where) for lines, where in function_bodies(
         sorted(map(str, SRC.rglob("*.py")))) if lines > LIMIT]
     assert long == [], f"function bodies over {LIMIT} lines"
+
+
+def allowlist():
+    """The allowlist's ``repro.module.name`` entries, sorted."""
+    return sorted(f"{module}.{name}" for module, names
+                  in json.loads(ALLOWLIST.read_text()).items()
+                  for name in names)
+
+
+def test_unreferenced_symbols_are_the_allowlist():
+    assert unreferenced_symbols() == allowlist(), (
+        "a public symbol nothing in src or benchmarks names: move an "
+        "oracle to tests/oracles/, delete dead code, or document a "
+        "supported API (docs/api.md) and list it here")
+
+
+def test_the_allowlist_is_documented_public_api():
+    code = " ".join(re.findall(r"`[^`]+`", (ROOT / "docs" / "api.md")
+                               .read_text()))
+    undocumented = []
+    for entry in allowlist():
+        module, _, name = entry.rpartition(".")
+        assert hasattr(importlib.import_module(module), name), entry
+        if not re.search(rf"\b{name}\b", code):
+            undocumented.append(entry)
+    assert undocumented == []
 
 
 def test_import_keeps_scipy_stats_lazy():

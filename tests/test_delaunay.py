@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay as SciDelaunay
 
+from oracles.geometry import convex_hull, nearest_point_index
 from repro.geometry import (
     DelaunayError,
     DelaunayTriangulation,
     DuplicatePointError,
-    convex_hull,
     euclidean,
     incircle,
-    nearest_point_index,
     orient2d,
 )
 

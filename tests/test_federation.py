@@ -25,6 +25,8 @@ Six claims, each with a differential or adversarial test:
    exactly `c` SHA-256 digests.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -47,7 +49,9 @@ from repro.obs import MetricsRegistry, set_default_registry
 from repro.io import (
     SnapshotError,
     from_federation_snapshot,
+    load_federation,
     restore_shard,
+    save_federation,
     to_federation_snapshot,
 )
 from repro.topology import (
@@ -999,6 +1003,31 @@ class TestFederationSnapshot:
             assert new.version == old.version
             assert new.generations == old.generations
 
+    @pytest.mark.parametrize("form", ["path", "file"])
+    def test_save_load_round_trip(self, tmp_path, form):
+        fed = make_fed(regions=2, per_region=8, seed=8)
+        ids = [f"saved/{i}" for i in range(40)]
+        fed.place_many(ids, copies=2, rng=np.random.default_rng(14),
+                       payloads=list(range(40)))
+        target = str(tmp_path / "fed.json") if form == "path" else \
+            io.StringIO()
+        save_federation(fed, target)
+        if form == "file":
+            target.seek(0)
+        restored = load_federation(target)
+        assert restored.shards.keys() == fed.shards.keys()
+        for rid in fed.controller.region_map.region_ids:
+            assert restored.shard(rid).net.destinations_for(ids) == \
+                fed.shard(rid).net.destinations_for(ids)
+        assert [restored.home_region_of(d) for d in ids] == \
+            [fed.home_region_of(d) for d in ids]
+        got = restored.retrieve_many(ids, copies=2,
+                                     rng=np.random.default_rng(15))
+        want = fed.retrieve_many(ids, copies=2,
+                                 rng=np.random.default_rng(15))
+        assert got == want
+        assert all(r.found for r in got)
+
     def test_restore_one_shard_reconciles_alone(self):
         fed = make_fed(regions=3, per_region=8, seed=6)
         ids = [f"crash/{i}" for i in range(30)]
@@ -1086,7 +1115,7 @@ class TestRegionChaos:
         attachment: a region that crashed a switch and absorbed it
         reports no blocker, one with the crash still installed stands
         down alone, and every region keeps answering."""
-        from repro.dataplane import UNABSORBED_FAULT, federated_blockers
+        from repro.dataplane import UNABSORBED_FAULT, batch_fastpath_blockers
 
         fed = make_fed(regions=4, per_region=8, seed=9)
         ids = [f"gate/{i}" for i in range(120)]
@@ -1097,7 +1126,8 @@ class TestRegionChaos:
         crash_member(fed, 2)
         assert fed.shard(rids[0]).net.fault_state is None
         assert fed.shard(rids[1]).net.fault_state is not None
-        assert federated_blockers(fed) == {
+        assert {rid: batch_fastpath_blockers(shard.net)
+                for rid, shard in fed.shards.items()} == {
             rid: [UNABSORBED_FAULT] if rid == rids[2] else []
             for rid in rids}
         registry = MetricsRegistry(enabled=True)

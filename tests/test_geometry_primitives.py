@@ -10,9 +10,9 @@ from repro.geometry import (
     clamp_to_unit_square,
     deduplicate_points,
     euclidean,
-    nearest_point_index,
     squared_distance,
 )
+from oracles.geometry import nearest_point_index
 
 
 class TestDistances:

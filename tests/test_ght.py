@@ -11,8 +11,8 @@ from repro.ght import (
     GpsrRouter,
     RouteStatus,
     gabriel_graph,
-    relative_neighborhood_graph,
 )
+from oracles.graph import relative_neighborhood_graph
 from repro.graph import Graph, is_connected
 from repro.topology import grid_graph, waxman_graph
 

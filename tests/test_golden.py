@@ -70,7 +70,7 @@ class TestGolden:
         assert digest == GOLDEN_POSITION_DIGEST
 
     def test_p4_agrees_with_goldens(self, golden_net):
-        from repro.p4 import P4Network
+        from oracles.p4 import P4Network
 
         p4 = P4Network(golden_net.controller)
         for data_id, (dest, _) in GOLDEN_DESTINATIONS.items():

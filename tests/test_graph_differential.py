@@ -15,9 +15,9 @@ from repro.graph import (
     bfs_path,
     connected_components,
     diameter,
-    dijkstra,
     is_connected,
 )
+from oracles.graph import dijkstra
 from repro.topology import brite_waxman_graph, waxman_graph
 
 

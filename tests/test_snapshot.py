@@ -10,6 +10,7 @@ from repro.edge import EdgeServer, attach_uniform
 from repro.io import (
     SnapshotError,
     from_snapshot,
+    load_federation,
     load_network,
     save_network,
     to_snapshot,
@@ -93,6 +94,16 @@ class TestRoundTrip:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("text", ['{"nodes": [1, 2', "not json", "[1, 2]"],
+                             ids=["truncated", "not-json", "not-an-object"])
+    @pytest.mark.parametrize("load", [load_network, load_federation])
+    def test_unparseable_file_rejected(self, tmp_path, load, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        for source in (str(path), io.StringIO(text)):
+            with pytest.raises(SnapshotError, match="JSON"):
+                load(source)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(SnapshotError, match="format"):
             from_snapshot({"format": "something-else"})

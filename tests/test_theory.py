@@ -1,10 +1,10 @@
-"""Theory-vs-measurement tests: the closed forms in repro.analysis must
+"""Theory-vs-measurement tests: the closed forms in oracles.theory must
 predict what the implemented systems actually do."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from oracles.theory import (
     average_delaunay_degree,
     expected_chord_hops,
     expected_max_avg_balls_in_bins,
@@ -72,7 +72,7 @@ class TestTheoryPredictsMeasurement:
     def test_random_placement_matches_balls_in_bins(self):
         """The random-placement baseline's max load must sit near the
         Raab-Steger prediction."""
-        from repro.baselines import RandomPlacementNetwork
+        from oracles.random_placement import RandomPlacementNetwork
         from repro.edge import attach_uniform
         from repro.topology import grid_graph
 

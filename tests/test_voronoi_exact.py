@@ -4,16 +4,20 @@ the C-regulation algorithm uses."""
 import numpy as np
 import pytest
 
+from oracles.geometry import (
+    convex_hull,
+    exact_cell_areas,
+    exact_cell_centroids,
+    exact_cvt_energy,
+    point_in_hull,
+    polygon_area,
+    polygon_centroid,
+)
 from repro.geometry import (
     clip_polygon_halfplane,
     cvt_energy,
     estimate_cell_areas,
     estimate_cell_centroids,
-    exact_cell_areas,
-    exact_cell_centroids,
-    exact_cvt_energy,
-    polygon_area,
-    polygon_centroid,
     sample_unit_square,
     voronoi_cell,
 )
@@ -86,15 +90,11 @@ class TestVoronoiCells:
             voronoi_cell([(0.5, 0.5)], 3)
 
     def test_site_inside_its_cell(self):
-        from repro.geometry import point_in_hull
-
         rng = np.random.default_rng(2)
         sites = [tuple(p) for p in rng.uniform(0.05, 0.95, size=(7, 2))]
         for i, site in enumerate(sites):
             cell = voronoi_cell(sites, i)
             # Normalize orientation for the hull test.
-            from repro.geometry import convex_hull
-
             assert point_in_hull(site, convex_hull(cell))
 
 

@@ -11,7 +11,10 @@ longest function bodies on the request path and the two grouped batch
 bodies, the reference engine's and the per-source BFS's call sites,
 what this change did to the request path, to ``src + benchmarks`` and
 to ``tests/`` (the uncommitted change where there is one, else the
-last commit), the CI workflow's length, the route memo's bytes a
+last commit), the ``src/repro`` total and the count of public symbols
+nothing in src or benchmarks names (the allowlist of
+``tests/data/unreferenced_symbols.json``), each against the same
+parent, the CI workflow's length, the route memo's bytes a
 route, the breaker feeds and key derivations of a resilient batch of
 1,000 ids (quiet board, loud board, one breaker forced open), the
 sampler batches C-regulation draws (a build, a direct run, its first
@@ -20,16 +23,20 @@ It gates nothing: ``tests/test_budgets.py`` asserts the budgets that
 gate.
 """
 
+import io
 import re
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_budgets import (function_bodies, resilient_feeds,  # noqa: E402
-                          route_memo_footprint, sampler_batches)
+from test_budgets import (allowlist, function_bodies,  # noqa: E402
+                          resilient_feeds, route_memo_footprint,
+                          sampler_batches, unreferenced_symbols)
 
 #: The budget's files, and the ROADMAP target: -25 % against the 7,844
 #: lines they held when the item was opened (commit ab91f4e).
@@ -48,16 +55,24 @@ def call_sites(name, paths, skip=None):
                for line in path.read_text().splitlines() if call.search(line))
 
 
+def git(*args, text=True):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=text)
+
+
+def parent(*paths):
+    """``HEAD`` while ``paths`` hold an uncommitted change, else
+    ``HEAD~1``."""
+    dirty = git("diff", "--quiet", "HEAD", "--", *paths).returncode
+    return "HEAD" if dirty else "HEAD~1"
+
+
 def vs_parent(label, *paths):
     """One change's lines under ``paths``: the uncommitted one against
     ``HEAD`` while the paths are dirty, else the last commit's against
     ``HEAD~1``."""
-    def git(*args):
-        return subprocess.run(["git", *args, "--", *paths], cwd=ROOT,
-                              capture_output=True, text=True)
-
-    base = "HEAD" if git("diff", "--quiet", "HEAD").returncode else "HEAD~1"
-    numstat = git("diff", "--numstat", base)
+    base = parent(*paths)
+    numstat = git("diff", "--numstat", base, "--", *paths)
     numstat.check_returncode()
     added = deleted = 0
     for row in filter(None, numstat.stdout.split("\n")):
@@ -66,6 +81,25 @@ def vs_parent(label, *paths):
         deleted += int(d) if d != "-" else 0
     print(f"{label} vs {base}: {added - deleted:+d} lines "
           f"(+{added} -{deleted})")
+
+
+def src_and_symbols(src):
+    """The ``src/repro`` total and the unreferenced public symbols, in
+    the working tree and at its parent."""
+    base = parent("src", "benchmarks", "tests/data")
+    with tempfile.TemporaryDirectory() as tree:
+        archive = git("archive", base, "src/repro", "benchmarks",
+                      text=False)
+        archive.check_returncode()
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        before = sum(map(lines, Path(tree, "src", "repro").rglob("*.py")))
+        symbols_before = len(unreferenced_symbols(Path(tree)))
+    now = sum(map(lines, src.rglob("*.py")))
+    print(f"{now:7d} src/repro total vs {base}: {now - before:+d} lines")
+    print(f"unreferenced public symbols: {len(unreferenced_symbols())} "
+          f"(allowlist {len(allowlist())}) "
+          f"vs {base}: {symbols_before}")
 
 
 def main():
@@ -100,6 +134,7 @@ def main():
     vs_parent("src + benchmarks", "src", "benchmarks",
               ":!benchmarks/gredbench")
     vs_parent("tests", "tests")
+    src_and_symbols(src)
     ci = ROOT / ".github" / "workflows" / "ci.yml"
     print(f"{lines(ci):7d} {ci.relative_to(ROOT)}")
 
