@@ -179,10 +179,18 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, source: Union[str, IO[str]]) -> "FaultPlan":
-        """Parse a plan from a JSON file path or an open text file."""
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        else:
-            payload = json.load(source)
+        """Parse a plan from a JSON file path or an open text file;
+        :class:`FaultPlanError`, naming the source, when it does not
+        parse (truncated, not JSON, not UTF-8)."""
+        try:
+            if isinstance(source, str):
+                with open(source, "r", encoding="utf-8") as handle:
+                    payload = json.load(handle)
+            else:
+                payload = json.load(source)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            name = source if isinstance(source, str) else getattr(
+                source, "name", "<stream>")
+            raise FaultPlanError(
+                f"fault plan {name} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)

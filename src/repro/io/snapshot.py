@@ -226,12 +226,25 @@ def _restore_fault_state(record: Any):
     return state if state.any_active() else None
 
 
+def _require_sections(document: Dict[str, Any], *names: str) -> None:
+    """Refuse a document that lacks a section the restore reads, naming
+    each missing one, before anything is built."""
+    missing = [name for name in names if name not in document]
+    if missing:
+        raise SnapshotError(
+            f"{document['format']} document has no "
+            f"{', '.join(map(repr, missing))} section"
+            f"{'s' if len(missing) > 1 else ''}")
+
+
 def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
     """Restore a network from a snapshot dict."""
     if snapshot.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(
             f"unsupported snapshot format {snapshot.get('format')!r}"
         )
+    _require_sections(snapshot, "nodes", "edges", "servers", "config",
+                      "positions")
     topology = Graph()
     for node in snapshot["nodes"]:
         topology.add_node(int(node))
@@ -427,6 +440,7 @@ def from_federation_snapshot(document: Dict[str, Any]):
             f"unsupported federation snapshot format "
             f"{document.get('format')!r}"
         )
+    _require_sections(document, "assignment", "shards")
     assignment = {int(sid): int(rid)
                   for sid, rid in document["assignment"].items()}
     nets = {int(rid): from_snapshot(doc)

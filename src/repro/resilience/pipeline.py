@@ -24,10 +24,10 @@ with request-level resilience:
    replicas and the first success wins.
 
 Latency is *virtual*: the pipeline charges each probe through
-``config.latency`` (:meth:`repro.simulation.LatencyModel.round_trip`:
-the per-hop delay of its request and response paths, the server's
-service time, and the extra delay of every slow link of the wrapped
-network's fault state on the request and reply paths), plus
+``config.latency`` (:class:`repro.simulation.LatencyModel`, one probe
+or a batch's columns: the per-hop delay of its request and response
+paths, the server's service time, and the extra delay of every slow
+link of the wrapped network's fault state on those paths), plus
 ``failure_penalty`` for probes that die in routing, on the caller's
 clock, so every run is deterministic and reports are bit-identical
 under a fixed seed — there is no wall clock anywhere in the pipeline.
@@ -45,6 +45,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from ..graph import bfs_path
 from ..hashing import replica_id, server_index
 from ..obs import TIME_BUCKETS, default_registry
 from ..obs.spans import Span, default_recorder as span_recorder
+from ..simulation.latency import slow_excess
 from .admission import AdmissionController
 from .breaker import BreakerBoard, BreakerKey
 from .config import ResilienceConfig
@@ -99,18 +101,16 @@ class ResilientOutcome:
     records: List[Any] = field(default_factory=list)
 
 
-def _placed(data_id: str, result) -> ResilientOutcome:
-    """Envelope of a placement the wrapped network acknowledged."""
-    return ResilientOutcome("place", data_id, True, None, True, result,
-                            0.0, 0.0, 1, 0, False, False, False,
-                            result.records)
-
-
-def _retrieved(data_id: str, result) -> ResilientOutcome:
-    """Envelope of a retrieval the wrapped network answered."""
-    return ResilientOutcome("retrieve", data_id, True, None,
-                            result.found, result, 0.0, 0.0,
-                            result.attempts, 0, False, False, False, [])
+def _passed(kind: str, data_id: str, result) -> ResilientOutcome:
+    """Envelope of a request the wrapped network served on its own: a
+    placement it acknowledged or a retrieval it answered."""
+    if kind == "place":
+        return ResilientOutcome(kind, data_id, True, None, True, result,
+                                0.0, 0.0, 1, 0, False, False, False,
+                                result.records)
+    return ResilientOutcome(kind, data_id, True, None, result.found,
+                            result, 0.0, 0.0, result.attempts, 0, False,
+                            False, False, [])
 
 
 class ResilientNetwork:
@@ -182,10 +182,10 @@ class ResilientNetwork:
         self._check_now(now)
         return self._request(
             "retrieve", data_id, entry_switch, priority, now, rng,
-            lambda: _retrieved(data_id, self.net.retrieve(
+            lambda: self.net.retrieve(
                 data_id, entry_switch=entry_switch, copies=copies,
                 rng=rng, max_hops=max_hops,
-                read_repair=self.config.read_repair)),
+                read_repair=self.config.read_repair),
             lambda *admitted: self._retrieve_admitted(
                 data_id, copies, timeout, max_hops, *admitted))
 
@@ -199,9 +199,9 @@ class ResilientNetwork:
         self._check_now(now)
         return self._request(
             "place", data_id, entry_switch, priority, now, rng,
-            lambda: _placed(data_id, self.net.place(
+            lambda: self.net.place(
                 data_id, payload=payload, entry_switch=entry_switch,
-                copies=copies, rng=rng)),
+                copies=copies, rng=rng),
             lambda *admitted: self._place_admitted(
                 data_id, payload, copies, timeout, *admitted))
 
@@ -210,14 +210,15 @@ class ResilientNetwork:
                  now: Optional[float],
                  rng: Optional[np.random.Generator],
                  passthrough, serve) -> ResilientOutcome:
-        """The one scalar request body.  Disabled: ``passthrough()``,
-        the wrapped network's own call.  Enabled: admit (or shed) at
-        the entry switch, then ``serve(entry, arrival, queue wait,
-        recorder, root span)`` runs the kind's retry loop.  A
-        non-integral entry raises before either, never sheds."""
+        """The one scalar request body.  Disabled: the envelope of
+        ``passthrough()``, the wrapped network's own call.  Enabled:
+        admit (or shed) at the entry switch, then ``serve(entry,
+        arrival, queue wait, recorder, root span)`` runs the kind's
+        retry loop.  A non-integral entry raises before either, never
+        sheds."""
         entry_switch = entry_index(entry_switch)
         if not self.config.enabled:
-            return passthrough()
+            return _passed(kind, data_id, passthrough())
         arrival = self._time(now)
         recorder, root = self._open_root(kind, data_id, arrival)
         entry, wait, shed = self._admit(entry_switch, arrival, priority,
@@ -231,7 +232,7 @@ class ResilientNetwork:
                     end=arrival + wait, parent=root, entry=entry,
                     wait=wait)
             outcome = serve(entry, arrival, wait, recorder, root)
-            self._finish([outcome], arrival)
+            self._finish([outcome], arrival, [outcome.latency])
         self._close_root(root, arrival, outcome)
         return outcome
 
@@ -249,12 +250,12 @@ class ResilientNetwork:
                       ) -> List[ResilientOutcome]:
         """Batch retrieval.  Disabled: one delegated ``retrieve_many``
         call, results untouched.  Enabled and healthy (no tripped
-        breaker): one admission loop, one delegated batch call for
-        the admitted subset — single attempt, no hedging (the
-        throughput path) — and one settle sweep.  Enabled with tripped
-        breakers: every item takes the full scalar resilient path.  The
-        arguments, deadline and ``now`` too, are validated before any
-        token is spent."""
+        breaker): one admission loop, one delegated batch call for the
+        admitted subset — single attempt, no hedging — and one settle
+        pass that charges the batch in columns, bit for bit what each
+        probe would be charged.  With a tripped breaker every item
+        takes the full scalar resilient path.  The arguments, deadline
+        and ``now`` too, are validated before any token is spent."""
         data_ids, entry_switches = check_batch_args(
             data_ids, copies, entry_switches)
         timeout = self._timeout(deadline)
@@ -306,13 +307,10 @@ class ResilientNetwork:
         loop, what every item takes while a breaker is tripped."""
         count = len(data_ids)
         if priorities is not None and len(priorities) != count:
-            raise GredError(
-                f"priorities has {len(priorities)} entries for "
-                f"{count} data ids"
-            )
+            raise GredError(f"priorities has {len(priorities)} entries "
+                            f"for {count} data ids")
         if not self.config.enabled:
-            wrap = _placed if kind == "place" else _retrieved
-            return [wrap(d, r) for d, r in zip(
+            return [_passed(kind, d, r) for d, r in zip(
                 data_ids, many(data_ids, payloads, entry_switches, rng))]
         if priorities is None:
             priorities = [1] * count
@@ -355,10 +353,11 @@ class ResilientNetwork:
             # retries engage.
             served = [admitted(i, entries[i], arrival, wait)
                       for i, wait in zip(picked, waits)]
+            latencies = [outcome.latency for outcome in served]
         else:
-            served = self._settle(kind, ids, results, waits, arrival,
-                                  timeout)
-        self._finish(served, arrival)
+            served, latencies = self._settle(kind, ids, results, waits,
+                                             arrival, timeout)
+        self._finish(served, arrival, latencies)
         if len(served) == count:  # every request admitted
             return served
         for i, outcome in zip(picked, served):
@@ -366,41 +365,50 @@ class ResilientNetwork:
         return outcomes
 
     def _settle(self, kind: str, ids: List[str], results, waits,
-                arrival: float, timeout: float) -> List[ResilientOutcome]:
-        """The settle sweep of a served batch, one loop per kind: each
-        request's modeled service time, its breaker feed — made for a
-        miss, or after the board says it is loud — and its envelope,
-        built positionally."""
-        quiet, served, slowed = self.breakers.quiet, [], self._slowed()
+                arrival: float, timeout: float):
+        """The settle pass of a served batch, in columns (DESIGN.md
+        §5f): each request's legs charged and summed, its breaker feeds
+        and its envelope.  Returns the outcomes and their latencies."""
+        model, slowed, count = self.config.latency, self._slowed(), len(ids)
         if kind == "place":
-            service_time = partial(self._placement_service_time,
-                                   slowed=slowed)
-            for data_id, result, wait in zip(ids, results, waits):
-                service = sum(map(service_time, result.records))
-                for rec in () if quiet() else result.records:
-                    self._succeeded(rec.destination_switch, rec.server_id,
-                                    arrival + wait + service)
-                latency = wait + service
-                served.append(ResilientOutcome(
-                    "place", data_id, True, None, True, result, latency,
-                    wait, 1, 0, False, False, latency > timeout,
-                    result.records))
-            return served
-        for data_id, result, wait in zip(ids, results, waits):
-            service = self._retrieval_service_time(result, slowed)
-            if not result.found:
-                self.breakers.failure(self._breaker_keys(
-                    replica_id(data_id, result.copy_used),
-                    result.destination_switch)[2], arrival + wait + service)
-            elif not quiet():
-                self._succeeded(result.destination_switch,
-                                result.server_id, arrival + wait + service)
-            latency = wait + service
-            served.append(ResilientOutcome(
-                "retrieve", data_id, True, None, result.found, result,
-                latency, wait, result.attempts, 0, False, False,
-                latency > timeout, []))
-        return served
+            rows = [result.records for result in results]
+            out = back = np.array([leg.physical_hops for row in rows
+                                   for leg in row]).reshape(count, -1)
+            found, tries, records = (True,) * count, (1,) * count, rows
+        else:
+            found, out, back, tries = zip(*[
+                (r.found, r.request_hops, r.response_hops, r.attempts)
+                for r in results])
+            out = np.array(out)[:, None]
+            back = np.where(np.array(found), back, out[:, 0])[:, None]
+            rows, records = [(r,) for r in results], [[] for _ in results]
+        service = 0
+        for k in range(out.shape[1]):
+            delay = model.nominal(out[:, k], back[:, k])
+            if slowed is not None:
+                delay = delay + np.array([
+                    slow_excess(slowed, row[k].trace,
+                                *self._return(row[k], slowed))
+                    for row in rows]) * model.link_delay
+            service = service + delay
+        latency = np.asarray(waits) + service
+        missed, latency = (latency > timeout).tolist(), latency.tolist()
+        service, board = service.tolist(), self.breakers
+        first = found.index(False) if False in found else count
+        for i in range(first if board.quiet() else 0, count):
+            result, at = results[i], arrival + waits[i] + service[i]
+            if not found[i]:
+                board.failure(self._breaker_keys(
+                    replica_id(ids[i], result.copy_used),
+                    result.destination_switch)[2], at)
+            elif not board.quiet():
+                for leg in rows[i]:
+                    self._succeeded(leg.destination_switch, leg.server_id,
+                                    at)
+        return list(map(  # one column per ResilientOutcome field
+            ResilientOutcome, repeat(kind), ids, repeat(True), repeat(None),
+            found, results, latency, waits, tries, repeat(0), repeat(False),
+            repeat(False), missed, records)), latency
 
     # ------------------------------------------------------------------
     # introspection
@@ -625,17 +633,13 @@ class ResilientNetwork:
             outcome.hedged = True
             if registry.enabled:
                 registry.counter("resilience.hedges").inc()
-            first, second = walk[0], walk[1]
             outcome.attempts += 2
-            r1, l1 = self._probe_retrieve(data_id, first, entry,
-                                          outcome.attempts - 1,
-                                          max_hops, clock,
-                                          recorder=recorder, root=root,
-                                          hedged=True)
-            r2, l2 = self._probe_retrieve(data_id, second, entry,
-                                          outcome.attempts, max_hops,
-                                          clock, recorder=recorder,
-                                          root=root, hedged=True)
+            (r1, l1), (r2, l2) = [
+                self._probe_retrieve(data_id, copy_index, entry,
+                                     outcome.attempts - 1 + fork, max_hops,
+                                     clock, recorder=recorder, root=root,
+                                     hedged=True)
+                for fork, copy_index in enumerate(walk[:2])]
             hits = [(l, r) for l, r in ((l1, r1), (l2, r2))
                     if r is not None and r.found]
             if hits:
@@ -700,7 +704,11 @@ class ResilientNetwork:
         if result is None:
             latency, status = self.config.failure_penalty, "route_error"
         else:
-            latency = self._retrieval_service_time(result, self._slowed())
+            slowed = self._slowed()
+            retraced, reply = self._return(result, slowed)
+            latency = self.config.latency.round_trip(
+                result.trace, result.request_hops,
+                None if retraced else result.response_hops, slowed, reply)
             status = "ok" if result.found else "miss"
         if status == "ok" and root is None and self.breakers.quiet():
             return result, latency  # both success feeds are no-ops
@@ -768,21 +776,14 @@ class ResilientNetwork:
         faults = self.net.fault_state
         return faults if faults is not None and faults.slow else None
 
-    def _placement_service_time(self, record, slowed) -> float:
-        """One stored copy: its route, the ack retracing it, the
-        server's service time."""
-        return self.config.latency.round_trip(
-            record.trace, record.physical_hops, None, slowed)
-
-    def _retrieval_service_time(self, result, slowed) -> float:
-        """One probe: a hit answers along the shortest path home (read
-        only when a link is slow), a miss retraces the request."""
-        reply = None
-        if result.found and slowed is not None:
-            reply = self._reply(result.server_id[0], result.entry_switch)
-        return self.config.latency.round_trip(
-            result.trace, result.request_hops,
-            result.response_hops if result.found else None, slowed, reply)
+    def _return(self, leg, slowed) -> Tuple[bool, Optional[List[int]]]:
+        """``(retraced, reply)`` of one leg: a stored copy's ack and a
+        miss retrace the request; a hit answers along the shortest path
+        home, searched only while a link is slow."""
+        if not getattr(leg, "found", False):  # a PlacementRecord has none
+            return True, None
+        return False, None if slowed is None else self._reply(
+            leg.server_id[0], leg.entry_switch)
 
     def _reply(self, holder: int, entry: int) -> List[int]:
         """The shortest path from ``holder`` to ``entry``, cached per
@@ -868,8 +869,8 @@ class ResilientNetwork:
                     clock += cfg.failure_penalty
                     self.breakers.failure(server_key, clock)
                     continue
-                latency = self._placement_service_time(record,
-                                                       self._slowed())
+                latency = self.config.latency.round_trip(
+                    record.trace, record.physical_hops, None, self._slowed())
                 if root is not None:
                     recorder.add_span(
                         "place.copy", start=clock,
@@ -896,7 +897,7 @@ class ResilientNetwork:
     # internals — completion accounting
     # ------------------------------------------------------------------
     def _finish(self, outcomes: Sequence[ResilientOutcome],
-                arrival: float) -> None:
+                arrival: float, latencies: Sequence[float]) -> None:
         """Count requests admitted at ``arrival``; advance the clock."""
         registry = default_registry()
         if registry.enabled:
@@ -911,5 +912,4 @@ class ResilientNetwork:
                 registry.histogram("resilience.latency_seconds",
                                    buckets=TIME_BUCKETS).observe(
                     outcome.latency)
-        self._clock = max(self._clock, arrival + max(
-            outcome.latency for outcome in outcomes))
+        self._clock = max(self._clock, arrival + max(latencies))

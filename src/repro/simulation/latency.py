@@ -3,13 +3,15 @@ switch pipeline, and the storage server adds a fixed service time.
 
 The packet-level simulator moves packets hop by hop through it, and
 the resilience pipeline charges each probe through
-:meth:`LatencyModel.round_trip`.  Fig. 8's defaults approximate a
-small-campus edge deployment: 50 microseconds per physical link
-traversal (propagation + transmission for a small request),
-10 microseconds of switch pipeline latency per hop, and 200
-microseconds of server service time per request.  Absolute values only
-set the scale of Fig. 8; the reproduced *shape* (delay roughly flat in
-the number of requests, dominated by path length) is model-independent.
+:meth:`LatencyModel.round_trip` and a healthy batch through its two
+parts, :meth:`LatencyModel.nominal` and :func:`slow_excess`.  Fig. 8's
+defaults approximate a small-campus edge deployment: 50 microseconds
+per physical link
+traversal (propagation + transmission for a small request), 10
+microseconds of switch pipeline latency per hop, and 200 microseconds
+of server service time per request.  Absolute values only set the
+scale of Fig. 8; the reproduced *shape* (delay roughly flat in the
+number of requests, dominated by path length) is model-independent.
 """
 
 from __future__ import annotations
@@ -44,32 +46,43 @@ class LatencyModel:
             raise ValueError(f"hops must be >= 0, got {hops}")
         return hops * (self.link_delay + self.switch_delay)
 
+    def nominal(self, out, back):
+        """Delay of ``out`` hops out, the server's service time and
+        ``back`` hops home when no link is slow.  The same IEEE
+        operations run on Python ints and on int64 columns, so a
+        batch's column of delays equals its per-request delays bit for
+        bit."""
+        return ((out + back) * (self.link_delay + self.switch_delay)
+                + self.server_service_time)
+
     def round_trip(self, trace: Sequence[int], hops: int,
                    back: Optional[int] = None, fault_state=None,
                    reply: Optional[Sequence[int]] = None) -> float:
         """Delay of one request/response exchange: ``hops`` physical hops
         out along ``trace``, the server's service time, and ``back`` hops
-        home (``None``: the reply retraces ``trace``).  Each traversal
-        of a link ``fault_state`` slows by ``factor`` adds
-        ``(factor - 1) * link_delay``: once out along ``trace``, and
-        once back along ``trace`` again (retraced) or along ``reply``,
-        the switches the reply crosses.  A reply known only by its hop
-        count (``back`` without ``reply``) runs at the nominal per-hop
-        delay."""
+        home (``None``: the reply retraces ``trace``), plus
+        :func:`slow_excess` link delays when ``fault_state`` slows a
+        link.  A reply known only by its hop count (``back`` without
+        ``reply``) runs at the nominal per-hop delay."""
         retraced = back is None
-        # path_delay of both legs, inlined: the resilience pipeline
-        # calls this once per settled request.
-        delay = ((2 * hops if retraced else hops + back)
-                 * (self.link_delay + self.switch_delay)
-                 + self.server_service_time)
+        delay = self.nominal(hops, hops if retraced else back)
         if fault_state is not None and fault_state.slow:
-            factor = fault_state.delay_factor
-            slowdown = sum(factor(u, v) - 1.0
-                           for u, v in zip(trace, trace[1:]))
-            if retraced:
-                slowdown *= 2
-            elif reply is not None:
-                slowdown += sum(factor(u, v) - 1.0
-                                for u, v in zip(reply, reply[1:]))
-            delay += slowdown * self.link_delay
+            delay += (slow_excess(fault_state, trace, retraced, reply)
+                      * self.link_delay)
         return delay
+
+
+def slow_excess(fault_state, trace: Sequence[int], retraced: bool,
+                reply: Optional[Sequence[int]] = None) -> float:
+    """Extra link delays, in units of ``link_delay``, that the links
+    ``fault_state`` slows add to one exchange: ``factor - 1`` per
+    traversal of a link ``factor`` times slower, once out along
+    ``trace`` and once back along ``trace`` again (``retraced``) or
+    along ``reply``, the switches the reply crosses."""
+    factor = fault_state.delay_factor
+    excess = sum(factor(u, v) - 1.0 for u, v in zip(trace, trace[1:]))
+    if retraced:
+        excess *= 2
+    elif reply is not None:
+        excess += sum(factor(u, v) - 1.0 for u, v in zip(reply, reply[1:]))
+    return excess

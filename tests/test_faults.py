@@ -8,7 +8,9 @@ the headline acceptance property: on a 30-switch Waxman deployment with
 item retrievable (availability 1.0) after one detection/repair sweep.
 """
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,23 @@ class TestFaultPlan:
         plan = FaultPlan.from_json(str(path))
         assert len(plan) == 1
         assert plan.events[0].switch == 7
+
+    @pytest.mark.parametrize("content", [b'{"events": [1, 2', b"not json",
+                                         b"\xff{}"],
+                             ids=["truncated", "not-json", "not-utf8"])
+    def test_unparseable_json_names_its_source(self, tmp_path, content):
+        path = tmp_path / "plan.json"
+        path.write_bytes(content)
+        named = f"fault plan {re.escape(str(path))} is not valid JSON"
+        with pytest.raises(FaultPlanError, match=named):
+            FaultPlan.from_json(str(path))
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(FaultPlanError, match=named):
+                FaultPlan.from_json(handle)
+        if content.isascii():
+            with pytest.raises(FaultPlanError,
+                               match="fault plan <stream> is not valid"):
+                FaultPlan.from_json(io.StringIO(content.decode()))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(FaultPlanError, match="unknown"):

@@ -852,6 +852,9 @@ class _Side:
             if self.injector is not None:
                 FailureDetector(self.net).repair()
             return None
+        if kind == "slow_link":
+            self.injector = self.injector or FaultInjector(self.net, seed=0)
+            return self.injector.set_slow_link(*step[1], 3.0)
         pick = live[step[1] % len(live)]
         if kind == "force_open":
             key = ("switch", pick) if step[1] % 2 else ("server", (pick, 0))
@@ -917,6 +920,39 @@ _SETTLED_BY_INDEX = [
     (("retrieve", [0, 1, 2, 3, 4, 5], 2, [1, 1, 1, 1, 0, 2, 1, 1], True,
       "one"), 0.3)]
 
+#: A 3-copy placement batch: each request's legs are summed from ``0``.
+_THREE_COPIES = [(("place", [0, 1, 2, 3, 4, 5], 3, [1] * 8, True, "spread"),
+                  0.0)]
+#: One link made 3x slower, then a retrieval batch that crosses it on
+#: request traces, on a reply path and on a never-placed id's miss.
+_SLOW_REPLY = [(("place", [0, 1, 2, 3, 4, 5], 1, [1] * 8, True, "spread"),
+                0.0),
+               (("slow_link", (1, 2)), 0.0),
+               (("retrieve", [0, 1, 2, 3, 4, 5, 7], 1, [1] * 8, True,
+                 "spread"), 0.3)]
+
+
+def service_time(net, latency, outcome):
+    """An admitted outcome's service time through
+    :meth:`LatencyModel.round_trip`: a placement's copies, each ack
+    retracing its route, added left to right from ``0``; a retrieval
+    hit answering along the shortest path home, a miss retracing."""
+    faults = net.fault_state
+    slowed = faults if faults is not None and faults.slow else None
+    if outcome.kind == "place":
+        service = 0
+        for record in outcome.records:
+            service = service + latency.round_trip(
+                record.trace, record.physical_hops, None, slowed)
+        return service
+    result = outcome.result
+    if not result.found:
+        return latency.round_trip(result.trace, result.request_hops, None,
+                                  slowed)
+    return latency.round_trip(
+        result.trace, result.request_hops, result.response_hops, slowed,
+        bfs_path(net.topology, result.server_id[0], result.entry_switch))
+
 
 class TestQuietBoard:
     """A healthy request skips the breaker and admission work that
@@ -955,7 +991,8 @@ class TestQuietBoard:
             assert ours.state() == reference.state(), step
 
     @pytest.mark.parametrize("telemetry", [False, True])
-    @pytest.mark.parametrize("steps", [_ALL_ADMITTED, _SETTLED_BY_INDEX])
+    @pytest.mark.parametrize("steps", [_ALL_ADMITTED, _SETTLED_BY_INDEX,
+                                       _THREE_COPIES, _SLOW_REPLY])
     def test_a_batch_is_its_items_in_order(self, steps, telemetry):
         """A batch that trips no breaker ends where one batch of one per
         item, in order, ends: the wrapped network handed the caller's
@@ -963,8 +1000,10 @@ class TestQuietBoard:
         change no outcome, breaker, bucket, clock or series.  (A batch
         picks its path once, so a breaker tripped by an earlier item
         sends only the split side's later items down the scalar path.)
-        The last batch, a retrieval into refilled buckets, also matches
-        a fresh controller's verdicts and the latency model."""
+        The last batch, sent into refilled buckets, also matches a fresh
+        controller's verdicts, and each latency is its queue wait plus
+        the service time :meth:`LatencyModel.round_trip` charges, to
+        the bit."""
         ours = _Side(telemetry, False)
         reference = _Side(telemetry, False, split=True)
         now = 0.0
@@ -989,11 +1028,22 @@ class TestQuietBoard:
             if outcome.admitted:
                 result = outcome.result
                 assert outcome.latency == outcome.queue_wait + \
-                    ours.pipeline._retrieval_service_time(result, None)
+                    service_time(ours.net, cfg.latency, outcome)
                 assert outcome.deadline_missed == (
                     outcome.latency > cfg.default_deadline)
                 assert (outcome.ok, outcome.attempts) == (
-                    result.found, result.attempts)
+                    (True, 1) if outcome.kind == "place"
+                    else (result.found, result.attempts))
+        if steps is _SLOW_REPLY:  # the example means what it says
+            slow, results = frozenset(steps[1][0][1]), [
+                outcome.result for outcome in outcomes]
+            replies = [bfs_path(ours.net.topology, result.server_id[0],
+                                result.entry_switch)
+                       for result in results if result.found]
+            assert len(replies) < len(results)  # a miss
+            for paths in ([result.trace for result in results], replies):
+                assert any(slow in map(frozenset, zip(path, path[1:]))
+                           for path in paths)
 
     def test_a_hit_after_a_miss_in_one_batch_resets_the_count(self, net):
         """The board is asked before every feed, not once per batch: a
@@ -1088,6 +1138,31 @@ class TestQuietBoard:
                     assert ours.integers(1 << 30) == \
                         theirs.integers(1 << 30)
         assert len(pools) == 4  # one pool per batch
+
+
+class TestColumnSettle:
+    """A healthy batch's latencies are its requests' round trips to the
+    bit, on a plane large enough that greedy routes run longer than the
+    replies' shortest paths, with and without slow links."""
+
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_each_latency_is_its_round_trip(self, slow):
+        net = build_net(switches=40, cvt_iterations=5)
+        pipeline = net.resilient(enabled_config(burst=1000.0))
+        latency = pipeline.config.latency
+        ids = [f"column/{i}" for i in range(300)]
+        if slow:
+            injector = FaultInjector(net)
+            for u, v, _ in list(net.topology.edges())[::3]:
+                injector.set_slow_link(u, v, 2.5)
+        placed = pipeline.place_many(ids, copies=2, now=0.0)
+        read = pipeline.retrieve_many(ids + ["column/missing"], now=1.0)
+        assert not read[-1].ok
+        assert any(o.result.request_hops != o.result.response_hops
+                   for o in read if o.ok)
+        for outcome in placed + read:
+            assert outcome.latency == outcome.queue_wait + service_time(
+                net, latency, outcome)
 
 
 class TestSlowLinkCharge:

@@ -7,15 +7,18 @@ import pytest
 
 from repro import GredNetwork
 from repro.edge import EdgeServer, attach_uniform
+from repro.controlplane import FederatedNetwork
 from repro.io import (
     SnapshotError,
+    from_federation_snapshot,
     from_snapshot,
     load_federation,
     load_network,
     save_network,
+    to_federation_snapshot,
     to_snapshot,
 )
-from repro.topology import grid_graph
+from repro.topology import federated_topology, grid_graph
 
 
 @pytest.fixture
@@ -103,6 +106,34 @@ class TestErrors:
         for source in (str(path), io.StringIO(text)):
             with pytest.raises(SnapshotError, match="JSON"):
                 load(source)
+
+    @pytest.mark.parametrize("section", ["nodes", "edges", "servers",
+                                         "config", "positions"])
+    def test_missing_section_is_named(self, net, tmp_path, section):
+        snapshot = to_snapshot(net)
+        del snapshot[section]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(snapshot), encoding="utf-8")
+        for restore, source in ((from_snapshot, snapshot),
+                                (load_network, str(path))):
+            with pytest.raises(SnapshotError,
+                               match=f"no '{section}' section"):
+                restore(source)
+
+    @pytest.mark.parametrize("section", ["assignment", "shards"])
+    def test_federation_missing_section_is_named(self, tmp_path, section):
+        topology, assignment = federated_topology(2, 6, min_degree=2,
+                                                  seed=0)
+        document = to_federation_snapshot(FederatedNetwork(
+            topology, assignment=assignment, cvt_iterations=3, seed=0))
+        del document[section]
+        path = tmp_path / "fed.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        for restore, source in ((from_federation_snapshot, document),
+                                (load_federation, str(path))):
+            with pytest.raises(SnapshotError,
+                               match=f"no '{section}' section"):
+                restore(source)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(SnapshotError, match="format"):
