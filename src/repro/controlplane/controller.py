@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -56,6 +58,18 @@ _CHANGELOG_CAP = 256
 
 class ControlPlaneError(Exception):
     """Raised for invalid control-plane requests or inconsistent state."""
+
+
+def _join_residuals(q, xs: np.ndarray, ys: np.ndarray,
+                    targets: np.ndarray) -> np.ndarray:
+    """A joiner at ``q`` against its anchors: embedded distance to each
+    anchor ``(xs[i], ys[i])`` minus its target.  ``math.hypot``, not
+    ``np.hypot``: the two differ in the last bit (see ``TIE_BAND``) and
+    the committed CHURN / FEDERATION reports pin the solved position
+    (DESIGN.md §5g)."""
+    return np.fromiter(map(math.hypot, (q[0] - xs).tolist(),
+                           (q[1] - ys).tolist()),
+                       np.float64, len(targets)) - targets
 
 
 def _check_positions(positions: Dict[int, Point],
@@ -870,15 +884,16 @@ class Controller:
         :class:`ControlPlaneError`."""
         from ..graph import bfs_distances
 
-        anchors = []
+        # BFS discovery order is the residual vector's order.
         hop = bfs_distances(topology, switch_id)
-        for node, d in hop.items():
-            if node != switch_id and node in self.positions and d > 0:
-                anchors.append((self.positions[node], float(d)))
+        anchors = [node for node, d in hop.items()
+                   if node != switch_id and node in self.positions and d > 0]
         if not anchors:
             return (0.5, 0.5)
         scale = self._embedding_scale(topology)
-        targets = [(x, y, scale * d) for (x, y), d in anchors]
+        xs, ys = np.array([self.positions[n] for n in anchors]).T
+        targets = scale * np.array([hop[n] for n in anchors],
+                                   dtype=np.float64)
         neighbor_positions = [
             self.positions[n] for n in topology.neighbors(switch_id)
             if n in self.positions
@@ -894,19 +909,11 @@ class Controller:
             x0 = (0.5, 0.5)
         from scipy.optimize import least_squares
 
-        # math.hypot, not np.hypot: the two differ in the last bit
-        # (see TIE_BAND) and the committed CHURN / FEDERATION reports
-        # pin the solved position.
-        def residuals(q):
-            q0, q1 = q[0], q[1]
-            return [math.hypot(q0 - x, q1 - y) - target
-                    for x, y, target in targets]
-
         # Fail closed: the join is still a pure solve here, so a
         # refusal changes nothing (no fallback position is guessed).
         try:
-            x, y = (float(v) for v in
-                    least_squares(residuals, x0=list(x0)).x)
+            x, y = (float(v) for v in least_squares(
+                _join_residuals, x0=list(x0), args=(xs, ys, targets)).x)
         except Exception as exc:
             raise ControlPlaneError(
                 f"join of switch {switch_id}: the position solve "
@@ -919,28 +926,29 @@ class Controller:
 
     def _embedding_scale(self, topology: Graph) -> float:
         """Least-squares factor mapping hop distances over ``topology``
-        to embedded distances, over a sample of existing pairs."""
+        to embedded distances, over a sample of existing pairs: the
+        first 20 positioned nodes against every positioned node, each
+        pair's ``e * d`` and ``d * d`` folded left to right in that
+        row-major order (DESIGN.md §5g)."""
         nodes = [n for n in topology.nodes() if n in self.positions]
         if len(nodes) < 2:
             return 0.1
         from ..graph import HopRows
 
-        num = 0.0
-        den = 0.0
-        sample = nodes[: min(len(nodes), 20)]
         hops = HopRows(topology)
-        columns = [hops.column[other] for other in nodes]
-        for node, row in zip(sample, hops.rows(sample).tolist()):
-            for other, column in zip(nodes, columns):
-                d = row[column]
-                if other == node or d <= 0:  # itself, or unreachable
-                    continue
-                e = euclidean(self.positions[node], self.positions[other])
-                num += e * d
-                den += d * d
+        sample = nodes[:20]
+        rows = hops.rows(sample)[:, [hops.column[n] for n in nodes]]
+        reach = rows > 0  # not itself, not unreachable
+        d = rows[reach].astype(np.float64)
+        xs, ys = np.array([self.positions[n] for n in nodes]).T
+        e = np.fromiter(map(
+            math.hypot, (xs[: len(sample), None] - xs)[reach].tolist(),
+            (ys[: len(sample), None] - ys)[reach].tolist()),
+            np.float64, len(d))
+        den = reduce(add, (d * d).tolist(), 0.0)
         if den == 0.0:
             return 0.1
-        return num / den
+        return reduce(add, (e * d).tolist(), 0.0) / den
 
     def add_link(self, u: int, v: int) -> None:
         """A new physical link comes up between two known switches.

@@ -33,6 +33,7 @@ controller's :class:`~repro.controlplane.channel.FaultyChannel`)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -58,9 +59,21 @@ FAULT_KINDS: Dict[str, tuple] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault, validated against its kind's required fields."""
+    """One timed fault, validated on construction: its kind's required
+    fields are present and every field given has its type and range (a
+    finite time >= 0, int ids, a probability in [0, 1], a finite factor
+    >= 1, an int window >= 1).  A bad one raises :class:`FaultPlanError`
+    naming the kind and the field."""
 
     time: float
     kind: str
@@ -76,14 +89,13 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if isinstance(self.switches, list):
             object.__setattr__(self, "switches", tuple(self.switches))
-        if self.kind not in FAULT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAULT_KINDS:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(FAULT_KINDS)}"
             )
-        if self.time < 0:
-            raise FaultPlanError(
-                f"event time must be >= 0, got {self.time}")
+        if not (_is_number(self.time) and 0 <= self.time < math.inf):
+            raise self._refused("time", "a finite number >= 0")
         missing = [f for f in FAULT_KINDS[self.kind]
                    if getattr(self, f) is None]
         if missing:
@@ -91,27 +103,33 @@ class FaultEvent:
                 f"{self.kind} event at t={self.time} is missing "
                 f"required field(s) {missing}"
             )
+        for name in ("switch", "serial", "u", "v"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise self._refused(name, "an int")
         if self.probability is not None and not (
-                0.0 <= self.probability <= 1.0):
-            raise FaultPlanError(
-                f"packet_loss probability must be in [0, 1], got "
-                f"{self.probability}"
-            )
-        if self.factor is not None and self.factor < 1.0:
-            raise FaultPlanError(
-                f"slow_link factor must be >= 1, got {self.factor}")
-        if self.window is not None and (
-                not isinstance(self.window, int) or self.window < 1):
-            raise FaultPlanError(
-                f"control_reorder window must be an int >= 1, got "
-                f"{self.window!r}")
-        if self.switches is not None and (
-                not self.switches
-                or not all(isinstance(s, int) and not isinstance(s, bool)
-                           for s in self.switches)):
-            raise FaultPlanError(
-                f"partition switches must be a non-empty list of switch "
-                f"ids, got {list(self.switches)!r}")
+                _is_number(self.probability)
+                and 0.0 <= self.probability <= 1.0):
+            raise self._refused("probability", "a number in [0, 1]")
+        if self.factor is not None and not (
+                _is_number(self.factor) and 1.0 <= self.factor < math.inf):
+            raise self._refused("factor", "a finite number >= 1")
+        if self.window is not None and not (
+                _is_int(self.window) and self.window >= 1):
+            raise self._refused("window", "an int >= 1")
+        if self.switches is not None and not (
+                isinstance(self.switches, tuple) and self.switches
+                and all(map(_is_int, self.switches))):
+            raise self._refused("switches",
+                                "a non-empty list of switch ids")
+
+    def _refused(self, name: str, wanted: str) -> FaultPlanError:
+        """The error of a field that is given but not ``wanted``."""
+        value = getattr(self, name)
+        if isinstance(value, tuple):
+            value = list(value)
+        return FaultPlanError(f"{self.kind} event field {name!r} must be "
+                              f"{wanted}, got {value!r}")
 
     def to_dict(self) -> Dict:
         record: Dict = {"time": self.time, "kind": self.kind}
@@ -122,6 +140,9 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, record: Dict) -> "FaultEvent":
+        if not isinstance(record, dict):
+            raise FaultPlanError(
+                f"a fault event is an object, got {record!r}")
         if "kind" not in record or "time" not in record:
             raise FaultPlanError(
                 f"a fault event needs 'time' and 'kind' fields, got "

@@ -381,15 +381,16 @@ class ResilientNetwork:
                 for r in results])
             out = np.array(out)[:, None]
             back = np.where(np.array(found), back, out[:, 0])[:, None]
-            rows, records = [(r,) for r in results], [[] for _ in results]
+            rows, records = None, [[] for _ in results]  # one leg: results
         service = 0
         for k in range(out.shape[1]):
             delay = model.nominal(out[:, k], back[:, k])
             if slowed is not None:
+                legs = results if rows is None else [row[k] for row in rows]
                 delay = delay + np.array([
-                    slow_excess(slowed, row[k].trace,
-                                *self._return(row[k], slowed))
-                    for row in rows]) * model.link_delay
+                    slow_excess(slowed, leg.trace,
+                                *self._return(leg, slowed))
+                    for leg in legs]) * model.link_delay
             service = service + delay
         latency = np.asarray(waits) + service
         missed, latency = (latency > timeout).tolist(), latency.tolist()
@@ -402,7 +403,7 @@ class ResilientNetwork:
                     replica_id(ids[i], result.copy_used),
                     result.destination_switch)[2], at)
             elif not board.quiet():
-                for leg in rows[i]:
+                for leg in (result,) if rows is None else rows[i]:
                     self._succeeded(leg.destination_switch, leg.server_id,
                                     at)
         return list(map(  # one column per ResilientOutcome field

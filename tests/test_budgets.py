@@ -4,7 +4,9 @@
   the bodies simplicity work shrinks cannot regrow unnoticed.
 * ``import repro`` leaves ``scipy.stats`` unloaded: it costs ~70 MB RSS
   and ~0.7 s, and only ``metrics.confidence_interval`` needs it, at
-  call time.
+  call time.  Building a network and serving a ``place_many`` +
+  ``retrieve_many`` round leaves ``scipy.optimize`` unloaded too: only
+  a join's position solve imports it.
 * The route memo holds a route in at most 80 bytes (DESIGN.md §5d,
   docs/api.md), from ``nbytes``: the same on every run.
 * A join or leave patches the wave plane in place: ten join + leave
@@ -271,6 +273,28 @@ def test_import_keeps_scipy_stats_lazy():
         [sys.executable, "-c",
          "import repro, sys; assert 'scipy.stats' not in sys.modules"],
         check=True, env=env)
+
+
+def test_import_keeps_scipy_optimize_lazy():
+    """Serving requests loads no solver: only a join's position solve
+    imports ``scipy.optimize``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "PYTHONHASHSEED": "0"}
+    subprocess.run([sys.executable, "-c", """if True:
+        import sys
+        import numpy as np
+        import repro
+        from repro import GredNetwork, brite_waxman_graph
+        topology, _ = brite_waxman_graph(20, rng=np.random.default_rng(1))
+        net = GredNetwork(topology, servers_per_switch=2, cvt_iterations=2,
+                          seed=1)
+        ids = [f"item-{i}" for i in range(200)]
+        net.place_many(ids, payloads=ids)
+        assert all(r.found for r in net.retrieve_many(ids))
+        assert 'scipy.optimize' not in sys.modules
+        net.add_switch(99, links=[0, 1], servers_per_switch=2)
+        assert 'scipy.optimize' in sys.modules
+        """], check=True, env=env)
 
 
 def test_route_memo_stays_under_80_bytes_a_route():

@@ -10,6 +10,7 @@ item retrievable (availability 1.0) after one detection/repair sweep.
 
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -141,6 +142,65 @@ class TestFaultPlan:
             FaultPlan.from_dict({"not_events": []})
         with pytest.raises(FaultPlanError):
             FaultPlan.from_dict({"events": {"time": 0}})
+        with pytest.raises(FaultPlanError, match="an object"):
+            FaultPlan.from_dict({"events": [1]})
+
+    @pytest.mark.parametrize("field, value, kind, rest", [
+        ("time", math.nan, "switch_crash", {"switch": 0}),
+        ("time", math.inf, "switch_crash", {"switch": 0}),
+        ("time", -math.inf, "switch_crash", {"switch": 0}),
+        ("time", True, "switch_crash", {"switch": 0}),
+        ("time", "0.5", "switch_crash", {"switch": 0}),
+        ("factor", math.nan, "slow_link", {"u": 0, "v": 1}),
+        ("factor", math.inf, "slow_link", {"u": 0, "v": 1}),
+        ("switch", "abc", "switch_crash", {}),
+        ("switch", 1.5, "switch_crash", {}),
+        ("switch", True, "switch_crash", {}),
+        ("serial", "abc", "server_crash", {"switch": 0}),
+        ("serial", 1.5, "server_crash", {"switch": 0}),
+        ("serial", True, "server_crash", {"switch": 0}),
+        ("u", "abc", "link_down", {"v": 1}),
+        ("u", 1.5, "packet_loss", {"v": 1, "probability": 0.5}),
+        ("v", True, "slow_link", {"u": 0, "factor": 2.0}),
+        ("window", True, "control_reorder", {}),
+        ("window", 2.5, "control_reorder", {}),
+        ("probability", math.nan, "control_drop", {}),
+        ("probability", 1.5, "control_dup", {}),
+        ("probability", True, "packet_loss", {"u": 0, "v": 1}),
+        ("switches", 5, "partition", {}),
+    ])
+    def test_bad_field_names_kind_and_field(self, field, value, kind,
+                                            rest):
+        """Each bad field raises FaultPlanError naming the event kind
+        and the field, from the constructor and from a JSON plan."""
+        record = {"time": 0.0, "kind": kind, **rest, field: value}
+        named = f"{kind} event field {field!r}"
+        with pytest.raises(FaultPlanError, match=re.escape(named)):
+            FaultEvent(**record)
+        text = json.dumps({"events": [record]})
+        with pytest.raises(FaultPlanError, match=re.escape(named)):
+            FaultPlan.from_json(io.StringIO(text))
+
+    def test_a_control_probability_names_its_own_kind(self):
+        with pytest.raises(FaultPlanError) as info:
+            FaultEvent(time=0.0, kind="control_drop", probability=2.0)
+        assert "control_drop" in str(info.value)
+        assert "packet_loss" not in str(info.value)
+
+    def test_good_fields_still_load(self):
+        """Int ids, int times, the range ends of a probability and a
+        factor of exactly 1 load, and the plan round-trips through
+        JSON unchanged."""
+        plan = FaultPlan([
+            FaultEvent(time=0, kind="server_crash", switch=3, serial=0),
+            FaultEvent(time=1.5, kind="slow_link", u=0, v=2, factor=1),
+            FaultEvent(time=2, kind="control_drop", probability=0),
+            FaultEvent(time=2, kind="control_reorder", window=1),
+            FaultEvent(time=3, kind="partition", switches=[0, 4]),
+        ])
+        text = json.dumps(plan.to_dict())
+        assert FaultPlan.from_json(io.StringIO(text)).to_dict() == \
+            plan.to_dict()
 
 
 # ----------------------------------------------------------------------
