@@ -7,6 +7,13 @@ active range extensions.  Restoring rebuilds the DT and forwarding rules
 over the *stored* positions, so routing decisions are identical across
 save/load — the basis of the CLI's file-backed workflows.
 
+The format is declared once: the tables below name each section's
+fields, and the writer and the reader both walk them.  The reader takes
+every field through a checked reader (``_int``, ``_num``, ``_row``,
+``_rows``, ``_int_map``, ``_key``) that returns the value or raises
+:class:`SnapshotError` naming the field's path, e.g. ``snapshot field
+'servers[3].capacity' must be an int >= 0, got -1`` (DESIGN.md §5h).
+
 Payloads must be JSON-serializable; binary payloads should be encoded
 by the application (e.g. base64) before placement.
 """
@@ -14,13 +21,22 @@ by the application (e.g. base64) before placement.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
+import sys
+from contextlib import nullcontext
+from functools import partial
 from typing import Any, Dict, IO, Union
 
-from ..controlplane import ControlPlaneError, Controller, ControllerConfig
+from ..controlplane import (ControlPlaneError, Controller, ControllerConfig,
+                            FederatedController, FederatedNetwork,
+                            RegionError, RegionMap, RegionShard)
 from ..core import GredNetwork
 from ..dataplane import ExtensionEntry
-from ..edge import EdgeServer
+from ..edge import EdgeServer, Hint
+from ..faults.state import FaultState, link_key
 from ..graph import Graph
+from ..hashing import data_position
 
 #: Format marker for forward compatibility.
 SNAPSHOT_FORMAT = "gred-snapshot-v1"
@@ -30,6 +46,288 @@ class SnapshotError(Exception):
     """Raised on malformed snapshots or unserializable payloads."""
 
 
+# ----------------------------------------------------------------------
+# checked readers
+# ----------------------------------------------------------------------
+#: What an absent field reads as, so its error says so.
+_MISSING = type("_Missing", (), {"__repr__": lambda self: "nothing"})()
+
+
+def _bad(path: str, want: str, value: Any) -> SnapshotError:
+    subject = f"snapshot field {path!r}" if path else "a snapshot"
+    return SnapshotError(f"{subject} must be {want}, "
+                         f"got {reprlib.repr(value)}")
+
+
+def _int(value: Any, path: str, low: int = 0) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and value >= low:
+        return value
+    raise _bad(path, f"an int >= {low}", value)
+
+
+def _num(value: Any, path: str, low: float = -math.inf,
+         high: float = math.inf) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max and low <= value <= high:
+        return float(value)
+    raise _bad(path, f"a finite number in [{low:g}, {high:g}]", value)
+
+
+def _is(kind: type, want: str):
+    """The reader of a value of type ``kind``."""
+    def read(value: Any, path: str):
+        if isinstance(value, kind):
+            return value
+        raise _bad(path, want, value)
+    return read
+
+
+_list, _obj = _is(list, "a list"), _is(dict, "an object")
+_flag, _str = _is(bool, "true or false"), _is(str, "a string")
+
+
+def _row(value: Any, path: str, readers) -> list:
+    """A fixed-width list, each column through its reader."""
+    if isinstance(value, list) and len(value) == len(readers):
+        return [read(column, f"{path}[{i}]")
+                for i, (read, column) in enumerate(zip(readers, value))]
+    raise _bad(path, f"a list of {len(readers)}", value)
+
+
+def _rows(value: Any, path: str, readers) -> list:
+    return [_row(row, f"{path}[{i}]", readers)
+            for i, row in enumerate(_list(value, path))]
+
+
+def _key(key: Any, path: str) -> int:
+    """A switch or region id written as an object key."""
+    if isinstance(key, str) and key.isdecimal() and len(key) < 19 \
+            and str(int(key)) == key:
+        return int(key)
+    raise _bad(path, "keyed by ids", key)
+
+
+def _int_map(value: Any, path: str) -> Dict[int, int]:
+    return {_key(key, path): _int(count, f"{path}[{key}]")
+            for key, count in _obj(value, path).items()}
+
+
+def _stamps(value: Any, path: str) -> Dict[str, tuple]:
+    """``item id -> (version, origin)``."""
+    return {item: tuple(_row(stamp, f"{path}[{item}]", _PAIR))
+            for item, stamp in _obj(value, path).items()}
+
+
+def _read_fields(record: Any, path: str, table) -> Dict[str, Any]:
+    """The fields ``table`` declares, read from the object at ``path``."""
+    record = _obj(record, path)
+    return {name: read(record.get(name, _MISSING), f"{path}.{name}")
+            for name, read in table}
+
+
+def _write_fields(owner: Any, table, attributes=None) -> Dict[str, Any]:
+    """The fields ``table`` declares, from ``owner``'s attributes (of
+    the same names unless ``attributes`` gives them); a map is written
+    with sorted string keys."""
+    values = (getattr(owner, attribute) for attribute
+              in attributes or (name for name, _ in table))
+    return {name: {str(key): count for key, count in sorted(value.items())}
+            if isinstance(value, dict) else value
+            for (name, _), value in zip(table, values)}
+
+
+# ----------------------------------------------------------------------
+# the format
+# ----------------------------------------------------------------------
+_PAIR = (_int, _int)
+#: ``[u, v, weight]`` of an ``edges`` or ``cross_links`` row.
+_EDGE = (_int, _int, _num)
+_POINT = (_num, _num)
+#: ``config``: the ControllerConfig fields a restore rebuilds.
+_CONFIG = (("cvt_iterations", _int), ("samples_per_iteration", _int),
+           ("relaxation", _num), ("margin", _num), ("seed", _int))
+#: ``controlplane``: the counters a restore resumes, and the
+#: Controller fields that hold them.
+_COUNTERS = (("epoch", _int), ("version", _int),
+             ("generations", _int_map), ("pending", _int_map),
+             ("ack_generations", _int_map))
+_COUNTER_FIELDS = ("_global_epoch", "_version", "_generations",
+                   "_pending_deltas", "_ack_generations")
+#: ``durability``: the network's write clock and handoff switch.
+_DURABILITY = (("write_version", _int), ("hinted_handoff", _flag))
+#: Where a server record's server sits.
+_SERVER = (("switch", _int), ("serial", _int))
+#: One ``extensions`` record: the switch, then its ExtensionEntry.
+_EXTENSION = (("switch", _int), ("serial", _int), ("target_switch", _int),
+              ("target_serial", _int))
+#: One parked hint of a server record.
+_HINT = ("copy_id", "op", "target", "stamp", "payload")
+#: ``faults``: a list per FaultState field, a row per member: the row's
+#: column readers, how many lead columns form the key (a map's value
+#: follows them), and whether the key is a link, stored low end first.
+#: A switch alone is written bare, not as a row of one.
+_FAULTS = (("crashed_switches", (_int,), 1, False),
+           ("crashed_servers", _PAIR, 2, False),
+           ("down_links", _PAIR, 2, True),
+           ("loss", (_int, _int, partial(_num, low=0.0, high=1.0)), 2,
+            True),
+           ("slow", (_int, _int, partial(_num, low=1.0)), 2, True),
+           ("partitions", _PAIR, 1, False))
+
+
+def _payload(item_id: str, payload: Any) -> Any:
+    try:
+        json.dumps(payload)
+        return payload
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"payload of {item_id!r} is not "
+                            f"JSON-serializable: {exc}") from exc
+
+
+def _server_record(server: EdgeServer) -> Dict[str, Any]:
+    """A server's record.  Durability state (write stamps, tombstones,
+    parked hinted-handoff writes) is written only when present, so a
+    fault-free record has four fields."""
+    ids = server.stored_ids()
+    record = {**_write_fields(server, _SERVER), "capacity": server.capacity,
+              "items": {item: _payload(item, server.retrieve(item))
+                        for item in ids}}
+    optional = (
+        ("stamps", {item: list(stamp) for item in ids
+                    for stamp in [server.stamp_of(item)] if stamp}),
+        ("tombstones", {item: list(stamp) for item, stamp
+                        in server.tombstones().items()}),
+        ("hints", [dict(zip(_HINT, (
+            hint.copy_id, hint.op, list(hint.target), list(hint.stamp),
+            _payload(hint.copy_id, hint.payload))))
+            for hint in server.hints()]),
+    )
+    record.update((name, value) for name, value in optional if value)
+    return record
+
+
+def _read_server(record: Any, path: str) -> EdgeServer:
+    """The server of a :func:`_server_record`; its capacity must hold
+    its items."""
+    ids = _read_fields(record, path, _SERVER)
+    items = _obj(record.get("items", _MISSING), f"{path}.items")
+    capacity = record.get("capacity", _MISSING)
+    server = EdgeServer(**ids, capacity=None if capacity is None
+                        else _int(capacity, f"{path}.capacity", len(items)))
+    stamps = _stamps(record.get("stamps", {}), f"{path}.stamps")
+    server.store_many(items, list(items.values()),
+                      [stamps.get(item) for item in items] if stamps
+                      else None)
+    for item, stamp in _stamps(record.get("tombstones", {}),
+                               f"{path}.tombstones").items():
+        server.entomb(item, stamp)
+    for i, hint in enumerate(_list(record.get("hints", []),
+                                   f"{path}.hints")):
+        server.park_hint(_read_hint(hint, f"{path}.hints[{i}]"))
+    return server
+
+
+def _read_hint(hint: Any, path: str) -> Hint:
+    copy_id, op, target, stamp, payload = (
+        _obj(hint, path).get(name, _MISSING) for name in _HINT)
+    if op not in ("store", "delete"):
+        raise _bad(f"{path}.op", "'store' or 'delete'", op)
+    return Hint(_str(copy_id, f"{path}.copy_id"), op,
+                tuple(_row(target, f"{path}.target", _PAIR)),
+                tuple(_row(stamp, f"{path}.stamp", _PAIR)),
+                None if payload is _MISSING else payload)
+
+
+def _read_servers(records: Any, at: str) -> Dict[int, list]:
+    """The server map of a ``servers`` section.  A switch's serials
+    must run ``0..s-1``: the ``H(d) mod s`` rule addresses them."""
+    by_switch: Dict[int, list] = {}
+    for i, record in enumerate(_list(records, f"{at}servers")):
+        server = _read_server(record, f"{at}servers[{i}]")
+        by_switch.setdefault(server.switch, []).append(
+            (server.serial, i, server))
+    for switch, entries in by_switch.items():
+        entries.sort(key=lambda entry: entry[:2])
+        for k, (serial, i, _) in enumerate(entries):
+            if serial != k:
+                raise _bad(f"{at}servers[{i}].serial", f"{k}: switch "
+                           f"{switch}'s serials run 0..s-1", serial)
+        by_switch[switch] = [server for _, _, server in entries]
+    return by_switch
+
+
+def _fault_rows(members) -> list:
+    """One FaultState field as the rows :data:`_FAULTS` declares."""
+    if isinstance(members, dict):
+        return [[*(key if isinstance(key, tuple) else (key,)), value]
+                for key, value in sorted(members.items())]
+    return [list(key) if isinstance(key, tuple) else key
+            for key in sorted(members)]
+
+
+def _read_faults(section: Any, path: str):
+    """The FaultState of a ``faults`` section (``None`` when nothing in
+    it is active)."""
+    section = _obj(section, path)
+    fields: Dict[str, Any] = {}
+    for name, readers, width, link in _FAULTS:
+        members: Dict[Any, Any] = {}
+        rows = _list(section.get(name, []), f"{path}.{name}")
+        for i, row in enumerate(rows):
+            where = f"{path}.{name}[{i}]"
+            columns = (_row(row, where, readers) if len(readers) > 1
+                       else [_int(row, where)])
+            key = (link_key(*columns[:2]) if link
+                   else tuple(columns[:width]) if width > 1
+                   else columns[0])
+            members[key] = columns[width] if len(columns) > width else None
+        fields[name] = members if len(readers) > width else set(members)
+    state = FaultState(**fields)
+    return state if state.any_active() else None
+
+
+def _add_links(graph: Graph, rows: Any, path: str) -> None:
+    for i, (u, v, weight) in enumerate(_rows(rows, path, _EDGE)):
+        if u == v or weight <= 0:
+            raise _bad(f"{path}[{i}]", "a link of positive weight between "
+                       "two switches", [u, v, weight])
+        graph.add_edge(u, v, weight=weight)
+
+
+def _sections(document: Any, at: str, fmt: str, *names: str) -> list:
+    """The ``names`` sections of the ``fmt`` document at ``at`` (``""``
+    at the root, ``"shards[1]."`` in a federation), refusing another
+    format or a missing section."""
+    document = _obj(document, at[:-1])
+    if document.get("format") != fmt:
+        raise _bad(f"{at}format", repr(fmt),
+                   document.get("format", _MISSING))
+    for name in names:
+        if name not in document:
+            raise SnapshotError(f"{fmt} document{at and f' at {at[:-1]!r}'}"
+                                f" has no {name!r} section")
+    return [document[name] for name in names]
+
+
+# ----------------------------------------------------------------------
+# networks
+# ----------------------------------------------------------------------
+def _refuse_unrestorable(net: GredNetwork) -> None:
+    """Refuse state a snapshot cannot capture: tripped breakers hold
+    runtime state (failure counts, half-open probes on the traffic
+    clock), and a custom ``position_fn`` or ``density_sampler`` is
+    code."""
+    pipeline = net._resilience
+    if pipeline is not None and pipeline.breakers.any_tripped():
+        raise SnapshotError(f"cannot snapshot tripped circuit breakers "
+                            f"{pipeline.breakers.tripped()}: let them close")
+    if net._position_fn is not data_position \
+            or net.controller.config.density_sampler is not None:
+        raise SnapshotError("cannot snapshot a custom position_fn or "
+                            "density_sampler: a snapshot carries no code")
+
+
 def to_snapshot(net: GredNetwork) -> Dict[str, Any]:
     """A JSON-serializable dict capturing the full network state.
 
@@ -37,328 +335,124 @@ def to_snapshot(net: GredNetwork) -> Dict[str, Any]:
     :class:`~repro.faults.FaultState` (crashed switches/servers, downed
     or degraded links) is persisted in a ``"faults"`` section and
     re-attached on restore, so dead nodes stay dead across a round
-    trip.  What cannot be captured is *refused*: a resilience pipeline
-    with tripped circuit breakers holds runtime state (consecutive
-    failure counts, half-open probe progress on the live traffic
-    clock) that a snapshot cannot faithfully restore, so
-    :class:`SnapshotError` is raised rather than silently writing a
-    snapshot that would come back healthy.
+    trip.  What cannot be captured is *refused* with
+    :class:`SnapshotError` rather than written as a snapshot that would
+    restore differently: a resilience pipeline with tripped circuit
+    breakers, and a network built with a custom ``position_fn`` or
+    ``density_sampler`` (a snapshot carries no code).
     """
-    pipeline = net._resilience
-    if pipeline is not None and pipeline.breakers.any_tripped():
-        tripped = ", ".join(f"{kind}:{ident}" for kind, ident
-                            in pipeline.breakers.tripped())
-        raise SnapshotError(
-            f"cannot snapshot a network whose resilience pipeline has "
-            f"tripped circuit breakers ({tripped}): breaker runtime "
-            f"state is not restorable, and restoring without it would "
-            f"silently resurrect nodes the pipeline knows are sick. "
-            f"Let the breakers close (or reset the pipeline) before "
-            f"snapshotting."
-        )
+    _refuse_unrestorable(net)
     controller = net.controller
-    edges = [[u, v, w] for u, v, w in controller.topology.edges()]
-    servers = []
-    for switch in sorted(controller.server_map):
-        for server in controller.server_map[switch]:
-            items = {}
-            for item_id in server.stored_ids():
-                payload = server.retrieve(item_id)
-                _check_payload(item_id, payload)
-                items[item_id] = payload
-            record = {
-                "switch": server.switch,
-                "serial": server.serial,
-                "capacity": server.capacity,
-                "items": items,
-            }
-            # Durability state (write stamps, tombstones, parked
-            # hinted-handoff writes) is emitted only when present, so
-            # fault-free snapshots are byte-identical to before.
-            stamps = {
-                item_id: list(stamp)
-                for item_id in server.stored_ids()
-                for stamp in [server.stamp_of(item_id)]
-                if stamp is not None
-            }
-            if stamps:
-                record["stamps"] = stamps
-            tombstones = server.tombstones()
-            if tombstones:
-                record["tombstones"] = {
-                    item_id: list(stamp)
-                    for item_id, stamp in tombstones.items()
-                }
-            hints = server.hints()
-            if hints:
-                for hint in hints:
-                    _check_payload(hint.copy_id, hint.payload)
-                record["hints"] = [
-                    {
-                        "copy_id": hint.copy_id,
-                        "op": hint.op,
-                        "target": list(hint.target),
-                        "stamp": list(hint.stamp),
-                        "payload": hint.payload,
-                    }
-                    for hint in hints
-                ]
-            servers.append(record)
-    extensions = []
-    for switch_id, switch in controller.switches.items():
-        for ext in switch.table.extensions():
-            extensions.append({
-                "switch": switch_id,
-                "serial": ext.local_serial,
-                "target_switch": ext.target_switch,
-                "target_serial": ext.target_serial,
-            })
-    config = controller.config
     snapshot = {
         "format": SNAPSHOT_FORMAT,
         "nodes": controller.topology.nodes(),
-        "edges": edges,
-        "servers": servers,
-        "positions": {
-            str(node): list(pos)
-            for node, pos in controller.positions.items()
-        },
-        "config": {
-            "cvt_iterations": config.cvt_iterations,
-            "samples_per_iteration": config.samples_per_iteration,
-            "relaxation": config.relaxation,
-            "margin": config.margin,
-            "seed": config.seed,
-        },
-        "extensions": extensions,
-        # Incremental control-plane state: restoring these makes the
-        # restored controller's epoch/version/generation counters (and
-        # therefore cache-invalidation behavior) continue where the
-        # snapshot left off instead of silently resetting.
-        "controlplane": {
-            "epoch": controller.epoch,
-            "version": controller.version,
-            "generations": {
-                str(switch): generation
-                for switch, generation
-                in sorted(controller.generations.items())
-            },
-            # Southbound reliability state: the pending-delta queue
-            # (switches that never acked a delta) and the per-switch
-            # ack generations survive a controller crash/restart, so
-            # the restored controller knows exactly who still needs a
-            # reconcile instead of assuming the world converged.
-            "pending": {
-                str(switch): generation
-                for switch, generation
-                in sorted(controller.pending_deltas.items())
-            },
-            "ack_generations": {
-                str(switch): generation
-                for switch, generation
-                in sorted(controller.ack_generations.items())
-            },
-        },
+        "edges": [[u, v, w] for u, v, w in controller.topology.edges()],
+        "servers": [_server_record(server)
+                    for switch in sorted(controller.server_map)
+                    for server in controller.server_map[switch]],
+        "positions": {str(node): list(pos)
+                      for node, pos in controller.positions.items()},
+        "config": _write_fields(controller.config, _CONFIG),
+        "extensions": [
+            {"switch": switch_id, **_write_fields(ext, _EXTENSION[1:], (
+                "local_serial", "target_switch", "target_serial"))}
+            for switch_id, switch in controller.switches.items()
+            for ext in switch.table.extensions()],
+        # Restoring the counters makes the restored controller's
+        # epoch/version/generations (so its cache invalidation) and its
+        # southbound state (unacked deltas, ack generations) continue
+        # where the snapshot left off.
+        "controlplane": _write_fields(controller, _COUNTERS,
+                                      _COUNTER_FIELDS),
     }
     fault = net.fault_state
     if fault is not None and fault.any_active():
-        faults: Dict[str, Any] = {
-            "crashed_switches": sorted(fault.crashed_switches),
-            "crashed_servers": [list(ref) for ref
-                                in sorted(fault.crashed_servers)],
-            "down_links": [list(link) for link
-                           in sorted(fault.down_links)],
-            "loss": [[u, v, p] for (u, v), p
-                     in sorted(fault.loss.items())],
-            "slow": [[u, v, f] for (u, v), f
-                     in sorted(fault.slow.items())],
-        }
-        if fault.partitions:
-            faults["partitions"] = [
-                [switch, group] for switch, group
-                in sorted(fault.partitions.items())
-            ]
-        snapshot["faults"] = faults
-    # Network-level durability state (only when it has ever advanced).
+        # ``partitions`` is written only when set, as before it existed.
+        snapshot["faults"] = {
+            name: _fault_rows(getattr(fault, name))
+            for name, *_ in _FAULTS if name != "partitions"
+            or fault.partitions}
     if net.write_version or net.hinted_handoff:
-        snapshot["durability"] = {
-            "write_version": net.write_version,
-            "hinted_handoff": net.hinted_handoff,
-        }
+        snapshot["durability"] = _write_fields(net, _DURABILITY)
     return snapshot
 
 
-def _check_payload(item_id: str, payload: Any) -> None:
-    try:
-        json.dumps(payload)
-    except (TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"payload of {item_id!r} is not JSON-serializable: {exc}"
-        ) from exc
-
-
-def _restore_fault_state(record: Any):
-    """Rebuild a ``FaultState`` from a snapshot's ``"faults"`` section
-    (``None`` when the snapshot was healthy)."""
-    if record is None:
-        return None
-    from ..faults import FaultState
-    from ..faults.state import link_key
-
-    try:
-        state = FaultState(
-            crashed_switches={int(s) for s
-                              in record.get("crashed_switches", [])},
-            crashed_servers={(int(sw), int(serial)) for sw, serial
-                             in record.get("crashed_servers", [])},
-            down_links={link_key(int(u), int(v)) for u, v
-                        in record.get("down_links", [])},
-            loss={link_key(int(u), int(v)): float(p) for u, v, p
-                  in record.get("loss", [])},
-            slow={link_key(int(u), int(v)): float(f) for u, v, f
-                  in record.get("slow", [])},
-            partitions={int(switch): int(group) for switch, group
-                        in record.get("partitions", [])},
-        )
-    except (TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"malformed 'faults' section: {exc}") from exc
-    return state if state.any_active() else None
-
-
-def _require_sections(document: Dict[str, Any], *names: str) -> None:
-    """Refuse a document that lacks a section the restore reads, naming
-    each missing one, before anything is built."""
-    missing = [name for name in names if name not in document]
-    if missing:
-        raise SnapshotError(
-            f"{document['format']} document has no "
-            f"{', '.join(map(repr, missing))} section"
-            f"{'s' if len(missing) > 1 else ''}")
-
-
 def from_snapshot(snapshot: Dict[str, Any]) -> GredNetwork:
-    """Restore a network from a snapshot dict."""
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(
-            f"unsupported snapshot format {snapshot.get('format')!r}"
-        )
-    _require_sections(snapshot, "nodes", "edges", "servers", "config",
-                      "positions")
-    topology = Graph()
-    for node in snapshot["nodes"]:
-        topology.add_node(int(node))
-    for u, v, w in snapshot["edges"]:
-        topology.add_edge(int(u), int(v), weight=float(w))
-    server_map: Dict[int, list] = {}
-    for record in snapshot["servers"]:
-        server = EdgeServer(
-            switch=int(record["switch"]),
-            serial=int(record["serial"]),
-            capacity=record["capacity"],
-        )
-        stamps = record.get("stamps", {})
-        for item_id, payload in record["items"].items():
-            stamp = stamps.get(item_id)
-            server.store(item_id, payload,
-                         stamp=tuple(stamp) if stamp else None)
-        for item_id, stamp in record.get("tombstones", {}).items():
-            server.entomb(item_id, tuple(stamp))
-        for hint in record.get("hints", []):
-            from ..edge import Hint
+    """Restore a network from a snapshot dict; :class:`SnapshotError`
+    names the first field that is malformed."""
+    return _read_network(snapshot, "")
 
-            server.park_hint(Hint(
-                copy_id=hint["copy_id"],
-                op=hint["op"],
-                target=tuple(hint["target"]),
-                stamp=tuple(hint["stamp"]),
-                payload=hint.get("payload"),
-            ))
-        server_map.setdefault(server.switch, []).append(server)
-    for servers in server_map.values():
-        servers.sort(key=lambda s: s.serial)
-    saved = snapshot["config"]
+
+def _read_network(document: Any, at: str) -> GredNetwork:
+    """The network of the snapshot document at ``at``."""
+    nodes, edges, servers, saved, positions = _sections(
+        document, at, SNAPSHOT_FORMAT, "nodes", "edges", "servers",
+        "config", "positions")
+    topology = Graph()
+    for i, node in enumerate(_list(nodes, f"{at}nodes")):
+        topology.add_node(_int(node, f"{at}nodes[{i}]"))
+    _add_links(topology, edges, f"{at}edges")
     net = GredNetwork.__new__(GredNetwork)
     net._init_request_state()
-    # Re-attach the persisted fault state (if any) so a degraded
-    # deployment restores degraded — crashed nodes must never come
-    # back to life through a snapshot round trip.
-    net.fault_state = _restore_fault_state(snapshot.get("faults"))
-    config = ControllerConfig(
-        cvt_iterations=int(saved["cvt_iterations"]),
-        samples_per_iteration=int(saved["samples_per_iteration"]),
-        relaxation=float(saved["relaxation"]),
-        margin=float(saved["margin"]),
-        seed=int(saved["seed"]),
-    )
-    positions = {
-        int(node): (float(pos[0]), float(pos[1]))
-        for node, pos in snapshot["positions"].items()
-    }
+    # Snapshots carry no code (``to_snapshot`` refuses a custom one).
+    net._position_fn = data_position
+    # A degraded deployment restores degraded: crashed nodes must never
+    # come back to life through a round trip.
+    if "faults" in document:
+        net.fault_state = _read_faults(document["faults"], f"{at}faults")
+    server_map = _read_servers(servers, at)
+    config = ControllerConfig(**_read_fields(saved, f"{at}config",
+                                             _CONFIG))
+    points = _obj(positions, f"{at}positions")
+    positions = {_key(node, f"{at}positions"):
+                 tuple(_row(point, f"{at}positions[{node}]", _POINT))
+                 for node, point in points.items()}
     try:
         controller = Controller(topology, server_map, config,
                                 positions=positions)
     except ControlPlaneError as exc:
         raise SnapshotError(f"snapshot does not restore: {exc}") from exc
-    # Resume the persisted counters (the construction above consumed
-    # epoch 1 / version 1; older snapshots without the section keep
-    # those defaults).  The changelog is NOT restorable — leave it
-    # truncated so ``changes_since`` answers ``None`` (full rebuild)
-    # for any pre-restore baseline rather than guessing.
-    controlplane = snapshot.get("controlplane")
-    if controlplane is not None:
-        controller._global_epoch = int(controlplane["epoch"])
-        controller._version = int(controlplane["version"])
-        controller._generations = {
-            int(switch): int(generation)
-            for switch, generation
-            in controlplane.get("generations", {}).items()
-        }
+    # The construction consumed epoch 1 / version 1, which a document
+    # without the section keeps.  The changelog is not restorable: it
+    # stays truncated, so ``changes_since`` answers ``None`` (rebuild
+    # everything) for any pre-restore baseline.
+    if "controlplane" in document:
+        counters = _read_fields(document["controlplane"],
+                                f"{at}controlplane", _COUNTERS)
+        if counters["generations"].keys() != controller.switches.keys():
+            raise _bad(f"{at}controlplane.generations", "keyed by the "
+                       "switches", sorted(counters["generations"]))
+        for field, value in zip(_COUNTER_FIELDS, counters.values()):
+            setattr(controller, field, value)
         controller._changelog = []
-        controller._pending_deltas = {
-            int(switch): int(generation)
-            for switch, generation
-            in controlplane.get("pending", {}).items()
-        }
-        controller._ack_generations = {
-            int(switch): int(generation)
-            for switch, generation
-            in controlplane.get("ack_generations", {}).items()
-        }
-    for ext in snapshot.get("extensions", []):
-        switch, serial = int(ext["switch"]), int(ext["serial"])
-        entry = ExtensionEntry(local_serial=serial,
-                               target_switch=int(ext["target_switch"]),
-                               target_serial=int(ext["target_serial"]))
-        for owner, index in ((switch, serial), (entry.target_switch,
-                                                 entry.target_serial)):
-            if not 0 <= index < len(controller.server_map.get(owner, ())):
-                raise SnapshotError(
-                    f"extension record {ext} names unknown server "
-                    f"({owner}, {index})")
-        controller.switches[switch].table.install_extension(entry)
+    for i, ext in enumerate(_list(document.get("extensions", []),
+                                  f"{at}extensions")):
+        path = f"{at}extensions[{i}]"
+        switch, serial, target_switch, target_serial = _read_fields(
+            ext, path, _EXTENSION).values()
+        if serial >= len(controller.server_map.get(switch, ())) \
+                or target_serial >= len(
+                    controller.server_map.get(target_switch, ())):
+            raise _bad(path, "an extension between known servers", ext)
+        controller.switches[switch].table.install_extension(
+            ExtensionEntry(serial, target_switch, target_serial))
+    if "durability" in document:
+        vars(net).update(_read_fields(document["durability"],
+                                      f"{at}durability", _DURABILITY))
     net.controller = controller
-    # Snapshots carry no code, so only the paper's default SHA-256
-    # position mapping is restorable; networks built with a custom
-    # ``position_fn`` must be reconstructed by the application.
-    from ..hashing import data_position
-
-    net._position_fn = data_position
-    durability = snapshot.get("durability")
-    if durability is not None:
-        net.write_version = int(durability.get("write_version", 0))
-        net.hinted_handoff = bool(durability.get("hinted_handoff",
-                                                 False))
     return net
+
+
+def _opened(file: Union[str, IO[str]], mode: str):
+    """A path opened as UTF-8 text, or an open file left open."""
+    return (open(file, mode, encoding="utf-8") if isinstance(file, str)
+            else nullcontext(file))
 
 
 def _write_json(document: Dict[str, Any],
                 destination: Union[str, IO[str]]) -> None:
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-    else:
-        json.dump(document, destination)
+    with _opened(destination, "w") as handle:
+        json.dump(document, handle)
 
 
 def _read_json(source: Union[str, IO[str]]) -> Dict[str, Any]:
@@ -366,11 +460,8 @@ def _read_json(source: Union[str, IO[str]]) -> Dict[str, Any]:
     :class:`SnapshotError` when it does not parse (truncated, not JSON,
     not UTF-8) or is not an object."""
     try:
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        else:
-            document = json.load(source)
+        with _opened(source, "r") as handle:
+            document = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"snapshot is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -407,62 +498,53 @@ def to_federation_snapshot(fed) -> Dict[str, Any]:
     deltas, ack generations) independently.  Restoring one shard's
     section therefore never touches any other region.
     """
-    return {
-        "format": FEDERATION_FORMAT,
-        "seed": fed.seed,
-        "assignment": {
-            str(sid): rid
-            for sid, rid in sorted(fed.controller._assignment.items())
-        },
-        "cross_links": [[u, v, w]
-                        for u, v, w in fed.region_map.cross_links],
-        "shards": {
-            str(rid): to_snapshot(fed.shards[rid].net)
-            for rid in sorted(fed.shards)
-        },
-    }
+    return {"format": FEDERATION_FORMAT, "seed": fed.seed,
+            "assignment": {str(sid): rid for sid, rid
+                           in sorted(fed.controller._assignment.items())},
+            "cross_links": [list(link) for link
+                            in fed.region_map.cross_links],
+            "shards": {str(rid): to_snapshot(fed.shards[rid].net)
+                       for rid in sorted(fed.shards)}}
 
 
 def from_federation_snapshot(document: Dict[str, Any]):
     """Restore a :class:`~repro.controlplane.FederatedNetwork`.
 
-    Each shard is restored through :func:`from_snapshot` (positions,
-    rules, epochs, generations and pending queues come back verbatim);
-    the overlay (region sites, gateway designation) is recomputed
-    deterministically from the region map, so it is identical to the
-    saved federation's.
+    Each shard is restored as :func:`from_snapshot` restores a network
+    (positions, rules, epochs, generations and pending queues come back
+    verbatim), and must hold exactly the switches the assignment puts
+    in its region; the overlay (region sites, gateway designation) is
+    recomputed deterministically from the region map, so it is
+    identical to the saved federation's.
     """
-    from ..controlplane import FederatedController, RegionMap
-    from ..controlplane.federation import FederatedNetwork, RegionShard
-
-    if document.get("format") != FEDERATION_FORMAT:
-        raise SnapshotError(
-            f"unsupported federation snapshot format "
-            f"{document.get('format')!r}"
-        )
-    _require_sections(document, "assignment", "shards")
-    assignment = {int(sid): int(rid)
-                  for sid, rid in document["assignment"].items()}
-    nets = {int(rid): from_snapshot(doc)
-            for rid, doc in document["shards"].items()}
+    seed, assignment, cross_links, shards = _sections(
+        document, "", FEDERATION_FORMAT, "seed", "assignment",
+        "cross_links", "shards")
+    nets = {_key(rid, "shards"): _read_network(doc, f"shards[{rid}].")
+            for rid, doc in _obj(shards, "shards").items()}
+    regions = _int_map(assignment, "assignment")
+    for sid, rid in regions.items():
+        if rid not in nets:
+            raise _bad(f"assignment[{sid}]", "a region with a shard", rid)
     union = Graph()
-    for net in nets.values():
-        for node in net.topology.nodes():
+    for rid, net in nets.items():
+        _check_cover(net, rid, [s for s, r in regions.items() if r == rid])
+        for node in net.switch_ids():
             union.add_node(node)
         for u, v, w in net.topology.edges():
             union.add_edge(u, v, w)
-    for u, v, w in document.get("cross_links", []):
-        union.add_edge(int(u), int(v), float(w))
-    region_map = RegionMap(union, assignment)
+    _add_links(union, cross_links, "cross_links")
+    try:
+        region_map = RegionMap(union, regions)
+    except RegionError as exc:
+        raise SnapshotError(f"snapshot does not restore: {exc}") from exc
     fed = FederatedNetwork.__new__(FederatedNetwork)
     fed.region_map = region_map
-    fed.seed = int(document.get("seed", 0))
+    fed.seed = _int(seed, "seed")
     fed.build_seconds = {}
-    fed.shards = {
-        rid: RegionShard(rid, nets[rid], region_map.members(rid),
-                         region_map.gateways(rid))
-        for rid in region_map.region_ids
-    }
+    fed.shards = {rid: RegionShard(rid, nets[rid], region_map.members(rid),
+                                   region_map.gateways(rid))
+                  for rid in region_map.region_ids}
     fed.controller = FederatedController(region_map, fed.shards)
     fed._init_request_state()
     return fed
@@ -480,16 +562,18 @@ def restore_shard(fed, region: int, document: Dict[str, Any]) -> None:
     """
     if region not in fed.shards:
         raise SnapshotError(f"unknown region {region}")
-    net = from_snapshot(document)
+    net = _read_network(document, f"shards[{region}].")
     old = fed.shards[region]
-    if set(net.switch_ids()) != set(old.net.switch_ids()):
-        raise SnapshotError(
-            f"shard snapshot for region {region} covers switches "
-            f"{sorted(set(net.switch_ids()) ^ set(old.net.switch_ids()))[:4]} "
-            f"differing from the live region"
-        )
+    _check_cover(net, region, old.net.switch_ids())
     fed.shards[region] = type(old)(region, net, old.members,
                                    old.gateways)
+
+
+def _check_cover(net: GredNetwork, region: int, switches) -> None:
+    """Refuse a shard that does not hold exactly its region's switches."""
+    if set(net.switch_ids()) != set(switches):
+        raise _bad(f"shards[{region}].nodes", f"region {region}'s "
+                   f"switches {sorted(switches)}", sorted(net.switch_ids()))
 
 
 def save_federation(fed, destination: Union[str, IO[str]]) -> None:

@@ -97,23 +97,13 @@ class PacketLevelSimulator:
     retry_backoff:
         Base retransmission delay; attempt ``n`` retries after
         ``retry_backoff * 2**(n-1)`` seconds.
-    admission:
-        Optional :class:`repro.resilience.AdmissionController`.  When
-        attached, every request is offered to it at injection time on
-        the simulator's clock: shed requests are recorded as
-        :class:`PacketFailure` (reason ``"shed by admission control"``)
-        without touching the network, and queued requests are injected
-        after their token wait — so admission queueing delay shows up
-        in packet-level response delays.  Retransmissions of an
-        admitted request are not re-admitted.
     """
 
     def __init__(self, net, model: Optional[LatencyModel] = None,
                  bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH,
                  fault_state=None, loss_rng=None,
                  max_attempts: int = 1,
-                 retry_backoff: float = 0.01,
-                 admission=None) -> None:
+                 retry_backoff: float = 0.01) -> None:
         if not bandwidth_bytes_per_s > 0:
             raise ValueError(f"bandwidth_bytes_per_s must be positive, "
                              f"got {bandwidth_bytes_per_s!r}")
@@ -129,7 +119,6 @@ class PacketLevelSimulator:
         self.loss_rng = loss_rng
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
-        self.admission = admission
         self._link_busy: Dict[Tuple[int, int], float] = {}
         self._server_busy: Dict[object, float] = {}
         self.completed: List[PacketCompletion] = []
@@ -210,35 +199,9 @@ class PacketLevelSimulator:
     def _make_injection(self, sim: Simulator,
                         request: RetrievalRequest,
                         request_size: int, response_size: int,
-                        attempt: int = 1, admitted: bool = False):
+                        attempt: int = 1):
         def inject() -> None:
             registry = default_registry()
-            if self.admission is not None and attempt == 1 \
-                    and not admitted:
-                verdict = self.admission.offer(
-                    request.entry_switch, sim.now,
-                    getattr(request, "priority", 1))
-                if not verdict.admitted:
-                    # Shed before touching the network: no route, no
-                    # retransmission — the verdict is final.
-                    if registry.enabled:
-                        registry.counter(
-                            "simulation.requests_shed").inc()
-                    self.failed.append(PacketFailure(
-                        request=request,
-                        reason=(f"shed by admission control "
-                                f"({verdict.shed_reason})"),
-                        attempts=attempt))
-                    return
-                if verdict.queued_delay > 0.0:
-                    # Token wait: re-inject when the virtual queue
-                    # drains; the delay lands in the response delay.
-                    sim.schedule(
-                        verdict.queued_delay,
-                        self._make_injection(
-                            sim, request, request_size,
-                            response_size, attempt, admitted=True))
-                    return
             if registry.enabled:
                 registry.counter("simulation.packets_injected").inc()
                 registry.gauge("simulation.inflight_packets").inc()

@@ -4,9 +4,9 @@ Covers GCRA admission control (including the hypothesis property that
 traffic within the token budget is never shed), deadline-bounded retry
 backoff, the circuit-breaker state machine, the disabled-passthrough
 guarantee (byte-identical results to the raw network), hedged reads,
-breaker-aware routing-around, the packet-level simulator's shed
-verdicts, and the combined chaos + overload acceptance scenario:
-bounded p99 latency with zero lost acknowledged writes.
+breaker-aware routing-around, and the combined chaos + overload
+acceptance scenario: bounded p99 latency with zero lost acknowledged
+writes.
 """
 
 import dataclasses
@@ -35,8 +35,6 @@ from repro.resilience import (
     SHED_PRIORITY,
     SHED_QUEUE_FULL,
 )
-from repro.simulation import PacketLevelSimulator
-from repro.workloads import RetrievalRequest
 
 
 def build_net(switches=20, servers=2, seed=0, cvt_iterations=8):
@@ -656,50 +654,6 @@ class TestResilientPipeline:
             assert values["resilience.requests{kind=retrieve}"] == 1
         finally:
             obs.set_default_registry(previous)
-
-
-# ----------------------------------------------------------------------
-# packet-level simulator integration
-# ----------------------------------------------------------------------
-class TestPacketSimAdmission:
-    def test_shed_at_injection(self, net):
-        net.place("item", payload=b"x", entry_switch=0)
-        adm = AdmissionController(rate=2.0, burst=1.0, queue_limit=1)
-        sim = PacketLevelSimulator(net, admission=adm)
-        entry = sorted(net.switch_ids())[0]
-        trace = [RetrievalRequest(time=0.001 * i, data_id="item",
-                                  entry_switch=entry)
-                 for i in range(6)]
-        completed = sim.run(trace)
-        assert len(completed) + len(sim.failed) == 6
-        assert sim.failed
-        assert all("shed by admission control" in f.reason
-                   for f in sim.failed)
-
-    def test_queue_wait_shows_in_response_delay(self, net):
-        net.place("item", payload=b"x", entry_switch=0)
-        adm = AdmissionController(rate=10.0, burst=1.0, queue_limit=8)
-        sim = PacketLevelSimulator(net, admission=adm)
-        entry = sorted(net.switch_ids())[0]
-        trace = [RetrievalRequest(time=0.0, data_id="item",
-                                  entry_switch=entry)
-                 for _ in range(4)]
-        completed = sim.run(trace)
-        assert len(completed) == 4
-        delays = sorted(c.response_delay for c in completed)
-        # Two arrivals conform (burst window); the queued ones waited
-        # ~0.1s and ~0.2s for their tokens before injection.
-        assert delays[2] >= 0.1
-        assert delays[3] >= 0.2
-
-    def test_no_admission_is_unchanged(self, net):
-        net.place("item", payload=b"x", entry_switch=0)
-        entry = sorted(net.switch_ids())[0]
-        trace = [RetrievalRequest(time=0.0, data_id="item",
-                                  entry_switch=entry)]
-        baseline = PacketLevelSimulator(net).run(trace)
-        again = PacketLevelSimulator(net, admission=None).run(trace)
-        assert baseline[0].response_delay == again[0].response_delay
 
 
 # ----------------------------------------------------------------------

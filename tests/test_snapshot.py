@@ -144,6 +144,21 @@ class TestErrors:
         with pytest.raises(SnapshotError, match="JSON-serializable"):
             to_snapshot(net)
 
+    @pytest.mark.parametrize("build", [
+        lambda topology: GredNetwork(
+            topology, servers_per_switch=2, cvt_iterations=0,
+            position_fn=lambda data_id: (0.1, 0.1 + len(data_id) / 100)),
+        lambda topology: GredNetwork(
+            topology, servers_per_switch=2, cvt_iterations=2,
+            density_sampler=lambda k, rng: rng.random((k, 2)) ** 2),
+    ], ids=["position-fn", "density-sampler"])
+    def test_code_the_snapshot_cannot_carry_is_refused(self, build):
+        # A restore would fall back to the SHA-256 mapping and uniform
+        # density, so the items placed under the custom one would miss.
+        net = build(grid_graph(3, 3))
+        with pytest.raises(SnapshotError, match="carries no code"):
+            to_snapshot(net)
+
     def test_restore_initialises_every_field(self, net):
         # A restored network carries the same attributes as a built
         # one, so no reader needs a "snapshots predate the field" guard.
