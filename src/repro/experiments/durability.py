@@ -16,20 +16,20 @@ replica to a fault-free oracle's catalog: **zero** divergent ranges,
 The committed ``DURABILITY_report.json`` (CI artifact of the ``gred
 scrub`` command) records the fault schedule, the divergence before and
 after the scrub, the scrub's own accounting, and the oracle verdicts.
-Everything is deterministic under the seed.
+The run is one :class:`~repro.faults.timeline.Timeline` whose schedule
+``_timeline`` draws from one seeded generator as it runs; everything
+is deterministic under the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.scrub import storage_divergence
-from ..edge import NO_STAMP, EdgeServer
-from ..faults import FailureDetector, FaultInjector
-from ..hashing import parse_replica_id, replica_id
+from ..faults import FaultEvent, Timeline
 from ..obs import default_registry, scoped_registry
 from ..report import Gate, check_bounds, echo, flag, tally
 from .common import build_gred, build_topology
@@ -37,110 +37,25 @@ from .common import build_gred, build_topology
 #: Format marker of the ``gred scrub`` JSON report.
 DURABILITY_FORMAT = "gred-durability-v1"
 
-#: Oracle sentinel for a deleted item.
-_DELETED = object()
+
+def _alive_entry(timeline: Timeline, rng) -> int:
+    ids = [s for s in timeline.net.switch_ids()
+           if timeline.injector.state.switch_alive(s)]
+    return int(ids[int(rng.integers(0, len(ids)))])
 
 
-def _live_holders(net, fault) -> Dict[str, Set[Tuple[int, int]]]:
-    """Per replica id, the alive servers currently holding it."""
-    holders: Dict[str, Set[Tuple[int, int]]] = {}
-    for server in net.servers():
-        if fault is not None and not fault.server_alive(server.server_id):
-            continue
-        for copy_id in server.stored_ids():
-            holders.setdefault(copy_id, set()).add(server.server_id)
-    return holders
-
-
-def _best_stamp_elsewhere(net, fault,
-                          exclude: Tuple[int, int]) -> Dict[str, tuple]:
-    """Per base item, the newest stamp visible anywhere *except* on the
-    ``exclude`` server: live replicas (even misplaced ones left behind
-    by degraded-mode rerouting), tombstones and parked hints all
-    count."""
-    best: Dict[str, tuple] = {}
-    for server in net.servers():
-        if server.server_id == exclude:
-            continue
-        if fault is not None and not fault.server_alive(server.server_id):
-            continue
-        carried = [(copy_id, server.stamp_of(copy_id) or NO_STAMP)
-                   for copy_id in server.stored_ids()]
-        carried += server.tombstones().items()
-        carried += [(hint.copy_id, hint.stamp) for hint in server.hints()]
-        for copy_id, stamp in carried:
-            base, _ = parse_replica_id(copy_id)
-            if stamp > best.get(base, NO_STAMP):
-                best[base] = stamp
-    return best
-
-
-def _crash_safe(net, injector, candidate: EdgeServer,
-                catalog: Dict[str, int]) -> bool:
-    """Whether crashing ``candidate`` keeps every item at >= 1 live
-    replica, keeps every item's *newest version* recoverable, and
-    loses no parked hint (the experiment verifies durability of the
-    *protocol*, not of unrecoverable data loss)."""
-    if candidate.hint_count:
-        return False
-    holders = _live_holders(net, injector.state)
-    best = _best_stamp_elsewhere(net, injector.state,
-                                 candidate.server_id)
-    for copy_id in candidate.stored_ids():
-        base, _ = parse_replica_id(copy_id)
-        copies = catalog.get(base, 1)
-        survivors = 0
-        for i in range(copies):
-            for server_id in holders.get(replica_id(base, i), ()):
-                if server_id != candidate.server_id:
-                    survivors += 1
-        if survivors == 0:
-            return False
-        # A rerouted write may exist only here: crashing the unique
-        # holder of the newest stamp is unrecoverable data loss, not
-        # a divergence the scrub could ever repair.
-        stamp = candidate.stamp_of(copy_id) or NO_STAMP
-        if stamp > best.get(base, NO_STAMP):
-            return False
-    # Likewise a delete: when the candidate's tombstone is the newest
-    # trace of an item, crashing it lets a stale copy elsewhere win.
-    for copy_id, stamp in candidate.tombstones().items():
-        if stamp > best.get(parse_replica_id(copy_id)[0], NO_STAMP):
-            return False
-    return True
-
-
-def _crash_window(net, injector, rng, catalog: Dict[str, int],
-                  count: int) -> List[Dict]:
-    """Crash up to ``count`` servers, never losing an item's last live
-    replica; returns the event rows (skips recorded explicitly)."""
-    events: List[Dict] = []
+def _crash_window(timeline: Timeline, rng, count: int):
+    """Crash up to ``count`` alive servers in a drawn order, each only
+    if the crash loses nothing the scrub could bring back."""
+    pool = timeline.net.servers()
     crashed = 0
-    pool = net.servers()
-    order = rng.permutation(len(pool))
-    for k in order:
+    for k in rng.permutation(len(pool)):
         if crashed >= count:
             break
-        victim = pool[int(k)]
-        if not injector.state.server_alive(victim.server_id):
-            continue
-        if not _crash_safe(net, injector, victim, catalog):
-            events.append({"kind": "server_crash_skipped",
-                           "server": list(victim.server_id),
-                           "avoid_total_loss": True})
-            continue
-        destroyed = injector.crash_server(*victim.server_id)
-        events.append({"kind": "server_crash",
-                       "server": list(victim.server_id),
-                       "items_destroyed": destroyed})
-        crashed += 1
-    return events
-
-
-def _alive_entry(net, injector, rng) -> int:
-    ids = [s for s in net.switch_ids()
-           if injector.state.switch_alive(s)]
-    return int(ids[int(rng.integers(0, len(ids)))])
+        victim = pool[int(k)].server_id
+        if timeline.injector.state.server_alive(victim):
+            yield "safe_crash", dict(server=victim)
+            crashed += timeline.log[-1]["kind"] == "server_crash"
 
 
 @dataclass
@@ -177,6 +92,81 @@ class DurabilityConfig:
                      max_sweeps=(1, None))
 
 
+def _writes(config: DurabilityConfig, timeline: Timeline, rng):
+    """``ops`` draws of a delete-heavy mix: a delete or update of a
+    seeded item (a draw of an item already deleted writes nothing), or
+    a place of a new one."""
+    version = 2
+    known = sorted(timeline.catalog)
+    for j in range(config.ops):
+        op = str(rng.choice(["delete", "update", "place"],
+                            p=[0.5, 0.3, 0.2]))
+        entry = _alive_entry(timeline, rng)
+        if op == "place":
+            data_id = f"late-{j:04d}"
+            yield "place", dict(data_id=data_id, payload=f"v1:{data_id}",
+                                entry=entry)
+            continue
+        target = known[int(rng.integers(0, len(known)))]
+        if target not in timeline.payloads:
+            continue
+        if op == "delete":
+            yield "delete", dict(data_id=target, entry=entry)
+        else:
+            yield "update", dict(data_id=target, entry=entry,
+                                 payload=f"v{version}:{target}")
+            version += 1
+
+
+def _timeline(config: DurabilityConfig, timeline: Timeline, rng):
+    """The fault schedule, drawn from ``rng`` as it runs."""
+    # Phase 1 — seed the catalog (stamped: the fault state is attached).
+    for i in range(config.items):
+        data_id = f"item-{i:04d}"
+        yield "seed", dict(data_id=data_id, payload=f"v1:{data_id}",
+                           entry=_alive_entry(timeline, rng))
+
+    # Phase 2 — crash window (>= crash_fraction of all servers), then
+    # repair: re-replication restores the replica counts.
+    yield from _crash_window(timeline, rng, int(np.ceil(
+        config.crash_fraction * len(timeline.net.servers()))))
+    yield "repair", {}
+
+    # Phase 3 — partition window: split ~partition_fraction of the
+    # switches away and drive a delete-heavy workload from entries on
+    # both sides.  Writes toward the far side park as hints; replicas
+    # split across the cut go stale.
+    ids = sorted(timeline.net.switch_ids())
+    side = rng.choice(len(ids), replace=False, size=max(
+        1, int(config.partition_fraction * len(ids))))
+    yield FaultEvent(0.0, "partition",
+                     switches=sorted(int(ids[int(k)]) for k in side))
+    yield from _writes(config, timeline, rng)
+
+    # Phase 4 — crashes *inside* the partition, heal, repair: the
+    # tombstone-aware re-replication rebuilds from survivors that may
+    # be stale, manufacturing exactly the divergence a scrub must fix.
+    yield from _crash_window(timeline, rng, config.late_crashes)
+    yield FaultEvent(0.0, "heal_partition")
+    yield "repair", {}
+
+    # Phase 5 — scrub; phase 6 — oracle verdicts, then one retrieval
+    # of every item that still has a live replica.
+    yield "scrub", dict(max_sweeps=config.max_sweeps)
+    yield "audit", {}
+    ids = [data_id for data_id in sorted(timeline.payloads)
+           if data_id not in timeline.log[-1]["lost"]]
+    yield "retrieve", dict(ids=ids, entries=[_alive_entry(timeline, rng)
+                                             for _ in ids])
+
+
+#: The log rows the report's ``events`` list leaves out, and the fields
+#: it shows of a repair.
+_UNSHOWN = ("seed", "scrub", "audit", "retrieve")
+_REPAIR = ("kind", "servers_replaced", "re_replicated", "lost",
+           "suppressed_resurrections")
+
+
 @scoped_registry()
 def run_durability(config: DurabilityConfig) -> Dict:
     """Crash + partition + delete-heavy churn, then one scrub.
@@ -186,164 +176,43 @@ def run_durability(config: DurabilityConfig) -> Dict:
     the ``durability.*`` counters in the report belong to this
     experiment alone.
     """
-    seed, copies = config.seed, config.copies
-    topology = build_topology(config.switches, 3, seed)
+    topology = build_topology(config.switches, 3, config.seed)
     net = build_gred(topology, config.servers_per_switch,
-                     config.cvt_iterations, seed)
-    injector = FaultInjector(net, seed=seed + 1)
+                     config.cvt_iterations, config.seed)
+    timeline = Timeline(net, config.copies, seed=config.seed + 1)
     net.hinted_handoff = True
-    rng = np.random.default_rng(seed + 2)
-    oracle: Dict[str, Any] = {}
-    catalog: Dict[str, int] = {}
-    events: List[Dict] = []
-
-    # Phase 1 — seed the catalog (stamped: the fault state is attached).
-    for i in range(config.items):
-        data_id = f"item-{i:04d}"
-        payload = f"v1:{data_id}"
-        net.place(data_id, payload=payload,
-                  entry_switch=_alive_entry(net, injector, rng),
-                  copies=copies)
-        oracle[data_id] = payload
-        catalog[data_id] = copies
-    detector = FailureDetector(net, catalog=catalog)
-
-    # Phase 2 — crash window (>= crash_fraction of all servers), then
-    # repair: re-replication restores the replica counts.
-    total_servers = sum(len(v) for v in net.server_map.values())
-    crash_count = int(np.ceil(config.crash_fraction * total_servers))
-    events += _crash_window(net, injector, rng, catalog, crash_count)
-    repair_1 = detector.repair()
-    events.append({"kind": "repair",
-                   "servers_replaced": repair_1.servers_replaced,
-                   "re_replicated": repair_1.re_replicated,
-                   "lost": repair_1.items_lost})
-
-    # Phase 3 — partition window: split ~partition_fraction of the
-    # switches away and drive a delete-heavy workload from entries on
-    # both sides.  Writes toward the far side park as hints; replicas
-    # split across the cut go stale.
-    ids = sorted(net.switch_ids())
-    side_size = max(1, int(config.partition_fraction * len(ids)))
-    side = [int(ids[int(k)]) for k in rng.choice(len(ids),
-                                                 size=side_size,
-                                                 replace=False)]
-    injector.partition(side)
-    events.append({"kind": "partition", "switches": sorted(side)})
-    version = 2
-    known = sorted(oracle)
-    for j in range(config.ops):
-        op = str(rng.choice(["delete", "update", "place"],
-                            p=[0.5, 0.3, 0.2]))
-        entry = _alive_entry(net, injector, rng)
-        if op == "delete":
-            target = known[int(rng.integers(0, len(known)))]
-            if oracle[target] is _DELETED:
-                continue
-            net.delete(target, copies=catalog[target],
-                       entry_switch=entry)
-            oracle[target] = _DELETED
-            events.append({"kind": "delete", "data_id": target,
-                           "entry": entry})
-        elif op == "update":
-            target = known[int(rng.integers(0, len(known)))]
-            if oracle[target] is _DELETED:
-                continue
-            payload = f"v{version}:{target}"
-            version += 1
-            net.place(target, payload=payload, entry_switch=entry,
-                      copies=catalog[target])
-            oracle[target] = payload
-            events.append({"kind": "update", "data_id": target,
-                           "entry": entry})
-        else:
-            data_id = f"late-{j:04d}"
-            payload = f"v1:{data_id}"
-            net.place(data_id, payload=payload, entry_switch=entry,
-                      copies=copies)
-            oracle[data_id] = payload
-            catalog[data_id] = copies
-            detector.register(data_id, copies)
-            events.append({"kind": "place", "data_id": data_id,
-                           "entry": entry})
-
-    # Phase 4 — crashes *inside* the partition, heal, repair: the
-    # tombstone-aware re-replication rebuilds from survivors that may
-    # be stale, manufacturing exactly the divergence a scrub must fix.
-    events += _crash_window(net, injector, rng, catalog,
-                            config.late_crashes)
-    injector.heal_partition()
-    events.append({"kind": "heal_partition"})
-    repair_2 = detector.repair()
-    events.append({
-        "kind": "repair",
-        "servers_replaced": repair_2.servers_replaced,
-        "re_replicated": repair_2.re_replicated,
-        "lost": repair_2.items_lost,
-        "suppressed_resurrections": repair_2.suppressed_resurrections,
-    })
-
-    # Phase 5 — measure, scrub, re-measure.
-    hints_parked = sum(server.hint_count for server in net.servers())
-    divergence_before = storage_divergence(net, catalog)
-    scrub_report = net.scrub(catalog, max_sweeps=config.max_sweeps)
-    divergence_after = storage_divergence(net, catalog)
-
-    # Phase 6 — oracle verdicts + retrieval availability.
-    fault = net.fault_state
-    holders = _live_holders(net, fault)
-    resurrected: List[str] = []
-    lost: List[str] = []
-    stale: List[str] = []
-    unavailable: List[str] = []
-    for data_id in sorted(oracle):
-        want = oracle[data_id]
-        copy_ids = [replica_id(data_id, i)
-                    for i in range(catalog[data_id])]
-        live = [c for c in copy_ids if holders.get(c)]
-        if want is _DELETED:
-            if live:
-                resurrected.append(data_id)
-            continue
-        if not live:
-            lost.append(data_id)
-            continue
-        if any(net.server(*server_id).retrieve(copy_id) != want
-               for copy_id in live
-               for server_id in sorted(holders[copy_id])):
-            stale.append(data_id)
-        result = net.retrieve(data_id,
-                              entry_switch=_alive_entry(net, injector,
-                                                        rng),
-                              copies=catalog[data_id])
-        if not result.found or result.payload != want:
-            unavailable.append(data_id)
-
-    deleted_total = sum(1 for v in oracle.values() if v is _DELETED)
-    crashes = sum(1 for e in events if e["kind"] == "server_crash")
+    timeline.run(_timeline(config, timeline,
+                           np.random.default_rng(config.seed + 2)))
+    events = [{key: row[key] for key in _REPAIR}
+              if row["kind"] == "repair" else row
+              for row in timeline.log if row["kind"] not in _UNSHOWN]
+    # The first repair runs before any delete: v1 shows no suppressed
+    # resurrections on it.
+    del next(row for row in events
+             if row["kind"] == "repair")["suppressed_resurrections"]
+    (scrub,), (audit,) = timeline.rows("scrub"), timeline.rows("audit")
+    verdicts = {key: audit[key] for key in ("resurrected", "lost", "stale")}
+    verdicts["unavailable"] = timeline.log[-1]["unavailable"]
+    crashes = len(timeline.rows("server_crash"))
     return {
         "format": DURABILITY_FORMAT,
         "config": {**echo(config), "avoid_total_loss": True},
         "events": events,
         "workload": {
-            "items_placed": len(oracle),
-            "items_deleted": deleted_total,
+            "items_placed": len(timeline.catalog),
+            "items_deleted": len(timeline.catalog) - len(timeline.payloads),
             "crashes": crashes,
-            "crash_fraction_actual": round(crashes / total_servers, 4),
-            "hints_parked_pre_scrub": hints_parked,
+            "crash_fraction_actual": round(crashes / len(net.servers()), 4),
+            "hints_parked_pre_scrub": scrub["hints_parked"],
         },
         "divergence": {
-            "before_scrub": divergence_before,
-            "after_scrub": divergence_after,
+            "before_scrub": scrub["before"],
+            "after_scrub": scrub["after"],
         },
-        "scrub": scrub_report.to_dict(),
+        "scrub": scrub["report"],
         # Headline verdicts (acceptance criteria of ``gred scrub``).
-        "resurrected": resurrected,
-        "lost": lost,
-        "stale": stale,
-        "unavailable": unavailable,
-        "oracle_match": not (resurrected or lost or stale
-                             or unavailable),
+        **verdicts,
+        "oracle_match": not any(verdicts.values()),
         "durability_metrics": default_registry().counter_values(
             "durability."),
     }

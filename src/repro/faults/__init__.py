@@ -17,10 +17,14 @@ adds the three layers such a deployment needs:
   switches and links, repairs the DT and reinstalls rules over the
   surviving topology, replaces crashed servers, and re-replicates
   items whose surviving replica count dropped below target.
+* **Timelines** (:mod:`timeline`): one engine applies a run's events
+  (fault plan kinds, writes, crash windows, a load window, repair,
+  reconcile, scrub, retrieval passes) to one deployment and logs a row
+  per event.
 * **Harness** (:mod:`harness`): the ``gred chaos`` experiment —
   replay a workload under a fault plan and report availability, lost
   items, re-replication and hop inflation through ``faults.*``
-  telemetry.
+  telemetry; a timeline and a reducer over its log.
 
 Everything is deterministic under a fixed seed: two runs of the same
 plan and workload produce identical reports.
@@ -31,6 +35,7 @@ from .harness import ChaosConfig, run_chaos
 from .injector import FaultInjector
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, FaultPlanError
 from .state import FaultState
+from .timeline import Timeline
 
 __all__ = [
     "FAULT_KINDS",
@@ -44,4 +49,5 @@ __all__ = [
     "RepairReport",
     "ChaosConfig",
     "run_chaos",
+    "Timeline",
 ]

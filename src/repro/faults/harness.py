@@ -20,28 +20,27 @@ deployment:
    count quantifies the routing inflation caused by the failures
    (``faults.hop_inflation``).
 
-The report is pure data (JSON-serializable) and contains no wall-clock
-values, so two runs with the same config are bit-identical.
+The run is one :class:`~repro.faults.timeline.Timeline`: ``_timeline``
+yields the events, and :func:`run_chaos` reads the report off the
+log.  The report is pure data (JSON-serializable) and contains no
+wall-clock values, so two runs with the same config are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core import GredNetwork
-from ..controlplane.southbound import RecordingChannel
-from ..controlplane.verification import verify_installed_state
-from ..obs import MetricsRegistry, default_registry, scoped_registry
-from ..report import CHANNEL_KEYS, Gate, check_bounds, flag, tally
-from ..simulation import PacketLevelSimulator
+from ..obs import default_registry, scoped_registry
+from ..report import (CHANNEL_KEYS, POSITIVE, Gate, check_bounds, flag,
+                      tally)
 from ..topology import brite_waxman_graph
 from ..workloads import uniform_retrieval_trace
-from .detector import FailureDetector
-from .injector import FaultInjector
 from .plan import FaultEvent, FaultPlan
+from .timeline import Timeline
 
 
 @dataclass
@@ -82,10 +81,10 @@ class ChaosConfig:
     retry_backoff: float = 0.01
 
     def __post_init__(self) -> None:
-        check_bounds(self, switches=(2, None), items=(1, None),
-                     requests=(0, None), copies=(1, None))
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        check_bounds(self, switches=(2, None), min_degree=(1, None),
+                     servers_per_switch=(1, None), cvt_iterations=(0, None),
+                     items=(1, None), copies=(1, None), requests=(0, None),
+                     duration=POSITIVE, detection_interval=POSITIVE)
 
     def to_dict(self) -> Dict:
         """The flagged fields but the plan (the report lists it)."""
@@ -96,33 +95,58 @@ class ChaosConfig:
         return record
 
 
-def _retrieval_pass(net: GredNetwork, item_ids: List[str],
-                    copies: int, rng: np.random.Generator,
-                    skip=frozenset()) -> Dict:
-    """Retrieve every item once; availability + mean round-trip hops."""
-    found = 0
-    probed = 0
-    hops: List[int] = []
+#: The report's sections, by the log row each one reads.
+_PASS = ("items_probed", "items_found", "availability",
+         "mean_round_trip_hops")
+_LOAD = ("requests", "completed", "failed", "mean_response_delay")
+_REPAIR = ("dead_switches", "dead_links", "stranded_switches",
+           "servers_replaced", "re_replicated", "lost_items",
+           "recovery_time", "probes_sent", "southbound_messages")
+
+
+def _pick(row: Dict, keys) -> Dict:
+    return {key: row[key] for key in keys}
+
+
+def _timeline(config: ChaosConfig, timeline: Timeline):
+    """Seed, baseline pass, control faults, the load window under the
+    plan, repair, reconcile, recovered pass, verify."""
+    item_ids = [f"chaos-{i}" for i in range(config.items)]
+    place_rng = np.random.default_rng(config.seed + 10)
     for data_id in item_ids:
-        if data_id in skip:
-            continue
-        probed += 1
-        result = net.retrieve(data_id, copies=copies, rng=rng)
-        if result.found:
-            found += 1
-            hops.append(result.round_trip_hops)
-    return {
-        "items_probed": probed,
-        "items_found": found,
-        "availability": (found / probed) if probed else 1.0,
-        "mean_round_trip_hops": (
-            sum(hops) / len(hops) if hops else 0.0),
-    }
-
-
-def _faults_counters(registry: MetricsRegistry) -> Dict[str, float]:
-    """All ``faults.*`` counter values, name-sorted."""
-    return registry.counter_values("faults.")
+        yield "seed", dict(data_id=data_id, payload=f"payload:{data_id}",
+                           rng=place_rng)
+    yield "retrieve", dict(ids=item_ids,
+                           rng=np.random.default_rng(config.seed + 11))
+    # Degrade the southbound channel up front: every rule install from
+    # here on (repair included) rides the lossy transport.
+    yield from config.control_plan or ()
+    plan = config.plan
+    if plan is None:
+        plan = FaultPlan([FaultEvent(
+            time=config.duration * 0.5, kind="switch_crash",
+            switch=timeline.injector.random_alive_switch())])
+    trace = uniform_retrieval_trace(
+        item_ids, timeline.net.switch_ids(), config.requests,
+        config.duration, np.random.default_rng(config.seed + 12))
+    yield "load", dict(trace=trace, plan=plan,
+                       loss_rng=np.random.default_rng(config.seed + 2),
+                       request_size=config.request_size,
+                       response_size=config.response_size,
+                       max_attempts=config.max_attempts,
+                       retry_backoff=config.retry_backoff)
+    yield "repair", dict(fault_time=plan.first_fault_time or 0.0)
+    lost = set(timeline.log[-1]["lost_items"])
+    # Under a lossy control channel the repair's rule installs may
+    # themselves have been dropped or reordered; a reconcile sweep
+    # repairs whatever divergence survived the retries.
+    if timeline.net.controller.transport is not None:
+        yield "reconcile", {}
+    # Same entry-point RNG seed as the baseline pass, so the hop
+    # comparison reflects the repaired routes, not different entries.
+    yield "retrieve", dict(ids=[d for d in item_ids if d not in lost],
+                           rng=np.random.default_rng(config.seed + 11))
+    yield "verify", {}
 
 
 @scoped_registry()
@@ -133,127 +157,46 @@ def run_chaos(config: ChaosConfig) -> Dict:
     ``faults.*`` telemetry in the report is exactly this experiment's,
     and restores the previous registry on exit.
     """
-    registry = default_registry()
-    # -- deployment -----------------------------------------------------
     topology, _ = brite_waxman_graph(
         config.switches, min_degree=config.min_degree,
         rng=np.random.default_rng(config.seed))
     net = GredNetwork(topology, servers_per_switch=config.servers_per_switch,
                       cvt_iterations=config.cvt_iterations,
                       seed=config.seed)
-    item_ids = [f"chaos-{i}" for i in range(config.items)]
-    place_rng = np.random.default_rng(config.seed + 10)
-    for data_id in item_ids:
-        net.place(data_id, payload=f"payload:{data_id}",
-                  copies=config.copies, rng=place_rng)
-
-    # -- baseline pass --------------------------------------------------
-    baseline = _retrieval_pass(net, item_ids, config.copies,
-                               np.random.default_rng(config.seed + 11))
-
-    # -- faults under load ----------------------------------------------
-    injector = FaultInjector(net, seed=config.seed + 1)
-    if config.control_plan is not None:
-        # Degrade the southbound channel up front: every rule install
-        # from here on (repair included) rides the lossy transport.
-        injector.apply_plan(config.control_plan)
-    plan = config.plan
-    if plan is None:
-        plan = FaultPlan([FaultEvent(
-            time=config.duration * 0.5, kind="switch_crash",
-            switch=injector.random_alive_switch())])
-    trace = uniform_retrieval_trace(
-        item_ids, net.switch_ids(), config.requests, config.duration,
-        np.random.default_rng(config.seed + 12))
-    simulator = PacketLevelSimulator(
-        net, fault_state=injector.state,
-        loss_rng=np.random.default_rng(config.seed + 2),
-        max_attempts=config.max_attempts,
-        retry_backoff=config.retry_backoff)
-    completions = simulator.run(trace,
-                                request_size=config.request_size,
-                                response_size=config.response_size,
-                                injector=injector, plan=plan)
-    under_faults = {
-        "requests": len(trace),
-        "completed": len(completions),
-        "failed": len(simulator.failed),
-        "mean_response_delay": (
-            sum(c.response_delay for c in completions)
-            / len(completions) if completions else 0.0),
-    }
-
-    # -- detection & repair ---------------------------------------------
-    channel = RecordingChannel()
-    detector = FailureDetector(
-        net, state=injector.state,
-        catalog={d: config.copies for d in item_ids},
-        channel=channel, interval=config.detection_interval)
-    fault_time = plan.first_fault_time or 0.0
-    repair = detector.repair(fault_time=fault_time)
-    repair_summary = {
-        "dead_switches": repair.detection.dead_switches,
-        "dead_links": [list(link)
-                       for link in repair.detection.dead_links],
-        "stranded_switches": repair.stranded_switches,
-        "servers_replaced": repair.servers_replaced,
-        "re_replicated": repair.re_replicated,
-        "lost_items": repair.lost_items,
-        "recovery_time": repair.recovery_time,
-        "probes_sent": repair.detection.probes_sent,
-        "southbound_messages": channel.count(),
-    }
-
-    # -- anti-entropy reconcile -----------------------------------------
-    # Under a lossy control channel the repair's rule installs may
-    # themselves have been dropped or reordered; a reconcile sweep
-    # repairs whatever divergence survived the retries.
-    transport = getattr(net.controller, "transport", None)
-    southbound_summary = None
-    if transport is not None:
-        reconcile = net.controller.reconcile()
-        southbound_summary = {
-            "channel": transport.stats.to_dict(),
-            "reconcile": reconcile.to_dict(),
-            "pending_after_reconcile": sorted(
-                net.controller.pending_deltas),
-        }
-
-    # -- recovered pass -------------------------------------------------
-    # Same entry-point RNG seed as the baseline pass, so the hop
-    # comparison reflects the repaired routes, not different entries.
-    recovered = _retrieval_pass(net, item_ids, config.copies,
-                                np.random.default_rng(config.seed + 11),
-                                skip=frozenset(repair.lost_items))
+    timeline = Timeline(net, config.copies, seed=config.seed + 1,
+                        interval=config.detection_interval)
+    timeline.run(_timeline(config, timeline))
+    baseline, recovered = (_pick(row, _PASS)
+                           for row in timeline.rows("retrieve"))
+    (load,), (repair,) = timeline.rows("load"), timeline.rows("repair")
+    southbound = next((_pick(row, ("channel", "reconcile",
+                                   "pending_after_reconcile"))
+                       for row in timeline.rows("reconcile")), None)
     hop_inflation = (
         recovered["mean_round_trip_hops"]
         / baseline["mean_round_trip_hops"]
         if baseline["mean_round_trip_hops"] else 1.0)
+    registry = default_registry()
     registry.gauge("faults.hop_inflation").set(hop_inflation)
-    violations = verify_installed_state(
-        net.controller, fault_state=injector.state,
-        desired_plan=(net.controller.desired_plan()
-                      if transport is not None else None))
-
     return {
         "config": config.to_dict(),
-        "plan": plan.to_dict(),
+        "plan": load["plan"],
         "baseline": baseline,
-        "under_faults": under_faults,
-        "repair": repair_summary,
-        "southbound": southbound_summary,
+        "under_faults": _pick(load, _LOAD),
+        "repair": _pick(repair, _REPAIR),
+        "southbound": southbound,
         "recovered": recovered,
         # Headline figures (acceptance criteria of the chaos command).
         "availability": recovered["availability"],
-        "items_lost": repair.items_lost,
-        "re_replicated": repair.re_replicated,
+        "items_lost": repair["lost"],
+        "re_replicated": repair["re_replicated"],
         "hop_inflation": hop_inflation,
-        "recovery_time": repair.recovery_time,
-        "verifier_violations": len(violations),
+        "recovery_time": repair["recovery_time"],
+        "verifier_violations": timeline.log[-1]["violations"],
         "post_reconcile_divergence": (
-            len(southbound_summary["reconcile"]["divergent_final"])
-            if southbound_summary is not None else 0),
-        "faults_metrics": _faults_counters(registry),
+            len(southbound["reconcile"]["divergent_final"])
+            if southbound is not None else 0),
+        "faults_metrics": registry.counter_values("faults."),
     }
 
 

@@ -59,8 +59,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def apply(self, event: FaultEvent) -> None:
-        """Apply one fault event to the network."""
+    def apply(self, event: FaultEvent):
+        """Apply one fault event to the network; returns what its
+        handler returns (a crash: the items destroyed)."""
         handlers = {
             "switch_crash": lambda: self.crash_switch(event.switch),
             "server_crash": lambda: self.crash_server(event.switch,
@@ -82,11 +83,12 @@ class FaultInjector:
             "partition": lambda: self.partition(event.switches),
             "heal_partition": lambda: self.heal_partition(),
         }
-        handlers[event.kind]()
+        result = handlers[event.kind]()
         self.applied.append(event)
         registry = default_registry()
         if registry.enabled:
             registry.counter("faults.injected").inc()
+        return result
 
     def apply_plan(self, plan: FaultPlan) -> int:
         """Apply every event of a plan immediately (time order);

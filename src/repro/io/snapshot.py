@@ -67,11 +67,16 @@ def _int(value: Any, path: str, low: int = 0) -> int:
 
 
 def _num(value: Any, path: str, low: float = -math.inf,
-         high: float = math.inf) -> float:
+         high: float = math.inf, span: str = "[]") -> float:
+    """A finite number in ``[low, high]``; ``span`` ``"(]"`` or ``"[)"``
+    leaves the low or the high end out."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max and low <= value <= high:
+            and abs(value) <= sys.float_info.max \
+            and (low <= value if span[0] == "[" else low < value) \
+            and (value <= high if span[1] == "]" else value < high):
         return float(value)
-    raise _bad(path, f"a finite number in [{low:g}, {high:g}]", value)
+    raise _bad(path, f"a finite number in {span[0]}{low:g}, {high:g}"
+                     f"{span[1]}", value)
 
 
 def _is(kind: type, want: str):
@@ -144,9 +149,13 @@ _PAIR = (_int, _int)
 #: ``[u, v, weight]`` of an ``edges`` or ``cross_links`` row.
 _EDGE = (_int, _int, _num)
 _POINT = (_num, _num)
-#: ``config``: the ControllerConfig fields a restore rebuilds.
+#: ``config``: the ControllerConfig fields a restore rebuilds, in the
+#: bounds ``recompute`` holds them to (C-regulation's relaxation, the
+#: M-position margin).
 _CONFIG = (("cvt_iterations", _int), ("samples_per_iteration", _int),
-           ("relaxation", _num), ("margin", _num), ("seed", _int))
+           ("relaxation", partial(_num, low=0.0, high=1.0, span="(]")),
+           ("margin", partial(_num, low=0.0, high=0.5, span="[)")),
+           ("seed", _int))
 #: ``controlplane``: the counters a restore resumes, and the
 #: Controller fields that hold them.
 _COUNTERS = (("epoch", _int), ("version", _int),

@@ -4,6 +4,8 @@ offered as flags (:func:`flag`), and CI thresholds (:class:`Gate`)."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import field, fields
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
@@ -35,18 +37,23 @@ def tally(counts: Dict[str, Any], *keys: str) -> str:
 CHANNEL_KEYS = ("sent", "dropped", "duplicated", "reordered", "delayed")
 
 
+#: The ``check_bounds`` bounds of a finite number > 0.
+POSITIVE = (math.ulp(0.0), sys.float_info.max)
+
+
 def check_bounds(config: Any, **bounds: tuple) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` outside
-    its ``(low, high)`` bounds (``high`` ``None``: unbounded); NaN is
-    outside every bound.  A tuple field must be non-empty, and each of
-    its items is checked."""
+    its ``(low, high)`` bounds (``high`` ``None``: unbounded;
+    :data:`POSITIVE`: finite and > 0); NaN is outside every bound.  A
+    tuple field must be non-empty, and each of its items is checked."""
     for name, (low, high) in bounds.items():
         value = getattr(config, name)
         items = value if isinstance(value, tuple) else (value,)
         if not items or not all(
                 low <= item and (high is None or item <= high)
                 for item in items):
-            span = (f"in [{low}, {high}]" if high is not None
+            span = ("finite and > 0" if (low, high) == POSITIVE
+                    else f"in [{low}, {high}]" if high is not None
                     else f">= {low}")
             raise ValueError(f"{name} must be {span}, got {value}")
 

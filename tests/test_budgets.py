@@ -1,6 +1,6 @@
 """Budgets the code keeps, checked on every run.
 
-* No function body anywhere under ``src/repro`` exceeds 170 lines, so
+* No function body anywhere under ``src/repro`` exceeds 165 lines, so
   the bodies simplicity work shrinks cannot regrow unnoticed.
 * ``import repro`` leaves ``scipy.stats`` unloaded: it costs ~70 MB RSS
   and ~0.7 s, and only ``metrics.confidence_interval`` needs it, at
@@ -57,7 +57,7 @@ from repro.resilience import pipeline as resilient_pipeline
 SRC = Path(repro.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 #: The ratchet: the longest function body allowed in any module.
-LIMIT = 170
+LIMIT = 165
 #: The other ratchet: the public symbols nothing in src or benchmarks
 #: names, each a supported API entry.
 ALLOWLIST = ROOT / "tests" / "data" / "unreferenced_symbols.json"

@@ -829,6 +829,21 @@ def test_bad_report_inputs_exit_2_naming_the_field(argv, field, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--cvt-iterations", "-1"], "cvt_iterations"),
+    (["--duration", "nan"], "duration"),
+    (["--detection-interval", "0"], "detection_interval"),
+    (["--min-degree", "0"], "min_degree"),
+    (["--servers", "0"], "servers_per_switch"),
+])
+def test_bad_chaos_inputs_exit_2_naming_the_field(argv, field, capsys):
+    """``gred chaos`` refuses a bad value before it builds anything."""
+    assert main(["chaos", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field} must be "), captured.err
+    assert captured.out == ""
+
+
 def test_quick_replaces_only_the_shape_flags():
     from repro.cli import _build_parser, _config, _reports
 

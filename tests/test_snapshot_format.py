@@ -160,6 +160,11 @@ MONOLITH_CASES = [
      ["hints"][0].update(op="zap")),
     ("durability.write_version",
      _set(["durability", "write_version"], "x")),
+    ("config.relaxation", _set(["config", "relaxation"], -1)),
+    ("config.relaxation", _set(["config", "relaxation"], 5.0)),
+    ("config.relaxation", _set(["config", "relaxation"], 0)),
+    ("config.margin", _set(["config", "margin"], -1)),
+    ("config.margin", _set(["config", "margin"], 0.5)),
 ]
 
 
@@ -168,7 +173,9 @@ MONOLITH_CASES = [
     "serial-string", "serials-not-dense", "serials-duplicate",
     "items-list", "nodes-null", "servers-null", "edge-short",
     "config-null", "config-string", "epoch-string",
-    "extension-no-serial", "hint-op", "write-version-string"])
+    "extension-no-serial", "hint-op", "write-version-string",
+    "relaxation-negative", "relaxation-above-one", "relaxation-zero",
+    "margin-negative", "margin-half"])
 def test_malformed_field_is_named(path, doctor):
     doc = copy.deepcopy(MONOLITH_DOC)
     doctor(doc)
@@ -177,6 +184,17 @@ def test_malformed_field_is_named(path, doctor):
     with pytest.raises(SnapshotError,
                        match=re.escape(f"snapshot field '{path}'")):
         from_snapshot(doc)
+
+
+def test_config_on_its_bounds_restores_and_recomputes():
+    """The closed ends of the config bounds load, and the restored
+    controller recomputes with them."""
+    doc = copy.deepcopy(MONOLITH_DOC)
+    doc["config"].update(relaxation=1, margin=0)
+    net = from_snapshot(doc)
+    assert (net.controller.config.relaxation,
+            net.controller.config.margin) == (1.0, 0.0)
+    net.controller.recompute()
 
 
 FEDERATION_CASES = [
@@ -189,13 +207,15 @@ FEDERATION_CASES = [
     ("seed", _set(["seed"], "x")),
     ("shards[1].servers[0].capacity",
      _set(["shards", "1", "servers", 0, "capacity"], -1)),
+    ("shards[2].config.relaxation",
+     _set(["shards", "2", "config", "relaxation"], -1)),
 ]
 
 
 @pytest.mark.parametrize("path, doctor", FEDERATION_CASES, ids=[
     "assignment-list", "region-string", "region-without-shard",
     "cross-link-short", "shards-null", "shard-key", "seed-string",
-    "shard-capacity"])
+    "shard-capacity", "shard-relaxation"])
 def test_malformed_federation_field_is_named(path, doctor):
     doc = copy.deepcopy(FEDERATION_DOC)
     doctor(doc)
