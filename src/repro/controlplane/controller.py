@@ -72,6 +72,33 @@ def _join_residuals(q, xs: np.ndarray, ys: np.ndarray,
                        np.float64, len(targets)) - targets
 
 
+#: The relative step of scipy's two-point difference (its
+#: ``_eps_for_method`` for float64).
+_SQRT_EPS = np.finfo(np.float64).eps ** 0.5
+
+
+def _join_jacobian(q, xs: np.ndarray, ys: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
+    """The Jacobian of :func:`_join_residuals` at ``q`` as
+    ``least_squares``' default ``jac="2-point"`` estimates it, bit for
+    bit: step ``h = sqrt(eps) * s * max(1, |q|)`` (``s`` the sign of
+    ``q``, +1 at zero), column ``i`` ``(f(q + h_i e_i) - f(q)) / ((q_i +
+    h_i) - q_i)`` — with the residual and both stepped residuals in one
+    ``math.hypot`` pass, laid out as scipy lays its estimate out."""
+    step = (_SQRT_EPS * ((q >= 0).astype(float) * 2 - 1)
+            * np.maximum(1.0, np.abs(q)))
+    qx, qy = q[0] + step[0], q[1] + step[1]
+    dx, dy = (q[0] - xs).tolist(), (q[1] - ys).tolist()
+    n = len(targets)
+    f = np.fromiter(map(math.hypot, dx + (qx - xs).tolist() + dx,
+                        dy + dy + (qy - ys).tolist()),
+                    np.float64, 3 * n).reshape(3, n) - targets
+    jt = np.empty((2, n))
+    jt[0] = (f[1] - f[0]) / (qx - q[0])
+    jt[1] = (f[2] - f[0]) / (qy - q[1])
+    return jt.T
+
+
 def _check_positions(positions: Dict[int, Point],
                      participants: List[int]) -> None:
     """Refuse positions the DT cannot triangulate: a non-finite
@@ -913,7 +940,8 @@ class Controller:
         # refusal changes nothing (no fallback position is guessed).
         try:
             x, y = (float(v) for v in least_squares(
-                _join_residuals, x0=list(x0), args=(xs, ys, targets)).x)
+                _join_residuals, x0=list(x0), jac=_join_jacobian,
+                args=(xs, ys, targets)).x)
         except Exception as exc:
             raise ControlPlaneError(
                 f"join of switch {switch_id}: the position solve "

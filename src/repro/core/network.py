@@ -277,8 +277,11 @@ def _by_target(targets, which) -> list:
     slot = np.asarray([slots.setdefault(t.server_id, u)
                        for u, t in enumerate(targets)], dtype=np.intp)[which]
     order = np.argsort(slot, kind="stable")
-    return [(targets[slot[g[0]]], g.tolist()) for g in np.split(
-        order, np.flatnonzero(np.diff(slot[order])) + 1) if len(g)]
+    cuts = [0, *(np.flatnonzero(np.diff(slot[order])) + 1).tolist(),
+            order.size]
+    order = order.tolist()
+    return [(targets[slot[order[a]]], order[a:b])
+            for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _payload_size(payload: Any) -> Optional[int]:
@@ -1186,15 +1189,17 @@ class GredNetwork:
 
     def _fast_state(self) -> _FastPathState:
         """:meth:`_fast_plane` plus a coherent route memo — what a
-        batch needs.  Evicts only the memoized routes whose traces
-        traverse a switch touched since the last sweep (or outgrew the
-        hop bound): a route's every per-hop decision depends solely on
-        the visited switches' installed state, so untouched traces
-        stay byte-identical."""
+        batch needs.  Evicts only the memoized routes a fresh walk on
+        the patched plane could give back differently (or that outgrew
+        the hop bound): the sweep hands the memo what the router's
+        patches replaced since the last one
+        (:meth:`CompiledRouter.take_changes`), and every route it
+        keeps is byte-identical to a walk."""
         state = self._fast_plane()
         if state.stale:
-            state.routes.sweep(state.stale,
-                               state.router._default_max_hops)
+            router = state.router
+            state.routes.sweep(state.stale, router._default_max_hops,
+                               router.take_changes())
             state.stale.clear()
         return state
 

@@ -29,7 +29,7 @@ wall-clock values, so two runs with the same config are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -200,13 +200,26 @@ def run_chaos(config: ChaosConfig) -> Dict:
     }
 
 
-#: ``gred chaos``'s CI threshold.
+def check_chaos(report: Dict) -> List[str]:
+    """The chaos verdict: the repaired plane passes the verifier."""
+    count = report["verifier_violations"]
+    return ([f"the repaired plane fails the verifier ({count} "
+             f"violation(s))"] if count > 0 else [])
+
+
+#: ``gred chaos``'s CI thresholds; the lost-items gate carries the
+#: verifier verdict.
 GATES = (
     Gate("--min-availability", "availability", True,
          "recovered availability {value:.4f} is below the "
          "--min-availability gate {limit}",
          "exit nonzero when recovered availability falls below this "
          "threshold (CI gate)", metavar="FRACTION"),
+    Gate("--max-items-lost", "items_lost", False,
+         "{value} item(s) lost, above the --max-items-lost gate {limit}",
+         "exit nonzero when more items than this are lost for good "
+         "(recovered availability counts only the survivors; CI gate)",
+         type=int, checks=check_chaos),
 )
 
 

@@ -11,9 +11,10 @@ from repro.graph import Graph
 from repro.topology import brite_waxman_graph, grid_graph, testbed_topology
 
 #: ``pytest --hypothesis-profile=deep``: the control-plane model's long
-#: walk (tests/test_controlplane_model.py) and the snapshot loaders'
-#: longer fuzz (tests/test_snapshot_format.py); CI runs both as its
-#: own step.
+#: walk (tests/test_controlplane_model.py), the route memo's long
+#: warm-vs-cold and sweep walks (tests/test_route_memo.py) and the
+#: snapshot loaders' longer fuzz (tests/test_snapshot_format.py); CI
+#: runs them as its own step.
 settings.register_profile("deep", max_examples=50, stateful_step_count=40)
 
 

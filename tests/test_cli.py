@@ -329,6 +329,18 @@ class TestChaosGate:
         assert code == 1
         assert "min-availability" in capsys.readouterr().err
 
+    def test_max_items_lost_gate_fails_a_run_that_loses_data(self, capsys):
+        """Two switches, three copies: the crash takes every replica of
+        some items, yet the survivors are all available — only the
+        lost-items gate fails the run."""
+        args = ["chaos", "--switches", "2", "--min-availability", "1"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--max-items-lost", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "item(s) lost, above the --max-items-lost gate 0" in err
+        assert "min-availability" not in err
+
     @staticmethod
     def chaos(tmp_path, capsys, flag, events):
         plan = tmp_path / "plan.json"

@@ -25,7 +25,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro import GredNetwork
+from repro import GredError, GredNetwork
 from repro.controlplane import (
     ControlPlaneError,
     Controller,
@@ -35,8 +35,10 @@ from repro.controlplane import (
     snapshot_plan,
     verify_installed_state,
 )
-from repro.dataplane import CompiledRouter, batch_fastpath_blockers
+from repro.dataplane import (CompiledRouter, ForwardingError,
+                             batch_fastpath_blockers)
 from repro.edge import EdgeServer, StorageFull, attach_uniform
+from repro.hashing import position_from_bits
 from repro.experiments.convergence import mismatched_switches
 from repro.io import from_snapshot, to_snapshot
 from repro.obs import (MetricsRegistry, default_registry, scoped_registry,
@@ -109,6 +111,21 @@ def check_wave_plane(net):
     patched = net._fast_plane().router._ensure_flat()
     fresh = CompiledRouter(net.controller.switches)._ensure_flat()
     assert wave_plane(patched) == wave_plane(fresh)
+
+
+def check_route_memo(net):
+    """Every memoized route is what the patched plane walks now: trace,
+    overlay hops, destination, decision mix and server count."""
+    state = net._fast_state()
+    router, memo = state.router, state.routes
+    for entry, bits, servers in memo._rows[:len(memo)][
+            ["entry", "pos", "servers"]].tolist():
+        try:
+            walked = router.route(entry, "m", *position_from_bits(bits), 0)
+        except ForwardingError as exc:
+            walked = exc
+        assert memo.get(entry, bits, 0) == walked, (entry, bits)
+        assert router._states[walked[2]].num_servers == servers
 
 
 def check_findings(controller, findings, full):
@@ -380,6 +397,21 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             for switch in self.channel.unreachable_switches:
                 self.channel.mark_reachable(switch)
 
+    @rule(copies=st.integers(1, 2))
+    def requests(self, copies):
+        """A batch read of a fixed key pool from fixed access points:
+        it fills the route memo the events then sweep."""
+        access = sorted(s for s, servers in self.net.server_map.items()
+                        if servers)
+        if access:
+            try:
+                self.net.retrieve_many(
+                    [f"key-{k}" for k in range(16)], copies=copies,
+                    entry_switches=[access[7 * k % len(access)]
+                                    for k in range(16)])
+            except (GredError, ForwardingError):
+                pass  # a drifted plane may not route; the memo holds
+
     @rule()
     def reconcile(self):
         controller = self.controller
@@ -417,6 +449,8 @@ class ControlPlaneMachine(RuleBasedStateMachine):
                     if now.get(n) != plans.get(n)} <= touched
             assert all(generation == generations[n] for n, generation
                        in controller.generations.items() if n not in touched)
+        if not batch_fastpath_blockers(self.net):
+            check_route_memo(self.net)
         if self.converged:
             if not batch_fastpath_blockers(self.net):
                 check_wave_plane(self.net)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import join_solve as oracle
 
 from repro.controlplane import Controller, ControllerConfig
-from repro.controlplane.controller import _join_residuals
+from repro.controlplane.controller import _join_jacobian, _join_residuals
 from repro.edge import EdgeServer, attach_uniform
 from repro.topology import brite_waxman_graph, line_graph
 
@@ -43,6 +43,34 @@ def test_residuals_are_the_comprehension(anchors, q):
     got = _join_residuals(q, *columns(anchors))
     assert got.dtype == np.float64
     assert got.tolist() == oracle.residuals(q, anchors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchors=st.lists(st.tuples(unit, unit, st.floats(0.0, 2.0)),
+                        min_size=1, max_size=60),
+       q=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_the_jacobian_is_scipys_two_point_estimate(anchors, q):
+    """The solve's ``jac=`` is what ``least_squares`` would estimate
+    itself (``jac="2-point"``), bit for bit and in its memory layout,
+    so handing it over moves no solved position."""
+    from scipy.optimize import least_squares
+    from scipy.optimize._numdiff import approx_derivative
+
+    xs, ys, targets = columns(anchors)
+    q = np.array(q, dtype=np.float64)
+    want = np.atleast_2d(approx_derivative(
+        _join_residuals, q, method="2-point", args=(xs, ys, targets)))
+    got = _join_jacobian(q, xs, ys, targets)
+    assert got.shape == want.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous, want.flags.f_contiguous)
+    assert got.tobytes() == want.tobytes()
+    for x0 in ([0.5, 0.5], list(q)):
+        plain = least_squares(_join_residuals, x0, args=(xs, ys, targets))
+        given_jac = least_squares(_join_residuals, x0, jac=_join_jacobian,
+                                  args=(xs, ys, targets))
+        assert given_jac.x.tobytes() == plain.x.tobytes()
+        assert given_jac.nfev == plain.nfev
 
 
 def test_the_scale_is_a_left_fold():
