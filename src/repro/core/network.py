@@ -23,6 +23,7 @@ Typical use::
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from ..dataplane import (
     Tracer,
     batch_fastpath_blockers,
     route_packet,
+    scalar_standdown,
 )
 from ..edge import (
     NO_STAMP,
@@ -83,6 +85,8 @@ _ROUTE_CACHE_CAP = 65536
 #: Probes the batch route stage looks up, walks and memoizes at a time
 #: (its transient arrays are bounded by this, not by the call).
 _ROUTE_SLICE = 16384
+#: The scalar steps' packet kinds (an enum member read costs a lookup).
+_PLACEMENT, _RETRIEVAL = PacketKind.PLACEMENT, PacketKind.RETRIEVAL
 
 
 class _FastPathState:
@@ -690,21 +694,21 @@ class GredNetwork:
         check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
         stamp = self._op_stamp(entry)
-        return PlacementResult(data_id=data_id, records=[
-            self._place_one(replica_id(data_id, i), payload, entry,
-                            stamp=stamp)
+        return PlacementResult(data_id, [
+            self._place_one(replica_id(data_id, i), payload, entry, stamp)
             for i in range(copies)])
 
     def _route(self, copy_id: str, entry: int, kind: PacketKind,
                max_hops: Optional[int] = None, tracer=None, keys=None):
         """The one scalar route stage: walk ``copy_id`` from ``entry``
         to its delivery switch.  Returns ``(trace, overlay_hops,
-        delivery switch, primary serial, state)`` or raises the
-        engine's :class:`ForwardingError`; ``state`` is the fast-path
-        state walked on, ``None`` when the reference engine routed
-        (post-route hop counts follow suit, see :meth:`_fast_hop`).
-        What serves the delivery — range extension included — is
-        :meth:`_serving`'s to resolve.
+        delivery switch, primary serial, extension, state)`` or raises
+        the engine's :class:`ForwardingError`; ``extension`` is the
+        delivery's range extension, read live, and ``state`` the
+        fast-path state walked on, ``None`` when the reference engine
+        routed (post-route hop counts follow suit, see
+        :meth:`_fast_hop`).  Whether the extension's takeover serves is
+        :meth:`_takeover_server`'s to resolve.
 
         The request rides the compiled plane the batch calls keep in
         step with the controller (:meth:`CompiledRouter.route`, a
@@ -716,12 +720,13 @@ class GredNetwork:
         ``tracer`` the engine's events, up to a failure.  The walk may
         read the epoch route memo (not while it awaits a sweep, under
         a custom hop budget or for a tracer — a hit has no decisions
-        to narrate) but never grows it.
+        to narrate) but never grows it.  The gates are read on every
+        call; nothing keeps their verdict.
         """
         registry = default_registry()
-        blockers = batch_fastpath_blockers(self)
-        if blockers:
-            _standdown("scalar_standdowns", blockers[0])
+        standdown = scalar_standdown(self)
+        if standdown is not None:
+            _standdown("scalar_standdowns", standdown)
             route = route_packet(
                 self.controller.switches, entry,
                 Packet(kind=kind, data_id=copy_id,
@@ -730,7 +735,7 @@ class GredNetwork:
                 fault_state=self.fault_state)
             delivery = route.delivery
             return (route.trace, route.overlay_hops, delivery.switch,
-                    delivery.primary_serial, None)
+                    delivery.primary_serial, delivery.extension, None)
         state = self._fast_plane()
         switches = self.controller.switches
         narrate = None
@@ -775,15 +780,15 @@ class GredNetwork:
             self._emit_route_telemetry(
                 registry, kind.value, mix, [len(trace) - 1], [overlay],
                 int(extension is not None))
-        return trace, overlay, dest, serial, state
+        return trace, overlay, dest, serial, extension, state
 
     def _engine_attrs(self) -> Dict[str, str]:
         """Span / stats attributes naming the engine a scalar request
         takes right now and, for the reference engine, why."""
-        blockers = batch_fastpath_blockers(self)
-        if not blockers:
+        standdown = scalar_standdown(self)
+        if standdown is None:
             return {"engine": "compiled"}
-        return {"engine": "reference", "standdown": blockers[0]}
+        return {"engine": "reference", "standdown": standdown}
 
     def _emit_probe_telemetry(self, registry, copy_id: str,
                               trace: Sequence[int]) -> None:
@@ -800,16 +805,24 @@ class GredNetwork:
 
     def _place_one(self, copy_id: str, payload: Any, entry: int,
                    stamp=None, keys=None) -> PlacementRecord:
+        """The one placement step: route a copy from ``entry`` and store
+        it on the server its delivery names (the home, or a range
+        extension's takeover the extra hops away) or, when that server
+        has crashed and :attr:`hinted_handoff` is on, park it as a hint
+        (the record says ``hinted``).  Spans as in :meth:`_probe`."""
         recorder = default_span_recorder()
-        with (recorder.trace("request.place", key=copy_id, entry=entry)
-              if recorder is not None else NULL_SPAN) as handle:
+        span = (None if recorder is None else recorder.trace(
+            "request.place", key=copy_id, entry=entry))
+        handle = NULL_SPAN if span is None else span.__enter__()
+        try:
             tracer = None
-            if handle.recording:
+            if span is not None and handle.recording:
                 tracer = Tracer()
                 handle.set(**self._engine_attrs())
             try:
-                trace, overlay, dest, serial, state = self._route(
-                    copy_id, entry, PacketKind.PLACEMENT, None, tracer, keys)
+                trace, overlay, dest, serial, extension, state = \
+                    self._route(copy_id, entry, _PLACEMENT, None, tracer,
+                                keys)
             except ForwardingError:
                 if not self.hinted_handoff or self.fault_state is None:
                     raise
@@ -817,35 +830,52 @@ class GredNetwork:
                 # write as a hint near the entry instead of failing.
                 return self._hinted_record(copy_id, payload, entry,
                                            stamp, handle)
-            record = self._store(
-                self._serving(state, dest, serial), copy_id, payload,
-                entry, stamp, trace, overlay, dest, handle)
-            if record.hinted:
-                return record
+            target = self.controller.server_map[dest][serial]
+            hops = len(trace) - 1
+            takeover = (None if extension is None
+                        else self._takeover_server(extension))
+            if takeover is not None:
+                hops += self._fast_hop(state, dest, takeover.switch)
+                target = takeover
+            fault = self.fault_state
+            if fault is not None and \
+                    not fault.server_alive(target.server_id):
+                if self.hinted_handoff:
+                    return self._hinted_record(
+                        copy_id, payload, entry, stamp, handle,
+                        target=target.server_id)
+                raise GredError(
+                    f"cannot place {copy_id!r}: target server "
+                    f"{target.server_id} has crashed and has not been "
+                    f"repaired yet"
+                )
+            target.store(copy_id, payload, stamp)
+            record = PlacementRecord(copy_id, entry, dest, target.server_id,
+                                     hops, overlay, trace,
+                                     takeover is not None)
             registry = default_registry()
             if registry.enabled:
                 registry.counter("core.places").inc()
                 if record.extended:
                     registry.counter("core.places_extended").inc()
                 registry.histogram("core.place_hops",
-                                   buckets=HOP_BUCKETS).observe(
-                    record.physical_hops)
+                                   buckets=HOP_BUCKETS).observe(hops)
                 size = _payload_size(payload)
                 if size is not None:
                     registry.histogram(
                         "core.payload_bytes",
                         buckets=BYTE_BUCKETS).observe(size)
-                target = self.server(*record.server_id)
                 registry.gauge("edge.server_load", switch=target.switch,
                                serial=target.serial).set(target.load)
                 self._emit_probe_telemetry(registry, copy_id, trace)
             if tracer is not None:
                 spans_from_tracer(recorder, tracer, parent=handle.span)
-                handle.set(destination=dest,
-                           server=record.server_id,
-                           physical_hops=record.physical_hops,
-                           extended=record.extended)
+                handle.set(destination=dest, server=record.server_id,
+                           physical_hops=hops, extended=record.extended)
             return record
+        finally:
+            if span is not None:
+                span.__exit__(*sys.exc_info())
 
     # ------------------------------------------------------------------
     # the delivery stage: what happens once a route has delivered
@@ -873,88 +903,89 @@ class GredNetwork:
 
     def _takeover(self, dest: int, serial: int, gone=None):
         """:meth:`_serving`'s policy without the hops: ``(extension,
-        takeover server or None)`` — ``None`` also when the takeover
-        switch has left (or is leaving: ``gone``) or crashed."""
+        takeover server or None)``."""
         switch = self.controller.switches.get(dest)
         extension = (None if switch is None
                      else switch.table.extension_for(serial))
-        if extension is None:
-            return None, None
+        return extension, (None if extension is None
+                           else self._takeover_server(extension, gone))
+
+    def _takeover_server(self, extension, gone=None):
+        """The server a range ``extension`` redirects to, or ``None``
+        when its takeover switch has left (or is leaving: ``gone``) or
+        crashed — the extension then counts as not installed."""
         target = extension.target_switch
         fault = self.fault_state
         if target == gone or not self.topology.has_node(target) or (
                 fault is not None and not fault.switch_alive(target)):
-            return extension, None
-        return extension, self.server(target, extension.target_serial)
+            return None
+        return self.server(target, extension.target_serial)
 
-    def _store(self, serving, copy_id: str, payload: Any, entry: int,
-               stamp, trace: List[int], overlay: int, dest: int,
-               handle) -> PlacementRecord:
-        """The one store step: write a delivered copy to its serving
-        server — or, when that server has crashed and
-        :attr:`hinted_handoff` is on, park it as a hint (the record
-        says ``hinted``)."""
-        home, _, takeover, extra_hops = serving
-        target = home if takeover is None else takeover
-        fault = self.fault_state
-        if fault is not None and \
-                not fault.server_alive(target.server_id):
-            if self.hinted_handoff:
-                return self._hinted_record(
-                    copy_id, payload, entry, stamp, handle,
-                    target=target.server_id)
-            raise GredError(
-                f"cannot place {copy_id!r}: target server "
-                f"{target.server_id} has crashed and has not been "
-                f"repaired yet"
-            )
-        target.store(copy_id, payload, stamp=stamp)
-        return PlacementRecord(
-            data_id=copy_id,
-            entry_switch=entry,
-            destination_switch=dest,
-            server_id=target.server_id,
-            physical_hops=len(trace) - 1 + extra_hops,
-            overlay_hops=overlay,
-            trace=trace,
-            extended=takeover is not None,
-        )
-
-    def _probe(self, state: Optional[_FastPathState], serving,
-               data_id: str, copy_id: str, copy_index: int, entry: int,
-               attempts: int, trace: List[int],
-               dest: int) -> RetrievalResult:
-        """The one probe step: look a delivered copy up on its serving
-        servers — the home server, then (the fork of paper Section
-        V-C) the takeover server, which costs the extra hops to the
-        neighbor switch — skipping crashed ones.  Hit or miss."""
-        home, _, takeover, extra_hops = serving
-        fault = self.fault_state
-        request_hops = len(trace) - 1
-        holder = None
-        if (fault is None or fault.server_alive(home.server_id)) \
-                and home.has(copy_id):
-            holder = home
-        elif takeover is not None and takeover.has(copy_id) and (
-                fault is None or fault.server_alive(takeover.server_id)):
-            holder = takeover
-            request_hops += extra_hops
-        found = holder is not None
-        return RetrievalResult(
-            data_id=data_id,
-            found=found,
-            payload=holder.retrieve(copy_id) if found else None,
-            entry_switch=entry,
-            destination_switch=dest,
-            server_id=holder.server_id if found else None,
-            request_hops=request_hops,
-            response_hops=(self._fast_hop(state, holder.switch, entry)
-                           if found else 0),
-            trace=trace,
-            copy_used=copy_index,
-            forked=takeover is not None,
-            attempts=attempts,
-        )
+    def _probe(self, data_id: str, copy_index: int, entry: int,
+               max_hops: Optional[int], attempts: int, keys=None,
+               recorder=None) -> Optional[RetrievalResult]:
+        """The one probe step: route copy ``copy_index`` from ``entry``
+        (on its :func:`digest_keys` ``keys`` if given) and look it up on
+        its serving servers — the home server, then (the fork of paper
+        Section V-C) the takeover server, the extra hops away —
+        skipping crashed ones.  Hit or miss; ``None`` when the route
+        failed.  Given an active trace's ``recorder`` it records a
+        ``retrieve.probe`` span, entered by hand so that an untraced
+        probe enters no context manager (DESIGN.md §5j)."""
+        span = (None if recorder is None else recorder.span(
+            "retrieve.probe", copy=copy_index, attempt=attempts))
+        handle = NULL_SPAN if span is None else span.__enter__()
+        try:
+            tracer = (Tracer() if span is not None and handle.recording
+                      else None)
+            copy_id = replica_id(data_id, copy_index)
+            registry = default_registry()
+            try:
+                trace, _, dest, serial, extension, state = self._route(
+                    copy_id, entry, _RETRIEVAL, max_hops, tracer, keys)
+            except ForwardingError:
+                if registry.enabled:
+                    registry.counter("faults.route_failures").inc()
+                handle.fail("route_error")
+                return None
+            if tracer is not None:
+                spans_from_tracer(recorder, tracer, parent=handle.span)
+            if registry.enabled:
+                self._emit_probe_telemetry(registry, copy_id, trace)
+            home = self.controller.server_map[dest][serial]
+            takeover = (None if extension is None
+                        else self._takeover_server(extension))
+            fault = self.fault_state
+            request_hops = len(trace) - 1
+            holder = None
+            if (fault is None or fault.server_alive(home.server_id)) \
+                    and home.has(copy_id):
+                holder = home
+            elif takeover is not None and takeover.has(copy_id) and (
+                    fault is None or fault.server_alive(takeover.server_id)):
+                holder = takeover
+            if takeover is not None:  # the fork's hops, read either way
+                extra = self._fast_hop(state, dest, takeover.switch)
+                if holder is takeover:
+                    request_hops += extra
+            found = holder is not None
+            result = RetrievalResult(
+                data_id, found, holder.retrieve(copy_id) if found else None,
+                entry, dest, holder.server_id if found else None,
+                request_hops,
+                self._fast_hop(state, holder.switch, entry) if found else 0,
+                trace, copy_index, takeover is not None, attempts)
+            if found and registry.enabled:
+                registry.counter("core.retrieves").inc()
+                registry.histogram(
+                    "core.retrieve_hops", buckets=HOP_BUCKETS,
+                ).observe(result.request_hops + result.response_hops)
+            if span is not None:
+                handle.set(found=found, destination=dest)
+            return result
+        finally:
+            if span is not None:
+                span.__exit__(*sys.exc_info())
 
     # ------------------------------------------------------------------
     # retrieval
@@ -987,28 +1018,38 @@ class GredNetwork:
         read path.
         """
         check_copies(copies)
-        return self._retrieve_at(data_id, self._resolve_entry(
-            entry_switch, rng), copies, max_hops, read_repair)
+        entry = self._resolve_entry(entry_switch, rng)
+        # On the default hash each replica's digest both orders the
+        # walk and routes the probe: one SHA-256 per copy.
+        keys = None
+        if copies > 1 and self._position_fn is data_position:
+            keys = [digest_keys(replica_id(data_id, i))
+                    for i in range(copies)]
+        return self._retrieve_at(data_id, entry, copies, max_hops,
+                                 read_repair, keys)
 
     def _retrieve_at(self, data_id: str, entry: int, copies: int,
                      max_hops: Optional[int], read_repair: bool,
                      keys=None) -> RetrievalResult:
         """:meth:`retrieve` from a resolved ``entry``: the nearest-first
         failover walk, on the replicas' :func:`digest_keys` ``keys``
-        when the caller has them."""
+        when the caller has them.  Spans as in :meth:`_probe`."""
         registry = default_registry()
         recorder = default_span_recorder()
-        order = (self.replica_order(data_id, copies, entry)
-                 if keys is None or copies == 1 else self._nearest_first(
-                     entry, [position_from_bits(k[1]) for k in keys]))
-        with (recorder.trace("request.retrieve", key=data_id,
-                             entry=entry)
-              if recorder is not None else NULL_SPAN) as handle:
+        span = (None if recorder is None else recorder.trace(
+            "request.retrieve", key=data_id, entry=entry))
+        handle = NULL_SPAN if span is None else span.__enter__()
+        try:
+            traced = span is not None and handle.recording
+            order = ((0,) if copies == 1 else
+                     self.replica_order(data_id, copies, entry)
+                     if keys is None else self._nearest_first(
+                         entry, [position_from_bits(k[1]) for k in keys]))
             result = None
             for attempts, copy_index in enumerate(order, 1):
-                probe = self._probe_replica(data_id, copy_index, entry,
-                                            max_hops, attempts,
-                                            keys and keys[copy_index])
+                probe = self._probe(data_id, copy_index, entry, max_hops,
+                                    attempts, keys and keys[copy_index],
+                                    recorder if traced else None)
                 if probe is not None:  # else the route failed loudly
                     result = probe  # found, or the latest miss
                     if probe.found:
@@ -1021,7 +1062,7 @@ class GredNetwork:
                                               attempts)
             elif attempts > 1 and registry.enabled:
                 registry.counter("faults.failovers").inc()
-            if handle.recording:
+            if traced:
                 handle.set(found=result.found,
                            attempts=result.attempts,
                            copy_used=result.copy_used,
@@ -1030,6 +1071,9 @@ class GredNetwork:
                            **self._engine_attrs())
                 if not result.found:
                     handle.fail("miss")
+        finally:
+            if span is not None:
+                span.__exit__(*sys.exc_info())
         if read_repair and copies > 1:
             self.read_repair(data_id, copies)
         return result
@@ -1038,11 +1082,8 @@ class GredNetwork:
     def _unroutable(data_id: str, entry: int, copy_used: int,
                     attempts: int) -> RetrievalResult:
         """Every probe died in routing (heavy degradation)."""
-        return RetrievalResult(
-            data_id=data_id, found=False, payload=None,
-            entry_switch=entry, destination_switch=None, server_id=None,
-            request_hops=0, response_hops=0, trace=[],
-            copy_used=copy_used, forked=False, attempts=attempts)
+        return RetrievalResult(data_id, False, None, entry, None, None, 0,
+                               0, [], copy_used, False, attempts)
 
     def probe_replica(self, data_id: str, copy_index: int, entry: int,
                       max_hops: Optional[int] = None,
@@ -1053,44 +1094,10 @@ class GredNetwork:
         of :meth:`retrieve`'s failover walk, exposed so external
         request pipelines (hedging, breaker-aware candidate ordering)
         can drive the walk themselves."""
-        return self._probe_replica(data_id, copy_index, entry, max_hops,
-                                   attempts)
-
-    def _probe_replica(self, data_id: str, copy_index: int, entry: int,
-                       max_hops: Optional[int], attempts: int,
-                       keys=None) -> Optional[RetrievalResult]:
-        """:meth:`probe_replica`, on the copy's ``keys`` if given."""
         recorder = default_span_recorder()
-        with (recorder.span("retrieve.probe", copy=copy_index,
-                            attempt=attempts)
-              if recorder is not None and recorder.active
-              else NULL_SPAN) as handle:
-            tracer = Tracer() if handle.recording else None
-            copy_id = replica_id(data_id, copy_index)
-            registry = default_registry()
-            try:
-                trace, _, dest, serial, state = self._route(
-                    copy_id, entry, PacketKind.RETRIEVAL, max_hops,
-                    tracer, keys)
-            except ForwardingError:
-                if registry.enabled:
-                    registry.counter("faults.route_failures").inc()
-                handle.fail("route_error")
-                return None
-            if tracer is not None:
-                spans_from_tracer(recorder, tracer, parent=handle.span)
-            if registry.enabled:
-                self._emit_probe_telemetry(registry, copy_id, trace)
-            result = self._probe(
-                state, self._serving(state, dest, serial), data_id,
-                copy_id, copy_index, entry, attempts, trace, dest)
-            if result.found and registry.enabled:
-                registry.counter("core.retrieves").inc()
-                registry.histogram(
-                    "core.retrieve_hops", buckets=HOP_BUCKETS,
-                ).observe(result.request_hops + result.response_hops)
-            handle.set(found=result.found, destination=dest)
-            return result
+        return self._probe(data_id, copy_index, entry, max_hops, attempts,
+                           None, recorder if recorder is not None
+                           and recorder.active else None)
 
     def replica_order(self, data_id: str, copies: int,
                       entry: int) -> List[int]:
@@ -1680,7 +1687,7 @@ class GredNetwork:
         for i in range(copies):
             copy_id = replica_id(data_id, i)
             try:
-                _, _, dest, serial, state = self._route(
+                _, _, dest, serial, _, state = self._route(
                     copy_id, entry, PacketKind.RETRIEVAL)
             except ForwardingError:
                 if stamp is None:
@@ -1798,17 +1805,9 @@ class GredNetwork:
         physical = hop_count(self.topology, entry, holder.switch)
         handle.set(destination=holder.switch, server=holder.server_id,
                    hinted=True)
-        return PlacementRecord(
-            data_id=copy_id,
-            entry_switch=entry,
-            destination_switch=holder.switch,
-            server_id=holder.server_id,
-            physical_hops=physical,
-            overlay_hops=0,
-            trace=[entry],
-            extended=False,
-            hinted=True,
-        )
+        return PlacementRecord(copy_id, entry, holder.switch,
+                               holder.server_id, physical, 0, [entry],
+                               False, True)
 
     def drain_hints(self, ignore_partitions: bool = False) -> int:
         """Apply every parked hint whose home is live and reachable
@@ -2219,12 +2218,10 @@ class GredNetwork:
 
     def _route_result(self, data_id: str, entry: int,
                       tracer=None) -> RouteResult:
-        trace, overlay, dest, serial, _ = self._route(
+        trace, overlay, dest, serial, extension, _ = self._route(
             data_id, entry, PacketKind.RETRIEVAL, tracer=tracer)
-        table = self.controller.switches[dest].table
         return RouteResult(
-            delivery=DeliverAction(dest, serial,
-                                   table.extension_for(serial)),
+            delivery=DeliverAction(dest, serial, extension),
             trace=trace, physical_hops=len(trace) - 1,
             overlay_hops=overlay)
 

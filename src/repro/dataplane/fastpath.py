@@ -149,9 +149,13 @@ def scalar_standdown(net) -> Optional[str]:
     """Why one scalar ``place`` / ``retrieve`` / ``route_for`` on
     ``net`` takes the reference engine (``route_packet``) instead of
     the compiled walker — the first of
-    :func:`batch_fastpath_blockers` — or ``None`` = compiled."""
-    blockers = batch_fastpath_blockers(net)
-    return blockers[0] if blockers else None
+    :func:`batch_fastpath_blockers` — or ``None`` = compiled.  It
+    stops at the first gate that fires and builds no list: the scalar
+    route stage asks on every request."""
+    for gate, reason in FASTPATH_GATES:
+        if gate(net):
+            return reason
+    return None
 
 
 #: ``route_batch_packed`` hands stragglers to the scalar walker once

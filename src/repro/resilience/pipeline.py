@@ -10,8 +10,8 @@ with request-level resilience:
    requests never touch the data plane.
 2. **Deadline budget** — the admission queue wait, every probe's
    modeled service time and every retry backoff are charged against one
-   :class:`~repro.resilience.deadline.DeadlineBudget` that starts at
-   arrival.
+   deadline, ``arrival + timeout``, checked before every probe and
+   every backoff.
 3. **Circuit breakers** — destination switches and storage servers
    carry breakers on a :class:`~repro.resilience.breaker.BreakerBoard`
    fed by the PR 2 fault ground truth (``breakers.absorb``) and by
@@ -42,7 +42,6 @@ created.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -62,13 +61,11 @@ from ..simulation.latency import slow_excess
 from .admission import AdmissionController
 from .breaker import BreakerBoard, BreakerKey
 from .config import ResilienceConfig
-from .deadline import DeadlineBudget, RetryPolicy
+from .deadline import RetryPolicy
 
 #: Shed reason when the entry switch cannot take requests (crashed,
 #: unknown or relay-only).
 SHED_ENTRY_DOWN = "entry_down"
-#: What :meth:`ResilientNetwork._quiet` enters when nothing records.
-_UNTRACED = nullcontext()
 
 
 @dataclass(slots=True)
@@ -212,17 +209,29 @@ class ResilientNetwork:
                  passthrough, serve) -> ResilientOutcome:
         """The one scalar request body.  Disabled: the envelope of
         ``passthrough()``, the wrapped network's own call.  Enabled:
-        admit (or shed) at the entry switch, then ``serve(entry,
-        arrival, queue wait, recorder, root span)`` runs the kind's
-        retry loop.  A non-integral entry raises before either, never
-        sheds."""
+        admit (or shed) at the entry switch — a batch of one through
+        ``offer_many`` — then ``serve(entry, arrival, queue wait,
+        recorder, root span)`` runs the kind's retry loop.  A
+        non-integral entry raises before either, never sheds."""
         entry_switch = entry_index(entry_switch)
         if not self.config.enabled:
             return _passed(kind, data_id, passthrough())
         arrival = self._time(now)
-        recorder, root = self._open_root(kind, data_id, arrival)
-        entry, wait, shed = self._admit(entry_switch, arrival, priority,
-                                        rng)
+        recorder = span_recorder()
+        # The root span is in virtual time and the pipeline narrates the
+        # journey under it, so the wrapped calls record no span (a probe
+        # is handed no recorder, the rest run suppressed): each would
+        # start its own wall-clock trace, and timelines would not compose.
+        root = None if recorder is None else recorder.record_trace(
+            f"request.{kind}", key=data_id, start=arrival, kind=kind,
+            pipeline="resilient")
+        try:
+            entry = self.net._resolve_entry(entry_switch, rng)
+        except GredError:
+            shed = SHED_ENTRY_DOWN
+        else:
+            [(wait, shed, _)] = self.admission.offer_many(
+                (entry,), arrival, (priority,))
         if shed is not None:
             outcome = self._shed_outcome(kind, data_id, shed)
         else:
@@ -232,8 +241,9 @@ class ResilientNetwork:
                     end=arrival + wait, parent=root, entry=entry,
                     wait=wait)
             outcome = serve(entry, arrival, wait, recorder, root)
-            self._finish([outcome], arrival, [outcome.latency])
-        self._close_root(root, arrival, outcome)
+            self._finish((outcome,), arrival, outcome.latency)
+        if root is not None:
+            self._close_root(root, arrival, outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -357,7 +367,7 @@ class ResilientNetwork:
         else:
             served, latencies = self._settle(kind, ids, results, waits,
                                              arrival, timeout)
-        self._finish(served, arrival, latencies)
+        self._finish(served, arrival, max(latencies))
         if len(served) == count:  # every request admitted
             return served
         for i, outcome in zip(picked, served):
@@ -428,21 +438,6 @@ class ResilientNetwork:
     # internals — tracing
     # ------------------------------------------------------------------
     @staticmethod
-    def _open_root(kind: str, data_id: str, arrival: float):
-        """Open the request's root span (virtual-time).  The pipeline
-        narrates the whole journey itself, so nested network-level span
-        sites are suppressed around every data-plane call (see
-        :meth:`_quiet`) — otherwise each probe would start its own
-        wall-clock trace and the timelines would not compose."""
-        recorder = span_recorder()
-        if recorder is None:
-            return None, None
-        root = recorder.record_trace(f"request.{kind}", key=data_id,
-                                     start=arrival, kind=kind,
-                                     pipeline="resilient")
-        return recorder, root
-
-    @staticmethod
     def _close_root(root: Optional[Span], arrival: float,
                     outcome: ResilientOutcome) -> None:
         if root is None:
@@ -459,12 +454,6 @@ class ResilientNetwork:
             root.attrs["shed_reason"] = outcome.shed_reason
         elif not outcome.ok:
             root.status = "error"
-
-    @staticmethod
-    def _quiet(recorder):
-        """Context manager silencing network-level span sites for one
-        wrapped data-plane call."""
-        return _UNTRACED if recorder is None else recorder.suppress()
 
     # ------------------------------------------------------------------
     # internals — admission
@@ -493,26 +482,13 @@ class ResilientNetwork:
                              f"number of seconds, got {deadline!r}")
         return deadline
 
-    def _admit(self, entry_switch: Optional[int], arrival: float,
-               priority: int, rng: Optional[np.random.Generator]
-               ) -> Tuple[Optional[int], float, Optional[str]]:
-        """Resolve the entry switch and offer the request to admission
-        control: ``(entry, queue wait, shed reason)``, the reason
-        ``None`` for an admitted request."""
-        try:
-            entry = self.net._resolve_entry(entry_switch, rng)
-        except GredError:
-            return None, 0.0, SHED_ENTRY_DOWN
-        [(wait, shed, _)] = self.admission.offer_many([entry], arrival,
-                                                      [priority])
-        return entry, wait, shed
-
     def _resolve_entries(self, entry_switches: Sequence[Optional[int]],
                          rng: Optional[np.random.Generator]
                          ) -> List[Optional[int]]:
-        """:meth:`_admit`'s entry resolution for a batch (``None``: entry
-        down), once per distinct entry; the ``None`` entries take one
-        :func:`draw_entries`, consuming ``rng`` like a draw per item."""
+        """:meth:`_request`'s entry resolution for a batch (``None``:
+        entry down), once per distinct entry; the ``None`` entries take
+        one :func:`draw_entries`, consuming ``rng`` like a draw per
+        item."""
         resolved: Dict[int, Optional[int]] = {}
         for entry in set(entry_switches) - {None}:
             try:
@@ -541,35 +517,40 @@ class ResilientNetwork:
     # internals — retrieval
     # ------------------------------------------------------------------
     def _retry(self, outcome: ResilientOutcome, arrival: float,
-               timeout: float, attempt, recorder,
-               root: Optional[Span]) -> ResilientOutcome:
-        """The retry loop of one admitted request: run ``attempt(clock,
-        budget, tries) -> (clock, done)`` until it is done, the
-        deadline budget is spent or the retry policy gives up, backing
-        off in between; then stamp ``outcome`` with the result."""
-        budget = DeadlineBudget(arrival, timeout)
-        registry = default_registry()
+               timeout: float, recorder, root: Optional[Span], attempt,
+               *args) -> ResilientOutcome:
+        """The one retry loop of an admitted request: ``attempt(clock,
+        deadline, tries, outcome, recorder, root, *args) -> clock`` runs
+        until it sets ``outcome.ok``, the deadline passes or the retry
+        policy gives up (one ``rng`` draw per pause it computes), with
+        a backoff pause in between.  The first attempt runs straight:
+        the budget is the float ``deadline``, and the clock adds the
+        queue wait, each probe and each pause to ``arrival`` in that
+        order, so ``latency = clock - arrival`` keeps its bits."""
+        deadline = arrival + timeout
         clock = arrival + outcome.queue_wait
-        tries = 0
+        tries = 1
         while True:
-            tries += 1
-            clock, outcome.ok = attempt(clock, budget, tries)
+            clock = attempt(clock, deadline, tries, outcome, recorder, root,
+                            *args)
             if outcome.ok:
                 break
             delay = self.retry_policy.next_delay(
-                tries, budget.remaining(clock), self._rng)
-            if delay is None or budget.expired(clock):
+                tries, max(0.0, deadline - clock), self._rng)
+            if delay is None or clock >= deadline:
                 break
             if root is not None:
                 recorder.add_span("retry.backoff", start=clock,
                                   end=clock + delay, parent=root,
                                   attempt=tries, delay=delay)
             clock += delay
+            tries += 1
             outcome.retries += 1
+            registry = default_registry()
             if registry.enabled:
                 registry.counter("resilience.retries").inc()
         outcome.latency = clock - arrival
-        outcome.deadline_missed = outcome.latency > budget.timeout
+        outcome.deadline_missed = outcome.latency > timeout
         return outcome
 
     def _retrieve_admitted(self, data_id: str, copies: int,
@@ -578,68 +559,59 @@ class ResilientNetwork:
                            arrival: float, queue_wait: float,
                            recorder=None, root: Optional[Span] = None
                            ) -> ResilientOutcome:
-        outcome = ResilientOutcome(kind="retrieve", data_id=data_id,
-                                   queue_wait=queue_wait)
+        return self._retry(
+            ResilientOutcome("retrieve", data_id, True, None, False, None,
+                             0.0, queue_wait), arrival, timeout, recorder,
+            root, self._attempt_retrieve, data_id, entry, copies,
+            timeout, max_hops)
 
-        def attempt(clock, budget, tries):
-            clock, result = self._attempt_retrieve(
-                data_id, entry, copies, clock, budget, max_hops,
-                retrying=tries > 1, outcome=outcome,
-                recorder=recorder, root=root)
-            if result is not None:
-                outcome.result = result  # the hit, or the latest miss
-            return clock, result is not None and result.found
-
-        return self._retry(outcome, arrival, timeout, attempt,
-                           recorder, root)
-
-    def _attempt_retrieve(self, data_id: str, entry: int, copies: int,
-                          clock: float, budget: DeadlineBudget,
-                          max_hops: Optional[int], retrying: bool,
-                          outcome: ResilientOutcome, recorder=None,
-                          root: Optional[Span] = None):
-        """One failover walk over the (breaker-filtered) replica order.
-        Returns ``(clock, best_result_or_None)``; ``outcome`` collects
-        attempt/hedge accounting."""
+    def _attempt_retrieve(self, clock: float, deadline: float,
+                          tries: int, outcome: ResilientOutcome,
+                          recorder, root: Optional[Span], data_id: str,
+                          entry: int, copies: int, timeout: float,
+                          max_hops: Optional[int]) -> float:
+        """One failover walk over the (breaker-filtered) replica order:
+        ``outcome`` takes the hit (``ok``) or the latest miss, and the
+        attempt/hedge accounting.  One copy on a quiet board has one
+        replica to walk: nothing to rank, filter or hedge."""
         cfg = self.config
-        registry = default_registry()
-        order = self.net.replica_order(data_id, copies, entry)
-        open_order = order if self.breakers.quiet() else [
-            i for i in order if self._replica_allowed(data_id, i, clock)]
-        if open_order and len(open_order) < len(order) \
-                and root is not None:
-            recorder.add_span(
-                "breaker.route_around", start=clock, end=clock,
-                parent=root,
-                skipped=[i for i in order if i not in open_order])
-        if not open_order:
-            # Every replica sits behind an open breaker.  Correctness
-            # beats fail-fast: probe the original order anyway (the
-            # breakers may be wrong, e.g. opened by misses on a
-            # never-placed item).
-            open_order = order
-            if registry.enabled:
-                registry.counter("resilience.breaker_overrides").inc()
-            if root is not None:
-                recorder.add_span("breaker.override", start=clock,
-                                  end=clock, parent=root)
-        walk = list(open_order)
+        walk = order = ((0,) if copies == 1 else
+                        self.net.replica_order(data_id, copies, entry))
+        if not self.breakers.quiet():
+            walk = [i for i in order
+                    if self._replica_allowed(data_id, i, clock)]
+            if not walk:
+                # Every replica sits behind an open breaker.
+                # Correctness beats fail-fast: probe the original order
+                # anyway (the breakers may be wrong, e.g. opened by
+                # misses on a never-placed item).
+                walk = order
+                registry = default_registry()
+                if registry.enabled:
+                    registry.counter("resilience.breaker_overrides").inc()
+                if root is not None:
+                    recorder.add_span("breaker.override", start=clock,
+                                      end=clock, parent=root)
+            elif len(walk) < len(order) and root is not None:
+                recorder.add_span(
+                    "breaker.route_around", start=clock, end=clock,
+                    parent=root,
+                    skipped=[i for i in order if i not in walk])
         miss_result = None
         # Hedge: fork the read to the two nearest live replicas when
         # the deadline is at risk or this is already a retry.
-        hedge = (cfg.hedge_enabled and len(walk) > 1
-                 and (retrying or budget.remaining(clock)
-                      <= cfg.hedge_fraction * budget.timeout))
-        if hedge:
+        if len(walk) > 1 and cfg.hedge_enabled and (
+                tries > 1 or max(0.0, deadline - clock)
+                <= cfg.hedge_fraction * timeout):
             outcome.hedged = True
+            registry = default_registry()
             if registry.enabled:
                 registry.counter("resilience.hedges").inc()
             outcome.attempts += 2
             (r1, l1), (r2, l2) = [
                 self._probe_retrieve(data_id, copy_index, entry,
                                      outcome.attempts - 1 + fork, max_hops,
-                                     clock, recorder=recorder, root=root,
-                                     hedged=True)
+                                     clock, recorder, root, True)
                 for fork, copy_index in enumerate(walk[:2])]
             hits = [(l, r) for l, r in ((l1, r1), (l2, r2))
                     if r is not None and r.found]
@@ -654,7 +626,8 @@ class ResilientNetwork:
                         "retrieve.hedge", start=clock, end=clock + lat,
                         parent=root, won=best is r2, forks=2)
                 self._maybe_read_repair(data_id, copies, recorder)
-                return clock + lat, best
+                outcome.result, outcome.ok = best, True
+                return clock + lat
             # Both forks failed; the client waited for the slower one.
             if root is not None:
                 recorder.add_span(
@@ -667,19 +640,22 @@ class ResilientNetwork:
                     miss_result = r
             walk = walk[2:]
         for copy_index in walk:
-            if budget.expired(clock):
+            if clock >= deadline:
                 break
             outcome.attempts += 1
             result, latency = self._probe_retrieve(
                 data_id, copy_index, entry, outcome.attempts, max_hops,
-                clock, recorder=recorder, root=root)
+                clock, recorder, root)
             clock += latency
             if result is not None and result.found:
                 self._maybe_read_repair(data_id, copies, recorder)
-                return clock, result
+                outcome.result, outcome.ok = result, True
+                return clock
             if result is not None:
                 miss_result = result
-        return clock, miss_result
+        if miss_result is not None:
+            outcome.result = miss_result
+        return clock
 
     def _maybe_read_repair(self, data_id: str, copies: int,
                            recorder) -> None:
@@ -687,8 +663,12 @@ class ResilientNetwork:
         synchronize the item's replicas to the newest stamp observed
         among them.  A background write-back — it charges no latency
         and records no request spans."""
-        if self.config.read_repair and copies > 1:
-            with self._quiet(recorder):
+        if not self.config.read_repair or copies == 1:
+            return
+        if recorder is None:
+            self.net.read_repair(data_id, copies)
+        else:
+            with recorder.suppress():
                 self.net.read_repair(data_id, copies)
 
     def _probe_retrieve(self, data_id: str, copy_index: int,
@@ -697,11 +677,10 @@ class ResilientNetwork:
                         recorder=None, root: Optional[Span] = None,
                         hedged: bool = False):
         """Probe one replica; returns ``(result_or_None, latency)``
-        and feeds the breakers."""
-        with self._quiet(recorder):
-            result = self.net.probe_replica(data_id, copy_index, entry,
-                                            max_hops=max_hops,
-                                            attempts=attempt_no)
+        and feeds the breakers.  The probe is handed no recorder, so
+        it records no span of its own: the pipeline narrates it."""
+        result = self.net._probe(data_id, copy_index, entry, max_hops,
+                                 attempt_no)
         if result is None:
             latency, status = self.config.failure_penalty, "route_error"
         else:
@@ -815,91 +794,96 @@ class ResilientNetwork:
                         arrival: float, queue_wait: float,
                         recorder=None, root: Optional[Span] = None
                         ) -> ResilientOutcome:
-        cfg = self.config
-        registry = default_registry()
-        outcome = ResilientOutcome(kind="place", data_id=data_id,
-                                   queue_wait=queue_wait)
         placed: Dict[int, Any] = {}
         # One stamp per logical operation, shared by every copy and
         # every retry (``GredNetwork.place`` semantics).
-        stamp = self.net._op_stamp(entry)
+        outcome = self._retry(
+            ResilientOutcome("place", data_id, True, None, False, None,
+                             0.0, queue_wait), arrival, timeout, recorder,
+            root, self._attempt_place, data_id, payload, copies, entry,
+            self.net._op_stamp(entry), placed)
+        outcome.records = [placed[i] for i in sorted(placed)]
+        if outcome.ok:
+            outcome.result = PlacementResult(data_id, outcome.records)
+        return outcome
 
-        def attempt(clock, budget, tries):
-            for copy_index in range(copies):
-                if copy_index in placed:
-                    continue
-                if budget.expired(clock):
-                    break
-                copy_id = replica_id(data_id, copy_index)
-                # Nothing feeds the board before this copy lands, so a
-                # board quiet now allows it and ignores its success.
-                keys = (self._breaker_keys(copy_id)
-                        if root is not None or not self.breakers.quiet()
-                        else None)
-                if keys is not None and not (
-                        self.breakers.allow(keys[1], clock)
-                        and self.breakers.allow(keys[2], clock)):
-                    # Fail fast on an open breaker: no data-plane
-                    # traffic, no latency burned; the retry loop comes
-                    # back after backoff (by when the breaker may
-                    # admit a probe).
-                    if registry.enabled:
-                        registry.counter(
-                            "resilience.breaker_fast_fails").inc()
-                    if root is not None:
-                        recorder.add_span(
-                            "breaker.fast_fail", start=clock,
-                            end=clock, parent=root, copy=copy_index,
-                            destination=keys[0])
-                    continue
-                outcome.attempts += 1
-                try:
-                    with self._quiet(recorder):
-                        record = self.net._place_one(
-                            copy_id, payload, entry, stamp)
-                except (GredError, ForwardingError):
-                    dest, _, server_key = (keys
-                                           or self._breaker_keys(copy_id))
-                    if root is not None:
-                        recorder.add_span(
-                            "place.copy", start=clock,
-                            end=clock + cfg.failure_penalty,
-                            parent=root, status="route_error",
-                            copy=copy_index, destination=dest,
-                            attempt=outcome.attempts)
-                    clock += cfg.failure_penalty
-                    self.breakers.failure(server_key, clock)
-                    continue
-                latency = self.config.latency.round_trip(
-                    record.trace, record.physical_hops, None, self._slowed())
+    def _attempt_place(self, clock: float, deadline: float, tries: int,
+                       outcome: ResilientOutcome, recorder,
+                       root: Optional[Span], data_id: str, payload: Any,
+                       copies: int, entry: int, stamp,
+                       placed: Dict[int, Any]) -> float:
+        """One pass over the copies not yet ``placed``: each is stored
+        (and added) unless an open breaker fails it fast or its route
+        fails; ``outcome`` is ``ok`` once every copy is."""
+        cfg = self.config
+        for copy_index in range(copies):
+            if copy_index in placed:
+                continue
+            if clock >= deadline:
+                break
+            copy_id = replica_id(data_id, copy_index)
+            # Nothing feeds the board before this copy lands, so a
+            # board quiet now allows it and ignores its success.
+            keys = (self._breaker_keys(copy_id)
+                    if root is not None or not self.breakers.quiet()
+                    else None)
+            if keys is not None and not (
+                    self.breakers.allow(keys[1], clock)
+                    and self.breakers.allow(keys[2], clock)):
+                # Fail fast on an open breaker: no data-plane traffic,
+                # no latency burned; the retry loop comes back after
+                # backoff (by when the breaker may admit a probe).
+                registry = default_registry()
+                if registry.enabled:
+                    registry.counter("resilience.breaker_fast_fails").inc()
+                if root is not None:
+                    recorder.add_span(
+                        "breaker.fast_fail", start=clock, end=clock,
+                        parent=root, copy=copy_index, destination=keys[0])
+                continue
+            outcome.attempts += 1
+            try:
+                if recorder is None:
+                    record = self.net._place_one(copy_id, payload, entry,
+                                                 stamp)
+                else:
+                    with recorder.suppress():
+                        record = self.net._place_one(copy_id, payload,
+                                                     entry, stamp)
+            except (GredError, ForwardingError):
+                dest, _, server_key = keys or self._breaker_keys(copy_id)
                 if root is not None:
                     recorder.add_span(
                         "place.copy", start=clock,
-                        end=clock + latency, parent=root,
-                        copy=copy_index, destination=keys[0],
-                        server=record.server_id,
-                        physical_hops=record.physical_hops,
-                        attempt=outcome.attempts)
-                clock += latency
-                if keys is not None:
-                    self._succeeded(keys[0], record.server_id, clock)
-                placed[copy_index] = record
-            return clock, len(placed) == copies
-
-        self._retry(outcome, arrival, timeout, attempt, recorder, root)
-        outcome.records = [placed[i] for i in sorted(placed)]
-        if outcome.ok:
-            outcome.result = PlacementResult(
-                data_id=data_id,
-                records=[placed[i] for i in range(copies)])
-        return outcome
+                        end=clock + cfg.failure_penalty, parent=root,
+                        status="route_error", copy=copy_index,
+                        destination=dest, attempt=outcome.attempts)
+                clock += cfg.failure_penalty
+                self.breakers.failure(server_key, clock)
+                continue
+            latency = cfg.latency.round_trip(
+                record.trace, record.physical_hops, None, self._slowed())
+            if root is not None:
+                recorder.add_span(
+                    "place.copy", start=clock, end=clock + latency,
+                    parent=root, copy=copy_index, destination=keys[0],
+                    server=record.server_id,
+                    physical_hops=record.physical_hops,
+                    attempt=outcome.attempts)
+            clock += latency
+            if keys is not None:
+                self._succeeded(keys[0], record.server_id, clock)
+            placed[copy_index] = record
+        outcome.ok = len(placed) == copies
+        return clock
 
     # ------------------------------------------------------------------
     # internals — completion accounting
     # ------------------------------------------------------------------
     def _finish(self, outcomes: Sequence[ResilientOutcome],
-                arrival: float, latencies: Sequence[float]) -> None:
-        """Count requests admitted at ``arrival``; advance the clock."""
+                arrival: float, latest: float) -> None:
+        """Count requests admitted at ``arrival``; advance the clock to
+        the end of the ``latest`` (the largest latency)."""
         registry = default_registry()
         if registry.enabled:
             for outcome in outcomes:
@@ -913,4 +897,4 @@ class ResilientNetwork:
                 registry.histogram("resilience.latency_seconds",
                                    buckets=TIME_BUCKETS).observe(
                     outcome.latency)
-        self._clock = max(self._clock, arrival + max(latencies))
+        self._clock = max(self._clock, arrival + latest)

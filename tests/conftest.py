@@ -12,9 +12,11 @@ from repro.topology import brite_waxman_graph, grid_graph, testbed_topology
 
 #: ``pytest --hypothesis-profile=deep``: the control-plane model's long
 #: walk (tests/test_controlplane_model.py), the route memo's long
-#: warm-vs-cold and sweep walks (tests/test_route_memo.py) and the
-#: snapshot loaders' longer fuzz (tests/test_snapshot_format.py); CI
-#: runs them as its own step.
+#: warm-vs-cold and sweep walks (tests/test_route_memo.py), the
+#: snapshot loaders' longer fuzz (tests/test_snapshot_format.py), the
+#: resilient pipeline's quiet-board oracle (tests/test_resilience.py::
+#: TestQuietBoard) and the recording-never-changes-an-answer walks
+#: (tests/test_scalar_request.py); CI runs them as its own step.
 settings.register_profile("deep", max_examples=50, stateful_step_count=40)
 
 

@@ -908,11 +908,17 @@ def service_time(net, latency, outcome):
         bfs_path(net.topology, result.server_id[0], result.entry_switch))
 
 
+#: Tier-1 walks 60 step lists; ``--hypothesis-profile=deep`` (CI's own
+#: step) 300.
+DEEP = settings.get_current_profile_name() == "deep"
+QUIET_WALKS = settings(max_examples=300 if DEEP else 60, deadline=None)
+
+
 class TestQuietBoard:
     """A healthy request skips the breaker and admission work that
     cannot change its outcome — and only that work."""
 
-    @settings(max_examples=60, deadline=None)
+    @QUIET_WALKS
     @example(steps=_ALL_ADMITTED, telemetry=True)
     @example(steps=_SETTLED_BY_INDEX, telemetry=False)
     # A batch that makes a quiet board loud with a miss on d2, then
