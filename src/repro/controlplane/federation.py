@@ -39,7 +39,7 @@ import numpy as np
 # The module, not its names: ``repro.core`` imports this package, so
 # they resolve at call time (no import machinery on the request path).
 from ..core import network as _network
-from ..core.results import PlacementResult
+from ..core.results import PlacementResult, prepend_traces
 from ..embedding import m_position
 from ..graph import Graph
 from ..graph.shortest_paths import all_pairs_hop_matrix, bfs_path
@@ -459,7 +459,8 @@ class FederatedNetwork:
         return self._stitch_memo
 
     def _stitch_via(self, memo: Dict[Tuple[int, int], Any], entry: int,
-                    home: int) -> Optional[Tuple[List[int], int, int]]:
+                    home: int
+                    ) -> Optional[Tuple[List[int], int, int, List[int]]]:
         """:meth:`_stitch` through ``memo`` (from :meth:`_stitches`)."""
         try:
             return memo[entry, home]
@@ -468,10 +469,13 @@ class FederatedNetwork:
             return stitched
 
     def _stitch(self, entry: int, home_region: int
-                ) -> Optional[Tuple[List[int], int, int]]:
+                ) -> Optional[Tuple[List[int], int, int, List[int]]]:
         """Carry a request from ``entry`` to the ingress gateway of
-        ``home_region``: ``(trace, ingress switch, region crossings)``,
-        or ``None`` when the overlay cannot reach the home region."""
+        ``home_region``: ``(trace, ingress switch, region crossings,
+        head)``, or ``None`` when the overlay cannot reach the home
+        region.  ``head`` is ``trace`` short of the ingress, what the
+        carry prepends to the home shard's trace (which starts there),
+        built once per stitch rather than once per request."""
         src = self.region_of(entry)
         path = self.controller.overlay_path(src, home_region)
         if path is None:
@@ -488,7 +492,7 @@ class FederatedNetwork:
                 trace.extend(self._leg(a, cur, egress)[1:])
             trace.append(ingress)
             cur = ingress
-        return trace, cur, len(path) - 1
+        return trace, cur, len(path) - 1, trace[:-1]
 
     def _leg(self, region: int, source: int, egress: int) -> List[int]:
         """Shortest path from ``source`` to a gateway inside one shard,
@@ -550,35 +554,44 @@ class FederatedNetwork:
                 buckets=HOP_BUCKETS).observe_many(crossings)
 
     @staticmethod
-    def _carry_record(record, entry: int, stitched):
+    def _carry_record(record, entry: int, stitched, queue=None):
         """Prepend the gateway prefix to a home shard's placement
-        record (in place: the shard built it for this request)."""
-        prefix, _, crossings = stitched
+        record (in place: the shard built it for this request).  A
+        batch passes its ``queue``: the trace's ``(record, head)`` goes
+        there, for one :func:`prepend_traces` over the batch."""
+        _, _, crossings, head = stitched
         record.entry_switch = entry
-        record.physical_hops += len(prefix) - 1
+        record.physical_hops += len(head)
         record.overlay_hops += crossings
-        record.trace = prefix[:-1] + record.trace
+        if queue is None:
+            record.trace = head + record.trace
+        else:
+            queue.append((record, head))
         return record
 
     @staticmethod
     def _carry_probe(result, data_id: str, copy_index: int,
-                     attempts: int, entry: int, stitched):
+                     attempts: int, entry: int, stitched, queue=None):
         """Turn a home shard's answer for one replica id (copy 0 of
         itself, first attempt) back into the outcome of probing copy
-        ``copy_index`` of ``data_id``, gateway prefix included.
-        ``None`` when the shard could not route the probe."""
+        ``copy_index`` of ``data_id``, gateway prefix included (its
+        trace queued as in :meth:`_carry_record`).  ``None`` when the
+        shard could not route the probe."""
         if result.destination_switch is None:
             return None
         result.data_id = data_id
         result.copy_used = copy_index
         result.attempts = attempts
         if stitched is not None:
-            prefix = stitched[0]
+            head = stitched[3]
             result.entry_switch = entry
-            result.request_hops += len(prefix) - 1
+            result.request_hops += len(head)
             if result.found:
-                result.response_hops += len(prefix) - 1
-            result.trace = prefix[:-1] + result.trace
+                result.response_hops += len(head)
+            if queue is None:
+                result.trace = head + result.trace
+            else:
+                queue.append((result, head))
         return result
 
     # ------------------------------------------------------------------
@@ -670,9 +683,11 @@ class FederatedNetwork:
                 digests=digests[rows],
             )
             carried = np.flatnonzero(pairs >= 0)
+            queue: List[Any] = []
             for k, p in zip(carried.tolist(), pairs[carried].tolist()):
-                self._carry_record(results[k].records[0],
-                                   entries[items[k]], stitches[p])
+                self._carry_record(results[k].primary,
+                                   entries[items[k]], stitches[p], queue)
+            prepend_traces(queue)
             for f, result in zip(flats, results):
                 answers[f] = result
         if copies == 1:
@@ -680,7 +695,7 @@ class FederatedNetwork:
         return [
             PlacementResult(
                 data_id=data_id,
-                records=[result.records[0] for result in
+                records=[result.primary for result in
                          answers[i * copies:(i + 1) * copies]],
             )
             for i, data_id in enumerate(data_ids)
@@ -877,17 +892,19 @@ class FederatedNetwork:
                                      compress(answers, whole_rows)):
                     results[i] = answer
                 probed = np.flatnonzero(~whole_rows)
+                queue: List[Any] = []
                 for k, i, c, p in zip(probed.tolist(),
                                       group[probed].tolist(),
                                       copy[g][probed].tolist(),
                                       pairs[probed].tolist()):
                     answer = self._carry_probe(
                         answers[k], data_ids[i], c, wave + 1, entries[i],
-                        None if p < 0 else stitches[p])
+                        None if p < 0 else stitches[p], queue)
                     if answer is not None:
                         results[i] = answer  # found, or the latest miss
                         if answer.found:
                             found.append(i)
+                prepend_traces(queue)
             settled[items[handed]] = True
             settled[found] = True
             pending = pending[~settled[pending]]

@@ -78,7 +78,14 @@ from ..obs import (
 from ..obs.bridge import spans_from_tracer
 from ..obs.spans import NULL_SPAN
 from ..obs.spans import default_recorder as default_span_recorder
-from .results import PlacementRecord, PlacementResult, RetrievalResult
+from .results import (
+    PlacementRecord,
+    PlacementResult,
+    RetrievalResult,
+    _PlacementView,
+    _RecordView,
+    _RetrievalView,
+)
 
 #: Bound on the per-epoch route memo (routes, not bytes).
 _ROUTE_CACHE_CAP = 65536
@@ -336,7 +343,8 @@ class _Routes:
     def lists(self, at=slice(None)):
         """``(dest, overlay, start, end, traces)`` of rows ``at`` (all
         when omitted) as Python lists for the one per-probe loop of a
-        batch body: probe ``j``'s trace is ``traces[start[j]:end[j]]``."""
+        batch body: probe ``j``'s trace is ``traces[start[j]:end[j]]``,
+        and ``traces`` is the column its result keeps a view of."""
         start = self.start[at]
         return (self.dest[at].tolist(), self.overlay[at].tolist(),
                 start.tolist(), (start + self.tlen[at]).tolist(),
@@ -466,8 +474,8 @@ class _Batch:
                     (routes.greedy, routes.vl, routes.relays))]
 
     def placed(self, flat: int, record: PlacementRecord,
-               payload: Any) -> None:
-        self.transits.extend(record.trace)
+               trace: List[int], payload: Any) -> None:
+        self.transits.extend(trace)
         self.flats.append(flat)
         self.place_hops.append(record.physical_hops)
         if record.extended:
@@ -1019,14 +1027,29 @@ class GredNetwork:
         """
         check_copies(copies)
         entry = self._resolve_entry(entry_switch, rng)
-        # On the default hash each replica's digest both orders the
-        # walk and routes the probe: one SHA-256 per copy.
-        keys = None
-        if copies > 1 and self._position_fn is data_position:
-            keys = [digest_keys(replica_id(data_id, i))
+        return self._retrieve_at(
+            data_id, entry, copies, max_hops, read_repair,
+            None if copies == 1 else self._replica_keys(data_id, copies))
+
+    def _replica_keys(self, data_id: str, copies: int):
+        """The :func:`digest_keys` of every replica of a multi-copy
+        read on the default hash, each replica's digest both ranking
+        the walk (:meth:`_walk_order`) and routing its probe: one
+        SHA-256 per copy.  ``None`` under a custom ``position_fn``,
+        which ranks through :meth:`replica_order`."""
+        if self._position_fn is data_position:
+            return [digest_keys(replica_id(data_id, i))
                     for i in range(copies)]
-        return self._retrieve_at(data_id, entry, copies, max_hops,
-                                 read_repair, keys)
+        return None
+
+    def _walk_order(self, data_id: str, copies: int, entry: int,
+                    keys=None) -> List[int]:
+        """:meth:`replica_order` from ``entry``, ranked on the
+        replicas' ``keys`` when given (no hashing)."""
+        if keys is None:
+            return self.replica_order(data_id, copies, entry)
+        return self._nearest_first(
+            entry, [position_from_bits(k[1]) for k in keys])
 
     def _retrieve_at(self, data_id: str, entry: int, copies: int,
                      max_hops: Optional[int], read_repair: bool,
@@ -1042,9 +1065,7 @@ class GredNetwork:
         try:
             traced = span is not None and handle.recording
             order = ((0,) if copies == 1 else
-                     self.replica_order(data_id, copies, entry)
-                     if keys is None else self._nearest_first(
-                         entry, [position_from_bits(k[1]) for k in keys]))
+                     self._walk_order(data_id, copies, entry, keys))
             result = None
             for attempts, copy_index in enumerate(order, 1):
                 probe = self._probe(data_id, copy_index, entry, max_hops,
@@ -1429,27 +1450,28 @@ class GredNetwork:
         dests, overlays, starts, ends, traces = routes.lists()
         which = which.tolist()
         records: List[PlacementRecord] = []
-        # The one per-copy loop of a cached batch.  Positional, in
-        # field order (id, entry, destination, server, physical hops,
-        # overlay hops, trace, extended): keywords cost 0.4 us a
-        # record, a tenth of a hot placement.
+        # The one per-copy loop of a cached batch: one record per copy,
+        # each a view of the batch's trace column (DESIGN.md §5k).
+        # Positional, in field order: keywords cost 0.4 us a record, a
+        # tenth of a hot placement.
         for copy_id, entry, dest, overlay, start, end, u in zip(
                 flat_ids, batch.flat_entries.tolist(), dests, overlays,
                 starts, ends, which):
             server_id, extra, extended = served[u]
-            records.append(PlacementRecord(
+            records.append(_RecordView(
                 copy_id, entry, dest, server_id, end - start - 1 + extra,
-                overlay, traces[start:end], extended))
+                overlay, traces, start, end, extended))
         if batch.registry.enabled:
             batch.count_mix(routes)
-            for flat, (record, u) in enumerate(zip(records, which)):
+            for flat, (record, u, start, end) in enumerate(zip(
+                    records, which, starts, ends)):
                 batch.deliveries.append((
-                    flat // copies, len(record.trace) - 1,
-                    record.overlay_hops))
+                    flat // copies, end - start - 1, record.overlay_hops))
                 # (The engine counts the rewrite at delivery, whether
                 # or not the extension is then usable.)
                 batch.rewrites += servings[u][1] is not None
-                batch.placed(flat, record, None if payloads is None
+                batch.placed(flat, record, traces[start:end],
+                             None if payloads is None
                              else payloads[flat // copies])
         recorder = default_span_recorder()
         if recorder is not None:
@@ -1461,7 +1483,7 @@ class GredNetwork:
                     server=record.server_id,
                     physical_hops=record.physical_hops,
                     extended=record.extended)
-        return [PlacementResult(data_id, records[at:at + copies])
+        return [_PlacementView(data_id, records, at, at + copies)
                 for data_id, at in zip(
                     data_ids, range(0, len(records), copies))]
 
@@ -1624,18 +1646,20 @@ class GredNetwork:
         dests, overlays, starts, ends, traces = routes.lists(ok)
         data_ids, entries = batch.data_ids, batch.entries
         items = items.tolist()
-        # The one per-probe loop of a cached batch.  Positional, in
-        # field order (id, found, payload, entry, destination, server,
-        # request hops, response hops, trace, copy, forked, attempts).
+        # The one per-probe loop of a cached batch: one result per
+        # probe, each a view of the round's trace column (DESIGN.md
+        # §5k).  Positional, in field order (id, found, payload, entry,
+        # destination, server, request hops, response hops, trace
+        # column and span, copy, forked, attempts).
         for i, h, payload, dest, holder, out, back, start, end, c, fork \
                 in zip(items, hit.tolist(),
                        [payloads[k] for k in at.tolist()], dests,
                        slot.tolist(), (hops + extras[slot]).tolist(),
                        response.tolist(), starts, ends, copy.tolist(),
                        forked[which].tolist()):
-            results[i] = RetrievalResult(
+            results[i] = _RetrievalView(
                 data_ids[i], h, payload, entries[i], dest,
-                server_ids[holder], out, back, traces[start:end], c,
+                server_ids[holder], out, back, traces, start, end, c,
                 fork, attempt)
         if telemetry:
             batch.deliveries.extend(zip(items, hops.tolist(), overlays))
@@ -1643,8 +1667,8 @@ class GredNetwork:
                 [extension is not None for _, extension, _, _
                  in servings])[which].sum())
             batch.flats.extend(probes.tolist())
-            for i in items:
-                batch.transits.extend(results[i].trace)
+            for start, end in zip(starts, ends):
+                batch.transits.extend(traces[start:end])
         return found
 
     def destinations_for(self, data_ids: Sequence[str]) -> List[int]:

@@ -1,14 +1,68 @@
-"""Result records returned by the GRED placement/retrieval API."""
+"""Result records returned by the GRED placement/retrieval API.
+
+A result is built one of two ways (DESIGN.md §5k).  A scalar request
+builds the dataclass itself, which holds its own ``trace`` /
+``records`` list and hands that list back on every read.  A batch body
+builds a *view*: the same fields, but ``trace`` (``records``) is one
+reference to the batch's column — every trace of the batch in one flat
+list of switch ids, every placement record in one flat list — and the
+result's ``(start, end)`` span of it, sliced into a fresh list on each
+read.  A batch of ``n`` requests then holds ``n`` result objects, not
+``n`` results plus ``n`` lists, which is what the batch's garbage
+collector has to walk.  Views are instances of the public classes;
+``==`` and ``repr`` read every field through its attribute, so a view
+equals its scalar twin and shows its own span, never the column.  A
+view kept after its call keeps its batch's column alive.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, List, Optional, Tuple
 
 from ..edge import ServerId
 
 
-@dataclass(slots=True)
+def compared_as_read(cls):
+    """Class decorator for a dataclass declared with ``eq=False,
+    repr=False``: ``==`` and ``repr`` over every field as read (a
+    ``_name`` field through the ``name`` property), equal across
+    subclasses.  Instances stay unhashable, as a dataclass with
+    ``eq=True`` is."""
+    names = tuple(f.name.lstrip("_") for f in fields(cls))
+    read = attrgetter(*names)
+
+    def __eq__(self, other):
+        if not isinstance(other, cls):
+            return NotImplemented
+        return read(self) == read(other)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(names, read(self)))
+        return f"{cls.__qualname__}({shown})"
+
+    cls.__eq__, cls.__repr__, cls.__hash__ = __eq__, __repr__, None
+    return cls
+
+
+def _span(doc: str) -> property:
+    """A view's list attribute: its span of the batch's column, a
+    fresh list per read.  Assigning a list makes it the whole column
+    of this view alone."""
+
+    def read(self):
+        return self._column[self._start:self._end]
+
+    def write(self, value) -> None:
+        self._column, self._start, self._end = value, 0, len(value)
+
+    return property(read, write, doc=doc)
+
+
+@compared_as_read
+@dataclass(slots=True, eq=False, repr=False)
 class PlacementRecord:
     """Outcome of placing one copy of a data item.
 
@@ -36,7 +90,8 @@ class PlacementRecord:
         Greedy decisions taken (the paper's one-overlay-hop claim is
         about the DHT structure; greedy may traverse several DT edges).
     trace:
-        Switch ids visited by the request.
+        Switch ids visited by the request (a fresh list per read on a
+        record ``place_many`` built).
     extended:
         True when the copy was redirected by a range extension.
     hinted:
@@ -57,9 +112,12 @@ class PlacementRecord:
     hinted: bool = False
 
 
-@dataclass(slots=True)
+@compared_as_read
+@dataclass(slots=True, eq=False, repr=False)
 class PlacementResult:
-    """Outcome of placing a data item and all of its copies."""
+    """Outcome of placing a data item and all of its copies
+    (``records``: a fresh list per read on a result ``place_many``
+    built)."""
 
     data_id: str
     records: List[PlacementRecord]
@@ -73,7 +131,8 @@ class PlacementResult:
         return len(self.records)
 
 
-@dataclass(slots=True)
+@compared_as_read
+@dataclass(slots=True, eq=False, repr=False)
 class RetrievalResult:
     """Outcome of retrieving a data item.
 
@@ -83,6 +142,8 @@ class RetrievalResult:
     (network shortest path); ``round_trip_hops`` is their sum.
     ``attempts`` counts the replicas probed nearest-first before this
     outcome (1 = the nearest copy answered; > 1 = replica failover).
+    ``trace`` is a fresh list per read on a result ``retrieve_many``
+    built.
     """
 
     data_id: str
@@ -101,6 +162,98 @@ class RetrievalResult:
     @property
     def round_trip_hops(self) -> int:
         return self.request_hops + self.response_hops
+
+
+# ----------------------------------------------------------------------
+# batch-built views (positional constructors, in field order with the
+# list replaced by ``column, start, end``)
+# ----------------------------------------------------------------------
+class _RecordView(PlacementRecord):
+    """A :class:`PlacementRecord` ``place_many`` built."""
+
+    __slots__ = ("_column", "_start", "_end")
+    trace = _span("Switch ids visited by the request.")
+
+    def __init__(self, data_id, entry_switch, destination_switch,
+                 server_id, physical_hops, overlay_hops, column, start,
+                 end, extended):
+        self.data_id = data_id
+        self.entry_switch = entry_switch
+        self.destination_switch = destination_switch
+        self.server_id = server_id
+        self.physical_hops = physical_hops
+        self.overlay_hops = overlay_hops
+        self._column = column
+        self._start = start
+        self._end = end
+        self.extended = extended
+        self.hinted = False  # a hint is parked by the scalar loop only
+
+
+class _PlacementView(PlacementResult):
+    """A :class:`PlacementResult` ``place_many`` built: a span of the
+    batch's record column."""
+
+    __slots__ = ("_column", "_start", "_end")
+    records = _span("The item's copies, in copy order.")
+
+    def __init__(self, data_id, column, start, end):
+        self.data_id = data_id
+        self._column = column
+        self._start = start
+        self._end = end
+
+    @property
+    def primary(self) -> PlacementRecord:
+        return self._column[self._start]
+
+    @property
+    def num_copies(self) -> int:
+        return self._end - self._start
+
+
+class _RetrievalView(RetrievalResult):
+    """A :class:`RetrievalResult` ``retrieve_many`` built."""
+
+    __slots__ = ("_column", "_start", "_end")
+    trace = _span("Switch ids visited by the request.")
+
+    def __init__(self, data_id, found, payload, entry_switch,
+                 destination_switch, server_id, request_hops,
+                 response_hops, column, start, end, copy_used, forked,
+                 attempts):
+        self.data_id = data_id
+        self.found = found
+        self.payload = payload
+        self.entry_switch = entry_switch
+        self.destination_switch = destination_switch
+        self.server_id = server_id
+        self.request_hops = request_hops
+        self.response_hops = response_hops
+        self._column = column
+        self._start = start
+        self._end = end
+        self.copy_used = copy_used
+        self.forked = forked
+        self.attempts = attempts
+
+
+def prepend_traces(queue) -> None:
+    """Prepend ``head`` to ``result.trace`` for each ``(result, head)``
+    of ``queue`` — one batch's gateway carry (``FederatedNetwork``) —
+    with no list per result: the views among them become views of one
+    new column.  A scalar-built result gets ``head + trace``, as its
+    setter would."""
+    column: List[int] = []
+    for result, head in queue:
+        if isinstance(result, (_RecordView, _RetrievalView)):
+            start = len(column)
+            column += head
+            column += result._column[result._start:result._end]
+            result._column, result._start, result._end = (
+                column, start, len(column))
+        else:
+            result.trace = head + result.trace
 
 
 #: Convenience alias: (switch id, serial) pairs index servers everywhere.

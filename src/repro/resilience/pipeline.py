@@ -42,7 +42,7 @@ created.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..core.network import (GredError, check_batch_args, draw_entries,
                             entry_index)
-from ..core.results import PlacementResult
+from ..core.results import PlacementResult, compared_as_read
 from ..dataplane import ForwardingError
 from ..graph import bfs_path
 from ..hashing import replica_id, server_index
@@ -68,7 +68,8 @@ from .deadline import RetryPolicy
 SHED_ENTRY_DOWN = "entry_down"
 
 
-@dataclass(slots=True)
+@compared_as_read
+@dataclass(slots=True, eq=False, repr=False)
 class ResilientOutcome:
     """Envelope around one request's journey through the pipeline.
 
@@ -79,7 +80,10 @@ class ResilientOutcome:
     wait plus modeled probe service times plus retry backoffs.
     ``deadline_missed`` is True when that latency exceeds the
     request's budget (a late success still misses its SLO).
-    ``records`` lists the copies a placement stored.
+    ``records`` lists the copies a placement stored: the list the
+    pipeline gave it (a scalar placement), else an acknowledged
+    placement's ``result.records``, else ``[]`` — an outcome holds
+    no list of its own otherwise.
     """
 
     kind: str
@@ -95,7 +99,19 @@ class ResilientOutcome:
     hedged: bool = False
     hedge_won: bool = False
     deadline_missed: bool = False
-    records: List[Any] = field(default_factory=list)
+    _records: Optional[List[Any]] = None
+
+    @property
+    def records(self) -> List[Any]:
+        if self._records is not None:
+            return self._records
+        if self.kind == "place" and self.result is not None:
+            return self.result.records
+        return []
+
+    @records.setter
+    def records(self, value: List[Any]) -> None:
+        self._records = value
 
 
 def _passed(kind: str, data_id: str, result) -> ResilientOutcome:
@@ -103,11 +119,9 @@ def _passed(kind: str, data_id: str, result) -> ResilientOutcome:
     placement it acknowledged or a retrieval it answered."""
     if kind == "place":
         return ResilientOutcome(kind, data_id, True, None, True, result,
-                                0.0, 0.0, 1, 0, False, False, False,
-                                result.records)
+                                0.0, 0.0, 1)
     return ResilientOutcome(kind, data_id, True, None, result.found,
-                            result, 0.0, 0.0, result.attempts, 0, False,
-                            False, False, [])
+                            result, 0.0, 0.0, result.attempts)
 
 
 class ResilientNetwork:
@@ -381,26 +395,30 @@ class ResilientNetwork:
         and its envelope.  Returns the outcomes and their latencies."""
         model, slowed, count = self.config.latency, self._slowed(), len(ids)
         if kind == "place":
-            rows = [result.records for result in results]
-            out = back = np.array([leg.physical_hops for row in rows
-                                   for leg in row]).reshape(count, -1)
-            found, tries, records = (True,) * count, (1,) * count, rows
+            # Every leg, result-major: a one-copy result's record is
+            # read without a list per result.
+            legs = ([result.primary for result in results]
+                    if results[0].num_copies == 1 else
+                    [leg for result in results for leg in result.records])
+            copies = len(legs) // count
+            out = back = np.array([leg.physical_hops for leg in legs]
+                                  ).reshape(count, copies)
+            found, tries = (True,) * count, (1,) * count
         else:
             found, out, back, tries = zip(*[
                 (r.found, r.request_hops, r.response_hops, r.attempts)
                 for r in results])
             out = np.array(out)[:, None]
             back = np.where(np.array(found), back, out[:, 0])[:, None]
-            rows, records = None, [[] for _ in results]  # one leg: results
+            legs, copies = results, 1
         service = 0
-        for k in range(out.shape[1]):
+        for k in range(copies):
             delay = model.nominal(out[:, k], back[:, k])
             if slowed is not None:
-                legs = results if rows is None else [row[k] for row in rows]
                 delay = delay + np.array([
                     slow_excess(slowed, leg.trace,
                                 *self._return(leg, slowed))
-                    for leg in legs]) * model.link_delay
+                    for leg in legs[k::copies]]) * model.link_delay
             service = service + delay
         latency = np.asarray(waits) + service
         missed, latency = (latency > timeout).tolist(), latency.tolist()
@@ -413,13 +431,13 @@ class ResilientNetwork:
                     replica_id(ids[i], result.copy_used),
                     result.destination_switch)[2], at)
             elif not board.quiet():
-                for leg in (result,) if rows is None else rows[i]:
+                for leg in legs[i * copies:(i + 1) * copies]:
                     self._succeeded(leg.destination_switch, leg.server_id,
                                     at)
         return list(map(  # one column per ResilientOutcome field
             ResilientOutcome, repeat(kind), ids, repeat(True), repeat(None),
             found, results, latency, waits, tries, repeat(0), repeat(False),
-            repeat(False), missed, records)), latency
+            repeat(False), missed)), latency
 
     # ------------------------------------------------------------------
     # introspection
@@ -563,20 +581,23 @@ class ResilientNetwork:
             ResilientOutcome("retrieve", data_id, True, None, False, None,
                              0.0, queue_wait), arrival, timeout, recorder,
             root, self._attempt_retrieve, data_id, entry, copies,
-            timeout, max_hops)
+            timeout, max_hops,
+            None if copies == 1 else self.net._replica_keys(data_id, copies))
 
     def _attempt_retrieve(self, clock: float, deadline: float,
                           tries: int, outcome: ResilientOutcome,
                           recorder, root: Optional[Span], data_id: str,
                           entry: int, copies: int, timeout: float,
-                          max_hops: Optional[int]) -> float:
-        """One failover walk over the (breaker-filtered) replica order:
-        ``outcome`` takes the hit (``ok``) or the latest miss, and the
-        attempt/hedge accounting.  One copy on a quiet board has one
-        replica to walk: nothing to rank, filter or hedge."""
+                          max_hops: Optional[int], keys) -> float:
+        """One failover walk over the (breaker-filtered) replica order,
+        ranked and routed on the request's replica ``keys`` (one
+        SHA-256 per copy, taken once per request): ``outcome`` takes
+        the hit (``ok``) or the latest miss, and the attempt/hedge
+        accounting.  One copy on a quiet board has one replica to
+        walk: nothing to rank, filter or hedge."""
         cfg = self.config
         walk = order = ((0,) if copies == 1 else
-                        self.net.replica_order(data_id, copies, entry))
+                        self.net._walk_order(data_id, copies, entry, keys))
         if not self.breakers.quiet():
             walk = [i for i in order
                     if self._replica_allowed(data_id, i, clock)]
@@ -611,7 +632,7 @@ class ResilientNetwork:
             (r1, l1), (r2, l2) = [
                 self._probe_retrieve(data_id, copy_index, entry,
                                      outcome.attempts - 1 + fork, max_hops,
-                                     clock, recorder, root, True)
+                                     clock, keys, recorder, root, True)
                 for fork, copy_index in enumerate(walk[:2])]
             hits = [(l, r) for l, r in ((l1, r1), (l2, r2))
                     if r is not None and r.found]
@@ -645,7 +666,7 @@ class ResilientNetwork:
             outcome.attempts += 1
             result, latency = self._probe_retrieve(
                 data_id, copy_index, entry, outcome.attempts, max_hops,
-                clock, recorder, root)
+                clock, keys, recorder, root)
             clock += latency
             if result is not None and result.found:
                 self._maybe_read_repair(data_id, copies, recorder)
@@ -673,14 +694,16 @@ class ResilientNetwork:
 
     def _probe_retrieve(self, data_id: str, copy_index: int,
                         entry: int, attempt_no: int,
-                        max_hops: Optional[int], now: float,
+                        max_hops: Optional[int], now: float, keys=None,
                         recorder=None, root: Optional[Span] = None,
                         hedged: bool = False):
-        """Probe one replica; returns ``(result_or_None, latency)``
-        and feeds the breakers.  The probe is handed no recorder, so
-        it records no span of its own: the pipeline narrates it."""
+        """Probe one replica (routed on ``keys[copy_index]`` when the
+        request hashed its replicas); returns ``(result_or_None,
+        latency)`` and feeds the breakers.  The probe is handed no
+        recorder, so it records no span of its own: the pipeline
+        narrates it."""
         result = self.net._probe(data_id, copy_index, entry, max_hops,
-                                 attempt_no)
+                                 attempt_no, keys and keys[copy_index])
         if result is None:
             latency, status = self.config.failure_penalty, "route_error"
         else:

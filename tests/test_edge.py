@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import GredNetwork, brite_waxman_graph
 from repro.edge import (
     EdgeServer,
     StorageFull,
@@ -11,6 +12,7 @@ from repro.edge import (
     attach_uniform,
     load_vector,
 )
+from repro.io import from_snapshot, to_snapshot
 
 
 class TestEdgeServer:
@@ -112,6 +114,28 @@ class TestEdgeServer:
         s.clear()
         assert s.load == 0
 
+
+def test_the_server_id_is_the_pair():
+    """``EdgeServer.server_id`` is set once and stays ``(switch,
+    serial)`` through a join, a leave and a snapshot restore; it is no
+    compared or shown field."""
+    topology, _ = brite_waxman_graph(24, min_degree=3,
+                                     rng=np.random.default_rng(3))
+    net = GredNetwork(topology, attach_uniform(
+        topology.nodes(), servers_per_switch=2), cvt_iterations=3, seed=3)
+    joiner = max(net.switch_ids()) + 1
+    net.add_switch(joiner, sorted(net.switch_ids())[:3],
+                   servers_per_switch=2)
+    assert [s.server_id for s in net.server_map[joiner]] == [
+        (joiner, 0), (joiner, 1)]
+    net.remove_switch(sorted(net.switch_ids())[0])
+    restored = from_snapshot(to_snapshot(net))
+    for each in (net, restored):
+        assert all(s.server_id == (s.switch, s.serial)
+                   for s in each.servers())
+    server = EdgeServer(5, 1)
+    assert "server_id" not in repr(server)
+    assert server == EdgeServer(5, 1) and server != EdgeServer(5, 0)
 
 class TestAttachment:
     def test_uniform_counts(self):

@@ -1,8 +1,9 @@
 """The scalar request path (DESIGN.md §5j): what one ``place`` /
 ``retrieve`` pays for, and that recording rides it behind ``if``s.
 
-* A scalar retrieve on the default hash takes one SHA-256 per replica:
-  the digest that ranks the replicas also routes the probe.
+* A scalar retrieve on the default hash takes one SHA-256 per replica,
+  on the raw network and through an enabled resilient pipeline: the
+  digest that ranks the replicas also routes the probe.
 * ``FASTPATH_GATES`` is read on every request, never kept.
 * Recording never changes an answer: the same walk of scalar place /
   retrieve / delete on a raw network (with and without an absorbed
@@ -82,19 +83,43 @@ class TestOneDigestPerReplica:
         assert result.found is (copies > 1)
         assert result.attempts == min(2, copies)
 
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_a_resilient_retrieve_hashes_each_replica_once(self, copies,
+                                                           digests):
+        """An enabled pipeline's retrieve with ``copies=c`` takes
+        exactly ``c`` SHA-256s when its nearest copy answers: the
+        digests that rank the replicas route the probe."""
+        net = build_net()
+        pipeline = net.resilient(ResilienceConfig(enabled=True))
+        entries = net.switch_ids()[::3]
+        ids = [f"one/{i}" for i in range(12)]
+        for data_id in ids:
+            net.place(data_id, entry_switch=entries[0], copies=copies)
+        for i, data_id in enumerate(ids):
+            del digests[:]
+            outcome = pipeline.retrieve(data_id, entry_switch=entries[i % 4],
+                                        copies=copies, now=float(i))
+            assert outcome.ok and outcome.result.attempts == 1
+            assert len(digests) == copies
+
     def test_the_walk_order_is_replica_order(self):
         """The digests the retrieve ranks replicas by give
         :meth:`replica_order`'s order, on the default hash and under a
-        custom ``position_fn`` (which keeps its own path)."""
+        custom ``position_fn`` (which keeps its own path), on the raw
+        network and through an enabled pipeline."""
         for fn in (None, lambda d: data_position(d + "!")):
             net = build_net(position_fn=fn)
+            pipeline = net.resilient(ResilienceConfig(enabled=True))
             for i in range(20):
                 data_id = f"order/{i}"
                 entry = net.switch_ids()[i % 7]
                 net.place(data_id, entry_switch=entry, copies=3)
+                nearest = net.replica_order(data_id, 3, entry)[0]
                 got = net.retrieve(data_id, entry_switch=entry, copies=3)
-                assert got.copy_used == net.replica_order(
-                    data_id, 3, entry)[0]
+                assert got.copy_used == nearest
+                outcome = pipeline.retrieve(data_id, entry_switch=entry,
+                                            copies=3, now=float(i))
+                assert outcome.result.copy_used == nearest
 
 
 def test_the_gates_are_read_on_every_request(monkeypatch):
